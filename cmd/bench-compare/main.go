@@ -25,15 +25,10 @@
 //  4. the pipelined dlog-on hot path must keep its fsync merge: fsyncs
 //     per commit at most 1/1.5 of the serial dlog-on baseline, virtual
 //     p50 no worse than it, and the pipeline-on/off fsync ratio no worse
-//     than the baseline's. The serial baseline row resolves from the
-//     ".../pipeline=off" name, falling back to the PR 5-era
-//     "coordinator-hotpath/dlog=on" so older artifacts still gate.
+//     than the baseline's.
 //  5. the sharded topology must keep scaling: 4-shard virtual throughput
 //     on the sharded mix at least 2.5x the 1-shard row, and the realized
 //     scaling ratio must not regress more than 15% against the baseline.
-//     Skipped (with a note) when the baseline predates the sharding rows
-//     (BENCH_pr6.json-era artifacts); the current artifact must carry
-//     them once the baseline does.
 //  6. footprint-scoped fences must keep untouched shards fast: on the
 //     mixed workload (updates pinned to shards the transfers never touch)
 //     the scoped schedule's untouched-shard throughput must be at least
@@ -42,8 +37,6 @@
 //     record ScopedFences > 0 and the reference row ScopedFences == 0 —
 //     otherwise the comparison is vacuous (the workload stopped
 //     exercising scoping, or the reference stopped fencing everything).
-//     Skipped (with a note) when the baseline predates the scoped-fence
-//     rows (pre-PR 10 artifacts).
 package main
 
 import (
@@ -82,9 +75,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	baseline, err := bench.ReadPR5JSON(*baselinePath)
+	baseline, err := bench.ReadJSON(*baselinePath)
 	check(err)
-	current, err := bench.ReadPR5JSON(*currentPath)
+	current, err := bench.ReadJSON(*currentPath)
 	check(err)
 
 	failures := 0
@@ -144,17 +137,17 @@ func main() {
 	fmt.Printf("bench-compare: commits/batch on=%.2f off=%.2f (baseline on=%.2f off=%.2f)\n",
 		curOn.CommitsPerBatch, curOff.CommitsPerBatch, baseOn.CommitsPerBatch, baseOff.CommitsPerBatch)
 
-	// 4. The pipelined epoch schedule's fsync merge. The serial baseline
-	// is the pipeline=off row when the artifact has the dimension, or the
-	// PR 5-era dlog=on row when it predates pipelining.
+	// 4. The pipelined epoch schedule's fsync merge, against the
+	// baseline's serial (pipeline=off) row.
 	syncsPerCommit := func(r bench.DlogRow) float64 {
 		if r.Commits == 0 {
 			return 0
 		}
 		return float64(r.LogSyncs) / float64(r.Commits)
 	}
-	baseSerial, err := baseline.FindDlog(
-		"coordinator-hotpath/dlog=on/pipeline=off", "coordinator-hotpath/dlog=on")
+	baseSerial, err := baseline.FindDlog("coordinator-hotpath/dlog=on/pipeline=off")
+	check(err)
+	basePipe, err := baseline.FindDlog("coordinator-hotpath/dlog=on/pipeline=on")
 	check(err)
 	curPipe, err := current.FindDlog("coordinator-hotpath/dlog=on/pipeline=on")
 	check(err)
@@ -175,14 +168,10 @@ func main() {
 				curPipe.VirtualP50Ms, baseSerial.VirtualP50Ms, int(tolerance*100))
 		}
 		curRatio := syncsPerCommit(curPipe) / syncsPerCommit(curSerial)
-		if baseSerialOff, err := baseline.FindDlog("coordinator-hotpath/dlog=on/pipeline=off"); err == nil {
-			if basePipe, err := baseline.FindDlog("coordinator-hotpath/dlog=on/pipeline=on"); err == nil {
-				baseRatio := syncsPerCommit(basePipe) / syncsPerCommit(baseSerialOff)
-				if curRatio > baseRatio*(1+tolerance) {
-					fail("pipeline on/off syncs-per-commit ratio regressed: %.4f (baseline %.4f, tolerance %d%%)",
-						curRatio, baseRatio, int(tolerance*100))
-				}
-			}
+		baseRatio := syncsPerCommit(basePipe) / syncsPerCommit(baseSerial)
+		if curRatio > baseRatio*(1+tolerance) {
+			fail("pipeline on/off syncs-per-commit ratio regressed: %.4f (baseline %.4f, tolerance %d%%)",
+				curRatio, baseRatio, int(tolerance*100))
 		}
 		if curRatio >= 1 {
 			fail("pipelining no longer merges fsyncs: on/off syncs-per-commit ratio %.4f (must be < 1)", curRatio)
@@ -191,79 +180,68 @@ func main() {
 			merge, curPipe.VirtualP50Ms, baseSerial.VirtualP50Ms, curRatio)
 	}
 
-	// 5. Sharded scaling. Gated only once the baseline carries the rows:
-	// a BENCH_pr6.json-era baseline predates the sharded topology, and
-	// requiring rows it cannot have would block the artifact handover.
-	if len(baseline.Sharding) == 0 {
-		fmt.Println("bench-compare: baseline has no sharding rows (pre-PR 8 artifact); scaling gate skipped")
+	// 5. Sharded scaling.
+	cur1, err := current.FindSharding(1)
+	check(err)
+	cur4, err := current.FindSharding(4)
+	check(err)
+	base1, err := baseline.FindSharding(1)
+	check(err)
+	base4, err := baseline.FindSharding(4)
+	check(err)
+	if cur1.TxnPerVirtualSec <= 0 || base1.TxnPerVirtualSec <= 0 {
+		fail("degenerate 1-shard throughput (current %.0f, baseline %.0f)",
+			cur1.TxnPerVirtualSec, base1.TxnPerVirtualSec)
 	} else {
-		cur1, err := current.FindSharding(1)
-		check(err)
-		cur4, err := current.FindSharding(4)
-		check(err)
-		base1, err := baseline.FindSharding(1)
-		check(err)
-		base4, err := baseline.FindSharding(4)
-		check(err)
-		if cur1.TxnPerVirtualSec <= 0 || base1.TxnPerVirtualSec <= 0 {
-			fail("degenerate 1-shard throughput (current %.0f, baseline %.0f)",
-				cur1.TxnPerVirtualSec, base1.TxnPerVirtualSec)
-		} else {
-			scale := cur4.TxnPerVirtualSec / cur1.TxnPerVirtualSec
-			baseScale := base4.TxnPerVirtualSec / base1.TxnPerVirtualSec
-			if scale < shardScalingFloor {
-				fail("4-shard scaling below floor: %.2fx the 1-shard throughput (need >= %.1fx)",
-					scale, shardScalingFloor)
-			}
-			if scale < baseScale*(1-tolerance) {
-				fail("4-shard scaling ratio regressed: %.2fx (baseline %.2fx, tolerance %d%%)",
-					scale, baseScale, int(tolerance*100))
-			}
-			if cur4.GlobalTxns == 0 {
-				fail("4-shard mix routed no global transactions — the cross-shard tail went unexercised")
-			}
-			fmt.Printf("bench-compare: sharded scaling 4/1: %.2fx (baseline %.2fx); 4-shard globals %d in %d batches\n",
-				scale, baseScale, cur4.GlobalTxns, cur4.GlobalBatches)
+		scale := cur4.TxnPerVirtualSec / cur1.TxnPerVirtualSec
+		baseScale := base4.TxnPerVirtualSec / base1.TxnPerVirtualSec
+		if scale < shardScalingFloor {
+			fail("4-shard scaling below floor: %.2fx the 1-shard throughput (need >= %.1fx)",
+				scale, shardScalingFloor)
 		}
+		if scale < baseScale*(1-tolerance) {
+			fail("4-shard scaling ratio regressed: %.2fx (baseline %.2fx, tolerance %d%%)",
+				scale, baseScale, int(tolerance*100))
+		}
+		if cur4.GlobalTxns == 0 {
+			fail("4-shard mix routed no global transactions — the cross-shard tail went unexercised")
+		}
+		fmt.Printf("bench-compare: sharded scaling 4/1: %.2fx (baseline %.2fx); 4-shard globals %d in %d batches\n",
+			scale, baseScale, cur4.GlobalTxns, cur4.GlobalBatches)
 	}
 
-	// 6. Footprint-scoped fences. Gated only once the baseline carries
-	// the rows: a pre-PR 10 baseline predates the scoped schedule.
-	if len(baseline.ScopedFence) == 0 {
-		fmt.Println("bench-compare: baseline has no scoped-fence rows (pre-PR 10 artifact); scoped-fence gate skipped")
+	// 6. Footprint-scoped fences.
+	curScoped, err := current.FindScopedFence(false)
+	check(err)
+	curFull, err := current.FindScopedFence(true)
+	check(err)
+	baseScoped, err := baseline.FindScopedFence(false)
+	check(err)
+	baseFull, err := baseline.FindScopedFence(true)
+	check(err)
+	if curScoped.ScopedFences == 0 {
+		fail("scoped-fence run recorded no scoped fences — every global batch fenced the whole cluster, the gate is vacuous")
+	}
+	if curFull.ScopedFences != 0 {
+		fail("fence-everything reference recorded %d scoped fences — the reference schedule is no longer full-fence",
+			curFull.ScopedFences)
+	}
+	if curFull.UntouchedTxnPerVirtualSec <= 0 || baseFull.UntouchedTxnPerVirtualSec <= 0 {
+		fail("degenerate full-fence untouched throughput (current %.0f, baseline %.0f)",
+			curFull.UntouchedTxnPerVirtualSec, baseFull.UntouchedTxnPerVirtualSec)
 	} else {
-		curScoped, err := current.FindScopedFence(false)
-		check(err)
-		curFull, err := current.FindScopedFence(true)
-		check(err)
-		baseScoped, err := baseline.FindScopedFence(false)
-		check(err)
-		baseFull, err := baseline.FindScopedFence(true)
-		check(err)
-		if curScoped.ScopedFences == 0 {
-			fail("scoped-fence run recorded no scoped fences — every global batch fenced the whole cluster, the gate is vacuous")
+		win := curScoped.UntouchedTxnPerVirtualSec / curFull.UntouchedTxnPerVirtualSec
+		baseWin := baseScoped.UntouchedTxnPerVirtualSec / baseFull.UntouchedTxnPerVirtualSec
+		if win < scopedFenceFloor {
+			fail("scoped-fence untouched-shard win below floor: %.2fx the full-fence throughput (need >= %.1fx)",
+				win, scopedFenceFloor)
 		}
-		if curFull.ScopedFences != 0 {
-			fail("fence-everything reference recorded %d scoped fences — the reference schedule is no longer full-fence",
-				curFull.ScopedFences)
+		if win < baseWin*(1-tolerance) {
+			fail("scoped-fence untouched-shard win regressed: %.2fx (baseline %.2fx, tolerance %d%%)",
+				win, baseWin, int(tolerance*100))
 		}
-		if curFull.UntouchedTxnPerVirtualSec <= 0 || baseFull.UntouchedTxnPerVirtualSec <= 0 {
-			fail("degenerate full-fence untouched throughput (current %.0f, baseline %.0f)",
-				curFull.UntouchedTxnPerVirtualSec, baseFull.UntouchedTxnPerVirtualSec)
-		} else {
-			win := curScoped.UntouchedTxnPerVirtualSec / curFull.UntouchedTxnPerVirtualSec
-			baseWin := baseScoped.UntouchedTxnPerVirtualSec / baseFull.UntouchedTxnPerVirtualSec
-			if win < scopedFenceFloor {
-				fail("scoped-fence untouched-shard win below floor: %.2fx the full-fence throughput (need >= %.1fx)",
-					win, scopedFenceFloor)
-			}
-			if win < baseWin*(1-tolerance) {
-				fail("scoped-fence untouched-shard win regressed: %.2fx (baseline %.2fx, tolerance %d%%)",
-					win, baseWin, int(tolerance*100))
-			}
-			fmt.Printf("bench-compare: scoped-fence untouched win %.2fx (baseline %.2fx); %d scoped fences over %d global batches\n",
-				win, baseWin, curScoped.ScopedFences, curScoped.GlobalBatches)
-		}
+		fmt.Printf("bench-compare: scoped-fence untouched win %.2fx (baseline %.2fx); %d scoped fences over %d global batches\n",
+			win, baseWin, curScoped.ScopedFences, curScoped.GlobalBatches)
 	}
 
 	if failures > 0 {

@@ -44,7 +44,6 @@ import (
 	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/chaos/oracle"
 	adversarial "statefulentities.dev/stateflow/internal/chaos/workload"
-	"statefulentities.dev/stateflow/internal/metrics"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	sfsys "statefulentities.dev/stateflow/internal/systems/stateflow"
@@ -128,7 +127,7 @@ func runClient(label string, c stateflow.Client, clients int, wgen *ycsb.Generat
 	}
 	total := int(rate * duration.Seconds())
 	var mu sync.Mutex
-	lat := metrics.NewBoundedSeries(sysapi.LatencyReservoir)
+	lat := obs.NewBoundedHistogram(sysapi.LatencyReservoir)
 	errs := 0
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -149,7 +148,7 @@ func runClient(label string, c stateflow.Client, clients int, wgen *ycsb.Generat
 					Call(req.Method, req.Args...)
 				d := time.Since(t0)
 				mu.Lock()
-				lat.Add(d)
+				lat.Observe(d)
 				if err != nil || res.Err != "" {
 					errs++
 				}
@@ -160,7 +159,7 @@ func runClient(label string, c stateflow.Client, clients int, wgen *ycsb.Generat
 	wg.Wait()
 	fmt.Printf("%s, %d clients: %d requests in %s (errors: %d)\n",
 		label, clients, total, time.Since(start).Round(time.Millisecond), errs)
-	fmt.Printf("per-call latency: %s\n", lat.Summary())
+	fmt.Printf("per-call latency: %s\n", lat.Snapshot())
 }
 
 // reqSafe serializes generator access across client goroutines.
@@ -245,9 +244,9 @@ func runSim(backend string, prog *stateflow.Program, wgen *ycsb.Generator, recor
 	cluster.RunUntil(duration + 10*time.Second)
 	fmt.Printf("%s: %d submitted, %d completed, %d errors over %s virtual time (%s real)\n",
 		backend, gen.Submitted, gen.Done, gen.Errors, duration, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("end-to-end latency: %s\n", gen.Latency.Summary())
+	fmt.Printf("end-to-end latency: %s\n", gen.Latency.Snapshot())
 	for kind, s := range gen.PerKind {
-		fmt.Printf("  %-9s %s\n", kind+":", s.Summary())
+		fmt.Printf("  %-9s %s\n", kind+":", s.Snapshot())
 	}
 	if sf != nil {
 		c := sf.Coordinator()

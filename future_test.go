@@ -31,11 +31,9 @@ func TestLocalSubmitFutureIsBornComplete(t *testing.T) {
 	}
 }
 
-// TestSimulationSubmitFutureFailure is the regression test for the lossy
-// legacy getter: a failing submitted request must surface its application
-// error, retry count and latency through the Future. (The deprecated
-// Simulation.Submit getter returned a zero Value and silently dropped all
-// of that.)
+// TestSimulationSubmitFutureFailure: a failing submitted request must
+// surface its application error, retry count and latency through the
+// Future.
 func TestSimulationSubmitFutureFailure(t *testing.T) {
 	prog := stateflow.MustCompile(figure1)
 	for _, backend := range []stateflow.Backend{stateflow.BackendStateFlow, stateflow.BackendStateFun} {
@@ -61,14 +59,6 @@ func TestSimulationSubmitFutureFailure(t *testing.T) {
 			}
 			if res.Retries != 0 {
 				t.Fatalf("unexpected retries: %+v", res)
-			}
-			// The legacy getter semantics (zero Value) remain available for
-			// old callers, but the Future carried the truth.
-			get := simu.Submit("User", "ghost2", "buy_item",
-				stateflow.Int(1), stateflow.Ref("Item", "nope"))
-			simu.Run(5 * time.Second)
-			if v := get(); v.Kind != stateflow.None.Kind {
-				t.Fatalf("legacy getter: %v", v)
 			}
 		})
 	}

@@ -55,7 +55,7 @@ func runStateFlowPoint(cfg stateflow.Config, mix ycsb.Mix, dist string, rate flo
 	cluster.Add("client", gen)
 	cluster.Start()
 	cluster.RunUntil(opt.Duration + 10*time.Second)
-	st := gen.Latency.Stats()
+	st := gen.Latency.Snapshot()
 	return AblationRow{
 		P50:     st.P50,
 		P99:     st.P99,

@@ -15,7 +15,7 @@ import (
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/ir"
-	"statefulentities.dev/stateflow/internal/metrics"
+	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/stateflow"
 	"statefulentities.dev/stateflow/internal/systems/statefun"
@@ -116,7 +116,7 @@ func runOne(system string, mix ycsb.Mix, dist string, rate float64, opt Options)
 	cluster.Start()
 	cluster.RunUntil(opt.Duration + 10*time.Second) // grace to drain
 
-	st := gen.Latency.Stats()
+	st := gen.Latency.Snapshot()
 	pt := RunPoint{
 		System: system, Workload: mix.Name, Dist: dist, RateRPS: rate,
 		Mean: st.Mean, P50: st.P50, P99: st.P99, Samples: int(st.Count),
@@ -223,7 +223,7 @@ func PrintFig4(points []RunPoint) string {
 // OverheadRow is the per-component breakdown at one state size.
 type OverheadRow struct {
 	StateKB       int
-	Breakdown     *metrics.Breakdown
+	Breakdown     *obs.Breakdown
 	SplitFraction float64
 }
 
@@ -262,7 +262,7 @@ func RunOverhead(opt Options, stateKBs []int) ([]OverheadRow, error) {
 		cluster.Start()
 		cluster.RunUntil(o.Duration + 5*time.Second)
 
-		agg := metrics.NewBreakdown()
+		agg := obs.NewBreakdown()
 		for _, w := range sys.Workers() {
 			agg.Merge(w.Breakdown)
 		}

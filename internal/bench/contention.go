@@ -6,7 +6,7 @@
 // client latencies quantify what the in-batch re-execution rounds buy
 // over next-batch retries. All virtual-time metrics are deterministic
 // functions of the seed, which is what lets CI compare a re-run against
-// the checked-in BENCH_pr6.json byte for byte rather than against noisy
+// the checked-in BENCH_pr10.json byte for byte rather than against noisy
 // wall-clock numbers.
 package bench
 
@@ -133,7 +133,7 @@ func RunContention(opt Options) ([]ContentionRow, error) {
 			return nil, fmt.Errorf("contention (%s): %d/%d responses", tc.name, client.Done, total)
 		}
 		coord := sys.Coordinator()
-		lat := client.Latency.Stats()
+		lat := client.Latency.Snapshot()
 		row := ContentionRow{
 			Name:           tc.name,
 			Commits:        coord.Commits,
@@ -175,15 +175,11 @@ func PrintContention(rows []ContentionRow) string {
 	return b.String()
 }
 
-// PR5Doc is the BENCH_pr5.json / BENCH_pr6.json / BENCH_pr8.json /
-// BENCH_pr10.json schema: the contention experiment that gates
-// regressions plus the dlog experiment carried forward, so the benchmark
-// trajectory accumulates in one artifact per PR. From PR 6 on, both
-// sections carry the epoch-schedule dimension (".../pipeline=on|off"
-// rows); from PR 8 on, the sharded-scaling rows ride along too; from
-// PR 10 on, the scoped-fence rows. bench-compare accepts older artifacts
-// without any of them.
-type PR5Doc struct {
+// Doc is the BENCH_pr10.json schema: the contention experiment that gates
+// regressions plus the dlog (".../pipeline=on|off" rows), sharded-scaling
+// and scoped-fence experiments, so one artifact carries every row
+// bench-compare gates.
+type Doc struct {
 	Benchmark   string           `json:"benchmark"`
 	Chain       int              `json:"chain"`
 	Waves       int              `json:"waves"`
@@ -195,12 +191,10 @@ type PR5Doc struct {
 	ScopedFence []ScopedFenceRow `json:"scoped_fence,omitempty"`
 }
 
-// WritePR5JSON writes the benchmark artifact checked in as
-// BENCH_pr10.json (BENCH_pr5/6/8.json historically) and enforced by the
-// CI bench-compare step. shard and scoped may be nil (older artifact
-// shapes).
-func WritePR5JSON(path string, opt Options, cont []ContentionRow, dlog []DlogRow, shard []ShardingRow, scoped []ScopedFenceRow) error {
-	doc := PR5Doc{
+// WriteJSON writes the benchmark artifact checked in as BENCH_pr10.json
+// and enforced by the CI bench-compare step.
+func WriteJSON(path string, opt Options, cont []ContentionRow, dlog []DlogRow, shard []ShardingRow, scoped []ScopedFenceRow) error {
+	doc := Doc{
 		Benchmark:   "aria-fallback-contention",
 		Chain:       contentionChain,
 		Waves:       contentionWaves,
@@ -218,10 +212,10 @@ func WritePR5JSON(path string, opt Options, cont []ContentionRow, dlog []DlogRow
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// ReadPR5JSON loads a benchmark artifact (the bench-compare tool reads
+// ReadJSON loads a benchmark artifact (the bench-compare tool reads
 // both the checked-in baseline and the fresh re-run through this).
-func ReadPR5JSON(path string) (PR5Doc, error) {
-	var doc PR5Doc
+func ReadJSON(path string) (Doc, error) {
+	var doc Doc
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return doc, err
@@ -233,7 +227,7 @@ func ReadPR5JSON(path string) (PR5Doc, error) {
 }
 
 // FindContention returns the named contention row.
-func (d PR5Doc) FindContention(name string) (ContentionRow, error) {
+func (d Doc) FindContention(name string) (ContentionRow, error) {
 	for _, r := range d.Contention {
 		if r.Name == name {
 			return r, nil
@@ -242,23 +236,18 @@ func (d PR5Doc) FindContention(name string) (ContentionRow, error) {
 	return ContentionRow{}, fmt.Errorf("benchmark doc has no contention row %q", name)
 }
 
-// FindDlog returns the first dlog row matching any of the given names —
-// callers list the preferred (newer-schema) name first and a legacy
-// fallback after it, so a PR 5-era artifact without the pipeline
-// dimension still resolves its serial dlog-on row.
-func (d PR5Doc) FindDlog(names ...string) (DlogRow, error) {
-	for _, name := range names {
-		for _, r := range d.Dlog {
-			if r.Name == name {
-				return r, nil
-			}
+// FindDlog returns the named dlog row.
+func (d Doc) FindDlog(name string) (DlogRow, error) {
+	for _, r := range d.Dlog {
+		if r.Name == name {
+			return r, nil
 		}
 	}
-	return DlogRow{}, fmt.Errorf("benchmark doc has no dlog row %q", strings.Join(names, `" or "`))
+	return DlogRow{}, fmt.Errorf("benchmark doc has no dlog row %q", name)
 }
 
 // FindSharding returns the row measured at the given shard count.
-func (d PR5Doc) FindSharding(shards int) (ShardingRow, error) {
+func (d Doc) FindSharding(shards int) (ShardingRow, error) {
 	for _, r := range d.Sharding {
 		if r.Shards == shards {
 			return r, nil
@@ -268,7 +257,7 @@ func (d PR5Doc) FindSharding(shards int) (ShardingRow, error) {
 }
 
 // FindScopedFence returns the scoped-fence row for one fence schedule.
-func (d PR5Doc) FindScopedFence(fullFences bool) (ScopedFenceRow, error) {
+func (d Doc) FindScopedFence(fullFences bool) (ScopedFenceRow, error) {
 	for _, r := range d.ScopedFence {
 		if r.FullFences == fullFences {
 			return r, nil

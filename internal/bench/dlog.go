@@ -92,7 +92,7 @@ func RunDlog(opt Options) ([]DlogRow, error) {
 		wall := time.Since(start)
 
 		commits := sys.Coordinator().Commits
-		lat := gen.Latency.Stats()
+		lat := gen.Latency.Snapshot()
 		row := DlogRow{
 			Name:         tc.name,
 			VirtualP50Ms: lat.P50Ms(),

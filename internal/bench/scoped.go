@@ -178,7 +178,7 @@ func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
 	}
 
 	makespan := uDone - time.Millisecond // first arrival at 1ms
-	lat := uclient.Latency.Stats()
+	lat := uclient.Latency.Snapshot()
 	mode := "scoped"
 	if fullFences {
 		mode = "full"

@@ -6,7 +6,7 @@
 // throughput — the whole point of the multi-coordinator topology is that
 // single-shard traffic pays nothing for the other shards' existence. All
 // virtual-time metrics are deterministic functions of the seed, so CI
-// compares re-runs against the checked-in BENCH_pr8.json exactly.
+// compares re-runs against the checked-in BENCH_pr10.json exactly.
 package bench
 
 import (
@@ -160,7 +160,7 @@ func runShardingPoint(opt Options, shards int) (ShardingRow, error) {
 	}
 
 	makespan := cluster.Now() - time.Millisecond // first arrival at 1ms
-	lat := client.Latency.Stats()
+	lat := client.Latency.Snapshot()
 	row := ShardingRow{
 		Name:              fmt.Sprintf("sharding/shards=%d", shards),
 		Shards:            shards,

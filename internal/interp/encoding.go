@@ -146,16 +146,29 @@ func (d *Decoder) varint() (int64, error) {
 	return i, nil
 }
 
-func (d *Decoder) str() (string, error) {
+// count reads a length or element count and rejects one the unread bytes
+// cannot hold (every element encodes to at least one byte). The buffer is
+// outside input — journal records, snapshot images and log checkpoints
+// read back from storage — so nothing may be allocated from a count before
+// this check.
+func (d *Decoder) count() (int, error) {
 	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.Remaining()) {
+		return 0, fmt.Errorf("decode: count %d overruns %d remaining bytes", n, d.Remaining())
+	}
+	return int(n), nil
+}
+
+func (d *Decoder) str() (string, error) {
+	n, err := d.count()
 	if err != nil {
 		return "", err
 	}
-	if d.off+int(n) > len(d.buf) {
-		return "", fmt.Errorf("decode: string overruns buffer")
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
+	s := string(d.buf[d.off : d.off+n])
+	d.off += n
 	return s, nil
 }
 
@@ -165,6 +178,10 @@ func (d *Decoder) Uvarint() (uint64, error) { return d.uvarint() }
 
 // Varint reads a signed varint.
 func (d *Decoder) Varint() (int64, error) { return d.varint() }
+
+// Count reads an element count written by Encoder.Uvarint, bounded by the
+// unread bytes; record codecs call it before sizing anything by the count.
+func (d *Decoder) Count() (int, error) { return d.count() }
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() (string, error) { return d.str() }
@@ -204,7 +221,7 @@ func (d *Decoder) Value() (Value, error) {
 		}
 		return BoolV(b == 1), nil
 	case KList:
-		n, err := d.uvarint()
+		n, err := d.count()
 		if err != nil {
 			return None, err
 		}
@@ -217,12 +234,12 @@ func (d *Decoder) Value() (Value, error) {
 		}
 		return ListV(elems...), nil
 	case KDict:
-		n, err := d.uvarint()
+		n, err := d.count()
 		if err != nil {
 			return None, err
 		}
 		out := DictV()
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			k, err := d.Value()
 			if err != nil {
 				return None, err
@@ -253,12 +270,12 @@ func (d *Decoder) Value() (Value, error) {
 
 // Env reads an environment.
 func (d *Decoder) Env() (Env, error) {
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
 	env := make(Env, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k, err := d.str()
 		if err != nil {
 			return nil, err

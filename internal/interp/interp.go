@@ -47,26 +47,16 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("%s: runtime error: %s", e.Pos, e.Msg)
 }
 
-// Interp executes entity code of one compiled program. By default it
-// takes the slotted fast path — variables and self attributes stamped
-// with layout slots by the compiler resolve by slice index — and falls
-// back to name-keyed lookup for unstamped nodes or map-only state
-// backends. SetSlotted(false) forces the name-keyed path everywhere;
-// differential tests use it to prove both paths compute identical state.
+// Interp executes entity code of one compiled program. Variables and self
+// attributes stamped with layout slots by the compiler resolve by slice
+// index; name-keyed lookup serves only unstamped nodes (hand-built IR) and
+// state backends that do not implement SlotState (MapState).
 type Interp struct {
-	Prog    *ir.Program
-	slotted bool
+	Prog *ir.Program
 }
 
-// New returns an interpreter over a compiled program (slotted execution
-// enabled).
-func New(prog *ir.Program) *Interp { return &Interp{Prog: prog, slotted: true} }
-
-// SetSlotted toggles the slotted fast path (true by default).
-func (in *Interp) SetSlotted(on bool) { in.slotted = on }
-
-// Slotted reports whether the slotted fast path is enabled.
-func (in *Interp) Slotted() bool { return in.slotted }
+// New returns an interpreter over a compiled program.
+func New(prog *ir.Program) *Interp { return &Interp{Prog: prog} }
 
 // Result is the outcome of executing a block's statement list.
 type Result struct {
@@ -79,8 +69,8 @@ type frame struct {
 	key   string
 	env   *Frame
 	state State
-	// slots is the state's slot fast path, non-nil only when slotted
-	// execution is on and the backend supports it.
+	// slots is the state's slot fast path, non-nil only when the backend
+	// supports it.
 	slots SlotState
 	depth int
 }
@@ -96,11 +86,10 @@ const (
 
 const maxCallDepth = 64
 
-// getVar reads a variable through its 1-based slot stamp when slotted
-// execution is on and the stamp fits the frame layout, falling back to
-// name lookup otherwise.
+// getVar reads a variable through its 1-based slot stamp when the stamp
+// fits the frame layout, falling back to name lookup otherwise.
 func (in *Interp) getVar(fr *frame, slot int, name string) (Value, bool) {
-	if in.slotted && slot > 0 && slot <= len(fr.env.slots) {
+	if slot > 0 && slot <= len(fr.env.slots) {
 		return fr.env.GetSlot(slot - 1)
 	}
 	return fr.env.Get(name)
@@ -109,7 +98,7 @@ func (in *Interp) getVar(fr *frame, slot int, name string) (Value, bool) {
 // setVar writes a variable through its 1-based slot stamp when possible
 // (see getVar).
 func (in *Interp) setVar(fr *frame, slot int, name string, v Value) {
-	if in.slotted && slot > 0 && slot <= len(fr.env.slots) {
+	if slot > 0 && slot <= len(fr.env.slots) {
 		fr.env.SetSlot(slot-1, v)
 		return
 	}
@@ -121,9 +110,7 @@ func (in *Interp) setVar(fr *frame, slot int, name string, v Value) {
 // points keep activation records on the stack.
 func (in *Interp) makeFrame(class, key string, env *Frame, st State, depth int) frame {
 	fr := frame{class: class, key: key, env: env, state: st, depth: depth}
-	if in.slotted {
-		fr.slots, _ = st.(SlotState)
-	}
+	fr.slots, _ = st.(SlotState)
 	return fr
 }
 
@@ -152,31 +139,6 @@ func (in *Interp) Eval(class, key string, e ast.Expr, env *Frame, st State) (Val
 	}
 	fr := in.makeFrame(class, key, env, st, 0)
 	return in.eval(e, &fr)
-}
-
-// ExecSimple runs a simple (unsplit) method to completion: it builds the
-// parameter environment, executes the body, and yields the return value.
-func (in *Interp) ExecSimple(class, key, method string, args []Value, st State) (Value, error) {
-	m := in.Prog.MethodOf(class, method)
-	if m == nil {
-		return None, &RuntimeError{Msg: fmt.Sprintf("unknown method %s.%s", class, method)}
-	}
-	if !m.Simple {
-		return None, &RuntimeError{Msg: fmt.Sprintf("%s.%s is split and cannot run synchronously", class, method)}
-	}
-	env, err := BindParams(m, args)
-	if err != nil {
-		return None, err
-	}
-	fr := in.makeFrame(class, key, env, st, 0)
-	c, v, err := in.execStmts(m.Body, &fr)
-	if err != nil {
-		return None, err
-	}
-	if c == ctrlReturn {
-		return v, nil
-	}
-	return None, nil
 }
 
 // ExecInit runs __init__ against a fresh state.

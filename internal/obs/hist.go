@@ -10,7 +10,7 @@ import (
 // PercentileOf returns the p-th percentile (0 < p <= 100) of an
 // ascending-sorted sample slice using the nearest-rank method, 0 for an
 // empty slice. This is the repo's one percentile implementation:
-// Histogram (and therefore metrics.Series and every benchmark p50/p99
+// Histogram (and therefore every client latency series and benchmark p50/p99
 // column) delegates here.
 func PercentileOf(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"math/rand"
@@ -9,9 +9,9 @@ import (
 )
 
 func TestPercentiles(t *testing.T) {
-	s := NewSeries()
+	s := NewHistogram()
 	for i := 1; i <= 100; i++ {
-		s.Add(time.Duration(i) * time.Millisecond)
+		s.Observe(time.Duration(i) * time.Millisecond)
 	}
 	cases := map[float64]time.Duration{
 		50:  50 * time.Millisecond,
@@ -26,10 +26,11 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
+// TestEmptySeries: an empty histogram reads all zero.
 func TestEmptySeries(t *testing.T) {
-	s := NewSeries()
+	s := NewHistogram()
 	if s.Percentile(99) != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Fatal("empty series must be all zero")
+		t.Fatal("empty histogram must be all zero")
 	}
 	if s.Count() != 0 {
 		t.Fatal("count")
@@ -37,9 +38,9 @@ func TestEmptySeries(t *testing.T) {
 }
 
 func TestMeanMinMax(t *testing.T) {
-	s := NewSeries()
+	s := NewHistogram()
 	for _, d := range []time.Duration{30, 10, 20} {
-		s.Add(d * time.Millisecond)
+		s.Observe(d * time.Millisecond)
 	}
 	if s.Mean() != 20*time.Millisecond {
 		t.Fatalf("mean: %s", s.Mean())
@@ -50,12 +51,12 @@ func TestMeanMinMax(t *testing.T) {
 }
 
 func TestAddAfterQueryResorts(t *testing.T) {
-	s := NewSeries()
-	s.Add(10 * time.Millisecond)
+	s := NewHistogram()
+	s.Observe(10 * time.Millisecond)
 	_ = s.Percentile(50)
-	s.Add(1 * time.Millisecond)
+	s.Observe(1 * time.Millisecond)
 	if s.Min() != 1*time.Millisecond {
-		t.Fatal("series must re-sort after new samples")
+		t.Fatal("histogram must re-sort after new samples")
 	}
 }
 
@@ -64,9 +65,9 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewSeries()
+		s := NewHistogram()
 		for _, v := range raw {
-			s.Add(time.Duration(v) * time.Microsecond)
+			s.Observe(time.Duration(v) * time.Microsecond)
 		}
 		pa := float64(a % 101)
 		pb := float64(b % 101)
@@ -85,9 +86,9 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewSeries()
+		s := NewHistogram()
 		for _, v := range raw {
-			s.Add(time.Duration(v) * time.Microsecond)
+			s.Observe(time.Duration(v) * time.Microsecond)
 		}
 		got := s.Percentile(float64(p % 101))
 		return got >= s.Min() && got <= s.Max()
@@ -98,70 +99,12 @@ func TestPercentileBoundsProperty(t *testing.T) {
 }
 
 func TestSummaryContainsFields(t *testing.T) {
-	s := NewSeries()
-	s.Add(time.Millisecond)
-	sum := s.Summary()
+	s := NewHistogram()
+	s.Observe(time.Millisecond)
+	sum := s.Snapshot().String()
 	for _, f := range []string{"n=1", "mean=", "p50=", "p99=", "max="} {
 		if !strings.Contains(sum, f) {
 			t.Fatalf("summary %q missing %s", sum, f)
 		}
-	}
-}
-
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	b.Add("exec", 90*time.Millisecond)
-	b.Add("split", 10*time.Millisecond)
-	if b.Total() != 100*time.Millisecond {
-		t.Fatalf("total: %s", b.Total())
-	}
-	if f := b.Fraction("split"); f != 0.1 {
-		t.Fatalf("fraction: %f", f)
-	}
-	comps := b.Components()
-	if comps[0] != "exec" || comps[1] != "split" {
-		t.Fatalf("order: %v", comps)
-	}
-	tbl := b.Table()
-	for _, f := range []string{"exec", "split", "10.00%", "total"} {
-		if !strings.Contains(tbl, f) {
-			t.Fatalf("table missing %s:\n%s", f, tbl)
-		}
-	}
-}
-
-func TestBreakdownMerge(t *testing.T) {
-	a := NewBreakdown()
-	a.Add("x", time.Second)
-	b := NewBreakdown()
-	b.Add("x", time.Second)
-	b.Add("y", 2*time.Second)
-	a.Merge(b)
-	if a.Get("x") != 2*time.Second || a.Get("y") != 2*time.Second {
-		t.Fatalf("merge: x=%s y=%s", a.Get("x"), a.Get("y"))
-	}
-}
-
-func TestBreakdownEmpty(t *testing.T) {
-	b := NewBreakdown()
-	if b.Fraction("anything") != 0 {
-		t.Fatal("empty fraction must be 0")
-	}
-	if b.Total() != 0 {
-		t.Fatal("empty total")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a", 2)
-	c.Inc("a", 3)
-	c.Inc("b", 1)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("zz") != 0 {
-		t.Fatal("counter values")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names: %v", names)
 	}
 }

@@ -136,14 +136,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterHistogram installs an existing histogram under a name,
-// replacing any previous registration.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hists[name] = h
-}
-
 // Snapshot reads every scalar metric (counters, gauges, funcs) into one
 // name→value map. Histograms are omitted — use WriteText for the full
 // exposition.

@@ -407,12 +407,12 @@ func encodeJournalCheckpoint(entries map[string]journalEntry) []byte {
 
 func decodeJournalCheckpoint(data []byte) (map[string]journalEntry, error) {
 	d := interp.NewDecoder(data)
-	n, err := d.Uvarint()
+	n, err := d.Count()
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]journalEntry, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id, err := d.Str()
 		if err != nil {
 			return nil, err

@@ -5,15 +5,12 @@
 // reference implementation.
 //
 // Entity state lives in slot-indexed rows laid out by the compiler
-// (interp.Row) and execution takes the slotted fast path. The legacy
-// name-keyed path — HashMap state plus name-resolved variables — is kept
-// behind Options.MapFallback; differential tests run both and assert
-// byte-identical committed state.
+// (interp.Row), the same store and interpreter path the distributed
+// runtimes execute on.
 package local
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"statefulentities.dev/stateflow/internal/core"
@@ -22,35 +19,16 @@ import (
 	"statefulentities.dev/stateflow/internal/state"
 )
 
-// Options tune the runtime.
-type Options struct {
-	// MapFallback executes through the legacy name-keyed path: map-backed
-	// entity state and name-resolved variable access, with the slotted
-	// fast path disabled. Used by differential tests.
-	MapFallback bool
-}
-
 // Runtime executes a compiled program synchronously.
 type Runtime struct {
 	ex     *core.Executor
-	states *state.Store                         // slotted row store (default)
-	maps   map[interp.EntityRef]interp.MapState // legacy path (MapFallback)
+	states *state.Store
 	nextID int
 }
 
-// New builds a local runtime for a program (slotted execution).
-func New(prog *ir.Program) *Runtime { return NewWithOptions(prog, Options{}) }
-
-// NewWithOptions builds a local runtime with explicit options.
-func NewWithOptions(prog *ir.Program, opt Options) *Runtime {
-	r := &Runtime{ex: core.NewExecutor(prog)}
-	if opt.MapFallback {
-		r.maps = map[interp.EntityRef]interp.MapState{}
-		r.ex.Interp().SetSlotted(false)
-	} else {
-		r.states = state.NewStore(prog.Layouts())
-	}
-	return r
+// New builds a local runtime for a program.
+func New(prog *ir.Program) *Runtime {
+	return &Runtime{ex: core.NewExecutor(prog), states: state.NewStore(prog.Layouts())}
 }
 
 // Program returns the compiled program.
@@ -60,10 +38,6 @@ type store struct{ r *Runtime }
 
 // Lookup implements core.Store.
 func (s store) Lookup(ref interp.EntityRef) (interp.State, bool) {
-	if s.r.maps != nil {
-		st, ok := s.r.maps[ref]
-		return st, ok
-	}
 	st, ok := s.r.states.Lookup(ref)
 	if !ok {
 		return nil, false
@@ -73,14 +47,6 @@ func (s store) Lookup(ref interp.EntityRef) (interp.State, bool) {
 
 // Create implements core.Store.
 func (s store) Create(ref interp.EntityRef) (interp.State, error) {
-	if s.r.maps != nil {
-		if _, exists := s.r.maps[ref]; exists {
-			return nil, fmt.Errorf("entity %s already exists", ref)
-		}
-		st := interp.MapState{}
-		s.r.maps[ref] = st
-		return st, nil
-	}
 	return s.r.states.Create(ref)
 }
 
@@ -155,19 +121,7 @@ func (r *Runtime) drive(ev *core.Event) (Result, error) {
 
 // State returns a copy of an entity's attribute map, for assertions.
 func (r *Runtime) State(class, key string) (interp.MapState, bool) {
-	ref := interp.EntityRef{Class: class, Key: key}
-	if r.maps != nil {
-		st, ok := r.maps[ref]
-		if !ok {
-			return nil, false
-		}
-		out := interp.MapState{}
-		for k, v := range st {
-			out[k] = v.Clone()
-		}
-		return out, true
-	}
-	st, ok := r.states.Lookup(ref)
+	st, ok := r.states.Lookup(interp.EntityRef{Class: class, Key: key})
 	if !ok {
 		return nil, false
 	}
@@ -193,54 +147,22 @@ func (r *Runtime) PreloadEntity(class string, args ...interp.Value) error {
 
 // SetState installs entity state directly (used by workload preloading).
 func (r *Runtime) SetState(class, key string, st interp.MapState) {
-	ref := interp.EntityRef{Class: class, Key: key}
-	if r.maps != nil {
-		r.maps[ref] = st
-		return
-	}
-	r.states.PutMap(ref, st)
+	r.states.PutMap(interp.EntityRef{Class: class, Key: key}, st)
 }
 
 // Exists reports whether an entity has state.
 func (r *Runtime) Exists(class, key string) bool {
-	ref := interp.EntityRef{Class: class, Key: key}
-	if r.maps != nil {
-		_, ok := r.maps[ref]
-		return ok
-	}
-	return r.states.Exists(ref)
+	return r.states.Exists(interp.EntityRef{Class: class, Key: key})
 }
 
 // Keys lists the keys of all entities of a class, sorted.
-func (r *Runtime) Keys(class string) []string {
-	if r.maps != nil {
-		var out []string
-		for ref := range r.maps {
-			if ref.Class == class {
-				out = append(out, ref.Key)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
-	return r.states.Keys(class)
-}
+func (r *Runtime) Keys(class string) []string { return r.states.Keys(class) }
 
 // EncodeState serializes one entity's committed state canonically (the
 // sorted attribute-name codec); differential tests compare these bytes
-// across execution modes.
+// across runtimes.
 func (r *Runtime) EncodeState(class, key string) ([]byte, bool) {
-	ref := interp.EntityRef{Class: class, Key: key}
-	if r.maps != nil {
-		st, ok := r.maps[ref]
-		if !ok {
-			return nil, false
-		}
-		e := interp.NewEncoder()
-		e.State(st)
-		return e.Bytes(), true
-	}
-	st, ok := r.states.Lookup(ref)
+	st, ok := r.states.Lookup(interp.EntityRef{Class: class, Key: key})
 	if !ok {
 		return nil, false
 	}

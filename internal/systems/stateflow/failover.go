@@ -342,7 +342,6 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest, manStr s
 		footprint:    map[int]bool{},
 		fenceAcked:   map[int]bool{},
 		unfenceAcked: map[int]bool{},
-		overlay:      map[interp.EntityRef]*entityImage{},
 		fetching:     map[interp.EntityRef]bool{},
 		rederived:    true,
 		applies:      map[int]sysapi.MsgRequest{},

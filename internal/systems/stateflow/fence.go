@@ -29,6 +29,7 @@ import (
 	"strconv"
 
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
@@ -61,11 +62,11 @@ func markerSeq(r sysapi.Request) int64 {
 // writeSetEntry is one final entity image of a global batch's write-set.
 // The set rides the __apply__ request as a single encoded string argument
 // (Args[1]): Uvarint(count), then per entity Str(class), Str(key),
-// State(image). The sequencer pre-sorts entries by (class, key), so the
+// Row(image). The sequencer pre-sorts entries by (class, key), so the
 // encoding — and the worker chain that installs it — is deterministic.
 type writeSetEntry struct {
 	Ref interp.EntityRef
-	St  interp.MapState
+	St  *interp.Row
 }
 
 func encodeWriteSet(entries []writeSetEntry) string {
@@ -74,19 +75,22 @@ func encodeWriteSet(entries []writeSetEntry) string {
 	for _, e := range entries {
 		enc.Str(e.Ref.Class)
 		enc.Str(e.Ref.Key)
-		enc.State(e.St)
+		enc.Row(e.St)
 	}
 	return string(enc.Bytes())
 }
 
-func decodeWriteSet(s string) ([]writeSetEntry, error) {
+// decodeWriteSet lays the images out as rows of the program's class
+// layouts. The string comes back from the source log on recovery, so it is
+// parsed as outside input: malformed bytes are an error, never a panic.
+func decodeWriteSet(s string, layouts *ir.Layouts) ([]writeSetEntry, error) {
 	dec := interp.NewDecoder([]byte(s))
-	n, err := dec.Uvarint()
+	n, err := dec.Count()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]writeSetEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		class, err := dec.Str()
 		if err != nil {
 			return nil, err
@@ -95,11 +99,11 @@ func decodeWriteSet(s string) ([]writeSetEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := dec.State()
+		row, err := dec.Row(layouts.LayoutOf(class))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, writeSetEntry{Ref: interp.EntityRef{Class: class, Key: key}, St: st})
+		out = append(out, writeSetEntry{Ref: interp.EntityRef{Class: class, Key: key}, St: row})
 	}
 	return out, nil
 }
@@ -317,7 +321,7 @@ func (c *Coordinator) onGlobalRead(ctx *sim.Context, m msgGlobalRead) {
 	row, ok := c.sys.workers[c.sys.OwnerIndex(ref)].committed.Lookup(ref)
 	resp := msgGlobalState{Seq: m.Seq, Class: m.Class, Key: m.Key, Exists: ok}
 	if ok {
-		resp.State = row.CloneMap()
+		resp.State = row.Clone()
 	}
 	ctx.Send(m.From, resp, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }

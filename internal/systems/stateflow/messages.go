@@ -178,13 +178,13 @@ type msgGlobalRead struct {
 	From  string
 }
 
-// msgGlobalState answers a reconnaissance read. State is a deep copy;
-// Exists is false for entities not yet created.
+// msgGlobalState answers a reconnaissance read. State is a deep copy of
+// the committed row (nil when Exists is false: not yet created).
 type msgGlobalState struct {
 	Seq    int64
 	Class  string
 	Key    string
-	State  interp.MapState
+	State  *interp.Row
 	Exists bool
 }
 

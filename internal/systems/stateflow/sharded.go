@@ -49,6 +49,7 @@
 package stateflow
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -62,7 +63,9 @@ import (
 	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
+	"statefulentities.dev/stateflow/internal/state"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
+	"statefulentities.dev/stateflow/internal/txn/aria"
 )
 
 // ShardedSystem is a sysapi.Backend deploying Config.Shards coordinator
@@ -110,17 +113,6 @@ func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *ShardedSystem {
 	s.seq = newSequencer(s)
 	cluster.Add(s.seqID, s.seq)
 	return s
-}
-
-// NewSharded builds and registers an n-shard StateFlow deployment.
-//
-// Deprecated: use New with Config.Shards set; this wrapper only rewrites
-// cfg.Shards. Note one historical difference: NewSharded(…, 1, …) used to
-// deploy a 1-shard ring behind a sequencer, while the unified constructor
-// deploys the classic topology for Shards <= 1.
-func NewSharded(cluster *sim.Cluster, prog *ir.Program, n int, cfg Config) *ShardedSystem {
-	cfg.Shards = n
-	return New(cluster, prog, cfg)
 }
 
 // Single returns the classic topology's sole deployment (nil when a
@@ -335,15 +327,6 @@ type globalTxn struct {
 	res     sysapi.Response
 }
 
-// entityImage is the sequencer's overlay view of one entity: the fetched
-// (or batch-written) state, whether the entity exists, and whether the
-// batch dirtied it (dirty images form the apply write-sets).
-type entityImage struct {
-	st     interp.MapState
-	exists bool
-	dirty  bool
-}
-
 // globalBatch is one in-flight global batch.
 type globalBatch struct {
 	seq   int64
@@ -369,8 +352,16 @@ type globalBatch struct {
 	rederived bool
 	aborted   bool
 
-	next     int // index of the transaction currently executing
-	overlay  map[interp.EntityRef]*entityImage
+	next int // index of the transaction currently executing
+	// overlay holds the batch's view of the footprint as rows: images
+	// fetched from the parked shards, then whatever batch transactions
+	// wrote over them. fetched marks the entities a shard has answered for
+	// (an entity that does not exist is fetched but has no overlay row),
+	// dirty the overlay rows the batch changed — the apply write-sets —
+	// and fetching the reconnaissance reads in flight.
+	overlay  *state.Store
+	fetched  map[interp.EntityRef]bool
+	dirty    map[interp.EntityRef]bool
 	fetching map[interp.EntityRef]bool
 
 	applies map[int]sysapi.MsgRequest // shard index -> its apply
@@ -436,14 +427,9 @@ type Sequencer struct {
 func (q *Sequencer) Stats() SequencerStats { return q.SequencerStats }
 
 func newSequencer(sys *ShardedSystem) *Sequencer {
-	ex := core.NewExecutor(sys.prog)
-	// The overlay store serves MapState images fetched off the wire, so
-	// the sequencer executes through the name-keyed path; the slotted and
-	// map paths are pinned byte-identical by the differential tests.
-	ex.Interp().SetSlotted(false)
 	return &Sequencer{
 		sys:       sys,
-		ex:        ex,
+		ex:        core.NewExecutor(sys.prog),
 		inFlight:  map[string]bool{},
 		delivered: map[string]sysapi.Response{},
 		probing:   map[string]*globalTxn{},
@@ -574,7 +560,9 @@ func (q *Sequencer) startBatch(ctx *sim.Context) {
 		footprint:    map[int]bool{},
 		fenceAcked:   map[int]bool{},
 		unfenceAcked: map[int]bool{},
-		overlay:      map[interp.EntityRef]*entityImage{},
+		overlay:      state.NewStore(q.sys.prog.Layouts()),
+		fetched:      map[interp.EntityRef]bool{},
+		dirty:        map[interp.EntityRef]bool{},
 		fetching:     map[interp.EntityRef]bool{},
 	}
 	q.queue = nil
@@ -711,74 +699,46 @@ func (q *Sequencer) onGlobalState(ctx *sim.Context, m msgGlobalState) {
 		return // duplicate answer
 	}
 	delete(b.fetching, ref)
-	if _, ok := b.overlay[ref]; !ok { // never clobber a batch-written image
-		st := m.State
-		if st == nil {
-			st = interp.MapState{}
+	if !b.fetched[ref] { // never clobber a batch-written image
+		b.fetched[ref] = true
+		if m.Exists {
+			b.overlay.Put(ref, m.State)
 		}
-		b.overlay[ref] = &entityImage{st: st, exists: m.Exists}
 	}
 	if len(b.fetching) == 0 {
 		q.advance(ctx)
 	}
 }
 
-// attemptStore is the per-attempt copy-on-write view the executor runs
-// against: reads come from the batch overlay, writes stay attempt-local
-// until the transaction completes without discovering new footprint
-// members. Lookup/Create on an entity the overlay has no image of
-// records a miss — the attempt is then void and re-executes from scratch
-// once the image arrives.
-type attemptStore struct {
-	b       *globalBatch
-	touched map[interp.EntityRef]interp.MapState
-	created map[interp.EntityRef]bool
+// reconStore is the core.Store one execution attempt runs against: an
+// Aria workspace over the batch overlay — the same private working rows
+// the workers execute on — except that touching an entity no shard has
+// answered for yet records a reconnaissance miss. The attempt is then void
+// and re-executes from scratch once the image arrives; the workspace never
+// hands out an overlay container by reference, so dropping it drops
+// everything the attempt did.
+type reconStore struct {
+	ws      *aria.Workspace
+	fetched map[interp.EntityRef]bool
 	missing map[interp.EntityRef]bool
 }
 
-func copyState(st interp.MapState) interp.MapState {
-	out := make(interp.MapState, len(st))
-	for k, v := range st {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
 // Lookup implements core.Store.
-func (a *attemptStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
-	if st, ok := a.touched[ref]; ok {
-		return st, true
-	}
-	img, ok := a.b.overlay[ref]
-	if !ok {
-		a.missing[ref] = true
+func (s *reconStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
+	if !s.fetched[ref] {
+		s.missing[ref] = true
 		return nil, false
 	}
-	if !img.exists {
-		return nil, false
-	}
-	st := copyState(img.st)
-	a.touched[ref] = st
-	return st, true
+	return s.ws.Lookup(ref)
 }
 
 // Create implements core.Store.
-func (a *attemptStore) Create(ref interp.EntityRef) (interp.State, error) {
-	if a.created[ref] {
-		return nil, fmt.Errorf("entity %s already exists", ref)
-	}
-	img, ok := a.b.overlay[ref]
-	if !ok {
-		a.missing[ref] = true
+func (s *reconStore) Create(ref interp.EntityRef) (interp.State, error) {
+	if !s.fetched[ref] {
+		s.missing[ref] = true
 		return nil, fmt.Errorf("entity %s not fetched", ref)
 	}
-	if img.exists {
-		return nil, fmt.Errorf("entity %s already exists", ref)
-	}
-	st := interp.MapState{}
-	a.touched[ref] = st
-	a.created[ref] = true
-	return st, nil
+	return s.ws.Create(ref)
 }
 
 // execute runs one attempt of a global transaction. A non-empty return
@@ -788,12 +748,8 @@ func (a *attemptStore) Create(ref interp.EntityRef) (interp.State, error) {
 // into the overlay (an application error commits nothing, matching the
 // shard runtime's abort-on-error contract).
 func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []interp.EntityRef {
-	store := &attemptStore{
-		b:       b,
-		touched: map[interp.EntityRef]interp.MapState{},
-		created: map[interp.EntityRef]bool{},
-		missing: map[interp.EntityRef]bool{},
-	}
+	ws := aria.NewWorkspace(aria.TID(b.seq), b.overlay)
+	store := &reconStore{ws: ws, fetched: b.fetched, missing: map[interp.EntityRef]bool{}}
 	root := &core.Event{
 		Kind:   core.EvInvoke,
 		Req:    t.req.Req,
@@ -829,20 +785,19 @@ func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []in
 	if res.Err != "" {
 		return nil
 	}
-	for ref, st := range store.touched {
-		base, ok := b.overlay[ref]
-		if ok && base.exists && !store.created[ref] && encodeState(st) == encodeState(base.st) {
-			continue // read-only member: keep it out of the write-set
+	// A written entity joins the write-set if the transaction created it
+	// (the overlay has no image of it) or left an image different from the
+	// one it started on — the overlay row, which the attempt could not
+	// mutate; a write that stored what was already there keeps the member
+	// read-only and out of its shard's apply.
+	ws.Written(func(ref interp.EntityRef, row *interp.Row) {
+		base, exists := b.overlay.Lookup(ref)
+		if !exists || !bytes.Equal(row.Encoding(), base.Encoding()) {
+			b.dirty[ref] = true
 		}
-		b.overlay[ref] = &entityImage{st: st, exists: true, dirty: true}
-	}
+	})
+	ws.Apply(b.overlay)
 	return nil
-}
-
-func encodeState(st interp.MapState) string {
-	e := interp.NewEncoder()
-	e.State(st)
-	return string(e.Bytes())
 }
 
 // sortedRefs flattens a ref set into class/key order. Every sequencer
@@ -885,22 +840,15 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 			"seq", strconv.FormatInt(b.seq, 10),
 			"txns", strconv.Itoa(len(b.txns)))
 	}
-	groups := make(map[int][]writeSetEntry)
-	for ref, img := range b.overlay {
-		if img.dirty {
-			groups[q.sys.ShardOf(ref)] = append(groups[q.sys.ShardOf(ref)], writeSetEntry{Ref: ref, St: img.st})
-		}
-	}
+	groups := make(map[int][]writeSetEntry) // each in class/key order
 	targets := map[int]interp.EntityRef{}
-	for idx, entries := range groups {
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Ref.Class != entries[j].Ref.Class {
-				return entries[i].Ref.Class < entries[j].Ref.Class
-			}
-			return entries[i].Ref.Key < entries[j].Ref.Key
-		})
-		groups[idx] = entries
-		targets[idx] = entries[0].Ref
+	for _, ref := range sortedRefs(b.dirty) {
+		row, _ := b.overlay.Lookup(ref)
+		idx := q.sys.ShardOf(ref)
+		if len(groups[idx]) == 0 {
+			targets[idx] = ref
+		}
+		groups[idx] = append(groups[idx], writeSetEntry{Ref: ref, St: row})
 	}
 	for _, t := range b.txns {
 		home := q.sys.ShardOf(t.req.Target)

@@ -199,7 +199,9 @@ func shardedProbe(t *testing.T, shards int) *ShardedSystem {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return NewSharded(sim.New(1), prog, shards, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Shards = shards
+	return New(sim.New(1), prog, cfg)
 }
 
 func shardedSum(t *testing.T, sys *ShardedSystem, accounts int) int64 {

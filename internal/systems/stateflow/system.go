@@ -47,9 +47,6 @@ type Config struct {
 	// StallTimeout is the failure detector's patience for one batch.
 	StallTimeout time.Duration
 	Costs        costmodel.Costs
-	// MapFallback disables the slotted execution fast path, forcing
-	// name-keyed variable and attribute resolution (differential testing).
-	MapFallback bool
 	// MaxBatch caps how many transactions one epoch batch may hold:
 	// arrivals and post-recovery replay backlogs beyond the cap wait in
 	// the source log and drain chunked over subsequent batches, so a giant
@@ -75,8 +72,7 @@ type Config struct {
 	// conflict chain (t1: A→B, t2: B→C, …) commits in full in one batch.
 	// Disabled, they are re-queued into the next batch (the legacy
 	// one-commit-per-chain-per-batch behavior, kept for A/B
-	// benchmarking). Not to be confused with MapFallback, which concerns
-	// the interpreter's slotted fast path.
+	// benchmarking).
 	DisableFallback bool
 	// FallbackRoundBudget caps the fallback re-execution rounds one epoch
 	// may run. When the cap is hit with rounds still scheduled, the
@@ -208,9 +204,6 @@ func newSystem(cluster *sim.Cluster, prog *ir.Program, cfg Config) *System {
 	}
 	if err := sys.RequestLog.CreateTopic(sourceTopic, 1); err != nil {
 		panic(err) // fresh log; cannot happen
-	}
-	if cfg.MapFallback {
-		sys.executor.Interp().SetSlotted(false)
 	}
 	if !cfg.DisableDlog {
 		sys.Dlog = dlog.NewSimLog()

@@ -19,7 +19,7 @@ import (
 
 	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/metrics"
+	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/state"
 	"statefulentities.dev/stateflow/internal/txn/aria"
@@ -60,7 +60,7 @@ type Worker struct {
 
 	// Breakdown attributes CPU time to runtime components for the §4
 	// overhead experiment.
-	Breakdown *metrics.Breakdown
+	Breakdown *obs.Breakdown
 	// Applied counts applied (committed) transactions.
 	Applied int
 }
@@ -74,7 +74,7 @@ func newWorker(sys *System, idx int) *Worker {
 		epochs:       map[int64]*workerEpoch{},
 		appliedEpoch: -1,
 		buffered:     map[int64][]msgTxnEvent{},
-		Breakdown:    metrics.NewBreakdown(),
+		Breakdown:    obs.NewBreakdown(),
 	}
 }
 
@@ -89,9 +89,6 @@ func (w *Worker) epochFor(epoch int64) *workerEpoch {
 	}
 	return ep
 }
-
-// Committed exposes the committed store (tests and state preloading).
-func (w *Worker) Committed() *state.Store { return w.committed }
 
 // OnMessage implements sim.Handler.
 func (w *Worker) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
@@ -205,7 +202,7 @@ func (w *Worker) applyGlobal(ws *aria.Workspace, ev *core.Event) ([]*core.Event,
 	if len(ev.Args) < 2 || ev.Args[1].Kind != interp.KStr {
 		return nil, fmt.Errorf("malformed global apply %s", ev.Req)
 	}
-	entries, err := decodeWriteSet(ev.Args[1].S)
+	entries, err := decodeWriteSet(ev.Args[1].S, w.sys.prog.Layouts())
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,6 @@ import (
 	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/ir"
-	"statefulentities.dev/stateflow/internal/metrics"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/queue"
 	"statefulentities.dev/stateflow/internal/sim"
@@ -46,9 +45,6 @@ type Config struct {
 	FlinkWorkers int
 	FnRuntimes   int
 	Costs        costmodel.Costs
-	// MapFallback disables the slotted execution fast path, forcing
-	// name-keyed variable and attribute resolution (differential testing).
-	MapFallback bool
 	// DedupRetention bounds the broker's ingress dedup set — the same
 	// horizon the StateFlow coordinator uses for its seen/delivered
 	// maps: a request id becomes prunable once its LATEST arrival is at
@@ -115,20 +111,17 @@ func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *System {
 	if err := sys.Log.CreateTopic(egressTopic, 1); err != nil {
 		panic(err)
 	}
-	if cfg.MapFallback {
-		sys.executor.Interp().SetSlotted(false)
-	}
 	sys.broker = &broker{sys: sys}
 	cluster.Add(sys.brokerID, sys.broker)
 	cluster.Add(sys.routerID, &router{sys: sys})
 	cluster.Add(sys.egressID, &egress{sys: sys})
 	for i := 0; i < cfg.FlinkWorkers; i++ {
-		w := &flinkWorker{sys: sys, id: fmt.Sprintf("fl-worker-%d", i), states: state.NewStore(prog.Layouts()), Breakdown: metrics.NewBreakdown()}
+		w := &flinkWorker{sys: sys, id: fmt.Sprintf("fl-worker-%d", i), states: state.NewStore(prog.Layouts()), Breakdown: obs.NewBreakdown()}
 		sys.workers = append(sys.workers, w)
 		cluster.Add(w.id, w)
 	}
 	for i := 0; i < cfg.FnRuntimes; i++ {
-		f := &fnRuntime{sys: sys, id: fmt.Sprintf("fn-runtime-%d", i), Breakdown: metrics.NewBreakdown()}
+		f := &fnRuntime{sys: sys, id: fmt.Sprintf("fn-runtime-%d", i), Breakdown: obs.NewBreakdown()}
 		sys.fns = append(sys.fns, f)
 		cluster.Add(f.id, f)
 	}
@@ -514,7 +507,7 @@ type flinkWorker struct {
 	states *state.Store
 	rr     int
 	// Breakdown attributes CPU for the overhead experiment.
-	Breakdown *metrics.Breakdown
+	Breakdown *obs.Breakdown
 	// Races counts state write-backs that overwrote a version the
 	// function never saw (lost-update hazard observable in tests).
 	versions map[interp.EntityRef]int
@@ -601,7 +594,7 @@ type fnRuntime struct {
 	sys *System
 	id  string
 	// Breakdown attributes CPU for the overhead experiment.
-	Breakdown *metrics.Breakdown
+	Breakdown *obs.Breakdown
 	// Invocations counts function executions.
 	Invocations int
 }

@@ -12,7 +12,6 @@ import (
 
 	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/metrics"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 )
@@ -265,8 +264,8 @@ type ScriptClient struct {
 	Sys       System
 	Script    []Scheduled
 	Responses map[string]Response
-	Latency   *metrics.Series
-	PerKind   map[string]*metrics.Series
+	Latency   *obs.Histogram
+	PerKind   map[string]*obs.Histogram
 	// RetryEvery re-sends a request that has no response after this much
 	// virtual time (0: no retries). Retries counts re-sends per id.
 	RetryEvery time.Duration
@@ -287,9 +286,9 @@ type ScriptClient struct {
 // memory instead of retaining every sample forever.
 const LatencyReservoir = 1 << 18
 
-// newLatencySeries returns a series bounded at LatencyReservoir.
-func newLatencySeries() *metrics.Series {
-	return metrics.NewBoundedSeries(LatencyReservoir)
+// newLatencySeries returns a histogram bounded at LatencyReservoir.
+func newLatencySeries() *obs.Histogram {
+	return obs.NewBoundedHistogram(LatencyReservoir)
 }
 
 // NewScriptClient builds a scripted client.
@@ -298,7 +297,7 @@ func NewScriptClient(id string, sys System, script []Scheduled) *ScriptClient {
 		ID: id, Sys: sys, Script: script,
 		Responses: map[string]Response{},
 		Latency:   newLatencySeries(),
-		PerKind:   map[string]*metrics.Series{},
+		PerKind:   map[string]*obs.Histogram{},
 		Retries:   map[string]int{},
 		sentAt:    map[string]time.Duration{},
 		kinds:     map[string]string{},
@@ -337,7 +336,7 @@ func (c *ScriptClient) OnMessage(ctx *sim.Context, from string, msg sim.Message)
 		c.Done++
 		if at, ok := c.sentAt[m.Response.Req]; ok {
 			lat := ctx.Now() - at
-			c.Latency.Add(lat)
+			c.Latency.Observe(lat)
 			kind := c.kinds[m.Response.Req]
 			if kind != "" {
 				s, ok := c.PerKind[kind]
@@ -345,7 +344,7 @@ func (c *ScriptClient) OnMessage(ctx *sim.Context, from string, msg sim.Message)
 					s = newLatencySeries()
 					c.PerKind[kind] = s
 				}
-				s.Add(lat)
+				s.Observe(lat)
 			}
 		}
 	}
@@ -374,8 +373,8 @@ type Generator struct {
 	// virtual time (0: no retries).
 	RetryEvery time.Duration
 
-	Latency   *metrics.Series
-	PerKind   map[string]*metrics.Series
+	Latency   *obs.Histogram
+	PerKind   map[string]*obs.Histogram
 	Errors    int
 	Done      int
 	Submitted int
@@ -390,7 +389,7 @@ func NewGenerator(id string, sys System, rate float64, horizon, warmUp time.Dura
 	return &Generator{
 		ID: id, Sys: sys, Rate: rate, Horizon: horizon, WarmUp: warmUp, Next: next,
 		Latency: newLatencySeries(),
-		PerKind: map[string]*metrics.Series{},
+		PerKind: map[string]*obs.Histogram{},
 		sentAt:  map[string]time.Duration{},
 		kinds:   map[string]string{},
 	}
@@ -447,7 +446,7 @@ func (g *Generator) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 			return
 		}
 		lat := ctx.Now() - at
-		g.Latency.Add(lat)
+		g.Latency.Observe(lat)
 		kind := g.kinds[m.Response.Req]
 		delete(g.kinds, m.Response.Req)
 		if kind != "" {
@@ -456,7 +455,7 @@ func (g *Generator) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 				s = newLatencySeries()
 				g.PerKind[kind] = s
 			}
-			s.Add(lat)
+			s.Observe(lat)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestGeneratorWarmupDiscardsSamples(t *testing.T) {
 	cluster.Add("g", gen)
 	cluster.Start()
 	cluster.RunUntil(3 * time.Second)
-	if gen.Latency.Count() >= gen.Done {
+	if int(gen.Latency.Count()) >= gen.Done {
 		t.Fatalf("warm-up not discarded: %d samples of %d done", gen.Latency.Count(), gen.Done)
 	}
 	if gen.Latency.Count() == 0 {

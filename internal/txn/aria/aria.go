@@ -89,9 +89,10 @@ func (rw *RWSet) Merge(o *RWSet) {
 
 // wsEntry is the buffered working copy of one entity inside a workspace.
 type wsEntry struct {
-	row *interp.Row // copy-on-first-write working row
+	row *interp.Row // private copy of the committed image, made on first write or container read
 	// wroteBits marks written slots; EntityBit set means the whole row
 	// must be installed on apply (created, overflow or extra attributes).
+	// Zero means the copy was only read from (wsState.committedContainer).
 	wroteBits  Bits
 	wroteExtra map[string]bool // written attributes outside the layout
 	created    bool
@@ -130,7 +131,7 @@ func (ws *Workspace) resKey(ref interp.EntityRef) ResKey {
 	return ResKey{Class: id, Key: ref.Key}
 }
 
-// entry returns the copy-on-first-write working row for ref, cloning the
+// entry returns the workspace's private working row for ref, cloning the
 // committed image on first touch.
 func (ws *Workspace) entry(ref interp.EntityRef) *wsEntry {
 	e, ok := ws.writes[ref]
@@ -166,6 +167,20 @@ func (s wsState) readRow() *interp.Row {
 	return s.row
 }
 
+// committedContainer reports whether v, just read through readRow, is a
+// list or dict the committed image still owns. The interpreter mutates
+// containers in place and only afterwards re-stores them
+// (touchStateAttr), so handing one out would let an aborted or void
+// attempt leave its mutation behind in committed state; the caller reads
+// it from the workspace's own copy of the row (entry) instead.
+func (s wsState) committedContainer(v interp.Value) bool {
+	if v.Kind != interp.KList && v.Kind != interp.KDict {
+		return false
+	}
+	_, own := s.ws.writes[s.ref]
+	return !own
+}
+
 // Get implements interp.State: own writes first, then the committed
 // image.
 func (s wsState) Get(attr string) (interp.Value, bool) {
@@ -179,7 +194,11 @@ func (s wsState) Get(attr string) (interp.Value, bool) {
 	} else {
 		s.ws.RW.Read(s.key, EntityBit)
 	}
-	return r.Get(attr)
+	v, ok := r.Get(attr)
+	if ok && s.committedContainer(v) {
+		return s.ws.entry(s.ref).row.Get(attr)
+	}
+	return v, ok
 }
 
 // Set implements interp.State: copy-on-first-write into the workspace.
@@ -213,7 +232,11 @@ func (s wsState) GetSlot(slot int) (interp.Value, bool) {
 	if r == nil {
 		return interp.None, false
 	}
-	return r.GetSlot(slot)
+	v, ok := r.GetSlot(slot)
+	if ok && s.committedContainer(v) {
+		return s.ws.entry(s.ref).row.GetSlot(slot)
+	}
+	return v, ok
 }
 
 // SetSlot implements interp.SlotState.
@@ -265,13 +288,12 @@ func (ws *Workspace) Create(ref interp.EntityRef) (interp.State, error) {
 }
 
 // PutBlind installs a complete entity image as a blind write: the whole
-// working row is replaced by st and Apply installs it wholesale, so the
+// working row is replaced by row and Apply installs it wholesale, so the
 // reservation covers every slot. Sharded runtimes use this to replay a
 // globally-sequenced transaction's write-set into one shard without
 // re-executing the method there.
-func (ws *Workspace) PutBlind(ref interp.EntityRef, st interp.MapState) {
+func (ws *Workspace) PutBlind(ref interp.EntityRef, row *interp.Row) {
 	ws.RW.Write(ws.resKey(ref), AllBits)
-	row := interp.RowFromMap(ws.committed.Layouts().LayoutOf(ref.Class), st)
 	e, ok := ws.writes[ref]
 	if !ok {
 		e = &wsEntry{}
@@ -279,6 +301,17 @@ func (ws *Workspace) PutBlind(ref interp.EntityRef, st interp.MapState) {
 	}
 	e.row = row
 	e.wroteBits |= EntityBit
+}
+
+// Written calls fn for every entity the transaction buffered a write for,
+// with its working row. The global sequencer derives a batch's write-sets
+// from it.
+func (ws *Workspace) Written(fn func(ref interp.EntityRef, row *interp.Row)) {
+	for ref, e := range ws.writes {
+		if e.wroteBits != 0 {
+			fn(ref, e.row)
+		}
+	}
 }
 
 // Apply installs the workspace's buffered writes into the committed
@@ -294,6 +327,9 @@ func (ws *Workspace) Apply(dst *state.Store) {
 	sortRefs(refs)
 	for _, ref := range refs {
 		e := ws.writes[ref]
+		if e.wroteBits == 0 {
+			continue // read-only private copy
+		}
 		base, exists := dst.Lookup(ref)
 		if !exists || e.created || e.wroteBits&EntityBit != 0 {
 			dst.Put(ref, e.row)
@@ -315,7 +351,9 @@ func (ws *Workspace) Apply(dst *state.Store) {
 func (ws *Workspace) WriteBytes() int {
 	total := 0
 	for _, e := range ws.writes {
-		total += e.row.EncodedSize()
+		if e.wroteBits != 0 {
+			total += e.row.EncodedSize()
+		}
 	}
 	return total
 }

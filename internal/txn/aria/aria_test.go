@@ -1,6 +1,7 @@
 package aria
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -404,6 +405,46 @@ func TestWorkspaceWriteIsolation(t *testing.T) {
 	base, _ = committed.Lookup(ref("x"))
 	if get(t, base, "v").I != 99 {
 		t.Fatalf("apply")
+	}
+}
+
+// The interpreter appends to a list it read from state in place and only
+// then re-stores it. A workspace that is dropped (aborted, or a void
+// reconnaissance attempt) must leave the committed list as it was, and a
+// read-only private copy must count as neither a write nor write bytes.
+func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
+	layouts := &ir.Layouts{ByClass: map[string]*ir.ClassLayout{
+		"A": ir.NewClassLayout("A", 0, []string{"xs"}),
+	}}
+	committed := state.NewStore(layouts)
+	committed.PutMap(ref("x"), interp.MapState{"xs": interp.ListV(interp.IntV(1))})
+	before := append([]byte(nil), committed.Encode()...)
+
+	ws := NewWorkspace(1, committed)
+	st, _ := ws.Lookup(ref("x"))
+	v, _ := st.(interp.SlotState).GetSlot(0)
+	v.L.Elems = append(v.L.Elems, interp.IntV(2))
+	ws.Written(func(interp.EntityRef, *interp.Row) { t.Fatal("a read counted as a write") })
+	if ws.WriteBytes() != 0 {
+		t.Fatal("a read counted toward write bytes")
+	}
+	st.(interp.SlotState).SetSlot(0, v) // touchStateAttr
+	if !bytes.Equal(committed.Encode(), before) {
+		t.Fatal("in-place append reached the committed store before Apply")
+	}
+
+	ws = NewWorkspace(2, committed) // the retry starts from the untouched image
+	st, _ = ws.Lookup(ref("x"))
+	v = get(t, st, "xs")
+	if len(v.L.Elems) != 1 {
+		t.Fatalf("retry sees the dropped attempt's append: %s", v.Repr())
+	}
+	v.L.Elems = append(v.L.Elems, interp.IntV(3))
+	st.Set("xs", v)
+	ws.Apply(committed)
+	base, _ := committed.Lookup(ref("x"))
+	if got := get(t, base, "xs").Repr(); got != "[1, 3]" {
+		t.Fatalf("after apply: %s", got)
 	}
 }
 

@@ -49,16 +49,11 @@ type SimConfig struct {
 	// differential tests and the bench comparison; no effect unless
 	// Shards > 1.
 	FullFences bool
-	// MapFallback disables the slotted execution fast path, forcing
-	// name-keyed variable and attribute resolution. Differential tests
-	// run both modes and assert identical results and committed state.
-	MapFallback bool
 	// DisableFallback turns off the StateFlow backend's Aria fallback
 	// phase: conflict-aborted transactions then retry in the next batch
 	// instead of re-executing deterministically inside the current one.
 	// Kept for A/B benchmarking and differential tests; no effect on the
-	// baseline backend. (MapFallback above concerns the interpreter, not
-	// the transaction protocol.)
+	// baseline backend.
 	DisableFallback bool
 	// DisablePipelining forces the StateFlow backend's serial epoch
 	// schedule: each epoch fully commits (and fsyncs) before the next one
@@ -220,7 +215,6 @@ func NewSimulation(prog *Program, cfg SimConfig, opts ...SimOption) *Simulation 
 			c.EpochInterval = cfg.Epoch
 		}
 		c.SnapshotEvery = cfg.SnapshotEvery
-		c.MapFallback = cfg.MapFallback
 		c.DisableFallback = cfg.DisableFallback
 		c.DisablePipelining = cfg.DisablePipelining
 		c.TraceCommits = cfg.TraceCommits
@@ -248,7 +242,6 @@ func NewSimulation(prog *Program, cfg SimConfig, opts ...SimOption) *Simulation 
 			c.FlinkWorkers = cfg.Workers
 			c.FnRuntimes = cfg.Workers
 		}
-		c.MapFallback = cfg.MapFallback
 		s.sfu = statefun.New(cluster, prog, c)
 		s.sys = s.sfu
 	default:
@@ -440,49 +433,4 @@ func (c *simulationClient) Keys(class string) []string { return c.s.sys.Keys(cla
 // Preload implements Admin.
 func (c *simulationClient) Preload(class string, args ...Value) error {
 	return c.s.Preload(class, args...)
-}
-
-// ---------------------------------------------------------------------------
-// Legacy entry points (thin wrappers over the Client surface)
-
-// Call submits a method invocation and advances virtual time until its
-// response arrives (or the default timeout budget runs out).
-//
-// Deprecated: use Client().Entity(class, key).Call(method, args...); the
-// handle form carries CallOptions and is portable across runtimes.
-func (s *Simulation) Call(class, key, method string, args ...Value) (Result, error) {
-	return s.api.call(EntityRef{Class: class, Key: key}, method, args, defaultCallOptions())
-}
-
-// Submit sends an invocation without waiting and returns a getter for the
-// response value; the getter yields None until the simulation (advanced
-// via Run or later Calls) has delivered the response.
-//
-// Deprecated: the getter is lossy — it drops Err, Retries and Latency.
-// Use Client().Entity(class, key).Submit(method, args...), whose Future
-// carries the full outcome.
-func (s *Simulation) Submit(class, key, method string, args ...Value) func() Value {
-	f := s.api.submit(EntityRef{Class: class, Key: key}, method, args, defaultCallOptions())
-	return func() Value {
-		res, _ := f.Peek()
-		return res.Value
-	}
-}
-
-// Create instantiates an entity through the dataflow.
-//
-// Deprecated: use Client().Create, which returns a typed Entity handle.
-func (s *Simulation) Create(class string, args ...Value) (Result, error) {
-	key, err := s.sys.KeyForCtor(class, args)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Call(class, key, "__init__", args...)
-}
-
-// EntityState reads an entity's committed state.
-//
-// Deprecated: use Client().Admin().Inspect.
-func (s *Simulation) EntityState(class, key string) (map[string]Value, bool) {
-	return s.api.Inspect(class, key)
 }

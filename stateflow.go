@@ -93,11 +93,5 @@ func MustCompile(src string) *Program { return compiler.MustCompile(src) }
 // exposes it through the portable Client interface.
 type Local = local.Runtime
 
-// LocalResult is the outcome of a direct Local invocation.
-//
-// Deprecated: call through LocalClient, which returns the portable
-// Result.
-type LocalResult = local.Result
-
 // NewLocal builds a Local runtime for a compiled program.
 func NewLocal(prog *Program) *Local { return local.New(prog) }

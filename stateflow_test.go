@@ -77,10 +77,11 @@ func TestSimulationStateFlowBackend(t *testing.T) {
 	if err := simu.Preload("User", stateflow.Str("u")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := simu.Call("Item", "apple", "update_stock", stateflow.Int(10)); err != nil {
+	c := simu.Client()
+	if _, err := c.Entity("Item", "apple").Call("update_stock", stateflow.Int(10)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := simu.Call("User", "u", "buy_item", stateflow.Int(2), stateflow.Ref("Item", "apple"))
+	res, err := c.Entity("User", "u").Call("buy_item", stateflow.Int(2), stateflow.Ref("Item", "apple"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSimulationStateFlowBackend(t *testing.T) {
 	if res.Latency <= 0 {
 		t.Fatal("latency not measured")
 	}
-	st, ok := simu.EntityState("User", "u")
+	st, ok := c.Admin().Inspect("User", "u")
 	if !ok || st["balance"].I != 94 {
 		t.Fatalf("state: %v", st)
 	}
@@ -104,7 +105,7 @@ func TestSimulationStateFunBackend(t *testing.T) {
 	if err := simu.Preload("Item", stateflow.Str("apple"), stateflow.Int(3)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := simu.Call("Item", "apple", "get_price")
+	res, err := simu.Client().Entity("Item", "apple").Call("get_price")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +120,12 @@ func TestSimulationStateFunBackend(t *testing.T) {
 func TestSimulationCreateThroughDataflow(t *testing.T) {
 	prog := stateflow.MustCompile(figure1)
 	simu := stateflow.NewSimulation(prog, stateflow.SimConfig{})
-	res, err := simu.Create("User", stateflow.Str("fresh"))
+	e, err := simu.Client().Create("User", stateflow.Str("fresh"))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("create: %v", err)
 	}
-	if res.Err != "" {
-		t.Fatalf("create: %s", res.Err)
-	}
-	if res.Value.R.Key != "fresh" {
-		t.Fatalf("ref: %v", res.Value)
+	if e.Key() != "fresh" {
+		t.Fatalf("ref: %v", e.Ref())
 	}
 }
 
@@ -143,25 +141,29 @@ func TestSimulationSubmitRace(t *testing.T) {
 	if err := simu.Preload("User", stateflow.Str("b")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := simu.Call("Item", "apple", "update_stock", stateflow.Int(3)); err != nil {
+	c := simu.Client()
+	if _, err := c.Entity("Item", "apple").Call("update_stock", stateflow.Int(3)); err != nil {
 		t.Fatal(err)
 	}
 	// Two buyers race for 3 units, 2 each: transactional isolation admits
 	// exactly one winner.
-	ra := simu.Submit("User", "a", "buy_item", stateflow.Int(2), stateflow.Ref("Item", "apple"))
-	rb := simu.Submit("User", "b", "buy_item", stateflow.Int(2), stateflow.Ref("Item", "apple"))
+	fa := c.Entity("User", "a").Submit("buy_item", stateflow.Int(2), stateflow.Ref("Item", "apple"))
+	fb := c.Entity("User", "b").Submit("buy_item", stateflow.Int(2), stateflow.Ref("Item", "apple"))
 	simu.Run(5 * time.Second)
 	wins := 0
-	if ra().B {
-		wins++
-	}
-	if rb().B {
-		wins++
+	for _, f := range []*stateflow.Future{fa, fb} {
+		res, done := f.Peek()
+		if !done {
+			t.Fatalf("%s unresolved after Run", f.Target())
+		}
+		if res.Value.B {
+			wins++
+		}
 	}
 	if wins != 1 {
 		t.Fatalf("winners: %d", wins)
 	}
-	st, _ := simu.EntityState("Item", "apple")
+	st, _ := c.Admin().Inspect("Item", "apple")
 	if st["stock"].I != 1 {
 		t.Fatalf("stock: %v", st["stock"])
 	}
@@ -173,7 +175,7 @@ func TestPreloadAfterStartRejected(t *testing.T) {
 	if err := simu.Preload("User", stateflow.Str("u")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := simu.Call("User", "u", "buy_item", stateflow.Int(1), stateflow.Ref("Item", "x")); err != nil {
+	if _, err := simu.Client().Entity("User", "u").Call("buy_item", stateflow.Int(1), stateflow.Ref("Item", "x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := simu.Preload("User", stateflow.Str("late")); err == nil {
