@@ -30,8 +30,10 @@ var stateflowCommits = []struct {
 // the coordinator's commit tap) and value-conserving. VerifyAdversarial
 // additionally requires every StateFlow chaos run to have survived at
 // least one coordinator reboot, so the sweep cannot silently stop
-// exercising the restart path. A failure prints the profile, backend,
-// seed and full plan verbatim.
+// exercising the restart path. Sharded (CHAOS_SHARDS > 1), every leg must
+// also hold at least one seed whose targeted mid-fence sequencer crash
+// ran; seeds whose plan leaves nothing to aim at are logged. A failure
+// prints the profile, backend, seed and full plan verbatim.
 func TestAdversarialLinSweep(t *testing.T) {
 	base := oracle.DefaultConfig()
 	base.Shards = sweepShards()
@@ -45,7 +47,8 @@ func TestAdversarialLinSweep(t *testing.T) {
 				cfg := base
 				cfg.DisableFallback = combo.disableFallback
 				cfg.DisablePipelining = combo.disablePipe
-				restarts, demotions := 0, 0
+				restarts, demotions, aimed := 0, 0, 0
+				var unaimable []int64
 				for seed := int64(1); seed <= sweepSeeds(); seed++ {
 					run, err := oracle.VerifyAdversarial(p, stateflow.BackendStateFlow, seed, cfg)
 					if err != nil {
@@ -53,8 +56,25 @@ func TestAdversarialLinSweep(t *testing.T) {
 					}
 					restarts += run.CoordRestarts
 					demotions += run.FallbackDriftDemotions
+					if run.MidFenceAimed {
+						aimed++
+					} else {
+						unaimable = append(unaimable, seed)
+					}
 				}
 				t.Logf("%d coordinator reboots survived, %d fallback drift demotions", restarts, demotions)
+				if cfg.Shards > 1 {
+					// The mid-fence floor is per leg, not per seed: a seeded
+					// plan that keeps the sequencer down until the horizon
+					// leaves no window to aim at, but a whole leg that never
+					// crashed the sequencer inside a held fence stopped
+					// exercising the roll-forward/abandon decision.
+					t.Logf("mid-fence sequencer crash: %d seeds aimed, %d un-aimable %v", aimed, len(unaimable), unaimable)
+					if aimed == 0 {
+						t.Fatalf("no seed of this leg aimed a sequencer crash into a fence window (shards=%d, %d seeds); the mid-fence recovery path went unexercised",
+							cfg.Shards, sweepSeeds())
+					}
+				}
 			})
 		}
 		t.Run(fmt.Sprintf("%s/statefun", p), func(t *testing.T) {
@@ -98,6 +118,9 @@ func TestShardedAdversarialXShard(t *testing.T) {
 				run, err := oracle.VerifyAdversarial(workload.XShard, stateflow.BackendStateFlow, seed, cfg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !run.MidFenceAimed {
+					t.Fatalf("seed %d shards=%d: no observed fence window opens before the plan horizon; this gate requires the targeted mid-fence crash on every seed", seed, shards)
 				}
 				restarts += run.CoordRestarts
 				globals += run.GlobalTxns

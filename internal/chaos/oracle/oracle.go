@@ -130,6 +130,13 @@ type Run struct {
 	// the flight recorder, in park order. The adversarial sweep's
 	// targeted sequencer crash is aimed inside one of them.
 	FenceWindows []FenceWindow
+	// MidFenceAimed reports that VerifyAdversarial ran its targeted third
+	// run — a sequencer crash aimed into an observed fence window — and
+	// that the crash rolled a batch forward or abandoned one. False on a
+	// seed whose plan keeps the sequencer down until the horizon (every
+	// observed window opens past it), which is a property of the plan;
+	// callers floor it per sweep leg or per pinned seed.
+	MidFenceAimed bool
 	// Flight is the cluster's flight-recorder dump (crashes, reboots,
 	// epoch advances, fences, replay decisions in virtual-time order).
 	// Verify appends it to failure reports so a failing seed arrives

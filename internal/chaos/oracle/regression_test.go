@@ -116,6 +116,9 @@ func TestSequencerFailoverRegression(t *testing.T) {
 	if run.Sequencer.Failovers == 0 {
 		t.Fatal("no sequencer failover on the pinned seed; the regression seed went stale")
 	}
+	if !run.MidFenceAimed {
+		t.Fatal("the targeted mid-fence crash did not run on the pinned seed; the regression seed went stale")
+	}
 	if run.Sequencer.RederivedBatches == 0 {
 		t.Fatalf("sequencer failed over %d times but never rolled an in-flight batch forward; the mid-__apply__ recovery path went unexercised",
 			run.Sequencer.Failovers)
