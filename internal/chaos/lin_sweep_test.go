@@ -47,7 +47,7 @@ func TestAdversarialLinSweep(t *testing.T) {
 				cfg := base
 				cfg.DisableFallback = combo.disableFallback
 				cfg.DisablePipelining = combo.disablePipe
-				restarts, demotions, aimed := 0, 0, 0
+				restarts, demotions := 0, 0
 				var unaimable []int64
 				for seed := int64(1); seed <= sweepSeeds(); seed++ {
 					run, err := oracle.VerifyAdversarial(p, stateflow.BackendStateFlow, seed, cfg)
@@ -56,9 +56,7 @@ func TestAdversarialLinSweep(t *testing.T) {
 					}
 					restarts += run.CoordRestarts
 					demotions += run.FallbackDriftDemotions
-					if run.MidFenceAimed {
-						aimed++
-					} else {
+					if !run.MidFenceAimed {
 						unaimable = append(unaimable, seed)
 					}
 				}
@@ -69,6 +67,7 @@ func TestAdversarialLinSweep(t *testing.T) {
 					// leaves no window to aim at, but a whole leg that never
 					// crashed the sequencer inside a held fence stopped
 					// exercising the roll-forward/abandon decision.
+					aimed := int(sweepSeeds()) - len(unaimable)
 					t.Logf("mid-fence sequencer crash: %d seeds aimed, %d un-aimable %v", aimed, len(unaimable), unaimable)
 					if aimed == 0 {
 						t.Fatalf("no seed of this leg aimed a sequencer crash into a fence window (shards=%d, %d seeds); the mid-fence recovery path went unexercised",

@@ -97,8 +97,8 @@ func TestFallbackDriftRegression(t *testing.T) {
 // as load-bearing. On this seed the 2-shard deployment takes sequencer
 // crashes inside held fence windows — including the targeted mid-fence
 // crash VerifyAdversarial aims at the midpoint of the widest observed
-// window, which lands while a global batch's per-shard __apply__
-// installs are in flight. The rebooted sequencer must re-derive the
+// window, which lands while a global batch's per-shard applies are in
+// flight. The rebooted sequencer must re-derive the
 // in-flight batch from the durable per-shard fence markers and roll it
 // forward exactly once: the full adversarial verdict (serializability,
 // conservation, exactly-once accounting) rejects a double-applied or
@@ -120,7 +120,7 @@ func TestSequencerFailoverRegression(t *testing.T) {
 		t.Fatal("the targeted mid-fence crash did not run on the pinned seed; the regression seed went stale")
 	}
 	if run.Sequencer.RederivedBatches == 0 {
-		t.Fatalf("sequencer failed over %d times but never rolled an in-flight batch forward; the mid-__apply__ recovery path went unexercised",
+		t.Fatalf("sequencer failed over %d times but never rolled an in-flight batch forward; the mid-apply recovery path went unexercised",
 			run.Sequencer.Failovers)
 	}
 	t.Logf("seed %d shards=%d: %d failovers, %d batches rolled forward, %d abandoned pre-apply",

@@ -69,6 +69,9 @@ type txnState struct {
 	finished bool
 	value    interp.Value
 	err      string
+	// apply is set when the transaction is one shard's slice of a global
+	// batch (req then carries only the apply's id and target).
+	apply *globalApply
 }
 
 // stagedResponse is a response whose delivered-record is appended but
@@ -92,6 +95,9 @@ type pendingReq struct {
 	// recovery); assign then clamps the span to zero length. Purely
 	// observational.
 	arrivedAt time.Duration
+	// apply is set when the request is a global batch's apply (see
+	// globalApply.pending).
+	apply *globalApply
 }
 
 // epochState is one slot of the coordinator's pipeline stage table: the
@@ -311,11 +317,11 @@ type Coordinator struct {
 	// Sharded global-commit fence state (see fence.go and sharded.go).
 	// fencePending is a fence request received but not yet quiesced (0:
 	// none), fenceFrom its sender. fenced marks the parked window between
-	// the durable __fence__ marker and its __unfence__; fenceSeq is the
-	// active global batch id. fenceDone is the highest batch whose unfence
+	// the durable open fence marker and its closing one; fenceSeq is the
+	// active global batch id. fenceDone is the highest batch whose closing
 	// marker was appended (idempotent re-acks for lost acks). fenceApply
-	// holds an unanswered __apply__ record the recovery scan found in the
-	// log suffix; it executes once the binding replay drains.
+	// holds an unanswered apply record the recovery scan found in the log
+	// suffix; it executes once the binding replay drains.
 	fencePending int64
 	fenceFrom    string
 	fenced       bool
@@ -386,6 +392,8 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 		c.onUnfence(ctx, m)
 	case msgGlobalRead:
 		c.onGlobalRead(ctx, m)
+	case msgGlobalApply:
+		c.onGlobalApply(ctx, m)
 	case msgFenceParkTick:
 		c.onFenceParkTick(ctx, m)
 	case msgSeqFenceQuery:
@@ -412,23 +420,30 @@ func (c *Coordinator) batchFull(st *epochState) bool {
 	return c.sys.cfg.MaxBatch > 0 && len(st.batch) >= c.sys.cfg.MaxBatch
 }
 
-// onRequest appends the arrival to the replayable source log, then either
-// assigns it into the open batch or buffers it. A request whose response
-// was already released is answered from the durable egress buffer instead
-// (response replay: the client is retrying because its copy was lost).
-func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
+// admit is the ingress dedup every arrival passes before it is logged —
+// client requests and global applies alike. A request whose response was
+// already released is answered from the durable egress buffer (response
+// replay: the sender is retrying because its copy was lost); a duplicate
+// send of an in-flight request is absorbed, it is already logged.
+func (c *Coordinator) admit(ctx *sim.Context, id, replyTo string) bool {
 	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
-	id := m.Request.Req
 	if ent, ok := c.delivered[id]; ok {
-		if m.ReplyTo != "" {
+		if replyTo != "" {
 			c.Replays++
-			ctx.Send(m.ReplyTo, sysapi.MsgResponse{Response: ent.resp},
+			ctx.Send(replyTo, sysapi.MsgResponse{Response: ent.resp},
 				c.sys.cfg.Costs.ClientLink.Sample(ctx.Rand()))
 		}
-		return
+		return false
 	}
-	if c.seen[id] {
-		return // duplicate send of an in-flight request; already logged
+	return !c.seen[id]
+}
+
+// onRequest appends the arrival to the replayable source log, then either
+// assigns it into the open batch or buffers it.
+func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
+	id := m.Request.Req
+	if !c.admit(ctx, id, m.ReplyTo) {
+		return
 	}
 	if src, seq, ok := sysapi.SplitID(id); ok {
 		if floor, pruned := c.dedupFloor[src]; pruned && seq <= floor {
@@ -441,28 +456,11 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 			return
 		}
 	}
-	if m.Request.Method == applyMethod {
-		// A global write-set apply is only meaningful inside its fence
-		// window; outside it (or mid-recovery) the copy is stale or early —
-		// drop it unlogged and let the sequencer's stall guard re-send.
-		if !c.fenced || c.recovering || markerSeq(m.Request) != c.fenceSeq {
-			return
-		}
-	}
 	_, pos, err := c.sys.RequestLog.Produce(sourceTopic, id, m)
 	if err != nil {
 		return
 	}
 	c.seen[id] = true
-	if m.Request.Method == applyMethod {
-		// The apply is durable in the source log (the shard-local atomic
-		// commit point for the global batch); run it through the parked
-		// epoch. consumed does NOT advance — arrivals queued during the
-		// fence sit between the cursor and this record, and the post-
-		// unfence drain skips it as answered.
-		c.startApply(ctx, pendingReq{req: m.Request, replyTo: m.ReplyTo, pos: pos, arrivedAt: ctx.Now()})
-		return
-	}
 	if st := c.exec; !c.recovering && !c.fenced && c.fencePending == 0 &&
 		st != nil && st.phase == phaseOpen && !st.binding && !c.batchFull(st) {
 		c.consumed++
@@ -478,7 +476,7 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 func (c *Coordinator) assign(ctx *sim.Context, st *epochState, p pendingReq) {
 	c.nextTID++
 	tid := c.nextTID
-	st.batch[tid] = &txnState{req: p.req, replyTo: p.replyTo, pos: p.pos, retries: p.retries}
+	st.batch[tid] = &txnState{req: p.req, replyTo: p.replyTo, pos: p.pos, retries: p.retries, apply: p.apply}
 	st.unfinished++
 	if tr := c.tracer(); tr.Enabled() {
 		start := p.arrivedAt
@@ -496,7 +494,7 @@ func (c *Coordinator) assign(ctx *sim.Context, st *epochState, p pendingReq) {
 		Args:   p.req.Args,
 	}
 	owner := c.sys.ownerOf(p.req.Target)
-	ctx.Send(owner, msgTxnEvent{TID: tid, Epoch: st.epoch, Ev: ev},
+	ctx.Send(owner, msgTxnEvent{TID: tid, Epoch: st.epoch, Ev: ev, Apply: p.apply.firstHop()},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -819,7 +817,7 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 				// the rest of the binding queue, preserving release order.
 				bindingRetry = append(bindingRetry, pendingReq{
 					req: t.req, replyTo: t.replyTo, pos: t.pos, retries: t.retries,
-					arrivedAt: ctx.Now(),
+					arrivedAt: ctx.Now(), apply: t.apply,
 				})
 				break
 			}
@@ -886,7 +884,7 @@ func (c *Coordinator) startFallbackRound(ctx *sim.Context, st *epochState) {
 			Method: t.req.Method,
 			Args:   t.req.Args,
 		}
-		ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.fbRound, Ev: ev},
+		ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.fbRound, Ev: ev, Apply: t.apply.firstHop()},
 			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 }
@@ -1165,13 +1163,13 @@ func (c *Coordinator) releaseCommit(ctx *sim.Context) {
 // group-commit sync, so a response a client could have seen is always in
 // the recoverable prefix.
 func (c *Coordinator) respond(ctx *sim.Context, t *txnState, resp sysapi.Response) {
-	if t.req.Method == applyMethod {
+	if t.apply != nil {
 		// A global batch's apply: before the apply's own ack, stage the
 		// batch transactions' responses this shard is home to into the
 		// durable egress buffer (write-ahead order — a durable apply ack
 		// must imply durable embedded responses, or a sequencer failover
 		// could re-sequence an answered transaction; see failover.go).
-		c.stageEmbeddedResponses(ctx, t)
+		c.stageEmbeddedResponses(ctx, t.apply.man, t.pos)
 	}
 	if t.replyTo == "" {
 		return
@@ -1209,22 +1207,18 @@ func (c *Coordinator) stage(ctx *sim.Context, replyTo string, ent deliveredEntry
 }
 
 // stageEmbeddedResponses durably records the responses of the global
-// batch transactions homed on this shard, decoded from the manifest
-// riding the apply. They ride the apply's own group-commit sync, cost
-// one delivered-record each, and are never sent from here — the
-// sequencer releases them — but they make this shard the transaction's
-// durable exactly-once witness: a failed-over sequencer probes them
-// (onSeqProbe) before re-sequencing an unrecognized global id.
-func (c *Coordinator) stageEmbeddedResponses(ctx *sim.Context, t *txnState) {
-	man, err := decodeManifest(manifestOf(t.req))
-	if err != nil {
-		return // pre-manifest apply (none in this tree; defensive)
-	}
+// batch transactions homed on this shard, as the manifest of the apply at
+// source-log position pos lists them. They ride the apply's own
+// group-commit sync, cost one delivered-record each, and are never sent
+// from here — the sequencer releases them — but they make this shard the
+// transaction's durable exactly-once witness: a failed-over sequencer
+// probes them (onSeqProbe) before re-sequencing an unrecognized global id.
+func (c *Coordinator) stageEmbeddedResponses(ctx *sim.Context, man *batchManifest, pos int64) {
 	for _, mt := range man.txns {
 		if mt.home != c.sys.shardIndex {
 			continue
 		}
-		c.stage(ctx, "", deliveredEntry{resp: mt.res, at: ctx.Now(), pos: t.pos})
+		c.stage(ctx, "", deliveredEntry{resp: mt.res, at: ctx.Now(), pos: pos})
 	}
 }
 
@@ -1514,19 +1508,18 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 	end, err := c.sys.RequestLog.End(sourceTopic, 0)
 	if err == nil && c.fencePending == 0 {
 		for ; c.consumed < end && !c.batchFull(st); c.consumed++ {
-			rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, c.consumed)
-			if err != nil || !ok {
+			rec, ok := c.readSource(c.consumed)
+			if !ok {
 				break
 			}
-			m := rec.Payload.(sysapi.MsgRequest)
-			if isGlobalRecord(m.Request.Method) {
-				// Fence/unfence markers and write-set applies never enter
-				// the batch intake: markers are recovery metadata, and an
-				// apply below the cursor was answered inside its fence
-				// window (or replayed as binding).
+			if !rec.isClientRequest() {
+				// Fence markers and global applies never enter the batch
+				// intake: markers are recovery metadata, and an apply
+				// below the cursor was answered inside its fence window
+				// (or replayed as binding).
 				continue
 			}
-			if !c.sys.cfg.UncheckedReplayOrder && c.answered(m.Request.Req) {
+			if !c.sys.cfg.UncheckedReplayOrder && c.answered(rec.txn.req.Req) {
 				// A recovery rewound the cursor over this record, but its
 				// response is already delivered (or staged): its effects are
 				// either in the restored images or rebuilt by the binding
@@ -1536,7 +1529,7 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 				// response is suppressed.)
 				continue
 			}
-			c.assign(ctx, st, pendingReq{req: m.Request, replyTo: m.ReplyTo, pos: c.consumed})
+			c.assign(ctx, st, rec.txn)
 		}
 	}
 	ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{Epoch: st.epoch})
@@ -1646,17 +1639,11 @@ func (c *Coordinator) buildReplaying(cut time.Duration) {
 		if ent.resp.Err != "" || ent.at <= cut {
 			return // definitive error (no effects), or effects in the images
 		}
-		rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, ent.pos)
-		if err != nil || !ok {
-			return
+		// ent.pos holds a client request or — for an apply's ack and the
+		// embedded responses staged with it — the apply itself.
+		if rec, ok := c.readSource(ent.pos); ok {
+			cands = append(cands, cand{at: ent.at, p: rec.txn})
 		}
-		m, ok := rec.Payload.(sysapi.MsgRequest)
-		if !ok {
-			return
-		}
-		cands = append(cands, cand{at: ent.at, p: pendingReq{
-			req: m.Request, replyTo: m.ReplyTo, pos: ent.pos,
-		}})
 	}
 	for _, ent := range c.delivered {
 		add(ent)
@@ -1711,17 +1698,14 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 		// definitive error keeps its recorded response, and a released
 		// commit is the binding replay's to re-execute.
 		for _, pos := range meta.PendingPositions[sourceTopic] {
-			rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, pos)
-			if err != nil || !ok {
+			rec, ok := c.readSource(pos)
+			if !ok {
 				continue
 			}
-			m := rec.Payload.(sysapi.MsgRequest)
-			if !c.sys.cfg.UncheckedReplayOrder && c.answered(m.Request.Req) {
+			if !c.sys.cfg.UncheckedReplayOrder && c.answered(rec.txn.req.Req) {
 				continue
 			}
-			c.pending = append(c.pending, pendingReq{
-				req: m.Request, replyTo: m.ReplyTo, pos: pos,
-			})
+			c.pending = append(c.pending, rec.txn)
 		}
 	} else {
 		c.consumed = 0
@@ -1778,12 +1762,12 @@ func (c *Coordinator) rebuildSeen() {
 	}
 	if end, err := c.sys.RequestLog.End(sourceTopic, 0); err == nil {
 		for pos := c.consumed; pos < end; pos++ {
-			rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, pos)
-			if err != nil || !ok {
+			rec, ok := c.readSource(pos)
+			if !ok {
 				break
 			}
-			if m, ok := rec.Payload.(sysapi.MsgRequest); ok {
-				seen[m.Request.Req] = true
+			if rec.marker == nil {
+				seen[rec.txn.req.Req] = true
 			}
 		}
 	}

@@ -4,22 +4,22 @@
 // global batch's recovery state lives in the shards' durable logs:
 //
 //   - The fence window itself: a shard parked for batch S carries an
-//     unbalanced __fence__ marker, so "which shards are fenced, and for
+//     unbalanced open fenceMarker, so "which shards are fenced, and for
 //     what" survives any combination of shard and sequencer crashes.
-//   - The batch manifest: every __apply__ the sequencer sends carries,
-//     besides its own shard's write-set, an encoding of the whole batch
-//     (footprint, per-transaction responses, every shard's write-set).
-//     One durable apply anywhere is therefore enough to finish the batch
-//     exactly as the dead incarnation would have.
+//   - The batch manifest: every globalApply the sequencer sends points
+//     at the one batchManifest of its batch (footprint, per-transaction
+//     responses, every shard's apply — records.go), and a shard logs the
+//     apply as it arrived. One durable apply anywhere is therefore enough
+//     to finish the batch exactly as the dead incarnation would have.
 //
 // On reboot the sequencer queries every shard's fence state
 // (msgSeqFenceQuery → msgSeqFenceReport) and distinguishes:
 //
-//   - Some fenced shard holds the batch's __apply__: the batch reached
+//   - Some fenced shard holds one of the batch's applies: the batch reached
 //     its commit phase, so it may already be partially installed — and
 //     some responses may already have been released. Roll it FORWARD:
-//     rebuild the batch from the manifest (rederiveBatch), re-send every
-//     apply (shards dedupe by the incarnation-stable apply id), then
+//     rebuild the batch around the manifest (rederiveBatch), re-send its
+//     applies (shards dedupe by the incarnation-stable apply id), then
 //     re-release the responses and unfence. Exactly-once holds because
 //     applies, responses and unfences are all idempotent downstream.
 //   - Shards are fenced but no apply is durable anywhere: nothing of the
@@ -43,168 +43,6 @@ import (
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
-
-// manifestTxn is one client transaction recorded in a batch manifest:
-// its identity, where the response goes, its home shard, and the
-// response the batch computed for it.
-type manifestTxn struct {
-	req     string
-	replyTo string
-	home    int
-	res     sysapi.Response
-}
-
-// manifestApply is one shard's slice of the batch: the write-set string
-// (fence.go encoding) and the entity the apply transaction targets.
-type manifestApply struct {
-	shard  int
-	target interp.EntityRef
-	writes string
-}
-
-// batchManifest is the durable recovery record of one global batch,
-// riding every __apply__ as an encoded string argument (Args[2]).
-type batchManifest struct {
-	seq       int64
-	footprint []int
-	txns      []manifestTxn
-	applies   []manifestApply
-}
-
-func encodeManifest(m *batchManifest) string {
-	e := interp.NewEncoder()
-	e.Varint(m.seq)
-	e.Uvarint(uint64(len(m.footprint)))
-	for _, idx := range m.footprint {
-		e.Varint(int64(idx))
-	}
-	e.Uvarint(uint64(len(m.txns)))
-	for _, t := range m.txns {
-		e.Str(t.req)
-		e.Str(t.replyTo)
-		e.Varint(int64(t.home))
-		e.Value(t.res.Value)
-		e.Str(t.res.Err)
-		e.Varint(int64(t.res.Retries))
-	}
-	e.Uvarint(uint64(len(m.applies)))
-	for _, a := range m.applies {
-		e.Varint(int64(a.shard))
-		e.Str(a.target.Class)
-		e.Str(a.target.Key)
-		e.Str(a.writes)
-	}
-	return string(e.Bytes())
-}
-
-func decodeManifest(s string) (*batchManifest, error) {
-	d := interp.NewDecoder([]byte(s))
-	m := &batchManifest{}
-	var err error
-	if m.seq, err = d.Varint(); err != nil {
-		return nil, err
-	}
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		idx, err := d.Varint()
-		if err != nil {
-			return nil, err
-		}
-		m.footprint = append(m.footprint, int(idx))
-	}
-	if n, err = d.Uvarint(); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var t manifestTxn
-		if t.req, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if t.replyTo, err = d.Str(); err != nil {
-			return nil, err
-		}
-		home, err := d.Varint()
-		if err != nil {
-			return nil, err
-		}
-		t.home = int(home)
-		if t.res.Value, err = d.Value(); err != nil {
-			return nil, err
-		}
-		if t.res.Err, err = d.Str(); err != nil {
-			return nil, err
-		}
-		retries, err := d.Varint()
-		if err != nil {
-			return nil, err
-		}
-		t.res.Retries = int(retries)
-		t.res.Req = t.req
-		m.txns = append(m.txns, t)
-	}
-	if n, err = d.Uvarint(); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var a manifestApply
-		shard, err := d.Varint()
-		if err != nil {
-			return nil, err
-		}
-		a.shard = int(shard)
-		if a.target.Class, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if a.target.Key, err = d.Str(); err != nil {
-			return nil, err
-		}
-		if a.writes, err = d.Str(); err != nil {
-			return nil, err
-		}
-		m.applies = append(m.applies, a)
-	}
-	return m, nil
-}
-
-// buildManifest snapshots the batch at commit time: transactions in
-// batch order with their computed responses, applies in shard ring
-// order. The encoding is deterministic, so every shard's copy of the
-// manifest is byte-identical.
-func (q *Sequencer) buildManifest(b *globalBatch, groups map[int][]writeSetEntry, targets map[int]interp.EntityRef) *batchManifest {
-	m := &batchManifest{seq: b.seq, footprint: sortedShards(b.footprint)}
-	for _, t := range b.txns {
-		m.txns = append(m.txns, manifestTxn{
-			req:     t.req.Req,
-			replyTo: t.replyTo,
-			home:    q.sys.ShardOf(t.req.Target),
-			res:     t.res,
-		})
-	}
-	set := map[int]bool{}
-	for idx := range targets {
-		set[idx] = true
-	}
-	for _, idx := range sortedShards(set) {
-		m.applies = append(m.applies, manifestApply{
-			shard:  idx,
-			target: targets[idx],
-			writes: encodeWriteSet(groups[idx]),
-		})
-	}
-	return m
-}
-
-// manifestOf extracts the manifest string riding an apply request ("" if
-// absent — pre-manifest applies cannot be rederived, only re-served).
-func manifestOf(req sysapi.Request) string {
-	if len(req.Args) > 2 && req.Args[2].Kind == interp.KStr {
-		return req.Args[2].S
-	}
-	return ""
-}
 
 // ---------------------------------------------------------------------------
 // The rebooted sequencer.
@@ -267,7 +105,7 @@ func (q *Sequencer) onFenceReport(ctx *sim.Context, from string, m msgSeqFenceRe
 func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	q.recovering = false
 	fencedSeq := map[int]int64{}
-	var apply *sysapi.MsgRequest
+	var apply *globalApply
 	for i := 0; i < len(q.sys.shards); i++ {
 		r := q.reports[i]
 		if r.FenceSeq > q.nextSeq {
@@ -278,17 +116,14 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 		}
 		if r.Fenced {
 			fencedSeq[i] = r.FenceSeq
-			if r.HasApply && apply == nil {
-				a := r.Apply
-				apply = &a
+			if apply == nil {
+				apply = r.Apply
 			}
 		}
 	}
 	q.reports = nil
 	if apply != nil {
-		if man, err := decodeManifest(manifestOf(apply.Request)); err == nil {
-			q.rederiveBatch(ctx, man, manifestOf(apply.Request))
-		}
+		q.rederiveBatch(ctx, apply.man)
 	}
 	// Release every parked shard the rolled-forward batch (if any) does
 	// not cover: orphans of even older incarnations, or the whole fenced
@@ -296,7 +131,7 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	// surface them eventually (maybeReleaseOrphan); releasing here saves
 	// the stall timeout.
 	released := false
-	for _, idx := range sortedShards(boolSet(fencedSeq)) {
+	for _, idx := range sortedShards(fencedSeq) {
 		if b := q.cur; b != nil && b.footprint[idx] && fencedSeq[idx] == b.seq {
 			continue
 		}
@@ -319,20 +154,12 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	}
 }
 
-func boolSet(m map[int]int64) map[int]bool {
-	out := make(map[int]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
-}
-
-// rederiveBatch rebuilds the in-flight batch from a durable manifest and
-// resumes it at the apply phase. Every downstream step is idempotent:
+// rederiveBatch rebuilds the in-flight batch around a durable manifest
+// and resumes it at the apply phase. Every downstream step is idempotent:
 // re-sent applies dedupe (or re-serve) by their incarnation-stable id,
 // re-released responses are wire duplicates to the clients, and re-sent
 // unfences re-ack off the shards' fence-done high-water marks.
-func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest, manStr string) {
+func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 	q.RederivedBatches++
 	b := &globalBatch{
 		seq:          man.seq,
@@ -344,13 +171,14 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest, manStr s
 		unfenceAcked: map[int]bool{},
 		fetching:     map[interp.EntityRef]bool{},
 		rederived:    true,
-		applies:      map[int]sysapi.MsgRequest{},
+		man:          man,
 		applied:      map[int]bool{},
 	}
 	for _, idx := range man.footprint {
 		b.footprint[idx] = true
 		b.fenceAcked[idx] = true
 	}
+	members := make(map[string]bool, len(man.txns))
 	for _, mt := range man.txns {
 		// Only the id survives in the manifest; the rebuilt request is a
 		// stub — finishBatch and the dedup maps key on req.Req alone.
@@ -360,47 +188,21 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest, manStr s
 			res:     mt.res,
 		}
 		b.txns = append(b.txns, t)
+		members[mt.req] = true
 		q.inFlight[mt.req] = true
 		delete(q.probing, mt.req)
 	}
 	// Drop manifest members from the retry queue: a probe answered
 	// "unknown" before recovery completed may have re-enqueued one.
-	if len(q.queue) > 0 {
-		kept := q.queue[:0]
-		for _, t := range q.queue {
-			if !q.inFlight[t.req.Req] {
-				kept = append(kept, t)
-				continue
-			}
-			dup := false
-			for _, mt := range man.txns {
-				if mt.req == t.req.Req {
-					dup = true
-				}
-			}
-			if !dup {
-				kept = append(kept, t)
-			}
+	kept := q.queue[:0]
+	for _, t := range q.queue {
+		if !members[t.req.Req] {
+			kept = append(kept, t)
 		}
-		q.queue = kept
 	}
+	q.queue = kept
 	if man.seq > q.nextSeq {
 		q.nextSeq = man.seq
-	}
-	for _, ma := range man.applies {
-		b.applies[ma.shard] = sysapi.MsgRequest{
-			Request: sysapi.Request{
-				Req:    applyID(man.seq, ma.shard),
-				Target: ma.target,
-				Method: applyMethod,
-				Args: []interp.Value{
-					interp.IntV(man.seq),
-					interp.StrV(ma.writes),
-					interp.StrV(manStr),
-				},
-			},
-			ReplyTo: q.sys.seqID,
-		}
 	}
 	q.cur = b
 	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "failover",

@@ -9,104 +9,29 @@
 //     staged responses to durability (so the state the sequencer reads
 //     is exactly the durable, recovery-reconstructible prefix), then
 //     park with an open empty epoch — and only then append a durable
-//     __fence__ marker to the source log and ack. The marker precedes
+//     open fenceMarker to the source log and ack. The marker precedes
 //     the ack, so once the sequencer believes the shard is fenced, no
 //     crash can make it forget: the restart scan finds the unbalanced
 //     marker and comes back parked.
 //   - While parked, answer msgGlobalRead from committed worker state.
-//   - Run the sequencer's __apply__ as an ordinary single-member epoch
+//   - Run the sequencer's globalApply as an ordinary single-member epoch
 //     through the full Aria machinery (stall detection, response
 //     staging, group commit, recovery) — the workers install the
-//     write-set blindly (see worker.go). Producing the apply into the
+//     write-set blindly (see worker.go). Appending the apply to the
 //     source log is the shard-local atomic commit point.
-//   - Resume on msgUnfence: append the balancing __unfence__ marker,
-//     ack, and refill the parked epoch from the backlog that queued
-//     behind the fence.
+//   - Resume on msgUnfence: append the balancing closed marker, ack, and
+//     refill the parked epoch from the backlog that queued behind the
+//     fence.
+//
+// The records themselves are defined in records.go.
 package stateflow
 
 import (
-	"fmt"
 	"strconv"
 
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/sim"
-	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
-
-// Reserved method names of the global-commit protocol. None of them can
-// collide with compiled program methods (the language forbids leading
-// underscores except __init__), and the marker/apply ids are dotless so
-// the incarnation dedup floor never applies to them.
-const (
-	applyMethod   = "__apply__"
-	fenceMethod   = "__fence__"
-	unfenceMethod = "__unfence__"
-)
-
-// isGlobalRecord reports whether a source-log record belongs to the
-// global-commit protocol rather than the client request stream.
-func isGlobalRecord(method string) bool {
-	return method == applyMethod || method == fenceMethod || method == unfenceMethod
-}
-
-// markerSeq extracts the global batch id carried by a marker or apply
-// request (-1 if malformed).
-func markerSeq(r sysapi.Request) int64 {
-	if len(r.Args) > 0 && r.Args[0].Kind == interp.KInt {
-		return r.Args[0].I
-	}
-	return -1
-}
-
-// writeSetEntry is one final entity image of a global batch's write-set.
-// The set rides the __apply__ request as a single encoded string argument
-// (Args[1]): Uvarint(count), then per entity Str(class), Str(key),
-// Row(image). The sequencer pre-sorts entries by (class, key), so the
-// encoding — and the worker chain that installs it — is deterministic.
-type writeSetEntry struct {
-	Ref interp.EntityRef
-	St  *interp.Row
-}
-
-func encodeWriteSet(entries []writeSetEntry) string {
-	enc := interp.NewEncoder()
-	enc.Uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		enc.Str(e.Ref.Class)
-		enc.Str(e.Ref.Key)
-		enc.Row(e.St)
-	}
-	return string(enc.Bytes())
-}
-
-// decodeWriteSet lays the images out as rows of the program's class
-// layouts. The string comes back from the source log on recovery, so it is
-// parsed as outside input: malformed bytes are an error, never a panic.
-func decodeWriteSet(s string, layouts *ir.Layouts) ([]writeSetEntry, error) {
-	dec := interp.NewDecoder([]byte(s))
-	n, err := dec.Count()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]writeSetEntry, 0, n)
-	for i := 0; i < n; i++ {
-		class, err := dec.Str()
-		if err != nil {
-			return nil, err
-		}
-		key, err := dec.Str()
-		if err != nil {
-			return nil, err
-		}
-		row, err := dec.Row(layouts.LayoutOf(class))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, writeSetEntry{Ref: interp.EntityRef{Class: class, Key: key}, St: row})
-	}
-	return out, nil
-}
 
 // onFence handles the sequencer's quiesce request. Completed batches and
 // the in-progress one re-ack idempotently (the original ack was lost);
@@ -149,7 +74,7 @@ func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
 		return false
 	}
 	seq := c.fencePending
-	c.produceMarker(ctx, fenceMethod, seq)
+	c.produceMarker(ctx, seq, true)
 	c.fenced, c.fenceSeq = true, seq
 	c.fencePending = 0
 	c.fencedAt = ctx.Now()
@@ -193,11 +118,11 @@ func (c *Coordinator) onFenceParkTick(ctx *sim.Context, m msgFenceParkTick) {
 
 // onSeqFenceQuery answers a rebooted sequencer's recovery handshake with
 // this shard's durable fence state: parked or not, for which batch, the
-// completed high-water mark, and — if parked with the batch's __apply__
-// already in the source log — that apply verbatim, so the sequencer can
-// re-derive the batch from its manifest. Any fence still pending from
-// the dead incarnation is dropped: its batch is either being rolled
-// forward (the re-sent fence will re-arm it) or abandoned.
+// completed high-water mark, and — if parked with the batch's apply
+// already in the source log — that apply, whose manifest lets the
+// sequencer re-derive the batch. Any fence still pending from the dead
+// incarnation is dropped: its batch is either being rolled forward (the
+// re-sent fence will re-arm it) or abandoned.
 func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, m msgSeqFenceQuery) {
 	if c.recovering {
 		return // report after recovery converges; the sequencer re-queries
@@ -211,34 +136,26 @@ func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, m msgSeqFenceQuery) {
 	}
 	if c.fenced {
 		c.fenceFrom = m.From // future park re-acks go to the new incarnation
-		if rec := c.findApplyRecord(c.fenceSeq); rec != nil {
-			rep.HasApply = true
-			rep.Apply = *rec
-		}
+		rep.Apply = c.findApply(c.fenceSeq)
 	}
 	ctx.Send(m.From, rep, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
-// findApplyRecord scans the source-log suffix for the fenced batch's
-// __apply__ (answered or not — the recovery handshake needs its manifest
-// either way; scanFenceState's answered-filter only applies to
-// re-execution).
-func (c *Coordinator) findApplyRecord(seq int64) *sysapi.MsgRequest {
+// findApply scans the source-log suffix for the fenced batch's apply
+// (answered or not — the recovery handshake needs its manifest either
+// way; scanFenceState's answered-filter only applies to re-execution).
+func (c *Coordinator) findApply(seq int64) *globalApply {
 	end, err := c.sys.RequestLog.End(sourceTopic, 0)
 	if err != nil {
 		return nil
 	}
 	for pos := end - 1; pos >= c.consumed; pos-- {
-		rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, pos)
-		if err != nil || !ok {
+		rec, ok := c.readSource(pos)
+		if !ok {
 			break
 		}
-		m, ok := rec.Payload.(sysapi.MsgRequest)
-		if !ok {
-			continue
-		}
-		if m.Request.Method == applyMethod && markerSeq(m.Request) == seq {
-			return &m
+		if a := rec.txn.apply; a != nil && a.man.seq == seq {
+			return a
 		}
 	}
 	return nil
@@ -260,8 +177,8 @@ func (c *Coordinator) onSeqProbe(ctx *sim.Context, m msgSeqProbe) {
 
 // onUnfence releases the park: the global batch's writes are durable on
 // every involved shard, so normal epochs may interleave again. The
-// balancing __unfence__ marker is appended before the ack, mirroring
-// the fence side.
+// balancing closed marker is appended before the ack, mirroring the
+// fence side.
 func (c *Coordinator) onUnfence(ctx *sim.Context, m msgUnfence) {
 	if m.Seq <= c.fenceDone {
 		ctx.Send(m.From, msgUnfenceAck{Seq: m.Seq},
@@ -271,7 +188,7 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, m msgUnfence) {
 	if !c.fenced || m.Seq != c.fenceSeq {
 		return // out-of-order copy for a batch this shard is not parked on
 	}
-	c.produceMarker(ctx, unfenceMethod, m.Seq)
+	c.produceMarker(ctx, m.Seq, false)
 	if tr := c.tracer(); tr.Enabled() {
 		tr.Span(c.sys.coordID, "fence", "fence.park", c.fencedAt, ctx.Now(),
 			"seq", strconv.FormatInt(m.Seq, 10))
@@ -326,6 +243,35 @@ func (c *Coordinator) onGlobalRead(ctx *sim.Context, m msgGlobalRead) {
 	ctx.Send(m.From, resp, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
+// onGlobalApply admits the sequencer's apply for the batch this shard is
+// parked on. It passes the same ingress dedup a client request does
+// (re-serve if answered, absorb if in flight), so a re-sent apply — by the
+// stall guard, or by a rebooted sequencer rolling the batch forward — is
+// idempotent. Appending it to the source log is the shard-local atomic
+// commit point of the global batch; then it runs through the parked
+// epoch. consumed does NOT advance — arrivals queued during the fence sit
+// between the cursor and this record, and the post-unfence drain skips it.
+func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
+	a := m.Apply
+	if !c.admit(ctx, a.id, a.replyTo) {
+		return
+	}
+	// An apply is only meaningful inside its fence window; outside it (or
+	// mid-recovery) the copy is stale or early — drop it unlogged and let
+	// the sequencer's stall guard re-send.
+	if !c.fenced || c.recovering || a.man.seq != c.fenceSeq {
+		return
+	}
+	_, pos, err := c.sys.RequestLog.Produce(sourceTopic, a.id, a)
+	if err != nil {
+		return
+	}
+	c.seen[a.id] = true
+	p := a.pending(pos)
+	p.arrivedAt = ctx.Now()
+	c.startApply(ctx, p)
+}
+
 // startApply runs the sequencer's write-set transaction through the
 // parked epoch: assign it as the epoch's only member and close the batch
 // immediately. From here the ordinary machinery takes over — execution
@@ -344,7 +290,7 @@ func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 	c.flight().Recordf(ctx.Now(), c.sys.coordID, "global.batch",
 		"executing write-set apply %s", p.req.Req)
 	if tr := c.tracer(); tr.Enabled() {
-		tr.Instant(c.sys.coordID, "fence", applyMethod, ctx.Now(),
+		tr.Instant(c.sys.coordID, "fence", "__apply__", ctx.Now(),
 			"trace", p.req.Trace.ID, "req", p.req.Req)
 	}
 	c.assign(ctx, st, p)
@@ -352,28 +298,25 @@ func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 	c.enterPhase(ctx, st, phaseClosing)
 }
 
-// produceMarker appends a durable fence/unfence marker to the source
-// log. Markers are never executed — the drain loop skips them — they
-// exist so the restart scan can re-derive the fence state: a suffix
-// whose last marker is a __fence__ means the crash landed inside the
-// fence window.
-func (c *Coordinator) produceMarker(ctx *sim.Context, method string, seq int64) {
-	id := fmt.Sprintf("%s%d@%s", method, seq, c.sys.coordID)
-	req := sysapi.Request{Req: id, Method: method, Args: []interp.Value{interp.IntV(seq)}}
+// produceMarker appends a durable fence-window marker to the source log.
+// Markers are never executed — the drain loop skips them — they exist so
+// the restart scan can re-derive the fence state: a suffix whose last
+// marker is open means the crash landed inside the fence window.
+func (c *Coordinator) produceMarker(ctx *sim.Context, seq int64, open bool) {
 	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-	if _, _, err := c.sys.RequestLog.Produce(sourceTopic, id, sysapi.MsgRequest{Request: req}); err == nil {
-		c.seen[id] = true
-	}
+	// The only failure Produce has is an unknown topic, and newSystem
+	// created this one.
+	_, _, _ = c.sys.RequestLog.Produce(sourceTopic, c.sys.coordID, &fenceMarker{seq: seq, open: open})
 }
 
 // scanFenceState re-derives the fence state from the durable markers in
 // the source-log suffix (called from Recover, after the consumed cursor
 // and the egress state are restored). The scan range [consumed, end) is
 // sufficient: the cursor only passes a fence marker during a normal
-// drain, which runs unfenced — i.e. after the balancing unfence was
+// drain, which runs unfenced — i.e. after the balancing closed marker was
 // appended — and no snapshot (hence no checkpoint offset) is ever taken
-// inside a fence window. An unanswered __apply__ under an unbalanced
-// fence is the batch's write-set caught mid-commit; it re-executes from
+// inside a fence window. An unanswered apply under an unbalanced open
+// marker is the batch's write-set caught mid-commit; it re-executes from
 // the log record once the binding replay drains (fenceApply), which is
 // also why rebuildSeen absorbing the sequencer's apply re-sends is safe.
 func (c *Coordinator) scanFenceState() {
@@ -382,37 +325,31 @@ func (c *Coordinator) scanFenceState() {
 	if err != nil {
 		return
 	}
-	var applyRec *pendingReq
+	var apply *pendingReq
 	for pos := c.consumed; pos < end; pos++ {
-		rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, pos)
-		if err != nil || !ok {
+		rec, ok := c.readSource(pos)
+		if !ok {
 			break
 		}
-		m, ok := rec.Payload.(sysapi.MsgRequest)
-		if !ok {
-			continue
-		}
-		switch m.Request.Method {
-		case fenceMethod:
-			c.fenced = true
-			c.fenceSeq = markerSeq(m.Request)
-			applyRec = nil
-		case unfenceMethod:
-			c.fenced = false
-			c.fenceSeq = 0
-			if s := markerSeq(m.Request); s > c.fenceDone {
-				c.fenceDone = s
+		switch mk := rec.marker; {
+		case mk != nil && mk.open:
+			c.fenced, c.fenceSeq = true, mk.seq
+			apply = nil
+		case mk != nil:
+			c.fenced, c.fenceSeq = false, 0
+			if mk.seq > c.fenceDone {
+				c.fenceDone = mk.seq
 			}
-			applyRec = nil
-		case applyMethod:
-			p := pendingReq{req: m.Request, replyTo: m.ReplyTo, pos: pos}
-			applyRec = &p
+			apply = nil
+		case rec.txn.apply != nil:
+			p := rec.txn
+			apply = &p
 		}
 	}
 	if c.fenced {
 		c.fencePending = 0
-		if applyRec != nil && !c.answered(applyRec.req.Req) {
-			c.fenceApply = applyRec
+		if apply != nil && !c.answered(apply.req.Req) {
+			c.fenceApply = apply
 		}
 	}
 }

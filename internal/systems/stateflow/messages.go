@@ -13,12 +13,15 @@ import (
 // Round > 0 marks a fallback re-execution of a conflict-aborted
 // transaction; workers and coordinator drop events from a finished round
 // of the same epoch, so a delayed duplicate can never leak a stale
-// execution into a later round.
+// execution into a later round. Apply is set on the events of a global
+// batch's apply: the write-set entries still to install travel beside the
+// event instead of inside it (see applyHop).
 type msgTxnEvent struct {
 	TID   aria.TID
 	Epoch int64
 	Round int
 	Ev    *core.Event
+	Apply *applyHop
 }
 
 // msgTxnFinished tells the coordinator a transaction's call chain reached
@@ -138,7 +141,7 @@ type msgRecovered struct {
 // Cross-shard transactions run at the global sequencer against a fenced,
 // quiescent snapshot of the involved shards, then commit back into each
 // shard as a blind write-set riding the shard's ordinary Aria machinery.
-// The fence is durable on the shard side (a __fence__ marker in the
+// The fence is durable on the shard side (an open fenceMarker in the
 // source log precedes the ack), so a shard that crashes mid-batch comes
 // back still fenced and cannot interleave fresh transactions between the
 // sequencer's reads and its writes.
@@ -157,7 +160,7 @@ type msgFence struct {
 type msgFenceAck struct{ Seq int64 }
 
 // msgUnfence releases a parked shard after the global batch's writes are
-// durable everywhere. The shard appends a durable __unfence__ marker,
+// durable everywhere. The shard appends the balancing closed fenceMarker,
 // resumes normal epochs and acks.
 type msgUnfence struct {
 	Seq  int64
@@ -188,11 +191,17 @@ type msgGlobalState struct {
 	Exists bool
 }
 
+// msgGlobalApply delivers one shard's slice of a global batch. The shard
+// logs the apply, commits it as a single-member epoch and acks with the
+// apply id's sysapi.MsgResponse once the commit is durable; copies outside
+// the batch's fence window are dropped, re-sends dedupe by the apply id.
+type msgGlobalApply struct{ Apply *globalApply }
+
 // ---------------------------------------------------------------------------
 // Sequencer failover (failover.go). The sequencer keeps no durable
 // state; on reboot it reconstructs the in-flight global batch from the
-// shards' durable fence markers and the batch manifest riding each
-// __apply__ record.
+// shards' durable fence markers and the batch manifest every logged
+// globalApply points at.
 
 // msgSeqFenceQuery asks a shard coordinator for its fence state after a
 // sequencer reboot. Answered whenever the shard is not itself mid-
@@ -202,17 +211,15 @@ type msgSeqFenceQuery struct{ From string }
 
 // msgSeqFenceReport is one shard's answer: whether it is parked right
 // now (and for which batch), its completed fence high-water mark, and —
-// if its durable log holds the fenced batch's __apply__ — that apply
-// transaction verbatim, whose manifest argument lets the sequencer
-// re-derive the whole batch.
+// if its durable log holds the fenced batch's apply — that apply (nil
+// otherwise), whose manifest lets the sequencer re-derive the whole batch.
 type msgSeqFenceReport struct {
 	Shard    int
 	Fenced   bool
 	FenceSeq int64
 	// FenceDone is the highest batch the shard completed an unfence for.
 	FenceDone int64
-	HasApply  bool
-	Apply     sysapi.MsgRequest
+	Apply     *globalApply
 }
 
 // msgSeqProbe asks a transaction's home shard whether its durable egress

@@ -1,0 +1,142 @@
+// Control records of the sharded global-commit protocol, as Go values.
+//
+// A shard's source log (internal/queue) stores payloads as they are — it
+// never serialises the client requests in it — so the protocol's own
+// recovery records sit beside them in the same form: a fenceMarker for
+// each edge of a fence window, and one globalApply per shard a global
+// batch commits into. Every apply of a batch points at the same
+// batchManifest, built once by the sequencer and immutable from then on:
+// it is the batch's durable recovery record, and it is where each shard's
+// write-set lives. readSource is the only place that looks at what a
+// source-log position holds.
+package stateflow
+
+import (
+	"fmt"
+
+	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/systems/sysapi"
+)
+
+// fenceMarker is the durable edge of a fence window in a shard's source
+// log: open when the shard parked for global batch seq, closed when it
+// resumed. Markers are never executed; the restart scan reads them back to
+// re-derive the fence state (scanFenceState).
+type fenceMarker struct {
+	seq  int64
+	open bool
+}
+
+// writeSetEntry is one final entity image of a global batch's write-set.
+// The row is shared by everything that holds the manifest — the
+// sequencer's batch, the source-log record, a failover report — so it is
+// read-only: a worker installs a clone (applyGlobal).
+type writeSetEntry struct {
+	Ref interp.EntityRef
+	St  *interp.Row
+}
+
+// manifestTxn is one client transaction of a global batch: its identity,
+// where the response goes, its home shard, and the response the batch
+// computed for it.
+type manifestTxn struct {
+	req     string
+	replyTo string
+	home    int
+	res     sysapi.Response
+}
+
+// batchManifest is the recovery record of one global batch: the fenced
+// footprint in ring order, the transactions in batch order with their
+// responses, and the applies in shard ring order. One durable apply
+// anywhere is enough to finish the batch exactly as the dead sequencer
+// incarnation would have (failover.go).
+type batchManifest struct {
+	seq       int64
+	footprint []int
+	txns      []manifestTxn
+	applies   []*globalApply
+}
+
+// globalApply is one shard's slice of a global batch: the blind write-set
+// the shard installs (in class/key order; empty for a shard that is only
+// home to a batch transaction) through one ordinary single-member epoch.
+// It is the message the sequencer sends, the record the shard logs — the
+// shard-local atomic commit point — and what a failover report carries.
+type globalApply struct {
+	// id names the apply transaction for ingress dedup, response staging
+	// and re-serve. It is dotless, so the per-source incarnation floor
+	// never applies (see sysapi.SplitID), and stable across sequencer
+	// incarnations, so a rebooted sequencer's re-send dedupes against the
+	// original.
+	id      string
+	shard   int
+	target  interp.EntityRef // the entity whose owner starts the worker chain
+	writes  []writeSetEntry
+	replyTo string // the sequencer: where the durable-commit ack goes
+	man     *batchManifest
+}
+
+func applyID(seq int64, shard int) string {
+	return fmt.Sprintf("gapply-%d-%d", seq, shard)
+}
+
+// pending is the apply as the transaction the coordinator's epoch
+// machinery runs, read from (or just appended at) source-log position pos.
+func (a *globalApply) pending(pos int64) pendingReq {
+	return pendingReq{
+		req:     sysapi.Request{Req: a.id, Target: a.target},
+		replyTo: a.replyTo,
+		pos:     pos,
+		apply:   a,
+	}
+}
+
+// applyHop is a global apply travelling the worker chain: the entries no
+// worker has installed yet. Each worker installs the ones it owns and
+// forwards the rest to the owner of the first of them; the last answers
+// with the batch id.
+type applyHop struct {
+	seq  int64
+	rest []writeSetEntry
+}
+
+// firstHop starts the worker chain of a transaction's apply (nil for an
+// ordinary transaction, whose events carry no hop).
+func (a *globalApply) firstHop() *applyHop {
+	if a == nil {
+		return nil
+	}
+	return &applyHop{seq: a.man.seq, rest: a.writes}
+}
+
+// sourceRecord is what one source-log position holds: a fence marker, or
+// a transaction to run — a client request, or with txn.apply set one
+// shard's slice of a global batch.
+type sourceRecord struct {
+	marker *fenceMarker
+	txn    pendingReq
+}
+
+// isClientRequest reports whether the record belongs to the client request
+// stream rather than to the global-commit protocol.
+func (r sourceRecord) isClientRequest() bool {
+	return r.marker == nil && r.txn.apply == nil
+}
+
+// readSource reads the source log at pos; ok is false past the end.
+func (c *Coordinator) readSource(pos int64) (sourceRecord, bool) {
+	rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, pos)
+	if err != nil || !ok {
+		return sourceRecord{}, false
+	}
+	switch p := rec.Payload.(type) {
+	case sysapi.MsgRequest:
+		return sourceRecord{txn: pendingReq{req: p.Request, replyTo: p.ReplyTo, pos: pos}}, true
+	case *globalApply:
+		return sourceRecord{txn: p.pending(pos)}, true
+	case *fenceMarker:
+		return sourceRecord{marker: p}, true
+	}
+	panic(fmt.Sprintf("stateflow: source log position %d holds a %T", pos, rec.Payload))
+}

@@ -25,10 +25,10 @@
 //	         scratch whenever a fetch discovers a new footprint member,
 //	         and fencing any shard the discovery drags in)
 //	apply  = each footprint shard that has writes or is home to a batch
-//	         transaction gets ONE __apply__ transaction — the final
-//	         entity images plus the batch manifest (failover.go),
-//	         installed through the shard's ordinary Aria machinery (the
-//	         shard-local atomic commit point)
+//	         transaction gets ONE globalApply — its final entity images,
+//	         pointing at the batch's one manifest (records.go) — logged
+//	         and installed through the shard's ordinary Aria machinery
+//	         (the shard-local atomic commit point)
 //	reply  = client responses release once every apply is durable
 //	unfence= footprint shards resume; parked single-shard arrivals drain
 //	         after the global writes, completing the deterministic order
@@ -42,8 +42,8 @@
 // transcripts and committed state.
 //
 // The sequencer keeps no durable state, but it is crashable: every
-// global batch's recovery record (the manifest riding each __apply__)
-// and the fence window itself live in the shards' durable logs, so a
+// global batch's recovery record (the manifest each logged apply points
+// at) and the fence window itself live in the shards' durable logs, so a
 // rebooted sequencer re-derives the in-flight batch from per-shard fence
 // state and either rolls it forward or abandons it — see failover.go.
 package stateflow
@@ -224,8 +224,8 @@ func (s *ShardedSystem) Keys(class string) []string {
 // single-shard-crash coverage the adversarial sweep requires. The
 // sequencer is crashable: it keeps no durable state, but every in-flight
 // batch is re-derivable from the shards' durable fence markers and the
-// manifests riding the __apply__ records, so a reboot re-fences, rolls
-// forward or abandons the batch, and re-serves answered transactions
+// manifest of the logged applies, so a reboot re-fences, rolls forward
+// or abandons the batch, and re-serves answered transactions
 // through the shards' durable egress buffers (failover.go).
 func (s *ShardedSystem) ChaosTopology() chaos.Topology {
 	if s.seq == nil {
@@ -241,7 +241,7 @@ func (s *ShardedSystem) ChaosTopology() chaos.Topology {
 			workers = append(workers, w)
 		}
 	}
-	durable := s.cfg.DisableDlog == false
+	durable := !s.cfg.DisableDlog
 	return chaos.Topology{
 		Roles: map[string][]string{
 			"coordinator": coords,
@@ -276,7 +276,7 @@ func (s *ShardedSystem) ChaosTopology() chaos.Topology {
 			case msgTxnFinished, msgPrepare, msgVote, msgDecide, msgApplied,
 				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
 				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
-				msgGlobalRead, msgGlobalState,
+				msgGlobalRead, msgGlobalState, msgGlobalApply,
 				msgSeqFenceQuery, msgSeqFenceReport, msgSeqProbe, msgSeqProbeAck:
 				return true
 			case sysapi.MsgRequest, sysapi.MsgResponse:
@@ -364,7 +364,10 @@ type globalBatch struct {
 	dirty    map[interp.EntityRef]bool
 	fetching map[interp.EntityRef]bool
 
-	applies map[int]sysapi.MsgRequest // shard index -> its apply
+	// man is the batch's manifest once execution is done (beginApply, or
+	// a failover's rederiveBatch); applied marks the shards whose apply is
+	// durably committed.
+	man     *batchManifest
 	applied map[int]bool
 }
 
@@ -442,7 +445,7 @@ func (q *Sequencer) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	case sysapi.MsgRequest:
 		q.onRequest(ctx, m)
 	case sysapi.MsgResponse:
-		q.onApplyDone(ctx, m)
+		q.onApplyDone(ctx, from, m)
 	case msgFenceAck:
 		q.onFenceAck(ctx, from, m)
 	case msgUnfenceAck:
@@ -533,10 +536,11 @@ func (q *Sequencer) enqueueGlobal(ctx *sim.Context, t *globalTxn) {
 	}
 }
 
-// sortedShards flattens a shard-index set into ring order. Like
-// sortedRefs, every loop that sends messages (and samples link delays)
-// per shard walks through here so the RNG draw order is deterministic.
-func sortedShards(set map[int]bool) []int {
+// sortedShards flattens the keys of a shard-indexed map into ring order.
+// Like sortedRefs, every loop that sends messages (and samples link
+// delays) per shard walks through here so the RNG draw order is
+// deterministic.
+func sortedShards[V any](set map[int]V) []int {
 	out := make([]int, 0, len(set))
 	for idx := range set {
 		out = append(out, idx)
@@ -818,21 +822,15 @@ func sortedRefs(set map[interp.EntityRef]bool) []interp.EntityRef {
 	return refs
 }
 
-// applyID is the dotless id of one shard's write-set apply: the
-// global-commit protocol opts out of the per-source incarnation floor
-// (see sysapi.SplitID), and the id survives sequencer incarnations so a
-// rebooted sequencer's re-sent apply dedupes against the original.
-func applyID(seq int64, shard int) string {
-	return fmt.Sprintf("gapply-%d-%d", seq, shard)
-}
-
-// beginApply turns the batch into one apply per involved shard and sends
-// them. A shard is involved if the overlay dirtied entities it owns or
-// if it is home to a batch transaction's target: home shards get an
-// apply even with an empty write-set, because the manifest riding every
-// apply (failover.go) is both the batch's durable recovery record and
-// the home shard's order to stage the transaction's response into its
-// durable egress buffer.
+// beginApply freezes the batch into its manifest — one apply per involved
+// shard, in ring order — and sends the applies. A shard is involved if
+// the overlay dirtied entities it owns or if it is home to a batch
+// transaction's target: home shards get an apply even with an empty
+// write-set, because the manifest every apply points at is both the
+// batch's durable recovery record (failover.go) and the home shard's order
+// to stage the transaction's response into its durable egress buffer. The
+// overlay rows go into the manifest as they are: the batch has finished
+// executing, so nothing writes them again.
 func (q *Sequencer) beginApply(ctx *sim.Context) {
 	b := q.cur
 	if tr := q.sys.cfg.Tracer; tr.Enabled() {
@@ -850,29 +848,27 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 		}
 		groups[idx] = append(groups[idx], writeSetEntry{Ref: ref, St: row})
 	}
+	man := &batchManifest{seq: b.seq, footprint: sortedShards(b.footprint)}
 	for _, t := range b.txns {
 		home := q.sys.ShardOf(t.req.Target)
 		if _, ok := targets[home]; !ok {
 			targets[home] = t.req.Target
 		}
+		man.txns = append(man.txns, manifestTxn{req: t.req.Req, replyTo: t.replyTo, home: home, res: t.res})
 	}
-	man := interp.StrV(encodeManifest(q.buildManifest(b, groups, targets)))
-	b.applies = map[int]sysapi.MsgRequest{}
+	for _, idx := range sortedShards(targets) {
+		man.applies = append(man.applies, &globalApply{
+			id:      applyID(b.seq, idx),
+			shard:   idx,
+			target:  targets[idx],
+			writes:  groups[idx],
+			replyTo: q.sys.seqID,
+			man:     man,
+		})
+	}
+	b.man = man
 	b.applied = map[int]bool{}
-	for idx := range targets {
-		req := sysapi.Request{
-			Req:    applyID(b.seq, idx),
-			Target: targets[idx],
-			Method: applyMethod,
-			Args: []interp.Value{
-				interp.IntV(b.seq),
-				interp.StrV(encodeWriteSet(groups[idx])),
-				man,
-			},
-		}
-		b.applies[idx] = sysapi.MsgRequest{Request: req, ReplyTo: q.sys.seqID}
-	}
-	if len(b.applies) == 0 {
+	if len(man.applies) == 0 {
 		q.finishBatch(ctx)
 		return
 	}
@@ -881,40 +877,29 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 	q.sendApplies(ctx, b)
 }
 
-// sendApplies walks the batch's applies in shard ring order, not map
-// order: the link delay samples must come off the RNG in a deterministic
-// sequence or same-seed runs diverge.
+// sendApplies (re-)sends every apply not yet acknowledged, in the
+// manifest's ring order: the link delay samples must come off the RNG in
+// a deterministic sequence or same-seed runs diverge.
 func (q *Sequencer) sendApplies(ctx *sim.Context, b *globalBatch) {
-	set := map[int]bool{}
-	for idx := range b.applies {
-		set[idx] = true
-	}
-	for _, idx := range sortedShards(set) {
-		if !b.applied[idx] {
-			ctx.Send(q.sys.shards[idx].coordID, b.applies[idx],
+	for _, a := range b.man.applies {
+		if !b.applied[a.shard] {
+			ctx.Send(q.sys.shards[a.shard].coordID, msgGlobalApply{Apply: a},
 				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		}
 	}
 }
 
 // onApplyDone marks one shard's write-set durably committed (the shard
-// releases the response only after its group-commit fsync).
-func (q *Sequencer) onApplyDone(ctx *sim.Context, m sysapi.MsgResponse) {
+// releases the apply's response only after its group-commit fsync).
+func (q *Sequencer) onApplyDone(ctx *sim.Context, from string, m sysapi.MsgResponse) {
 	b := q.cur
-	if b == nil || b.phase != gApplying {
-		return
-	}
-	shard := -1
-	for idx, req := range b.applies {
-		if req.Request.Req == m.Response.Req {
-			shard = idx
-		}
-	}
-	if shard < 0 || b.applied[shard] {
+	shard, ok := q.sys.shardIdx[from]
+	if !ok || b == nil || b.phase != gApplying || b.applied[shard] ||
+		m.Response.Req != applyID(b.seq, shard) {
 		return
 	}
 	b.applied[shard] = true
-	if len(b.applied) == len(b.applies) {
+	if len(b.applied) == len(b.man.applies) {
 		q.finishBatch(ctx)
 	}
 }
@@ -926,9 +911,9 @@ func (q *Sequencer) finishBatch(ctx *sim.Context) {
 	b := q.cur
 	if b.phase == gApplying {
 		if tr := q.sys.cfg.Tracer; tr.Enabled() {
-			tr.Span(q.sys.seqID, "global", applyMethod, b.phaseAt, ctx.Now(),
+			tr.Span(q.sys.seqID, "global", "__apply__", b.phaseAt, ctx.Now(),
 				"seq", strconv.FormatInt(b.seq, 10),
-				"shards", strconv.Itoa(len(b.applies)))
+				"shards", strconv.Itoa(len(b.man.applies)))
 		}
 	}
 	for _, t := range b.txns {

@@ -161,9 +161,10 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 
 	ws := w.workspace(ep, m.TID)
 	var out []*core.Event
+	var next *applyHop // set on the event forwarded down a global apply's chain
 	var err error
-	if m.Ev.Kind == core.EvInvoke && m.Ev.Method == applyMethod {
-		out, err = w.applyGlobal(ws, m.Ev)
+	if m.Apply != nil {
+		out, next = w.applyGlobal(ws, m.Ev, m.Apply)
 	} else {
 		out, err = w.sys.executor.Step(m.Ev, ws)
 	}
@@ -187,7 +188,7 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 			if target == w.id {
 				lat = 0 // same-partition transfer stays in process
 			}
-			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev}, lat)
+			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev, Apply: next}, lat)
 		}
 	}
 }
@@ -197,35 +198,29 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 // the remainder to the next owning worker — the same event-forwarding
 // shape a split method uses, so the apply commits through the unchanged
 // Aria machinery (single-member batch: the whole-row reservations cannot
-// conflict). The last worker in the chain emits the root response.
-func (w *Worker) applyGlobal(ws *aria.Workspace, ev *core.Event) ([]*core.Event, error) {
-	if len(ev.Args) < 2 || ev.Args[1].Kind != interp.KStr {
-		return nil, fmt.Errorf("malformed global apply %s", ev.Req)
-	}
-	entries, err := decodeWriteSet(ev.Args[1].S, w.sys.prog.Layouts())
-	if err != nil {
-		return nil, err
-	}
+// conflict). The last worker in the chain emits the root response. Each
+// image is cloned on the way in: the entry's row belongs to the logged
+// record, which a binding replay installs again, while the committed
+// store's row is updated in place by later transactions.
+func (w *Worker) applyGlobal(ws *aria.Workspace, ev *core.Event, hop *applyHop) ([]*core.Event, *applyHop) {
 	var rest []writeSetEntry
-	for _, e := range entries {
+	for _, e := range hop.rest {
 		if w.sys.ownerOf(e.Ref) == w.id {
-			ws.PutBlind(e.Ref, e.St)
+			ws.PutBlind(e.Ref, e.St.Clone())
 		} else {
 			rest = append(rest, e)
 		}
 	}
 	if len(rest) == 0 {
-		// End of the chain: answer with the batch id (Args[0]).
-		return []*core.Event{{Kind: core.EvResponse, Req: ev.Req, Value: ev.Args[0]}}, nil
+		// End of the chain: answer with the batch id.
+		return []*core.Event{{Kind: core.EvResponse, Req: ev.Req, Value: interp.IntV(hop.seq)}}, nil
 	}
 	return []*core.Event{{
 		Kind:   core.EvInvoke,
 		Req:    ev.Req,
 		Target: rest[0].Ref,
-		Method: applyMethod,
-		Args:   []interp.Value{ev.Args[0], interp.StrV(encodeWriteSet(rest))},
 		Hops:   ev.Hops + 1,
-	}}, nil
+	}}, &applyHop{seq: hop.seq, rest: rest}
 }
 
 // onPrepare validates local reservations for the batch — or for one

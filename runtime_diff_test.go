@@ -314,8 +314,8 @@ func compareRuns(t *testing.T, name string, tRef, tGot []string, sRef, sGot map[
 // driven directly, the Local runtime answers what its Client facade
 // reports, and every row's canonical encoding equals the name-keyed
 // MapState encoding of the attributes Inspect returns — the identity that
-// lets the sequencer's write-sets carry rows without moving a byte of any
-// __apply__ record.
+// lets a global batch's write-sets be rows: a worker installing one is
+// charged exactly the bytes the name-keyed image had.
 func TestDifferentialLocal(t *testing.T) {
 	for name, src := range diffPrograms(t) {
 		t.Run(name, func(t *testing.T) {
