@@ -70,12 +70,19 @@ func (l *SimLog) SyncAt(completes time.Duration) int64 {
 	return l.nextLSN
 }
 
+// syncAll gives every record the completion time min(its own, at).
+// Completion times never decrease along the log — a record has been
+// covered by every sync its successors have, Crash keeps a prefix and
+// Append adds a volatile tail — so the records a sync can still change
+// (volatile, or completing later than at) form a suffix, and the walk
+// stops at the first record that is already settled by then.
 func (l *SimLog) syncAll(at time.Duration) {
 	l.stats.Syncs++
-	for i := range l.recs {
-		if l.recs[i].durableAt == volatile || l.recs[i].durableAt > at {
-			l.recs[i].durableAt = at
+	for i := len(l.recs) - 1; i >= 0; i-- {
+		if d := l.recs[i].durableAt; d != volatile && d <= at {
+			break
 		}
+		l.recs[i].durableAt = at
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -19,6 +20,10 @@ type Encoder struct {
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
+
+// Reset empties the encoder, keeping its buffer for reuse. Slices
+// returned by Bytes before the reset are overwritten by later appends.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -88,6 +93,45 @@ func (e *Encoder) Value(v Value) {
 		e.str(v.R.Class)
 		e.str(v.R.Key)
 	}
+}
+
+// The size functions mirror the appenders above byte for byte: they are
+// what lets the cost models price state by its encoded size without
+// encoding it (Row.EncodedSize).
+
+func uvarintSize(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// varintSize is the size of binary.AppendVarint's zig-zag encoding.
+func varintSize(i int64) int { return uvarintSize(uint64(i<<1) ^ uint64(i>>63)) }
+
+func strSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+// valueSize returns the number of bytes Encoder.Value appends for v.
+func valueSize(v Value) int {
+	n := 1 // kind byte
+	switch v.Kind {
+	case KInt:
+		n += varintSize(v.I)
+	case KFloat:
+		n += 8
+	case KStr:
+		n += strSize(v.S)
+	case KBool:
+		n++
+	case KList:
+		n += uvarintSize(uint64(len(v.L.Elems)))
+		for _, el := range v.L.Elems {
+			n += valueSize(el)
+		}
+	case KDict:
+		n += uvarintSize(uint64(len(v.D)))
+		for k, el := range v.D {
+			n += valueSize(v.DK[k]) + valueSize(el)
+		}
+	case KRef:
+		n += strSize(v.R.Class) + strSize(v.R.Key)
+	}
+	return n
 }
 
 // Env appends an environment with deterministic key order.
@@ -318,7 +362,9 @@ func DecodeValue(buf []byte) (Value, error) {
 // EncodedSize returns the serialized size of a state map; the runtime cost
 // models charge (de)serialization proportional to it.
 func EncodedSize(st MapState) int {
-	e := NewEncoder()
-	e.State(st)
-	return e.Len()
+	n := uvarintSize(uint64(len(st)))
+	for k, v := range st {
+		n += strSize(k) + valueSize(v)
+	}
+	return n
 }

@@ -2,11 +2,12 @@
 // the slotted counterpart of MapState. The class's ir.ClassLayout fixes a
 // slot for every declared attribute; dynamically-added attributes (only
 // possible through hand-built IR) spill into an overflow map. Rows cache
-// their canonical encoding so state-size cost accounting and snapshot
-// writes stop re-serializing unchanged entities: any write invalidates
-// the cache, and the codec walks the layout's precomputed sorted slot
-// order so the bytes stay identical to the name-keyed MapState encoding
-// (which differential tests rely on).
+// their canonical encoding so snapshot writes and state diffing stop
+// re-serializing unchanged entities: any write invalidates the cache, and
+// the codec walks the layout's precomputed sorted slot order so the bytes
+// stay identical to the name-keyed MapState encoding (which differential
+// tests rely on). State-size cost accounting does not depend on the
+// cache: EncodedSize computes the length without producing the bytes.
 package interp
 
 import (
@@ -219,9 +220,27 @@ func (r *Row) Encoding() []byte {
 	return r.enc
 }
 
-// EncodedSize returns the serialized size of the row, cached until the
-// next write.
-func (r *Row) EncodedSize() int { return len(r.Encoding()) }
+// EncodedSize returns len(Encoding()) without building the bytes: a walk
+// over the present slots that sums what appendEncoding would write. The
+// cost models price every executed event and every written row by it, on
+// rows a transaction just dirtied, so it must not serialize.
+func (r *Row) EncodedSize() int {
+	if r.enc != nil && !r.aliased {
+		return len(r.enc)
+	}
+	// Attribute order does not change the total, so the overflow
+	// attributes need no merge by name here.
+	n := uvarintSize(uint64(r.Len()))
+	for i := range r.slots {
+		if r.isPresent(i) {
+			n += strSize(r.layout.Attrs[i]) + valueSize(r.slots[i])
+		}
+	}
+	for k, v := range r.extra {
+		n += strSize(k) + valueSize(v)
+	}
+	return n
+}
 
 // Row appends a row in canonical (sorted attribute name) order.
 func (e *Encoder) Row(r *Row) { r.appendEncoding(e) }

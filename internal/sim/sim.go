@@ -10,10 +10,26 @@
 // Determinism: events are ordered by (time, sequence number) and all
 // randomness flows from one seeded source, so every simulation run is
 // exactly reproducible.
+//
+// Context lifetime: the cluster owns one Context and lends it to a
+// handler (OnMessage, OnStart, OnRestart) for the duration of that one
+// call. It is valid only until the handler returns — a handler must not
+// store it, capture it in a closure that outlives the call, or hand it to
+// anything that runs later; the next delivery reuses the same value.
+// Handlers never nest (a handler cannot run the cluster), and lending the
+// Context while it is out panics.
+//
+// Sends are buffered values: Send appends an event to the Context's
+// outbox instead of pushing onto the queue, and the outbox is flushed —
+// sequence numbers assigned, perturbation consulted — when the handler
+// returns. That keeps a handler's sends ordered by its final effective
+// time, lets a crash planned inside the handler's CPU span void the sends
+// stamped past it, and costs no allocation: the queue and the outbox hold
+// events by value in slices reused across deliveries, so the only
+// per-event heap object is the message the sender boxed.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -105,24 +121,55 @@ type event struct {
 	counted bool
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events by (at, seq), held by value:
+// container/heap would box every event through Push(x any).
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed so the backing array does not pin the delivered message.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		min := i
+		if l := 2*i + 1; l < n && q.less(l, min) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		q[i], q[min] = q[min], q[i]
+		i = min
+	}
+	return top
 }
 
 // Perturb is a per-delivery fault verdict returned by a PerturbFunc:
@@ -163,16 +210,22 @@ type Cluster struct {
 	// reboots) for post-mortem timelines. Purely observational: recording
 	// never touches the RNG, the event queue, or virtual time.
 	flight *obs.FlightRecorder
+	// ctx is the one Context the cluster lends to handlers (see the
+	// package doc); lent guards against a nested lend.
+	ctx  Context
+	lent bool
 	// Delivered counts total messages delivered, as a sanity metric.
 	Delivered uint64
 }
 
 // New builds an empty cluster with a deterministic seed.
 func New(seed int64) *Cluster {
-	return &Cluster{
+	c := &Cluster{
 		comps: map[string]*component{},
 		rng:   rand.New(rand.NewSource(seed)),
 	}
+	c.ctx.cluster = c
+	return c
 }
 
 // Add registers a component under an id. Adding a duplicate id panics: the
@@ -262,8 +315,8 @@ func (c *Cluster) markCrashed(comp *component) {
 	// as the storage crash contract already voids syncs stamped past it.
 	// Without this, an fsync could be torn while a send issued *after* it
 	// survives, an ordering no real machine can produce.
-	for _, ev := range c.queue {
-		if ev.fn == nil && ev.from == comp.id && ev.sentAt > c.now {
+	for i := range c.queue {
+		if ev := &c.queue[i]; ev.fn == nil && ev.from == comp.id && ev.sentAt > c.now {
 			ev.dropped = true
 		}
 	}
@@ -325,10 +378,10 @@ func (c *Cluster) Restart(id string) {
 		comp.crashed = false
 		comp.busyUntil = cl.now
 		cl.flight.Record(cl.now, comp.id, "reboot", "recovering")
-		ctx := &Context{cluster: cl, self: comp.id, effective: cl.now}
+		ctx := cl.lend(comp.id, cl.now)
 		rh.OnRestart(ctx)
 		comp.busyUntil = ctx.effective
-		ctx.flush()
+		cl.settle()
 	})
 }
 
@@ -380,7 +433,7 @@ func (c *Cluster) pushRaw(at, sentAt time.Duration, from, to string, msg Message
 		comp.inbox++
 		counted = true
 	}
-	heap.Push(&c.queue, &event{at: at, seq: c.seq, to: to, from: from, msg: msg, sentAt: sentAt, counted: counted})
+	c.queue.push(event{at: at, seq: c.seq, to: to, from: from, msg: msg, sentAt: sentAt, counted: counted})
 }
 
 // Inject schedules a message delivery from outside the simulation (e.g. a
@@ -401,7 +454,7 @@ func (c *Cluster) ScheduleAt(at time.Duration, fn func(*Cluster)) {
 		at = c.now
 	}
 	c.seq++
-	heap.Push(&c.queue, &event{at: at, seq: c.seq, fn: fn})
+	c.queue.push(event{at: at, seq: c.seq, fn: fn})
 }
 
 // Start invokes OnStart on every component (in registration order) at the
@@ -410,9 +463,8 @@ func (c *Cluster) Start() {
 	for _, id := range c.order {
 		comp := c.comps[id]
 		if sh, ok := comp.h.(StartHandler); ok {
-			ctx := &Context{cluster: c, self: id, effective: c.now}
-			sh.OnStart(ctx)
-			ctx.flush()
+			sh.OnStart(c.lend(id, c.now))
+			c.settle()
 		}
 	}
 }
@@ -422,11 +474,10 @@ func (c *Cluster) Start() {
 func (c *Cluster) RunUntil(horizon time.Duration) int {
 	n := 0
 	for len(c.queue) > 0 {
-		ev := c.queue[0]
-		if ev.at > horizon {
+		if c.queue[0].at > horizon {
 			break
 		}
-		heap.Pop(&c.queue)
+		ev := c.queue.pop()
 		c.now = ev.at
 		n++
 		if ev.fn != nil {
@@ -451,10 +502,10 @@ func (c *Cluster) RunUntil(horizon time.Duration) int {
 		if comp.busyUntil > start {
 			start = comp.busyUntil
 		}
-		ctx := &Context{cluster: c, self: ev.to, effective: start}
+		ctx := c.lend(ev.to, start)
 		comp.h.OnMessage(ctx, ev.from, ev.msg)
 		comp.busyUntil = ctx.effective
-		ctx.flush()
+		c.settle()
 		c.Delivered++
 	}
 	// Advance the clock to the horizon even when the next event lies
@@ -473,8 +524,7 @@ func (c *Cluster) Drain(maxEvents int) error {
 		if n >= maxEvents {
 			return fmt.Errorf("sim: drain exceeded %d events", maxEvents)
 		}
-		ev := c.queue[0]
-		n += c.RunUntil(ev.at)
+		n += c.RunUntil(c.queue[0].at)
 	}
 	return nil
 }
@@ -490,12 +540,47 @@ func (c *Cluster) Components() []string {
 }
 
 // Context is the capability handed to a component while it processes one
-// message.
+// message. It belongs to the cluster and is valid only for the duration
+// of the handler call it was passed to (see the package doc).
 type Context struct {
 	cluster   *Cluster
 	self      string
 	effective time.Duration // current time including consumed CPU
-	outbox    []*event
+	outbox    []event       // sends buffered until the handler returns
+}
+
+// lend points the cluster's Context at one handler call.
+func (c *Cluster) lend(self string, effective time.Duration) *Context {
+	if c.lent {
+		panic(fmt.Sprintf("sim: handler of %s entered while %s still holds the Context", self, c.ctx.self))
+	}
+	c.lent = true
+	c.ctx.self, c.ctx.effective = self, effective
+	return &c.ctx
+}
+
+// maxIdleOutbox bounds the outbox capacity kept between deliveries, so
+// one burst (a recovery re-sending a backlog) does not pin its peak.
+const maxIdleOutbox = 1024
+
+// settle takes the Context back after the handler returned: buffered
+// sends move into the cluster queue (through the perturb interceptor),
+// deferred so a handler's sends all reflect its final effective time
+// ordering. Flushed slots are zeroed so the reused outbox does not pin
+// delivered messages.
+func (c *Cluster) settle() {
+	ctx := &c.ctx
+	for i := range ctx.outbox {
+		e := &ctx.outbox[i]
+		c.push(e.at, e.sentAt, e.from, e.to, e.msg)
+	}
+	if cap(ctx.outbox) > maxIdleOutbox {
+		ctx.outbox = nil
+	} else {
+		clear(ctx.outbox)
+		ctx.outbox = ctx.outbox[:0]
+	}
+	c.lent = false
 }
 
 // Self returns the component's own id.
@@ -520,7 +605,7 @@ func (ctx *Context) Work(d time.Duration) {
 // Send delivers msg to another component after the given link latency,
 // measured from the current effective time.
 func (ctx *Context) Send(to string, msg Message, latency time.Duration) {
-	ctx.outbox = append(ctx.outbox, &event{
+	ctx.outbox = append(ctx.outbox, event{
 		at: ctx.effective + latency, sentAt: ctx.effective, to: to, from: ctx.self, msg: msg,
 	})
 }
@@ -528,16 +613,6 @@ func (ctx *Context) Send(to string, msg Message, latency time.Duration) {
 // After schedules a message to self (a timer).
 func (ctx *Context) After(d time.Duration, msg Message) {
 	ctx.Send(ctx.self, msg, d)
-}
-
-// flush moves buffered sends into the cluster queue (through the perturb
-// interceptor). Deferred so a handler's sends all reflect its final
-// effective time ordering.
-func (ctx *Context) flush() {
-	for _, e := range ctx.outbox {
-		ctx.cluster.push(e.at, e.sentAt, e.from, e.to, e.msg)
-	}
-	ctx.outbox = nil
 }
 
 // Latency is a randomized link-latency model: base plus uniform jitter.

@@ -2,10 +2,11 @@
 // a committed store of entity states with serialization support for
 // snapshots and size accounting for the cost model of the system-overhead
 // experiment (§4). Entities are stored as dense slot-indexed rows
-// (interp.Row) laid out by the compiler's per-class attribute layouts;
-// every row caches its canonical encoding, so EncodedSize,
-// TotalEncodedSize and snapshot Encode never re-serialize an entity whose
-// state has not changed since the last serialization.
+// (interp.Row) laid out by the compiler's per-class attribute layouts.
+// Every row caches its canonical encoding, so snapshot Encode never
+// re-serializes an entity whose state has not changed since the last
+// serialization; EncodedSize and TotalEncodedSize serialize nothing at
+// all — a row computes its encoded length with a size-only walk.
 package state
 
 import (
@@ -27,6 +28,11 @@ type Store struct {
 // registry is allowed (tests, hand-built stores): rows then fall back to
 // name-keyed attribute maps.
 func NewStore(layouts *ir.Layouts) *Store {
+	if layouts == nil {
+		// An empty registry still interns class ids, so reservation keys of
+		// different classes stay distinct and resolve back to their names.
+		layouts = &ir.Layouts{}
+	}
 	return &Store{m: map[interp.EntityRef]*interp.Row{}, layouts: layouts}
 }
 
@@ -36,6 +42,9 @@ func (s *Store) Layouts() *ir.Layouts { return s.layouts }
 // ClassID returns the dense class id used in transaction reservation
 // keys, consistent for the lifetime of the store's layout registry.
 func (s *Store) ClassID(class string) int { return s.layouts.IDOf(class) }
+
+// ClassOf resolves a dense class id back to the class name.
+func (s *Store) ClassOf(id int) string { return s.layouts.ClassOf(id) }
 
 // Lookup returns an entity's live row (mutable), or ok=false.
 func (s *Store) Lookup(ref interp.EntityRef) (*interp.Row, bool) {
@@ -108,8 +117,8 @@ func (s *Store) Keys(class string) []string {
 
 // EncodedSize returns the serialized size of one entity's state, or 0 if
 // absent. Cost models charge state (de)serialization proportional to it;
-// the size comes from the row's encoding cache, so unchanged entities
-// cost nothing to price.
+// the row computes it without serializing (interp.Row.EncodedSize), so
+// pricing a just-written entity builds no bytes.
 func (s *Store) EncodedSize(ref interp.EntityRef) int {
 	st, ok := s.m[ref]
 	if !ok {
@@ -171,8 +180,7 @@ func (s *Store) Clone() *Store {
 	return out
 }
 
-// TotalEncodedSize sums serialized sizes over all entities from the rows'
-// encoding caches.
+// TotalEncodedSize sums serialized sizes over all entities.
 func (s *Store) TotalEncodedSize() int {
 	total := 0
 	for _, st := range s.m {

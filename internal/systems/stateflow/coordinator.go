@@ -37,6 +37,7 @@ package stateflow
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -62,7 +63,11 @@ const (
 )
 
 type txnState struct {
-	req      sysapi.Request
+	req sysapi.Request
+	// root is the transaction's root invocation event. Executors only read
+	// events, so the first execution and every fallback re-execution send
+	// this one.
+	root     core.Event
 	replyTo  string
 	pos      int64 // source-log position of the request
 	retries  int
@@ -257,6 +262,9 @@ type Coordinator struct {
 	lastLSN    int64
 	durableLSN int64
 	epochLSN   int64
+	// walEnc is the scratch buffer every log record is encoded into (the
+	// log copies on append).
+	walEnc interp.Encoder
 
 	// progress counts accepted worker messages; the failure detector
 	// compares it against the value captured when a stall check was
@@ -476,7 +484,15 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 func (c *Coordinator) assign(ctx *sim.Context, st *epochState, p pendingReq) {
 	c.nextTID++
 	tid := c.nextTID
-	st.batch[tid] = &txnState{req: p.req, replyTo: p.replyTo, pos: p.pos, retries: p.retries, apply: p.apply}
+	t := &txnState{req: p.req, replyTo: p.replyTo, pos: p.pos, retries: p.retries, apply: p.apply,
+		root: core.Event{
+			Kind:   core.EvInvoke,
+			Req:    p.req.Req,
+			Target: p.req.Target,
+			Method: p.req.Method,
+			Args:   p.req.Args,
+		}}
+	st.batch[tid] = t
 	st.unfinished++
 	if tr := c.tracer(); tr.Enabled() {
 		start := p.arrivedAt
@@ -486,15 +502,8 @@ func (c *Coordinator) assign(ctx *sim.Context, st *epochState, p pendingReq) {
 		tr.Span(c.sys.coordID, "txn", "ingress.queue", start, ctx.Now(),
 			"trace", p.req.Trace.ID, "epoch", strconv.FormatInt(st.epoch, 10))
 	}
-	ev := &core.Event{
-		Kind:   core.EvInvoke,
-		Req:    p.req.Req,
-		Target: p.req.Target,
-		Method: p.req.Method,
-		Args:   p.req.Args,
-	}
 	owner := c.sys.ownerOf(p.req.Target)
-	ctx.Send(owner, msgTxnEvent{TID: tid, Epoch: st.epoch, Ev: ev, Apply: p.apply.firstHop()},
+	ctx.Send(owner, msgTxnEvent{TID: tid, Epoch: st.epoch, Ev: &t.root, Apply: p.apply.firstHop()},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -631,12 +640,14 @@ func (c *Coordinator) sendPrepare(ctx *sim.Context, st *epochState) {
 		for tid := range st.batch {
 			st.order = append(st.order, tid)
 		}
-		sort.Slice(st.order, func(i, j int) bool { return st.order[i] < st.order[j] })
+		slices.Sort(st.order)
 		order = st.order
 	}
+	// One copy for all workers: receivers only read it, and the slot's own
+	// order slices must stay private to the coordinator.
+	order = slices.Clone(order)
 	for _, w := range c.sys.workerIDs {
-		ctx.Send(w, msgPrepare{Epoch: st.epoch, Round: st.fbRound,
-			Order: append([]aria.TID(nil), order...)},
+		ctx.Send(w, msgPrepare{Epoch: st.epoch, Round: st.fbRound, Order: order},
 			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 }
@@ -690,12 +701,10 @@ func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 	final := len(st.fbRounds) == 0
 	c.enterPhase(ctx, st, phaseApply)
 	st.applied = map[string]bool{}
+	order := slices.Clone(st.order) // shared by the workers, read-only there
 	for _, w := range c.sys.workerIDs {
-		ctx.Send(w, msgDecide{Epoch: st.epoch,
-			Order:  append([]aria.TID(nil), st.order...),
-			Aborts: append([]aria.TID(nil), aborts...),
-			Final:  final,
-		}, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+		ctx.Send(w, msgDecide{Epoch: st.epoch, Order: order, Aborts: aborts, Final: final},
+			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 }
 
@@ -877,14 +886,7 @@ func (c *Coordinator) startFallbackRound(ctx *sim.Context, st *epochState) {
 	for _, tid := range round {
 		t := st.batch[tid]
 		t.finished, t.value, t.err = false, interp.None, ""
-		ev := &core.Event{
-			Kind:   core.EvInvoke,
-			Req:    t.req.Req,
-			Target: t.req.Target,
-			Method: t.req.Method,
-			Args:   t.req.Args,
-		}
-		ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.fbRound, Ev: ev, Apply: t.apply.firstHop()},
+		ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.fbRound, Ev: &t.root, Apply: t.apply.firstHop()},
 			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 }
@@ -912,12 +914,10 @@ func (c *Coordinator) decideFallbackRound(ctx *sim.Context, st *epochState) {
 	}
 	c.enterPhase(ctx, st, phaseApply)
 	st.applied = map[string]bool{}
+	order := slices.Clone(st.fbOrder) // shared by the workers, read-only there
 	for _, w := range c.sys.workerIDs {
-		ctx.Send(w, msgDecide{Epoch: st.epoch, Round: st.fbRound,
-			Order:  append([]aria.TID(nil), st.fbOrder...),
-			Aborts: append([]aria.TID(nil), aborts...),
-			Final:  !moreRounds,
-		}, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+		ctx.Send(w, msgDecide{Epoch: st.epoch, Round: st.fbRound, Order: order, Aborts: aborts, Final: !moreRounds},
+			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 }
 
@@ -1198,7 +1198,7 @@ func (c *Coordinator) stage(ctx *sim.Context, replyTo string, ent deliveredEntry
 		return // already in the pipeline (a stall recovery replayed its txn)
 	}
 	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-	rec := encodeDeliveredRecord(id, ent)
+	rec := encodeDeliveredRecord(&c.walEnc, id, ent)
 	rec.At = int64(ent.at)
 	lsn := c.sys.Dlog.Append(rec)
 	c.lastLSN = lsn
@@ -1259,7 +1259,11 @@ func (c *Coordinator) onLogSynced(ctx *sim.Context, m msgLogSynced) {
 		}
 		n++
 	}
-	c.staged = c.staged[n:]
+	// Slide the remainder down instead of re-slicing forward, so the queue
+	// keeps its capacity; the vacated tail must not pin released responses.
+	rest := copy(c.staged, c.staged[n:])
+	clear(c.staged[rest:])
+	c.staged = c.staged[:rest]
 	if c.fencePending != 0 {
 		// Draining the staged queue may have been the last quiesce
 		// condition a pending fence was waiting on.
@@ -1293,7 +1297,7 @@ func (c *Coordinator) logEpochAdvance(ctx *sim.Context, blocking bool) {
 		blocking = true
 	}
 	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-	rec := encodeEpochRecord(c.epoch)
+	rec := encodeEpochRecord(&c.walEnc, c.epoch)
 	rec.At = int64(ctx.Now())
 	lsn := c.sys.Dlog.Append(rec)
 	c.lastLSN, c.epochLSN = lsn, lsn

@@ -78,8 +78,12 @@ type walCheckpoint struct {
 	floors map[string]int64
 }
 
-func encodeEpochRecord(epoch int64) dlog.Record {
-	e := interp.NewEncoder()
+// The record encoders write into the caller's scratch encoder: the
+// returned record's Data aliases its buffer and is only valid until the
+// encoder's next use, which is enough for SimLog.Append (it copies).
+
+func encodeEpochRecord(e *interp.Encoder, epoch int64) dlog.Record {
+	e.Reset()
 	e.Varint(epoch)
 	return dlog.Record{Kind: recKindEpoch, Data: e.Bytes()}
 }
@@ -137,8 +141,8 @@ func readDelivered(d *interp.Decoder) (string, deliveredEntry, error) {
 	}, nil
 }
 
-func encodeDeliveredRecord(id string, ent deliveredEntry) dlog.Record {
-	e := interp.NewEncoder()
+func encodeDeliveredRecord(e *interp.Encoder, id string, ent deliveredEntry) dlog.Record {
+	e.Reset()
 	appendDelivered(e, id, ent)
 	return dlog.Record{Kind: recKindDelivered, Data: e.Bytes()}
 }

@@ -243,7 +243,7 @@ func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
 	sets := make(map[aria.TID]*aria.RWSet, len(ep.workspaces))
 	for _, tid := range m.Order {
 		if ws, ok := ep.workspaces[tid]; ok {
-			sets[tid] = ws.RW
+			sets[tid] = &ws.RW
 		}
 	}
 	aborts := aria.Validate(m.Order, sets)

@@ -537,7 +537,7 @@ func (w *flinkWorker) onEvent(ctx *sim.Context, env envelope) {
 	var cp *interp.Row
 	bytes := 0
 	if exists {
-		bytes = st.EncodedSize() // cached on the row until the next write
+		bytes = st.EncodedSize()
 		ship := costs.StateCPU(bytes)
 		ctx.Work(ship)
 		w.Breakdown.Add("state_serialization", ship)

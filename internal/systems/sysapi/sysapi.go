@@ -5,7 +5,6 @@
 package sysapi
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -129,7 +128,14 @@ func (b *Builder) Next(target interp.EntityRef, method string, args []interp.Val
 // At assembles a request with an explicit sequence number; generators
 // driven by an external index (the i-th workload operation) use this form.
 func (b *Builder) At(i int, target interp.EntityRef, method string, args []interp.Value, kind string) Request {
-	id := fmt.Sprintf("%s%d.%d", b.prefix, b.inc, i)
+	// "<prefix><inc>.<i>", appended by hand: this runs once per generated
+	// request, and fmt.Sprintf's boxing would be billed to the runtime.
+	var buf [48]byte
+	raw := append(buf[:0], b.prefix...)
+	raw = strconv.AppendInt(raw, int64(b.inc), 10)
+	raw = append(raw, '.')
+	raw = strconv.AppendInt(raw, int64(i), 10)
+	id := string(raw)
 	return Request{
 		Req:    id,
 		Target: target,

@@ -187,6 +187,28 @@ func TestBuilderIncarnations(t *testing.T) {
 	}
 }
 
+// Request ids are formatted by hand; they must stay byte-identical to the
+// fmt.Sprintf("%s%d.%d") they replaced — dedup floors, journals and pinned
+// transcripts key on them.
+func TestBuilderIDMatchesSprintf(t *testing.T) {
+	target := interp.EntityRef{Class: "Account", Key: "alice"}
+	long := "a-prefix-longer-than-the-stack-buffer-the-builder-formats-into."
+	for _, prefix := range []string{"", "q", "req-", "node.a-", long} {
+		for _, inc := range []int{1, 9, 10, 12, 1234} {
+			for _, seq := range []int{0, 1, 9, 10, 255, 256, 1_000_000, 1 << 40, -3} {
+				got := NewIncarnation(prefix, inc).At(seq, target, "read", nil, "").Req
+				if want := fmt.Sprintf("%s%d.%d", prefix, inc, seq); got != want {
+					t.Errorf("id = %q, want %q", got, want)
+				}
+			}
+		}
+	}
+	b := NewIncarnation("q", 12)
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.At(1_234_567, target, "read", nil, "") }); allocs > 1 {
+		t.Errorf("At allocates %.0f objects, want only the id string", allocs)
+	}
+}
+
 func TestSplitID(t *testing.T) {
 	src, seq, ok := SplitID("api-1.42")
 	if !ok || src != "api-1" || seq != 42 {

@@ -60,111 +60,225 @@ func SlotBit(slot int) Bits {
 	return 1 << uint(slot)
 }
 
-// RWSet is a transaction's reservation set on one worker.
+// resEntry is one entity's reservation: the slots read and the slots
+// written.
+type resEntry struct {
+	key    ResKey
+	reads  Bits
+	writes Bits
+}
+
+const (
+	// inlineEntities is the number of entities a set or workspace holds
+	// without a second allocation: a YCSB read or update touches one
+	// entity, a transfer two.
+	inlineEntities = 2
+	// scanLimit is the entry count up to which lookups scan linearly;
+	// beyond it a map index is built once and maintained.
+	scanLimit = 8
+)
+
+// RWSet is a transaction's reservation set on one worker: one entry per
+// entity in first-touch order, the first inlineEntities of them stored
+// inside the set itself. A set must not be copied once used (entries may
+// point into inline).
 type RWSet struct {
-	Reads  map[ResKey]Bits
-	Writes map[ResKey]Bits
+	entries []resEntry
+	inline  [inlineEntities]resEntry
+	index   map[ResKey]int32 // position in entries; nil up to scanLimit
 }
 
 // NewRWSet returns an empty reservation set.
-func NewRWSet() *RWSet {
-	return &RWSet{Reads: map[ResKey]Bits{}, Writes: map[ResKey]Bits{}}
+func NewRWSet() *RWSet { return &RWSet{} }
+
+// lookup returns the position of k's entry, or -1.
+func (rw *RWSet) lookup(k ResKey) int {
+	if rw.index != nil {
+		if i, ok := rw.index[k]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range rw.entries {
+		if rw.entries[i].key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// find returns k's entry, or nil.
+func (rw *RWSet) find(k ResKey) *resEntry {
+	if i := rw.lookup(k); i >= 0 {
+		return &rw.entries[i]
+	}
+	return nil
+}
+
+// slot returns the position of k's entry, adding an empty one on first
+// touch. Positions are stable: entries are only ever appended.
+func (rw *RWSet) slot(k ResKey) int {
+	if i := rw.lookup(k); i >= 0 {
+		return i
+	}
+	if rw.entries == nil {
+		rw.entries = rw.inline[:0]
+	}
+	i := len(rw.entries)
+	rw.entries = append(rw.entries, resEntry{key: k})
+	switch {
+	case rw.index != nil:
+		rw.index[k] = int32(i)
+	case i >= scanLimit:
+		rw.index = make(map[ResKey]int32, 2*len(rw.entries))
+		for j := range rw.entries {
+			rw.index[rw.entries[j].key] = int32(j)
+		}
+	}
+	return i
 }
 
 // Read records a read reservation.
-func (rw *RWSet) Read(k ResKey, b Bits) { rw.Reads[k] |= b }
+func (rw *RWSet) Read(k ResKey, b Bits) { rw.entries[rw.slot(k)].reads |= b }
 
 // Write records a write reservation.
-func (rw *RWSet) Write(k ResKey, b Bits) { rw.Writes[k] |= b }
+func (rw *RWSet) Write(k ResKey, b Bits) { rw.entries[rw.slot(k)].writes |= b }
 
 // Merge unions another set into this one.
 func (rw *RWSet) Merge(o *RWSet) {
-	for k, b := range o.Reads {
-		rw.Reads[k] |= b
-	}
-	for k, b := range o.Writes {
-		rw.Writes[k] |= b
+	for i := range o.entries {
+		e := &rw.entries[rw.slot(o.entries[i].key)]
+		e.reads |= o.entries[i].reads
+		e.writes |= o.entries[i].writes
 	}
 }
 
-// wsEntry is the buffered working copy of one entity inside a workspace.
+// wsEntry is one entity inside a workspace — its interp.State view, its
+// committed image and, once written, its buffered working copy. It
+// implements the slot fast path so slot-stamped attribute access records
+// slot-granular reservations without name hashing.
 type wsEntry struct {
-	row *interp.Row // private copy of the committed image, made on first write or container read
+	ws  *Workspace
+	ref interp.EntityRef
+	res int // position of the entity's reservation in ws.RW.entries
+	// base is the committed image as of the latest Lookup (nil if the
+	// entity does not exist there); row, when present, shadows it.
+	base *interp.Row
+	row  *interp.Row // private copy of the committed image, made on first write or container read
 	// wroteBits marks written slots; EntityBit set means the whole row
 	// must be installed on apply (created, overflow or extra attributes).
-	// Zero means the copy was only read from (wsState.committedContainer).
-	wroteBits  Bits
-	wroteExtra map[string]bool // written attributes outside the layout
-	created    bool
+	// Zero means the copy was only read from (committedContainer).
+	wroteBits Bits
+	created   bool
 }
 
 // Workspace is the per-transaction optimistic execution context on one
 // worker: reads hit the committed store (plus the transaction's own
 // writes), writes buffer locally in row working copies, and reservations
-// accumulate for validation.
+// accumulate for validation. The reservation set and the first
+// inlineEntities entities live inside the workspace, so a typical
+// transaction allocates the workspace and nothing else until it writes.
 type Workspace struct {
 	TID       TID
 	committed *state.Store
-	writes    map[interp.EntityRef]*wsEntry
-	RW        *RWSet
-	classIDs  map[string]int32 // ResKey intern cache over the store's layouts
+	// RW is the reservation set. Votes ship a pointer to it, so it (and
+	// with it the workspace) may outlive the epoch that executed it.
+	RW RWSet
+
+	// Entities in first-touch order: inline first, then spill. Entries are
+	// handed out as interp.State, so they never move.
+	n      int
+	inline [inlineEntities]wsEntry
+	spill  []*wsEntry
+	index  map[interp.EntityRef]*wsEntry // over spill; nil up to scanLimit
 }
 
 // NewWorkspace opens a workspace for tid over the committed store.
 func NewWorkspace(tid TID, committed *state.Store) *Workspace {
-	return &Workspace{
-		TID:       tid,
-		committed: committed,
-		writes:    map[interp.EntityRef]*wsEntry{},
-		RW:        NewRWSet(),
-		classIDs:  map[string]int32{},
-	}
+	return &Workspace{TID: tid, committed: committed}
 }
 
 // resKey interns the entity reference as a reservation key.
 func (ws *Workspace) resKey(ref interp.EntityRef) ResKey {
-	id, ok := ws.classIDs[ref.Class]
-	if !ok {
-		id = int32(ws.committed.ClassID(ref.Class))
-		ws.classIDs[ref.Class] = id
-	}
-	return ResKey{Class: id, Key: ref.Key}
+	return ResKey{Class: int32(ws.committed.ClassID(ref.Class)), Key: ref.Key}
 }
 
-// entry returns the workspace's private working row for ref, cloning the
-// committed image on first touch.
-func (ws *Workspace) entry(ref interp.EntityRef) *wsEntry {
-	e, ok := ws.writes[ref]
-	if !ok {
-		var row *interp.Row
-		if base, exists := ws.committed.Lookup(ref); exists {
-			row = base.Clone()
-		} else {
-			row = ws.committed.NewRow(ref.Class)
+// at returns the i-th entity in first-touch order.
+func (ws *Workspace) at(i int) *wsEntry {
+	if i < inlineEntities {
+		return &ws.inline[i]
+	}
+	return ws.spill[i-inlineEntities]
+}
+
+// find returns the workspace's entry for ref, or nil.
+func (ws *Workspace) find(ref interp.EntityRef) *wsEntry {
+	for i := 0; i < ws.n && i < inlineEntities; i++ {
+		if ws.inline[i].ref == ref {
+			return &ws.inline[i]
 		}
-		e = &wsEntry{row: row}
-		ws.writes[ref] = e
+	}
+	if ws.index != nil {
+		return ws.index[ref]
+	}
+	for _, e := range ws.spill {
+		if e.ref == ref {
+			return e
+		}
+	}
+	return nil
+}
+
+// touch returns the workspace's entry for ref, adding it on first touch.
+func (ws *Workspace) touch(ref interp.EntityRef) *wsEntry {
+	if e := ws.find(ref); e != nil {
+		return e
+	}
+	var e *wsEntry
+	if ws.n < inlineEntities {
+		e = &ws.inline[ws.n]
+	} else {
+		e = new(wsEntry)
+	}
+	*e = wsEntry{ws: ws, ref: ref, res: ws.RW.slot(ws.resKey(ref))}
+	ws.n++
+	if ws.n <= inlineEntities {
+		return e
+	}
+	ws.spill = append(ws.spill, e)
+	switch {
+	case ws.index != nil:
+		ws.index[ref] = e
+	case len(ws.spill) > scanLimit:
+		ws.index = make(map[interp.EntityRef]*wsEntry, 2*len(ws.spill))
+		for _, o := range ws.spill {
+			ws.index[o.ref] = o
+		}
 	}
 	return e
 }
 
-// wsState is the interp.State view of one entity inside a workspace. It
-// implements the slot fast path so slot-stamped attribute access records
-// slot-granular reservations without name hashing.
-type wsState struct {
-	ws  *Workspace
-	ref interp.EntityRef
-	key ResKey
-	// row is the committed image (nil if the entity does not exist); the
-	// workspace's own working copy, when present, shadows it.
-	row *interp.Row
+func (e *wsEntry) read(b Bits)  { e.ws.RW.entries[e.res].reads |= b }
+func (e *wsEntry) write(b Bits) { e.ws.RW.entries[e.res].writes |= b }
+
+// own returns the entity's private working row, cloning the committed
+// image on first touch.
+func (e *wsEntry) own() *interp.Row {
+	if e.row == nil {
+		if e.base != nil {
+			e.row = e.base.Clone()
+		} else {
+			e.row = e.ws.committed.NewRow(e.ref.Class)
+		}
+	}
+	return e.row
 }
 
-func (s wsState) readRow() *interp.Row {
-	if e, ok := s.ws.writes[s.ref]; ok {
+func (e *wsEntry) readRow() *interp.Row {
+	if e.row != nil {
 		return e.row
 	}
-	return s.row
+	return e.base
 }
 
 // committedContainer reports whether v, just read through readRow, is a
@@ -172,86 +286,76 @@ func (s wsState) readRow() *interp.Row {
 // containers in place and only afterwards re-stores them
 // (touchStateAttr), so handing one out would let an aborted or void
 // attempt leave its mutation behind in committed state; the caller reads
-// it from the workspace's own copy of the row (entry) instead.
-func (s wsState) committedContainer(v interp.Value) bool {
-	if v.Kind != interp.KList && v.Kind != interp.KDict {
-		return false
-	}
-	_, own := s.ws.writes[s.ref]
-	return !own
+// it from the workspace's own copy of the row (own) instead.
+func (e *wsEntry) committedContainer(v interp.Value) bool {
+	return (v.Kind == interp.KList || v.Kind == interp.KDict) && e.row == nil
 }
 
 // Get implements interp.State: own writes first, then the committed
 // image.
-func (s wsState) Get(attr string) (interp.Value, bool) {
-	r := s.readRow()
+func (e *wsEntry) Get(attr string) (interp.Value, bool) {
+	r := e.readRow()
 	if r == nil {
-		s.ws.RW.Read(s.key, EntityBit)
+		e.read(EntityBit)
 		return interp.None, false
 	}
 	if slot, ok := r.Layout().SlotOf(attr); ok {
-		s.ws.RW.Read(s.key, SlotBit(slot))
+		e.read(SlotBit(slot))
 	} else {
-		s.ws.RW.Read(s.key, EntityBit)
+		e.read(EntityBit)
 	}
 	v, ok := r.Get(attr)
-	if ok && s.committedContainer(v) {
-		return s.ws.entry(s.ref).row.Get(attr)
+	if ok && e.committedContainer(v) {
+		return e.own().Get(attr)
 	}
 	return v, ok
 }
 
 // Set implements interp.State: copy-on-first-write into the workspace.
-func (s wsState) Set(attr string, v interp.Value) {
-	e := s.ws.entry(s.ref)
-	if slot, ok := e.row.Layout().SlotOf(attr); ok && slot < 63 {
+func (e *wsEntry) Set(attr string, v interp.Value) {
+	row := e.own()
+	if slot, ok := row.Layout().SlotOf(attr); ok && slot < 63 {
 		b := SlotBit(slot)
-		s.ws.RW.Write(s.key, b)
+		e.write(b)
 		e.wroteBits |= b
 	} else {
 		// Off-layout or overflow attribute: Apply installs the whole
 		// working row, so the reservation must cover every slot —
 		// otherwise a lower-TID slot write would pass validation and
 		// then be reverted by the row install.
-		s.ws.RW.Write(s.key, AllBits)
+		e.write(AllBits)
 		e.wroteBits |= EntityBit
-		if !ok {
-			if e.wroteExtra == nil {
-				e.wroteExtra = map[string]bool{}
-			}
-			e.wroteExtra[attr] = true
-		}
 	}
-	e.row.Set(attr, v)
+	row.Set(attr, v)
 }
 
 // GetSlot implements interp.SlotState.
-func (s wsState) GetSlot(slot int) (interp.Value, bool) {
-	s.ws.RW.Read(s.key, SlotBit(slot))
-	r := s.readRow()
+func (e *wsEntry) GetSlot(slot int) (interp.Value, bool) {
+	e.read(SlotBit(slot))
+	r := e.readRow()
 	if r == nil {
 		return interp.None, false
 	}
 	v, ok := r.GetSlot(slot)
-	if ok && s.committedContainer(v) {
-		return s.ws.entry(s.ref).row.GetSlot(slot)
+	if ok && e.committedContainer(v) {
+		return e.own().GetSlot(slot)
 	}
 	return v, ok
 }
 
 // SetSlot implements interp.SlotState.
-func (s wsState) SetSlot(slot int, v interp.Value) {
-	e := s.ws.entry(s.ref)
+func (e *wsEntry) SetSlot(slot int, v interp.Value) {
+	row := e.own()
 	if slot < 63 {
 		b := SlotBit(slot)
-		s.ws.RW.Write(s.key, b)
+		e.write(b)
 		e.wroteBits |= b
 	} else {
 		// Overflow slot: whole-row install on apply (see Set).
-		s.ws.RW.Write(s.key, AllBits)
+		e.write(AllBits)
 		e.wroteBits |= EntityBit
 	}
-	e.row.SetSlot(slot, v)
+	row.SetSlot(slot, v)
 }
 
 // Lookup implements core.Store for the executor. Absence is an
@@ -261,15 +365,19 @@ func (s wsState) SetSlot(slot int, v interp.Value) {
 // validate as definitive even though the serial order creates the entity
 // first.
 func (ws *Workspace) Lookup(ref interp.EntityRef) (interp.State, bool) {
-	key := ws.resKey(ref)
-	ws.RW.Read(key, EntityBit)
-	if e, ok := ws.writes[ref]; ok {
-		return wsState{ws: ws, ref: ref, key: key, row: e.row}, true
+	if e := ws.find(ref); e != nil && e.row != nil {
+		e.read(EntityBit)
+		return e, true
 	}
-	if base, exists := ws.committed.Lookup(ref); exists {
-		return wsState{ws: ws, ref: ref, key: key, row: base}, true
+	base, exists := ws.committed.Lookup(ref)
+	if !exists {
+		ws.RW.Read(ws.resKey(ref), EntityBit)
+		return nil, false
 	}
-	return nil, false
+	e := ws.touch(ref)
+	e.read(EntityBit)
+	e.base = base
+	return e, true
 }
 
 // Create implements core.Store: new entities are buffered like writes.
@@ -277,14 +385,14 @@ func (ws *Workspace) Create(ref interp.EntityRef) (interp.State, error) {
 	if ws.committed.Exists(ref) {
 		return nil, fmt.Errorf("entity %s already exists", ref)
 	}
-	if e, ok := ws.writes[ref]; ok && e.created {
+	e := ws.touch(ref)
+	if e.created {
 		return nil, fmt.Errorf("entity %s already exists", ref)
 	}
-	key := ws.resKey(ref)
-	ws.RW.Write(key, AllBits)
-	e := &wsEntry{row: ws.committed.NewRow(ref.Class), wroteBits: AllBits, created: true}
-	ws.writes[ref] = e
-	return wsState{ws: ws, ref: ref, key: key}, nil
+	e.write(AllBits)
+	e.base, e.row = nil, ws.committed.NewRow(ref.Class)
+	e.wroteBits, e.created = AllBits, true
+	return e, nil
 }
 
 // PutBlind installs a complete entity image as a blind write: the whole
@@ -293,12 +401,8 @@ func (ws *Workspace) Create(ref interp.EntityRef) (interp.State, error) {
 // globally-sequenced transaction's write-set into one shard without
 // re-executing the method there.
 func (ws *Workspace) PutBlind(ref interp.EntityRef, row *interp.Row) {
-	ws.RW.Write(ws.resKey(ref), AllBits)
-	e, ok := ws.writes[ref]
-	if !ok {
-		e = &wsEntry{}
-		ws.writes[ref] = e
-	}
+	e := ws.touch(ref)
+	e.write(AllBits)
 	e.row = row
 	e.wroteBits |= EntityBit
 }
@@ -307,9 +411,9 @@ func (ws *Workspace) PutBlind(ref interp.EntityRef, row *interp.Row) {
 // with its working row. The global sequencer derives a batch's write-sets
 // from it.
 func (ws *Workspace) Written(fn func(ref interp.EntityRef, row *interp.Row)) {
-	for ref, e := range ws.writes {
-		if e.wroteBits != 0 {
-			fn(ref, e.row)
+	for i := 0; i < ws.n; i++ {
+		if e := ws.at(i); e.wroteBits != 0 {
+			fn(e.ref, e.row)
 		}
 	}
 }
@@ -318,21 +422,17 @@ func (ws *Workspace) Written(fn func(ref interp.EntityRef, row *interp.Row)) {
 // store. Whole-entity writes (creations, extra attributes) install the
 // working row; plain attribute writes merge slot-by-slot so lower-TID
 // writes to disjoint slots survive. Callers must apply committed
-// workspaces in TID order.
+// workspaces in TID order. (Within one workspace the entities are
+// distinct, so their order does not matter.)
 func (ws *Workspace) Apply(dst *state.Store) {
-	refs := make([]interp.EntityRef, 0, len(ws.writes))
-	for ref := range ws.writes {
-		refs = append(refs, ref)
-	}
-	sortRefs(refs)
-	for _, ref := range refs {
-		e := ws.writes[ref]
+	for i := 0; i < ws.n; i++ {
+		e := ws.at(i)
 		if e.wroteBits == 0 {
-			continue // read-only private copy
+			continue // read-only: no copy, or a private copy only read from
 		}
-		base, exists := dst.Lookup(ref)
+		base, exists := dst.Lookup(e.ref)
 		if !exists || e.created || e.wroteBits&EntityBit != 0 {
-			dst.Put(ref, e.row)
+			dst.Put(e.ref, e.row)
 			continue
 		}
 		for slot := 0; slot < 63; slot++ {
@@ -350,8 +450,8 @@ func (ws *Workspace) Apply(dst *state.Store) {
 // by the worker cost model when applying a commit).
 func (ws *Workspace) WriteBytes() int {
 	total := 0
-	for _, e := range ws.writes {
-		if e.wroteBits != 0 {
+	for i := 0; i < ws.n; i++ {
+		if e := ws.at(i); e.wroteBits != 0 {
 			total += e.row.EncodedSize()
 		}
 	}
@@ -361,23 +461,10 @@ func (ws *Workspace) WriteBytes() int {
 // TouchedEntities lists every entity in the reservation set, resolving
 // class ids back through the committed store's layouts.
 func (ws *Workspace) TouchedEntities() []interp.EntityRef {
-	classes := map[int32]string{}
-	for class, id := range ws.classIDs {
-		classes[id] = class
-	}
-	seen := map[interp.EntityRef]bool{}
-	add := func(k ResKey) {
-		seen[interp.EntityRef{Class: classes[k.Class], Key: k.Key}] = true
-	}
-	for k := range ws.RW.Reads {
-		add(k)
-	}
-	for k := range ws.RW.Writes {
-		add(k)
-	}
-	out := make([]interp.EntityRef, 0, len(seen))
-	for ref := range seen {
-		out = append(out, ref)
+	out := make([]interp.EntityRef, 0, len(ws.RW.entries))
+	for i := range ws.RW.entries {
+		k := ws.RW.entries[i].key
+		out = append(out, interp.EntityRef{Class: ws.committed.ClassOf(int(k.Class)), Key: k.Key})
 	}
 	sortRefs(out)
 	return out
@@ -402,49 +489,27 @@ func sortRefs(refs []interp.EntityRef) {
 // abort (Aria's conservative one-pass rule), keeping validation
 // embarrassingly parallel across workers.
 func Validate(order []TID, sets map[TID]*RWSet) []TID {
-	earlier := map[ResKey]Bits{}
+	var earlier RWSet // writes of the lower TIDs so far
 	var aborts []TID
 	for _, tid := range order {
 		rw, ok := sets[tid]
 		if !ok {
 			continue
 		}
-		conflicted := false
-		for k, b := range rw.Writes {
-			if earlier[k]&b != 0 {
-				conflicted = true
+		for i := range rw.entries {
+			e := &rw.entries[i]
+			if w := earlier.find(e.key); w != nil && w.writes&(e.reads|e.writes) != 0 {
+				aborts = append(aborts, tid)
 				break
 			}
 		}
-		if !conflicted {
-			for k, b := range rw.Reads {
-				if earlier[k]&b != 0 {
-					conflicted = true
-					break
-				}
+		for i := range rw.entries {
+			if e := &rw.entries[i]; e.writes != 0 {
+				earlier.Write(e.key, e.writes)
 			}
-		}
-		if conflicted {
-			aborts = append(aborts, tid)
-		}
-		for k, b := range rw.Writes {
-			earlier[k] |= b
 		}
 	}
 	return aborts
-}
-
-// overlaps reports whether any reservation bit of a intersects b.
-func overlaps(a, b map[ResKey]Bits) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for k, bits := range a {
-		if b[k]&bits != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Conflicts reports whether two reservation sets touch overlapping
@@ -452,9 +517,16 @@ func overlaps(a, b map[ResKey]Bits) bool {
 // the two transactions must commit in their relative serial order —
 // read/read overlap alone never conflicts.
 func Conflicts(a, b *RWSet) bool {
-	return overlaps(a.Writes, b.Writes) ||
-		overlaps(a.Writes, b.Reads) ||
-		overlaps(b.Writes, a.Reads)
+	if len(b.entries) < len(a.entries) {
+		a, b = b, a
+	}
+	for i := range a.entries {
+		ea := &a.entries[i]
+		if eb := b.find(ea.key); eb != nil && (ea.writes&(eb.reads|eb.writes)|eb.writes&ea.reads) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Schedule is the fallback phase's deterministic plan for a batch's
@@ -515,5 +587,5 @@ func Fallback(order []TID, sets map[TID]*RWSet) Schedule {
 // Interface checks.
 var (
 	_ core.Store       = (*Workspace)(nil)
-	_ interp.SlotState = wsState{}
+	_ interp.SlotState = (*wsEntry)(nil)
 )

@@ -3,6 +3,7 @@ package aria
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -378,7 +379,7 @@ func TestWorkspaceReadsCommitted(t *testing.T) {
 	if v := get(t, st, "v"); v.I != 10 {
 		t.Fatalf("get: %v", v)
 	}
-	if ws.RW.Reads[rkey("x")] == 0 {
+	if e := ws.RW.find(rkey("x")); e == nil || e.reads == 0 {
 		t.Fatal("read not recorded")
 	}
 }
@@ -398,7 +399,7 @@ func TestWorkspaceWriteIsolation(t *testing.T) {
 	if get(t, base, "v").I != 10 {
 		t.Fatalf("committed leaked")
 	}
-	if ws.RW.Writes[rkey("x")] == 0 {
+	if e := ws.RW.find(rkey("x")); e == nil || e.writes == 0 {
 		t.Fatal("write not recorded")
 	}
 	ws.Apply(committed)
@@ -478,7 +479,7 @@ func TestDisjointSlotWritesMerge(t *testing.T) {
 	s1.Set("a", interp.IntV(100))
 	s2.Set("b", interp.IntV(200))
 	order := []TID{1, 2}
-	sets := map[TID]*RWSet{1: w1.RW, 2: w2.RW}
+	sets := map[TID]*RWSet{1: &w1.RW, 2: &w2.RW}
 	if ab := Validate(order, sets); len(ab) != 0 {
 		t.Fatalf("disjoint attr writes aborted: %v", ab)
 	}
@@ -507,7 +508,7 @@ func TestWholeRowInstallConflictsWithSlotWrites(t *testing.T) {
 	s2, _ := w2.Lookup(ref("x"))
 	s1.Set("a", interp.IntV(100)) // slot write
 	s2.Set("dyn", interp.IntV(9)) // off-layout write -> whole-row install
-	aborts := Validate([]TID{1, 2}, map[TID]*RWSet{1: w1.RW, 2: w2.RW})
+	aborts := Validate([]TID{1, 2}, map[TID]*RWSet{1: &w1.RW, 2: &w2.RW})
 	if len(aborts) != 1 || aborts[0] != 2 {
 		t.Fatalf("whole-row installer must abort against lower slot write: %v", aborts)
 	}
@@ -597,7 +598,17 @@ func TestRWSetMerge(t *testing.T) {
 	a := setOf([]string{"x"}, []string{"y"})
 	b := setOf([]string{"z"}, []string{"y"})
 	a.Merge(b)
-	if len(a.Reads) != 2 || len(a.Writes) != 1 {
-		t.Fatalf("merge: %v", a)
+	want := []resEntry{
+		{key: rkey("x"), reads: EntityBit},
+		{key: rkey("y"), writes: EntityBit},
+		{key: rkey("z"), reads: EntityBit},
+	}
+	if !reflect.DeepEqual(a.entries, want) {
+		t.Fatalf("merge: %v", a.entries)
+	}
+	a.Merge(b)
+	a.Merge(a)
+	if !reflect.DeepEqual(a.entries, want) {
+		t.Fatalf("merge is not idempotent: %v", a.entries)
 	}
 }

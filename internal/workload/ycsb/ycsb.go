@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"statefulentities.dev/stateflow/internal/interp"
@@ -188,8 +189,23 @@ class Account:
 `
 }
 
-// Key formats the i-th record key, YCSB-style.
-func Key(i int) string { return fmt.Sprintf("user%06d", i) }
+// Key formats the i-th record key, YCSB-style: "user%06d". Built by hand
+// because the load generator calls it once or twice per request and
+// fmt.Sprintf's boxing would be billed to the system under test.
+func Key(i int) string {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(i), 10)
+	var buf [32]byte
+	b := append(buf[:0], "user"...)
+	width := 6
+	if i < 0 {
+		b, digits, width = append(b, '-'), digits[1:], width-1
+	}
+	for pad := width - len(digits); pad > 0; pad-- {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
+}
 
 // InitialBalance is each account's starting balance.
 const InitialBalance = 1_000_000

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -178,5 +179,19 @@ func TestLoader(t *testing.T) {
 	}
 	if args[0].S != "user000000" {
 		t.Fatalf("key: %s", args[0].S)
+	}
+}
+
+// Key is formatted by hand; it must stay byte-identical to the
+// fmt.Sprintf("user%06d") it replaced — preloaded datasets, request
+// targets and the benchmark's reference model all derive keys from it.
+func TestKeyMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 999, 99_999, 100_000, 999_999, 1_000_000, 12_345_678, 1 << 40, -1, -12_345, -999_999, -1_000_000} {
+		if got, want := Key(i), fmt.Sprintf("user%06d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Key(1_234_567) }); allocs > 1 {
+		t.Errorf("Key allocates %.0f objects, want only the string", allocs)
 	}
 }
