@@ -21,6 +21,11 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// NewEncoderSize returns an empty encoder whose buffer already holds n
+// bytes of capacity: a caller that knows its output size (ValueSize,
+// Row.EncodedSize) pays one allocation instead of append's doubling.
+func NewEncoderSize(n int) *Encoder { return &Encoder{buf: make([]byte, 0, n)} }
+
 // Reset empties the encoder, keeping its buffer for reuse. Slices
 // returned by Bytes before the reset are overwritten by later appends.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
@@ -106,8 +111,8 @@ func varintSize(i int64) int { return uvarintSize(uint64(i<<1) ^ uint64(i>>63)) 
 
 func strSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
 
-// valueSize returns the number of bytes Encoder.Value appends for v.
-func valueSize(v Value) int {
+// ValueSize returns the number of bytes Encoder.Value appends for v.
+func ValueSize(v Value) int {
 	n := 1 // kind byte
 	switch v.Kind {
 	case KInt:
@@ -121,12 +126,12 @@ func valueSize(v Value) int {
 	case KList:
 		n += uvarintSize(uint64(len(v.L.Elems)))
 		for _, el := range v.L.Elems {
-			n += valueSize(el)
+			n += ValueSize(el)
 		}
 	case KDict:
 		n += uvarintSize(uint64(len(v.D)))
 		for k, el := range v.D {
-			n += valueSize(v.DK[k]) + valueSize(el)
+			n += ValueSize(v.DK[k]) + ValueSize(el)
 		}
 	case KRef:
 		n += strSize(v.R.Class) + strSize(v.R.Key)
@@ -364,7 +369,7 @@ func DecodeValue(buf []byte) (Value, error) {
 func EncodedSize(st MapState) int {
 	n := uvarintSize(uint64(len(st)))
 	for k, v := range st {
-		n += strSize(k) + valueSize(v)
+		n += strSize(k) + ValueSize(v)
 	}
 	return n
 }

@@ -207,17 +207,15 @@ func (r *Row) Clone() *Row {
 // alias holder can mutate state without notifying the row). The returned
 // slice must not be mutated.
 func (r *Row) Encoding() []byte {
-	if r.aliased {
-		e := NewEncoder()
-		r.appendEncoding(e)
-		return e.Bytes()
+	if r.enc != nil && !r.aliased {
+		return r.enc
 	}
-	if r.enc == nil {
-		e := NewEncoder()
-		r.appendEncoding(e)
+	e := NewEncoderSize(r.EncodedSize())
+	r.appendEncoding(e)
+	if !r.aliased {
 		r.enc = e.Bytes()
 	}
-	return r.enc
+	return e.Bytes()
 }
 
 // EncodedSize returns len(Encoding()) without building the bytes: a walk
@@ -233,11 +231,11 @@ func (r *Row) EncodedSize() int {
 	n := uvarintSize(uint64(r.Len()))
 	for i := range r.slots {
 		if r.isPresent(i) {
-			n += strSize(r.layout.Attrs[i]) + valueSize(r.slots[i])
+			n += strSize(r.layout.Attrs[i]) + ValueSize(r.slots[i])
 		}
 	}
 	for k, v := range r.extra {
-		n += strSize(k) + valueSize(v)
+		n += strSize(k) + ValueSize(v)
 	}
 	return n
 }

@@ -52,8 +52,13 @@ func boundaryValue(rng *rand.Rand, depth int) Value {
 
 func requireSizeMatches(t *testing.T, r *Row, what string) {
 	t.Helper()
-	if got, want := r.EncodedSize(), len(r.Encoding()); got != want {
+	enc := r.Encoding()
+	if got, want := r.EncodedSize(), len(enc); got != want {
 		t.Fatalf("%s: EncodedSize() = %d, len(Encoding()) = %d (attrs %v)", what, got, want, r.Attrs())
+	}
+	// The encoding is built in a buffer of exactly EncodedSize bytes.
+	if cap(enc) != len(enc) {
+		t.Fatalf("%s: encoding of %d bytes sits in a buffer of %d", what, len(enc), cap(enc))
 	}
 }
 
@@ -113,8 +118,8 @@ func FuzzRowEncodedSize(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if v, err := DecodeValue(data); err == nil {
-			if got, want := valueSize(v), len(EncodeValue(v)); got != want {
-				t.Fatalf("valueSize = %d, encoding is %d bytes", got, want)
+			if got, want := ValueSize(v), len(EncodeValue(v)); got != want {
+				t.Fatalf("ValueSize = %d, encoding is %d bytes", got, want)
 			}
 		}
 		st, err := NewDecoder(data).State()

@@ -20,7 +20,7 @@ type FlightEvent struct {
 	// "sf-seq", …).
 	Node string
 	// Kind classifies the event: "crash", "reboot", "restore",
-	// "epoch.advance", "recovery", "replay", "fence", "unfence",
+	// "epoch.advance", "recovery", "replay.drained", "fence", "unfence",
 	// "global.batch", …
 	Kind string
 	// Detail is a human-readable elaboration.

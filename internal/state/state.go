@@ -128,10 +128,15 @@ func (s *Store) EncodedSize(ref interp.EntityRef) int {
 }
 
 // Encode serializes the complete store deterministically, reusing each
-// row's cached encoding.
+// row's cached encoding, into a buffer sized for exactly the image.
 func (s *Store) Encode() []byte {
-	e := interp.NewEncoder()
 	refs := s.Refs()
+	size := interp.ValueSize(interp.IntV(int64(len(refs))))
+	for _, ref := range refs {
+		size += interp.ValueSize(interp.StrV(ref.Class)) + interp.ValueSize(interp.StrV(ref.Key)) +
+			s.m[ref].EncodedSize()
+	}
+	e := interp.NewEncoderSize(size)
 	e.Value(interp.IntV(int64(len(refs))))
 	for _, ref := range refs {
 		e.Value(interp.StrV(ref.Class))

@@ -157,6 +157,10 @@ func TestSizes(t *testing.T) {
 	if s.TotalEncodedSize() != s.EncodedSize(ref("A", "big"))+s.EncodedSize(ref("A", "small")) {
 		t.Fatal("total size")
 	}
+	// The image is built in a buffer of exactly its size.
+	if img := s.Encode(); cap(img) != len(img) || len(img) <= s.TotalEncodedSize() {
+		t.Fatalf("image of %d bytes (rows %d) sits in a buffer of %d", len(img), s.TotalEncodedSize(), cap(img))
+	}
 }
 
 // EncodedSize must be served from the row cache and refresh after writes.

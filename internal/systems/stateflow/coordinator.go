@@ -36,6 +36,7 @@
 package stateflow
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -121,10 +122,12 @@ type epochState struct {
 
 	// binding marks a recovery replay epoch whose batch re-executes
 	// already-released responses (the binding prefix — see Recover). It
-	// admits no fresh arrivals, never pipelines, never snapshots, and its
-	// conflict aborts requeue to the front of the binding queue with no
-	// retry budget: a response a client already holds cannot be taken
-	// back, so its effects must be rebuilt no matter what.
+	// is filled from the replay queue and closed in the same event (see
+	// openBinding), admits no fresh arrivals, never snapshots, and commits
+	// only the conflict-free prefix of its batch: everything from the
+	// first aborted member on requeues to the front of the binding queue
+	// with no retry budget — a response a client already holds cannot be
+	// taken back, so its effects must be rebuilt no matter what.
 	binding bool
 
 	batch map[aria.TID]*txnState
@@ -196,6 +199,19 @@ type Coordinator struct {
 	// with every response that already escaped, before any pending retry
 	// or fresh suffix work commits (see Recover).
 	replaying []pendingReq
+	// window is how many queue members the next binding epoch takes: 1
+	// after a recovery, doubled by every batch that commits whole, cut back
+	// to the committed prefix length by one that does not (see cutBinding).
+	window int
+	// uncutBinding is a test hook: binding batches commit every member Aria
+	// validated instead of only the prefix before the first abort — the
+	// unsound batching the cut exists to prevent (see cutBinding).
+	uncutBinding bool
+	// recoverAt and replayAt are when the recovery in progress started and
+	// when its first binding epoch opened (replayAt < 0: none yet, or the
+	// queue already drained) — the starts of the recovery.restore and
+	// recovery.replay trace spans. Purely observational.
+	recoverAt, replayAt time.Duration
 
 	// snapCuts records each snapshot's aligned-cut virtual time (when its
 	// epoch staged its last response): a delivered entry released after
@@ -304,11 +320,13 @@ type Coordinator struct {
 	Restarts            int
 	MidPipelineRestarts int
 	// Replays counts responses re-served from the durable egress buffer
-	// to retrying clients. BindingReplays counts released responses whose
-	// transactions a recovery re-executed in binding epochs to rebuild
-	// the effects the restored snapshot predated.
+	// to retrying clients. BindingReplays counts the released transactions
+	// recoveries queued for re-execution to rebuild the effects the
+	// restored snapshot predated; BindingEpochs the binding epochs that
+	// re-executed them (a requeued member runs in more than one).
 	Replays        int
 	BindingReplays int
+	BindingEpochs  int
 	// RestoredSnapshots records, per recovery, the snapshot id it rolled
 	// back to (0: reset to empty) — tests assert every restored id was a
 	// complete snapshot.
@@ -470,7 +488,7 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 	}
 	c.seen[id] = true
 	if st := c.exec; !c.recovering && !c.fenced && c.fencePending == 0 &&
-		st != nil && st.phase == phaseOpen && !st.binding && !c.batchFull(st) {
+		st != nil && st.phase == phaseOpen && !c.batchFull(st) {
 		c.consumed++
 		c.assign(ctx, st, pendingReq{req: m.Request, replyTo: m.ReplyTo, pos: pos, arrivedAt: ctx.Now()})
 	}
@@ -516,11 +534,10 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 	if c.recovering || st == nil || m.Epoch != st.epoch || st.phase != phaseOpen {
 		return
 	}
-	if c.fenced && !st.binding {
+	if c.fenced {
 		// Parked for a global batch: the fence epoch has no timer-driven
 		// closes — it closes when the sequencer's apply arrives, and the
-		// tick chain resumes at unfence. (Binding replay epochs keep their
-		// ticks: they rebuild released effects even under a fence.)
+		// tick chain resumes at unfence.
 		return
 	}
 	if len(st.batch) == 0 {
@@ -549,6 +566,21 @@ func (c *Coordinator) enterPhase(ctx *sim.Context, st *epochState, p phase) {
 	st.phase = p
 	st.phaseAt = ctx.Now()
 	ctx.After(c.sys.cfg.StallTimeout, msgStallCheck{Epoch: st.epoch, Phase: p, Progress: c.progress})
+}
+
+// phaseSpan closes the trace span of the slot's current phase (begun at
+// phaseAt). Binding epochs carry a "binding" arg, so a trace separates a
+// recovery's replay from ordinary traffic.
+func (c *Coordinator) phaseSpan(ctx *sim.Context, st *epochState, name string) {
+	tr := c.tracer()
+	if !tr.Enabled() {
+		return
+	}
+	args := []string{"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.fbRound)}
+	if st.binding {
+		args = append(args, "binding", "1")
+	}
+	tr.Span(c.sys.coordID, "epoch", name, st.phaseAt, ctx.Now(), args...)
 }
 
 // onFinished records a transaction's root response (from the batch's
@@ -601,17 +633,22 @@ func (c *Coordinator) promote(ctx *sim.Context, st *epochState) {
 		c.exec = nil
 	}
 	c.sendPrepare(ctx, st)
-	// Binding epochs pipeline like any other: the successor (the next
-	// binding member, or the first normal epoch once the replay queue
-	// drains) accumulates and executes while this epoch validates and
-	// group-commits. Order stays exact because workers buffer a pipelined
-	// epoch's events until the predecessor applies locally, and a
-	// single-member binding batch can neither conflict-abort nor enter
-	// the fallback phase — so nothing this epoch does can reorder work
-	// already handed to the successor.
-	// While fenced, the successor epoch waits for releaseCommit instead:
-	// the fenced openEpoch path parks it (or runs a queued apply), and
-	// opening it early would just park it sooner with nothing to do.
+	// A binding epoch's successor cannot open yet: which queue members it
+	// takes is only known once this batch's votes say where the committed
+	// prefix ends (onVote opens it then).
+	if !st.binding {
+		c.openPipelined(ctx)
+	}
+}
+
+// openPipelined opens the commit epoch's successor ahead of its release,
+// so the successor accumulates and executes while the commit epoch
+// applies and group-commits (workers buffer its events until the
+// predecessor applies locally). While fenced — and on the serial schedule
+// — the successor waits for releaseCommit instead: the fenced openEpoch
+// path parks it (or runs a queued apply), and opening it early would just
+// park it sooner with nothing to do.
+func (c *Coordinator) openPipelined(ctx *sim.Context) {
 	if !c.sys.cfg.DisablePipelining && !c.fenced {
 		ctx.Work(c.sys.cfg.Costs.PipelineCPU)
 		c.openEpoch(ctx)
@@ -621,15 +658,12 @@ func (c *Coordinator) promote(ctx *sim.Context, st *epochState) {
 // sendPrepare starts validation on every worker: of the batch (round 0,
 // Order is the full batch TID order) or of the fallback round in flight.
 func (c *Coordinator) sendPrepare(ctx *sim.Context, st *epochState) {
-	if tr := c.tracer(); tr.Enabled() {
-		// The execution window just ended: phaseAt was stamped when the
-		// batch closed (or the fallback round dispatched).
-		name := "execute"
-		if st.fbRound > 0 {
-			name = "fallback.round"
-		}
-		tr.Span(c.sys.coordID, "epoch", name, st.phaseAt, ctx.Now(),
-			"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.fbRound))
+	// The execution window just ended: phaseAt was stamped when the batch
+	// closed (or the fallback round dispatched).
+	if st.fbRound > 0 {
+		c.phaseSpan(ctx, st, "fallback.round")
+	} else {
+		c.phaseSpan(ctx, st, "execute")
 	}
 	c.enterPhase(ctx, st, phasePrepare)
 	st.votes = map[string]bool{}
@@ -674,10 +708,7 @@ func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 	if len(st.votes) < len(c.sys.workerIDs) {
 		return
 	}
-	if tr := c.tracer(); tr.Enabled() {
-		tr.Span(c.sys.coordID, "epoch", "validate", st.phaseAt, ctx.Now(),
-			"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.fbRound))
-	}
+	c.phaseSpan(ctx, st, "validate")
 	if st.fbRound > 0 {
 		c.decideFallbackRound(ctx, st)
 		return
@@ -685,8 +716,10 @@ func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 	// Binding epochs skip the fallback phase: its rescue rounds commit
 	// aborted members out of queue order within the batch, and the binding
 	// replay's whole contract is that conflicting members re-commit in
-	// release order. Their aborts requeue to the binding queue instead.
-	if !c.sys.cfg.DisableFallback && !st.binding {
+	// release order. They commit a conflict-free prefix instead.
+	if st.binding {
+		c.cutBinding(ctx, st)
+	} else if !c.sys.cfg.DisableFallback {
 		c.scheduleFallback(ctx, st)
 	}
 	// A transaction that failed with an application error commits nothing:
@@ -706,6 +739,68 @@ func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 		ctx.Send(w, msgDecide{Epoch: st.epoch, Order: order, Aborts: aborts, Final: final},
 			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
+	if st.binding {
+		// The cut settled what is left of the queue, so the successor (the
+		// next binding batch, or the first normal epoch once the queue has
+		// drained) opens now and executes under this epoch's apply and
+		// group commit.
+		c.openPipelined(ctx)
+	}
+}
+
+// cutBinding settles a binding batch at its unanimous vote: the longest
+// prefix of the batch (in queue order, which is TID order) without a
+// conflict abort commits, and everything from the first aborted member on
+// — aborted or not — goes back to the front of the replay queue, in
+// order, to run in the next binding epoch.
+//
+// This is what makes batching an order-constrained replay sound. Aria
+// commits every member without a RAW or WAW conflict against a lower TID,
+// so committing the whole surviving set would let a later member commit
+// against state that lacks an aborted earlier member's write — an order
+// inversion the released responses already contradict, and with
+// data-dependent footprints one the aborted member's re-execution can
+// drift away from, so no later conflict check would ever notice it. A
+// member of the prefix has no such exposure: every lower TID commits with
+// it, none of them wrote anything it read or wrote, so executing it
+// against the pre-batch state is executing it after them — the batch's
+// commits are exactly the queue's serial order. The lowest TID has nothing
+// to conflict with, so the prefix is never empty and every batch makes
+// progress.
+//
+// The window adapts with no knob: a batch that commits whole doubles it
+// (up to MaxBatch), a cut sets it to the prefix length — the conflict
+// spacing just observed. A queue of transactions on one hot key therefore
+// degrades to the one-per-epoch serial order, never below it.
+func (c *Coordinator) cutBinding(ctx *sim.Context, st *epochState) {
+	cut := len(st.order)
+	for i, tid := range st.order {
+		if st.unionAbort[tid] {
+			cut = i
+			break
+		}
+	}
+	if cut == len(st.order) {
+		c.window *= 2
+		if limit := c.sys.cfg.MaxBatch; limit > 0 && c.window > limit {
+			c.window = limit
+		}
+		return
+	}
+	c.window = max(cut, 1)
+	requeue := make([]pendingReq, 0, len(st.order)-cut+len(c.replaying))
+	for _, tid := range st.order[cut:] {
+		if c.uncutBinding && !st.unionAbort[tid] {
+			continue
+		}
+		st.unionAbort[tid] = true
+		t := st.batch[tid]
+		requeue = append(requeue, pendingReq{
+			req: t.req, replyTo: t.replyTo, pos: t.pos, retries: t.retries,
+			arrivedAt: ctx.Now(), apply: t.apply,
+		})
+	}
+	c.replaying = append(requeue, c.replaying...)
 }
 
 // scheduleFallback computes the deterministic fallback schedule over the
@@ -799,16 +894,12 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 	if len(st.applied) < len(c.sys.workerIDs) {
 		return
 	}
-	if tr := c.tracer(); tr.Enabled() {
-		tr.Span(c.sys.coordID, "epoch", "apply", st.phaseAt, ctx.Now(),
-			"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.fbRound))
-	}
+	c.phaseSpan(ctx, st, "apply")
 	if st.fbRound > 0 {
 		c.finishFallbackRound(ctx, st)
 		return
 	}
 	ctx.Work(time.Duration(len(st.batch)) * c.sys.cfg.Costs.RoutingCPU)
-	var bindingRetry []pendingReq
 	for _, tid := range st.order {
 		t := st.batch[tid]
 		switch {
@@ -821,13 +912,9 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 		case st.unionAbort[tid]:
 			c.Aborts++
 			if st.binding {
-				// A binding member's response already escaped: it retries
-				// unconditionally (no budget, no retry bump) and ahead of
-				// the rest of the binding queue, preserving release order.
-				bindingRetry = append(bindingRetry, pendingReq{
-					req: t.req, replyTo: t.replyTo, pos: t.pos, retries: t.retries,
-					arrivedAt: ctx.Now(), apply: t.apply,
-				})
+				// Past the batch's cut: cutBinding requeued it at the vote,
+				// unconditionally (no budget, no retry bump) — its response
+				// already escaped.
 				break
 			}
 			if t.retries+1 > c.sys.cfg.MaxRetries {
@@ -856,9 +943,6 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 				Req: t.req.Req, Value: t.value, Retries: t.retries,
 			})
 		}
-	}
-	if len(bindingRetry) > 0 {
-		c.replaying = append(bindingRetry, c.replaying...)
 	}
 	if len(st.fbRounds) > 0 {
 		c.groupCommit(ctx)
@@ -1127,6 +1211,9 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	// the restart scan could miss the unbalanced marker — and the images
 	// would capture a half-applied global batch.
 	if st.binding || len(c.replaying) > 0 || c.fenced {
+		if st.binding && len(c.replaying) == 0 && (c.exec == nil || !c.exec.binding) {
+			c.replayDrained(ctx, st)
+		}
 		c.groupCommit(ctx)
 		c.releaseCommit(ctx)
 		return
@@ -1141,6 +1228,20 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	}
 	c.groupCommit(ctx)
 	c.releaseCommit(ctx)
+}
+
+// replayDrained marks the end of a recovery's binding replay — the last
+// binding batch applied whole with nothing queued or in flight behind it,
+// so every released effect is rebuilt — and closes the recovery.replay
+// trace span. Purely observational.
+func (c *Coordinator) replayDrained(ctx *sim.Context, st *epochState) {
+	c.flight().Recordf(ctx.Now(), c.sys.coordID, "replay.drained",
+		"epoch %d: binding replay drained in %v", st.epoch, ctx.Now()-c.replayAt)
+	if tr := c.tracer(); tr.Enabled() {
+		tr.Span(c.sys.coordID, "recovery", "recovery.replay", c.replayAt, ctx.Now(),
+			"epoch", strconv.FormatInt(st.epoch, 10))
+	}
+	c.replayAt = -1
 }
 
 // releaseCommit frees the commit slot. Serial schedule: the next epoch
@@ -1458,25 +1559,10 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 	c.exec = st
 	// The binding replay queue preempts everything: released responses
 	// constrain what the rebuilt state must look like, so their
-	// transactions re-commit — in release order, one per epoch — before
-	// any pending retry or fresh arrival is allowed to interleave.
-	//
-	// Strictly one transaction per binding epoch, never a batch. Batching
-	// is unsound here: Aria commits every member with no lower-TID
-	// conflict, so when an early-queued member aborts, a later member can
-	// commit against state that is missing the earlier member's write —
-	// an order inversion the released responses already contradict. With
-	// data-dependent footprints the aborted member's re-execution can
-	// then drift off the contended cell and the inversion goes
-	// permanently unnoticed by conflict detection. Serial replay is
-	// exact: response staging advances virtual time per append, so the
-	// (at, pos) order is the original effective serial order, and a
-	// single-member batch has no conflicts to abort on.
+	// transactions re-commit — in release order — before any pending
+	// retry or fresh arrival is allowed to interleave.
 	if len(c.replaying) > 0 {
-		st.binding = true
-		c.assign(ctx, st, c.replaying[0])
-		c.replaying = c.replaying[1:]
-		ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{Epoch: st.epoch})
+		c.openBinding(ctx, st)
 		return
 	}
 	// While fenced for a global batch the epoch parks: no timer, no
@@ -1494,6 +1580,28 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 		return
 	}
 	c.fillEpoch(ctx, st)
+}
+
+// openBinding fills a binding epoch with the next window of the replay
+// queue, in release order (so queue order is TID order), and closes the
+// batch in the same event: the queue is known in full, there is no
+// arrival an open window could wait for, and the epoch timer would only
+// add its interval to the outage. The batch then runs the ordinary
+// execute/validate/apply machinery; cutBinding decides at the vote how
+// much of it commits.
+func (c *Coordinator) openBinding(ctx *sim.Context, st *epochState) {
+	st.binding = true
+	c.BindingEpochs++
+	if c.replayAt < 0 {
+		c.replayAt = ctx.Now()
+	}
+	n := min(c.window, len(c.replaying))
+	for _, p := range c.replaying[:n] {
+		c.assign(ctx, st, p)
+	}
+	c.replaying = c.replaying[n:]
+	st.consumedEnd = c.consumed
+	c.enterPhase(ctx, st, phaseClosing)
 }
 
 // fillEpoch populates a freshly opened (non-binding, unfenced) epoch:
@@ -1624,29 +1732,30 @@ func (c *Coordinator) snapCut(id int64) time.Duration {
 // else, in the order the responses were released.
 //
 // Release order is reconstructed as (release time, source position):
-// responses released in the same event belong to the same batch — whose
-// committed members are pairwise conflict-free, so position order within
-// the tie is as good as the original TID order — and across events the
-// release time is the group-commit LSN order itself. Re-executing that
-// sequence against the restored images reproduces each member's original
-// observations: a member that conflicts with an earlier-released one
-// lands in a later binding batch (the earlier one either commits first
-// or the conflict aborts the later member into the next binding round),
-// exactly mirroring the batch boundary that separated them originally.
+// response staging advances virtual time per append, so release time is
+// the group-commit LSN order itself — the original effective serial order
+// — and position only breaks ties. Re-executing that sequence against the
+// restored images reproduces each member's original observations: binding
+// epochs run it in batches, and a member that conflicts with an earlier
+// one in its batch is cut off with everything behind it and runs in the
+// next (see cutBinding), so conflicting members always re-commit in queue
+// order.
+//
+// One queue member per source record: a global apply is pointed at by its
+// own ack and by every embedded home-shard response staged with it, and
+// queueing it once per entry would re-install the same write-set several
+// times — copies that WAW-conflict with each other and cut every batch
+// they share. The earliest release among the entries places it.
 func (c *Coordinator) buildReplaying(cut time.Duration) {
-	type cand struct {
-		at time.Duration
-		p  pendingReq
-	}
-	var cands []cand
+	released := map[int64]time.Duration{} // source position → earliest release
 	add := func(ent deliveredEntry) {
 		if ent.resp.Err != "" || ent.at <= cut {
 			return // definitive error (no effects), or effects in the images
 		}
 		// ent.pos holds a client request or — for an apply's ack and the
 		// embedded responses staged with it — the apply itself.
-		if rec, ok := c.readSource(ent.pos); ok {
-			cands = append(cands, cand{at: ent.at, p: rec.txn})
+		if at, ok := released[ent.pos]; !ok || ent.at < at {
+			released[ent.pos] = ent.at
 		}
 	}
 	for _, ent := range c.delivered {
@@ -1655,15 +1764,18 @@ func (c *Coordinator) buildReplaying(cut time.Duration) {
 	for _, s := range c.staged {
 		add(s.ent)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].at != cands[j].at {
-			return cands[i].at < cands[j].at
-		}
-		return cands[i].p.pos < cands[j].p.pos
+	order := make([]int64, 0, len(released))
+	for pos := range released {
+		order = append(order, pos)
+	}
+	slices.SortFunc(order, func(a, b int64) int {
+		return cmp.Or(cmp.Compare(released[a], released[b]), cmp.Compare(a, b))
 	})
-	c.replaying = make([]pendingReq, 0, len(cands))
-	for _, cd := range cands {
-		c.replaying = append(c.replaying, cd.p)
+	c.replaying = make([]pendingReq, 0, len(order))
+	for _, pos := range order {
+		if rec, ok := c.readSource(pos); ok {
+			c.replaying = append(c.replaying, rec.txn)
+		}
 	}
 	c.BindingReplays += len(c.replaying)
 }
@@ -1686,10 +1798,14 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	// is lost (or a worker dies again mid-restore), the stall check fires
 	// and recovery restarts from the same snapshot — Recover is
 	// idempotent, so re-entering it is always safe.
+	if !c.recovering {
+		c.recoverAt = ctx.Now() // a re-entered recovery keeps the first start
+	}
 	c.recovering = true
 	c.exec, c.commit = nil, nil
 	ctx.After(c.sys.cfg.StallTimeout, msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering, Progress: c.progress})
 	c.pending, c.replaying = nil, nil
+	c.window, c.replayAt = 1, -1
 	var snapID int64
 	cut := time.Duration(-1) // no snapshot: every release postdates the empty state
 	if meta, ok := c.restorePoint(); ok {
@@ -1874,8 +1990,13 @@ func (c *Coordinator) onRecovered(ctx *sim.Context, from string, m msgRecovered)
 	if len(c.recovered) < len(c.sys.workerIDs) {
 		return
 	}
+	if tr := c.tracer(); tr.Enabled() {
+		tr.Span(c.sys.coordID, "recovery", "recovery.restore", c.recoverAt, ctx.Now(),
+			"epoch", strconv.FormatInt(c.epoch, 10), "snapshot", strconv.FormatInt(c.snapshotID, 10))
+	}
 	// Epoch bump invalidates every stale in-flight message, then the
-	// source suffix replays through the normal batch machinery.
+	// binding queue and the source suffix replay through the batch
+	// machinery.
 	c.recovering = false
 	c.openEpoch(ctx)
 }

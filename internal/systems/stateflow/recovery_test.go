@@ -3,12 +3,15 @@ package stateflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/obs"
+	"statefulentities.dev/stateflow/internal/runtime/local"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
@@ -427,5 +430,343 @@ func TestCoordinatorCrashMidPipeline(t *testing.T) {
 		if got := balance(t, f.sys, acct(i)); got != 100 {
 			t.Fatalf("%s: balance %d, want 100 (lost or duplicated effects)", acct(i), got)
 		}
+	}
+}
+
+// Binding replay in batches, placed by protocol state. Each case builds the
+// replay queue it wants — calls answered one at a time, so release order is
+// submission order, with no snapshot after the preload — then opens a
+// coordinator crash window at that instant (cluster.ScheduleCrash, the
+// failover_test.go pattern): the reboot restores the preload images and
+// re-executes every answered call in binding epochs. A local.Runtime runs
+// the same calls serially and is what the rebuilt state must equal.
+
+const registers = `
+@entity
+class Reg:
+    def __init__(self, key: str, v: int, pad: str):
+        self.key: str = key
+        self.v: int = v
+        self.pad: str = pad
+
+    def __key__(self) -> str:
+        return self.key
+
+    def get(self) -> int:
+        return self.v
+
+    def set(self, v: int) -> int:
+        self.v = v
+        return v
+
+    def add(self, d: int) -> int:
+        self.v += d
+        return self.v
+
+    @transactional
+    def gather(self, a: Reg, b: Reg) -> int:
+        x: int = a.get()
+        y: int = b.get()
+        self.v = x * 1000 + y
+        return self.v
+`
+
+type bindingFixture struct {
+	t       *testing.T
+	cluster *sim.Cluster
+	sys     *ShardedSystem
+	shard   *System // shard 0: the one whose coordinator the cases crash
+	client  *rawClient
+	serial  *local.Runtime
+	keys    []string // registers homed on shard 0
+	remote  string   // a register homed on another shard ("" with one shard)
+	sent    int
+}
+
+// newBindingFixture deploys the register program with n registers on shard
+// 0, each carrying pad bytes of payload.
+func newBindingFixture(t *testing.T, n, pad int, mods ...func(*Config)) *bindingFixture {
+	t.Helper()
+	prog, err := compiler.Compile(registers)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	cfg := DefaultConfig()
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	cluster := sim.New(42)
+	fx := &bindingFixture{t: t, cluster: cluster, sys: New(cluster, prog, cfg),
+		client: &rawClient{}, serial: local.New(prog)}
+	fx.shard = fx.sys.Shards()[0]
+	payload := interp.StrV(string(make([]byte, pad)))
+	for i := 0; len(fx.keys) < n || (cfg.Shards > 1 && fx.remote == ""); i++ {
+		key := fmt.Sprintf("r%03d", i)
+		switch home := fx.sys.ShardOf(interp.EntityRef{Class: "Reg", Key: key}); {
+		case home == 0 && len(fx.keys) < n:
+			fx.keys = append(fx.keys, key)
+		case home != 0 && fx.remote == "":
+			fx.remote = key
+		default:
+			continue
+		}
+		args := []interp.Value{interp.StrV(key), interp.IntV(int64(i)), payload}
+		if err := fx.sys.PreloadEntity("Reg", args...); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+		if err := fx.serial.PreloadEntity("Reg", args...); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+	}
+	fx.sys.CheckpointPreloadedState()
+	cluster.Add("client", fx.client)
+	cluster.Start()
+	return fx
+}
+
+// submit sends one call now and runs it on the serial reference.
+func (fx *bindingFixture) submit(key, method string, args ...interp.Value) {
+	fx.t.Helper()
+	fx.sent++
+	fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(), sysapi.MsgRequest{
+		Request: sysapi.Request{Req: fmt.Sprintf("b%d", fx.sent),
+			Target: interp.EntityRef{Class: "Reg", Key: key}, Method: method, Args: args},
+		ReplyTo: "client",
+	})
+	if res, err := fx.serial.Invoke("Reg", key, method, args...); err != nil || res.Err != "" {
+		fx.t.Fatalf("serial %s.%s: %v %s", key, method, err, res.Err)
+	}
+}
+
+// runUntil steps virtual time until cond holds.
+func (fx *bindingFixture) runUntil(what string, cond func() bool) {
+	fx.t.Helper()
+	deadline := fx.cluster.Now() + 5*time.Second
+	for !cond() {
+		if fx.cluster.Now() >= deadline {
+			fx.t.Fatalf("never observed: %s", what)
+		}
+		fx.cluster.RunUntil(fx.cluster.Now() + 20*time.Microsecond)
+	}
+}
+
+// call submits one call and waits for its response, so the next call is
+// released strictly after it.
+func (fx *bindingFixture) call(key, method string, args ...interp.Value) {
+	fx.t.Helper()
+	fx.submit(key, method, args...)
+	fx.runUntil("the call answered", func() bool { return len(fx.client.got) == fx.sent })
+}
+
+// crashAndReplay crashes shard 0's coordinator now for 10ms and runs the
+// recovery to completion. It returns the widest binding batch the replay
+// ran and whether every one of them ran with the shard fenced.
+func (fx *bindingFixture) crashAndReplay() (widest int, fenced bool) {
+	fx.t.Helper()
+	c := fx.shard.Coordinator()
+	now := fx.cluster.Now()
+	fx.cluster.ScheduleCrash(fx.shard.coordID, now, now+10*time.Millisecond)
+	fenced = true
+	fx.runUntil("the binding replay drained", func() bool {
+		for _, st := range []*epochState{c.exec, c.commit} {
+			if st != nil && st.binding {
+				widest = max(widest, len(st.batch))
+				fenced = fenced && c.fenced
+			}
+		}
+		return c.Restarts == 1 && !c.recovering && len(c.replaying) == 0 &&
+			c.exec != nil && !c.exec.binding && (c.commit == nil || !c.commit.binding)
+	})
+	fx.cluster.RunUntil(fx.cluster.Now() + 2*time.Second)
+	return widest, fenced
+}
+
+// diverged lists the registers whose rebuilt value is not the serial
+// run's.
+func (fx *bindingFixture) diverged() (out []string) {
+	for _, key := range fx.serial.Keys("Reg") {
+		want, _ := fx.serial.State("Reg", key)
+		got, _ := fx.sys.EntityState("Reg", key)
+		if got["v"].I != want["v"].I {
+			out = append(out, fmt.Sprintf("%s=%d (serial %d)", key, got["v"].I, want["v"].I))
+		}
+	}
+	return out
+}
+
+// bindingSchedules are the three ways a binding epoch's successor opens:
+// at the vote (pipelined), from releaseCommit on the serial schedule, and
+// from releaseCommit because the shard recovered inside a fence window.
+var bindingSchedules = []struct {
+	name   string
+	fenced bool
+	mod    func(*Config)
+}{
+	{"pipelined", false, func(*Config) {}},
+	{"serial", false, func(c *Config) { c.DisablePipelining = true }},
+	{"fenced", true, func(c *Config) { c.Shards = 2 }},
+}
+
+// crashWithQueue finishes a case: under the fenced schedule it first parks
+// shard 0 behind a cross-shard gather (the global batch then completes
+// after the replay), then crashes the coordinator, and checks what every
+// case must show — a replay of exactly the answered calls, nothing
+// answered twice, the shard unparked.
+func (fx *bindingFixture) crashWithQueue(fenced bool) (widest int) {
+	fx.t.Helper()
+	queued := fx.sent
+	c := fx.shard.Coordinator()
+	if fenced {
+		fx.submit(fx.keys[len(fx.keys)-1], "gather", interp.RefV("Reg", fx.remote), interp.RefV("Reg", fx.remote))
+		fx.runUntil("shard 0 parked", func() bool { return c.fenced })
+	}
+	widest, parked := fx.crashAndReplay()
+	if c.BindingReplays != queued {
+		fx.t.Fatalf("binding replays = %d, want the %d answered calls", c.BindingReplays, queued)
+	}
+	if fenced && (!parked || c.GlobalFences != 1 || c.GlobalApplies != 1 || c.fenced) {
+		// The one park is the one before the crash: the recovery rebuilds
+		// it from the marker, replays under it, and the batch then applies.
+		fx.t.Fatalf("replayed fenced=%v, fences=%d applies=%d, still fenced=%v after a recovery inside the fence window",
+			parked, c.GlobalFences, c.GlobalApplies, c.fenced)
+	}
+	if len(fx.client.got) != fx.sent {
+		fx.t.Fatalf("client saw %d responses to %d calls", len(fx.client.got), fx.sent)
+	}
+	return widest
+}
+
+// TestBindingBatchNeverCommitsPastAnAbort is the order inversion the prefix
+// cut exists for. The queue ends D: w(x); E: r(x), r(y), w(z); L: w(y), and
+// three conflict-free fillers ahead of it widen the window so D, E and L
+// share a batch. E aborts on D's write. L conflicts with nobody's writes,
+// so Aria alone would commit it next to D — and E, re-executed in the next
+// batch, would read L's y instead of the one it was answered with.
+func TestBindingBatchNeverCommitsPastAnAbort(t *testing.T) {
+	run := func(t *testing.T, fenced bool, mod func(*Config), uncut bool) (*bindingFixture, []string) {
+		fx := newBindingFixture(t, 8, 16, mod)
+		fx.shard.Coordinator().uncutBinding = uncut
+		k := fx.keys
+		for _, filler := range k[3:6] {
+			fx.call(filler, "set", interp.IntV(7))
+		}
+		fx.call(k[0], "set", interp.IntV(5))                                        // D: w(x)
+		fx.call(k[2], "gather", interp.RefV("Reg", k[0]), interp.RefV("Reg", k[1])) // E: r(x) r(y) w(z)
+		fx.call(k[1], "set", interp.IntV(9))                                        // L: w(y)
+		fx.call(k[6], "set", interp.IntV(7))
+		fx.crashWithQueue(fenced)
+		return fx, fx.diverged()
+	}
+	for _, sched := range bindingSchedules {
+		t.Run(sched.name, func(t *testing.T) {
+			fx, bad := run(t, sched.fenced, sched.mod, false)
+			if len(bad) > 0 {
+				t.Fatalf("rebuilt state is not the serial D, E, L run: %v", bad)
+			}
+			// [f] [f f] [D E L f] cut at E, [E] [L f].
+			if c := fx.shard.Coordinator(); c.BindingEpochs != 5 || c.Aborts != 3 {
+				t.Fatalf("binding epochs=%d aborts=%d, want 5 and 3 (E, and L and the filler behind it)", c.BindingEpochs, c.Aborts)
+			}
+		})
+	}
+	// The control: without the cut the same queue must diverge, or the
+	// case above proves nothing.
+	if _, bad := run(t, false, func(*Config) {}, true); len(bad) == 0 {
+		t.Fatal("with the prefix cut removed the replay still matched the serial run: the queue no longer exercises it")
+	}
+}
+
+// TestBindingBatchHotKeyDrainsSerially: a queue of updates to one register
+// conflicts everywhere. Every batch still commits its first member, and
+// the window never grows past the two it takes to find the next conflict.
+func TestBindingBatchHotKeyDrainsSerially(t *testing.T) {
+	const n = 12
+	for _, sched := range bindingSchedules {
+		t.Run(sched.name, func(t *testing.T) {
+			fx := newBindingFixture(t, 2, 16, sched.mod)
+			for i := 0; i < n; i++ {
+				fx.call(fx.keys[0], "add", interp.IntV(int64(i+1)))
+			}
+			widest := fx.crashWithQueue(sched.fenced)
+			if bad := fx.diverged(); len(bad) > 0 {
+				t.Fatalf("rebuilt state is not the serial run: %v", bad)
+			}
+			if c := fx.shard.Coordinator(); c.BindingEpochs > n || widest > 2 {
+				t.Fatalf("%d binding epochs for %d conflicting members, widest window %d: want one commit per epoch and a window of 1-2",
+					c.BindingEpochs, n, widest)
+			}
+		})
+	}
+}
+
+// TestBindingBatchConflictFreeQueueDoubles: 64 writes to 64 registers
+// replay in windows of 1, 2, 4, … instead of 64 epochs.
+func TestBindingBatchConflictFreeQueueDoubles(t *testing.T) {
+	const n = 64
+	for _, sched := range bindingSchedules {
+		t.Run(sched.name, func(t *testing.T) {
+			fx := newBindingFixture(t, n+1, 16, sched.mod)
+			for i := 0; i < n; i++ {
+				fx.call(fx.keys[i], "set", interp.IntV(int64(1000+i)))
+			}
+			fx.crashWithQueue(sched.fenced)
+			if bad := fx.diverged(); len(bad) > 0 {
+				t.Fatalf("rebuilt state is not the serial run: %v", bad)
+			}
+			if c := fx.shard.Coordinator(); c.BindingEpochs > 8 || c.Aborts != 0 {
+				t.Fatalf("%d binding epochs and %d aborts for a conflict-free queue of %d, want at most 8 and none",
+					c.BindingEpochs, c.Aborts, n)
+			}
+		})
+	}
+}
+
+// TestBindingReplayVirtualTimeBudget holds the recovery speed the batches
+// bought: 300 uniformly-keyed updates of 64 KB rows, all released past the
+// cut (the benchmark's crash_big shape), must re-execute within a fixed
+// stretch of virtual time — first binding epoch to queue drained, read off
+// the flight recorder. Virtual time is deterministic, so the budget is not
+// a noise band: the batched replay takes 168 ms, one member per 5 ms epoch
+// tick took 1.5 s. The trace must show the same outage as two spans.
+func TestBindingReplayVirtualTimeBudget(t *testing.T) {
+	const (
+		records = 250
+		updates = 300
+		budget  = 200 * time.Millisecond
+	)
+	flight, tracer := obs.NewFlightRecorder(4096), obs.NewTracer()
+	fx := newBindingFixture(t, records, 64<<10, func(c *Config) { c.Flight, c.Tracer = flight, tracer })
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < updates; i++ {
+		fx.submit(fx.keys[rng.Intn(records)], "add", interp.IntV(int64(i+1)))
+		fx.cluster.RunUntil(fx.cluster.Now() + 2*time.Millisecond) // 500 req/s
+	}
+	fx.runUntil("every update answered", func() bool { return len(fx.client.got) == fx.sent })
+	fx.crashWithQueue(false)
+	if bad := fx.diverged(); len(bad) > 0 {
+		t.Fatalf("rebuilt state lost or duplicated updates: %v", bad)
+	}
+	var start, took time.Duration
+	recovering := false
+	for _, ev := range flight.Events() {
+		switch {
+		case ev.Kind == "recovery":
+			recovering = true
+		case ev.Kind == "epoch.advance" && recovering && start == 0:
+			start = ev.At
+		case ev.Kind == "replay.drained":
+			took = ev.At - start
+		}
+	}
+	for _, span := range []string{"recovery.restore", "recovery.replay"} {
+		if !slices.Contains(tracer.SpanNames(), span) {
+			t.Errorf("trace has no %s span (got %v)", span, tracer.SpanNames())
+		}
+	}
+	c := fx.shard.Coordinator()
+	t.Logf("binding replay: %d members in %d epochs, %v of virtual time", c.BindingReplays, c.BindingEpochs, took)
+	if start == 0 || took <= 0 || took > budget {
+		t.Fatalf("binding replay of %d members took %v of virtual time (%d epochs), budget %v",
+			c.BindingReplays, took, c.BindingEpochs, budget)
 	}
 }

@@ -265,6 +265,7 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"coordinator.mid_pipeline_restarts":    func() int64 { return int64(c.MidPipelineRestarts) },
 		"coordinator.replays":                  func() int64 { return int64(c.Replays) },
 		"coordinator.binding_replays":          func() int64 { return int64(c.BindingReplays) },
+		"coordinator.binding_epochs":           func() int64 { return int64(c.BindingEpochs) },
 		"coordinator.global_fences":            func() int64 { return int64(c.GlobalFences) },
 		"coordinator.global_applies":           func() int64 { return int64(c.GlobalApplies) },
 	} {
