@@ -11,8 +11,8 @@
 // the comparison is stable on shared runners: an unchanged protocol
 // reproduces the baseline exactly, and only a real behavioral regression
 // (or an intentional, reviewed change to the protocol that warrants
-// regenerating the baseline) moves them. Wall-clock fields (ns/commit,
-// wall_ms) are reported for the trajectory but never gated.
+// regenerating the baseline) moves them. The artifact carries no
+// wall-clock field: those belong to the repo benchmark (benchmark/).
 //
 // Checks:
 //

@@ -28,7 +28,7 @@ func main() {
 	records := flag.Int("records", 1000, "YCSB dataset size")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	epoch := flag.Duration("epoch", 10*time.Millisecond, "StateFlow batch (epoch) interval")
-	benchJSON := flag.String("bench-json", "", "with -exp dlog or -exp contention: also write the rows as a JSON benchmark artifact to this path (contention bundles the dlog rows — the BENCH_pr10.json shape CI enforces)")
+	benchJSON := flag.String("bench-json", "", "with -exp contention: also write the rows, bundled with the dlog, sharding and scoped-fence rows, as a JSON benchmark artifact to this path (the BENCH_pr10.json shape CI enforces)")
 	noFallback := flag.Bool("no-fallback", false, "disable Aria's deterministic fallback phase on the StateFlow runtime (the contention experiment always measures both modes)")
 	noPipelining := flag.Bool("no-pipelining", false, "force the serial epoch schedule on the StateFlow runtime (the dlog and contention experiments always measure both schedules)")
 	flag.Parse()
@@ -77,10 +77,6 @@ func main() {
 			rows, err := bench.RunDlog(opt)
 			check(err)
 			fmt.Print(bench.PrintDlog(rows))
-			if *benchJSON != "" {
-				check(bench.WriteDlogJSON(*benchJSON, opt, rows))
-				fmt.Printf("wrote %s\n", *benchJSON)
-			}
 		case "sharding":
 			rows, err := bench.RunSharding(opt)
 			check(err)

@@ -253,11 +253,9 @@ func runSim(backend string, prog *stateflow.Program, wgen *ycsb.Generator, recor
 		fmt.Printf("transactions: %d committed, %d aborted (retried), %d failed, %d epochs, %d recoveries (%d coordinator reboots, %d egress replays)\n",
 			c.Commits, c.Aborts, c.Failures, c.EpochsClosed, c.Recoveries, c.Restarts, c.Replays)
 		fmt.Printf("fallback phase: %d rounds, %d rescued commits\n", c.FallbackRounds, c.FallbackCommits)
-		if sf.Dlog != nil {
-			ls := sf.Dlog.Stats()
-			fmt.Printf("durable log: %d appends (%d B), %d syncs, %d checkpoints (%d records compacted), %d torn tails discarded\n",
-				ls.Appends, ls.AppendedBytes, ls.Syncs, ls.Checkpoints, ls.Compacted, ls.TornTails)
-		}
+		ls := sf.Dlog.Stats()
+		fmt.Printf("durable log: %d appends (%d B), %d syncs, %d checkpoints (%d records compacted), %d torn tails discarded\n",
+			ls.Appends, ls.AppendedBytes, ls.Syncs, ls.Checkpoints, ls.Compacted, ls.TornTails)
 	}
 	if sh != nil {
 		q := sh.Sequencer()

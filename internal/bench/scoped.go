@@ -65,11 +65,10 @@ type ScopedFenceRow struct {
 	// fence accounting: bench-compare uses ScopedFences > 0 to reject a
 	// vacuous scoped run (a mix whose transfers accidentally fence
 	// everything would gate nothing).
-	GlobalTxns     int     `json:"global_txns"`
-	GlobalBatches  int     `json:"global_batches"`
-	ScopedFences   int     `json:"scoped_fences"`
-	FullFenceCount int     `json:"full_fence_count"`
-	WallMs         float64 `json:"wall_ms"`
+	GlobalTxns     int `json:"global_txns"`
+	GlobalBatches  int `json:"global_batches"`
+	ScopedFences   int `json:"scoped_fences"`
+	FullFenceCount int `json:"full_fence_count"`
 }
 
 // RunScopedFences measures the mixed workload under both fence
@@ -163,7 +162,6 @@ func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
 	sys.CheckpointPreloadedState()
 	cluster.Start()
 
-	start := time.Now()
 	var uDone time.Duration
 	for cluster.Now() < scopedDeadline && (uclient.Done < scopedUpdates || xclient.Done < scopedXfers) {
 		cluster.RunUntil(cluster.Now() + time.Millisecond)
@@ -171,7 +169,6 @@ func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
 			uDone = cluster.Now()
 		}
 	}
-	wall := time.Since(start)
 	if uclient.Done != scopedUpdates || xclient.Done != scopedXfers {
 		return ScopedFenceRow{}, fmt.Errorf("scoped-fence (full=%v): %d/%d updates, %d/%d transfers by %s",
 			fullFences, uclient.Done, scopedUpdates, xclient.Done, scopedXfers, scopedDeadline)
@@ -195,7 +192,6 @@ func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
 		GlobalBatches:             q.GlobalBatches,
 		ScopedFences:              q.ScopedFences,
 		FullFenceCount:            q.FullFences,
-		WallMs:                    float64(wall) / float64(time.Millisecond),
 	}, nil
 }
 

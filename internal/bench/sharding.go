@@ -66,10 +66,9 @@ type ShardingRow struct {
 	// SingleShard / GlobalTxns / GlobalBatches are the sequencer's
 	// routing split: fast-path forwards versus globally fenced
 	// transactions and their batch count.
-	SingleShard   int     `json:"single_shard"`
-	GlobalTxns    int     `json:"global_txns"`
-	GlobalBatches int     `json:"global_batches"`
-	WallMs        float64 `json:"wall_ms"`
+	SingleShard   int `json:"single_shard"`
+	GlobalTxns    int `json:"global_txns"`
+	GlobalBatches int `json:"global_batches"`
 }
 
 // RunSharding measures the fixed scaling workload at 1, 2 and 4 shards.
@@ -149,11 +148,9 @@ func runShardingPoint(opt Options, shards int) (ShardingRow, error) {
 	// Step until the fixed workload drains: the virtual makespan is the
 	// scaling measurement (1 ms resolution, deterministic per seed).
 	total := shardingUpdates + shardingXfers
-	start := time.Now()
 	for cluster.Now() < shardingDeadline && client.Done < total {
 		cluster.RunUntil(cluster.Now() + time.Millisecond)
 	}
-	wall := time.Since(start)
 	if client.Done != total {
 		return ShardingRow{}, fmt.Errorf("sharding (%d shards): %d/%d responses by %s",
 			shards, client.Done, total, shardingDeadline)
@@ -168,7 +165,6 @@ func runShardingPoint(opt Options, shards int) (ShardingRow, error) {
 		VirtualMakespanMs: float64(makespan) / float64(time.Millisecond),
 		VirtualP50Ms:      lat.P50Ms(),
 		VirtualP99Ms:      lat.P99Ms(),
-		WallMs:            float64(wall) / float64(time.Millisecond),
 	}
 	// The 1-shard point deploys the classic topology (no sequencer): every
 	// transaction is trivially single-"shard" and there is no routing

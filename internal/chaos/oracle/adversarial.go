@@ -49,21 +49,18 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 		// against — it exists only on the single-coordinator topology;
 		// sharded deployments have no one coordinator whose tap is the
 		// whole serial order, so the checker falls back to graph mode.
-		TraceCommits:           backend == stateflow.BackendStateFlow && cfg.Shards <= 1,
-		UncheckedFallbackDrift: cfg.UncheckedFallbackDrift,
-		UncheckedReplayOrder:   cfg.UncheckedReplayOrder,
-		Shards:                 cfg.Shards,
-		FullFences:             cfg.FullFences,
+		TraceCommits: backend == stateflow.BackendStateFlow && cfg.Shards <= 1,
+		Shards:       cfg.Shards,
+		FullFences:   cfg.FullFences,
 	}
 	if cfg.Traced {
 		simCfg.Tracer = stateflow.NewTracer()
 	}
-	var sim *stateflow.Simulation
+	opts := []stateflow.SimOption{stateflow.WithReinjectedBugs(cfg.Reinject)}
 	if plan != nil {
-		sim = stateflow.NewSimulation(prog, simCfg, stateflow.WithChaos(*plan))
-	} else {
-		sim = stateflow.NewSimulation(prog, simCfg)
+		opts = append(opts, stateflow.WithChaos(*plan))
 	}
+	sim := stateflow.NewSimulation(prog, simCfg, opts...)
 	client := sim.Client()
 	admin := client.Admin()
 	if err := spec.Preload(admin); err != nil {

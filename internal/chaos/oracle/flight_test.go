@@ -12,13 +12,13 @@ import (
 // exist: when a sweep fails, the error must carry the cluster's causal
 // timeline, not just the reproducing seed. The failure is induced by
 // re-opening the pre-fix TID-order recovery re-cut (the
-// UncheckedReplayOrder hook) on its regression seed, which the
+// Reinject.ReplayOrder hook) on its regression seed, which the
 // adversarial verdict rejects — and the rejection must arrive with a
 // non-empty flight-recorder dump showing the crashes and reboots that
 // led up to it.
 func TestFlightDumpOnLinFailure(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.UncheckedReplayOrder = true
+	cfg.Reinject.ReplayOrder = true
 	_, err := VerifyAdversarial(workload.DataDep, stateflow.BackendStateFlow, 33, cfg)
 	if err == nil {
 		t.Fatal("pre-fix recovery escaped the checker; the regression seed has gone stale")

@@ -29,6 +29,7 @@ import (
 
 	"statefulentities.dev/stateflow"
 	"statefulentities.dev/stateflow/internal/chaos"
+	sfsys "statefulentities.dev/stateflow/internal/systems/stateflow"
 )
 
 // Op is one client invocation of a workload script.
@@ -160,15 +161,9 @@ type Config struct {
 	// DisablePipelining forces the StateFlow backend's serial epoch
 	// schedule (differential runs compare it against the pipelined one).
 	DisablePipelining bool
-	// UncheckedFallbackDrift disables the coordinator's cross-round
-	// footprint re-validation (a test hook: regression tests re-introduce
-	// the pre-fix hole and assert the adversarial checker catches it).
-	UncheckedFallbackDrift bool
-	// UncheckedReplayOrder disables the coordinator's binding-prefix
-	// recovery replay (a test hook: regression tests re-introduce the
-	// pre-fix TID-order re-cut and assert the adversarial checker catches
-	// the divergence from released responses).
-	UncheckedReplayOrder bool
+	// Reinject re-opens fixed StateFlow bugs: regression tests re-introduce
+	// a pre-fix hole and assert the adversarial checker catches it.
+	Reinject sfsys.Reinject
 	// Shards deploys the StateFlow backend as that many coordinator
 	// groups behind a global sequencer (0 or 1 keeps the classic
 	// single-coordinator topology). Other backends ignore it.

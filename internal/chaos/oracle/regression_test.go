@@ -7,6 +7,7 @@ import (
 	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/chaos/workload"
 	"statefulentities.dev/stateflow/internal/lin"
+	sfsys "statefulentities.dev/stateflow/internal/systems/stateflow"
 )
 
 // checkLegacy runs one adversarial datadep seed with the given pre-fix
@@ -15,8 +16,7 @@ func checkLegacy(t *testing.T, seed int64, disablePipe, legacyReplay, noDriftGua
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.DisablePipelining = disablePipe
-	cfg.UncheckedReplayOrder = legacyReplay
-	cfg.UncheckedFallbackDrift = noDriftGuard
+	cfg.Reinject = sfsys.Reinject{ReplayOrder: legacyReplay, FallbackDrift: noDriftGuard}
 	spec := workload.FromSeed(workload.DataDep, seed)
 	plan := chaos.FromSeed(seed, cfg.Horizon)
 	h, run, err := RunAdversarial(spec, stateflow.BackendStateFlow, seed, &plan, cfg)
@@ -28,7 +28,7 @@ func checkLegacy(t *testing.T, seed int64, disablePipe, legacyReplay, noDriftGua
 }
 
 // TestBindingReplayRegression pins the recovery binding-prefix replay as
-// load-bearing. With the UncheckedReplayOrder hook the coordinator
+// load-bearing. With the Reinject.ReplayOrder hook the coordinator
 // recovers the historical way — released work is re-cut into fresh
 // batches from the source log in TID order — and on this seed the re-cut
 // commits a conflicting pair in a different order than the responses the

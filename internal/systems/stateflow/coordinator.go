@@ -17,27 +17,16 @@
 // behind the next epoch's open window. Config.DisablePipelining restores
 // the serial schedule.
 //
-// Crash safety: the coordinator journals its protocol-critical state to a
-// durable append log (internal/dlog). Released responses are
-// group-committed before they are sent; on the serial path epoch advances
-// are fsynced before any message of the new epoch leaves the node. On the
-// pipelined path the advance record for N+1 is appended when N is
-// promoted and rides N's group-commit fsync instead of forcing its own —
-// merging the two syncs that the serial schedule pays per epoch into one.
-// At most one epoch advance may be volatile at a time (the next one
-// blocks), and a restart compensates for the possibly-torn volatile
-// record by over-bumping the recovered epoch, which keeps the view-change
-// guard sound. After a crash, OnRestart rebuilds exactly the facts the
-// exactly-once contract depends on (epoch high-water mark, delivered
-// responses) and runs the ordinary snapshot-rollback recovery; everything
-// else (seen-set, cursor, pending retries) is reconstructed from the
-// replayable source and the snapshot metadata, which are durable by their
-// own contracts.
+// The exactly-once border — ingress dedup, the durable egress buffer and
+// the write-ahead ordering of both against the epoch records — is the
+// journal (journal.go), a value field of the coordinator; this file drives
+// it in verbs and holds no log position of its own. After a crash,
+// OnRestart restores the journal and runs the ordinary snapshot-rollback
+// recovery.
 package stateflow
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -78,16 +67,6 @@ type txnState struct {
 	// apply is set when the transaction is one shard's slice of a global
 	// batch (req then carries only the apply's id and target).
 	apply *globalApply
-}
-
-// stagedResponse is a response whose delivered-record is appended but
-// whose covering group-commit sync has not completed: it must not be sent
-// (write-ahead: a response a client saw must be recoverable) and is
-// released by the msgLogSynced that confirms durability.
-type stagedResponse struct {
-	lsn     int64
-	replyTo string
-	ent     deliveredEntry
 }
 
 type pendingReq struct {
@@ -237,50 +216,10 @@ type Coordinator struct {
 	// they depend on recoverable together.
 	sealed int64
 
-	// delivered is the egress state: per answered request, the full
-	// response, its release time and source position. It dedupes client
-	// responses across recovery replays (exactly-once output at the system
-	// border) and re-serves the recorded response to a retrying client
-	// whose copy was lost. Durable: rebuilt from the dlog on restart,
-	// compacted into checkpoints, pruned by the retention window.
-	delivered map[string]deliveredEntry
-
-	// dedupFloor records, per request-id source (a sysapi.Builder prefix +
-	// incarnation), the highest sequence number ever pruned from the
-	// dedup maps. Every lower sequence from that source was answered and
-	// retired, so an arrival at or below the floor is a very late
-	// duplicate — absorbed instead of re-executed, closing the
-	// duplicate-after-DedupRetention hole for builder-minted ids. Durable:
-	// carried in the dlog checkpoint that performed the prune.
-	dedupFloor map[string]int64
-
-	// seen dedupes request arrivals by id before they reach the source
-	// log (exactly-once input at the system border: a duplicated client
-	// send — a transport retry, or chaos duplication — must not become a
-	// second transaction). Volatile: rebuilt at recovery from delivered +
-	// snapshot pending positions + the source-log suffix, which together
-	// cover every id still inside the dedup window.
-	seen map[string]bool
-
-	// staged responses awaiting their group-commit sync, FIFO by LSN;
-	// stagedIDs guards against re-staging when a stall-triggered recovery
-	// replays a transaction whose response is already in the pipeline.
-	staged    []stagedResponse
-	stagedIDs map[string]bool
-
-	// Durable-log write ordering. lastLSN is the newest appended record;
-	// durableLSN the newest record a completed (or issued-blocking) sync
-	// covers; epochLSN the LSN of the newest epoch-advance record. The
-	// pipelined epoch advance stays volatile (epochLSN > durableLSN) until
-	// the commit epoch's group-commit sync sweeps it up — and while it is
-	// volatile, the next advance is forced to block, so at most one epoch
-	// record is ever at risk in a crash.
-	lastLSN    int64
-	durableLSN int64
-	epochLSN   int64
-	// walEnc is the scratch buffer every log record is encoded into (the
-	// log copies on append).
-	walEnc interp.Encoder
+	// journal is the exactly-once border: ingress dedup, staged and
+	// delivered responses, and the durable log they and the epoch advances
+	// are written to (journal.go).
+	journal journal
 
 	// progress counts accepted worker messages; the failure detector
 	// compares it against the value captured when a stall check was
@@ -312,6 +251,10 @@ type Coordinator struct {
 	// floor: duplicates so late that their originals were already pruned
 	// from the dedup maps by the retention window.
 	LateDuplicates int
+	// CorruptLogRecords counts durable-log records (or checkpoints) a
+	// reboot could not decode and recovered without — corruption outside
+	// the device's crash contract, never expected to be non-zero.
+	CorruptLogRecords int
 	// Restarts counts coordinator reboots (crash recoveries via the
 	// durable log), a subset of Recoveries. MidPipelineRestarts counts the
 	// reboots that interrupted two in-flight epochs (the commit slot was
@@ -376,13 +319,10 @@ func (c *Coordinator) flight() *obs.FlightRecorder { return c.sys.cfg.Flight }
 
 func newCoordinator(sys *System) *Coordinator {
 	return &Coordinator{
-		sys:        sys,
-		exec:       &epochState{phase: phaseOpen, batch: map[aria.TID]*txnState{}},
-		delivered:  map[string]deliveredEntry{},
-		seen:       map[string]bool{},
-		stagedIDs:  map[string]bool{},
-		dedupFloor: map[string]int64{},
-		snapCuts:   map[int64]time.Duration{},
+		sys:      sys,
+		exec:     &epochState{phase: phaseOpen, batch: map[aria.TID]*txnState{}},
+		journal:  newJournal(sys.coordID, &sys.cfg, sys.Dlog),
+		snapCuts: map[int64]time.Duration{},
 	}
 }
 
@@ -446,22 +386,19 @@ func (c *Coordinator) batchFull(st *epochState) bool {
 	return c.sys.cfg.MaxBatch > 0 && len(st.batch) >= c.sys.cfg.MaxBatch
 }
 
-// admit is the ingress dedup every arrival passes before it is logged —
-// client requests and global applies alike. A request whose response was
-// already released is answered from the durable egress buffer (response
-// replay: the sender is retrying because its copy was lost); a duplicate
-// send of an in-flight request is absorbed, it is already logged.
+// admit passes an arrival — a client request or a global apply — through
+// the journal's ingress dedup and counts what it absorbed. True: the
+// arrival is new; the caller logs it and reports it to the journal.
 func (c *Coordinator) admit(ctx *sim.Context, id, replyTo string) bool {
-	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
-	if ent, ok := c.delivered[id]; ok {
-		if replyTo != "" {
-			c.Replays++
-			ctx.Send(replyTo, sysapi.MsgResponse{Response: ent.resp},
-				c.sys.cfg.Costs.ClientLink.Sample(ctx.Rand()))
-		}
-		return false
+	switch c.journal.admit(ctx, id, replyTo) {
+	case admitNew:
+		return true
+	case admitReplayed:
+		c.Replays++
+	case admitLate:
+		c.LateDuplicates++
 	}
-	return !c.seen[id]
+	return false
 }
 
 // onRequest appends the arrival to the replayable source log, then either
@@ -471,22 +408,11 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 	if !c.admit(ctx, id, m.ReplyTo) {
 		return
 	}
-	if src, seq, ok := sysapi.SplitID(id); ok {
-		if floor, pruned := c.dedupFloor[src]; pruned && seq <= floor {
-			// The source's dedup entries up to this sequence were pruned
-			// by the retention window — the original was answered long
-			// ago and its client stopped retrying, so this copy is a very
-			// late wire duplicate. Absorbing it (no response) is the only
-			// exactly-once option left: the recorded response is gone.
-			c.LateDuplicates++
-			return
-		}
-	}
 	_, pos, err := c.sys.RequestLog.Produce(sourceTopic, id, m)
 	if err != nil {
 		return
 	}
-	c.seen[id] = true
+	c.journal.logged(id)
 	if st := c.exec; !c.recovering && !c.fenced && c.fencePending == 0 &&
 		st != nil && st.phase == phaseOpen && !c.batchFull(st) {
 		c.consumed++
@@ -945,7 +871,7 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 		}
 	}
 	if len(st.fbRounds) > 0 {
-		c.groupCommit(ctx)
+		c.journal.sync(ctx)
 		c.startFallbackRound(ctx, st)
 		return
 	}
@@ -1014,7 +940,7 @@ func (c *Coordinator) decideFallbackRound(ctx *sim.Context, st *epochState) {
 // commit ahead of it, breaking the invariant that conflicting
 // transactions commit in source order. That invariant is what lets any
 // schedule that re-derives commit order from the source log — the
-// historical TID-order recovery re-cut (see Config.UncheckedReplayOrder)
+// historical TID-order recovery re-cut (see Reinject.ReplayOrder)
 // and the fallback-disabled differential — reproduce exactly the
 // responses this schedule released; silently giving it up is the bug
 // (the binding-prefix replay shields clients from the recovery half, but
@@ -1026,7 +952,7 @@ func (c *Coordinator) decideFallbackRound(ctx *sim.Context, st *epochState) {
 func (c *Coordinator) demoteDriftedMembers(st *epochState) {
 	votes := st.fbVotes
 	st.fbVotes = nil
-	if c.sys.cfg.UncheckedFallbackDrift {
+	if c.sys.cfg.Reinject.FallbackDrift {
 		return // test hook: reproduce the pre-fix behavior
 	}
 	observed := map[aria.TID]*aria.RWSet{}
@@ -1153,7 +1079,7 @@ func (c *Coordinator) finishFallbackRound(ctx *sim.Context, st *epochState) {
 		c.spillFallback(ctx, st)
 	}
 	if len(st.fbRounds) > 0 {
-		c.groupCommit(ctx)
+		c.journal.sync(ctx)
 		c.startFallbackRound(ctx, st)
 		return
 	}
@@ -1214,7 +1140,7 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 		if st.binding && len(c.replaying) == 0 && (c.exec == nil || !c.exec.binding) {
 			c.replayDrained(ctx, st)
 		}
-		c.groupCommit(ctx)
+		c.journal.sync(ctx)
 		c.releaseCommit(ctx)
 		return
 	}
@@ -1226,7 +1152,7 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 		c.startSnapshot(ctx, st)
 		return
 	}
-	c.groupCommit(ctx)
+	c.journal.sync(ctx)
 	c.releaseCommit(ctx)
 }
 
@@ -1258,11 +1184,9 @@ func (c *Coordinator) releaseCommit(ctx *sim.Context) {
 	c.maybePrepare(ctx, c.exec)
 }
 
-// respond releases one request's terminal response. Without a durable log
-// it is sent immediately (legacy in-memory mode); with one, the response
-// is staged: its delivered-record is appended and the send waits for the
-// group-commit sync, so a response a client could have seen is always in
-// the recoverable prefix.
+// respond releases one request's terminal response: it is staged in the
+// journal and sent once the group-commit sync covering it completes, so a
+// response a client could have seen is always in the recoverable prefix.
 func (c *Coordinator) respond(ctx *sim.Context, t *txnState, resp sysapi.Response) {
 	if t.apply != nil {
 		// A global batch's apply: before the apply's own ack, stage the
@@ -1275,36 +1199,7 @@ func (c *Coordinator) respond(ctx *sim.Context, t *txnState, resp sysapi.Respons
 	if t.replyTo == "" {
 		return
 	}
-	c.stage(ctx, t.replyTo, deliveredEntry{resp: resp, at: ctx.Now(), pos: t.pos})
-}
-
-// stage appends one response's delivered-record and queues its release
-// on the next group-commit sync. replyTo may be empty: the record is
-// then a pure dedup/re-serve entry (an embedded global-batch response
-// whose client talks to the sequencer) and no send happens at sync time.
-func (c *Coordinator) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
-	id := ent.resp.Req
-	if _, done := c.delivered[id]; done {
-		return
-	}
-	if c.sys.Dlog == nil {
-		c.delivered[id] = ent
-		if replyTo != "" {
-			ctx.Send(replyTo, sysapi.MsgResponse{Response: ent.resp},
-				c.sys.cfg.Costs.ClientLink.Sample(ctx.Rand()))
-		}
-		return
-	}
-	if c.stagedIDs[id] {
-		return // already in the pipeline (a stall recovery replayed its txn)
-	}
-	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-	rec := encodeDeliveredRecord(&c.walEnc, id, ent)
-	rec.At = int64(ent.at)
-	lsn := c.sys.Dlog.Append(rec)
-	c.lastLSN = lsn
-	c.staged = append(c.staged, stagedResponse{lsn: lsn, replyTo: replyTo, ent: ent})
-	c.stagedIDs[id] = true
+	c.journal.stage(ctx, t.replyTo, deliveredEntry{resp: resp, at: ctx.Now(), pos: t.pos})
 }
 
 // stageEmbeddedResponses durably records the responses of the global
@@ -1319,92 +1214,19 @@ func (c *Coordinator) stageEmbeddedResponses(ctx *sim.Context, man *batchManifes
 		if mt.home != c.sys.shardIndex {
 			continue
 		}
-		c.stage(ctx, "", deliveredEntry{resp: mt.res, at: ctx.Now(), pos: pos})
+		c.journal.stage(ctx, "", deliveredEntry{resp: mt.res, at: ctx.Now(), pos: pos})
 	}
 }
 
-// groupCommit issues one batched sync covering every record appended so
-// far — staged delivered-records and, pipelined, the successor epoch's
-// volatile advance record — and schedules the release at its completion:
-// one fsync per batch, shared across the two adjacent epochs, instead of
-// one per response plus one per epoch advance.
-func (c *Coordinator) groupCommit(ctx *sim.Context) {
-	if c.sys.Dlog == nil || len(c.staged) == 0 {
-		return
-	}
-	delay := c.sys.cfg.Costs.LogGroupDelay
-	upTo := c.sys.Dlog.SyncAt(ctx.Now() + delay)
-	if tr := c.tracer(); tr.Enabled() {
-		tr.Span(c.sys.coordID, "dlog", "commit.fsync", ctx.Now(), ctx.Now()+delay,
-			"upto", strconv.FormatInt(upTo, 10),
-			"staged", strconv.Itoa(len(c.staged)))
-	}
-	ctx.After(delay, msgLogSynced{UpTo: upTo})
-}
-
-// onLogSynced releases every staged response the completed sync covers:
-// the delivered-records are durable, so the responses may now be seen by
-// clients. Deliberately not epoch- or phase-guarded — released state is
-// from durably committed batches, valid across concurrent recoveries.
+// onLogSynced releases the responses a completed group-commit sync covers.
+// Deliberately not epoch- or phase-guarded — released state is from
+// durably committed batches, valid across concurrent recoveries.
 func (c *Coordinator) onLogSynced(ctx *sim.Context, m msgLogSynced) {
-	c.markDurable(m.UpTo)
-	n := 0
-	for n < len(c.staged) && c.staged[n].lsn <= m.UpTo {
-		s := c.staged[n]
-		id := s.ent.resp.Req
-		c.delivered[id] = s.ent
-		delete(c.stagedIDs, id)
-		if s.replyTo != "" {
-			ctx.Send(s.replyTo, sysapi.MsgResponse{Response: s.ent.resp},
-				c.sys.cfg.Costs.ClientLink.Sample(ctx.Rand()))
-		}
-		n++
-	}
-	// Slide the remainder down instead of re-slicing forward, so the queue
-	// keeps its capacity; the vacated tail must not pin released responses.
-	rest := copy(c.staged, c.staged[n:])
-	clear(c.staged[rest:])
-	c.staged = c.staged[:rest]
+	c.journal.synced(ctx, m)
 	if c.fencePending != 0 {
 		// Draining the staged queue may have been the last quiesce
 		// condition a pending fence was waiting on.
 		c.maybeFence(ctx)
-	}
-}
-
-func (c *Coordinator) markDurable(lsn int64) {
-	if lsn > c.durableLSN {
-		c.durableLSN = lsn
-	}
-}
-
-// logEpochAdvance durably records an epoch advance. Blocking (the serial
-// schedule, recovery view changes, and any advance while the previous one
-// is still volatile): the record is fsynced before any message of the new
-// epoch leaves the coordinator — the view-change guard is only sound if a
-// restart recovers an epoch >= every epoch ever spoken, minus the single
-// volatile advance the restart path compensates for. Non-blocking (the
-// pipelined steady state): the record is appended volatile and rides the
-// commit epoch's group-commit sync, merging the per-epoch fsync into the
-// per-batch one.
-func (c *Coordinator) logEpochAdvance(ctx *sim.Context, blocking bool) {
-	if c.sys.Dlog == nil {
-		return
-	}
-	if c.epochLSN > c.durableLSN {
-		// The previous advance is still volatile: never let two epoch
-		// records be at risk at once (the restart path compensates for
-		// exactly one).
-		blocking = true
-	}
-	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-	rec := encodeEpochRecord(&c.walEnc, c.epoch)
-	rec.At = int64(ctx.Now())
-	lsn := c.sys.Dlog.Append(rec)
-	c.lastLSN, c.epochLSN = lsn, lsn
-	if blocking {
-		ctx.Work(c.sys.cfg.Costs.LogSyncCPU)
-		c.markDurable(c.sys.Dlog.SyncAt(ctx.Now()))
 	}
 }
 
@@ -1473,70 +1295,18 @@ func (c *Coordinator) onSnapshotDone(ctx *sim.Context, from string, m msgSnapsho
 	c.releaseCommit(ctx)
 }
 
-// writeCheckpoint folds the coordinator's durable state into a dlog
-// checkpoint, compacting the log, pruning the dedup maps, and retiring
-// old snapshots. Runs when an aligned snapshot completes, so the
-// checkpoint's prune bound (the snapshot's source offset) is fresh.
+// writeCheckpoint seals the just-completed snapshot: the journal folds
+// itself and the coordinator's marks into a log checkpoint (pruning dedup
+// state below the snapshot's source offset and releasing the snapshot
+// epoch's staged responses), then old snapshots retire.
 func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
-	if c.sys.Dlog == nil {
-		return
+	offset := int64(0)
+	if meta, ok := c.sys.Snapshots.Get(c.snapshotID); ok {
+		offset = meta.SourceOffsets[sourceTopic][0]
 	}
-	// Prune settled dedup state: an entry may leave the maps once (a) its
-	// release is older than the retention window, so no client retry or
-	// delayed wire duplicate can still name it, and (b) its source
-	// position precedes the just-completed snapshot's offset, so no
-	// recovery replay can re-execute it (a replayed transaction without
-	// its delivered-entry would re-send its response).
-	if retention := c.sys.cfg.DedupRetention; retention > 0 {
-		offset := int64(0)
-		if meta, ok := c.sys.Snapshots.Get(c.snapshotID); ok {
-			offset = meta.SourceOffsets[sourceTopic][0]
-		}
-		for id, ent := range c.delivered {
-			if ent.at+retention <= ctx.Now() && ent.pos < offset {
-				// Pruning forfeits the recorded response, so raise the
-				// source's dedup floor: any later arrival of this id (or
-				// a lower sequence) is a very late duplicate that must be
-				// absorbed, not re-executed. The floor rides this same
-				// checkpoint, so it is durable exactly when the prune is.
-				if src, seq, ok := sysapi.SplitID(id); ok {
-					if cur, has := c.dedupFloor[src]; !has || seq > cur {
-						c.dedupFloor[src] = seq
-					}
-				}
-				delete(c.delivered, id)
-				delete(c.seen, id)
-			}
-		}
-	}
-	// Staged-but-unreleased responses are durable facts too (their records
-	// are about to be compacted away): bake them into the checkpoint so a
-	// later crash still suppresses their replays — the un-sent responses
-	// are then served via retry replay.
 	c.sealed = c.snapshotID
-	ck := walCheckpoint{epoch: c.epoch, nextTID: c.nextTID, sealed: c.sealed,
-		sealedCut: c.snapCuts[c.sealed], delivered: c.delivered, floors: c.dedupFloor}
-	if len(c.staged) > 0 {
-		merged := make(map[string]deliveredEntry, len(c.delivered)+len(c.staged))
-		for id, ent := range c.delivered {
-			merged[id] = ent
-		}
-		for _, s := range c.staged {
-			merged[s.ent.resp.Req] = s.ent
-		}
-		ck.delivered = merged
-	}
-	payload := encodeCheckpoint(ck)
-	ctx.Work(c.sys.cfg.Costs.StateCPU(len(payload)) + c.sys.cfg.Costs.LogSyncCPU)
-	c.sys.Dlog.Checkpoint(ctx.Now(), payload)
-	// The checkpoint write is itself durable and subsumes every record
-	// appended so far — including a volatile pipelined epoch advance
-	// (ck.epoch is the latest opened epoch) and the staged responses of
-	// the snapshot epoch, which release now: one checkpoint fsync stands
-	// in for the batch's group commit, the snapshot seal and the epoch
-	// record at once.
-	c.markDurable(c.lastLSN)
-	c.onLogSynced(ctx, msgLogSynced{UpTo: c.durableLSN})
+	c.journal.checkpoint(ctx, marks{epoch: c.epoch, nextTID: c.nextTID,
+		sealed: c.sealed, sealedCut: c.snapCuts[c.sealed]}, offset)
 	if retain := c.sys.cfg.SnapshotRetain; retain > 0 {
 		c.sys.Snapshots.Compact(retain)
 	}
@@ -1548,7 +1318,7 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 // the batch cap, and arms the epoch timer.
 func (c *Coordinator) openEpoch(ctx *sim.Context) {
 	c.epoch++
-	c.logEpochAdvance(ctx, c.sys.cfg.DisablePipelining)
+	c.journal.advance(ctx, c.epoch, c.sys.cfg.DisablePipelining)
 	c.flight().Recordf(ctx.Now(), c.sys.coordID, "epoch.advance",
 		"epoch %d (%d binding queued)", c.epoch, len(c.replaying))
 	if tr := c.tracer(); tr.Enabled() {
@@ -1631,12 +1401,12 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 				// (or replayed as binding).
 				continue
 			}
-			if !c.sys.cfg.UncheckedReplayOrder && c.answered(rec.txn.req.Req) {
+			if !c.sys.cfg.Reinject.ReplayOrder && c.journal.answered(rec.txn.req.Req) {
 				// A recovery rewound the cursor over this record, but its
 				// response is already delivered (or staged): its effects are
 				// either in the restored images or rebuilt by the binding
 				// replay, and re-assigning it would double-execute. (The
-				// UncheckedReplayOrder hook restores the historical re-cut:
+				// Reinject.ReplayOrder hook restores the historical re-cut:
 				// answered requests re-execute and only their duplicate
 				// response is suppressed.)
 				continue
@@ -1645,17 +1415,6 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 		}
 	}
 	ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{Epoch: st.epoch})
-}
-
-// answered reports whether a request's response is already part of the
-// egress state — released (delivered) or staged awaiting its sync. Either
-// way the request must not execute again through the normal intake paths:
-// its effects are the binding replay's business, not the batch machinery's.
-func (c *Coordinator) answered(id string) bool {
-	if _, ok := c.delivered[id]; ok {
-		return true
-	}
-	return c.stagedIDs[id]
 }
 
 // drainPending assigns buffered retries into the slot's batch up to the
@@ -1697,30 +1456,14 @@ func (c *Coordinator) onStallCheck(ctx *sim.Context, m msgStallCheck) {
 }
 
 // restorePoint returns the snapshot recovery (and snapshot-consistency
-// queries) may use. With a durable log that is exactly the latest sealed
-// snapshot — never a merely image-complete one, whose effects may depend
-// on delivered-records a crash could still tear. Without a log (legacy
-// in-memory mode, where responses are never staged) image completeness is
-// the only durability there is, so the latest complete snapshot stands.
+// queries) may use: exactly the latest sealed snapshot — never a merely
+// image-complete one, whose effects may depend on delivered-records a
+// crash could still tear.
 func (c *Coordinator) restorePoint() (snapshot.Meta, bool) {
-	if c.sys.Dlog == nil {
-		return c.sys.Snapshots.Latest()
-	}
 	if c.sealed == 0 {
 		return snapshot.Meta{}, false
 	}
 	return c.sys.Snapshots.Get(c.sealed)
-}
-
-// snapCut returns a snapshot's aligned-cut virtual time. Unknown (only
-// possible in the legacy in-memory mode, where nothing about a snapshot
-// is durable against the harness): treat every release as predating the
-// cut, i.e. replay nothing — the legacy mode's original, weaker contract.
-func (c *Coordinator) snapCut(id int64) time.Duration {
-	if cut, ok := c.snapCuts[id]; ok {
-		return cut
-	}
-	return time.Duration(math.MaxInt64)
 }
 
 // buildReplaying computes the binding prefix of a recovery: every
@@ -1733,7 +1476,7 @@ func (c *Coordinator) snapCut(id int64) time.Duration {
 //
 // Release order is reconstructed as (release time, source position):
 // response staging advances virtual time per append, so release time is
-// the group-commit LSN order itself — the original effective serial order
+// the journal's append order itself — the original effective serial order
 // — and position only breaks ties. Re-executing that sequence against the
 // restored images reproduces each member's original observations: binding
 // epochs run it in batches, and a member that conflicts with an earlier
@@ -1758,12 +1501,7 @@ func (c *Coordinator) buildReplaying(cut time.Duration) {
 			released[ent.pos] = ent.at
 		}
 	}
-	for _, ent := range c.delivered {
-		add(ent)
-	}
-	for _, s := range c.staged {
-		add(s.ent)
-	}
+	c.journal.released(add)
 	order := make([]int64, 0, len(released))
 	for pos := range released {
 		order = append(order, pos)
@@ -1793,7 +1531,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	// epoch high-water mark). The bump is fsynced before the recover
 	// messages leave, so even a crash right here cannot fork the view.
 	c.epoch++
-	c.logEpochAdvance(ctx, true)
+	c.journal.advance(ctx, c.epoch, true)
 	// The recovery phase is itself failure-guarded: if a recover message
 	// is lost (or a worker dies again mid-restore), the stall check fires
 	// and recovery restarts from the same snapshot — Recover is
@@ -1810,7 +1548,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	cut := time.Duration(-1) // no snapshot: every release postdates the empty state
 	if meta, ok := c.restorePoint(); ok {
 		snapID = meta.ID
-		cut = c.snapCut(snapID)
+		cut = c.snapCuts[snapID]
 		c.consumed = meta.SourceOffsets[sourceTopic][0]
 		// Re-queue the consumed-but-pending requests the snapshot
 		// recorded: their positions predate the offset, so the suffix
@@ -1822,7 +1560,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 			if !ok {
 				continue
 			}
-			if !c.sys.cfg.UncheckedReplayOrder && c.answered(rec.txn.req.Req) {
+			if !c.sys.cfg.Reinject.ReplayOrder && c.journal.answered(rec.txn.req.Req) {
 				continue
 			}
 			c.pending = append(c.pending, rec.txn)
@@ -1830,7 +1568,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	} else {
 		c.consumed = 0
 	}
-	if !c.sys.cfg.UncheckedReplayOrder {
+	if !c.sys.cfg.Reinject.ReplayOrder {
 		c.buildReplaying(cut)
 	}
 	c.rebuildSeen()
@@ -1865,20 +1603,13 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 }
 
 // rebuildSeen reconstructs the arrival-dedup set from durable ground
-// truth: every delivered (or staged) response, every pending retry the
-// snapshot recorded, and every id in the source-log suffix the replay
-// will re-consume. Ids pruned by the retention window stay pruned —
-// that IS the dedup window contract.
+// truth: every answered response (the journal's own), every pending retry
+// the snapshot recorded, and every id in the source-log suffix the replay
+// will re-consume.
 func (c *Coordinator) rebuildSeen() {
-	seen := make(map[string]bool, len(c.delivered)+len(c.pending))
-	for id := range c.delivered {
-		seen[id] = true
-	}
-	for id := range c.stagedIDs {
-		seen[id] = true
-	}
+	c.journal.resetSeen(len(c.pending))
 	for _, p := range c.pending {
-		seen[p.req.Req] = true
+		c.journal.logged(p.req.Req)
 	}
 	if end, err := c.sys.RequestLog.End(sourceTopic, 0); err == nil {
 		for pos := c.consumed; pos < end; pos++ {
@@ -1887,29 +1618,17 @@ func (c *Coordinator) rebuildSeen() {
 				break
 			}
 			if rec.marker == nil {
-				seen[rec.txn.req.Req] = true
+				c.journal.logged(rec.txn.req.Req)
 			}
 		}
 	}
-	c.seen = seen
 }
 
 // OnRestart implements sim.RestartHandler: the coordinator machine came
-// back from a crash with its memory gone. Rebuild the durable facts from
-// the dlog (epoch high-water mark, delivered responses — exactly what
-// exactly-once needs), then run the ordinary rollback recovery for
-// everything else. Torn log tails were already discarded by the device's
-// crash contract; write-ahead ordering guarantees nothing torn was ever
-// externalized.
+// back from a crash with its memory gone. Restore the journal — the epoch
+// high-water mark and the delivered responses, exactly what exactly-once
+// needs — then run the ordinary rollback recovery for everything else.
 func (c *Coordinator) OnRestart(ctx *sim.Context) {
-	if c.sys.Dlog == nil {
-		// No durable log, no crash contract: the chaos topology clamps
-		// coordinator crash windows in this mode. A forced restart
-		// recovers with whatever in-memory state happens to survive the
-		// test harness (the Go object), purely best-effort.
-		c.Recover(ctx)
-		return
-	}
 	c.Restarts++
 	if c.exec != nil && c.commit != nil {
 		// Pre-crash in-memory state is observable to the test harness even
@@ -1917,51 +1636,25 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 		// inside the two-epochs-in-flight window.
 		c.MidPipelineRestarts++
 	}
-	img := c.sys.Dlog.Recover(ctx.Now())
-	ck, err := decodeCheckpoint(img.Checkpoint)
-	if err != nil {
-		// A durable checkpoint is written atomically; a decode failure
-		// means corruption outside the crash contract. Start from zero —
-		// the replayable source and snapshots still bound the damage.
-		ck = walCheckpoint{delivered: map[string]deliveredEntry{}, floors: map[string]int64{}}
-	}
 	c.exec, c.commit = nil, nil
 	c.recovering = false
 	c.pending, c.replaying = nil, nil
 	c.snapDone, c.recovered = nil, nil
-	c.staged = nil
-	c.stagedIDs = map[string]bool{}
-	c.seen = map[string]bool{}
 	c.progress = 0
-	c.lastLSN, c.durableLSN, c.epochLSN = 0, 0, 0
 	// Fence state is volatile here; Recover's marker scan rebuilds it
 	// (fenceFrom need not survive — re-sent fence messages carry the
 	// sender, and the re-ack path answers them).
 	c.fencePending, c.fenceSeq, c.fenceDone = 0, 0, 0
 	c.fenced, c.fenceApply, c.fenceFrom = false, nil, ""
 	c.parkWatch = 0
-	c.epoch = ck.epoch
-	c.nextTID = ck.nextTID
-	c.sealed = ck.sealed
-	c.delivered = ck.delivered
-	c.dedupFloor = ck.floors
+	img := c.journal.restore(ctx)
+	c.CorruptLogRecords += img.corrupt
+	c.epoch = img.epoch
+	c.nextTID = img.nextTID
+	c.sealed = img.sealed
 	// The sealed snapshot's cut is the only one a restart can restore to,
 	// so it is the only one the checkpoint needs to carry.
-	c.snapCuts = map[int64]time.Duration{ck.sealed: ck.sealedCut}
-	ctx.Work(c.sys.cfg.Costs.LogSyncCPU)
-	for _, r := range img.Records {
-		ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-		switch r.Kind {
-		case recKindEpoch:
-			if e, err := decodeEpochRecord(r.Data); err == nil && e > c.epoch {
-				c.epoch = e
-			}
-		case recKindDelivered:
-			if id, ent, err := decodeDeliveredRecord(r.Data); err == nil {
-				c.delivered[id] = ent
-			}
-		}
-	}
+	c.snapCuts = map[int64]time.Duration{img.sealed: img.sealedCut}
 	if !c.sys.cfg.DisablePipelining {
 		// Compensate for the single epoch-advance record the pipelined
 		// schedule allows to be volatile: it may have been torn by the
@@ -1972,7 +1665,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	}
 	c.flight().Recordf(ctx.Now(), c.sys.coordID, "restore",
 		"rebooted from dlog: epoch %d, %d delivered, %d log records",
-		c.epoch, len(c.delivered), len(img.Records))
+		c.epoch, c.journal.size(), img.records)
 	c.Recover(ctx)
 }
 

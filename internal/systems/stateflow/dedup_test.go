@@ -85,14 +85,14 @@ func TestLateDuplicateAbsorbedAfterPruning(t *testing.T) {
 		t.Fatalf("settled %d/%d requests before the duplicate", client.inner.Done, total)
 	}
 	dupID := firstWave[0].Req
-	if _, held := coord.delivered[dupID]; held {
+	if _, held := coord.journal.delivered[dupID]; held {
 		t.Fatalf("%s still in the delivered buffer; retention never pruned it, the test exercises nothing", dupID)
 	}
 	src, seq, ok := sysapi.SplitID(dupID)
 	if !ok {
 		t.Fatalf("%s did not split as a builder id", dupID)
 	}
-	if floor := coord.dedupFloor[src]; floor < seq {
+	if floor := coord.journal.dedupFloor[src]; floor < seq {
 		t.Fatalf("dedup floor for %s is %d, want >= %d after the prune", src, floor, seq)
 	}
 
@@ -102,7 +102,7 @@ func TestLateDuplicateAbsorbedAfterPruning(t *testing.T) {
 	cluster.Restart("sf-coord")
 	cluster.RunUntil(cluster.Now() + 60*time.Millisecond)
 	coord = sys.Coordinator()
-	if floor := coord.dedupFloor[src]; floor < seq {
+	if floor := coord.journal.dedupFloor[src]; floor < seq {
 		t.Fatalf("dedup floor for %s is %d after reboot, want >= %d (floors not durable)", src, floor, seq)
 	}
 

@@ -7,7 +7,9 @@ import (
 
 	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/compiler"
+	"statefulentities.dev/stateflow/internal/dlog"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
@@ -135,7 +137,7 @@ func TestCoordinatorCrashMidGroupCommit(t *testing.T) {
 	// Step finely until responses are staged awaiting their sync, then
 	// kill the coordinator at that exact instant.
 	for i := 0; ; i++ {
-		if len(f.sys.coord.staged) > 0 {
+		if len(f.sys.coord.journal.staged) > 0 {
 			break
 		}
 		if i > 200_000 {
@@ -143,7 +145,7 @@ func TestCoordinatorCrashMidGroupCommit(t *testing.T) {
 		}
 		f.cluster.RunUntil(f.cluster.Now() + 20*time.Microsecond)
 	}
-	staged := len(f.sys.coord.staged)
+	staged := len(f.sys.coord.journal.staged)
 	f.cluster.Crash("sf-coord")
 	f.cluster.RunUntil(f.cluster.Now() + 30*time.Millisecond)
 	f.cluster.Restart("sf-coord")
@@ -154,6 +156,57 @@ func TestCoordinatorCrashMidGroupCommit(t *testing.T) {
 	}
 	if got := f.sys.Dlog.Stats().TornTails; got == 0 {
 		t.Fatalf("crash over %d staged responses tore no log tail", staged)
+	}
+	f.assertExactlyOnceEffective(t, n)
+}
+
+// TestCorruptLogRecordIsCountedNotSwallowed pins that a reboot never drops
+// a durable record silently. One undecodable delivered-record (corruption
+// outside the device's crash contract) is made durable, and the
+// coordinator is crashed at that protocol state: recovery carries on
+// without the record, but CorruptLogRecords and the flight recorder say
+// so — and with nothing real lost, the run is otherwise exact.
+func TestCorruptLogRecordIsCountedNotSwallowed(t *testing.T) {
+	const n = 24
+	cfg := DefaultConfig()
+	cfg.SnapshotEvery = 2
+	cfg.EpochInterval = 10 * time.Millisecond
+	cfg.Flight = obs.NewFlightRecorder(0)
+	f := newDurableFixture(t, 42, cfg, n, 4)
+	reg := obs.NewRegistry()
+	f.sys.RegisterMetrics(reg)
+	f.cluster.Start()
+
+	// Step until the journal holds released responses and nothing staged,
+	// so the garbage record is the only thing the crash could lose.
+	j := &f.sys.coord.journal
+	for i := 0; j.size() < n/4 || !j.quiet(); i++ {
+		if i > 200_000 {
+			t.Fatal("never caught the journal quiet with released responses")
+		}
+		f.cluster.RunUntil(f.cluster.Now() + 20*time.Microsecond)
+	}
+	now := f.cluster.Now()
+	f.sys.Dlog.Append(dlog.Record{Kind: recKindDelivered, Data: []byte{0xff}})
+	f.sys.Dlog.SyncNow(now)
+	f.cluster.ScheduleCrash("sf-coord", now, now+15*time.Millisecond)
+	f.cluster.RunUntil(20 * time.Second)
+
+	coord := f.sys.Coordinator()
+	if coord.Restarts != 1 || coord.CorruptLogRecords != 1 {
+		t.Fatalf("restarts=%d corrupt=%d, want 1 and 1", coord.Restarts, coord.CorruptLogRecords)
+	}
+	if got := reg.Snapshot()["stateflow.coordinator.corrupt_log_records"]; got != 1 {
+		t.Fatalf("stateflow.coordinator.corrupt_log_records = %d, want 1", got)
+	}
+	lines := 0
+	for _, ev := range cfg.Flight.Events() {
+		if ev.Kind == "corrupt" {
+			lines++
+		}
+	}
+	if lines != 1 {
+		t.Fatalf("%d flight-recorder lines for the skipped record, want 1:\n%s", lines, cfg.Flight.Dump())
 	}
 	f.assertExactlyOnceEffective(t, n)
 }
@@ -261,9 +314,9 @@ func TestDedupMapsPrunedAtCheckpoint(t *testing.T) {
 		}
 	}
 	coord := sys.Coordinator()
-	if len(coord.delivered) >= n/2 || len(coord.seen) >= n/2 {
+	if len(coord.journal.delivered) >= n/2 || len(coord.journal.seen) >= n/2 {
 		t.Fatalf("dedup maps not pruned: %d delivered, %d seen after %d requests",
-			len(coord.delivered), len(coord.seen), n)
+			len(coord.journal.delivered), len(coord.journal.seen), n)
 	}
 	if st := sys.Dlog.Stats(); st.Checkpoints == 0 || st.Compacted == 0 {
 		t.Fatalf("no checkpoint compaction happened: %+v", st)

@@ -88,7 +88,7 @@ func (fx *failoverFixture) settle() { fx.cluster.RunUntil(fx.cluster.Now() + 2*t
 // applyDurable reports whether a shard released the ack of batch 1's apply,
 // which it does only once the apply's commit is fsynced.
 func (fx *failoverFixture) applyDurable(shard int) bool {
-	_, ok := fx.sys.Shards()[shard].Coordinator().delivered[applyID(1, shard)]
+	_, ok := fx.sys.Shards()[shard].Coordinator().journal.delivered[applyID(1, shard)]
 	return ok
 }
 

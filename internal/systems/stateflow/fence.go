@@ -66,7 +66,7 @@ func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
 	if c.fencePending == 0 || c.fenced || c.recovering {
 		return false
 	}
-	if c.commit != nil || len(c.replaying) > 0 || len(c.pending) > 0 || len(c.staged) > 0 {
+	if c.commit != nil || len(c.replaying) > 0 || len(c.pending) > 0 || !c.journal.quiet() {
 		return false
 	}
 	st := c.exec
@@ -169,9 +169,7 @@ func (c *Coordinator) findApply(seq int64) *globalApply {
 func (c *Coordinator) onSeqProbe(ctx *sim.Context, m msgSeqProbe) {
 	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
 	ack := msgSeqProbeAck{Req: m.Req}
-	if ent, ok := c.delivered[m.Req]; ok {
-		ack.Known, ack.Res = true, ent.resp
-	}
+	ack.Res, ack.Known = c.journal.lookup(m.Req)
 	ctx.Send(m.From, ack, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -266,7 +264,7 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 	if err != nil {
 		return
 	}
-	c.seen[a.id] = true
+	c.journal.logged(a.id)
 	p := a.pending(pos)
 	p.arrivedAt = ctx.Now()
 	c.startApply(ctx, p)
@@ -348,7 +346,7 @@ func (c *Coordinator) scanFenceState() {
 	}
 	if c.fenced {
 		c.fencePending = 0
-		if apply != nil && !c.answered(apply.req.Req) {
+		if apply != nil && !c.journal.answered(apply.req.Req) {
 			c.fenceApply = apply
 		}
 	}

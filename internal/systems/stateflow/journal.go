@@ -1,0 +1,625 @@
+// The coordinator's exactly-once border, as one type.
+//
+// Everything that enters or leaves a coordinator group crosses the
+// journal: an arrival is deduplicated against it before it is logged
+// (exactly-once input), and a response is appended to it, made durable by
+// a group-commit sync, and only then sent (exactly-once output). The epoch,
+// fallback, recovery and fence code speak to it in verbs — admit, logged,
+// answered, lookup, quiet, stage, sync, synced, advance, checkpoint,
+// restore — and never see a log sequence number.
+//
+// Crash safety: the journal writes to a durable append log
+// (internal/dlog). Released responses are group-committed before they are
+// sent; on the serial schedule epoch advances are fsynced before any
+// message of the new epoch leaves the node. On the pipelined schedule the
+// advance record for N+1 is appended when N is promoted and rides N's
+// group-commit fsync instead of forcing its own — merging the two syncs
+// the serial schedule pays per epoch into one. At most one epoch advance
+// may be volatile at a time (the next one blocks), and a restart
+// compensates for the possibly-torn volatile record by over-bumping the
+// recovered epoch, which keeps the view-change guard sound. After a crash,
+// restore rebuilds exactly the facts the exactly-once contract depends on
+// (epoch high-water mark, delivered responses, dedup floors); everything
+// else (seen-set, cursor, pending retries) is reconstructed by the
+// coordinator from the replayable source and the snapshot metadata, which
+// are durable by their own contracts.
+//
+// The record and checkpoint encodings below are the journal's private
+// format.
+package stateflow
+
+import (
+	"fmt"
+	"sort"
+	"strconv"
+	"time"
+
+	"statefulentities.dev/stateflow/internal/dlog"
+	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/sim"
+	"statefulentities.dev/stateflow/internal/systems/sysapi"
+	"statefulentities.dev/stateflow/internal/txn/aria"
+)
+
+// Record kinds of the journal's log (dlog reserves kind 0).
+const (
+	// recKindEpoch logs an epoch advance (see advance).
+	recKindEpoch dlog.Kind = 1
+	// recKindDelivered logs one released response (request id, source-log
+	// position, release time, full response). Group-committed: the response
+	// is sent only after the covering sync completes, so a response a
+	// client saw is always recoverable — and replayable.
+	recKindDelivered dlog.Kind = 2
+)
+
+// msgLogSynced is the journal's group-commit completion timer, delivered
+// to the component that owns it: the batched fsync covering every record
+// up to UpTo has finished, so the staged responses it covers may now be
+// released to clients (write-ahead: send only what is recoverable).
+// Deliberately carries no epoch — released responses belong to durably
+// committed batches and stay valid across recoveries.
+type msgLogSynced struct{ UpTo int64 }
+
+// deliveredEntry is the durable egress state for one answered request:
+// enough to suppress the recovery replay's duplicate and to re-serve the
+// response to a retrying client whose copy was lost.
+type deliveredEntry struct {
+	resp sysapi.Response
+	// at is the virtual release time (drives retention pruning, and orders
+	// the binding replay).
+	at time.Duration
+	// pos is the request's source-log position: entries at or above the
+	// latest snapshot's offset are never pruned, because a recovery replay
+	// can still re-execute them.
+	pos int64
+}
+
+// stagedResponse is a response whose delivered-record is appended but
+// whose covering group-commit sync has not completed: it must not be sent
+// (write-ahead: a response a client saw must be recoverable) and is
+// released by the msgLogSynced that confirms durability.
+type stagedResponse struct {
+	lsn     int64
+	replyTo string
+	ent     deliveredEntry
+}
+
+// marks are the coordinator facts the journal keeps durable on its
+// owner's behalf: they ride every checkpoint and come back from restore.
+type marks struct {
+	// epoch is the high-water mark of epochs ever opened; restore raises it
+	// over every epoch record in the log suffix.
+	epoch   int64
+	nextTID aria.TID
+	// sealed is the id of the newest snapshot the checkpoint vouches for:
+	// its images are complete AND every delivered-record its state depends
+	// on is inside the checkpoint. Recovery restores only sealed snapshots
+	// — a snapshot whose images finished but whose seal never became
+	// durable is treated as if it were never taken, which is what lets the
+	// snapshot path skip the pre-image log force and ride the checkpoint's
+	// own sync instead.
+	sealed int64
+	// sealedCut is the virtual time of the sealed snapshot's aligned cut
+	// (when its epoch staged its last response). Recovery compares each
+	// delivered entry's release time against it to decide whether the
+	// entry's effects are inside the restored images or must be rebuilt by
+	// the binding replay, so it must survive a reboot alongside sealed.
+	sealedCut time.Duration
+}
+
+// admission is the ingress dedup's verdict on one arrival.
+type admission int
+
+const (
+	// admitNew: never seen inside the dedup window — log it and run it.
+	admitNew admission = iota
+	// admitAbsorbed: a copy of a request that is logged and in flight, or
+	// answered with nobody to re-send the answer to.
+	admitAbsorbed
+	// admitReplayed: already answered; the recorded response was re-sent.
+	admitReplayed
+	// admitLate: at or below its source's pruned dedup floor.
+	admitLate
+)
+
+// journal is the durable ingress-dedup and egress state of one
+// coordinator. It is a value field of its owner and is driven by a
+// sim.Context and a dlog.SimLog alone.
+type journal struct {
+	node string // owner's component id (trace and flight lanes)
+	cfg  *Config
+	log  *dlog.SimLog
+
+	// delivered is the egress state: per answered request, the full
+	// response, its release time and source position. It dedupes client
+	// responses across recovery replays (exactly-once output at the system
+	// border) and re-serves the recorded response to a retrying client
+	// whose copy was lost. Durable: rebuilt from the log on restart,
+	// compacted into checkpoints, pruned by the retention window.
+	delivered map[string]deliveredEntry
+
+	// dedupFloor records, per request-id source (a sysapi.Builder prefix +
+	// incarnation), the highest sequence number ever pruned from the
+	// dedup maps. Every lower sequence from that source was answered and
+	// retired, so an arrival at or below the floor is a very late
+	// duplicate — absorbed instead of re-executed, closing the
+	// duplicate-after-DedupRetention hole for builder-minted ids. Durable:
+	// carried in the checkpoint that performed the prune.
+	dedupFloor map[string]int64
+
+	// seen dedupes request arrivals by id before they reach the source
+	// log (exactly-once input at the system border: a duplicated client
+	// send — a transport retry, or chaos duplication — must not become a
+	// second transaction). Volatile: the owner rebuilds it at recovery
+	// (resetSeen + logged) from delivered + snapshot pending positions +
+	// the source-log suffix, which together cover every id still inside
+	// the dedup window.
+	seen map[string]bool
+
+	// staged responses awaiting their group-commit sync, FIFO by LSN;
+	// stagedIDs guards against re-staging when a stall-triggered recovery
+	// replays a transaction whose response is already in the pipeline.
+	staged    []stagedResponse
+	stagedIDs map[string]bool
+
+	// Write ordering. lastLSN is the newest appended record; durableLSN the
+	// newest record a completed (or issued-blocking) sync covers; epochLSN
+	// the LSN of the newest epoch-advance record. The pipelined epoch
+	// advance stays volatile (epochLSN > durableLSN) until the commit
+	// epoch's group-commit sync sweeps it up — and while it is volatile,
+	// the next advance is forced to block, so at most one epoch record is
+	// ever at risk in a crash.
+	lastLSN    int64
+	durableLSN int64
+	epochLSN   int64
+	// enc is the scratch buffer every log record is encoded into (the log
+	// copies on append).
+	enc interp.Encoder
+}
+
+func newJournal(node string, cfg *Config, log *dlog.SimLog) journal {
+	return journal{
+		node:       node,
+		cfg:        cfg,
+		log:        log,
+		delivered:  map[string]deliveredEntry{},
+		dedupFloor: map[string]int64{},
+		seen:       map[string]bool{},
+		stagedIDs:  map[string]bool{},
+	}
+}
+
+// admit is the ingress dedup every arrival passes before it is logged —
+// client requests and global applies alike. A request whose response was
+// already released is answered from the durable egress buffer (response
+// replay: the sender is retrying because its copy was lost); a duplicate
+// send of an in-flight request is absorbed, it is already logged; so is
+// one at or below its source's dedup floor — the original was answered
+// long ago, its entries pruned by the retention window and its client
+// stopped retrying, so this copy is a very late wire duplicate and
+// absorbing it (no response) is the only exactly-once option left: the
+// recorded response is gone. On admitNew the caller logs the arrival and
+// reports it with logged.
+func (j *journal) admit(ctx *sim.Context, id, replyTo string) admission {
+	ctx.Work(j.cfg.Costs.RoutingCPU)
+	if ent, ok := j.delivered[id]; ok {
+		if replyTo == "" {
+			return admitAbsorbed
+		}
+		j.send(ctx, replyTo, ent.resp)
+		return admitReplayed
+	}
+	if j.seen[id] {
+		return admitAbsorbed
+	}
+	if src, seq, ok := sysapi.SplitID(id); ok {
+		if floor, pruned := j.dedupFloor[src]; pruned && seq <= floor {
+			return admitLate
+		}
+	}
+	return admitNew
+}
+
+// logged records that an admitted arrival reached the source log: further
+// copies of it are in-flight duplicates.
+func (j *journal) logged(id string) { j.seen[id] = true }
+
+// resetSeen forgets every unanswered arrival: the seen-set restarts from
+// the answered ids (delivered or staged), and the owner re-reports what
+// its durable ground truth still holds in flight. Ids pruned by the
+// retention window stay pruned — that IS the dedup window contract. hint
+// sizes the set for the ids about to be re-reported.
+func (j *journal) resetSeen(hint int) {
+	j.seen = make(map[string]bool, len(j.delivered)+hint)
+	for id := range j.delivered {
+		j.seen[id] = true
+	}
+	for id := range j.stagedIDs {
+		j.seen[id] = true
+	}
+}
+
+// answered reports whether a request's response is already part of the
+// egress state — released (delivered) or staged awaiting its sync. Either
+// way the request must not execute again through the normal intake paths:
+// its effects are the binding replay's business, not the batch machinery's.
+func (j *journal) answered(id string) bool {
+	if _, ok := j.delivered[id]; ok {
+		return true
+	}
+	return j.stagedIDs[id]
+}
+
+// lookup returns a released response (delivered only: a staged one becomes
+// visible on its sync).
+func (j *journal) lookup(id string) (sysapi.Response, bool) {
+	ent, ok := j.delivered[id]
+	return ent.resp, ok
+}
+
+// quiet reports that no response is waiting on a sync: every released
+// effect is durable.
+func (j *journal) quiet() bool { return len(j.staged) == 0 }
+
+// size is how many answered requests the dedup window currently holds.
+func (j *journal) size() int { return len(j.delivered) }
+
+// released visits every answered entry — delivered, then staged (its sync
+// is in flight and cannot be recalled) — in no particular order.
+func (j *journal) released(visit func(deliveredEntry)) {
+	for _, ent := range j.delivered {
+		visit(ent)
+	}
+	for _, s := range j.staged {
+		visit(s.ent)
+	}
+}
+
+func (j *journal) send(ctx *sim.Context, to string, resp sysapi.Response) {
+	ctx.Send(to, sysapi.MsgResponse{Response: resp}, j.cfg.Costs.ClientLink.Sample(ctx.Rand()))
+}
+
+// stage appends one response's delivered-record and queues its release
+// on the next group-commit sync. replyTo may be empty: the record is
+// then a pure dedup/re-serve entry (an embedded global-batch response
+// whose client talks to the sequencer) and no send happens at sync time.
+func (j *journal) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
+	id := ent.resp.Req
+	if j.answered(id) {
+		// Delivered, or already in the pipeline (a stall recovery replayed
+		// its transaction).
+		return
+	}
+	ctx.Work(j.cfg.Costs.LogAppendCPU)
+	j.enc.Reset()
+	appendDelivered(&j.enc, id, ent)
+	lsn := j.log.Append(dlog.Record{Kind: recKindDelivered, At: int64(ent.at), Data: j.enc.Bytes()})
+	j.lastLSN = lsn
+	j.staged = append(j.staged, stagedResponse{lsn: lsn, replyTo: replyTo, ent: ent})
+	j.stagedIDs[id] = true
+}
+
+// sync issues one batched sync covering every record appended so far —
+// staged delivered-records and, pipelined, the successor epoch's volatile
+// advance record — and schedules the release at its completion: one fsync
+// per batch, shared across the two adjacent epochs, instead of one per
+// response plus one per epoch advance. With nothing staged there is
+// nothing to release and no sync is issued.
+func (j *journal) sync(ctx *sim.Context) {
+	if len(j.staged) == 0 {
+		return
+	}
+	delay := j.cfg.Costs.LogGroupDelay
+	upTo := j.log.SyncAt(ctx.Now() + delay)
+	if tr := j.cfg.Tracer; tr.Enabled() {
+		tr.Span(j.node, "dlog", "commit.fsync", ctx.Now(), ctx.Now()+delay,
+			"upto", strconv.FormatInt(upTo, 10),
+			"staged", strconv.Itoa(len(j.staged)))
+	}
+	ctx.After(delay, msgLogSynced{UpTo: upTo})
+}
+
+// synced releases every staged response the completed sync covers: the
+// delivered-records are durable, so the responses may now be seen by
+// clients. Valid at any time — released state is from durably committed
+// batches, whatever recovery is in flight around it.
+func (j *journal) synced(ctx *sim.Context, m msgLogSynced) {
+	j.markDurable(m.UpTo)
+	n := 0
+	for n < len(j.staged) && j.staged[n].lsn <= m.UpTo {
+		s := j.staged[n]
+		id := s.ent.resp.Req
+		j.delivered[id] = s.ent
+		delete(j.stagedIDs, id)
+		if s.replyTo != "" {
+			j.send(ctx, s.replyTo, s.ent.resp)
+		}
+		n++
+	}
+	// Slide the remainder down instead of re-slicing forward, so the queue
+	// keeps its capacity; the vacated tail must not pin released responses.
+	rest := copy(j.staged, j.staged[n:])
+	clear(j.staged[rest:])
+	j.staged = j.staged[:rest]
+}
+
+func (j *journal) markDurable(lsn int64) {
+	if lsn > j.durableLSN {
+		j.durableLSN = lsn
+	}
+}
+
+// advance durably records an epoch advance. Blocking (the serial schedule,
+// recovery view changes, and any advance while the previous one is still
+// volatile): the record is fsynced before any message of the new epoch
+// leaves the coordinator — the view-change guard is only sound if a
+// restart recovers an epoch >= every epoch ever spoken, minus the single
+// volatile advance the restart path compensates for. Non-blocking (the
+// pipelined steady state): the record is appended volatile and rides the
+// commit epoch's group-commit sync, merging the per-epoch fsync into the
+// per-batch one.
+func (j *journal) advance(ctx *sim.Context, epoch int64, blocking bool) {
+	if j.epochLSN > j.durableLSN {
+		// The previous advance is still volatile: never let two epoch
+		// records be at risk at once (the restart path compensates for
+		// exactly one).
+		blocking = true
+	}
+	ctx.Work(j.cfg.Costs.LogAppendCPU)
+	j.enc.Reset()
+	j.enc.Varint(epoch)
+	lsn := j.log.Append(dlog.Record{Kind: recKindEpoch, At: int64(ctx.Now()), Data: j.enc.Bytes()})
+	j.lastLSN, j.epochLSN = lsn, lsn
+	if blocking {
+		ctx.Work(j.cfg.Costs.LogSyncCPU)
+		j.markDurable(j.log.SyncAt(ctx.Now()))
+	}
+}
+
+// checkpoint folds the journal into a log checkpoint carrying the owner's
+// marks: it prunes settled dedup state, compacts the log, and releases
+// whatever was staged. offset is the source offset of the snapshot the
+// checkpoint seals — the prune bound.
+func (j *journal) checkpoint(ctx *sim.Context, m marks, offset int64) {
+	// An entry may leave the maps once (a) its release is older than the
+	// retention window, so no client retry or delayed wire duplicate can
+	// still name it, and (b) its source position precedes the sealed
+	// snapshot's offset, so no recovery replay can re-execute it (a
+	// replayed transaction without its delivered-entry would re-send its
+	// response).
+	if retention := j.cfg.DedupRetention; retention > 0 {
+		for id, ent := range j.delivered {
+			if ent.at+retention <= ctx.Now() && ent.pos < offset {
+				// Pruning forfeits the recorded response, so raise the
+				// source's dedup floor: any later arrival of this id (or
+				// a lower sequence) is a very late duplicate that must be
+				// absorbed, not re-executed. The floor rides this same
+				// checkpoint, so it is durable exactly when the prune is.
+				if src, seq, ok := sysapi.SplitID(id); ok {
+					if cur, has := j.dedupFloor[src]; !has || seq > cur {
+						j.dedupFloor[src] = seq
+					}
+				}
+				delete(j.delivered, id)
+				delete(j.seen, id)
+			}
+		}
+	}
+	// Staged-but-unreleased responses are durable facts too (their records
+	// are about to be compacted away): bake them into the checkpoint so a
+	// later crash still suppresses their replays — the un-sent responses
+	// are then served via retry replay.
+	delivered := j.delivered
+	if len(j.staged) > 0 {
+		delivered = make(map[string]deliveredEntry, len(j.delivered)+len(j.staged))
+		for id, ent := range j.delivered {
+			delivered[id] = ent
+		}
+		for _, s := range j.staged {
+			delivered[s.ent.resp.Req] = s.ent
+		}
+	}
+	payload := encodeCheckpoint(m, delivered, j.dedupFloor)
+	ctx.Work(j.cfg.Costs.StateCPU(len(payload)) + j.cfg.Costs.LogSyncCPU)
+	j.log.Checkpoint(ctx.Now(), payload)
+	// The checkpoint write is itself durable and subsumes every record
+	// appended so far — including a volatile pipelined epoch advance
+	// (m.epoch is the latest opened epoch) and the staged responses of the
+	// snapshot epoch, which release now: one checkpoint fsync stands in for
+	// the batch's group commit, the snapshot seal and the epoch record at
+	// once.
+	j.synced(ctx, msgLogSynced{UpTo: j.lastLSN})
+}
+
+// bootstrap writes the initial checkpoint of a deployment that has not
+// started yet (no clock, nothing appended): it seals the preload snapshot.
+func (j *journal) bootstrap(m marks) {
+	j.log.Checkpoint(0, encodeCheckpoint(m, j.delivered, j.dedupFloor))
+}
+
+// recovered is what restore found in the durable image.
+type recovered struct {
+	marks
+	records int // log records past the checkpoint
+	corrupt int // of them (checkpoint included), undecodable and skipped
+}
+
+// restore rebuilds the journal from the log's durable image after the
+// owner's memory was lost: the checkpoint's egress state and floors, plus
+// every delivered-record appended since; the returned marks carry the
+// highest epoch the image speaks of. Torn log tails were already discarded
+// by the device's crash contract; write-ahead ordering guarantees nothing
+// torn was ever externalized. The seen-set comes back empty — the owner
+// rebuilds it (resetSeen) once it knows its source cursor.
+//
+// A record that fails to decode is corruption outside the crash contract.
+// Recovery carries on without it — a lost checkpoint starts from zero (the
+// replayable source and snapshots still bound the damage), a lost epoch
+// record is covered by its neighbours, a lost delivered-record means its
+// response can be re-executed and re-sent — but never silently: each one
+// is counted and leaves a flight-recorder line.
+func (j *journal) restore(ctx *sim.Context) recovered {
+	img := j.log.Recover(ctx.Now())
+	out := recovered{records: len(img.Records)}
+	skip := func(what string, err error) {
+		out.corrupt++
+		j.cfg.Flight.Recordf(ctx.Now(), j.node, "corrupt", "skipped undecodable %s: %v", what, err)
+	}
+	m, delivered, floors, err := decodeCheckpoint(img.Checkpoint)
+	if err != nil {
+		skip("checkpoint", err)
+		m, delivered, floors = marks{}, map[string]deliveredEntry{}, map[string]int64{}
+	}
+	out.marks = m
+	j.delivered, j.dedupFloor = delivered, floors
+	j.seen = map[string]bool{}
+	j.staged = nil
+	j.stagedIDs = map[string]bool{}
+	j.lastLSN, j.durableLSN, j.epochLSN = 0, 0, 0
+	ctx.Work(j.cfg.Costs.LogSyncCPU)
+	for _, r := range img.Records {
+		ctx.Work(j.cfg.Costs.LogAppendCPU)
+		switch r.Kind {
+		case recKindEpoch:
+			e, err := interp.NewDecoder(r.Data).Varint()
+			if err != nil {
+				skip("epoch record", err)
+			} else if e > out.epoch {
+				out.epoch = e
+			}
+		case recKindDelivered:
+			id, ent, err := readDelivered(interp.NewDecoder(r.Data))
+			if err != nil {
+				skip("delivered record", err)
+			} else {
+				j.delivered[id] = ent
+			}
+		}
+	}
+	return out
+}
+
+func appendDelivered(e *interp.Encoder, id string, ent deliveredEntry) {
+	e.Str(id)
+	e.Varint(ent.pos)
+	e.Varint(int64(ent.at))
+	e.Str(ent.resp.Req)
+	e.Value(ent.resp.Value)
+	e.Str(ent.resp.Err)
+	e.Varint(int64(ent.resp.Retries))
+}
+
+func readDelivered(d *interp.Decoder) (string, deliveredEntry, error) {
+	fail := func(err error) (string, deliveredEntry, error) {
+		return "", deliveredEntry{}, fmt.Errorf("stateflow: delivered record: %w", err)
+	}
+	id, err := d.Str()
+	if err != nil {
+		return fail(err)
+	}
+	pos, err := d.Varint()
+	if err != nil {
+		return fail(err)
+	}
+	at, err := d.Varint()
+	if err != nil {
+		return fail(err)
+	}
+	req, err := d.Str()
+	if err != nil {
+		return fail(err)
+	}
+	val, err := d.Value()
+	if err != nil {
+		return fail(err)
+	}
+	errStr, err := d.Str()
+	if err != nil {
+		return fail(err)
+	}
+	retries, err := d.Varint()
+	if err != nil {
+		return fail(err)
+	}
+	return id, deliveredEntry{
+		resp: sysapi.Response{Req: req, Value: val, Err: errStr, Retries: int(retries)},
+		at:   time.Duration(at),
+		pos:  pos,
+	}, nil
+}
+
+// encodeCheckpoint writes the compacted state a log checkpoint carries:
+// everything the coordinator must remember that individual records no
+// longer cover once the log prefix is dropped. Sorted, so same-run
+// checkpoints are byte-identical (the entries land in maps on decode).
+func encodeCheckpoint(m marks, delivered map[string]deliveredEntry, floors map[string]int64) []byte {
+	e := interp.NewEncoder()
+	e.Varint(m.epoch)
+	e.Varint(int64(m.nextTID))
+	e.Varint(m.sealed)
+	e.Varint(int64(m.sealedCut))
+	e.Uvarint(uint64(len(delivered)))
+	ids := make([]string, 0, len(delivered))
+	for id := range delivered {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		appendDelivered(e, id, delivered[id])
+	}
+	e.Uvarint(uint64(len(floors)))
+	srcs := make([]string, 0, len(floors))
+	for src := range floors {
+		srcs = append(srcs, src)
+	}
+	sort.Strings(srcs)
+	for _, src := range srcs {
+		e.Str(src)
+		e.Varint(floors[src])
+	}
+	return e.Bytes()
+}
+
+// decodeCheckpoint is encodeCheckpoint's inverse; an empty payload (a log
+// that never checkpointed) decodes to the zero state.
+func decodeCheckpoint(data []byte) (m marks, delivered map[string]deliveredEntry, floors map[string]int64, err error) {
+	delivered, floors = map[string]deliveredEntry{}, map[string]int64{}
+	if len(data) == 0 {
+		return m, delivered, floors, nil
+	}
+	d := interp.NewDecoder(data)
+	var head [4]int64
+	for i := range head {
+		if head[i], err = d.Varint(); err != nil {
+			return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+		}
+	}
+	m = marks{epoch: head[0], nextTID: aria.TID(head[1]), sealed: head[2], sealedCut: time.Duration(head[3])}
+	n, err := d.Uvarint()
+	if err != nil {
+		return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+	}
+	for i := uint64(0); i < n; i++ {
+		id, ent, err := readDelivered(d)
+		if err != nil {
+			return m, delivered, floors, err
+		}
+		delivered[id] = ent
+	}
+	nf, err := d.Uvarint()
+	if err != nil {
+		return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+	}
+	for i := uint64(0); i < nf; i++ {
+		src, err := d.Str()
+		if err != nil {
+			return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+		}
+		floor, err := d.Varint()
+		if err != nil {
+			return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+		}
+		floors[src] = floor
+	}
+	return m, delivered, floors, nil
+}

@@ -1,0 +1,243 @@
+package stateflow
+
+import (
+	"testing"
+	"time"
+
+	"statefulentities.dev/stateflow/internal/dlog"
+	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/sim"
+	"statefulentities.dev/stateflow/internal/systems/sysapi"
+)
+
+// The journal on its own: a simulated log, one host component that owns
+// the journal, and a client sink. No coordinator, no workers — the only
+// cluster traffic is the journal's own log-synced timer and the responses
+// it releases.
+
+// journalHost is the smallest owner a journal can have: it runs the steps
+// a test injects, feeds completed syncs back, and restores on reboot.
+type journalHost struct {
+	j        journal
+	restored recovered
+}
+
+type journalStep func(ctx *sim.Context, j *journal)
+
+func (h *journalHost) OnMessage(ctx *sim.Context, _ string, msg sim.Message) {
+	switch m := msg.(type) {
+	case journalStep:
+		m(ctx, &h.j)
+	case msgLogSynced:
+		h.j.synced(ctx, m)
+	}
+}
+
+func (h *journalHost) OnRestart(ctx *sim.Context) { h.restored = h.j.restore(ctx) }
+
+type journalFixture struct {
+	cluster *sim.Cluster
+	log     *dlog.SimLog
+	host    *journalHost
+	client  *rawClient
+}
+
+func newJournalFixture(t *testing.T, retention time.Duration) *journalFixture {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.DedupRetention = retention
+	fx := &journalFixture{cluster: sim.New(1), log: dlog.NewSimLog(), client: &rawClient{}}
+	fx.host = &journalHost{j: newJournal("j", &cfg, fx.log)}
+	fx.cluster.Add("j", fx.host)
+	fx.cluster.Add("client", fx.client)
+	fx.cluster.WatchCrash("j", fx.log.Crash)
+	return fx
+}
+
+// do runs one step on the host now; timers and sends it issues stay queued.
+func (fx *journalFixture) do(step journalStep) {
+	now := fx.cluster.Now()
+	fx.cluster.Inject(now, "test", "j", step)
+	fx.cluster.RunUntil(now)
+}
+
+func (fx *journalFixture) run(d time.Duration) { fx.cluster.RunUntil(fx.cluster.Now() + d) }
+
+// reboot crashes the host now and brings it back (through restore) 1ms on.
+func (fx *journalFixture) reboot() {
+	now := fx.cluster.Now()
+	fx.cluster.ScheduleCrash("j", now, now+time.Millisecond)
+	fx.run(2 * time.Millisecond)
+}
+
+func (fx *journalFixture) j() *journal { return &fx.host.j }
+
+func answer(id string, pos int64, ctx *sim.Context) deliveredEntry {
+	return deliveredEntry{resp: sysapi.Response{Req: id, Value: interp.IntV(pos)}, at: ctx.Now(), pos: pos}
+}
+
+// (i) Write-ahead: a staged response is neither sent nor delivered before
+// the sync that covers it completes, and is both right after.
+func TestJournalStagedResponseWaitsForItsSync(t *testing.T) {
+	fx := newJournalFixture(t, 0)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "client", answer("r1", 0, ctx))
+		j.sync(ctx)
+	})
+	j := fx.j()
+	if _, ok := j.lookup("r1"); ok || !j.answered("r1") || j.quiet() {
+		t.Fatalf("after stage+sync issue: delivered=%v answered=%v quiet=%v, want staged only", ok, j.answered("r1"), j.quiet())
+	}
+	fx.run(j.cfg.Costs.LogGroupDelay / 2)
+	if _, ok := j.lookup("r1"); ok || len(fx.client.got) != 0 {
+		t.Fatalf("released before its sync completed: delivered=%v, client saw %d", ok, len(fx.client.got))
+	}
+	fx.run(j.cfg.Costs.LogGroupDelay + 2*time.Millisecond)
+	if resp, ok := j.lookup("r1"); !ok || resp.Value.I != 0 || !j.quiet() {
+		t.Fatalf("after the sync: delivered=%v quiet=%v", ok, j.quiet())
+	}
+	if len(fx.client.got) != 1 || fx.client.got[0].Req != "r1" {
+		t.Fatalf("client saw %+v, want r1 once", fx.client.got)
+	}
+}
+
+// (ii) A crash between an append and its sync: restore yields exactly the
+// synced prefix, and the torn response's id is not answered (it was never
+// sent, so its transaction must be free to run again).
+func TestJournalRestoreYieldsTheSyncedPrefix(t *testing.T) {
+	fx := newJournalFixture(t, 0)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "client", answer("r1", 0, ctx))
+		j.sync(ctx)
+	})
+	fx.run(5 * time.Millisecond) // r1 durable and released
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "client", answer("r2", 1, ctx))
+		j.sync(ctx) // issued, completes LogGroupDelay from now
+	})
+	fx.reboot() // lands inside the group-commit window
+	j := fx.j()
+	if fx.log.Stats().TornTails != 1 {
+		t.Fatalf("torn tails = %d, want r2's record torn", fx.log.Stats().TornTails)
+	}
+	if fx.host.restored.records != 1 || fx.host.restored.corrupt != 0 {
+		t.Fatalf("restored %+v, want one clean record", fx.host.restored)
+	}
+	if !j.answered("r1") || j.answered("r2") || j.size() != 1 || !j.quiet() {
+		t.Fatalf("after restore: r1 answered=%v r2 answered=%v size=%d quiet=%v",
+			j.answered("r1"), j.answered("r2"), j.size(), j.quiet())
+	}
+	if len(fx.client.got) != 1 || fx.client.got[0].Req != "r1" {
+		t.Fatalf("client saw %+v, want only r1", fx.client.got)
+	}
+}
+
+// (iii) At most one epoch record is volatile: a non-blocking advance
+// leaves its record at risk, the next one — whatever its caller asked for —
+// syncs before a second record could join it.
+func TestJournalSecondVolatileAdvanceBlocks(t *testing.T) {
+	fx := newJournalFixture(t, 0)
+	syncs := fx.log.Stats().Syncs
+	fx.do(func(ctx *sim.Context, j *journal) { j.advance(ctx, 1, false) })
+	j := fx.j()
+	if j.epochLSN <= j.durableLSN || fx.log.Stats().Syncs != syncs {
+		t.Fatalf("first advance: epochLSN %d durableLSN %d syncs %d, want volatile and unsynced",
+			j.epochLSN, j.durableLSN, fx.log.Stats().Syncs-syncs)
+	}
+	fx.do(func(ctx *sim.Context, j *journal) { j.advance(ctx, 2, false) })
+	if j.epochLSN > j.durableLSN || fx.log.Stats().Syncs != syncs+1 {
+		t.Fatalf("second advance: epochLSN %d durableLSN %d syncs %d, want durable by one blocking sync",
+			j.epochLSN, j.durableLSN, fx.log.Stats().Syncs-syncs)
+	}
+	fx.run(time.Millisecond) // past the handler's CPU span, where the blocking sync sits
+	fx.reboot()
+	if got := fx.host.restored.epoch; got != 2 {
+		t.Fatalf("restored epoch %d, want 2: the blocking sync covered both records", got)
+	}
+	// The contrapositive, which the restart path's over-bump exists for: a
+	// lone non-blocking advance is lost with the crash, however late.
+	fx.do(func(ctx *sim.Context, j *journal) { j.advance(ctx, 3, false) })
+	fx.run(time.Millisecond)
+	fx.reboot()
+	if got := fx.host.restored.epoch; got != 2 {
+		t.Fatalf("restored epoch %d, want 2: epoch 3's record was volatile", got)
+	}
+}
+
+// (iv) A checkpoint prunes entries past the retention window and below the
+// snapshot offset, raising their source's floor; the floor and the
+// owner's marks survive restore; a late duplicate at or below the floor is
+// absorbed (the verdict the coordinator counts as LateDuplicates).
+func TestJournalPruneRaisesADurableFloor(t *testing.T) {
+	const retention = time.Second
+	fx := newJournalFixture(t, retention)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "client", answer("src.5", 3, ctx))  // old, below the offset: pruned
+		j.stage(ctx, "client", answer("src.6", 12, ctx)) // old, but replayable: kept
+		j.sync(ctx)
+	})
+	fx.run(2 * retention)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "client", answer("src.2", 4, ctx)) // below the offset, but fresh: kept
+		j.checkpoint(ctx, marks{epoch: 7, nextTID: 40, sealed: 3, sealedCut: time.Second}, 10)
+	})
+	check := func(when string) {
+		t.Helper()
+		j := fx.j()
+		if j.answered("src.5") || !j.answered("src.6") || !j.answered("src.2") {
+			t.Fatalf("%s: answered src.5=%v src.6=%v src.2=%v, want only src.5 pruned",
+				when, j.answered("src.5"), j.answered("src.6"), j.answered("src.2"))
+		}
+		if got := j.dedupFloor["src"]; got != 5 {
+			t.Fatalf("%s: floor %d, want 5", when, got)
+		}
+	}
+	check("after checkpoint")
+	fx.reboot()
+	check("after restore")
+	if m := fx.host.restored.marks; m != (marks{epoch: 7, nextTID: 40, sealed: 3, sealedCut: time.Second}) {
+		t.Fatalf("restored marks %+v", m)
+	}
+	seen := len(fx.client.got)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		for id, want := range map[string]admission{
+			"src.5": admitLate, "src.4": admitLate, "src.7": admitNew, "other.1": admitNew,
+		} {
+			if got := j.admit(ctx, id, "client"); got != want {
+				t.Errorf("admit(%s) = %d, want %d", id, got, want)
+			}
+		}
+	})
+	fx.run(5 * time.Millisecond)
+	if len(fx.client.got) != seen {
+		t.Fatalf("a late duplicate was answered: client saw %+v", fx.client.got[seen:])
+	}
+}
+
+// (v) A response staged but not yet released when a checkpoint compacts
+// the log is baked into the checkpoint: after a crash it still suppresses
+// its transaction's replay, and a retry is served the recorded response.
+func TestJournalCheckpointKeepsStagedResponses(t *testing.T) {
+	fx := newJournalFixture(t, 0)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "", answer("r1", 0, ctx)) // no sync issued: staged only
+		j.checkpoint(ctx, marks{epoch: 1}, 0)
+	})
+	fx.reboot()
+	if fx.host.restored.records != 0 {
+		t.Fatalf("%d log records survived the checkpoint, want the checkpoint alone to carry r1", fx.host.restored.records)
+	}
+	j := fx.j()
+	if !j.answered("r1") {
+		t.Fatal("r1 lost: its record was compacted away and the checkpoint did not carry it")
+	}
+	fx.do(func(ctx *sim.Context, j *journal) {
+		if got := j.admit(ctx, "r1", "client"); got != admitReplayed {
+			t.Errorf("admit(r1) = %d, want the recorded response replayed", got)
+		}
+	})
+	fx.run(5 * time.Millisecond)
+	if len(fx.client.got) != 1 || fx.client.got[0].Req != "r1" {
+		t.Fatalf("client saw %+v, want r1 re-served once", fx.client.got)
+	}
+}

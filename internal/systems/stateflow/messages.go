@@ -95,14 +95,6 @@ type msgTakeSnapshot struct {
 // msgSnapshotDone acknowledges one worker's snapshot write.
 type msgSnapshotDone struct{ ID int64 }
 
-// msgLogSynced is the coordinator's own group-commit completion timer:
-// the durable log's batched fsync covering every record up to UpTo has
-// finished, so the staged responses it covers may now be released to
-// clients (write-ahead: send only what is recoverable). Deliberately
-// carries no epoch — released responses belong to durably committed
-// batches and stay valid across recoveries.
-type msgLogSynced struct{ UpTo int64 }
-
 // msgStallCheck fires if the epoch is still stuck in the phase that
 // armed it (execution, validation, apply, snapshot and recovery all wait
 // on every worker) when the stall timeout elapses; the coordinator then

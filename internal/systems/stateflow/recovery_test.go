@@ -114,7 +114,7 @@ func (f *recoveryFixture) assertExactlyOnce(t *testing.T, fail func(format strin
 //   - the source-suffix replay re-commits transactions whose responses
 //     already went out before the crash (Commits counts them twice),
 //   - yet no client ever receives a second response for any request
-//     (Coordinator.delivered suppresses the duplicates),
+//     (the journal's delivered map suppresses the duplicates),
 //   - the Retries/Recoveries/Aborts stats stay mutually consistent,
 //   - committed state matches a single serial execution (no double
 //     effects from the replay).

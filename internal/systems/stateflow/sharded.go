@@ -231,72 +231,13 @@ func (s *ShardedSystem) ChaosTopology() chaos.Topology {
 	if s.seq == nil {
 		return s.shards[0].ChaosTopology()
 	}
-	members := map[string]bool{s.seqID: true}
-	var coords, workers []string
+	roles := map[string][]string{"sequencer": {s.seqID}}
 	for _, sh := range s.shards {
-		members[sh.coordID] = true
-		coords = append(coords, sh.coordID)
-		for _, w := range sh.workerIDs {
-			members[w] = true
-			workers = append(workers, w)
+		for role, ids := range sh.ChaosTopology().Roles {
+			roles[role] = append(roles[role], ids...)
 		}
 	}
-	durable := !s.cfg.DisableDlog
-	return chaos.Topology{
-		Roles: map[string][]string{
-			"coordinator": coords,
-			"worker":      workers,
-			"sequencer":   {s.seqID},
-		},
-		Crashable: map[string]bool{
-			"worker": true, "coordinator": durable, "sequencer": true,
-		},
-		DropSafe: func(from, to string, msg sim.Message) bool {
-			if members[from] && members[to] {
-				// Intra-cluster: lost fence-protocol messages re-send off
-				// the sequencer's stall timer, lost shard-internal
-				// messages trigger the shard's own recovery.
-				return true
-			}
-			if !durable {
-				return false
-			}
-			if !members[from] && members[to] {
-				_, ok := msg.(sysapi.MsgRequest)
-				return ok // clients retry; sequencer and shards dedupe
-			}
-			if members[from] && !members[to] {
-				_, ok := msg.(sysapi.MsgResponse)
-				return ok // re-served from egress buffers on retry
-			}
-			return false
-		},
-		DupSafe: func(from, to string, msg sim.Message) bool {
-			switch msg.(type) {
-			case msgTxnFinished, msgPrepare, msgVote, msgDecide, msgApplied,
-				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
-				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
-				msgGlobalRead, msgGlobalState, msgGlobalApply,
-				msgSeqFenceQuery, msgSeqFenceReport, msgSeqProbe, msgSeqProbeAck:
-				return true
-			case sysapi.MsgRequest, sysapi.MsgResponse:
-				return true
-			}
-			return false
-		},
-		ResponseID: func(msg sim.Message) (string, bool) {
-			if m, ok := msg.(sysapi.MsgResponse); ok {
-				return m.Response.Req, true
-			}
-			return "", false
-		},
-		RequestID: func(msg sim.Message) (string, bool) {
-			if m, ok := msg.(sysapi.MsgRequest); ok {
-				return m.Request.Req, true
-			}
-			return "", false
-		},
-	}
+	return failureContract(roles)
 }
 
 var _ sysapi.Backend = (*ShardedSystem)(nil)

@@ -374,11 +374,11 @@ func TestShardedFloorIsolationAcrossShardReboot(t *testing.T) {
 	}
 	_, seqLastOdd, _ := sysapi.SplitID(wave[7].Req)
 	c0, c1 := sys.Shards()[0].Coordinator(), sys.Shards()[1].Coordinator()
-	if _, held := c0.delivered[wave[0].Req]; held {
+	if _, held := c0.journal.delivered[wave[0].Req]; held {
 		t.Fatalf("%s still in shard 0's delivered buffer; retention never pruned it", wave[0].Req)
 	}
-	floor0 := c0.dedupFloor[src]
-	floor1 := c1.dedupFloor[src]
+	floor0 := c0.journal.dedupFloor[src]
+	floor1 := c1.journal.dedupFloor[src]
 	if floor0 < seq0 {
 		t.Fatalf("shard 0 floor for %s is %d, want >= %d after its prune", src, floor0, seq0)
 	}
@@ -399,10 +399,10 @@ func TestShardedFloorIsolationAcrossShardReboot(t *testing.T) {
 	cluster.Restart("sf1-coord")
 	cluster.RunUntil(cluster.Now() + 80*time.Millisecond)
 	c1 = sys.Shards()[1].Coordinator()
-	if got := c1.dedupFloor[src]; got != floor1 {
+	if got := c1.journal.dedupFloor[src]; got != floor1 {
 		t.Fatalf("shard 1 floor for %s is %d after reboot, want %d (checkpoint did not restore it)", src, got, floor1)
 	}
-	if got := sys.Shards()[0].Coordinator().dedupFloor[src]; got != floor0 {
+	if got := sys.Shards()[0].Coordinator().journal.dedupFloor[src]; got != floor0 {
 		t.Fatalf("shard 0 floor for %s moved to %d across shard 1's reboot, want %d", src, got, floor0)
 	}
 

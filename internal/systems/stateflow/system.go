@@ -52,11 +52,6 @@ type Config struct {
 	// the source log and drain chunked over subsequent batches, so a giant
 	// replay can never balloon into one pathological batch. 0: unbounded.
 	MaxBatch int
-	// DisableDlog turns the coordinator's durable log off (the legacy
-	// in-memory coordinator, kept for benchmarking the WAL's cost). The
-	// coordinator is then a single point of failure again and the chaos
-	// topology clamps coordinator crash windows.
-	DisableDlog bool
 	// DedupRetention bounds the seen/delivered dedup maps: entries whose
 	// response was released at least this long ago — and whose source
 	// position a recovery replay can no longer reach — are pruned at each
@@ -96,13 +91,6 @@ type Config struct {
 	// Test instrumentation: the map grows with the run, so leave it off
 	// outside checker harnesses.
 	TraceCommits bool
-	// UncheckedFallbackDrift disables the fallback phase's cross-round
-	// footprint-drift check, restoring the historical behavior in which a
-	// re-execution whose footprint drifted into conflict with a
-	// later-round, lower-TID member still committed early. Test hook:
-	// exists solely so the drift regression test can demonstrate the
-	// linearizability checker catching the pre-fix bug.
-	UncheckedFallbackDrift bool
 	// IDPrefix prefixes every component id this deployment registers on
 	// the cluster ("<prefix>coord", "<prefix>worker-<i>"). Empty means the
 	// historical "sf-", so a default deployment keeps its exact component
@@ -119,14 +107,9 @@ type Config struct {
 	// Kept as the reference schedule for the scoped-fence differential
 	// tests and the bench gate; no effect on the classic topology.
 	FullFences bool
-	// UncheckedReplayOrder disables the recovery binding-prefix replay,
-	// restoring the historical recovery in which released responses'
-	// transactions were simply re-cut into fresh batches from the source
-	// log — in TID order, not release order — so a rebuilt state could
-	// diverge from what answered clients already observed. Test hook:
-	// exists solely so replay-order regression tests can demonstrate the
-	// linearizability checker catching the pre-fix divergence.
-	UncheckedReplayOrder bool
+	// Reinject re-opens fixed bugs for the regression tests (see Reinject);
+	// the zero value is the shipped behavior.
+	Reinject Reinject
 	// Tracer, when non-nil, records per-phase transaction spans (ingress
 	// queueing, execution, validation, fallback rounds, group-commit
 	// fsync, fence windows) in virtual time. Deterministically inert: the
@@ -138,6 +121,25 @@ type Config struct {
 	// advances, recoveries, replay decisions, fence transitions) for
 	// post-mortem timelines. Inert like Tracer.
 	Flight *obs.FlightRecorder
+}
+
+// Reinject switches fixed bugs back on. It exists solely so the in-module
+// regression tests can demonstrate the linearizability checker catching
+// each pre-fix behavior on its pinned seed; it reaches a simulation only
+// through an option whose parameter is this internal type, so an importer
+// of the module cannot name it.
+type Reinject struct {
+	// FallbackDrift disables the fallback phase's cross-round
+	// footprint-drift check, restoring the historical behavior in which a
+	// re-execution whose footprint drifted into conflict with a
+	// later-round, lower-TID member still committed early.
+	FallbackDrift bool
+	// ReplayOrder disables the recovery binding-prefix replay, restoring
+	// the historical recovery in which released responses' transactions
+	// were simply re-cut into fresh batches from the source log — in TID
+	// order, not release order — so a rebuilt state could diverge from what
+	// answered clients already observed.
+	ReplayOrder bool
 }
 
 // DefaultConfig mirrors the paper's deployment shape.
@@ -167,10 +169,10 @@ type System struct {
 
 	RequestLog *queue.Log
 	Snapshots  *snapshot.Store
-	// Dlog is the coordinator's durable append log (nil when the config
-	// disables it). Like the request log and the snapshot store it models
-	// an attached durable device: its synced contents survive a
-	// coordinator crash, its unsynced tail tears per the device contract.
+	// Dlog is the coordinator's durable append log. Like the request log
+	// and the snapshot store it models an attached durable device: its
+	// synced contents survive a coordinator crash, its unsynced tail tears
+	// per the device contract.
 	Dlog *dlog.SimLog
 
 	restart   func(id string)
@@ -199,18 +201,16 @@ func newSystem(cluster *sim.Cluster, prog *ir.Program, cfg Config) *System {
 		coordID:    cfg.IDPrefix + "coord",
 		RequestLog: queue.NewLog(),
 		Snapshots:  snapshot.NewStore(prog.Layouts()),
+		Dlog:       dlog.NewSimLog(),
 		restart:    cluster.Restart,
 		isCrashed:  cluster.IsCrashed,
 	}
 	if err := sys.RequestLog.CreateTopic(sourceTopic, 1); err != nil {
 		panic(err) // fresh log; cannot happen
 	}
-	if !cfg.DisableDlog {
-		sys.Dlog = dlog.NewSimLog()
-		// The device applies its crash contract at the coordinator's crash
-		// instant: synced records survive, the in-flight tail tears.
-		cluster.WatchCrash(sys.coordID, sys.Dlog.Crash)
-	}
+	// The device applies its crash contract at the coordinator's crash
+	// instant: synced records survive, the in-flight tail tears.
+	cluster.WatchCrash(sys.coordID, sys.Dlog.Crash)
 	sys.coord = newCoordinator(sys)
 	cluster.Add(sys.coordID, sys.coord)
 	for i := 0; i < cfg.Workers; i++ {
@@ -249,7 +249,7 @@ func (s *System) MetricsNamespace() string {
 // exposition time, so migrating them cost no call-site churn.
 func (s *System) RegisterMetrics(reg *obs.Registry) {
 	ns := s.MetricsNamespace()
-	c := s.coord
+	c, dl := s.coord, s.Dlog
 	for name, read := range map[string]func() int64{
 		"coordinator.commits":                  func() int64 { return int64(c.Commits) },
 		"coordinator.aborts":                   func() int64 { return int64(c.Aborts) },
@@ -261,6 +261,7 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"coordinator.fallback_spills":          func() int64 { return int64(c.FallbackSpills) },
 		"coordinator.fallback_drift_demotions": func() int64 { return int64(c.FallbackDriftDemotions) },
 		"coordinator.late_duplicates":          func() int64 { return int64(c.LateDuplicates) },
+		"coordinator.corrupt_log_records":      func() int64 { return int64(c.CorruptLogRecords) },
 		"coordinator.restarts":                 func() int64 { return int64(c.Restarts) },
 		"coordinator.mid_pipeline_restarts":    func() int64 { return int64(c.MidPipelineRestarts) },
 		"coordinator.replays":                  func() int64 { return int64(c.Replays) },
@@ -268,21 +269,14 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"coordinator.binding_epochs":           func() int64 { return int64(c.BindingEpochs) },
 		"coordinator.global_fences":            func() int64 { return int64(c.GlobalFences) },
 		"coordinator.global_applies":           func() int64 { return int64(c.GlobalApplies) },
+		"dlog.appends":                         func() int64 { return int64(dl.Stats().Appends) },
+		"dlog.appended_bytes":                  func() int64 { return int64(dl.Stats().AppendedBytes) },
+		"dlog.syncs":                           func() int64 { return int64(dl.Stats().Syncs) },
+		"dlog.checkpoints":                     func() int64 { return int64(dl.Stats().Checkpoints) },
+		"dlog.compacted":                       func() int64 { return int64(dl.Stats().Compacted) },
+		"dlog.torn_tails":                      func() int64 { return int64(dl.Stats().TornTails) },
 	} {
 		reg.Func(ns+name, read)
-	}
-	if s.Dlog != nil {
-		dl := s.Dlog
-		for name, read := range map[string]func() int64{
-			"dlog.appends":        func() int64 { return int64(dl.Stats().Appends) },
-			"dlog.appended_bytes": func() int64 { return int64(dl.Stats().AppendedBytes) },
-			"dlog.syncs":          func() int64 { return int64(dl.Stats().Syncs) },
-			"dlog.checkpoints":    func() int64 { return int64(dl.Stats().Checkpoints) },
-			"dlog.compacted":      func() int64 { return int64(dl.Stats().Compacted) },
-			"dlog.torn_tails":     func() int64 { return int64(dl.Stats().TornTails) },
-		} {
-			reg.Func(ns+name, read)
-		}
 	}
 }
 
@@ -342,10 +336,10 @@ func (s *System) PreloadEntity(class string, args ...interp.Value) error {
 
 // CheckpointPreloadedState writes an initial snapshot covering the
 // preloaded dataset so a recovery that happens before the first periodic
-// snapshot rolls back to the loaded state instead of to empty stores.
-// With the durable log on, the snapshot is also sealed by an initial log
-// checkpoint — only sealed snapshots are restorable, and the preloaded
-// dataset depends on no volatile records, so it is sealable immediately.
+// snapshot rolls back to the loaded state instead of to empty stores. The
+// snapshot is sealed by an initial log checkpoint — only sealed snapshots
+// are restorable, and the preloaded dataset depends on no volatile
+// records, so it is sealable immediately.
 func (s *System) CheckpointPreloadedState() {
 	id := s.Snapshots.BeginWithPending(0, map[string][]int64{sourceTopic: {0}}, nil, len(s.workers))
 	for _, w := range s.workers {
@@ -358,12 +352,8 @@ func (s *System) CheckpointPreloadedState() {
 	// preload (a release at virtual time zero must still classify as
 	// binding against it).
 	s.coord.snapCuts[id] = -1
-	if s.Dlog != nil {
-		s.coord.sealed, s.coord.snapshotID = id, id
-		s.Dlog.Checkpoint(0, encodeCheckpoint(walCheckpoint{
-			sealed: id, sealedCut: -1, delivered: map[string]deliveredEntry{},
-		}))
-	}
+	s.coord.sealed, s.coord.snapshotID = id, id
+	s.coord.journal.bootstrap(marks{sealed: id, sealedCut: -1})
 }
 
 // EntityState reads an entity's committed state (test assertions).
@@ -388,54 +378,63 @@ func (s *System) Keys(class string) []string {
 	return out
 }
 
-// ChaosTopology implements sysapi.Backend: the StateFlow runtime's
-// written failure contract, consumed by the chaos engine.
-//
-//   - Workers are crashable: the coordinator's stall detector guards
-//     every worker-dependent phase (execution, validation, apply,
-//     snapshot and recovery itself), so a dead worker is detected and
-//     the system rolls back to the last complete snapshot and replays.
-//   - The coordinator is crashable too — when its durable log is on: the
-//     restart reboots from the log (epoch high-water mark, delivered
-//     responses), rolls the workers back to the last complete snapshot
-//     and replays the source suffix. With DisableDlog the coordinator is
-//     a single point of failure again and its crash windows are clamped.
-//   - Every intra-system delivery may be dropped: a lost message stalls
-//     the phase that needed it, which triggers recovery. With the durable
-//     log on, the client edge is drop-safe as well — a lost request is
-//     covered by client-driven retry (the ingress dedupes ids), a lost
-//     response by the durable egress buffer, which re-serves the recorded
-//     response to the retrying client instead of suppressing it.
-//   - Duplicates are safe wherever a receiver dedupes or rejects stale
-//     copies: epoch/phase/id guards on every coordination message (both
-//     coordinator- and worker-side), the ingress seen-set for client
-//     requests (exactly-once input), the client's response dedup. Only
-//     msgTxnEvent is excluded: a second delivery inside the same epoch
-//     would re-execute the event in the same workspace.
+// ChaosTopology implements sysapi.Backend: one coordinator group's
+// written failure contract (see failureContract).
 func (s *System) ChaosTopology() chaos.Topology {
-	members := map[string]bool{s.coordID: true}
-	for _, w := range s.workerIDs {
-		members[w] = true
+	return failureContract(map[string][]string{
+		"coordinator": {s.coordID},
+		"worker":      append([]string(nil), s.workerIDs...),
+	})
+}
+
+// failureContract is the StateFlow runtime's written failure contract for
+// a deployment made of the given roles (component ids per role: one
+// coordinator group, or every shard's plus the sequencer), consumed by
+// the chaos engine.
+//
+//   - Every role is crashable. Workers: the coordinator's stall detector
+//     guards every worker-dependent phase (execution, validation, apply,
+//     snapshot and recovery itself), so a dead worker is detected and the
+//     system rolls back to the last sealed snapshot and replays. The
+//     coordinator: its restart reboots from the journal's durable log
+//     (epoch high-water mark, delivered responses), rolls the workers back
+//     and replays the source suffix. The sequencer: see
+//     ShardedSystem.ChaosTopology.
+//   - Every delivery between two components of the deployment may be
+//     dropped: a lost message stalls the phase that needed it, which
+//     triggers recovery (or, for the fence protocol, the sequencer's stall
+//     timer re-sends it). The client edge is drop-safe as well — a lost
+//     request is covered by client-driven retry (the ingress dedupes ids),
+//     a lost response by the durable egress buffer, which re-serves the
+//     recorded response to the retrying client instead of suppressing it.
+//   - Duplicates are safe wherever a receiver dedupes or rejects stale
+//     copies: epoch/phase/id guards on every coordination message
+//     (coordinator-, worker- and sequencer-side), the ingress seen-set for
+//     client requests and global applies (exactly-once input), the
+//     client's response dedup. Only msgTxnEvent is excluded: a second
+//     delivery inside the same epoch would re-execute the event in the
+//     same workspace. A new coordination message is declared
+//     duplicate-safe here and nowhere else.
+func failureContract(roles map[string][]string) chaos.Topology {
+	members := map[string]bool{}
+	crashable := map[string]bool{}
+	for role, ids := range roles {
+		crashable[role] = true
+		for _, id := range ids {
+			members[id] = true
+		}
 	}
-	durable := s.Dlog != nil
 	return chaos.Topology{
-		Roles: map[string][]string{
-			"coordinator": {s.coordID},
-			"worker":      append([]string(nil), s.workerIDs...),
-		},
-		Crashable: map[string]bool{"worker": true, "coordinator": durable},
+		Roles:     roles,
+		Crashable: crashable,
 		DropSafe: func(from, to string, msg sim.Message) bool {
-			if members[from] && members[to] {
+			switch {
+			case members[from] && members[to]:
 				return true
-			}
-			if !durable {
-				return false
-			}
-			if !members[from] && to == s.coordID {
+			case members[to]:
 				_, ok := msg.(sysapi.MsgRequest)
 				return ok // clients retry; the ingress dedupes
-			}
-			if from == s.coordID && !members[to] {
+			case members[from]:
 				_, ok := msg.(sysapi.MsgResponse)
 				return ok // retries are re-served from the egress buffer
 			}
@@ -444,7 +443,10 @@ func (s *System) ChaosTopology() chaos.Topology {
 		DupSafe: func(from, to string, msg sim.Message) bool {
 			switch msg.(type) {
 			case msgTxnFinished, msgPrepare, msgVote, msgDecide, msgApplied,
-				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered:
+				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
+				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
+				msgGlobalRead, msgGlobalState, msgGlobalApply,
+				msgSeqFenceQuery, msgSeqFenceReport, msgSeqProbe, msgSeqProbeAck:
 				return true
 			case sysapi.MsgRequest, sysapi.MsgResponse:
 				return true

@@ -69,17 +69,6 @@ type SimConfig struct {
 	// consumes it; the map grows with the run, so leave it off elsewhere.
 	// No effect on the baseline backend.
 	TraceCommits bool
-	// UncheckedFallbackDrift disables the StateFlow fallback phase's
-	// cross-round footprint-drift check (test hook — exists solely so the
-	// drift regression test can reproduce the pre-fix bug and show the
-	// linearizability checker catching it).
-	UncheckedFallbackDrift bool
-	// UncheckedReplayOrder disables the StateFlow recovery binding-prefix
-	// replay, restoring the historical recovery that re-cut released work
-	// into fresh batches in TID order (test hook — exists solely so the
-	// replay-order regression tests can reproduce the pre-fix divergence
-	// and show the linearizability checker catching it).
-	UncheckedReplayOrder bool
 	// ClientRetry is the client-edge retransmission interval: a submitted
 	// request whose response has not arrived after this much virtual time
 	// is re-sent (same request id — the ingress dedupes in-flight copies
@@ -218,8 +207,7 @@ func NewSimulation(prog *Program, cfg SimConfig, opts ...SimOption) *Simulation 
 		c.DisableFallback = cfg.DisableFallback
 		c.DisablePipelining = cfg.DisablePipelining
 		c.TraceCommits = cfg.TraceCommits
-		c.UncheckedFallbackDrift = cfg.UncheckedFallbackDrift
-		c.UncheckedReplayOrder = cfg.UncheckedReplayOrder
+		c.Reinject = o.reinject
 		c.Tracer = cfg.Tracer
 		c.Flight = flight
 		c.Shards = cfg.Shards
