@@ -269,7 +269,7 @@ func RunOverhead(opt Options, stateKBs []int) ([]OverheadRow, error) {
 		out = append(out, OverheadRow{
 			StateKB:       kb,
 			Breakdown:     agg,
-			SplitFraction: agg.Fraction("splitting_instrumentation"),
+			SplitFraction: agg.Fraction(obs.SplittingInstrumentation),
 		})
 	}
 	return out, nil

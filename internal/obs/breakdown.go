@@ -7,28 +7,55 @@ import (
 	"time"
 )
 
-// Breakdown accumulates time attributed to named runtime components (the
-// §4 overhead experiment). Attribution keys are free-form; the StateFlow
-// worker uses keys like "routing", "object_construction",
-// "function_execution", "state_serialization", "splitting_overhead".
+// Component is one of the runtime components the §4 overhead experiment
+// attributes CPU time to.
+type Component uint8
+
+const (
+	EventDeserialization Component = iota
+	ObjectConstruction
+	SplittingInstrumentation
+	FunctionExecution
+	TxnValidation
+	StateSerialization
+	TxnCommit
+	SnapshotPersistence
+	numComponents
+)
+
+var componentNames = [numComponents]string{
+	EventDeserialization:     "event_deserialization",
+	ObjectConstruction:       "object_construction",
+	SplittingInstrumentation: "splitting_instrumentation",
+	FunctionExecution:        "function_execution",
+	TxnValidation:            "txn_validation",
+	StateSerialization:       "state_serialization",
+	TxnCommit:                "txn_commit",
+	SnapshotPersistence:      "snapshot_persistence",
+}
+
+func (c Component) String() string { return componentNames[c] }
+
+// Breakdown accumulates time attributed to runtime components (the §4
+// overhead experiment). The StateFlow worker and both StateFun components
+// charge it once per cost-model ctx.Work, so the event path indexes a fixed
+// array; component names appear only when a table is rendered.
 type Breakdown struct {
-	buckets map[string]time.Duration
-	counts  map[string]int
+	buckets [numComponents]time.Duration
+	counts  [numComponents]int
 }
 
 // NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{buckets: map[string]time.Duration{}, counts: map[string]int{}}
-}
+func NewBreakdown() *Breakdown { return &Breakdown{} }
 
 // Add charges d to a component.
-func (b *Breakdown) Add(component string, d time.Duration) {
-	b.buckets[component] += d
-	b.counts[component]++
+func (b *Breakdown) Add(c Component, d time.Duration) {
+	b.buckets[c] += d
+	b.counts[c]++
 }
 
 // Get returns the accumulated time for a component.
-func (b *Breakdown) Get(component string) time.Duration { return b.buckets[component] }
+func (b *Breakdown) Get(c Component) time.Duration { return b.buckets[c] }
 
 // Total returns the sum over all components.
 func (b *Breakdown) Total() time.Duration {
@@ -40,25 +67,28 @@ func (b *Breakdown) Total() time.Duration {
 }
 
 // Fraction returns a component's share of the total (0 when empty).
-func (b *Breakdown) Fraction(component string) float64 {
+func (b *Breakdown) Fraction(c Component) float64 {
 	t := b.Total()
 	if t == 0 {
 		return 0
 	}
-	return float64(b.buckets[component]) / float64(t)
+	return float64(b.buckets[c]) / float64(t)
 }
 
-// Components lists component names sorted by accumulated time descending.
-func (b *Breakdown) Components() []string {
-	out := make([]string, 0, len(b.buckets))
-	for k := range b.buckets {
-		out = append(out, k)
+// Components lists the components charged at least once, sorted by
+// accumulated time descending (ties by name).
+func (b *Breakdown) Components() []Component {
+	var out []Component
+	for c := Component(0); c < numComponents; c++ {
+		if b.counts[c] > 0 {
+			out = append(out, c)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if b.buckets[out[i]] != b.buckets[out[j]] {
 			return b.buckets[out[i]] > b.buckets[out[j]]
 		}
-		return out[i] < out[j]
+		return out[i].String() < out[j].String()
 	})
 	return out
 }
@@ -79,8 +109,8 @@ func (b *Breakdown) Table() string {
 
 // Merge adds another breakdown into this one.
 func (b *Breakdown) Merge(o *Breakdown) {
-	for k, d := range o.buckets {
-		b.buckets[k] += d
-		b.counts[k] += o.counts[k]
+	for c := range o.buckets {
+		b.buckets[c] += o.buckets[c]
+		b.counts[c] += o.counts[c]
 	}
 }

@@ -8,20 +8,20 @@ import (
 
 func TestBreakdown(t *testing.T) {
 	b := NewBreakdown()
-	b.Add("exec", 90*time.Millisecond)
-	b.Add("split", 10*time.Millisecond)
+	b.Add(FunctionExecution, 90*time.Millisecond)
+	b.Add(SplittingInstrumentation, 10*time.Millisecond)
 	if b.Total() != 100*time.Millisecond {
 		t.Fatalf("total: %s", b.Total())
 	}
-	if f := b.Fraction("split"); f != 0.1 {
+	if f := b.Fraction(SplittingInstrumentation); f != 0.1 {
 		t.Fatalf("fraction: %f", f)
 	}
 	comps := b.Components()
-	if comps[0] != "exec" || comps[1] != "split" {
+	if len(comps) != 2 || comps[0] != FunctionExecution || comps[1] != SplittingInstrumentation {
 		t.Fatalf("order: %v", comps)
 	}
 	tbl := b.Table()
-	for _, f := range []string{"exec", "split", "10.00%", "total"} {
+	for _, f := range []string{"function_execution", "splitting_instrumentation", "10.00%", "total"} {
 		if !strings.Contains(tbl, f) {
 			t.Fatalf("table missing %s:\n%s", f, tbl)
 		}
@@ -30,19 +30,22 @@ func TestBreakdown(t *testing.T) {
 
 func TestBreakdownMerge(t *testing.T) {
 	a := NewBreakdown()
-	a.Add("x", time.Second)
+	a.Add(TxnCommit, time.Second)
 	b := NewBreakdown()
-	b.Add("x", time.Second)
-	b.Add("y", 2*time.Second)
+	b.Add(TxnCommit, time.Second)
+	b.Add(TxnValidation, 2*time.Second)
 	a.Merge(b)
-	if a.Get("x") != 2*time.Second || a.Get("y") != 2*time.Second {
-		t.Fatalf("merge: x=%s y=%s", a.Get("x"), a.Get("y"))
+	if a.Get(TxnCommit) != 2*time.Second || a.Get(TxnValidation) != 2*time.Second {
+		t.Fatalf("merge: commit=%s validation=%s", a.Get(TxnCommit), a.Get(TxnValidation))
+	}
+	if comps := a.Components(); len(comps) != 2 {
+		t.Fatalf("merge listed %v, want the two charged components", comps)
 	}
 }
 
 func TestBreakdownEmpty(t *testing.T) {
 	b := NewBreakdown()
-	if b.Fraction("anything") != 0 {
+	if b.Fraction(FunctionExecution) != 0 {
 		t.Fatal("empty fraction must be 0")
 	}
 	if b.Total() != 0 {

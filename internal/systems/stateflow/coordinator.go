@@ -5,6 +5,15 @@
 // response-replay). The paper's deployment dedicates a single core to it
 // ("StateFlow requires a single core coordinator", §4).
 //
+// Three files hold it. This one owns the component — its fields, message
+// dispatch and wiring — and everything around a batch: request intake, the
+// two-slot pipeline (opening, filling and releasing epochs), the failure
+// detector, snapshots and checkpoints, and recovery. epoch.go owns what
+// happens to a batch between its first assignment and its last settle —
+// epochState, the transaction record and the round loop. journal.go owns
+// the exactly-once border (below). fence.go adds the shard's part in the
+// sequencer's global batches.
+//
 // Epoch pipelining: the coordinator keeps a two-slot stage table — exec
 // (the open/executing epoch) and commit (the epoch in
 // validate/apply/snapshot) — and runs them concurrently. When epoch N's
@@ -28,12 +37,9 @@ package stateflow
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
-	"statefulentities.dev/stateflow/internal/core"
-	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/snapshot"
@@ -51,102 +57,6 @@ const (
 	phaseSnapshot
 	phaseRecovering
 )
-
-type txnState struct {
-	req sysapi.Request
-	// root is the transaction's root invocation event. Executors only read
-	// events, so the first execution and every fallback re-execution send
-	// this one.
-	root     core.Event
-	replyTo  string
-	pos      int64 // source-log position of the request
-	retries  int
-	finished bool
-	value    interp.Value
-	err      string
-	// apply is set when the transaction is one shard's slice of a global
-	// batch (req then carries only the apply's id and target).
-	apply *globalApply
-}
-
-type pendingReq struct {
-	req     sysapi.Request
-	replyTo string
-	pos     int64 // source-log position of the request
-	retries int
-	// arrivedAt is when the request entered (or re-entered) the intake
-	// queue — the start of its ingress.queue trace span. Zero when the
-	// enqueue instant is unknown (e.g. a source-log drain after
-	// recovery); assign then clamps the span to zero length. Purely
-	// observational.
-	arrivedAt time.Duration
-	// apply is set when the request is a global batch's apply (see
-	// globalApply.pending).
-	apply *globalApply
-}
-
-// epochState is one slot of the coordinator's pipeline stage table: the
-// full per-epoch protocol state, from the open batch through validation,
-// fallback rounds and apply. The epoch number is the demultiplexing key —
-// worker messages carry it, and stageFor routes them to the slot they
-// belong to — so two epochs can be in flight without their votes, acks or
-// finishes contaminating each other.
-type epochState struct {
-	epoch int64
-	phase phase
-	// phaseAt is when the current phase began (set by enterPhase and at
-	// batch close) — the start timestamp of the phase's trace span.
-	// Purely observational.
-	phaseAt time.Duration
-
-	// binding marks a recovery replay epoch whose batch re-executes
-	// already-released responses (the binding prefix — see Recover). It
-	// is filled from the replay queue and closed in the same event (see
-	// openBinding), admits no fresh arrivals, never snapshots, and commits
-	// only the conflict-free prefix of its batch: everything from the
-	// first aborted member on requeues to the front of the binding queue
-	// with no retry budget — a response a client already holds cannot be
-	// taken back, so its effects must be rebuilt no matter what.
-	binding bool
-
-	batch map[aria.TID]*txnState
-	order []aria.TID
-	// unfinished counts batch transactions whose root response has not
-	// arrived yet; it makes the per-finish completion check O(1) instead
-	// of rescanning the whole batch map.
-	unfinished int
-
-	// consumedEnd freezes the source cursor at batch close: it is this
-	// epoch's aligned cut. The pipelined successor keeps consuming past it
-	// while this epoch commits, so the snapshot taken at this epoch's
-	// boundary must record this value — not the live cursor — as its
-	// replay offset.
-	consumedEnd int64
-
-	votes      map[string]bool
-	unionAbort map[aria.TID]bool
-	applied    map[string]bool
-
-	// Fallback phase state (epoch-scoped, discarded with the slot). fbVotes
-	// holds the per-worker local reservation sets shipped with the batch
-	// votes (merged into global footprints only if the batch actually has
-	// conflict aborts — an uncontended batch pays nothing beyond the
-	// shipping); fbRounds the not-yet-executed re-execution rounds of the
-	// deterministic schedule; fbSet marks every transaction the schedule
-	// rescues (they skip the next-batch retry path); fbRound/fbOrder
-	// identify the round in flight (fbRound 0: no fallback running).
-	fbVotes  []map[aria.TID]*aria.RWSet
-	fbRounds [][]aria.TID
-	fbSet    map[aria.TID]bool
-	fbRound  int
-	fbOrder  []aria.TID
-	// fbFootprints retains the rescued members' merged footprints across
-	// the rounds (declared at schedule time, widened as re-executions
-	// drift): the per-round drift check compares a would-be committer's
-	// observed footprint against the not-yet-committed lower-TID members'
-	// retained ones.
-	fbFootprints map[aria.TID]*aria.RWSet
-}
 
 // Coordinator is the StateFlow coordinator node.
 type Coordinator struct {
@@ -203,8 +113,10 @@ type Coordinator struct {
 	// into batches.
 	consumed int64
 
-	snapDone   map[string]bool
-	recovered  map[string]bool
+	// snapDone and recovered collect the workers' answers to the snapshot
+	// in flight and to the recovery in progress.
+	snapDone   ackSet
+	recovered  ackSet
 	snapshotID int64
 
 	// sealed is the newest snapshot id whose seal is durable (carried in
@@ -320,7 +232,7 @@ func (c *Coordinator) flight() *obs.FlightRecorder { return c.sys.cfg.Flight }
 func newCoordinator(sys *System) *Coordinator {
 	return &Coordinator{
 		sys:      sys,
-		exec:     &epochState{phase: phaseOpen, batch: map[aria.TID]*txnState{}},
+		exec:     &epochState{phase: phaseOpen},
 		journal:  newJournal(sys.coordID, &sys.cfg, sys.Dlog),
 		snapCuts: map[int64]time.Duration{},
 	}
@@ -383,7 +295,7 @@ func (c *Coordinator) stageFor(epoch int64) *epochState {
 
 // batchFull reports whether the slot's batch reached the configured cap.
 func (c *Coordinator) batchFull(st *epochState) bool {
-	return c.sys.cfg.MaxBatch > 0 && len(st.batch) >= c.sys.cfg.MaxBatch
+	return c.sys.cfg.MaxBatch > 0 && len(st.txns) >= c.sys.cfg.MaxBatch
 }
 
 // admit passes an arrival — a client request or a global apply — through
@@ -423,34 +335,6 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 	// global batch unfences).
 }
 
-// assign gives a request a TID in the slot's batch and dispatches its
-// first invocation event.
-func (c *Coordinator) assign(ctx *sim.Context, st *epochState, p pendingReq) {
-	c.nextTID++
-	tid := c.nextTID
-	t := &txnState{req: p.req, replyTo: p.replyTo, pos: p.pos, retries: p.retries, apply: p.apply,
-		root: core.Event{
-			Kind:   core.EvInvoke,
-			Req:    p.req.Req,
-			Target: p.req.Target,
-			Method: p.req.Method,
-			Args:   p.req.Args,
-		}}
-	st.batch[tid] = t
-	st.unfinished++
-	if tr := c.tracer(); tr.Enabled() {
-		start := p.arrivedAt
-		if start == 0 || start > ctx.Now() {
-			start = ctx.Now()
-		}
-		tr.Span(c.sys.coordID, "txn", "ingress.queue", start, ctx.Now(),
-			"trace", p.req.Trace.ID, "epoch", strconv.FormatInt(st.epoch, 10))
-	}
-	owner := c.sys.ownerOf(p.req.Target)
-	ctx.Send(owner, msgTxnEvent{TID: tid, Epoch: st.epoch, Ev: &t.root, Apply: p.apply.firstHop()},
-		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-}
-
 // onTick closes the open batch. An empty batch first drains pending
 // retries — the pipelined commit stage spills them while the exec slot is
 // already open, and with no fresh arrivals the tick is the only thing
@@ -466,10 +350,10 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 		// tick chain resumes at unfence.
 		return
 	}
-	if len(st.batch) == 0 {
+	if len(st.txns) == 0 {
 		c.drainPending(ctx, st)
 	}
-	if len(st.batch) == 0 {
+	if len(st.txns) == 0 {
 		if c.fencePending != 0 && c.maybeFence(ctx) {
 			return // parked; the tick chain stops until unfence
 		}
@@ -477,8 +361,7 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 		ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{Epoch: st.epoch})
 		return
 	}
-	st.consumedEnd = c.consumed
-	c.enterPhase(ctx, st, phaseClosing)
+	c.closeBatch(ctx, st)
 	c.maybePrepare(ctx, st)
 }
 
@@ -502,509 +385,11 @@ func (c *Coordinator) phaseSpan(ctx *sim.Context, st *epochState, name string) {
 	if !tr.Enabled() {
 		return
 	}
-	args := []string{"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.fbRound)}
+	args := []string{"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.round)}
 	if st.binding {
 		args = append(args, "binding", "1")
 	}
 	tr.Span(c.sys.coordID, "epoch", name, st.phaseAt, ctx.Now(), args...)
-}
-
-// onFinished records a transaction's root response (from the batch's
-// first execution or from the fallback round in flight). The epoch stamp
-// routes it to the right slot: with pipelining, finishes for the exec
-// epoch arrive while the commit epoch is still validating.
-func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
-	st := c.stageFor(m.Epoch)
-	if st == nil || m.Round != st.fbRound {
-		return // stale: batch discarded by recovery, or a finished round
-	}
-	t, ok := st.batch[m.TID]
-	if !ok || t.finished {
-		return
-	}
-	c.progress++
-	t.finished = true
-	t.value = m.Value
-	t.err = m.Err
-	st.unfinished--
-	c.maybePrepare(ctx, st)
-}
-
-// maybePrepare advances a fully executed slot (Aria's execution barrier).
-// A fallback round validates in place; a fully executed batch is promoted
-// into the commit stage — unless the slot is still occupied, in which
-// case the batch waits closed (backpressure: the pipeline is exactly two
-// deep).
-func (c *Coordinator) maybePrepare(ctx *sim.Context, st *epochState) {
-	if st.phase != phaseClosing || st.unfinished != 0 {
-		return
-	}
-	if st.fbRound > 0 {
-		c.sendPrepare(ctx, st)
-		return
-	}
-	if c.commit != nil {
-		return // commit slot busy; promoted when it settles
-	}
-	c.promote(ctx, st)
-}
-
-// promote moves a fully executed batch into the commit stage and — on the
-// pipelined schedule — opens the next epoch immediately, so its batch
-// accumulates and executes while this one validates, applies and
-// group-commits.
-func (c *Coordinator) promote(ctx *sim.Context, st *epochState) {
-	c.commit = st
-	if c.exec == st {
-		c.exec = nil
-	}
-	c.sendPrepare(ctx, st)
-	// A binding epoch's successor cannot open yet: which queue members it
-	// takes is only known once this batch's votes say where the committed
-	// prefix ends (onVote opens it then).
-	if !st.binding {
-		c.openPipelined(ctx)
-	}
-}
-
-// openPipelined opens the commit epoch's successor ahead of its release,
-// so the successor accumulates and executes while the commit epoch
-// applies and group-commits (workers buffer its events until the
-// predecessor applies locally). While fenced — and on the serial schedule
-// — the successor waits for releaseCommit instead: the fenced openEpoch
-// path parks it (or runs a queued apply), and opening it early would just
-// park it sooner with nothing to do.
-func (c *Coordinator) openPipelined(ctx *sim.Context) {
-	if !c.sys.cfg.DisablePipelining && !c.fenced {
-		ctx.Work(c.sys.cfg.Costs.PipelineCPU)
-		c.openEpoch(ctx)
-	}
-}
-
-// sendPrepare starts validation on every worker: of the batch (round 0,
-// Order is the full batch TID order) or of the fallback round in flight.
-func (c *Coordinator) sendPrepare(ctx *sim.Context, st *epochState) {
-	// The execution window just ended: phaseAt was stamped when the batch
-	// closed (or the fallback round dispatched).
-	if st.fbRound > 0 {
-		c.phaseSpan(ctx, st, "fallback.round")
-	} else {
-		c.phaseSpan(ctx, st, "execute")
-	}
-	c.enterPhase(ctx, st, phasePrepare)
-	st.votes = map[string]bool{}
-	st.unionAbort = map[aria.TID]bool{}
-	order := st.fbOrder
-	if st.fbRound == 0 {
-		st.order = st.order[:0]
-		for tid := range st.batch {
-			st.order = append(st.order, tid)
-		}
-		slices.Sort(st.order)
-		order = st.order
-	}
-	// One copy for all workers: receivers only read it, and the slot's own
-	// order slices must stay private to the coordinator.
-	order = slices.Clone(order)
-	for _, w := range c.sys.workerIDs {
-		ctx.Send(w, msgPrepare{Epoch: st.epoch, Round: st.fbRound, Order: order},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
-}
-
-// onVote accumulates worker votes; when unanimous, broadcasts the global
-// deterministic decision — for the batch, scheduling the fallback phase
-// over the conflict aborts first, or for the fallback round in flight.
-func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
-	st := c.commit
-	if st == nil || m.Epoch != st.epoch || st.phase != phasePrepare || m.Round != st.fbRound {
-		return
-	}
-	if st.votes[from] {
-		return
-	}
-	c.progress++
-	st.votes[from] = true
-	for _, t := range m.Aborts {
-		st.unionAbort[t] = true
-	}
-	if len(m.Sets) > 0 {
-		st.fbVotes = append(st.fbVotes, m.Sets)
-	}
-	if len(st.votes) < len(c.sys.workerIDs) {
-		return
-	}
-	c.phaseSpan(ctx, st, "validate")
-	if st.fbRound > 0 {
-		c.decideFallbackRound(ctx, st)
-		return
-	}
-	// Binding epochs skip the fallback phase: its rescue rounds commit
-	// aborted members out of queue order within the batch, and the binding
-	// replay's whole contract is that conflicting members re-commit in
-	// release order. They commit a conflict-free prefix instead.
-	if st.binding {
-		c.cutBinding(ctx, st)
-	} else if !c.sys.cfg.DisableFallback {
-		c.scheduleFallback(ctx, st)
-	}
-	// A transaction that failed with an application error commits nothing:
-	// treat it as aborted for state purposes but respond immediately (it
-	// has no effects to install — its workspace writes are dropped).
-	aborts := make([]aria.TID, 0, len(st.unionAbort))
-	for _, tid := range st.order {
-		if st.unionAbort[tid] || st.batch[tid].err != "" {
-			aborts = append(aborts, tid)
-		}
-	}
-	final := len(st.fbRounds) == 0
-	c.enterPhase(ctx, st, phaseApply)
-	st.applied = map[string]bool{}
-	order := slices.Clone(st.order) // shared by the workers, read-only there
-	for _, w := range c.sys.workerIDs {
-		ctx.Send(w, msgDecide{Epoch: st.epoch, Order: order, Aborts: aborts, Final: final},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
-	if st.binding {
-		// The cut settled what is left of the queue, so the successor (the
-		// next binding batch, or the first normal epoch once the queue has
-		// drained) opens now and executes under this epoch's apply and
-		// group commit.
-		c.openPipelined(ctx)
-	}
-}
-
-// cutBinding settles a binding batch at its unanimous vote: the longest
-// prefix of the batch (in queue order, which is TID order) without a
-// conflict abort commits, and everything from the first aborted member on
-// — aborted or not — goes back to the front of the replay queue, in
-// order, to run in the next binding epoch.
-//
-// This is what makes batching an order-constrained replay sound. Aria
-// commits every member without a RAW or WAW conflict against a lower TID,
-// so committing the whole surviving set would let a later member commit
-// against state that lacks an aborted earlier member's write — an order
-// inversion the released responses already contradict, and with
-// data-dependent footprints one the aborted member's re-execution can
-// drift away from, so no later conflict check would ever notice it. A
-// member of the prefix has no such exposure: every lower TID commits with
-// it, none of them wrote anything it read or wrote, so executing it
-// against the pre-batch state is executing it after them — the batch's
-// commits are exactly the queue's serial order. The lowest TID has nothing
-// to conflict with, so the prefix is never empty and every batch makes
-// progress.
-//
-// The window adapts with no knob: a batch that commits whole doubles it
-// (up to MaxBatch), a cut sets it to the prefix length — the conflict
-// spacing just observed. A queue of transactions on one hot key therefore
-// degrades to the one-per-epoch serial order, never below it.
-func (c *Coordinator) cutBinding(ctx *sim.Context, st *epochState) {
-	cut := len(st.order)
-	for i, tid := range st.order {
-		if st.unionAbort[tid] {
-			cut = i
-			break
-		}
-	}
-	if cut == len(st.order) {
-		c.window *= 2
-		if limit := c.sys.cfg.MaxBatch; limit > 0 && c.window > limit {
-			c.window = limit
-		}
-		return
-	}
-	c.window = max(cut, 1)
-	requeue := make([]pendingReq, 0, len(st.order)-cut+len(c.replaying))
-	for _, tid := range st.order[cut:] {
-		if c.uncutBinding && !st.unionAbort[tid] {
-			continue
-		}
-		st.unionAbort[tid] = true
-		t := st.batch[tid]
-		requeue = append(requeue, pendingReq{
-			req: t.req, replyTo: t.replyTo, pos: t.pos, retries: t.retries,
-			arrivedAt: ctx.Now(), apply: t.apply,
-		})
-	}
-	c.replaying = append(requeue, c.replaying...)
-}
-
-// scheduleFallback computes the deterministic fallback schedule over the
-// batch's conflict aborts: the dependency-graph pass (aria.Fallback) on
-// the global footprints merged from the batch votes, filtered down to the
-// conflict-aborted members. An application error alone is definitive and
-// never re-executes — but an error on a member that also lost validation
-// is tentative (it was observed under a voided footprint), so it is
-// rescued like any other conflict abort. Runs
-// before the batch decide so the decide/apply wave and the response loop
-// both know which aborts the fallback phase rescues. A batch without
-// conflict aborts skips the merge and the graph pass entirely — the
-// uncontended hot path pays only the set shipping on votes.
-func (c *Coordinator) scheduleFallback(ctx *sim.Context, st *epochState) {
-	votes := st.fbVotes
-	st.fbVotes = nil
-	conflicted := false
-	for _, tid := range st.order {
-		if st.unionAbort[tid] {
-			conflicted = true
-			break
-		}
-	}
-	if !conflicted {
-		return
-	}
-	// Merge the workers' local sets into global per-transaction
-	// footprints. Copied, never aliased: the workers wipe their
-	// workspaces at decide while the footprints must survive into the
-	// fallback rounds.
-	merged := map[aria.TID]*aria.RWSet{}
-	for _, sets := range votes {
-		for tid, rw := range sets {
-			m, ok := merged[tid]
-			if !ok {
-				m = aria.NewRWSet()
-				merged[tid] = m
-			}
-			m.Merge(rw)
-		}
-	}
-	sched := aria.Fallback(st.order, merged)
-	if len(sched.Commit) == 0 {
-		return
-	}
-	var rounds [][]aria.TID
-	set := map[aria.TID]bool{}
-	for _, members := range sched.Rounds {
-		var keep []aria.TID
-		for _, tid := range members {
-			// Conflict aborts are rescued whether or not the tentative
-			// execution errored: an error observed under a footprint that
-			// lost validation is void (the serial order may create the very
-			// entity the read missed), so it re-executes like any other
-			// rescued member rather than being answered as definitive.
-			if _, ok := st.batch[tid]; ok && st.unionAbort[tid] {
-				keep = append(keep, tid)
-				set[tid] = true
-			}
-		}
-		if len(keep) > 0 {
-			rounds = append(rounds, keep)
-		}
-	}
-	st.fbRounds, st.fbSet = rounds, set
-	// Retain the rescued members' footprints: the schedule guarantees a
-	// member runs after every lower-TID member it (declaredly) conflicts
-	// with, and the per-round drift check needs these sets to keep that
-	// guarantee when re-executions drift off their declarations.
-	st.fbFootprints = make(map[aria.TID]*aria.RWSet, len(set))
-	for tid := range set {
-		st.fbFootprints[tid] = merged[tid]
-	}
-	ctx.Work(time.Duration(len(set)) * c.sys.cfg.Costs.FallbackCPU)
-}
-
-// onApplied finishes the batch — or one fallback round — once every
-// worker installed it: responses stage onto the durable log's group
-// commit, conflict-aborted transactions enter the fallback phase (or, if
-// it is disabled or did not rescue them, retry in the next batch), and
-// the next round opens or the commit slot is released.
-func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
-	st := c.commit
-	if st == nil || m.Epoch != st.epoch || st.phase != phaseApply || m.Round != st.fbRound {
-		return
-	}
-	if !st.applied[from] {
-		c.progress++
-	}
-	st.applied[from] = true
-	if len(st.applied) < len(c.sys.workerIDs) {
-		return
-	}
-	c.phaseSpan(ctx, st, "apply")
-	if st.fbRound > 0 {
-		c.finishFallbackRound(ctx, st)
-		return
-	}
-	ctx.Work(time.Duration(len(st.batch)) * c.sys.cfg.Costs.RoutingCPU)
-	for _, tid := range st.order {
-		t := st.batch[tid]
-		switch {
-		// The conflict cases come first: a conflict abort voids the
-		// tentative execution wholesale, errors included — the serial
-		// order the abort defers to may well remove the error's cause.
-		case st.unionAbort[tid] && st.fbSet[tid]:
-			// Conflict abort rescued by the fallback schedule: it
-			// re-executes (and responds) within this batch.
-		case st.unionAbort[tid]:
-			c.Aborts++
-			if st.binding {
-				// Past the batch's cut: cutBinding requeued it at the vote,
-				// unconditionally (no budget, no retry bump) — its response
-				// already escaped.
-				break
-			}
-			if t.retries+1 > c.sys.cfg.MaxRetries {
-				c.Failures++
-				c.respond(ctx, t, sysapi.Response{
-					Req: t.req.Req, Err: "transaction aborted: retry budget exhausted",
-					Retries: t.retries,
-				})
-				break
-			}
-			c.pending = append(c.pending, pendingReq{
-				req: t.req, replyTo: t.replyTo, pos: t.pos, retries: t.retries + 1,
-				arrivedAt: ctx.Now(),
-			})
-		case t.err != "":
-			// Application error with a validated footprint: definitive,
-			// no retry.
-			c.Failures++
-			c.respond(ctx, t, sysapi.Response{
-				Req: t.req.Req, Err: t.err, Retries: t.retries,
-			})
-		default:
-			c.Commits++
-			c.traceCommit(t.req.Req)
-			c.respond(ctx, t, sysapi.Response{
-				Req: t.req.Req, Value: t.value, Retries: t.retries,
-			})
-		}
-	}
-	if len(st.fbRounds) > 0 {
-		c.journal.sync(ctx)
-		c.startFallbackRound(ctx, st)
-		return
-	}
-	c.finishBatch(ctx, st)
-}
-
-// startFallbackRound dispatches the next fallback re-execution round:
-// each rescued transaction restarts its call chain from its root
-// invocation against the now-current committed state (standard commits
-// plus every earlier round). Round members have pairwise-disjoint
-// declared footprints, so they re-execute concurrently; the round is then
-// validated like a miniature batch, which catches footprints that drifted
-// under the re-read values.
-func (c *Coordinator) startFallbackRound(ctx *sim.Context, st *epochState) {
-	round := st.fbRounds[0]
-	st.fbRounds = st.fbRounds[1:]
-	st.fbRound++
-	c.FallbackRounds++
-	st.fbOrder = round
-	st.unfinished = len(round)
-	c.enterPhase(ctx, st, phaseClosing)
-	for _, tid := range round {
-		t := st.batch[tid]
-		t.finished, t.value, t.err = false, interp.None, ""
-		ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.fbRound, Ev: &t.root, Apply: t.apply.firstHop()},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
-}
-
-// decideFallbackRound broadcasts the round's deterministic decision once
-// its votes are unanimous: committed members apply, demoted members (a
-// conflict the declared footprints did not predict) re-run with the next
-// round — unless the round budget is exhausted, in which case the epoch
-// ends here and the leftovers spill into the next batch.
-func (c *Coordinator) decideFallbackRound(ctx *sim.Context, st *epochState) {
-	c.demoteDriftedMembers(st)
-	aborts := make([]aria.TID, 0)
-	demotable := 0
-	for _, tid := range st.fbOrder {
-		if st.unionAbort[tid] || st.batch[tid].err != "" {
-			aborts = append(aborts, tid)
-		}
-		if st.unionAbort[tid] {
-			demotable++
-		}
-	}
-	moreRounds := len(st.fbRounds) > 0 || demotable > 0
-	if b := c.sys.cfg.FallbackRoundBudget; b > 0 && st.fbRound >= b {
-		moreRounds = false
-	}
-	c.enterPhase(ctx, st, phaseApply)
-	st.applied = map[string]bool{}
-	order := slices.Clone(st.fbOrder) // shared by the workers, read-only there
-	for _, w := range c.sys.workerIDs {
-		ctx.Send(w, msgDecide{Epoch: st.epoch, Round: st.fbRound, Order: order, Aborts: aborts, Final: !moreRounds},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
-}
-
-// demoteDriftedMembers closes the fallback footprint-drift hole. A round
-// member re-executes against a later state than its first execution, so
-// its observed footprint can drift off the declared one the schedule was
-// computed from. Drift against same-round members is caught by the
-// round's own validation — but a would-be committer whose drifted
-// footprint newly conflicts with a *later-round, lower-TID* member would
-// commit ahead of it, breaking the invariant that conflicting
-// transactions commit in source order. That invariant is what lets any
-// schedule that re-derives commit order from the source log — the
-// historical TID-order recovery re-cut (see Reinject.ReplayOrder)
-// and the fallback-disabled differential — reproduce exactly the
-// responses this schedule released; silently giving it up is the bug
-// (the binding-prefix replay shields clients from the recovery half, but
-// the invariant is what the differential and the drift regression tests
-// pin). Demote such members instead: they merge into the next round and
-// re-run after the member they must follow. Round votes ship the
-// observed reservation sets (see Worker.onPrepare) to make the check
-// possible.
-func (c *Coordinator) demoteDriftedMembers(st *epochState) {
-	votes := st.fbVotes
-	st.fbVotes = nil
-	if c.sys.cfg.Reinject.FallbackDrift {
-		return // test hook: reproduce the pre-fix behavior
-	}
-	observed := map[aria.TID]*aria.RWSet{}
-	for _, sets := range votes {
-		for tid, rw := range sets {
-			m, ok := observed[tid]
-			if !ok {
-				m = aria.NewRWSet()
-				observed[tid] = m
-			}
-			m.Merge(rw)
-		}
-	}
-	// Not-yet-committed members: every later round's, plus this round's
-	// demotions as the ascending scan accumulates them — by the time a
-	// member is checked, every lower-TID same-round demotion is pending.
-	pending := map[aria.TID]bool{}
-	for _, round := range st.fbRounds {
-		for _, tid := range round {
-			pending[tid] = true
-		}
-	}
-	for _, tid := range st.fbOrder { // fbOrder is TID-sorted
-		if st.unionAbort[tid] {
-			pending[tid] = true
-			continue
-		}
-		if st.batch[tid].err != "" {
-			continue // definitive error: commits nothing, follows no one
-		}
-		rw := observed[tid]
-		if rw == nil {
-			continue
-		}
-		for lower := range pending {
-			fp := st.fbFootprints[lower]
-			if lower < tid && fp != nil && aria.Conflicts(rw, fp) {
-				st.unionAbort[tid] = true
-				pending[tid] = true
-				c.FallbackDriftDemotions++
-				break
-			}
-		}
-	}
-	// Widen demoted members' retained footprints by what this round
-	// observed: their next re-execution may drift either way, and later
-	// drift checks against them must stay conservative.
-	for tid := range st.unionAbort {
-		if rw := observed[tid]; rw != nil && st.fbFootprints[tid] != nil {
-			st.fbFootprints[tid].Merge(rw)
-		}
-	}
 }
 
 // traceCommit records a committed request's position in the effective
@@ -1034,117 +419,27 @@ func (c *Coordinator) CommitSerials() map[string]int64 {
 	return out
 }
 
-// finishFallbackRound settles one applied fallback round: committed
-// members respond, an application error from the re-execution is as
-// definitive as one from a first execution, and demoted members merge
-// into the next round (kept in TID order, so the round's internal
-// validation stays deterministic). Validation commits at least the
-// lowest TID of every round, so the phase always drains within the
-// batch — unless the round budget cuts it short, in which case every
-// still-unrescued member spills into the next batch's retry queue.
-func (c *Coordinator) finishFallbackRound(ctx *sim.Context, st *epochState) {
-	ctx.Work(time.Duration(len(st.fbOrder)) * c.sys.cfg.Costs.RoutingCPU)
-	var demoted []aria.TID
-	for _, tid := range st.fbOrder {
-		t := st.batch[tid]
-		switch {
-		case st.unionAbort[tid]:
-			// Demotion trumps the tentative error: a drifted footprint
-			// voids the whole re-execution, error included.
-			demoted = append(demoted, tid)
-		case t.err != "":
-			c.Failures++
-			c.respond(ctx, t, sysapi.Response{
-				Req: t.req.Req, Err: t.err, Retries: t.retries,
-			})
-		default:
-			c.Commits++
-			c.FallbackCommits++
-			c.traceCommit(t.req.Req)
-			c.respond(ctx, t, sysapi.Response{
-				Req: t.req.Req, Value: t.value, Retries: t.retries,
-			})
-		}
-	}
-	if len(demoted) > 0 {
-		if len(st.fbRounds) == 0 {
-			st.fbRounds = [][]aria.TID{demoted}
-		} else {
-			merged := append(demoted, st.fbRounds[0]...)
-			sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-			st.fbRounds[0] = merged
-		}
-	}
-	if b := c.sys.cfg.FallbackRoundBudget; b > 0 && st.fbRound >= b {
-		c.spillFallback(ctx, st)
-	}
-	if len(st.fbRounds) > 0 {
-		c.journal.sync(ctx)
-		c.startFallbackRound(ctx, st)
-		return
-	}
-	c.finishBatch(ctx, st)
-}
-
-// spillFallback evicts every not-yet-executed fallback member into the
-// next batch's retry queue, TID-ordered: the round budget bounds how long
-// a pathologically contended batch can hold its epoch (and, pipelined,
-// the commit slot) hostage. Spilled members count as aborts — they take
-// the same next-batch retry path a non-rescued conflict abort takes, with
-// the same retry-budget bound.
-func (c *Coordinator) spillFallback(ctx *sim.Context, st *epochState) {
-	var spill []aria.TID
-	for _, round := range st.fbRounds {
-		spill = append(spill, round...)
-	}
-	st.fbRounds = nil
-	if len(spill) == 0 {
-		return
-	}
-	sort.Slice(spill, func(i, j int) bool { return spill[i] < spill[j] })
-	for _, tid := range spill {
-		t := st.batch[tid]
-		c.Aborts++
-		c.FallbackSpills++
-		if t.retries+1 > c.sys.cfg.MaxRetries {
-			c.Failures++
-			c.respond(ctx, t, sysapi.Response{
-				Req: t.req.Req, Err: "transaction aborted: retry budget exhausted",
-				Retries: t.retries,
-			})
-			continue
-		}
-		c.pending = append(c.pending, pendingReq{
-			req: t.req, replyTo: t.replyTo, pos: t.pos, retries: t.retries + 1,
-			arrivedAt: ctx.Now(),
-		})
-	}
-}
-
 // finishBatch closes the epoch's accounting once the batch — including
 // any fallback rounds — fully settled, then snapshots or releases the
 // commit slot.
 func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	c.EpochsClosed++
-	// No snapshot while a binding replay is in flight: the images would
-	// capture some binding effects but not the queued remainder, and the
-	// release-time classification (entry.at vs the snapshot's cut) cannot
-	// describe such a half-replayed state. Deferring to the next normal
-	// epoch keeps "released at or before the cut" equivalent to "effects
-	// inside the images".
-	// Likewise no snapshot while fenced for a global batch: a snapshot
-	// offset must never land between a fence marker and its unfence, or
-	// the restart scan could miss the unbalanced marker — and the images
-	// would capture a half-applied global batch.
-	if st.binding || len(c.replaying) > 0 || c.fenced {
+	switch {
+	case st.binding || len(c.replaying) > 0 || c.fenced:
+		// No snapshot while a binding replay is in flight: the images would
+		// capture some binding effects but not the queued remainder, and the
+		// release-time classification (entry.at vs the snapshot's cut)
+		// cannot describe such a half-replayed state. Deferring to the next
+		// normal epoch keeps "released at or before the cut" equivalent to
+		// "effects inside the images".
+		// Likewise no snapshot while fenced for a global batch: a snapshot
+		// offset must never land between a fence marker and its unfence, or
+		// the restart scan could miss the unbalanced marker — and the images
+		// would capture a half-applied global batch.
 		if st.binding && len(c.replaying) == 0 && (c.exec == nil || !c.exec.binding) {
 			c.replayDrained(ctx, st)
 		}
-		c.journal.sync(ctx)
-		c.releaseCommit(ctx)
-		return
-	}
-	if c.sys.cfg.SnapshotEvery > 0 && c.EpochsClosed%c.sys.cfg.SnapshotEvery == 0 {
+	case c.sys.cfg.SnapshotEvery > 0 && c.EpochsClosed%c.sys.cfg.SnapshotEvery == 0:
 		// Snapshot epochs skip the batch's final group-commit sync: the
 		// staged responses ride the checkpoint that seals the snapshot
 		// instead, so the epoch's fsync and the checkpoint's fsync
@@ -1254,13 +549,8 @@ func (c *Coordinator) startSnapshot(ctx *sim.Context, st *epochState) {
 		pendingPos = append(pendingPos, p.pos)
 	}
 	if c.exec != nil {
-		tids := make([]aria.TID, 0, len(c.exec.batch))
-		for tid := range c.exec.batch {
-			tids = append(tids, tid)
-		}
-		sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-		for _, tid := range tids {
-			if t := c.exec.batch[tid]; t.pos < st.consumedEnd {
+		for _, t := range c.exec.txns { // TID order
+			if t.pos < st.consumedEnd {
 				pendingPos = append(pendingPos, t.pos)
 			}
 		}
@@ -1272,11 +562,8 @@ func (c *Coordinator) startSnapshot(ctx *sim.Context, st *epochState) {
 	// entry released at or before now has its effects in the images the
 	// workers are about to write — and every later release does not.
 	c.snapCuts[c.snapshotID] = ctx.Now()
-	c.snapDone = map[string]bool{}
-	for _, w := range c.sys.workerIDs {
-		ctx.Send(w, msgTakeSnapshot{ID: c.snapshotID, Epoch: st.epoch},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
+	clear(c.snapDone)
+	c.broadcast(ctx, msgTakeSnapshot{ID: c.snapshotID, Epoch: st.epoch})
 }
 
 func (c *Coordinator) onSnapshotDone(ctx *sim.Context, from string, m msgSnapshotDone) {
@@ -1284,11 +571,7 @@ func (c *Coordinator) onSnapshotDone(ctx *sim.Context, from string, m msgSnapsho
 	if st == nil || st.phase != phaseSnapshot || m.ID != c.snapshotID {
 		return
 	}
-	if !c.snapDone[from] {
-		c.progress++
-	}
-	c.snapDone[from] = true
-	if len(c.snapDone) < len(c.sys.workerIDs) {
+	if _, done := c.snapDone.add(from, len(c.sys.workerIDs), &c.progress); !done {
 		return
 	}
 	c.writeCheckpoint(ctx)
@@ -1325,7 +608,7 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 		tr.Instant(c.sys.coordID, "epoch", "epoch.advance", ctx.Now(),
 			"epoch", strconv.FormatInt(c.epoch, 10))
 	}
-	st := &epochState{epoch: c.epoch, phase: phaseOpen, batch: map[aria.TID]*txnState{}}
+	st := &epochState{epoch: c.epoch, phase: phaseOpen}
 	c.exec = st
 	// The binding replay queue preempts everything: released responses
 	// constrain what the rebuilt state must look like, so their
@@ -1370,8 +653,7 @@ func (c *Coordinator) openBinding(ctx *sim.Context, st *epochState) {
 		c.assign(ctx, st, p)
 	}
 	c.replaying = c.replaying[n:]
-	st.consumedEnd = c.consumed
-	c.enterPhase(ctx, st, phaseClosing)
+	c.closeBatch(ctx, st)
 }
 
 // fillEpoch populates a freshly opened (non-binding, unfenced) epoch:
@@ -1584,7 +866,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 		// query restores fenceFrom).
 		c.armParkWatchdog(ctx, c.fenceSeq)
 	}
-	c.recovered = map[string]bool{}
+	clear(c.recovered)
 	c.snapshotID = snapID
 	c.RestoredSnapshots = append(c.RestoredSnapshots, snapID)
 	c.flight().Recordf(ctx.Now(), c.sys.coordID, "recovery",
@@ -1639,7 +921,6 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.exec, c.commit = nil, nil
 	c.recovering = false
 	c.pending, c.replaying = nil, nil
-	c.snapDone, c.recovered = nil, nil
 	c.progress = 0
 	// Fence state is volatile here; Recover's marker scan rebuilds it
 	// (fenceFrom need not survive — re-sent fence messages carry the
@@ -1676,11 +957,7 @@ func (c *Coordinator) onRecovered(ctx *sim.Context, from string, m msgRecovered)
 	if !c.recovering || m.SnapshotID != c.snapshotID || m.Epoch != c.epoch {
 		return
 	}
-	if !c.recovered[from] {
-		c.progress++
-	}
-	c.recovered[from] = true
-	if len(c.recovered) < len(c.sys.workerIDs) {
+	if _, done := c.recovered.add(from, len(c.sys.workerIDs), &c.progress); !done {
 		return
 	}
 	if tr := c.tracer(); tr.Enabled() {

@@ -160,6 +160,16 @@ func TestCoordinatorCrashMidGroupCommit(t *testing.T) {
 	f.assertExactlyOnceEffective(t, n)
 }
 
+// flightLines counts the recorder's events of one kind.
+func flightLines(rec *obs.FlightRecorder, kind string) (n int) {
+	for _, ev := range rec.Events() {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCorruptLogRecordIsCountedNotSwallowed pins that a reboot never drops
 // a durable record silently. One undecodable delivered-record (corruption
 // outside the device's crash contract) is made durable, and the
@@ -199,16 +209,72 @@ func TestCorruptLogRecordIsCountedNotSwallowed(t *testing.T) {
 	if got := reg.Snapshot()["stateflow.coordinator.corrupt_log_records"]; got != 1 {
 		t.Fatalf("stateflow.coordinator.corrupt_log_records = %d, want 1", got)
 	}
-	lines := 0
-	for _, ev := range cfg.Flight.Events() {
-		if ev.Kind == "corrupt" {
-			lines++
-		}
-	}
-	if lines != 1 {
+	if lines := flightLines(cfg.Flight, "corrupt"); lines != 1 {
 		t.Fatalf("%d flight-recorder lines for the skipped record, want 1:\n%s", lines, cfg.Flight.Dump())
 	}
 	f.assertExactlyOnceEffective(t, n)
+}
+
+// TestCorruptSnapshotImageIsCountedNotSwallowed is the snapshot-store twin
+// of the test above. One worker's image of the sealed snapshot is
+// overwritten with garbage (corruption outside the store's contract) and
+// that worker is crashed at that protocol state: the recovery still rolls
+// every worker back and carries on — the damaged worker from an empty store
+// — but the worker's counter, the deployment metric and the flight recorder
+// say so, once.
+func TestCorruptSnapshotImageIsCountedNotSwallowed(t *testing.T) {
+	const n = 24
+	cfg := DefaultConfig()
+	cfg.SnapshotEvery = 2
+	cfg.EpochInterval = 10 * time.Millisecond
+	cfg.Flight = obs.NewFlightRecorder(0)
+	f := newDurableFixture(t, 42, cfg, n, 4)
+	reg := obs.NewRegistry()
+	f.sys.RegisterMetrics(reg)
+	f.cluster.Start()
+
+	// Step until a periodic snapshot (past the preload's) is sealed and the
+	// commit slot is free, so the recovery restores exactly that snapshot.
+	coord := f.sys.Coordinator()
+	for i := 0; coord.sealed < 2 || coord.commit != nil; i++ {
+		if i > 200_000 {
+			t.Fatal("never caught a sealed periodic snapshot")
+		}
+		f.cluster.RunUntil(f.cluster.Now() + 20*time.Microsecond)
+	}
+	victim := f.sys.workers[f.sys.OwnerIndex(interp.EntityRef{Class: "Account", Key: acct(0)})]
+	img, ok := f.sys.Snapshots.Read(coord.sealed, victim.id)
+	if !ok || len(img) == 0 {
+		t.Fatalf("snapshot %d holds no image of %s", coord.sealed, victim.id)
+	}
+	for i := range img {
+		img[i] = 0xff // Read hands out the stored bytes: this damages the store
+	}
+	sealed, now := coord.sealed, f.cluster.Now()
+	f.cluster.ScheduleCrash(victim.id, now, now+5*time.Millisecond)
+	f.cluster.RunUntil(20 * time.Second)
+
+	if coord.Recoveries != 1 || coord.RestoredSnapshots[0] != sealed {
+		t.Fatalf("recoveries=%d restored=%v, want one recovery to snapshot %d",
+			coord.Recoveries, coord.RestoredSnapshots, sealed)
+	}
+	total := 0
+	for _, w := range f.sys.workers {
+		total += w.CorruptSnapshotImages
+	}
+	if victim.CorruptSnapshotImages != 1 || total != 1 {
+		t.Fatalf("corrupt images: %s=%d, all workers=%d, want 1 and 1", victim.id, victim.CorruptSnapshotImages, total)
+	}
+	if got := reg.Snapshot()["stateflow.worker.corrupt_snapshot_images"]; got != 1 {
+		t.Fatalf("stateflow.worker.corrupt_snapshot_images = %d, want 1", got)
+	}
+	if lines := flightLines(cfg.Flight, "corrupt"); lines != 1 {
+		t.Fatalf("%d flight-recorder lines for the undecodable image, want 1:\n%s", lines, cfg.Flight.Dump())
+	}
+	// Recovery behaviour is unchanged: the run goes on and answers everything.
+	if f.client.inner.Done != n {
+		t.Fatalf("responses: %d/%d", f.client.inner.Done, n)
+	}
 }
 
 // TestResponseDropReplayServesRetry un-clamps the client edge by hand:
@@ -363,8 +429,8 @@ func TestBoundedBatchesChunkReplay(t *testing.T) {
 
 	maxBatch := 0
 	for i := 0; i < 2_000_000 && client.inner.Done < n; i++ {
-		if st := sys.coord.exec; st != nil && len(st.batch) > maxBatch {
-			maxBatch = len(st.batch)
+		if st := sys.coord.exec; st != nil && len(st.txns) > maxBatch {
+			maxBatch = len(st.txns)
 		}
 		cluster.RunUntil(cluster.Now() + 100*time.Microsecond)
 	}

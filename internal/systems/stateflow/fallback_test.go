@@ -218,7 +218,7 @@ func TestCoordinatorCrashMidFallback(t *testing.T) {
 	// Step finely until the fallback phase is mid-flight (some rounds
 	// executed, work still outstanding), then crash the coordinator.
 	for i := 0; ; i++ {
-		if st := sys.coord.commit; st != nil && st.fbRound >= 3 && st.fbRound <= k-2 {
+		if st := sys.coord.commit; st != nil && st.round >= 3 && st.round <= k-2 {
 			break
 		}
 		if i > 500_000 {

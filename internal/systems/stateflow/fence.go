@@ -70,7 +70,7 @@ func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
 		return false
 	}
 	st := c.exec
-	if st == nil || st.phase != phaseOpen || st.binding || len(st.batch) != 0 {
+	if st == nil || st.phase != phaseOpen || st.binding || len(st.txns) != 0 {
 		return false
 	}
 	seq := c.fencePending
@@ -202,7 +202,7 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, m msgUnfence) {
 	// then the tick chain). Mid-recovery there is nothing to resume —
 	// the post-recovery openEpoch sees fenced == false and runs normally.
 	if st := c.exec; !c.recovering && st != nil && st.phase == phaseOpen &&
-		!st.binding && len(st.batch) == 0 {
+		!st.binding && len(st.txns) == 0 {
 		c.fillEpoch(ctx, st)
 	}
 }
@@ -220,7 +220,7 @@ func (c *Coordinator) onGlobalRead(ctx *sim.Context, m msgGlobalRead) {
 		c.commit != nil || len(c.replaying) > 0 {
 		return
 	}
-	if st := c.exec; st == nil || st.phase != phaseOpen || len(st.batch) != 0 {
+	if st := c.exec; st == nil || st.phase != phaseOpen || len(st.txns) != 0 {
 		return
 	}
 	if c.sys.isCrashed != nil {
@@ -280,7 +280,7 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 // committing), the apply waits in fenceApply for the next fenced epoch.
 func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 	st := c.exec
-	if st == nil || st.phase != phaseOpen || st.binding || len(st.batch) != 0 {
+	if st == nil || st.phase != phaseOpen || st.binding || len(st.txns) != 0 {
 		c.fenceApply = &p
 		return
 	}
@@ -292,8 +292,7 @@ func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 			"trace", p.req.Trace.ID, "req", p.req.Req)
 	}
 	c.assign(ctx, st, p)
-	st.consumedEnd = c.consumed
-	c.enterPhase(ctx, st, phaseClosing)
+	c.closeBatch(ctx, st)
 }
 
 // produceMarker appends a durable fence-window marker to the source log.

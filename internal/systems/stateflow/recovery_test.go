@@ -372,7 +372,7 @@ func TestCoordinatorCrashMidPipeline(t *testing.T) {
 	// already out, so the reboot has something to suppress.
 	for i := 0; ; i++ {
 		if exec, commit := sys.coord.exec, sys.coord.commit; exec != nil && commit != nil &&
-			len(exec.batch) > 0 && client.inner.Done > 0 {
+			len(exec.txns) > 0 && client.inner.Done > 0 {
 			break
 		}
 		if i > 500_000 {
@@ -570,7 +570,7 @@ func (fx *bindingFixture) crashAndReplay() (widest int, fenced bool) {
 	fx.runUntil("the binding replay drained", func() bool {
 		for _, st := range []*epochState{c.exec, c.commit} {
 			if st != nil && st.binding {
-				widest = max(widest, len(st.batch))
+				widest = max(widest, len(st.txns))
 				fenced = fenced && c.fenced
 			}
 		}

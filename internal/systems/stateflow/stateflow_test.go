@@ -7,6 +7,7 @@ import (
 
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
@@ -388,7 +389,7 @@ func TestOverheadBreakdownRecorded(t *testing.T) {
 	split := int64(0)
 	for _, w := range fx.sys.Workers() {
 		total += int64(w.Breakdown.Total())
-		split += int64(w.Breakdown.Get("splitting_instrumentation"))
+		split += int64(w.Breakdown.Get(obs.SplittingInstrumentation))
 	}
 	if total == 0 {
 		t.Fatal("no breakdown recorded")

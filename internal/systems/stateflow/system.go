@@ -278,6 +278,13 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 	} {
 		reg.Func(ns+name, read)
 	}
+	reg.Func(ns+"worker.corrupt_snapshot_images", func() int64 {
+		n := 0
+		for _, w := range s.workers {
+			n += w.CorruptSnapshotImages
+		}
+		return int64(n)
+	})
 }
 
 // Workers exposes the worker components.

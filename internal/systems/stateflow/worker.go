@@ -63,6 +63,11 @@ type Worker struct {
 	Breakdown *obs.Breakdown
 	// Applied counts applied (committed) transactions.
 	Applied int
+	// CorruptSnapshotImages counts recoveries that found this worker's
+	// image of the restored snapshot undecodable and came back empty —
+	// corruption outside the snapshot store's contract, never expected to
+	// be non-zero.
+	CorruptSnapshotImages int
 }
 
 func newWorker(sys *System, idx int) *Worker {
@@ -80,13 +85,29 @@ func newWorker(sys *System, idx int) *Worker {
 
 func workerID(prefix string, idx int) string { return fmt.Sprintf("%sworker-%d", prefix, idx) }
 
-// epochFor returns (creating if needed) the execution state of an epoch.
-func (w *Worker) epochFor(epoch int64) *workerEpoch {
+// liveEpoch returns (creating if needed) the execution state of the epoch
+// a coordination message belongs to, advanced to the message's round — or
+// nil when the message is stale: from a settled epoch, a batch discarded by
+// recovery, or a finished fallback round of a live epoch. A delayed or
+// duplicated copy must be dropped, not processed: a stale decide would wipe
+// the in-flight workspaces of the next epoch or round, tearing any split
+// transaction already running. (An event from a discarded epoch above the
+// high-water mark can slip through and execute; its workspace is garbage
+// that no decide order will ever reference, and its root response carries
+// the old epoch or round, which the coordinator rejects.)
+func (w *Worker) liveEpoch(epoch int64, round int) *workerEpoch {
+	if epoch <= w.appliedEpoch {
+		return nil
+	}
 	ep, ok := w.epochs[epoch]
 	if !ok {
 		ep = &workerEpoch{workspaces: map[aria.TID]*aria.Workspace{}}
 		w.epochs[epoch] = ep
 	}
+	if round < ep.round {
+		return nil
+	}
+	ep.round = round
 	return ep
 }
 
@@ -121,29 +142,19 @@ func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *aria.Workspace {
 // their predecessor epoch's final decide are buffered, not executed: the
 // committed store they would read is not yet the serializable prefix.
 func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
-	if m.Epoch <= w.appliedEpoch {
-		// Stale event from a settled epoch, a batch discarded by recovery
-		// or a finished fallback round. (An event from a discarded epoch
-		// above the high-water mark can slip through and execute; its
-		// workspace is garbage that no decide order will ever reference,
-		// and its root response carries the old epoch or round, which the
-		// coordinator rejects.)
-		return
-	}
 	if m.Epoch > w.appliedEpoch+1 {
 		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
 		return
 	}
-	ep := w.epochFor(m.Epoch)
-	if m.Round < ep.round {
-		return // finished fallback round
+	ep := w.liveEpoch(m.Epoch, m.Round)
+	if ep == nil {
+		return
 	}
-	ep.round = m.Round
 	costs := w.sys.cfg.Costs
 
 	// Event deserialization.
 	ctx.Work(costs.DeserializeCPU)
-	w.Breakdown.Add("event_deserialization", costs.DeserializeCPU)
+	w.Breakdown.Add(obs.EventDeserialization, costs.DeserializeCPU)
 
 	// Object construction: the entity is rebuilt from operator state
 	// (§2.3 "the system reconstructs the object using the operator's code
@@ -151,13 +162,13 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	stBytes := w.committed.EncodedSize(m.Ev.Target)
 	construct := costs.ConstructCPU + costs.StateCPU(stBytes)
 	ctx.Work(construct)
-	w.Breakdown.Add("object_construction", construct)
+	w.Breakdown.Add(obs.ObjectConstruction, construct)
 
 	// Program-transformation (function splitting) instrumentation: the
 	// state-machine bookkeeping added by the compiler. Deliberately tiny
 	// (§4: "less than 1% of the total overhead").
 	ctx.Work(costs.SplitOverhead)
-	w.Breakdown.Add("splitting_instrumentation", costs.SplitOverhead)
+	w.Breakdown.Add(obs.SplittingInstrumentation, costs.SplitOverhead)
 
 	ws := w.workspace(ep, m.TID)
 	var out []*core.Event
@@ -169,7 +180,7 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 		out, err = w.sys.executor.Step(m.Ev, ws)
 	}
 	ctx.Work(costs.ExecuteCPU)
-	w.Breakdown.Add("function_execution", costs.ExecuteCPU)
+	w.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
 	if err != nil {
 		// Internal execution fault: finish the transaction with an error.
 		ctx.Send(w.sys.coordID, msgTxnFinished{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Err: err.Error()},
@@ -231,14 +242,10 @@ func (w *Worker) applyGlobal(ws *aria.Workspace, ev *core.Event, hop *applyHop) 
 // check (a re-execution's observed footprint can differ from the
 // declared one the schedule was computed from).
 func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
-	if m.Epoch <= w.appliedEpoch {
-		return // stale (delayed or duplicated) prepare from a settled epoch
+	ep := w.liveEpoch(m.Epoch, m.Round)
+	if ep == nil {
+		return
 	}
-	ep := w.epochFor(m.Epoch)
-	if m.Round < ep.round {
-		return // finished fallback round
-	}
-	ep.round = m.Round
 	costs := w.sys.cfg.Costs
 	sets := make(map[aria.TID]*aria.RWSet, len(ep.workspaces))
 	for _, tid := range m.Order {
@@ -257,7 +264,7 @@ func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
 		vote.Sets = sets
 	}
 	ctx.Work(work)
-	w.Breakdown.Add("txn_validation", work)
+	w.Breakdown.Add(obs.TxnValidation, work)
 	ctx.Send(w.sys.coordID, vote, costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -266,17 +273,10 @@ func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
 // advances and any buffered successor-epoch events execute now, against
 // exactly the committed prefix they were waiting for.
 func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
-	if m.Epoch <= w.appliedEpoch {
-		// Stale decide from a settled epoch: without this guard a delayed
-		// duplicate would wipe the in-flight workspaces of the next epoch,
-		// tearing any split transaction already running.
+	ep := w.liveEpoch(m.Epoch, m.Round)
+	if ep == nil {
 		return
 	}
-	ep := w.epochFor(m.Epoch)
-	if m.Round < ep.round {
-		return // finished fallback round (same tearing hazard per round)
-	}
-	ep.round = m.Round
 	costs := w.sys.cfg.Costs
 	aborted := map[aria.TID]bool{}
 	for _, t := range m.Aborts {
@@ -290,22 +290,22 @@ func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
 		bytes := ws.WriteBytes()
 		work := costs.CommitCPU + costs.StateCPU(bytes)
 		ctx.Work(work)
-		w.Breakdown.Add("state_serialization", costs.StateCPU(bytes))
-		w.Breakdown.Add("txn_commit", costs.CommitCPU)
+		w.Breakdown.Add(obs.StateSerialization, costs.StateCPU(bytes))
+		w.Breakdown.Add(obs.TxnCommit, costs.CommitCPU)
 		ws.Apply(w.committed)
 		w.Applied++
 	}
 	if m.Final {
 		delete(w.epochs, m.Epoch)
 		w.appliedEpoch = m.Epoch
-		ctx.Send(w.sys.coordID, msgApplied{Epoch: m.Epoch, Round: m.Round},
-			costs.WorkerLink.Sample(ctx.Rand()))
-		w.releaseBuffered(ctx, m.Epoch+1)
-		return
+	} else {
+		ep.workspaces = map[aria.TID]*aria.Workspace{}
 	}
-	ep.workspaces = map[aria.TID]*aria.Workspace{}
 	ctx.Send(w.sys.coordID, msgApplied{Epoch: m.Epoch, Round: m.Round},
 		costs.WorkerLink.Sample(ctx.Rand()))
+	if m.Final {
+		w.releaseBuffered(ctx, m.Epoch+1)
+	}
 }
 
 // releaseBuffered re-dispatches the events an epoch parked while its
@@ -338,7 +338,7 @@ func (w *Worker) onSnapshot(ctx *sim.Context, m msgTakeSnapshot) {
 	img := w.committed.Encode()
 	work := costs.StateCPU(len(img))
 	ctx.Work(work)
-	w.Breakdown.Add("snapshot_persistence", work)
+	w.Breakdown.Add(obs.SnapshotPersistence, work)
 	if err := w.sys.Snapshots.Write(m.ID, w.id, img); err == nil {
 		ctx.Send(w.sys.coordID, msgSnapshotDone{ID: m.ID},
 			costs.WorkerLink.Sample(ctx.Rand()))
@@ -374,6 +374,9 @@ func (w *Worker) onRecover(ctx *sim.Context, m msgRecover) {
 	} else {
 		st, err := w.sys.Snapshots.RestoreStore(m.SnapshotID, w.id)
 		if err != nil {
+			w.CorruptSnapshotImages++
+			w.sys.cfg.Flight.Recordf(ctx.Now(), w.id, "corrupt",
+				"snapshot %d: image undecodable, restored empty: %v", m.SnapshotID, err)
 			st = state.NewStore(w.sys.prog.Layouts())
 		}
 		w.committed = st

@@ -54,12 +54,6 @@ type Config struct {
 	// expired id can linger up to one extra window — erring toward
 	// suppression, never toward double execution. 0: keep forever.
 	DedupRetention time.Duration
-	// UncheckedIngressFloor disables the broker's per-source dedup floor
-	// (a test hook: regression tests re-introduce the pre-fix hole —
-	// a duplicate arriving after retention pruned its seen-entry was
-	// re-produced into the ingress topic and executed a second time —
-	// and assert the double execution the floor prevents).
-	UncheckedIngressFloor bool
 }
 
 // DefaultConfig mirrors the paper's balanced deployment.
@@ -348,6 +342,12 @@ type broker struct {
 	floors map[string]int64
 	// LateDuplicates counts arrivals the floor absorbed.
 	LateDuplicates int
+	// uncheckedFloor is a test hook: pruning records no floor, which
+	// re-introduces the pre-fix hole — a duplicate arriving after retention
+	// pruned its seen-entry is re-produced into the ingress topic and
+	// executes a second time — so a regression test can assert the double
+	// execution the floor prevents.
+	uncheckedFloor bool
 }
 
 // seenEntry is one ingress dedup record awaiting retention expiry.
@@ -373,7 +373,7 @@ func (b *broker) pruneSeen(now time.Duration) {
 			b.seenOrder = append(b.seenOrder, seenEntry{id: e.id, at: last})
 			continue
 		}
-		if src, seq, ok := sysapi.SplitID(e.id); ok && !b.sys.cfg.UncheckedIngressFloor {
+		if src, seq, ok := sysapi.SplitID(e.id); ok && !b.uncheckedFloor {
 			if b.floors == nil {
 				b.floors = map[string]int64{}
 			}
@@ -531,7 +531,7 @@ func (w *flinkWorker) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 func (w *flinkWorker) onEvent(ctx *sim.Context, env envelope) {
 	costs := w.sys.cfg.Costs
 	ctx.Work(costs.DeserializeCPU)
-	w.Breakdown.Add("event_deserialization", costs.DeserializeCPU)
+	w.Breakdown.Add(obs.EventDeserialization, costs.DeserializeCPU)
 	ref := env.Ev.Target
 	st, exists := w.states.Lookup(ref)
 	var cp *interp.Row
@@ -540,7 +540,7 @@ func (w *flinkWorker) onEvent(ctx *sim.Context, env envelope) {
 		bytes = st.EncodedSize()
 		ship := costs.StateCPU(bytes)
 		ctx.Work(ship)
-		w.Breakdown.Add("state_serialization", ship)
+		w.Breakdown.Add(obs.StateSerialization, ship)
 		cp = st.Clone()
 	}
 	if w.inflight == nil {
@@ -569,7 +569,7 @@ func (w *flinkWorker) onFnResponse(ctx *sim.Context, m msgFnResponse) {
 		bytes := m.Writes.EncodedSize()
 		work := costs.StateCPU(bytes)
 		ctx.Work(work)
-		w.Breakdown.Add("state_serialization", work)
+		w.Breakdown.Add(obs.StateSerialization, work)
 		w.states.Put(m.Ref, m.Writes)
 	}
 	if m.Err != "" {
@@ -669,9 +669,9 @@ func (f *fnRuntime) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	// Deserialize shipped state + construct the entity object.
 	construct := costs.ConstructCPU + costs.StateCPU(m.StBytes)
 	ctx.Work(construct)
-	f.Breakdown.Add("object_construction", construct)
+	f.Breakdown.Add(obs.ObjectConstruction, construct)
 	ctx.Work(costs.SplitOverhead)
-	f.Breakdown.Add("splitting_instrumentation", costs.SplitOverhead)
+	f.Breakdown.Add(obs.SplittingInstrumentation, costs.SplitOverhead)
 
 	st := m.State
 	if st == nil {
@@ -681,7 +681,7 @@ func (f *fnRuntime) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	store := shippedStore{ref: m.Ref, st: st, exists: m.Exists, wrote: &wrote, created: &created}
 	out, err := f.sys.executor.Step(m.Env.Ev, store)
 	ctx.Work(costs.ExecuteCPU)
-	f.Breakdown.Add("function_execution", costs.ExecuteCPU)
+	f.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
 
 	resp := msgFnResponse{
 		Ref: m.Ref, ReplyTo: m.Env.ReplyTo, Req: m.Env.Ev.Req,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
 
@@ -145,7 +146,7 @@ func TestBreakdownRecorded(t *testing.T) {
 	}
 	var split time.Duration
 	for _, f := range fx.sys.FnRuntimes() {
-		split += f.Breakdown.Get("splitting_instrumentation")
+		split += f.Breakdown.Get(obs.SplittingInstrumentation)
 	}
 	if frac := float64(split) / float64(fnTotal); frac >= 0.01 {
 		t.Fatalf("splitting share: %f", frac)
@@ -161,7 +162,7 @@ func TestBreakdownRecorded(t *testing.T) {
 // topic and the update executed a second time. Post-fix, pruning a
 // builder id raises its source's floor, and any arrival at or below the
 // floor is absorbed (counted in LateDuplicates) instead of re-produced.
-// The UncheckedIngressFloor hook re-introduces the pre-fix hole and the
+// The uncheckedFloor hook re-introduces the pre-fix hole and the
 // test asserts the double execution the floor prevents — proving the
 // floor is load-bearing, not incidental. (The broker models a durable
 // external log and is not crashable in the sim, so unlike the StateFlow
@@ -206,10 +207,9 @@ func TestIngressFloorAbsorbsPostPruneDuplicate(t *testing.T) {
 	})
 
 	t.Run("unchecked", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.UncheckedIngressFloor = true // the pre-fix hole
 		first, sched := script()
-		fx := newFixtureCfg(t, cfg, 1, sched)
+		fx := newFixture(t, 1, sched)
+		fx.sys.broker.uncheckedFloor = true // the pre-fix hole
 		fx.cluster.RunUntil(60 * time.Second)
 		br := fx.sys.broker
 		if br.LateDuplicates != 0 {

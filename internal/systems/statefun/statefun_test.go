@@ -48,17 +48,12 @@ type fixture struct {
 
 func newFixture(t *testing.T, accounts int, script []sysapi.Scheduled) *fixture {
 	t.Helper()
-	return newFixtureCfg(t, DefaultConfig(), accounts, script)
-}
-
-func newFixtureCfg(t *testing.T, cfg Config, accounts int, script []sysapi.Scheduled) *fixture {
-	t.Helper()
 	prog, err := compiler.Compile(bank)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	cluster := sim.New(7)
-	sys := New(cluster, prog, cfg)
+	sys := New(cluster, prog, DefaultConfig())
 	for i := 0; i < accounts; i++ {
 		if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
 			t.Fatalf("preload: %v", err)
