@@ -1,11 +1,15 @@
 package stateflow_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/bench"
+	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/snapshot"
+	"statefulentities.dev/stateflow/internal/state"
 )
 
 // allocsPerTxnCeiling is the checked-in ceiling of TestAllocsPerTransaction,
@@ -46,5 +50,51 @@ func TestAllocsPerTransaction(t *testing.T) {
 	if perTxn > allocsPerTxnCeiling {
 		t.Fatalf("%.2f allocations per transaction, ceiling %.1f: the request path grew a per-transaction allocation",
 			perTxn, allocsPerTxnCeiling)
+	}
+}
+
+// TestSnapshotAllocatesOneImage prices a worker's snapshot write
+// (snapshot.Store.WriteStore, what Worker.onSnapshot calls) in heap bytes:
+// a store of N encoded bytes costs one buffer of N — not a private copy per
+// row, an image assembled from those, and the snapshot store's copy of the
+// image, which is what the benchmark's crash_big spent 86 % of its bytes
+// on. And it leaves the rows as it found them: a dirty row is not handed a
+// cached encoding that would sit in the live heap until its next write.
+func TestSnapshotAllocatesOneImage(t *testing.T) {
+	const rows, pad = 50, 64 << 10 // a crash_big worker's partition
+	st := state.NewStore(nil)
+	ref := func(i int) interp.EntityRef { return interp.EntityRef{Class: "Account", Key: fmt.Sprintf("k%03d", i)} }
+	for i := 0; i < rows; i++ {
+		st.PutMap(ref(i), interp.MapState{"balance": interp.IntV(int64(i)), "payload": interp.StrV(string(make([]byte, pad)))})
+	}
+	clean, _ := st.Lookup(ref(0))
+	cached := &clean.Encoding()[0]
+	dirty, _ := st.Lookup(ref(1))
+
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	snaps := snapshot.NewStore(nil)
+	id := snaps.Begin(1, nil)
+	var n int
+	var err error
+	spent := allocated(func() { n, err = snaps.WriteStore(id, "w0", st) })
+	if err != nil || n != len(st.Encode()) {
+		t.Fatalf("WriteStore: %d bytes, err %v, the store encodes to %d", n, err, len(st.Encode()))
+	}
+	t.Logf("snapshot of %d encoded bytes allocated %d (%.2fx)", n, spent, float64(spent)/float64(n))
+	if float64(spent) > 1.1*float64(n) {
+		t.Fatalf("snapshot of %d encoded bytes allocated %d (%.2fx), ceiling 1.1x: an image is being built or copied twice",
+			n, spent, float64(spent)/float64(n))
+	}
+	if &clean.Encoding()[0] != cached {
+		t.Error("the snapshot dropped or rebuilt a clean row's cached encoding")
+	}
+	if got := allocated(func() { dirty.Encoding() }); got < pad {
+		t.Errorf("encoding a dirty row after the snapshot allocated %d bytes: the snapshot left it a cached %d-byte copy", got, pad)
 	}
 }

@@ -243,6 +243,19 @@ func (r *Row) EncodedSize() int {
 // Row appends a row in canonical (sorted attribute name) order.
 func (e *Encoder) Row(r *Row) { r.appendEncoding(e) }
 
+// EncodeTo appends the row's canonical encoding to e — a copy of the cached
+// bytes when the row is clean, a walk over the attributes when it is dirty
+// — and caches nothing. It is how a store image is assembled: every row goes
+// straight into the one presized buffer, and no row is left holding a
+// private copy of itself that only the next image would read.
+func (r *Row) EncodeTo(e *Encoder) {
+	if r.enc != nil && !r.aliased {
+		e.Append(r.enc)
+		return
+	}
+	r.appendEncoding(e)
+}
+
 // appendEncoding walks the layout's precomputed sorted slots so no
 // per-encode sorting or map iteration happens on the fast path. It reads
 // values directly (no alias bookkeeping): encoding does not escape them.

@@ -81,24 +81,42 @@ func (s *Store) BeginWithPending(epoch int64, sourceOffsets, pending map[string]
 // Write stores one worker's state image for a snapshot. Writes are
 // first-write-wins: a snapshot image, once persisted, is immutable — a
 // duplicated or delayed snapshot request re-arriving after later batches
-// committed must not overwrite the aligned cut with newer state.
+// committed must not overwrite the aligned cut with newer state. The store
+// keeps its own copy; the caller's buffer stays the caller's.
 func (s *Store) Write(id int64, worker string, image []byte) error {
+	_, err := s.write(id, worker, func() []byte { return append([]byte(nil), image...) })
+	return err
+}
+
+// WriteStore is Write for a worker that still holds its state as a store:
+// the image is encoded once, straight into the buffer the snapshot keeps,
+// instead of being built by the caller and copied here. First-write-wins
+// is checked before anything is encoded, so a duplicate costs nothing. It
+// returns the length of the worker's image in the snapshot.
+func (s *Store) WriteStore(id int64, worker string, st *state.Store) (n int, err error) {
+	return s.write(id, worker, st.Encode)
+}
+
+// write installs the image build returns — a buffer the store may keep —
+// unless the worker already has one, and reports the stored image's length.
+func (s *Store) write(id int64, worker string, build func() []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	imgs, ok := s.images[id]
 	if !ok {
-		return fmt.Errorf("snapshot: unknown snapshot %d", id)
+		return 0, fmt.Errorf("snapshot: unknown snapshot %d", id)
 	}
-	if _, dup := imgs[worker]; dup {
-		return nil // immutable once written
+	if img, dup := imgs[worker]; dup {
+		return len(img), nil // immutable once written
 	}
-	imgs[worker] = append([]byte(nil), image...)
+	img := build()
+	imgs[worker] = img
 	for i := range s.metas {
 		if s.metas[i].ID == id {
-			s.metas[i].Bytes[worker] = len(image)
+			s.metas[i].Bytes[worker] = len(img)
 		}
 	}
-	return nil
+	return len(img), nil
 }
 
 // Latest returns the most recent complete snapshot meta (every expected

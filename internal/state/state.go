@@ -3,9 +3,8 @@
 // snapshots and size accounting for the cost model of the system-overhead
 // experiment (§4). Entities are stored as dense slot-indexed rows
 // (interp.Row) laid out by the compiler's per-class attribute layouts.
-// Every row caches its canonical encoding, so snapshot Encode never
-// re-serializes an entity whose state has not changed since the last
-// serialization; EncodedSize and TotalEncodedSize serialize nothing at
+// Encode builds a store image in one presized buffer, each row encoded
+// straight into it; EncodedSize and TotalEncodedSize serialize nothing at
 // all — a row computes its encoded length with a size-only walk.
 package state
 
@@ -127,8 +126,11 @@ func (s *Store) EncodedSize(ref interp.EntityRef) int {
 	return st.EncodedSize()
 }
 
-// Encode serializes the complete store deterministically, reusing each
-// row's cached encoding, into a buffer sized for exactly the image.
+// Encode serializes the complete store deterministically into a buffer
+// sized for exactly the image (cap == len). Rows are encoded in place — a
+// clean row's cached bytes are copied in, a dirty row is walked — and none
+// is left with a cached encoding it did not have: the image is the only
+// copy of the bytes Encode allocates.
 func (s *Store) Encode() []byte {
 	refs := s.Refs()
 	size := interp.ValueSize(interp.IntV(int64(len(refs))))
@@ -141,7 +143,7 @@ func (s *Store) Encode() []byte {
 	for _, ref := range refs {
 		e.Value(interp.StrV(ref.Class))
 		e.Value(interp.StrV(ref.Key))
-		e.Append(s.m[ref].Encoding())
+		s.m[ref].EncodeTo(e)
 	}
 	return e.Bytes()
 }

@@ -38,6 +38,7 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/obs"
@@ -133,11 +134,14 @@ type Coordinator struct {
 	// are written to (journal.go).
 	journal journal
 
-	// progress counts accepted worker messages; the failure detector
-	// compares it against the value captured when a stall check was
-	// armed, so recovery only fires when a phase made no progress at all
-	// for a full stall timeout.
-	progress uint64
+	// progress counts accepted worker messages and progressAt is when the
+	// last one was counted. The failure detector compares the count against
+	// the value captured when a stall check was armed and measures its
+	// patience from the instant, so recovery fires exactly one stall timeout
+	// after the last sign of life — and only when a phase made no progress
+	// at all for that long (see alive, onStallCheck).
+	progress   uint64
+	progressAt time.Duration
 
 	// Stats.
 	Commits      int
@@ -145,6 +149,11 @@ type Coordinator struct {
 	Failures     int // transactions that exhausted retries
 	Recoveries   int
 	EpochsClosed int
+	// RecoverRetries counts the periodic re-sends of a recovery's recover
+	// message to workers that had not acknowledged it yet (a held-down
+	// worker, a lost message or a lost ack) — retries of one recovery, not
+	// recoveries.
+	RecoverRetries int
 	// FallbackRounds counts executed fallback re-execution rounds;
 	// FallbackCommits the transactions the fallback phase rescued (a
 	// subset of Commits — they would have been next-batch retries
@@ -369,12 +378,31 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 // failure detector: if the epoch is still stuck in this phase — with no
 // worker progress at all — when the stall timeout elapses, a worker is
 // presumed dead and recovery starts. Every phase that waits on all
-// workers (execution, validation, apply, snapshot, recovery) is guarded,
-// so a worker crash or a lost message can never deadlock the pipeline.
+// workers (execution, validation, apply, snapshot) is guarded, so a worker
+// crash or a lost message can never deadlock the pipeline; recovery, which
+// waits on them too, retries instead (see retryRecover).
 func (c *Coordinator) enterPhase(ctx *sim.Context, st *epochState, p phase) {
 	st.phase = p
 	st.phaseAt = ctx.Now()
 	ctx.After(c.sys.cfg.StallTimeout, msgStallCheck{Epoch: st.epoch, Phase: p, Progress: c.progress})
+}
+
+// alive counts one accepted worker answer — a root response or a fresh ack
+// — as a sign of life and stamps when it came: the failure detector's
+// deadline is that instant plus the stall timeout.
+func (c *Coordinator) alive(ctx *sim.Context) {
+	c.progress++
+	c.progressAt = ctx.Now()
+}
+
+// ack records from's answer to a phase that waits on every worker (see
+// ackSet.add); a fresh one is a sign of life.
+func (c *Coordinator) ack(ctx *sim.Context, a *ackSet, from string) (fresh, done bool) {
+	fresh, done = a.add(from, len(c.sys.workerIDs))
+	if fresh {
+		c.alive(ctx)
+	}
+	return fresh, done
 }
 
 // phaseSpan closes the trace span of the slot's current phase (begun at
@@ -571,7 +599,7 @@ func (c *Coordinator) onSnapshotDone(ctx *sim.Context, from string, m msgSnapsho
 	if st == nil || st.phase != phaseSnapshot || m.ID != c.snapshotID {
 		return
 	}
-	if _, done := c.snapDone.add(from, len(c.sys.workerIDs), &c.progress); !done {
+	if _, done := c.ack(ctx, &c.snapDone, from); !done {
 		return
 	}
 	c.writeCheckpoint(ctx)
@@ -713,28 +741,79 @@ func (c *Coordinator) drainPending(ctx *sim.Context, st *epochState) {
 	}
 }
 
-// onStallCheck fires the failure detector: if the slot that armed it is
-// still stuck in the same worker-dependent phase past the stall timeout
-// AND no worker message arrived since the check was armed, a worker is
-// presumed dead and recovery starts. With progress, the check re-arms:
-// slow is not dead. Both pipeline slots arm checks independently; either
-// one firing recovers the whole system.
+// onStallCheck is the failure detector's timer. If the slot that armed it
+// is still stuck in the same worker-dependent phase AND no worker answer was
+// counted since the check was armed, a worker is presumed dead and recovery
+// starts. With progress the check re-arms — slow is not dead — for the last
+// counted answer plus the stall timeout, not for a fresh timeout from now:
+// detection is one StallTimeout after the last sign of life, wherever the
+// checks happen to land. Both pipeline slots arm checks independently;
+// either one firing recovers the whole system. A recovery in progress has
+// no stall guard: its tick is the retry (retryRecover), never a re-entry.
 func (c *Coordinator) onStallCheck(ctx *sim.Context, m msgStallCheck) {
 	if m.Phase == phaseRecovering {
-		if !c.recovering || m.Epoch != c.epoch {
-			return
+		if c.recovering && m.Epoch == c.epoch {
+			c.retryRecover(ctx)
 		}
-	} else {
-		st := c.stageFor(m.Epoch)
-		if c.recovering || st == nil || st.phase != m.Phase {
-			return
-		}
-	}
-	if c.progress != m.Progress {
-		ctx.After(c.sys.cfg.StallTimeout, msgStallCheck{Epoch: m.Epoch, Phase: m.Phase, Progress: c.progress})
 		return
 	}
+	st := c.stageFor(m.Epoch)
+	if c.recovering || st == nil || st.phase != m.Phase {
+		return
+	}
+	if c.progress != m.Progress {
+		// The answer was counted after this check was armed, at most one
+		// timeout ago, so the remaining patience is never negative.
+		ctx.After(c.progressAt+c.sys.cfg.StallTimeout-ctx.Now(),
+			msgStallCheck{Epoch: m.Epoch, Phase: m.Phase, Progress: c.progress})
+		return
+	}
+	// How long the workers were silent before the detector gave up on them:
+	// the one term of an outage that is neither downtime nor recovery work.
+	if tr := c.tracer(); tr.Enabled() {
+		tr.Span(c.sys.coordID, "recovery", "recovery.detect", c.progressAt, ctx.Now(),
+			"epoch", strconv.FormatInt(m.Epoch, 10))
+	}
 	c.Recover(ctx)
+}
+
+// recoverRetryEvery is how often a recovery in progress re-sends its recover
+// message to the workers that have not acknowledged it: a few epoch
+// intervals — long enough that a live worker's restore and ack normally
+// beat it, short enough that a worker coming out of a hold-down is rolled
+// back at once instead of a stall timeout later.
+func (c *Coordinator) recoverRetryEvery() time.Duration { return 4 * c.sys.cfg.EpochInterval }
+
+// retryRecover re-sends the recovery in progress to the workers still
+// missing from c.recovered — one the fault schedule held down when Recover
+// ran (respawn refused, message dropped), a lost recover message or a lost
+// ack. It is a re-send, not a recovery: same snapshot id and epoch, no
+// journal advance, no rebuilt queues. A worker that already restored answers
+// the duplicate with a bare re-ack (onRecover), so it is idempotent.
+func (c *Coordinator) retryRecover(ctx *sim.Context) {
+	c.RecoverRetries++
+	var missing []string
+	for _, w := range c.sys.workerIDs {
+		if !c.recovered[w] {
+			missing = append(missing, w)
+			c.sendRecover(ctx, w)
+		}
+	}
+	c.flight().Recordf(ctx.Now(), c.sys.coordID, "recover.retry",
+		"epoch %d: snapshot %d re-sent to %s", c.epoch, c.snapshotID, strings.Join(missing, " "))
+	ctx.After(c.recoverRetryEvery(), msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering})
+}
+
+// sendRecover tells one worker to roll back to the recovery's snapshot,
+// respawning it first if it is dead (the cluster-manager model; a no-op
+// while the fault schedule holds it down). A live worker keeps its CPU
+// backlog and merely rolls its state back when the message reaches it.
+func (c *Coordinator) sendRecover(ctx *sim.Context, w string) {
+	if c.sys.restart != nil && (c.sys.isCrashed == nil || c.sys.isCrashed(w)) {
+		c.sys.restart(w)
+	}
+	ctx.Send(w, msgRecover{SnapshotID: c.snapshotID, Epoch: c.epoch},
+		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // restorePoint returns the snapshot recovery (and snapshot-consistency
@@ -803,7 +882,11 @@ func (c *Coordinator) buildReplaying(cut time.Duration) {
 // Recover rolls the system back to the latest snapshot: restart crashed
 // workers, restore every worker image, discard the in-flight epochs, and
 // replay the source suffix. Delivered-response deduplication keeps output
-// exactly-once across the replay.
+// exactly-once across the replay. It has three entries — a stall the
+// failure detector fired on (onStallCheck), a coordinator reboot (OnRestart)
+// and a reconnaissance read that found a worker dead (onGlobalRead) — and
+// none of them runs while a recovery is in progress: that one finishes by
+// retrying (retryRecover), not by being entered again.
 func (c *Coordinator) Recover(ctx *sim.Context) {
 	c.Recoveries++
 	// View change: bumping the epoch *before* the restore makes every
@@ -814,16 +897,13 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	// messages leave, so even a crash right here cannot fork the view.
 	c.epoch++
 	c.journal.advance(ctx, c.epoch, true)
-	// The recovery phase is itself failure-guarded: if a recover message
-	// is lost (or a worker dies again mid-restore), the stall check fires
-	// and recovery restarts from the same snapshot — Recover is
-	// idempotent, so re-entering it is always safe.
-	if !c.recovering {
-		c.recoverAt = ctx.Now() // a re-entered recovery keeps the first start
-	}
+	// The recovery phase is itself failure-guarded: a worker still held
+	// down, a lost recover message or a lost ack is retried every
+	// recoverRetryEvery until every worker has answered.
+	c.recoverAt = ctx.Now()
 	c.recovering = true
 	c.exec, c.commit = nil, nil
-	ctx.After(c.sys.cfg.StallTimeout, msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering, Progress: c.progress})
+	ctx.After(c.recoverRetryEvery(), msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering})
 	c.pending, c.replaying = nil, nil
 	c.window, c.replayAt = 1, -1
 	var snapID int64
@@ -873,14 +953,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 		"epoch %d: restored snapshot %d, %d binding replays, %d pending",
 		c.epoch, snapID, len(c.replaying), len(c.pending))
 	for _, w := range c.sys.workerIDs {
-		// Only dead workers get respawned (the cluster-manager model); a
-		// live worker keeps its CPU backlog and merely rolls its state
-		// back when the recover message reaches it.
-		if c.sys.restart != nil && (c.sys.isCrashed == nil || c.sys.isCrashed(w)) {
-			c.sys.restart(w)
-		}
-		ctx.Send(w, msgRecover{SnapshotID: snapID, Epoch: c.epoch},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+		c.sendRecover(ctx, w)
 	}
 }
 
@@ -921,7 +994,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.exec, c.commit = nil, nil
 	c.recovering = false
 	c.pending, c.replaying = nil, nil
-	c.progress = 0
+	c.progress, c.progressAt = 0, 0
 	// Fence state is volatile here; Recover's marker scan rebuilds it
 	// (fenceFrom need not survive — re-sent fence messages carry the
 	// sender, and the re-ack path answers them).
@@ -957,7 +1030,7 @@ func (c *Coordinator) onRecovered(ctx *sim.Context, from string, m msgRecovered)
 	if !c.recovering || m.SnapshotID != c.snapshotID || m.Epoch != c.epoch {
 		return
 	}
-	if _, done := c.recovered.add(from, len(c.sys.workerIDs), &c.progress); !done {
+	if _, done := c.ack(ctx, &c.recovered, from); !done {
 		return
 	}
 	if tr := c.tracer(); tr.Enabled() {

@@ -78,9 +78,9 @@ type ackSet map[string]bool
 
 // add records from's answer, out of n expected. fresh: the worker had not
 // answered this phase yet — the only kind of answer that counts as progress
-// for the failure detector; done: the answer completed the set, so the
-// phase advances. A duplicate is neither.
-func (a *ackSet) add(from string, n int, progress *uint64) (fresh, done bool) {
+// for the failure detector (see Coordinator.ack); done: the answer
+// completed the set, so the phase advances. A duplicate is neither.
+func (a *ackSet) add(from string, n int) (fresh, done bool) {
 	if (*a)[from] {
 		return false, false
 	}
@@ -88,7 +88,6 @@ func (a *ackSet) add(from string, n int, progress *uint64) (fresh, done bool) {
 		*a = make(ackSet, n)
 	}
 	(*a)[from] = true
-	*progress++
 	return true, len(*a) == n
 }
 
@@ -459,7 +458,7 @@ func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
 	if t == nil || t.finished {
 		return
 	}
-	c.progress++
+	c.alive(ctx)
 	t.finished = true
 	t.value = m.Value
 	t.err = m.Err
@@ -547,7 +546,7 @@ func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 	if st == nil || m.Epoch != st.epoch || st.phase != phasePrepare || m.Round != st.round {
 		return
 	}
-	fresh, done := st.acks.add(from, len(c.sys.workerIDs), &c.progress)
+	fresh, done := c.ack(ctx, &st.acks, from)
 	if !fresh {
 		return
 	}
@@ -648,7 +647,7 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 	if st == nil || m.Epoch != st.epoch || st.phase != phaseApply || m.Round != st.round {
 		return
 	}
-	if _, done := st.acks.add(from, len(c.sys.workerIDs), &c.progress); !done {
+	if _, done := c.ack(ctx, &st.acks, from); !done {
 		return
 	}
 	c.phaseSpan(ctx, st, "apply")

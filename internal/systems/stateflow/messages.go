@@ -95,14 +95,16 @@ type msgTakeSnapshot struct {
 // msgSnapshotDone acknowledges one worker's snapshot write.
 type msgSnapshotDone struct{ ID int64 }
 
-// msgStallCheck fires if the epoch is still stuck in the phase that
-// armed it (execution, validation, apply, snapshot and recovery all wait
-// on every worker) when the stall timeout elapses; the coordinator then
-// suspects a worker failure and triggers recovery. Progress carries the
-// coordinator's progress counter at arm time: if workers delivered any
-// phase work since, the check re-arms instead of firing, so a large
-// batch that is merely slow (e.g. a post-recovery replay of the whole
-// backlog) is never mistaken for a dead worker.
+// msgStallCheck is the failure detector's timer (see onStallCheck). Armed
+// by a slot entering a phase that waits on every worker (execution,
+// validation, apply, snapshot), it fires if the epoch is still stuck in that
+// phase one stall timeout later with no worker answer counted since.
+// Progress carries the coordinator's progress counter at arm time: if it
+// moved, the check re-arms for the last counted answer plus the stall
+// timeout instead of firing, so a batch that is merely slow (e.g. a
+// post-recovery replay of the whole backlog) is never mistaken for a dead
+// worker. With Phase phaseRecovering it is the recovery's retry tick instead
+// (Progress unused, see retryRecover).
 type msgStallCheck struct {
 	Epoch    int64
 	Phase    phase

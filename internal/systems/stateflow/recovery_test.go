@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -763,10 +764,289 @@ func TestBindingReplayVirtualTimeBudget(t *testing.T) {
 			t.Errorf("trace has no %s span (got %v)", span, tracer.SpanNames())
 		}
 	}
+	if slices.Contains(tracer.SpanNames(), "recovery.detect") {
+		t.Error("a coordinator reboot has no detector term, yet the trace has a recovery.detect span")
+	}
 	c := fx.shard.Coordinator()
 	t.Logf("binding replay: %d members in %d epochs, %v of virtual time", c.BindingReplays, c.BindingEpochs, took)
 	if start == 0 || took <= 0 || took > budget {
 		t.Fatalf("binding replay of %d members took %v of virtual time (%d epochs), budget %v",
 			c.BindingReplays, took, c.BindingEpochs, budget)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The failure detector and the recovery retry. Crashes are placed by
+// protocol state, like the binding cases above: a worker is killed at the
+// step where the batch in flight still owes answers from it and the other
+// workers are still answering.
+
+// killMidExecute submits one update to each of the first n registers in one
+// burst (they share the open epoch), steps until the coordinator has counted
+// at least 4 answers while a worker still owes one, then kills that worker
+// for downtime. It returns the victim and the crash instant.
+func (fx *bindingFixture) killMidExecute(n int, downtime time.Duration) (victim *Worker, at time.Duration) {
+	fx.t.Helper()
+	c := fx.shard.Coordinator()
+	before := c.progress
+	for i, key := range fx.keys[:n] {
+		fx.submit(key, "add", interp.IntV(int64(i+1)))
+	}
+	owes := func() *Worker {
+		if st := c.exec; st != nil {
+			for _, t := range st.txns {
+				if !t.finished {
+					return fx.shard.workers[fx.shard.OwnerIndex(t.req.Target)]
+				}
+			}
+		}
+		return nil
+	}
+	fx.runUntil("a batch part answered", func() bool { return c.progress >= before+4 && owes() != nil })
+	victim, at = owes(), fx.cluster.Now()
+	fx.cluster.ScheduleCrash(victim.id, at, at+downtime)
+	return victim, at
+}
+
+// flightAt returns when the n-th (0-based) flight line of a kind on a node
+// was recorded.
+func flightAt(t *testing.T, rec *obs.FlightRecorder, node, kind string, n int) time.Duration {
+	t.Helper()
+	for _, ev := range rec.Events() {
+		if ev.Node == node && ev.Kind == kind {
+			if n == 0 {
+				return ev.At
+			}
+			n--
+		}
+	}
+	t.Fatalf("flight recorder has no %s line #%d for %s", kind, n, node)
+	return 0
+}
+
+// TestDetectorFiresOneTimeoutAfterLastProgress: one worker dies mid-execute
+// while the other four keep answering past the batch's close, so the first
+// stall check finds progress. Re-armed for a fresh full timeout (the old
+// rule) it would fire two timeouts after the close; the deadline is the
+// last counted answer plus one.
+func TestDetectorFiresOneTimeoutAfterLastProgress(t *testing.T) {
+	flight, tracer := obs.NewFlightRecorder(4096), obs.NewTracer()
+	fx := newBindingFixture(t, 100, 16, func(c *Config) { c.Flight, c.Tracer = flight, tracer })
+	c := fx.shard.Coordinator()
+	cfg := fx.shard.cfg
+	_, crashedAt := fx.killMidExecute(100, 10*time.Millisecond)
+
+	// The survivors' 20 events each outlast the 5 ms open window.
+	var last, closedAt time.Duration
+	fx.runUntil("the detector fired", func() bool {
+		if c.Recoveries == 0 {
+			last = c.progressAt
+			if st := c.exec; st != nil && st.phase == phaseClosing {
+				closedAt = st.phaseAt
+			}
+		}
+		return c.Recoveries == 1
+	})
+	if last <= closedAt || last <= crashedAt {
+		t.Fatalf("last progress at %v, batch closed at %v, crash at %v: the survivors did not answer past both, the case is vacuous",
+			last, closedAt, crashedAt)
+	}
+	fired := flightAt(t, flight, fx.shard.coordID, "recovery", 0)
+	link := cfg.Costs.WorkerLink.Base + cfg.Costs.WorkerLink.Jitter
+	if gap := fired - last; gap < cfg.StallTimeout || gap > cfg.StallTimeout+link {
+		t.Fatalf("Recover ran %v after the last counted answer (batch closed %v before it), want one StallTimeout of %v",
+			gap, last-closedAt, cfg.StallTimeout)
+	}
+	if !slices.Contains(tracer.SpanNames(), "recovery.detect") {
+		t.Errorf("a stall-triggered recovery left no recovery.detect span (got %v)", tracer.SpanNames())
+	}
+	fx.runUntil("every call answered", func() bool { return len(fx.client.got) == fx.sent })
+	if bad := fx.diverged(); len(bad) > 0 || c.Recoveries != 1 {
+		t.Fatalf("recoveries=%d, diverged from the serial run: %v", c.Recoveries, bad)
+	}
+}
+
+// TestSlowIsNotDead: a batch whose execution keeps the workers answering
+// for more than three stall timeouts is never mistaken for a dead worker.
+func TestSlowIsNotDead(t *testing.T) {
+	const calls = 600 // 120 events of ~0.66 ms per worker
+	fx := newBindingFixture(t, 100, 16, func(c *Config) { c.StallTimeout = 20 * time.Millisecond })
+	c := fx.shard.Coordinator()
+	for i := 0; i < calls; i++ {
+		fx.submit(fx.keys[i%len(fx.keys)], "add", interp.IntV(1))
+	}
+	var closing time.Duration
+	fx.runUntil("every call answered", func() bool {
+		if st := c.exec; st != nil && st.phase == phaseClosing && len(st.txns) == calls {
+			closing = fx.cluster.Now() - st.phaseAt
+		}
+		return len(fx.client.got) == fx.sent
+	})
+	if want := 3 * fx.shard.cfg.StallTimeout; closing < want {
+		t.Fatalf("the batch executed for %v after its close, want at least %v for the case to mean anything", closing, want)
+	}
+	if c.Recoveries != 0 || c.RecoverRetries != 0 {
+		t.Fatalf("recoveries=%d retries=%d during a slow but progressing phase", c.Recoveries, c.RecoverRetries)
+	}
+	if bad := fx.diverged(); len(bad) > 0 {
+		t.Fatalf("diverged from the serial run: %v", bad)
+	}
+}
+
+// TestRecoveryWaitsOutAHeldDownWorker: the hold-down outlasts the stall
+// timeout, so Recover runs while the victim cannot be respawned and its
+// recover message is lost. The recovery must not start over: one epoch
+// bump, one binding queue, and the retry picks the worker up as it reboots.
+func TestRecoveryWaitsOutAHeldDownWorker(t *testing.T) {
+	const answered, downtime = 20, 400 * time.Millisecond
+	flight := obs.NewFlightRecorder(4096)
+	fx := newBindingFixture(t, 100, 16, func(c *Config) { c.Flight = flight })
+	fx.cluster.SetFlightRecorder(flight)
+	c := fx.shard.Coordinator()
+	for _, key := range fx.keys[:answered] {
+		fx.call(key, "set", interp.IntV(7))
+	}
+	victim, crashedAt := fx.killMidExecute(100, downtime)
+
+	var epoch int64
+	fx.runUntil("the recovery started", func() bool { epoch = c.epoch; return c.recovering })
+	if held := crashedAt + downtime - fx.cluster.Now(); held < 100*time.Millisecond {
+		t.Fatalf("Recover ran with %v of hold-down left: the case needs it to start well inside", held)
+	}
+	fx.runUntil("the recovery finished", func() bool { return !c.recovering })
+	restored := fx.cluster.Now()
+	reboot := flightAt(t, flight, victim.id, "reboot", 0)
+	if reboot != crashedAt+downtime || restored-reboot > 25*time.Millisecond {
+		t.Fatalf("victim rebooted at %v (crash %v + %v), every worker restored %v later, want within 25ms",
+			reboot, crashedAt, downtime, restored-reboot)
+	}
+	for _, w := range fx.shard.workers {
+		if w.appliedEpoch != epoch {
+			t.Fatalf("%s restored in epoch %d, the recovery's view is %d", w.id, w.appliedEpoch, epoch)
+		}
+	}
+	if c.epoch != epoch+1 {
+		t.Fatalf("epoch %d after a recovery in view %d: bumped more than once", c.epoch, epoch)
+	}
+	fx.runUntil("every call answered", func() bool { return len(fx.client.got) == fx.sent })
+	if c.Recoveries != 1 || len(c.RestoredSnapshots) != 1 || c.BindingReplays != answered ||
+		flightLines(flight, "recovery") != 1 {
+		t.Fatalf("recoveries=%d restores=%d binding replays=%d (want 1, 1, the %d answered calls), %d recovery lines",
+			c.Recoveries, len(c.RestoredSnapshots), c.BindingReplays, answered, flightLines(flight, "recovery"))
+	}
+	if c.RecoverRetries == 0 || flightLines(flight, "recover.retry") != c.RecoverRetries {
+		t.Fatalf("%d retries, %d recover.retry lines", c.RecoverRetries, flightLines(flight, "recover.retry"))
+	}
+	if bad := fx.diverged(); len(bad) > 0 {
+		t.Fatalf("rebuilt state is not the serial run: %v", bad)
+	}
+}
+
+// TestLostRecoveredAckIsRetriedNotReentered: one worker restores but its
+// ack is lost. The retry re-sends the same recover message to it alone; the
+// worker answers the duplicate with a bare re-ack — its restored store is
+// not replaced a second time — and the recovery completes as the one it is.
+func TestLostRecoveredAckIsRetriedNotReentered(t *testing.T) {
+	flight := obs.NewFlightRecorder(4096)
+	fx := newBindingFixture(t, 100, 16, func(c *Config) { c.Flight = flight })
+	c := fx.shard.Coordinator()
+	loser := fx.shard.workers[0]
+	dropped, recovers := 0, 0
+	fx.cluster.SetPerturb(func(from, to string, _ time.Duration, msg sim.Message) sim.Perturb {
+		switch msg.(type) {
+		case msgRecovered:
+			if from == loser.id && dropped == 0 {
+				dropped++
+				return sim.Perturb{Drop: true}
+			}
+		case msgRecover:
+			if to == loser.id {
+				recovers++
+			}
+		}
+		return sim.Perturb{}
+	})
+	for _, key := range fx.keys[:10] {
+		fx.call(key, "set", interp.IntV(7))
+	}
+	victim, _ := fx.killMidExecute(100, 10*time.Millisecond)
+	if victim == loser {
+		loser = fx.shard.workers[1] // keep the two faults on different workers
+	}
+
+	fx.runUntil("the loser restored", func() bool { return c.recovering && loser.appliedEpoch == c.epoch })
+	store := loser.committed
+	fx.runUntil("the recovery finished", func() bool { return !c.recovering })
+	if loser.committed != store {
+		t.Fatal("the duplicate recover message replaced the store the worker had already restored")
+	}
+	if dropped != 1 || recovers != 2 || c.RecoverRetries != 1 {
+		t.Fatalf("dropped %d acks, %d recover messages to %s, %d retries: want 1, 2 and 1", dropped, recovers, loser.id, c.RecoverRetries)
+	}
+	for _, ev := range flight.Events() {
+		if ev.Kind == "recover.retry" && !strings.HasSuffix(ev.Detail, "re-sent to "+loser.id) {
+			t.Fatalf("retry went to more than the one missing worker: %q", ev.Detail)
+		}
+	}
+	reg := obs.NewRegistry()
+	fx.shard.RegisterMetrics(reg)
+	if got := reg.Snapshot()["stateflow.coordinator.recover_retries"]; got != 1 {
+		t.Fatalf("stateflow.coordinator.recover_retries = %d, want 1", got)
+	}
+	fx.runUntil("every call answered", func() bool { return len(fx.client.got) == fx.sent })
+	if bad := fx.diverged(); len(bad) > 0 || c.Recoveries != 1 {
+		t.Fatalf("recoveries=%d, diverged from the serial run: %v", c.Recoveries, bad)
+	}
+}
+
+// TestWorkerOutageVirtualTimeBudget holds what a client sees of a worker
+// failure — the benchmark's crash_big shape in one deterministic run: 250
+// rows of 64 KB, updates at 500 req/s throughout, one worker held down for
+// 300 ms after 300 answered updates. The longest stretch without a
+// response is the hold-down, the restore, the binding replay and the first
+// fresh batch (556 ms); before the detector measured its patience from the
+// last answer and the recovery retried by itself, the same run was silent
+// for 766–1,084 ms, depending on where the first stall check landed (one
+// recovery or two).
+func TestWorkerOutageVirtualTimeBudget(t *testing.T) {
+	const (
+		records  = 250
+		warm     = 300
+		downtime = 300 * time.Millisecond
+		tick     = 2 * time.Millisecond // 500 req/s
+		budget   = 650 * time.Millisecond
+	)
+	fx := newBindingFixture(t, records, 64<<10)
+	rng := rand.New(rand.NewSource(7))
+	var longest, lastAt time.Duration
+	seen := 0
+	step := func() {
+		fx.submit(fx.keys[rng.Intn(records)], "add", interp.IntV(1))
+		fx.cluster.RunUntil(fx.cluster.Now() + tick)
+		if len(fx.client.got) > seen {
+			seen = len(fx.client.got)
+			longest = max(longest, fx.cluster.Now()-lastAt)
+			lastAt = fx.cluster.Now()
+		}
+	}
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	longest = 0 // the warm-up's gaps are epochs, not the outage
+	victim := fx.shard.workers[0]
+	fx.cluster.ScheduleCrash(victim.id, fx.cluster.Now(), fx.cluster.Now()+downtime)
+	for i := 0; i < int(2*time.Second/tick); i++ {
+		step()
+	}
+	fx.runUntil("every update answered", func() bool { return len(fx.client.got) == fx.sent })
+	c := fx.shard.Coordinator()
+	t.Logf("longest response gap %v: %d recoveries, %d retries, %d binding replays",
+		longest, c.Recoveries, c.RecoverRetries, c.BindingReplays)
+	if c.Recoveries != 1 || longest < downtime || longest > budget {
+		t.Fatalf("longest response gap %v with %d recoveries, want one recovery and a gap between the %v hold-down and %v",
+			longest, c.Recoveries, downtime, budget)
+	}
+	if bad := fx.diverged(); len(bad) > 0 {
+		t.Fatalf("rebuilt state lost or duplicated updates: %v", bad)
 	}
 }

@@ -255,6 +255,7 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"coordinator.aborts":                   func() int64 { return int64(c.Aborts) },
 		"coordinator.failures":                 func() int64 { return int64(c.Failures) },
 		"coordinator.recoveries":               func() int64 { return int64(c.Recoveries) },
+		"coordinator.recover_retries":          func() int64 { return int64(c.RecoverRetries) },
 		"coordinator.epochs_closed":            func() int64 { return int64(c.EpochsClosed) },
 		"coordinator.fallback_rounds":          func() int64 { return int64(c.FallbackRounds) },
 		"coordinator.fallback_commits":         func() int64 { return int64(c.FallbackCommits) },
@@ -350,7 +351,7 @@ func (s *System) PreloadEntity(class string, args ...interp.Value) error {
 func (s *System) CheckpointPreloadedState() {
 	id := s.Snapshots.BeginWithPending(0, map[string][]int64{sourceTopic: {0}}, nil, len(s.workers))
 	for _, w := range s.workers {
-		if err := s.Snapshots.Write(id, w.id, w.committed.Encode()); err != nil {
+		if _, err := s.Snapshots.WriteStore(id, w.id, w.committed); err != nil {
 			panic(fmt.Sprintf("stateflow: preload checkpoint: %v", err))
 		}
 	}
@@ -401,16 +402,16 @@ func (s *System) ChaosTopology() chaos.Topology {
 //
 //   - Every role is crashable. Workers: the coordinator's stall detector
 //     guards every worker-dependent phase (execution, validation, apply,
-//     snapshot and recovery itself), so a dead worker is detected and the
-//     system rolls back to the last sealed snapshot and replays. The
-//     coordinator: its restart reboots from the journal's durable log
-//     (epoch high-water mark, delivered responses), rolls the workers back
-//     and replays the source suffix. The sequencer: see
-//     ShardedSystem.ChaosTopology.
+//     snapshot), so a dead worker is detected and the system rolls back to
+//     the last sealed snapshot and replays; the rollback itself retries
+//     until every worker has answered it. The coordinator: its restart
+//     reboots from the journal's durable log (epoch high-water mark,
+//     delivered responses), rolls the workers back and replays the source
+//     suffix. The sequencer: see ShardedSystem.ChaosTopology.
 //   - Every delivery between two components of the deployment may be
 //     dropped: a lost message stalls the phase that needed it, which
-//     triggers recovery (or, for the fence protocol, the sequencer's stall
-//     timer re-sends it). The client edge is drop-safe as well — a lost
+//     triggers recovery (or, for the recovery and fence protocols, a timer
+//     re-sends it). The client edge is drop-safe as well — a lost
 //     request is covered by client-driven retry (the ingress dedupes ids),
 //     a lost response by the durable egress buffer, which re-serves the
 //     recorded response to the retrying client instead of suppressing it.

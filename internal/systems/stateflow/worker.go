@@ -335,11 +335,12 @@ func (w *Worker) onSnapshot(ctx *sim.Context, m msgTakeSnapshot) {
 		return
 	}
 	costs := w.sys.cfg.Costs
-	img := w.committed.Encode()
-	work := costs.StateCPU(len(img))
+	// The store is encoded once, into the buffer the snapshot keeps.
+	n, err := w.sys.Snapshots.WriteStore(m.ID, w.id, w.committed)
+	work := costs.StateCPU(n)
 	ctx.Work(work)
 	w.Breakdown.Add(obs.SnapshotPersistence, work)
-	if err := w.sys.Snapshots.Write(m.ID, w.id, img); err == nil {
+	if err == nil {
 		ctx.Send(w.sys.coordID, msgSnapshotDone{ID: m.ID},
 			costs.WorkerLink.Sample(ctx.Rand()))
 	}
