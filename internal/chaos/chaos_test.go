@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,10 +68,32 @@ func TestOracleSeedSweep(t *testing.T) { oracleSeedSweep(t, sweepShards(), sweep
 // 4-shard sweeps through TestOracleSeedSweep.
 func TestOracleSeedSweepTwoShards(t *testing.T) { oracleSeedSweep(t, 2, 5) }
 
+// knownRetriesFloor is the sharded sweeps' vacuousness floor for admission
+// under the fence: the legs of a sweep add every run's
+// SequencerStats.KnownRetries to the returned counter, and once all of them
+// have finished the sweep fails if it is still zero. Exactly-once on the
+// global path is the home shards' verdict on retried ids; a sharded sweep in
+// which no retry of an answered global transaction ever reached a fence
+// proves nothing about it. The floor is per sweep, not per leg: at -short's 5
+// seeds a single workload legitimately sees none.
+func knownRetriesFloor(t *testing.T, shards int) *atomic.Int64 {
+	n := new(atomic.Int64)
+	if shards > 1 {
+		t.Cleanup(func() {
+			t.Logf("%d answered global retries dropped under the fence", n.Load())
+			if n.Load() == 0 && !t.Failed() {
+				t.Errorf("no retry of an answered global transaction reached a fence (shards=%d); admission under the fence went unexercised", shards)
+			}
+		})
+	}
+	return n
+}
+
 func oracleSeedSweep(t *testing.T, shards int, seeds int64) {
 	cfg := oracle.DefaultConfig()
 	cfg.Shards = shards
 	cfg.Traced = sweepTraced()
+	knownRetries := knownRetriesFloor(t, shards)
 	for _, w := range oracle.Workloads() {
 		w := w
 		for _, backend := range backends {
@@ -104,6 +127,7 @@ func oracleSeedSweep(t *testing.T, shards int, seeds int64) {
 						midPipelineSeeds++
 					}
 					replays += run.Replays
+					knownRetries.Add(int64(run.Sequencer.KnownRetries))
 					crashWindows += run.Stats.CrashWindows
 					drops += run.Stats.Dropped
 					delays += run.Stats.Delayed

@@ -32,12 +32,14 @@ var stateflowCommits = []struct {
 // least one coordinator reboot, so the sweep cannot silently stop
 // exercising the restart path. Sharded (CHAOS_SHARDS > 1), every leg must
 // also hold at least one seed whose targeted mid-fence sequencer crash
-// ran; seeds whose plan leaves nothing to aim at are logged. A failure
-// prints the profile, backend, seed and full plan verbatim.
+// ran; seeds whose plan leaves nothing to aim at are logged — and the sweep
+// as a whole must have dropped a retry under a fence (knownRetriesFloor). A
+// failure prints the profile, backend, seed and full plan verbatim.
 func TestAdversarialLinSweep(t *testing.T) {
 	base := oracle.DefaultConfig()
 	base.Shards = sweepShards()
 	base.Traced = sweepTraced()
+	knownRetries := knownRetriesFloor(t, base.Shards)
 	for _, p := range workload.Profiles {
 		p := p
 		for _, combo := range stateflowCommits {
@@ -56,6 +58,7 @@ func TestAdversarialLinSweep(t *testing.T) {
 					}
 					restarts += run.CoordRestarts
 					demotions += run.FallbackDriftDemotions
+					knownRetries.Add(int64(run.Sequencer.KnownRetries))
 					if !run.MidFenceAimed {
 						unaimable = append(unaimable, seed)
 					}

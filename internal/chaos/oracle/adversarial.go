@@ -383,6 +383,7 @@ func VerifyAdversarial(p workload.Profile, backend stateflow.Backend, seed int64
 		got.Sequencer.Failovers += tgt.Sequencer.Failovers
 		got.Sequencer.RederivedBatches += tgt.Sequencer.RederivedBatches
 		got.Sequencer.AbortedBatches += tgt.Sequencer.AbortedBatches
+		got.Sequencer.KnownRetries += tgt.Sequencer.KnownRetries
 	}
 	return got, nil
 }

@@ -127,6 +127,49 @@ func TestSequencerFailoverRegression(t *testing.T) {
 		seed, cfg.Shards, run.Sequencer.Failovers, run.Sequencer.RederivedBatches, run.Sequencer.AbortedBatches)
 }
 
+// TestShardedExactlyOnceRegression pins the three plans on which the
+// sharded topology broke exactly-once or wedged while the sequencer was a
+// second, volatile releaser of global responses. On (hotkey, 11, 2 shards)
+// and (chain, 8, 4) a sequencer crash lands after a batch's response went
+// out and before its last unfence ack, and the roll-forward of that batch
+// used to send the response again ("system sent 2 responses, allowed 1");
+// on (datadep, 17, 2) a failover abandons a fenced batch, the one unfence
+// dies with a shard coordinator's reboot, and the rebuilt park used to have
+// nobody to surface itself to (55/60 requests lost). Responses now leave
+// through the home shard's journal only and a parked shard always knows its
+// sequencer; each floor keeps the plan aimed at its mechanism.
+func TestShardedExactlyOnceRegression(t *testing.T) {
+	for _, tc := range []struct {
+		profile workload.Profile
+		seed    int64
+		shards  int
+		wedge   bool
+	}{
+		{workload.HotKey, 11, 2, false},
+		{workload.DataDep, 17, 2, true},
+		{workload.Chain, 8, 4, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Shards = tc.shards
+		run, err := VerifyAdversarial(tc.profile, stateflow.BackendStateFlow, tc.seed, cfg)
+		if err != nil {
+			t.Errorf("%s seed %d shards=%d: %v", tc.profile, tc.seed, tc.shards, err)
+			continue
+		}
+		q := run.Sequencer
+		switch {
+		case q.Failovers == 0:
+			t.Errorf("%s seed %d shards=%d: no sequencer failover; the regression seed went stale", tc.profile, tc.seed, tc.shards)
+		case tc.wedge && (q.AbortedBatches == 0 || run.CoordRestarts == 0):
+			t.Errorf("%s seed %d shards=%d: %d abandoned batches, %d shard-coordinator reboots; the plan no longer abandons a batch around a reboot",
+				tc.profile, tc.seed, tc.shards, q.AbortedBatches, run.CoordRestarts)
+		case !tc.wedge && q.RederivedBatches == 0:
+			t.Errorf("%s seed %d shards=%d: %d failovers but no batch rolled forward; the plan no longer crashes the sequencer behind a release",
+				tc.profile, tc.seed, tc.shards, q.Failovers)
+		}
+	}
+}
+
 // TestFallbackDriftDemotesOnDefaultPath asserts the drift guard also
 // fires during ordinary (fully fixed) chaos runs — the regression seeds
 // above need the historical recovery to make drift client-visible, but

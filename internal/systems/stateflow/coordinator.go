@@ -205,15 +205,14 @@ type Coordinator struct {
 	commitSeq    map[string]int64
 
 	// Sharded global-commit fence state (see fence.go and sharded.go).
-	// fencePending is a fence request received but not yet quiesced (0:
-	// none), fenceFrom its sender. fenced marks the parked window between
+	// fencePending is a fence request received but not yet quiesced (Seq 0:
+	// none). fenced marks the parked window between
 	// the durable open fence marker and its closing one; fenceSeq is the
 	// active global batch id. fenceDone is the highest batch whose closing
 	// marker was appended (idempotent re-acks for lost acks). fenceApply
 	// holds an unanswered apply record the recovery scan found in the log
 	// suffix; it executes once the binding replay drains.
-	fencePending int64
-	fenceFrom    string
+	fencePending msgFence
 	fenced       bool
 	fenceSeq     int64
 	fenceDone    int64
@@ -274,19 +273,17 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 	case msgRecovered:
 		c.onRecovered(ctx, from, m)
 	case msgFence:
-		c.onFence(ctx, m)
+		c.onFence(ctx, from, m)
 	case msgUnfence:
-		c.onUnfence(ctx, m)
+		c.onUnfence(ctx, from, m)
 	case msgGlobalRead:
-		c.onGlobalRead(ctx, m)
+		c.onGlobalRead(ctx, from, m)
 	case msgGlobalApply:
 		c.onGlobalApply(ctx, m)
 	case msgFenceParkTick:
 		c.onFenceParkTick(ctx, m)
 	case msgSeqFenceQuery:
-		c.onSeqFenceQuery(ctx, m)
-	case msgSeqProbe:
-		c.onSeqProbe(ctx, m)
+		c.onSeqFenceQuery(ctx, from)
 	}
 }
 
@@ -334,7 +331,7 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 		return
 	}
 	c.journal.logged(id)
-	if st := c.exec; !c.recovering && !c.fenced && c.fencePending == 0 &&
+	if st := c.exec; !c.recovering && !c.fenced && c.fencePending.Seq == 0 &&
 		st != nil && st.phase == phaseOpen && !c.batchFull(st) {
 		c.consumed++
 		c.assign(ctx, st, pendingReq{req: m.Request, replyTo: m.ReplyTo, pos: pos, arrivedAt: ctx.Now()})
@@ -363,7 +360,7 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 		c.drainPending(ctx, st)
 	}
 	if len(st.txns) == 0 {
-		if c.fencePending != 0 && c.maybeFence(ctx) {
+		if c.fencePending.Seq != 0 && c.maybeFence(ctx) {
 			return // parked; the tick chain stops until unfence
 		}
 		// Nothing arrived: stay open and retick.
@@ -513,10 +510,10 @@ func (c *Coordinator) releaseCommit(ctx *sim.Context) {
 func (c *Coordinator) respond(ctx *sim.Context, t *txnState, resp sysapi.Response) {
 	if t.apply != nil {
 		// A global batch's apply: before the apply's own ack, stage the
-		// batch transactions' responses this shard is home to into the
-		// durable egress buffer (write-ahead order — a durable apply ack
-		// must imply durable embedded responses, or a sequencer failover
-		// could re-sequence an answered transaction; see failover.go).
+		// responses of the batch transactions this shard is home to
+		// (write-ahead order — a durable apply ack must imply durable
+		// embedded responses: the sequencer unfences on the acks, and the
+		// next fence's admission verdict must already find them).
 		c.stageEmbeddedResponses(ctx, t.apply.man, t.pos)
 	}
 	if t.replyTo == "" {
@@ -525,19 +522,23 @@ func (c *Coordinator) respond(ctx *sim.Context, t *txnState, resp sysapi.Respons
 	c.journal.stage(ctx, t.replyTo, deliveredEntry{resp: resp, at: ctx.Now(), pos: t.pos})
 }
 
-// stageEmbeddedResponses durably records the responses of the global
-// batch transactions homed on this shard, as the manifest of the apply at
-// source-log position pos lists them. They ride the apply's own
-// group-commit sync, cost one delivered-record each, and are never sent
-// from here — the sequencer releases them — but they make this shard the
-// transaction's durable exactly-once witness: a failed-over sequencer
-// probes them (onSeqProbe) before re-sequencing an unrecognized global id.
+// stageEmbeddedResponses releases the responses of the global batch
+// transactions homed on this shard, as the manifest of the apply at
+// source-log position pos lists them: staged for the client, they ride the
+// apply's own group-commit sync and cost one delivered-record each. This is
+// the one release a global response ever gets — the sequencer sends none —
+// and it is safe ahead of the other shards' applies: this apply is logged,
+// so the batch will be rolled forward whatever crashes, and every other
+// footprint shard stays parked until its own apply is durable, so nobody
+// can observe the batch half-installed. The records also make this shard
+// the transaction's exactly-once witness: a retry of the id is judged
+// against them under the next fence (ackFence) and re-served by admit.
 func (c *Coordinator) stageEmbeddedResponses(ctx *sim.Context, man *batchManifest, pos int64) {
 	for _, mt := range man.txns {
 		if mt.home != c.sys.shardIndex {
 			continue
 		}
-		c.journal.stage(ctx, "", deliveredEntry{resp: mt.res, at: ctx.Now(), pos: pos})
+		c.journal.stage(ctx, mt.replyTo, deliveredEntry{resp: mt.res, at: ctx.Now(), pos: pos})
 	}
 }
 
@@ -546,7 +547,7 @@ func (c *Coordinator) stageEmbeddedResponses(ctx *sim.Context, man *batchManifes
 // durably committed batches, valid across concurrent recoveries.
 func (c *Coordinator) onLogSynced(ctx *sim.Context, m msgLogSynced) {
 	c.journal.synced(ctx, m)
-	if c.fencePending != 0 {
+	if c.fencePending.Seq != 0 {
 		// Draining the staged queue may have been the last quiesce
 		// condition a pending fence was waiting on.
 		c.maybeFence(ctx)
@@ -698,7 +699,7 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 	// pending) stops drawing from the source so sustained load cannot
 	// starve the fence; the backlog drains after the unfence.
 	end, err := c.sys.RequestLog.End(sourceTopic, 0)
-	if err == nil && c.fencePending == 0 {
+	if err == nil && c.fencePending.Seq == 0 {
 		for ; c.consumed < end && !c.batchFull(st); c.consumed++ {
 			rec, ok := c.readSource(c.consumed)
 			if !ok {
@@ -942,8 +943,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	c.scanFenceState()
 	if c.fenced {
 		// The crash voided any pre-crash watchdog chain; a rebuilt park
-		// needs a fresh one (re-acks resume once a fence or recovery
-		// query restores fenceFrom).
+		// needs a fresh one.
 		c.armParkWatchdog(ctx, c.fenceSeq)
 	}
 	clear(c.recovered)
@@ -995,11 +995,9 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.recovering = false
 	c.pending, c.replaying = nil, nil
 	c.progress, c.progressAt = 0, 0
-	// Fence state is volatile here; Recover's marker scan rebuilds it
-	// (fenceFrom need not survive — re-sent fence messages carry the
-	// sender, and the re-ack path answers them).
-	c.fencePending, c.fenceSeq, c.fenceDone = 0, 0, 0
-	c.fenced, c.fenceApply, c.fenceFrom = false, nil, ""
+	// Fence state is volatile here; Recover's marker scan rebuilds it.
+	c.fencePending, c.fenceSeq, c.fenceDone = msgFence{}, 0, 0
+	c.fenced, c.fenceApply = false, nil
 	c.parkWatch = 0
 	img := c.journal.restore(ctx)
 	c.CorruptLogRecords += img.corrupt

@@ -16,33 +16,29 @@
 // (msgSeqFenceQuery → msgSeqFenceReport) and distinguishes:
 //
 //   - Some fenced shard holds one of the batch's applies: the batch reached
-//     its commit phase, so it may already be partially installed — and
-//     some responses may already have been released. Roll it FORWARD:
+//     its commit phase, so it may already be partially installed — and its
+//     home shards may already have released responses. Roll it FORWARD:
 //     rebuild the batch around the manifest (rederiveBatch), re-send its
 //     applies (shards dedupe by the incarnation-stable apply id), then
-//     re-release the responses and unfence. Exactly-once holds because
-//     applies, responses and unfences are all idempotent downstream.
+//     unfence. Exactly-once holds because the sequencer releases nothing:
+//     a response leaves through its home shard's journal, once, whichever
+//     incarnation sent the apply.
 //   - Shards are fenced but no apply is durable anywhere: nothing of the
-//     batch committed and no response can have been released (responses
-//     only go out after every apply ack). Abandon it: unfence the parked
-//     shards and let the clients' retries re-sequence the lost
+//     batch committed and no response can have been released (a response
+//     rides the group commit of a logged apply). Abandon it: unfence the
+//     parked shards and let the clients' retries re-sequence the lost
 //     transactions from scratch.
 //
-// One hazard remains: the reboot wipes the sequencer's volatile
-// delivered-map, so a client retry of an already-answered global
-// transaction would look fresh and re-execute. The shards close this
-// hole: each global transaction's home shard stages the transaction's
-// response into its durable egress buffer when it installs the batch's
-// apply (coordinator.go), and a failed-over sequencer probes that buffer
-// (msgSeqProbe → msgSeqProbeAck) for every global id it does not
-// recognize before re-sequencing it.
+// What the reboot cannot lose is the memory of which transactions were
+// answered, because the sequencer never had it: every batch, before a
+// failover and after, asks each member's home shard under the fence
+// whether its journal already answered the id (msgFence.Admit →
+// msgFenceAck.Known, admitBatch), and a known member is re-served by that
+// shard's ordinary ingress instead of being sequenced again. Roll-forward,
+// abandon, re-serve under the fence: that is all of it.
 package stateflow
 
-import (
-	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/sim"
-	"statefulentities.dev/stateflow/internal/systems/sysapi"
-)
+import "statefulentities.dev/stateflow/internal/sim"
 
 // ---------------------------------------------------------------------------
 // The rebooted sequencer.
@@ -56,14 +52,12 @@ func (q *Sequencer) OnRestart(ctx *sim.Context) {
 	q.queue = nil
 	q.nextSeq = 0
 	q.inFlight = map[string]bool{}
-	q.delivered = map[string]sysapi.Response{}
-	q.probing = map[string]*globalTxn{}
 	q.reports = map[int]msgSeqFenceReport{}
-	q.recovering, q.failedOver = true, true
+	q.recovering = true
 	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "failover",
 		"sequencer rebooted: querying %d shards for fence state", len(q.sys.shards))
 	for _, sh := range q.sys.shards {
-		ctx.Send(sh.coordID, msgSeqFenceQuery{From: q.sys.seqID},
+		ctx.Send(sh.coordID, msgSeqFenceQuery{},
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 	ctx.After(q.sys.cfg.StallTimeout, msgSeqRecoverTick{})
@@ -77,7 +71,7 @@ func (q *Sequencer) onRecoverTick(ctx *sim.Context, _ msgSeqRecoverTick) {
 	}
 	for i, sh := range q.sys.shards {
 		if _, ok := q.reports[i]; !ok {
-			ctx.Send(sh.coordID, msgSeqFenceQuery{From: q.sys.seqID},
+			ctx.Send(sh.coordID, msgSeqFenceQuery{},
 				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		}
 	}
@@ -136,8 +130,7 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 			continue
 		}
 		released = true
-		ctx.Send(q.sys.shards[idx].coordID,
-			msgUnfence{Seq: fencedSeq[idx], From: q.sys.seqID},
+		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: fencedSeq[idx]},
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 	if released && q.cur == nil {
@@ -156,9 +149,11 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 
 // rederiveBatch rebuilds the in-flight batch around a durable manifest
 // and resumes it at the apply phase. Every downstream step is idempotent:
-// re-sent applies dedupe (or re-serve) by their incarnation-stable id,
-// re-released responses are wire duplicates to the clients, and re-sent
-// unfences re-ack off the shards' fence-done high-water marks.
+// re-sent applies dedupe (or re-serve their ack) by their
+// incarnation-stable id, and re-sent unfences re-ack off the shards'
+// fence-done high-water marks. The members' responses are not the
+// sequencer's to send; their ids are marked in flight so a client retry
+// waits for the batch instead of opening a fence window behind it.
 func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 	q.RederivedBatches++
 	b := &globalBatch{
@@ -169,7 +164,6 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 		footprint:    map[int]bool{},
 		fenceAcked:   map[int]bool{},
 		unfenceAcked: map[int]bool{},
-		fetching:     map[interp.EntityRef]bool{},
 		rederived:    true,
 		man:          man,
 		applied:      map[int]bool{},
@@ -178,29 +172,9 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 		b.footprint[idx] = true
 		b.fenceAcked[idx] = true
 	}
-	members := make(map[string]bool, len(man.txns))
 	for _, mt := range man.txns {
-		// Only the id survives in the manifest; the rebuilt request is a
-		// stub — finishBatch and the dedup maps key on req.Req alone.
-		t := &globalTxn{
-			req:     sysapi.Request{Req: mt.req},
-			replyTo: mt.replyTo,
-			res:     mt.res,
-		}
-		b.txns = append(b.txns, t)
-		members[mt.req] = true
 		q.inFlight[mt.req] = true
-		delete(q.probing, mt.req)
 	}
-	// Drop manifest members from the retry queue: a probe answered
-	// "unknown" before recovery completed may have re-enqueued one.
-	kept := q.queue[:0]
-	for _, t := range q.queue {
-		if !members[t.req.Req] {
-			kept = append(kept, t)
-		}
-	}
-	q.queue = kept
 	if man.seq > q.nextSeq {
 		q.nextSeq = man.seq
 	}
@@ -210,30 +184,4 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 		man.seq, len(man.txns), len(man.applies))
 	q.sendApplies(ctx, b)
 	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{Seq: b.seq})
-}
-
-// onProbeAck resolves one unknown global id a client retried after the
-// failover: the home shard either holds the durably recorded response
-// (re-serve it) or has never committed the transaction (sequence it).
-func (q *Sequencer) onProbeAck(ctx *sim.Context, m msgSeqProbeAck) {
-	t, ok := q.probing[m.Req]
-	if !ok {
-		return
-	}
-	delete(q.probing, m.Req)
-	if m.Known {
-		q.delivered[m.Req] = m.Res
-		if t.replyTo != "" {
-			ctx.Send(t.replyTo, sysapi.MsgResponse{Response: m.Res},
-				q.sys.cfg.Costs.ClientLink.Sample(ctx.Rand()))
-		}
-		return
-	}
-	if q.inFlight[m.Req] {
-		return // a rederived batch already carries it
-	}
-	if _, done := q.delivered[m.Req]; done {
-		return
-	}
-	q.enqueueGlobal(ctx, t)
 }

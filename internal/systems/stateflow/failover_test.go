@@ -1,6 +1,7 @@
 package stateflow
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,12 +39,16 @@ type failoverFixture struct {
 
 func newFailoverFixture(t *testing.T) *failoverFixture {
 	t.Helper()
+	return newFailoverFixtureWith(t, DefaultConfig())
+}
+
+func newFailoverFixtureWith(t *testing.T, cfg Config) *failoverFixture {
+	t.Helper()
 	prog, err := compiler.Compile(bank)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	cluster := sim.New(42)
-	cfg := DefaultConfig()
 	cfg.Shards = 2
 	sys := New(cluster, prog, cfg)
 	const accounts = 8
@@ -67,9 +72,9 @@ func (fx *failoverFixture) transfer() {
 		sysapi.MsgRequest{Request: transferReq("x1", fx.from, fx.to, 25), ReplyTo: "client"})
 }
 
-// crashSequencerWhen steps virtual time until cond holds, then crashes the
-// sequencer at that instant for 10ms.
-func (fx *failoverFixture) crashSequencerWhen(what string, cond func() bool) {
+// crashWhen steps virtual time until cond holds, then crashes component id
+// at that instant for 10ms.
+func (fx *failoverFixture) crashWhen(id, what string, cond func() bool) {
 	fx.t.Helper()
 	const step = 20 * time.Microsecond
 	deadline := fx.cluster.Now() + time.Second
@@ -80,10 +85,41 @@ func (fx *failoverFixture) crashSequencerWhen(what string, cond func() bool) {
 		fx.cluster.RunUntil(fx.cluster.Now() + step)
 	}
 	now := fx.cluster.Now()
-	fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
+	fx.cluster.ScheduleCrash(id, now, now+10*time.Millisecond)
+}
+
+func (fx *failoverFixture) crashSequencerWhen(what string, cond func() bool) {
+	fx.t.Helper()
+	fx.crashWhen(fx.sys.seqID, what, cond)
 }
 
 func (fx *failoverFixture) settle() { fx.cluster.RunUntil(fx.cluster.Now() + 2*time.Second) }
+
+// home is the coordinator of the shard that owns the transfer's source
+// account: the shard that releases the transfer's response.
+func (fx *failoverFixture) home() *Coordinator {
+	ref := interp.EntityRef{Class: "Account", Key: fx.from}
+	return fx.sys.Shards()[fx.sys.ShardOf(ref)].Coordinator()
+}
+
+// parked counts the shards fenced right now.
+func (fx *failoverFixture) parked() (n int) {
+	for _, sh := range fx.sys.Shards() {
+		if sh.Coordinator().fenced {
+			n++
+		}
+	}
+	return n
+}
+
+func (fx *failoverFixture) anyFenced() bool { return fx.parked() > 0 }
+
+func (fx *failoverFixture) globalApplies() (n int) {
+	for _, sh := range fx.sys.Shards() {
+		n += sh.Coordinator().GlobalApplies
+	}
+	return n
+}
 
 // applyDurable reports whether a shard released the ack of batch 1's apply,
 // which it does only once the apply's commit is fsynced.
@@ -128,10 +164,8 @@ func TestFailoverRollsForwardHalfAppliedBatch(t *testing.T) {
 	if len(fx.client.got) != 1 || fx.client.got[0].Err != "" || !fx.client.got[0].Value.B {
 		t.Fatalf("client saw %+v, want the one successful response", fx.client.got)
 	}
-	for i, sh := range fx.sys.Shards() {
-		if sh.Coordinator().fenced {
-			t.Fatalf("shard %d still fenced", i)
-		}
+	if fx.anyFenced() {
+		t.Fatal("a shard is still fenced")
 	}
 }
 
@@ -142,14 +176,7 @@ func TestFailoverRollsForwardHalfAppliedBatch(t *testing.T) {
 func TestFailoverAbandonsFencedBatch(t *testing.T) {
 	fx := newFailoverFixture(t)
 	fx.transfer()
-	fx.crashSequencerWhen("both shards parked", func() bool {
-		for _, sh := range fx.sys.Shards() {
-			if !sh.Coordinator().fenced {
-				return false
-			}
-		}
-		return true
-	})
+	fx.crashSequencerWhen("both shards parked", func() bool { return fx.parked() == 2 })
 	fx.settle()
 	q := fx.sys.Sequencer()
 	if q.Failovers != 1 || q.AbortedBatches != 1 || q.RederivedBatches != 0 {
@@ -180,34 +207,225 @@ func TestFailoverAbandonsFencedBatch(t *testing.T) {
 	}
 }
 
-// TestFailoverReservesAnsweredTransactionByProbe is case (c): after (a), a
-// second reboot wipes the sequencer's volatile re-serve buffer, so a retry
-// of the answered id looks fresh. Its home shard's durable egress buffer
-// must answer the probe, and the transaction must not be sequenced again.
-func TestFailoverReservesAnsweredTransactionByProbe(t *testing.T) {
-	fx := crashMidApply(t)
-	q := fx.sys.Sequencer()
-	now := fx.cluster.Now()
-	fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
-	fx.settle()
-	if q.Failovers != 2 || len(q.delivered) != 0 {
-		t.Fatalf("failovers=%d with %d buffered responses, want 2 and none", q.Failovers, len(q.delivered))
-	}
-	globals := q.GlobalTxns
+// TestFailoverReservesAnsweredUnderTheFence is case (c): a retry
+// of an answered global id is a batch member like any other until its home
+// shard, parked, reports it known; then it leaves the batch unexecuted and
+// that shard's ingress serves the recorded response again. The sequencer
+// remembers nothing about answered transactions, so the path is the same
+// whether or not it failed over in between.
+func TestFailoverReservesAnsweredUnderTheFence(t *testing.T) {
+	for name, failover := range map[string]bool{"no_failover": false, "failover": true} {
+		t.Run(name, func(t *testing.T) {
+			var fx *failoverFixture
+			if failover {
+				fx = crashMidApply(t)
+				now := fx.cluster.Now()
+				fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
+			} else {
+				fx = newFailoverFixture(t)
+				fx.transfer()
+			}
+			fx.settle()
+			q := fx.sys.Sequencer()
+			if len(fx.client.got) != 1 || q.GlobalTxns != 1 || q.KnownRetries != 0 {
+				t.Fatalf("before the retry: %d responses, GlobalTxns %d, KnownRetries %d, want 1/1/0",
+					len(fx.client.got), q.GlobalTxns, q.KnownRetries)
+			}
+			applies, replays := fx.globalApplies(), fx.home().Replays
 
-	fx.transfer() // retry of the answered id
+			fx.transfer() // retry of the answered id
+			fx.settle()
+			if q.GlobalTxns != 1 || q.KnownRetries != 1 {
+				t.Fatalf("retry was sequenced: GlobalTxns %d, KnownRetries %d, want 1/1", q.GlobalTxns, q.KnownRetries)
+			}
+			if got := fx.globalApplies(); got != applies {
+				t.Fatalf("GlobalApplies %d -> %d: the retry's batch applied something", applies, got)
+			}
+			if got := fx.home().Replays; got != replays+1 {
+				t.Fatalf("home shard Replays %d -> %d, want the one re-serve", replays, got)
+			}
+			if len(fx.client.got) != 2 || fx.client.got[1].Req != "x1" || !fx.client.got[1].Value.B {
+				t.Fatalf("client saw %+v, want the recorded response served again", fx.client.got)
+			}
+			if from, to := fx.balances(); from != 75 || to != 125 {
+				t.Fatalf("balances %d/%d, want 75/125", from, to)
+			}
+			if fx.anyFenced() || len(q.inFlight) != 0 {
+				t.Fatalf("the retry's fence window did not close: fenced=%v, %d in flight", fx.anyFenced(), len(q.inFlight))
+			}
+		})
+	}
+}
+
+// dropFirst installs a perturbation that loses the first n sends matching
+// pick and reports how many matching sends it has seen.
+func (fx *failoverFixture) dropFirst(n int, pick func(from, to string, msg sim.Message) bool) *int {
+	seen := new(int)
+	fx.cluster.SetPerturb(func(from, to string, _ time.Duration, msg sim.Message) sim.Perturb {
+		if !pick(from, to, msg) {
+			return sim.Perturb{}
+		}
+		*seen++
+		return sim.Perturb{Drop: *seen <= n}
+	})
+	return seen
+}
+
+// TestFailoverAfterReleaseSendsNoSecondResponse: the sequencer dies after
+// the home shard released the response and before the last shard confirmed
+// its unfence (that shard's unfence is lost, so it is still parked with the
+// batch's apply in its log). The next incarnation must roll the batch
+// forward — and must not answer the client a second time.
+func TestFailoverAfterReleaseSendsNoSecondResponse(t *testing.T) {
+	fx := newFailoverFixture(t)
+	other := fx.sys.Shards()[1-fx.sys.ShardOf(interp.EntityRef{Class: "Account", Key: fx.from})]
+	fx.dropFirst(1, func(_, to string, msg sim.Message) bool {
+		_, unfence := msg.(msgUnfence)
+		return unfence && to == other.coordID
+	})
+	fx.transfer()
+	fx.crashSequencerWhen("response released, a shard still parked", func() bool {
+		return len(fx.client.got) == 1 && fx.sys.Sequencer().cur != nil &&
+			fx.sys.Sequencer().cur.phase == gUnfencing
+	})
+	if !other.Coordinator().fenced {
+		t.Fatal("the shard whose unfence was dropped is not parked; the crash exercises nothing")
+	}
 	fx.settle()
-	if q.GlobalTxns != globals || q.GlobalBatches != 1 {
-		t.Fatalf("retry re-sequenced: GlobalTxns %d -> %d, GlobalBatches %d", globals, q.GlobalTxns, q.GlobalBatches)
+	q := fx.sys.Sequencer()
+	if q.Failovers != 1 || q.RederivedBatches != 1 {
+		t.Fatalf("failovers=%d rederived=%d, want 1/1", q.Failovers, q.RederivedBatches)
 	}
-	if _, ok := q.delivered["x1"]; !ok {
-		t.Fatal("the probe answer did not repopulate the sequencer's re-serve buffer")
+	if len(fx.client.got) != 1 {
+		t.Fatalf("client got %d responses, want exactly 1: %+v", len(fx.client.got), fx.client.got)
 	}
-	if len(fx.client.got) != 2 || fx.client.got[1].Req != "x1" || !fx.client.got[1].Value.B {
-		t.Fatalf("client saw %+v, want the recorded response served again", fx.client.got)
+	if from, to := fx.balances(); from != 75 || to != 125 || fx.anyFenced() {
+		t.Fatalf("balances %d/%d (want 75/125), fenced=%v", from, to, fx.anyFenced())
+	}
+}
+
+// TestOrphanedParkAfterAbandonIsReleased: a failover abandons a fenced
+// batch, and the one unfence it sends a parked shard dies with that
+// shard's coordinator, whose restart scan rebuilds the park from the
+// durable marker. Nothing will ever unfence that batch again, so the shard
+// must surface the orphan itself (park watchdog → maybeReleaseOrphan), and
+// the next global batch must get through.
+func TestOrphanedParkAfterAbandonIsReleased(t *testing.T) {
+	fx := newFailoverFixture(t)
+	fx.transfer()
+	fx.crashSequencerWhen("both shards parked", func() bool { return fx.parked() == 2 })
+	victim := fx.sys.Shards()[0]
+	fx.crashWhen(victim.coordID, "the abandon's unfences in flight", func() bool {
+		return fx.sys.Sequencer().AbortedBatches == 1
+	})
+	fx.cluster.RunUntil(fx.cluster.Now() + 20*time.Millisecond)
+	c := victim.Coordinator()
+	if c.Restarts != 1 || !c.fenced || c.fenceSeq != 1 {
+		t.Fatalf("restarts=%d fenced=%v on %d, want the park on batch 1 rebuilt by one restart", c.Restarts, c.fenced, c.fenceSeq)
+	}
+
+	fx.transfer() // the client's retry of the abandoned transfer
+	fx.cluster.RunUntil(fx.cluster.Now() + 2*DefaultConfig().StallTimeout)
+	if len(fx.client.got) != 1 || !fx.client.got[0].Value.B {
+		t.Fatalf("client saw %+v within two stall timeouts, want the one successful response", fx.client.got)
 	}
 	if from, to := fx.balances(); from != 75 || to != 125 {
 		t.Fatalf("balances %d/%d, want 75/125", from, to)
+	}
+	fx.settle()
+	if fx.anyFenced() {
+		t.Fatal("a shard stayed fenced")
+	}
+}
+
+// TestLateGlobalDuplicateIsAbsorbedByTheFloor: a cross-shard transfer is
+// answered, the retention window prunes its entry from the home shard's
+// journal (raising the source's dedup floor), the sequencer fails over, and
+// the id arrives again. The home shard no longer holds the response, but
+// its verdict under the fence is still "known" — at or below the floor —
+// so the copy is absorbed, not executed a second time.
+func TestLateGlobalDuplicateIsAbsorbedByTheFloor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DedupRetention = 50 * time.Millisecond
+	cfg.SnapshotEvery = 2
+	fx := newFailoverFixtureWith(t, cfg)
+	late := sysapi.MsgRequest{Request: transferReq("cl.1", fx.from, fx.to, 7), ReplyTo: "client"}
+	fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(), late)
+	// Single-shard traffic on the home shard keeps its epochs closing and
+	// its snapshots sealing, so the retention prune runs.
+	home := fx.home()
+	var local []string
+	for _, key := range shardAccounts(fx.sys, 8)[home.sys.shardIndex] {
+		if key != fx.from {
+			local = append(local, key)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		fx.cluster.Inject(time.Duration(i+1)*10*time.Millisecond, "client", fx.sys.IngressID(), sysapi.MsgRequest{
+			Request: transferReq(fmt.Sprintf("bg.%d", i+1), local[0], local[1], 1), ReplyTo: "client"})
+	}
+	fx.cluster.RunUntil(400 * time.Millisecond)
+	if _, held := home.journal.delivered["cl.1"]; held || home.journal.dedupFloor["cl"] < 1 {
+		t.Fatalf("home shard still holds cl.1 (held=%v, floor %d); retention never pruned it", held, home.journal.dedupFloor["cl"])
+	}
+	if from, _ := fx.balances(); from != 93 {
+		t.Fatalf("source balance %d after the transfer, want 93", from)
+	}
+	now := fx.cluster.Now()
+	fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
+	fx.settle()
+	responses := len(fx.client.got)
+
+	fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(), late)
+	fx.settle()
+	q := fx.sys.Sequencer()
+	if from, _ := fx.balances(); from != 93 {
+		t.Fatalf("source balance %d after the late duplicate, want 93 (it ran again)", from)
+	}
+	if q.Failovers != 1 || q.KnownRetries != 1 || q.GlobalTxns != 1 || home.LateDuplicates != 1 {
+		t.Fatalf("failovers=%d KnownRetries=%d GlobalTxns=%d LateDuplicates=%d, want 1/1/1/1",
+			q.Failovers, q.KnownRetries, q.GlobalTxns, home.LateDuplicates)
+	}
+	if len(fx.client.got) != responses {
+		t.Fatalf("the absorbed duplicate drew %d responses", len(fx.client.got)-responses)
+	}
+}
+
+// TestParkReackIsNotAnAdmissionAnswer: the home shard's answers to the
+// fence of a retried, already-answered transfer are lost twice, so the
+// first ack the sequencer sees from it is the park watchdog's bare re-ack.
+// Taking that for "parked, nothing known" would execute the transfer a
+// second time; the sequencer must wait for an ack that answers its list.
+func TestParkReackIsNotAnAdmissionAnswer(t *testing.T) {
+	fx := newFailoverFixture(t)
+	fx.transfer()
+	fx.settle()
+	home := fx.home()
+	bare := 0
+	answers := fx.dropFirst(2, func(from, _ string, msg sim.Message) bool {
+		ack, ok := msg.(msgFenceAck)
+		if ok && from == home.sys.coordID && ack.Admit == nil && fx.sys.Sequencer().cur.phase == gFencing {
+			bare++
+		}
+		return ok && from == home.sys.coordID && ack.Admit != nil
+	})
+	applies := fx.globalApplies()
+
+	fx.transfer() // retry of the answered id
+	fx.settle()
+	if bare == 0 || *answers != 3 {
+		t.Fatalf("%d bare re-acks while fencing, %d answering acks; want at least 1 and exactly 3 (two lost)", bare, *answers)
+	}
+	q := fx.sys.Sequencer()
+	if q.KnownRetries != 1 || q.GlobalTxns != 1 || fx.globalApplies() != applies {
+		t.Fatalf("KnownRetries=%d GlobalTxns=%d GlobalApplies %d -> %d, want the retry dropped under the fence",
+			q.KnownRetries, q.GlobalTxns, applies, fx.globalApplies())
+	}
+	if from, to := fx.balances(); from != 75 || to != 125 {
+		t.Fatalf("balances %d/%d, want 75/125 (the transfer ran twice)", from, to)
+	}
+	if len(fx.client.got) != 2 || fx.anyFenced() {
+		t.Fatalf("%d responses (want the original and one re-serve), fenced=%v", len(fx.client.got), fx.anyFenced())
 	}
 }
 

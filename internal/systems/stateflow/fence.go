@@ -13,6 +13,9 @@
 //     the ack, so once the sequencer believes the shard is fenced, no
 //     crash can make it forget: the restart scan finds the unbalanced
 //     marker and comes back parked.
+//   - Judge the fence's admission list: the ack says which of the batch
+//     transactions homed here the journal already answered, so a retried
+//     global id is never executed twice (ackFence).
 //   - While parked, answer msgGlobalRead from committed worker state.
 //   - Run the sequencer's globalApply as an ordinary single-member epoch
 //     through the full Aria machinery (stall detection, response
@@ -33,27 +36,39 @@ import (
 	"statefulentities.dev/stateflow/internal/sim"
 )
 
-// onFence handles the sequencer's quiesce request. Completed batches and
-// the in-progress one re-ack idempotently (the original ack was lost);
-// a new batch id arms the quiesce and parks immediately if the shard is
-// already idle.
-func (c *Coordinator) onFence(ctx *sim.Context, m msgFence) {
-	if m.Seq <= c.fenceDone || (c.fenced && m.Seq == c.fenceSeq) {
-		if c.fenced && m.Seq == c.fenceSeq {
-			// Re-point the park at the sender: after a coordinator restart
-			// the scan rebuilds the fence but not who asked for it, and the
-			// park watchdog needs a live address to re-ack to.
-			c.fenceFrom = m.From
-		}
-		ctx.Send(m.From, msgFenceAck{Seq: m.Seq},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-		return
+// onFence handles the sequencer's quiesce request. The batch the shard is
+// parked on re-acks (the original ack was lost, or answered a different
+// admission list), completed ones re-ack bare; a new batch id arms the
+// quiesce and parks immediately if the shard is already idle.
+func (c *Coordinator) onFence(ctx *sim.Context, from string, m msgFence) {
+	switch {
+	case c.fenced && m.Seq == c.fenceSeq:
+		c.ackFence(ctx, from, m)
+	case m.Seq <= c.fenceDone:
+		ctx.Send(from, msgFenceAck{Seq: m.Seq}, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	case c.fenced:
+		// Parked on an older batch whose unfence never arrived (the
+		// sequencer abandoned it and the one unfence died with this
+		// coordinator's previous incarnation). The park watchdog surfaces
+		// the orphan and the sequencer's stall guard re-sends this fence.
+	default:
+		c.fencePending = m
+		c.maybeFence(ctx)
 	}
-	if c.fenced {
-		return // fenced for a different (older) batch: impossible unless stale; drop
+}
+
+// ackFence confirms the park to the sequencer and answers the fence's
+// admission list from the journal: a member is known if its response is
+// part of the egress state or its id sits at or below its source's dedup
+// floor. The shard is parked, so nothing can answer a listed id between
+// this verdict and the batch's own apply.
+func (c *Coordinator) ackFence(ctx *sim.Context, to string, m msgFence) {
+	ack := msgFenceAck{Seq: m.Seq, Admit: m.Admit, Known: make([]bool, len(m.Admit))}
+	for i, id := range m.Admit {
+		ctx.Work(c.sys.cfg.Costs.RoutingCPU)
+		ack.Known[i] = c.journal.known(id)
 	}
-	c.fencePending, c.fenceFrom = m.Seq, m.From
-	c.maybeFence(ctx)
+	ctx.Send(to, ack, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // maybeFence parks the shard for the pending global batch once fully
@@ -63,7 +78,7 @@ func (c *Coordinator) onFence(ctx *sim.Context, m msgFence) {
 // rebuild), and an open, empty, non-binding exec epoch. Reports whether
 // the shard fenced.
 func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
-	if c.fencePending == 0 || c.fenced || c.recovering {
+	if c.fencePending.Seq == 0 || c.fenced || c.recovering {
 		return false
 	}
 	if c.commit != nil || len(c.replaying) > 0 || len(c.pending) > 0 || !c.journal.quiet() {
@@ -73,16 +88,15 @@ func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
 	if st == nil || st.phase != phaseOpen || st.binding || len(st.txns) != 0 {
 		return false
 	}
-	seq := c.fencePending
-	c.produceMarker(ctx, seq, true)
-	c.fenced, c.fenceSeq = true, seq
-	c.fencePending = 0
+	m := c.fencePending
+	c.fencePending = msgFence{}
+	c.produceMarker(ctx, m.Seq, true)
+	c.fenced, c.fenceSeq = true, m.Seq
 	c.fencedAt = ctx.Now()
 	c.GlobalFences++
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "fence", "parked for global batch %d", seq)
-	ctx.Send(c.fenceFrom, msgFenceAck{Seq: seq},
-		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	c.armParkWatchdog(ctx, seq)
+	c.flight().Recordf(ctx.Now(), c.sys.coordID, "fence", "parked for global batch %d", m.Seq)
+	c.ackFence(ctx, c.sys.seqID, m)
+	c.armParkWatchdog(ctx, m.Seq)
 	return true
 }
 
@@ -99,9 +113,10 @@ func (c *Coordinator) armParkWatchdog(ctx *sim.Context, seq int64) {
 // onFenceParkTick re-acks the fence while the shard stays parked. In the
 // normal schedule this is a harmless duplicate; its purpose is the
 // orphaned park — a fence from a dead sequencer incarnation that arrived
-// after the recovery handshake — which only this re-ack surfaces (the
-// new incarnation answers it with the releasing unfence, see
-// maybeReleaseOrphan). The chain dies with the park.
+// after the recovery handshake, or a park rebuilt by a restart that
+// swallowed the releasing unfence — which only this re-ack surfaces (the
+// sequencer answers it with the unfence, see maybeReleaseOrphan). The
+// chain dies with the park.
 func (c *Coordinator) onFenceParkTick(ctx *sim.Context, m msgFenceParkTick) {
 	if !c.fenced || m.Seq != c.fenceSeq {
 		if c.parkWatch == m.Seq {
@@ -109,10 +124,8 @@ func (c *Coordinator) onFenceParkTick(ctx *sim.Context, m msgFenceParkTick) {
 		}
 		return
 	}
-	if c.fenceFrom != "" {
-		ctx.Send(c.fenceFrom, msgFenceAck{Seq: m.Seq},
-			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
+	ctx.Send(c.sys.seqID, msgFenceAck{Seq: m.Seq},
+		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	ctx.After(c.sys.cfg.StallTimeout, msgFenceParkTick{Seq: m.Seq})
 }
 
@@ -123,11 +136,11 @@ func (c *Coordinator) onFenceParkTick(ctx *sim.Context, m msgFenceParkTick) {
 // sequencer re-derive the batch. Any fence still pending from the dead
 // incarnation is dropped: its batch is either being rolled forward (the
 // re-sent fence will re-arm it) or abandoned.
-func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, m msgSeqFenceQuery) {
+func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, from string) {
 	if c.recovering {
 		return // report after recovery converges; the sequencer re-queries
 	}
-	c.fencePending = 0
+	c.fencePending = msgFence{}
 	rep := msgSeqFenceReport{
 		Shard:     c.sys.shardIndex,
 		Fenced:    c.fenced,
@@ -135,10 +148,9 @@ func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, m msgSeqFenceQuery) {
 		FenceDone: c.fenceDone,
 	}
 	if c.fenced {
-		c.fenceFrom = m.From // future park re-acks go to the new incarnation
 		rep.Apply = c.findApply(c.fenceSeq)
 	}
-	ctx.Send(m.From, rep, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	ctx.Send(from, rep, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // findApply scans the source-log suffix for the fenced batch's apply
@@ -161,25 +173,13 @@ func (c *Coordinator) findApply(seq int64) *globalApply {
 	return nil
 }
 
-// onSeqProbe answers a failed-over sequencer's exactly-once probe from
-// the durable egress buffer: Known means this shard released (or is
-// about to release — delivered only, staged responses become visible on
-// their sync and the probe is re-sent by the client's next retry) the
-// transaction's response as part of an installed global batch.
-func (c *Coordinator) onSeqProbe(ctx *sim.Context, m msgSeqProbe) {
-	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
-	ack := msgSeqProbeAck{Req: m.Req}
-	ack.Res, ack.Known = c.journal.lookup(m.Req)
-	ctx.Send(m.From, ack, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-}
-
 // onUnfence releases the park: the global batch's writes are durable on
 // every involved shard, so normal epochs may interleave again. The
 // balancing closed marker is appended before the ack, mirroring the
 // fence side.
-func (c *Coordinator) onUnfence(ctx *sim.Context, m msgUnfence) {
+func (c *Coordinator) onUnfence(ctx *sim.Context, from string, m msgUnfence) {
 	if m.Seq <= c.fenceDone {
-		ctx.Send(m.From, msgUnfenceAck{Seq: m.Seq},
+		ctx.Send(from, msgUnfenceAck{Seq: m.Seq},
 			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		return
 	}
@@ -196,7 +196,7 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, m msgUnfence) {
 	c.fenceDone = m.Seq
 	c.fenceSeq = 0
 	c.fenceApply = nil
-	ctx.Send(m.From, msgUnfenceAck{Seq: m.Seq},
+	ctx.Send(from, msgUnfenceAck{Seq: m.Seq},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	// Resume: refill the parked epoch (backlog queued behind the fence,
 	// then the tick chain). Mid-recovery there is nothing to resume —
@@ -215,7 +215,7 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, m msgUnfence) {
 // deterministic.) A crashed worker's store is unreadable: trigger
 // recovery instead of answering; the durable fence survives it and the
 // sequencer's stall guard re-sends.
-func (c *Coordinator) onGlobalRead(ctx *sim.Context, m msgGlobalRead) {
+func (c *Coordinator) onGlobalRead(ctx *sim.Context, from string, m msgGlobalRead) {
 	if !c.fenced || m.Seq != c.fenceSeq || c.recovering ||
 		c.commit != nil || len(c.replaying) > 0 {
 		return
@@ -238,7 +238,7 @@ func (c *Coordinator) onGlobalRead(ctx *sim.Context, m msgGlobalRead) {
 	if ok {
 		resp.State = row.Clone()
 	}
-	ctx.Send(m.From, resp, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	ctx.Send(from, resp, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // onGlobalApply admits the sequencer's apply for the batch this shard is
@@ -344,7 +344,7 @@ func (c *Coordinator) scanFenceState() {
 		}
 	}
 	if c.fenced {
-		c.fencePending = 0
+		c.fencePending = msgFence{}
 		if apply != nil && !c.journal.answered(apply.req.Req) {
 			c.fenceApply = apply
 		}

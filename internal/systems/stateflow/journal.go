@@ -5,7 +5,7 @@
 // (exactly-once input), and a response is appended to it, made durable by
 // a group-commit sync, and only then sent (exactly-once output). The epoch,
 // fallback, recovery and fence code speak to it in verbs — admit, logged,
-// answered, lookup, quiet, stage, sync, synced, advance, checkpoint,
+// answered, known, quiet, stage, sync, synced, advance, checkpoint,
 // restore — and never see a log sequence number.
 //
 // Crash safety: the journal writes to a durable append log
@@ -212,12 +212,21 @@ func (j *journal) admit(ctx *sim.Context, id, replyTo string) admission {
 	if j.seen[id] {
 		return admitAbsorbed
 	}
-	if src, seq, ok := sysapi.SplitID(id); ok {
-		if floor, pruned := j.dedupFloor[src]; pruned && seq <= floor {
-			return admitLate
-		}
+	if j.belowFloor(id) {
+		return admitLate
 	}
 	return admitNew
+}
+
+// belowFloor reports whether id sits at or below its source's dedup floor:
+// it was answered, and the retention window has pruned the record since.
+func (j *journal) belowFloor(id string) bool {
+	src, seq, ok := sysapi.SplitID(id)
+	if !ok {
+		return false
+	}
+	floor, pruned := j.dedupFloor[src]
+	return pruned && seq <= floor
 }
 
 // logged records that an admitted arrival reached the source log: further
@@ -250,12 +259,12 @@ func (j *journal) answered(id string) bool {
 	return j.stagedIDs[id]
 }
 
-// lookup returns a released response (delivered only: a staged one becomes
-// visible on its sync).
-func (j *journal) lookup(id string) (sysapi.Response, bool) {
-	ent, ok := j.delivered[id]
-	return ent.resp, ok
-}
+// known reports whether a request was ever answered, as far as the journal
+// can still tell: its response is part of the egress state, or the
+// retention window pruned it below its source's floor. A parked shard gives
+// this verdict on the global transactions homed on it (ackFence); admit
+// then re-serves or absorbs them.
+func (j *journal) known(id string) bool { return j.answered(id) || j.belowFloor(id) }
 
 // quiet reports that no response is waiting on a sync: every released
 // effect is durable.
@@ -280,9 +289,9 @@ func (j *journal) send(ctx *sim.Context, to string, resp sysapi.Response) {
 }
 
 // stage appends one response's delivered-record and queues its release
-// on the next group-commit sync. replyTo may be empty: the record is
-// then a pure dedup/re-serve entry (an embedded global-batch response
-// whose client talks to the sequencer) and no send happens at sync time.
+// on the next group-commit sync. replyTo may be empty (a request sent with
+// no reply address): the record is then a pure dedup entry and no send
+// happens at sync time.
 func (j *journal) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
 	id := ent.resp.Req
 	if j.answered(id) {

@@ -85,15 +85,15 @@ func TestJournalStagedResponseWaitsForItsSync(t *testing.T) {
 		j.sync(ctx)
 	})
 	j := fx.j()
-	if _, ok := j.lookup("r1"); ok || !j.answered("r1") || j.quiet() {
+	if _, ok := j.delivered["r1"]; ok || !j.answered("r1") || j.quiet() {
 		t.Fatalf("after stage+sync issue: delivered=%v answered=%v quiet=%v, want staged only", ok, j.answered("r1"), j.quiet())
 	}
 	fx.run(j.cfg.Costs.LogGroupDelay / 2)
-	if _, ok := j.lookup("r1"); ok || len(fx.client.got) != 0 {
+	if _, ok := j.delivered["r1"]; ok || len(fx.client.got) != 0 {
 		t.Fatalf("released before its sync completed: delivered=%v, client saw %d", ok, len(fx.client.got))
 	}
 	fx.run(j.cfg.Costs.LogGroupDelay + 2*time.Millisecond)
-	if resp, ok := j.lookup("r1"); !ok || resp.Value.I != 0 || !j.quiet() {
+	if ent, ok := j.delivered["r1"]; !ok || ent.resp.Value.I != 0 || !j.quiet() {
 		t.Fatalf("after the sync: delivered=%v quiet=%v", ok, j.quiet())
 	}
 	if len(fx.client.got) != 1 || fx.client.got[0].Req != "r1" {

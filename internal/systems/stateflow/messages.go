@@ -4,7 +4,6 @@ package stateflow
 import (
 	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/txn/aria"
 )
 
@@ -144,22 +143,32 @@ type msgRecovered struct {
 // epoch, drain its staged responses to durability, park with an open
 // empty epoch, append a durable fence marker, and ack. Seq is the global
 // batch id; stale copies (Seq <= the shard's completed high-water mark)
-// are re-acked idempotently.
+// are re-acked idempotently. Admit lists the ids of the batch transactions
+// homed on this shard: the shard is their exactly-once witness, and judges
+// each against its journal once it is parked (see msgFenceAck).
 type msgFence struct {
-	Seq  int64
-	From string
+	Seq   int64
+	Admit []string
 }
 
-// msgFenceAck confirms one shard is parked for global batch Seq.
-type msgFenceAck struct{ Seq int64 }
+// msgFenceAck confirms one shard is parked for global batch Seq. An ack
+// that answers a fence echoes its Admit list and says, position by
+// position, which of those transactions the shard already answered (Known:
+// in its journal, or at or below the source's dedup floor). The verdict is
+// taken parked with a quiet journal, so like a reconnaissance read it holds
+// for the whole fence window: the sequencer drops the known members and
+// executes the rest. The park watchdog's re-ack carries neither list and
+// is never an admission answer.
+type msgFenceAck struct {
+	Seq   int64
+	Admit []string
+	Known []bool
+}
 
 // msgUnfence releases a parked shard after the global batch's writes are
 // durable everywhere. The shard appends the balancing closed fenceMarker,
 // resumes normal epochs and acks.
-type msgUnfence struct {
-	Seq  int64
-	From string
-}
+type msgUnfence struct{ Seq int64 }
 
 // msgUnfenceAck confirms the shard resumed after batch Seq.
 type msgUnfenceAck struct{ Seq int64 }
@@ -172,7 +181,6 @@ type msgGlobalRead struct {
 	Seq   int64
 	Class string
 	Key   string
-	From  string
 }
 
 // msgGlobalState answers a reconnaissance read. State is a deep copy of
@@ -199,9 +207,8 @@ type msgGlobalApply struct{ Apply *globalApply }
 
 // msgSeqFenceQuery asks a shard coordinator for its fence state after a
 // sequencer reboot. Answered whenever the shard is not itself mid-
-// recovery; a fenced shard also re-points its park watchdog at From, the
-// new incarnation.
-type msgSeqFenceQuery struct{ From string }
+// recovery.
+type msgSeqFenceQuery struct{}
 
 // msgSeqFenceReport is one shard's answer: whether it is parked right
 // now (and for which batch), its completed fence high-water mark, and —
@@ -216,33 +223,17 @@ type msgSeqFenceReport struct {
 	Apply     *globalApply
 }
 
-// msgSeqProbe asks a transaction's home shard whether its durable egress
-// buffer holds the transaction's response. A failed-over sequencer sends
-// one for every global request id it does not recognize: the volatile
-// delivered map died with the previous incarnation, and re-executing an
-// already-answered transaction would break exactly-once.
-type msgSeqProbe struct {
-	Req  string
-	From string
-}
-
-// msgSeqProbeAck answers a probe. Known is false when the home shard has
-// no delivered record — the transaction never committed, so the
-// sequencer may safely sequence it (again).
-type msgSeqProbeAck struct {
-	Req   string
-	Known bool
-	Res   sysapi.Response
-}
-
 // msgSeqRecoverTick re-queries shards that have not reported their fence
 // state while the rebooted sequencer is still recovering.
 type msgSeqRecoverTick struct{}
 
 // msgFenceParkTick is the shard-side park watchdog: while the shard
 // stays fenced for Seq it periodically re-acks the fence to the
-// sequencer. A fence from a dead sequencer incarnation can park a shard
-// *after* the recovery handshake reported it unfenced (the fence was in
-// flight across the crash); the re-ack is what surfaces such an orphaned
-// park, and the sequencer answers with the releasing unfence.
+// sequencer. A park can outlive the batch it was for — a fence from a dead
+// sequencer incarnation parks a shard *after* the recovery handshake
+// reported it unfenced (it was in flight across the crash), or the one
+// unfence of an abandoned batch is lost with the coordinator that was to
+// receive it and the restart scan rebuilds the park from its marker. The
+// re-ack is what surfaces such an orphan, and the sequencer answers with
+// the releasing unfence.
 type msgFenceParkTick struct{ Seq int64 }

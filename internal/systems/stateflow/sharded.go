@@ -13,59 +13,21 @@
 // shard takes the fast path: the sequencer forwards it to that shard's
 // coordinator and the shard answers the client directly, paying nothing
 // for the existence of other shards. Everything else becomes a global
-// transaction:
-//
-//	seq    = next global batch id (all queued globals join the batch)
-//	fence  = the batch's footprint shards quiesce and park (durable
-//	         marker, fence.go); shards outside the footprint keep
-//	         executing and committing their own epochs concurrently
-//	exec   = the sequencer runs the batch serially against an overlay
-//	         store, fetching entity images from the parked shards with
-//	         reconnaissance reads (re-executing a transaction from
-//	         scratch whenever a fetch discovers a new footprint member,
-//	         and fencing any shard the discovery drags in)
-//	apply  = each footprint shard that has writes or is home to a batch
-//	         transaction gets ONE globalApply — its final entity images,
-//	         pointing at the batch's one manifest (records.go) — logged
-//	         and installed through the shard's ordinary Aria machinery
-//	         (the shard-local atomic commit point)
-//	reply  = client responses release once every apply is durable
-//	unfence= footprint shards resume; parked single-shard arrivals drain
-//	         after the global writes, completing the deterministic order
-//
-// Scoped fencing is serializable for the same reason strict two-phase
-// locking is: the sequencer runs one global batch at a time, a fence is
-// an exclusive lock on a whole shard held until the batch's writes are
-// durable, and growth only ever acquires — never releases — mid-batch.
-// Config.FullFences restores the historical fence-everything schedule;
-// the differential test pins both schedules byte-identical on
-// transcripts and committed state.
-//
-// The sequencer keeps no durable state, but it is crashable: every
-// global batch's recovery record (the manifest each logged apply points
-// at) and the fence window itself live in the shards' durable logs, so a
-// rebooted sequencer re-derives the in-flight batch from per-shard fence
-// state and either rolls it forward or abandons it — see failover.go.
+// transaction, run by the sequencer (sequencer.go).
 package stateflow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
-	"time"
 
 	"statefulentities.dev/stateflow/internal/chaos"
-	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
-	"statefulentities.dev/stateflow/internal/state"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
-	"statefulentities.dev/stateflow/internal/txn/aria"
 )
 
 // ShardedSystem is a sysapi.Backend deploying Config.Shards coordinator
@@ -106,7 +68,7 @@ func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *ShardedSystem {
 		sc := cfg
 		sc.IDPrefix = fmt.Sprintf("sf%d-", i)
 		sh := newSystem(cluster, prog, sc)
-		sh.shardIndex = i
+		sh.shardIndex, sh.seqID = i, s.seqID
 		s.shards = append(s.shards, sh)
 		s.shardIdx[sh.coordID] = i
 	}
@@ -150,6 +112,7 @@ func (s *ShardedSystem) RegisterMetrics(reg *obs.Registry) {
 	for name, read := range map[string]func() int64{
 		"stateflow.sequencer.single_shard":      func() int64 { return int64(q.SingleShard) },
 		"stateflow.sequencer.global_txns":       func() int64 { return int64(q.GlobalTxns) },
+		"stateflow.sequencer.known_retries":     func() int64 { return int64(q.KnownRetries) },
 		"stateflow.sequencer.global_batches":    func() int64 { return int64(q.GlobalBatches) },
 		"stateflow.sequencer.scoped_fences":     func() int64 { return int64(q.ScopedFences) },
 		"stateflow.sequencer.full_fences":       func() int64 { return int64(q.FullFences) },
@@ -224,9 +187,10 @@ func (s *ShardedSystem) Keys(class string) []string {
 // single-shard-crash coverage the adversarial sweep requires. The
 // sequencer is crashable: it keeps no durable state, but every in-flight
 // batch is re-derivable from the shards' durable fence markers and the
-// manifest of the logged applies, so a reboot re-fences, rolls forward
-// or abandons the batch, and re-serves answered transactions
-// through the shards' durable egress buffers (failover.go).
+// manifest of the logged applies, so a reboot rolls the batch forward or
+// abandons it; it never held a response, so it has none to lose — answered
+// transactions are re-served under the fence from their home shards'
+// journals, before a failover and after (failover.go).
 func (s *ShardedSystem) ChaosTopology() chaos.Topology {
 	if s.seq == nil {
 		return s.shards[0].ChaosTopology()
@@ -241,725 +205,3 @@ func (s *ShardedSystem) ChaosTopology() chaos.Topology {
 }
 
 var _ sysapi.Backend = (*ShardedSystem)(nil)
-
-// ---------------------------------------------------------------------------
-// The sequencer.
-
-// gPhase is a global batch's protocol phase.
-type gPhase int
-
-const (
-	gFencing gPhase = iota
-	gExecuting
-	gApplying
-	gUnfencing
-)
-
-// msgSeqTick is the sequencer's per-batch stall timer: while a batch is
-// in flight it periodically re-sends whatever messages the current phase
-// is still waiting on (fences, reconnaissance reads, applies, unfences),
-// so any single loss or shard crash-recovery converges.
-type msgSeqTick struct{ Seq int64 }
-
-// globalTxn is one client transaction riding a global batch.
-type globalTxn struct {
-	req     sysapi.Request
-	replyTo string
-	res     sysapi.Response
-}
-
-// globalBatch is one in-flight global batch.
-type globalBatch struct {
-	seq   int64
-	txns  []*globalTxn
-	phase gPhase
-	// openedAt/phaseAt time the whole batch and the current protocol
-	// phase (trace-span bounds). Purely observational.
-	openedAt time.Duration
-	phaseAt  time.Duration
-
-	// footprint is the set of shard ring positions this batch fences:
-	// seeded from the transactions' statically known refs, grown by
-	// reconnaissance misses that land on new shards. Shards outside it
-	// never see the batch. fenceAcked/unfenceAcked track per-shard acks.
-	footprint    map[int]bool
-	fenceAcked   map[int]bool
-	unfenceAcked map[int]bool
-
-	// rederived marks a batch rebuilt from a durable manifest after a
-	// sequencer failover; aborted marks a synthetic unfence-only batch
-	// releasing the fences of an abandoned one (failover.go). Neither
-	// counts toward the scoped/full fence-schedule stats.
-	rederived bool
-	aborted   bool
-
-	next int // index of the transaction currently executing
-	// overlay holds the batch's view of the footprint as rows: images
-	// fetched from the parked shards, then whatever batch transactions
-	// wrote over them. fetched marks the entities a shard has answered for
-	// (an entity that does not exist is fetched but has no overlay row),
-	// dirty the overlay rows the batch changed — the apply write-sets —
-	// and fetching the reconnaissance reads in flight.
-	overlay  *state.Store
-	fetched  map[interp.EntityRef]bool
-	dirty    map[interp.EntityRef]bool
-	fetching map[interp.EntityRef]bool
-
-	// man is the batch's manifest once execution is done (beginApply, or
-	// a failover's rederiveBatch); applied marks the shards whose apply is
-	// durably committed.
-	man     *batchManifest
-	applied map[int]bool
-}
-
-// SequencerStats are the sequencing layer's canonical counters, exported
-// as typed fields (mirroring the coordinator/dlog pattern) and published
-// through RegisterMetrics.
-type SequencerStats struct {
-	// SingleShard counts fast-path forwards; GlobalTxns transactions
-	// sequenced through global batches; GlobalBatches fence windows.
-	SingleShard   int
-	GlobalTxns    int
-	GlobalBatches int
-	// ScopedFences counts completed batches that fenced a strict subset
-	// of the shard ring; FullFences those that fenced every shard
-	// (forced by Config.FullFences or a footprint that grew to cover the
-	// ring). Failover-synthesized batches count toward neither.
-	ScopedFences int
-	FullFences   int
-	// FenceWaits counts per-shard fence acknowledgements awaited across
-	// all batches (the fences the scoped schedule saves show up here).
-	FenceWaits int
-	// Failovers counts sequencer reboots; RederivedBatches in-flight
-	// batches rolled forward from a durable manifest after one;
-	// AbortedBatches fenced-but-uncommitted batches a failover released.
-	Failovers        int
-	RederivedBatches int
-	AbortedBatches   int
-}
-
-// Sequencer is the Calvin-style global sequencing layer: it routes
-// single-shard transactions straight to their shard and runs everything
-// else through fenced global batches. Its working state is volatile; its
-// recovery state lives in the shards (see failover.go and the package
-// comment).
-type Sequencer struct {
-	sys *ShardedSystem
-	ex  *core.Executor
-
-	nextSeq   int64
-	queue     []*globalTxn
-	inFlight  map[string]bool            // global req ids queued or in the current batch
-	delivered map[string]sysapi.Response // answered global requests (volatile re-serve buffer)
-	cur       *globalBatch
-
-	// recovering is true from reboot until every shard reported its
-	// fence state; reports accumulates those reports. failedOver stays
-	// true for the rest of the run: the volatile delivered map has lost
-	// an unknown set of answered transactions, so unknown global ids
-	// probe their home shard's durable egress buffer before enqueueing
-	// (probing holds the transactions waiting on a probe answer).
-	recovering bool
-	failedOver bool
-	reports    map[int]msgSeqFenceReport
-	probing    map[string]*globalTxn
-
-	SequencerStats
-}
-
-// Stats snapshots the sequencing layer's counters.
-func (q *Sequencer) Stats() SequencerStats { return q.SequencerStats }
-
-func newSequencer(sys *ShardedSystem) *Sequencer {
-	return &Sequencer{
-		sys:       sys,
-		ex:        core.NewExecutor(sys.prog),
-		inFlight:  map[string]bool{},
-		delivered: map[string]sysapi.Response{},
-		probing:   map[string]*globalTxn{},
-	}
-}
-
-// OnMessage implements sim.Handler.
-func (q *Sequencer) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
-	switch m := msg.(type) {
-	case sysapi.MsgRequest:
-		q.onRequest(ctx, m)
-	case sysapi.MsgResponse:
-		q.onApplyDone(ctx, from, m)
-	case msgFenceAck:
-		q.onFenceAck(ctx, from, m)
-	case msgUnfenceAck:
-		q.onUnfenceAck(ctx, from, m)
-	case msgGlobalState:
-		q.onGlobalState(ctx, m)
-	case msgSeqTick:
-		q.onTick(ctx, m)
-	case msgSeqFenceReport:
-		q.onFenceReport(ctx, from, m)
-	case msgSeqProbeAck:
-		q.onProbeAck(ctx, m)
-	case msgSeqRecoverTick:
-		q.onRecoverTick(ctx, m)
-	}
-}
-
-// refsOf collects a request's statically known footprint: the receiver
-// plus every entity-ref argument.
-func refsOf(req sysapi.Request) []interp.EntityRef {
-	refs := []interp.EntityRef{req.Target}
-	for _, a := range req.Args {
-		if a.Kind == interp.KRef {
-			refs = append(refs, a.R)
-		}
-	}
-	return refs
-}
-
-// onRequest routes one client request: re-serve, dedupe, fast-path to a
-// single shard, probe (after a failover), or enqueue as a global
-// transaction.
-func (q *Sequencer) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
-	ctx.Work(q.sys.cfg.Costs.RoutingCPU)
-	if res, ok := q.delivered[m.Request.Req]; ok {
-		ctx.Send(m.ReplyTo, sysapi.MsgResponse{Response: res},
-			q.sys.cfg.Costs.ClientLink.Sample(ctx.Rand()))
-		return
-	}
-	if q.inFlight[m.Request.Req] {
-		return // retry of a queued or executing global transaction
-	}
-	refs := refsOf(m.Request)
-	target := q.sys.ShardOf(refs[0])
-	single := m.Request.Method == "__init__" ||
-		q.sys.prog.RefClosed(m.Request.Target.Class, m.Request.Method)
-	for _, r := range refs[1:] {
-		if q.sys.ShardOf(r) != target {
-			single = false
-		}
-	}
-	if single {
-		// Fast path: the footprint is provably confined to one shard.
-		// Forward with the client's reply address — the shard answers
-		// (and dedupes, and re-serves) exactly as an unsharded
-		// deployment would; the sequencer keeps no record of it.
-		q.SingleShard++
-		ctx.Send(q.sys.shards[target].coordID, m,
-			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-		return
-	}
-	if q.failedOver {
-		// The volatile delivered map died with the previous incarnation,
-		// so an unknown global id may be a retry of a transaction whose
-		// response was already released. Its home shard's durable egress
-		// buffer kept the embedded response (coordinator.go); ask it
-		// before re-enqueueing. A retry while the probe is outstanding
-		// re-probes (the first probe or its answer may have been lost).
-		if _, outstanding := q.probing[m.Request.Req]; !outstanding {
-			q.probing[m.Request.Req] = &globalTxn{req: m.Request, replyTo: m.ReplyTo}
-		}
-		ctx.Send(q.sys.shards[target].coordID,
-			msgSeqProbe{Req: m.Request.Req, From: q.sys.seqID},
-			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-		return
-	}
-	q.enqueueGlobal(ctx, &globalTxn{req: m.Request, replyTo: m.ReplyTo})
-}
-
-// enqueueGlobal admits one transaction into the global queue and opens a
-// batch if none is in flight (and the sequencer is not mid-recovery).
-func (q *Sequencer) enqueueGlobal(ctx *sim.Context, t *globalTxn) {
-	q.GlobalTxns++
-	q.inFlight[t.req.Req] = true
-	q.queue = append(q.queue, t)
-	if q.cur == nil && !q.recovering {
-		q.startBatch(ctx)
-	}
-}
-
-// sortedShards flattens the keys of a shard-indexed map into ring order.
-// Like sortedRefs, every loop that sends messages (and samples link
-// delays) per shard walks through here so the RNG draw order is
-// deterministic.
-func sortedShards[V any](set map[int]V) []int {
-	out := make([]int, 0, len(set))
-	for idx := range set {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// startBatch opens the next fence window over every queued global
-// transaction, fencing only the batch's shard footprint (every shard
-// under Config.FullFences).
-func (q *Sequencer) startBatch(ctx *sim.Context) {
-	q.nextSeq++
-	q.GlobalBatches++
-	b := &globalBatch{
-		seq:          q.nextSeq,
-		txns:         q.queue,
-		phase:        gFencing,
-		openedAt:     ctx.Now(),
-		phaseAt:      ctx.Now(),
-		footprint:    map[int]bool{},
-		fenceAcked:   map[int]bool{},
-		unfenceAcked: map[int]bool{},
-		overlay:      state.NewStore(q.sys.prog.Layouts()),
-		fetched:      map[interp.EntityRef]bool{},
-		dirty:        map[interp.EntityRef]bool{},
-		fetching:     map[interp.EntityRef]bool{},
-	}
-	q.queue = nil
-	q.cur = b
-	if q.sys.cfg.FullFences {
-		for i := range q.sys.shards {
-			b.footprint[i] = true
-		}
-	} else {
-		for _, t := range b.txns {
-			for _, ref := range refsOf(t.req) {
-				b.footprint[q.sys.ShardOf(ref)] = true
-			}
-		}
-	}
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
-		"batch %d opened with %d txns", b.seq, len(b.txns))
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
-		"batch %d fences shards %v (%d of %d)",
-		b.seq, sortedShards(b.footprint), len(b.footprint), len(q.sys.shards))
-	for _, idx := range sortedShards(b.footprint) {
-		ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, From: q.sys.seqID},
-			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
-	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{Seq: b.seq})
-}
-
-func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
-	idx, ok := q.sys.shardIdx[from]
-	if !ok || q.recovering {
-		return
-	}
-	b := q.cur
-	if b == nil || m.Seq != b.seq || !b.footprint[idx] {
-		q.maybeReleaseOrphan(ctx, from, idx, m.Seq)
-		return
-	}
-	if b.fenceAcked[idx] {
-		return
-	}
-	switch b.phase {
-	case gFencing:
-		b.fenceAcked[idx] = true
-		if len(b.fenceAcked) == len(b.footprint) {
-			q.FenceWaits += len(b.footprint)
-			if tr := q.sys.cfg.Tracer; tr.Enabled() {
-				tr.Span(q.sys.seqID, "global", "fence.wait", b.phaseAt, ctx.Now(),
-					"seq", strconv.FormatInt(b.seq, 10),
-					"shards", strconv.Itoa(len(b.footprint)))
-			}
-			b.phase = gExecuting
-			b.phaseAt = ctx.Now()
-			q.advance(ctx)
-		}
-	case gExecuting:
-		// A shard dragged into the footprint mid-execution just parked:
-		// release the reconnaissance reads that were waiting on it.
-		b.fenceAcked[idx] = true
-		q.FenceWaits++
-		for _, ref := range sortedRefs(b.fetching) {
-			if q.sys.ShardOf(ref) == idx {
-				ctx.Send(from,
-					msgGlobalRead{Seq: b.seq, Class: ref.Class, Key: ref.Key, From: q.sys.seqID},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-			}
-		}
-	}
-}
-
-// maybeReleaseOrphan handles a fence ack for a batch the sequencer no
-// longer owns: a shard parked on a fence from a dead incarnation (the
-// fence was in flight when the sequencer crashed, so no recovery report
-// covered it), or whose unfence was lost past the batch's lifetime. The
-// shard's park watchdog re-acks until someone reacts (fence.go); the
-// reaction is an unfence, which the shard-side handler accepts for
-// exactly the seq it is parked on.
-func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, idx int, seq int64) {
-	b := q.cur
-	stale := (b == nil && seq <= q.nextSeq) ||
-		(b != nil && (seq < b.seq || (seq == b.seq && !b.footprint[idx])))
-	if !stale {
-		return
-	}
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.orphan",
-		"releasing %s from orphaned fence %d", from, seq)
-	ctx.Send(from, msgUnfence{Seq: seq, From: q.sys.seqID},
-		q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-}
-
-// advance executes batch transactions in order until one needs entity
-// images the overlay does not hold yet (then reconnaissance reads are in
-// flight and execution resumes on their answers) or the batch is done.
-// A miss landing on a shard outside the footprint first fences it: the
-// read is deferred until that shard's fence ack arrives.
-func (q *Sequencer) advance(ctx *sim.Context) {
-	b := q.cur
-	for b.next < len(b.txns) {
-		t := b.txns[b.next]
-		missing := q.execute(ctx, b, t)
-		if len(missing) > 0 {
-			for _, ref := range missing {
-				b.fetching[ref] = true
-				idx := q.sys.ShardOf(ref)
-				if !b.footprint[idx] {
-					b.footprint[idx] = true
-					q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
-						"batch %d footprint grows to shard %d (%s<%s>)",
-						b.seq, idx, ref.Class, ref.Key)
-					ctx.Send(q.sys.shards[idx].coordID,
-						msgFence{Seq: b.seq, From: q.sys.seqID},
-						q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-					continue // the read follows the shard's fence ack
-				}
-				if b.fenceAcked[idx] {
-					ctx.Send(q.sys.shards[idx].coordID,
-						msgGlobalRead{Seq: b.seq, Class: ref.Class, Key: ref.Key, From: q.sys.seqID},
-						q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-				}
-			}
-			return
-		}
-		b.next++
-	}
-	q.beginApply(ctx)
-}
-
-func (q *Sequencer) onGlobalState(ctx *sim.Context, m msgGlobalState) {
-	b := q.cur
-	if b == nil || b.phase != gExecuting || m.Seq != b.seq {
-		return
-	}
-	ref := interp.EntityRef{Class: m.Class, Key: m.Key}
-	if !b.fetching[ref] {
-		return // duplicate answer
-	}
-	delete(b.fetching, ref)
-	if !b.fetched[ref] { // never clobber a batch-written image
-		b.fetched[ref] = true
-		if m.Exists {
-			b.overlay.Put(ref, m.State)
-		}
-	}
-	if len(b.fetching) == 0 {
-		q.advance(ctx)
-	}
-}
-
-// reconStore is the core.Store one execution attempt runs against: an
-// Aria workspace over the batch overlay — the same private working rows
-// the workers execute on — except that touching an entity no shard has
-// answered for yet records a reconnaissance miss. The attempt is then void
-// and re-executes from scratch once the image arrives; the workspace never
-// hands out an overlay container by reference, so dropping it drops
-// everything the attempt did.
-type reconStore struct {
-	ws      *aria.Workspace
-	fetched map[interp.EntityRef]bool
-	missing map[interp.EntityRef]bool
-}
-
-// Lookup implements core.Store.
-func (s *reconStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
-	if !s.fetched[ref] {
-		s.missing[ref] = true
-		return nil, false
-	}
-	return s.ws.Lookup(ref)
-}
-
-// Create implements core.Store.
-func (s *reconStore) Create(ref interp.EntityRef) (interp.State, error) {
-	if !s.fetched[ref] {
-		s.missing[ref] = true
-		return nil, fmt.Errorf("entity %s not fetched", ref)
-	}
-	return s.ws.Create(ref)
-}
-
-// execute runs one attempt of a global transaction. A non-empty return
-// is the sorted set of footprint members the overlay is missing: the
-// attempt's effects are void and it will re-run. Otherwise the result is
-// recorded and — for error-free completions — the attempt's writes fold
-// into the overlay (an application error commits nothing, matching the
-// shard runtime's abort-on-error contract).
-func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []interp.EntityRef {
-	ws := aria.NewWorkspace(aria.TID(b.seq), b.overlay)
-	store := &reconStore{ws: ws, fetched: b.fetched, missing: map[interp.EntityRef]bool{}}
-	root := &core.Event{
-		Kind:   core.EvInvoke,
-		Req:    t.req.Req,
-		Target: t.req.Target,
-		Method: t.req.Method,
-		Args:   t.req.Args,
-	}
-	res := sysapi.Response{Req: t.req.Req}
-	queue := []*core.Event{root}
-	for steps := 0; len(queue) > 0; steps++ {
-		if steps > 1_000_000 {
-			res.Err = "sequencer: event loop exceeded step bound"
-			break
-		}
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.Kind == core.EvResponse {
-			res.Value, res.Err = cur.Value, cur.Err
-			break
-		}
-		ctx.Work(q.sys.cfg.Costs.ExecuteCPU)
-		out, err := q.ex.Step(cur, store)
-		if err != nil {
-			res.Err = err.Error()
-			break
-		}
-		queue = append(queue, out...)
-	}
-	if len(store.missing) > 0 {
-		return sortedRefs(store.missing)
-	}
-	t.res = res
-	if res.Err != "" {
-		return nil
-	}
-	// A written entity joins the write-set if the transaction created it
-	// (the overlay has no image of it) or left an image different from the
-	// one it started on — the overlay row, which the attempt could not
-	// mutate; a write that stored what was already there keeps the member
-	// read-only and out of its shard's apply.
-	ws.Written(func(ref interp.EntityRef, row *interp.Row) {
-		base, exists := b.overlay.Lookup(ref)
-		if !exists || !bytes.Equal(row.Encoding(), base.Encoding()) {
-			b.dirty[ref] = true
-		}
-	})
-	ws.Apply(b.overlay)
-	return nil
-}
-
-// sortedRefs flattens a ref set into class/key order. Every sequencer
-// loop that sends messages (and samples link delays) per entity walks
-// refs through here: Go map iteration order is randomized per run, and
-// drawing RNG samples in map order would make same-seed runs diverge.
-func sortedRefs(set map[interp.EntityRef]bool) []interp.EntityRef {
-	refs := make([]interp.EntityRef, 0, len(set))
-	for ref := range set {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Class != refs[j].Class {
-			return refs[i].Class < refs[j].Class
-		}
-		return refs[i].Key < refs[j].Key
-	})
-	return refs
-}
-
-// beginApply freezes the batch into its manifest — one apply per involved
-// shard, in ring order — and sends the applies. A shard is involved if
-// the overlay dirtied entities it owns or if it is home to a batch
-// transaction's target: home shards get an apply even with an empty
-// write-set, because the manifest every apply points at is both the
-// batch's durable recovery record (failover.go) and the home shard's order
-// to stage the transaction's response into its durable egress buffer. The
-// overlay rows go into the manifest as they are: the batch has finished
-// executing, so nothing writes them again.
-func (q *Sequencer) beginApply(ctx *sim.Context) {
-	b := q.cur
-	if tr := q.sys.cfg.Tracer; tr.Enabled() {
-		tr.Span(q.sys.seqID, "global", "global.execute", b.phaseAt, ctx.Now(),
-			"seq", strconv.FormatInt(b.seq, 10),
-			"txns", strconv.Itoa(len(b.txns)))
-	}
-	groups := make(map[int][]writeSetEntry) // each in class/key order
-	targets := map[int]interp.EntityRef{}
-	for _, ref := range sortedRefs(b.dirty) {
-		row, _ := b.overlay.Lookup(ref)
-		idx := q.sys.ShardOf(ref)
-		if len(groups[idx]) == 0 {
-			targets[idx] = ref
-		}
-		groups[idx] = append(groups[idx], writeSetEntry{Ref: ref, St: row})
-	}
-	man := &batchManifest{seq: b.seq, footprint: sortedShards(b.footprint)}
-	for _, t := range b.txns {
-		home := q.sys.ShardOf(t.req.Target)
-		if _, ok := targets[home]; !ok {
-			targets[home] = t.req.Target
-		}
-		man.txns = append(man.txns, manifestTxn{req: t.req.Req, replyTo: t.replyTo, home: home, res: t.res})
-	}
-	for _, idx := range sortedShards(targets) {
-		man.applies = append(man.applies, &globalApply{
-			id:      applyID(b.seq, idx),
-			shard:   idx,
-			target:  targets[idx],
-			writes:  groups[idx],
-			replyTo: q.sys.seqID,
-			man:     man,
-		})
-	}
-	b.man = man
-	b.applied = map[int]bool{}
-	if len(man.applies) == 0 {
-		q.finishBatch(ctx)
-		return
-	}
-	b.phase = gApplying
-	b.phaseAt = ctx.Now()
-	q.sendApplies(ctx, b)
-}
-
-// sendApplies (re-)sends every apply not yet acknowledged, in the
-// manifest's ring order: the link delay samples must come off the RNG in
-// a deterministic sequence or same-seed runs diverge.
-func (q *Sequencer) sendApplies(ctx *sim.Context, b *globalBatch) {
-	for _, a := range b.man.applies {
-		if !b.applied[a.shard] {
-			ctx.Send(q.sys.shards[a.shard].coordID, msgGlobalApply{Apply: a},
-				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-		}
-	}
-}
-
-// onApplyDone marks one shard's write-set durably committed (the shard
-// releases the apply's response only after its group-commit fsync).
-func (q *Sequencer) onApplyDone(ctx *sim.Context, from string, m sysapi.MsgResponse) {
-	b := q.cur
-	shard, ok := q.sys.shardIdx[from]
-	if !ok || b == nil || b.phase != gApplying || b.applied[shard] ||
-		m.Response.Req != applyID(b.seq, shard) {
-		return
-	}
-	b.applied[shard] = true
-	if len(b.applied) == len(b.man.applies) {
-		q.finishBatch(ctx)
-	}
-}
-
-// finishBatch releases the batch's client responses — every shard's
-// write-set is durable, so the outcomes can no longer be lost — and
-// unfences the footprint shards.
-func (q *Sequencer) finishBatch(ctx *sim.Context) {
-	b := q.cur
-	if b.phase == gApplying {
-		if tr := q.sys.cfg.Tracer; tr.Enabled() {
-			tr.Span(q.sys.seqID, "global", "__apply__", b.phaseAt, ctx.Now(),
-				"seq", strconv.FormatInt(b.seq, 10),
-				"shards", strconv.Itoa(len(b.man.applies)))
-		}
-	}
-	for _, t := range b.txns {
-		q.delivered[t.req.Req] = t.res
-		delete(q.inFlight, t.req.Req)
-		if t.replyTo != "" {
-			ctx.Send(t.replyTo, sysapi.MsgResponse{Response: t.res},
-				q.sys.cfg.Costs.ClientLink.Sample(ctx.Rand()))
-		}
-	}
-	b.phase = gUnfencing
-	b.phaseAt = ctx.Now()
-	for _, idx := range sortedShards(b.footprint) {
-		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq, From: q.sys.seqID},
-			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
-}
-
-func (q *Sequencer) onUnfenceAck(ctx *sim.Context, from string, m msgUnfenceAck) {
-	idx, ok := q.sys.shardIdx[from]
-	if !ok || q.recovering {
-		return
-	}
-	b := q.cur
-	if b == nil || b.phase != gUnfencing || m.Seq != b.seq || !b.footprint[idx] {
-		return
-	}
-	if b.unfenceAcked[idx] {
-		return
-	}
-	b.unfenceAcked[idx] = true
-	if len(b.unfenceAcked) == len(b.footprint) {
-		q.closeBatch(ctx, b)
-	}
-}
-
-// closeBatch retires a fully unfenced batch: record its fence-scope
-// span and stats, then open the next batch if transactions queued up
-// behind it.
-func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
-	if tr := q.sys.cfg.Tracer; tr.Enabled() {
-		tr.Span(q.sys.seqID, "global", "unfence", b.phaseAt, ctx.Now(),
-			"seq", strconv.FormatInt(b.seq, 10))
-		tr.Span(q.sys.seqID, "global", "fence.scope", b.openedAt, ctx.Now(),
-			"seq", strconv.FormatInt(b.seq, 10),
-			"shards", strconv.Itoa(len(b.footprint)),
-			"of", strconv.Itoa(len(q.sys.shards)),
-			"scoped", strconv.FormatBool(len(b.footprint) < len(q.sys.shards)))
-	}
-	if !b.aborted && !b.rederived {
-		if len(b.footprint) < len(q.sys.shards) {
-			q.ScopedFences++
-		} else {
-			q.FullFences++
-		}
-	}
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
-		"batch %d complete", b.seq)
-	q.cur = nil
-	if len(q.queue) > 0 {
-		q.startBatch(ctx)
-	}
-}
-
-// onTick is the per-batch stall guard: re-send whatever the current
-// phase still waits on. Shard-side handlers are all idempotent (fence
-// and unfence re-ack, reads re-answer, applies dedupe or re-serve), so
-// over-sending is safe; a shard mid-crash-recovery simply answers after
-// its recovery converges, still fenced thanks to the durable marker.
-func (q *Sequencer) onTick(ctx *sim.Context, m msgSeqTick) {
-	b := q.cur
-	if b == nil || m.Seq != b.seq {
-		return
-	}
-	switch b.phase {
-	case gFencing:
-		for _, idx := range sortedShards(b.footprint) {
-			if !b.fenceAcked[idx] {
-				ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, From: q.sys.seqID},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-			}
-		}
-	case gExecuting:
-		for _, idx := range sortedShards(b.footprint) {
-			if !b.fenceAcked[idx] {
-				ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, From: q.sys.seqID},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-			}
-		}
-		for _, ref := range sortedRefs(b.fetching) {
-			if idx := q.sys.ShardOf(ref); b.fenceAcked[idx] {
-				ctx.Send(q.sys.shards[idx].coordID,
-					msgGlobalRead{Seq: b.seq, Class: ref.Class, Key: ref.Key, From: q.sys.seqID},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-			}
-		}
-	case gApplying:
-		q.sendApplies(ctx, b)
-	case gUnfencing:
-		for _, idx := range sortedShards(b.footprint) {
-			if !b.unfenceAcked[idx] {
-				ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq, From: q.sys.seqID},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-			}
-		}
-	}
-	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{Seq: b.seq})
-}

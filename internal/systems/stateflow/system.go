@@ -180,8 +180,11 @@ type System struct {
 
 	// shardIndex is this deployment's position on the shard ring (0 in
 	// the classic topology): the coordinator uses it to pick out its own
-	// home-shard responses from a global batch manifest.
+	// home-shard responses from a global batch manifest. seqID is the
+	// sequencer in front of the ring ("" in the classic topology): where a
+	// parked coordinator sends the fence acks no request is waiting for.
 	shardIndex int
+	seqID      string
 }
 
 // newSystem builds and registers one coordinator group on the cluster.
@@ -454,7 +457,7 @@ func failureContract(roles map[string][]string) chaos.Topology {
 				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
 				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
 				msgGlobalRead, msgGlobalState, msgGlobalApply,
-				msgSeqFenceQuery, msgSeqFenceReport, msgSeqProbe, msgSeqProbeAck:
+				msgSeqFenceQuery, msgSeqFenceReport:
 				return true
 			case sysapi.MsgRequest, sysapi.MsgResponse:
 				return true
