@@ -252,7 +252,8 @@ func runSim(backend string, prog *stateflow.Program, wgen *ycsb.Generator, recor
 		c := sf.Coordinator()
 		fmt.Printf("transactions: %d committed, %d aborted (retried), %d failed, %d epochs, %d recoveries (%d coordinator reboots, %d egress replays)\n",
 			c.Commits, c.Aborts, c.Failures, c.EpochsClosed, c.Recoveries, c.Restarts, c.Replays)
-		fmt.Printf("fallback phase: %d rounds, %d rescued commits\n", c.FallbackRounds, c.FallbackCommits)
+		fmt.Printf("fallback phase: %d rounds (%d epochs chained), %d rescued commits\n",
+			c.FallbackRounds, c.FallbackChains, c.FallbackCommits)
 		ls := sf.Dlog.Stats()
 		fmt.Printf("durable log: %d appends (%d B), %d syncs, %d checkpoints (%d records compacted), %d torn tails discarded\n",
 			ls.Appends, ls.AppendedBytes, ls.Syncs, ls.Checkpoints, ls.Compacted, ls.TornTails)
@@ -319,8 +320,8 @@ func runLin(profile, backend string, seed int64, noFallback, noPipelining bool, 
 	fmt.Printf("chaos activity: %d crash windows, %d dropped, %d duplicated, %d delayed\n",
 		run.Stats.CrashWindows, run.Stats.Dropped, run.Stats.Duplicated, run.Stats.Delayed)
 	if be == stateflow.BackendStateFlow {
-		fmt.Printf("stateflow: %d recoveries (%d coordinator reboots, %d mid-pipeline), %d egress replays, %d fallback drift demotions\n",
-			run.Recoveries, run.CoordRestarts, run.MidPipelineRestarts, run.Replays, run.FallbackDriftDemotions)
+		fmt.Printf("stateflow: %d recoveries (%d coordinator reboots, %d mid-pipeline), %d egress replays, %d fallback chains, %d fallback drift demotions\n",
+			run.Recoveries, run.CoordRestarts, run.MidPipelineRestarts, run.Replays, run.FallbackChains, run.FallbackDriftDemotions)
 	}
 	if shards > 1 {
 		fmt.Printf("sharded (%d shards): %d transactions sequenced globally in %d batches (%d scoped / %d full fences); %d sequencer failovers (%d batches rolled forward, %d abandoned pre-apply)\n",

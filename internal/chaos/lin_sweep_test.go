@@ -33,8 +33,15 @@ var stateflowCommits = []struct {
 // exercising the restart path. Sharded (CHAOS_SHARDS > 1), every leg must
 // also hold at least one seed whose targeted mid-fence sequencer crash
 // ran; seeds whose plan leaves nothing to aim at are logged — and the sweep
-// as a whole must have dropped a retry under a fence (knownRetriesFloor). A
-// failure prints the profile, backend, seed and full plan verbatim.
+// as a whole must have dropped a retry under a fence (knownRetriesFloor).
+// Both fallback schedules stay under the oracle: with the fallback on, a
+// hotkey or chain leg must have run at least one epoch as a per-entity chain
+// (every conflict abort's footprint static), while datadep's route keeps
+// batches on the barrier rounds: a full unsharded datadep leg (20 seeds or
+// more; sharded, route runs at the sequencer) must have demoted a drifted
+// member, beside the pinned seeds of
+// oracle.TestFallbackDriftDemotesOnDefaultPath. A failure prints the
+// profile, backend, seed and full plan verbatim.
 func TestAdversarialLinSweep(t *testing.T) {
 	base := oracle.DefaultConfig()
 	base.Shards = sweepShards()
@@ -49,7 +56,7 @@ func TestAdversarialLinSweep(t *testing.T) {
 				cfg := base
 				cfg.DisableFallback = combo.disableFallback
 				cfg.DisablePipelining = combo.disablePipe
-				restarts, demotions := 0, 0
+				restarts, demotions, chains := 0, 0, 0
 				var unaimable []int64
 				for seed := int64(1); seed <= sweepSeeds(); seed++ {
 					run, err := oracle.VerifyAdversarial(p, stateflow.BackendStateFlow, seed, cfg)
@@ -58,12 +65,19 @@ func TestAdversarialLinSweep(t *testing.T) {
 					}
 					restarts += run.CoordRestarts
 					demotions += run.FallbackDriftDemotions
+					chains += run.FallbackChains
 					knownRetries.Add(int64(run.Sequencer.KnownRetries))
 					if !run.MidFenceAimed {
 						unaimable = append(unaimable, seed)
 					}
 				}
-				t.Logf("%d coordinator reboots survived, %d fallback drift demotions", restarts, demotions)
+				t.Logf("%d coordinator reboots survived, %d chained epochs, %d fallback drift demotions", restarts, chains, demotions)
+				if (p == workload.HotKey || p == workload.Chain) && !combo.disableFallback && chains == 0 {
+					t.Fatalf("no epoch of this leg ran its fallback as a chain (%d seeds); the static-footprint schedule went unexercised", sweepSeeds())
+				}
+				if p == workload.DataDep && !combo.disableFallback && cfg.Shards <= 1 && sweepSeeds() >= 20 && demotions == 0 {
+					t.Fatalf("no fallback round of this leg demoted a drifted member (%d seeds); the barrier rounds' drift guard went unexercised", sweepSeeds())
+				}
 				if cfg.Shards > 1 {
 					// The mid-fence floor is per leg, not per seed: a seeded
 					// plan that keeps the sequencer down until the horizon

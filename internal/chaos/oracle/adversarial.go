@@ -248,6 +248,7 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 		run.MidPipelineRestarts = sf.Coordinator().MidPipelineRestarts
 		run.Replays = sf.Coordinator().Replays
 		run.FallbackDriftDemotions = sf.Coordinator().FallbackDriftDemotions
+		run.FallbackChains = sf.Coordinator().FallbackChains
 	} else if sh := sim.Sharded(); sh != nil {
 		for _, shard := range sh.Shards() {
 			c := shard.Coordinator()
@@ -256,6 +257,7 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 			run.MidPipelineRestarts += c.MidPipelineRestarts
 			run.Replays += c.Replays
 			run.FallbackDriftDemotions += c.FallbackDriftDemotions
+			run.FallbackChains += c.FallbackChains
 		}
 		run.GlobalTxns = sh.Sequencer().GlobalTxns
 		run.Sequencer = sh.Sequencer().Stats()

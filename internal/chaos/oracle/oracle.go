@@ -117,6 +117,11 @@ type Run struct {
 	// into a pending lower-TID member's declared one (adversarial runs;
 	// evidence the datadep profile actually provokes the drift path).
 	FallbackDriftDemotions int
+	// FallbackChains counts epochs whose conflict aborts all had static
+	// footprints and re-executed as a per-entity ordered chain instead of
+	// barrier rounds (evidence the hotkey and chain profiles run that
+	// schedule; datadep's route keeps the rounds and the drift guard busy).
+	FallbackChains int
 	// GlobalTxns counts transactions routed through the global sequencer
 	// (zero unless the run deployed Config.Shards > 1): evidence the
 	// workload actually exercised cross-shard histories rather than

@@ -18,7 +18,11 @@
 //   - DataDep: route transactions whose *read* of the hot cell's value
 //     decides which of two target cells gets written — the write set is
 //     data-dependent, so a fallback re-execution can drift its footprint
-//     (the drift the per-round re-validation must catch).
+//     (the drift the per-round re-validation must catch). route picks its
+//     payee through a local variable, so its footprint is not static
+//     (ir.Program.RefClosed) either: a batch with a route conflict abort
+//     keeps StateFlow's barrier rounds, every other profile's batches run
+//     the per-entity chain.
 //   - Chain: dependent-chain transactions — each next op is submitted
 //     only after the previous response arrives, with its target and
 //     amount derived from the observed values (read-your-writes across
@@ -106,9 +110,10 @@ class Cell:
         pre: str = self.key + "|" + str(self.version) + "|" + str(self.value) + "|" + self.last
         self.version += 1
         self.last = op
-        if self.value % 2 == 0:
-            return pre + "&" + a.bump(op, d)
-        return pre + "&" + b.bump(op, d)
+        to: Cell = a
+        if self.value % 2 != 0:
+            to = b
+        return pre + "&" + to.bump(op, d)
 `
 }
 

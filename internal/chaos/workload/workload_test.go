@@ -131,6 +131,21 @@ func TestDataDepFootprintsDiverge(t *testing.T) {
 	}
 }
 
+// TestProfilesCoverBothFallbackSchedules pins what keeps both of StateFlow's
+// fallback schedules under the adversarial oracles: route's footprint is not
+// known from its request (its payee goes through a local variable, so a
+// batch with a route conflict abort runs barrier rounds and the drift
+// guard), while every other method's is (hotkey and chain batches run the
+// per-entity ordered chain).
+func TestProfilesCoverBothFallbackSchedules(t *testing.T) {
+	prog := stateflow.MustCompile(workload.Program())
+	for method, static := range map[string]bool{"get": true, "bump": true, "move": true, "route": false} {
+		if got := prog.RefClosed(workload.Class, method); got != static {
+			t.Errorf("%s.%s: ref-closed = %v, want %v", workload.Class, method, got, static)
+		}
+	}
+}
+
 func TestDecodeRejectsMalformed(t *testing.T) {
 	op := workload.Op{ID: "x", Method: "bump", Key: "c00", D: 1}
 	if _, err := workload.Decode(op, stateflow.Str("garbage")); err == nil {

@@ -41,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/snapshot"
@@ -103,6 +104,10 @@ type Coordinator struct {
 	// recovery.replay trace spans. Purely observational.
 	recoverAt, replayAt time.Duration
 
+	// refClosed memoizes ir.Program.RefClosed per method (the analysis walks
+	// the method's blocks); see staticFootprint.
+	refClosed map[*ir.Method]bool
+
 	// snapCuts records each snapshot's aligned-cut virtual time (when its
 	// epoch staged its last response): a delivered entry released after
 	// the restored snapshot's cut has effects the images predate, which
@@ -154,12 +159,15 @@ type Coordinator struct {
 	// worker, a lost message or a lost ack) — retries of one recovery, not
 	// recoveries.
 	RecoverRetries int
-	// FallbackRounds counts executed fallback re-execution rounds;
-	// FallbackCommits the transactions the fallback phase rescued (a
+	// FallbackRounds counts executed fallback re-execution rounds, a chain
+	// counting as its depth (the rounds the same conflicts would have taken
+	// behind a barrier); FallbackChains the epochs whose fallback ran as a
+	// chain; FallbackCommits the transactions the fallback phase rescued (a
 	// subset of Commits — they would have been next-batch retries
 	// without it); FallbackSpills the transactions the round budget
 	// evicted into the next batch's retry queue.
 	FallbackRounds  int
+	FallbackChains  int
 	FallbackCommits int
 	FallbackSpills  int
 	// FallbackDriftDemotions counts round members demoted by the
@@ -239,10 +247,11 @@ func (c *Coordinator) flight() *obs.FlightRecorder { return c.sys.cfg.Flight }
 
 func newCoordinator(sys *System) *Coordinator {
 	return &Coordinator{
-		sys:      sys,
-		exec:     &epochState{phase: phaseOpen},
-		journal:  newJournal(sys.coordID, &sys.cfg, sys.Dlog),
-		snapCuts: map[int64]time.Duration{},
+		sys:       sys,
+		exec:      &epochState{phase: phaseOpen},
+		journal:   newJournal(sys.coordID, &sys.cfg, sys.Dlog),
+		refClosed: map[*ir.Method]bool{},
+		snapCuts:  map[int64]time.Duration{},
 	}
 }
 
@@ -405,12 +414,12 @@ func (c *Coordinator) ack(ctx *sim.Context, a *ackSet, from string) (fresh, done
 // phaseSpan closes the trace span of the slot's current phase (begun at
 // phaseAt). Binding epochs carry a "binding" arg, so a trace separates a
 // recovery's replay from ordinary traffic.
-func (c *Coordinator) phaseSpan(ctx *sim.Context, st *epochState, name string) {
+func (c *Coordinator) phaseSpan(ctx *sim.Context, st *epochState, name string, extra ...string) {
 	tr := c.tracer()
 	if !tr.Enabled() {
 		return
 	}
-	args := []string{"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.round)}
+	args := append([]string{"epoch", strconv.FormatInt(st.epoch, 10), "round", strconv.Itoa(st.round)}, extra...)
 	if st.binding {
 		args = append(args, "binding", "1")
 	}

@@ -3,7 +3,8 @@
 // as one round loop. Round 0 is the batch's own execution; every fallback
 // round is the same prepare / vote / decide / applied / settle pass run
 // over the subset of conflict aborts the deterministic schedule placed in
-// it (Lu et al., VLDB 2020).
+// it (Lu et al., VLDB 2020) — or, when every conflict abort has a static
+// footprint, one chain round with no barrier inside it (aria.ChainPlan).
 //
 // This file owns the per-epoch protocol state (epochState, the transaction
 // record, the ack set) and every step that reads or writes it. What can be
@@ -146,7 +147,22 @@ type epochState struct {
 	acks   ackSet
 	votes  []map[aria.TID]*aria.RWSet
 	final  bool
+
+	// chain replaces rounds when every conflict abort of the batch has a
+	// static footprint: the aborts re-execute as one round (round 1) that the
+	// workers gate by per-entity TID queues instead of a barrier. This is the
+	// coordinator's mirror of those queues: a member is released here when its
+	// response is staged, which happens as soon as it has finished and every
+	// predecessor on each of its entities has been staged — so the journal's
+	// append order stays a serial order without anybody waiting for the end of
+	// the chain. levelLeft counts the members of each depth level not staged
+	// yet (nil for a chain of depth 1).
+	chain     *aria.Chain
+	levelLeft []int32
 }
+
+// chained reports whether the round in flight is a chain.
+func (st *epochState) chained() bool { return st.chain != nil && st.round > 0 }
 
 // txn returns the batch member with the given TID (nil: not in this batch).
 func (st *epochState) txn(tid aria.TID) *txnState {
@@ -215,21 +231,52 @@ func (st *epochState) takeVotes() map[aria.TID]*aria.RWSet {
 }
 
 // scheduleFallback computes the deterministic fallback schedule over the
-// batch's conflict aborts: the dependency-graph pass (aria.Fallback) on
-// the global footprints merged from the batch votes, filtered down to the
-// conflict-aborted members. An application error alone is definitive and
+// batch's conflict aborts. An application error alone is definitive and
 // never re-executes — but an error on a member that also lost validation
 // is tentative (it was observed under a voided footprint: the serial order
 // may create the very entity the read missed), so it is rescued like any
 // other conflict abort. Runs before the batch decide so the decide/apply
 // wave and the settle both know which aborts the fallback phase rescues. A
-// batch without conflict aborts skips the merge and the graph pass
-// entirely — the uncontended hot path pays only the set shipping on votes.
-// Returns the number of members rescued.
-func (st *epochState) scheduleFallback() (rescued int) {
-	if !slices.ContainsFunc(st.txns, func(t *txnState) bool { return t.aborted }) {
+// batch without conflict aborts skips everything — the uncontended hot path
+// pays only the set shipping on votes.
+//
+// Which schedule is a property of the input: when static says every abort's
+// footprint is known from its request alone (see Coordinator.staticFootprint)
+// the schedule is a chain, budget deep at most — the members a deeper chain
+// would have held spill to the next batch; otherwise it is the
+// dependency-graph pass (aria.Fallback) on the global footprints merged from
+// the batch votes, filtered down to the conflict-aborted members, and the
+// budget is applied round by round (see decision). Returns the number of
+// members rescued and spilled.
+func (st *epochState) scheduleFallback(static func(*txnState) bool, budget int) (rescued, spilled int) {
+	aborted, dynamic := 0, false
+	for _, t := range st.txns {
+		if t.aborted {
+			aborted++
+			dynamic = dynamic || !static(t)
+		}
+	}
+	if aborted == 0 {
 		st.votes = nil
-		return 0
+		return 0, 0
+	}
+	if !dynamic {
+		st.votes = nil // the footprints come from the requests
+		aborts := make([]aria.TID, 0, aborted)
+		for i, t := range st.txns {
+			if t.aborted {
+				aborts = append(aborts, st.first+aria.TID(i))
+			}
+		}
+		plan, left := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
+			return appendRefs(buf, st.txn(aborts[i]).req)
+		}, budget)
+		for _, tid := range plan.Members {
+			st.txn(tid).rescued = true
+		}
+		chain := aria.NewChain(plan)
+		st.chain = &chain
+		return len(plan.Members), len(left)
 	}
 	merged := st.takeVotes()
 	for _, members := range aria.Fallback(st.order, merged).Rounds {
@@ -250,7 +297,7 @@ func (st *epochState) scheduleFallback() (rescued int) {
 			rescued += len(keep)
 		}
 	}
-	return rescued
+	return rescued, 0
 }
 
 // demoteDrifted closes the fallback footprint-drift hole. A round member
@@ -336,9 +383,17 @@ func (st *epochState) decision(budget int) msgDecide {
 		}
 	}
 	// Order is the workers' copy: receivers only read it, and the slot's own
-	// order slices stay private to the coordinator.
-	return msgDecide{Epoch: st.epoch, Round: st.round, Order: slices.Clone(st.order), Aborts: aborts,
+	// order slices stay private to the coordinator. (A chain's order is the
+	// plan's member list, which the workers hold already.)
+	m := msgDecide{Epoch: st.epoch, Round: st.round, Order: st.order, Aborts: aborts,
 		Final: len(st.rounds) == 0 && !rerun || budget > 0 && st.round >= budget}
+	if !st.chained() {
+		m.Order = slices.Clone(st.order)
+		if st.chain != nil {
+			m.Chain = st.chain.Plan // the batch decide announces the chain
+		}
+	}
+	return m
 }
 
 // outcome is what an applied round settled for one of its members.
@@ -400,10 +455,21 @@ func (st *epochState) spill() []aria.TID {
 	return out
 }
 
-// nextRound makes the next scheduled round the round in flight and resets
-// its members for their re-execution.
+// nextRound makes the next scheduled round — or the chain, all of it — the
+// round in flight and resets its members for their re-execution.
 func (st *epochState) nextRound() {
-	st.order, st.rounds = st.rounds[0], st.rounds[1:]
+	if st.chain != nil {
+		plan := st.chain.Plan
+		st.order = plan.Members
+		if plan.Depth > 1 {
+			st.levelLeft = make([]int32, plan.Depth+1)
+			for m := range plan.Members {
+				st.levelLeft[plan.DepthOf(m)]++
+			}
+		}
+	} else {
+		st.order, st.rounds = st.rounds[0], st.rounds[1:]
+	}
 	st.round++
 	st.unfinished = len(st.order)
 	for _, tid := range st.order {
@@ -463,7 +529,54 @@ func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
 	t.value = m.Value
 	t.err = m.Err
 	st.unfinished--
+	if st.chained() {
+		c.stageChained(ctx, st, m.TID)
+	}
 	c.maybePrepare(ctx, st)
+}
+
+// stageChained answers the chain members a finish made answerable: the
+// finished member itself once every predecessor on each of its entities has
+// been answered, then — the coordinator's mirror of the queues moving on —
+// whichever finished members were waiting only for it. Each completed depth
+// level gets one group-commit sync; the level that completes the chain rides
+// the batch's own final sync (or checkpoint), which is the sync count the
+// same schedule cost as barrier rounds.
+func (c *Coordinator) stageChained(ctx *sim.Context, st *epochState, tid aria.TID) {
+	m, ok := st.chain.Plan.Pos(tid)
+	if !ok {
+		return
+	}
+	// The cascade answered everything answerable, so members are left
+	// exactly when some have not finished.
+	if c.answerChained(ctx, st, m) && st.unfinished > 0 {
+		c.journal.sync(ctx)
+	}
+}
+
+// answerChained answers member m if it is finished and heads every queue of
+// its footprint, then tries the members now at the head of those queues.
+// Reports whether a depth level completed.
+func (c *Coordinator) answerChained(ctx *sim.Context, st *epochState, m int) (levelDone bool) {
+	plan := st.chain.Plan
+	t := st.txn(plan.Members[m])
+	if !t.finished || !st.chain.Ready(m) {
+		return false
+	}
+	st.chain.Release(m)
+	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
+	c.answer(ctx, st, t, st.outcome(t))
+	if st.levelLeft != nil {
+		d := plan.DepthOf(m)
+		st.levelLeft[d]--
+		levelDone = st.levelLeft[d] == 0
+	}
+	for _, e := range plan.Footprint(m) {
+		if next := st.chain.Head(e); next >= 0 && c.answerChained(ctx, st, next) {
+			levelDone = true
+		}
+	}
+	return levelDone
 }
 
 // maybePrepare advances a fully executed slot (Aria's execution barrier).
@@ -473,6 +586,16 @@ func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
 // deep).
 func (c *Coordinator) maybePrepare(ctx *sim.Context, st *epochState) {
 	if st.phase != phaseClosing || st.unfinished != 0 {
+		return
+	}
+	if st.chained() {
+		// Nothing to validate: every member ran alone on its entities, in TID
+		// order. One final decide closes the epoch on the workers.
+		if plan := st.chain.Plan; c.tracer().Enabled() {
+			c.phaseSpan(ctx, st, "fallback.round", "chain", "1",
+				"depth", strconv.Itoa(plan.Depth), "members", strconv.Itoa(len(plan.Members)))
+		}
+		c.decide(ctx, st)
 		return
 	}
 	if st.round > 0 {
@@ -565,6 +688,8 @@ func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 // over the conflict aborts.
 func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 	switch {
+	case st.chained():
+		// No votes were taken: the queues already ordered every conflict.
 	case st.round > 0:
 		if c.sys.cfg.Reinject.FallbackDrift {
 			st.votes = nil // test hook: reproduce the pre-fix behavior
@@ -578,7 +703,9 @@ func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 		// re-commit in release order.
 		c.cutBinding(ctx, st)
 	case !c.sys.cfg.DisableFallback:
-		ctx.Work(time.Duration(st.scheduleFallback()) * c.sys.cfg.Costs.FallbackCPU)
+		rescued, spilled := st.scheduleFallback(c.staticFootprint, c.sys.cfg.FallbackRoundBudget)
+		ctx.Work(time.Duration(rescued) * c.sys.cfg.Costs.FallbackCPU)
+		c.FallbackSpills += spilled
 	}
 	m := st.decision(c.sys.cfg.FallbackRoundBudget)
 	st.final = m.Final
@@ -658,42 +785,29 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 // the durable log's group commit), an application error is definitive
 // whichever round observed it, conflict aborts the schedule rescued wait
 // for their round, the others retry in the next batch, and a fallback
-// round's demoted members merge into the next round. Then the next round
-// dispatches or the batch is finished. Validation commits at least the
-// lowest TID of every round, so the schedule always drains within the
-// batch — unless the round budget cut it short, in which case every
-// still-unrescued member spills into the next batch's retry queue, in TID
-// order: the budget bounds how long a pathologically contended batch can
-// hold its epoch (and, pipelined, the commit slot) hostage. Spilled
-// members count as aborts — they take the same next-batch retry path a
-// non-rescued conflict abort takes, with the same retry-budget bound.
+// round's demoted members merge into the next round. (A chain's members were
+// answered one by one as they finished, see stageChained: its settle only
+// closes the epoch.) Then the next round dispatches or the batch is
+// finished. Validation commits at least the lowest TID of every round, so
+// the schedule always drains within the batch — unless the round budget cut
+// it short, in which case every still-unrescued member spills into the next
+// batch's retry queue, in TID order: the budget bounds how long a
+// pathologically contended batch can hold its epoch (and, pipelined, the
+// commit slot) hostage. Spilled members count as aborts — they take the same
+// next-batch retry path a non-rescued conflict abort takes, with the same
+// retry-budget bound. (A chain is cut to the budget when it is planned: its
+// spills are round 0's unrescued aborts.)
 func (c *Coordinator) settle(ctx *sim.Context, st *epochState) {
-	ctx.Work(time.Duration(len(st.order)) * c.sys.cfg.Costs.RoutingCPU)
 	var demoted []aria.TID
-	for _, tid := range st.order {
-		t := st.txn(tid)
-		switch st.outcome(t) {
-		case outDemoted:
-			demoted = append(demoted, tid)
-		case outRescued:
-		case outRetried:
-			c.Aborts++
-			// Past a binding batch's cut: cutBinding requeued it at the
-			// vote, unconditionally (no budget, no retry bump) — its
-			// response already escaped.
-			if !st.binding {
-				c.retryOrFail(ctx, t)
+	if !st.chained() {
+		ctx.Work(time.Duration(len(st.order)) * c.sys.cfg.Costs.RoutingCPU)
+		for _, tid := range st.order {
+			t := st.txn(tid)
+			if o := st.outcome(t); o == outDemoted {
+				demoted = append(demoted, tid)
+			} else {
+				c.answer(ctx, st, t, o)
 			}
-		case outFailed:
-			c.Failures++
-			c.respond(ctx, t, sysapi.Response{Req: t.req.Req, Err: t.err, Retries: t.retries})
-		case outCommitted:
-			c.Commits++
-			if st.round > 0 {
-				c.FallbackCommits++
-			}
-			c.traceCommit(t.req.Req)
-			c.respond(ctx, t, sysapi.Response{Req: t.req.Req, Value: t.value, Retries: t.retries})
 		}
 	}
 	st.requeue(demoted)
@@ -704,12 +818,39 @@ func (c *Coordinator) settle(ctx *sim.Context, st *epochState) {
 			c.retryOrFail(ctx, st.txn(tid))
 		}
 	}
-	if len(st.rounds) > 0 {
+	if len(st.rounds) > 0 || st.chain != nil && st.round == 0 {
 		c.journal.sync(ctx)
 		c.startRound(ctx, st)
 		return
 	}
 	c.finishBatch(ctx, st)
+}
+
+// answer acts on what a round settled for one member that does not re-run:
+// a commit or a definitive error responds, a conflict abort nobody rescued
+// retries, a rescued one waits for its round.
+func (c *Coordinator) answer(ctx *sim.Context, st *epochState, t *txnState, o outcome) {
+	switch o {
+	case outRescued:
+	case outRetried:
+		c.Aborts++
+		// Past a binding batch's cut: cutBinding requeued it at the
+		// vote, unconditionally (no budget, no retry bump) — its
+		// response already escaped.
+		if !st.binding {
+			c.retryOrFail(ctx, t)
+		}
+	case outFailed:
+		c.Failures++
+		c.respond(ctx, t, sysapi.Response{Req: t.req.Req, Err: t.err, Retries: t.retries})
+	case outCommitted:
+		c.Commits++
+		if st.round > 0 {
+			c.FallbackCommits++
+		}
+		c.traceCommit(t.req.Req)
+		c.respond(ctx, t, sysapi.Response{Req: t.req.Req, Value: t.value, Retries: t.retries})
+	}
 }
 
 // retryOrFail sends a conflict abort nothing rescued back to the intake for
@@ -735,12 +876,45 @@ func (c *Coordinator) retryOrFail(ctx *sim.Context, t *txnState) {
 // earlier round). Round members have pairwise-disjoint declared
 // footprints, so they re-execute concurrently; the round is then
 // validated like a miniature batch, which catches footprints that drifted
-// under the re-read values.
+// under the re-read values. A chain dispatches every member at once — the
+// workers park what must wait — and counts as the rounds it would have
+// taken: its depth.
 func (c *Coordinator) startRound(ctx *sim.Context, st *epochState) {
 	st.nextRound()
-	c.FallbackRounds++
+	if st.chained() {
+		plan := st.chain.Plan
+		c.FallbackChains++
+		c.FallbackRounds += plan.Depth
+		if f := c.flight(); f != nil {
+			f.Recordf(ctx.Now(), c.sys.coordID, "fallback.chain", "epoch %d: %d members on %d entities, depth %d",
+				st.epoch, len(plan.Members), len(plan.Refs), plan.Depth)
+		}
+	} else {
+		c.FallbackRounds++
+	}
 	c.enterPhase(ctx, st, phaseClosing)
 	for _, tid := range st.order {
 		c.dispatch(ctx, st, tid)
 	}
+}
+
+// staticFootprint reports whether a batch member's footprint is known from
+// its request alone: its method is ref-closed (ir.Program.RefClosed), so it
+// can only touch its target and the entities passed to it (appendRefs).
+// Constructors and global applies are not: they create, or install, rows the
+// request does not name as references.
+func (c *Coordinator) staticFootprint(t *txnState) bool {
+	if t.apply != nil || t.req.Method == "__init__" {
+		return false
+	}
+	m := c.sys.prog.MethodOf(t.req.Target.Class, t.req.Method)
+	if m == nil {
+		return false
+	}
+	static, ok := c.refClosed[m]
+	if !ok {
+		static = c.sys.prog.RefClosed(t.req.Target.Class, t.req.Method)
+		c.refClosed[m] = static
+	}
+	return static
 }

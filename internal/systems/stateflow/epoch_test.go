@@ -286,7 +286,8 @@ func TestRoundZeroAndRoundKShareTheSettle(t *testing.T) {
 	}
 
 	st := newBatch()
-	if rescued := st.scheduleFallback(); rescued != 3 {
+	dynamic := func(*txnState) bool { return false }
+	if rescued, _ := st.scheduleFallback(dynamic, 0); rescued != 3 {
 		t.Fatalf("schedule rescued %d members, want T2, T3, T4", rescued)
 	}
 	check(st, 0, round{

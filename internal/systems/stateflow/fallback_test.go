@@ -9,6 +9,7 @@ import (
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
+	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
 
 // chainScript submits the canonical conflict chain: t_i transfers from
@@ -185,13 +186,14 @@ func TestFallbackDifferentialContendedState(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCrashMidFallback kills the coordinator while fallback
-// re-execution rounds are in flight: the reboot from the durable log must
-// recover to a consistent decide — the replay re-runs the batch (fallback
-// included), the delivered-buffer suppresses duplicate responses, and the
-// chain still commits with its serial-order state intact.
-func TestCoordinatorCrashMidFallback(t *testing.T) {
-	const k = 16
+// newBurstChain deploys the crash cases' scenario and starts it: a k-chain
+// of transfers submitted in one burst (TIDs permute under the link jitter;
+// the conflict graph is the chain either way) into 5 ms epochs with frequent
+// snapshots, from a retrying, delivery-counting client — a response whose
+// delivered-record synced right before a crash is suppressed by the replay
+// and must be solicited back from the egress buffer.
+func newBurstChain(t *testing.T, k int) (*sim.Cluster, *System, *countingClient) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.EpochInterval = 5 * time.Millisecond
 	cfg.SnapshotEvery = 2
@@ -207,18 +209,40 @@ func TestCoordinatorCrashMidFallback(t *testing.T) {
 		}
 	}
 	sys.CheckpointPreloadedState()
-	client := sysapi.NewScriptClient("client", sys, chainScript(k, 5, 0))
-	// Retrying client: a response whose delivered-record synced right
-	// before the crash is suppressed by the replay and must be solicited
-	// back from the egress buffer.
-	client.RetryEvery = 20 * time.Millisecond
+	inner := sysapi.NewScriptClient("client", sys, chainScript(k, 5, 0))
+	inner.RetryEvery = 20 * time.Millisecond
+	client := &countingClient{inner: inner, Deliveries: map[string]int{}}
 	cluster.Add("client", client)
 	cluster.Start()
+	return cluster, sys, client
+}
 
-	// Step finely until the fallback phase is mid-flight (some rounds
-	// executed, work still outstanding), then crash the coordinator.
+// TestCoordinatorCrashMidFallback kills the coordinator while a fallback
+// chain is in flight — some members answered (their responses staged or
+// already released), the rest still executing or parked on the workers: the
+// reboot from the durable log must recover to a consistent decide — the
+// binding replay rebuilds what the released responses promised, the replay
+// re-runs the rest of the batch (fallback included), the delivered-buffer
+// suppresses duplicate responses, and the chain still commits with its
+// serial-order state intact.
+func TestCoordinatorCrashMidFallback(t *testing.T) {
+	const k = 16
+	cluster, sys, counting := newBurstChain(t, k)
+	client := counting.inner
+
+	// Step finely until the chain is mid-flight — some members' responses
+	// already released to the client, work still outstanding — then crash
+	// the coordinator.
+	released := func(st *epochState) (n int) {
+		for _, tid := range st.chain.Plan.Members {
+			if _, ok := sys.coord.journal.delivered[st.txn(tid).req.Req]; ok {
+				n++
+			}
+		}
+		return n
+	}
 	for i := 0; ; i++ {
-		if st := sys.coord.commit; st != nil && st.round >= 3 && st.round <= k-2 {
+		if st := sys.coord.commit; st != nil && st.chained() && st.unfinished >= 2 && released(st) >= 2 {
 			break
 		}
 		if i > 500_000 {
@@ -234,6 +258,9 @@ func TestCoordinatorCrashMidFallback(t *testing.T) {
 	c := sys.Coordinator()
 	if c.Restarts == 0 {
 		t.Fatal("coordinator never rebooted from the log")
+	}
+	if c.BindingReplays == 0 {
+		t.Fatal("no chain member's response was durable at the crash: the replay of a half-answered chain was never exercised")
 	}
 	if client.Done != k {
 		t.Fatalf("responses: %d/%d", client.Done, k)
@@ -337,4 +364,59 @@ func TestFallbackRoundBudgetSpillsChain(t *testing.T) {
 		t.Fatal("no response carried retries > 0; the spill path never round-tripped")
 	}
 	assertChainState(t, fx.sys, k, 5)
+}
+
+// TestHotKeyVirtualTimeBudget holds what a client sees of contention — the
+// benchmark's hot_t shape in one deterministic run: all transfers on Zipfian
+// keys over 1000 rows of 1 KB, open loop at 600 req/s for 10 virtual
+// seconds, a quarter of them touching the hottest account. With the
+// conflict aborts re-executing as per-entity chains p99 stays near 50 ms;
+// behind barrier rounds — one coordinator-mediated prepare/vote/decide wave
+// per hot-key commit — the same offered load was past the knee (490 req/s)
+// and p99 was measured in seconds.
+func TestHotKeyVirtualTimeBudget(t *testing.T) {
+	const (
+		records = 1000
+		rate    = 600
+		horizon = 10 * time.Second
+		budget  = 100 * time.Millisecond
+	)
+	prog, err := compiler.Compile(ycsb.Program())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	cluster := sim.New(1)
+	sys := New(cluster, prog, DefaultConfig()).Single()
+	load := ycsb.Loader(records, 1000)
+	for i := 0; i < records; i++ {
+		class, args := load(i)
+		if err := sys.PreloadEntity(class, args...); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+	}
+	sys.CheckpointPreloadedState()
+	chooser, err := ycsb.ChooserByName("zipfian", records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wgen := ycsb.NewGenerator(ycsb.WorkloadT, chooser, records, 18, "q")
+	gen := sysapi.NewGenerator("client", sys, rate, horizon, horizon/10, wgen.Next)
+	cluster.Add("client", gen)
+	cluster.Start()
+	cluster.RunUntil(horizon + 10*time.Second)
+
+	c := sys.Coordinator()
+	lat := gen.Latency.Snapshot()
+	t.Logf("p50 %v p99 %v over %d transfers: %d epochs, %d chained, %d rounds, %d rescued",
+		lat.P50, lat.P99, gen.Done, c.EpochsClosed, c.FallbackChains, c.FallbackRounds, c.FallbackCommits)
+	if gen.Done != gen.Submitted || gen.Errors != 0 || c.Failures != 0 {
+		t.Fatalf("%d of %d answered, %d errors, %d failures", gen.Done, gen.Submitted, gen.Errors, c.Failures)
+	}
+	if c.FallbackChains == 0 || c.FallbackDriftDemotions != 0 {
+		t.Fatalf("%d chained epochs, %d drift demotions: every transfer's footprint is static, so every contended epoch should chain",
+			c.FallbackChains, c.FallbackDriftDemotions)
+	}
+	if lat.P99 > budget {
+		t.Fatalf("p99 %v at %d req/s, budget %v", lat.P99, rate, budget)
+	}
 }

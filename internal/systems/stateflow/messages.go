@@ -66,13 +66,29 @@ type msgVote struct {
 // epoch's last decide (no further fallback rounds will run): applying it
 // settles the epoch on the worker, which advances its applied high-water
 // mark and releases any buffered next-epoch events the pipelined
-// coordinator dispatched during the commit phase.
+// coordinator dispatched during the commit phase. Aborts is in TID order,
+// like Order. Chain, on a batch decide (Round 0), says the epoch's conflict
+// aborts re-execute as a chain — one more round, gated on the workers by the
+// plan's per-entity queues, with no prepare/vote wave (see aria.ChainPlan);
+// the plan is immutable and shared by every receiver.
 type msgDecide struct {
 	Epoch  int64
 	Round  int
 	Order  []aria.TID
 	Aborts []aria.TID
 	Final  bool
+	Chain  *aria.ChainPlan
+}
+
+// msgChainRelease tells a worker that a chain member it owns part of the
+// footprint of has finished on another worker: install its workspace
+// (Commit) or drop it (application error), take it out of the entity queues
+// and run what was parked behind it. Sent once per member to each other
+// owner by the worker that produced the member's root response.
+type msgChainRelease struct {
+	Epoch  int64
+	TID    aria.TID
+	Commit bool
 }
 
 // msgApplied acknowledges that a worker installed the batch's (or one

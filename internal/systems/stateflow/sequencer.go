@@ -217,13 +217,18 @@ func (q *Sequencer) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 // refsOf collects a request's statically known footprint: the receiver
 // plus every entity-ref argument.
 func refsOf(req sysapi.Request) []interp.EntityRef {
-	refs := []interp.EntityRef{req.Target}
+	return appendRefs(make([]interp.EntityRef, 0, 2), req) // a transfer's two stay on the caller's stack
+}
+
+// appendRefs appends refsOf(req) to buf.
+func appendRefs(buf []interp.EntityRef, req sysapi.Request) []interp.EntityRef {
+	buf = append(buf, req.Target)
 	for _, a := range req.Args {
 		if a.Kind == interp.KRef {
-			refs = append(refs, a.R)
+			buf = append(buf, a.R)
 		}
 	}
-	return refs
+	return buf
 }
 
 // onRequest routes one client request: absorb a copy of one in flight,

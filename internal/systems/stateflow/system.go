@@ -63,18 +63,19 @@ type Config struct {
 	SnapshotRetain int
 	// DisableFallback turns off Aria's deterministic fallback phase.
 	// With the fallback on (the default), conflict-aborted transactions
-	// re-execute in deterministic rounds inside the same batch — a pure
-	// conflict chain (t1: A→B, t2: B→C, …) commits in full in one batch.
-	// Disabled, they are re-queued into the next batch (the legacy
-	// one-commit-per-chain-per-batch behavior, kept for A/B
-	// benchmarking).
+	// re-execute inside the same batch — as a per-entity ordered chain when
+	// every abort's footprint is static, in deterministic barrier rounds
+	// otherwise (see epoch.go) — so a pure conflict chain (t1: A→B, t2:
+	// B→C, …) commits in full in one batch. Disabled, they are re-queued
+	// into the next batch (the legacy one-commit-per-chain-per-batch
+	// behavior, kept for A/B benchmarking).
 	DisableFallback bool
-	// FallbackRoundBudget caps the fallback re-execution rounds one epoch
-	// may run. When the cap is hit with rounds still scheduled, the
-	// remaining members spill TID-ordered into the next batch's retry
-	// queue, so one pathological conflict chain cannot stall the epoch
-	// pipeline behind an O(chain) round sequence. 0: unbounded (the
-	// fallback always drains within the batch).
+	// FallbackRoundBudget caps the fallback re-execution one epoch may
+	// run: the rounds of a round schedule, the depth (longest per-entity
+	// dependency) of a chain. The members past the cap spill TID-ordered
+	// into the next batch's retry queue, so one pathological conflict
+	// chain cannot stall the epoch pipeline behind an O(chain) sequence.
+	// 0: unbounded (the fallback always drains within the batch).
 	FallbackRoundBudget int
 	// DisablePipelining forces the serial epoch schedule: the coordinator
 	// fully settles epoch N (validate, fallback, apply, group commit,
@@ -261,6 +262,7 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"coordinator.recover_retries":          func() int64 { return int64(c.RecoverRetries) },
 		"coordinator.epochs_closed":            func() int64 { return int64(c.EpochsClosed) },
 		"coordinator.fallback_rounds":          func() int64 { return int64(c.FallbackRounds) },
+		"coordinator.fallback_chains":          func() int64 { return int64(c.FallbackChains) },
 		"coordinator.fallback_commits":         func() int64 { return int64(c.FallbackCommits) },
 		"coordinator.fallback_spills":          func() int64 { return int64(c.FallbackSpills) },
 		"coordinator.fallback_drift_demotions": func() int64 { return int64(c.FallbackDriftDemotions) },
@@ -453,7 +455,7 @@ func failureContract(roles map[string][]string) chaos.Topology {
 		},
 		DupSafe: func(from, to string, msg sim.Message) bool {
 			switch msg.(type) {
-			case msgTxnFinished, msgPrepare, msgVote, msgDecide, msgApplied,
+			case msgTxnFinished, msgPrepare, msgVote, msgDecide, msgApplied, msgChainRelease,
 				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
 				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
 				msgGlobalRead, msgGlobalState, msgGlobalApply,

@@ -15,6 +15,8 @@ package stateflow
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/core"
@@ -33,6 +35,39 @@ import (
 type workerEpoch struct {
 	workspaces map[aria.TID]*aria.Workspace
 	round      int
+	// plan is set by a batch decide whose fallback schedule is a chain (see
+	// aria.ChainPlan): the epoch's re-executions are then gated by per-entity
+	// TID queues instead of running as barrier rounds. chain is this worker's
+	// part in it, made on first use — most workers see only a few members of
+	// a chain, many none.
+	plan  *aria.ChainPlan
+	chain *workerChain
+}
+
+// workerChain is one worker's progress through an epoch's chain, and parked
+// the events waiting for their member to head their entity's queue, by
+// member (a call chain has one event in flight).
+type workerChain struct {
+	aria.Chain
+	parked []parkedEvent
+}
+
+// progress returns (making it on first use) the worker's progress through the
+// epoch's chain plan.
+func (ep *workerEpoch) progress() *workerChain {
+	if ep.chain == nil {
+		ep.chain = &workerChain{Chain: aria.NewChain(ep.plan)}
+	}
+	return ep.chain
+}
+
+// parkedEvent is a chain member's event waiting for entity e's queue to
+// drain down to the member (Ev nil: the member has nothing parked). at is
+// when it parked, for the chain.wait trace span.
+type parkedEvent struct {
+	msgTxnEvent
+	e  int32
+	at time.Duration
 }
 
 // Worker is one StateFlow worker node.
@@ -120,6 +155,8 @@ func (w *Worker) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 		w.onPrepare(ctx, m)
 	case msgDecide:
 		w.onDecide(ctx, m)
+	case msgChainRelease:
+		w.onChainRelease(ctx, m)
 	case msgTakeSnapshot:
 		w.onSnapshot(ctx, m)
 	case msgRecover:
@@ -149,6 +186,12 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	ep := w.liveEpoch(m.Epoch, m.Round)
 	if ep == nil {
 		return
+	}
+	member := -1 // the transaction's position in the epoch's chain, if it runs one
+	if ep.plan != nil && m.Round > 0 {
+		if member = w.admitChained(ctx, ep, m); member < 0 {
+			return // parked behind a lower TID, or not the chain's
+		}
 	}
 	costs := w.sys.cfg.Costs
 
@@ -183,9 +226,7 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	w.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
 	if err != nil {
 		// Internal execution fault: finish the transaction with an error.
-		ctx.Send(w.sys.coordID, msgTxnFinished{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Err: err.Error()},
-			costs.WorkerLink.Sample(ctx.Rand()))
-		return
+		out = []*core.Event{{Kind: core.EvResponse, Err: err.Error()}}
 	}
 	for _, ev := range out {
 		switch ev.Kind {
@@ -193,6 +234,9 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 			ctx.Send(w.sys.coordID, msgTxnFinished{
 				TID: m.TID, Epoch: m.Epoch, Round: m.Round, Value: ev.Value, Err: ev.Err,
 			}, costs.WorkerLink.Sample(ctx.Rand()))
+			if member >= 0 {
+				w.finishChained(ctx, ep, m.Epoch, member, ev.Err == "")
+			}
 		default:
 			target := w.sys.ownerOf(ev.Target)
 			lat := costs.WorkerLink.Sample(ctx.Rand())
@@ -268,41 +312,145 @@ func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
 	ctx.Send(w.sys.coordID, vote, costs.WorkerLink.Sample(ctx.Rand()))
 }
 
+// admitChained gates one event of a chained re-execution: it may run only
+// when its transaction heads the target entity's queue, so it reads exactly
+// what every lower-TID member queued on that entity left behind. Returns the
+// transaction's chain position, or -1 when the event must not run now: it
+// parks until the releases ahead of it arrive (see settleChained).
+func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) (member int) {
+	member, ok := ep.plan.Pos(m.TID)
+	if !ok {
+		return -1
+	}
+	e := ep.plan.Entity(member, m.Ev.Target)
+	if e < 0 {
+		// Only a wrong ir.Program.RefClosed gets here, and the chain's
+		// isolation rests on it: fail loudly, not by a stalled epoch.
+		panic(fmt.Sprintf("stateflow: chained transaction %d reached %s, outside its static footprint", m.TID, m.Ev.Target))
+	}
+	ch := ep.progress()
+	if ch.Head(e) != member {
+		if ch.parked == nil {
+			ch.parked = make([]parkedEvent, len(ep.plan.Members))
+		}
+		ch.parked[member] = parkedEvent{msgTxnEvent: m, e: e, at: ctx.Now()}
+		return -1
+	}
+	arrived := ctx.Now()
+	if ch.parked != nil && ch.parked[member].Ev != nil {
+		arrived = ch.parked[member].at
+		ch.parked[member] = parkedEvent{}
+	}
+	if tr := w.sys.cfg.Tracer; tr.Enabled() && m.Ev.Hops == 0 {
+		// The member's first execution: how long its root event waited at
+		// its owner for the lower TIDs queued on the same entity.
+		tr.Span(w.id, "txn", "chain.wait", arrived, ctx.Now(), "req", m.Ev.Req,
+			"tid", strconv.FormatInt(int64(m.TID), 10), "epoch", strconv.FormatInt(m.Epoch, 10))
+	}
+	return member
+}
+
+// finishChained runs where a chain member's root response was produced: the
+// member is done, so every owner of its footprint may settle it. The other
+// owners learn it from one release each; this worker settles it here.
+func (w *Worker) finishChained(ctx *sim.Context, ep *workerEpoch, epoch int64, member int, commit bool) {
+	var release sim.Message // boxed once for all receivers
+	var told [4]string
+	sent := told[:0]
+	for _, e := range ep.plan.Footprint(member) {
+		owner := w.sys.ownerOf(ep.plan.Refs[e])
+		if owner == w.id || slices.Contains(sent, owner) {
+			continue
+		}
+		if release == nil {
+			release = msgChainRelease{Epoch: epoch, TID: ep.plan.Members[member], Commit: commit}
+		}
+		sent = append(sent, owner)
+		ctx.Send(owner, release, w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	}
+	w.settleChained(ctx, ep, member, commit)
+}
+
+// onChainRelease settles a chain member that finished on another worker. A
+// copy that arrives after the epoch's final decide finds the epoch gone (the
+// decide installed whatever was still in flight) and is dropped.
+func (w *Worker) onChainRelease(ctx *sim.Context, m msgChainRelease) {
+	ep := w.liveEpoch(m.Epoch, 1)
+	if ep == nil || ep.plan == nil {
+		return
+	}
+	if member, ok := ep.plan.Pos(m.TID); ok {
+		w.settleChained(ctx, ep, member, m.Commit)
+	}
+}
+
+// settleChained settles a finished chain member on this worker: its
+// workspace is installed (or, on an application error, dropped), it leaves
+// every queue it is in — from wherever it stands — and whatever was parked
+// directly behind it runs. A repeated release is a no-op.
+func (w *Worker) settleChained(ctx *sim.Context, ep *workerEpoch, member int, commit bool) {
+	ch := ep.progress()
+	if !ch.Release(member) {
+		return
+	}
+	tid := ep.plan.Members[member]
+	if ws, ok := ep.workspaces[tid]; ok {
+		if commit {
+			w.install(ctx, ws)
+		}
+		delete(ep.workspaces, tid)
+	}
+	if ch.parked == nil {
+		return
+	}
+	for _, e := range ep.plan.Footprint(member) {
+		if next := ch.Head(e); next >= 0 && ch.parked[next].Ev != nil && ch.parked[next].e == e {
+			w.onTxnEvent(ctx, ch.parked[next].msgTxnEvent) // unparks itself on admission
+		}
+	}
+}
+
+// install applies one committed workspace to the store, charging the
+// cost-model commit work.
+func (w *Worker) install(ctx *sim.Context, ws *aria.Workspace) {
+	costs := w.sys.cfg.Costs
+	bytes := ws.WriteBytes()
+	ctx.Work(costs.CommitCPU + costs.StateCPU(bytes))
+	w.Breakdown.Add(obs.StateSerialization, costs.StateCPU(bytes))
+	w.Breakdown.Add(obs.TxnCommit, costs.CommitCPU)
+	ws.Apply(w.committed)
+	w.Applied++
+}
+
 // onDecide applies committed workspaces in TID order and discards the
-// rest. A final decide settles the epoch: the applied high-water mark
-// advances and any buffered successor-epoch events execute now, against
-// exactly the committed prefix they were waiting for.
+// rest. A batch decide may carry a chain plan: the epoch's re-executions
+// then run gated by it. A final decide settles the epoch: the applied
+// high-water mark advances and any buffered successor-epoch events execute
+// now, against exactly the committed prefix they were waiting for. (The
+// final decide of a chain finds only the workspaces whose release is still
+// in flight; the releases installed the rest.)
 func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
 	ep := w.liveEpoch(m.Epoch, m.Round)
 	if ep == nil {
 		return
 	}
-	costs := w.sys.cfg.Costs
-	aborted := map[aria.TID]bool{}
-	for _, t := range m.Aborts {
-		aborted[t] = true
-	}
 	for _, tid := range m.Order {
-		ws, ok := ep.workspaces[tid]
-		if !ok || aborted[tid] {
+		if _, dropped := slices.BinarySearch(m.Aborts, tid); dropped {
 			continue
 		}
-		bytes := ws.WriteBytes()
-		work := costs.CommitCPU + costs.StateCPU(bytes)
-		ctx.Work(work)
-		w.Breakdown.Add(obs.StateSerialization, costs.StateCPU(bytes))
-		w.Breakdown.Add(obs.TxnCommit, costs.CommitCPU)
-		ws.Apply(w.committed)
-		w.Applied++
+		if ws, ok := ep.workspaces[tid]; ok {
+			w.install(ctx, ws)
+		}
 	}
 	if m.Final {
 		delete(w.epochs, m.Epoch)
 		w.appliedEpoch = m.Epoch
 	} else {
 		ep.workspaces = map[aria.TID]*aria.Workspace{}
+		ep.plan = m.Chain
 	}
 	ctx.Send(w.sys.coordID, msgApplied{Epoch: m.Epoch, Round: m.Round},
-		costs.WorkerLink.Sample(ctx.Rand()))
+		w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	if m.Final {
 		w.releaseBuffered(ctx, m.Epoch+1)
 	}

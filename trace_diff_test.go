@@ -163,3 +163,22 @@ func TestCrossShardTraceCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestFallbackChainTraceCoverage asserts the contended span surface: a
+// single-coordinator chain of conflicting transfers re-executes as a
+// fallback chain, and its trace names the chain's one round and the wait of
+// each member's root event behind the lower TIDs on its entity — under the
+// same inertness and determinism pins as every other span (the differential
+// above runs contended banking traffic, the byte-identity test this run).
+func TestFallbackChainTraceCoverage(t *testing.T) {
+	tr := runTracedChain(t, 1, 7)
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	for _, want := range []string{`"name":"fallback.round"`, `"chain":"1"`, `"depth":`, `"members":`, `"name":"chain.wait"`} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("chained run's trace has no %s (spans: %v)", want, tr.SpanNames())
+		}
+	}
+}
