@@ -112,15 +112,14 @@ type Run struct {
 	// Replays counts responses the egress re-served from its durable
 	// buffer to retrying clients.
 	Replays int
-	// FallbackDriftDemotions counts fallback members the coordinator
-	// pushed to a later round because their re-executed footprint drifted
-	// into a pending lower-TID member's declared one (adversarial runs;
-	// evidence the datadep profile actually provokes the drift path).
+	// FallbackDriftDemotions counts fallback chain members the coordinator
+	// sent to the next batch because their re-execution left its queued
+	// footprint (adversarial runs; evidence the datadep profile actually
+	// provokes the drift rule).
 	FallbackDriftDemotions int
-	// FallbackChains counts epochs whose conflict aborts all had static
-	// footprints and re-executed as a per-entity ordered chain instead of
-	// barrier rounds (evidence the hotkey and chain profiles run that
-	// schedule; datadep's route keeps the rounds and the drift guard busy).
+	// FallbackChains counts epochs whose conflict aborts re-executed as a
+	// per-entity ordered chain (evidence the hotkey, chain and datadep
+	// profiles run the fallback schedule at all).
 	FallbackChains int
 	// GlobalTxns counts transactions routed through the global sequencer
 	// (zero unless the run deployed Config.Shards > 1): evidence the

@@ -17,12 +17,13 @@
 //     fallback phase runs hot.
 //   - DataDep: route transactions whose *read* of the hot cell's value
 //     decides which of two target cells gets written — the write set is
-//     data-dependent, so a fallback re-execution can drift its footprint
-//     (the drift the per-round re-validation must catch). route picks its
-//     payee through a local variable, so its footprint is not static
-//     (ir.Program.RefClosed) either: a batch with a route conflict abort
-//     keeps StateFlow's barrier rounds, every other profile's batches run
-//     the per-entity chain.
+//     data-dependent, and the two candidates travel inside a list
+//     argument, so the request does not give the footprint either
+//     (ir.Program.RefClosed): a conflict-aborted route queues in
+//     StateFlow's fallback chain on what its first execution observed, and
+//     a re-execution that picks the other candidate drifts — the drift the
+//     chain's one rule must catch. Sharded, the unnamed candidate is what
+//     drags a shard into a global batch's footprint mid-execution.
 //   - Chain: dependent-chain transactions — each next op is submitted
 //     only after the previous response arrives, with its target and
 //     amount derived from the observed values (read-your-writes across
@@ -106,13 +107,13 @@ class Cell:
         return pre + "&" + to.bump(op, d)
 
     @transactional
-    def route(self, op: str, d: int, a: Cell, b: Cell) -> str:
+    def route(self, op: str, d: int, cands: list[Cell]) -> str:
         pre: str = self.key + "|" + str(self.version) + "|" + str(self.value) + "|" + self.last
         self.version += 1
         self.last = op
-        to: Cell = a
+        to: Cell = cands[0]
         if self.value % 2 != 0:
-            to = b
+            to = cands[1]
         return pre + "&" + to.bump(op, d)
 `
 }
@@ -341,7 +342,7 @@ func (op Op) Args() []stateflow.Value {
 		return []stateflow.Value{stateflow.Str(op.ID), stateflow.Int(op.D), stateflow.Ref(Class, op.To)}
 	case "route":
 		return []stateflow.Value{stateflow.Str(op.ID), stateflow.Int(op.D),
-			stateflow.Ref(Class, op.A), stateflow.Ref(Class, op.B)}
+			stateflow.List(stateflow.Ref(Class, op.A), stateflow.Ref(Class, op.B))}
 	}
 	panic("workload: unknown method " + op.Method)
 }

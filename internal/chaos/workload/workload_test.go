@@ -6,6 +6,7 @@ import (
 
 	"statefulentities.dev/stateflow"
 	"statefulentities.dev/stateflow/internal/chaos/workload"
+	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/lin"
 )
 
@@ -131,17 +132,22 @@ func TestDataDepFootprintsDiverge(t *testing.T) {
 	}
 }
 
-// TestProfilesCoverBothFallbackSchedules pins what keeps both of StateFlow's
-// fallback schedules under the adversarial oracles: route's footprint is not
-// known from its request (its payee goes through a local variable, so a
-// batch with a route conflict abort runs barrier rounds and the drift
-// guard), while every other method's is (hotkey and chain batches run the
-// per-entity ordered chain).
-func TestProfilesCoverBothFallbackSchedules(t *testing.T) {
+// TestProfilesCoverStaticAndObservedFootprints pins what keeps both ways a
+// member of StateFlow's fallback chain gets its footprint under the
+// adversarial oracles: get, bump and move are ref-closed, so they queue on
+// what their request names; route's candidates sit inside a list argument,
+// so it queues on what its first execution observed — and can drift.
+func TestProfilesCoverStaticAndObservedFootprints(t *testing.T) {
 	prog := stateflow.MustCompile(workload.Program())
 	for method, static := range map[string]bool{"get": true, "bump": true, "move": true, "route": false} {
 		if got := prog.RefClosed(workload.Class, method); got != static {
 			t.Errorf("%s.%s: ref-closed = %v, want %v", workload.Class, method, got, static)
+		}
+	}
+	route := workload.Op{ID: "x", Method: "route", Key: "c00", D: 1, A: "c01", B: "c02"}
+	for _, a := range route.Args() {
+		if a.Kind == interp.KRef {
+			t.Errorf("route passes %s as an entity-ref argument: its request would name its footprint", a.Repr())
 		}
 	}
 }

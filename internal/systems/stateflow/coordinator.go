@@ -159,22 +159,20 @@ type Coordinator struct {
 	// worker, a lost message or a lost ack) — retries of one recovery, not
 	// recoveries.
 	RecoverRetries int
-	// FallbackRounds counts executed fallback re-execution rounds, a chain
-	// counting as its depth (the rounds the same conflicts would have taken
-	// behind a barrier); FallbackChains the epochs whose fallback ran as a
-	// chain; FallbackCommits the transactions the fallback phase rescued (a
-	// subset of Commits — they would have been next-batch retries
-	// without it); FallbackSpills the transactions the round budget
-	// evicted into the next batch's retry queue.
+	// FallbackChains counts the epochs whose conflict aborts re-executed as
+	// a chain and FallbackRounds their depths (the rounds the same conflicts
+	// would take behind a barrier); FallbackCommits the transactions the
+	// fallback phase rescued (a subset of Commits — they would have been
+	// next-batch retries without it); FallbackSpills the transactions
+	// FallbackRoundBudget left out of a chain, into the next batch's retry
+	// queue.
 	FallbackRounds  int
 	FallbackChains  int
 	FallbackCommits int
 	FallbackSpills  int
-	// FallbackDriftDemotions counts round members demoted by the
-	// cross-round footprint-drift check: their re-execution's observed
-	// footprint conflicted with a not-yet-committed lower-TID member's,
-	// so committing them early would have broken the source-order
-	// guarantee for conflicting transactions.
+	// FallbackDriftDemotions counts the chain members sent to the next batch
+	// because their re-execution left its queued footprint: it reached an
+	// entity the first execution had not, so nothing ordered it there.
 	FallbackDriftDemotions int
 	// LateDuplicates counts arrivals absorbed by the incarnation dedup
 	// floor: duplicates so late that their originals were already pruned
@@ -269,6 +267,8 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 		c.onTick(ctx, m)
 	case msgTxnFinished:
 		c.onFinished(ctx, m)
+	case msgChainRelease:
+		c.onDrifted(ctx, m)
 	case msgVote:
 		c.onVote(ctx, from, m)
 	case msgApplied:
@@ -428,7 +428,8 @@ func (c *Coordinator) phaseSpan(ctx *sim.Context, st *epochState, name string, e
 
 // traceCommit records a committed request's position in the effective
 // serial order — epochs in order, standard commits in TID order, then
-// fallback rounds — when the Config.TraceCommits tap is on. A recovery
+// the chain's in the order they were answered — when the
+// Config.TraceCommits tap is on. A recovery
 // that rolls a commit back and re-executes it overwrites the entry, so
 // the tap always reflects the order the surviving state was built in.
 func (c *Coordinator) traceCommit(id string) {
@@ -454,7 +455,7 @@ func (c *Coordinator) CommitSerials() map[string]int64 {
 }
 
 // finishBatch closes the epoch's accounting once the batch — including
-// any fallback rounds — fully settled, then snapshots or releases the
+// its fallback chain — fully settled, then snapshots or releases the
 // commit slot.
 func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	c.EpochsClosed++

@@ -1,16 +1,19 @@
 // The coordinator's epoch machine: one batch of transactions from its
-// first assignment through Aria's execute → validate → fallback → apply,
-// as one round loop. Round 0 is the batch's own execution; every fallback
-// round is the same prepare / vote / decide / applied / settle pass run
-// over the subset of conflict aborts the deterministic schedule placed in
-// it (Lu et al., VLDB 2020) — or, when every conflict abort has a static
-// footprint, one chain round with no barrier inside it (aria.ChainPlan).
+// first assignment through Aria's execute → validate → fallback → apply.
+// Round 0 is the batch's own execution, validated by a prepare / vote /
+// decide / applied wave (Lu et al., VLDB 2020); its conflict aborts
+// re-execute as round 1, one chain with no barrier inside it: every member
+// queues, in TID order, on each entity of its footprint and the workers run
+// an event when its member heads the target's queue (aria.ChainPlan —
+// Calvin's ordered locks, Thomson et al., SIGMOD 2012). A footprint the
+// request does not give is the one round 0 observed (Calvin's
+// reconnaissance); a re-execution that leaves it retries in the next batch.
 //
 // This file owns the per-epoch protocol state (epochState, the transaction
 // record, the ack set) and every step that reads or writes it. What can be
-// decided from an epochState alone — the fallback schedule, drift demotion,
-// a round's decision, a member's outcome, the next round — is a method on
-// *epochState and takes no sim.Context; the Coordinator methods below wrap
+// decided from an epochState alone — the fallback schedule, a round's
+// decision, a member's outcome — is a method on *epochState and takes no
+// sim.Context; the Coordinator methods below wrap
 // those steps with what the deployment adds: messages, cost-model CPU,
 // counters, responses and the journal. Intake, recovery, snapshots and the
 // pipeline's slot management live in coordinator.go.
@@ -49,8 +52,8 @@ type pendingReq struct {
 }
 
 // txnState is a request inside a batch: the request as it was taken from
-// the intake (requeueing it copies the embedded value back out) plus what
-// the epoch's rounds learn about it.
+// the intake (a retry copies the embedded value back out) plus what the
+// epoch's rounds learn about it.
 type txnState struct {
 	pendingReq
 	// root is the transaction's root invocation event. Executors only read
@@ -61,17 +64,12 @@ type txnState struct {
 	value    interp.Value
 	err      string
 	// aborted: the round in flight voided this member's execution — a
-	// worker's validation vote, a drift demotion or a binding cut. Reset
-	// when the member's next round dispatches.
+	// worker's validation vote or a binding cut in the batch, a drift report
+	// in the chain. Reset when the chain dispatches the member.
 	aborted bool
-	// rescued: the fallback schedule re-executes the member within this
-	// epoch, so it skips the next-batch retry path. footprint is its merged
-	// reservation set, retained across the rounds (declared at schedule
-	// time, widened as re-executions drift): the per-round drift check
-	// compares a would-be committer's observed footprint against the
-	// not-yet-committed lower-TID members' retained ones.
-	rescued   bool
-	footprint *aria.RWSet
+	// rescued: the chain re-executes the member within this epoch, so the
+	// batch's settle does not send it to the next-batch retry path.
+	rescued bool
 }
 
 // ackSet collects the answers to a phase that waits on every worker.
@@ -94,7 +92,7 @@ func (a *ackSet) add(from string, n int) (fresh, done bool) {
 
 // epochState is one slot of the coordinator's pipeline stage table: the
 // full per-epoch protocol state, from the open batch through validation,
-// fallback rounds and apply. The epoch number is the demultiplexing key —
+// the fallback chain and apply. The epoch number is the demultiplexing key —
 // worker messages carry it, and stageFor routes them to the slot they
 // belong to — so two epochs can be in flight without their votes, acks or
 // finishes contaminating each other.
@@ -122,7 +120,8 @@ type epochState struct {
 	first aria.TID
 	txns  []*txnState
 	// unfinished counts members of the round in flight whose root response
-	// has not arrived yet; it makes the per-finish completion check O(1).
+	// (or, in the chain, drift report) has not arrived yet; it makes the
+	// per-finish completion check O(1).
 	unfinished int
 
 	// consumedEnd freezes the source cursor at batch close: it is this
@@ -132,37 +131,34 @@ type epochState struct {
 	// replay offset.
 	consumedEnd int64
 
-	// The round loop. round is the round in flight (0: the batch's first
-	// execution) and order its members in TID order (round 0: the whole
-	// batch, set at close); rounds holds the not-yet-executed re-execution
-	// rounds of the deterministic fallback schedule. acks is the phase in
-	// flight's worker answers (votes, then applies). votes holds the
-	// per-worker local reservation sets shipped with the round's votes —
-	// merged into global footprints only if the batch actually has conflict
-	// aborts, so an uncontended batch pays nothing beyond the shipping.
-	// final: the round's decide was the epoch's last.
-	round  int
-	order  []aria.TID
-	rounds [][]aria.TID
-	acks   ackSet
-	votes  []map[aria.TID]*aria.RWSet
-	final  bool
+	// round is the round in flight — 0: the batch's first execution, 1: the
+	// chain — and order its members in TID order (round 0: the whole batch,
+	// set at close). acks is the phase in flight's worker answers (votes,
+	// then applies). votes holds the per-worker local reservation sets
+	// shipped with the batch's votes — read only for the conflict aborts
+	// whose footprint the request does not give, so an uncontended batch
+	// pays nothing beyond the shipping.
+	round int
+	order []aria.TID
+	acks  ackSet
+	votes []map[aria.TID]*aria.RWSet
 
-	// chain replaces rounds when every conflict abort of the batch has a
-	// static footprint: the aborts re-execute as one round (round 1) that the
-	// workers gate by per-entity TID queues instead of a barrier. This is the
-	// coordinator's mirror of those queues: a member is released here when its
-	// response is staged, which happens as soon as it has finished and every
-	// predecessor on each of its entities has been staged — so the journal's
-	// append order stays a serial order without anybody waiting for the end of
-	// the chain. levelLeft counts the members of each depth level not staged
-	// yet (nil for a chain of depth 1).
+	// chain is the batch's fallback schedule (nil: no conflict abort to
+	// re-execute): the aborts run as round 1, gated on the workers by
+	// per-entity TID queues instead of a barrier. This is the coordinator's
+	// mirror of those queues: a member is released here when its response is
+	// staged, which happens as soon as it has finished and every predecessor
+	// on each of its entities has been staged — so the journal's append order
+	// stays a serial order without anybody waiting for the end of the chain
+	// (a drifted member's turn stages its retry instead). levelLeft counts the
+	// members of each depth level not released yet (nil for a chain of depth
+	// 1).
 	chain     *aria.Chain
 	levelLeft []int32
 }
 
-// chained reports whether the round in flight is a chain.
-func (st *epochState) chained() bool { return st.chain != nil && st.round > 0 }
+// chained reports whether the round in flight is the chain.
+func (st *epochState) chained() bool { return st.round > 0 }
 
 // txn returns the batch member with the given TID (nil: not in this batch).
 func (st *epochState) txn(tid aria.TID) *txnState {
@@ -210,171 +206,81 @@ func (st *epochState) vote(aborts []aria.TID, sets map[aria.TID]*aria.RWSet) {
 	}
 }
 
-// takeVotes merges the reservation sets the round's votes shipped into one
-// global footprint per transaction, and forgets the votes. Copied, never
-// aliased: the workers wipe their workspaces at decide while the
-// footprints must survive into the fallback rounds.
-func (st *epochState) takeVotes() map[aria.TID]*aria.RWSet {
-	merged := map[aria.TID]*aria.RWSet{}
-	for _, sets := range st.votes {
-		for tid, rw := range sets {
-			m, ok := merged[tid]
-			if !ok {
-				m = aria.NewRWSet()
-				merged[tid] = m
-			}
-			m.Merge(rw)
-		}
-	}
-	st.votes = nil
-	return merged
-}
-
-// scheduleFallback computes the deterministic fallback schedule over the
-// batch's conflict aborts. An application error alone is definitive and
-// never re-executes — but an error on a member that also lost validation
-// is tentative (it was observed under a voided footprint: the serial order
-// may create the very entity the read missed), so it is rescued like any
-// other conflict abort. Runs before the batch decide so the decide/apply
-// wave and the settle both know which aborts the fallback phase rescues. A
-// batch without conflict aborts skips everything — the uncontended hot path
-// pays only the set shipping on votes.
+// scheduleFallback queues the batch's conflict aborts into the chain that
+// re-executes them within this epoch. An application error alone is
+// definitive and never re-executes — but an error on a member that also lost
+// validation is tentative (it was observed under a voided footprint: the
+// serial order may create the very entity the read missed), so it is rescued
+// like any other conflict abort. Runs before the batch decide so the
+// decide/apply wave and the settle both know which aborts the chain rescues.
+// A batch without conflict aborts skips everything — the uncontended hot
+// path pays only the set shipping on votes.
 //
-// Which schedule is a property of the input: when static says every abort's
-// footprint is known from its request alone (see Coordinator.staticFootprint)
-// the schedule is a chain, budget deep at most — the members a deeper chain
-// would have held spill to the next batch; otherwise it is the
-// dependency-graph pass (aria.Fallback) on the global footprints merged from
-// the batch votes, filtered down to the conflict-aborted members, and the
-// budget is applied round by round (see decision). Returns the number of
-// members rescued and spilled.
-func (st *epochState) scheduleFallback(static func(*txnState) bool, budget int) (rescued, spilled int) {
-	aborted, dynamic := 0, false
+// What a member queues on is a property of its request: when static says its
+// footprint is known from the request alone (see Coordinator.staticFootprint)
+// that is appendRefs, a superset of anything it can touch; otherwise it is
+// appendRefs plus every entity its first execution reserved, read from the
+// batch votes (classOf names a reservation key's class) — round 0 was the
+// reconnaissance, and a re-execution that reaches past it drifts (see
+// Worker.admitChained). budget > 0 bounds the chain's depth; the members a
+// deeper chain would have held spill to the next batch. Returns the number
+// of members rescued and spilled.
+func (st *epochState) scheduleFallback(static func(*txnState) bool, classOf func(int) string, budget int) (rescued, spilled int) {
+	aborted := 0
 	for _, t := range st.txns {
 		if t.aborted {
 			aborted++
-			dynamic = dynamic || !static(t)
 		}
 	}
+	votes := st.votes
+	st.votes = nil
 	if aborted == 0 {
-		st.votes = nil
 		return 0, 0
 	}
-	if !dynamic {
-		st.votes = nil // the footprints come from the requests
-		aborts := make([]aria.TID, 0, aborted)
-		for i, t := range st.txns {
-			if t.aborted {
-				aborts = append(aborts, st.first+aria.TID(i))
-			}
-		}
-		plan, left := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
-			return appendRefs(buf, st.txn(aborts[i]).req)
-		}, budget)
-		for _, tid := range plan.Members {
-			st.txn(tid).rescued = true
-		}
-		chain := aria.NewChain(plan)
-		st.chain = &chain
-		return len(plan.Members), len(left)
-	}
-	merged := st.takeVotes()
-	for _, members := range aria.Fallback(st.order, merged).Rounds {
-		var keep []aria.TID
-		for _, tid := range members {
-			if t := st.txn(tid); t.aborted {
-				keep = append(keep, tid)
-				// Retain the footprint: the schedule guarantees a member
-				// runs after every lower-TID member it (declaredly)
-				// conflicts with, and the per-round drift check needs these
-				// sets to keep that guarantee when re-executions drift off
-				// their declarations.
-				t.rescued, t.footprint = true, merged[tid]
-			}
-		}
-		if len(keep) > 0 {
-			st.rounds = append(st.rounds, keep)
-			rescued += len(keep)
-		}
-	}
-	return rescued, 0
-}
-
-// demoteDrifted closes the fallback footprint-drift hole. A round member
-// re-executes against a later state than its first execution, so its
-// observed footprint can drift off the declared one the schedule was
-// computed from. Drift against same-round members is caught by the
-// round's own validation — but a would-be committer whose drifted
-// footprint newly conflicts with a *later-round, lower-TID* member would
-// commit ahead of it, breaking the invariant that conflicting
-// transactions commit in source order. That invariant is what lets any
-// schedule that re-derives commit order from the source log — the
-// historical TID-order recovery re-cut (see Reinject.ReplayOrder)
-// and the fallback-disabled differential — reproduce exactly the
-// responses this schedule released; silently giving it up is the bug
-// (the binding-prefix replay shields clients from the recovery half, but
-// the invariant is what the differential and the drift regression tests
-// pin). Demote such members instead: they merge into the next round and
-// re-run after the member they must follow. Round votes ship the
-// observed reservation sets (see Worker.onPrepare) to make the check
-// possible. Returns the number of members demoted.
-func (st *epochState) demoteDrifted() (demotions int) {
-	observed := st.takeVotes()
-	// Not-yet-committed members: every later round's, plus this round's
-	// demotions as the ascending scan accumulates them — by the time a
-	// member is checked, every lower-TID same-round demotion is pending.
-	pending := slices.Concat(st.rounds...)
-	for _, tid := range st.order { // TID-sorted
-		t := st.txn(tid)
+	aborts := make([]aria.TID, 0, aborted)
+	for i, t := range st.txns {
 		if t.aborted {
-			pending = append(pending, tid)
-			continue
+			aborts = append(aborts, st.first+aria.TID(i))
 		}
-		if t.err != "" {
-			continue // definitive error: commits nothing, follows no one
+	}
+	var keys []aria.ResKey
+	plan, left := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
+		t := st.txn(aborts[i])
+		buf = appendRefs(buf, t.req)
+		if static(t) {
+			return buf
 		}
-		rw := observed[tid]
-		if rw == nil {
-			continue
-		}
-		for _, lower := range pending {
-			fp := st.txn(lower).footprint
-			if lower < tid && fp != nil && aria.Conflicts(rw, fp) {
-				t.aborted = true
-				pending = append(pending, tid)
-				demotions++
-				break
+		for _, sets := range votes {
+			if rw := sets[aborts[i]]; rw != nil {
+				keys = rw.Keys(keys[:0])
+				for _, k := range keys {
+					buf = append(buf, interp.EntityRef{Class: classOf(int(k.Class)), Key: k.Key})
+				}
 			}
 		}
+		return buf
+	}, budget)
+	for _, tid := range plan.Members {
+		st.txn(tid).rescued = true
 	}
-	// Widen demoted members' retained footprints by what this round
-	// observed: their next re-execution may drift either way, and later
-	// drift checks against them must stay conservative.
-	for _, tid := range st.order {
-		if t, rw := st.txn(tid), observed[tid]; t.aborted && rw != nil && t.footprint != nil {
-			t.footprint.Merge(rw)
-		}
-	}
-	return demotions
+	chain := aria.NewChain(plan)
+	st.chain = &chain
+	return len(plan.Members), len(left)
 }
 
-// decision is the deterministic global decision for the round in flight
-// once its votes are unanimous, as the message that broadcasts it. A
-// transaction that failed with an application error commits nothing: it is
-// treated as aborted for state purposes (its workspace writes are dropped)
-// but answered at the settle. Final: this is the epoch's last decide — no
-// round is scheduled and no member of this one must re-run, or the round
-// budget is reached (the epoch ends here and the leftovers spill into the
-// next batch).
-func (st *epochState) decision(budget int) msgDecide {
+// decision is the deterministic global decision for the round in flight, as
+// the message that broadcasts it. A transaction that failed with an
+// application error commits nothing: it is treated as aborted for state
+// purposes (its workspace writes are dropped) but answered at the settle.
+// Final: this is the epoch's last decide — the chain's, or the batch's when
+// it scheduled none.
+func (st *epochState) decision() msgDecide {
 	dropped := func(t *txnState) bool { return t.aborted || t.err != "" }
-	n, rerun := 0, false
+	n := 0
 	for _, tid := range st.order {
-		t := st.txn(tid)
-		if dropped(t) {
+		if dropped(st.txn(tid)) {
 			n++
 		}
-		rerun = rerun || (t.aborted && t.rescued)
 	}
 	aborts := make([]aria.TID, 0, n)
 	for _, tid := range st.order {
@@ -383,20 +289,20 @@ func (st *epochState) decision(budget int) msgDecide {
 		}
 	}
 	// Order is the workers' copy: receivers only read it, and the slot's own
-	// order slices stay private to the coordinator. (A chain's order is the
+	// order slice stays private to the coordinator. (The chain's order is the
 	// plan's member list, which the workers hold already.)
 	m := msgDecide{Epoch: st.epoch, Round: st.round, Order: st.order, Aborts: aborts,
-		Final: len(st.rounds) == 0 && !rerun || budget > 0 && st.round >= budget}
+		Final: st.chained() || st.chain == nil}
 	if !st.chained() {
 		m.Order = slices.Clone(st.order)
-		if st.chain != nil {
+		if !m.Final {
 			m.Chain = st.chain.Plan // the batch decide announces the chain
 		}
 	}
 	return m
 }
 
-// outcome is what an applied round settled for one of its members.
+// outcome is what a round settled for one of its members.
 type outcome int
 
 const (
@@ -404,26 +310,22 @@ const (
 	// outFailed: application error under a validated footprint —
 	// definitive, no retry.
 	outFailed
-	// outRetried: conflict abort nothing in this epoch re-executes; it
-	// retries in the next batch (a binding batch's cut requeued it already).
+	// outRetried: conflict abort nothing in this epoch re-executes, or chain
+	// member whose re-execution left its queued footprint; it retries in the
+	// next batch (a binding batch's cut requeued it already).
 	outRetried
-	// outRescued: conflict abort the fallback schedule re-executes (and
-	// answers) within this epoch; it is already in a scheduled round.
+	// outRescued: conflict abort the chain re-executes (and answers) within
+	// this epoch.
 	outRescued
-	// outDemoted: fallback round member that must re-run with the next
-	// round (validation or the drift check voided this re-execution).
-	outDemoted
 )
 
-// outcome classifies a member of the round that just applied. The conflict
-// cases come first: a conflict abort voids the tentative execution
-// wholesale, errors included — the serial order the abort defers to may
-// well remove the error's cause.
+// outcome classifies a member of the round in flight. The conflict cases
+// come first: a conflict abort voids the tentative execution wholesale,
+// errors included — the serial order the abort defers to may well remove the
+// error's cause.
 func (st *epochState) outcome(t *txnState) outcome {
 	switch {
-	case t.aborted && st.round > 0:
-		return outDemoted
-	case t.aborted && t.rescued:
+	case t.aborted && t.rescued && !st.chained():
 		return outRescued
 	case t.aborted:
 		return outRetried
@@ -431,51 +333,6 @@ func (st *epochState) outcome(t *txnState) outcome {
 		return outFailed
 	}
 	return outCommitted
-}
-
-// requeue merges a round's demoted members into the next round (kept in
-// TID order, so the round's internal validation stays deterministic).
-func (st *epochState) requeue(demoted []aria.TID) {
-	if len(demoted) == 0 {
-		return
-	}
-	if len(st.rounds) == 0 {
-		st.rounds = [][]aria.TID{nil}
-	}
-	st.rounds[0] = append(demoted, st.rounds[0]...)
-	slices.Sort(st.rounds[0])
-}
-
-// spill empties the schedule: every not-yet-executed fallback member, in
-// TID order.
-func (st *epochState) spill() []aria.TID {
-	out := slices.Concat(st.rounds...)
-	slices.Sort(out)
-	st.rounds = nil
-	return out
-}
-
-// nextRound makes the next scheduled round — or the chain, all of it — the
-// round in flight and resets its members for their re-execution.
-func (st *epochState) nextRound() {
-	if st.chain != nil {
-		plan := st.chain.Plan
-		st.order = plan.Members
-		if plan.Depth > 1 {
-			st.levelLeft = make([]int32, plan.Depth+1)
-			for m := range plan.Members {
-				st.levelLeft[plan.DepthOf(m)]++
-			}
-		}
-	} else {
-		st.order, st.rounds = st.rounds[0], st.rounds[1:]
-	}
-	st.round++
-	st.unfinished = len(st.order)
-	for _, tid := range st.order {
-		t := st.txn(tid)
-		t.finished, t.value, t.err, t.aborted = false, interp.None, "", false
-	}
 }
 
 // dispatch sends a member's root invocation to its owner for the round in
@@ -512,25 +369,51 @@ func (c *Coordinator) closeBatch(ctx *sim.Context, st *epochState) {
 }
 
 // onFinished records a transaction's root response (from the batch's
-// first execution or from the fallback round in flight). The epoch stamp
-// routes it to the right slot: with pipelining, finishes for the exec
-// epoch arrive while the commit epoch is still validating.
+// first execution or from the chain). The epoch stamp routes it to the right
+// slot: with pipelining, finishes for the exec epoch arrive while the commit
+// epoch is still validating.
 func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
-	st := c.stageFor(m.Epoch)
-	if st == nil || m.Round != st.round {
-		return // stale: batch discarded by recovery, or a finished round
+	if st, t := c.awaited(m.Epoch, m.Round, m.TID); t != nil {
+		t.value, t.err = m.Value, m.Err
+		c.finish(ctx, st, t, m.TID)
 	}
-	t := st.txn(m.TID)
-	if t == nil || t.finished {
-		return
+}
+
+// onDrifted records a worker's report that a chain member's re-execution
+// reached an entity it is not queued on (see Worker.admitChained): nothing of
+// it was or will be installed, so it leaves the chain as a conflict abort and
+// takes the next-batch retry. A repeated report, or one that arrives after
+// the epoch's final decide, finds the member finished (or the epoch gone)
+// and is dropped.
+func (c *Coordinator) onDrifted(ctx *sim.Context, m msgChainRelease) {
+	if st, t := c.awaited(m.Epoch, 1, m.TID); t != nil {
+		t.aborted = true
+		c.FallbackDriftDemotions++
+		c.finish(ctx, st, t, m.TID)
 	}
+}
+
+// awaited returns the in-flight epoch and its member a worker's message
+// about (epoch, round, tid) is for — nils when it is stale: the batch was
+// discarded by recovery, the round is over, or the member is accounted for.
+func (c *Coordinator) awaited(epoch int64, round int, tid aria.TID) (*epochState, *txnState) {
+	st := c.stageFor(epoch)
+	if st == nil || round != st.round {
+		return nil, nil
+	}
+	if t := st.txn(tid); t != nil && !t.finished {
+		return st, t
+	}
+	return nil, nil
+}
+
+// finish counts member t of the round in flight as done.
+func (c *Coordinator) finish(ctx *sim.Context, st *epochState, t *txnState, tid aria.TID) {
 	c.alive(ctx)
 	t.finished = true
-	t.value = m.Value
-	t.err = m.Err
 	st.unfinished--
 	if st.chained() {
-		c.stageChained(ctx, st, m.TID)
+		c.stageChained(ctx, st, tid)
 	}
 	c.maybePrepare(ctx, st)
 }
@@ -540,8 +423,7 @@ func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
 // been answered, then — the coordinator's mirror of the queues moving on —
 // whichever finished members were waiting only for it. Each completed depth
 // level gets one group-commit sync; the level that completes the chain rides
-// the batch's own final sync (or checkpoint), which is the sync count the
-// same schedule cost as barrier rounds.
+// the batch's own final sync (or checkpoint).
 func (c *Coordinator) stageChained(ctx *sim.Context, st *epochState, tid aria.TID) {
 	m, ok := st.chain.Plan.Pos(tid)
 	if !ok {
@@ -580,7 +462,7 @@ func (c *Coordinator) answerChained(ctx *sim.Context, st *epochState, m int) (le
 }
 
 // maybePrepare advances a fully executed slot (Aria's execution barrier).
-// A fallback round validates in place; a fully executed batch is promoted
+// A finished chain closes its epoch; a fully executed batch is promoted
 // into the commit stage — unless the slot is still occupied, in which
 // case the batch waits closed (backpressure: the pipeline is exactly two
 // deep).
@@ -592,14 +474,16 @@ func (c *Coordinator) maybePrepare(ctx *sim.Context, st *epochState) {
 		// Nothing to validate: every member ran alone on its entities, in TID
 		// order. One final decide closes the epoch on the workers.
 		if plan := st.chain.Plan; c.tracer().Enabled() {
-			c.phaseSpan(ctx, st, "fallback.round", "chain", "1",
-				"depth", strconv.Itoa(plan.Depth), "members", strconv.Itoa(len(plan.Members)))
+			drifted := 0
+			for _, tid := range plan.Members {
+				if st.txn(tid).aborted {
+					drifted++
+				}
+			}
+			c.phaseSpan(ctx, st, "fallback.round", "chain", "1", "depth", strconv.Itoa(plan.Depth),
+				"members", strconv.Itoa(len(plan.Members)), "drifted", strconv.Itoa(drifted))
 		}
 		c.decide(ctx, st)
-		return
-	}
-	if st.round > 0 {
-		c.sendPrepare(ctx, st)
 		return
 	}
 	if c.commit != nil {
@@ -647,26 +531,22 @@ func (c *Coordinator) broadcast(ctx *sim.Context, msg sim.Message) {
 	}
 }
 
-// sendPrepare starts validation of the round in flight on every worker.
+// sendPrepare starts validation of the batch on every worker.
 func (c *Coordinator) sendPrepare(ctx *sim.Context, st *epochState) {
 	// The execution window just ended: phaseAt was stamped when the batch
-	// closed (or the fallback round dispatched).
-	if st.round > 0 {
-		c.phaseSpan(ctx, st, "fallback.round")
-	} else {
-		c.phaseSpan(ctx, st, "execute")
-	}
+	// closed.
+	c.phaseSpan(ctx, st, "execute")
 	c.enterPhase(ctx, st, phasePrepare)
 	clear(st.acks)
 	// One copy for all workers: receivers only read it, and the slot's own
-	// order slices must stay private to the coordinator.
-	c.broadcast(ctx, msgPrepare{Epoch: st.epoch, Round: st.round, Order: slices.Clone(st.order)})
+	// order slice must stay private to the coordinator.
+	c.broadcast(ctx, msgPrepare{Epoch: st.epoch, Order: slices.Clone(st.order)})
 }
 
-// onVote accumulates worker votes; when unanimous, the round is decided.
+// onVote accumulates worker votes; when unanimous, the batch is decided.
 func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 	st := c.commit
-	if st == nil || m.Epoch != st.epoch || st.phase != phasePrepare || m.Round != st.round {
+	if st == nil || m.Epoch != st.epoch || st.phase != phasePrepare {
 		return
 	}
 	fresh, done := c.ack(ctx, &st.acks, from)
@@ -682,36 +562,26 @@ func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
 }
 
 // decide broadcasts the round's deterministic global decision. What is left
-// of the epoch is settled first: a fallback round demotes the members whose
-// re-execution drifted, a binding batch cuts itself down to its
-// conflict-free prefix, and any other batch schedules its fallback rounds
-// over the conflict aborts.
+// of the epoch is settled first: a binding batch cuts itself down to its
+// conflict-free prefix, and any other batch queues its conflict aborts into
+// the chain.
 func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 	switch {
 	case st.chained():
 		// No votes were taken: the queues already ordered every conflict.
-	case st.round > 0:
-		if c.sys.cfg.Reinject.FallbackDrift {
-			st.votes = nil // test hook: reproduce the pre-fix behavior
-		} else {
-			c.FallbackDriftDemotions += st.demoteDrifted()
-		}
 	case st.binding:
-		// Binding epochs skip the fallback phase: its rescue rounds commit
-		// aborted members out of queue order within the batch, and the
-		// binding replay's whole contract is that conflicting members
-		// re-commit in release order.
+		// Binding epochs skip the fallback phase: it commits aborted members
+		// out of queue order within the batch, and the binding replay's whole
+		// contract is that conflicting members re-commit in release order.
 		c.cutBinding(ctx, st)
 	case !c.sys.cfg.DisableFallback:
-		rescued, spilled := st.scheduleFallback(c.staticFootprint, c.sys.cfg.FallbackRoundBudget)
+		rescued, spilled := st.scheduleFallback(c.staticFootprint, c.sys.prog.Layouts().ClassOf, c.sys.cfg.FallbackRoundBudget)
 		ctx.Work(time.Duration(rescued) * c.sys.cfg.Costs.FallbackCPU)
 		c.FallbackSpills += spilled
 	}
-	m := st.decision(c.sys.cfg.FallbackRoundBudget)
-	st.final = m.Final
 	c.enterPhase(ctx, st, phaseApply)
 	clear(st.acks)
-	c.broadcast(ctx, m)
+	c.broadcast(ctx, st.decision())
 	if st.binding {
 		// The cut settled what is left of the queue, so the successor (the
 		// next binding batch, or the first normal epoch once the queue has
@@ -781,54 +651,32 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 	c.settle(ctx, st)
 }
 
-// settle finishes an applied round: committed members respond (staged onto
-// the durable log's group commit), an application error is definitive
-// whichever round observed it, conflict aborts the schedule rescued wait
-// for their round, the others retry in the next batch, and a fallback
-// round's demoted members merge into the next round. (A chain's members were
-// answered one by one as they finished, see stageChained: its settle only
-// closes the epoch.) Then the next round dispatches or the batch is
-// finished. Validation commits at least the lowest TID of every round, so
-// the schedule always drains within the batch — unless the round budget cut
-// it short, in which case every still-unrescued member spills into the next
-// batch's retry queue, in TID order: the budget bounds how long a
-// pathologically contended batch can hold its epoch (and, pipelined, the
-// commit slot) hostage. Spilled members count as aborts — they take the same
-// next-batch retry path a non-rescued conflict abort takes, with the same
-// retry-budget bound. (A chain is cut to the budget when it is planned: its
-// spills are round 0's unrescued aborts.)
+// settle finishes an applied round. The batch: committed members respond
+// (staged onto the durable log's group commit), an application error is
+// definitive, conflict aborts the chain rescued wait for it and the others —
+// a chain is cut to FallbackRoundBudget when it is planned, so these are its
+// spills — retry in the next batch; then the chain dispatches or the epoch is
+// finished. The chain: its members were answered one by one as they finished
+// (see stageChained), so its settle only closes the epoch.
 func (c *Coordinator) settle(ctx *sim.Context, st *epochState) {
-	var demoted []aria.TID
 	if !st.chained() {
 		ctx.Work(time.Duration(len(st.order)) * c.sys.cfg.Costs.RoutingCPU)
 		for _, tid := range st.order {
 			t := st.txn(tid)
-			if o := st.outcome(t); o == outDemoted {
-				demoted = append(demoted, tid)
-			} else {
-				c.answer(ctx, st, t, o)
-			}
+			c.answer(ctx, st, t, st.outcome(t))
 		}
-	}
-	st.requeue(demoted)
-	if st.final {
-		for _, tid := range st.spill() {
-			c.Aborts++
-			c.FallbackSpills++
-			c.retryOrFail(ctx, st.txn(tid))
+		if st.chain != nil {
+			c.journal.sync(ctx)
+			c.startChain(ctx, st)
+			return
 		}
-	}
-	if len(st.rounds) > 0 || st.chain != nil && st.round == 0 {
-		c.journal.sync(ctx)
-		c.startRound(ctx, st)
-		return
 	}
 	c.finishBatch(ctx, st)
 }
 
-// answer acts on what a round settled for one member that does not re-run:
-// a commit or a definitive error responds, a conflict abort nobody rescued
-// retries, a rescued one waits for its round.
+// answer acts on what a round settled for one member: a commit or a
+// definitive error responds, a conflict abort nobody rescued — or a chain
+// member that drifted — retries, a rescued one waits for the chain.
 func (c *Coordinator) answer(ctx *sim.Context, st *epochState, t *txnState, o outcome) {
 	switch o {
 	case outRescued:
@@ -845,7 +693,7 @@ func (c *Coordinator) answer(ctx *sim.Context, st *epochState, t *txnState, o ou
 		c.respond(ctx, t, sysapi.Response{Req: t.req.Req, Err: t.err, Retries: t.retries})
 	case outCommitted:
 		c.Commits++
-		if st.round > 0 {
+		if st.chained() {
 			c.FallbackCommits++
 		}
 		c.traceCommit(t.req.Req)
@@ -853,8 +701,8 @@ func (c *Coordinator) answer(ctx *sim.Context, st *epochState, t *txnState, o ou
 	}
 }
 
-// retryOrFail sends a conflict abort nothing rescued back to the intake for
-// the next batch, or — its retry budget spent — answers it as failed.
+// retryOrFail sends a conflict abort back to the intake for the next batch,
+// or — its retry budget spent — answers it as failed.
 func (c *Coordinator) retryOrFail(ctx *sim.Context, t *txnState) {
 	if t.retries+1 > c.sys.cfg.MaxRetries {
 		c.Failures++
@@ -870,30 +718,31 @@ func (c *Coordinator) retryOrFail(ctx *sim.Context, t *txnState) {
 	c.pending = append(c.pending, p)
 }
 
-// startRound dispatches the next fallback re-execution round: each
-// rescued transaction restarts its call chain from its root invocation
-// against the now-current committed state (standard commits plus every
-// earlier round). Round members have pairwise-disjoint declared
-// footprints, so they re-execute concurrently; the round is then
-// validated like a miniature batch, which catches footprints that drifted
-// under the re-read values. A chain dispatches every member at once — the
-// workers park what must wait — and counts as the rounds it would have
-// taken: its depth.
-func (c *Coordinator) startRound(ctx *sim.Context, st *epochState) {
-	st.nextRound()
-	if st.chained() {
-		plan := st.chain.Plan
-		c.FallbackChains++
-		c.FallbackRounds += plan.Depth
-		if f := c.flight(); f != nil {
-			f.Recordf(ctx.Now(), c.sys.coordID, "fallback.chain", "epoch %d: %d members on %d entities, depth %d",
-				st.epoch, len(plan.Members), len(plan.Refs), plan.Depth)
+// startChain makes the chain, all of it, the round in flight: each rescued
+// transaction restarts its call chain from its root invocation, every member
+// at once — the workers park what must wait, so a member reads the committed
+// state plus exactly what the lower TIDs queued on the same entities left
+// behind. A chain counts as the rounds a barrier schedule would have taken:
+// its depth.
+func (c *Coordinator) startChain(ctx *sim.Context, st *epochState) {
+	plan := st.chain.Plan
+	st.round, st.order, st.unfinished = 1, plan.Members, len(plan.Members)
+	if plan.Depth > 1 {
+		st.levelLeft = make([]int32, plan.Depth+1)
+		for m := range plan.Members {
+			st.levelLeft[plan.DepthOf(m)]++
 		}
-	} else {
-		c.FallbackRounds++
+	}
+	c.FallbackChains++
+	c.FallbackRounds += plan.Depth
+	if f := c.flight(); f != nil {
+		f.Recordf(ctx.Now(), c.sys.coordID, "fallback.chain", "epoch %d: %d members on %d entities, depth %d",
+			st.epoch, len(plan.Members), len(plan.Refs), plan.Depth)
 	}
 	c.enterPhase(ctx, st, phaseClosing)
 	for _, tid := range st.order {
+		t := st.txn(tid)
+		t.finished, t.value, t.err, t.aborted = false, interp.None, "", false
 		c.dispatch(ctx, st, tid)
 	}
 }

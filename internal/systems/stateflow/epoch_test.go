@@ -17,8 +17,8 @@ import (
 // first … first+n−1, whichever path filled it. The TID-indexed batch
 // depends on it, and epochState.add panics when it breaks; this asserts it
 // from the outside — the TIDs a coordinator dispatched for a batch against
-// the order it put in msgPrepare — over a run that takes every assignment path on two shards: direct intake and
-// a MaxBatch-chunked source backlog, a drain of spilled retries, a fenced
+// the order it put in msgPrepare — over a run that takes every assignment
+// path on two shards: direct intake and a MaxBatch-chunked source backlog, a drain of spilled retries, a fenced
 // global apply, and a coordinator crash whose binding replay runs under
 // the fence.
 func TestEpochTIDsAreContiguous(t *testing.T) {
@@ -45,9 +45,7 @@ func TestEpochTIDsAreContiguous(t *testing.T) {
 				assigned[b] = append(assigned[b], m.TID)
 			}
 		case msgPrepare:
-			if m.Round == 0 {
-				orders[closed{from, m.Epoch}] = m.Order // one copy per worker
-			}
+			orders[closed{from, m.Epoch}] = m.Order // one copy per worker
 		}
 		return sim.Perturb{}
 	})
@@ -171,7 +169,7 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 	}
 
 	duplicate("validate", inPhase(phasePrepare), func(st *epochState) sim.Message {
-		return msgVote{Epoch: st.epoch, Round: st.round, Aborts: st.order}
+		return msgVote{Epoch: st.epoch, Aborts: st.order}
 	})
 	if slices.ContainsFunc(c.commit.txns, func(t *txnState) bool { return t.aborted }) {
 		t.Fatal("validate: a duplicated vote's aborts were folded into the round")
@@ -200,168 +198,4 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 		t.Fatal("the worker crash never triggered a recovery")
 	}
 	f.assertExactlyOnceEffective(t, n)
-}
-
-// TestRoundZeroAndRoundKShareTheSettle drives an epochState alone — no
-// coordinator, no cluster — through a batch whose fallback schedule runs
-// three rounds, and pins, round by round, the decide (Aborts, Final) and
-// the outcome class of every member. The batch:
-//
-//	T1 w(x)          commits in round 0
-//	T2 r(x) w(y)     RAW on T1   ┐ the conflict chain T1 → T2 → T3
-//	T3 r(y) w(z)     RAW on T2   ┘
-//	T4 r(x) w(v)     RAW on T1; declared disjoint from T2, so scheduled with it
-//	T5 r(q)          fails with an application error
-//
-// T4's re-execution drifts: it now also reads z, which the later-round,
-// lower-TID T3 writes — so it may not commit ahead of T3 and is demoted.
-// T3's re-execution fails with an application error. Rescued, retried,
-// demoted and failed are four different fates.
-func TestRoundZeroAndRoundKShareTheSettle(t *testing.T) {
-	key := func(k string) aria.ResKey { return aria.ResKey{Key: k} }
-	const all = aria.AllBits
-	type access struct{ reads, writes []string }
-	set := func(a access) *aria.RWSet {
-		rw := aria.NewRWSet()
-		for _, k := range a.reads {
-			rw.Read(key(k), all)
-		}
-		for _, k := range a.writes {
-			rw.Write(key(k), all)
-		}
-		return rw
-	}
-	// vote is one worker's: it validates the local sets it holds, as
-	// Worker.onPrepare does, and ships them.
-	vote := func(st *epochState, local map[aria.TID]access) {
-		sets := map[aria.TID]*aria.RWSet{}
-		for tid, a := range local {
-			sets[tid] = set(a)
-		}
-		st.vote(aria.Validate(st.order, sets), sets)
-	}
-	newBatch := func() *epochState {
-		st := &epochState{}
-		for tid := aria.TID(1); tid <= 5; tid++ {
-			st.add(tid, pendingReq{})
-		}
-		st.close()
-		st.txn(5).err = "boom"
-		// Worker A owns x and y, worker B owns z, v and q.
-		vote(st, map[aria.TID]access{
-			1: {writes: []string{"x"}},
-			2: {reads: []string{"x"}, writes: []string{"y"}},
-			3: {reads: []string{"y"}},
-			4: {reads: []string{"x"}},
-		})
-		vote(st, map[aria.TID]access{
-			3: {writes: []string{"z"}},
-			4: {writes: []string{"v"}},
-			5: {reads: []string{"q"}},
-		})
-		return st
-	}
-	type round struct {
-		order, aborts []aria.TID
-		final         bool
-		outcomes      []outcome // of order's members
-	}
-	check := func(st *epochState, budget int, want round) (demoted []aria.TID) {
-		t.Helper()
-		m := st.decision(budget)
-		var outcomes []outcome
-		for _, tid := range st.order {
-			o := st.outcome(st.txn(tid))
-			outcomes = append(outcomes, o)
-			if o == outDemoted {
-				demoted = append(demoted, tid)
-			}
-		}
-		got := round{m.Order, m.Aborts, m.Final, outcomes}
-		if !slices.Equal(got.order, want.order) || !slices.Equal(got.aborts, want.aborts) ||
-			got.final != want.final || !slices.Equal(got.outcomes, want.outcomes) {
-			t.Fatalf("round %d:\n got %+v\nwant %+v", st.round, got, want)
-		}
-		return demoted
-	}
-
-	st := newBatch()
-	dynamic := func(*txnState) bool { return false }
-	if rescued, _ := st.scheduleFallback(dynamic, 0); rescued != 3 {
-		t.Fatalf("schedule rescued %d members, want T2, T3, T4", rescued)
-	}
-	check(st, 0, round{
-		order:    []aria.TID{1, 2, 3, 4, 5},
-		aborts:   []aria.TID{2, 3, 4, 5},
-		outcomes: []outcome{outCommitted, outRescued, outRescued, outRescued, outFailed},
-	})
-
-	// Round 1: T2 and T4 re-execute; T4 drifts onto T3's z.
-	st.nextRound()
-	vote(st, map[aria.TID]access{2: {reads: []string{"x"}, writes: []string{"y"}}, 4: {reads: []string{"x"}}})
-	vote(st, map[aria.TID]access{4: {reads: []string{"z"}, writes: []string{"v"}}})
-	if n := st.demoteDrifted(); n != 1 {
-		t.Fatalf("round 1 demoted %d members, want T4", n)
-	}
-	st.requeue(check(st, 0, round{
-		order:    []aria.TID{2, 4},
-		aborts:   []aria.TID{4},
-		outcomes: []outcome{outCommitted, outDemoted},
-	}))
-
-	// Under a one-round budget the epoch would end here instead: the same
-	// decide is final and what is left of the schedule spills, in TID order.
-	if !st.decision(1).Final {
-		t.Fatal("round 1 at a budget of 1: decide not final")
-	}
-	if left := slices.Concat(st.rounds...); !slices.Equal(left, []aria.TID{3, 4}) {
-		t.Fatalf("after round 1 the schedule holds %v, want the demoted T4 merged behind T3", left)
-	}
-
-	// Round 2: T3 fails; T4 reads the z T3 writes in this same round, so the
-	// round's own validation voids it.
-	st.nextRound()
-	st.txn(3).err = "boom"
-	vote(st, map[aria.TID]access{3: {reads: []string{"y"}}, 4: {reads: []string{"x"}}})
-	vote(st, map[aria.TID]access{3: {writes: []string{"z"}}, 4: {reads: []string{"z"}, writes: []string{"v"}}})
-	if n := st.demoteDrifted(); n != 0 {
-		t.Fatalf("round 2 demoted %d members by drift, want none (validation already voided T4)", n)
-	}
-	st.requeue(check(st, 0, round{
-		order:    []aria.TID{3, 4},
-		aborts:   []aria.TID{3, 4},
-		outcomes: []outcome{outFailed, outDemoted},
-	}))
-
-	// Round 3: T4 alone.
-	st.nextRound()
-	vote(st, map[aria.TID]access{4: {reads: []string{"x"}}})
-	vote(st, map[aria.TID]access{4: {reads: []string{"z"}, writes: []string{"v"}}})
-	if n := st.demoteDrifted(); n != 0 {
-		t.Fatalf("round 3 demoted %d members, want none", n)
-	}
-	if demoted := check(st, 0, round{
-		order:    []aria.TID{4},
-		aborts:   []aria.TID{},
-		final:    true,
-		outcomes: []outcome{outCommitted},
-	}); len(demoted) != 0 || len(st.spill()) != 0 {
-		t.Fatal("round 3 left work behind")
-	}
-
-	// The same batch with no schedule computed (a binding batch, or
-	// DisableFallback's reference schedule): the conflict aborts are
-	// nobody's to re-execute — they retry in the next batch — and the
-	// batch's decide is the epoch's last.
-	check(newBatch(), 0, round{
-		order:    []aria.TID{1, 2, 3, 4, 5},
-		aborts:   []aria.TID{2, 3, 4, 5},
-		final:    true,
-		outcomes: []outcome{outCommitted, outRetried, outRetried, outRetried, outFailed},
-	})
-}
-
-// String names an outcome in a failed table comparison.
-func (o outcome) String() string {
-	return [...]string{"committed", "failed", "retried", "rescued", "demoted"}[o]
 }

@@ -9,6 +9,7 @@ import (
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
+	"statefulentities.dev/stateflow/internal/workload/tpcc"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
 
@@ -188,28 +189,27 @@ func TestFallbackDifferentialContendedState(t *testing.T) {
 
 // newBurstChain deploys the crash cases' scenario and starts it: a k-chain
 // of transfers submitted in one burst (TIDs permute under the link jitter;
-// the conflict graph is the chain either way) into 5 ms epochs with frequent
-// snapshots, from a retrying, delivery-counting client — a response whose
-// delivered-record synced right before a crash is suppressed by the replay
-// and must be solicited back from the egress buffer.
+// the conflict graph is the chain either way).
 func newBurstChain(t *testing.T, k int) (*sim.Cluster, *System, *countingClient) {
+	t.Helper()
+	return newBurst(t, bank, func(preload func(class string, args ...interp.Value)) {
+		for i := 0; i <= k; i++ {
+			preload("Account", interp.StrV(acct(i)), interp.IntV(100))
+		}
+	}, chainScript(k, 5, 0))
+}
+
+// newBurst deploys src with what load preloads and starts script against 5 ms
+// epochs with frequent snapshots, from a retrying, delivery-counting client —
+// a response whose delivered-record synced right before a crash is
+// suppressed by the replay and must be solicited back from the egress buffer.
+func newBurst(t *testing.T, src string, load func(preload func(class string, args ...interp.Value)), script []sysapi.Scheduled) (*sim.Cluster, *System, *countingClient) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.EpochInterval = 5 * time.Millisecond
 	cfg.SnapshotEvery = 2
-	prog, err := compiler.Compile(bank)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	cluster := sim.New(42)
-	sys := New(cluster, prog, cfg).Single()
-	for i := 0; i <= k; i++ {
-		if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
-			t.Fatalf("preload: %v", err)
-		}
-	}
-	sys.CheckpointPreloadedState()
-	inner := sysapi.NewScriptClient("client", sys, chainScript(k, 5, 0))
+	cluster, sys := deploy(t, src, cfg, load)
+	inner := sysapi.NewScriptClient("client", sys, script)
 	inner.RetryEvery = 20 * time.Millisecond
 	client := &countingClient{inner: inner, Deliveries: map[string]int{}}
 	cluster.Add("client", client)
@@ -217,22 +217,11 @@ func newBurstChain(t *testing.T, k int) (*sim.Cluster, *System, *countingClient)
 	return cluster, sys, client
 }
 
-// TestCoordinatorCrashMidFallback kills the coordinator while a fallback
-// chain is in flight — some members answered (their responses staged or
-// already released), the rest still executing or parked on the workers: the
-// reboot from the durable log must recover to a consistent decide — the
-// binding replay rebuilds what the released responses promised, the replay
-// re-runs the rest of the batch (fallback included), the delivered-buffer
-// suppresses duplicate responses, and the chain still commits with its
-// serial-order state intact.
-func TestCoordinatorCrashMidFallback(t *testing.T) {
-	const k = 16
-	cluster, sys, counting := newBurstChain(t, k)
-	client := counting.inner
-
-	// Step finely until the chain is mid-flight — some members' responses
-	// already released to the client, work still outstanding — then crash
-	// the coordinator.
+// crashCoordinatorMidChain steps finely until a chain is mid-flight — some
+// members' responses already released to the client, work still outstanding
+// — then takes the coordinator down for 30 ms and runs the recovery out.
+func crashCoordinatorMidChain(t *testing.T, cluster *sim.Cluster, sys *System) {
+	t.Helper()
 	released := func(st *epochState) (n int) {
 		for _, tid := range st.chain.Plan.Members {
 			if _, ok := sys.coord.journal.delivered[st.txn(tid).req.Req]; ok {
@@ -262,6 +251,21 @@ func TestCoordinatorCrashMidFallback(t *testing.T) {
 	if c.BindingReplays == 0 {
 		t.Fatal("no chain member's response was durable at the crash: the replay of a half-answered chain was never exercised")
 	}
+}
+
+// TestCoordinatorCrashMidFallback kills the coordinator while a fallback
+// chain is in flight — some members answered (their responses staged or
+// already released), the rest still executing or parked on the workers: the
+// reboot from the durable log must recover to a consistent decide — the
+// binding replay rebuilds what the released responses promised, the replay
+// re-runs the rest of the batch (fallback included), the delivered-buffer
+// suppresses duplicate responses, and the chain still commits with its
+// serial-order state intact.
+func TestCoordinatorCrashMidFallback(t *testing.T) {
+	const k = 16
+	cluster, sys, counting := newBurstChain(t, k)
+	client := counting.inner
+	crashCoordinatorMidChain(t, cluster, sys)
 	if client.Done != k {
 		t.Fatalf("responses: %d/%d", client.Done, k)
 	}
@@ -414,6 +418,59 @@ func TestHotKeyVirtualTimeBudget(t *testing.T) {
 	}
 	if c.FallbackChains == 0 || c.FallbackDriftDemotions != 0 {
 		t.Fatalf("%d chained epochs, %d drift demotions: every transfer's footprint is static, so every contended epoch should chain",
+			c.FallbackChains, c.FallbackDriftDemotions)
+	}
+	if lat.P99 > budget {
+		t.Fatalf("p99 %v at %d req/s, budget %v", lat.P99, rate, budget)
+	}
+}
+
+// TestDynamicFootprintVirtualTimeBudget holds the other kind of chain member
+// the way TestHotKeyVirtualTimeBudget holds the static one: TPC-C's
+// District.new_order takes its stock entities inside a list argument, so its
+// request does not give its footprint and a conflict-aborted order queues on
+// what its first execution observed. Two warehouses of two districts put
+// every order and payment on one of four districts and two warehouse rows:
+// open loop at 200 req/s for 10 virtual seconds most epochs abort somebody.
+// On the chain p99 stays near 0.4 s; one coordinator-mediated
+// prepare/vote/decide wave per district step would put it at 2.4 s.
+func TestDynamicFootprintVirtualTimeBudget(t *testing.T) {
+	const (
+		rate    = 200
+		horizon = 10 * time.Second
+		budget  = time.Second
+	)
+	prog, err := compiler.Compile(tpcc.Program())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if prog.RefClosed("District", "new_order") {
+		t.Fatal("new_order is ref-closed: the workload no longer has a dynamic footprint")
+	}
+	cluster := sim.New(1)
+	sys := New(cluster, prog, DefaultConfig()).Single()
+	scale := tpcc.Scale{Warehouses: 2, DistrictsPerWH: 2, CustomersPerDist: 10, Items: 50}
+	if err := scale.Load(func(class string, args []interp.Value) error {
+		return sys.PreloadEntity(class, args...)
+	}); err != nil {
+		t.Fatalf("preload: %v", err)
+	}
+	sys.CheckpointPreloadedState()
+	wgen := tpcc.NewGenerator(scale, 18, "q")
+	gen := sysapi.NewGenerator("client", sys, rate, horizon, horizon/10, wgen.Next)
+	cluster.Add("client", gen)
+	cluster.Start()
+	cluster.RunUntil(horizon + 20*time.Second)
+
+	c := sys.Coordinator()
+	lat := gen.Latency.Snapshot()
+	t.Logf("p50 %v p99 %v over %d transactions: %d epochs, %d chained, %d rounds, %d rescued, %d drifted",
+		lat.P50, lat.P99, gen.Done, c.EpochsClosed, c.FallbackChains, c.FallbackRounds, c.FallbackCommits, c.FallbackDriftDemotions)
+	if gen.Done != gen.Submitted || gen.Errors != 0 || c.Failures != 0 {
+		t.Fatalf("%d of %d answered, %d errors, %d failures", gen.Done, gen.Submitted, gen.Errors, c.Failures)
+	}
+	if c.FallbackChains == 0 || c.FallbackDriftDemotions != 0 {
+		t.Fatalf("%d chained epochs, %d drift demotions: an order's stock list does not depend on what it reads, so it chains and never drifts",
 			c.FallbackChains, c.FallbackDriftDemotions)
 	}
 	if lat.P99 > budget {

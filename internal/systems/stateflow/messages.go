@@ -9,12 +9,12 @@ import (
 
 // msgTxnEvent carries one dataflow event of a transaction between workers
 // (function-to-function communication over internal dataflow cycles, §3).
-// Round > 0 marks a fallback re-execution of a conflict-aborted
-// transaction; workers and coordinator drop events from a finished round
-// of the same epoch, so a delayed duplicate can never leak a stale
-// execution into a later round. Apply is set on the events of a global
-// batch's apply: the write-set entries still to install travel beside the
-// event instead of inside it (see applyHop).
+// Round 1 marks the chain's re-execution of a conflict-aborted transaction;
+// workers and coordinator drop events from the finished batch round of the
+// same epoch, so a delayed duplicate can never leak a stale execution into
+// the chain. Apply is set on the events of a global batch's apply: the
+// write-set entries still to install travel beside the event instead of
+// inside it (see applyHop).
 type msgTxnEvent struct {
 	TID   aria.TID
 	Epoch int64
@@ -37,40 +37,34 @@ type msgTxnFinished struct {
 // msgEpochTick closes the open batch.
 type msgEpochTick struct{ Epoch int64 }
 
-// msgPrepare starts validation on every worker: of the closed batch
-// (Round 0, Order is the full batch TID order) or of one fallback
-// re-execution round (Round ≥ 1, Order is that round's members).
+// msgPrepare starts validation of the closed batch on every worker (Order
+// is the full batch TID order). The chain is never validated.
 type msgPrepare struct {
 	Epoch int64
-	Round int
 	Order []aria.TID
 }
 
-// msgVote returns a worker's local aborts for the batch or for a
-// fallback round. With the fallback phase enabled, Sets additionally
-// carries the worker's local reservation sets: the batch vote (Round 0)
-// feeds the global footprints the fallback dependency graph
-// (aria.Fallback) is built from, and the round votes feed the
-// coordinator's cross-round footprint-drift check.
+// msgVote returns a worker's local aborts for the batch. With the fallback
+// phase enabled, Sets additionally carries the worker's local reservation
+// sets: what round 0 observed is what a conflict abort whose request does
+// not give its footprint queues on (see epochState.scheduleFallback).
 type msgVote struct {
 	Epoch  int64
-	Round  int
 	Aborts []aria.TID
 	Sets   map[aria.TID]*aria.RWSet
 }
 
 // msgDecide broadcasts the deterministic global decision for the batch
-// (Round 0) or for one fallback round. The round guard matters for the
-// apply: a delayed duplicate of an earlier round's decide must not wipe
-// the workspaces of the round currently in flight. Final marks the
-// epoch's last decide (no further fallback rounds will run): applying it
-// settles the epoch on the worker, which advances its applied high-water
-// mark and releases any buffered next-epoch events the pipelined
+// (Round 0) or closes the chain (Round 1). The round guard matters for the
+// apply: a delayed duplicate of the batch's decide must not wipe the
+// workspaces of the chain in flight. Final marks the epoch's last decide:
+// applying it settles the epoch on the worker, which advances its applied
+// high-water mark and releases any buffered next-epoch events the pipelined
 // coordinator dispatched during the commit phase. Aborts is in TID order,
-// like Order. Chain, on a batch decide (Round 0), says the epoch's conflict
-// aborts re-execute as a chain — one more round, gated on the workers by the
-// plan's per-entity queues, with no prepare/vote wave (see aria.ChainPlan);
-// the plan is immutable and shared by every receiver.
+// like Order. Chain, on a batch decide that is not final, is the schedule
+// the epoch's conflict aborts re-execute by — one more round, gated on the
+// workers by the plan's per-entity queues, with no prepare/vote wave (see
+// aria.ChainPlan); the plan is immutable and shared by every receiver.
 type msgDecide struct {
 	Epoch  int64
 	Round  int
@@ -81,18 +75,21 @@ type msgDecide struct {
 }
 
 // msgChainRelease tells a worker that a chain member it owns part of the
-// footprint of has finished on another worker: install its workspace
-// (Commit) or drop it (application error), take it out of the entity queues
-// and run what was parked behind it. Sent once per member to each other
-// owner by the worker that produced the member's root response.
+// footprint of is done on another worker: install its workspace (Commit) or
+// drop it (application error, drift), take it out of the entity queues and
+// run what was parked behind it. Sent once per member to each other owner by
+// the worker that produced the member's root response — or that refused it
+// an event on an entity it is not queued on. That worker also sends one to
+// the coordinator, where it is the drift report: the member left the chain
+// with nothing installed and retries in the next batch.
 type msgChainRelease struct {
 	Epoch  int64
 	TID    aria.TID
 	Commit bool
 }
 
-// msgApplied acknowledges that a worker installed the batch's (or one
-// fallback round's) writes.
+// msgApplied acknowledges that a worker installed the batch's writes (or
+// closed the chain).
 type msgApplied struct {
 	Epoch int64
 	Round int

@@ -52,23 +52,40 @@ type fixture struct {
 
 func newFixture(t *testing.T, cfg Config, accounts int, script []sysapi.Scheduled) *fixture {
 	t.Helper()
-	prog, err := compiler.Compile(bank)
+	return newProgFixture(t, bank, cfg, func(preload func(class string, args ...interp.Value)) {
+		for i := 0; i < accounts; i++ {
+			preload("Account", interp.StrV(acct(i)), interp.IntV(100))
+		}
+	}, script)
+}
+
+// newProgFixture deploys src (see deploy) and starts a script client.
+func newProgFixture(t *testing.T, src string, cfg Config, load func(preload func(class string, args ...interp.Value)), script []sysapi.Scheduled) *fixture {
+	t.Helper()
+	cluster, sys := deploy(t, src, cfg, load)
+	client := sysapi.NewScriptClient("client", sys, script)
+	cluster.Add("client", client)
+	cluster.Start()
+	return &fixture{cluster: cluster, sys: sys, client: client}
+}
+
+// deploy compiles src onto one coordinator group of a fresh cluster, preloads
+// what load asks for and checkpoints it.
+func deploy(t *testing.T, src string, cfg Config, load func(preload func(class string, args ...interp.Value))) (*sim.Cluster, *System) {
+	t.Helper()
+	prog, err := compiler.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	cluster := sim.New(42)
 	sys := New(cluster, prog, cfg).Single()
-	for i := 0; i < accounts; i++ {
-		if err := sys.PreloadEntity("Account",
-			interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+	load(func(class string, args ...interp.Value) {
+		if err := sys.PreloadEntity(class, args...); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
-	}
+	})
 	sys.CheckpointPreloadedState()
-	client := sysapi.NewScriptClient("client", sys, script)
-	cluster.Add("client", client)
-	cluster.Start()
-	return &fixture{cluster: cluster, sys: sys, client: client}
+	return cluster, sys
 }
 
 func acct(i int) string { return fmt.Sprintf("acct-%03d", i) }

@@ -63,19 +63,18 @@ type Config struct {
 	SnapshotRetain int
 	// DisableFallback turns off Aria's deterministic fallback phase.
 	// With the fallback on (the default), conflict-aborted transactions
-	// re-execute inside the same batch — as a per-entity ordered chain when
-	// every abort's footprint is static, in deterministic barrier rounds
-	// otherwise (see epoch.go) — so a pure conflict chain (t1: A→B, t2:
-	// B→C, …) commits in full in one batch. Disabled, they are re-queued
-	// into the next batch (the legacy one-commit-per-chain-per-batch
-	// behavior, kept for A/B benchmarking).
+	// re-execute inside the same batch as a per-entity ordered chain (see
+	// epoch.go), so a pure conflict chain (t1: A→B, t2: B→C, …) commits in
+	// full in one batch. Disabled, they are re-queued into the next batch
+	// (the legacy one-commit-per-chain-per-batch behavior, kept for A/B
+	// benchmarking).
 	DisableFallback bool
 	// FallbackRoundBudget caps the fallback re-execution one epoch may
-	// run: the rounds of a round schedule, the depth (longest per-entity
-	// dependency) of a chain. The members past the cap spill TID-ordered
-	// into the next batch's retry queue, so one pathological conflict
-	// chain cannot stall the epoch pipeline behind an O(chain) sequence.
-	// 0: unbounded (the fallback always drains within the batch).
+	// run: the depth (longest per-entity dependency) of its chain. The
+	// members past the cap spill TID-ordered into the next batch's retry
+	// queue, so one pathological conflict chain cannot stall the epoch
+	// pipeline behind an O(chain) sequence. 0: unbounded (the fallback
+	// always drains within the batch).
 	FallbackRoundBudget int
 	// DisablePipelining forces the serial epoch schedule: the coordinator
 	// fully settles epoch N (validate, fallback, apply, group commit,
@@ -112,7 +111,7 @@ type Config struct {
 	// the zero value is the shipped behavior.
 	Reinject Reinject
 	// Tracer, when non-nil, records per-phase transaction spans (ingress
-	// queueing, execution, validation, fallback rounds, group-commit
+	// queueing, execution, validation, the fallback chain, group-commit
 	// fsync, fence windows) in virtual time. Deterministically inert: the
 	// instrumentation only reads the clock and never touches the
 	// simulation RNG or charges CPU, so a traced run's transcript is
@@ -130,10 +129,10 @@ type Config struct {
 // through an option whose parameter is this internal type, so an importer
 // of the module cannot name it.
 type Reinject struct {
-	// FallbackDrift disables the fallback phase's cross-round
-	// footprint-drift check, restoring the historical behavior in which a
-	// re-execution whose footprint drifted into conflict with a
-	// later-round, lower-TID member still committed early.
+	// FallbackDrift disables the fallback chain's drift rule: an event of
+	// a re-execution that reaches an entity its transaction is not queued
+	// on runs anyway, ungated, and its write is installed with no order
+	// against the members that are.
 	FallbackDrift bool
 	// ReplayOrder disables the recovery binding-prefix replay, restoring
 	// the historical recovery in which released responses' transactions

@@ -28,18 +28,17 @@ import (
 )
 
 // workerEpoch is one epoch's execution state on this worker: its live
-// workspaces and its fallback-round high-water mark (0: the batch's first
-// execution). A delayed or duplicated prepare/decide/event from a
-// finished round must be dropped — a stale decide would otherwise wipe
-// the current round's in-flight workspaces.
+// workspaces and its round high-water mark (0: the batch's first
+// execution, 1: the chain). A delayed or duplicated prepare/decide/event
+// from the finished batch round must be dropped — a stale decide would
+// otherwise wipe the chain's in-flight workspaces.
 type workerEpoch struct {
 	workspaces map[aria.TID]*aria.Workspace
 	round      int
-	// plan is set by a batch decide whose fallback schedule is a chain (see
-	// aria.ChainPlan): the epoch's re-executions are then gated by per-entity
-	// TID queues instead of running as barrier rounds. chain is this worker's
-	// part in it, made on first use — most workers see only a few members of
-	// a chain, many none.
+	// plan is set by a batch decide that schedules a fallback (see
+	// aria.ChainPlan): the epoch's re-executions are gated by its per-entity
+	// TID queues. chain is this worker's part in it, made on first use — most
+	// workers see only a few members of a chain, many none.
 	plan  *aria.ChainPlan
 	chain *workerChain
 }
@@ -123,7 +122,7 @@ func workerID(prefix string, idx int) string { return fmt.Sprintf("%sworker-%d",
 // liveEpoch returns (creating if needed) the execution state of the epoch
 // a coordination message belongs to, advanced to the message's round — or
 // nil when the message is stale: from a settled epoch, a batch discarded by
-// recovery, or a finished fallback round of a live epoch. A delayed or
+// recovery, or the finished batch round of a live epoch. A delayed or
 // duplicated copy must be dropped, not processed: a stale decide would wipe
 // the in-flight workspaces of the next epoch or round, tearing any split
 // transaction already running. (An event from a discarded epoch above the
@@ -278,15 +277,12 @@ func (w *Worker) applyGlobal(ws *aria.Workspace, ev *core.Event, hop *applyHop) 
 	}}, &applyHop{seq: hop.seq, rest: rest}
 }
 
-// onPrepare validates local reservations for the batch — or for one
-// fallback re-execution round — (Aria's conflict rules) and votes. With
-// the fallback phase enabled every vote also ships the local reservation
-// sets: the batch vote feeds the global fallback dependency graph, and
-// the round votes feed the coordinator's cross-round footprint-drift
-// check (a re-execution's observed footprint can differ from the
-// declared one the schedule was computed from).
+// onPrepare validates local reservations for the batch (Aria's conflict
+// rules) and votes. With the fallback phase enabled the vote also ships the
+// local reservation sets: what the first execution observed is the footprint
+// a conflict abort queues on when its request does not give one.
 func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
-	ep := w.liveEpoch(m.Epoch, m.Round)
+	ep := w.liveEpoch(m.Epoch, 0)
 	if ep == nil {
 		return
 	}
@@ -299,7 +295,7 @@ func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
 	}
 	aborts := aria.Validate(m.Order, sets)
 	work := time.Duration(len(ep.workspaces)) * costs.CommitCPU
-	vote := msgVote{Epoch: m.Epoch, Round: m.Round, Aborts: aborts}
+	vote := msgVote{Epoch: m.Epoch, Aborts: aborts}
 	if !w.sys.cfg.DisableFallback {
 		// The extra fallback pass is priced per shipped reservation set:
 		// serializing the footprints is work the legacy protocol never
@@ -315,8 +311,12 @@ func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
 // admitChained gates one event of a chained re-execution: it may run only
 // when its transaction heads the target entity's queue, so it reads exactly
 // what every lower-TID member queued on that entity left behind. Returns the
-// transaction's chain position, or -1 when the event must not run now: it
-// parks until the releases ahead of it arrive (see settleChained).
+// transaction's chain position, or -1 when the event must not run: now — it
+// parks until the releases ahead of it arrive (see settleChained) — or ever,
+// because its target is not in the member's queued footprint. That is the
+// chain's one drift rule, and isolation rests on it: nobody ordered the
+// member against the others on that entity, so the member leaves the chain
+// (see driftChained).
 func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) (member int) {
 	member, ok := ep.plan.Pos(m.TID)
 	if !ok {
@@ -324,9 +324,11 @@ func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) 
 	}
 	e := ep.plan.Entity(member, m.Ev.Target)
 	if e < 0 {
-		// Only a wrong ir.Program.RefClosed gets here, and the chain's
-		// isolation rests on it: fail loudly, not by a stalled epoch.
-		panic(fmt.Sprintf("stateflow: chained transaction %d reached %s, outside its static footprint", m.TID, m.Ev.Target))
+		if w.sys.cfg.Reinject.FallbackDrift {
+			return member // test hook: run the drifted event ungated
+		}
+		w.driftChained(ctx, ep, m, member)
+		return -1
 	}
 	ch := ep.progress()
 	if ch.Head(e) != member {
@@ -350,9 +352,22 @@ func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) 
 	return member
 }
 
-// finishChained runs where a chain member's root response was produced: the
-// member is done, so every owner of its footprint may settle it. The other
-// owners learn it from one release each; this worker settles it here.
+// driftChained takes a chain member whose event m reached an entity outside
+// its queued footprint out of the chain: the event does not run, every owner
+// of the footprint drops the member's workspace and lets its successors by,
+// and the coordinator is told to retry it in the next batch.
+func (w *Worker) driftChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent, member int) {
+	w.sys.cfg.Flight.Recordf(ctx.Now(), w.id, "fallback.drift", "epoch %d: transaction %d reached %s, outside its queued footprint",
+		m.Epoch, m.TID, m.Ev.Target)
+	ctx.Send(w.sys.coordID, msgChainRelease{Epoch: m.Epoch, TID: m.TID},
+		w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	w.finishChained(ctx, ep, m.Epoch, member, false)
+}
+
+// finishChained runs where a chain member's root response was produced (or
+// its drift noticed): the member is done, so every owner of its footprint may
+// settle it. The other owners learn it from one release each; this worker
+// settles it here.
 func (w *Worker) finishChained(ctx *sim.Context, ep *workerEpoch, epoch int64, member int, commit bool) {
 	var release sim.Message // boxed once for all receivers
 	var told [4]string
@@ -385,9 +400,9 @@ func (w *Worker) onChainRelease(ctx *sim.Context, m msgChainRelease) {
 }
 
 // settleChained settles a finished chain member on this worker: its
-// workspace is installed (or, on an application error, dropped), it leaves
-// every queue it is in — from wherever it stands — and whatever was parked
-// directly behind it runs. A repeated release is a no-op.
+// workspace is installed (or, on an application error or a drift, dropped),
+// it leaves every queue it is in — from wherever it stands — and whatever was
+// parked directly behind it runs. A repeated release is a no-op.
 func (w *Worker) settleChained(ctx *sim.Context, ep *workerEpoch, member int, commit bool) {
 	ch := ep.progress()
 	if !ch.Release(member) {
@@ -423,8 +438,8 @@ func (w *Worker) install(ctx *sim.Context, ws *aria.Workspace) {
 }
 
 // onDecide applies committed workspaces in TID order and discards the
-// rest. A batch decide may carry a chain plan: the epoch's re-executions
-// then run gated by it. A final decide settles the epoch: the applied
+// rest. A batch decide that is not final carries the chain plan the epoch's
+// re-executions run gated by. A final decide settles the epoch: the applied
 // high-water mark advances and any buffered successor-epoch events execute
 // now, against exactly the committed prefix they were waiting for. (The
 // final decide of a chain finds only the workspaces whose release is still

@@ -153,6 +153,15 @@ func (rw *RWSet) Merge(o *RWSet) {
 	}
 }
 
+// Keys appends the entities the set reserves anything on to buf, in
+// first-touch order.
+func (rw *RWSet) Keys(buf []ResKey) []ResKey {
+	for i := range rw.entries {
+		buf = append(buf, rw.entries[i].key)
+	}
+	return buf
+}
+
 // wsEntry is one entity inside a workspace — its interp.State view, its
 // committed image and, once written, its buffered working copy. It
 // implements the slot fast path so slot-stamped attribute access records

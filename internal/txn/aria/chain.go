@@ -6,16 +6,18 @@ import (
 	"statefulentities.dev/stateflow/internal/interp"
 )
 
-// ChainPlan is the fallback schedule for conflict aborts whose footprints
-// are static: known from the request alone, as a set of entities, before
-// the re-execution runs. Instead of layering the aborts into barrier rounds
-// (Fallback), every member is queued — in TID order — on each entity of its
-// footprint, and a member's event on an entity may run once the member heads
-// that entity's queue (Calvin's ordered locks, per entity). Every queue is in
-// TID order, so a member only ever waits for lower TIDs: the wait-for graph
-// cannot cycle, and each entity's conflicts commit in TID order. Footprints
-// are whole entities, a superset of anything a member can touch, so there is
-// no drift for a later validation to catch.
+// ChainPlan is the fallback schedule for a batch's conflict aborts, each with
+// a footprint known — as a set of entities — before the re-execution runs.
+// Instead of layering the aborts into barrier rounds (Fallback), every member
+// is queued — in TID order — on each entity of its footprint, and a member's
+// event on an entity may run once the member heads that entity's queue
+// (Calvin's ordered locks, per entity). Every queue is in TID order, so a
+// member only ever waits for lower TIDs: the wait-for graph cannot cycle, and
+// each entity's conflicts commit in TID order. Footprints are whole entities.
+// One that is a superset of anything the member can touch leaves nothing for
+// a later validation to catch; one that is only what a first execution
+// touched holds as long as the re-execution stays inside it, which whoever
+// runs the events checks with Entity.
 //
 // A plan is immutable once built: the coordinator ships one pointer to every
 // worker, and each party tracks its own progress through it in a Chain.
@@ -134,8 +136,8 @@ func (p *ChainPlan) Pos(tid TID) (m int, ok bool) { return slices.BinarySearch(p
 // Footprint lists the entities member m is queued on.
 func (p *ChainPlan) Footprint(m int) []int32 { return p.foot[p.footAt[m]:p.footAt[m+1]] }
 
-// Entity returns which entity of member m's footprint ref is (-1: none — the
-// footprint was not a superset after all).
+// Entity returns which entity of member m's footprint ref is (-1: none — m is
+// not queued on ref).
 func (p *ChainPlan) Entity(m int, ref interp.EntityRef) int32 {
 	for _, e := range p.Footprint(m) {
 		if p.Refs[e] == ref {

@@ -187,14 +187,17 @@ func (g *Generator) Next(i int) sysapi.Request {
 	c := g.rng.Intn(g.scale.CustomersPerDist)
 	target := interp.EntityRef{Class: "District", Key: DistrictKey(w, d)}
 	if g.rng.Intn(100) < 45 {
-		// NewOrder: 2-5 distinct items.
+		// NewOrder: 2-5 distinct items, listed in draw order (ranging over
+		// a set would make the request stream differ from run to run).
 		n := 2 + g.rng.Intn(4)
-		items := map[int]bool{}
-		for len(items) < n {
-			items[g.rng.Intn(g.scale.Items)] = true
-		}
+		seen := map[int]bool{}
 		var stocks, qtys []interp.Value
-		for it := range items {
+		for len(stocks) < n {
+			it := g.rng.Intn(g.scale.Items)
+			if seen[it] {
+				continue
+			}
+			seen[it] = true
 			stocks = append(stocks, interp.RefV("Stock", StockKey(w, it)))
 			qtys = append(qtys, interp.IntV(int64(1+g.rng.Intn(5))))
 		}

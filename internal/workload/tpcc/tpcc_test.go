@@ -128,6 +128,10 @@ func TestGeneratorDeterministicAndWellFormed(t *testing.T) {
 		if a.Req != b.Req || a.Method != b.Method || a.Target != b.Target {
 			t.Fatal("generator not deterministic")
 		}
+		// Arguments included: an order's lines come in draw order.
+		if ra, rb := interp.ListV(a.Args...).Repr(), interp.ListV(b.Args...).Repr(); ra != rb {
+			t.Fatalf("request %d: same seed rendered %s, then %s", i, ra, rb)
+		}
 		if a.Method == "new_order" {
 			stocks := a.Args[2].L.Elems
 			qtys := a.Args[3].L.Elems

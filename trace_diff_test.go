@@ -176,7 +176,7 @@ func TestFallbackChainTraceCoverage(t *testing.T) {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	for _, want := range []string{`"name":"fallback.round"`, `"chain":"1"`, `"depth":`, `"members":`, `"name":"chain.wait"`} {
+	for _, want := range []string{`"name":"fallback.round"`, `"chain":"1"`, `"depth":`, `"members":`, `"drifted":"0"`, `"name":"chain.wait"`} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("chained run's trace has no %s (spans: %v)", want, tr.SpanNames())
 		}
