@@ -37,17 +37,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"statefulentities.dev/stateflow"
+	"statefulentities.dev/stateflow/internal/bench"
 	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/chaos/oracle"
 	adversarial "statefulentities.dev/stateflow/internal/chaos/workload"
 	"statefulentities.dev/stateflow/internal/obs"
-	"statefulentities.dev/stateflow/internal/sim"
 	sfsys "statefulentities.dev/stateflow/internal/systems/stateflow"
-	"statefulentities.dev/stateflow/internal/systems/statefun"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
@@ -106,7 +106,33 @@ func main() {
 		runClient("live runtime (8 workers)", stateflow.NewLiveClient(prog, stateflow.LiveConfig{Workers: 8}),
 			16, wgen, *records, *rate, *duration)
 	case "stateflow", "statefun":
-		runSim(*backend, prog, wgen, *records, *rate, *duration, *seed, *chaosSeed, *maxBatch, *noFallback, *noPipelining, *shards, *tracePath)
+		var tracer *obs.Tracer
+		if *tracePath != "" {
+			if *backend != "stateflow" {
+				check(fmt.Errorf("-trace needs the stateflow backend (tracing instruments the transactional protocol), got %q", *backend))
+			}
+			tracer = obs.NewTracer()
+		}
+		h, err := bench.Deploy(bench.Deployment{Seed: *seed, System: *backend, Program: prog, Config: func(cfg *sfsys.Config) {
+			cfg.MaxBatch = *maxBatch
+			cfg.DisableFallback = *noFallback
+			cfg.DisablePipelining = *noPipelining
+			cfg.Tracer = tracer
+			if *chaosSeed != 0 {
+				cfg.SnapshotEvery = 20 // give recovery real snapshots to roll back to
+			}
+			cfg.Shards = *shards
+		}})
+		check(err)
+		check(h.Preload(*records, ycsb.Loader(*records, 1000)))
+		runSim(h, *backend, wgen, *rate, *duration, *chaosSeed)
+		if tracer != nil {
+			f, err := os.Create(*tracePath)
+			check(err)
+			check(tracer.WriteJSON(f))
+			check(f.Close())
+			fmt.Printf("trace: %d events written to %s (open in Perfetto or chrome://tracing)\n", tracer.Len(), *tracePath)
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "stateflow-run: unknown backend %q\n", *backend)
 		os.Exit(2)
@@ -169,111 +195,32 @@ func reqSafe(wgen *ycsb.Generator, i int, mu *sync.Mutex) sysapi.Request {
 	return wgen.Next(i)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// runSim executes the workload on a simulated distributed deployment with
-// an open-loop generator (arrivals do not wait for responses), optionally
-// under a seeded fault plan.
-func runSim(backend string, prog *stateflow.Program, wgen *ycsb.Generator, records int, rate float64, duration time.Duration, seed, chaosSeed int64, maxBatch int, noFallback, noPipelining bool, shards int, tracePath string) {
-	var tracer *obs.Tracer
-	if tracePath != "" {
-		if backend != "stateflow" {
-			check(fmt.Errorf("-trace needs the stateflow backend (tracing instruments the transactional protocol), got %q", backend))
-		}
-		tracer = obs.NewTracer()
-	}
-	cluster := sim.New(seed)
-	flight := obs.NewFlightRecorder(0)
-	cluster.SetFlightRecorder(flight)
-	var sys sysapi.Backend
-	var sf *sfsys.System
-	var sh *sfsys.ShardedSystem
-	if backend == "stateflow" {
-		cfg := sfsys.DefaultConfig()
-		cfg.MaxBatch = maxBatch
-		cfg.DisableFallback = noFallback
-		cfg.DisablePipelining = noPipelining
-		cfg.Tracer = tracer
-		cfg.Flight = flight
-		if chaosSeed != 0 {
-			cfg.SnapshotEvery = 20 // give recovery real snapshots to roll back to
-		}
-		cfg.Shards = shards
-		dep := sfsys.New(cluster, prog, cfg)
-		if dep.Sequencer() != nil {
-			sh = dep
-			sys = sh
-		} else {
-			sf = dep.Single()
-			sys = sf
-		}
-	} else {
-		sys = statefun.New(cluster, prog, statefun.DefaultConfig())
-	}
-	load := ycsb.Loader(records, 1000)
-	for i := 0; i < records; i++ {
-		class, args := load(i)
-		check(sys.PreloadEntity(class, args...))
-	}
+// runSim drives the deployed, preloaded backend with an open-loop
+// generator (arrivals do not wait for responses), optionally under a
+// seeded fault plan, and prints what the clients and the runtime counted.
+func runSim(h *bench.Harness, backend string, wgen *ycsb.Generator, rate float64, duration time.Duration, chaosSeed int64) {
 	var eng *chaos.Engine
 	if chaosSeed != 0 {
 		plan := chaos.FromSeed(chaosSeed, duration)
 		fmt.Printf("chaos: %s\n", plan)
-		eng = chaos.Install(cluster, sys.ChaosTopology(), plan)
+		eng = chaos.Install(h.Cluster, h.Backend.ChaosTopology(), plan)
 	}
-	gen := sysapi.NewGenerator("client", sys, rate, duration, duration/10, wgen.Next)
+	gen := h.Generate(rate, duration, duration/10, wgen.Next)
 	if chaosSeed != 0 {
 		// Under client-edge faults (drops, ingress downtime) the open-loop
 		// clients must retransmit or lost requests stay lost.
 		gen.RetryEvery = 50 * time.Millisecond
 	}
-	cluster.Add("client", gen)
-	if sf != nil {
-		sf.CheckpointPreloadedState()
-	}
-	if sh != nil {
-		sh.CheckpointPreloadedState()
-	}
-	cluster.Start()
 	start := time.Now()
-	cluster.RunUntil(duration + 10*time.Second)
+	h.Run(duration + 10*time.Second)
 	fmt.Printf("%s: %d submitted, %d completed, %d errors over %s virtual time (%s real)\n",
 		backend, gen.Submitted, gen.Done, gen.Errors, duration, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("end-to-end latency: %s\n", gen.Latency.Snapshot())
 	for kind, s := range gen.PerKind {
 		fmt.Printf("  %-9s %s\n", kind+":", s.Snapshot())
 	}
-	if sf != nil {
-		c := sf.Coordinator()
-		fmt.Printf("transactions: %d committed, %d aborted (retried), %d failed, %d epochs, %d recoveries (%d coordinator reboots, %d egress replays)\n",
-			c.Commits, c.Aborts, c.Failures, c.EpochsClosed, c.Recoveries, c.Restarts, c.Replays)
-		fmt.Printf("fallback phase: %d rounds (%d epochs chained), %d rescued commits\n",
-			c.FallbackRounds, c.FallbackChains, c.FallbackCommits)
-		ls := sf.Dlog.Stats()
-		fmt.Printf("durable log: %d appends (%d B), %d syncs, %d checkpoints (%d records compacted), %d torn tails discarded\n",
-			ls.Appends, ls.AppendedBytes, ls.Syncs, ls.Checkpoints, ls.Compacted, ls.TornTails)
-	}
-	if sh != nil {
-		q := sh.Sequencer()
-		fmt.Printf("sharded routing: %d single-shard forwards, %d global transactions in %d batches\n",
-			q.SingleShard, q.GlobalTxns, q.GlobalBatches)
-		for i, shard := range sh.Shards() {
-			c := shard.Coordinator()
-			fmt.Printf("  shard %d: %d committed, %d aborted, %d epochs, %d recoveries (%d reboots), %d fences, %d applies\n",
-				i, c.Commits, c.Aborts, c.EpochsClosed, c.Recoveries, c.Restarts, c.GlobalFences, c.GlobalApplies)
-		}
-	}
-	if tracer != nil {
-		f, err := os.Create(tracePath)
-		check(err)
-		check(tracer.WriteJSON(f))
-		check(f.Close())
-		fmt.Printf("trace: %d events written to %s (open in Perfetto or chrome://tracing)\n", tracer.Len(), tracePath)
+	if h.SF != nil {
+		printStateFlow(h.SF)
 	}
 	if eng != nil {
 		st := eng.Stats()
@@ -282,6 +229,33 @@ func runSim(backend string, prog *stateflow.Program, wgen *ycsb.Generator, recor
 		for _, cl := range st.Clamped {
 			fmt.Printf("  clamped: %s\n", cl)
 		}
+	}
+}
+
+// printStateFlow prints the runtime's own counters: one block for the
+// classic topology, the routing split plus a block per shard behind a
+// sequencer.
+func printStateFlow(sf *sfsys.ShardedSystem) {
+	q := sf.Sequencer()
+	if q == nil {
+		sh := sf.Shards()[0]
+		c, ls := sh.Coordinator(), sh.Dlog.Stats()
+		fmt.Printf("transactions: %d committed, %d aborted (retried), %d failed, %d epochs, %d recoveries (%d coordinator reboots, %d egress replays)\n",
+			c.Commits, c.Aborts, c.Failures, c.EpochsClosed, c.Recoveries, c.Restarts, c.Replays)
+		fmt.Printf("fallback phase: %d rounds (%d epochs chained), %d rescued commits\n",
+			c.FallbackRounds, c.FallbackChains, c.FallbackCommits)
+		fmt.Printf("durable log: %d appends (%d B), %d syncs, %d checkpoints (%d records compacted), %d torn tails discarded\n",
+			ls.Appends, ls.AppendedBytes, ls.Syncs, ls.Checkpoints, ls.Compacted, ls.TornTails)
+		return
+	}
+	fmt.Printf("sharded routing: %d single-shard forwards, %d global transactions in %d batches\n",
+		q.SingleShard, q.GlobalTxns, q.GlobalBatches)
+	for i, sh := range sf.Shards() {
+		c, ls := sh.Coordinator(), sh.Dlog.Stats()
+		fmt.Printf("  shard %d: %d committed, %d aborted, %d epochs, %d recoveries (%d reboots), %d fences, %d applies\n",
+			i, c.Commits, c.Aborts, c.EpochsClosed, c.Recoveries, c.Restarts, c.GlobalFences, c.GlobalApplies)
+		fmt.Printf("    durable log: %d appends, %d syncs, %d checkpoints, %d torn tails discarded\n",
+			ls.Appends, ls.Syncs, ls.Checkpoints, ls.TornTails)
 	}
 }
 
@@ -302,11 +276,7 @@ func runLin(profile, backend string, seed int64, noFallback, noPipelining bool, 
 		check(fmt.Errorf("-lin needs a simulated backend (stateflow or statefun), got %q", backend))
 	}
 	p := adversarial.Profile(profile)
-	known := false
-	for _, k := range adversarial.Profiles {
-		known = known || k == p
-	}
-	if !known {
+	if !slices.Contains(adversarial.Profiles, p) {
 		check(fmt.Errorf("unknown -lin profile %q (want one of %v)", profile, adversarial.Profiles))
 	}
 	cfg := oracle.DefaultConfig()

@@ -14,55 +14,22 @@ import (
 	"fmt"
 	"time"
 
-	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/stateflow"
-	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
 
-// AblationRow is one measured ablation point.
+// AblationRow is one measured ablation point: the swept parameter's value
+// and the StateFlow run point measured at it.
 type AblationRow struct {
-	Param   string
-	Value   string
-	P50     time.Duration
-	P99     time.Duration
-	Aborts  int
-	Commits int
-	Errors  int
+	Param, Value string
+	RunPoint
 }
 
-// runStateFlowPoint runs one StateFlow configuration and collects stats.
-func runStateFlowPoint(cfg stateflow.Config, mix ycsb.Mix, dist string, rate float64, opt Options) (AblationRow, error) {
-	prog, err := compileProgram()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	cluster := sim.New(opt.Seed)
-	sys := stateflow.New(cluster, prog, cfg)
-	load := ycsb.Loader(opt.Records, opt.PayloadBytes)
-	for i := 0; i < opt.Records; i++ {
-		class, args := load(i)
-		if err := sys.PreloadEntity(class, args...); err != nil {
-			return AblationRow{}, err
-		}
-	}
-	chooser, err := ycsb.ChooserByName(dist, opt.Records)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	wgen := ycsb.NewGenerator(mix, chooser, opt.Records, opt.Seed+17, "q")
-	gen := sysapi.NewGenerator("client", sys, rate, opt.Duration, opt.WarmUp, wgen.Next)
-	cluster.Add("client", gen)
-	cluster.Start()
-	cluster.RunUntil(opt.Duration + 10*time.Second)
-	st := gen.Latency.Snapshot()
-	return AblationRow{
-		P50:     st.P50,
-		P99:     st.P99,
-		Aborts:  sys.Coordinator().Aborts,
-		Commits: sys.Coordinator().Commits,
-		Errors:  gen.Errors,
-	}, nil
+// ablationPoint runs one StateFlow configuration — the defaults as edited
+// by configure, not the options' schedule flags — and labels the row.
+func ablationPoint(param, value string, configure func(*stateflow.Config), mix ycsb.Mix, dist string, rate float64, opt Options) (AblationRow, error) {
+	pt, err := runOne("stateflow", configure, mix, dist, rate, opt)
+	return AblationRow{Param: param, Value: value, RunPoint: pt}, err
 }
 
 // RunEpochAblation sweeps the Aria batch interval on workload T.
@@ -75,13 +42,11 @@ func RunEpochAblation(opt Options, epochs []time.Duration) ([]AblationRow, error
 	}
 	var out []AblationRow
 	for _, e := range epochs {
-		cfg := stateflow.DefaultConfig()
-		cfg.EpochInterval = e
-		row, err := runStateFlowPoint(cfg, ycsb.WorkloadT, "zipfian", 100, opt)
+		row, err := ablationPoint("epoch", e.String(),
+			func(cfg *stateflow.Config) { cfg.EpochInterval = e }, ycsb.WorkloadT, "zipfian", 100, opt)
 		if err != nil {
 			return nil, err
 		}
-		row.Param, row.Value = "epoch", e.String()
 		out = append(out, row)
 	}
 	return out, nil
@@ -97,13 +62,11 @@ func RunWorkerAblation(opt Options, workers []int) ([]AblationRow, error) {
 	}
 	var out []AblationRow
 	for _, w := range workers {
-		cfg := stateflow.DefaultConfig()
-		cfg.Workers = w
-		row, err := runStateFlowPoint(cfg, ycsb.WorkloadM, "uniform", 2000, opt)
+		row, err := ablationPoint("workers", fmt.Sprint(w),
+			func(cfg *stateflow.Config) { cfg.Workers = w }, ycsb.WorkloadM, "uniform", 2000, opt)
 		if err != nil {
 			return nil, err
 		}
-		row.Param, row.Value = "workers", fmt.Sprint(w)
 		out = append(out, row)
 	}
 	return out, nil
@@ -119,13 +82,11 @@ func RunContentionAblation(opt Options, records []int) ([]AblationRow, error) {
 	for _, r := range records {
 		o := opt
 		o.Records = r
-		cfg := stateflow.DefaultConfig()
-		cfg.EpochInterval = opt.Epoch
-		row, err := runStateFlowPoint(cfg, ycsb.WorkloadT, "zipfian", 200, o)
+		row, err := ablationPoint("records", fmt.Sprint(r),
+			func(cfg *stateflow.Config) { cfg.EpochInterval = opt.Epoch }, ycsb.WorkloadT, "zipfian", 200, o)
 		if err != nil {
 			return nil, err
 		}
-		row.Param, row.Value = "records", fmt.Sprint(r)
 		out = append(out, row)
 	}
 	return out, nil

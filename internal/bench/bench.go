@@ -12,13 +12,9 @@ import (
 	"fmt"
 	"time"
 
-	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/obs"
-	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/stateflow"
-	"statefulentities.dev/stateflow/internal/systems/statefun"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
@@ -53,9 +49,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// compileProgram compiles the YCSB entity program once per run.
-func compileProgram() (*ir.Program, error) {
-	return compiler.Compile(ycsb.Program())
+// configure applies the options every paper-figure run honours.
+func (o Options) configure(cfg *stateflow.Config) {
+	cfg.EpochInterval = o.Epoch
+	cfg.DisableFallback = o.NoFallback
+	cfg.DisablePipelining = o.NoPipelining
 }
 
 // RunPoint is one measured configuration.
@@ -69,61 +67,32 @@ type RunPoint struct {
 	Samples        int
 	Errors         int
 	Aborts         int // StateFlow only: Aria conflict aborts
+	Commits        int // StateFlow only
 	Done           int
 }
 
 // runOne deploys one system, drives one workload point, and collects
 // latency stats.
-func runOne(system string, mix ycsb.Mix, dist string, rate float64, opt Options) (RunPoint, error) {
-	prog, err := compileProgram()
+func runOne(system string, configure func(*stateflow.Config), mix ycsb.Mix, dist string, rate float64, opt Options) (RunPoint, error) {
+	h, err := Deploy(Deployment{Seed: opt.Seed, System: system, Config: configure})
 	if err != nil {
 		return RunPoint{}, err
 	}
-	cluster := sim.New(opt.Seed)
-
-	var sys sysapi.Backend
-	var sfSys *stateflow.System
-	switch system {
-	case "stateflow":
-		cfg := stateflow.DefaultConfig()
-		cfg.EpochInterval = opt.Epoch
-		cfg.DisableFallback = opt.NoFallback
-		cfg.DisablePipelining = opt.NoPipelining
-		sfSys = stateflow.New(cluster, prog, cfg).Single()
-		sys = sfSys
-	case "statefun":
-		sys = statefun.New(cluster, prog, statefun.DefaultConfig())
-	default:
-		return RunPoint{}, fmt.Errorf("bench: unknown system %q", system)
-	}
-
-	// Preload the dataset.
-	load := ycsb.Loader(opt.Records, opt.PayloadBytes)
-	for i := 0; i < opt.Records; i++ {
-		class, args := load(i)
-		if err := sys.PreloadEntity(class, args...); err != nil {
-			return RunPoint{}, err
-		}
-	}
-
-	chooser, err := ycsb.ChooserByName(dist, opt.Records)
+	gen, err := h.runYCSB(mix, dist, rate, opt)
 	if err != nil {
 		return RunPoint{}, err
 	}
-	wgen := ycsb.NewGenerator(mix, chooser, opt.Records, opt.Seed+17, "q")
-	gen := sysapi.NewGenerator("client", sys, rate, opt.Duration, opt.WarmUp, wgen.Next)
-	cluster.Add("client", gen)
-	cluster.Start()
-	cluster.RunUntil(opt.Duration + 10*time.Second) // grace to drain
-
 	st := gen.Latency.Snapshot()
 	pt := RunPoint{
 		System: system, Workload: mix.Name, Dist: dist, RateRPS: rate,
 		Mean: st.Mean, P50: st.P50, P99: st.P99, Samples: int(st.Count),
 		Errors: gen.Errors, Done: gen.Done,
 	}
-	if sfSys != nil {
-		pt.Aborts = sfSys.Coordinator().Aborts
+	if h.SF != nil {
+		for _, sh := range h.SF.Shards() {
+			pt.Aborts += sh.Coordinator().Aborts
+			pt.Commits += sh.Coordinator().Commits
+		}
 	}
 	return pt, nil
 }
@@ -136,16 +105,11 @@ func RunPointFor(system, workload, dist string, rate float64, opt Options) (RunP
 	if err != nil {
 		return RunPoint{}, err
 	}
-	return runOne(system, mix, dist, rate, opt)
+	return runOne(system, opt.configure, mix, dist, rate, opt)
 }
 
 // ---------------------------------------------------------------------------
 // Figure 3
-
-// Fig3Config lists the systems, workloads and distributions of Figure 3.
-type Fig3Config struct {
-	Rate float64 // the paper uses 100 RPS
-}
 
 // RunFig3 reproduces Figure 3: p99 latency for YCSB A, B and T under
 // Zipfian and uniform key distributions at low load. StateFun skips T
@@ -159,7 +123,7 @@ func RunFig3(opt Options) ([]RunPoint, error) {
 				if system == "statefun" && wl.Name == "T" {
 					continue
 				}
-				pt, err := runOne(system, wl, dist, 100, opt)
+				pt, err := runOne(system, opt.configure, wl, dist, 100, opt)
 				if err != nil {
 					return nil, err
 				}
@@ -194,7 +158,7 @@ func RunFig4(opt Options, rates []float64) ([]RunPoint, error) {
 	var out []RunPoint
 	for _, system := range []string{"stateflow", "statefun"} {
 		for _, rate := range rates {
-			pt, err := runOne(system, ycsb.WorkloadM, "uniform", rate, opt)
+			pt, err := runOne(system, opt.configure, ycsb.WorkloadM, "uniform", rate, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -240,30 +204,17 @@ func RunOverhead(opt Options, stateKBs []int) ([]OverheadRow, error) {
 		o := opt
 		o.PayloadBytes = kb * 1024
 		o.Records = 50
-		prog, err := compileProgram()
+		o.WarmUp = 0
+		h, err := Deploy(Deployment{Seed: o.Seed, System: "stateflow", Config: o.configure})
 		if err != nil {
 			return nil, err
 		}
-		cluster := sim.New(o.Seed)
-		cfg := stateflow.DefaultConfig()
-		cfg.EpochInterval = o.Epoch
-		sys := stateflow.New(cluster, prog, cfg)
-		load := ycsb.Loader(o.Records, o.PayloadBytes)
-		for i := 0; i < o.Records; i++ {
-			class, args := load(i)
-			if err := sys.PreloadEntity(class, args...); err != nil {
-				return nil, err
-			}
+		if _, err := h.runYCSB(ycsb.WorkloadM, "uniform", 100, o); err != nil {
+			return nil, err
 		}
-		chooser := ycsb.Uniform{N: o.Records}
-		wgen := ycsb.NewGenerator(ycsb.WorkloadM, chooser, o.Records, o.Seed+17, "q")
-		gen := sysapi.NewGenerator("client", sys, 100, o.Duration, 0, wgen.Next)
-		cluster.Add("client", gen)
-		cluster.Start()
-		cluster.RunUntil(o.Duration + 5*time.Second)
 
 		agg := obs.NewBreakdown()
-		for _, w := range sys.Workers() {
+		for _, w := range h.SF.Workers() {
 			agg.Merge(w.Breakdown)
 		}
 		out = append(out, OverheadRow{
@@ -303,54 +254,35 @@ type ConsistencyResult struct {
 // StateFun-model baseline (no transactions, no locking, §3) may lose
 // updates; StateFlow must never.
 func RunConsistency(opt Options) ([]ConsistencyResult, error) {
-	prog, err := compileProgram()
-	if err != nil {
-		return nil, err
-	}
 	const accounts = 4
 	const burst = 40
-	script := func() []sysapi.Scheduled {
-		reqs := sysapi.NewBuilder("t")
-		var s []sysapi.Scheduled
-		for i := 0; i < burst; i++ {
-			from := ycsb.Key(i % accounts)
-			to := ycsb.Key((i + 1) % accounts)
-			s = append(s, sysapi.Scheduled{
-				At: time.Millisecond + time.Duration(i)*150*time.Microsecond,
-				Req: reqs.At(i, interp.EntityRef{Class: "Account", Key: from}, "transfer",
-					[]interp.Value{interp.IntV(5), interp.RefV("Account", to)}, "transfer"),
-			})
-		}
-		return s
+	var script []sysapi.Scheduled
+	for i := 0; i < burst; i++ {
+		script = append(script, call(time.Millisecond+time.Duration(i)*150*time.Microsecond,
+			fmt.Sprintf("t1.%d", i), ycsb.Key(i%accounts), "transfer",
+			interp.IntV(5), interp.RefV("Account", ycsb.Key((i+1)%accounts))))
 	}
 
 	var out []ConsistencyResult
 	for _, system := range []string{"statefun", "stateflow"} {
-		cluster := sim.New(opt.Seed)
-		var sys sysapi.Backend
-		var sf *stateflow.System
-		if system == "stateflow" {
-			cfg := stateflow.DefaultConfig()
-			cfg.EpochInterval = opt.Epoch
-			sf = stateflow.New(cluster, prog, cfg).Single()
-			sys = sf
-		} else {
-			sys = statefun.New(cluster, prog, statefun.DefaultConfig())
+		h, err := Deploy(Deployment{Seed: opt.Seed, System: system, Config: opt.configure})
+		if err != nil {
+			return nil, err
 		}
-		for i := 0; i < accounts; i++ {
-			args := []interp.Value{interp.StrV(ycsb.Key(i)), interp.IntV(1000), interp.StrV("")}
-			if err := sys.PreloadEntity("Account", args...); err != nil {
-				return nil, err
-			}
+		err = h.Preload(accounts, func(i int) (string, []interp.Value) {
+			return "Account", []interp.Value{interp.StrV(ycsb.Key(i)), interp.IntV(1000), interp.StrV("")}
+		})
+		if err != nil {
+			return nil, err
 		}
-		client := sysapi.NewScriptClient("client", sys, script())
-		cluster.Add("client", client)
-		cluster.Start()
-		cluster.RunUntil(30 * time.Second)
+		h.Script("client", script)
+		if err := h.Drain(30 * time.Second); err != nil {
+			return nil, err
+		}
 
 		var total int64
 		for i := 0; i < accounts; i++ {
-			st, ok := sys.EntityState("Account", ycsb.Key(i))
+			st, ok := h.Backend.EntityState("Account", ycsb.Key(i))
 			if !ok {
 				return nil, fmt.Errorf("bench: account %d missing", i)
 			}
@@ -362,8 +294,8 @@ func RunConsistency(opt Options) ([]ConsistencyResult, error) {
 			ActualTotal:   total,
 			LostUpdates:   total != int64(accounts)*1000,
 		}
-		if sf != nil {
-			res.Aborts = sf.Coordinator().Aborts
+		if h.SF != nil {
+			res.Aborts = h.SF.Coordinator().Aborts
 		}
 		out = append(out, res)
 	}

@@ -156,4 +156,16 @@ func TestPrintersIncludeHeaders(t *testing.T) {
 	if !strings.Contains(PrintFig4(pts), "Figure 4") {
 		t.Fatal("fig4 header")
 	}
+	for _, p := range []struct{ out, header, row string }{
+		{PrintContention([]ContentionRow{{Name: "contention/x", CommitsPerBatch: 32}}), "commits/batch", "contention/x"},
+		{PrintDlog([]DlogRow{{Name: "dlog/x", LogSyncs: 7}}), "syncs", "dlog/x"},
+		{PrintSharding([]ShardingRow{{Name: "one", Shards: 1, TxnPerVirtualSec: 100}, {Name: "four", Shards: 4, TxnPerVirtualSec: 250}}),
+			"txn/virt-sec", "(2.50x)"},
+		{PrintScopedFences([]ScopedFenceRow{{Name: "scoped", UntouchedTxnPerVirtualSec: 300}, {Name: "full", FullFences: true, UntouchedTxnPerVirtualSec: 200}}),
+			"untouched/sec", "(1.50x vs full)"},
+	} {
+		if !strings.Contains(p.out, p.header) || !strings.Contains(p.out, p.row) {
+			t.Fatalf("want header %q and %q in:\n%s", p.header, p.row, p.out)
+		}
+	}
 }

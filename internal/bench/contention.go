@@ -1,23 +1,20 @@
-// The contention experiment behind the CI bench-regression gate: the
-// chained-transfer worst case (t1: a0→a1, t2: a1→a2, …) measured with
-// Aria's deterministic fallback phase on versus off. The headline metric
-// is commits-per-batch (how much of a conflict chain one batch drains);
-// the virtual client latencies quantify what the in-batch re-execution
-// rounds buy over next-batch retries. Every column is a deterministic
-// function of the seed, which is what lets CI compare a re-run against
-// the checked-in BENCH_pr10.json field for field; what the Go code costs
-// in wall-clock time is the repo benchmark's business (benchmark/).
+// The contention experiment: the chained-transfer worst case (t1: a0→a1,
+// t2: a1→a2, …) measured with Aria's deterministic fallback phase on
+// versus off. The headline metric is commits-per-batch (how much of a
+// conflict chain one batch drains); the virtual client latencies quantify
+// what the in-batch re-execution buys over next-batch retries. Every
+// column is a deterministic function of the seed, which is what lets
+// gates_test.go hold the comparison in tier-1 with fixed floors; what the
+// Go code costs in wall-clock time is the repo benchmark's business
+// (benchmark/).
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/stateflow"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
@@ -39,39 +36,34 @@ const (
 	// one batch — the pure worst case the fallback is built for. The
 	// experiment pins it (rather than inheriting -epoch) so the headline
 	// commits-per-batch number means "chain drained per batch", not
-	// "chain split across ticks"; -epoch still parameterizes the dlog
-	// rows bundled into the same artifact.
+	// "chain split across ticks".
 	contentionEpoch = 50 * time.Millisecond
 )
 
 // ContentionRow is one measured commit strategy on the chained-transfer
 // workload.
 type ContentionRow struct {
-	Name string `json:"name"`
+	Name string
 	// CommitsPerBatch is the drain rate of the conflict chain: committed
 	// transactions per closed (non-empty) batch. The fallback's whole
 	// point is moving this from ~1 to ~k.
-	CommitsPerBatch float64 `json:"commits_per_batch"`
+	CommitsPerBatch float64
 	// Virtual client latencies (deterministic given the seed).
-	VirtualP50Ms float64 `json:"virtual_p50_ms"`
-	VirtualP99Ms float64 `json:"virtual_p99_ms"`
-	Commits      int     `json:"commits"`
-	Batches      int     `json:"batches"`
+	VirtualP50Ms float64
+	VirtualP99Ms float64
+	Commits      int
+	Batches      int
 	// Retried counts next-batch conflict retries (the legacy drain; 0
 	// with the fallback on), MaxRetries the per-response worst case.
-	Retried        int `json:"retried"`
-	MaxRetries     int `json:"max_retries"`
-	FallbackRounds int `json:"fallback_rounds"`
+	Retried        int
+	MaxRetries     int
+	FallbackRounds int
 }
 
 // RunContention measures the chained-transfer workload with the fallback
 // phase on and off, plus the fallback-on point under the serial epoch
 // schedule so the pipeline's effect on the contended path is tracked too.
 func RunContention(opt Options) ([]ContentionRow, error) {
-	prog, err := compileProgram()
-	if err != nil {
-		return nil, err
-	}
 	cases := []struct {
 		name              string
 		disableFallback   bool
@@ -83,49 +75,35 @@ func RunContention(opt Options) ([]ContentionRow, error) {
 	}
 	var out []ContentionRow
 	for _, tc := range cases {
-		cluster := sim.New(opt.Seed)
-		cfg := stateflow.DefaultConfig()
-		cfg.EpochInterval = contentionEpoch
-		cfg.SnapshotEvery = 10
-		cfg.DisableFallback = tc.disableFallback
-		cfg.DisablePipelining = tc.disablePipelining
-		sys := stateflow.New(cluster, prog, cfg)
-
+		h, err := Deploy(Deployment{Seed: opt.Seed, System: "stateflow", Config: func(cfg *stateflow.Config) {
+			cfg.EpochInterval = contentionEpoch
+			cfg.SnapshotEvery = 10
+			cfg.DisableFallback = tc.disableFallback
+			cfg.DisablePipelining = tc.disablePipelining
+		}})
+		if err != nil {
+			return nil, err
+		}
 		accounts := contentionWaves * (contentionChain + 1)
-		for i := 0; i < accounts; i++ {
-			if err := sys.PreloadEntity("Account",
-				interp.StrV(ycsb.Key(i)), interp.IntV(ycsb.InitialBalance), interp.StrV("")); err != nil {
-				return nil, err
-			}
+		if err := h.Preload(accounts, ycsb.Loader(accounts, 0)); err != nil {
+			return nil, err
 		}
 		var script []sysapi.Scheduled
 		for w := 0; w < contentionWaves; w++ {
 			base := w * (contentionChain + 1)
 			at := time.Duration(w)*contentionWaveGap + time.Millisecond
 			for i := 0; i < contentionChain; i++ {
-				script = append(script, sysapi.Scheduled{
-					At: at + time.Duration(i)*contentionSpacing,
-					Req: sysapi.Request{
-						Req:    fmt.Sprintf("w%dt%d", w, i),
-						Target: interp.EntityRef{Class: "Account", Key: ycsb.Key(base + i)},
-						Method: "transfer",
-						Args:   []interp.Value{interp.IntV(5), interp.RefV("Account", ycsb.Key(base+i+1))},
-						Kind:   "transfer",
-					},
-				})
+				script = append(script, call(at+time.Duration(i)*contentionSpacing,
+					fmt.Sprintf("w%dt%d", w, i), ycsb.Key(base+i), "transfer",
+					interp.IntV(5), interp.RefV("Account", ycsb.Key(base+i+1))))
 			}
 		}
-		client := sysapi.NewScriptClient("client", sys, script)
-		cluster.Add("client", client)
-		sys.CheckpointPreloadedState()
-		cluster.Start()
-		cluster.RunUntil(time.Duration(contentionWaves)*contentionWaveGap + 10*time.Second)
-
-		total := contentionWaves * contentionChain
-		if client.Done != total {
-			return nil, fmt.Errorf("contention (%s): %d/%d responses", tc.name, client.Done, total)
+		client := h.Script("client", script)
+		if err := h.Drain(time.Duration(contentionWaves)*contentionWaveGap + 10*time.Second); err != nil {
+			return nil, fmt.Errorf("contention (%s): %w", tc.name, err)
 		}
-		coord := sys.Coordinator()
+
+		coord := h.SF.Coordinator()
 		lat := client.Latency.Snapshot()
 		row := ContentionRow{
 			Name:           tc.name,
@@ -162,95 +140,4 @@ func PrintContention(rows []ContentionRow) string {
 			r.Batches, r.Retried, r.MaxRetries)
 	}
 	return b.String()
-}
-
-// Doc is the BENCH_pr10.json schema: the contention experiment that gates
-// regressions plus the dlog (".../pipeline=on|off" rows), sharded-scaling
-// and scoped-fence experiments, so one artifact carries every row
-// bench-compare gates.
-type Doc struct {
-	Benchmark   string           `json:"benchmark"`
-	Chain       int              `json:"chain"`
-	Waves       int              `json:"waves"`
-	Seed        int64            `json:"seed"`
-	Epoch       string           `json:"epoch"`
-	Contention  []ContentionRow  `json:"contention"`
-	Dlog        []DlogRow        `json:"dlog"`
-	Sharding    []ShardingRow    `json:"sharding,omitempty"`
-	ScopedFence []ScopedFenceRow `json:"scoped_fence,omitempty"`
-}
-
-// WriteJSON writes the benchmark artifact checked in as BENCH_pr10.json
-// and enforced by the CI bench-compare step.
-func WriteJSON(path string, opt Options, cont []ContentionRow, dlog []DlogRow, shard []ShardingRow, scoped []ScopedFenceRow) error {
-	doc := Doc{
-		Benchmark:   "aria-fallback-contention",
-		Chain:       contentionChain,
-		Waves:       contentionWaves,
-		Seed:        opt.Seed,
-		Epoch:       contentionEpoch.String(),
-		Contention:  cont,
-		Dlog:        dlog,
-		Sharding:    shard,
-		ScopedFence: scoped,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// ReadJSON loads a benchmark artifact (the bench-compare tool reads
-// both the checked-in baseline and the fresh re-run through this).
-func ReadJSON(path string) (Doc, error) {
-	var doc Doc
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return doc, err
-	}
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		return doc, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc, nil
-}
-
-// FindContention returns the named contention row.
-func (d Doc) FindContention(name string) (ContentionRow, error) {
-	for _, r := range d.Contention {
-		if r.Name == name {
-			return r, nil
-		}
-	}
-	return ContentionRow{}, fmt.Errorf("benchmark doc has no contention row %q", name)
-}
-
-// FindDlog returns the named dlog row.
-func (d Doc) FindDlog(name string) (DlogRow, error) {
-	for _, r := range d.Dlog {
-		if r.Name == name {
-			return r, nil
-		}
-	}
-	return DlogRow{}, fmt.Errorf("benchmark doc has no dlog row %q", name)
-}
-
-// FindSharding returns the row measured at the given shard count.
-func (d Doc) FindSharding(shards int) (ShardingRow, error) {
-	for _, r := range d.Sharding {
-		if r.Shards == shards {
-			return r, nil
-		}
-	}
-	return ShardingRow{}, fmt.Errorf("benchmark doc has no sharding row for %d shards", shards)
-}
-
-// FindScopedFence returns the scoped-fence row for one fence schedule.
-func (d Doc) FindScopedFence(fullFences bool) (ScopedFenceRow, error) {
-	for _, r := range d.ScopedFence {
-		if r.FullFences == fullFences {
-			return r, nil
-		}
-	}
-	return ScopedFenceRow{}, fmt.Errorf("benchmark doc has no scoped-fence row with full_fences=%v", fullFences)
 }

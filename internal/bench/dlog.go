@@ -3,11 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/stateflow"
-	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
 
@@ -15,16 +12,16 @@ import (
 // workload point under one epoch schedule, with what it asked of the
 // durable log.
 type DlogRow struct {
-	Name string `json:"name"`
+	Name string
 	// Virtual latencies observed by the clients (the simulated cost of
 	// group-commit fsyncs and epoch-record syncs).
-	VirtualP50Ms float64 `json:"virtual_p50_ms"`
-	VirtualP99Ms float64 `json:"virtual_p99_ms"`
-	Commits      int     `json:"commits"`
+	VirtualP50Ms float64
+	VirtualP99Ms float64
+	Commits      int
 	// Dlog activity.
-	LogAppends     int `json:"log_appends"`
-	LogSyncs       int `json:"log_syncs"`
-	LogCheckpoints int `json:"log_checkpoints"`
+	LogAppends     int
+	LogSyncs       int
+	LogCheckpoints int
 }
 
 // RunDlog measures the coordinator hot path under both epoch schedules:
@@ -35,14 +32,6 @@ type DlogRow struct {
 // one group-commit fsync) versus serial: the fsync merge shows up as a
 // log_syncs-per-commit gap between the two rows.
 func RunDlog(opt Options) ([]DlogRow, error) {
-	prog, err := compileProgram()
-	if err != nil {
-		return nil, err
-	}
-	mix, err := ycsb.ByName("A")
-	if err != nil {
-		return nil, err
-	}
 	cases := []struct {
 		name              string
 		disablePipelining bool
@@ -52,38 +41,27 @@ func RunDlog(opt Options) ([]DlogRow, error) {
 	}
 	var out []DlogRow
 	for _, tc := range cases {
-		cluster := sim.New(opt.Seed)
-		cfg := stateflow.DefaultConfig()
-		cfg.EpochInterval = opt.Epoch
-		cfg.SnapshotEvery = 10
-		cfg.DisablePipelining = tc.disablePipelining
-		cfg.DisableFallback = opt.NoFallback
-		sys := stateflow.New(cluster, prog, cfg)
-		load := ycsb.Loader(opt.Records, opt.PayloadBytes)
-		for i := 0; i < opt.Records; i++ {
-			class, args := load(i)
-			if err := sys.PreloadEntity(class, args...); err != nil {
-				return nil, err
-			}
-		}
-		chooser, err := ycsb.ChooserByName("uniform", opt.Records)
+		h, err := Deploy(Deployment{Seed: opt.Seed, System: "stateflow", Config: func(cfg *stateflow.Config) {
+			cfg.EpochInterval = opt.Epoch
+			cfg.SnapshotEvery = 10
+			cfg.DisablePipelining = tc.disablePipelining
+			cfg.DisableFallback = opt.NoFallback
+		}})
 		if err != nil {
 			return nil, err
 		}
-		wgen := ycsb.NewGenerator(mix, chooser, opt.Records, opt.Seed+17, "q")
-		gen := sysapi.NewGenerator("client", sys, 2000, opt.Duration, opt.WarmUp, wgen.Next)
-		cluster.Add("client", gen)
-		sys.CheckpointPreloadedState()
-		cluster.Start()
-		cluster.RunUntil(opt.Duration + 10*time.Second)
+		gen, err := h.runYCSB(ycsb.WorkloadA, "uniform", 2000, opt)
+		if err != nil {
+			return nil, err
+		}
 
 		lat := gen.Latency.Snapshot()
-		st := sys.Dlog.Stats()
+		st := h.SF.Dlog.Stats()
 		out = append(out, DlogRow{
 			Name:           tc.name,
 			VirtualP50Ms:   lat.P50Ms(),
 			VirtualP99Ms:   lat.P99Ms(),
-			Commits:        sys.Coordinator().Commits,
+			Commits:        h.SF.Coordinator().Commits,
 			LogAppends:     st.Appends,
 			LogSyncs:       st.Syncs,
 			LogCheckpoints: st.Checkpoints,

@@ -1,4 +1,4 @@
-// The scoped-fence experiment behind the PR 10 bench gate: a steady
+// The scoped-fence experiment: a steady
 // stream of cross-shard transfers pinned to shards {0, 1} runs
 // concurrently with a fixed batch of single-shard updates whose accounts
 // all live on shards {2, 3}. With footprint-scoped fences the untouched
@@ -8,8 +8,8 @@
 // parks all four shards, so the same update stream repeatedly stalls
 // behind fences for traffic it never touches. The gated metric is the
 // untouched-shard throughput ratio between the two modes; all
-// virtual-time metrics are deterministic functions of the seed, so CI
-// compares re-runs against the checked-in BENCH_pr10.json exactly.
+// virtual-time metrics are deterministic functions of the seed, so
+// gates_test.go holds the ratio in tier-1.
 package bench
 
 import (
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/stateflow"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
@@ -48,27 +47,27 @@ const (
 
 // ScopedFenceRow is one fence schedule measured on the mixed workload.
 type ScopedFenceRow struct {
-	Name string `json:"name"`
+	Name string
 	// FullFences records the schedule: false is the footprint-scoped
 	// default, true the historical fence-everything reference.
-	FullFences bool `json:"full_fences"`
+	FullFences bool
 	// UntouchedTxnPerVirtualSec is the gated metric: the update stream's
 	// size divided by its own virtual makespan (first arrival to its
 	// last response). Only updates on shards outside every transfer
 	// footprint count — this is the traffic scoping is supposed to make
 	// free.
-	UntouchedTxnPerVirtualSec float64 `json:"untouched_txn_per_virtual_sec"`
-	UntouchedMakespanMs       float64 `json:"untouched_makespan_ms"`
-	VirtualP50Ms              float64 `json:"virtual_p50_ms"`
-	VirtualP99Ms              float64 `json:"virtual_p99_ms"`
+	UntouchedTxnPerVirtualSec float64
+	UntouchedMakespanMs       float64
+	VirtualP50Ms              float64
+	VirtualP99Ms              float64
 	// GlobalBatches / ScopedFences / FullFenceCount are the sequencer's
-	// fence accounting: bench-compare uses ScopedFences > 0 to reject a
+	// fence accounting: the gate uses ScopedFences > 0 to reject a
 	// vacuous scoped run (a mix whose transfers accidentally fence
 	// everything would gate nothing).
-	GlobalTxns     int `json:"global_txns"`
-	GlobalBatches  int `json:"global_batches"`
-	ScopedFences   int `json:"scoped_fences"`
-	FullFenceCount int `json:"full_fence_count"`
+	GlobalTxns     int
+	GlobalBatches  int
+	ScopedFences   int
+	FullFenceCount int
 }
 
 // RunScopedFences measures the mixed workload under both fence
@@ -86,22 +85,17 @@ func RunScopedFences(opt Options) ([]ScopedFenceRow, error) {
 }
 
 func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
-	prog, err := compileProgram()
+	h, err := Deploy(Deployment{Seed: opt.Seed, System: "stateflow", Config: func(cfg *stateflow.Config) {
+		cfg.EpochInterval = shardingEpoch
+		cfg.SnapshotEvery = 10
+		cfg.Shards = scopedShards
+		cfg.FullFences = fullFences
+	}})
 	if err != nil {
 		return ScopedFenceRow{}, err
 	}
-	cluster := sim.New(opt.Seed)
-	cfg := stateflow.DefaultConfig()
-	cfg.EpochInterval = shardingEpoch
-	cfg.SnapshotEvery = 10
-	cfg.Shards = scopedShards
-	cfg.FullFences = fullFences
-	sys := stateflow.New(cluster, prog, cfg)
-	for i := 0; i < scopedAccounts; i++ {
-		if err := sys.PreloadEntity("Account",
-			interp.StrV(ycsb.Key(i)), interp.IntV(ycsb.InitialBalance), interp.StrV("")); err != nil {
-			return ScopedFenceRow{}, err
-		}
+	if err := h.Preload(scopedAccounts, ycsb.Loader(scopedAccounts, 0)); err != nil {
+		return ScopedFenceRow{}, err
 	}
 
 	// Partition the dataset by realized ring position: the transfer
@@ -110,7 +104,7 @@ func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
 	byShard := map[int][]string{}
 	for i := 0; i < scopedAccounts; i++ {
 		key := ycsb.Key(i)
-		sh := sys.ShardOf(interp.EntityRef{Class: "Account", Key: key})
+		sh := h.SF.ShardOf(interp.EntityRef{Class: "Account", Key: key})
 		byShard[sh] = append(byShard[sh], key)
 	}
 	var untouched []string
@@ -125,62 +119,31 @@ func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
 	var updates, xfers []sysapi.Scheduled
 	at := time.Millisecond
 	for i := 0; i < scopedUpdates; i++ {
-		updates = append(updates, sysapi.Scheduled{
-			At: at,
-			Req: sysapi.Request{
-				Req:    fmt.Sprintf("u%04d", i),
-				Target: interp.EntityRef{Class: "Account", Key: untouched[i%len(untouched)]},
-				Method: "update",
-				Args:   []interp.Value{interp.IntV(1)},
-				Kind:   "update",
-			},
-		})
+		updates = append(updates, call(at, fmt.Sprintf("u%04d", i), untouched[i%len(untouched)], "update", interp.IntV(1)))
 		at += scopedSpacing
 	}
 	at = time.Millisecond
 	for i := 0; i < scopedXfers; i++ {
 		from := byShard[0][i%len(byShard[0])]
 		to := byShard[1][(i*7)%len(byShard[1])]
-		xfers = append(xfers, sysapi.Scheduled{
-			At: at,
-			Req: sysapi.Request{
-				Req:    fmt.Sprintf("x%04d", i),
-				Target: interp.EntityRef{Class: "Account", Key: from},
-				Method: "transfer",
-				Args:   []interp.Value{interp.IntV(5), interp.RefV("Account", to)},
-				Kind:   "transfer",
-			},
-		})
+		xfers = append(xfers, call(at, fmt.Sprintf("x%04d", i), from, "transfer", interp.IntV(5), interp.RefV("Account", to)))
 		at += scopedXferSpacing
 	}
 	// Two clients so the untouched stream's makespan is measured on its
 	// own completion, not the transfer tail's.
-	uclient := sysapi.NewScriptClient("uclient", sys, updates)
-	xclient := sysapi.NewScriptClient("xclient", sys, xfers)
-	cluster.Add("uclient", uclient)
-	cluster.Add("xclient", xclient)
-	sys.CheckpointPreloadedState()
-	cluster.Start()
-
-	var uDone time.Duration
-	for cluster.Now() < scopedDeadline && (uclient.Done < scopedUpdates || xclient.Done < scopedXfers) {
-		cluster.RunUntil(cluster.Now() + time.Millisecond)
-		if uDone == 0 && uclient.Done == scopedUpdates {
-			uDone = cluster.Now()
-		}
-	}
-	if uclient.Done != scopedUpdates || xclient.Done != scopedXfers {
-		return ScopedFenceRow{}, fmt.Errorf("scoped-fence (full=%v): %d/%d updates, %d/%d transfers by %s",
-			fullFences, uclient.Done, scopedUpdates, xclient.Done, scopedXfers, scopedDeadline)
+	uclient := h.Script("uclient", updates)
+	h.Script("xclient", xfers)
+	if err := h.Drain(scopedDeadline); err != nil {
+		return ScopedFenceRow{}, fmt.Errorf("scoped-fence (full=%v): %w", fullFences, err)
 	}
 
-	makespan := uDone - time.Millisecond // first arrival at 1ms
+	makespan := uclient.DrainedAt - time.Millisecond // first arrival at 1ms
 	lat := uclient.Latency.Snapshot()
 	mode := "scoped"
 	if fullFences {
 		mode = "full"
 	}
-	q := sys.Sequencer()
+	q := h.SF.Sequencer()
 	return ScopedFenceRow{
 		Name:                      fmt.Sprintf("scoped-fence/mode=%s", mode),
 		FullFences:                fullFences,

@@ -1,12 +1,12 @@
-// The sharded-scaling experiment behind the PR 8 bench gate: a fixed
+// The sharded-scaling experiment: a fixed
 // batch of single-shard transactions (plus a small cross-shard tail) is
 // offered faster than one coordinator can drain it, and the measured
 // virtual makespan turns into committed transactions per virtual second.
 // Scaling the same workload from one shard to four must multiply that
 // throughput — the whole point of the multi-coordinator topology is that
 // single-shard traffic pays nothing for the other shards' existence. All
-// virtual-time metrics are deterministic functions of the seed, so CI
-// compares re-runs against the checked-in BENCH_pr10.json exactly.
+// virtual-time metrics are deterministic functions of the seed, so
+// gates_test.go holds the 4-shard / 1-shard ratio in tier-1.
 package bench
 
 import (
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/stateflow"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
@@ -42,8 +41,7 @@ const (
 	// drains every shard's in-flight epochs before a global batch runs,
 	// so the epoch length directly prices each fence window. Pinned
 	// (rather than inheriting -epoch) so the scaling rows measure the
-	// topology, not the epoch schedule; -epoch still parameterizes the
-	// dlog rows bundled into the same artifact.
+	// topology, not the epoch schedule.
 	shardingEpoch = 5 * time.Millisecond
 	// shardingDeadline bounds the drain wait (virtual time).
 	shardingDeadline = 120 * time.Second
@@ -51,24 +49,24 @@ const (
 
 // ShardingRow is one measured shard count on the fixed scaling workload.
 type ShardingRow struct {
-	Name   string `json:"name"`
-	Shards int    `json:"shards"`
+	Name   string
+	Shards int
 	// TxnPerVirtualSec is the headline scaling metric: the fixed workload
 	// size divided by the virtual makespan (first arrival to last
 	// response).
-	TxnPerVirtualSec  float64 `json:"txn_per_virtual_sec"`
-	VirtualMakespanMs float64 `json:"virtual_makespan_ms"`
-	VirtualP50Ms      float64 `json:"virtual_p50_ms"`
-	VirtualP99Ms      float64 `json:"virtual_p99_ms"`
+	TxnPerVirtualSec  float64
+	VirtualMakespanMs float64
+	VirtualP50Ms      float64
+	VirtualP99Ms      float64
 	// Commits aggregates over every shard coordinator (global write-set
 	// applies ride the same Aria machinery, so they are counted too).
-	Commits int `json:"commits"`
+	Commits int
 	// SingleShard / GlobalTxns / GlobalBatches are the sequencer's
 	// routing split: fast-path forwards versus globally fenced
 	// transactions and their batch count.
-	SingleShard   int `json:"single_shard"`
-	GlobalTxns    int `json:"global_txns"`
-	GlobalBatches int `json:"global_batches"`
+	SingleShard   int
+	GlobalTxns    int
+	GlobalBatches int
 }
 
 // RunSharding measures the fixed scaling workload at 1, 2 and 4 shards.
@@ -85,21 +83,16 @@ func RunSharding(opt Options) ([]ShardingRow, error) {
 }
 
 func runShardingPoint(opt Options, shards int) (ShardingRow, error) {
-	prog, err := compileProgram()
+	h, err := Deploy(Deployment{Seed: opt.Seed, System: "stateflow", Config: func(cfg *stateflow.Config) {
+		cfg.EpochInterval = shardingEpoch
+		cfg.SnapshotEvery = 10
+		cfg.Shards = shards
+	}})
 	if err != nil {
 		return ShardingRow{}, err
 	}
-	cluster := sim.New(opt.Seed)
-	cfg := stateflow.DefaultConfig()
-	cfg.EpochInterval = shardingEpoch
-	cfg.SnapshotEvery = 10
-	cfg.Shards = shards
-	sys := stateflow.New(cluster, prog, cfg)
-	for i := 0; i < shardingAccounts; i++ {
-		if err := sys.PreloadEntity("Account",
-			interp.StrV(ycsb.Key(i)), interp.IntV(ycsb.InitialBalance), interp.StrV("")); err != nil {
-			return ShardingRow{}, err
-		}
+	if err := h.Preload(shardingAccounts, ycsb.Loader(shardingAccounts, 0)); err != nil {
+		return ShardingRow{}, err
 	}
 
 	// The script interleaves the cross-shard tail into the update stream:
@@ -112,51 +105,26 @@ func runShardingPoint(opt Options, shards int) (ShardingRow, error) {
 	xferEvery := shardingUpdates / shardingXfers
 	xfer := 0
 	for i := 0; i < shardingUpdates; i++ {
-		script = append(script, sysapi.Scheduled{
-			At: at,
-			Req: sysapi.Request{
-				Req:    fmt.Sprintf("u%04d", i),
-				Target: interp.EntityRef{Class: "Account", Key: ycsb.Key(i % shardingAccounts)},
-				Method: "update",
-				Args:   []interp.Value{interp.IntV(1)},
-				Kind:   "update",
-			},
-		})
+		script = append(script, call(at, fmt.Sprintf("u%04d", i), ycsb.Key(i%shardingAccounts), "update", interp.IntV(1)))
 		at += shardingSpacing
 		if i%xferEvery == xferEvery-1 {
 			from := (xfer * 37) % shardingAccounts
 			to := (from + 1 + xfer*13) % shardingAccounts
 			xfer++
-			script = append(script, sysapi.Scheduled{
-				At: at,
-				Req: sysapi.Request{
-					Req:    fmt.Sprintf("x%04d", i),
-					Target: interp.EntityRef{Class: "Account", Key: ycsb.Key(from)},
-					Method: "transfer",
-					Args:   []interp.Value{interp.IntV(5), interp.RefV("Account", ycsb.Key(to))},
-					Kind:   "transfer",
-				},
-			})
+			script = append(script, call(at, fmt.Sprintf("x%04d", i), ycsb.Key(from), "transfer",
+				interp.IntV(5), interp.RefV("Account", ycsb.Key(to))))
 			at += shardingSpacing
 		}
 	}
-	client := sysapi.NewScriptClient("client", sys, script)
-	cluster.Add("client", client)
-	sys.CheckpointPreloadedState()
-	cluster.Start()
-
-	// Step until the fixed workload drains: the virtual makespan is the
-	// scaling measurement (1 ms resolution, deterministic per seed).
-	total := shardingUpdates + shardingXfers
-	for cluster.Now() < shardingDeadline && client.Done < total {
-		cluster.RunUntil(cluster.Now() + time.Millisecond)
-	}
-	if client.Done != total {
-		return ShardingRow{}, fmt.Errorf("sharding (%d shards): %d/%d responses by %s",
-			shards, client.Done, total, shardingDeadline)
+	// The virtual makespan of the fixed workload is the scaling
+	// measurement (1 ms resolution, deterministic per seed).
+	client := h.Script("client", script)
+	if err := h.Drain(shardingDeadline); err != nil {
+		return ShardingRow{}, fmt.Errorf("sharding (%d shards): %w", shards, err)
 	}
 
-	makespan := cluster.Now() - time.Millisecond // first arrival at 1ms
+	total := len(script)
+	makespan := client.DrainedAt - time.Millisecond // first arrival at 1ms
 	lat := client.Latency.Snapshot()
 	row := ShardingRow{
 		Name:              fmt.Sprintf("sharding/shards=%d", shards),
@@ -169,14 +137,14 @@ func runShardingPoint(opt Options, shards int) (ShardingRow, error) {
 	// The 1-shard point deploys the classic topology (no sequencer): every
 	// transaction is trivially single-"shard" and there is no routing
 	// split to record.
-	if q := sys.Sequencer(); q != nil {
+	if q := h.SF.Sequencer(); q != nil {
 		row.SingleShard = q.SingleShard
 		row.GlobalTxns = q.GlobalTxns
 		row.GlobalBatches = q.GlobalBatches
 	} else {
 		row.SingleShard = total
 	}
-	for _, sh := range sys.Shards() {
+	for _, sh := range h.SF.Shards() {
 		row.Commits += sh.Coordinator().Commits
 	}
 	return row, nil

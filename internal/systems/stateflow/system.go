@@ -66,8 +66,8 @@ type Config struct {
 	// re-execute inside the same batch as a per-entity ordered chain (see
 	// epoch.go), so a pure conflict chain (t1: A→B, t2: B→C, …) commits in
 	// full in one batch. Disabled, they are re-queued into the next batch
-	// (the legacy one-commit-per-chain-per-batch behavior, kept for A/B
-	// benchmarking).
+	// (the legacy one-commit-per-chain-per-batch behavior, the reference of
+	// fallback_diff_test.go and internal/bench's TestGateFallback).
 	DisableFallback bool
 	// FallbackRoundBudget caps the fallback re-execution one epoch may
 	// run: the depth (longest per-entity dependency) of its chain. The
@@ -81,9 +81,9 @@ type Config struct {
 	// snapshot) before opening epoch N+1. With pipelining on (the
 	// default), two epochs run in flight — while N commits, N+1 already
 	// accepts and executes — and N+1's epoch-advance record rides N's
-	// group-commit fsync instead of paying its own blocking sync. Kept
-	// for A/B benchmarking and differential tests, mirroring
-	// DisableFallback.
+	// group-commit fsync instead of paying its own blocking sync. Kept as
+	// the reference of pipeline_diff_test.go and internal/bench's
+	// TestGatePipelinedFsyncMerge.
 	DisablePipelining bool
 	// TraceCommits records every committed request's position in the
 	// effective serial order (see Coordinator.CommitSerials) — the
@@ -104,8 +104,8 @@ type Config struct {
 	Shards int
 	// FullFences forces the sequencer's historical schedule in which every
 	// global batch fences every shard, not just the batch's footprint.
-	// Kept as the reference schedule for the scoped-fence differential
-	// tests and the bench gate; no effect on the classic topology.
+	// Kept as the reference of scoped_diff_test.go and internal/bench's
+	// TestGateScopedFences; no effect on the classic topology.
 	FullFences bool
 	// Reinject re-opens fixed bugs for the regression tests (see Reinject);
 	// the zero value is the shipped behavior.

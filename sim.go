@@ -29,7 +29,7 @@ type SimConfig struct {
 	// baseline, the Flink worker count (default 3; the baseline also gets
 	// an equal number of remote function runtimes).
 	Workers int
-	// Epoch is StateFlow's transaction batch interval (default 10ms).
+	// Epoch is StateFlow's transaction batch interval (default 5ms).
 	Epoch time.Duration
 	// SnapshotEvery takes a StateFlow snapshot after every N batches
 	// (default 0: only the preload checkpoint).
@@ -45,8 +45,8 @@ type SimConfig struct {
 	Shards int
 	// FullFences forces the sequencer's historical schedule in which
 	// every global batch fences every shard instead of just the batch's
-	// footprint. Kept as the reference schedule for the scoped-fence
-	// differential tests and the bench comparison; no effect unless
+	// footprint. Kept as the reference schedule of scoped_diff_test.go
+	// and of TestGateScopedFences (internal/bench); no effect unless
 	// Shards > 1.
 	FullFences bool
 	// DisableFallback turns off the StateFlow backend's Aria fallback
