@@ -295,7 +295,7 @@ func runLin(profile, backend string, seed int64, noFallback, noPipelining bool, 
 	}
 	if shards > 1 {
 		fmt.Printf("sharded (%d shards): %d transactions sequenced globally in %d batches (%d scoped / %d full fences); %d sequencer failovers (%d batches rolled forward, %d abandoned pre-apply)\n",
-			shards, run.GlobalTxns, run.Sequencer.GlobalBatches,
+			shards, run.Sequencer.GlobalTxns, run.Sequencer.GlobalBatches,
 			run.Sequencer.ScopedFences, run.Sequencer.FullFences,
 			run.Sequencer.Failovers, run.Sequencer.RederivedBatches, run.Sequencer.AbortedBatches)
 		if !run.MidFenceAimed {

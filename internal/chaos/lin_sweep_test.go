@@ -138,7 +138,7 @@ func TestShardedAdversarialXShard(t *testing.T) {
 					t.Fatalf("seed %d shards=%d: no observed fence window opens before the plan horizon; this gate requires the targeted mid-fence crash on every seed", seed, shards)
 				}
 				restarts += run.CoordRestarts
-				globals += run.GlobalTxns
+				globals += run.Sequencer.GlobalTxns
 				failovers += run.Sequencer.Failovers
 				rederived += run.Sequencer.RederivedBatches + run.Sequencer.AbortedBatches
 			}

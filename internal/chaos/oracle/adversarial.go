@@ -10,7 +10,7 @@ package oracle
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"time"
 
 	"statefulentities.dev/stateflow"
@@ -27,58 +27,30 @@ const adversarialWindow = 8
 
 // RunAdversarial executes one adversarial workload spec on a backend —
 // fault-free when plan is nil, under the plan otherwise — and returns
-// the checker-ready history plus the run observables. On the StateFlow
-// backend the history carries the coordinator's commit tap (serial
-// mode); on the baseline the checker falls back to graph mode.
+// the checker-ready history plus the run observables. On the unsharded
+// StateFlow backend the history carries the coordinator's commit tap
+// (serial mode); sharded, no one coordinator's tap is the whole serial
+// order, and there and on the baseline the checker falls back to graph
+// mode.
 //
 // The caller owns the verdict: pass the history to lin.Check (with
 // spec.Conservation()) — VerifyAdversarial does exactly that.
 func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, plan *chaos.Plan, cfg Config) (*lin.History, Run, error) {
-	prog, err := stateflow.Compile(workload.Program())
+	d, err := deploy(script{name: string(spec.Profile), source: workload.Program(), preload: spec.Preload,
+		tap: backend == stateflow.BackendStateFlow && cfg.Shards <= 1}, backend, seed, plan, cfg)
 	if err != nil {
-		return nil, Run{}, fmt.Errorf("compile workload program: %w", err)
-	}
-	simCfg := stateflow.SimConfig{
-		Backend:           backend,
-		Seed:              seed,
-		Epoch:             cfg.Epoch,
-		SnapshotEvery:     cfg.SnapshotEvery,
-		DisableFallback:   cfg.DisableFallback,
-		DisablePipelining: cfg.DisablePipelining,
-		// The commit tap is the serial order the checker validates
-		// against — it exists only on the single-coordinator topology;
-		// sharded deployments have no one coordinator whose tap is the
-		// whole serial order, so the checker falls back to graph mode.
-		TraceCommits: backend == stateflow.BackendStateFlow && cfg.Shards <= 1,
-		Shards:       cfg.Shards,
-		FullFences:   cfg.FullFences,
-	}
-	if cfg.Traced {
-		simCfg.Tracer = stateflow.NewTracer()
-	}
-	opts := []stateflow.SimOption{stateflow.WithReinjectedBugs(cfg.Reinject)}
-	if plan != nil {
-		opts = append(opts, stateflow.WithChaos(*plan))
-	}
-	sim := stateflow.NewSimulation(prog, simCfg, opts...)
-	client := sim.Client()
-	admin := client.Admin()
-	if err := spec.Preload(admin); err != nil {
-		return nil, Run{}, fmt.Errorf("%s preload: %w", spec.Profile, err)
+		return nil, Run{}, err
 	}
 
 	h := &lin.History{Initial: spec.Initial()}
 	reqOf := map[string]string{} // wire request id -> workload op id
-	lost := 0
-	var trace strings.Builder
-
 	submit := func(op workload.Op) *stateflow.Future {
 		kind := "update"
 		if op.Method == "get" {
 			kind = "read"
 		}
 		h.Invokes = append(h.Invokes, op.Invoke())
-		f := client.Entity(workload.Class, op.Key).
+		f := d.client.Entity(workload.Class, op.Key).
 			With(stateflow.WithKind(kind), stateflow.WithTimeout(cfg.Timeout)).
 			Submit(op.Method, op.Args()...)
 		if id := f.RequestID(); id != "" {
@@ -87,14 +59,12 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 		return f
 	}
 	// settle waits for a future and folds its outcome into the history.
-	// ok=false means the request was lost (no response within the virtual
-	// timeout) — the history has no outcome for it and the run fails
-	// below, because an op with unknown effects makes the check vacuous.
+	// ok=false means the request was lost — the history has no outcome for
+	// it, and the run fails in finish.
 	settle := func(op workload.Op, f *stateflow.Future) (obs []lin.Observation, failed, ok bool) {
 		res, err := f.Wait()
 		if err != nil {
-			lost++
-			fmt.Fprintf(&trace, "LOST %s %s<%s>.%s: %v\n", op.ID, workload.Class, op.Key, op.Method, err)
+			d.lose("%s %s<%s>.%s: %v", op.ID, workload.Class, op.Key, op.Method, err)
 			return nil, true, false
 		}
 		out := lin.Outcome{ID: op.ID, Err: res.Err}
@@ -104,7 +74,7 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 				// A malformed response is a checker violation in its own
 				// right: record the op as errored so checkChain sees an
 				// effect-free op, and surface the decode failure.
-				fmt.Fprintf(&trace, "DECODE %s: %v\n", op.ID, derr)
+				fmt.Fprintf(&d.trace, "DECODE %s: %v\n", op.ID, derr)
 				out.Err = derr.Error()
 			} else {
 				out.Obs = decoded
@@ -131,7 +101,7 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 				for _, p := range active {
 					obs, failed, ok := settle(p.op, p.fut)
 					if !ok {
-						continue // lost: abandon the chain, fail the run below
+						continue // lost: abandon the chain, fail the run in finish
 					}
 					nop, more := spec.Next(p.op, obs, failed)
 					if more {
@@ -159,68 +129,16 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 		if backend != stateflow.BackendStateFlow {
 			window = 1
 		}
-		for base := 0; base < len(ops); base += window {
-			end := base + window
-			if end > len(ops) {
-				end = len(ops)
-			}
-			futs := make([]*stateflow.Future, 0, end-base)
-			for _, op := range ops[base:end] {
-				futs = append(futs, submit(op))
-			}
-			for i, f := range futs {
-				settle(ops[base+i], f)
-			}
-		}
+		windowed(len(ops), window, func(i int) *stateflow.Future { return submit(ops[i]) },
+			func(i int, f *stateflow.Future) { settle(ops[i], f) })
 	}
-	if lost > 0 {
-		return nil, Run{Flight: sim.FlightRecorder().Dump()}, fmt.Errorf("%s on %s: %d/%d requests lost (no response within %s of virtual time):\n%s",
-			spec.Profile, backend, lost, len(h.Invokes), cfg.Timeout, trace.String())
-	}
-
-	// Quiesce before reading taps and final state: delayed duplicates must
-	// land and any crash window scheduled past the last response must
-	// open, be detected and finish recovering (recovery replay re-commits
-	// work the clients already saw; the tap must record the converged
-	// apply order, not a replay in progress).
-	quiet := cfg.Horizon - sim.Cluster.Now()
-	if quiet < 0 {
-		quiet = 0
-	}
-	sim.Run(quiet + time.Second)
-
-	// Exactly-once at the client edge — same accounting as RunOnce: per
-	// id, the system's own sends (deliveries − injected dups + injected
-	// drops) must be at least one and at most one plus the solicitations
-	// for a resend (client retries + injected request duplicates).
-	deliveries := sim.ResponseDeliveries()
-	if len(deliveries) != len(h.Invokes) {
-		return nil, Run{Flight: sim.FlightRecorder().Dump()}, fmt.Errorf("%s on %s: %d raw-delivery records for %d ops",
-			spec.Profile, backend, len(deliveries), len(h.Invokes))
-	}
-	stats := sim.ChaosStats()
-	retries := sim.ClientRetries()
-	bad := 0
-	for id, n := range deliveries {
-		sends := n - stats.DupResponses[id] + stats.DroppedResponses[id]
-		if sends < 1 {
-			bad++
-			fmt.Fprintf(&trace, "UNDERDELIVERED %s: %d deliveries, %d dups, %d drops\n",
-				id, n, stats.DupResponses[id], stats.DroppedResponses[id])
-			continue
-		}
-		if allowed := 1 + retries[id] + stats.DupRequests[id]; sends > allowed {
-			bad++
-			fmt.Fprintf(&trace, "DUPLICATE %s: system sent %d responses, allowed %d\n", id, sends, allowed)
-		}
-	}
-	if bad > 0 {
-		return nil, Run{Flight: sim.FlightRecorder().Dump()}, fmt.Errorf("%s on %s: %d requests violate the exactly-once delivery accounting:\n%s",
-			spec.Profile, backend, bad, trace.String())
+	run, err := d.finish(len(h.Invokes))
+	if err != nil {
+		return nil, run, err
 	}
 
 	// Backend taps: the commit order (serial mode) and the settled state.
-	if serials := sim.CommitSerials(); serials != nil {
+	if serials := d.sim.CommitSerials(); serials != nil {
 		h.Serial = make(map[string]int64, len(reqOf))
 		for req, ser := range serials {
 			if opID, ok := reqOf[req]; ok {
@@ -231,38 +149,15 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 	h.Final = make(map[lin.Entity]lin.State, spec.Cells)
 	for i := 0; i < spec.Cells; i++ {
 		key := workload.Key(i)
-		st, ok := admin.Inspect(workload.Class, key)
+		st, ok := d.admin.Inspect(workload.Class, key)
 		if !ok {
-			return nil, Run{}, fmt.Errorf("%s on %s: preloaded cell %s missing from committed state",
-				spec.Profile, backend, key)
+			return nil, run, d.errorf("preloaded cell %s missing from committed state", key)
 		}
 		h.Final[lin.Entity{Class: workload.Class, Key: key}] = lin.State{
 			Version: st["version"].I, Value: st["value"].I, Last: st["last"].S,
 		}
 	}
-
-	run := Run{Stats: stats, Trace: trace.String(), Flight: sim.FlightRecorder().Dump()}
-	if sf := sim.StateFlow(); sf != nil {
-		run.Recoveries = sf.Coordinator().Recoveries
-		run.CoordRestarts = sf.Coordinator().Restarts
-		run.MidPipelineRestarts = sf.Coordinator().MidPipelineRestarts
-		run.Replays = sf.Coordinator().Replays
-		run.FallbackDriftDemotions = sf.Coordinator().FallbackDriftDemotions
-		run.FallbackChains = sf.Coordinator().FallbackChains
-	} else if sh := sim.Sharded(); sh != nil {
-		for _, shard := range sh.Shards() {
-			c := shard.Coordinator()
-			run.Recoveries += c.Recoveries
-			run.CoordRestarts += c.Restarts
-			run.MidPipelineRestarts += c.MidPipelineRestarts
-			run.Replays += c.Replays
-			run.FallbackDriftDemotions += c.FallbackDriftDemotions
-			run.FallbackChains += c.FallbackChains
-		}
-		run.GlobalTxns = sh.Sequencer().GlobalTxns
-		run.Sequencer = sh.Sequencer().Stats()
-		run.FenceWindows = fenceWindows(sim.FlightRecorder().Events())
-	}
+	run.Trace = d.trace.String()
 	return h, run, nil
 }
 
@@ -280,112 +175,88 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 // integers.
 func VerifyAdversarial(p workload.Profile, backend stateflow.Backend, seed int64, cfg Config) (Run, error) {
 	spec := workload.FromSeed(p, seed)
-	plan := chaos.FromSeed(seed, cfg.Horizon)
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("adversarial profile=%s backend=%s seed=%d plan=%s: %s",
-			p, backend, seed, plan, fmt.Sprintf(format, args...))
-	}
-
-	h, _, err := RunAdversarial(spec, backend, seed, nil, cfg)
-	if err != nil {
-		return Run{}, fail("fault-free run failed: %v", err)
-	}
-	if err := lin.Check(h, spec.Conservation()); err != nil {
-		return Run{}, fail("fault-free history rejected: %v", err)
-	}
-	h, got, err := RunAdversarial(spec, backend, seed, &plan, cfg)
-	if err != nil {
-		return got, withFlight(fail("chaos run failed: %v", err), got.Flight)
-	}
-	if err := lin.Check(h, spec.Conservation()); err != nil {
-		return got, withFlight(fail("chaos history rejected: %v", err), got.Flight)
-	}
-	if backend == stateflow.BackendStateFlow && got.CoordRestarts == 0 {
-		return got, withFlight(fail("chaos run survived no coordinator reboot (restarts=0); the plan scheduled one, so the restart path went unexercised"), got.Flight)
-	}
-	if backend == stateflow.BackendStateFlow && cfg.Shards > 1 {
-		// On a sharded deployment the coordinator role spans the shard
-		// coordinators, so the reboot floor above already demands a
-		// single-shard crash survived. Additionally demand that the
-		// traffic actually crossed shards: a sweep whose every op stayed
-		// shard-local would validate the fast path and nothing else.
-		if got.GlobalTxns == 0 {
-			return got, withFlight(fail("chaos run routed no transaction through the global sequencer (shards=%d); the cross-shard commit path went unexercised", cfg.Shards), got.Flight)
-		}
-		// Every seeded plan schedules sequencer crash windows; a sweep
-		// that stopped rebooting the sequencer would silently shrink to
-		// shard-local fault coverage.
-		if got.Sequencer.Failovers == 0 {
-			return got, withFlight(fail("chaos run survived no sequencer failover (the plan scheduled crash windows); the recovery handshake went unexercised"), got.Flight)
-		}
-		if len(got.FenceWindows) == 0 {
-			return got, withFlight(fail("chaos run recorded no completed fence window despite %d global txns; cannot target a mid-fence crash", got.GlobalTxns), got.Flight)
-		}
-		// Third run: the seeded windows land wherever the RNG put them,
-		// so additionally aim one sequencer crash at the midpoint of a
-		// fence window observed under the plan. The crash is appended
-		// last and Pinned, so installing it consumes no cluster RNG and
-		// the schedule prefix replays byte-for-byte — the window seen in
-		// the second run is guaranteed to be open at that instant in the
-		// third, and the reboot lands with a shard provably parked,
-		// forcing fence re-derivation and a roll-forward or abandon
-		// decision rather than merely permitting one.
-		// Candidate windows must open before the horizon: installCrash
-		// drops instants past it, so a midpoint beyond the horizon would
-		// silently schedule nothing. Windows can also outlive the horizon
-		// (the run itself continues until traffic settles), so clip each
-		// to it and pick the widest clipped span — the most room for the
-		// crash to land with the shard still provably parked.
-		var win FenceWindow
-		var span time.Duration
-		for _, w := range got.FenceWindows {
-			to := w.To
-			if to > plan.Horizon {
-				to = plan.Horizon
-			}
-			if d := to - w.From; d > span || (d == span && w.From < win.From) {
-				win, span = w, d
+	v := newVerdict(fmt.Sprintf("adversarial profile=%s backend=%s seed=%d", p, backend, seed), seed, cfg)
+	once := func(plan *chaos.Plan) (Run, error) {
+		h, run, err := RunAdversarial(spec, backend, seed, plan, cfg)
+		if err == nil {
+			if err = lin.Check(h, spec.Conservation()); err != nil {
+				err = fmt.Errorf("history rejected: %w", err)
 			}
 		}
-		if span <= 0 {
-			// Every observed window opens past the plan horizon: the seeded
-			// plan kept the sequencer down until then, which is a property
-			// of the plan, not a defect of the system. There is nothing to
-			// aim at, so the seed contributes its first two runs only; the
-			// caller owns the floor over MidFenceAimed (per sweep leg, or
-			// per seed where a test pins one).
-			return got, nil
-		}
-		targeted := plan
-		targeted.Name = plan.Name + "+seq-mid-fence"
-		targeted.Crashes = append(append([]chaos.Crash(nil), plan.Crashes...), chaos.Crash{
-			Role:     "sequencer",
-			Victims:  1,
-			At:       win.From + span/2,
-			Downtime: 10 * time.Millisecond,
-			Count:    1,
-			Pinned:   true,
-		})
-		h, tgt, err := RunAdversarial(spec, backend, seed, &targeted, cfg)
-		if err != nil {
-			return tgt, withFlight(fail("targeted mid-fence crash run failed: %v", err), tgt.Flight)
-		}
-		if err := lin.Check(h, spec.Conservation()); err != nil {
-			return tgt, withFlight(fail("targeted mid-fence crash history rejected: %v", err), tgt.Flight)
-		}
-		if tgt.Sequencer.Failovers == 0 {
-			return tgt, withFlight(fail("targeted run survived no sequencer failover (crash aimed at %s inside fence window [%s, %s] on %s)",
-				win.From+span/2, win.From, win.To, win.Node), tgt.Flight)
-		}
-		if tgt.Sequencer.RederivedBatches+tgt.Sequencer.AbortedBatches == 0 {
-			return tgt, withFlight(fail("targeted mid-fence crash neither rolled a batch forward nor abandoned one (failovers=%d); the crash missed every fenced window",
-				tgt.Sequencer.Failovers), tgt.Flight)
-		}
-		got.MidFenceAimed = true
-		got.Sequencer.Failovers += tgt.Sequencer.Failovers
-		got.Sequencer.RederivedBatches += tgt.Sequencer.RederivedBatches
-		got.Sequencer.AbortedBatches += tgt.Sequencer.AbortedBatches
-		got.Sequencer.KnownRetries += tgt.Sequencer.KnownRetries
+		return run, err
 	}
+	_, got, err := v.pair(once)
+	if err != nil {
+		return got, err
+	}
+	if backend != stateflow.BackendStateFlow {
+		return got, nil
+	}
+	if got.CoordRestarts == 0 {
+		return v.failRun(got, "chaos run survived no coordinator reboot (restarts=0); the plan scheduled one, so the restart path went unexercised")
+	}
+	if cfg.Shards <= 1 {
+		return got, nil
+	}
+	// On a sharded deployment the coordinator role spans the shard
+	// coordinators, so the reboot floor above already demands a
+	// single-shard crash survived. Additionally demand that the traffic
+	// actually crossed shards: a sweep whose every op stayed shard-local
+	// would validate the fast path and nothing else.
+	if got.Sequencer.GlobalTxns == 0 {
+		return v.failRun(got, "chaos run routed no transaction through the global sequencer (shards=%d); the cross-shard commit path went unexercised", cfg.Shards)
+	}
+	// Every seeded plan schedules sequencer crash windows; a sweep that
+	// stopped rebooting the sequencer would silently shrink to shard-local
+	// fault coverage.
+	if got.Sequencer.Failovers == 0 {
+		return v.failRun(got, "chaos run survived no sequencer failover (the plan scheduled crash windows); the recovery handshake went unexercised")
+	}
+	if len(got.FenceWindows) == 0 {
+		return v.failRun(got, "chaos run recorded no completed fence window despite %d global txns; cannot target a mid-fence crash", got.Sequencer.GlobalTxns)
+	}
+	// Third run: aim one sequencer crash at the midpoint of a fence window
+	// observed under the plan. The crash is appended last and Pinned, so it
+	// consumes no cluster RNG and the schedule prefix replays byte-for-byte:
+	// the window is open at that instant in the third run too, and the
+	// reboot lands with a shard provably parked, forcing a roll-forward or
+	// abandon decision. installCrash drops instants past the horizon, and
+	// windows can outlive it (the run continues until traffic settles), so
+	// each is clipped to it and the widest clipped span wins.
+	plan := v.plan
+	var win FenceWindow
+	var span time.Duration
+	for _, w := range got.FenceWindows {
+		if d := min(w.To, plan.Horizon) - w.From; d > span || (d == span && w.From < win.From) {
+			win, span = w, d
+		}
+	}
+	if span <= 0 {
+		// Every observed window opens past the horizon — a property of the
+		// plan (it kept the sequencer down until then), not a defect. The
+		// caller owns the floor over MidFenceAimed.
+		return got, nil
+	}
+	targeted := plan
+	targeted.Name = plan.Name + "+seq-mid-fence"
+	targeted.Crashes = append(slices.Clone(plan.Crashes), chaos.Crash{Role: "sequencer", Victims: 1,
+		At: win.From + span/2, Downtime: 10 * time.Millisecond, Count: 1, Pinned: true})
+	tgt, err := once(&targeted)
+	if err != nil {
+		return v.failRun(tgt, "targeted mid-fence crash run failed: %v", err)
+	}
+	if tgt.Sequencer.Failovers == 0 {
+		return v.failRun(tgt, "targeted run survived no sequencer failover (crash aimed at %s inside fence window [%s, %s] on %s)",
+			win.From+span/2, win.From, win.To, win.Node)
+	}
+	if tgt.Sequencer.RederivedBatches+tgt.Sequencer.AbortedBatches == 0 {
+		return v.failRun(tgt, "targeted mid-fence crash neither rolled a batch forward nor abandoned one (failovers=%d); the crash missed every fenced window",
+			tgt.Sequencer.Failovers)
+	}
+	got.MidFenceAimed = true
+	got.Sequencer.Failovers += tgt.Sequencer.Failovers
+	got.Sequencer.RederivedBatches += tgt.Sequencer.RederivedBatches
+	got.Sequencer.AbortedBatches += tgt.Sequencer.AbortedBatches
+	got.Sequencer.KnownRetries += tgt.Sequencer.KnownRetries
 	return got, nil
 }

@@ -4,9 +4,9 @@
 // seeded chaos plan — and asserts that the chaos run is indistinguishable
 // where the system's contract says it must be:
 //
-//   - exactly-once responses: every submitted request resolves, exactly
-//     one raw response delivery reaches the client edge per request (no
-//     lost responses, no duplicates the client had to suppress);
+//   - exactly-once responses: every submitted request resolves, and the
+//     system sends each response once plus at most one replay per client
+//     solicitation (no lost responses, no unprompted duplicates);
 //   - response equivalence: the chaos transcript (values and application
 //     errors, not latencies or retry counts) is byte-identical to the
 //     reference transcript;
@@ -19,10 +19,18 @@
 // concurrency the oracle drives (disjoint key slots per in-flight wave,
 // or commutative contended operations), which is what makes byte-level
 // equivalence a sound oracle rather than a flaky one.
+//
+// The history oracle (adversarial.go) runs on the same driver: a run
+// deploys a program, lets a script submit and settle its ops, quiesces,
+// checks exactly-once delivery and reads the deployment's counters (finish);
+// only the scripts differ, and both verdicts share one fault-free → chaos
+// skeleton (verdict).
 package oracle
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -114,20 +122,17 @@ type Run struct {
 	Replays int
 	// FallbackDriftDemotions counts fallback chain members the coordinator
 	// sent to the next batch because their re-execution left its queued
-	// footprint (adversarial runs; evidence the datadep profile actually
-	// provokes the drift rule).
+	// footprint (evidence the datadep profile actually provokes the drift
+	// rule).
 	FallbackDriftDemotions int
 	// FallbackChains counts epochs whose conflict aborts re-executed as a
 	// per-entity ordered chain (evidence the hotkey, chain and datadep
 	// profiles run the fallback schedule at all).
 	FallbackChains int
-	// GlobalTxns counts transactions routed through the global sequencer
-	// (zero unless the run deployed Config.Shards > 1): evidence the
-	// workload actually exercised cross-shard histories rather than
-	// degenerating into per-shard traffic.
-	GlobalTxns int
 	// Sequencer snapshots the sequencing layer's full counter set (zero
-	// value unless Config.Shards > 1): scoped vs full fence schedules,
+	// value unless Config.Shards > 1): transactions routed through it
+	// (GlobalTxns — evidence the workload crossed shards rather than
+	// degenerating into per-shard traffic), scoped vs full fence schedules,
 	// sequencer failovers, batches re-derived from durable manifests or
 	// abandoned. Floors over these prove the failover machinery ran.
 	Sequencer stateflow.SequencerStats
@@ -191,12 +196,40 @@ func DefaultConfig() Config {
 	}
 }
 
-// RunOnce executes the workload once on a backend — fault-free when plan
-// is nil, under the plan otherwise — and returns the observables.
-func RunOnce(w Workload, backend stateflow.Backend, seed int64, plan *chaos.Plan, cfg Config) (Run, error) {
-	prog, err := stateflow.Compile(w.Source)
+// script names what a run deploys.
+type script struct {
+	// name is a workload name or an adversarial profile, for errors.
+	name    string
+	source  string
+	preload func(stateflow.Admin) error
+	// tap turns on the coordinator's commit-order tap (SimConfig.TraceCommits),
+	// the serial order the history checker validates against; the
+	// byte-equality runs leave it off.
+	tap bool
+}
+
+// deployment is one chaos run in progress: the simulation a script drives,
+// plus the losses and trace lines the script records along the way.
+type deployment struct {
+	sim     *stateflow.Simulation
+	client  stateflow.Client
+	admin   stateflow.Admin
+	name    string
+	backend stateflow.Backend
+	cfg     Config
+	// lost counts ops without a response within cfg.Timeout, one losses line
+	// each; any loss fails the run in finish.
+	lost   int
+	losses strings.Builder
+	trace  strings.Builder
+}
+
+// deploy compiles and deploys s on backend, under plan when it is non-nil,
+// and preloads its dataset.
+func deploy(s script, backend stateflow.Backend, seed int64, plan *chaos.Plan, cfg Config) (*deployment, error) {
+	prog, err := stateflow.Compile(s.source)
 	if err != nil {
-		return Run{}, fmt.Errorf("compile %s: %w", w.Name, err)
+		return nil, fmt.Errorf("compile %s: %w", s.name, err)
 	}
 	simCfg := stateflow.SimConfig{
 		Backend:           backend,
@@ -205,146 +238,207 @@ func RunOnce(w Workload, backend stateflow.Backend, seed int64, plan *chaos.Plan
 		SnapshotEvery:     cfg.SnapshotEvery,
 		DisableFallback:   cfg.DisableFallback,
 		DisablePipelining: cfg.DisablePipelining,
+		TraceCommits:      s.tap,
 		Shards:            cfg.Shards,
 		FullFences:        cfg.FullFences,
 	}
 	if cfg.Traced {
 		simCfg.Tracer = stateflow.NewTracer()
 	}
-	var sim *stateflow.Simulation
+	opts := []stateflow.SimOption{stateflow.WithReinjectedBugs(cfg.Reinject)}
 	if plan != nil {
-		sim = stateflow.NewSimulation(prog, simCfg, stateflow.WithChaos(*plan))
-	} else {
-		sim = stateflow.NewSimulation(prog, simCfg)
+		opts = append(opts, stateflow.WithChaos(*plan))
 	}
-	client := sim.Client()
-	admin := client.Admin()
-	if w.Preload != nil {
-		if err := w.Preload(admin); err != nil {
-			return Run{}, fmt.Errorf("%s preload: %w", w.Name, err)
+	sim := stateflow.NewSimulation(prog, simCfg, opts...)
+	d := &deployment{sim: sim, client: sim.Client(), name: s.name, backend: backend, cfg: cfg}
+	d.admin = d.client.Admin()
+	if s.preload != nil {
+		if err := s.preload(d.admin); err != nil {
+			return nil, fmt.Errorf("%s preload: %w", s.name, err)
 		}
 	}
+	return d, nil
+}
 
-	ops := w.Ops(seed)
-	window := w.window(backend)
-	var transcript, trace strings.Builder
-	lost := 0
-	for base := 0; base < len(ops); base += window {
-		end := base + window
-		if end > len(ops) {
-			end = len(ops)
-		}
-		futs := make([]*stateflow.Future, 0, end-base)
-		for _, op := range ops[base:end] {
-			e := client.Entity(op.Class, op.Key).
-				With(stateflow.WithKind(op.Kind), stateflow.WithTimeout(cfg.Timeout))
-			futs = append(futs, e.Submit(op.Method, op.Args...))
+// windowed submits n ops window at a time, settling each wave in submission
+// order before the next one goes out.
+func windowed(n, window int, submit func(i int) *stateflow.Future, settle func(i int, f *stateflow.Future)) {
+	for base := 0; base < n; base += window {
+		futs := make([]*stateflow.Future, 0, window)
+		for i := base; i < min(base+window, n); i++ {
+			futs = append(futs, submit(i))
 		}
 		for i, f := range futs {
-			op := ops[base+i]
-			res, err := f.Wait()
-			if err != nil {
-				lost++
-				fmt.Fprintf(&transcript, "op%03d %s<%s>.%s -> LOST: %v\n",
-					base+i, op.Class, op.Key, op.Method, err)
-				continue
-			}
-			fmt.Fprintf(&transcript, "op%03d %s<%s>.%s -> %s / err=%q\n",
-				base+i, op.Class, op.Key, op.Method, res.Value.Repr(), res.Err)
-			fmt.Fprintf(&trace, "op%03d latency=%s retries=%d\n", base+i, res.Latency, res.Retries)
+			settle(base+i, f)
 		}
 	}
-	if lost > 0 {
-		return Run{Transcript: transcript.String(), Flight: sim.FlightRecorder().Dump()},
-			fmt.Errorf("%s on %s: %d/%d requests lost (no response within %s of virtual time)",
-				w.Name, backend, lost, len(ops), cfg.Timeout)
-	}
+}
 
-	// Quiesce before judging: delayed duplicate deliveries must land, any
-	// crash window scheduled past the last response must open, be
-	// detected and finish recovering (recovery replays re-commit work the
-	// clients already saw; the digest below must observe the converged
+// lose records an op that got no response within the virtual timeout. The
+// run fails in finish: an op with unknown effects makes any verdict vacuous.
+func (d *deployment) lose(format string, args ...any) {
+	d.lost++
+	fmt.Fprintf(&d.losses, "LOST "+format+"\n", args...)
+}
+
+func (d *deployment) errorf(format string, args ...any) error {
+	return fmt.Errorf("%s on %s: "+format, append([]any{d.name, d.backend}, args...)...)
+}
+
+// finish closes a run whose script submitted ops requests: it fails on any
+// loss, quiesces, checks exactly-once delivery and returns the chaos stats,
+// the counters and the flight-recorder dump. A failed run still carries the
+// dump.
+func (d *deployment) finish(ops int) (Run, error) {
+	if d.lost > 0 {
+		return Run{Flight: d.sim.FlightRecorder().Dump()},
+			d.errorf("%d/%d requests lost (no response within %s of virtual time):\n%s",
+				d.lost, ops, d.cfg.Timeout, d.losses.String())
+	}
+	// Quiesce before judging: delayed duplicate deliveries must land, and any
+	// crash window scheduled past the last response must open, be detected
+	// and finish recovering (recovery replays re-commit work the clients
+	// already saw; taps, digests and final state must observe the converged
 	// state, not a replay in progress).
-	settle := cfg.Horizon - sim.Cluster.Now()
-	if settle < 0 {
-		settle = 0
-	}
-	sim.Run(settle + time.Second)
+	d.sim.Run(max(d.cfg.Horizon-d.sim.Cluster.Now(), 0) + time.Second)
 
-	// Exactly-once at the client edge. Every request resolved above; the
-	// raw delivery accounting separates what the wire did from what the
-	// system did. Per id, the system's own sends are
-	//
-	//	sends = deliveries − injected response duplicates
-	//	              + injected response drops
-	//
-	// and a correct egress sends the original exactly once plus at most
-	// one replay per solicitation it could have seen (a client retry or an
-	// injected duplicate of the request). Any excess is a duplicate the
-	// system emitted unprompted — the bug the old strict check caught,
-	// still caught: with no drops and no retries the bound collapses to
-	// deliveries == 1 + injected duplicates.
-	deliveries := sim.ResponseDeliveries()
-	if len(deliveries) != len(ops) {
-		return Run{Flight: sim.FlightRecorder().Dump()},
-			fmt.Errorf("%s on %s: %d raw-delivery records for %d ops",
-				w.Name, backend, len(deliveries), len(ops))
+	deliveries := d.sim.ResponseDeliveries()
+	if len(deliveries) != ops {
+		return Run{Flight: d.sim.FlightRecorder().Dump()},
+			d.errorf("%d raw-delivery records for %d ops", len(deliveries), ops)
 	}
-	stats := sim.ChaosStats()
-	retries := sim.ClientRetries()
-	bad := 0
-	for id, n := range deliveries {
-		sends := n - stats.DupResponses[id] + stats.DroppedResponses[id]
+	stats := d.sim.ChaosStats()
+	if bad := deliveryViolations(deliveries, stats, d.sim.ClientRetries()); len(bad) > 0 {
+		return Run{Flight: d.sim.FlightRecorder().Dump()},
+			d.errorf("%d requests violate the exactly-once delivery accounting (unsolicited duplicates or unexplained losses):\n%s",
+				len(bad), strings.Join(bad, "\n"))
+	}
+
+	run := Run{Stats: stats, Flight: d.sim.FlightRecorder().Dump()}
+	sh := d.sim.Sharded()
+	if sh == nil {
+		return run, nil // the baseline keeps no such counters
+	}
+	for _, shard := range sh.Shards() {
+		c := shard.Coordinator()
+		run.Recoveries += c.Recoveries
+		run.CoordRestarts += c.Restarts
+		run.MidPipelineRestarts += c.MidPipelineRestarts
+		run.Replays += c.Replays
+		run.FallbackDriftDemotions += c.FallbackDriftDemotions
+		run.FallbackChains += c.FallbackChains
+	}
+	if q := sh.Sequencer(); q != nil {
+		run.Sequencer = q.Stats()
+		run.FenceWindows = fenceWindows(d.sim.FlightRecorder().Events())
+	}
+	return run, nil
+}
+
+// deliveryViolations is the exactly-once check at the client edge, once
+// every request has resolved. The raw delivery accounting separates what the
+// wire did from what the system did: per id, the system's own sends are
+//
+//	sends = deliveries − injected response duplicates
+//	              + injected response drops
+//
+// and a correct egress sends the original exactly once plus at most one
+// replay per solicitation it could have seen (a client retry or an injected
+// duplicate of the request). Fewer than one is a loss the wire does not
+// explain; any excess is a duplicate the system emitted unprompted — with no
+// drops and no retries the bound collapses to deliveries == 1 + injected
+// duplicates. Returns one line per violating id, in id order.
+func deliveryViolations(deliveries map[string]int, stats chaos.Stats, retries map[string]int) []string {
+	var bad []string
+	for _, id := range slices.Sorted(maps.Keys(deliveries)) {
+		n, dups, drops := deliveries[id], stats.DupResponses[id], stats.DroppedResponses[id]
+		sends := n - dups + drops
 		if sends < 1 {
-			bad++
-			fmt.Fprintf(&trace, "UNDERDELIVERED %s: %d deliveries, %d dups, %d drops\n",
-				id, n, stats.DupResponses[id], stats.DroppedResponses[id])
-			continue
-		}
-		if allowed := 1 + retries[id] + stats.DupRequests[id]; sends > allowed {
-			bad++
-			fmt.Fprintf(&trace, "DUPLICATE %s: system sent %d responses, allowed %d (deliveries %d, wire dups %d, wire drops %d, retries %d, request dups %d)\n",
-				id, sends, allowed, n, stats.DupResponses[id], stats.DroppedResponses[id],
-				retries[id], stats.DupRequests[id])
+			bad = append(bad, fmt.Sprintf("UNDERDELIVERED %s: %d deliveries, %d dups, %d drops", id, n, dups, drops))
+		} else if allowed := 1 + retries[id] + stats.DupRequests[id]; sends > allowed {
+			bad = append(bad, fmt.Sprintf("DUPLICATE %s: system sent %d responses, allowed %d (deliveries %d, wire dups %d, wire drops %d, retries %d, request dups %d)",
+				id, sends, allowed, n, dups, drops, retries[id], stats.DupRequests[id]))
 		}
 	}
-	if bad > 0 {
-		return Run{Flight: sim.FlightRecorder().Dump()},
-			fmt.Errorf("%s on %s: %d requests violate the exactly-once delivery accounting (unsolicited duplicates or unexplained losses):\n%s",
-				w.Name, backend, bad, trace.String())
-	}
+	return bad
+}
 
-	run := Run{
-		Transcript:  transcript.String(),
-		StateDigest: stateDigest(admin, w.Classes),
-		Stats:       stats,
-		Flight:      sim.FlightRecorder().Dump(),
+// verdict is the skeleton both oracles judge in: derive the seed's chaos
+// plan, run once fault-free and once under it, and report a failure with
+// the label and plan that reproduce it.
+type verdict struct {
+	label string
+	plan  chaos.Plan
+}
+
+func newVerdict(label string, seed int64, cfg Config) verdict {
+	return verdict{label: label, plan: chaos.FromSeed(seed, cfg.Horizon)}
+}
+
+func (v verdict) fail(format string, args ...any) error {
+	return fmt.Errorf("%s plan=%s: %s", v.label, v.plan, fmt.Sprintf(format, args...))
+}
+
+// failRun fails with run's flight-recorder dump attached: the report then
+// carries the cluster timeline (crashes, reboots, epoch advances, fences,
+// replay decisions) next to the seed and plan that reproduce it.
+func (v verdict) failRun(run Run, format string, args ...any) (Run, error) {
+	err := v.fail(format, args...)
+	if run.Flight != "" {
+		err = fmt.Errorf("%w\n%s", err, run.Flight)
 	}
-	if sf := sim.StateFlow(); sf != nil {
-		run.Recoveries = sf.Coordinator().Recoveries
-		run.CoordRestarts = sf.Coordinator().Restarts
-		run.MidPipelineRestarts = sf.Coordinator().MidPipelineRestarts
-		run.Replays = sf.Coordinator().Replays
-	} else if sh := sim.Sharded(); sh != nil {
-		for _, shard := range sh.Shards() {
-			c := shard.Coordinator()
-			run.Recoveries += c.Recoveries
-			run.CoordRestarts += c.Restarts
-			run.MidPipelineRestarts += c.MidPipelineRestarts
-			run.Replays += c.Replays
+	return run, err
+}
+
+// pair runs once fault-free, then under the plan.
+func (v verdict) pair(once func(plan *chaos.Plan) (Run, error)) (ref, got Run, err error) {
+	if ref, err = once(nil); err != nil {
+		return Run{}, Run{}, v.fail("fault-free run failed: %v", err)
+	}
+	if got, err = once(&v.plan); err != nil {
+		got, err = v.failRun(got, "chaos run failed: %v", err)
+	}
+	return ref, got, err
+}
+
+// RunOnce executes the workload once on a backend — fault-free when plan
+// is nil, under the plan otherwise — and returns the observables.
+func RunOnce(w Workload, backend stateflow.Backend, seed int64, plan *chaos.Plan, cfg Config) (Run, error) {
+	d, err := deploy(script{name: w.Name, source: w.Source, preload: w.Preload}, backend, seed, plan, cfg)
+	if err != nil {
+		return Run{}, err
+	}
+	ops := w.Ops(seed)
+	var transcript strings.Builder
+	windowed(len(ops), w.window(backend), func(i int) *stateflow.Future {
+		op := ops[i]
+		return d.client.Entity(op.Class, op.Key).
+			With(stateflow.WithKind(op.Kind), stateflow.WithTimeout(cfg.Timeout)).
+			Submit(op.Method, op.Args...)
+	}, func(i int, f *stateflow.Future) {
+		op := ops[i]
+		res, err := f.Wait()
+		if err != nil {
+			d.lose("op%03d %s<%s>.%s: %v", i, op.Class, op.Key, op.Method, err)
+			return
 		}
-		run.GlobalTxns = sh.Sequencer().GlobalTxns
-		run.Sequencer = sh.Sequencer().Stats()
-		run.FenceWindows = fenceWindows(sim.FlightRecorder().Events())
+		fmt.Fprintf(&transcript, "op%03d %s<%s>.%s -> %s / err=%q\n",
+			i, op.Class, op.Key, op.Method, res.Value.Repr(), res.Err)
+		fmt.Fprintf(&d.trace, "op%03d latency=%s retries=%d\n", i, res.Latency, res.Retries)
+	})
+	run, err := d.finish(len(ops))
+	if err != nil {
+		return run, err
 	}
-	fmt.Fprintf(&trace, "delivered=%d now=%s recoveries=%d restarts=%d midpipeline=%d replays=%d\n",
-		sim.Cluster.Delivered, sim.Cluster.Now(), run.Recoveries, run.CoordRestarts,
+	run.Transcript = transcript.String()
+	run.StateDigest = stateDigest(d.admin, w.Classes)
+	fmt.Fprintf(&d.trace, "delivered=%d now=%s recoveries=%d restarts=%d midpipeline=%d replays=%d\n",
+		d.sim.Cluster.Delivered, d.sim.Cluster.Now(), run.Recoveries, run.CoordRestarts,
 		run.MidPipelineRestarts, run.Replays)
-	run.Trace = trace.String()
-
+	run.Trace = d.trace.String()
 	for _, inv := range w.Invariants {
-		if err := inv.Check(admin); err != nil {
-			return run, fmt.Errorf("%s on %s: invariant %q violated: %w", w.Name, backend, inv.Name, err)
+		if err := inv.Check(d.admin); err != nil {
+			return run, d.errorf("invariant %q violated: %w", inv.Name, err)
 		}
 	}
 	return run, nil
@@ -419,38 +513,17 @@ func stateDigest(admin stateflow.Admin, classes []string) string {
 // run's observables. The returned error, if any, embeds the seed and the
 // full plan needed to reproduce the run.
 func Verify(w Workload, backend stateflow.Backend, seed int64, cfg Config) (Run, error) {
-	plan := chaos.FromSeed(seed, cfg.Horizon)
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("workload=%s backend=%s seed=%d plan=%s: %s",
-			w.Name, backend, seed, plan, fmt.Sprintf(format, args...))
-	}
-
-	ref, err := RunOnce(w, backend, seed, nil, cfg)
-	if err != nil {
-		return Run{}, fail("fault-free reference failed: %v", err)
-	}
-	got, err := RunOnce(w, backend, seed, &plan, cfg)
-	if err != nil {
-		return got, withFlight(fail("chaos run failed: %v", err), got.Flight)
-	}
-	if got.Transcript != ref.Transcript {
-		return got, withFlight(fail("response transcripts diverge:\n--- reference ---\n%s--- chaos ---\n%s",
-			ref.Transcript, got.Transcript), got.Flight)
-	}
-	if got.StateDigest != ref.StateDigest {
-		return got, withFlight(fail("committed state diverges:\n--- reference ---\n%s--- chaos ---\n%s",
-			ref.StateDigest, got.StateDigest), got.Flight)
+	v := newVerdict(fmt.Sprintf("workload=%s backend=%s seed=%d", w.Name, backend, seed), seed, cfg)
+	ref, got, err := v.pair(func(plan *chaos.Plan) (Run, error) { return RunOnce(w, backend, seed, plan, cfg) })
+	switch {
+	case err != nil:
+		return got, err
+	case got.Transcript != ref.Transcript:
+		return v.failRun(got, "response transcripts diverge:\n--- reference ---\n%s--- chaos ---\n%s",
+			ref.Transcript, got.Transcript)
+	case got.StateDigest != ref.StateDigest:
+		return v.failRun(got, "committed state diverges:\n--- reference ---\n%s--- chaos ---\n%s",
+			ref.StateDigest, got.StateDigest)
 	}
 	return got, nil
-}
-
-// withFlight appends the chaos run's flight-recorder dump to a failure:
-// the report then carries the cluster timeline (crashes, reboots, epoch
-// advances, fences, replay decisions) next to the seed and plan that
-// reproduce it.
-func withFlight(err error, flight string) error {
-	if flight == "" {
-		return err
-	}
-	return fmt.Errorf("%w\n%s", err, flight)
 }

@@ -5,7 +5,7 @@
 // response-replay). The paper's deployment dedicates a single core to it
 // ("StateFlow requires a single core coordinator", §4).
 //
-// Three files hold it. This one owns the component — its fields, message
+// Four files hold it. This one owns the component — its fields, message
 // dispatch and wiring — and everything around a batch: request intake, the
 // two-slot pipeline (opening, filling and releasing epochs), the failure
 // detector, snapshots and checkpoints, and recovery. epoch.go owns what
@@ -41,7 +41,6 @@ import (
 	"strings"
 	"time"
 
-	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/snapshot"
@@ -104,16 +103,14 @@ type Coordinator struct {
 	// recovery.replay trace spans. Purely observational.
 	recoverAt, replayAt time.Duration
 
-	// refClosed memoizes ir.Program.RefClosed per method (the analysis walks
-	// the method's blocks); see staticFootprint.
-	refClosed map[*ir.Method]bool
-
-	// snapCuts records each snapshot's aligned-cut virtual time (when its
-	// epoch staged its last response): a delivered entry released after
-	// the restored snapshot's cut has effects the images predate, which
-	// is exactly what makes it binding. The sealed snapshot's cut rides
-	// the dlog checkpoint so the classification survives reboots.
-	snapCuts map[int64]time.Duration
+	// snapCut is the aligned-cut virtual time of the snapshot in flight
+	// (when its epoch staged its last response) and sealedCut the sealed
+	// snapshot's: a delivered entry released after the restored snapshot's
+	// cut has effects the images predate, which is exactly what makes it
+	// binding. Recovery restores only the sealed snapshot, so its cut is the
+	// only one it reads; it rides the dlog checkpoint so the classification
+	// survives reboots.
+	snapCut, sealedCut time.Duration
 
 	// Replayable source position: how many log records have been drawn
 	// into batches.
@@ -245,11 +242,9 @@ func (c *Coordinator) flight() *obs.FlightRecorder { return c.sys.cfg.Flight }
 
 func newCoordinator(sys *System) *Coordinator {
 	return &Coordinator{
-		sys:       sys,
-		exec:      &epochState{phase: phaseOpen},
-		journal:   newJournal(sys.coordID, &sys.cfg, sys.Dlog),
-		refClosed: map[*ir.Method]bool{},
-		snapCuts:  map[int64]time.Duration{},
+		sys:     sys,
+		exec:    &epochState{phase: phaseOpen},
+		journal: newJournal(sys.coordID, &sys.cfg, sys.Dlog),
 	}
 }
 
@@ -600,7 +595,7 @@ func (c *Coordinator) startSnapshot(ctx *sim.Context, st *epochState) {
 	// this same event (finishBatch runs inside the final apply), so every
 	// entry released at or before now has its effects in the images the
 	// workers are about to write — and every later release does not.
-	c.snapCuts[c.snapshotID] = ctx.Now()
+	c.snapCut = ctx.Now()
 	clear(c.snapDone)
 	c.broadcast(ctx, msgTakeSnapshot{ID: c.snapshotID, Epoch: st.epoch})
 }
@@ -626,9 +621,9 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 	if meta, ok := c.sys.Snapshots.Get(c.snapshotID); ok {
 		offset = meta.SourceOffsets[sourceTopic][0]
 	}
-	c.sealed = c.snapshotID
+	c.sealed, c.sealedCut = c.snapshotID, c.snapCut
 	c.journal.checkpoint(ctx, marks{epoch: c.epoch, nextTID: c.nextTID,
-		sealed: c.sealed, sealedCut: c.snapCuts[c.sealed]}, offset)
+		sealed: c.sealed, sealedCut: c.sealedCut}, offset)
 	if retain := c.sys.cfg.SnapshotRetain; retain > 0 {
 		c.sys.Snapshots.Compact(retain)
 	}
@@ -921,7 +916,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	cut := time.Duration(-1) // no snapshot: every release postdates the empty state
 	if meta, ok := c.restorePoint(); ok {
 		snapID = meta.ID
-		cut = c.snapCuts[snapID]
+		cut = c.sealedCut
 		c.consumed = meta.SourceOffsets[sourceTopic][0]
 		// Re-queue the consumed-but-pending requests the snapshot
 		// recorded: their positions predate the offset, so the suffix
@@ -1013,10 +1008,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.CorruptLogRecords += img.corrupt
 	c.epoch = img.epoch
 	c.nextTID = img.nextTID
-	c.sealed = img.sealed
-	// The sealed snapshot's cut is the only one a restart can restore to,
-	// so it is the only one the checkpoint needs to carry.
-	c.snapCuts = map[int64]time.Duration{img.sealed: img.sealedCut}
+	c.sealed, c.sealedCut = img.sealed, img.sealedCut
 	if !c.sys.cfg.DisablePipelining {
 		// Compensate for the single epoch-advance record the pipelined
 		// schedule allows to be volatile: it may have been torn by the

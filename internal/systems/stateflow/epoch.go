@@ -216,16 +216,16 @@ func (st *epochState) vote(aborts []aria.TID, sets map[aria.TID]*aria.RWSet) {
 // A batch without conflict aborts skips everything — the uncontended hot
 // path pays only the set shipping on votes.
 //
-// What a member queues on is a property of its request: when static says its
-// footprint is known from the request alone (see Coordinator.staticFootprint)
-// that is appendRefs, a superset of anything it can touch; otherwise it is
-// appendRefs plus every entity its first execution reserved, read from the
-// batch votes (classOf names a reservation key's class) — round 0 was the
-// reconnaissance, and a re-execution that reaches past it drifts (see
-// Worker.admitChained). budget > 0 bounds the chain's depth; the members a
-// deeper chain would have held spill to the next batch. Returns the number
-// of members rescued and spilled.
-func (st *epochState) scheduleFallback(static func(*txnState) bool, classOf func(int) string, budget int) (rescued, spilled int) {
+// A member queues on appendRefs(req) plus every entity its first execution
+// reserved, read from the batch votes (classOf names a reservation key's
+// class): round 0 was the reconnaissance, and a re-execution that reaches
+// past it drifts (see Worker.admitChained). For a ref-closed method the
+// reservations add nothing — it can only touch its target and the entities
+// passed to it — so its footprint is appendRefs, a superset of anything it
+// can touch. budget > 0 bounds the chain's depth; the members a deeper chain
+// would have held spill to the next batch. Returns the number of members
+// rescued and spilled.
+func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (rescued, spilled int) {
 	aborted := 0
 	for _, t := range st.txns {
 		if t.aborted {
@@ -243,13 +243,9 @@ func (st *epochState) scheduleFallback(static func(*txnState) bool, classOf func
 			aborts = append(aborts, st.first+aria.TID(i))
 		}
 	}
-	var keys []aria.ResKey
+	keys := make([]aria.ResKey, 0, 8)
 	plan, left := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
-		t := st.txn(aborts[i])
-		buf = appendRefs(buf, t.req)
-		if static(t) {
-			return buf
-		}
+		buf = appendRefs(buf, st.txn(aborts[i]).req)
 		for _, sets := range votes {
 			if rw := sets[aborts[i]]; rw != nil {
 				keys = rw.Keys(keys[:0])
@@ -575,7 +571,7 @@ func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 		// contract is that conflicting members re-commit in release order.
 		c.cutBinding(ctx, st)
 	case !c.sys.cfg.DisableFallback:
-		rescued, spilled := st.scheduleFallback(c.staticFootprint, c.sys.prog.Layouts().ClassOf, c.sys.cfg.FallbackRoundBudget)
+		rescued, spilled := st.scheduleFallback(c.sys.prog.Layouts().ClassOf, c.sys.cfg.FallbackRoundBudget)
 		ctx.Work(time.Duration(rescued) * c.sys.cfg.Costs.FallbackCPU)
 		c.FallbackSpills += spilled
 	}
@@ -745,25 +741,4 @@ func (c *Coordinator) startChain(ctx *sim.Context, st *epochState) {
 		t.finished, t.value, t.err, t.aborted = false, interp.None, "", false
 		c.dispatch(ctx, st, tid)
 	}
-}
-
-// staticFootprint reports whether a batch member's footprint is known from
-// its request alone: its method is ref-closed (ir.Program.RefClosed), so it
-// can only touch its target and the entities passed to it (appendRefs).
-// Constructors and global applies are not: they create, or install, rows the
-// request does not name as references.
-func (c *Coordinator) staticFootprint(t *txnState) bool {
-	if t.apply != nil || t.req.Method == "__init__" {
-		return false
-	}
-	m := c.sys.prog.MethodOf(t.req.Target.Class, t.req.Method)
-	if m == nil {
-		return false
-	}
-	static, ok := c.refClosed[m]
-	if !ok {
-		static = c.sys.prog.RefClosed(t.req.Target.Class, t.req.Method)
-		c.refClosed[m] = static
-	}
-	return static
 }

@@ -46,8 +46,8 @@ type msgPrepare struct {
 
 // msgVote returns a worker's local aborts for the batch. With the fallback
 // phase enabled, Sets additionally carries the worker's local reservation
-// sets: what round 0 observed is what a conflict abort whose request does
-// not give its footprint queues on (see epochState.scheduleFallback).
+// sets: what round 0 observed joins every conflict abort's footprint (see
+// epochState.scheduleFallback).
 type msgVote struct {
 	Epoch  int64
 	Aborts []aria.TID

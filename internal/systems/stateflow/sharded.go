@@ -58,16 +58,14 @@ type ShardedSystem struct {
 func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *ShardedSystem {
 	s := &ShardedSystem{cfg: cfg, prog: prog, seqID: "sf-seq", shardIdx: map[string]int{}}
 	if cfg.Shards <= 1 {
-		sys := newSystem(cluster, prog, cfg)
+		sys := newSystem(cluster, prog, cfg, "sf-")
 		s.System = sys
 		s.shards = []*System{sys}
 		s.shardIdx[sys.coordID] = 0
 		return s
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sc := cfg
-		sc.IDPrefix = fmt.Sprintf("sf%d-", i)
-		sh := newSystem(cluster, prog, sc)
+		sh := newSystem(cluster, prog, cfg, fmt.Sprintf("sf%d-", i))
 		sh.shardIndex, sh.seqID = i, s.seqID
 		s.shards = append(s.shards, sh)
 		s.shardIdx[sh.coordID] = i

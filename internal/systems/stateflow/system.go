@@ -91,13 +91,6 @@ type Config struct {
 	// Test instrumentation: the map grows with the run, so leave it off
 	// outside checker harnesses.
 	TraceCommits bool
-	// IDPrefix prefixes every component id this deployment registers on
-	// the cluster ("<prefix>coord", "<prefix>worker-<i>"). Empty means the
-	// historical "sf-", so a default deployment keeps its exact component
-	// names. The sharded topology gives each shard its own prefix
-	// ("sf0-", "sf1-", …) so N independent coordinator groups coexist in
-	// one cluster.
-	IDPrefix string
 	// Shards deploys the runtime as that many independent coordinator
 	// groups behind a global sequencer (see sharded.go). 0 or 1 keeps the
 	// classic single-coordinator topology with no sequencing layer.
@@ -161,6 +154,11 @@ type System struct {
 	cfg      Config
 	prog     *ir.Program
 	executor *core.Executor
+	// prefix prefixes every component id this deployment registers on the
+	// cluster ("<prefix>coord", "<prefix>worker-<i>"): the historical "sf-"
+	// in the classic topology, "sf0-", "sf1-", … per shard, so N
+	// independent coordinator groups coexist in one cluster.
+	prefix string
 
 	coordID   string
 	workerIDs []string
@@ -187,21 +185,20 @@ type System struct {
 	seqID      string
 }
 
-// newSystem builds and registers one coordinator group on the cluster.
-// Callers outside the package use New (sharded.go), which deploys either
-// the classic topology or N groups behind a sequencer per Config.Shards.
-func newSystem(cluster *sim.Cluster, prog *ir.Program, cfg Config) *System {
+// newSystem builds and registers one coordinator group on the cluster
+// under the component-id prefix. Callers outside the package use New
+// (sharded.go), which deploys either the classic topology or N groups
+// behind a sequencer per Config.Shards.
+func newSystem(cluster *sim.Cluster, prog *ir.Program, cfg Config, prefix string) *System {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.IDPrefix == "" {
-		cfg.IDPrefix = "sf-"
 	}
 	sys := &System{
 		cfg:        cfg,
 		prog:       prog,
 		executor:   core.NewExecutor(prog),
-		coordID:    cfg.IDPrefix + "coord",
+		prefix:     prefix,
+		coordID:    prefix + "coord",
 		RequestLog: queue.NewLog(),
 		Snapshots:  snapshot.NewStore(prog.Layouts()),
 		Dlog:       dlog.NewSimLog(),
@@ -239,10 +236,10 @@ func (s *System) Coordinator() *Coordinator { return s.coord }
 // while sharded deployments nest their shard prefix ("stateflow.sf0.")
 // so N shards coexist in one registry.
 func (s *System) MetricsNamespace() string {
-	if s.cfg.IDPrefix == "sf-" {
+	if s.prefix == "sf-" {
 		return "stateflow."
 	}
-	return "stateflow." + strings.TrimSuffix(s.cfg.IDPrefix, "-") + "."
+	return "stateflow." + strings.TrimSuffix(s.prefix, "-") + "."
 }
 
 // RegisterMetrics publishes the deployment's stat counters into a
@@ -363,8 +360,7 @@ func (s *System) CheckpointPreloadedState() {
 	// snapshot's cut predates every release: -1, not the wall time of the
 	// preload (a release at virtual time zero must still classify as
 	// binding against it).
-	s.coord.snapCuts[id] = -1
-	s.coord.sealed, s.coord.snapshotID = id, id
+	s.coord.sealed, s.coord.sealedCut, s.coord.snapshotID = id, -1, id
 	s.coord.journal.bootstrap(marks{sealed: id, sealedCut: -1})
 }
 

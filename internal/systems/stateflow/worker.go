@@ -107,7 +107,7 @@ type Worker struct {
 func newWorker(sys *System, idx int) *Worker {
 	return &Worker{
 		sys:          sys,
-		id:           workerID(sys.cfg.IDPrefix, idx),
+		id:           workerID(sys.prefix, idx),
 		idx:          idx,
 		committed:    state.NewStore(sys.prog.Layouts()),
 		epochs:       map[int64]*workerEpoch{},

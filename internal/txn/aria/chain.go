@@ -80,7 +80,7 @@ func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []inter
 	// last[e] is the depth of the last candidate queued on entity e, spilled
 	// ones included.
 	last := make([]int32, 0, 2*n)
-	var buf []interp.EntityRef
+	buf := make([]interp.EntityRef, 0, 8) // a footprint's refs plus its reservations
 	for i, tid := range tids {
 		buf = footprint(i, buf[:0])
 		start := len(p.foot)

@@ -375,7 +375,7 @@ func TestDifferentialSimulated(t *testing.T) {
 				sim := stateflow.NewSimulation(prog, leg.cfg)
 				tGot, sGot := transcript(t, prog, sim.Client(), steps)
 				compareRuns(t, name+"/"+leg.name, tRef, tGot, sRef, sGot)
-				if sh := sim.Sharded(); sh != nil && sh.Sequencer().Stats().GlobalTxns == 0 {
+				if sh := sim.Sharded(); sh != nil && sh.Sequencer() != nil && sh.Sequencer().Stats().GlobalTxns == 0 {
 					t.Fatal("no transaction took the sequencer's global path: the sharded leg is vacuous")
 				}
 			})

@@ -101,8 +101,7 @@ const DefaultClientRetry = 50 * time.Millisecond
 type Simulation struct {
 	Cluster *sim.Cluster
 	kind    Backend
-	sf      *sfsys.System
-	sfSh    *sfsys.ShardedSystem
+	sf      *sfsys.ShardedSystem
 	sfu     *statefun.System
 	// sys is the deployed runtime behind one facade: all dispatch that
 	// used to branch on the backend goes through it.
@@ -212,18 +211,11 @@ func NewSimulation(prog *Program, cfg SimConfig, opts ...SimOption) *Simulation 
 		c.Flight = flight
 		c.Shards = cfg.Shards
 		c.FullFences = cfg.FullFences
-		sh := sfsys.New(cluster, prog, c)
-		if sh.Sequencer() != nil {
-			s.sfSh = sh
-			s.sys = s.sfSh
-		} else {
-			// Shards <= 1 takes the exact single-coordinator construction
-			// path (New deploys one classic group and no sequencer), so an
-			// unsharded config stays byte-identical to every pre-sharding
-			// transcript.
-			s.sf = sh.Single()
-			s.sys = s.sf
-		}
+		// Shards <= 1 takes the exact single-coordinator construction path
+		// (New deploys one classic group and no sequencer), so an unsharded
+		// config stays byte-identical to every pre-sharding transcript.
+		s.sf = sfsys.New(cluster, prog, c)
+		s.sys = s.sf
 	case BackendStateFun:
 		c := statefun.DefaultConfig()
 		if cfg.Workers > 0 {
@@ -249,13 +241,20 @@ func (s *Simulation) Client() Client { return s.api }
 // Backend reports which runtime the Simulation deployed.
 func (s *Simulation) Backend() Backend { return s.kind }
 
-// StateFlow returns the underlying StateFlow system (nil for the baseline
-// backend and for sharded deployments — see Sharded).
-func (s *Simulation) StateFlow() *sfsys.System { return s.sf }
+// StateFlow returns the sole coordinator group of an unsharded StateFlow
+// deployment (nil for the baseline backend and for sharded deployments —
+// see Sharded).
+func (s *Simulation) StateFlow() *sfsys.System {
+	if s.sf == nil {
+		return nil
+	}
+	return s.sf.Single()
+}
 
-// Sharded returns the underlying sharded StateFlow deployment (nil unless
-// SimConfig.Shards > 1 on the StateFlow backend).
-func (s *Simulation) Sharded() *sfsys.ShardedSystem { return s.sfSh }
+// Sharded returns the StateFlow deployment, sharded or not (nil for the
+// baseline backend): Shards() lists its coordinator groups — one when
+// unsharded — and Sequencer() is nil unless SimConfig.Shards > 1.
+func (s *Simulation) Sharded() *sfsys.ShardedSystem { return s.sf }
 
 // StateFun returns the underlying baseline system (nil for StateFlow).
 func (s *Simulation) StateFun() *statefun.System { return s.sfu }
@@ -279,8 +278,6 @@ func (s *Simulation) Metrics() *MetricsRegistry {
 		switch {
 		case s.sf != nil:
 			s.sf.RegisterMetrics(s.metrics)
-		case s.sfSh != nil:
-			s.sfSh.RegisterMetrics(s.metrics)
 		case s.sfu != nil:
 			s.sfu.RegisterMetrics(s.metrics)
 		}
@@ -294,10 +291,10 @@ func (s *Simulation) Metrics() *MetricsRegistry {
 // on the baseline backend, which has no coordinator — a checker driving
 // the baseline falls back to graph mode.
 func (s *Simulation) CommitSerials() map[string]int64 {
-	if s.sf == nil {
-		return nil
+	if sys := s.StateFlow(); sys != nil {
+		return sys.Coordinator().CommitSerials()
 	}
-	return s.sf.Coordinator().CommitSerials()
+	return nil
 }
 
 // Preload installs an entity built by __init__ with the given args,
@@ -313,9 +310,6 @@ func (s *Simulation) ensureStarted() {
 	if !s.started {
 		if s.sf != nil {
 			s.sf.CheckpointPreloadedState()
-		}
-		if s.sfSh != nil {
-			s.sfSh.CheckpointPreloadedState()
 		}
 		s.Cluster.Start()
 		s.started = true
