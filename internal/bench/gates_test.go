@@ -26,9 +26,9 @@ const (
 	minSyncMerge    = 1.5  // serial / pipelined syncs per commit, today 1.56x
 	maxPipelinedP50 = 1.15 // x the serial p50; today 10.80 vs 12.19 ms
 	// 5. Four coordinator groups against one on the sharded mix.
-	minShardScaling = 2.5 // today 2.74x (11,037 / 4,030 txn per virtual second)
+	minShardScaling = 2.5 // today 3.05x (12,307 / 4,030 txn per virtual second)
 	// 6. Untouched-shard throughput, scoped fences against fence-everything.
-	minScopedWin = 1.575 // today 1.85x (6,667 / 3,598 updates per virtual second)
+	minScopedWin = 1.05 // today 1.24x (6,799 / 5,505 updates per virtual second)
 )
 
 // gateOptions are the parameters the floors were read at: seed 1, 10 ms

@@ -215,18 +215,22 @@ func VerifyAdversarial(p workload.Profile, backend stateflow.Backend, seed int64
 	if len(got.FenceWindows) == 0 {
 		return v.failRun(got, "chaos run recorded no completed fence window despite %d global txns; cannot target a mid-fence crash", got.Sequencer.GlobalTxns)
 	}
-	// Third run: aim one sequencer crash at the midpoint of a fence window
-	// observed under the plan. The crash is appended last and Pinned, so it
-	// consumes no cluster RNG and the schedule prefix replays byte-for-byte:
-	// the window is open at that instant in the third run too, and the
-	// reboot lands with a shard provably parked, forcing a roll-forward or
-	// abandon decision. installCrash drops instants past the horizon, and
-	// windows can outlive it (the run continues until traffic settles), so
-	// each is clipped to it and the widest clipped span wins.
+	// Third run: aim one sequencer crash at the midpoint of the stretch in
+	// which every footprint shard of one batch was parked at once, observed
+	// under the plan. The crash is appended last and Pinned, so it consumes
+	// no cluster RNG and the schedule prefix replays byte-for-byte: the
+	// stretch is parked at that instant in the third run too, and the batch
+	// cannot have sent its unfences yet, so the reboot finds it in flight and
+	// must roll it forward or abandon it. (One shard's window alone is not
+	// enough: it can open well before the others park and close well after
+	// they resumed, so its midpoint can fall after the batch's unfences.)
+	// installCrash drops instants past the horizon, and windows can outlive
+	// it (the run continues until traffic settles), so each stretch is
+	// clipped to it and the widest clipped span wins.
 	plan := v.plan
 	var win FenceWindow
 	var span time.Duration
-	for _, w := range got.FenceWindows {
+	for _, w := range batchStretches(got.FenceWindows) {
 		if d := min(w.To, plan.Horizon) - w.From; d > span || (d == span && w.From < win.From) {
 			win, span = w, d
 		}
@@ -246,8 +250,8 @@ func VerifyAdversarial(p workload.Profile, backend stateflow.Backend, seed int64
 		return v.failRun(tgt, "targeted mid-fence crash run failed: %v", err)
 	}
 	if tgt.Sequencer.Failovers == 0 {
-		return v.failRun(tgt, "targeted run survived no sequencer failover (crash aimed at %s inside fence window [%s, %s] on %s)",
-			win.From+span/2, win.From, win.To, win.Node)
+		return v.failRun(tgt, "targeted run survived no sequencer failover (crash aimed at %s inside batch %d's parked stretch [%s, %s])",
+			win.From+span/2, win.Seq, win.From, win.To)
 	}
 	if tgt.Sequencer.RederivedBatches+tgt.Sequencer.AbortedBatches == 0 {
 		return v.failRun(tgt, "targeted mid-fence crash neither rolled a batch forward nor abandoned one (failovers=%d); the crash missed every fenced window",
@@ -259,4 +263,22 @@ func VerifyAdversarial(p workload.Profile, backend stateflow.Backend, seed int64
 	got.Sequencer.AbortedBatches += tgt.Sequencer.AbortedBatches
 	got.Sequencer.KnownRetries += tgt.Sequencer.KnownRetries
 	return got, nil
+}
+
+// batchStretches intersects the fence windows of each global batch: the
+// stretch in which all of its observed footprint shards were parked at once
+// (From and To; Node is unset). A batch whose windows do not all overlap —
+// a rebooted sequencer reused its id — has none.
+func batchStretches(windows []FenceWindow) []FenceWindow {
+	var out []FenceWindow
+	at := map[int64]int{}
+	for _, w := range windows {
+		if i, ok := at[w.Seq]; ok {
+			out[i].From, out[i].To = max(out[i].From, w.From), min(out[i].To, w.To)
+			continue
+		}
+		at[w.Seq] = len(out)
+		out = append(out, FenceWindow{Seq: w.Seq, From: w.From, To: w.To})
+	}
+	return slices.DeleteFunc(out, func(w FenceWindow) bool { return w.To <= w.From })
 }

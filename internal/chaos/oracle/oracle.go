@@ -138,7 +138,8 @@ type Run struct {
 	Sequencer stateflow.SequencerStats
 	// FenceWindows lists every completed per-shard fence park observed in
 	// the flight recorder, in park order. The adversarial sweep's
-	// targeted sequencer crash is aimed inside one of them.
+	// targeted sequencer crash is aimed where one batch's windows overlap
+	// (see batchStretches).
 	FenceWindows []FenceWindow
 	// MidFenceAimed reports that VerifyAdversarial ran its targeted third
 	// run — a sequencer crash aimed into an observed fence window — and
@@ -445,9 +446,10 @@ func RunOnce(w Workload, backend stateflow.Backend, seed int64, plan *chaos.Plan
 }
 
 // FenceWindow is one completed per-shard fence park: the interval during
-// which Node (a shard coordinator) was quiesced for a global batch.
+// which Node (a shard coordinator) was quiesced for global batch Seq.
 type FenceWindow struct {
 	Node string
+	Seq  int64
 	From time.Duration
 	To   time.Duration
 }
@@ -461,15 +463,19 @@ type FenceWindow struct {
 // pre-crash park to a much later resume into one phantom mega-window
 // whose midpoint may not be fenced at all.
 func fenceWindows(events []stateflow.FlightEvent) []FenceWindow {
-	open := map[string]time.Duration{}
+	open := map[string]FenceWindow{}
 	var out []FenceWindow
 	for _, ev := range events {
 		switch ev.Kind {
 		case "fence":
-			open[ev.Node] = ev.At
+			w := FenceWindow{Node: ev.Node, From: ev.At}
+			// The park's line names its batch ("parked for global batch 7").
+			_, _ = fmt.Sscanf(ev.Detail, "parked for global batch %d", &w.Seq)
+			open[ev.Node] = w
 		case "unfence", "crash":
-			if from, ok := open[ev.Node]; ok && ev.At > from {
-				out = append(out, FenceWindow{Node: ev.Node, From: from, To: ev.At})
+			if w, ok := open[ev.Node]; ok && ev.At > w.From {
+				w.To = ev.At
+				out = append(out, w)
 				delete(open, ev.Node)
 			}
 		}

@@ -31,7 +31,8 @@
 //   - XShard: transfer-heavy traffic over a wide cell population, paired
 //     so that under a sharded deployment most moves span two coordinator
 //     groups — the profile that drives the global sequencing path
-//     (fence, reconnaissance reads, blind apply) hot while single-shard
+//     (fence and the rows its ack carries, execution at the sequencer,
+//     the apply its shard's decide installs) hot while single-shard
 //     bumps race it on every shard.
 package workload
 

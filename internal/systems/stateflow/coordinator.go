@@ -212,7 +212,9 @@ type Coordinator struct {
 	// none). fenced marks the parked window between
 	// the durable open fence marker and its closing one; fenceSeq is the
 	// active global batch id. fenceDone is the highest batch whose closing
-	// marker was appended (idempotent re-acks for lost acks). fenceApply
+	// marker was appended (idempotent re-acks for lost acks); it rides the
+	// journal's checkpoints, so a reboot whose restored cursor is past the
+	// marker still knows the batch is done. fenceApply
 	// holds an unanswered apply record the recovery scan found in the log
 	// suffix; it executes once the binding replay drains.
 	fencePending msgFence
@@ -280,8 +282,6 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 		c.onFence(ctx, from, m)
 	case msgUnfence:
 		c.onUnfence(ctx, from, m)
-	case msgGlobalRead:
-		c.onGlobalRead(ctx, from, m)
 	case msgGlobalApply:
 		c.onGlobalApply(ctx, m)
 	case msgFenceParkTick:
@@ -372,7 +372,6 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 		return
 	}
 	c.closeBatch(ctx, st)
-	c.maybePrepare(ctx, st)
 }
 
 // enterPhase transitions a slot to a worker-dependent phase and arms the
@@ -623,7 +622,7 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 	}
 	c.sealed, c.sealedCut = c.snapshotID, c.snapCut
 	c.journal.checkpoint(ctx, marks{epoch: c.epoch, nextTID: c.nextTID,
-		sealed: c.sealed, sealedCut: c.sealedCut}, offset)
+		sealed: c.sealed, sealedCut: c.sealedCut, fenceDone: c.fenceDone}, offset)
 	if retain := c.sys.cfg.SnapshotRetain; retain > 0 {
 		c.sys.Snapshots.Compact(retain)
 	}
@@ -675,7 +674,10 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 // arrival an open window could wait for, and the epoch timer would only
 // add its interval to the outage. The batch then runs the ordinary
 // execute/validate/apply machinery; cutBinding decides at the vote how
-// much of it commits.
+// much of it commits. A global apply ends the window: it reserves nothing
+// and installs at the decide, after every lower TID, so a member behind it
+// in the same batch would read the rows from before it and no validation
+// would notice.
 func (c *Coordinator) openBinding(ctx *sim.Context, st *epochState) {
 	st.binding = true
 	c.BindingEpochs++
@@ -683,8 +685,12 @@ func (c *Coordinator) openBinding(ctx *sim.Context, st *epochState) {
 		c.replayAt = ctx.Now()
 	}
 	n := min(c.window, len(c.replaying))
-	for _, p := range c.replaying[:n] {
+	for i, p := range c.replaying[:n] {
 		c.assign(ctx, st, p)
+		if p.apply != nil {
+			n = i + 1
+			break
+		}
 	}
 	c.replaying = c.replaying[n:]
 	c.closeBatch(ctx, st)
@@ -890,7 +896,7 @@ func (c *Coordinator) buildReplaying(cut time.Duration) {
 // replay the source suffix. Delivered-response deduplication keeps output
 // exactly-once across the replay. It has three entries — a stall the
 // failure detector fired on (onStallCheck), a coordinator reboot (OnRestart)
-// and a reconnaissance read that found a worker dead (onGlobalRead) — and
+// and a fence ack that found a worker dead (ackFence) — and
 // none of them runs while a recovery is in progress: that one finishes by
 // retrying (retryRecover), not by being entered again.
 func (c *Coordinator) Recover(ctx *sim.Context) {
@@ -1000,8 +1006,9 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.recovering = false
 	c.pending, c.replaying = nil, nil
 	c.progress, c.progressAt = 0, 0
-	// Fence state is volatile here; Recover's marker scan rebuilds it.
-	c.fencePending, c.fenceSeq, c.fenceDone = msgFence{}, 0, 0
+	// The fence window is volatile here; Recover's marker scan rebuilds it,
+	// raising the completed high-water mark the checkpoint carried.
+	c.fencePending, c.fenceSeq = msgFence{}, 0
 	c.fenced, c.fenceApply = false, nil
 	c.parkWatch = 0
 	img := c.journal.restore(ctx)
@@ -1009,6 +1016,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.epoch = img.epoch
 	c.nextTID = img.nextTID
 	c.sealed, c.sealedCut = img.sealed, img.sealedCut
+	c.fenceDone = img.fenceDone
 	if !c.sys.cfg.DisablePipelining {
 		// Compensate for the single epoch-advance record the pipelined
 		// schedule allows to be volatile: it may have been torn by the

@@ -46,8 +46,7 @@ type pendingReq struct {
 	// observational.
 	arrivedAt time.Duration
 	// apply is set when the request is one shard's slice of a global batch
-	// (req then carries only the apply's id and target; see
-	// globalApply.pending).
+	// (req then carries only the apply's id; see globalApply.pending).
 	apply *globalApply
 }
 
@@ -168,8 +167,10 @@ func (st *epochState) txn(tid aria.TID) *txnState {
 	return nil
 }
 
-// add places a request in the batch under a freshly minted TID.
-func (st *epochState) add(tid aria.TID, p pendingReq) {
+// add places a request in the batch under a freshly minted TID. A global
+// apply executes nothing — the decide carries its rows — so it is finished
+// on arrival, answering with its batch id.
+func (st *epochState) add(tid aria.TID, p pendingReq) *txnState {
 	if len(st.txns) == 0 {
 		st.first = tid
 	}
@@ -178,14 +179,20 @@ func (st *epochState) add(tid aria.TID, p pendingReq) {
 		// time and only the open exec slot takes them.
 		panic(fmt.Sprintf("stateflow: epoch %d assigned TID %d, want %d", st.epoch, tid, want))
 	}
-	st.txns = append(st.txns, &txnState{pendingReq: p, root: core.Event{
+	t := &txnState{pendingReq: p, root: core.Event{
 		Kind:   core.EvInvoke,
 		Req:    p.req.Req,
 		Target: p.req.Target,
 		Method: p.req.Method,
 		Args:   p.req.Args,
-	}})
-	st.unfinished++
+	}}
+	st.txns = append(st.txns, t)
+	if p.apply != nil {
+		t.finished, t.value = true, interp.IntV(p.apply.man.seq)
+	} else {
+		st.unfinished++
+	}
+	return t
 }
 
 // close fixes the batch: round 0's order is every member, in TID order.
@@ -269,7 +276,9 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 // application error commits nothing: it is treated as aborted for state
 // purposes (its workspace writes are dropped) but answered at the settle.
 // Final: this is the epoch's last decide — the chain's, or the batch's when
-// it scheduled none.
+// it scheduled none. A global apply is only ever a batch's last member
+// (startApply, openBinding) and never conflict-aborts, so the batch decide
+// carries it unless a binding cut dropped it.
 func (st *epochState) decision() msgDecide {
 	dropped := func(t *txnState) bool { return t.aborted || t.err != "" }
 	n := 0
@@ -293,6 +302,9 @@ func (st *epochState) decision() msgDecide {
 		m.Order = slices.Clone(st.order)
 		if !m.Final {
 			m.Chain = st.chain.Plan // the batch decide announces the chain
+		}
+		if n := len(st.txns); n > 0 && st.txns[n-1].apply != nil && !dropped(st.txns[n-1]) {
+			m.Apply = st.txns[n-1].apply
 		}
 	}
 	return m
@@ -336,15 +348,15 @@ func (st *epochState) outcome(t *txnState) outcome {
 func (c *Coordinator) dispatch(ctx *sim.Context, st *epochState, tid aria.TID) {
 	t := st.txn(tid)
 	ctx.Send(c.sys.ownerOf(t.req.Target),
-		msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.round, Ev: &t.root, Apply: t.apply.firstHop()},
+		msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.round, Ev: &t.root},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // assign gives a request a TID in the slot's batch and dispatches its
-// first invocation event.
+// first invocation event (a global apply has none).
 func (c *Coordinator) assign(ctx *sim.Context, st *epochState, p pendingReq) {
 	c.nextTID++
-	st.add(c.nextTID, p)
+	t := st.add(c.nextTID, p)
 	if tr := c.tracer(); tr.Enabled() {
 		start := p.arrivedAt
 		if start == 0 || start > ctx.Now() {
@@ -353,15 +365,19 @@ func (c *Coordinator) assign(ctx *sim.Context, st *epochState, p pendingReq) {
 		tr.Span(c.sys.coordID, "txn", "ingress.queue", start, ctx.Now(),
 			"trace", p.req.Trace.ID, "epoch", strconv.FormatInt(st.epoch, 10))
 	}
-	c.dispatch(ctx, st, c.nextTID)
+	if !t.finished {
+		c.dispatch(ctx, st, c.nextTID)
+	}
 }
 
 // closeBatch ends the slot's open window: the source cursor freezes as the
-// epoch's aligned cut and the batch waits for its members to finish.
+// epoch's aligned cut and the batch waits for its members to finish — or,
+// when every member already has (a lone global apply), moves on at once.
 func (c *Coordinator) closeBatch(ctx *sim.Context, st *epochState) {
 	st.consumedEnd = c.consumed
 	st.close()
 	c.enterPhase(ctx, st, phaseClosing)
+	c.maybePrepare(ctx, st)
 }
 
 // onFinished records a transaction's root response (from the batch's

@@ -16,11 +16,12 @@ import (
 // TestEpochTIDsAreContiguous: a closed batch's TIDs are exactly
 // first … first+n−1, whichever path filled it. The TID-indexed batch
 // depends on it, and epochState.add panics when it breaks; this asserts it
-// from the outside — the TIDs a coordinator dispatched for a batch against
-// the order it put in msgPrepare — over a run that takes every assignment
-// path on two shards: direct intake and a MaxBatch-chunked source backlog, a drain of spilled retries, a fenced
-// global apply, and a coordinator crash whose binding replay runs under
-// the fence.
+// from the outside — the TIDs a coordinator dispatched for a batch, plus the
+// global apply its decide carries (an apply executes nothing, so no event
+// names it), against the order it put in msgPrepare — over a run that takes
+// every assignment path on two shards: direct intake and a MaxBatch-chunked
+// source backlog, a drain of spilled retries, a fenced global apply, and a
+// coordinator crash whose binding replay runs under the fence.
 func TestEpochTIDsAreContiguous(t *testing.T) {
 	const maxBatch = 4
 	fx := newBindingFixture(t, 12, 16, func(c *Config) {
@@ -46,6 +47,12 @@ func TestEpochTIDsAreContiguous(t *testing.T) {
 			}
 		case msgPrepare:
 			orders[closed{from, m.Epoch}] = m.Order // one copy per worker
+		case msgDecide:
+			// The apply is the batch's last member; one decide per worker.
+			b := closed{from, m.Epoch}
+			if tid := m.Order[len(m.Order)-1]; m.Apply != nil && !slices.Contains(assigned[b], tid) {
+				assigned[b] = append(assigned[b], tid)
+			}
 		}
 		return sim.Perturb{}
 	})

@@ -481,3 +481,82 @@ func TestLoggedApplyRowsAreNeverMutated(t *testing.T) {
 		}
 	}
 }
+
+// TestFenceDoneSurvivesACheckpointPastItsMarker: a shard's completed fence
+// high-water mark must outlive a reboot whose restored cursor is already
+// past the batch's closing marker, where the restart scan cannot see it. A
+// cross-shard transfer completes batch 1, single-shard deposits carry both
+// shards' sealed snapshots past the closing markers, and both shard
+// coordinators reboot. A re-sent unfence of batch 1 — a rolled-forward
+// batch's, say — must still be acked, and a rebooted sequencer must not hand
+// out batch id 1 again: its apply ids would dedupe against the old ones.
+func TestFenceDoneSurvivesACheckpointPastItsMarker(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SnapshotEvery = 1
+	fx := newFailoverFixtureWith(t, cfg)
+	fx.transfer()
+	fx.settle()
+	for shard, keys := range shardAccounts(fx.sys, 8) {
+		for _, key := range keys {
+			if key == fx.from || key == fx.to {
+				continue
+			}
+			fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(), sysapi.MsgRequest{
+				Request: sysapi.Request{Req: fmt.Sprintf("d%d", shard),
+					Target: interp.EntityRef{Class: "Account", Key: key}, Method: "deposit",
+					Args: []interp.Value{interp.IntV(1)}},
+				ReplyTo: "client",
+			})
+			break
+		}
+	}
+	fx.settle()
+	for i, sh := range fx.sys.Shards() {
+		c := sh.Coordinator()
+		marker := int64(-1)
+		end, _ := sh.RequestLog.End(sourceTopic, 0)
+		for pos := int64(0); pos < end; pos++ {
+			if rec, _ := c.readSource(pos); rec.marker != nil && !rec.marker.open && rec.marker.seq == 1 {
+				marker = pos
+			}
+		}
+		meta, ok := c.restorePoint()
+		if marker < 0 || !ok || meta.SourceOffsets[sourceTopic][0] <= marker {
+			t.Fatalf("shard %d: closing marker at %d, sealed snapshot offset %v: no checkpoint passed the marker", i, marker, meta.SourceOffsets)
+		}
+		now := fx.cluster.Now()
+		fx.cluster.ScheduleCrash(sh.coordID, now, now+10*time.Millisecond)
+	}
+	fx.settle()
+
+	acks := 0
+	fx.cluster.SetPerturb(func(_, _ string, _ time.Duration, msg sim.Message) sim.Perturb {
+		if m, ok := msg.(msgUnfenceAck); ok && m.Seq == 1 {
+			acks++
+		}
+		return sim.Perturb{}
+	})
+	for _, sh := range fx.sys.Shards() {
+		if sh.Coordinator().Restarts != 1 {
+			t.Fatalf("%s rebooted %d times, want 1", sh.coordID, sh.Coordinator().Restarts)
+		}
+		fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, sh.coordID, msgUnfence{Seq: 1})
+	}
+	fx.settle()
+	if acks != len(fx.sys.Shards()) {
+		t.Fatalf("%d of %d rebooted shards acked the re-sent unfence of batch 1", acks, len(fx.sys.Shards()))
+	}
+
+	now := fx.cluster.Now()
+	fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
+	fx.settle()
+	fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(),
+		sysapi.MsgRequest{Request: transferReq("x2", fx.from, fx.to, 5), ReplyTo: "client"})
+	fx.settle()
+	if q := fx.sys.Sequencer(); q.Failovers != 1 || q.nextSeq != 2 {
+		t.Fatalf("failovers=%d, last batch id %d: the rebooted sequencer did not resume past batch 1", q.Failovers, q.nextSeq)
+	}
+	if from, to := fx.balances(); from != 70 || to != 130 {
+		t.Fatalf("balances %d/%d after the second transfer, want 70/130", from, to)
+	}
+}

@@ -1,9 +1,9 @@
 // Shard-side half of the sharded global-commit protocol.
 //
-// Cross-shard transactions execute at the global sequencer (sharded.go)
+// Cross-shard transactions execute at the global sequencer (sequencer.go)
 // against a fenced, quiescent view of every involved shard, then commit
-// back into each shard as one blind write-set transaction. The shard's
-// obligations, implemented here:
+// back into each shard as the last member of one ordinary epoch. The
+// shard's obligations, implemented here:
 //
 //   - Quiesce on msgFence: finish every in-flight epoch, drain the
 //     staged responses to durability (so the state the sequencer reads
@@ -13,15 +13,16 @@
 //     the ack, so once the sequencer believes the shard is fenced, no
 //     crash can make it forget: the restart scan finds the unbalanced
 //     marker and comes back parked.
-//   - Judge the fence's admission list: the ack says which of the batch
+//   - Answer the fence in its ack (ackFence): which of the batch
 //     transactions homed here the journal already answered, so a retried
-//     global id is never executed twice (ackFence).
-//   - While parked, answer msgGlobalRead from committed worker state.
-//   - Run the sequencer's globalApply as an ordinary single-member epoch
-//     through the full Aria machinery (stall detection, response
-//     staging, group commit, recovery) — the workers install the
-//     write-set blindly (see worker.go). Appending the apply to the
-//     source log is the shard-local atomic commit point.
+//     global id is never executed twice, and the committed rows of the
+//     entities the fence reads. A re-sent fence with a longer read list is
+//     answered the same way for as long as the shard stays parked.
+//   - Run the sequencer's globalApply as an ordinary epoch through the
+//     full Aria machinery (stall detection, response staging, group
+//     commit, recovery): the apply executes nothing, and the epoch's decide
+//     carries its rows to the workers (see Worker.installApply). Appending
+//     the apply to the source log is the shard-local atomic commit point.
 //   - Resume on msgUnfence: append the balancing closed marker, ack, and
 //     refill the parked epoch from the backlog that queued behind the
 //     fence.
@@ -32,7 +33,6 @@ package stateflow
 import (
 	"strconv"
 
-	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/sim"
 )
 
@@ -57,16 +57,45 @@ func (c *Coordinator) onFence(ctx *sim.Context, from string, m msgFence) {
 	}
 }
 
-// ackFence confirms the park to the sequencer and answers the fence's
-// admission list from the journal: a member is known if its response is
-// part of the egress state or its id sits at or below its source's dedup
-// floor. The shard is parked, so nothing can answer a listed id between
-// this verdict and the batch's own apply.
+// ackFence confirms the park to the sequencer and answers the fence. Its
+// admission list is judged against the journal: a member is known if its
+// response is part of the egress state or its id sits at or below its
+// source's dedup floor. Its read list is answered with clones of the
+// committed worker rows. (Reading the worker stores directly is the same
+// modeling shortcut EntityState uses: the parked stores are stable, so the
+// read is deterministic.) The shard is parked, so nothing can answer a
+// listed id or write a listed row between this ack and the batch's own
+// apply — provided nothing is in flight right now: no recovery, commit or
+// binding replay, and an open empty epoch. Otherwise the ack waits for the
+// sequencer's re-sent fence. A crashed worker's store is unreadable, so it
+// triggers recovery instead of an answer; the durable fence survives it.
 func (c *Coordinator) ackFence(ctx *sim.Context, to string, m msgFence) {
-	ack := msgFenceAck{Seq: m.Seq, Admit: m.Admit, Known: make([]bool, len(m.Admit))}
+	if c.recovering || c.commit != nil || len(c.replaying) > 0 {
+		return
+	}
+	if st := c.exec; st == nil || st.phase != phaseOpen || len(st.txns) != 0 {
+		return
+	}
+	if c.sys.isCrashed != nil {
+		for _, w := range c.sys.workerIDs {
+			if c.sys.isCrashed(w) {
+				c.Recover(ctx)
+				return
+			}
+		}
+	}
+	ack := msgFenceAck{Seq: m.Seq, Admit: m.Admit, Known: make([]bool, len(m.Admit)),
+		Rows: make([]entityImage, len(m.Reads))}
 	for i, id := range m.Admit {
 		ctx.Work(c.sys.cfg.Costs.RoutingCPU)
 		ack.Known[i] = c.journal.known(id)
+	}
+	for i, ref := range m.Reads {
+		ctx.Work(c.sys.cfg.Costs.RoutingCPU)
+		ack.Rows[i].Ref = ref
+		if row, ok := c.sys.workers[c.sys.OwnerIndex(ref)].committed.Lookup(ref); ok {
+			ack.Rows[i].St = row.Clone()
+		}
 	}
 	ctx.Send(to, ack, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
@@ -207,40 +236,6 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, from string, m msgUnfence) {
 	}
 }
 
-// onGlobalRead answers a sequencer reconnaissance read from committed
-// worker state — but only while parked for exactly that batch with the
-// replay fully drained, so the answer reflects the durable prefix and
-// nothing else. (Reading the worker store directly is the same modeling
-// shortcut EntityState uses: the parked store is stable, so the read is
-// deterministic.) A crashed worker's store is unreadable: trigger
-// recovery instead of answering; the durable fence survives it and the
-// sequencer's stall guard re-sends.
-func (c *Coordinator) onGlobalRead(ctx *sim.Context, from string, m msgGlobalRead) {
-	if !c.fenced || m.Seq != c.fenceSeq || c.recovering ||
-		c.commit != nil || len(c.replaying) > 0 {
-		return
-	}
-	if st := c.exec; st == nil || st.phase != phaseOpen || len(st.txns) != 0 {
-		return
-	}
-	if c.sys.isCrashed != nil {
-		for _, w := range c.sys.workerIDs {
-			if c.sys.isCrashed(w) {
-				c.Recover(ctx)
-				return
-			}
-		}
-	}
-	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
-	ref := interp.EntityRef{Class: m.Class, Key: m.Key}
-	row, ok := c.sys.workers[c.sys.OwnerIndex(ref)].committed.Lookup(ref)
-	resp := msgGlobalState{Seq: m.Seq, Class: m.Class, Key: m.Key, Exists: ok}
-	if ok {
-		resp.State = row.Clone()
-	}
-	ctx.Send(from, resp, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-}
-
 // onGlobalApply admits the sequencer's apply for the batch this shard is
 // parked on. It passes the same ingress dedup a client request does
 // (re-serve if answered, absorb if in flight), so a re-sent apply — by the
@@ -271,13 +266,14 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 }
 
 // startApply runs the sequencer's write-set transaction through the
-// parked epoch: assign it as the epoch's only member and close the batch
-// immediately. From here the ordinary machinery takes over — execution
-// on the workers (blind write-set install, see worker.go), validation,
-// apply, response staging and group commit — so the apply inherits every
-// durability and failure guarantee a normal transaction has. If the
-// parked slot is busy (a binding replay tail, or a previous apply still
-// committing), the apply waits in fenceApply for the next fenced epoch.
+// parked epoch: assign it as the epoch's only member — it executes
+// nothing, so it is finished on assignment — and close the batch
+// immediately. From here the ordinary machinery takes over — validation,
+// the decide that carries the rows to the workers, response staging and
+// group commit — so the apply inherits every durability and failure
+// guarantee a normal transaction has. If the parked slot is busy (a
+// binding replay tail, or a previous apply still committing), the apply
+// waits in fenceApply for the next fenced epoch.
 func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 	st := c.exec
 	if st == nil || st.phase != phaseOpen || st.binding || len(st.txns) != 0 {
@@ -309,13 +305,16 @@ func (c *Coordinator) produceMarker(ctx *sim.Context, seq int64, open bool) {
 // scanFenceState re-derives the fence state from the durable markers in
 // the source-log suffix (called from Recover, after the consumed cursor
 // and the egress state are restored). The scan range [consumed, end) is
-// sufficient: the cursor only passes a fence marker during a normal
-// drain, which runs unfenced — i.e. after the balancing closed marker was
-// appended — and no snapshot (hence no checkpoint offset) is ever taken
-// inside a fence window. An unanswered apply under an unbalanced open
-// marker is the batch's write-set caught mid-commit; it re-executes from
-// the log record once the binding replay drains (fenceApply), which is
-// also why rebuildSeen absorbing the sequencer's apply re-sends is safe.
+// sufficient for the window: the cursor only passes a fence marker during a
+// normal drain, which runs unfenced — i.e. after the balancing closed
+// marker was appended — and no snapshot (hence no checkpoint offset) is
+// ever taken inside a fence window. A closing marker below the cursor is
+// not lost either: fenceDone, which it raised, rides every checkpoint
+// since and came back with the journal (OnRestart). An unanswered apply
+// under an unbalanced open marker is the batch's write-set caught
+// mid-commit; it re-executes from the log record once the binding replay
+// drains (fenceApply), which is also why rebuildSeen absorbing the
+// sequencer's apply re-sends is safe.
 func (c *Coordinator) scanFenceState() {
 	c.fenced, c.fenceSeq, c.fenceApply = false, 0, nil
 	end, err := c.sys.RequestLog.End(sourceTopic, 0)

@@ -105,6 +105,11 @@ type marks struct {
 	// entry's effects are inside the restored images or must be rebuilt by
 	// the binding replay, so it must survive a reboot alongside sealed.
 	sealedCut time.Duration
+	// fenceDone is the newest global batch the owner unfenced for. The
+	// restart scan only sees the closing markers past the restored cursor,
+	// so without this mark a reboot would drop a re-sent unfence and report
+	// a high-water mark under which a rebooted sequencer reuses batch ids.
+	fenceDone int64
 }
 
 // admission is the ingress dedup's verdict on one arrival.
@@ -567,6 +572,7 @@ func encodeCheckpoint(m marks, delivered map[string]deliveredEntry, floors map[s
 	e.Varint(int64(m.nextTID))
 	e.Varint(m.sealed)
 	e.Varint(int64(m.sealedCut))
+	e.Varint(m.fenceDone)
 	e.Uvarint(uint64(len(delivered)))
 	ids := make([]string, 0, len(delivered))
 	for id := range delivered {
@@ -597,13 +603,14 @@ func decodeCheckpoint(data []byte) (m marks, delivered map[string]deliveredEntry
 		return m, delivered, floors, nil
 	}
 	d := interp.NewDecoder(data)
-	var head [4]int64
+	var head [5]int64
 	for i := range head {
 		if head[i], err = d.Varint(); err != nil {
 			return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
 		}
 	}
-	m = marks{epoch: head[0], nextTID: aria.TID(head[1]), sealed: head[2], sealedCut: time.Duration(head[3])}
+	m = marks{epoch: head[0], nextTID: aria.TID(head[1]), sealed: head[2], sealedCut: time.Duration(head[3]),
+		fenceDone: head[4]}
 	n, err := d.Uvarint()
 	if err != nil {
 		return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)

@@ -1,6 +1,7 @@
 package stateflow
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -240,4 +241,41 @@ func TestJournalCheckpointKeepsStagedResponses(t *testing.T) {
 	if len(fx.client.got) != 1 || fx.client.got[0].Req != "r1" {
 		t.Fatalf("client saw %+v, want r1 re-served once", fx.client.got)
 	}
+}
+
+// FuzzDecodeCheckpoint feeds arbitrary bytes to the journal's checkpoint
+// decoder — the record a coordinator reboots from, so a device fault
+// decides what it reads. Whatever the bytes, decoding must not panic, and
+// whatever it accepts must survive a round trip: encoding what it decoded
+// and decoding that again gives back the same bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	full := encodeCheckpoint(
+		marks{epoch: 9, nextTID: 41, sealed: 3, sealedCut: 12 * time.Millisecond, fenceDone: 7},
+		map[string]deliveredEntry{
+			"cl.1":       {resp: sysapi.Response{Req: "cl.1", Value: interp.IntV(-5), Retries: 2}, at: time.Millisecond, pos: 4},
+			"cl.2":       {resp: sysapi.Response{Req: "cl.2", Err: "boom"}, at: 2 * time.Millisecond, pos: 6},
+			"gapply-7-1": {resp: sysapi.Response{Req: "gapply-7-1", Value: interp.StrV("x")}, pos: 8},
+		},
+		map[string]int64{"cl": 1, "api-2": 17})
+	for n := 0; n <= len(full); n++ {
+		f.Add(full[:n]) // every truncation, the empty payload and the whole one
+	}
+	f.Add(append(append([]byte(nil), full...), 0xff)) // trailing garbage
+	f.Add(encodeCheckpoint(marks{}, nil, nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, delivered, floors, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		once := encodeCheckpoint(m, delivered, floors)
+		m, delivered, floors, err = decodeCheckpoint(once)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded checkpoint: %v", err)
+		}
+		if twice := encodeCheckpoint(m, delivered, floors); !bytes.Equal(once, twice) {
+			t.Fatalf("decode → encode is not a fixed point:\n%x\n%x", once, twice)
+		}
+	})
 }

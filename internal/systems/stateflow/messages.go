@@ -12,15 +12,12 @@ import (
 // Round 1 marks the chain's re-execution of a conflict-aborted transaction;
 // workers and coordinator drop events from the finished batch round of the
 // same epoch, so a delayed duplicate can never leak a stale execution into
-// the chain. Apply is set on the events of a global batch's apply: the
-// write-set entries still to install travel beside the event instead of
-// inside it (see applyHop).
+// the chain.
 type msgTxnEvent struct {
 	TID   aria.TID
 	Epoch int64
 	Round int
 	Ev    *core.Event
-	Apply *applyHop
 }
 
 // msgTxnFinished tells the coordinator a transaction's call chain reached
@@ -65,6 +62,10 @@ type msgVote struct {
 // the epoch's conflict aborts re-execute by — one more round, gated on the
 // workers by the plan's per-entity queues, with no prepare/vote wave (see
 // aria.ChainPlan); the plan is immutable and shared by every receiver.
+// Apply is the global batch slice the batch's last member commits (nil for
+// a batch without one, or whose apply a binding cut dropped): it executed
+// nothing, so each worker installs the rows of it that it owns after every
+// lower TID's workspace.
 type msgDecide struct {
 	Epoch  int64
 	Round  int
@@ -72,6 +73,7 @@ type msgDecide struct {
 	Aborts []aria.TID
 	Final  bool
 	Chain  *aria.ChainPlan
+	Apply  *globalApply
 }
 
 // msgChainRelease tells a worker that a chain member it owns part of the
@@ -145,8 +147,10 @@ type msgRecovered struct {
 // Sharded global-commit protocol (sequencer <-> shard coordinator).
 //
 // Cross-shard transactions run at the global sequencer against a fenced,
-// quiescent snapshot of the involved shards, then commit back into each
-// shard as a blind write-set riding the shard's ordinary Aria machinery.
+// quiescent view of the involved shards, then commit back into each shard
+// as the last member of one ordinary epoch. Both directions ride messages
+// the protocol exchanges anyway: the rows the sequencer reads come back on
+// the fence ack, and the rows it writes go out on the shard's batch decide.
 // The fence is durable on the shard side (an open fenceMarker in the
 // source log precedes the ack), so a shard that crashes mid-batch comes
 // back still fenced and cannot interleave fresh transactions between the
@@ -158,24 +162,30 @@ type msgRecovered struct {
 // batch id; stale copies (Seq <= the shard's completed high-water mark)
 // are re-acked idempotently. Admit lists the ids of the batch transactions
 // homed on this shard: the shard is their exactly-once witness, and judges
-// each against its journal once it is parked (see msgFenceAck).
+// each against its journal once it is parked (see msgFenceAck). Reads lists
+// the entities this shard owns that the batch reads: the members' static
+// refs, plus whatever an execution reached beyond them — the sequencer
+// re-sends the fence with the longer list, which also fences a shard the
+// execution dragged into the footprint.
 type msgFence struct {
 	Seq   int64
 	Admit []string
+	Reads []interp.EntityRef
 }
 
 // msgFenceAck confirms one shard is parked for global batch Seq. An ack
 // that answers a fence echoes its Admit list and says, position by
 // position, which of those transactions the shard already answered (Known:
-// in its journal, or at or below the source's dedup floor). The verdict is
-// taken parked with a quiet journal, so like a reconnaissance read it holds
-// for the whole fence window: the sequencer drops the known members and
-// executes the rest. The park watchdog's re-ack carries neither list and
-// is never an admission answer.
+// in its journal, or at or below the source's dedup floor); Rows answers
+// its Reads with clones of the committed rows. Both are taken parked with
+// nothing in flight, so they hold for the whole fence window: the sequencer
+// drops the known members and executes the rest against the rows. The park
+// watchdog's re-ack carries none of the lists and is never an answer.
 type msgFenceAck struct {
 	Seq   int64
 	Admit []string
 	Known []bool
+	Rows  []entityImage
 }
 
 // msgUnfence releases a parked shard after the global batch's writes are
@@ -186,29 +196,10 @@ type msgUnfence struct{ Seq int64 }
 // msgUnfenceAck confirms the shard resumed after batch Seq.
 type msgUnfenceAck struct{ Seq int64 }
 
-// msgGlobalRead fetches one entity's committed state from a parked shard
-// (the sequencer's reconnaissance reads). Only answered while fenced for
-// Seq with replay fully drained — the parked store is then exactly the
-// durable, recovery-reconstructible prefix.
-type msgGlobalRead struct {
-	Seq   int64
-	Class string
-	Key   string
-}
-
-// msgGlobalState answers a reconnaissance read. State is a deep copy of
-// the committed row (nil when Exists is false: not yet created).
-type msgGlobalState struct {
-	Seq    int64
-	Class  string
-	Key    string
-	State  *interp.Row
-	Exists bool
-}
-
 // msgGlobalApply delivers one shard's slice of a global batch. The shard
-// logs the apply, commits it as a single-member epoch and acks with the
-// apply id's sysapi.MsgResponse once the commit is durable; copies outside
+// logs the apply, commits it as the only member of its parked epoch — the
+// epoch's decide installs the rows — and acks with the apply id's
+// sysapi.MsgResponse once the commit is durable; copies outside
 // the batch's fence window are dropped, re-sends dedupe by the apply id.
 type msgGlobalApply struct{ Apply *globalApply }
 

@@ -7,8 +7,10 @@
 // batch commits into. Every apply of a batch points at the same
 // batchManifest, built once by the sequencer and immutable from then on:
 // it is the batch's durable recovery record, and it is where each shard's
-// write-set lives. readSource is the only place that looks at what a
-// source-log position holds.
+// write-set lives. An apply executes nothing: the coordinator counts it
+// finished when it assigns it, and the batch decide carries it to the
+// workers, which install its rows (msgDecide.Apply). readSource is the only
+// place that looks at what a source-log position holds.
 package stateflow
 
 import (
@@ -27,11 +29,13 @@ type fenceMarker struct {
 	open bool
 }
 
-// writeSetEntry is one final entity image of a global batch's write-set.
-// The row is shared by everything that holds the manifest — the
-// sequencer's batch, the source-log record, a failover report — so it is
-// read-only: a worker installs a clone (applyGlobal).
-type writeSetEntry struct {
+// entityImage is one entity's committed image as a global batch moves it:
+// read from a parked shard (msgFenceAck.Rows; St nil when the entity does
+// not exist) or written back (globalApply.writes). The row is shared by
+// everything that holds the message or the manifest — the sequencer's
+// batch, the source-log record, a failover report — so it is read-only: a
+// worker installs a clone (Worker.installApply).
+type entityImage struct {
 	Ref interp.EntityRef
 	St  *interp.Row
 }
@@ -58,10 +62,10 @@ type batchManifest struct {
 	applies   []*globalApply
 }
 
-// globalApply is one shard's slice of a global batch: the blind write-set
-// the shard installs (in class/key order; empty for a shard that is only
-// home to a batch transaction) through one ordinary single-member epoch.
-// It is the message the sequencer sends, the record the shard logs — the
+// globalApply is one shard's slice of a global batch: the write-set the
+// shard installs (in class/key order; empty for a shard that is only home
+// to a batch transaction) as the last member of one ordinary epoch. It is
+// the message the sequencer sends, the record the shard logs — the
 // shard-local atomic commit point — and what a failover report carries.
 type globalApply struct {
 	// id names the apply transaction for ingress dedup, response staging
@@ -71,8 +75,7 @@ type globalApply struct {
 	// original.
 	id      string
 	shard   int
-	target  interp.EntityRef // the entity whose owner starts the worker chain
-	writes  []writeSetEntry
+	writes  []entityImage
 	replyTo string // the sequencer: where the durable-commit ack goes
 	man     *batchManifest
 }
@@ -85,29 +88,11 @@ func applyID(seq int64, shard int) string {
 // machinery runs, read from (or just appended at) source-log position pos.
 func (a *globalApply) pending(pos int64) pendingReq {
 	return pendingReq{
-		req:     sysapi.Request{Req: a.id, Target: a.target},
+		req:     sysapi.Request{Req: a.id},
 		replyTo: a.replyTo,
 		pos:     pos,
 		apply:   a,
 	}
-}
-
-// applyHop is a global apply travelling the worker chain: the entries no
-// worker has installed yet. Each worker installs the ones it owns and
-// forwards the rest to the owner of the first of them; the last answers
-// with the batch id.
-type applyHop struct {
-	seq  int64
-	rest []writeSetEntry
-}
-
-// firstHop starts the worker chain of a transaction's apply (nil for an
-// ordinary transaction, whose events carry no hop).
-func (a *globalApply) firstHop() *applyHop {
-	if a == nil {
-		return nil
-	}
-	return &applyHop{seq: a.man.seq, rest: a.writes}
 }
 
 // sourceRecord is what one source-log position holds: a fence marker, or

@@ -722,6 +722,29 @@ func TestBindingBatchConflictFreeQueueDoubles(t *testing.T) {
 	}
 }
 
+// TestBindingBatchEndsAtAGlobalApply: a global apply reserves nothing and
+// installs at its batch's decide, after every lower TID, so no member may
+// follow it in a binding batch. The queue is a filler, the apply of a
+// cross-shard gather that writes x, and an add to x, all released past the
+// cut. The filler's batch commits whole and doubles the window to two, which
+// without the rule would put the add beside the apply: executed against x
+// from before the gather, installed under the apply's image, and lost.
+func TestBindingBatchEndsAtAGlobalApply(t *testing.T) {
+	fx := newBindingFixture(t, 2, 16, func(c *Config) { c.Shards = 2 })
+	x := fx.keys[0]
+	fx.call(fx.keys[1], "set", interp.IntV(7))
+	fx.call(x, "gather", interp.RefV("Reg", fx.remote), interp.RefV("Reg", fx.remote))
+	fx.call(x, "add", interp.IntV(1))
+	fx.crashWithQueue(false)
+	if bad := fx.diverged(); len(bad) > 0 {
+		t.Fatalf("rebuilt state is not the serial filler, gather, add run: %v", bad)
+	}
+	// [filler] [apply] [add]: the apply's batch ends at the apply.
+	if c := fx.shard.Coordinator(); c.BindingEpochs != 3 || c.Aborts != 0 {
+		t.Fatalf("binding epochs=%d aborts=%d, want 3 and 0", c.BindingEpochs, c.Aborts)
+	}
+}
+
 // TestBindingReplayVirtualTimeBudget holds the recovery speed the batches
 // bought: 300 uniformly-keyed updates of 64 KB rows, all released past the
 // cut (the benchmark's crash_big shape), must re-execute within a fixed

@@ -10,16 +10,20 @@
 //	         on that shard its journal already answered; the sequencer
 //	         drops those — retries — and hands each to its home shard's
 //	         ingress, which re-serves the recorded response
+//	read   = each fence carries the entities the shard owns that the batch
+//	         reads, and the ack carries their committed rows back (Calvin's
+//	         participants push their local reads once they hold their
+//	         locks; here the park is the lock)
 //	exec   = the sequencer runs the batch serially against an overlay
-//	         store, fetching entity images from the parked shards with
-//	         reconnaissance reads (re-executing a transaction from
-//	         scratch whenever a fetch discovers a new footprint member,
-//	         and fencing any shard the discovery drags in)
+//	         store of those rows; an execution that reaches an entity no
+//	         ack answered re-sends the owner's fence with the longer read
+//	         list — fencing the shard first if the footprint grows — and
+//	         re-executes from scratch once the rows arrive
 //	apply  = each footprint shard that has writes or is home to a batch
 //	         transaction gets ONE globalApply — its final entity images,
 //	         pointing at the batch's one manifest (records.go) — logged
-//	         and installed through the shard's ordinary Aria machinery
-//	         (the shard-local atomic commit point)
+//	         and committed as the last member of an ordinary epoch, whose
+//	         decide installs the rows (the shard-local atomic commit point)
 //	reply  = each transaction's home shard releases its response with
 //	         the group commit of its own apply — the batch's only
 //	         release; the sequencer sends no client response
@@ -69,8 +73,8 @@ const (
 
 // msgSeqTick is the sequencer's per-batch stall timer: while a batch is
 // in flight it periodically re-sends whatever messages the current phase
-// is still waiting on (fences, reconnaissance reads, applies, unfences),
-// so any single loss or shard crash-recovery converges.
+// is still waiting on (fences, applies, unfences), so any single loss or
+// shard crash-recovery converges.
 type msgSeqTick struct{ Seq int64 }
 
 // globalTxn is one client transaction riding a global batch.
@@ -93,16 +97,19 @@ type globalBatch struct {
 
 	// footprint is the set of shard ring positions this batch fences:
 	// seeded from the transactions' statically known refs, grown by
-	// reconnaissance misses that land on new shards. Shards outside it
+	// executions that reach an entity on a new shard. Shards outside it
 	// never see the batch. fenceAcked/unfenceAcked track per-shard acks.
 	footprint    map[int]bool
 	fenceAcked   map[int]bool
 	unfenceAcked map[int]bool
 
-	// admit is each home shard's admission list — the ids of the batch
-	// transactions homed there, in batch order — as its fence carries it;
-	// known collects the ids the shards' acks reported already answered.
+	// admit and reads are each shard's lists as its fence carries them:
+	// the ids of the batch transactions homed there, in batch order, and
+	// the entities it owns that the batch reads, in the order they were
+	// needed. known collects the ids the shards' acks reported already
+	// answered.
 	admit map[int][]string
+	reads map[int][]interp.EntityRef
 	known map[string]bool
 
 	// rederived marks a batch rebuilt from a durable manifest after a
@@ -111,16 +118,14 @@ type globalBatch struct {
 	rederived bool
 
 	next int // index of the transaction currently executing
-	// overlay holds the batch's view of the footprint as rows: images
-	// fetched from the parked shards, then whatever batch transactions
-	// wrote over them. fetched marks the entities a shard has answered for
-	// (an entity that does not exist is fetched but has no overlay row),
-	// dirty the overlay rows the batch changed — the apply write-sets —
-	// and fetching the reconnaissance reads in flight.
-	overlay  *state.Store
-	fetched  map[interp.EntityRef]bool
-	dirty    map[interp.EntityRef]bool
-	fetching map[interp.EntityRef]bool
+	// overlay holds the batch's view of the footprint as rows: the images
+	// the fence acks carried, then whatever batch transactions wrote over
+	// them. fetched marks the entities an ack has answered for (an entity
+	// that does not exist is fetched but has no overlay row), dirty the
+	// overlay rows the batch changed — the apply write-sets.
+	overlay *state.Store
+	fetched map[interp.EntityRef]bool
+	dirty   map[interp.EntityRef]bool
 
 	// man is the batch's manifest once execution is done (beginApply, or
 	// a failover's rederiveBatch); applied marks the shards whose apply is
@@ -203,8 +208,6 @@ func (q *Sequencer) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 		q.onFenceAck(ctx, from, m)
 	case msgUnfenceAck:
 		q.onUnfenceAck(ctx, from, m)
-	case msgGlobalState:
-		q.onGlobalState(ctx, m)
 	case msgSeqTick:
 		q.onTick(ctx, m)
 	case msgSeqFenceReport:
@@ -298,24 +301,25 @@ func (q *Sequencer) startBatch(ctx *sim.Context) {
 		overlay:      state.NewStore(q.sys.prog.Layouts()),
 		fetched:      map[interp.EntityRef]bool{},
 		dirty:        map[interp.EntityRef]bool{},
-		fetching:     map[interp.EntityRef]bool{},
 		admit:        map[int][]string{},
+		reads:        map[int][]interp.EntityRef{},
 		known:        map[string]bool{},
 	}
 	q.queue = nil
 	q.cur = b
 	for _, t := range b.txns {
 		b.admit[t.home] = append(b.admit[t.home], t.req.Req)
+		for _, ref := range refsOf(t.req) {
+			idx := q.sys.ShardOf(ref)
+			b.footprint[idx] = true
+			if !slices.Contains(b.reads[idx], ref) {
+				b.reads[idx] = append(b.reads[idx], ref)
+			}
+		}
 	}
 	if q.sys.cfg.FullFences {
 		for i := range q.sys.shards {
 			b.footprint[i] = true
-		}
-	} else {
-		for _, t := range b.txns {
-			for _, ref := range refsOf(t.req) {
-				b.footprint[q.sys.ShardOf(ref)] = true
-			}
 		}
 	}
 	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
@@ -330,10 +334,25 @@ func (q *Sequencer) startBatch(ctx *sim.Context) {
 }
 
 // sendFence (re-)sends batch b's fence to one footprint shard, with the
-// shard's admission list (empty for a shard that is home to no member).
+// shard's admission and read lists (either empty when the shard is home to
+// no member, or owns nothing the batch reads).
 func (q *Sequencer) sendFence(ctx *sim.Context, b *globalBatch, idx int) {
-	ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, Admit: b.admit[idx]},
+	ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, Admit: b.admit[idx], Reads: b.reads[idx]},
 		q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+}
+
+// answered reports whether shard idx acked batch b's fence with a row for
+// every entity its read list names.
+func (b *globalBatch) answered(idx int) bool {
+	if !b.fenceAcked[idx] {
+		return false
+	}
+	for _, ref := range b.reads[idx] {
+		if !b.fetched[ref] {
+			return false
+		}
+	}
+	return true
 }
 
 func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
@@ -346,48 +365,49 @@ func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
 		q.maybeReleaseOrphan(ctx, from, idx, m.Seq)
 		return
 	}
-	if b.fenceAcked[idx] {
+	if b.phase > gExecuting || !slices.Equal(m.Admit, b.admit[idx]) {
+		// Not an answer to this batch's fence: the park watchdog's bare
+		// re-ack, the ack of a dead incarnation's fence for the same batch
+		// id, or a late copy once the batch executed. The stall guard
+		// re-fences whatever is still unanswered.
 		return
 	}
-	switch b.phase {
-	case gFencing:
-		if !slices.Equal(m.Admit, b.admit[idx]) {
-			// Not the answer to this batch's admission list: the park
-			// watchdog's bare re-ack, or the ack of a dead incarnation's
-			// fence for the same batch id. The stall guard re-fences.
-			return
+	// Any ack for this batch id was taken parked for it, so its rows are the
+	// parked state whichever read list it answered; an entity the batch
+	// already holds (and may have written over) is never replaced.
+	for _, r := range m.Rows {
+		if !b.fetched[r.Ref] {
+			b.fetched[r.Ref] = true
+			if r.St != nil {
+				b.overlay.Put(r.Ref, r.St)
+			}
 		}
+	}
+	if !b.fenceAcked[idx] {
 		b.fenceAcked[idx] = true
+		q.FenceWaits++
 		for i, id := range m.Admit {
 			if m.Known[i] {
 				b.known[id] = true
 			}
 		}
-		if len(b.fenceAcked) == len(b.footprint) {
-			q.FenceWaits += len(b.footprint)
-			if tr := q.sys.cfg.Tracer; tr.Enabled() {
-				tr.Span(q.sys.seqID, "global", "fence.wait", b.phaseAt, ctx.Now(),
-					"seq", strconv.FormatInt(b.seq, 10),
-					"shards", strconv.Itoa(len(b.footprint)))
-			}
-			b.phase = gExecuting
-			b.phaseAt = ctx.Now()
-			q.admitBatch(ctx, b)
-			q.advance(ctx)
-		}
-	case gExecuting:
-		// A shard dragged into the footprint mid-execution just parked:
-		// release the reconnaissance reads that were waiting on it.
-		b.fenceAcked[idx] = true
-		q.FenceWaits++
-		for _, ref := range sortedRefs(b.fetching) {
-			if q.sys.ShardOf(ref) == idx {
-				ctx.Send(from,
-					msgGlobalRead{Seq: b.seq, Class: ref.Class, Key: ref.Key},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-			}
+	}
+	for i := range b.footprint {
+		if !b.answered(i) {
+			return
 		}
 	}
+	if b.phase == gFencing {
+		if tr := q.sys.cfg.Tracer; tr.Enabled() {
+			tr.Span(q.sys.seqID, "global", "fence.wait", b.phaseAt, ctx.Now(),
+				"seq", strconv.FormatInt(b.seq, 10),
+				"shards", strconv.Itoa(len(b.footprint)))
+		}
+		b.phase = gExecuting
+		b.phaseAt = ctx.Now()
+		q.admitBatch(ctx, b)
+	}
+	q.advance(ctx)
 }
 
 // admitBatch is the global path's ingress dedup, run once the whole
@@ -434,67 +454,44 @@ func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, idx int, s
 	ctx.Send(from, msgUnfence{Seq: seq}, q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
-// advance executes batch transactions in order until one needs entity
-// images the overlay does not hold yet (then reconnaissance reads are in
-// flight and execution resumes on their answers) or the batch is done.
-// A miss landing on a shard outside the footprint first fences it: the
-// read is deferred until that shard's fence ack arrives.
+// advance executes batch transactions in order until one reaches entities
+// no fence ack has answered for yet, or the batch is done. A miss appends
+// the missing entities to their owners' read lists and re-sends those
+// shards' fences (fencing a shard outside the footprint first); the
+// transaction re-executes from scratch once every answer is in
+// (onFenceAck).
 func (q *Sequencer) advance(ctx *sim.Context) {
 	b := q.cur
-	for b.next < len(b.txns) {
-		t := b.txns[b.next]
-		missing := q.execute(ctx, b, t)
-		if len(missing) > 0 {
-			for _, ref := range missing {
-				b.fetching[ref] = true
-				idx := q.sys.ShardOf(ref)
-				if !b.footprint[idx] {
-					b.footprint[idx] = true
-					q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
-						"batch %d footprint grows to shard %d (%s<%s>)",
-						b.seq, idx, ref.Class, ref.Key)
-					q.sendFence(ctx, b, idx)
-					continue // the read follows the shard's fence ack
-				}
-				if b.fenceAcked[idx] {
-					ctx.Send(q.sys.shards[idx].coordID,
-						msgGlobalRead{Seq: b.seq, Class: ref.Class, Key: ref.Key},
-						q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-				}
-			}
-			return
+	for ; b.next < len(b.txns); b.next++ {
+		missing := q.execute(ctx, b, b.txns[b.next])
+		if len(missing) == 0 {
+			continue
 		}
-		b.next++
+		grown := map[int]bool{}
+		for _, ref := range missing {
+			idx := q.sys.ShardOf(ref)
+			b.reads[idx] = append(b.reads[idx], ref)
+			grown[idx] = true
+			if !b.footprint[idx] {
+				b.footprint[idx] = true
+				q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
+					"batch %d footprint grows to shard %d (%s<%s>)",
+					b.seq, idx, ref.Class, ref.Key)
+			}
+		}
+		for _, idx := range sortedShards(grown) {
+			q.sendFence(ctx, b, idx)
+		}
+		return
 	}
 	q.beginApply(ctx)
 }
 
-func (q *Sequencer) onGlobalState(ctx *sim.Context, m msgGlobalState) {
-	b := q.cur
-	if b == nil || b.phase != gExecuting || m.Seq != b.seq {
-		return
-	}
-	ref := interp.EntityRef{Class: m.Class, Key: m.Key}
-	if !b.fetching[ref] {
-		return // duplicate answer
-	}
-	delete(b.fetching, ref)
-	if !b.fetched[ref] { // never clobber a batch-written image
-		b.fetched[ref] = true
-		if m.Exists {
-			b.overlay.Put(ref, m.State)
-		}
-	}
-	if len(b.fetching) == 0 {
-		q.advance(ctx)
-	}
-}
-
 // reconStore is the core.Store one execution attempt runs against: an
 // Aria workspace over the batch overlay — the same private working rows
-// the workers execute on — except that touching an entity no shard has
-// answered for yet records a reconnaissance miss. The attempt is then void
-// and re-executes from scratch once the image arrives; the workspace never
+// the workers execute on — except that touching an entity no fence ack
+// has answered for yet records a miss. The attempt is then void and
+// re-executes from scratch once the row arrives; the workspace never
 // hands out an overlay container by reference, so dropping it drops
 // everything the attempt did.
 type reconStore struct {
@@ -614,28 +611,23 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 			"seq", strconv.FormatInt(b.seq, 10),
 			"txns", strconv.Itoa(len(b.txns)))
 	}
-	groups := make(map[int][]writeSetEntry) // each in class/key order
-	targets := map[int]interp.EntityRef{}
+	groups := make(map[int][]entityImage) // each in class/key order
 	for _, ref := range sortedRefs(b.dirty) {
 		row, _ := b.overlay.Lookup(ref)
 		idx := q.sys.ShardOf(ref)
-		if len(groups[idx]) == 0 {
-			targets[idx] = ref
-		}
-		groups[idx] = append(groups[idx], writeSetEntry{Ref: ref, St: row})
+		groups[idx] = append(groups[idx], entityImage{Ref: ref, St: row})
 	}
 	man := &batchManifest{seq: b.seq, footprint: sortedShards(b.footprint)}
 	for _, t := range b.txns {
-		if _, ok := targets[t.home]; !ok {
-			targets[t.home] = t.req.Target
+		if _, ok := groups[t.home]; !ok {
+			groups[t.home] = nil // home to a member: applies an empty write-set
 		}
 		man.txns = append(man.txns, manifestTxn{req: t.req.Req, replyTo: t.replyTo, home: t.home, res: t.res})
 	}
-	for _, idx := range sortedShards(targets) {
+	for _, idx := range sortedShards(groups) {
 		man.applies = append(man.applies, &globalApply{
 			id:      applyID(b.seq, idx),
 			shard:   idx,
-			target:  targets[idx],
 			writes:  groups[idx],
 			replyTo: q.sys.seqID,
 			man:     man,
@@ -751,9 +743,9 @@ func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 
 // onTick is the per-batch stall guard: re-send whatever the current
 // phase still waits on. Shard-side handlers are all idempotent (fence
-// and unfence re-ack, reads re-answer, applies dedupe or re-serve), so
-// over-sending is safe; a shard mid-crash-recovery simply answers after
-// its recovery converges, still fenced thanks to the durable marker.
+// and unfence re-ack, applies dedupe or re-serve), so over-sending is
+// safe; a shard mid-crash-recovery simply answers after its recovery
+// converges, still fenced thanks to the durable marker.
 func (q *Sequencer) onTick(ctx *sim.Context, m msgSeqTick) {
 	b := q.cur
 	if b == nil || m.Seq != b.seq {
@@ -762,15 +754,8 @@ func (q *Sequencer) onTick(ctx *sim.Context, m msgSeqTick) {
 	switch b.phase {
 	case gFencing, gExecuting:
 		for _, idx := range sortedShards(b.footprint) {
-			if !b.fenceAcked[idx] {
+			if !b.answered(idx) {
 				q.sendFence(ctx, b, idx)
-			}
-		}
-		for _, ref := range sortedRefs(b.fetching) {
-			if idx := q.sys.ShardOf(ref); b.fenceAcked[idx] {
-				ctx.Send(q.sys.shards[idx].coordID,
-					msgGlobalRead{Seq: b.seq, Class: ref.Class, Key: ref.Key},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 			}
 		}
 	case gApplying:

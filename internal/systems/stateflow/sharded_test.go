@@ -1,14 +1,21 @@
 package stateflow
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/compiler"
+	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
+	"statefulentities.dev/stateflow/internal/state"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
+	"statefulentities.dev/stateflow/internal/txn/aria"
 )
 
 type shardedFixture struct {
@@ -419,5 +426,63 @@ func TestShardedFloorIsolationAcrossShardReboot(t *testing.T) {
 	}
 	if got := shardedSum(t, sys, accounts); got != accounts*100 {
 		t.Fatalf("balances sum to %d, want %d (the duplicate re-executed)", got, accounts*100)
+	}
+}
+
+// TestGlobalExecuteVirtualTimeBudget: the fence acks carry every row a
+// cross-shard transfer reads, so the sequencer executes it exactly once, in
+// the event that delivers the last ack. Its global.execute span is then the
+// CPU of one execution and nothing else — no reconnaissance round trip, no
+// re-execution from scratch.
+func TestGlobalExecuteVirtualTimeBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tracer = obs.NewTracer()
+	fx := newFailoverFixtureWith(t, cfg)
+	fx.transfer()
+	fx.settle()
+	if len(fx.client.got) != 1 || !fx.client.got[0].Value.B {
+		t.Fatalf("client saw %+v, want the one successful transfer", fx.client.got)
+	}
+
+	// One execution's steps, counted against a plain store.
+	store := state.NewStore(fx.sys.prog.Layouts())
+	for _, key := range []string{fx.from, fx.to} {
+		store.PutMap(interp.EntityRef{Class: "Account", Key: key},
+			interp.MapState{"owner": interp.StrV(key), "balance": interp.IntV(100)})
+	}
+	ws, ex := aria.NewWorkspace(1, store), core.NewExecutor(fx.sys.prog)
+	req := transferReq("x1", fx.from, fx.to, 25)
+	queue := []*core.Event{{Kind: core.EvInvoke, Req: req.Req, Target: req.Target, Method: req.Method, Args: req.Args}}
+	steps := 0
+	for ; queue[0].Kind != core.EvResponse; steps++ {
+		out, err := ex.Step(queue[0], ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queue = append(queue[1:], out...)
+	}
+	want := time.Duration(steps) * cfg.Costs.ExecuteCPU
+
+	var buf bytes.Buffer
+	if err := cfg.Tracer.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Dur  float64 `json:"dur"` // microseconds
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var spans []time.Duration
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "global.execute" {
+			spans = append(spans, time.Duration(math.Round(ev.Dur*1000)))
+		}
+	}
+	if len(spans) != 1 || spans[0] != want {
+		t.Fatalf("global.execute spans %v, want one of %v (%d steps of %v)", spans, want, steps, cfg.Costs.ExecuteCPU)
 	}
 }

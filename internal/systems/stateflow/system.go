@@ -453,7 +453,7 @@ func failureContract(roles map[string][]string) chaos.Topology {
 			case msgTxnFinished, msgPrepare, msgVote, msgDecide, msgApplied, msgChainRelease,
 				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
 				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
-				msgGlobalRead, msgGlobalState, msgGlobalApply,
+				msgGlobalApply,
 				msgSeqFenceQuery, msgSeqFenceReport:
 				return true
 			case sysapi.MsgRequest, sysapi.MsgResponse:

@@ -28,10 +28,12 @@ import (
 )
 
 // workerEpoch is one epoch's execution state on this worker: its live
-// workspaces and its round high-water mark (0: the batch's first
-// execution, 1: the chain). A delayed or duplicated prepare/decide/event
-// from the finished batch round must be dropped — a stale decide would
-// otherwise wipe the chain's in-flight workspaces.
+// workspaces (nil until the first) and its round high-water mark (0: the
+// batch's first execution, 1: the chain). A delayed or duplicated
+// prepare/decide/event from the finished batch round must be dropped — a
+// stale decide would otherwise wipe the chain's in-flight workspaces. A
+// worker the batch never reached has none: it votes and settles the epoch
+// without one (see reached).
 type workerEpoch struct {
 	workspaces map[aria.TID]*aria.Workspace
 	round      int
@@ -130,19 +132,30 @@ func workerID(prefix string, idx int) string { return fmt.Sprintf("%sworker-%d",
 // that no decide order will ever reference, and its root response carries
 // the old epoch or round, which the coordinator rejects.)
 func (w *Worker) liveEpoch(epoch int64, round int) *workerEpoch {
-	if epoch <= w.appliedEpoch {
-		return nil
-	}
-	ep, ok := w.epochs[epoch]
-	if !ok {
-		ep = &workerEpoch{workspaces: map[aria.TID]*aria.Workspace{}}
+	ep, stale := w.reached(epoch, round)
+	if ep == nil && !stale {
+		ep = &workerEpoch{round: round}
 		w.epochs[epoch] = ep
 	}
+	return ep
+}
+
+// reached is liveEpoch for the messages every worker gets, reached by the
+// batch or not: it creates nothing, so ep is nil both for a stale message
+// and for a live epoch none of whose events ran here.
+func (w *Worker) reached(epoch int64, round int) (ep *workerEpoch, stale bool) {
+	if epoch <= w.appliedEpoch {
+		return nil, true
+	}
+	ep = w.epochs[epoch]
+	if ep == nil {
+		return nil, false
+	}
 	if round < ep.round {
-		return nil
+		return nil, true
 	}
 	ep.round = round
-	return ep
+	return ep, false
 }
 
 // OnMessage implements sim.Handler.
@@ -166,6 +179,9 @@ func (w *Worker) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *aria.Workspace {
 	ws, ok := ep.workspaces[tid]
 	if !ok {
+		if ep.workspaces == nil {
+			ep.workspaces = map[aria.TID]*aria.Workspace{}
+		}
 		ws = aria.NewWorkspace(tid, w.committed)
 		ep.workspaces[tid] = ws
 	}
@@ -212,15 +228,7 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	ctx.Work(costs.SplitOverhead)
 	w.Breakdown.Add(obs.SplittingInstrumentation, costs.SplitOverhead)
 
-	ws := w.workspace(ep, m.TID)
-	var out []*core.Event
-	var next *applyHop // set on the event forwarded down a global apply's chain
-	var err error
-	if m.Apply != nil {
-		out, next = w.applyGlobal(ws, m.Ev, m.Apply)
-	} else {
-		out, err = w.sys.executor.Step(m.Ev, ws)
-	}
+	out, err := w.sys.executor.Step(m.Ev, w.workspace(ep, m.TID))
 	ctx.Work(costs.ExecuteCPU)
 	w.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
 	if err != nil {
@@ -242,39 +250,9 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 			if target == w.id {
 				lat = 0 // same-partition transfer stays in process
 			}
-			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev, Apply: next}, lat)
+			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev}, lat)
 		}
 	}
-}
-
-// applyGlobal installs this partition's slice of a global batch's
-// write-set as blind writes into the transaction's workspace and chains
-// the remainder to the next owning worker — the same event-forwarding
-// shape a split method uses, so the apply commits through the unchanged
-// Aria machinery (single-member batch: the whole-row reservations cannot
-// conflict). The last worker in the chain emits the root response. Each
-// image is cloned on the way in: the entry's row belongs to the logged
-// record, which a binding replay installs again, while the committed
-// store's row is updated in place by later transactions.
-func (w *Worker) applyGlobal(ws *aria.Workspace, ev *core.Event, hop *applyHop) ([]*core.Event, *applyHop) {
-	var rest []writeSetEntry
-	for _, e := range hop.rest {
-		if w.sys.ownerOf(e.Ref) == w.id {
-			ws.PutBlind(e.Ref, e.St.Clone())
-		} else {
-			rest = append(rest, e)
-		}
-	}
-	if len(rest) == 0 {
-		// End of the chain: answer with the batch id.
-		return []*core.Event{{Kind: core.EvResponse, Req: ev.Req, Value: interp.IntV(hop.seq)}}, nil
-	}
-	return []*core.Event{{
-		Kind:   core.EvInvoke,
-		Req:    ev.Req,
-		Target: rest[0].Ref,
-		Hops:   ev.Hops + 1,
-	}}, &applyHop{seq: hop.seq, rest: rest}
 }
 
 // onPrepare validates local reservations for the batch (Aria's conflict
@@ -282,11 +260,16 @@ func (w *Worker) applyGlobal(ws *aria.Workspace, ev *core.Event, hop *applyHop) 
 // local reservation sets: what the first execution observed is the footprint
 // a conflict abort queues on when its request does not give one.
 func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
-	ep := w.liveEpoch(m.Epoch, 0)
-	if ep == nil {
+	costs := w.sys.cfg.Costs
+	ep, stale := w.reached(m.Epoch, 0)
+	if stale {
 		return
 	}
-	costs := w.sys.cfg.Costs
+	if ep == nil {
+		// No event of the batch ran here: nothing to validate or ship.
+		ctx.Send(w.sys.coordID, msgVote{Epoch: m.Epoch}, costs.WorkerLink.Sample(ctx.Rand()))
+		return
+	}
 	sets := make(map[aria.TID]*aria.RWSet, len(ep.workspaces))
 	for _, tid := range m.Order {
 		if ws, ok := ep.workspaces[tid]; ok {
@@ -425,44 +408,75 @@ func (w *Worker) settleChained(ctx *sim.Context, ep *workerEpoch, member int, co
 	}
 }
 
+// installApply installs the rows of a global apply this worker owns,
+// charging the same commit work a workspace install does. Each row is
+// cloned on the way in: the entry's row belongs to the logged record, which
+// a binding replay installs again, while the committed store's row is
+// updated in place by later transactions.
+func (w *Worker) installApply(ctx *sim.Context, a *globalApply) {
+	bytes, owned := 0, false
+	for _, e := range a.writes {
+		if w.sys.ownerOf(e.Ref) == w.id {
+			w.committed.Put(e.Ref, e.St.Clone())
+			bytes += e.St.EncodedSize()
+			owned = true
+		}
+	}
+	if owned {
+		w.commitWork(ctx, bytes)
+	}
+}
+
 // install applies one committed workspace to the store, charging the
 // cost-model commit work.
 func (w *Worker) install(ctx *sim.Context, ws *aria.Workspace) {
+	w.commitWork(ctx, ws.WriteBytes())
+	ws.Apply(w.committed)
+}
+
+// commitWork charges and counts one transaction's install of bytes of rows.
+func (w *Worker) commitWork(ctx *sim.Context, bytes int) {
 	costs := w.sys.cfg.Costs
-	bytes := ws.WriteBytes()
 	ctx.Work(costs.CommitCPU + costs.StateCPU(bytes))
 	w.Breakdown.Add(obs.StateSerialization, costs.StateCPU(bytes))
 	w.Breakdown.Add(obs.TxnCommit, costs.CommitCPU)
-	ws.Apply(w.committed)
 	w.Applied++
 }
 
 // onDecide applies committed workspaces in TID order and discards the
-// rest. A batch decide that is not final carries the chain plan the epoch's
+// rest, then installs the decide's global apply, the batch's last member. A
+// batch decide that is not final carries the chain plan the epoch's
 // re-executions run gated by. A final decide settles the epoch: the applied
 // high-water mark advances and any buffered successor-epoch events execute
 // now, against exactly the committed prefix they were waiting for. (The
 // final decide of a chain finds only the workspaces whose release is still
 // in flight; the releases installed the rest.)
 func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
-	ep := w.liveEpoch(m.Epoch, m.Round)
-	if ep == nil {
+	ep, stale := w.reached(m.Epoch, m.Round)
+	if stale {
 		return
 	}
-	for _, tid := range m.Order {
-		if _, dropped := slices.BinarySearch(m.Aborts, tid); dropped {
-			continue
+	if ep != nil {
+		for _, tid := range m.Order {
+			if _, dropped := slices.BinarySearch(m.Aborts, tid); dropped {
+				continue
+			}
+			if ws, ok := ep.workspaces[tid]; ok {
+				w.install(ctx, ws)
+			}
 		}
-		if ws, ok := ep.workspaces[tid]; ok {
-			w.install(ctx, ws)
-		}
+	}
+	if m.Apply != nil {
+		w.installApply(ctx, m.Apply)
 	}
 	if m.Final {
 		delete(w.epochs, m.Epoch)
 		w.appliedEpoch = m.Epoch
 	} else {
-		ep.workspaces = map[aria.TID]*aria.Workspace{}
-		ep.plan = m.Chain
+		// Made here if no event of the batch ran on this worker: the chain's
+		// events may, and they must find its plan.
+		ep = w.liveEpoch(m.Epoch, m.Round)
+		ep.workspaces, ep.plan = nil, m.Chain
 	}
 	ctx.Send(w.sys.coordID, msgApplied{Epoch: m.Epoch, Round: m.Round},
 		w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))

@@ -404,18 +404,6 @@ func (ws *Workspace) Create(ref interp.EntityRef) (interp.State, error) {
 	return e, nil
 }
 
-// PutBlind installs a complete entity image as a blind write: the whole
-// working row is replaced by row and Apply installs it wholesale, so the
-// reservation covers every slot. Sharded runtimes use this to replay a
-// globally-sequenced transaction's write-set into one shard without
-// re-executing the method there.
-func (ws *Workspace) PutBlind(ref interp.EntityRef, row *interp.Row) {
-	e := ws.touch(ref)
-	e.write(AllBits)
-	e.row = row
-	e.wroteBits |= EntityBit
-}
-
 // Written calls fn for every entity the transaction buffered a write for,
 // with its working row. The global sequencer derives a batch's write-sets
 // from it.

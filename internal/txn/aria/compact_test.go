@@ -155,7 +155,7 @@ func TestRWSetMatchesMapReference(t *testing.T) {
 }
 
 // TestWorkspaceSpillsPastInlineEntities touches 40 entities in one
-// transaction — reads, slot writes, a creation, a blind put — so the
+// transaction — reads, slot writes, two creations — so the
 // workspace runs through its inline entries, the scanned spill and the
 // indexed spill, and every State handle handed out on the way must stay
 // valid.
@@ -181,9 +181,11 @@ func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 	if _, err := ws.Create(ref("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	blind := committed.NewRow("A")
-	blind.Set("v", interp.IntV(-1))
-	ws.PutBlind(ref("blind"), blind)
+	made, err := ws.Create(ref("made"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	made.Set("v", interp.IntV(-1))
 
 	// Early handles still read and write their own entity after the spill
 	// and the index were built.
@@ -209,7 +211,7 @@ func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 	}
 	written := map[string]bool{}
 	ws.Written(func(r interp.EntityRef, _ *interp.Row) { written[r.Key] = true })
-	if len(written) != entities/2+3 { // odd entities, e00, fresh, blind
+	if len(written) != entities/2+3 { // odd entities, e00, fresh, made
 		t.Fatalf("written set: %v", written)
 	}
 	if ws.WriteBytes() == 0 {
@@ -235,7 +237,7 @@ func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 	if !committed.Exists(ref("fresh")) {
 		t.Fatal("creation not applied")
 	}
-	if row, _ := committed.Lookup(ref("blind")); row != blind {
-		t.Fatal("blind put not installed")
+	if row, ok := committed.Lookup(ref("made")); !ok || get(t, row, "v").I != -1 {
+		t.Fatal("second creation not applied")
 	}
 }
