@@ -290,8 +290,8 @@ func runLin(profile, backend string, seed int64, noFallback, noPipelining bool, 
 	fmt.Printf("chaos activity: %d crash windows, %d dropped, %d duplicated, %d delayed\n",
 		run.Stats.CrashWindows, run.Stats.Dropped, run.Stats.Duplicated, run.Stats.Delayed)
 	if be == stateflow.BackendStateFlow {
-		fmt.Printf("stateflow: %d recoveries (%d coordinator reboots, %d mid-pipeline), %d egress replays, %d fallback chains, %d fallback drift demotions\n",
-			run.Recoveries, run.CoordRestarts, run.MidPipelineRestarts, run.Replays, run.FallbackChains, run.FallbackDriftDemotions)
+		fmt.Printf("stateflow: %d recoveries (%d coordinator reboots, %d mid-pipeline), %d egress replays, %d fallback chains, %d fallback drift demotions, %d fast reads\n",
+			run.Recoveries, run.CoordRestarts, run.MidPipelineRestarts, run.Replays, run.FallbackChains, run.FallbackDriftDemotions, run.FastReads)
 	}
 	if shards > 1 {
 		fmt.Printf("sharded (%d shards): %d transactions sequenced globally in %d batches (%d scoped / %d full fences); %d sequencer failovers (%d batches rolled forward, %d abandoned pre-apply)\n",

@@ -101,7 +101,7 @@ func oracleSeedSweep(t *testing.T, shards int, seeds int64) {
 			t.Run(fmt.Sprintf("%s/%s", w.Name, backend), func(t *testing.T) {
 				t.Parallel()
 				recoveries, restarts, replays, crashWindows, drops, delays := 0, 0, 0, 0, 0, 0
-				clientDrops, midPipeline, midPipelineSeeds := 0, 0, 0
+				clientDrops, midPipeline, midPipelineSeeds, fastReads := 0, 0, 0, 0
 				for seed := int64(1); seed <= seeds; seed++ {
 					run, err := oracle.Verify(w, backend, seed, cfg)
 					if err != nil {
@@ -127,6 +127,7 @@ func oracleSeedSweep(t *testing.T, shards int, seeds int64) {
 						midPipelineSeeds++
 					}
 					replays += run.Replays
+					fastReads += run.FastReads
 					knownRetries.Add(int64(run.Sequencer.KnownRetries))
 					crashWindows += run.Stats.CrashWindows
 					drops += run.Stats.Dropped
@@ -135,8 +136,15 @@ func oracleSeedSweep(t *testing.T, shards int, seeds int64) {
 						clientDrops += n
 					}
 				}
-				t.Logf("%d crash windows, %d drops (%d client-edge response drops), %d delays, %d recoveries (%d coordinator reboots, %d mid-pipeline, %d egress replays) survived",
-					crashWindows, drops, clientDrops, delays, recoveries, restarts, midPipeline, replays)
+				t.Logf("%d crash windows, %d drops (%d client-edge response drops), %d delays, %d recoveries (%d coordinator reboots, %d mid-pipeline, %d egress replays) survived, %d fast reads",
+					crashWindows, drops, clientDrops, delays, recoveries, restarts, midPipeline, replays, fastReads)
+				// A workload that issues read-only calls must have had some
+				// answered on StateFlow's fast-read path, at every shard
+				// count, or the sweep judges reads only through the epochs
+				// they no longer take.
+				if backend == stateflow.BackendStateFlow && issuesReads(w) && fastReads == 0 {
+					t.Fatal("no read of this leg took the fast-read path")
+				}
 				if seeds < 20 {
 					// The vacuousness floors below are calibrated for the
 					// full sweep: at -short's 5 seeds some workload/backend
@@ -179,6 +187,16 @@ func oracleSeedSweep(t *testing.T, shards int, seeds int64) {
 			})
 		}
 	}
+}
+
+// issuesReads reports whether a workload's ops include read-only calls.
+func issuesReads(w oracle.Workload) bool {
+	for _, op := range w.Ops(1) {
+		if op.Kind == "read" {
+			return true
+		}
+	}
+	return false
 }
 
 // intensePlan is a hand-built plan aggressive enough that every fault

@@ -39,8 +39,11 @@ var stateflowCommits = []struct {
 // least one epoch, and — datadep's route queues on what its first execution
 // observed — a full unsharded datadep leg (20 seeds or more; sharded, route
 // runs at the sequencer) must have sent a drifted member to the next batch,
-// beside the pinned seeds of oracle.TestFallbackDriftDemotesOnDefaultPath. A
-// failure prints the profile, backend, seed and full plan verbatim.
+// beside the pinned seeds of oracle.TestFallbackDriftDemotesOnDefaultPath.
+// Every profile issues gets, and every StateFlow leg must have answered some
+// on the fast-read path, so serial mode keeps judging reads served outside
+// the epochs. A failure prints the profile, backend, seed and full plan
+// verbatim.
 func TestAdversarialLinSweep(t *testing.T) {
 	base := oracle.DefaultConfig()
 	base.Shards = sweepShards()
@@ -55,7 +58,7 @@ func TestAdversarialLinSweep(t *testing.T) {
 				cfg := base
 				cfg.DisableFallback = combo.disableFallback
 				cfg.DisablePipelining = combo.disablePipe
-				restarts, demotions, chains := 0, 0, 0
+				restarts, demotions, chains, fastReads := 0, 0, 0, 0
 				var unaimable []int64
 				for seed := int64(1); seed <= sweepSeeds(); seed++ {
 					run, err := oracle.VerifyAdversarial(p, stateflow.BackendStateFlow, seed, cfg)
@@ -65,12 +68,16 @@ func TestAdversarialLinSweep(t *testing.T) {
 					restarts += run.CoordRestarts
 					demotions += run.FallbackDriftDemotions
 					chains += run.FallbackChains
+					fastReads += run.FastReads
 					knownRetries.Add(int64(run.Sequencer.KnownRetries))
 					if !run.MidFenceAimed {
 						unaimable = append(unaimable, seed)
 					}
 				}
-				t.Logf("%d coordinator reboots survived, %d chained epochs, %d fallback drift demotions", restarts, chains, demotions)
+				t.Logf("%d coordinator reboots survived, %d chained epochs, %d fallback drift demotions, %d fast reads", restarts, chains, demotions, fastReads)
+				if fastReads == 0 {
+					t.Fatalf("no get of this leg took the fast-read path (%d seeds)", sweepSeeds())
+				}
 				if p != workload.XShard && !combo.disableFallback && chains == 0 {
 					t.Fatalf("no epoch of this leg chained its conflict aborts (%d seeds); the fallback schedule went unexercised", sweepSeeds())
 				}

@@ -129,6 +129,9 @@ type Run struct {
 	// per-entity ordered chain (evidence the hotkey, chain and datadep
 	// profiles run the fallback schedule at all).
 	FallbackChains int
+	// FastReads counts the read-only calls answered outside the epochs, on
+	// StateFlow's fast-read path (evidence a profile's gets took it).
+	FastReads int
 	// Sequencer snapshots the sequencing layer's full counter set (zero
 	// value unless Config.Shards > 1): transactions routed through it
 	// (GlobalTxns — evidence the workload crossed shards rather than
@@ -328,6 +331,7 @@ func (d *deployment) finish(ops int) (Run, error) {
 		run.Replays += c.Replays
 		run.FallbackDriftDemotions += c.FallbackDriftDemotions
 		run.FallbackChains += c.FallbackChains
+		run.FastReads += c.FastReads
 	}
 	if q := sh.Sequencer(); q != nil {
 		run.Sequencer = q.Stats()

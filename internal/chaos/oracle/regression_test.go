@@ -34,9 +34,10 @@ func checkLegacy(t *testing.T, seed int64, disablePipe, legacyReplay, noDriftRul
 // commits a conflicting pair in a different order than the responses the
 // clients already hold, which the history checker rejects. With the
 // binding replay (released responses re-commit serially in release
-// order) the same seed passes the full adversarial verdict.
+// order) the same seed passes the full adversarial verdict. (Seed 18 until
+// reads left the epochs, which moved every datadep schedule.)
 func TestBindingReplayRegression(t *testing.T) {
-	const seed = 18
+	const seed = 11
 	for _, disablePipe := range []bool{false, true} {
 		// Pre-fix recovery (drift rule still on: the divergence is the
 		// replay order's own, not the fallback's).
@@ -67,8 +68,10 @@ func TestBindingReplayRegression(t *testing.T) {
 //   - rule on  -> passes, and the rule demonstrably intervened
 //     (FallbackDriftDemotions > 0);
 //   - the full adversarial verdict passes.
+//
+// (Seed 3 until reads left the epochs.)
 func TestFallbackDriftRegression(t *testing.T) {
-	const seed = 3
+	const seed = 5
 	for _, disablePipe := range []bool{false, true} {
 		err, _ := checkLegacy(t, seed, disablePipe, false, true)
 		if err == nil {
@@ -129,17 +132,17 @@ func TestSequencerFailoverRegression(t *testing.T) {
 
 // TestShardedExactlyOnceRegression pins the three plans on which the
 // sharded topology broke exactly-once or wedged while the sequencer was a
-// second, volatile releaser of global responses. On (hotkey, 40, 2 shards —
+// second, volatile releaser of global responses. On (hotkey, 1, 2 shards —
 // seed 11 until the fallback chain changed every hotkey run's message
-// count; 11 now abandons its batches pre-apply) and (chain, 8, 4) a
+// count, then 40 until reads left the epochs) and (chain, 8, 4) a
 // sequencer crash lands after a batch's response went out and before its
 // last unfence ack, and the roll-forward of that batch used to send the
 // response again ("system sent 2 responses, allowed 1");
 // on (datadep, 17, 2) a failover abandoned a fenced batch, the one unfence
 // died with a shard coordinator's reboot, and the rebuilt park used to have
 // nobody to surface itself to (55/60 requests lost). Since the fence ack
-// carries the batch's reads, 17 abandons no batch; (datadep, 3, 2) keeps
-// the shape the floor asks for — abandoned batches beside shard-coordinator
+// carries the batch's reads, 17 abandons no batch; (datadep, 9, 2 — 3
+// until reads left the epochs) keeps the shape the floor asks for — abandoned batches beside shard-coordinator
 // reboots. Responses now leave through the home shard's journal only and a
 // parked shard always knows its sequencer; each floor keeps the plan aimed
 // at its mechanism.
@@ -150,8 +153,8 @@ func TestShardedExactlyOnceRegression(t *testing.T) {
 		shards  int
 		wedge   bool
 	}{
-		{workload.HotKey, 40, 2, false},
-		{workload.DataDep, 3, 2, true},
+		{workload.HotKey, 1, 2, false},
+		{workload.DataDep, 9, 2, true},
 		{workload.Chain, 8, 4, false},
 	} {
 		cfg := DefaultConfig()

@@ -125,10 +125,21 @@ func computeNeedsSplit(info *types.Info) map[string]bool {
 	return needs
 }
 
+// mutators are the container methods that change their receiver in place.
+// The language has only list append and pop today; the rest are listed so
+// the read-only rule stays sound if the type checker grows them.
+var mutators = map[string]bool{
+	"append": true, "pop": true, "extend": true, "insert": true, "remove": true,
+	"clear": true, "update": true, "setdefault": true, "popitem": true,
+	"sort": true, "reverse": true,
+}
+
 // computeReadOnly decides, transitively, which methods never write entity
-// state. Conservative across calls: a method is read-only only if it has
-// no state writes and every method it calls (locally or remotely) is
-// read-only too.
+// state. The StateFlow runtime serves a read-only simple method outside the
+// epochs, so the rule must be sound, and it is conservative: a method
+// writes if it assigns a self attribute or any subscript, calls a container
+// mutator on any receiver (a local may alias a state container), constructs
+// an entity, or calls a method (locally or remotely) that writes.
 func computeReadOnly(info *types.Info) map[string]bool {
 	writes := map[string]bool{}
 	calls := map[string][]string{}
@@ -145,21 +156,29 @@ func computeReadOnly(info *types.Info) map[string]bool {
 				case *ast.AugAssignStmt:
 					target = st.Target
 				}
-				if attr, ok := target.(*ast.Attr); ok {
-					if _, isSelf := attr.Recv.(*ast.SelfRef); isSelf {
+				switch t := target.(type) {
+				case *ast.Attr:
+					if _, isSelf := t.Recv.(*ast.SelfRef); isSelf {
 						writes[q] = true
 					}
+				case *ast.Index:
+					writes[q] = true
 				}
 				for _, e := range ast.ExprsOf(s) {
 					ast.WalkExpr(e, func(x ast.Expr) bool {
-						if call, ok := x.(*ast.Call); ok {
-							if tgt, resolved := info.Calls[call]; resolved {
-								if tgt.Ctor {
-									writes[q] = true // creates state
-								} else {
-									calls[q] = append(calls[q], tgt.Class+"."+tgt.Method)
-								}
+						call, ok := x.(*ast.Call)
+						if !ok {
+							return true
+						}
+						switch tgt, resolved := info.Calls[call]; {
+						case !resolved:
+							if call.Recv != nil && mutators[call.Func] {
+								writes[q] = true
 							}
+						case tgt.Ctor:
+							writes[q] = true // creates state
+						default:
+							calls[q] = append(calls[q], tgt.Class+"."+tgt.Method)
 						}
 						return true
 					})

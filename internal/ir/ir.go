@@ -203,8 +203,12 @@ type Method struct {
 	// one operator without suspension (§2.3 "for simple functions ... the
 	// execution is straightforward").
 	Simple bool `json:"simple"`
-	// ReadOnly methods never write entity state; runtimes may relax
-	// concurrency control for them.
+	// ReadOnly methods never write entity state: no attribute or subscript
+	// assignment, no container mutator on any receiver, no construction,
+	// and no call to a method that writes. The StateFlow runtime relaxes
+	// concurrency control for a method that is ReadOnly and Simple (it
+	// touches only its target): it serves the call against the owner's
+	// committed store outside any epoch.
 	ReadOnly bool          `json:"read_only"`
 	Blocks   []*Block      `json:"blocks"`
 	SM       *StateMachine `json:"state_machine"`

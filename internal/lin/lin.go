@@ -408,7 +408,8 @@ func checkSerial(h *History, chains, reads map[Entity][]writer) *Violation {
 		for _, r := range reads[ent] {
 			rs, ok := h.Serial[r.op]
 			if !ok {
-				continue // reads may commit without a tap entry only if the tap skips reads; tolerate
+				return &Violation{Kind: "serial-order", Entity: ent, Ops: []string{r.op},
+					Detail: "committed read missing from the backend commit tap"}
 			}
 			for _, w := range ws {
 				s, v := serialOf(w)

@@ -126,6 +126,36 @@ func TestSerialReadPlacement(t *testing.T) {
 	expect(t, h, "serial-order", "r")
 }
 
+// TestSerialReadsAreTapped pins serial mode's coverage of reads. A backend
+// that serves reads outside its commit order must still tap each one, at a
+// position between the write it observed and the next write to the entity:
+// the tap below leaves a gap after every commit (w1 at 2, w2 at 4) for
+// exactly that.
+func TestSerialReadsAreTapped(t *testing.T) {
+	h := good()
+	h.Serial = map[string]int64{"w1": 2, "w2": 4, "r": 5}
+	if err := Check(h); err != nil {
+		t.Fatalf("a read tapped after the write it observed was rejected: %v", err)
+	}
+
+	h = good()
+	// The tap carries the writes only: serial mode would judge r on nothing.
+	h.Serial = map[string]int64{"w1": 2, "w2": 4}
+	expect(t, h, "serial-order", "r")
+
+	h = good()
+	// Placed too early: r sits between w1 and w2 yet observed w2's write.
+	h.Serial = map[string]int64{"w1": 2, "w2": 4, "r": 3}
+	expect(t, h, "serial-order", "r", "w2")
+
+	h = good()
+	// Placed too late: r observed w1's version but sits after w2, which
+	// installed the next one.
+	h.Outcomes[2].Obs[0].Pre = State{1, 105, "w1"}
+	h.Serial = map[string]int64{"w1": 2, "w2": 4, "r": 5}
+	expect(t, h, "serial-order", "r", "w2")
+}
+
 func TestCycleWithoutTap(t *testing.T) {
 	b := Entity{Class: "Cell", Key: "b"}
 	// On cell a: w1 then w2. On cell b: w2 then w1. No serial order

@@ -112,7 +112,7 @@ func TestChainRefusedTransferLeavesPayeeQueue(t *testing.T) {
 	if lines != 1 {
 		t.Fatalf("%d fallback.chain flight-recorder lines for one chained epoch", lines)
 	}
-	serial := c.CommitSerials()
+	serial := c.CommitSerials(nil)
 	if !(serial["t1"] < serial["t2"] && serial["t2"] < serial["t3"] && serial["t3"] < serial["t4"]) {
 		t.Fatalf("answered out of TID order: %v", serial)
 	}

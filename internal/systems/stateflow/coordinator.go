@@ -41,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/snapshot"
@@ -100,7 +101,8 @@ type Coordinator struct {
 	// recoverAt and replayAt are when the recovery in progress started and
 	// when its first binding epoch opened (replayAt < 0: none yet, or the
 	// queue already drained) — the starts of the recovery.restore and
-	// recovery.replay trace spans. Purely observational.
+	// recovery.replay trace spans. A replay in flight also holds the fast
+	// reads (readsHeld).
 	recoverAt, replayAt time.Duration
 
 	// snapCut is the aligned-cut virtual time of the snapshot in flight
@@ -199,13 +201,24 @@ type Coordinator struct {
 	// complete snapshot.
 	RestoredSnapshots []int64
 
-	// Commit-order tap (Config.TraceCommits): request id → position in
-	// the effective serial order the surviving state was built in.
-	// Overwritten when a recovery rolls a commit back and re-executes it;
-	// deliberately NOT reset on restart — like the stats, it is
-	// test-harness state about the whole run, not protocol state.
-	commitSerial int64
-	commitSeq    map[string]int64
+	// FastReads counts the read-only calls answered on the fast path
+	// (read.go), every serve of a retried one included.
+	FastReads int
+
+	// The fast-read path (read.go). finished is the newest epoch all of
+	// whose responses are staged — its batch finished, or it is a recovery's
+	// view epoch (-1: none yet; a worker's applied epoch starts there too).
+	// reads are the forwarded reads awaiting their worker's answer, by
+	// forwarding number (readSeq the last one issued); held the reads
+	// waiting for a hold to end (see readsHeld); awaiting the answers
+	// waiting for the batch of the epoch they saw to finish.
+	finished       int64
+	readSeq        aria.TID
+	reads          map[aria.TID]*fastRead
+	held, awaiting []*fastRead
+
+	// tap is the commit-order tap (nil unless Config.TraceCommits).
+	tap *commitTap
 
 	// Sharded global-commit fence state (see fence.go and sharded.go).
 	// fencePending is a fence request received but not yet quiesced (Seq 0:
@@ -243,11 +256,18 @@ func (c *Coordinator) tracer() *obs.Tracer         { return c.sys.cfg.Tracer }
 func (c *Coordinator) flight() *obs.FlightRecorder { return c.sys.cfg.Flight }
 
 func newCoordinator(sys *System) *Coordinator {
-	return &Coordinator{
-		sys:     sys,
-		exec:    &epochState{phase: phaseOpen},
-		journal: newJournal(sys.coordID, &sys.cfg, sys.Dlog),
+	c := &Coordinator{
+		sys:      sys,
+		exec:     &epochState{phase: phaseOpen},
+		journal:  newJournal(sys.coordID, &sys.cfg, sys.Dlog),
+		replayAt: -1,
+		finished: -1,
 	}
+	if sys.cfg.TraceCommits {
+		c.tap = newCommitTap()
+		c.journal.tapRead = c.tap.read
+	}
+	return c
 }
 
 // OnStart schedules the first epoch tick.
@@ -324,8 +344,13 @@ func (c *Coordinator) admit(ctx *sim.Context, id, replyTo string) bool {
 }
 
 // onRequest appends the arrival to the replayable source log, then either
-// assigns it into the open batch or buffers it.
+// assigns it into the open batch or buffers it. A read-only call takes the
+// fast-read path instead (read.go).
 func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
+	if c.sys.fastRead(m.Request) {
+		c.onRead(ctx, m)
+		return
+	}
 	id := m.Request.Req
 	if !c.admit(ctx, id, m.ReplyTo) {
 		return
@@ -420,32 +445,14 @@ func (c *Coordinator) phaseSpan(ctx *sim.Context, st *epochState, name string, e
 	tr.Span(c.sys.coordID, "epoch", name, st.phaseAt, ctx.Now(), args...)
 }
 
-// traceCommit records a committed request's position in the effective
-// serial order — epochs in order, standard commits in TID order, then
-// the chain's in the order they were answered — when the
-// Config.TraceCommits tap is on. A recovery
-// that rolls a commit back and re-executes it overwrites the entry, so
-// the tap always reflects the order the surviving state was built in.
-func (c *Coordinator) traceCommit(id string) {
-	if !c.sys.cfg.TraceCommits {
-		return
-	}
-	if c.commitSeq == nil {
-		c.commitSeq = map[string]int64{}
-	}
-	c.commitSerial++
-	c.commitSeq[id] = c.commitSerial
-}
-
-// CommitSerials returns a copy of the commit-order tap (request id →
-// serial position; empty unless Config.TraceCommits). The
-// linearizability checker's serial mode consumes it.
-func (c *Coordinator) CommitSerials() map[string]int64 {
-	out := make(map[string]int64, len(c.commitSeq))
-	for id, s := range c.commitSeq {
-		out[id] = s
-	}
-	return out
+// CommitSerials returns the commit-order tap (request id → serial
+// position; empty unless Config.TraceCommits, see commitTap). A fast read
+// sits behind the last commit of the epoch whose state it saw; one served
+// more than once is placed by the serve whose value kept reports the client
+// kept (nil kept: the latest serve). The linearizability checker's serial
+// mode consumes it.
+func (c *Coordinator) CommitSerials(kept func(id string) (interp.Value, bool)) map[string]int64 {
+	return c.tap.serials(kept)
 }
 
 // finishBatch closes the epoch's accounting once the batch — including
@@ -453,6 +460,7 @@ func (c *Coordinator) CommitSerials() map[string]int64 {
 // commit slot.
 func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	c.EpochsClosed++
+	c.readsFinished(ctx, st.epoch)
 	switch {
 	case st.binding || len(c.replaying) > 0 || c.fenced:
 		// No snapshot while a binding replay is in flight: the images would
@@ -492,6 +500,7 @@ func (c *Coordinator) replayDrained(ctx *sim.Context, st *epochState) {
 			"epoch", strconv.FormatInt(st.epoch, 10))
 	}
 	c.replayAt = -1
+	c.serveHeld(ctx)
 }
 
 // releaseCommit frees the commit slot. Serial schedule: the next epoch
@@ -590,6 +599,7 @@ func (c *Coordinator) startSnapshot(ctx *sim.Context, st *epochState) {
 	}
 	c.snapshotID = c.sys.Snapshots.BeginWithPending(st.epoch, offsets,
 		map[string][]int64{sourceTopic: pendingPos}, len(c.sys.workerIDs))
+	c.tap.snapshot(c.snapshotID)
 	// The cut's virtual time: this epoch's last response was staged in
 	// this same event (finishBatch runs inside the final apply), so every
 	// entry released at or before now has its effects in the images the
@@ -918,6 +928,10 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	ctx.After(c.recoverRetryEvery(), msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering})
 	c.pending, c.replaying = nil, nil
 	c.window, c.replayAt = 1, -1
+	// Every epoch up to the view is finished or discarded, and a read
+	// answered from a discarded cut is asked again once the recovery drains.
+	c.finished = c.epoch
+	c.holdUnanswered()
 	var snapID int64
 	cut := time.Duration(-1) // no snapshot: every release postdates the empty state
 	if meta, ok := c.restorePoint(); ok {
@@ -959,6 +973,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	}
 	clear(c.recovered)
 	c.snapshotID = snapID
+	c.tap.restored(c.epoch, snapID)
 	c.RestoredSnapshots = append(c.RestoredSnapshots, snapID)
 	c.flight().Recordf(ctx.Now(), c.sys.coordID, "recovery",
 		"epoch %d: restored snapshot %d, %d binding replays, %d pending",
@@ -1011,6 +1026,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.fencePending, c.fenceSeq = msgFence{}, 0
 	c.fenced, c.fenceApply = false, nil
 	c.parkWatch = 0
+	c.reads, c.held, c.awaiting = nil, nil, nil
 	img := c.journal.restore(ctx)
 	c.CorruptLogRecords += img.corrupt
 	c.epoch = img.epoch
@@ -1025,6 +1041,10 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 		// view-change bump in Recover) restores epoch > everything spoken.
 		c.epoch++
 	}
+	// Forwarding numbers restart above every one the lost incarnation could
+	// have issued (fewer than 2^32 per epoch), so no late answer to one of
+	// its reads can match a new read.
+	c.readSeq = aria.TID(c.epoch) << 32
 	c.flight().Recordf(ctx.Now(), c.sys.coordID, "restore",
 		"rebooted from dlog: epoch %d, %d delivered, %d log records",
 		c.epoch, c.journal.size(), img.records)
@@ -1050,4 +1070,5 @@ func (c *Coordinator) onRecovered(ctx *sim.Context, from string, m msgRecovered)
 	// machinery.
 	c.recovering = false
 	c.openEpoch(ctx)
+	c.serveHeld(ctx)
 }

@@ -385,6 +385,10 @@ func (c *Coordinator) closeBatch(ctx *sim.Context, st *epochState) {
 // slot: with pipelining, finishes for the exec epoch arrive while the commit
 // epoch is still validating.
 func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
+	if m.Round == readRound {
+		c.onReadDone(ctx, m)
+		return
+	}
 	if st, t := c.awaited(m.Epoch, m.Round, m.TID); t != nil {
 		t.value, t.err = m.Value, m.Err
 		c.finish(ctx, st, t, m.TID)
@@ -708,7 +712,7 @@ func (c *Coordinator) answer(ctx *sim.Context, st *epochState, t *txnState, o ou
 		if st.chained() {
 			c.FallbackCommits++
 		}
-		c.traceCommit(t.req.Req)
+		c.tap.commit(t.req.Req)
 		c.respond(ctx, t, sysapi.Response{Req: t.req.Req, Value: t.value, Retries: t.retries})
 	}
 }

@@ -227,6 +227,9 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, from string, m msgUnfence) {
 	c.fenceApply = nil
 	ctx.Send(from, msgUnfenceAck{Seq: m.Seq},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	// The batch is durable on every footprint shard: reads held through the
+	// park may see it now.
+	c.serveHeld(ctx)
 	// Resume: refill the parked epoch (backlog queued behind the fence,
 	// then the tick chain). Mid-recovery there is nothing to resume —
 	// the post-recovery openEpoch sees fenced == false and runs normally.

@@ -5,8 +5,10 @@
 // (exactly-once input), and a response is appended to it, made durable by
 // a group-commit sync, and only then sent (exactly-once output). The epoch,
 // fallback, recovery and fence code speak to it in verbs — admit, logged,
-// answered, known, quiet, stage, sync, synced, advance, checkpoint,
-// restore — and never see a log sequence number.
+// answered, known, quiet, stage, stageRead, sync, synced, advance,
+// checkpoint, restore — and never see a log sequence number. A fast read
+// (read.go) crosses only the egress half: it leaves with a sync, but it is
+// neither deduplicated nor recorded.
 //
 // Crash safety: the journal writes to a durable append log
 // (internal/dlog). Released responses are group-committed before they are
@@ -82,6 +84,11 @@ type stagedResponse struct {
 	lsn     int64
 	replyTo string
 	ent     deliveredEntry
+	// read marks a fast read's response (stageRead): it rides the sync of
+	// the record it queued behind and leaves no delivered entry. epoch is
+	// the cut the read saw, for the commit-order tap.
+	read  bool
+	epoch int64
 }
 
 // marks are the coordinator facts the journal keeps durable on its
@@ -180,6 +187,9 @@ type journal struct {
 	// enc is the scratch buffer every log record is encoded into (the log
 	// copies on append).
 	enc interp.Encoder
+	// tapRead, when set (Config.TraceCommits), is told of every fast read
+	// response as it leaves.
+	tapRead func(id string, epoch int64, v interp.Value)
 }
 
 func newJournal(node string, cfg *Config, log *dlog.SimLog) journal {
@@ -285,7 +295,9 @@ func (j *journal) released(visit func(deliveredEntry)) {
 		visit(ent)
 	}
 	for _, s := range j.staged {
-		visit(s.ent)
+		if !s.read {
+			visit(s.ent)
+		}
 	}
 }
 
@@ -311,6 +323,30 @@ func (j *journal) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
 	j.lastLSN = lsn
 	j.staged = append(j.staged, stagedResponse{lsn: lsn, replyTo: replyTo, ent: ent})
 	j.stagedIDs[id] = true
+}
+
+// stageRead releases a fast read's response with the sync that makes every
+// delivered-record appended so far durable — the records of the epoch the
+// read saw among them — or at once when none is waiting for one. It appends
+// nothing: a read has no effects to recover, and a retry re-executes it.
+func (j *journal) stageRead(ctx *sim.Context, replyTo string, resp sysapi.Response, epoch int64) {
+	s := stagedResponse{replyTo: replyTo, ent: deliveredEntry{resp: resp}, read: true, epoch: epoch}
+	if len(j.staged) == 0 {
+		j.release(ctx, s)
+		return
+	}
+	s.lsn = j.staged[len(j.staged)-1].lsn
+	j.staged = append(j.staged, s)
+}
+
+// release sends one staged response whose covering sync completed.
+func (j *journal) release(ctx *sim.Context, s stagedResponse) {
+	if s.read && j.tapRead != nil {
+		j.tapRead(s.ent.resp.Req, s.epoch, s.ent.resp.Value)
+	}
+	if s.replyTo != "" {
+		j.send(ctx, s.replyTo, s.ent.resp)
+	}
 }
 
 // sync issues one batched sync covering every record appended so far —
@@ -342,12 +378,11 @@ func (j *journal) synced(ctx *sim.Context, m msgLogSynced) {
 	n := 0
 	for n < len(j.staged) && j.staged[n].lsn <= m.UpTo {
 		s := j.staged[n]
-		id := s.ent.resp.Req
-		j.delivered[id] = s.ent
-		delete(j.stagedIDs, id)
-		if s.replyTo != "" {
-			j.send(ctx, s.replyTo, s.ent.resp)
+		if id := s.ent.resp.Req; !s.read {
+			j.delivered[id] = s.ent
+			delete(j.stagedIDs, id)
 		}
+		j.release(ctx, s)
 		n++
 	}
 	// Slide the remainder down instead of re-slicing forward, so the queue
@@ -430,7 +465,9 @@ func (j *journal) checkpoint(ctx *sim.Context, m marks, offset int64) {
 			delivered[id] = ent
 		}
 		for _, s := range j.staged {
-			delivered[s.ent.resp.Req] = s.ent
+			if !s.read {
+				delivered[s.ent.resp.Req] = s.ent
+			}
 		}
 	}
 	payload := encodeCheckpoint(m, delivered, j.dedupFloor)

@@ -12,7 +12,10 @@ import (
 // Round 1 marks the chain's re-execution of a conflict-aborted transaction;
 // workers and coordinator drop events from the finished batch round of the
 // same epoch, so a delayed duplicate can never leak a stale execution into
-// the chain.
+// the chain. Round readRound marks a fast read (read.go) instead: TID is the
+// coordinator's read number, and Epoch is 0 — or, once the worker parked the
+// read behind a half-installed epoch, that epoch's successor, so it waits at
+// the gate the successor's own events wait at.
 type msgTxnEvent struct {
 	TID   aria.TID
 	Epoch int64
@@ -20,9 +23,14 @@ type msgTxnEvent struct {
 	Ev    *core.Event
 }
 
+// readRound is the Round of a fast read's event and of its answer.
+const readRound = -1
+
 // msgTxnFinished tells the coordinator a transaction's call chain reached
 // its root response. Round echoes the execution round of the events that
-// produced it (0: the batch's optimistic first execution).
+// produced it (0: the batch's optimistic first execution). A fast read's
+// answer has Round readRound, and Epoch is then the worker's applied epoch:
+// the cut the read saw.
 type msgTxnFinished struct {
 	TID   aria.TID
 	Epoch int64

@@ -8,11 +8,12 @@
 //     consistent cut (it coincides with an epoch boundary, so it reflects
 //     a transaction-consistent prefix), but stale by up to the snapshot
 //     interval;
-//   - QueryLive reads the workers' committed stores directly — fresh up to
-//     the last applied batch. Between batches the committed state is also
-//     transaction-consistent (batches apply atomically per worker in the
-//     simulation's single-threaded execution), but a query racing an
-//     in-progress apply may observe a mixed cut; callers choose.
+//   - QueryLive reads the workers' committed stores directly: each worker's
+//     applied cut, fresh up to the last batch it installed. It is the state
+//     a fast read sees (read.go), without the fast read's waits — for a
+//     chain's final decide, a park or a replay — so a query racing an
+//     in-progress apply may observe one worker a cut ahead of another;
+//     callers choose.
 package stateflow
 
 import (

@@ -1,0 +1,180 @@
+// The coordinator's fast-read path. A call whose method is read-only and
+// simple (ir.Method.ReadOnly && Simple: it writes nothing and touches only
+// its target) needs none of what an epoch buys: there is nothing to
+// reserve, validate, install, log or replay. So it never enters a batch.
+// The coordinator forwards it to the target's owner, which runs it against
+// its committed store at an epoch boundary (Worker.onRead) and answers with
+// its applied epoch, the cut the read saw. The coordinator releases the
+// answer with the group-commit sync that releases that epoch's responses,
+// or at once if that sync already completed (journal.stageRead).
+//
+// The wait at the worker makes a read linearizable. A response is staged
+// only once every worker installed it — except a chained member's, which
+// can leave before its epoch's final decide — and while a chain runs, every
+// worker's store is between two cuts: so a read waits for the final decide
+// of an epoch whose chain is installing, and then sees every response any
+// client could have seen before sending it. The wait at the coordinator
+// makes it recoverable: what the read saw is durable — rebuilt by a binding
+// replay if it must be — before a client sees it. Aria treats read-only
+// transactions apart from the batch the same way (Lu et al., VLDB 2020).
+//
+// A read leaves no journal record and passes no dedup: a retry, or a wire
+// duplicate, simply executes again. Reads are held — and forwarded once
+// the hold ends — while the coordinator is recovering, while a binding
+// replay has not drained, and while the shard is parked for a global batch:
+// another footprint shard may already have installed the batch and
+// released its response, so a read of this shard's side must wait for the
+// unfence, which comes once every side is durable. A pending fence holds
+// nothing: no batch on this shard's footprint executes before it parks. An
+// answer is released whenever it arrives: a read that saw a parked shard's
+// installed side is released behind that side's durable records, and the
+// other sides hold their reads. A recovery re-forwards every read still
+// unanswered; only a coordinator reboot loses reads, to the client's retry,
+// as it loses un-logged arrivals.
+package stateflow
+
+import (
+	"cmp"
+	"slices"
+
+	"statefulentities.dev/stateflow/internal/core"
+	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/sim"
+	"statefulentities.dev/stateflow/internal/systems/sysapi"
+	"statefulentities.dev/stateflow/internal/txn/aria"
+)
+
+// fastRead is one read on the fast path, from arrival to release.
+type fastRead struct {
+	// root is the call; the forwarded event points at it.
+	root    core.Event
+	replyTo string
+	// seq is the number it was last forwarded under; a worker's answer
+	// names it, so an answer to an earlier forward is stale.
+	seq aria.TID
+	// epoch, value and err are the worker's answer: the applied epoch the
+	// read saw and what it returned.
+	epoch int64
+	value interp.Value
+	err   string
+}
+
+// fastRead reports whether a request takes the fast-read path.
+func (s *System) fastRead(req sysapi.Request) bool {
+	if req.Method == "__init__" {
+		return false
+	}
+	m := s.prog.MethodOf(req.Target.Class, req.Method)
+	return m != nil && m.ReadOnly && m.Simple
+}
+
+// readsHeld reports whether a read must wait before it is forwarded: a
+// recovery or its binding replay is in flight, or the shard is parked for a
+// global batch.
+func (c *Coordinator) readsHeld() bool {
+	return c.recovering || c.replayAt >= 0 || c.fenced
+}
+
+// onRead takes a read-only call in: forwarded at once, or held.
+func (c *Coordinator) onRead(ctx *sim.Context, m sysapi.MsgRequest) {
+	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
+	r := &fastRead{replyTo: m.ReplyTo, root: core.Event{
+		Kind:   core.EvInvoke,
+		Req:    m.Request.Req,
+		Target: m.Request.Target,
+		Method: m.Request.Method,
+		Args:   m.Request.Args,
+	}}
+	if c.readsHeld() {
+		c.held = append(c.held, r)
+		return
+	}
+	c.forwardRead(ctx, r)
+}
+
+// forwardRead sends a read to its target's owner under a fresh number.
+func (c *Coordinator) forwardRead(ctx *sim.Context, r *fastRead) {
+	c.readSeq++
+	r.seq = c.readSeq
+	if c.reads == nil {
+		c.reads = map[aria.TID]*fastRead{}
+	}
+	c.reads[r.seq] = r
+	ctx.Send(c.sys.ownerOf(r.root.Target),
+		msgTxnEvent{TID: r.seq, Round: readRound, Ev: &r.root},
+		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+}
+
+// serveHeld forwards the held reads once nothing holds them any more.
+func (c *Coordinator) serveHeld(ctx *sim.Context) {
+	if c.readsHeld() {
+		return
+	}
+	held := c.held
+	c.held = nil
+	for _, r := range held {
+		c.forwardRead(ctx, r)
+	}
+}
+
+// onReadDone takes a worker's answer to a read. An answer the read's last
+// forward did not ask for is stale and dropped: a recovery took the read
+// back (holdUnanswered). The answer is released now if every response of the
+// epoch it saw is staged, else when that epoch's batch finishes
+// (finishBatch).
+func (c *Coordinator) onReadDone(ctx *sim.Context, m msgTxnFinished) {
+	r := c.reads[m.TID]
+	if r == nil {
+		return
+	}
+	delete(c.reads, m.TID)
+	r.epoch, r.value, r.err = m.Epoch, m.Value, m.Err
+	if r.epoch > c.finished {
+		c.awaiting = append(c.awaiting, r)
+		return
+	}
+	c.releaseRead(ctx, r)
+}
+
+// releaseRead stages a read's answer behind the responses of the epoch it
+// saw.
+func (c *Coordinator) releaseRead(ctx *sim.Context, r *fastRead) {
+	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
+	c.FastReads++
+	if r.replyTo != "" {
+		c.journal.stageRead(ctx, r.replyTo, sysapi.Response{Req: r.root.Req, Value: r.value, Err: r.err}, r.epoch)
+	}
+}
+
+// readsFinished releases the answers that waited for epoch's batch to
+// finish: its responses are staged now, so the answers queue behind them.
+func (c *Coordinator) readsFinished(ctx *sim.Context, epoch int64) {
+	c.finished = epoch
+	c.tap.epochDone(epoch)
+	n := 0
+	for _, r := range c.awaiting {
+		if r.epoch <= epoch {
+			c.releaseRead(ctx, r)
+		} else {
+			c.awaiting[n] = r
+			n++
+		}
+	}
+	clear(c.awaiting[n:])
+	c.awaiting = c.awaiting[:n]
+}
+
+// holdUnanswered moves every read a recovery may have voided — forwarded
+// and unanswered, or answered from a cut the recovery discards — back to the
+// held queue, in forwarding order, to be forwarded again once the recovery
+// drains. Released answers are untouched: what they saw is durable.
+func (c *Coordinator) holdUnanswered() {
+	out := make([]*fastRead, 0, len(c.reads)+len(c.awaiting))
+	for _, r := range c.reads {
+		out = append(out, r)
+	}
+	slices.SortFunc(out, func(a, b *fastRead) int { return cmp.Compare(a.seq, b.seq) })
+	out = append(out, c.awaiting...)
+	c.held = append(c.held, out...)
+	c.reads, c.awaiting = nil, nil
+}

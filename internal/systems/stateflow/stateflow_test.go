@@ -266,11 +266,13 @@ func TestApplicationErrorDoesNotCommit(t *testing.T) {
 func TestSnapshotsAreTaken(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 2
+	// Deposits, not reads: a read-only call closes no epoch (read.go).
 	var script []sysapi.Scheduled
 	for i := 0; i < 10; i++ {
 		script = append(script, sysapi.Scheduled{
-			At:  time.Duration(i+1) * 10 * time.Millisecond,
-			Req: readReq(fmt.Sprintf("r%d", i), acct(0)),
+			At: time.Duration(i+1) * 10 * time.Millisecond,
+			Req: sysapi.Request{Req: fmt.Sprintf("d%d", i), Target: interp.EntityRef{Class: "Account", Key: acct(0)},
+				Method: "deposit", Args: []interp.Value{interp.IntV(1)}},
 		})
 	}
 	fx := newFixture(t, cfg, 1, script)

@@ -271,6 +271,7 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"coordinator.binding_epochs":           func() int64 { return int64(c.BindingEpochs) },
 		"coordinator.global_fences":            func() int64 { return int64(c.GlobalFences) },
 		"coordinator.global_applies":           func() int64 { return int64(c.GlobalApplies) },
+		"coordinator.fast_reads":               func() int64 { return int64(c.FastReads) },
 		"dlog.appends":                         func() int64 { return int64(dl.Stats().Appends) },
 		"dlog.appended_bytes":                  func() int64 { return int64(dl.Stats().AppendedBytes) },
 		"dlog.syncs":                           func() int64 { return int64(dl.Stats().Syncs) },

@@ -198,6 +198,10 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
 		return
 	}
+	if m.Round == readRound {
+		w.onRead(ctx, m)
+		return
+	}
 	ep := w.liveEpoch(m.Epoch, m.Round)
 	if ep == nil {
 		return
@@ -209,32 +213,7 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 		}
 	}
 	costs := w.sys.cfg.Costs
-
-	// Event deserialization.
-	ctx.Work(costs.DeserializeCPU)
-	w.Breakdown.Add(obs.EventDeserialization, costs.DeserializeCPU)
-
-	// Object construction: the entity is rebuilt from operator state
-	// (§2.3 "the system reconstructs the object using the operator's code
-	// and the function's state").
-	stBytes := w.committed.EncodedSize(m.Ev.Target)
-	construct := costs.ConstructCPU + costs.StateCPU(stBytes)
-	ctx.Work(construct)
-	w.Breakdown.Add(obs.ObjectConstruction, construct)
-
-	// Program-transformation (function splitting) instrumentation: the
-	// state-machine bookkeeping added by the compiler. Deliberately tiny
-	// (§4: "less than 1% of the total overhead").
-	ctx.Work(costs.SplitOverhead)
-	w.Breakdown.Add(obs.SplittingInstrumentation, costs.SplitOverhead)
-
-	out, err := w.sys.executor.Step(m.Ev, w.workspace(ep, m.TID))
-	ctx.Work(costs.ExecuteCPU)
-	w.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
-	if err != nil {
-		// Internal execution fault: finish the transaction with an error.
-		out = []*core.Event{{Kind: core.EvResponse, Err: err.Error()}}
-	}
+	out := w.execute(ctx, m.Ev, w.workspace(ep, m.TID))
 	for _, ev := range out {
 		switch ev.Kind {
 		case core.EvResponse:
@@ -253,6 +232,81 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev}, lat)
 		}
 	}
+}
+
+// execute runs one event against store, charging the cost-model CPU
+// components. An internal execution fault finishes the call with an error.
+func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) []*core.Event {
+	costs := w.sys.cfg.Costs
+
+	// Event deserialization.
+	ctx.Work(costs.DeserializeCPU)
+	w.Breakdown.Add(obs.EventDeserialization, costs.DeserializeCPU)
+
+	// Object construction: the entity is rebuilt from operator state
+	// (§2.3 "the system reconstructs the object using the operator's code
+	// and the function's state").
+	stBytes := w.committed.EncodedSize(ev.Target)
+	construct := costs.ConstructCPU + costs.StateCPU(stBytes)
+	ctx.Work(construct)
+	w.Breakdown.Add(obs.ObjectConstruction, construct)
+
+	// Program-transformation (function splitting) instrumentation: the
+	// state-machine bookkeeping added by the compiler. Deliberately tiny
+	// (§4: "less than 1% of the total overhead").
+	ctx.Work(costs.SplitOverhead)
+	w.Breakdown.Add(obs.SplittingInstrumentation, costs.SplitOverhead)
+
+	out, err := w.sys.executor.Step(ev, store)
+	ctx.Work(costs.ExecuteCPU)
+	w.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
+	if err != nil {
+		out = []*core.Event{{Kind: core.EvResponse, Err: err.Error()}}
+	}
+	return out
+}
+
+// onRead serves a fast read (read.go): a read-only simple call, run against
+// the committed store with no workspace, reservation or vote, at an epoch
+// boundary. While the next epoch's chain is installing — its batch decide
+// installed round 0, its final decide has not come — the store is between
+// two cuts and may lack a chained member whose response already left, so
+// the read waits in the buffered gate for that final decide, like an event
+// of the epoch after it. The answer reports the applied epoch, the cut the
+// read saw; the coordinator releases it once that epoch's responses are
+// durable.
+func (w *Worker) onRead(ctx *sim.Context, m msgTxnEvent) {
+	if ep := w.epochs[w.appliedEpoch+1]; ep != nil && ep.plan != nil {
+		m.Epoch = w.appliedEpoch + 2
+		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
+		return
+	}
+	ans := msgTxnFinished{TID: m.TID, Epoch: w.appliedEpoch, Round: readRound}
+	for _, ev := range w.execute(ctx, m.Ev, committedView{w.committed}) {
+		if ev.Kind == core.EvResponse {
+			ans.Value, ans.Err = ev.Value, ev.Err
+		}
+	}
+	ctx.Send(w.sys.coordID, ans, w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+}
+
+// committedView is the committed store as the executor sees it during a fast
+// read. Nothing creates an entity there: a read-only method constructs
+// nothing.
+type committedView struct{ s *state.Store }
+
+// Lookup implements core.Store.
+func (v committedView) Lookup(ref interp.EntityRef) (interp.State, bool) {
+	row, ok := v.s.Lookup(ref)
+	if !ok {
+		return nil, false
+	}
+	return row, true
+}
+
+// Create implements core.Store.
+func (committedView) Create(ref interp.EntityRef) (interp.State, error) {
+	return nil, fmt.Errorf("stateflow: a read-only call tried to create %s", ref)
 }
 
 // onPrepare validates local reservations for the batch (Aria's conflict

@@ -287,12 +287,16 @@ func (s *Simulation) Metrics() *MetricsRegistry {
 
 // CommitSerials returns the StateFlow coordinator's commit-order tap
 // (request id → position in the effective serial order the surviving
-// state was built in). Empty unless SimConfig.TraceCommits is set; nil
-// on the baseline backend, which has no coordinator — a checker driving
-// the baseline falls back to graph mode.
+// state was built in). A read-only call a client retry re-executed is
+// placed by the answer the client kept. Empty unless
+// SimConfig.TraceCommits is set; nil on the baseline backend, which has no
+// coordinator — a checker driving the baseline falls back to graph mode.
 func (s *Simulation) CommitSerials() map[string]int64 {
 	if sys := s.StateFlow(); sys != nil {
-		return sys.Coordinator().CommitSerials()
+		return sys.Coordinator().CommitSerials(func(id string) (Value, bool) {
+			r, ok := s.client.responses[id]
+			return r.Value, ok
+		})
 	}
 	return nil
 }
