@@ -19,7 +19,7 @@ import (
 func TestFlightDumpOnLinFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Reinject.ReplayOrder = true
-	_, err := VerifyAdversarial(workload.DataDep, stateflow.BackendStateFlow, 11, cfg)
+	_, err := VerifyAdversarial(workload.DataDep, stateflow.BackendStateFlow, 6, cfg)
 	if err == nil {
 		t.Fatal("pre-fix recovery escaped the checker; the regression seed has gone stale")
 	}

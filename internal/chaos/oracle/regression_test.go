@@ -35,9 +35,10 @@ func checkLegacy(t *testing.T, seed int64, disablePipe, legacyReplay, noDriftRul
 // clients already hold, which the history checker rejects. With the
 // binding replay (released responses re-commit serially in release
 // order) the same seed passes the full adversarial verdict. (Seed 18 until
-// reads left the epochs, which moved every datadep schedule.)
+// reads left the epochs, which moved every datadep schedule; 11 until the
+// batch's responses moved to its decide.)
 func TestBindingReplayRegression(t *testing.T) {
-	const seed = 11
+	const seed = 6
 	for _, disablePipe := range []bool{false, true} {
 		// Pre-fix recovery (drift rule still on: the divergence is the
 		// replay order's own, not the fallback's).
@@ -69,9 +70,10 @@ func TestBindingReplayRegression(t *testing.T) {
 //     (FallbackDriftDemotions > 0);
 //   - the full adversarial verdict passes.
 //
-// (Seed 3 until reads left the epochs.)
+// (Seed 3 until reads left the epochs, 5 until the batch's responses moved
+// to its decide.)
 func TestFallbackDriftRegression(t *testing.T) {
-	const seed = 5
+	const seed = 3
 	for _, disablePipe := range []bool{false, true} {
 		err, _ := checkLegacy(t, seed, disablePipe, false, true)
 		if err == nil {
@@ -100,7 +102,7 @@ func TestFallbackDriftRegression(t *testing.T) {
 // crash VerifyAdversarial aims at the midpoint of the widest stretch in
 // which one batch's footprint shards were all parked (seed 2 until the
 // fence ack started carrying the batch's reads, which shortened every
-// window; 2 now abandons its batches pre-apply). The rebooted sequencer
+// window; 1 until the batch's responses moved to its decide). The rebooted sequencer
 // must re-derive the in-flight batch from the durable per-shard fence
 // markers and roll it forward exactly once: the full adversarial verdict
 // (serializability, conservation, exactly-once accounting) rejects a
@@ -109,7 +111,7 @@ func TestFallbackDriftRegression(t *testing.T) {
 // merely abandoned pre-apply), so the roll-forward path itself stays
 // exercised.
 func TestSequencerFailoverRegression(t *testing.T) {
-	const seed = 1
+	const seed = 2
 	cfg := DefaultConfig()
 	cfg.Shards = 2
 	run, err := VerifyAdversarial(workload.XShard, stateflow.BackendStateFlow, seed, cfg)
@@ -134,7 +136,8 @@ func TestSequencerFailoverRegression(t *testing.T) {
 // sharded topology broke exactly-once or wedged while the sequencer was a
 // second, volatile releaser of global responses. On (hotkey, 1, 2 shards —
 // seed 11 until the fallback chain changed every hotkey run's message
-// count, then 40 until reads left the epochs) and (chain, 8, 4) a
+// count, then 40 until reads left the epochs) and (chain, 6, 4 — 8 until
+// the batch's responses moved to its decide) a
 // sequencer crash lands after a batch's response went out and before its
 // last unfence ack, and the roll-forward of that batch used to send the
 // response again ("system sent 2 responses, allowed 1");
@@ -155,7 +158,7 @@ func TestShardedExactlyOnceRegression(t *testing.T) {
 	}{
 		{workload.HotKey, 1, 2, false},
 		{workload.DataDep, 9, 2, true},
-		{workload.Chain, 8, 4, false},
+		{workload.Chain, 6, 4, false},
 	} {
 		cfg := DefaultConfig()
 		cfg.Shards = tc.shards

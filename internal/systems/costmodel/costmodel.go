@@ -33,8 +33,8 @@ type Costs struct {
 	BrokerCPU      time.Duration // broker work per produced/consumed record
 
 	// FallbackCPU prices Aria's deterministic fallback phase, per
-	// transaction: shipping one reservation-set footprint with the batch
-	// vote (worker side) and one node's share of the dependency-graph
+	// transaction: shipping one worker's reservation-set footprint along the
+	// call chain (worker side) and one node's share of the dependency-graph
 	// scheduling pass (coordinator side). Re-executed call chains charge
 	// the ordinary execution costs on top.
 	FallbackCPU time.Duration

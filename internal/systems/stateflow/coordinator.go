@@ -1,9 +1,10 @@
 // The StateFlow coordinator: combines the ingress router (request intake,
 // replayable source, TID assignment), the Aria batch sequencer (epoch
-// close, prepare/vote/decide), the snapshot trigger, the failure detector
-// and the egress router (deduplicated client responses with durable
-// response-replay). The paper's deployment dedicates a single core to it
-// ("StateFlow requires a single core coordinator", §4).
+// close, validation over the shipped reservation sets, decide), the
+// snapshot trigger, the failure detector and the egress router
+// (deduplicated client responses with durable response-replay). The
+// paper's deployment dedicates a single core to it ("StateFlow requires a
+// single core coordinator", §4).
 //
 // Four files hold it. This one owns the component — its fields, message
 // dispatch and wiring — and everything around a batch: request intake, the
@@ -15,16 +16,17 @@
 // sequencer's global batches.
 //
 // Epoch pipelining: the coordinator keeps a two-slot stage table — exec
-// (the open/executing epoch) and commit (the epoch in
-// validate/apply/snapshot) — and runs them concurrently. When epoch N's
-// batch is fully executed and the commit slot is free, N is promoted into
-// it and epoch N+1 opens immediately: N+1 accumulates arrivals and
-// dispatches execution events while N validates, applies, snapshots and
-// group-commits. Workers demultiplex by epoch (per-epoch workspaces) and
-// buffer N+1's events until N's final decide is applied locally, so
-// serializability is never at stake — the overlap hides the commit phases
-// behind the next epoch's open window. Config.DisablePipelining restores
-// the serial schedule.
+// (the open/executing epoch) and commit (the epoch in apply/snapshot) — and
+// runs them concurrently. When epoch N's batch is fully executed and the
+// commit slot is free, N is promoted into it, N+1 opens, and N is validated
+// and decided in the same event: its responses are staged and the
+// group-commit sync that releases them — N+1's advance record included — is
+// issued right there. N+1 accumulates arrivals and dispatches execution
+// events while N applies, runs its chain and snapshots. Workers demultiplex
+// by epoch (per-epoch workspaces) and buffer N+1's events until N's final
+// decide is applied locally, so serializability is never at stake — the
+// overlap hides the commit phases behind the next epoch's open window.
+// Config.DisablePipelining restores the serial schedule.
 //
 // The exactly-once border — ingress dedup, the durable egress buffer and
 // the write-ahead ordering of both against the epoch records — is the
@@ -54,7 +56,6 @@ type phase int
 const (
 	phaseOpen phase = iota
 	phaseClosing
-	phasePrepare
 	phaseApply
 	phaseSnapshot
 	phaseRecovering
@@ -70,7 +71,7 @@ type Coordinator struct {
 	nextTID aria.TID
 
 	// The pipeline stage table. exec is the epoch accepting and executing
-	// its batch; commit is the epoch in validate/fallback/apply/snapshot.
+	// its batch; commit is the epoch in apply/fallback/snapshot.
 	// Serial schedule: at most one is non-nil at a time (exec moves into
 	// commit and a new exec opens only when commit settles). Pipelined
 	// schedule: both run concurrently. recovering parks both slots while a
@@ -205,17 +206,16 @@ type Coordinator struct {
 	// (read.go), every serve of a retried one included.
 	FastReads int
 
-	// The fast-read path (read.go). finished is the newest epoch all of
-	// whose responses are staged — its batch finished, or it is a recovery's
-	// view epoch (-1: none yet; a worker's applied epoch starts there too).
-	// reads are the forwarded reads awaiting their worker's answer, by
-	// forwarding number (readSeq the last one issued); held the reads
-	// waiting for a hold to end (see readsHeld); awaiting the answers
-	// waiting for the batch of the epoch they saw to finish.
-	finished       int64
-	readSeq        aria.TID
-	reads          map[aria.TID]*fastRead
-	held, awaiting []*fastRead
+	// The fast-read path (read.go). decided is the newest epoch whose batch
+	// decide was broadcast — whose responses may be out — or a recovery's
+	// view epoch (-1: none yet; a worker's applied epoch starts there too); a
+	// read is stamped with its successor. reads are the forwarded reads
+	// awaiting their worker's answer, by forwarding number (readSeq the last
+	// one issued); held the reads waiting for a hold to end (see readsHeld).
+	decided int64
+	readSeq aria.TID
+	reads   map[aria.TID]*fastRead
+	held    []*fastRead
 
 	// tap is the commit-order tap (nil unless Config.TraceCommits).
 	tap *commitTap
@@ -261,7 +261,7 @@ func newCoordinator(sys *System) *Coordinator {
 		exec:     &epochState{phase: phaseOpen},
 		journal:  newJournal(sys.coordID, &sys.cfg, sys.Dlog),
 		replayAt: -1,
-		finished: -1,
+		decided:  -1,
 	}
 	if sys.cfg.TraceCommits {
 		c.tap = newCommitTap()
@@ -286,8 +286,6 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 		c.onFinished(ctx, m)
 	case msgChainRelease:
 		c.onDrifted(ctx, m)
-	case msgVote:
-		c.onVote(ctx, from, m)
 	case msgApplied:
 		c.onApplied(ctx, from, m)
 	case msgSnapshotDone:
@@ -403,7 +401,7 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 // failure detector: if the epoch is still stuck in this phase — with no
 // worker progress at all — when the stall timeout elapses, a worker is
 // presumed dead and recovery starts. Every phase that waits on all
-// workers (execution, validation, apply, snapshot) is guarded, so a worker
+// workers (execution, apply, snapshot) is guarded, so a worker
 // crash or a lost message can never deadlock the pipeline; recovery, which
 // waits on them too, retries instead (see retryRecover).
 func (c *Coordinator) enterPhase(ctx *sim.Context, st *epochState, p phase) {
@@ -460,7 +458,6 @@ func (c *Coordinator) CommitSerials(kept func(id string) (interp.Value, bool)) m
 // commit slot.
 func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	c.EpochsClosed++
-	c.readsFinished(ctx, st.epoch)
 	switch {
 	case st.binding || len(c.replaying) > 0 || c.fenced:
 		// No snapshot while a binding replay is in flight: the images would
@@ -477,14 +474,12 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 			c.replayDrained(ctx, st)
 		}
 	case c.sys.cfg.SnapshotEvery > 0 && c.EpochsClosed%c.sys.cfg.SnapshotEvery == 0:
-		// Snapshot epochs skip the batch's final group-commit sync: the
-		// staged responses ride the checkpoint that seals the snapshot
-		// instead, so the epoch's fsync and the checkpoint's fsync
-		// collapse into one.
+		// The chain's last level, if any, rides the checkpoint that seals
+		// the snapshot instead of a sync of its own.
 		c.startSnapshot(ctx, st)
 		return
 	}
-	c.journal.sync(ctx)
+	c.journal.sync(ctx) // the chain's last level (a batch synced at its decide)
 	c.releaseCommit(ctx)
 }
 
@@ -514,7 +509,7 @@ func (c *Coordinator) releaseCommit(ctx *sim.Context) {
 		c.openEpoch(ctx)
 		return
 	}
-	c.maybePrepare(ctx, c.exec)
+	c.maybeDecide(ctx, c.exec)
 }
 
 // respond releases one request's terminal response: it is staged in the
@@ -683,7 +678,7 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 // batch in the same event: the queue is known in full, there is no
 // arrival an open window could wait for, and the epoch timer would only
 // add its interval to the outage. The batch then runs the ordinary
-// execute/validate/apply machinery; cutBinding decides at the vote how
+// execute/validate/apply machinery; cutBinding decides at validation how
 // much of it commits. A global apply ends the window: it reserves nothing
 // and installs at the decide, after every lower TID, so a member behind it
 // in the same batch would read the rows from before it and no validation
@@ -912,7 +907,7 @@ func (c *Coordinator) buildReplaying(cut time.Duration) {
 func (c *Coordinator) Recover(ctx *sim.Context) {
 	c.Recoveries++
 	// View change: bumping the epoch *before* the restore makes every
-	// message of the discarded world — in-flight events, votes, delayed
+	// message of the discarded world — in-flight events, decides, delayed
 	// snapshot requests — provably stale to any worker that processes the
 	// recovery, with no global knowledge required (workers just keep an
 	// epoch high-water mark). The bump is fsynced before the recover
@@ -928,9 +923,10 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	ctx.After(c.recoverRetryEvery(), msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering})
 	c.pending, c.replaying = nil, nil
 	c.window, c.replayAt = 1, -1
-	// Every epoch up to the view is finished or discarded, and a read
-	// answered from a discarded cut is asked again once the recovery drains.
-	c.finished = c.epoch
+	// Every epoch up to the view is settled or discarded, so reads need wait
+	// for no install, and a read answered from a discarded cut is asked
+	// again once the recovery drains.
+	c.decided = c.epoch
 	c.holdUnanswered()
 	var snapID int64
 	cut := time.Duration(-1) // no snapshot: every release postdates the empty state
@@ -1026,7 +1022,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.fencePending, c.fenceSeq = msgFence{}, 0
 	c.fenced, c.fenceApply = false, nil
 	c.parkWatch = 0
-	c.reads, c.held, c.awaiting = nil, nil, nil
+	c.reads, c.held = nil, nil
 	img := c.journal.restore(ctx)
 	c.CorruptLogRecords += img.corrupt
 	c.epoch = img.epoch

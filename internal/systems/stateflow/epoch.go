@@ -1,10 +1,16 @@
 // The coordinator's epoch machine: one batch of transactions from its
 // first assignment through Aria's execute → validate → fallback → apply.
-// Round 0 is the batch's own execution, validated by a prepare / vote /
-// decide / applied wave (Lu et al., VLDB 2020); its conflict aborts
-// re-execute as round 1, one chain with no barrier inside it: every member
-// queues, in TID order, on each entity of its footprint and the workers run
-// an event when its member heads the target's queue (aria.ChainPlan —
+// Round 0 is the batch's own execution (Lu et al., VLDB 2020). Its finishes
+// carry the reservation sets of every worker each call chain ran on, so the
+// coordinator validates the batch itself and decides in the same event —
+// Aria's check is per key, so one check over the union of the sets is the
+// OR of per-worker votes — and the batch's responses leave at that decide:
+// a decided batch is final, and a binding replay rebuilds any released
+// write whose install a crash loses. The workers' applied acks only gate
+// what needs the installed state. Conflict aborts re-execute as round 1,
+// one chain with no barrier inside it: every member queues, in TID order,
+// on each entity of its footprint and the workers run an event when its
+// member heads the target's queue (aria.ChainPlan —
 // Calvin's ordered locks, Thomson et al., SIGMOD 2012). A footprint the
 // request does not give is the one round 0 observed (Calvin's
 // reconnaissance); a re-execution that leaves it retries in the next batch.
@@ -62,12 +68,16 @@ type txnState struct {
 	finished bool
 	value    interp.Value
 	err      string
-	// aborted: the round in flight voided this member's execution — a
-	// worker's validation vote or a binding cut in the batch, a drift report
-	// in the chain. Reset when the chain dispatches the member.
+	// sets is what the first execution reserved, shipped with its finish:
+	// the batch is validated over it, and a conflict abort whose request
+	// does not give its footprint queues on it.
+	sets *rwSets
+	// aborted: the round in flight voided this member's execution — the
+	// batch's validation or a binding cut in the batch, a drift report in the
+	// chain. Reset when the chain dispatches the member.
 	aborted bool
 	// rescued: the chain re-executes the member within this epoch, so the
-	// batch's settle does not send it to the next-batch retry path.
+	// batch's decide does not send it to the next-batch retry path.
 	rescued bool
 }
 
@@ -93,8 +103,8 @@ func (a *ackSet) add(from string, n int) (fresh, done bool) {
 // full per-epoch protocol state, from the open batch through validation,
 // the fallback chain and apply. The epoch number is the demultiplexing key —
 // worker messages carry it, and stageFor routes them to the slot they
-// belong to — so two epochs can be in flight without their votes, acks or
-// finishes contaminating each other.
+// belong to — so two epochs can be in flight without their acks or finishes
+// contaminating each other.
 type epochState struct {
 	epoch int64
 	phase phase
@@ -132,15 +142,10 @@ type epochState struct {
 
 	// round is the round in flight — 0: the batch's first execution, 1: the
 	// chain — and order its members in TID order (round 0: the whole batch,
-	// set at close). acks is the phase in flight's worker answers (votes,
-	// then applies). votes holds the per-worker local reservation sets
-	// shipped with the batch's votes — read only for the conflict aborts
-	// whose footprint the request does not give, so an uncontended batch
-	// pays nothing beyond the shipping.
+	// set at close). acks is the apply in flight's worker answers.
 	round int
 	order []aria.TID
 	acks  ackSet
-	votes []map[aria.TID]*aria.RWSet
 
 	// chain is the batch's fallback schedule (nil: no conflict abort to
 	// re-execute): the aborts run as round 1, gated on the workers by
@@ -203,13 +208,19 @@ func (st *epochState) close() {
 	}
 }
 
-// vote folds one worker's validation vote into the round.
-func (st *epochState) vote(aborts []aria.TID, sets map[aria.TID]*aria.RWSet) {
-	for _, tid := range aborts {
-		st.txn(tid).aborted = true
-	}
-	if len(sets) > 0 {
-		st.votes = append(st.votes, sets)
+// validate runs Aria's conflict check over the batch's shipped reservation
+// sets: a member aborts if it read or wrote a slot a lower TID wrote. Every
+// set of a member is checked before any is added, which is the check over
+// their union (aria.Validator).
+func (st *epochState) validate() {
+	var v aria.Validator
+	for _, t := range st.txns {
+		for s := t.sets; s != nil && !t.aborted; s = s.next {
+			t.aborted = v.Conflicts(s.rw)
+		}
+		for s := t.sets; s != nil; s = s.next {
+			v.Add(s.rw)
+		}
 	}
 }
 
@@ -218,15 +229,15 @@ func (st *epochState) vote(aborts []aria.TID, sets map[aria.TID]*aria.RWSet) {
 // definitive and never re-executes — but an error on a member that also lost
 // validation is tentative (it was observed under a voided footprint: the
 // serial order may create the very entity the read missed), so it is rescued
-// like any other conflict abort. Runs before the batch decide so the
-// decide/apply wave and the settle both know which aborts the chain rescues.
-// A batch without conflict aborts skips everything — the uncontended hot
-// path pays only the set shipping on votes.
+// like any other conflict abort. Runs before the batch decide so the decide
+// and the apply's settle both know which aborts the chain rescues. A batch
+// without conflict aborts skips everything — the uncontended hot path pays
+// only the set shipping on finishes.
 //
 // A member queues on appendRefs(req) plus every entity its first execution
-// reserved, read from the batch votes (classOf names a reservation key's
-// class): round 0 was the reconnaissance, and a re-execution that reaches
-// past it drifts (see Worker.admitChained). For a ref-closed method the
+// reserved, read from the sets its finish shipped (classOf names a
+// reservation key's class): round 0 was the reconnaissance, and a
+// re-execution that reaches past it drifts (see Worker.admitChained). For a ref-closed method the
 // reservations add nothing — it can only touch its target and the entities
 // passed to it — so its footprint is appendRefs, a superset of anything it
 // can touch. budget > 0 bounds the chain's depth; the members a deeper chain
@@ -239,8 +250,6 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 			aborted++
 		}
 	}
-	votes := st.votes
-	st.votes = nil
 	if aborted == 0 {
 		return 0, 0
 	}
@@ -252,13 +261,12 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 	}
 	keys := make([]aria.ResKey, 0, 8)
 	plan, left := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
-		buf = appendRefs(buf, st.txn(aborts[i]).req)
-		for _, sets := range votes {
-			if rw := sets[aborts[i]]; rw != nil {
-				keys = rw.Keys(keys[:0])
-				for _, k := range keys {
-					buf = append(buf, interp.EntityRef{Class: classOf(int(k.Class)), Key: k.Key})
-				}
+		t := st.txn(aborts[i])
+		buf = appendRefs(buf, t.req)
+		for s := t.sets; s != nil; s = s.next {
+			keys = s.rw.Keys(keys[:0])
+			for _, k := range keys {
+				buf = append(buf, interp.EntityRef{Class: classOf(int(k.Class)), Key: k.Key})
 			}
 		}
 		return buf
@@ -274,7 +282,7 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 // decision is the deterministic global decision for the round in flight, as
 // the message that broadcasts it. A transaction that failed with an
 // application error commits nothing: it is treated as aborted for state
-// purposes (its workspace writes are dropped) but answered at the settle.
+// purposes (its workspace writes are dropped) but answered with its error.
 // Final: this is the epoch's last decide — the chain's, or the batch's when
 // it scheduled none. A global apply is only ever a batch's last member
 // (startApply, openBinding) and never conflict-aborts, so the batch decide
@@ -377,20 +385,20 @@ func (c *Coordinator) closeBatch(ctx *sim.Context, st *epochState) {
 	st.consumedEnd = c.consumed
 	st.close()
 	c.enterPhase(ctx, st, phaseClosing)
-	c.maybePrepare(ctx, st)
+	c.maybeDecide(ctx, st)
 }
 
 // onFinished records a transaction's root response (from the batch's
-// first execution or from the chain). The epoch stamp routes it to the right
-// slot: with pipelining, finishes for the exec epoch arrive while the commit
-// epoch is still validating.
+// first execution, with the reservation sets it shipped, or from the chain).
+// The epoch stamp routes it to the right slot: with pipelining, finishes for
+// the exec epoch arrive while the commit epoch is still applying.
 func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
 	if m.Round == readRound {
 		c.onReadDone(ctx, m)
 		return
 	}
 	if st, t := c.awaited(m.Epoch, m.Round, m.TID); t != nil {
-		t.value, t.err = m.Value, m.Err
+		t.value, t.err, t.sets = m.Value, m.Err, m.Sets
 		c.finish(ctx, st, t, m.TID)
 	}
 }
@@ -431,7 +439,7 @@ func (c *Coordinator) finish(ctx *sim.Context, st *epochState, t *txnState, tid 
 	if st.chained() {
 		c.stageChained(ctx, st, tid)
 	}
-	c.maybePrepare(ctx, st)
+	c.maybeDecide(ctx, st)
 }
 
 // stageChained answers the chain members a finish made answerable: the
@@ -477,12 +485,12 @@ func (c *Coordinator) answerChained(ctx *sim.Context, st *epochState, m int) (le
 	return levelDone
 }
 
-// maybePrepare advances a fully executed slot (Aria's execution barrier).
+// maybeDecide advances a fully executed slot (Aria's execution barrier).
 // A finished chain closes its epoch; a fully executed batch is promoted
 // into the commit stage — unless the slot is still occupied, in which
 // case the batch waits closed (backpressure: the pipeline is exactly two
 // deep).
-func (c *Coordinator) maybePrepare(ctx *sim.Context, st *epochState) {
+func (c *Coordinator) maybeDecide(ctx *sim.Context, st *epochState) {
 	if st.phase != phaseClosing || st.unfinished != 0 {
 		return
 	}
@@ -508,22 +516,30 @@ func (c *Coordinator) maybePrepare(ctx *sim.Context, st *epochState) {
 	c.promote(ctx, st)
 }
 
-// promote moves a fully executed batch into the commit stage and — on the
-// pipelined schedule — opens the next epoch immediately, so its batch
-// accumulates and executes while this one validates, applies and
-// group-commits.
+// promote moves a fully executed batch into the commit stage, validates it
+// over the reservation sets its finishes shipped and decides it. On the
+// pipelined schedule the next epoch opens first, so its advance record rides
+// this decide's group-commit sync and its batch accumulates and executes
+// while this one applies.
 func (c *Coordinator) promote(ctx *sim.Context, st *epochState) {
 	c.commit = st
 	if c.exec == st {
 		c.exec = nil
 	}
-	c.sendPrepare(ctx, st)
+	// The execution window just ended: phaseAt was stamped when the batch
+	// closed.
+	c.phaseSpan(ctx, st, "execute")
 	// A binding epoch's successor cannot open yet: which queue members it
-	// takes is only known once this batch's votes say where the committed
-	// prefix ends (decide opens it then).
+	// takes is only known once validation says where the committed prefix
+	// ends (decide opens it then).
 	if !st.binding {
 		c.openPipelined(ctx)
 	}
+	st.phaseAt = ctx.Now()
+	ctx.Work(time.Duration(len(st.txns)) * c.sys.cfg.Costs.CommitCPU)
+	st.validate()
+	c.phaseSpan(ctx, st, "validate")
+	c.decide(ctx, st)
 }
 
 // openPipelined opens the commit epoch's successor ahead of its release,
@@ -547,44 +563,18 @@ func (c *Coordinator) broadcast(ctx *sim.Context, msg sim.Message) {
 	}
 }
 
-// sendPrepare starts validation of the batch on every worker.
-func (c *Coordinator) sendPrepare(ctx *sim.Context, st *epochState) {
-	// The execution window just ended: phaseAt was stamped when the batch
-	// closed.
-	c.phaseSpan(ctx, st, "execute")
-	c.enterPhase(ctx, st, phasePrepare)
-	clear(st.acks)
-	// One copy for all workers: receivers only read it, and the slot's own
-	// order slice must stay private to the coordinator.
-	c.broadcast(ctx, msgPrepare{Epoch: st.epoch, Order: slices.Clone(st.order)})
-}
-
-// onVote accumulates worker votes; when unanimous, the batch is decided.
-func (c *Coordinator) onVote(ctx *sim.Context, from string, m msgVote) {
-	st := c.commit
-	if st == nil || m.Epoch != st.epoch || st.phase != phasePrepare {
-		return
-	}
-	fresh, done := c.ack(ctx, &st.acks, from)
-	if !fresh {
-		return
-	}
-	st.vote(m.Aborts, m.Sets)
-	if !done {
-		return
-	}
-	c.phaseSpan(ctx, st, "validate")
-	c.decide(ctx, st)
-}
-
 // decide broadcasts the round's deterministic global decision. What is left
 // of the epoch is settled first: a binding batch cuts itself down to its
 // conflict-free prefix, and any other batch queues its conflict aborts into
-// the chain.
+// the chain. The decision is final once broadcast, so the batch's members
+// are answered here — committed and failed ones respond, unrescued aborts
+// retry — and the group-commit sync that releases them is issued: a worker
+// that crashes before installing the decide is rolled back, and the binding
+// replay rebuilds what was released.
 func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 	switch {
 	case st.chained():
-		// No votes were taken: the queues already ordered every conflict.
+		// Nothing to validate: the queues already ordered every conflict.
 	case st.binding:
 		// Binding epochs skip the fallback phase: it commits aborted members
 		// out of queue order within the batch, and the binding replay's whole
@@ -597,17 +587,30 @@ func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 	}
 	c.enterPhase(ctx, st, phaseApply)
 	clear(st.acks)
-	c.broadcast(ctx, st.decision())
-	if st.binding {
-		// The cut settled what is left of the queue, so the successor (the
-		// next binding batch, or the first normal epoch once the queue has
-		// drained) opens now and executes under this epoch's apply and
-		// group commit.
-		c.openPipelined(ctx)
+	m := st.decision()
+	c.broadcast(ctx, m)
+	if !st.chained() {
+		if st.binding {
+			// The cut settled what is left of the queue, so the successor (the
+			// next binding batch, or the first normal epoch once the queue has
+			// drained) opens now and executes under this epoch's apply and
+			// group commit.
+			c.openPipelined(ctx)
+		}
+		c.decided = st.epoch
+		ctx.Work(time.Duration(len(st.order)) * c.sys.cfg.Costs.RoutingCPU)
+		for _, tid := range st.order {
+			t := st.txn(tid)
+			c.answer(ctx, st, t, st.outcome(t))
+		}
+		c.journal.sync(ctx)
+	}
+	if m.Final {
+		c.tap.epochDone(st.epoch) // every response the epoch gives is staged
 	}
 }
 
-// cutBinding settles a binding batch at its unanimous vote: the longest
+// cutBinding settles a binding batch at its validation: the longest
 // prefix of the batch (in queue order, which is TID order) without a
 // conflict abort commits, and everything from the first aborted member on
 // — aborted or not — goes back to the front of the replay queue, in
@@ -654,7 +657,9 @@ func (c *Coordinator) cutBinding(ctx *sim.Context, st *epochState) {
 	c.replaying = append(requeue, c.replaying...)
 }
 
-// onApplied settles the round once every worker installed it.
+// onApplied settles the round once every worker installed it: the batch's
+// chain dispatches — its members read round 0's installed writes — or the
+// epoch is finished.
 func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 	st := c.commit
 	if st == nil || m.Epoch != st.epoch || st.phase != phaseApply || m.Round != st.round {
@@ -664,42 +669,24 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 		return
 	}
 	c.phaseSpan(ctx, st, "apply")
-	c.settle(ctx, st)
-}
-
-// settle finishes an applied round. The batch: committed members respond
-// (staged onto the durable log's group commit), an application error is
-// definitive, conflict aborts the chain rescued wait for it and the others —
-// a chain is cut to FallbackRoundBudget when it is planned, so these are its
-// spills — retry in the next batch; then the chain dispatches or the epoch is
-// finished. The chain: its members were answered one by one as they finished
-// (see stageChained), so its settle only closes the epoch.
-func (c *Coordinator) settle(ctx *sim.Context, st *epochState) {
-	if !st.chained() {
-		ctx.Work(time.Duration(len(st.order)) * c.sys.cfg.Costs.RoutingCPU)
-		for _, tid := range st.order {
-			t := st.txn(tid)
-			c.answer(ctx, st, t, st.outcome(t))
-		}
-		if st.chain != nil {
-			c.journal.sync(ctx)
-			c.startChain(ctx, st)
-			return
-		}
+	if !st.chained() && st.chain != nil {
+		c.startChain(ctx, st)
+		return
 	}
 	c.finishBatch(ctx, st)
 }
 
 // answer acts on what a round settled for one member: a commit or a
-// definitive error responds, a conflict abort nobody rescued — or a chain
-// member that drifted — retries, a rescued one waits for the chain.
+// definitive error responds, a conflict abort nobody rescued — a chain is
+// cut to FallbackRoundBudget when it is planned, so these are its spills —
+// or a chain member that drifted retries, a rescued one waits for the chain.
 func (c *Coordinator) answer(ctx *sim.Context, st *epochState, t *txnState, o outcome) {
 	switch o {
 	case outRescued:
 	case outRetried:
 		c.Aborts++
 		// Past a binding batch's cut: cutBinding requeued it at the
-		// vote, unconditionally (no budget, no retry bump) — its
+		// decide, unconditionally (no budget, no retry bump) — its
 		// response already escaped.
 		if !st.binding {
 			c.retryOrFail(ctx, t)

@@ -18,7 +18,7 @@ import (
 // depends on it, and epochState.add panics when it breaks; this asserts it
 // from the outside — the TIDs a coordinator dispatched for a batch, plus the
 // global apply its decide carries (an apply executes nothing, so no event
-// names it), against the order it put in msgPrepare — over a run that takes
+// names it), against the order its round-0 msgDecide carries — over a run that takes
 // every assignment path on two shards: direct intake and a MaxBatch-chunked
 // source backlog, a drain of spilled retries, a fenced global apply, and a
 // coordinator crash whose binding replay runs under the fence.
@@ -45,11 +45,13 @@ func TestEpochTIDsAreContiguous(t *testing.T) {
 				b := closed{from, m.Epoch}
 				assigned[b] = append(assigned[b], m.TID)
 			}
-		case msgPrepare:
-			orders[closed{from, m.Epoch}] = m.Order // one copy per worker
 		case msgDecide:
-			// The apply is the batch's last member; one decide per worker.
+			if m.Round != 0 {
+				break
+			}
+			// One copy per worker. The apply is the batch's last member.
 			b := closed{from, m.Epoch}
+			orders[b] = m.Order
 			if tid := m.Order[len(m.Order)-1]; m.Apply != nil && !slices.Contains(assigned[b], tid) {
 				assigned[b] = append(assigned[b], tid)
 			}
@@ -118,12 +120,12 @@ func TestEpochTIDsAreContiguous(t *testing.T) {
 	st.add(9, pendingReq{})
 }
 
-// TestAckCountsAWorkerOnce: in each of the four phases that wait on every
-// worker — validate, apply, snapshot, recovery — a worker's answer counts
-// once. Duplicates of an answer already in (as many as there are workers,
-// so a tally in place of a set would complete the phase) neither bump the
-// failure detector's progress counter nor advance the phase, and a
-// duplicated vote's content is not folded in a second time.
+// TestAckCountsAWorkerOnce: a worker's answer counts once — a round-0
+// finish, and its ack in each of the three phases that wait on every worker:
+// apply, snapshot, recovery. Duplicates of an answer already in (as many as
+// there are workers, so a tally in place of a set would complete the phase)
+// neither bump the failure detector's progress counter nor advance the
+// phase, and a duplicated finish's content is not folded in a second time.
 func TestAckCountsAWorkerOnce(t *testing.T) {
 	const n = 24
 	cfg := DefaultConfig()
@@ -175,11 +177,31 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 		}
 	}
 
-	duplicate("validate", inPhase(phasePrepare), func(st *epochState) sim.Message {
-		return msgVote{Epoch: st.epoch, Aborts: st.order}
-	})
-	if slices.ContainsFunc(c.commit.txns, func(t *txnState) bool { return t.aborted }) {
-		t.Fatal("validate: a duplicated vote's aborts were folded into the round")
+	// A round-0 finish already in, re-delivered with a different answer while
+	// its batch still waits for other members.
+	var st *epochState
+	for i := 0; st == nil; i++ {
+		if i > 500_000 {
+			t.Fatal("never caught a batch partly finished")
+		}
+		f.cluster.RunUntil(f.cluster.Now() + 5*time.Microsecond)
+		if x := c.exec; x != nil && x.round == 0 && x.unfinished > 0 &&
+			slices.ContainsFunc(x.txns, func(t *txnState) bool { return t.finished }) {
+			st = x
+		}
+	}
+	i := slices.IndexFunc(st.txns, func(t *txnState) bool { return t.finished })
+	done, now := st.txns[i], f.cluster.Now()
+	progress, unfinished, value := c.progress, st.unfinished, done.value
+	owner := f.sys.ownerOf(done.req.Target)
+	for range workers {
+		f.cluster.Inject(now, owner, f.sys.coordID,
+			msgTxnFinished{TID: st.first + aria.TID(i), Epoch: st.epoch, Err: "duplicate"})
+	}
+	f.cluster.RunUntil(now)
+	if c.progress != progress || st.unfinished != unfinished || !done.value.Equal(value) || done.err == "duplicate" {
+		t.Fatalf("finish: %d duplicates moved progress %d → %d, unfinished %d → %d, or were folded in (err %q)",
+			workers, progress, c.progress, unfinished, st.unfinished, done.err)
 	}
 	duplicate("apply", inPhase(phaseApply), func(st *epochState) sim.Message {
 		return msgApplied{Epoch: st.epoch, Round: st.round}
@@ -191,7 +213,18 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 		return c.snapDone
 	}, func(*epochState) sim.Message { return msgSnapshotDone{ID: c.snapshotID} })
 
-	now := f.cluster.Now()
+	// Crash a worker while a decide is on its way to it: its ack never
+	// comes, so the apply stalls and the detector recovers.
+	for i := 0; ; i++ {
+		if st := c.commit; st != nil && st.phase == phaseApply && len(st.acks) == 0 {
+			break
+		}
+		if i > 500_000 {
+			t.Fatal("never caught a decide in flight")
+		}
+		f.cluster.RunUntil(f.cluster.Now() + 5*time.Microsecond)
+	}
+	now = f.cluster.Now()
 	f.cluster.ScheduleCrash(f.sys.workerIDs[0], now, now+5*time.Millisecond)
 	duplicate("recovery", func() ackSet {
 		if !c.recovering {

@@ -175,7 +175,9 @@ type journal struct {
 	stagedIDs map[string]bool
 
 	// Write ordering. lastLSN is the newest appended record; durableLSN the
-	// newest record a completed (or issued-blocking) sync covers; epochLSN
+	// newest record a completed (or issued-blocking) sync covers; issuedLSN
+	// the newest a group-commit sync was issued for (LSNs are never reused,
+	// so it survives restore); epochLSN
 	// the LSN of the newest epoch-advance record. The pipelined epoch
 	// advance stays volatile (epochLSN > durableLSN) until the commit
 	// epoch's group-commit sync sweeps it up — and while it is volatile,
@@ -183,6 +185,7 @@ type journal struct {
 	// ever at risk in a crash.
 	lastLSN    int64
 	durableLSN int64
+	issuedLSN  int64
 	epochLSN   int64
 	// enc is the scratch buffer every log record is encoded into (the log
 	// copies on append).
@@ -354,13 +357,15 @@ func (j *journal) release(ctx *sim.Context, s stagedResponse) {
 // advance record — and schedules the release at its completion: one fsync
 // per batch, shared across the two adjacent epochs, instead of one per
 // response plus one per epoch advance. With nothing staged there is
-// nothing to release and no sync is issued.
+// nothing to release and no sync is issued; nor when a sync already issued
+// covers every staged record.
 func (j *journal) sync(ctx *sim.Context) {
-	if len(j.staged) == 0 {
+	if n := len(j.staged); n == 0 || j.staged[n-1].lsn <= j.issuedLSN {
 		return
 	}
 	delay := j.cfg.Costs.LogGroupDelay
 	upTo := j.log.SyncAt(ctx.Now() + delay)
+	j.issuedLSN = upTo
 	if tr := j.cfg.Tracer; tr.Enabled() {
 		tr.Span(j.node, "dlog", "commit.fsync", ctx.Now(), ctx.Now()+delay,
 			"upto", strconv.FormatInt(upTo, 10),

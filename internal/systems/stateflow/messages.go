@@ -12,15 +12,18 @@ import (
 // Round 1 marks the chain's re-execution of a conflict-aborted transaction;
 // workers and coordinator drop events from the finished batch round of the
 // same epoch, so a delayed duplicate can never leak a stale execution into
-// the chain. Round readRound marks a fast read (read.go) instead: TID is the
-// coordinator's read number, and Epoch is 0 — or, once the worker parked the
-// read behind a half-installed epoch, that epoch's successor, so it waits at
-// the gate the successor's own events wait at.
+// the chain. A round-0 event carries Sets, the reservation sets of every
+// worker its call chain ran on so far. Round readRound marks a fast read
+// (read.go) instead: TID is the coordinator's read number, and Epoch is its
+// stamp — the newest decided epoch plus one, so the read waits at the gate an
+// event of that epoch waits at (or, once the worker parked the read behind a
+// half-installed epoch, that epoch's successor).
 type msgTxnEvent struct {
 	TID   aria.TID
 	Epoch int64
 	Round int
 	Ev    *core.Event
+	Sets  *rwSets
 }
 
 // readRound is the Round of a fast read's event and of its answer.
@@ -28,36 +31,32 @@ const readRound = -1
 
 // msgTxnFinished tells the coordinator a transaction's call chain reached
 // its root response. Round echoes the execution round of the events that
-// produced it (0: the batch's optimistic first execution). A fast read's
-// answer has Round readRound, and Epoch is then the worker's applied epoch:
-// the cut the read saw.
+// produced it (0: the batch's optimistic first execution, whose finish
+// carries the reservation sets the coordinator validates the batch over). A
+// fast read's answer has Round readRound, and Epoch is then the worker's
+// applied epoch: the cut the read saw.
 type msgTxnFinished struct {
 	TID   aria.TID
 	Epoch int64
 	Round int
 	Value interp.Value
 	Err   string
+	Sets  *rwSets
+}
+
+// rwSets is what a round-0 call chain reserved: one reservation set per
+// worker it ran on, newest first. A worker adds its own set the first time
+// the chain leaves it (Worker.shipSets), so the root's finish brings the
+// whole footprint to the coordinator (epochState.validate). A call chain has
+// one event in flight, so every set is final once the root response is
+// produced; nodes are never modified after they are sent.
+type rwSets struct {
+	rw   *aria.RWSet
+	next *rwSets
 }
 
 // msgEpochTick closes the open batch.
 type msgEpochTick struct{ Epoch int64 }
-
-// msgPrepare starts validation of the closed batch on every worker (Order
-// is the full batch TID order). The chain is never validated.
-type msgPrepare struct {
-	Epoch int64
-	Order []aria.TID
-}
-
-// msgVote returns a worker's local aborts for the batch. With the fallback
-// phase enabled, Sets additionally carries the worker's local reservation
-// sets: what round 0 observed joins every conflict abort's footprint (see
-// epochState.scheduleFallback).
-type msgVote struct {
-	Epoch  int64
-	Aborts []aria.TID
-	Sets   map[aria.TID]*aria.RWSet
-}
 
 // msgDecide broadcasts the deterministic global decision for the batch
 // (Round 0) or closes the chain (Round 1). The round guard matters for the
@@ -68,8 +67,8 @@ type msgVote struct {
 // coordinator dispatched during the commit phase. Aborts is in TID order,
 // like Order. Chain, on a batch decide that is not final, is the schedule
 // the epoch's conflict aborts re-execute by — one more round, gated on the
-// workers by the plan's per-entity queues, with no prepare/vote wave (see
-// aria.ChainPlan); the plan is immutable and shared by every receiver.
+// workers by the plan's per-entity queues (see aria.ChainPlan); the plan is
+// immutable and shared by every receiver.
 // Apply is the global batch slice the batch's last member commits (nil for
 // a batch without one, or whose apply a binding cut dropped): it executed
 // nothing, so each worker installs the rows of it that it owns after every
@@ -99,7 +98,8 @@ type msgChainRelease struct {
 }
 
 // msgApplied acknowledges that a worker installed the batch's writes (or
-// closed the chain).
+// closed the chain). The round's responses left at its decide; the acks only
+// gate the chain's dispatch, the snapshot and the commit slot's release.
 type msgApplied struct {
 	Epoch int64
 	Round int
@@ -118,8 +118,8 @@ type msgTakeSnapshot struct {
 type msgSnapshotDone struct{ ID int64 }
 
 // msgStallCheck is the failure detector's timer (see onStallCheck). Armed
-// by a slot entering a phase that waits on every worker (execution,
-// validation, apply, snapshot), it fires if the epoch is still stuck in that
+// by a slot entering a phase that waits on every worker (execution, apply,
+// snapshot), it fires if the epoch is still stuck in that
 // phase one stall timeout later with no worker answer counted since.
 // Progress carries the coordinator's progress counter at arm time: if it
 // moved, the check re-arms for the last counted answer plus the stall

@@ -2,17 +2,21 @@
 // simple (ir.Method.ReadOnly && Simple: it writes nothing and touches only
 // its target) needs none of what an epoch buys: there is nothing to
 // reserve, validate, install, log or replay. So it never enters a batch.
-// The coordinator forwards it to the target's owner, which runs it against
-// its committed store at an epoch boundary (Worker.onRead) and answers with
-// its applied epoch, the cut the read saw. The coordinator releases the
-// answer with the group-commit sync that releases that epoch's responses,
-// or at once if that sync already completed (journal.stageRead).
+// The coordinator forwards it to the target's owner, stamped with the epoch
+// after the newest decided one; the owner runs it against its committed
+// store at an epoch boundary no earlier than the stamp (Worker.onRead) and
+// answers with its applied epoch, the cut the read saw. Every response of
+// that epoch is staged by then — its last decide was broadcast before any
+// worker could apply it — so the coordinator releases the answer with the
+// group-commit sync that releases them, or at once if that sync already
+// completed (journal.stageRead).
 //
-// The wait at the worker makes a read linearizable. A response is staged
-// only once every worker installed it — except a chained member's, which
-// can leave before its epoch's final decide — and while a chain runs, every
-// worker's store is between two cuts: so a read waits for the final decide
-// of an epoch whose chain is installing, and then sees every response any
+// The waits at the worker make a read linearizable. A batch's responses
+// leave at its decide, before the workers install it, and a chained
+// member's leaves before its epoch's final decide; so a read waits at the
+// gate until its owner applied every epoch decided before it was
+// forwarded, and — while a chain installs, the store being between two
+// cuts — for that chain's final decide. It then sees every response any
 // client could have seen before sending it. The wait at the coordinator
 // makes it recoverable: what the read saw is durable — rebuilt by a binding
 // replay if it must be — before a client sees it. Aria treats read-only
@@ -38,7 +42,6 @@ import (
 	"slices"
 
 	"statefulentities.dev/stateflow/internal/core"
-	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/txn/aria"
@@ -52,11 +55,6 @@ type fastRead struct {
 	// seq is the number it was last forwarded under; a worker's answer
 	// names it, so an answer to an earlier forward is stale.
 	seq aria.TID
-	// epoch, value and err are the worker's answer: the applied epoch the
-	// read saw and what it returned.
-	epoch int64
-	value interp.Value
-	err   string
 }
 
 // fastRead reports whether a request takes the fast-read path.
@@ -92,7 +90,9 @@ func (c *Coordinator) onRead(ctx *sim.Context, m sysapi.MsgRequest) {
 	c.forwardRead(ctx, r)
 }
 
-// forwardRead sends a read to its target's owner under a fresh number.
+// forwardRead sends a read to its target's owner under a fresh number,
+// stamped with the epoch after the newest decided one: the owner's buffered
+// gate holds it until every epoch whose responses may be out is installed.
 func (c *Coordinator) forwardRead(ctx *sim.Context, r *fastRead) {
 	c.readSeq++
 	r.seq = c.readSeq
@@ -101,7 +101,7 @@ func (c *Coordinator) forwardRead(ctx *sim.Context, r *fastRead) {
 	}
 	c.reads[r.seq] = r
 	ctx.Send(c.sys.ownerOf(r.root.Target),
-		msgTxnEvent{TID: r.seq, Round: readRound, Ev: &r.root},
+		msgTxnEvent{TID: r.seq, Epoch: c.decided + 1, Round: readRound, Ev: &r.root},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -117,64 +117,33 @@ func (c *Coordinator) serveHeld(ctx *sim.Context) {
 	}
 }
 
-// onReadDone takes a worker's answer to a read. An answer the read's last
-// forward did not ask for is stale and dropped: a recovery took the read
-// back (holdUnanswered). The answer is released now if every response of the
-// epoch it saw is staged, else when that epoch's batch finishes
-// (finishBatch).
+// onReadDone takes a worker's answer to a read and stages it behind the
+// responses of the epoch it saw. An answer the read's last forward did not
+// ask for is stale and dropped: a recovery took the read back
+// (holdUnanswered).
 func (c *Coordinator) onReadDone(ctx *sim.Context, m msgTxnFinished) {
 	r := c.reads[m.TID]
 	if r == nil {
 		return
 	}
 	delete(c.reads, m.TID)
-	r.epoch, r.value, r.err = m.Epoch, m.Value, m.Err
-	if r.epoch > c.finished {
-		c.awaiting = append(c.awaiting, r)
-		return
-	}
-	c.releaseRead(ctx, r)
-}
-
-// releaseRead stages a read's answer behind the responses of the epoch it
-// saw.
-func (c *Coordinator) releaseRead(ctx *sim.Context, r *fastRead) {
 	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
 	c.FastReads++
 	if r.replyTo != "" {
-		c.journal.stageRead(ctx, r.replyTo, sysapi.Response{Req: r.root.Req, Value: r.value, Err: r.err}, r.epoch)
+		c.journal.stageRead(ctx, r.replyTo, sysapi.Response{Req: r.root.Req, Value: m.Value, Err: m.Err}, m.Epoch)
 	}
-}
-
-// readsFinished releases the answers that waited for epoch's batch to
-// finish: its responses are staged now, so the answers queue behind them.
-func (c *Coordinator) readsFinished(ctx *sim.Context, epoch int64) {
-	c.finished = epoch
-	c.tap.epochDone(epoch)
-	n := 0
-	for _, r := range c.awaiting {
-		if r.epoch <= epoch {
-			c.releaseRead(ctx, r)
-		} else {
-			c.awaiting[n] = r
-			n++
-		}
-	}
-	clear(c.awaiting[n:])
-	c.awaiting = c.awaiting[:n]
 }
 
 // holdUnanswered moves every read a recovery may have voided — forwarded
-// and unanswered, or answered from a cut the recovery discards — back to the
-// held queue, in forwarding order, to be forwarded again once the recovery
-// drains. Released answers are untouched: what they saw is durable.
+// and unanswered — back to the held queue, in forwarding order, to be
+// forwarded again once the recovery drains. Answered reads are untouched:
+// what they saw is staged, so durable or rebuilt.
 func (c *Coordinator) holdUnanswered() {
-	out := make([]*fastRead, 0, len(c.reads)+len(c.awaiting))
+	out := make([]*fastRead, 0, len(c.reads))
 	for _, r := range c.reads {
 		out = append(out, r)
 	}
 	slices.SortFunc(out, func(a, b *fastRead) int { return cmp.Compare(a.seq, b.seq) })
-	out = append(out, c.awaiting...)
 	c.held = append(c.held, out...)
-	c.reads, c.awaiting = nil, nil
+	c.reads = nil
 }

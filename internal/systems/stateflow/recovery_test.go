@@ -596,7 +596,7 @@ func (fx *bindingFixture) diverged() (out []string) {
 }
 
 // bindingSchedules are the three ways a binding epoch's successor opens:
-// at the vote (pipelined), from releaseCommit on the serial schedule, and
+// at the decide (pipelined), from releaseCommit on the serial schedule, and
 // from releaseCommit because the shard recovered inside a fence window.
 var bindingSchedules = []struct {
 	name   string

@@ -402,8 +402,8 @@ func (s *System) ChaosTopology() chaos.Topology {
 // the chaos engine.
 //
 //   - Every role is crashable. Workers: the coordinator's stall detector
-//     guards every worker-dependent phase (execution, validation, apply,
-//     snapshot), so a dead worker is detected and the system rolls back to
+//     guards every worker-dependent phase (execution, apply, snapshot), so
+//     a dead worker is detected and the system rolls back to
 //     the last sealed snapshot and replays; the rollback itself retries
 //     until every worker has answered it. The coordinator: its restart
 //     reboots from the journal's durable log (epoch high-water mark,
@@ -451,7 +451,7 @@ func failureContract(roles map[string][]string) chaos.Topology {
 		},
 		DupSafe: func(from, to string, msg sim.Message) bool {
 			switch msg.(type) {
-			case msgTxnFinished, msgPrepare, msgVote, msgDecide, msgApplied, msgChainRelease,
+			case msgTxnFinished, msgDecide, msgApplied, msgChainRelease,
 				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
 				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
 				msgGlobalApply,

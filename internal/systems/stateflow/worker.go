@@ -1,12 +1,13 @@
 // The StateFlow worker: hosts a partition of every operator's state,
 // executes transaction call chains against per-transaction Aria
-// workspaces, validates and applies batches, and persists snapshots. The
-// paper's deployment bundles "execution, state, and messaging" on each
-// worker core (§4), which is exactly this component.
+// workspaces, ships their reservation sets along each chain to the
+// coordinator (which validates the batch), applies decided batches, and
+// persists snapshots. The paper's deployment bundles "execution, state, and
+// messaging" on each worker core (§4), which is exactly this component.
 //
 // With the pipelined coordinator, two epochs can address a worker at
-// once: the committing epoch's prepare/decide wave and the next epoch's
-// execution events. The worker keeps per-epoch workspace sets — the epoch
+// once: the committing epoch's decide and the next epoch's execution
+// events. The worker keeps per-epoch workspace sets — the epoch
 // stamp is a demultiplexing key, not just a staleness guard — and an
 // applied high-water mark: events for epoch N+1 buffer until N's final
 // decide is applied locally, so every execution still reads the
@@ -30,10 +31,10 @@ import (
 // workerEpoch is one epoch's execution state on this worker: its live
 // workspaces (nil until the first) and its round high-water mark (0: the
 // batch's first execution, 1: the chain). A delayed or duplicated
-// prepare/decide/event from the finished batch round must be dropped — a
-// stale decide would otherwise wipe the chain's in-flight workspaces. A
-// worker the batch never reached has none: it votes and settles the epoch
-// without one (see reached).
+// decide/event from the finished batch round must be dropped — a stale
+// decide would otherwise wipe the chain's in-flight workspaces. A worker the
+// batch never reached has none: it settles the epoch without one (see
+// reached).
 type workerEpoch struct {
 	workspaces map[aria.TID]*aria.Workspace
 	round      int
@@ -163,8 +164,6 @@ func (w *Worker) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	switch m := msg.(type) {
 	case msgTxnEvent:
 		w.onTxnEvent(ctx, m)
-	case msgPrepare:
-		w.onPrepare(ctx, m)
 	case msgDecide:
 		w.onDecide(ctx, m)
 	case msgChainRelease:
@@ -190,8 +189,9 @@ func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *aria.Workspace {
 
 // onTxnEvent executes one dataflow event of a transaction on this
 // partition, charging the cost-model CPU components, and forwards the
-// produced events. Events a pipelined coordinator dispatched ahead of
-// their predecessor epoch's final decide are buffered, not executed: the
+// produced event — in round 0 with this worker's reservation set added to
+// the ones it arrived with. Events a pipelined coordinator dispatched ahead
+// of their predecessor epoch's final decide are buffered, not executed: the
 // committed store they would read is not yet the serializable prefix.
 func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	if m.Epoch > w.appliedEpoch+1 {
@@ -213,12 +213,17 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 		}
 	}
 	costs := w.sys.cfg.Costs
-	out := w.execute(ctx, m.Ev, w.workspace(ep, m.TID))
+	ws := w.workspace(ep, m.TID)
+	out := w.execute(ctx, m.Ev, ws)
+	var sets *rwSets
+	if m.Round == 0 {
+		sets = w.shipSets(ctx, m.Sets, &ws.RW)
+	}
 	for _, ev := range out {
 		switch ev.Kind {
 		case core.EvResponse:
 			ctx.Send(w.sys.coordID, msgTxnFinished{
-				TID: m.TID, Epoch: m.Epoch, Round: m.Round, Value: ev.Value, Err: ev.Err,
+				TID: m.TID, Epoch: m.Epoch, Round: m.Round, Value: ev.Value, Err: ev.Err, Sets: sets,
 			}, costs.WorkerLink.Sample(ctx.Rand()))
 			if member >= 0 {
 				w.finishChained(ctx, ep, m.Epoch, member, ev.Err == "")
@@ -229,9 +234,27 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 			if target == w.id {
 				lat = 0 // same-partition transfer stays in process
 			}
-			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev}, lat)
+			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev, Sets: sets}, lat)
 		}
 	}
+}
+
+// shipSets returns the reservation sets a round-0 event leaving this worker
+// carries: the ones it arrived with, plus this worker's own the first time
+// the call chain leaves here. With the fallback phase on, each set shipped is
+// priced: serializing the footprint a conflict abort queues on is work the
+// legacy protocol never paid.
+func (w *Worker) shipSets(ctx *sim.Context, in *rwSets, rw *aria.RWSet) *rwSets {
+	for s := in; s != nil; s = s.next {
+		if s.rw == rw {
+			return in
+		}
+	}
+	if cpu := w.sys.cfg.Costs.FallbackCPU; !w.sys.cfg.DisableFallback {
+		ctx.Work(cpu)
+		w.Breakdown.Add(obs.TxnValidation, cpu)
+	}
+	return &rwSets{rw: rw, next: in}
 }
 
 // execute runs one event against store, charging the cost-model CPU
@@ -267,8 +290,9 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) []*
 }
 
 // onRead serves a fast read (read.go): a read-only simple call, run against
-// the committed store with no workspace, reservation or vote, at an epoch
-// boundary. While the next epoch's chain is installing — its batch decide
+// the committed store with no workspace or reservation, at an epoch
+// boundary no earlier than its stamp (the buffered gate in onTxnEvent held
+// it until then). While the next epoch's chain is installing — its batch decide
 // installed round 0, its final decide has not come — the store is between
 // two cuts and may lack a chained member whose response already left, so
 // the read waits in the buffered gate for that final decide, like an event
@@ -307,42 +331,6 @@ func (v committedView) Lookup(ref interp.EntityRef) (interp.State, bool) {
 // Create implements core.Store.
 func (committedView) Create(ref interp.EntityRef) (interp.State, error) {
 	return nil, fmt.Errorf("stateflow: a read-only call tried to create %s", ref)
-}
-
-// onPrepare validates local reservations for the batch (Aria's conflict
-// rules) and votes. With the fallback phase enabled the vote also ships the
-// local reservation sets: what the first execution observed is the footprint
-// a conflict abort queues on when its request does not give one.
-func (w *Worker) onPrepare(ctx *sim.Context, m msgPrepare) {
-	costs := w.sys.cfg.Costs
-	ep, stale := w.reached(m.Epoch, 0)
-	if stale {
-		return
-	}
-	if ep == nil {
-		// No event of the batch ran here: nothing to validate or ship.
-		ctx.Send(w.sys.coordID, msgVote{Epoch: m.Epoch}, costs.WorkerLink.Sample(ctx.Rand()))
-		return
-	}
-	sets := make(map[aria.TID]*aria.RWSet, len(ep.workspaces))
-	for _, tid := range m.Order {
-		if ws, ok := ep.workspaces[tid]; ok {
-			sets[tid] = &ws.RW
-		}
-	}
-	aborts := aria.Validate(m.Order, sets)
-	work := time.Duration(len(ep.workspaces)) * costs.CommitCPU
-	vote := msgVote{Epoch: m.Epoch, Aborts: aborts}
-	if !w.sys.cfg.DisableFallback {
-		// The extra fallback pass is priced per shipped reservation set:
-		// serializing the footprints is work the legacy protocol never
-		// paid.
-		work += time.Duration(len(sets)) * costs.FallbackCPU
-		vote.Sets = sets
-	}
-	ctx.Work(work)
-	w.Breakdown.Add(obs.TxnValidation, work)
-	ctx.Send(w.sys.coordID, vote, costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // admitChained gates one event of a chained re-execution: it may run only

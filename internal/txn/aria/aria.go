@@ -4,8 +4,9 @@
 // every transaction in a batch executes optimistically against the state
 // as of the batch start, buffering writes in a per-transaction workspace
 // and recording read/write reservations. When the whole batch has
-// finished executing, each worker validates its local reservations and
-// the coordinator unions the votes into a deterministic global decision.
+// finished executing, the coordinator validates the reservations every
+// worker shipped with the batch's finishes into a deterministic global
+// decision.
 // Committed workspaces apply in TID order; aborted transactions are
 // re-queued into the next batch.
 //
@@ -190,7 +191,7 @@ type wsEntry struct {
 type Workspace struct {
 	TID       TID
 	committed *state.Store
-	// RW is the reservation set. Votes ship a pointer to it, so it (and
+	// RW is the reservation set. Finishes ship a pointer to it, so it (and
 	// with it the workspace) may outlive the epoch that executed it.
 	RW RWSet
 
@@ -484,29 +485,52 @@ func sortRefs(refs []interp.EntityRef) {
 // (reads observe the batch-start snapshot, so WAR never aborts). The
 // check deliberately counts reservations of transactions that themselves
 // abort (Aria's conservative one-pass rule), keeping validation
-// embarrassingly parallel across workers.
+// embarrassingly parallel across workers. The check is per key, so Validate
+// over the union of several workers' sets aborts exactly what the OR of
+// Validate over each worker's sets aborts.
 func Validate(order []TID, sets map[TID]*RWSet) []TID {
-	var earlier RWSet // writes of the lower TIDs so far
+	var v Validator
 	var aborts []TID
 	for _, tid := range order {
 		rw, ok := sets[tid]
 		if !ok {
 			continue
 		}
-		for i := range rw.entries {
-			e := &rw.entries[i]
-			if w := earlier.find(e.key); w != nil && w.writes&(e.reads|e.writes) != 0 {
-				aborts = append(aborts, tid)
-				break
-			}
+		if v.Conflicts(rw) {
+			aborts = append(aborts, tid)
 		}
-		for i := range rw.entries {
-			if e := &rw.entries[i]; e.writes != 0 {
-				earlier.Write(e.key, e.writes)
-			}
-		}
+		v.Add(rw)
 	}
 	return aborts
+}
+
+// Validator is Validate's incremental form, for a caller that holds a
+// transaction's reservations as several sets (one per worker its call chain
+// ran on): visit the transactions in TID order, and ask Conflicts of every
+// set of a transaction before Adding any of them.
+type Validator struct {
+	earlier RWSet // writes of the transactions added so far
+}
+
+// Conflicts reports whether rw read or wrote a slot that an added
+// transaction wrote: Aria's WAW and RAW rules.
+func (v *Validator) Conflicts(rw *RWSet) bool {
+	for i := range rw.entries {
+		e := &rw.entries[i]
+		if w := v.earlier.find(e.key); w != nil && w.writes&(e.reads|e.writes) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Add records rw's writes against the transactions after it.
+func (v *Validator) Add(rw *RWSet) {
+	for i := range rw.entries {
+		if e := &rw.entries[i]; e.writes != 0 {
+			v.earlier.Write(e.key, e.writes)
+		}
+	}
 }
 
 // Conflicts reports whether two reservation sets touch overlapping

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,86 @@ func TestValidateDeterministicProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateUnionIsTheOrOfOwners: on random batches whose reservations are
+// split across key owners (workers), Validate over each transaction's union
+// of sets aborts exactly the transactions that Validate over some owner's
+// share aborts — the check is per key. That equality is what lets one check
+// at the coordinator, over the sets the finishes shipped, stand in for a vote
+// per worker; the Validator fed every share of a transaction before adding
+// any agrees with both.
+func TestValidateUnionIsTheOrOfOwners(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e"}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n, owners := 1+r.Intn(12), 1+r.Intn(4)
+		owner := func(k string) int { return int(k[0]) % owners }
+		order := make([]TID, n)
+		union := map[TID]*RWSet{}
+		split := make([]map[TID]*RWSet, owners)
+		for o := range split {
+			split[o] = map[TID]*RWSet{}
+		}
+		for i := range order {
+			tid := TID(i + 1)
+			order[i] = tid
+			for j := r.Intn(4); j > 0; j-- { // zero: the transaction reserved nothing
+				k := keys[r.Intn(len(keys))]
+				part := split[owner(k)][tid]
+				if part == nil {
+					part = NewRWSet()
+					split[owner(k)][tid] = part
+				}
+				if union[tid] == nil {
+					union[tid] = NewRWSet()
+				}
+				b := SlotBit(r.Intn(3))
+				if r.Intn(8) == 0 {
+					b = EntityBit
+				}
+				if r.Intn(2) == 0 {
+					part.Read(rkey(k), b)
+					union[tid].Read(rkey(k), b)
+				} else {
+					part.Write(rkey(k), b)
+					union[tid].Write(rkey(k), b)
+				}
+			}
+		}
+		aborted := map[TID]bool{}
+		for _, sets := range split {
+			for _, tid := range Validate(order, sets) {
+				aborted[tid] = true
+			}
+		}
+		var v Validator
+		var or, incremental []TID
+		for _, tid := range order {
+			if aborted[tid] {
+				or = append(or, tid)
+			}
+			conflict := false
+			for _, sets := range split {
+				if rw := sets[tid]; rw != nil && v.Conflicts(rw) {
+					conflict = true
+				}
+			}
+			for _, sets := range split {
+				if rw := sets[tid]; rw != nil {
+					v.Add(rw)
+				}
+			}
+			if conflict {
+				incremental = append(incremental, tid)
+			}
+		}
+		got := Validate(order, union)
+		return slices.Equal(got, or) && slices.Equal(got, incremental)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
