@@ -21,7 +21,8 @@ type Result struct {
 	// runtime.
 	Latency time.Duration
 	// Hops counts operator-to-operator event transfers (Local runtime
-	// only; zero elsewhere).
+	// only; zero elsewhere). A continuation that reads no entity state runs
+	// where its call returned and adds no hop.
 	Hops int
 }
 

@@ -4,7 +4,9 @@
 // expressions into dedicated Invoke terminators, and cuts the statement
 // list at every remote call and at every control-flow structure that
 // contains one. Control flow with no remote calls stays inline and is
-// executed locally by the interpreter.
+// executed locally by the interpreter. A continuation that reads no entity
+// state is marked StateFree (liveness.go): it is a tail of the call it
+// waited on, and the runtime runs it where that call returns.
 package compiler
 
 import (
@@ -486,6 +488,7 @@ func splitMethod(info *types.Info, needs map[string]bool, m *types.Method) ([]*i
 	}
 	blocks := pruneUnreachable(s.blocks)
 	computeDefUse(blocks)
+	markStateFree(blocks)
 	return blocks, nil
 }
 

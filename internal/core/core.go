@@ -4,7 +4,10 @@
 // state, it drives the method's execution state machine (§2.5) until the
 // method either completes — producing a response event for the caller or
 // the egress router — or suspends at a remote call, producing an
-// invocation event for another operator (§2.3, §2.4).
+// invocation event for another operator (§2.3, §2.4). When a call returns
+// into a continuation the compiler marked StateFree (it reads no entity
+// state), that continuation runs in the callee's event instead of costing a
+// resume hop back to the caller's operator (complete).
 //
 // Every runtime (local, StateFlow, StateFun-model) wraps this package with
 // its own transport, scheduling, consistency and fault-tolerance layers;
@@ -96,7 +99,8 @@ type Event struct {
 	Err    string           // EvResponse: execution error, if any
 	Ctx    *Context         // suspended caller stack (nil for simple root calls)
 	// Hops counts operator-to-operator transfers for this request; cost
-	// models and tests use it to assert routing behaviour.
+	// models and tests use it to assert routing behaviour. A StateFree
+	// continuation run where its call returned is not a transfer.
 	Hops int
 }
 
@@ -353,22 +357,45 @@ func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, s
 	}}, nil
 }
 
-// complete pops back to the caller: if frames remain, the value resumes the
-// parent frame (possibly on another operator); otherwise the root call is
-// done and the value heads to the egress router.
+// complete pops back to the caller. A parent frame whose resume block is
+// StateFree runs here, on no state — it reads nothing its operator holds,
+// so the value need not travel there — and its return value completes the
+// frame below it in turn. The first parent that needs its entity is resumed
+// by an EvResume (possibly on another operator); once the stack is empty,
+// the root call is done and the value heads to the egress router.
 func (ex *Executor) complete(ctx *Context, req string, v interp.Value, hops int) ([]*Event, error) {
-	if ctx == nil || len(ctx.Stack) == 0 {
-		return []*Event{{Kind: EvResponse, Req: req, Value: v, Hops: hops}}, nil
+	for ctx != nil && len(ctx.Stack) > 0 {
+		parent := ctx.Top()
+		var b *ir.Block
+		if m := ex.prog.MethodOf(parent.Ref.Class, parent.Method); m != nil {
+			b = m.Block(parent.Block)
+		}
+		if b == nil || !b.StateFree {
+			return []*Event{{
+				Kind:   EvResume,
+				Req:    req,
+				Target: parent.Ref,
+				Value:  v,
+				Ctx:    ctx,
+				Hops:   hops + 1,
+			}}, nil
+		}
+		if parent.AssignTo != "" {
+			parent.Env.Set(parent.AssignTo, v)
+		}
+		res, err := ex.in.ExecBlock(parent.Ref.Class, parent.Ref.Key, b, parent.Env, nil)
+		if err != nil {
+			return ex.fail(popFrame(ctx), req, err.Error(), hops)
+		}
+		v = res.Value
+		if !res.Returned {
+			if v, err = ex.in.Eval(parent.Ref.Class, parent.Ref.Key, b.Term.(ir.Return).Value, parent.Env, nil); err != nil {
+				return ex.fail(popFrame(ctx), req, err.Error(), hops)
+			}
+		}
+		popFrame(ctx)
 	}
-	parent := ctx.Top()
-	return []*Event{{
-		Kind:   EvResume,
-		Req:    req,
-		Target: parent.Ref,
-		Value:  v,
-		Ctx:    ctx,
-		Hops:   hops + 1,
-	}}, nil
+	return []*Event{{Kind: EvResponse, Req: req, Value: v, Hops: hops}}, nil
 }
 
 // fail unwinds the whole context and reports the error to the client. The

@@ -38,6 +38,10 @@ class Driver:
     def mk(self, name: str) -> int:
         c: Counter = Counter(name)
         return c.bump(5)
+
+    def bump_named(self, c: Counter) -> str:
+        a: int = c.bump(1)
+        return self.name + str(a)
 `
 
 type memStore map[interp.EntityRef]interp.MapState
@@ -103,33 +107,49 @@ func drive(t *testing.T, ex *Executor, store memStore, ev *Event) (*Event, []Eve
 }
 
 func TestSuspendResumeCycle(t *testing.T) {
-	ex, store := newExec(t)
-	resp, kinds := drive(t, ex, store, &Event{
-		Kind:   EvInvoke,
-		Req:    "r1",
-		Target: interp.EntityRef{Class: "Driver", Key: "d"},
-		Method: "double_bump",
-		Args:   []interp.Value{interp.RefV("Counter", "c")},
-	})
-	if resp.Err != "" {
-		t.Fatalf("error: %s", resp.Err)
-	}
-	if resp.Value.I != 3 { // 1 + 2
-		t.Fatalf("value: %v", resp.Value)
-	}
-	// Event trace: invoke(driver) -> invoke(counter) -> resume(driver) ->
-	// invoke(counter) -> resume(driver) -> response.
-	want := []EventKind{EvInvoke, EvInvoke, EvResume, EvInvoke, EvResume, EvResponse}
-	if len(kinds) != len(want) {
-		t.Fatalf("trace: %v", kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("trace[%d]: %s want %s (%v)", i, kinds[i], want[i], kinds)
+	for _, tc := range []struct {
+		method string
+		value  string
+		// Event trace. double_bump's first continuation calls c again, so
+		// it resumes on the driver; its last, `return a + b`, reads no
+		// state and runs where the second bump returns. bump_named's
+		// continuation reads self.name, so it keeps its resume.
+		want []EventKind
+		hops int
+	}{
+		{"double_bump", "3", []EventKind{EvInvoke, EvInvoke, EvResume, EvInvoke, EvResponse}, 3},
+		{"bump_named", `"d1"`, []EventKind{EvInvoke, EvInvoke, EvResume, EvResponse}, 2},
+	} {
+		ex, store := newExec(t)
+		resp, kinds := drive(t, ex, store, &Event{
+			Kind:   EvInvoke,
+			Req:    "r1",
+			Target: interp.EntityRef{Class: "Driver", Key: "d"},
+			Method: tc.method,
+			Args:   []interp.Value{interp.RefV("Counter", "c")},
+		})
+		if resp.Err != "" {
+			t.Fatalf("%s: error: %s", tc.method, resp.Err)
+		}
+		if got := resp.Value.Repr(); got != tc.value {
+			t.Fatalf("%s: value %s, want %s", tc.method, got, tc.value)
+		}
+		if len(kinds) != len(tc.want) {
+			t.Fatalf("%s: trace %v, want %v", tc.method, kinds, tc.want)
+		}
+		for i := range tc.want {
+			if kinds[i] != tc.want[i] {
+				t.Fatalf("%s: trace[%d]: %s want %s (%v)", tc.method, i, kinds[i], tc.want[i], kinds)
+			}
+		}
+		if resp.Hops != tc.hops {
+			t.Fatalf("%s: hops %d, want %d", tc.method, resp.Hops, tc.hops)
 		}
 	}
 }
 
+// TestHopCounting counts only real transfers: double_bump's two calls and
+// the resume between them. Its in-place tail is not a hop.
 func TestHopCounting(t *testing.T) {
 	ex, store := newExec(t)
 	resp, _ := drive(t, ex, store, &Event{
@@ -139,7 +159,7 @@ func TestHopCounting(t *testing.T) {
 		Method: "double_bump",
 		Args:   []interp.Value{interp.RefV("Counter", "c")},
 	})
-	if resp.Hops != 4 {
+	if resp.Hops != 3 {
 		t.Fatalf("hops: %d", resp.Hops)
 	}
 }

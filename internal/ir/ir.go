@@ -71,6 +71,13 @@ type Block struct {
 	// LiveOut is the set of variables that must be carried to successor
 	// blocks; the runtime prunes the execution context to this set.
 	LiveOut []string `json:"live_out"`
+	// StateFree marks a continuation (an Invoke's resume block) that reads
+	// no entity state: it ends in a Return, and neither its statements nor
+	// its return value mention self or write a container. It needs nothing
+	// but its frame, so the runtime runs it where the call it waited on
+	// returns instead of sending the value back to the caller's operator
+	// (core.complete).
+	StateFree bool `json:"state_free,omitempty"`
 	// Stmts is the straight-line body, executed by the interpreter.
 	Stmts []ast.Stmt `json:"-"`
 	// Term describes how the block ends.
@@ -341,6 +348,9 @@ type Stats struct {
 	Blocks        int
 	Transitions   int
 	Edges         int
+	// InPlaceBlocks counts the StateFree continuations: resumes that never
+	// travel back to their caller's operator.
+	InPlaceBlocks int
 }
 
 // Stats computes summary statistics.
@@ -360,6 +370,11 @@ func (p *Program) Stats() Stats {
 			}
 			st.Blocks += len(m.Blocks)
 			st.Transitions += len(m.SM.Transitions)
+			for _, b := range m.Blocks {
+				if b.StateFree {
+					st.InPlaceBlocks++
+				}
+			}
 		}
 	}
 	return st

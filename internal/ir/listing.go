@@ -57,6 +57,9 @@ func (m *Method) Listing() string {
 		}
 		sb.WriteString(body)
 		fmt.Fprintf(&sb, "    # %s\n", TermString(b.Term))
+		if b.StateFree {
+			sb.WriteString("    # runs in place: reads no state\n")
+		}
 	}
 	return sb.String()
 }
@@ -66,8 +69,8 @@ func (m *Method) Listing() string {
 func (p *Program) Report() string {
 	var sb strings.Builder
 	st := p.Stats()
-	fmt.Fprintf(&sb, "program: %d operators, %d methods (%d split / %d simple), %d blocks, %d transitions, %d edges\n\n",
-		st.Operators, st.Methods, st.SplitMethods, st.SimpleMethods, st.Blocks, st.Transitions, st.Edges)
+	fmt.Fprintf(&sb, "program: %d operators, %d methods (%d split / %d simple), %d blocks (%d run in place), %d transitions, %d edges\n\n",
+		st.Operators, st.Methods, st.SplitMethods, st.SimpleMethods, st.Blocks, st.InPlaceBlocks, st.Transitions, st.Edges)
 	for _, name := range p.OperatorOrder {
 		op := p.Operators[name]
 		fmt.Fprintf(&sb, "operator %s (key: %s)\n", name, op.KeyAttr)
@@ -88,8 +91,14 @@ func (p *Program) Report() string {
 			if m.Transactional {
 				tx = ", @transactional"
 			}
-			fmt.Fprintf(&sb, "  method %s/%d -> %s (%s%s%s; %d blocks, %d transitions)\n",
-				mn, len(m.Params), m.Returns, kind, ro, tx, len(m.Blocks), len(m.SM.Transitions))
+			inPlace := ""
+			for _, b := range m.Blocks {
+				if b.StateFree {
+					inPlace += fmt.Sprintf(", %s runs in place", b.Name)
+				}
+			}
+			fmt.Fprintf(&sb, "  method %s/%d -> %s (%s%s%s; %d blocks, %d transitions%s)\n",
+				mn, len(m.Params), m.Returns, kind, ro, tx, len(m.Blocks), len(m.SM.Transitions), inPlace)
 		}
 		sb.WriteString("\n")
 	}

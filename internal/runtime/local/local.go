@@ -55,7 +55,8 @@ type Result struct {
 	Value interp.Value
 	Err   string
 	// Hops is the number of operator-to-operator event transfers the call
-	// chain needed (0 for a simple single-entity call).
+	// chain needed (0 for a simple single-entity call). A StateFree
+	// continuation runs where its call returned and is not a transfer.
 	Hops int
 }
 

@@ -22,7 +22,12 @@ type Costs struct {
 	BrokerPoll sim.Latency // broker -> consumer delivery (poll/batching delay)
 	RemoteFn   sim.Latency // Flink worker <-> remote function runtime
 
-	// CPU costs charged on workers per event.
+	// CPU costs charged on workers per event. An event may run several
+	// blocks of a split method — a Jump or Branch successor, or a StateFree
+	// continuation that core.complete runs where its call returned instead
+	// of resuming the caller's operator — and every block after its first
+	// is priced by the event's SplitOverhead alone: no second
+	// DeserializeCPU, ConstructCPU or ExecuteCPU.
 	RoutingCPU     time.Duration // ingress/egress routing + dispatch
 	DeserializeCPU time.Duration // event decode
 	ConstructCPU   time.Duration // entity object construction, fixed part

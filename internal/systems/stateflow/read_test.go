@@ -34,11 +34,14 @@ func inject(cluster *sim.Cluster, ingress string, req sysapi.Request) {
 
 // TestFastReadWaitsForTheChainsFinalDecide: four transfers into one payee
 // share an epoch; T1 commits in round 0 and T2, T3, T4 chain on the payee.
-// T2's release is held back from the payee's owner, so T2 is answered — its
-// depth level is complete — while that worker has not installed its
-// deposit, and the chain behind it cannot finish. A read of the payee sent
-// in that window must not see the store between two cuts: it waits at the
-// worker for the epoch's final decide and sees every member's deposit.
+// A transfer's `return True` reads no state, so T2's response leaves from
+// the payee's owner; its release to the payer's owner is held back, and so
+// is T3's chained event, which keeps the chain open. T2 is answered while
+// its payer's owner has installed round 0 but not T2's debit: the store
+// there is between two cuts. A read of the payer, stamped before the batch
+// decide (so the buffered gate lets it by) and delivered in that window,
+// must not run there: it waits for the epoch's final decide, like an event
+// of the epoch after it, and sees T2's debit.
 func TestFastReadWaitsForTheChainsFinalDecide(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EpochInterval = 50 * time.Millisecond
@@ -50,18 +53,32 @@ func TestFastReadWaitsForTheChainsFinalDecide(t *testing.T) {
 	client := &rawClient{}
 	cluster.Add("client", client)
 	cluster.Start()
-	payeeRef := interp.EntityRef{Class: "Account", Key: acct(9)}
-	payee := sys.workers[sys.OwnerIndex(payeeRef)]
-	if payee.id == sys.ownerOf(interp.EntityRef{Class: "Account", Key: acct(1)}) {
+	payerRef := interp.EntityRef{Class: "Account", Key: acct(1)}
+	payer := sys.workers[sys.OwnerIndex(payerRef)]
+	if payer.id == sys.ownerOf(interp.EntityRef{Class: "Account", Key: acct(9)}) {
 		t.Fatal("fixture: T2's payer and payee share a worker; its release would not travel")
 	}
 	for i := 0; i < 4; i++ {
 		cluster.Inject(time.Duration(i+1)*time.Millisecond, "client", sys.IngressID(), sysapi.MsgRequest{
 			Request: transferReq(fmt.Sprintf("t%d", i+1), acct(i), acct(9), 5), ReplyTo: "client"})
 	}
+	cluster.Inject(10*time.Millisecond, "client", sys.IngressID(), sysapi.MsgRequest{
+		Request: readReq("r", acct(1)), ReplyTo: "client"})
+	stamp := int64(-1)
 	cluster.SetPerturb(func(_, to string, _ time.Duration, msg sim.Message) sim.Perturb {
-		if m, ok := msg.(msgChainRelease); ok && m.TID == 2 && to == payee.id {
-			return sim.Perturb{Delay: 100 * time.Millisecond}
+		switch m := msg.(type) {
+		case msgChainRelease:
+			if m.TID == 2 && to == payer.id {
+				return sim.Perturb{Delay: 100 * time.Millisecond}
+			}
+		case msgTxnEvent:
+			if m.Round == readRound {
+				stamp = m.Epoch
+				return sim.Perturb{Delay: 80 * time.Millisecond}
+			}
+			if m.TID == 3 && m.Round > 0 {
+				return sim.Perturb{Delay: 100 * time.Millisecond}
+			}
 		}
 		return sim.Perturb{}
 	})
@@ -76,21 +93,27 @@ func TestFastReadWaitsForTheChainsFinalDecide(t *testing.T) {
 		cluster.RunUntil(cluster.Now() + 20*time.Microsecond)
 	}
 	c := sys.Coordinator()
-	row, _ := payee.committed.Lookup(payeeRef)
+	chained := payer.appliedEpoch + 1
+	row, _ := payer.committed.Lookup(payerRef)
 	bal, _ := row.Get("balance")
-	if ep := payee.epochs[payee.appliedEpoch+1]; c.FallbackChains != 1 || ep == nil || ep.plan == nil || bal.I != 105 {
-		t.Fatalf("chains %d, payee balance %v: T2 was not answered ahead of its install at the payee's owner",
+	if ep := payer.epochs[chained]; c.FallbackChains != 1 || ep == nil || ep.plan == nil || bal.I != 100 {
+		t.Fatalf("chains %d, payer balance %v: T2 was not answered ahead of its install at the payer's owner",
 			c.FallbackChains, bal)
 	}
-	inject(cluster, sys.IngressID(), readReq("r", acct(9)))
+	if stamp != chained {
+		t.Fatalf("the read was stamped %d, want %d (forwarded before the chained epoch's batch decide)", stamp, chained)
+	}
+	if _, ok := answered(client, "r"); ok {
+		t.Fatal("fixture: the read was answered before T2, outside the window")
+	}
 	cluster.RunUntil(cluster.Now() + time.Second)
 
 	r, ok := answered(client, "r")
 	if !ok {
 		t.Fatal("the read was never answered")
 	}
-	if r.Err != "" || r.Value.I != 120 {
-		t.Fatalf("read of the payee answered %v (err %q) after T2's response left, want 120", r.Value, r.Err)
+	if r.Err != "" || r.Value.I != 95 {
+		t.Fatalf("read of the payer answered %v (err %q) from between two cuts, want 95", r.Value, r.Err)
 	}
 	if c.FastReads != 1 {
 		t.Fatalf("FastReads = %d, want the one read", c.FastReads)
