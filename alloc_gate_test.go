@@ -13,10 +13,11 @@ import (
 )
 
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction, about
-// 10 % above what each run costs today (20.1 and 52.5; 20.3 and 55.5 while
-// every continuation resumed on its caller's operator, 21.2 and 61.4 while a
-// batch was validated by a prepare/vote wave, and the contended leg read 66.6
-// behind barrier rounds). The repository
+// 10 % above what each run costs today (18.5 and 45.3; 20.1 and 52.5 while
+// every epoch allocated its coordinator slot and worker epochs afresh, 20.3
+// and 55.5 while every continuation resumed on its caller's operator, 21.2
+// and 61.4 while a batch was validated by a prepare/vote wave, and the
+// contended leg read 66.6 behind barrier rounds). The repository
 // benchmark (benchmark/, a module `go test ./...` does not build) gates the
 // same quantity as host_allocs_per_txn on its ycsb_m and hot_t workloads;
 // this keeps a regression from waiting for a benchmark run. Lower them when
@@ -29,11 +30,11 @@ var allocGates = []struct {
 }{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.
-	{"ycsb_m", "M", "uniform", 2000, 22.0},
+	{"ycsb_m", "M", "uniform", 2000, 20.4},
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", "T", "zipfian", 300, 58.0},
+	{"hot_t", "T", "zipfian", 300, 50.0},
 }
 
 // TestAllocsPerTransaction prices one transaction on the simulated
@@ -73,6 +74,45 @@ func TestAllocsPerTransaction(t *testing.T) {
 			t.Errorf("%s: %.2f allocations per transaction, ceiling %.1f: the request path grew a per-transaction allocation",
 				g.name, perTxn, g.ceiling)
 		}
+	}
+}
+
+// epochGate is TestAllocsPerEpoch's ceiling, about 10 % above what an epoch
+// costs today (55.8; 66.8 while every epoch allocated its coordinator slot,
+// round-0 order, ack set, worker epochs and workspace maps afresh).
+const epochGate = 61.0
+
+// TestAllocsPerEpoch prices one epoch in heap allocations: transfers on
+// uniform keys arriving at 50 a second against the 5 ms epoch timer, so a
+// closed batch holds little more than one transaction and the fixed cost of
+// an epoch — the coordinator's slot, its decide and acks, the worker epochs
+// the batch reaches — is a large part of the total. Two runs of the same
+// seeded stream, one three times as long, are differenced as in
+// TestAllocsPerTransaction and divided by the epochs closed in between.
+func TestAllocsPerEpoch(t *testing.T) {
+	run := func(d time.Duration) (mallocs uint64, epochs int) {
+		opt := bench.DefaultOptions()
+		opt.Duration, opt.WarmUp = d, 0
+		opt.Epoch = 5 * time.Millisecond
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		pt, err := bench.RunPointFor("stateflow", "T", "uniform", 50, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Errors != 0 || pt.Epochs == 0 {
+			t.Fatalf("run of %s: %d epochs, %d errors", d, pt.Epochs, pt.Errors)
+		}
+		return after.Mallocs - before.Mallocs, pt.Epochs
+	}
+	shortAllocs, shortEpochs := run(10 * time.Second)
+	longAllocs, longEpochs := run(30 * time.Second)
+	perEpoch := float64(longAllocs-shortAllocs) / float64(longEpochs-shortEpochs)
+	t.Logf("%.2f allocations per epoch (%d epochs)", perEpoch, longEpochs-shortEpochs)
+	if perEpoch > epochGate {
+		t.Errorf("%.2f allocations per epoch, ceiling %.1f: an epoch grew a fixed allocation", perEpoch, epochGate)
 	}
 }
 

@@ -68,6 +68,7 @@ type RunPoint struct {
 	Errors         int
 	Aborts         int // StateFlow only: Aria conflict aborts
 	Commits        int // StateFlow only
+	Epochs         int // StateFlow only: batches closed
 	Done           int
 }
 
@@ -92,6 +93,7 @@ func runOne(system string, configure func(*stateflow.Config), mix ycsb.Mix, dist
 		for _, sh := range h.SF.Shards() {
 			pt.Aborts += sh.Coordinator().Aborts
 			pt.Commits += sh.Coordinator().Commits
+			pt.Epochs += sh.Coordinator().EpochsClosed
 		}
 	}
 	return pt, nil

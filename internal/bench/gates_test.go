@@ -16,19 +16,19 @@ const (
 	// 1. The fallback drains a k-transfer conflict chain in one batch.
 	minCommitsPerBatch = 32.0 // today 32.00: 256 commits in 8 batches
 	// 2. Fallback on / off client latency ratio on that chain.
-	maxFallbackP50Ratio = 0.110  // today 0.0956 (82.61 / 863.67 ms)
-	maxFallbackP99Ratio = 0.0703 // today 0.0611 (113.52 / 1857.79 ms)
+	maxFallbackP50Ratio = 0.110  // today 0.0696 (61.95 / 889.61 ms)
+	maxFallbackP99Ratio = 0.0703 // today 0.0413 (72.58 / 1758.27 ms)
 	// 3. The fallback changes when a transaction commits, never whether.
 	contentionCommits = contentionWaves * contentionChain // 256
 	// 4. Pipelined epochs share group-commit fsyncs. The merge floor is the
 	// binding one of three: as an on/off syncs-per-commit ratio it reads
-	// <= 0.667, inside both "today's 0.6417 + 15 % = 0.738" and "< 1".
-	minSyncMerge    = 1.5  // serial / pipelined syncs per commit, today 1.56x
-	maxPipelinedP50 = 1.15 // x the serial p50; today 10.80 vs 12.19 ms
+	// <= 0.667, inside both "today's 0.593 + 15 % = 0.682" and "< 1".
+	minSyncMerge    = 1.5  // serial / pipelined syncs per commit, today 1.69x (901/5108 vs 537/5133)
+	maxPipelinedP50 = 1.15 // x the serial p50; today 3.88 vs 3.92 ms
 	// 5. Four coordinator groups against one on the sharded mix.
-	minShardScaling = 2.5 // today 3.05x (12,307 / 4,030 txn per virtual second)
+	minShardScaling = 2.5 // today 4.58x (18,090 / 3,954 txn per virtual second)
 	// 6. Untouched-shard throughput, scoped fences against fence-everything.
-	minScopedWin = 1.05 // today 1.24x (6,799 / 5,505 updates per virtual second)
+	minScopedWin = 1.05 // today 1.35x (6,593 / 4,898 updates per virtual second)
 )
 
 // gateOptions are the parameters the floors were read at: seed 1, 10 ms

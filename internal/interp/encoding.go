@@ -26,6 +26,11 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // Row.EncodedSize) pays one allocation instead of append's doubling.
 func NewEncoderSize(n int) *Encoder { return &Encoder{buf: make([]byte, 0, n)} }
 
+// NewEncoderInto returns an empty encoder that appends into buf's storage,
+// overwriting its contents: a caller recycling a buffer it no longer reads
+// pays no allocation while the output fits.
+func NewEncoderInto(buf []byte) *Encoder { return &Encoder{buf: buf[:0]} }
+
 // Reset empties the encoder, keeping its buffer for reuse. Slices
 // returned by Bytes before the reset are overwritten by later appends.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }

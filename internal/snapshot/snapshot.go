@@ -4,6 +4,12 @@
 // as the Chandy-Lamport alignment point) persisted to a durable store,
 // together with the replayable-source offsets needed to roll forward after
 // recovery.
+//
+// Images are the bulk of a deployment's snapshot cost, so their storage is
+// recycled: when Compact retires an image whose worker a begun snapshot
+// still awaits, it keeps the image as that worker's spare, and the worker's
+// next WriteStore encodes into the spare when it is large enough. A byte
+// slice Read returns is therefore valid only until its snapshot retires.
 package snapshot
 
 import (
@@ -40,21 +46,24 @@ type Meta struct {
 }
 
 // Store is the durable snapshot repository (standing in for the DFS/object
-// store a production deployment would use). It retains every snapshot so
-// tests can restore arbitrary points.
+// store a production deployment would use). It retains every snapshot until
+// Compact retires it, so tests can restore arbitrary points.
 type Store struct {
 	mu      sync.Mutex
 	nextID  int64
 	metas   []Meta
 	images  map[int64]map[string][]byte // snapshot id -> worker id -> encoded state
 	layouts *ir.Layouts                 // class layouts for restored state rows
+	// spares holds, per worker, the storage of an image Compact retired,
+	// for the worker's next WriteStore to encode into.
+	spares map[string][]byte
 }
 
 // NewStore returns an empty snapshot store. The class-layout registry is
 // used to lay out restored state rows; nil is allowed (restored rows fall
 // back to name-keyed maps).
 func NewStore(layouts *ir.Layouts) *Store {
-	return &Store{images: map[int64]map[string][]byte{}, layouts: layouts}
+	return &Store{images: map[int64]map[string][]byte{}, layouts: layouts, spares: map[string][]byte{}}
 }
 
 // Begin allocates a snapshot id for an epoch.
@@ -90,11 +99,18 @@ func (s *Store) Write(id int64, worker string, image []byte) error {
 
 // WriteStore is Write for a worker that still holds its state as a store:
 // the image is encoded once, straight into the buffer the snapshot keeps,
-// instead of being built by the caller and copied here. First-write-wins
-// is checked before anything is encoded, so a duplicate costs nothing. It
-// returns the length of the worker's image in the snapshot.
+// instead of being built by the caller and copied here. That buffer is the
+// worker's spare — the storage of its image Compact last retired — when the
+// spare can hold the image, and a fresh one sized to it otherwise; either
+// way the spare is used up. First-write-wins is checked before anything is
+// encoded, so a duplicate costs nothing. It returns the length of the
+// worker's image in the snapshot.
 func (s *Store) WriteStore(id int64, worker string, st *state.Store) (n int, err error) {
-	return s.write(id, worker, st.Encode)
+	return s.write(id, worker, func() []byte {
+		spare := s.spares[worker]
+		delete(s.spares, worker)
+		return st.EncodeInto(spare)
+	})
 }
 
 // write installs the image build returns — a buffer the store may keep —
@@ -148,7 +164,10 @@ func (s *Store) Get(id int64) (Meta, bool) {
 	return Meta{}, false
 }
 
-// Read fetches a worker's image from a snapshot.
+// Read fetches a worker's image from a snapshot. The bytes are the store's
+// own and stay valid until the snapshot retires: Compact hands them to the
+// worker's next WriteStore, so a caller that keeps an image past that must
+// copy it.
 func (s *Store) Read(id int64, worker string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,9 +180,18 @@ func (s *Store) Read(id int64, worker string) ([]byte, bool) {
 }
 
 // RestoreStore decodes a worker's image into a state store. A worker with
-// no image in the snapshot (it held no state yet) restores to empty.
+// no image in the snapshot (it held no state yet) restores to empty; a
+// snapshot the store does not hold (never begun, or retired) is an error.
+// The decoder copies what it keeps, so the restored store shares nothing
+// with the image.
 func (s *Store) RestoreStore(id int64, worker string) (*state.Store, error) {
-	img, ok := s.Read(id, worker)
+	s.mu.Lock()
+	defer s.mu.Unlock() // decoded under the lock: a Compact could hand img to a writer
+	imgs, held := s.images[id]
+	if !held {
+		return nil, fmt.Errorf("snapshot: unknown snapshot %d", id)
+	}
+	img, ok := imgs[worker]
 	if !ok {
 		return state.NewStore(s.layouts), nil
 	}
@@ -206,6 +234,13 @@ func (s *Store) Retained() int {
 // complete snapshot, so compaction never removes a restore target; it
 // bounds the store the way log compaction bounds the dlog. keep <= 0 is
 // a no-op. It returns the number of snapshots retired.
+//
+// A retired image becomes its worker's spare (the largest, when several of
+// one worker's retire) only while a held snapshot still awaits that
+// worker's image: its WriteStore is the spare's one taker. A deployment
+// that compacts right after a snapshot begins thus has the snapshot write
+// into the images that retire, and one that compacts after a seal keeps
+// nothing idling between snapshots.
 func (s *Store) Compact(keep int) int {
 	if keep <= 0 {
 		return 0
@@ -228,16 +263,31 @@ func (s *Store) Compact(keep int) int {
 	if cutoff < 0 {
 		return 0 // fewer complete snapshots than the budget: keep all
 	}
-	kept := s.metas[:0]
+	// metas are in id order, so the retired ones are a prefix.
 	retired := 0
-	for _, m := range s.metas {
-		if m.ID < cutoff {
-			delete(s.images, m.ID)
-			retired++
-			continue
-		}
-		kept = append(kept, m)
+	for retired < len(s.metas) && s.metas[retired].ID < cutoff {
+		retired++
 	}
-	s.metas = kept
+	for _, m := range s.metas[:retired] {
+		for w, img := range s.images[m.ID] {
+			if cap(img) > cap(s.spares[w]) && s.awaits(retired, w) {
+				s.spares[w] = img
+			}
+		}
+		delete(s.images, m.ID)
+	}
+	s.metas = append(s.metas[:0], s.metas[retired:]...)
 	return retired
+}
+
+// awaits reports whether a snapshot from metas[from] on is begun and
+// incomplete without worker's image.
+func (s *Store) awaits(from int, worker string) bool {
+	for _, m := range s.metas[from:] {
+		imgs := s.images[m.ID]
+		if _, written := imgs[worker]; !written && len(imgs) < m.Expected {
+			return true
+		}
+	}
+	return false
 }

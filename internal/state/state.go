@@ -3,9 +3,10 @@
 // snapshots and size accounting for the cost model of the system-overhead
 // experiment (§4). Entities are stored as dense slot-indexed rows
 // (interp.Row) laid out by the compiler's per-class attribute layouts.
-// Encode builds a store image in one presized buffer, each row encoded
-// straight into it; EncodedSize and TotalEncodedSize serialize nothing at
-// all — a row computes its encoded length with a size-only walk.
+// Encode builds a store image in one presized buffer (EncodeInto: in a
+// recycled one), each row encoded straight into it; EncodedSize and
+// TotalEncodedSize serialize nothing at all — a row computes its encoded
+// length with a size-only walk.
 package state
 
 import (
@@ -131,14 +132,24 @@ func (s *Store) EncodedSize(ref interp.EntityRef) int {
 // clean row's cached bytes are copied in, a dirty row is walked — and none
 // is left with a cached encoding it did not have: the image is the only
 // copy of the bytes Encode allocates.
-func (s *Store) Encode() []byte {
+func (s *Store) Encode() []byte { return s.EncodeInto(nil) }
+
+// EncodeInto is Encode into spare's storage when its capacity holds the
+// image — overwriting whatever spare held — and into a fresh buffer sized
+// for exactly the image otherwise. The bytes are Encode's either way.
+func (s *Store) EncodeInto(spare []byte) []byte {
 	refs := s.Refs()
 	size := interp.ValueSize(interp.IntV(int64(len(refs))))
 	for _, ref := range refs {
 		size += interp.ValueSize(interp.StrV(ref.Class)) + interp.ValueSize(interp.StrV(ref.Key)) +
 			s.m[ref].EncodedSize()
 	}
-	e := interp.NewEncoderSize(size)
+	var e *interp.Encoder
+	if cap(spare) >= size {
+		e = interp.NewEncoderInto(spare)
+	} else {
+		e = interp.NewEncoderSize(size)
+	}
 	e.Value(interp.IntV(int64(len(refs))))
 	for _, ref := range refs {
 		e.Value(interp.StrV(ref.Class))

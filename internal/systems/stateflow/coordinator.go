@@ -75,9 +75,13 @@ type Coordinator struct {
 	// Serial schedule: at most one is non-nil at a time (exec moves into
 	// commit and a new exec opens only when commit settles). Pipelined
 	// schedule: both run concurrently. recovering parks both slots while a
-	// rollback is in flight.
+	// rollback is in flight. spare is the slot releaseCommit freed last: the
+	// next openEpoch resets and reuses it, so an epoch allocates no slot. A
+	// slot Recover discards is dropped instead — nothing routes to a slot
+	// by pointer, only by epoch (stageFor).
 	exec       *epochState
 	commit     *epochState
+	spare      *epochState
 	recovering bool
 
 	// Pending requests not yet assigned (arrivals during commit phases and
@@ -498,13 +502,14 @@ func (c *Coordinator) replayDrained(ctx *sim.Context, st *epochState) {
 	c.serveHeld(ctx)
 }
 
-// releaseCommit frees the commit slot. Serial schedule: the next epoch
+// releaseCommit frees the commit slot — the slot's last use: it becomes the
+// spare the next openEpoch reuses. Serial schedule: the next epoch
 // opens now. Pipelined: the next epoch is already open in the exec slot —
 // if its batch closed while the slot was busy, it promotes immediately
 // (the backpressure case); otherwise it keeps executing and promotes on
 // its own completion.
 func (c *Coordinator) releaseCommit(ctx *sim.Context) {
-	c.commit = nil
+	c.spare, c.commit = c.commit, nil
 	if c.exec == nil {
 		c.openEpoch(ctx)
 		return
@@ -594,6 +599,17 @@ func (c *Coordinator) startSnapshot(ctx *sim.Context, st *epochState) {
 	}
 	c.snapshotID = c.sys.Snapshots.BeginWithPending(st.epoch, offsets,
 		map[string][]int64{sourceTopic: pendingPos}, len(c.sys.workerIDs))
+	// Retiring the oldest restore point now rather than after this
+	// snapshot's seal lets the workers encode into the images that retire:
+	// Compact keeps them for the snapshot that awaits them. Only when the
+	// newest complete snapshot is the sealed one, which the retirement
+	// keeps: a snapshot completed by a coordinator that crashed before
+	// sealing it would otherwise outrank the restore point.
+	if retain := c.sys.cfg.SnapshotRetain; retain >= 2 {
+		if latest, ok := c.sys.Snapshots.Latest(); ok && latest.ID == c.sealed {
+			c.sys.Snapshots.Compact(retain - 1)
+		}
+	}
 	c.tap.snapshot(c.snapshotID)
 	// The cut's virtual time: this epoch's last response was staged in
 	// this same event (finishBatch runs inside the final apply), so every
@@ -619,7 +635,8 @@ func (c *Coordinator) onSnapshotDone(ctx *sim.Context, from string, m msgSnapsho
 // writeCheckpoint seals the just-completed snapshot: the journal folds
 // itself and the coordinator's marks into a log checkpoint (pruning dedup
 // state below the snapshot's source offset and releasing the snapshot
-// epoch's staged responses), then old snapshots retire.
+// epoch's staged responses). With SnapshotRetain 1 the older snapshots
+// retire now; a larger budget retires them when the next one begins.
 func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 	offset := int64(0)
 	if meta, ok := c.sys.Snapshots.Get(c.snapshotID); ok {
@@ -628,15 +645,16 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 	c.sealed, c.sealedCut = c.snapshotID, c.snapCut
 	c.journal.checkpoint(ctx, marks{epoch: c.epoch, nextTID: c.nextTID,
 		sealed: c.sealed, sealedCut: c.sealedCut, fenceDone: c.fenceDone}, offset)
-	if retain := c.sys.cfg.SnapshotRetain; retain > 0 {
-		c.sys.Snapshots.Compact(retain)
+	if c.sys.cfg.SnapshotRetain == 1 {
+		c.sys.Snapshots.Compact(1)
 	}
 }
 
 // openEpoch advances the epoch (durably — blocking on the serial
 // schedule, riding the commit epoch's group commit on the pipelined one),
-// installs a fresh exec slot, drains buffered retries and arrivals up to
-// the batch cap, and arms the epoch timer.
+// installs an exec slot (the reset spare, when there is one), drains
+// buffered retries and arrivals up to the batch cap, and arms the epoch
+// timer.
 func (c *Coordinator) openEpoch(ctx *sim.Context) {
 	c.epoch++
 	c.journal.advance(ctx, c.epoch, c.sys.cfg.DisablePipelining)
@@ -646,7 +664,12 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 		tr.Instant(c.sys.coordID, "epoch", "epoch.advance", ctx.Now(),
 			"epoch", strconv.FormatInt(c.epoch, 10))
 	}
-	st := &epochState{epoch: c.epoch, phase: phaseOpen}
+	st := c.spare
+	if st == nil {
+		st = &epochState{}
+	}
+	c.spare = nil
+	st.reset(c.epoch)
 	c.exec = st
 	// The binding replay queue preempts everything: released responses
 	// constrain what the rebuilt state must look like, so their

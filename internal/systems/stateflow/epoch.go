@@ -104,7 +104,9 @@ func (a *ackSet) add(from string, n int) (fresh, done bool) {
 // the fallback chain and apply. The epoch number is the demultiplexing key —
 // worker messages carry it, and stageFor routes them to the slot they
 // belong to — so two epochs can be in flight without their acks or finishes
-// contaminating each other.
+// contaminating each other. A slot lives from openEpoch to releaseCommit;
+// the released slot is the coordinator's spare, which the next openEpoch
+// resets and reuses for the epoch it opens, keeping its backing stores.
 type epochState struct {
 	epoch int64
 	phase phase
@@ -142,7 +144,9 @@ type epochState struct {
 
 	// round is the round in flight — 0: the batch's first execution, 1: the
 	// chain — and order its members in TID order (round 0: the whole batch,
-	// set at close). acks is the apply in flight's worker answers.
+	// set at close; the chain: a copy of its plan's members, so the slot's
+	// storage is never the plan's). acks is the apply in flight's worker
+	// answers.
 	round int
 	order []aria.TID
 	acks  ackSet
@@ -200,11 +204,21 @@ func (st *epochState) add(tid aria.TID, p pendingReq) *txnState {
 	return t
 }
 
+// reset readies a released slot for epoch: every field starts over, and the
+// batch, round 0's order and the ack set keep their backing stores, emptied
+// (no member of the released batch stays reachable from the slot).
+func (st *epochState) reset(epoch int64) {
+	txns, order, acks := st.txns, st.order, st.acks
+	clear(txns)
+	clear(acks)
+	*st = epochState{epoch: epoch, phase: phaseOpen, txns: txns[:0], order: order[:0], acks: acks}
+}
+
 // close fixes the batch: round 0's order is every member, in TID order.
 func (st *epochState) close() {
-	st.order = make([]aria.TID, len(st.txns))
-	for i := range st.order {
-		st.order[i] = st.first + aria.TID(i)
+	st.order = st.order[:0]
+	for i := range st.txns {
+		st.order = append(st.order, st.first+aria.TID(i))
 	}
 }
 
@@ -302,11 +316,14 @@ func (st *epochState) decision() msgDecide {
 		}
 	}
 	// Order is the workers' copy: receivers only read it, and the slot's own
-	// order slice stays private to the coordinator. (The chain's order is the
-	// plan's member list, which the workers hold already.)
-	m := msgDecide{Epoch: st.epoch, Round: st.round, Order: st.order, Aborts: aborts,
+	// order slice stays private to the coordinator, which reuses it for a
+	// later epoch. (The chain's order is the plan's member list, which the
+	// workers hold already.)
+	m := msgDecide{Epoch: st.epoch, Round: st.round, Aborts: aborts,
 		Final: st.chained() || st.chain == nil}
-	if !st.chained() {
+	if st.chained() {
+		m.Order = st.chain.Plan.Members
+	} else {
 		m.Order = slices.Clone(st.order)
 		if !m.Final {
 			m.Chain = st.chain.Plan // the batch decide announces the chain
@@ -729,7 +746,7 @@ func (c *Coordinator) retryOrFail(ctx *sim.Context, t *txnState) {
 // its depth.
 func (c *Coordinator) startChain(ctx *sim.Context, st *epochState) {
 	plan := st.chain.Plan
-	st.round, st.order, st.unfinished = 1, plan.Members, len(plan.Members)
+	st.round, st.order, st.unfinished = 1, append(st.order[:0], plan.Members...), len(plan.Members)
 	if plan.Depth > 1 {
 		st.levelLeft = make([]int32, plan.Depth+1)
 		for m := range plan.Members {

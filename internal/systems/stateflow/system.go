@@ -58,8 +58,12 @@ type Config struct {
 	// dlog checkpoint. It is the dedup window: a client retry or wire
 	// duplicate older than this may be re-executed. 0: keep forever.
 	DedupRetention time.Duration
-	// SnapshotRetain keeps only the newest N snapshots at each dlog
-	// checkpoint, bounding the snapshot store like the log. 0: keep all.
+	// SnapshotRetain keeps only the newest N complete snapshots, bounding
+	// the snapshot store like the log. 0: keep all. With 1 the older ones
+	// retire at the dlog checkpoint that seals a snapshot. With N >= 2 the
+	// oldest retires when the next snapshot begins (N-1 are left, the sealed
+	// restore point among them) and each worker encodes its new image into
+	// the storage of its retired one (snapshot.Store.Compact).
 	SnapshotRetain int
 	// DisableFallback turns off Aria's deterministic fallback phase.
 	// With the fallback on (the default), conflict-aborted transactions

@@ -34,7 +34,9 @@ import (
 // decide/event from the finished batch round must be dropped — a stale
 // decide would otherwise wipe the chain's in-flight workspaces. A worker the
 // batch never reached has none: it settles the epoch without one (see
-// reached).
+// reached). An epoch's final decide retires its entry to the worker's free
+// list, and liveEpoch reuses it — workspace map included — for a later
+// epoch.
 type workerEpoch struct {
 	workspaces map[aria.TID]*aria.Workspace
 	round      int
@@ -81,8 +83,9 @@ type Worker struct {
 	committed *state.Store
 
 	// epochs holds per-epoch execution state, keyed by the coordination
-	// epoch; an epoch's entry is dropped when its final decide applies.
+	// epoch; an epoch's entry moves to free when its final decide applies.
 	epochs map[int64]*workerEpoch
+	free   []*workerEpoch
 	// appliedEpoch is the newest epoch whose final decide this worker
 	// installed (-1: nothing yet). It is both the staleness guard
 	// (messages at or below it belong to a settled or discarded world)
@@ -135,10 +138,28 @@ func workerID(prefix string, idx int) string { return fmt.Sprintf("%sworker-%d",
 func (w *Worker) liveEpoch(epoch int64, round int) *workerEpoch {
 	ep, stale := w.reached(epoch, round)
 	if ep == nil && !stale {
-		ep = &workerEpoch{round: round}
+		if n := len(w.free); n > 0 {
+			ep, w.free = w.free[n-1], w.free[:n-1]
+		} else {
+			ep = &workerEpoch{}
+		}
+		ep.round = round
 		w.epochs[epoch] = ep
 	}
 	return ep
+}
+
+// retire moves a settled epoch's state to the free list, emptied: its
+// workspaces are installed or dropped, and its chain — parked events
+// included — is over.
+func (w *Worker) retire(epoch int64) {
+	ep := w.epochs[epoch]
+	delete(w.epochs, epoch)
+	if ep != nil {
+		clear(ep.workspaces)
+		ep.round, ep.plan, ep.chain = 0, nil, nil
+		w.free = append(w.free, ep)
+	}
 }
 
 // reached is liveEpoch for the messages every worker gets, reached by the
@@ -512,13 +533,14 @@ func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
 		w.installApply(ctx, m.Apply)
 	}
 	if m.Final {
-		delete(w.epochs, m.Epoch)
+		w.retire(m.Epoch)
 		w.appliedEpoch = m.Epoch
 	} else {
 		// Made here if no event of the batch ran on this worker: the chain's
 		// events may, and they must find its plan.
 		ep = w.liveEpoch(m.Epoch, m.Round)
-		ep.workspaces, ep.plan = nil, m.Chain
+		clear(ep.workspaces)
+		ep.plan = m.Chain
 	}
 	ctx.Send(w.sys.coordID, msgApplied{Epoch: m.Epoch, Round: m.Round},
 		w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
