@@ -10,6 +10,7 @@ import (
 
 	adversarial "statefulentities.dev/stateflow/internal/chaos/workload"
 	"statefulentities.dev/stateflow/internal/compiler"
+	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/workload/tpcc"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
@@ -44,14 +45,19 @@ func exampleSources(t testing.TB) []string {
 	return out
 }
 
+// corpus returns every DSL program shipped in the tree: the examples'
+// sources, YCSB, TPC-C and the adversarial chaos program.
+func corpus(t testing.TB) []string {
+	return append(exampleSources(t), ycsb.Program(), tpcc.Program(), adversarial.Program())
+}
+
 // FuzzCompile feeds arbitrary text to the one parser in this repository
 // that takes what a user typed: lexer, parser, type checker, function
 // splitting and layout assignment must hand back a program or an error,
 // whatever the text. The corpus is every DSL source in the tree, so the
 // seed run (part of go test) also checks that each of them still compiles.
 func FuzzCompile(f *testing.F) {
-	seeds := append(exampleSources(f), ycsb.Program(), tpcc.Program(), adversarial.Program())
-	for _, src := range seeds {
+	for _, src := range corpus(f) {
 		if _, err := compiler.Compile(src); err != nil {
 			f.Fatalf("a program shipped in the tree does not compile: %v", err)
 		}
@@ -68,5 +74,47 @@ func FuzzCompile(f *testing.F) {
 		if ls := prog.Layouts(); len(ls.ByID) != len(prog.Operators) {
 			t.Fatalf("%d layouts for %d operators", len(ls.ByID), len(prog.Operators))
 		}
+		checkEffects(t, prog)
 	})
+}
+
+// checkEffects asserts how the derived bits compose: a simple method is one
+// block that returns and is ref-closed; a read-only or ref-closed caller
+// only invokes methods that are too; and only a continuation that returns
+// runs in place.
+func checkEffects(t *testing.T, prog *ir.Program) {
+	for _, cn := range prog.OperatorOrder {
+		for _, mn := range prog.Operators[cn].MethodOrder {
+			m := prog.MethodOf(cn, mn)
+			closed := prog.RefClosed(cn, mn)
+			if m.Simple {
+				if _, ret := m.Blocks[0].Term.(ir.Return); len(m.Blocks) != 1 || !ret || !closed {
+					t.Fatalf("simple %s.%s: %d blocks, ends in return %v, ref-closed %v", cn, mn, len(m.Blocks), ret, closed)
+				}
+			}
+			resumes := map[ir.BlockID]bool{}
+			for _, b := range m.Blocks {
+				inv, ok := b.Term.(ir.Invoke)
+				if !ok {
+					continue
+				}
+				resumes[inv.To] = true
+				if inv.Recv == nil {
+					continue
+				}
+				callee := prog.MethodOf(inv.Class, inv.Method)
+				if m.ReadOnly && !callee.ReadOnly {
+					t.Fatalf("read-only %s.%s invokes %s.%s, which writes", cn, mn, inv.Class, inv.Method)
+				}
+				if closed && !prog.RefClosed(inv.Class, inv.Method) {
+					t.Fatalf("ref-closed %s.%s invokes %s.%s, which is not", cn, mn, inv.Class, inv.Method)
+				}
+			}
+			for _, b := range m.Blocks {
+				if _, ret := b.Term.(ir.Return); b.StateFree && (!resumes[b.ID] || !ret) {
+					t.Fatalf("%s.%s: %s runs in place but is not a continuation that returns", cn, mn, b.Name)
+				}
+			}
+		}
+	}
 }

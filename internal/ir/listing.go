@@ -83,6 +83,9 @@ func (p *Program) Report() string {
 			if m.Simple {
 				kind = "simple"
 			}
+			if p.RefClosed(name, mn) {
+				kind += ", ref-closed"
+			}
 			ro := ""
 			if m.ReadOnly {
 				ro = ", read-only"
