@@ -19,7 +19,7 @@
 //     decides which of two target cells gets written — the write set is
 //     data-dependent, and the two candidates travel inside a list
 //     argument, so the request does not give the footprint either
-//     (ir.Program.RefClosed): a conflict-aborted route queues in
+//     (ir.Method.RefClosed): a conflict-aborted route queues in
 //     StateFlow's fallback chain on what its first execution observed, and
 //     a re-execution that picks the other candidate drifts — the drift the
 //     chain's one rule must catch. Sharded, the unnamed candidate is what

@@ -52,164 +52,24 @@ func CompileChecked(info *types.Info) (*ir.Program, error) {
 				"class %s is not an entity; annotate it with @entity to compile it into a dataflow operator", name)}
 		}
 	}
-	needs := computeNeedsSplit(info)
-	ro := computeReadOnly(info)
-
+	sums := summarise(info)
 	prog := &ir.Program{Operators: map[string]*ir.Operator{}}
 	for _, name := range info.Order {
 		cls := info.Classes[name]
-		op, err := compileClass(info, needs, ro, cls)
+		op, err := compileClass(info, sums, cls)
 		if err != nil {
 			return nil, err
 		}
 		prog.Operators[name] = op
 		prog.OperatorOrder = append(prog.OperatorOrder, name)
 	}
+	markSplitBits(info, prog)
 	prog.Edges = buildEdges(prog)
 	computeLayouts(prog)
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	return prog, nil
-}
-
-// computeNeedsSplit decides, transitively, which methods must be split: a
-// method needs splitting if it contains a call that leaves the operator
-// (remote call or constructor) or a self-call to a method that needs
-// splitting. Terminates because recursion is rejected by the checker.
-func computeNeedsSplit(info *types.Info) map[string]bool {
-	needs := map[string]bool{}
-	selfCalls := map[string][]string{} // qualified -> self-callee qualified
-	for _, cn := range info.Order {
-		cls := info.Classes[cn]
-		for _, mn := range cls.MethodOrder {
-			m := cls.Methods[mn]
-			q := m.QName()
-			ast.WalkStmts(m.Def.Body, func(s ast.Stmt) {
-				for _, e := range ast.ExprsOf(s) {
-					ast.WalkExpr(e, func(x ast.Expr) bool {
-						call, ok := x.(*ast.Call)
-						if !ok {
-							return true
-						}
-						tgt, resolved := info.Calls[call]
-						if !resolved {
-							return true
-						}
-						if tgt.Ctor || tgt.Remote {
-							needs[q] = true
-						} else {
-							selfCalls[q] = append(selfCalls[q], tgt.Class+"."+tgt.Method)
-						}
-						return true
-					})
-				}
-			})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for q, callees := range selfCalls {
-			if needs[q] {
-				continue
-			}
-			for _, c := range callees {
-				if needs[c] {
-					needs[q] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return needs
-}
-
-// mutators are the container methods that change their receiver in place.
-// The language has only list append and pop today; the rest are listed so
-// the read-only rule stays sound if the type checker grows them.
-var mutators = map[string]bool{
-	"append": true, "pop": true, "extend": true, "insert": true, "remove": true,
-	"clear": true, "update": true, "setdefault": true, "popitem": true,
-	"sort": true, "reverse": true,
-}
-
-// computeReadOnly decides, transitively, which methods never write entity
-// state. The StateFlow runtime serves a read-only simple method outside the
-// epochs, so the rule must be sound, and it is conservative: a method
-// writes if it assigns a self attribute or any subscript, calls a container
-// mutator on any receiver (a local may alias a state container), constructs
-// an entity, or calls a method (locally or remotely) that writes.
-func computeReadOnly(info *types.Info) map[string]bool {
-	writes := map[string]bool{}
-	calls := map[string][]string{}
-	for _, cn := range info.Order {
-		cls := info.Classes[cn]
-		for _, mn := range cls.MethodOrder {
-			m := cls.Methods[mn]
-			q := m.QName()
-			ast.WalkStmts(m.Def.Body, func(s ast.Stmt) {
-				var target ast.Expr
-				switch st := s.(type) {
-				case *ast.AssignStmt:
-					target = st.Target
-				case *ast.AugAssignStmt:
-					target = st.Target
-				}
-				switch t := target.(type) {
-				case *ast.Attr:
-					if _, isSelf := t.Recv.(*ast.SelfRef); isSelf {
-						writes[q] = true
-					}
-				case *ast.Index:
-					writes[q] = true
-				}
-				for _, e := range ast.ExprsOf(s) {
-					ast.WalkExpr(e, func(x ast.Expr) bool {
-						call, ok := x.(*ast.Call)
-						if !ok {
-							return true
-						}
-						switch tgt, resolved := info.Calls[call]; {
-						case !resolved:
-							if call.Recv != nil && mutators[call.Func] {
-								writes[q] = true
-							}
-						case tgt.Ctor:
-							writes[q] = true // creates state
-						default:
-							calls[q] = append(calls[q], tgt.Class+"."+tgt.Method)
-						}
-						return true
-					})
-				}
-			})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for q, callees := range calls {
-			if writes[q] {
-				continue
-			}
-			for _, c := range callees {
-				if writes[c] {
-					writes[q] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	ro := map[string]bool{}
-	for _, cn := range info.Order {
-		cls := info.Classes[cn]
-		for _, mn := range cls.MethodOrder {
-			q := cls.Methods[mn].QName()
-			ro[q] = !writes[q]
-		}
-	}
-	return ro
 }
 
 func typeRef(t *types.Type) ir.TypeRef {
@@ -240,7 +100,7 @@ func typeRef(t *types.Type) ir.TypeRef {
 	}
 }
 
-func compileClass(info *types.Info, needs, ro map[string]bool, cls *types.Class) (*ir.Operator, error) {
+func compileClass(info *types.Info, sums map[string]summary, cls *types.Class) (*ir.Operator, error) {
 	op := &ir.Operator{
 		Name:    cls.Name,
 		KeyAttr: cls.KeyAttr,
@@ -250,7 +110,7 @@ func compileClass(info *types.Info, needs, ro map[string]bool, cls *types.Class)
 		op.Attrs = append(op.Attrs, ir.Field{Name: a.Name, Type: typeRef(a.Type)})
 	}
 	init := cls.Methods["__init__"]
-	if needs[init.QName()] {
+	if sums[init.QName()].split {
 		return nil, &Error{Pos: init.Def.Pos(), Msg: fmt.Sprintf(
 			"%s.__init__ must not perform remote calls", cls.Name)}
 	}
@@ -262,18 +122,19 @@ func compileClass(info *types.Info, needs, ro map[string]bool, cls *types.Class)
 
 	for _, mn := range cls.MethodOrder {
 		m := cls.Methods[mn]
+		sum := sums[m.QName()]
 		im := &ir.Method{
 			Name:          m.Name,
 			Returns:       typeRef(m.Returns),
 			Transactional: m.Transactional,
-			ReadOnly:      ro[m.QName()],
+			ReadOnly:      !sum.writes,
 			Body:          m.Def.Body,
 		}
 		for _, p := range m.Params {
 			im.Params = append(im.Params, ir.Field{Name: p.Name, Type: typeRef(p.Type)})
 		}
-		if needs[m.QName()] {
-			blocks, err := splitMethod(info, needs, m)
+		if sum.split {
+			blocks, err := splitMethod(info, sums, m)
 			if err != nil {
 				return nil, err
 			}

@@ -317,6 +317,29 @@ func TestSplitForLoop(t *testing.T) {
 	}
 }
 
+// TestRemoteCallsInControlFlowSplit: a remote call in a loop and one in a
+// branch each end a block with an Invoke.
+func TestRemoteCallsInControlFlowSplit(t *testing.T) {
+	prog := compileWith(t, `
+    def m(self, d: D, xs: list[int]) -> int:
+        total: int = 0
+        for x in xs:
+            total += d.bump(x)
+        if total > 10:
+            total += d.bump(1)
+        return total
+`)
+	invokes := 0
+	for _, b := range prog.MethodOf("C", "m").Blocks {
+		if _, ok := b.Term.(ir.Invoke); ok {
+			invokes++
+		}
+	}
+	if invokes != 2 {
+		t.Fatalf("invoke terminators: got %d, want 2", invokes)
+	}
+}
+
 func TestSplitWhileWithRemoteCond(t *testing.T) {
 	prog := compileWith(t, `
     def m(self, d: D) -> int:

@@ -29,3 +29,64 @@ func TestEffectSummaries(t *testing.T) {
 		t.Fatalf("program reports differ from testdata/effects.golden; got:\n%s", got)
 	}
 }
+
+// TestRefClosedSeesEveryReassignment: a method is ref-closed only while
+// every entity it invokes is self or an entity parameter the method never
+// rebinds — not in a branch, as a loop variable or as a call's result —
+// and constructs nothing, and only while its callees are ref-closed too.
+func TestRefClosedSeesEveryReassignment(t *testing.T) {
+	prog, err := compiler.Compile(`
+@entity
+class B:
+    def __init__(self, k: str):
+        self.k: str = k
+        self.v: int = 0
+    def __key__(self) -> str:
+        return self.k
+    def get(self) -> int:
+        return self.v
+    def relay(self, other: B) -> int:
+        return other.get()
+    def me(self) -> B:
+        return self
+    def spawn(self, k: str) -> int:
+        return B(k).get()
+
+@entity
+class A:
+    def __init__(self, k: str):
+        self.k: str = k
+    def __key__(self) -> str:
+        return self.k
+    def plain(self, b: B, c: B) -> int:
+        return b.relay(c)
+    def in_branch(self, b: B, c: B, f: int) -> int:
+        if f > 0:
+            b = c
+        return b.get()
+    def in_loop(self, b: B, xs: list[B]) -> int:
+        t: int = 0
+        for b in xs:
+            t += b.get()
+        return t
+    def from_call(self, b: B, c: B) -> int:
+        b = c.me()
+        return b.get()
+    def unnamed_arg(self, b: B, xs: list[B]) -> int:
+        return b.relay(xs[0])
+    def ctor(self, k: str) -> int:
+        return B(k).get()
+    def via_callee(self, b: B) -> int:
+        return b.spawn("z")
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"plain": true, "in_branch": false, "in_loop": false,
+		"from_call": false, "unnamed_arg": false, "ctor": false, "via_callee": false}
+	for method, closed := range want {
+		if got := prog.MethodOf("A", method).RefClosed; got != closed {
+			t.Errorf("A.%s: RefClosed = %v, want %v", method, got, closed)
+		}
+	}
+}

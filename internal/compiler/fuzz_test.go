@@ -86,10 +86,9 @@ func checkEffects(t *testing.T, prog *ir.Program) {
 	for _, cn := range prog.OperatorOrder {
 		for _, mn := range prog.Operators[cn].MethodOrder {
 			m := prog.MethodOf(cn, mn)
-			closed := prog.RefClosed(cn, mn)
 			if m.Simple {
-				if _, ret := m.Blocks[0].Term.(ir.Return); len(m.Blocks) != 1 || !ret || !closed {
-					t.Fatalf("simple %s.%s: %d blocks, ends in return %v, ref-closed %v", cn, mn, len(m.Blocks), ret, closed)
+				if _, ret := m.Blocks[0].Term.(ir.Return); len(m.Blocks) != 1 || !ret || !m.RefClosed {
+					t.Fatalf("simple %s.%s: %d blocks, ends in return %v, ref-closed %v", cn, mn, len(m.Blocks), ret, m.RefClosed)
 				}
 			}
 			resumes := map[ir.BlockID]bool{}
@@ -106,7 +105,7 @@ func checkEffects(t *testing.T, prog *ir.Program) {
 				if m.ReadOnly && !callee.ReadOnly {
 					t.Fatalf("read-only %s.%s invokes %s.%s, which writes", cn, mn, inv.Class, inv.Method)
 				}
-				if closed && !prog.RefClosed(inv.Class, inv.Method) {
+				if m.RefClosed && !callee.RefClosed {
 					t.Fatalf("ref-closed %s.%s invokes %s.%s, which is not", cn, mn, inv.Class, inv.Method)
 				}
 			}

@@ -230,60 +230,6 @@ func computeDefUse(blocks []*ir.Block) {
 	}
 }
 
-// markStateFree stamps StateFree on every continuation (an Invoke's resume
-// block) that reads no entity state: its terminator is a Return, and
-// neither its statements nor its return value mention self — no attribute,
-// no self-method call — or write a container, since a local may alias a
-// state container. Remote calls and constructors are Invoke terminators,
-// so a Return block makes none. Such a block needs only its frame, which
-// is what lets a runtime run it where the awaited call returns.
-func markStateFree(blocks []*ir.Block) {
-	for _, b := range blocks {
-		inv, ok := b.Term.(ir.Invoke)
-		if !ok {
-			continue
-		}
-		to := blocks[inv.To]
-		ret, ok := to.Term.(ir.Return)
-		to.StateFree = ok && !touchesState(to.Stmts, ret.Value)
-	}
-}
-
-// touchesState reports whether the statements or the returned expression
-// mention self, assign a subscript or call a container mutator.
-func touchesState(stmts []ast.Stmt, ret ast.Expr) bool {
-	found := false
-	visit := func(e ast.Expr) {
-		ast.WalkExpr(e, func(x ast.Expr) bool {
-			switch x := x.(type) {
-			case *ast.SelfRef:
-				found = true
-			case *ast.Call:
-				found = found || (x.Recv != nil && mutators[x.Func])
-			}
-			return !found
-		})
-	}
-	ast.WalkStmts(stmts, func(s ast.Stmt) {
-		var target ast.Expr
-		switch st := s.(type) {
-		case *ast.AssignStmt:
-			target = st.Target
-		case *ast.AugAssignStmt:
-			target = st.Target
-		}
-		_, idx := target.(*ast.Index)
-		found = found || idx
-		for _, e := range ast.ExprsOf(s) {
-			visit(e)
-		}
-	})
-	if ret != nil {
-		visit(ret)
-	}
-	return found
-}
-
 func sameSet(a, b map[string]bool) bool {
 	if len(a) != len(b) {
 		return false

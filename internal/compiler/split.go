@@ -5,7 +5,7 @@
 // list at every remote call and at every control-flow structure that
 // contains one. Control flow with no remote calls stays inline and is
 // executed locally by the interpreter. A continuation that reads no entity
-// state is marked StateFree (liveness.go): it is a tail of the call it
+// state is marked StateFree (effects.go): it is a tail of the call it
 // waited on, and the runtime runs it where that call returns.
 package compiler
 
@@ -33,14 +33,14 @@ type loopCtx struct {
 }
 
 type splitter struct {
-	info       *types.Info
-	needsSplit map[string]bool // qualified method name -> transitively needs splitting
-	method     *types.Method
-	blocks     []*ir.Block
-	cur        *ir.Block
-	tmpN       int
-	loops      []loopCtx
-	err        error
+	info   *types.Info
+	sums   map[string]summary // qualified method name -> effect summary
+	method *types.Method
+	blocks []*ir.Block
+	cur    *ir.Block
+	tmpN   int
+	loops  []loopCtx
+	err    error
 }
 
 func (s *splitter) fail(pos token.Pos, format string, args ...any) {
@@ -78,7 +78,7 @@ func (s *splitter) isSplitCall(call *ast.Call) bool {
 	if tgt.Remote {
 		return true
 	}
-	return s.needsSplit[tgt.Class+"."+tgt.Method]
+	return s.sums[tgt.Class+"."+tgt.Method].split
 }
 
 // containsSplitCall reports whether the expression tree contains a call
@@ -469,8 +469,8 @@ func (s *splitter) compileSplitFor(x *ast.ForStmt) {
 }
 
 // splitMethod runs the splitter over one method and returns its blocks.
-func splitMethod(info *types.Info, needs map[string]bool, m *types.Method) ([]*ir.Block, error) {
-	s := &splitter{info: info, needsSplit: needs, method: m}
+func splitMethod(info *types.Info, sums map[string]summary, m *types.Method) ([]*ir.Block, error) {
+	s := &splitter{info: info, sums: sums, method: m}
 	entry := s.newBlock()
 	s.cur = entry
 	terminated := s.compileStmts(m.Def.Body)
@@ -488,7 +488,6 @@ func splitMethod(info *types.Info, needs map[string]bool, m *types.Method) ([]*i
 	}
 	blocks := pruneUnreachable(s.blocks)
 	computeDefUse(blocks)
-	markStateFree(blocks)
 	return blocks, nil
 }
 

@@ -216,9 +216,15 @@ type Method struct {
 	// concurrency control for a method that is ReadOnly and Simple (it
 	// touches only its target): it serves the call against the owner's
 	// committed store outside any epoch.
-	ReadOnly bool          `json:"read_only"`
-	Blocks   []*Block      `json:"blocks"`
-	SM       *StateMachine `json:"state_machine"`
+	ReadOnly bool `json:"read_only"`
+	// RefClosed methods have an entity footprint their request names:
+	// every entity the method (transitively) reaches is its target or an
+	// entity reference passed as an argument, so a sharded router decides
+	// from the request alone whether the call stays in one shard. Simple
+	// methods are RefClosed; a constructor call never is.
+	RefClosed bool          `json:"ref_closed"`
+	Blocks    []*Block      `json:"blocks"`
+	SM        *StateMachine `json:"state_machine"`
 	// Frame is the method's static variable layout (parameters, locals and
 	// splitter temporaries mapped to dense frame slots), stamped by the
 	// compiler's layout pass. Nil frames fall back to name-keyed storage.
@@ -291,6 +297,12 @@ func (p *Program) MethodOf(class, method string) *Method {
 		return nil
 	}
 	return op.Methods[method]
+}
+
+// RefClosed reports class.method's RefClosed; false for an unknown method.
+func (p *Program) RefClosed(class, method string) bool {
+	m := p.MethodOf(class, method)
+	return m != nil && m.RefClosed
 }
 
 // Validate checks structural invariants of the IR: block ids are dense and

@@ -83,7 +83,7 @@ func (p *Program) Report() string {
 			if m.Simple {
 				kind = "simple"
 			}
-			if p.RefClosed(name, mn) {
+			if m.RefClosed {
 				kind += ", ref-closed"
 			}
 			ro := ""

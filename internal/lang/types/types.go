@@ -157,10 +157,6 @@ type Method struct {
 	Returns       *Type // None when the method declares no return type
 	Def           *ast.FuncDef
 	Transactional bool
-	// RemoteCallCount is the number of remote-call sites in the body; a
-	// method with zero remote calls is a "simple function" (§2.3) that
-	// never needs splitting.
-	RemoteCallCount int
 	// VarTypes maps every local variable (params included) to its
 	// statically inferred type.
 	VarTypes map[string]*Type
@@ -1043,9 +1039,6 @@ func (c *checker) checkNoRecursion() {
 						}
 						if tgt, ok := c.info.Calls[call]; ok && !tgt.Ctor {
 							edges[q] = append(edges[q], tgt.Class+"."+tgt.Method)
-							if tgt.Remote {
-								m.RemoteCallCount++
-							}
 						}
 						return true
 					})

@@ -9,11 +9,12 @@
 // Routing hashes (class-id, key) — the compiler's slotted class ids, not
 // class names — onto the shard ring. A request whose method is ref-closed
 // (its transitive footprint is derivable from the receiver and its
-// entity-ref arguments, see ir.RefClosed) and whose refs all land on one
-// shard takes the fast path: the sequencer forwards it to that shard's
-// coordinator and the shard answers the client directly, paying nothing
-// for the existence of other shards. Everything else becomes a global
-// transaction, run by the sequencer (sequencer.go).
+// entity-ref arguments: ir.Method.RefClosed, stamped at compile time) and
+// whose refs all land on one shard takes the fast path: the sequencer
+// forwards it to that shard's coordinator and the shard answers the
+// client directly, paying nothing for the existence of other shards.
+// Everything else becomes a global transaction, run by the sequencer
+// (sequencer.go).
 package stateflow
 
 import (
