@@ -8,6 +8,7 @@ import (
 
 	"statefulentities.dev/stateflow/internal/bench"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/snapshot"
 	"statefulentities.dev/stateflow/internal/state"
 )
@@ -125,7 +126,8 @@ func TestAllocsPerEpoch(t *testing.T) {
 // cached encoding that would sit in the live heap until its next write.
 func TestSnapshotAllocatesOneImage(t *testing.T) {
 	const rows, pad = 50, 64 << 10 // a crash_big worker's partition
-	st := state.NewStore(nil)
+	account := ir.NewClassLayout("Account", 0, []string{"balance", "payload"})
+	st := state.NewStore(&ir.Layouts{ByClass: map[string]*ir.ClassLayout{"Account": account}, ByID: []*ir.ClassLayout{account}})
 	ref := func(i int) interp.EntityRef { return interp.EntityRef{Class: "Account", Key: fmt.Sprintf("k%03d", i)} }
 	for i := 0; i < rows; i++ {
 		st.PutMap(ref(i), interp.MapState{"balance": interp.IntV(int64(i)), "payload": interp.StrV(string(make([]byte, pad)))})

@@ -176,6 +176,71 @@ func TestConformanceBanking(t *testing.T) {
 	// the transcript equality above proves it held on every backend.
 }
 
+// runFailedConstructorScenario creates an entity whose constructor fails
+// after its first write, then retries with arguments that succeed. A failed
+// constructor must leave nothing behind: no state to inspect, no key, and
+// no "already exists" on the retry.
+func runFailedConstructorScenario(t *testing.T, c stateflow.Client) []string {
+	t.Helper()
+	var tr []string
+	create := func(d int64) {
+		if _, err := c.Create("C", stateflow.Str("a"), stateflow.Int(d)); err != nil {
+			tr = append(tr, fmt.Sprintf("create C<a> d=%d -> %v", d, err))
+			return
+		}
+		tr = append(tr, fmt.Sprintf("create C<a> d=%d -> ok", d))
+	}
+	get := func() {
+		res, err := c.Entity("C", "a").Call("get")
+		tr = append(tr, line("C", "a", "get", res, err))
+	}
+	create(0)
+	tr = append(tr, inspectLine(c.Admin(), "C", "a", "k"))
+	get()
+	tr = append(tr, fmt.Sprintf("keys C=%v", c.Admin().Keys("C")))
+	create(1)
+	get()
+	tr = append(tr, inspectLine(c.Admin(), "C", "a", "v"))
+	tr = append(tr, fmt.Sprintf("keys C=%v", c.Admin().Keys("C")))
+	return tr
+}
+
+func TestConformanceFailedConstructor(t *testing.T) {
+	prog := stateflow.MustCompile(failingCtorSource)
+	transcripts := map[string][]string{}
+	for _, tgt := range conformanceTargets(t, prog) {
+		transcripts[tgt.name] = runFailedConstructorScenario(t, tgt.client)
+	}
+	assertIdentical(t, transcripts)
+	want := []string{
+		"create C<a> d=0 -> 6:26: runtime error: division by zero",
+		"inspect C<a> missing",
+		`C<a>.get -> None / err="entity C<a> does not exist"`,
+		"keys C=[]",
+		"create C<a> d=1 -> ok",
+		`C<a>.get -> 10 / err=""`,
+		"inspect C<a>.v=10",
+		"keys C=[a]",
+	}
+	if got := strings.Join(transcripts["local"], "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("transcript:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+}
+
+const failingCtorSource = `
+@entity
+class C:
+    def __init__(self, k: str, d: int):
+        self.k: str = k
+        self.v: int = 10 // d
+
+    def __key__(self) -> str:
+        return self.k
+
+    def get(self) -> int:
+        return self.v
+`
+
 // inspectLine formats one attribute read through Admin.Inspect.
 func inspectLine(a stateflow.Admin, class, key, attr string) string {
 	st, ok := a.Inspect(class, key)

@@ -11,6 +11,7 @@ import (
 	adversarial "statefulentities.dev/stateflow/internal/chaos/workload"
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/ir"
+	dsl "statefulentities.dev/stateflow/internal/lang/ast"
 	"statefulentities.dev/stateflow/internal/workload/tpcc"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
@@ -75,7 +76,67 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("%d layouts for %d operators", len(ls.ByID), len(prog.Operators))
 		}
 		checkEffects(t, prog)
+		checkStamps(t, prog)
 	})
+}
+
+// checkStamps asserts the invariant the interpreter addresses state by: in
+// every method's body and blocks, every variable, self attribute and loop
+// variable carries the 1-based slot of its own name in its layout, and
+// every call result lands in a variable of the frame layout.
+func checkStamps(t *testing.T, prog *ir.Program) {
+	for _, cn := range prog.OperatorOrder {
+		op := prog.Operators[cn]
+		for _, mn := range op.MethodOrder {
+			m := op.Methods[mn]
+			slotted := func(what, name string, slot int, names []string) {
+				if slot < 1 || slot > len(names) || names[slot-1] != name {
+					t.Fatalf("%s.%s: %s %s carries slot %d of layout %v", cn, mn, what, name, slot, names)
+				}
+			}
+			expr := func(e dsl.Expr) {
+				dsl.WalkExpr(e, func(x dsl.Expr) bool {
+					switch n := x.(type) {
+					case *dsl.Name:
+						slotted("variable", n.Ident, n.Slot, m.Frame.Vars)
+					case *dsl.Attr:
+						if _, self := n.Recv.(*dsl.SelfRef); self {
+							slotted("attribute", n.Field, n.Slot, op.Layout.Attrs)
+						}
+					}
+					return true
+				})
+			}
+			stmts := func(ss []dsl.Stmt) {
+				dsl.WalkStmts(ss, func(s dsl.Stmt) {
+					if f, ok := s.(*dsl.ForStmt); ok {
+						slotted("loop variable", f.Var, f.VarSlot, m.Frame.Vars)
+					}
+					for _, e := range dsl.ExprsOf(s) {
+						expr(e)
+					}
+				})
+			}
+			stmts(m.Body)
+			for _, b := range m.Blocks {
+				stmts(b.Stmts)
+				switch term := b.Term.(type) {
+				case ir.Return:
+					expr(term.Value)
+				case ir.Branch:
+					expr(term.Cond)
+				case ir.Invoke:
+					expr(term.Recv)
+					for _, a := range term.Args {
+						expr(a)
+					}
+					if _, ok := m.Frame.SlotOf(term.AssignTo); term.AssignTo != "" && !ok {
+						t.Fatalf("%s.%s: %s assigns to %s, which is not in the frame layout %v", cn, mn, b.Name, term.AssignTo, m.Frame.Vars)
+					}
+				}
+			}
+		}
+	}
 }
 
 // checkEffects asserts how the derived bits compose: a simple method is one

@@ -110,9 +110,10 @@ type Event struct {
 type Store interface {
 	// Lookup returns the state of an existing entity, or ok=false.
 	Lookup(ref interp.EntityRef) (interp.State, bool)
-	// Create allocates empty state for a new entity. It fails if the
-	// entity already exists.
-	Create(ref interp.EntityRef) (interp.State, error)
+	// Create makes a new entity: it fails if the entity already exists,
+	// and otherwise runs ctor — the entity's __init__ — on the new
+	// entity's empty state. The entity exists only if ctor returns nil.
+	Create(ref interp.EntityRef, ctor func(interp.State) error) error
 }
 
 // Executor drives entity execution for one compiled program.
@@ -128,10 +129,6 @@ func NewExecutor(prog *ir.Program) *Executor {
 
 // Program returns the compiled program.
 func (ex *Executor) Program() *ir.Program { return ex.prog }
-
-// Interp exposes the interpreter (used by runtimes for auxiliary
-// evaluation).
-func (ex *Executor) Interp() *interp.Interp { return ex.in }
 
 // KeyForCtor extracts the routing key for a constructor invocation from
 // its argument list using the operator's key parameter (§2.2: the routing
@@ -151,6 +148,21 @@ func (ex *Executor) KeyForCtor(class string, args []interp.Value) (string, error
 		}
 	}
 	return "", fmt.Errorf("core: class %s has no key parameter", class)
+}
+
+// InitRow runs the constructor of class with args on a detached row laid
+// out for the class, and returns the entity it makes and that row: the
+// state the entity has once Create installs it.
+func (ex *Executor) InitRow(class string, args []interp.Value) (interp.EntityRef, *interp.Row, error) {
+	key, err := ex.KeyForCtor(class, args)
+	if err != nil {
+		return interp.EntityRef{}, nil, err
+	}
+	row := interp.NewRow(ex.prog.Layouts().LayoutOf(class))
+	if err := ex.in.ExecInit(class, args, row); err != nil {
+		return interp.EntityRef{}, nil, err
+	}
+	return interp.EntityRef{Class: class, Key: key}, row, nil
 }
 
 func keyString(v interp.Value) (string, error) {
@@ -230,12 +242,11 @@ func (ex *Executor) stepInvoke(ev *Event, store Store) ([]*Event, error) {
 }
 
 func (ex *Executor) stepInit(ev *Event, store Store) ([]*Event, error) {
-	st, err := store.Create(ev.Target)
-	if err != nil {
-		return ex.fail(ev.Ctx, ev.Req, err.Error(), ev.Hops)
-	}
 	// ExecInit binds the parameters itself (including the arity check).
-	if err := ex.in.ExecInit(ev.Target.Class, ev.Args, st); err != nil {
+	err := store.Create(ev.Target, func(st interp.State) error {
+		return ex.in.ExecInit(ev.Target.Class, ev.Args, st)
+	})
+	if err != nil {
 		return ex.fail(ev.Ctx, ev.Req, err.Error(), ev.Hops)
 	}
 	// The constructor's value is a reference to the new entity.

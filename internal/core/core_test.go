@@ -6,6 +6,8 @@ import (
 
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/ir"
+	"statefulentities.dev/stateflow/internal/state"
 )
 
 const src = `
@@ -44,25 +46,16 @@ class Driver:
         return self.name + str(a)
 `
 
-type memStore map[interp.EntityRef]interp.MapState
+// memStore is the runtimes' store: rows of the program's class layouts.
+type memStore struct{ *state.Store }
 
 func (m memStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
-	st, ok := m[ref]
-	return st, ok
-}
-
-func (m memStore) Create(ref interp.EntityRef) (interp.State, error) {
-	if _, dup := m[ref]; dup {
-		return nil, errDup{}
+	row, ok := m.Store.Lookup(ref)
+	if !ok {
+		return nil, false
 	}
-	st := interp.MapState{}
-	m[ref] = st
-	return st, nil
+	return row, true
 }
-
-type errDup struct{}
-
-func (errDup) Error() string { return "entity already exists" }
 
 func newExec(t *testing.T) (*Executor, memStore) {
 	t.Helper()
@@ -70,13 +63,13 @@ func newExec(t *testing.T) (*Executor, memStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := memStore{}
-	store[interp.EntityRef{Class: "Counter", Key: "c"}] = interp.MapState{
+	store := memStore{state.NewStore(prog.Layouts())}
+	store.PutMap(interp.EntityRef{Class: "Counter", Key: "c"}, interp.MapState{
 		"name": interp.StrV("c"), "n": interp.IntV(0),
-	}
-	store[interp.EntityRef{Class: "Driver", Key: "d"}] = interp.MapState{
+	})
+	store.PutMap(interp.EntityRef{Class: "Driver", Key: "d"}, interp.MapState{
 		"name": interp.StrV("d"),
-	}
+	})
 	return NewExecutor(prog), store
 }
 
@@ -180,7 +173,7 @@ func TestConstructorRouting(t *testing.T) {
 	if resp.Err != "" || resp.Value.I != 5 {
 		t.Fatalf("mk: %+v", resp)
 	}
-	if _, ok := store[interp.EntityRef{Class: "Counter", Key: "fresh"}]; !ok {
+	if !store.Exists(interp.EntityRef{Class: "Counter", Key: "fresh"}) {
 		t.Fatal("constructed entity missing")
 	}
 }
@@ -263,7 +256,7 @@ func TestContextEnvPruning(t *testing.T) {
 	// Frame belongs to the driver awaiting the first bump; only `c` is
 	// live (needed for the second bump; `a` arrives via AssignTo).
 	if _, ok := fr.Env.Get("c"); !ok {
-		t.Fatalf("live var c missing: %v", fr.Env.ToEnv())
+		t.Fatalf("live var c missing from the %d variables carried", fr.Env.Len())
 	}
 	if fr.AssignTo != "a" {
 		t.Fatalf("assign-to: %q", fr.AssignTo)
@@ -271,9 +264,11 @@ func TestContextEnvPruning(t *testing.T) {
 }
 
 func TestContextClone(t *testing.T) {
+	env := interp.NewFrame(ir.NewFrameLayout([]string{"x", "y"}))
+	env.Set("x", interp.ListV(interp.IntV(1)))
 	ctx := &Context{Req: "r", Stack: []Frame{{
 		Ref: interp.EntityRef{Class: "A", Key: "k"}, Method: "m", Block: 2,
-		Env: interp.FrameFromEnv(nil, interp.Env{"x": interp.ListV(interp.IntV(1))}), AssignTo: "y",
+		Env: env, AssignTo: "y",
 	}}}
 	cl := ctx.Clone()
 	clx, _ := cl.Stack[0].Env.Get("x")

@@ -1,30 +1,25 @@
 // Frame is the slice-backed variable environment of one method
 // activation. The compiler's layout pass assigns every variable of a
-// method a dense slot (ir.FrameLayout); the interpreter reads and writes
-// stamped names by slice index instead of hashing strings. Variables
-// outside the layout (hand-built IR, unstamped ASTs) fall back to an
-// overflow map, preserving the exact semantics of the old map-backed Env.
+// method a dense slot (ir.FrameLayout) and stamps it on every node that
+// names the variable; the interpreter reads and writes by slice index.
 package interp
 
 import (
-	"sort"
+	"fmt"
 
 	"statefulentities.dev/stateflow/internal/ir"
 )
 
-// Frame holds the variables of one method activation: a dense slot array
-// described by the method's FrameLayout plus an overflow map for names
-// outside the layout.
+// Frame holds the variables of one method activation in the dense slot
+// array its method's FrameLayout describes.
 type Frame struct {
 	layout *ir.FrameLayout
 	slots  []Value
 	def    uint64 // definedness bitmap for frames of up to 64 slots
 	defBig []bool // definedness spill for wider frames (non-nil iff used)
-	extra  map[string]Value
 }
 
-// NewFrame allocates an empty frame for a layout (nil layout gives a pure
-// map-backed frame).
+// NewFrame allocates an empty frame for a layout.
 func NewFrame(layout *ir.FrameLayout) *Frame {
 	n := layout.NumSlots()
 	f := &Frame{layout: layout, slots: make([]Value, n)}
@@ -57,32 +52,25 @@ func (f *Frame) clearDef(i int) {
 	f.def &^= 1 << uint(i)
 }
 
-// Layout returns the frame's layout (possibly nil).
+// Layout returns the frame's layout.
 func (f *Frame) Layout() *ir.FrameLayout { return f.layout }
 
-// Get reads a variable by name.
+// Get reads a variable by name; a name outside the layout is undefined.
 func (f *Frame) Get(name string) (Value, bool) {
 	if i, ok := f.layout.SlotOf(name); ok {
-		if !f.defined(i) {
-			return None, false
-		}
-		return f.slots[i], true
+		return f.GetSlot(i)
 	}
-	v, ok := f.extra[name]
-	return v, ok
+	return None, false
 }
 
-// Set writes a variable by name.
+// Set writes a variable by name. The name must be in the layout: the
+// compiler puts every variable a method can write there.
 func (f *Frame) Set(name string, v Value) {
-	if i, ok := f.layout.SlotOf(name); ok {
-		f.slots[i] = v
-		f.setDef(i)
-		return
+	i, ok := f.layout.SlotOf(name)
+	if !ok {
+		panic(fmt.Sprintf("interp: variable %s is not in the frame layout %v", name, f.layout.Vars))
 	}
-	if f.extra == nil {
-		f.extra = map[string]Value{}
-	}
-	f.extra[name] = v
+	f.SetSlot(i, v)
 }
 
 // GetSlot reads a variable by 0-based layout slot.
@@ -101,28 +89,13 @@ func (f *Frame) SetSlot(i int, v Value) {
 
 // Len counts defined variables.
 func (f *Frame) Len() int {
-	n := len(f.extra)
+	n := 0
 	for i := range f.slots {
 		if f.defined(i) {
 			n++
 		}
 	}
 	return n
-}
-
-// Names lists defined variable names, sorted.
-func (f *Frame) Names() []string {
-	out := make([]string, 0, f.Len())
-	for i := range f.slots {
-		if f.defined(i) {
-			out = append(out, f.layout.Vars[i])
-		}
-	}
-	for k := range f.extra {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Clone deep-copies the frame so suspended continuations are isolated
@@ -138,12 +111,6 @@ func (f *Frame) Clone() *Frame {
 			out.slots[i] = f.slots[i].Clone()
 		}
 	}
-	if len(f.extra) > 0 {
-		out.extra = make(map[string]Value, len(f.extra))
-		for k, v := range f.extra {
-			out.extra[k] = v.Clone()
-		}
-	}
 	return out
 }
 
@@ -151,15 +118,9 @@ func (f *Frame) Clone() *Frame {
 // releasing the values the continuation no longer needs.
 func (f *Frame) Prune(keep []string) {
 	keepSlot := make([]bool, len(f.slots))
-	var keepExtra map[string]bool
 	for _, k := range keep {
 		if i, ok := f.layout.SlotOf(k); ok {
 			keepSlot[i] = true
-		} else if f.extra != nil {
-			if keepExtra == nil {
-				keepExtra = map[string]bool{}
-			}
-			keepExtra[k] = true
 		}
 	}
 	for i := range f.slots {
@@ -168,32 +129,4 @@ func (f *Frame) Prune(keep []string) {
 			f.clearDef(i)
 		}
 	}
-	for k := range f.extra {
-		if !keepExtra[k] {
-			delete(f.extra, k)
-		}
-	}
-}
-
-// ToEnv converts the frame to a name-keyed Env (tests, debugging).
-func (f *Frame) ToEnv() Env {
-	out := make(Env, f.Len())
-	for i := range f.slots {
-		if f.defined(i) {
-			out[f.layout.Vars[i]] = f.slots[i]
-		}
-	}
-	for k, v := range f.extra {
-		out[k] = v
-	}
-	return out
-}
-
-// FrameFromEnv builds a frame over a layout from name-keyed variables.
-func FrameFromEnv(layout *ir.FrameLayout, env Env) *Frame {
-	f := NewFrame(layout)
-	for k, v := range env {
-		f.Set(k, v)
-	}
-	return f
 }

@@ -15,26 +15,20 @@ import (
 	"statefulentities.dev/stateflow/internal/lang/token"
 )
 
-// State is the attribute store of one entity instance. Runtimes provide
-// implementations that track reads and writes (for transaction reservation
-// sets and for cost accounting).
+// State is the attribute store of one entity instance, addressed by the
+// 0-based class-layout slots the compiler stamps on every self attribute.
+// Runtimes provide implementations that track reads and writes (for
+// transaction reservation sets and for cost accounting).
 type State interface {
-	Get(attr string) (Value, bool)
-	Set(attr string, v Value)
+	// GetSlot reads the attribute in a slot.
+	GetSlot(slot int) (Value, bool)
+	// SetSlot writes the attribute in a slot.
+	SetSlot(slot int, v Value)
 }
 
-// MapState is the plain map-backed State used by the local runtime and by
-// tests ("the state is kept in a local HashMap data structure", §3).
+// MapState is an entity's attributes keyed by name: the form in which
+// state enters (preloading) and leaves (assertions, queries) a runtime.
 type MapState map[string]Value
-
-// Get implements State.
-func (m MapState) Get(attr string) (Value, bool) {
-	v, ok := m[attr]
-	return v, ok
-}
-
-// Set implements State.
-func (m MapState) Set(attr string, v Value) { m[attr] = v }
 
 // RuntimeError is a DSL-level execution error.
 type RuntimeError struct {
@@ -47,10 +41,9 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("%s: runtime error: %s", e.Pos, e.Msg)
 }
 
-// Interp executes entity code of one compiled program. Variables and self
-// attributes stamped with layout slots by the compiler resolve by slice
-// index; name-keyed lookup serves only unstamped nodes (hand-built IR) and
-// state backends that do not implement SlotState (MapState).
+// Interp executes entity code of one compiled program. The compiler stamps
+// a 1-based layout slot on every variable and self attribute, and the
+// interpreter addresses frames and states by it alone.
 type Interp struct {
 	Prog *ir.Program
 }
@@ -69,9 +62,6 @@ type frame struct {
 	key   string
 	env   *Frame
 	state State
-	// slots is the state's slot fast path, non-nil only when the backend
-	// supports it.
-	slots SlotState
 	depth int
 }
 
@@ -86,37 +76,9 @@ const (
 
 const maxCallDepth = 64
 
-// getVar reads a variable through its 1-based slot stamp when the stamp
-// fits the frame layout, falling back to name lookup otherwise.
-func (in *Interp) getVar(fr *frame, slot int, name string) (Value, bool) {
-	if slot > 0 && slot <= len(fr.env.slots) {
-		return fr.env.GetSlot(slot - 1)
-	}
-	return fr.env.Get(name)
-}
-
-// setVar writes a variable through its 1-based slot stamp when possible
-// (see getVar).
-func (in *Interp) setVar(fr *frame, slot int, name string, v Value) {
-	if slot > 0 && slot <= len(fr.env.slots) {
-		fr.env.SetSlot(slot-1, v)
-		return
-	}
-	fr.env.Set(name, v)
-}
-
-// makeFrame pairs a variable frame with a state backend, capturing the
-// state's slot fast path when available. Returned by value so entry
-// points keep activation records on the stack.
-func (in *Interp) makeFrame(class, key string, env *Frame, st State, depth int) frame {
-	fr := frame{class: class, key: key, env: env, state: st, depth: depth}
-	fr.slots, _ = st.(SlotState)
-	return fr
-}
-
 // ExecBlock runs a block's statements. The frame is mutated in place.
 func (in *Interp) ExecBlock(class, key string, b *ir.Block, env *Frame, st State) (Result, error) {
-	fr := in.makeFrame(class, key, env, st, 0)
+	fr := frame{class: class, key: key, env: env, state: st}
 	c, v, err := in.execStmts(b.Stmts, &fr)
 	if err != nil {
 		return Result{}, err
@@ -137,11 +99,11 @@ func (in *Interp) Eval(class, key string, e ast.Expr, env *Frame, st State) (Val
 	if e == nil {
 		return None, nil
 	}
-	fr := in.makeFrame(class, key, env, st, 0)
+	fr := frame{class: class, key: key, env: env, state: st}
 	return in.eval(e, &fr)
 }
 
-// ExecInit runs __init__ against a fresh state.
+// ExecInit runs __init__ against a fresh state laid out for the class.
 func (in *Interp) ExecInit(class string, args []Value, st State) error {
 	op := in.Prog.Operator(class)
 	if op == nil {
@@ -152,7 +114,7 @@ func (in *Interp) ExecInit(class string, args []Value, st State) error {
 	if err != nil {
 		return err
 	}
-	fr := in.makeFrame(class, "", env, st, 0)
+	fr := frame{class: class, env: env, state: st}
 	_, _, err = in.execStmts(m.Body, &fr)
 	return err
 }
@@ -164,13 +126,9 @@ func BindParams(m *ir.Method, args []Value) (*Frame, error) {
 		return nil, &RuntimeError{Msg: fmt.Sprintf("%s expects %d args, got %d", m.Name, len(m.Params), len(args))}
 	}
 	f := NewFrame(m.Frame)
-	for i, p := range m.Params {
-		// The layout pass places parameters in the leading slots.
-		if m.Frame != nil && i < len(m.Frame.Vars) && m.Frame.Vars[i] == p.Name {
-			f.SetSlot(i, args[i])
-		} else {
-			f.Set(p.Name, args[i])
-		}
+	// The layout pass places parameters in the leading slots.
+	for i, a := range args {
+		f.SetSlot(i, a)
 	}
 	return f, nil
 }
@@ -272,7 +230,7 @@ func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
 			return ctrlNone, None, &RuntimeError{Pos: x.Pos(), Msg: "for requires a list"}
 		}
 		for _, elem := range iter.L.Elems {
-			in.setVar(fr, x.VarSlot, x.Var, elem)
+			fr.env.SetSlot(x.VarSlot-1, elem)
 			c, v, err := in.execStmts(x.Body, fr)
 			if err != nil {
 				return ctrlNone, None, err
@@ -293,17 +251,13 @@ func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
 func (in *Interp) assign(target ast.Expr, v Value, fr *frame) error {
 	switch t := target.(type) {
 	case *ast.Name:
-		in.setVar(fr, t.Slot, t.Ident, v)
+		fr.env.SetSlot(t.Slot-1, v)
 		return nil
 	case *ast.Attr:
 		if _, isSelf := t.Recv.(*ast.SelfRef); !isSelf {
 			return &RuntimeError{Pos: t.Pos(), Msg: "can only assign self attributes"}
 		}
-		if fr.slots != nil && t.Slot > 0 {
-			fr.slots.SetSlot(t.Slot-1, v)
-		} else {
-			fr.state.Set(t.Field, v)
-		}
+		fr.state.SetSlot(t.Slot-1, v)
 		return nil
 	case *ast.Index:
 		recv, err := in.eval(t.Recv, fr)
@@ -347,11 +301,7 @@ func (in *Interp) assign(target ast.Expr, v Value, fr *frame) error {
 func (in *Interp) touchStateAttr(recvExpr ast.Expr, v Value, fr *frame) {
 	if attr, ok := recvExpr.(*ast.Attr); ok {
 		if _, isSelf := attr.Recv.(*ast.SelfRef); isSelf {
-			if fr.slots != nil && attr.Slot > 0 {
-				fr.slots.SetSlot(attr.Slot-1, v)
-			} else {
-				fr.state.Set(attr.Field, v)
-			}
+			fr.state.SetSlot(attr.Slot-1, v)
 		}
 	}
 }
@@ -374,17 +324,13 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 	case *ast.SelfRef:
 		return RefV(fr.class, fr.key), nil
 	case *ast.Name:
-		if v, ok := in.getVar(fr, x.Slot, x.Ident); ok {
+		if v, ok := fr.env.GetSlot(x.Slot - 1); ok {
 			return v, nil
 		}
 		return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("undefined variable %s", x.Ident)}
 	case *ast.Attr:
 		if _, isSelf := x.Recv.(*ast.SelfRef); isSelf {
-			if fr.slots != nil && x.Slot > 0 {
-				if v, ok := fr.slots.GetSlot(x.Slot - 1); ok {
-					return v, nil
-				}
-			} else if v, ok := fr.state.Get(x.Field); ok {
+			if v, ok := fr.state.GetSlot(x.Slot - 1); ok {
 				return v, nil
 			}
 			return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("entity has no attribute %s", x.Field)}
@@ -692,7 +638,7 @@ func (in *Interp) evalCall(x *ast.Call, fr *frame) (Value, error) {
 		if err != nil {
 			return None, err
 		}
-		sub := in.makeFrame(fr.class, fr.key, env, fr.state, fr.depth+1)
+		sub := frame{class: fr.class, key: fr.key, env: env, state: fr.state, depth: fr.depth + 1}
 		c, v, err := in.execStmts(m.Body, &sub)
 		if err != nil {
 			return None, err

@@ -4,33 +4,37 @@ import (
 	"strings"
 	"testing"
 
-	"statefulentities.dev/stateflow/internal/lang/ast"
-	"statefulentities.dev/stateflow/internal/lang/parser"
+	"statefulentities.dev/stateflow/internal/compiler"
+	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/lang/token"
 )
 
-// evalSrc evaluates the body of a method `def m(self) -> ...` and returns
-// the result, by interpreting its statements directly.
-func evalSrc(t *testing.T, body string, env Env, st MapState) (Value, error) {
+// compileM compiles entity C, whose method `def m(self) -> T` has the given
+// body, with T the first return type the checker accepts.
+func compileM(t *testing.T, body string) (*Interp, *ir.Method, *ir.ClassLayout) {
 	t.Helper()
-	src := "@entity\nclass C:\n    def __init__(self, k: str):\n        self.k: str = k\n    def __key__(self) -> str:\n        return self.k\n    def m(self) -> int:\n"
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		src += "        " + line + "\n"
+	var prog *ir.Program
+	var err error
+	for _, ret := range []string{"int", "float", "str", "bool"} {
+		src := "@entity\nclass C:\n    def __init__(self, k: str):\n        self.k: str = k\n        self.n: int = 0\n        self.xs: list[int] = []\n    def __key__(self) -> str:\n        return self.k\n    def m(self) -> " + ret + ":\n"
+		for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+			src += "        " + line + "\n"
+		}
+		if prog, err = compiler.Compile(src); err == nil {
+			break
+		}
 	}
-	mod, err := parser.Parse(src)
 	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, src)
+		t.Fatalf("compile: %v\n%s", err, body)
 	}
-	fn := mod.Class("C").Method("m")
-	in := &Interp{}
-	if env == nil {
-		env = Env{}
-	}
-	if st == nil {
-		st = MapState{}
-	}
-	fr := &frame{class: "C", key: "k", env: FrameFromEnv(nil, env), state: st}
-	c, v, err := in.execStmts(fn.Body, fr)
+	return New(prog), prog.MethodOf("C", "m"), prog.Layouts().LayoutOf("C")
+}
+
+// runM runs m's statements the way the runtimes do: over a frame of m's
+// layout and the given state of entity C<k>.
+func runM(in *Interp, m *ir.Method, st State) (Value, error) {
+	fr := &frame{class: "C", key: "k", env: NewFrame(m.Frame), state: st}
+	c, v, err := in.execStmts(m.Body, fr)
 	if err != nil {
 		return None, err
 	}
@@ -40,9 +44,24 @@ func evalSrc(t *testing.T, body string, env Env, st MapState) (Value, error) {
 	return None, nil
 }
 
+// evalSrc runs the body of m over a row of C's layout holding st, and
+// copies the row's attributes back into st (when given).
+func evalSrc(t *testing.T, body string, st MapState) (Value, error) {
+	t.Helper()
+	in, m, layout := compileM(t, body)
+	row := RowFromMap(layout, st)
+	v, err := runM(in, m, row)
+	if st != nil {
+		for k, a := range row.ToMap() {
+			st[k] = a
+		}
+	}
+	return v, err
+}
+
 func mustEval(t *testing.T, body string) Value {
 	t.Helper()
-	v, err := evalSrc(t, body, nil, nil)
+	v, err := evalSrc(t, body, nil)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -76,7 +95,7 @@ func TestArithmetic(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	for _, expr := range []string{"1 / 0", "1 // 0", "1 % 0"} {
-		if _, err := evalSrc(t, "return "+expr, nil, nil); err == nil {
+		if _, err := evalSrc(t, "return "+expr, nil); err == nil {
 			t.Errorf("%s: expected error", expr)
 		}
 	}
@@ -103,14 +122,14 @@ func TestComparisons(t *testing.T) {
 
 func TestShortCircuit(t *testing.T) {
 	// `1 / 0` must never evaluate thanks to short-circuiting.
-	v, err := evalSrc(t, "a: bool = False\nif a and 1 / 0 > 0:\n    return 1\nreturn 0", nil, nil)
+	v, err := evalSrc(t, "a: bool = False\nif a and 1 / 0 > 0:\n    return 1\nreturn 0", nil)
 	if err != nil {
 		t.Fatalf("and should short-circuit: %v", err)
 	}
 	if v.I != 0 {
 		t.Fatalf("got %v", v)
 	}
-	v, err = evalSrc(t, "a: bool = True\nif a or 1 / 0 > 0:\n    return 1\nreturn 0", nil, nil)
+	v, err = evalSrc(t, "a: bool = True\nif a or 1 / 0 > 0:\n    return 1\nreturn 0", nil)
 	if err != nil {
 		t.Fatalf("or should short-circuit: %v", err)
 	}
@@ -126,7 +145,7 @@ func TestStringOps(t *testing.T) {
 	v, _ := evalSrc(t, `s: str = "HeLLo"
 if "eL" in s:
     return 1
-return 0`, nil, nil)
+return 0`, nil)
 	if v.I != 1 {
 		t.Fatalf("in: %v", v)
 	}
@@ -175,7 +194,7 @@ return 0`)
 
 func TestDictKeyError(t *testing.T) {
 	if _, err := evalSrc(t, `d: dict[str, int] = {}
-return d["missing"]`, nil, nil); err == nil || !strings.Contains(err.Error(), "key error") {
+return d["missing"]`, nil); err == nil || !strings.Contains(err.Error(), "key error") {
 		t.Fatalf("want key error, got %v", err)
 	}
 }
@@ -248,7 +267,7 @@ func TestBuiltinConversions(t *testing.T) {
 
 func TestStateReadWrite(t *testing.T) {
 	st := MapState{"k": StrV("k"), "n": IntV(10)}
-	v, err := evalSrc(t, "self.n += 5\nreturn self.n", nil, st)
+	v, err := evalSrc(t, "self.n += 5\nreturn self.n", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,17 +280,10 @@ func TestStateReadWrite(t *testing.T) {
 }
 
 func TestContainerAttrMutationMarksState(t *testing.T) {
-	// Mutating a list attribute in place must go through State.Set.
-	track := &trackingState{MapState: MapState{"k": StrV("k"), "xs": ListV(IntV(1))}}
-	src := "@entity\nclass C:\n    def __init__(self, k: str):\n        self.k: str = k\n        self.xs: list[int] = []\n    def __key__(self) -> str:\n        return self.k\n    def m(self) -> int:\n        self.xs.append(2)\n        self.xs[0] = 9\n        return len(self.xs)\n"
-	mod, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := mod.Class("C").Method("m")
-	in := &Interp{}
-	fr := &frame{class: "C", key: "k", env: NewFrame(nil), state: track}
-	_, v, err := in.execStmts(fn.Body, fr)
+	// Mutating a list attribute in place must go through State.SetSlot.
+	in, m, layout := compileM(t, "self.xs.append(2)\nself.xs[0] = 9\nreturn len(self.xs)")
+	track := &trackingState{Row: RowFromMap(layout, MapState{"k": StrV("k"), "xs": ListV(IntV(1))})}
+	v, err := runM(in, m, track)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,18 +296,19 @@ func TestContainerAttrMutationMarksState(t *testing.T) {
 }
 
 type trackingState struct {
-	MapState
+	*Row
 	sets int
 }
 
-func (s *trackingState) Set(attr string, v Value) {
+func (s *trackingState) SetSlot(slot int, v Value) {
 	s.sets++
-	s.MapState.Set(attr, v)
+	s.Row.SetSlot(slot, v)
 }
 
 func TestUndefinedVariableError(t *testing.T) {
-	if _, err := evalSrc(t, "return nope", nil, nil); err == nil {
-		t.Fatal("want undefined-variable error")
+	// The checker accepts a read of a variable only some paths define.
+	if _, err := evalSrc(t, "if self.n > 0:\n    x: int = 1\nreturn x", MapState{"n": IntV(0)}); err == nil || !strings.Contains(err.Error(), "undefined variable x") {
+		t.Fatalf("want undefined-variable error, got %v", err)
 	}
 }
 
@@ -364,7 +377,7 @@ return 0`)
 
 // Guard: evaluating an expression with a position reports it in errors.
 func TestErrorHasPosition(t *testing.T) {
-	_, err := evalSrc(t, "return [1][5]", nil, nil)
+	_, err := evalSrc(t, "return [1][5]", nil)
 	rte, ok := err.(*RuntimeError)
 	if !ok {
 		t.Fatalf("error type: %T", err)
@@ -373,6 +386,3 @@ func TestErrorHasPosition(t *testing.T) {
 		t.Fatal("error lacks position")
 	}
 }
-
-// Ensure ast import is used even if test bodies change.
-var _ ast.Expr = (*ast.IntLit)(nil)

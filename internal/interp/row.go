@@ -1,8 +1,7 @@
 // Row is the dense, slot-indexed attribute store of one entity instance —
 // the slotted counterpart of MapState. The class's ir.ClassLayout fixes a
-// slot for every declared attribute; dynamically-added attributes (only
-// possible through hand-built IR) spill into an overflow map. Rows cache
-// their canonical encoding so snapshot writes and state diffing stop
+// slot for every declared attribute, and a row holds nothing else. Rows
+// cache their canonical encoding so snapshot writes and state diffing stop
 // re-serializing unchanged entities: any write invalidates the cache, and
 // the codec walks the layout's precomputed sorted slot order so the bytes
 // stay identical to the name-keyed MapState encoding (which differential
@@ -11,30 +10,18 @@
 package interp
 
 import (
-	"sort"
+	"fmt"
 
 	"statefulentities.dev/stateflow/internal/ir"
 )
-
-// SlotState is the fast path of State: attribute access by layout slot
-// index, used by the interpreter when executing slot-stamped ASTs against
-// slot-capable state backends.
-type SlotState interface {
-	State
-	// GetSlot reads the attribute in a 0-based layout slot.
-	GetSlot(slot int) (Value, bool)
-	// SetSlot writes the attribute in a 0-based layout slot.
-	SetSlot(slot int, v Value)
-}
 
 // Row holds one entity's attributes in layout order.
 type Row struct {
 	layout      *ir.ClassLayout
 	slots       []Value
-	presentBits uint64           // presence bitmap for rows of up to 64 slots
-	presentBig  []bool           // presence spill for wider rows (non-nil iff used)
-	extra       map[string]Value // attributes outside the layout (rare)
-	enc         []byte           // cached canonical encoding; nil = dirty
+	presentBits uint64 // presence bitmap for rows of up to 64 slots
+	presentBig  []bool // presence spill for wider rows (non-nil iff used)
+	enc         []byte // cached canonical encoding; nil = dirty
 	// aliased disables the encoding cache: a container value (list/dict)
 	// was handed out by Get, so the holder can mutate the row's state
 	// through the shared backing store without going through Set. The
@@ -45,8 +32,7 @@ type Row struct {
 	aliased bool
 }
 
-// NewRow allocates an empty row for a class layout (nil layout gives a
-// pure map-backed row).
+// NewRow allocates an empty row for a class layout.
 func NewRow(layout *ir.ClassLayout) *Row {
 	n := layout.NumSlots()
 	r := &Row{layout: layout, slots: make([]Value, n)}
@@ -71,7 +57,8 @@ func (r *Row) markPresent(i int) {
 	r.presentBits |= 1 << uint(i)
 }
 
-// RowFromMap builds a row over a layout from name-keyed attributes.
+// RowFromMap builds a row over a layout from name-keyed attributes, each of
+// which must be in the layout (see Set).
 func RowFromMap(layout *ir.ClassLayout, st MapState) *Row {
 	r := NewRow(layout)
 	for k, v := range st {
@@ -80,7 +67,7 @@ func RowFromMap(layout *ir.ClassLayout, st MapState) *Row {
 	return r
 }
 
-// Layout returns the row's class layout (possibly nil).
+// Layout returns the row's class layout.
 func (r *Row) Layout() *ir.ClassLayout { return r.layout }
 
 // leak marks the row uncacheable when a container value escapes.
@@ -92,36 +79,34 @@ func (r *Row) leak(v Value) Value {
 	return v
 }
 
-// Get implements State.
+// Get reads an attribute by name; a name outside the layout is absent.
 func (r *Row) Get(attr string) (Value, bool) {
 	if i, ok := r.layout.SlotOf(attr); ok {
-		if !r.isPresent(i) {
-			return None, false
-		}
-		return r.leak(r.slots[i]), true
+		return r.GetSlot(i)
 	}
-	v, ok := r.extra[attr]
-	if ok {
-		v = r.leak(v)
-	}
-	return v, ok
+	return None, false
 }
 
-// Set implements State, invalidating the cached encoding.
+// Set writes an attribute by name, invalidating the cached encoding. The
+// name must be in the layout: a class has exactly the attributes its
+// __init__ declares, so any other name is a bug in the caller.
 func (r *Row) Set(attr string, v Value) {
-	r.enc = nil
-	if i, ok := r.layout.SlotOf(attr); ok {
-		r.slots[i] = v
-		r.markPresent(i)
-		return
+	i, ok := r.layout.SlotOf(attr)
+	if !ok {
+		panic(fmt.Sprintf("interp: %s is not an attribute of class %s", attr, r.class()))
 	}
-	if r.extra == nil {
-		r.extra = map[string]Value{}
-	}
-	r.extra[attr] = v
+	r.SetSlot(i, v)
 }
 
-// GetSlot implements SlotState.
+// class names the row's class for error messages.
+func (r *Row) class() string {
+	if r.layout == nil {
+		return "<no layout>"
+	}
+	return r.layout.Class
+}
+
+// GetSlot implements State.
 func (r *Row) GetSlot(slot int) (Value, bool) {
 	if slot >= len(r.slots) || !r.isPresent(slot) {
 		return None, false
@@ -129,7 +114,7 @@ func (r *Row) GetSlot(slot int) (Value, bool) {
 	return r.leak(r.slots[slot]), true
 }
 
-// SetSlot implements SlotState, invalidating the cached encoding.
+// SetSlot implements State, invalidating the cached encoding.
 func (r *Row) SetSlot(slot int, v Value) {
 	r.enc = nil
 	r.slots[slot] = v
@@ -138,7 +123,7 @@ func (r *Row) SetSlot(slot int, v Value) {
 
 // Len counts present attributes.
 func (r *Row) Len() int {
-	n := len(r.extra)
+	n := 0
 	for i := range r.slots {
 		if r.isPresent(i) {
 			n++
@@ -156,9 +141,6 @@ func (r *Row) ToMap() MapState {
 			out[r.layout.Attrs[i]] = r.leak(r.slots[i])
 		}
 	}
-	for k, v := range r.extra {
-		out[k] = r.leak(v)
-	}
 	return out
 }
 
@@ -169,9 +151,6 @@ func (r *Row) CloneMap() MapState {
 		if r.isPresent(i) {
 			out[r.layout.Attrs[i]] = r.slots[i].Clone()
 		}
-	}
-	for k, v := range r.extra {
-		out[k] = v.Clone()
 	}
 	return out
 }
@@ -187,12 +166,6 @@ func (r *Row) Clone() *Row {
 	for i := range r.slots {
 		if r.isPresent(i) {
 			out.slots[i] = r.slots[i].Clone()
-		}
-	}
-	if len(r.extra) > 0 {
-		out.extra = make(map[string]Value, len(r.extra))
-		for k, v := range r.extra {
-			out.extra[k] = v.Clone()
 		}
 	}
 	if r.enc != nil {
@@ -226,16 +199,11 @@ func (r *Row) EncodedSize() int {
 	if r.enc != nil && !r.aliased {
 		return len(r.enc)
 	}
-	// Attribute order does not change the total, so the overflow
-	// attributes need no merge by name here.
 	n := uvarintSize(uint64(r.Len()))
 	for i := range r.slots {
 		if r.isPresent(i) {
 			n += strSize(r.layout.Attrs[i]) + ValueSize(r.slots[i])
 		}
-	}
-	for k, v := range r.extra {
-		n += strSize(k) + ValueSize(v)
 	}
 	return n
 }
@@ -260,20 +228,6 @@ func (r *Row) EncodeTo(e *Encoder) {
 // per-encode sorting or map iteration happens on the fast path. It reads
 // values directly (no alias bookkeeping): encoding does not escape them.
 func (r *Row) appendEncoding(e *Encoder) {
-	if len(r.extra) > 0 {
-		// Slow path: merge layout slots and overflow attributes by name.
-		m := make(MapState, r.Len())
-		for i := range r.slots {
-			if r.isPresent(i) {
-				m[r.layout.Attrs[i]] = r.slots[i]
-			}
-		}
-		for k, v := range r.extra {
-			m[k] = v
-		}
-		e.State(m)
-		return
-	}
 	e.uvarint(uint64(r.Len()))
 	for _, slot := range r.layout.SortedSlots() {
 		if r.isPresent(slot) {
@@ -283,14 +237,33 @@ func (r *Row) appendEncoding(e *Encoder) {
 	}
 }
 
-// Row reads a canonical row encoding back into a row over the given
-// layout.
+// Row reads a row encoding back into a row over the given layout. The
+// bytes come from outside the program (snapshot images), so an attribute
+// the layout does not declare, or one named twice, is an error.
 func (d *Decoder) Row(layout *ir.ClassLayout) (*Row, error) {
-	st, err := d.State()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	return RowFromMap(layout, st), nil
+	r := NewRow(layout)
+	for ; n > 0; n-- {
+		attr, err := d.str()
+		if err != nil {
+			return nil, err
+		}
+		slot, ok := layout.SlotOf(attr)
+		if !ok {
+			return nil, fmt.Errorf("decode: %s is not an attribute of class %s", attr, r.class())
+		}
+		if r.isPresent(slot) {
+			return nil, fmt.Errorf("decode: attribute %s of class %s appears twice", attr, r.class())
+		}
+		if r.slots[slot], err = d.Value(); err != nil {
+			return nil, err
+		}
+		r.markPresent(slot)
+	}
+	return r, nil
 }
 
 // Equal reports semantic equality of two rows' attribute maps.
@@ -306,19 +279,4 @@ func (r *Row) Equal(o *Row) bool {
 		}
 	}
 	return true
-}
-
-// Attrs lists present attribute names, sorted.
-func (r *Row) Attrs() []string {
-	out := make([]string, 0, r.Len())
-	for i := range r.slots {
-		if r.isPresent(i) {
-			out = append(out, r.layout.Attrs[i])
-		}
-	}
-	for k := range r.extra {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

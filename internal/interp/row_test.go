@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"statefulentities.dev/stateflow/internal/ir"
@@ -30,14 +31,29 @@ func TestRowGetSetSlots(t *testing.T) {
 	if v, _ := r.Get("a"); v.I != 2 {
 		t.Fatalf("slot write not visible by name: %v", v)
 	}
-	// Attributes outside the layout spill into the overflow map.
-	r.Set("dyn", StrV("x"))
-	if v, ok := r.Get("dyn"); !ok || v.S != "x" {
-		t.Fatalf("overflow attr: %v %v", v, ok)
-	}
-	if r.Len() != 2 {
+	if r.Len() != 1 {
 		t.Fatalf("len: %d", r.Len())
 	}
+	// A name outside the layout is absent, and writing it is a bug that
+	// names the class and the attribute.
+	if _, ok := r.Get("dyn"); ok {
+		t.Fatal("off-layout attribute must be absent")
+	}
+	requirePanic(t, "dyn is not an attribute of class C", func() { r.Set("dyn", StrV("x")) })
+	requirePanic(t, "dyn is not an attribute of class C", func() { RowFromMap(testLayout(), MapState{"dyn": None}) })
+}
+
+// requirePanic runs fn and requires it to panic with a message containing
+// want.
+func requirePanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+			t.Fatalf("panic %q, want one containing %q", got, want)
+		}
+	}()
+	fn()
 }
 
 // The row codec must emit exactly the bytes of the canonical name-keyed
@@ -51,13 +67,6 @@ func TestRowEncodingCanonical(t *testing.T) {
 	e.State(r.ToMap())
 	if !bytes.Equal(r.Encoding(), e.Bytes()) {
 		t.Fatal("row encoding must match canonical MapState encoding")
-	}
-	// Including when overflow attributes force the slow path.
-	r.Set("zz", IntV(9))
-	e2 := NewEncoder()
-	e2.State(r.ToMap())
-	if !bytes.Equal(r.Encoding(), e2.Bytes()) {
-		t.Fatal("overflow row encoding must stay canonical")
 	}
 }
 
@@ -145,6 +154,26 @@ func TestRowDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// Row bytes come from outside the program: an attribute the layout does not
+// declare, or one named twice, is an error rather than a silent overflow or
+// overwrite.
+func TestRowDecodeRejectsOffLayoutAndDuplicateAttributes(t *testing.T) {
+	e := NewEncoder()
+	e.State(MapState{"a": IntV(1), "dyn": IntV(2)})
+	if _, err := NewDecoder(e.Bytes()).Row(testLayout()); err == nil || !strings.Contains(err.Error(), "dyn is not an attribute of class C") {
+		t.Fatalf("off-layout attribute: %v", err)
+	}
+	dup := NewEncoder()
+	dup.uvarint(2)
+	for _, v := range []Value{IntV(1), IntV(2)} {
+		dup.str("a")
+		dup.Value(v)
+	}
+	if _, err := NewDecoder(dup.Bytes()).Row(testLayout()); err == nil || !strings.Contains(err.Error(), "attribute a of class C appears twice") {
+		t.Fatalf("duplicate attribute: %v", err)
+	}
+}
+
 // Rows wider than 64 slots exercise the presence spill path.
 func TestRowWide(t *testing.T) {
 	attrs := make([]string, 80)
@@ -187,14 +216,13 @@ func TestFrameSlotNameAgreement(t *testing.T) {
 	if v, ok := f.GetSlot(1); !ok || v.I != 2 {
 		t.Fatalf("slot read of name write: %v %v", v, ok)
 	}
-	f.Set("spill", IntV(3))
-	if f.Len() != 3 {
+	if f.Len() != 2 {
 		t.Fatalf("len: %d", f.Len())
 	}
-	names := f.Names()
-	if len(names) != 3 || names[0] != "spill" || names[1] != "x" || names[2] != "y" {
-		t.Fatalf("names: %v", names)
+	if _, ok := f.Get("spill"); ok {
+		t.Fatal("off-layout variable must be undefined")
 	}
+	requirePanic(t, "variable spill is not in the frame layout", func() { f.Set("spill", IntV(3)) })
 }
 
 func TestFramePruneAndClone(t *testing.T) {
@@ -203,7 +231,6 @@ func TestFramePruneAndClone(t *testing.T) {
 	f.Set("a", IntV(1))
 	f.Set("b", ListV(IntV(5)))
 	f.Set("c", IntV(3))
-	f.Set("extra", IntV(4))
 	cl := f.Clone()
 	v, _ := cl.Get("b")
 	v.L.Elems[0] = IntV(99)
@@ -213,9 +240,6 @@ func TestFramePruneAndClone(t *testing.T) {
 	f.Prune([]string{"b"})
 	if _, ok := f.Get("a"); ok {
 		t.Fatal("pruned var a survived")
-	}
-	if _, ok := f.Get("extra"); ok {
-		t.Fatal("pruned overflow var survived")
 	}
 	if v, ok := f.Get("b"); !ok || v.L.Elems[0].I != 5 {
 		t.Fatalf("live var b lost: %v %v", v, ok)

@@ -323,8 +323,8 @@ func (v Value) Repr() string {
 	return v.String()
 }
 
-// Env is the variable environment carried across split blocks (the
-// intermediate results stored in the execution graph, §2.5).
+// Env is a name-keyed variable map; the codec writes a MapState as one
+// (Encoder.Env), in sorted key order.
 type Env map[string]Value
 
 // Clone copies the environment (values are deep-copied so suspended

@@ -227,7 +227,7 @@ type Method struct {
 	SM        *StateMachine `json:"state_machine"`
 	// Frame is the method's static variable layout (parameters, locals and
 	// splitter temporaries mapped to dense frame slots), stamped by the
-	// compiler's layout pass. Nil frames fall back to name-keyed storage.
+	// compiler's layout pass.
 	Frame *FrameLayout `json:"frame,omitempty"`
 	// Body is the original (pre-split) body, used by Simple execution and
 	// by the local runtime.
@@ -252,7 +252,7 @@ type Operator struct {
 	Attrs    []Field `json:"attrs"`
 	// Layout is the class's static attribute layout (attribute name to
 	// dense slot index plus the program-wide class id), stamped by the
-	// compiler's layout pass and rebuilt on demand for hand-built IR.
+	// compiler's layout pass.
 	Layout  *ClassLayout       `json:"layout,omitempty"`
 	Methods map[string]*Method `json:"methods"`
 	// MethodOrder preserves source declaration order for deterministic

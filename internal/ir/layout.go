@@ -4,8 +4,8 @@
 // a ClassLayout maps each declared attribute to a fixed slot index and a
 // FrameLayout maps each method-local variable (parameters, locals,
 // splitter temporaries) to a fixed frame slot. Runtimes execute against
-// slice-backed frames and rows indexed by these slots; names remain only
-// as a fallback for dynamically-added attributes and hand-built IR.
+// slice-backed frames and rows indexed by these slots, and nothing else:
+// a name resolves to its slot only where state enters or leaves a runtime.
 package ir
 
 import (
@@ -182,23 +182,14 @@ func (ls *Layouts) ClassOf(id int) string {
 	return ""
 }
 
-// Layouts returns the program's class-layout registry, building layouts
-// for any operator the compiler did not stamp (hand-built IR). The result
-// is cached; it is safe for concurrent use after the first call.
+// Layouts returns the registry of the class layouts the compiler stamped
+// on the program's operators. The result is cached; it is safe for
+// concurrent use after the first call.
 func (p *Program) Layouts() *Layouts {
 	p.layoutsOnce.Do(func() {
 		ls := &Layouts{ByClass: map[string]*ClassLayout{}}
-		for i, name := range p.OperatorOrder {
-			op := p.Operators[name]
-			l := op.Layout
-			if l == nil {
-				attrs := make([]string, len(op.Attrs))
-				for j, a := range op.Attrs {
-					attrs[j] = a.Name
-				}
-				l = NewClassLayout(name, i, attrs)
-				op.Layout = l
-			}
+		for _, name := range p.OperatorOrder {
+			l := p.Operators[name].Layout
 			ls.ByClass[name] = l
 			ls.ByID = append(ls.ByID, l)
 		}

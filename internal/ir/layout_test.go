@@ -70,24 +70,24 @@ func TestLayoutsInterning(t *testing.T) {
 	}
 }
 
-// Program.Layouts must synthesize layouts for hand-built IR (no compiler
-// stamping) from the operators' attribute lists.
-func TestProgramLayoutsHandBuiltIR(t *testing.T) {
+// Program.Layouts indexes the layouts stamped on the operators by name and
+// by class id, and caches the registry.
+func TestProgramLayoutsRegistry(t *testing.T) {
 	p := &Program{
 		Operators: map[string]*Operator{
-			"A": {Name: "A", KeyAttr: "k", Attrs: []Field{{Name: "k"}, {Name: "v"}}},
-			"B": {Name: "B", KeyAttr: "k", Attrs: []Field{{Name: "k"}}},
+			"A": {Name: "A", KeyAttr: "k", Layout: NewClassLayout("A", 0, []string{"k", "v"})},
+			"B": {Name: "B", KeyAttr: "k", Layout: NewClassLayout("B", 1, []string{"k"})},
 		},
 		OperatorOrder: []string{"A", "B"},
 	}
 	ls := p.Layouts()
-	if ls.LayoutOf("A").NumSlots() != 2 || ls.LayoutOf("B").ID != 1 {
-		t.Fatalf("synthesized layouts: %+v", ls)
+	if ls.LayoutOf("A").NumSlots() != 2 || ls.LayoutOf("B").ID != 1 || ls.ByID[1] != ls.LayoutOf("B") {
+		t.Fatalf("registry: %+v", ls)
 	}
 	if p.Layouts() != ls {
 		t.Fatal("layouts must be cached")
 	}
 	if s, ok := ls.LayoutOf("A").SlotOf("v"); !ok || s != 1 {
-		t.Fatal("attr slot of hand-built layout")
+		t.Fatal("attr slot of a stamped layout")
 	}
 }

@@ -259,10 +259,9 @@ type Expr interface {
 	expr()
 }
 
-// Name is an identifier reference. Slot, when non-zero, is the 1-based
-// frame slot the compiler's layout pass resolved the identifier to;
-// interpreters use it for direct slice access and fall back to name lookup
-// when it is zero (unstamped AST).
+// Name is an identifier reference. Slot is the 1-based frame slot the
+// compiler's layout pass resolved the identifier to (zero until then); the
+// interpreter addresses the variable by it alone.
 type Name struct {
 	Position token.Pos
 	Ident    string

@@ -790,6 +790,6 @@ func (l liveStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
 }
 
 // Create implements core.Store.
-func (l liveStore) Create(ref interp.EntityRef) (interp.State, error) {
-	return l.s.Create(ref)
+func (l liveStore) Create(ref interp.EntityRef, ctor func(interp.State) error) error {
+	return l.s.Create(ref, ctor)
 }

@@ -46,8 +46,8 @@ func (s store) Lookup(ref interp.EntityRef) (interp.State, bool) {
 }
 
 // Create implements core.Store.
-func (s store) Create(ref interp.EntityRef) (interp.State, error) {
-	return s.r.states.Create(ref)
+func (s store) Create(ref interp.EntityRef, ctor func(interp.State) error) error {
+	return s.r.states.Create(ref, ctor)
 }
 
 // Result is the outcome of a root invocation.
@@ -134,21 +134,12 @@ func (r *Runtime) State(class, key string) (interp.MapState, bool) {
 // mirrors the simulated systems' PreloadEntity so one client surface can
 // preload any runtime.
 func (r *Runtime) PreloadEntity(class string, args ...interp.Value) error {
-	key, err := r.ex.KeyForCtor(class, args)
+	ref, row, err := r.ex.InitRow(class, args)
 	if err != nil {
 		return err
 	}
-	st := interp.MapState{}
-	if err := r.ex.Interp().ExecInit(class, args, st); err != nil {
-		return err
-	}
-	r.SetState(class, key, st)
+	r.states.Put(ref, row)
 	return nil
-}
-
-// SetState installs entity state directly (used by workload preloading).
-func (r *Runtime) SetState(class, key string, st interp.MapState) {
-	r.states.PutMap(interp.EntityRef{Class: class, Key: key}, st)
 }
 
 // Exists reports whether an entity has state.

@@ -25,7 +25,7 @@ func spareBytes(s *Store) int {
 func recycled(t *testing.T, rows, pad int) (s *Store, id int64, retired []byte) {
 	t.Helper()
 	st := bigStore(rows, pad)
-	s = NewStore(nil)
+	s = NewStore(testLayouts())
 	for i := 0; i < 2; i++ {
 		id := s.BeginWithPending(int64(i), nil, nil, 1)
 		if _, err := s.WriteStore(id, "w0", st); err != nil {
@@ -116,7 +116,7 @@ func TestRetiredSnapshotIsNotFound(t *testing.T) {
 // and the next write allocates its image afresh.
 func TestCompactKeepsNoSpare(t *testing.T) {
 	st := bigStore(16, 16<<10)
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	snap := func(epoch int64, workers ...string) int64 {
 		id := s.BeginWithPending(epoch, nil, nil, 2)
 		for _, w := range workers {

@@ -59,9 +59,9 @@ type Store struct {
 	spares map[string][]byte
 }
 
-// NewStore returns an empty snapshot store. The class-layout registry is
-// used to lay out restored state rows; nil is allowed (restored rows fall
-// back to name-keyed maps).
+// NewStore returns an empty snapshot store. The class-layout registry lays
+// out restored state rows; an image row its layouts do not admit fails
+// the restore.
 func NewStore(layouts *ir.Layouts) *Store {
 	return &Store{images: map[int64]map[string][]byte{}, layouts: layouts, spares: map[string][]byte{}}
 }

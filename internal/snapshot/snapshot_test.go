@@ -8,7 +8,7 @@ import (
 )
 
 func TestBeginWriteRead(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	id := s.Begin(5, map[string][]int64{"requests": {42}})
 	if err := s.Write(id, "w0", []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestBeginWriteRead(t *testing.T) {
 // persisting) must never be returned by Latest — recovery would restore
 // a half-written, inconsistent cut.
 func TestLatestSkipsIncompleteSnapshots(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	complete := s.BeginWithPending(1, nil, nil, 2)
 	if err := s.Write(complete, "w0", []byte{1}); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestLatestSkipsIncompleteSnapshots(t *testing.T) {
 }
 
 func TestLatest(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	if _, ok := s.Latest(); ok {
 		t.Fatal("empty store has no latest")
 	}
@@ -71,15 +71,15 @@ func TestLatest(t *testing.T) {
 }
 
 func TestWriteUnknownSnapshot(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	if err := s.Write(99, "w0", nil); err == nil {
 		t.Fatal("unknown snapshot must fail")
 	}
 }
 
 func TestRestoreStore(t *testing.T) {
-	snaps := NewStore(nil)
-	st := state.NewStore(nil)
+	snaps := NewStore(testLayouts())
+	st := state.NewStore(testLayouts())
 	st.PutMap(interp.EntityRef{Class: "A", Key: "k"}, interp.MapState{"v": interp.IntV(7)})
 	id := snaps.Begin(1, nil)
 	if err := snaps.Write(id, "w0", st.Encode()); err != nil {
@@ -102,7 +102,7 @@ func TestRestoreStore(t *testing.T) {
 }
 
 func TestImagesAreCopied(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	id := s.Begin(1, nil)
 	buf := []byte{1, 2, 3}
 	if err := s.Write(id, "w0", buf); err != nil {
@@ -116,7 +116,7 @@ func TestImagesAreCopied(t *testing.T) {
 }
 
 func TestWorkersSorted(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	id := s.Begin(1, nil)
 	for _, w := range []string{"w2", "w0", "w1"} {
 		if err := s.Write(id, w, []byte{0}); err != nil {
@@ -130,7 +130,7 @@ func TestWorkersSorted(t *testing.T) {
 }
 
 func TestMultipleSnapshotsRetained(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	id1 := s.Begin(1, map[string][]int64{"requests": {10}})
 	id2 := s.Begin(2, map[string][]int64{"requests": {20}})
 	if err := s.Write(id1, "w0", []byte("old")); err != nil {
@@ -149,7 +149,7 @@ func TestMultipleSnapshotsRetained(t *testing.T) {
 // snapshot request re-arriving after later batches committed must not
 // overwrite the aligned cut with newer state.
 func TestWriteIsFirstWriteWins(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	id := s.Begin(1, nil)
 	if err := s.Write(id, "w0", []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestWriteIsFirstWriteWins(t *testing.T) {
 // restore points, skipping over torn cuts, and keeping Count (the id
 // bound) stable.
 func TestCompactRetiresOldSnapshots(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	var ids []int64
 	for i := 0; i < 6; i++ {
 		id := s.BeginWithPending(int64(i), nil, nil, 1)

@@ -7,12 +7,26 @@ import (
 	"testing"
 
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/state"
 )
 
-// bigStore returns a store of n map-backed rows carrying pad payload bytes.
+// testLayouts lays out the classes these tests store.
+func testLayouts() *ir.Layouts {
+	ls := &ir.Layouts{ByClass: map[string]*ir.ClassLayout{}}
+	for _, l := range []*ir.ClassLayout{
+		ir.NewClassLayout("A", 0, []string{"v"}),
+		ir.NewClassLayout("Reg", 1, []string{"v", "pad"}),
+	} {
+		ls.ByClass[l.Class] = l
+		ls.ByID = append(ls.ByID, l)
+	}
+	return ls
+}
+
+// bigStore returns a store of n rows carrying pad payload bytes.
 func bigStore(n, pad int) *state.Store {
-	st := state.NewStore(nil)
+	st := state.NewStore(testLayouts())
 	for i := 0; i < n; i++ {
 		st.PutMap(interp.EntityRef{Class: "Reg", Key: fmt.Sprintf("r%03d", i)}, interp.MapState{
 			"v": interp.IntV(int64(i)), "pad": interp.StrV(string(make([]byte, pad))),
@@ -36,7 +50,7 @@ func TestWriteStoreMatchesWriteOfEncode(t *testing.T) {
 	st := bigStore(16, 1<<10)
 	row, _ := st.Lookup(interp.EntityRef{Class: "Reg", Key: "r003"})
 	row.Encoding() // one clean row with a cached encoding among the dirty ones
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	id := s.Begin(1, nil)
 	if err := s.Write(id, "bytes", st.Encode()); err != nil {
 		t.Fatal(err)
@@ -64,7 +78,7 @@ func TestWriteStoreMatchesWriteOfEncode(t *testing.T) {
 // neither replaces the image nor encodes anything.
 func TestWriteStoreIsFirstWriteWins(t *testing.T) {
 	st := bigStore(16, 64<<10)
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	id := s.Begin(1, nil)
 	n, err := s.WriteStore(id, "w0", st)
 	if err != nil {

@@ -25,8 +25,8 @@ type Store struct {
 }
 
 // NewStore returns an empty store over a program's class layouts. A nil
-// registry is allowed (tests, hand-built stores): rows then fall back to
-// name-keyed attribute maps.
+// registry stands for a program without classes: the store can hold only
+// rows without attributes.
 func NewStore(layouts *ir.Layouts) *Store {
 	if layouts == nil {
 		// An empty registry still interns class ids, so reservation keys of
@@ -36,7 +36,7 @@ func NewStore(layouts *ir.Layouts) *Store {
 	return &Store{m: map[interp.EntityRef]*interp.Row{}, layouts: layouts}
 }
 
-// Layouts exposes the store's class-layout registry (possibly nil).
+// Layouts exposes the store's class-layout registry.
 func (s *Store) Layouts() *ir.Layouts { return s.layouts }
 
 // ClassID returns the dense class id used in transaction reservation
@@ -64,20 +64,26 @@ func (s *Store) NewRow(class string) *interp.Row {
 	return interp.NewRow(s.layouts.LayoutOf(class))
 }
 
-// Create allocates empty state; it fails if the entity exists.
-func (s *Store) Create(ref interp.EntityRef) (*interp.Row, error) {
+// Create makes a new entity: it fails if the entity exists, and otherwise
+// runs ctor on a detached row laid out for the class, installing the row
+// only if ctor returns nil — a constructor that fails leaves nothing behind.
+func (s *Store) Create(ref interp.EntityRef, ctor func(interp.State) error) error {
 	if _, dup := s.m[ref]; dup {
-		return nil, fmt.Errorf("entity %s already exists", ref)
+		return fmt.Errorf("entity %s already exists", ref)
 	}
-	st := s.NewRow(ref.Class)
-	s.m[ref] = st
-	return st, nil
+	row := s.NewRow(ref.Class)
+	if err := ctor(row); err != nil {
+		return err
+	}
+	s.m[ref] = row
+	return nil
 }
 
 // Put installs (or replaces) an entity's row.
 func (s *Store) Put(ref interp.EntityRef, st *interp.Row) { s.m[ref] = st }
 
-// PutMap installs an entity's state from a name-keyed attribute map.
+// PutMap installs an entity's state from a name-keyed attribute map, each
+// of whose names must be an attribute of the entity's class.
 func (s *Store) PutMap(ref interp.EntityRef, st interp.MapState) {
 	s.m[ref] = interp.RowFromMap(s.layouts.LayoutOf(ref.Class), st)
 }
@@ -160,7 +166,9 @@ func (s *Store) EncodeInto(spare []byte) []byte {
 }
 
 // DecodeStore rebuilds a store from Encode output, laying rows out by the
-// given class-layout registry (nil gives map-backed rows).
+// given class-layout registry. The image is outside input: a row of a class
+// the registry does not know, or one naming an attribute outside its
+// class's layout, is an error.
 func DecodeStore(buf []byte, layouts *ir.Layouts) (*Store, error) {
 	d := interp.NewDecoder(buf)
 	nv, err := d.Value()
@@ -177,7 +185,11 @@ func DecodeStore(buf []byte, layouts *ir.Layouts) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := d.Row(layouts.LayoutOf(class.S))
+		layout := layouts.LayoutOf(class.S)
+		if layout == nil {
+			return nil, fmt.Errorf("state: image holds a row of unknown class %s", class.S)
+		}
+		row, err := d.Row(layout)
 		if err != nil {
 			return nil, err
 		}

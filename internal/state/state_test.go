@@ -1,6 +1,8 @@
 package state
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"statefulentities.dev/stateflow/internal/interp"
@@ -9,6 +11,21 @@ import (
 
 func ref(class, key string) interp.EntityRef {
 	return interp.EntityRef{Class: class, Key: key}
+}
+
+// testLayouts lays out every class these tests store.
+func testLayouts() *ir.Layouts {
+	ls := &ir.Layouts{ByClass: map[string]*ir.ClassLayout{}}
+	for _, l := range []*ir.ClassLayout{
+		ir.NewClassLayout("A", 0, []string{"b", "a", "c", "p", "x", "xs"}),
+		ir.NewClassLayout("Account", 1, []string{"owner", "balance", "tags"}),
+		ir.NewClassLayout("B", 2, []string{"c"}),
+		ir.NewClassLayout("Item", 3, []string{"stock"}),
+	} {
+		ls.ByClass[l.Class] = l
+		ls.ByID = append(ls.ByID, l)
+	}
+	return ls
 }
 
 func get(t *testing.T, r *interp.Row, attr string) interp.Value {
@@ -21,26 +38,36 @@ func get(t *testing.T, r *interp.Row, attr string) interp.Value {
 }
 
 func TestCreateLookup(t *testing.T) {
-	s := NewStore(nil)
-	st, err := s.Create(ref("A", "k1"))
-	if err != nil {
+	s := NewStore(testLayouts())
+	setX := func(st interp.State) error {
+		st.(*interp.Row).Set("x", interp.IntV(1))
+		return nil
+	}
+	if err := s.Create(ref("A", "k1"), setX); err != nil {
 		t.Fatal(err)
 	}
-	st.Set("x", interp.IntV(1))
 	got, ok := s.Lookup(ref("A", "k1"))
 	if !ok || get(t, got, "x").I != 1 {
 		t.Fatalf("lookup: %v %v", got, ok)
 	}
-	if _, err := s.Create(ref("A", "k1")); err == nil {
+	if err := s.Create(ref("A", "k1"), setX); err == nil {
 		t.Fatal("duplicate create must fail")
 	}
 	if !s.Exists(ref("A", "k1")) || s.Exists(ref("A", "zz")) {
 		t.Fatal("exists")
 	}
+	// A constructor that fails after writing leaves no entity behind.
+	err := s.Create(ref("A", "k2"), func(st interp.State) error {
+		_ = setX(st)
+		return errors.New("boom")
+	})
+	if err == nil || err.Error() != "boom" || s.Exists(ref("A", "k2")) {
+		t.Fatalf("failed constructor: %v, exists %v", err, s.Exists(ref("A", "k2")))
+	}
 }
 
 func TestPutDeleteLen(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	s.PutMap(ref("A", "k"), interp.MapState{"x": interp.IntV(1)})
 	if s.Len() != 1 {
 		t.Fatalf("len: %d", s.Len())
@@ -52,7 +79,7 @@ func TestPutDeleteLen(t *testing.T) {
 }
 
 func TestRefsDeterministicOrder(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	s.PutMap(ref("B", "2"), interp.MapState{})
 	s.PutMap(ref("A", "9"), interp.MapState{})
 	s.PutMap(ref("A", "1"), interp.MapState{})
@@ -66,14 +93,14 @@ func TestRefsDeterministicOrder(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	s.PutMap(ref("Account", "alice"), interp.MapState{
 		"owner":   interp.StrV("alice"),
 		"balance": interp.IntV(100),
 		"tags":    interp.ListV(interp.StrV("vip")),
 	})
 	s.PutMap(ref("Item", "apple"), interp.MapState{"stock": interp.IntV(7)})
-	back, err := DecodeStore(s.Encode(), nil)
+	back, err := DecodeStore(s.Encode(), testLayouts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +115,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeDeterministic(t *testing.T) {
 	build := func() *Store {
-		s := NewStore(nil)
+		s := NewStore(testLayouts())
 		s.PutMap(ref("A", "x"), interp.MapState{"a": interp.IntV(1), "b": interp.StrV("s")})
 		s.PutMap(ref("B", "y"), interp.MapState{"c": interp.BoolV(true)})
 		return s
@@ -98,42 +125,76 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// The store's encoding must not depend on whether rows are laid out by a
-// class layout or fall back to name-keyed maps: layouts are an in-memory
+// The store's encoding must not depend on the order in which a class
+// layout declares its attributes: layouts are an in-memory
 // representation, the wire format is canonical.
 func TestEncodeLayoutIndependent(t *testing.T) {
-	layouts := &ir.Layouts{ByClass: map[string]*ir.ClassLayout{
-		"A": ir.NewClassLayout("A", 0, []string{"b", "a", "c"}),
-	}}
 	attrs := interp.MapState{
 		"a": interp.IntV(1), "b": interp.StrV("s"), "c": interp.BoolV(true),
 	}
-	withLayout := NewStore(layouts)
-	withLayout.PutMap(ref("A", "x"), attrs)
-	without := NewStore(nil)
-	without.PutMap(ref("A", "x"), attrs)
-	if string(withLayout.Encode()) != string(without.Encode()) {
+	var images []string
+	for _, order := range [][]string{{"b", "a", "c"}, {"c", "b", "a"}} {
+		s := NewStore(&ir.Layouts{ByClass: map[string]*ir.ClassLayout{
+			"A": ir.NewClassLayout("A", 0, order),
+		}})
+		s.PutMap(ref("A", "x"), attrs)
+		images = append(images, string(s.Encode()))
+	}
+	if images[0] != images[1] {
 		t.Fatal("row encoding must be canonical regardless of layout")
 	}
 }
 
+// An image is outside input: a row naming an attribute its class does not
+// declare, one naming an attribute twice, and a row of a class the program
+// does not have all fail to decode.
+func TestDecodeRejectsOffLayoutRows(t *testing.T) {
+	image := func(class string, attrs ...string) []byte {
+		e := interp.NewEncoder()
+		e.Value(interp.IntV(1))
+		e.Value(interp.StrV(class))
+		e.Value(interp.StrV("k"))
+		e.Uvarint(uint64(len(attrs)))
+		for _, a := range attrs {
+			e.Str(a)
+			e.Value(interp.IntV(1))
+		}
+		return e.Bytes()
+	}
+	if _, err := DecodeStore(image("B", "c"), testLayouts()); err != nil {
+		t.Fatalf("a well-formed image: %v", err)
+	}
+	for _, tc := range []struct {
+		img  []byte
+		want string
+	}{
+		{image("B", "c", "zz"), "zz is not an attribute of class B"},
+		{image("B", "c", "c"), "attribute c of class B appears twice"},
+		{image("Nope"), "unknown class Nope"},
+	} {
+		if _, err := DecodeStore(tc.img, testLayouts()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got %v, want an error containing %q", err, tc.want)
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeStore([]byte{0xff, 0x01, 0x02}, nil); err == nil {
+	if _, err := DecodeStore([]byte{0xff, 0x01, 0x02}, testLayouts()); err == nil {
 		t.Fatal("garbage must fail")
 	}
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	s.PutMap(ref("A", "k"), interp.MapState{"x": interp.IntV(1)})
 	enc := s.Encode()
-	if _, err := DecodeStore(append(enc, 0x00), nil); err == nil {
+	if _, err := DecodeStore(append(enc, 0x00), testLayouts()); err == nil {
 		t.Fatal("trailing bytes must fail")
 	}
-	if _, err := DecodeStore(enc[:len(enc)-2], nil); err == nil {
+	if _, err := DecodeStore(enc[:len(enc)-2], testLayouts()); err == nil {
 		t.Fatal("truncated must fail")
 	}
 }
 
 func TestCloneIsolation(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	s.PutMap(ref("A", "k"), interp.MapState{"xs": interp.ListV(interp.IntV(1))})
 	c := s.Clone()
 	st, _ := c.Lookup(ref("A", "k"))
@@ -145,7 +206,7 @@ func TestCloneIsolation(t *testing.T) {
 }
 
 func TestSizes(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	if s.EncodedSize(ref("A", "zz")) != 0 {
 		t.Fatal("missing entity size must be 0")
 	}
@@ -165,7 +226,7 @@ func TestSizes(t *testing.T) {
 
 // EncodedSize must be served from the row cache and refresh after writes.
 func TestSizeCacheInvalidation(t *testing.T) {
-	s := NewStore(nil)
+	s := NewStore(testLayouts())
 	s.PutMap(ref("A", "k"), interp.MapState{"p": interp.StrV("x")})
 	small := s.EncodedSize(ref("A", "k"))
 	row, _ := s.Lookup(ref("A", "k"))

@@ -1,6 +1,7 @@
 package stateflow
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -216,13 +217,62 @@ func TestCorruptLogRecordIsCountedNotSwallowed(t *testing.T) {
 }
 
 // TestCorruptSnapshotImageIsCountedNotSwallowed is the snapshot-store twin
-// of the test above. One worker's image of the sealed snapshot is
-// overwritten with garbage (corruption outside the store's contract) and
-// that worker is crashed at that protocol state: the recovery still rolls
-// every worker back and carries on — the damaged worker from an empty store
-// — but the worker's counter, the deployment metric and the flight recorder
-// say so, once.
+// of the test above. One worker's image of the sealed snapshot is damaged
+// in place (corruption outside the store's contract) and that worker is
+// crashed at that protocol state: the recovery still rolls every worker
+// back and carries on — the damaged worker from an empty store — but the
+// worker's counter, the deployment metric and the flight recorder say so,
+// once. An image whose rows name an attribute the class does not declare,
+// or one attribute twice, is as undecodable as garbage.
 func TestCorruptSnapshotImageIsCountedNotSwallowed(t *testing.T) {
+	// Same-length rewrites of the image, so the stored bytes can be damaged
+	// where they lie.
+	entry := func(attr string, v interp.Value) []byte {
+		e := interp.NewEncoder()
+		e.Str(attr)
+		e.Value(v)
+		return e.Bytes()
+	}
+	rewrite := func(t *testing.T, img, old, new []byte) {
+		i := bytes.Index(img, old)
+		if i < 0 || len(old) != len(new) {
+			t.Fatalf("image holds no %x to rewrite in place", old)
+		}
+		copy(img[i:], new)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, img []byte)
+	}{
+		{"garbage", func(_ *testing.T, img []byte) {
+			for i := range img {
+				img[i] = 0xff
+			}
+		}},
+		{"attribute outside the layout", func(t *testing.T, img []byte) {
+			rewrite(t, img, []byte("balance"), []byte("balancf"))
+		}},
+		{"attribute named twice", func(t *testing.T, img []byte) {
+			// acct(0)'s owner entry becomes a second balance entry: the
+			// int's varint is padded with continuation bytes to the length
+			// of the string it replaces.
+			owner := entry("owner", interp.StrV(acct(0)))
+			balance := entry("balance", interp.IntV(0))
+			pad := len(owner) - len(balance)
+			balance = append(balance[:len(balance)-1], bytes.Repeat([]byte{0x80}, pad)...)
+			rewrite(t, img, owner, append(balance, 0))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			corruptSnapshotImage(t, tc.damage)
+		})
+	}
+}
+
+// corruptSnapshotImage runs the bank scenario, damages one worker's image
+// of the sealed snapshot, crashes that worker, and checks the restore is
+// counted as corrupt once and the run still answers everything.
+func corruptSnapshotImage(t *testing.T, damage func(t *testing.T, img []byte)) {
 	const n = 24
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 2
@@ -247,9 +297,7 @@ func TestCorruptSnapshotImageIsCountedNotSwallowed(t *testing.T) {
 	if !ok || len(img) == 0 {
 		t.Fatalf("snapshot %d holds no image of %s", coord.sealed, victim.id)
 	}
-	for i := range img {
-		img[i] = 0xff // Read hands out the stored bytes: this damages the store
-	}
+	damage(t, img) // Read hands out the stored bytes: this damages the store
 	sealed, now := coord.sealed, f.cluster.Now()
 	f.cluster.ScheduleCrash(victim.id, now, now+5*time.Millisecond)
 	f.cluster.RunUntil(20 * time.Second)

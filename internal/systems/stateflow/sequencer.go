@@ -510,12 +510,12 @@ func (s *reconStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
 }
 
 // Create implements core.Store.
-func (s *reconStore) Create(ref interp.EntityRef) (interp.State, error) {
+func (s *reconStore) Create(ref interp.EntityRef, ctor func(interp.State) error) error {
 	if !s.fetched[ref] {
 		s.missing[ref] = true
-		return nil, fmt.Errorf("entity %s not fetched", ref)
+		return fmt.Errorf("entity %s not fetched", ref)
 	}
-	return s.ws.Create(ref)
+	return s.ws.Create(ref, ctor)
 }
 
 // execute runs one attempt of a global transaction. A non-empty return

@@ -336,15 +336,11 @@ func (s *System) Preload(ref interp.EntityRef, st interp.MapState) {
 // PreloadEntity constructs the state an entity would have after __init__
 // with the given args and preloads it.
 func (s *System) PreloadEntity(class string, args ...interp.Value) error {
-	key, err := s.executor.KeyForCtor(class, args)
+	ref, row, err := s.executor.InitRow(class, args)
 	if err != nil {
 		return err
 	}
-	st := interp.MapState{}
-	if err := s.executor.Interp().ExecInit(class, args, st); err != nil {
-		return err
-	}
-	s.Preload(interp.EntityRef{Class: class, Key: key}, st)
+	s.workers[s.OwnerIndex(ref)].committed.Put(ref, row)
 	return nil
 }
 

@@ -350,8 +350,8 @@ func (v committedView) Lookup(ref interp.EntityRef) (interp.State, bool) {
 }
 
 // Create implements core.Store.
-func (committedView) Create(ref interp.EntityRef) (interp.State, error) {
-	return nil, fmt.Errorf("stateflow: a read-only call tried to create %s", ref)
+func (committedView) Create(ref interp.EntityRef, _ func(interp.State) error) error {
+	return fmt.Errorf("stateflow: a read-only call tried to create %s", ref)
 }
 
 // admitChained gates one event of a chained re-execution: it may run only

@@ -180,15 +180,11 @@ func (s *System) Preload(ref interp.EntityRef, st interp.MapState) {
 
 // PreloadEntity runs __init__ synchronously and preloads the result.
 func (s *System) PreloadEntity(class string, args ...interp.Value) error {
-	key, err := s.executor.KeyForCtor(class, args)
+	ref, row, err := s.executor.InitRow(class, args)
 	if err != nil {
 		return err
 	}
-	st := interp.MapState{}
-	if err := s.executor.Interp().ExecInit(class, args, st); err != nil {
-		return err
-	}
-	s.Preload(interp.EntityRef{Class: class, Key: key}, st)
+	s.ownerOf(ref).states.Put(ref, row)
 	return nil
 }
 
@@ -616,46 +612,41 @@ func (s shippedStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
 	return trackState{row: s.st, wrote: s.wrote}, true
 }
 
-// Create implements core.Store.
-func (s shippedStore) Create(ref interp.EntityRef) (interp.State, error) {
+// Create implements core.Store: the constructor fills the shipped row, which
+// goes back to the worker as a creation only if the constructor succeeds.
+func (s shippedStore) Create(ref interp.EntityRef, ctor func(interp.State) error) error {
 	if ref != s.ref {
-		return nil, fmt.Errorf("statefun: create %s routed to partition of %s", ref, s.ref)
+		return fmt.Errorf("statefun: create %s routed to partition of %s", ref, s.ref)
 	}
 	if s.exists {
-		return nil, fmt.Errorf("entity %s already exists", ref)
+		return fmt.Errorf("entity %s already exists", ref)
+	}
+	if err := ctor(s.st); err != nil {
+		return err
 	}
 	*s.created = true
 	*s.wrote = true
-	return trackState{row: s.st, wrote: s.wrote}, nil
+	return nil
 }
 
 // trackState wraps the shipped row, flagging writes so the worker knows
-// whether to install the returned state. It forwards the slot fast path.
+// whether to install the returned state.
 type trackState struct {
 	row   *interp.Row
 	wrote *bool
 }
 
-// Get implements interp.State.
-func (t trackState) Get(attr string) (interp.Value, bool) { return t.row.Get(attr) }
-
-// Set implements interp.State.
-func (t trackState) Set(attr string, v interp.Value) {
-	*t.wrote = true
-	t.row.Set(attr, v)
-}
-
-// GetSlot implements interp.SlotState.
+// GetSlot implements interp.State.
 func (t trackState) GetSlot(slot int) (interp.Value, bool) { return t.row.GetSlot(slot) }
 
-// SetSlot implements interp.SlotState.
+// SetSlot implements interp.State.
 func (t trackState) SetSlot(slot int, v interp.Value) {
 	*t.wrote = true
 	t.row.SetSlot(slot, v)
 }
 
 // Interface check.
-var _ interp.SlotState = trackState{}
+var _ interp.State = trackState{}
 
 // OnMessage implements sim.Handler.
 func (f *fnRuntime) OnMessage(ctx *sim.Context, from string, msg sim.Message) {

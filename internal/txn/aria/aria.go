@@ -14,10 +14,10 @@
 // the reservation key interns the entity class as the compiler's dense
 // class id, and the bitmap marks which attribute slots of the entity the
 // transaction touched (plus a whole-entity bit for existence checks,
-// creations, overflow slots and dynamically-added attributes). Two
-// transactions that touch disjoint attributes of the same entity no
-// longer conflict; committed writes apply slot-by-slot so disjoint
-// updates merge instead of clobbering each other.
+// creations and slots past the bitmap). Two transactions that touch
+// disjoint attributes of the same entity no longer conflict; committed
+// writes apply slot-by-slot so disjoint updates merge instead of
+// clobbering each other.
 package aria
 
 import (
@@ -43,8 +43,8 @@ type ResKey struct {
 }
 
 // Bits is an attribute-slot bitmap. Bit i covers layout slot i for
-// i < 63; EntityBit covers entity existence, creation, overflow slots
-// (≥ 63) and attributes outside the class layout.
+// i < 63; EntityBit covers entity existence, creation and the slots of
+// wide classes that the bitmap has no bit for (≥ 63).
 type Bits uint64
 
 // EntityBit is the whole-entity reservation bit.
@@ -164,9 +164,8 @@ func (rw *RWSet) Keys(buf []ResKey) []ResKey {
 }
 
 // wsEntry is one entity inside a workspace — its interp.State view, its
-// committed image and, once written, its buffered working copy. It
-// implements the slot fast path so slot-stamped attribute access records
-// slot-granular reservations without name hashing.
+// committed image and, once written, its buffered working copy. Every
+// access names a layout slot, so reservations are slot-granular.
 type wsEntry struct {
 	ws  *Workspace
 	ref interp.EntityRef
@@ -176,7 +175,7 @@ type wsEntry struct {
 	base *interp.Row
 	row  *interp.Row // private copy of the committed image, made on first write or container read
 	// wroteBits marks written slots; EntityBit set means the whole row
-	// must be installed on apply (created, overflow or extra attributes).
+	// must be installed on apply (created, or a slot past the bitmap).
 	// Zero means the copy was only read from (committedContainer).
 	wroteBits Bits
 	created   bool
@@ -301,45 +300,8 @@ func (e *wsEntry) committedContainer(v interp.Value) bool {
 	return (v.Kind == interp.KList || v.Kind == interp.KDict) && e.row == nil
 }
 
-// Get implements interp.State: own writes first, then the committed
+// GetSlot implements interp.State: own writes first, then the committed
 // image.
-func (e *wsEntry) Get(attr string) (interp.Value, bool) {
-	r := e.readRow()
-	if r == nil {
-		e.read(EntityBit)
-		return interp.None, false
-	}
-	if slot, ok := r.Layout().SlotOf(attr); ok {
-		e.read(SlotBit(slot))
-	} else {
-		e.read(EntityBit)
-	}
-	v, ok := r.Get(attr)
-	if ok && e.committedContainer(v) {
-		return e.own().Get(attr)
-	}
-	return v, ok
-}
-
-// Set implements interp.State: copy-on-first-write into the workspace.
-func (e *wsEntry) Set(attr string, v interp.Value) {
-	row := e.own()
-	if slot, ok := row.Layout().SlotOf(attr); ok && slot < 63 {
-		b := SlotBit(slot)
-		e.write(b)
-		e.wroteBits |= b
-	} else {
-		// Off-layout or overflow attribute: Apply installs the whole
-		// working row, so the reservation must cover every slot —
-		// otherwise a lower-TID slot write would pass validation and
-		// then be reverted by the row install.
-		e.write(AllBits)
-		e.wroteBits |= EntityBit
-	}
-	row.Set(attr, v)
-}
-
-// GetSlot implements interp.SlotState.
 func (e *wsEntry) GetSlot(slot int) (interp.Value, bool) {
 	e.read(SlotBit(slot))
 	r := e.readRow()
@@ -353,7 +315,8 @@ func (e *wsEntry) GetSlot(slot int) (interp.Value, bool) {
 	return v, ok
 }
 
-// SetSlot implements interp.SlotState.
+// SetSlot implements interp.State: copy-on-first-write into the
+// workspace.
 func (e *wsEntry) SetSlot(slot int, v interp.Value) {
 	row := e.own()
 	if slot < 63 {
@@ -361,7 +324,10 @@ func (e *wsEntry) SetSlot(slot int, v interp.Value) {
 		e.write(b)
 		e.wroteBits |= b
 	} else {
-		// Overflow slot: whole-row install on apply (see Set).
+		// A slot past the bitmap: Apply installs the whole working row, so
+		// the reservation must cover every slot — otherwise a lower-TID
+		// slot write would pass validation and then be reverted by the row
+		// install.
 		e.write(AllBits)
 		e.wroteBits |= EntityBit
 	}
@@ -390,19 +356,21 @@ func (ws *Workspace) Lookup(ref interp.EntityRef) (interp.State, bool) {
 	return e, true
 }
 
-// Create implements core.Store: new entities are buffered like writes.
-func (ws *Workspace) Create(ref interp.EntityRef) (interp.State, error) {
+// Create implements core.Store: new entities are buffered like writes, so
+// a constructor that fails leaves its writes in a workspace that commits
+// nothing.
+func (ws *Workspace) Create(ref interp.EntityRef, ctor func(interp.State) error) error {
 	if ws.committed.Exists(ref) {
-		return nil, fmt.Errorf("entity %s already exists", ref)
+		return fmt.Errorf("entity %s already exists", ref)
 	}
 	e := ws.touch(ref)
 	if e.created {
-		return nil, fmt.Errorf("entity %s already exists", ref)
+		return fmt.Errorf("entity %s already exists", ref)
 	}
 	e.write(AllBits)
 	e.base, e.row = nil, ws.committed.NewRow(ref.Class)
 	e.wroteBits, e.created = AllBits, true
-	return e, nil
+	return ctor(e)
 }
 
 // Written calls fn for every entity the transaction buffered a write for,
@@ -417,7 +385,7 @@ func (ws *Workspace) Written(fn func(ref interp.EntityRef, row *interp.Row)) {
 }
 
 // Apply installs the workspace's buffered writes into the committed
-// store. Whole-entity writes (creations, extra attributes) install the
+// store. Whole-entity writes (creations, slots past the bitmap) install the
 // working row; plain attribute writes merge slot-by-slot so lower-TID
 // writes to disjoint slots survive. Callers must apply committed
 // workspaces in TID order. (Within one workspace the entities are
@@ -607,6 +575,6 @@ func Fallback(order []TID, sets map[TID]*RWSet) Schedule {
 
 // Interface checks.
 var (
-	_ core.Store       = (*Workspace)(nil)
-	_ interp.SlotState = (*wsEntry)(nil)
+	_ core.Store   = (*Workspace)(nil)
+	_ interp.State = (*wsEntry)(nil)
 )

@@ -2,6 +2,7 @@ package aria
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,9 +16,38 @@ import (
 
 func ref(key string) interp.EntityRef { return interp.EntityRef{Class: "A", Key: key} }
 
-// rkey is the reservation key of ref(key) over a nil layout registry
-// (class "A" interns to id 0).
+// rkey is the reservation key of ref(key): class "A" has id 0.
 func rkey(key string) ResKey { return ResKey{Class: 0, Key: key} }
+
+// layoutA lays out class A; its slot 63 ("wide") is past the reservation
+// bitmap.
+var layoutA = func() *ir.ClassLayout {
+	attrs := []string{"a", "b", "payload", "v", "w", "xs"}
+	for len(attrs) < 63 {
+		attrs = append(attrs, fmt.Sprintf("pad%02d", len(attrs)))
+	}
+	return ir.NewClassLayout("A", 0, append(attrs, "wide"))
+}()
+
+// newStore returns an empty committed store over class A's layout.
+func newStore() *state.Store {
+	return state.NewStore(&ir.Layouts{ByClass: map[string]*ir.ClassLayout{"A": layoutA}, ByID: []*ir.ClassLayout{layoutA}})
+}
+
+// slotOf is attr's slot in class A.
+func slotOf(t *testing.T, attr string) int {
+	t.Helper()
+	slot, ok := layoutA.SlotOf(attr)
+	if !ok {
+		t.Fatalf("A has no attribute %s", attr)
+	}
+	return slot
+}
+
+func set(t *testing.T, st interp.State, attr string, v interp.Value) {
+	t.Helper()
+	st.SetSlot(slotOf(t, attr), v)
+}
 
 func setOf(reads, writes []string) *RWSet {
 	rw := NewRWSet()
@@ -442,7 +472,7 @@ func TestConflicts(t *testing.T) {
 
 func get(t *testing.T, st interp.State, attr string) interp.Value {
 	t.Helper()
-	v, ok := st.Get(attr)
+	v, ok := st.GetSlot(slotOf(t, attr))
 	if !ok {
 		t.Fatalf("attr %s missing", attr)
 	}
@@ -450,7 +480,7 @@ func get(t *testing.T, st interp.State, attr string) interp.Value {
 }
 
 func TestWorkspaceReadsCommitted(t *testing.T) {
-	committed := state.NewStore(nil)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(10)})
 	ws := NewWorkspace(1, committed)
 	st, ok := ws.Lookup(ref("x"))
@@ -466,11 +496,11 @@ func TestWorkspaceReadsCommitted(t *testing.T) {
 }
 
 func TestWorkspaceWriteIsolation(t *testing.T) {
-	committed := state.NewStore(nil)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(10)})
 	ws := NewWorkspace(1, committed)
 	st, _ := ws.Lookup(ref("x"))
-	st.Set("v", interp.IntV(99))
+	set(t, st, "v", interp.IntV(99))
 	// Own read sees own write.
 	if v := get(t, st, "v"); v.I != 99 {
 		t.Fatalf("own read: %v", v)
@@ -495,22 +525,19 @@ func TestWorkspaceWriteIsolation(t *testing.T) {
 // reconnaissance attempt) must leave the committed list as it was, and a
 // read-only private copy must count as neither a write nor write bytes.
 func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
-	layouts := &ir.Layouts{ByClass: map[string]*ir.ClassLayout{
-		"A": ir.NewClassLayout("A", 0, []string{"xs"}),
-	}}
-	committed := state.NewStore(layouts)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"xs": interp.ListV(interp.IntV(1))})
 	before := append([]byte(nil), committed.Encode()...)
 
 	ws := NewWorkspace(1, committed)
 	st, _ := ws.Lookup(ref("x"))
-	v, _ := st.(interp.SlotState).GetSlot(0)
+	v, _ := st.GetSlot(slotOf(t, "xs"))
 	v.L.Elems = append(v.L.Elems, interp.IntV(2))
 	ws.Written(func(interp.EntityRef, *interp.Row) { t.Fatal("a read counted as a write") })
 	if ws.WriteBytes() != 0 {
 		t.Fatal("a read counted toward write bytes")
 	}
-	st.(interp.SlotState).SetSlot(0, v) // touchStateAttr
+	set(t, st, "xs", v) // touchStateAttr
 	if !bytes.Equal(committed.Encode(), before) {
 		t.Fatal("in-place append reached the committed store before Apply")
 	}
@@ -522,7 +549,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 		t.Fatalf("retry sees the dropped attempt's append: %s", v.Repr())
 	}
 	v.L.Elems = append(v.L.Elems, interp.IntV(3))
-	st.Set("xs", v)
+	set(t, st, "xs", v)
 	ws.Apply(committed)
 	base, _ := committed.Lookup(ref("x"))
 	if got := get(t, base, "xs").Repr(); got != "[1, 3]" {
@@ -531,11 +558,11 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 }
 
 func TestWorkspaceCopyOnWritePreservesOtherAttrs(t *testing.T) {
-	committed := state.NewStore(nil)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
 	ws := NewWorkspace(1, committed)
 	st, _ := ws.Lookup(ref("x"))
-	st.Set("a", interp.IntV(100))
+	set(t, st, "a", interp.IntV(100))
 	ws.Apply(committed)
 	base, _ := committed.Lookup(ref("x"))
 	if get(t, base, "a").I != 100 || get(t, base, "b").I != 2 {
@@ -547,18 +574,14 @@ func TestWorkspaceCopyOnWritePreservesOtherAttrs(t *testing.T) {
 // both survive: slot-granular validation passes both and merge-apply
 // keeps both writes.
 func TestDisjointSlotWritesMerge(t *testing.T) {
-	layouts := &ir.Layouts{ByClass: map[string]*ir.ClassLayout{
-		"A": ir.NewClassLayout("A", 0, []string{"a", "b"}),
-	}}
-	layouts.ByID = []*ir.ClassLayout{layouts.ByClass["A"]}
-	committed := state.NewStore(layouts)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
 	w1 := NewWorkspace(1, committed)
 	w2 := NewWorkspace(2, committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
-	s1.Set("a", interp.IntV(100))
-	s2.Set("b", interp.IntV(200))
+	set(t, s1, "a", interp.IntV(100))
+	set(t, s2, "b", interp.IntV(200))
 	order := []TID{1, 2}
 	sets := map[TID]*RWSet{1: &w1.RW, 2: &w2.RW}
 	if ab := Validate(order, sets); len(ab) != 0 {
@@ -572,23 +595,19 @@ func TestDisjointSlotWritesMerge(t *testing.T) {
 	}
 }
 
-// A write that forces a whole-row install on apply (off-layout or
-// overflow attribute) must reserve the entire entity: otherwise it would
+// A write that forces a whole-row install on apply (a slot past the
+// reservation bitmap) must reserve the entire entity: otherwise it would
 // pass validation against a lower-TID slot write and then revert it when
 // the full row is installed.
 func TestWholeRowInstallConflictsWithSlotWrites(t *testing.T) {
-	layouts := &ir.Layouts{ByClass: map[string]*ir.ClassLayout{
-		"A": ir.NewClassLayout("A", 0, []string{"a", "b"}),
-	}}
-	layouts.ByID = []*ir.ClassLayout{layouts.ByClass["A"]}
-	committed := state.NewStore(layouts)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
 	w1 := NewWorkspace(1, committed)
 	w2 := NewWorkspace(2, committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
-	s1.Set("a", interp.IntV(100)) // slot write
-	s2.Set("dyn", interp.IntV(9)) // off-layout write -> whole-row install
+	set(t, s1, "a", interp.IntV(100))  // slot write
+	set(t, s2, "wide", interp.IntV(9)) // slot 63 -> whole-row install
 	aborts := Validate([]TID{1, 2}, map[TID]*RWSet{1: &w1.RW, 2: &w2.RW})
 	if len(aborts) != 1 || aborts[0] != 2 {
 		t.Fatalf("whole-row installer must abort against lower slot write: %v", aborts)
@@ -602,13 +621,14 @@ func TestWholeRowInstallConflictsWithSlotWrites(t *testing.T) {
 }
 
 func TestWorkspaceCreate(t *testing.T) {
-	committed := state.NewStore(nil)
+	committed := newStore()
 	ws := NewWorkspace(1, committed)
-	st, err := ws.Create(ref("new"))
-	if err != nil {
+	if err := ws.Create(ref("new"), func(st interp.State) error {
+		set(t, st, "v", interp.IntV(5))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	st.Set("v", interp.IntV(5))
 	// Visible inside the workspace.
 	if _, ok := ws.Lookup(ref("new")); !ok {
 		t.Fatal("created entity invisible in workspace")
@@ -623,49 +643,54 @@ func TestWorkspaceCreate(t *testing.T) {
 	}
 }
 
+// noCtor is a constructor that writes nothing.
+func noCtor(interp.State) error { return nil }
+
 func TestWorkspaceCreateDuplicate(t *testing.T) {
-	committed := state.NewStore(nil)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{})
 	ws := NewWorkspace(1, committed)
-	if _, err := ws.Create(ref("x")); err == nil {
+	if err := ws.Create(ref("x"), noCtor); err == nil {
 		t.Fatal("duplicate create must fail")
 	}
-	if _, err := ws.Create(ref("y")); err != nil {
+	if err := ws.Create(ref("y"), noCtor); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.Create(ref("y")); err == nil {
+	if err := ws.Create(ref("y"), noCtor); err == nil {
 		t.Fatal("duplicate create inside workspace must fail")
 	}
 }
 
 func TestWorkspaceLookupMissing(t *testing.T) {
-	ws := NewWorkspace(1, state.NewStore(nil))
+	ws := NewWorkspace(1, newStore())
 	if _, ok := ws.Lookup(ref("ghost")); ok {
 		t.Fatal("missing entity must not resolve")
 	}
 }
 
 func TestTwoWorkspacesAreIsolated(t *testing.T) {
-	committed := state.NewStore(nil)
+	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(0)})
 	w1 := NewWorkspace(1, committed)
 	w2 := NewWorkspace(2, committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
-	s1.Set("v", interp.IntV(1))
+	set(t, s1, "v", interp.IntV(1))
 	if v := get(t, s2, "v"); v.I != 0 {
 		t.Fatalf("w2 saw w1's write: %v", v)
 	}
 }
 
 func TestWriteBytesAndTouched(t *testing.T) {
-	committed := state.NewStore(nil)
+	committed := newStore()
 	ws := NewWorkspace(1, committed)
 	if ws.WriteBytes() != 0 {
 		t.Fatal("empty workspace bytes")
 	}
-	st, _ := ws.Create(ref("a"))
-	st.Set("payload", interp.StrV(string(make([]byte, 1000))))
+	_ = ws.Create(ref("a"), func(st interp.State) error {
+		set(t, st, "payload", interp.StrV(string(make([]byte, 1000))))
+		return nil
+	})
 	if ws.WriteBytes() < 1000 {
 		t.Fatalf("write bytes: %d", ws.WriteBytes())
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/state"
 )
 
 // The compact RWSet and Workspace (inline entries, linear scan, a map
@@ -161,7 +160,7 @@ func TestRWSetMatchesMapReference(t *testing.T) {
 // valid.
 func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 	const entities = 40
-	committed := state.NewStore(nil)
+	committed := newStore()
 	key := func(i int) string { return fmt.Sprintf("e%02d", i) }
 	for i := 0; i < entities; i++ {
 		committed.PutMap(ref(key(i)), interp.MapState{"v": interp.IntV(int64(i)), "w": interp.IntV(0)})
@@ -175,17 +174,18 @@ func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 		}
 		handles[i] = st
 		if i%2 == 1 {
-			st.Set("w", interp.IntV(int64(100+i)))
+			set(t, st, "w", interp.IntV(int64(100+i)))
 		}
 	}
-	if _, err := ws.Create(ref("fresh")); err != nil {
+	if err := ws.Create(ref("fresh"), noCtor); err != nil {
 		t.Fatal(err)
 	}
-	made, err := ws.Create(ref("made"))
-	if err != nil {
+	if err := ws.Create(ref("made"), func(made interp.State) error {
+		set(t, made, "v", interp.IntV(-1))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	made.Set("v", interp.IntV(-1))
 
 	// Early handles still read and write their own entity after the spill
 	// and the index were built.
@@ -198,7 +198,7 @@ func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 			t.Fatalf("second lookup of %s handed out a different entry", key(i))
 		}
 	}
-	handles[0].Set("w", interp.IntV(7))
+	set(t, handles[0], "w", interp.IntV(7))
 
 	if n := len(ws.RW.entries); n != entities+2 {
 		t.Fatalf("%d reservation entries, want %d", n, entities+2)
