@@ -80,10 +80,11 @@ func FuzzCompile(f *testing.F) {
 	})
 }
 
-// checkStamps asserts the invariant the interpreter addresses state by: in
+// checkStamps asserts the invariant the runtime addresses state by: in
 // every method's body and blocks, every variable, self attribute and loop
-// variable carries the 1-based slot of its own name in its layout, and
-// every call result lands in a variable of the frame layout.
+// variable carries the 1-based slot of its own name in its layout, every
+// call result slot is that of its AssignTo name (0 when discarded), and
+// every block's live-out slots are those of its LiveOut names.
 func checkStamps(t *testing.T, prog *ir.Program) {
 	for _, cn := range prog.OperatorOrder {
 		op := prog.Operators[cn]
@@ -130,9 +131,17 @@ func checkStamps(t *testing.T, prog *ir.Program) {
 					for _, a := range term.Args {
 						expr(a)
 					}
-					if _, ok := m.Frame.SlotOf(term.AssignTo); term.AssignTo != "" && !ok {
-						t.Fatalf("%s.%s: %s assigns to %s, which is not in the frame layout %v", cn, mn, b.Name, term.AssignTo, m.Frame.Vars)
+					if term.AssignTo != "" {
+						slotted("call result", term.AssignTo, term.Result, m.Frame.Vars)
+					} else if term.Result != 0 {
+						t.Fatalf("%s.%s: %s discards its result but carries slot %d", cn, mn, b.Name, term.Result)
 					}
+				}
+				if len(b.LiveOutSlots) != len(b.LiveOut) {
+					t.Fatalf("%s.%s: %s has %d live-out slots for live-out %v", cn, mn, b.Name, len(b.LiveOutSlots), b.LiveOut)
+				}
+				for i, v := range b.LiveOut {
+					slotted("live-out variable", v, b.LiveOutSlots[i]+1, m.Frame.Vars)
 				}
 			}
 		}

@@ -2,13 +2,15 @@
 // static analysis already determined every class's attribute set and —
 // via the splitter's def/use analysis — every method's variable set, so
 // this pass lowers both to dense integer layouts (ir.ClassLayout and
-// ir.FrameLayout) and stamps 1-based slot indices directly into the AST
-// nodes the interpreter executes (ast.Name.Slot, ast.Attr.Slot,
-// ast.ForStmt.VarSlot). Runtimes then read and write variables and
-// attributes by slice index instead of hashing names on every access.
+// ir.FrameLayout) and stamps slot indices directly onto what the runtime
+// executes: 1-based slots into the AST nodes (ast.Name.Slot, ast.Attr.Slot,
+// ast.ForStmt.VarSlot) and every invoke's result (ir.Invoke.Result), and
+// each block's live-out slots (ir.Block.LiveOutSlots). Runtimes then read,
+// write, resume and suspend frames by slice index instead of hashing names.
 package compiler
 
 import (
+	"fmt"
 	"sort"
 
 	"statefulentities.dev/stateflow/internal/ir"
@@ -83,17 +85,6 @@ func frameLayout(m *ir.Method) *ir.FrameLayout {
 			}
 			add(t.AssignTo)
 		}
-		// Defensive: liveness results are derived from the same ASTs, but
-		// keep the layout a superset of whatever the runtime prunes by.
-		for _, v := range b.Params {
-			add(v)
-		}
-		for _, v := range b.Defines {
-			add(v)
-		}
-		for _, v := range b.LiveOut {
-			add(v)
-		}
 	}
 	sort.Strings(vars[nParams:])
 	return ir.NewFrameLayout(vars)
@@ -101,16 +92,26 @@ func frameLayout(m *ir.Method) *ir.FrameLayout {
 
 // stampMethod writes slot indices into every AST node of the method: both
 // the pre-split Body (executed by simple methods, __init__ and inline
-// self-calls) and the split blocks (which share and extend those nodes).
+// self-calls) and the split blocks (which share and extend those nodes);
+// and onto every block its live-out slots and every invoke its result slot.
+// Liveness names only variables the blocks mention, so each has a slot.
 func stampMethod(m *ir.Method, cl *ir.ClassLayout) {
-	fl := m.Frame
+	index := make(map[string]int, len(m.Frame.Vars))
+	for i, v := range m.Frame.Vars {
+		index[v] = i
+	}
+	slotOf := func(name string) int {
+		s, ok := index[name]
+		if !ok {
+			panic(fmt.Sprintf("compiler: %s is not in the frame layout of %s", name, m.Name))
+		}
+		return s
+	}
 	stampExpr := func(e ast.Expr) {
 		ast.WalkExpr(e, func(x ast.Expr) bool {
 			switch n := x.(type) {
 			case *ast.Name:
-				if s, ok := fl.SlotOf(n.Ident); ok {
-					n.Slot = s + 1
-				}
+				n.Slot = slotOf(n.Ident) + 1
 			case *ast.Attr:
 				if _, isSelf := n.Recv.(*ast.SelfRef); isSelf {
 					if s, ok := cl.SlotOf(n.Field); ok {
@@ -124,9 +125,7 @@ func stampMethod(m *ir.Method, cl *ir.ClassLayout) {
 	stampStmts := func(stmts []ast.Stmt) {
 		ast.WalkStmts(stmts, func(s ast.Stmt) {
 			if f, ok := s.(*ast.ForStmt); ok {
-				if slot, ok := fl.SlotOf(f.Var); ok {
-					f.VarSlot = slot + 1
-				}
+				f.VarSlot = slotOf(f.Var) + 1
 			}
 			for _, e := range ast.ExprsOf(s) {
 				stampExpr(e)
@@ -146,6 +145,14 @@ func stampMethod(m *ir.Method, cl *ir.ClassLayout) {
 			for _, a := range t.Args {
 				stampExpr(a)
 			}
+			if t.AssignTo != "" {
+				t.Result = slotOf(t.AssignTo) + 1
+				b.Term = t
+			}
+		}
+		b.LiveOutSlots = make([]int, len(b.LiveOut))
+		for i, v := range b.LiveOut {
+			b.LiveOutSlots[i] = slotOf(v)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"testing"
 
 	"statefulentities.dev/stateflow/internal/ir"
@@ -78,7 +79,7 @@ func TestFrameLayoutParamsLeading(t *testing.T) {
 	}
 	// Locals defined across the method are covered too.
 	for _, v := range []string{"total_price", "available"} {
-		if _, ok := m.Frame.SlotOf(v); !ok {
+		if !slices.Contains(m.Frame.Vars, v) {
 			t.Fatalf("local %s missing from frame layout: %v", v, m.Frame.Vars)
 		}
 	}

@@ -23,12 +23,16 @@ import (
 )
 
 // Frame is one suspended method activation inside an execution context.
+// It holds the compiled method itself and the slot its pending call
+// returns into, so resuming and suspending it resolve no name.
 type Frame struct {
-	Ref      interp.EntityRef // entity executing the method
-	Method   string
-	Block    ir.BlockID // block to run when the frame (re)gains control
-	Env      *interp.Frame
-	AssignTo string // variable receiving the pending call's return value
+	Ref    interp.EntityRef // entity executing the method
+	Method *ir.Method
+	Block  ir.BlockID // block to run when the frame (re)gains control
+	Env    *interp.Frame
+	// Result is the pending call's 1-based result slot in Env
+	// (ir.Invoke.Result); 0 discards the returned value.
+	Result int
 }
 
 // Context is the execution state machine instance inserted into
@@ -46,16 +50,6 @@ func (c *Context) Top() *Frame {
 		return nil
 	}
 	return &c.Stack[len(c.Stack)-1]
-}
-
-// Clone deep-copies the context so suspended continuations are isolated.
-func (c *Context) Clone() *Context {
-	out := &Context{Req: c.Req, Stack: make([]Frame, len(c.Stack))}
-	for i, f := range c.Stack {
-		out.Stack[i] = Frame{Ref: f.Ref, Method: f.Method, Block: f.Block,
-			Env: f.Env.Clone(), AssignTo: f.AssignTo}
-	}
-	return out
 }
 
 // EventKind discriminates dataflow events.
@@ -235,10 +229,8 @@ func (ex *Executor) stepInvoke(ev *Event, store Store) ([]*Event, error) {
 	if ctx == nil {
 		ctx = &Context{Req: ev.Req}
 	}
-	ctx.Stack = append(ctx.Stack, Frame{
-		Ref: ev.Target, Method: ev.Method, Block: 0, Env: env,
-	})
-	return ex.run(ctx, m, st, store, ev.Hops)
+	ctx.Stack = append(ctx.Stack, Frame{Ref: ev.Target, Method: m, Env: env})
+	return ex.run(ctx, st, ev.Hops)
 }
 
 func (ex *Executor) stepInit(ev *Event, store Store) ([]*Event, error) {
@@ -266,28 +258,21 @@ func (ex *Executor) stepResume(ev *Event, store Store) ([]*Event, error) {
 	if !ok {
 		return ex.fail(popFrame(ctx), ev.Req, fmt.Sprintf("entity %s vanished", fr.Ref), ev.Hops)
 	}
-	if fr.AssignTo != "" {
-		fr.Env.Set(fr.AssignTo, ev.Value)
-	}
-	fr.AssignTo = ""
-	m := ex.prog.MethodOf(fr.Ref.Class, fr.Method)
-	if m == nil {
-		return nil, fmt.Errorf("core: method %s.%s missing on resume", fr.Ref.Class, fr.Method)
-	}
-	return ex.run(ctx, m, st, store, ev.Hops)
+	fr.resume(ev.Value)
+	return ex.run(ctx, st, ev.Hops)
 }
 
 // run executes the top frame's state machine until it suspends or
 // completes, staying inside this operator partition.
-func (ex *Executor) run(ctx *Context, m *ir.Method, st interp.State, store Store, hops int) ([]*Event, error) {
+func (ex *Executor) run(ctx *Context, st interp.State, hops int) ([]*Event, error) {
 	fr := ctx.Top()
 	for steps := 0; ; steps++ {
 		if steps > 1_000_000 {
-			return nil, fmt.Errorf("core: state machine exceeded step bound in %s.%s", fr.Ref.Class, fr.Method)
+			return nil, fmt.Errorf("core: state machine exceeded step bound in %s.%s", fr.Ref.Class, fr.Method.Name)
 		}
-		b := m.Block(fr.Block)
+		b := fr.Method.Block(fr.Block)
 		if b == nil {
-			return nil, fmt.Errorf("core: missing block %d in %s.%s", fr.Block, fr.Ref.Class, fr.Method)
+			return nil, fmt.Errorf("core: missing block %d in %s.%s", fr.Block, fr.Ref.Class, fr.Method.Name)
 		}
 		res, err := ex.in.ExecBlock(fr.Ref.Class, fr.Ref.Key, b, fr.Env, st)
 		if err != nil {
@@ -324,8 +309,9 @@ func (ex *Executor) run(ctx *Context, m *ir.Method, st interp.State, store Store
 }
 
 // suspend evaluates the invocation's receiver and arguments, records the
-// continuation in the frame, prunes the carried environment to the block's
-// live-out set, and emits the invocation event.
+// continuation and its result slot in the frame, keeps only the block's
+// live-out slots in the carried environment, and emits the invocation
+// event.
 func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, st interp.State, hops int) ([]*Event, error) {
 	args := make([]interp.Value, len(t.Args))
 	for i, a := range t.Args {
@@ -355,8 +341,8 @@ func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, s
 		target = recv.R
 	}
 	fr.Block = t.To
-	fr.AssignTo = t.AssignTo
-	fr.Env.Prune(b.LiveOut)
+	fr.Result = t.Result
+	fr.Env.Keep(b.LiveOutSlots)
 	return []*Event{{
 		Kind:   EvInvoke,
 		Req:    ctx.Req,
@@ -377,10 +363,7 @@ func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, s
 func (ex *Executor) complete(ctx *Context, req string, v interp.Value, hops int) ([]*Event, error) {
 	for ctx != nil && len(ctx.Stack) > 0 {
 		parent := ctx.Top()
-		var b *ir.Block
-		if m := ex.prog.MethodOf(parent.Ref.Class, parent.Method); m != nil {
-			b = m.Block(parent.Block)
-		}
+		b := parent.Method.Block(parent.Block)
 		if b == nil || !b.StateFree {
 			return []*Event{{
 				Kind:   EvResume,
@@ -391,9 +374,7 @@ func (ex *Executor) complete(ctx *Context, req string, v interp.Value, hops int)
 				Hops:   hops + 1,
 			}}, nil
 		}
-		if parent.AssignTo != "" {
-			parent.Env.Set(parent.AssignTo, v)
-		}
+		parent.resume(v)
 		res, err := ex.in.ExecBlock(parent.Ref.Class, parent.Ref.Key, b, parent.Env, nil)
 		if err != nil {
 			return ex.fail(popFrame(ctx), req, err.Error(), hops)
@@ -414,6 +395,14 @@ func (ex *Executor) complete(ctx *Context, req string, v interp.Value, hops int)
 // partial effects never commit.
 func (ex *Executor) fail(ctx *Context, req string, msg string, hops int) ([]*Event, error) {
 	return []*Event{{Kind: EvResponse, Req: req, Err: msg, Hops: hops}}, nil
+}
+
+// resume writes a returned value into the frame's pending result slot.
+func (fr *Frame) resume(v interp.Value) {
+	if fr.Result > 0 {
+		fr.Env.SetSlot(fr.Result-1, v)
+	}
+	fr.Result = 0
 }
 
 // popFrame removes the top frame and returns the context (nil-safe).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,36 +255,26 @@ func TestContextEnvPruning(t *testing.T) {
 		t.Fatal("no suspended frame")
 	}
 	// Frame belongs to the driver awaiting the first bump; only `c` is
-	// live (needed for the second bump; `a` arrives via AssignTo).
-	if _, ok := fr.Env.Get("c"); !ok {
-		t.Fatalf("live var c missing from the %d variables carried", fr.Env.Len())
+	// live (needed for the second bump; `a` arrives in the result slot).
+	if _, ok := fr.Env.GetSlot(slotOf(t, fr.Method, "c")); !ok || fr.Env.Len() != 1 {
+		t.Fatalf("want only live var c carried, got %d variables", fr.Env.Len())
 	}
-	if fr.AssignTo != "a" {
-		t.Fatalf("assign-to: %q", fr.AssignTo)
+	if fr.Result != slotOf(t, fr.Method, "a")+1 {
+		t.Fatalf("result slot %d, want a's", fr.Result)
+	}
+	if empty := (&Context{}); empty.Top() != nil {
+		t.Fatal("empty context top")
 	}
 }
 
-func TestContextClone(t *testing.T) {
-	env := interp.NewFrame(ir.NewFrameLayout([]string{"x", "y"}))
-	env.Set("x", interp.ListV(interp.IntV(1)))
-	ctx := &Context{Req: "r", Stack: []Frame{{
-		Ref: interp.EntityRef{Class: "A", Key: "k"}, Method: "m", Block: 2,
-		Env: env, AssignTo: "y",
-	}}}
-	cl := ctx.Clone()
-	clx, _ := cl.Stack[0].Env.Get("x")
-	clx.L.Elems[0] = interp.IntV(99)
-	ox, _ := ctx.Stack[0].Env.Get("x")
-	if ox.L.Elems[0].I != 1 {
-		t.Fatal("clone must deep-copy envs")
+// slotOf reads a variable's frame slot off its method's layout.
+func slotOf(t *testing.T, m *ir.Method, name string) int {
+	t.Helper()
+	i := slices.Index(m.Frame.Vars, name)
+	if i < 0 {
+		t.Fatalf("%s is not in %s's frame layout %v", name, m.Name, m.Frame.Vars)
 	}
-	if cl.Top().Method != "m" || cl.Req != "r" {
-		t.Fatal("clone fields")
-	}
-	var empty *Context = &Context{}
-	if empty.Top() != nil {
-		t.Fatal("empty context top")
-	}
+	return i
 }
 
 func TestEventKindString(t *testing.T) {

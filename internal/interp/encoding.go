@@ -144,22 +144,19 @@ func ValueSize(v Value) int {
 	return n
 }
 
-// Env appends an environment with deterministic key order.
-func (e *Encoder) Env(env Env) {
-	keys := make([]string, 0, len(env))
-	for k := range env {
+// State appends a MapState with deterministic key order.
+func (e *Encoder) State(st MapState) {
+	keys := make([]string, 0, len(st))
+	for k := range st {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	e.uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		e.str(k)
-		e.Value(env[k])
+		e.Value(st[k])
 	}
 }
-
-// State appends a MapState with deterministic key order.
-func (e *Encoder) State(st MapState) { e.Env(Env(st)) }
 
 // Decoder reads values from a byte buffer.
 type Decoder struct {
@@ -322,13 +319,13 @@ func (d *Decoder) Value() (Value, error) {
 	}
 }
 
-// Env reads an environment.
-func (d *Decoder) Env() (Env, error) {
+// State reads a MapState.
+func (d *Decoder) State() (MapState, error) {
 	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	env := make(Env, n)
+	st := make(MapState, n)
 	for i := 0; i < n; i++ {
 		k, err := d.str()
 		if err != nil {
@@ -338,15 +335,9 @@ func (d *Decoder) Env() (Env, error) {
 		if err != nil {
 			return nil, err
 		}
-		env[k] = v
+		st[k] = v
 	}
-	return env, nil
-}
-
-// State reads a MapState.
-func (d *Decoder) State() (MapState, error) {
-	env, err := d.Env()
-	return MapState(env), err
+	return st, nil
 }
 
 // EncodeValue is a convenience one-shot encoder.

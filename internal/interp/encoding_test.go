@@ -102,24 +102,26 @@ func TestCloneEqualProperty(t *testing.T) {
 	}
 }
 
+// TestEnvRoundTrip round-trips a name-keyed environment of mixed values
+// (ints, strings, lists with floats, refs) through the state codec.
 func TestEnvRoundTrip(t *testing.T) {
-	env := Env{
+	st := MapState{
 		"a":  IntV(1),
 		"b":  StrV("hello"),
 		"xs": ListV(IntV(1), FloatV(2.5)),
 		"r":  RefV("User", "alice"),
 	}
 	e := NewEncoder()
-	e.Env(env)
+	e.State(st)
 	d := NewDecoder(e.Bytes())
-	back, err := d.Env()
+	back, err := d.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(env) {
+	if len(back) != len(st) {
 		t.Fatalf("size: %d", len(back))
 	}
-	for k, v := range env {
+	for k, v := range st {
 		if !back[k].Equal(v) {
 			t.Fatalf("%s: %v != %v", k, back[k], v)
 		}

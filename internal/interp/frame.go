@@ -1,11 +1,13 @@
 // Frame is the slice-backed variable environment of one method
 // activation. The compiler's layout pass assigns every variable of a
 // method a dense slot (ir.FrameLayout) and stamps it on every node that
-// names the variable; the interpreter reads and writes by slice index.
+// names the variable, every invoke that assigns it and every block that
+// keeps it live; the interpreter and the executor read, write and prune by
+// slice index.
 package interp
 
 import (
-	"fmt"
+	"slices"
 
 	"statefulentities.dev/stateflow/internal/ir"
 )
@@ -13,7 +15,6 @@ import (
 // Frame holds the variables of one method activation in the dense slot
 // array its method's FrameLayout describes.
 type Frame struct {
-	layout *ir.FrameLayout
 	slots  []Value
 	def    uint64 // definedness bitmap for frames of up to 64 slots
 	defBig []bool // definedness spill for wider frames (non-nil iff used)
@@ -22,7 +23,7 @@ type Frame struct {
 // NewFrame allocates an empty frame for a layout.
 func NewFrame(layout *ir.FrameLayout) *Frame {
 	n := layout.NumSlots()
-	f := &Frame{layout: layout, slots: make([]Value, n)}
+	f := &Frame{slots: make([]Value, n)}
 	if n > 64 {
 		f.defBig = make([]bool, n)
 	}
@@ -52,27 +53,6 @@ func (f *Frame) clearDef(i int) {
 	f.def &^= 1 << uint(i)
 }
 
-// Layout returns the frame's layout.
-func (f *Frame) Layout() *ir.FrameLayout { return f.layout }
-
-// Get reads a variable by name; a name outside the layout is undefined.
-func (f *Frame) Get(name string) (Value, bool) {
-	if i, ok := f.layout.SlotOf(name); ok {
-		return f.GetSlot(i)
-	}
-	return None, false
-}
-
-// Set writes a variable by name. The name must be in the layout: the
-// compiler puts every variable a method can write there.
-func (f *Frame) Set(name string, v Value) {
-	i, ok := f.layout.SlotOf(name)
-	if !ok {
-		panic(fmt.Sprintf("interp: variable %s is not in the frame layout %v", name, f.layout.Vars))
-	}
-	f.SetSlot(i, v)
-}
-
 // GetSlot reads a variable by 0-based layout slot.
 func (f *Frame) GetSlot(i int) (Value, bool) {
 	if i >= len(f.slots) || !f.defined(i) {
@@ -98,33 +78,12 @@ func (f *Frame) Len() int {
 	return n
 }
 
-// Clone deep-copies the frame so suspended continuations are isolated
-// from later mutation.
-func (f *Frame) Clone() *Frame {
-	out := &Frame{layout: f.layout, slots: make([]Value, len(f.slots)), def: f.def}
-	if f.defBig != nil {
-		out.defBig = make([]bool, len(f.defBig))
-		copy(out.defBig, f.defBig)
-	}
+// Keep drops every variable outside slots (the suspending block's
+// ir.Block.LiveOutSlots), releasing the values the continuation no longer
+// needs.
+func (f *Frame) Keep(slots []int) {
 	for i := range f.slots {
-		if f.defined(i) {
-			out.slots[i] = f.slots[i].Clone()
-		}
-	}
-	return out
-}
-
-// Prune drops every variable not in keep (the block's live-out set),
-// releasing the values the continuation no longer needs.
-func (f *Frame) Prune(keep []string) {
-	keepSlot := make([]bool, len(f.slots))
-	for _, k := range keep {
-		if i, ok := f.layout.SlotOf(k); ok {
-			keepSlot[i] = true
-		}
-	}
-	for i := range f.slots {
-		if !keepSlot[i] {
+		if f.defined(i) && !slices.Contains(slots, i) {
 			f.slots[i] = None
 			f.clearDef(i)
 		}

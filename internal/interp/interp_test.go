@@ -348,23 +348,6 @@ func TestValueStrings(t *testing.T) {
 	}
 }
 
-func TestEnvPrune(t *testing.T) {
-	env := Env{"a": IntV(1), "b": IntV(2), "c": IntV(3)}
-	out := env.Prune([]string{"a", "c", "zz"})
-	if len(out) != 2 || out["a"].I != 1 || out["c"].I != 3 {
-		t.Fatalf("prune: %v", out)
-	}
-}
-
-func TestEnvCloneIsolation(t *testing.T) {
-	env := Env{"xs": ListV(IntV(1))}
-	cl := env.Clone()
-	cl["xs"].L.Elems[0] = IntV(99)
-	if env["xs"].L.Elems[0].I != 1 {
-		t.Fatal("clone must deep-copy containers")
-	}
-}
-
 func TestMinMaxStrings(t *testing.T) {
 	got := mustEval(t, `a: str = min("b", "a", "c")
 if a == "a":

@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,48 +206,51 @@ func TestRowWide(t *testing.T) {
 func TestFrameSlotNameAgreement(t *testing.T) {
 	fl := ir.NewFrameLayout([]string{"x", "y"})
 	f := NewFrame(fl)
-	if _, ok := f.Get("x"); ok {
+	if _, ok := f.GetSlot(frameSlot(t, fl, "x")); ok {
 		t.Fatal("fresh frame must be empty")
 	}
 	f.SetSlot(0, IntV(1))
-	if v, ok := f.Get("x"); !ok || v.I != 1 {
-		t.Fatalf("name read of slot write: %v %v", v, ok)
+	if v, ok := f.GetSlot(frameSlot(t, fl, "x")); !ok || v.I != 1 {
+		t.Fatalf("x's slot does not read the write to slot 0: %v %v", v, ok)
 	}
-	f.Set("y", IntV(2))
+	f.SetSlot(frameSlot(t, fl, "y"), IntV(2))
 	if v, ok := f.GetSlot(1); !ok || v.I != 2 {
-		t.Fatalf("slot read of name write: %v %v", v, ok)
+		t.Fatalf("slot 1 does not read the write to y's slot: %v %v", v, ok)
 	}
 	if f.Len() != 2 {
 		t.Fatalf("len: %d", f.Len())
 	}
-	if _, ok := f.Get("spill"); ok {
-		t.Fatal("off-layout variable must be undefined")
+	if _, ok := f.GetSlot(fl.NumSlots()); ok {
+		t.Fatal("a slot past the layout must be undefined")
 	}
-	requirePanic(t, "variable spill is not in the frame layout", func() { f.Set("spill", IntV(3)) })
 }
 
-func TestFramePruneAndClone(t *testing.T) {
+// frameSlot reads a variable's slot off the layout, as the compiler's
+// stamping pass does.
+func frameSlot(t *testing.T, fl *ir.FrameLayout, name string) int {
+	t.Helper()
+	i := slices.Index(fl.Vars, name)
+	if i < 0 {
+		t.Fatalf("%s is not in the frame layout %v", name, fl.Vars)
+	}
+	return i
+}
+
+func TestFramePrune(t *testing.T) {
 	fl := ir.NewFrameLayout([]string{"a", "b", "c"})
 	f := NewFrame(fl)
-	f.Set("a", IntV(1))
-	f.Set("b", ListV(IntV(5)))
-	f.Set("c", IntV(3))
-	cl := f.Clone()
-	v, _ := cl.Get("b")
-	v.L.Elems[0] = IntV(99)
-	if ov, _ := f.Get("b"); ov.L.Elems[0].I != 5 {
-		t.Fatal("clone must deep-copy")
+	for i, v := range []Value{IntV(1), ListV(IntV(5)), IntV(3)} {
+		f.SetSlot(i, v)
 	}
-	f.Prune([]string{"b"})
-	if _, ok := f.Get("a"); ok {
+	f.Keep([]int{frameSlot(t, fl, "b")})
+	if _, ok := f.GetSlot(frameSlot(t, fl, "a")); ok {
 		t.Fatal("pruned var a survived")
 	}
-	if v, ok := f.Get("b"); !ok || v.L.Elems[0].I != 5 {
+	if v, ok := f.GetSlot(frameSlot(t, fl, "b")); !ok || v.L.Elems[0].I != 5 {
 		t.Fatalf("live var b lost: %v %v", v, ok)
 	}
-	// Reading a pruned variable reports undefined, like the old Env.
-	if _, ok := f.GetSlot(0); ok {
-		t.Fatal("pruned slot must be undefined")
+	if f.Len() != 1 {
+		t.Fatalf("%d variables survive a prune to one", f.Len())
 	}
 }
 
@@ -255,16 +259,18 @@ func TestFrameWide(t *testing.T) {
 	for i := range vars {
 		vars[i] = fmt.Sprintf("v%02d", i)
 	}
-	f := NewFrame(ir.NewFrameLayout(vars))
+	fl := ir.NewFrameLayout(vars)
+	f := NewFrame(fl)
+	f.SetSlot(0, IntV(1))
 	f.SetSlot(69, IntV(7))
-	if v, ok := f.Get("v69"); !ok || v.I != 7 {
+	if v, ok := f.GetSlot(frameSlot(t, fl, "v69")); !ok || v.I != 7 {
 		t.Fatalf("wide frame: %v %v", v, ok)
 	}
-	f.Prune([]string{"v69"})
-	if _, ok := f.Get("v69"); !ok {
+	f.Keep([]int{69})
+	if _, ok := f.GetSlot(69); !ok {
 		t.Fatal("wide prune lost live var")
 	}
-	if _, ok := f.Get("v00"); ok {
+	if _, ok := f.GetSlot(0); ok {
 		t.Fatal("wide prune kept dead var")
 	}
 }

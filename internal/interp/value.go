@@ -322,28 +322,3 @@ func (v Value) Repr() string {
 	}
 	return v.String()
 }
-
-// Env is a name-keyed variable map; the codec writes a MapState as one
-// (Encoder.Env), in sorted key order.
-type Env map[string]Value
-
-// Clone copies the environment (values are deep-copied so suspended
-// continuations are isolated from later mutation).
-func (e Env) Clone() Env {
-	out := make(Env, len(e))
-	for k, v := range e {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
-// Prune keeps only the listed variables (the block's live-out set).
-func (e Env) Prune(keep []string) Env {
-	out := make(Env, len(keep))
-	for _, k := range keep {
-		if v, ok := e[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}

@@ -69,8 +69,12 @@ type Block struct {
 	// it defines", §2.4).
 	Defines []string `json:"defines"`
 	// LiveOut is the set of variables that must be carried to successor
-	// blocks; the runtime prunes the execution context to this set.
+	// blocks.
 	LiveOut []string `json:"live_out"`
+	// LiveOutSlots are LiveOut's 0-based frame slots, position for
+	// position, stamped by the compiler's layout pass: a suspending frame
+	// keeps these slots and drops the rest.
+	LiveOutSlots []int `json:"-"`
 	// StateFree marks a continuation (an Invoke's resume block) that reads
 	// no entity state: it ends in a Return, and neither its statements nor
 	// its return value mention self or write a container. It needs nothing
@@ -119,7 +123,11 @@ type Invoke struct {
 	Method   string
 	Args     []ast.Expr
 	AssignTo string // variable receiving the return value; "" discards it
-	To       BlockID
+	// Result is AssignTo's 1-based frame slot, stamped by the compiler's
+	// layout pass (0 discards the value): the resume writes the returned
+	// value there.
+	Result int
+	To     BlockID
 }
 
 func (Return) termKind() string { return "return" }

@@ -80,37 +80,16 @@ func (l *ClassLayout) SortedSlots() []int {
 
 // FrameLayout is the dense variable layout of one method's execution
 // frame: Vars[slot] names the variable stored in that slot. Parameters
-// occupy the leading slots in declaration order.
+// occupy the leading slots in declaration order. It carries no name index:
+// the compiler stamps every slot the runtime needs onto the nodes, blocks
+// and invokes that use it.
 type FrameLayout struct {
 	Vars []string `json:"vars"`
-
-	index map[string]int
 }
 
 // NewFrameLayout builds a layout over the given variable names.
 func NewFrameLayout(vars []string) *FrameLayout {
-	l := &FrameLayout{Vars: append([]string(nil), vars...)}
-	l.buildIndex()
-	return l
-}
-
-func (l *FrameLayout) buildIndex() {
-	l.index = make(map[string]int, len(l.Vars))
-	for i, v := range l.Vars {
-		l.index[v] = i
-	}
-}
-
-// SlotOf returns the slot of a variable, or ok=false. Nil-safe.
-func (l *FrameLayout) SlotOf(name string) (int, bool) {
-	if l == nil {
-		return 0, false
-	}
-	if l.index == nil {
-		l.buildIndex()
-	}
-	s, ok := l.index[name]
-	return s, ok
+	return &FrameLayout{Vars: append([]string(nil), vars...)}
 }
 
 // NumSlots returns the number of variable slots. Nil-safe.

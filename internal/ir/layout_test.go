@@ -38,8 +38,8 @@ func TestFrameLayoutSlots(t *testing.T) {
 	if l.NumSlots() != 3 {
 		t.Fatalf("slots: %d", l.NumSlots())
 	}
-	if s, ok := l.SlotOf("p1"); !ok || s != 1 {
-		t.Fatalf("slot of p1: %d %v", s, ok)
+	if l.Vars[1] != "p1" {
+		t.Fatalf("slot 1 holds %s", l.Vars[1])
 	}
 	var nilL *FrameLayout
 	if nilL.NumSlots() != 0 {

@@ -74,6 +74,11 @@ func (f *FlightRecorder) Record(at time.Duration, node, kind, detail string) {
 	f.head = (f.head + 1) % f.cap
 }
 
+// Enabled reports whether the recorder keeps events; a nil recorder does
+// not. Recordf's variadic arguments are boxed before it can tell, so a
+// hot path checks Enabled first, as with Tracer.Enabled.
+func (f *FlightRecorder) Enabled() bool { return f != nil }
+
 // Recordf is Record with a formatted detail.
 func (f *FlightRecorder) Recordf(at time.Duration, node, kind, format string, args ...any) {
 	if f == nil {

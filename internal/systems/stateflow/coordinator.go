@@ -239,6 +239,10 @@ type Coordinator struct {
 	fenceSeq     int64
 	fenceDone    int64
 	fenceApply   *pendingReq
+	// ballot is the highest sequencer ballot this shard promised
+	// (onSeqFenceQuery): an apply from a lower one is dropped. Inside a
+	// fence window every open marker records it, so a reboot keeps it.
+	ballot int64
 	// parkWatch is the batch id a live fence-park watchdog chain covers
 	// (0: none) — at most one chain per park (see onFenceParkTick).
 	parkWatch int64
@@ -309,7 +313,7 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 	case msgFenceParkTick:
 		c.onFenceParkTick(ctx, m)
 	case msgSeqFenceQuery:
-		c.onSeqFenceQuery(ctx, from)
+		c.onSeqFenceQuery(ctx, from, m)
 	}
 }
 
@@ -492,8 +496,10 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 // so every released effect is rebuilt — and closes the recovery.replay
 // trace span. Purely observational.
 func (c *Coordinator) replayDrained(ctx *sim.Context, st *epochState) {
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "replay.drained",
-		"epoch %d: binding replay drained in %v", st.epoch, ctx.Now()-c.replayAt)
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "replay.drained",
+			"epoch %d: binding replay drained in %v", st.epoch, ctx.Now()-c.replayAt)
+	}
 	if tr := c.tracer(); tr.Enabled() {
 		tr.Span(c.sys.coordID, "recovery", "recovery.replay", c.replayAt, ctx.Now(),
 			"epoch", strconv.FormatInt(st.epoch, 10))
@@ -658,8 +664,10 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 func (c *Coordinator) openEpoch(ctx *sim.Context) {
 	c.epoch++
 	c.journal.advance(ctx, c.epoch, c.sys.cfg.DisablePipelining)
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "epoch.advance",
-		"epoch %d (%d binding queued)", c.epoch, len(c.replaying))
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "epoch.advance",
+			"epoch %d (%d binding queued)", c.epoch, len(c.replaying))
+	}
 	if tr := c.tracer(); tr.Enabled() {
 		tr.Instant(c.sys.coordID, "epoch", "epoch.advance", ctx.Now(),
 			"epoch", strconv.FormatInt(c.epoch, 10))
@@ -839,8 +847,10 @@ func (c *Coordinator) retryRecover(ctx *sim.Context) {
 			c.sendRecover(ctx, w)
 		}
 	}
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "recover.retry",
-		"epoch %d: snapshot %d re-sent to %s", c.epoch, c.snapshotID, strings.Join(missing, " "))
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "recover.retry",
+			"epoch %d: snapshot %d re-sent to %s", c.epoch, c.snapshotID, strings.Join(missing, " "))
+	}
 	ctx.After(c.recoverRetryEvery(), msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering})
 }
 
@@ -994,9 +1004,11 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	c.snapshotID = snapID
 	c.tap.restored(c.epoch, snapID)
 	c.RestoredSnapshots = append(c.RestoredSnapshots, snapID)
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "recovery",
-		"epoch %d: restored snapshot %d, %d binding replays, %d pending",
-		c.epoch, snapID, len(c.replaying), len(c.pending))
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "recovery",
+			"epoch %d: restored snapshot %d, %d binding replays, %d pending",
+			c.epoch, snapID, len(c.replaying), len(c.pending))
+	}
 	for _, w := range c.sys.workerIDs {
 		c.sendRecover(ctx, w)
 	}
@@ -1043,7 +1055,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	// The fence window is volatile here; Recover's marker scan rebuilds it,
 	// raising the completed high-water mark the checkpoint carried.
 	c.fencePending, c.fenceSeq = msgFence{}, 0
-	c.fenced, c.fenceApply = false, nil
+	c.fenced, c.fenceApply, c.ballot = false, nil, 0
 	c.parkWatch = 0
 	c.reads, c.held = nil, nil
 	img := c.journal.restore(ctx)
@@ -1064,9 +1076,11 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	// have issued (fewer than 2^32 per epoch), so no late answer to one of
 	// its reads can match a new read.
 	c.readSeq = aria.TID(c.epoch) << 32
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "restore",
-		"rebooted from dlog: epoch %d, %d delivered, %d log records",
-		c.epoch, c.journal.size(), img.records)
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "restore",
+			"rebooted from dlog: epoch %d, %d delivered, %d log records",
+			c.epoch, c.journal.size(), img.records)
+	}
 	c.Recover(ctx)
 }
 

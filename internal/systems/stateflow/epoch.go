@@ -755,7 +755,7 @@ func (c *Coordinator) startChain(ctx *sim.Context, st *epochState) {
 	}
 	c.FallbackChains++
 	c.FallbackRounds += plan.Depth
-	if f := c.flight(); f != nil {
+	if f := c.flight(); f.Enabled() {
 		f.Recordf(ctx.Now(), c.sys.coordID, "fallback.chain", "epoch %d: %d members on %d entities, depth %d",
 			st.epoch, len(plan.Members), len(plan.Refs), plan.Depth)
 	}

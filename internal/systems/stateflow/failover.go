@@ -29,6 +29,17 @@
 //     parked shards and let the clients' retries re-sequence the lost
 //     transactions from scratch.
 //
+// An abandon is safe only if "no apply is durable" stays true after the
+// reports: an apply the dead incarnation sent may still be in flight, and a
+// shard still parked on its batch would log it — half of a batch whose
+// transactions the retries then commit a second time. So a report is a
+// promise. Every incarnation carries a ballot, its reboot instant (0 for
+// the first), on its fence query and on every apply it sends. A parked
+// shard durably records the query's ballot — on a fresh open fence marker,
+// which its restart scan reads back — before it reports, and drops any
+// apply whose ballot is lower. A rolled-forward batch's applies are re-sent
+// under the new ballot, so they still land.
+//
 // What the reboot cannot lose is the memory of which transactions were
 // answered, because the sequencer never had it: every batch, before a
 // failover and after, asks each member's home shard under the fence
@@ -54,10 +65,13 @@ func (q *Sequencer) OnRestart(ctx *sim.Context) {
 	q.inFlight = map[string]bool{}
 	q.reports = map[int]msgSeqFenceReport{}
 	q.recovering = true
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "failover",
-		"sequencer rebooted: querying %d shards for fence state", len(q.sys.shards))
+	q.ballot = int64(ctx.Now())
+	if f := q.sys.cfg.Flight; f.Enabled() {
+		f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+			"sequencer rebooted: querying %d shards for fence state", len(q.sys.shards))
+	}
 	for _, sh := range q.sys.shards {
-		ctx.Send(sh.coordID, msgSeqFenceQuery{},
+		ctx.Send(sh.coordID, msgSeqFenceQuery{Ballot: q.ballot},
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
 	ctx.After(q.sys.cfg.StallTimeout, msgSeqRecoverTick{})
@@ -71,7 +85,7 @@ func (q *Sequencer) onRecoverTick(ctx *sim.Context, _ msgSeqRecoverTick) {
 	}
 	for i, sh := range q.sys.shards {
 		if _, ok := q.reports[i]; !ok {
-			ctx.Send(sh.coordID, msgSeqFenceQuery{},
+			ctx.Send(sh.coordID, msgSeqFenceQuery{Ballot: q.ballot},
 				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		}
 	}
@@ -135,12 +149,16 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	}
 	if released && q.cur == nil {
 		q.AbortedBatches++
-		q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "failover",
-			"abandoned uncommitted batch: unfenced %d shards, clients will retry", len(fencedSeq))
+		if f := q.sys.cfg.Flight; f.Enabled() {
+			f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+				"abandoned uncommitted batch: unfenced %d shards, clients will retry", len(fencedSeq))
+		}
 	}
 	if q.cur == nil {
-		q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "failover",
-			"recovery complete: resuming at batch %d", q.nextSeq+1)
+		if f := q.sys.cfg.Flight; f.Enabled() {
+			f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+				"recovery complete: resuming at batch %d", q.nextSeq+1)
+		}
 		if len(q.queue) > 0 {
 			q.startBatch(ctx)
 		}
@@ -179,9 +197,11 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 		q.nextSeq = man.seq
 	}
 	q.cur = b
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "failover",
-		"re-derived batch %d from durable manifest: %d txns, %d applies, rolling forward",
-		man.seq, len(man.txns), len(man.applies))
+	if f := q.sys.cfg.Flight; f.Enabled() {
+		f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+			"re-derived batch %d from durable manifest: %d txns, %d applies, rolling forward",
+			man.seq, len(man.txns), len(man.applies))
+	}
 	q.sendApplies(ctx, b)
 	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{Seq: b.seq})
 }

@@ -76,6 +76,14 @@ func (fx *failoverFixture) transfer() {
 // at that instant for 10ms.
 func (fx *failoverFixture) crashWhen(id, what string, cond func() bool) {
 	fx.t.Helper()
+	fx.stepUntil(what, cond)
+	now := fx.cluster.Now()
+	fx.cluster.ScheduleCrash(id, now, now+10*time.Millisecond)
+}
+
+// stepUntil steps virtual time until cond holds.
+func (fx *failoverFixture) stepUntil(what string, cond func() bool) {
+	fx.t.Helper()
 	const step = 20 * time.Microsecond
 	deadline := fx.cluster.Now() + time.Second
 	for !cond() {
@@ -84,8 +92,6 @@ func (fx *failoverFixture) crashWhen(id, what string, cond func() bool) {
 		}
 		fx.cluster.RunUntil(fx.cluster.Now() + step)
 	}
-	now := fx.cluster.Now()
-	fx.cluster.ScheduleCrash(id, now, now+10*time.Millisecond)
 }
 
 func (fx *failoverFixture) crashSequencerWhen(what string, cond func() bool) {
@@ -301,6 +307,78 @@ func TestFailoverAfterReleaseSendsNoSecondResponse(t *testing.T) {
 	}
 	if from, to := fx.balances(); from != 75 || to != 125 || fx.anyFenced() {
 		t.Fatalf("balances %d/%d (want 75/125), fenced=%v", from, to, fx.anyFenced())
+	}
+}
+
+// TestFailoverDropsALateApplyOfAnAbandonedBatch: both of batch 1's applies
+// are held in flight and the sequencer dies with them, so its next
+// incarnation finds both shards parked with no apply logged and abandons
+// the batch. Shard 0 is still parked when the held apply reaches it, after
+// its fence report: had it logged the apply, it would commit half of a batch
+// whose transfer the client's retry then commits again. Its report promised
+// the new incarnation's ballot, so it drops the dead incarnation's apply —
+// also when its coordinator reboots in between, rebuilding the park (and
+// the promise) from the source log, and the abandon's unfence dies with it.
+func TestFailoverDropsALateApplyOfAnAbandonedBatch(t *testing.T) {
+	for _, reboot := range []bool{false, true} {
+		t.Run(map[bool]string{false: "parked", true: "rebooted"}[reboot], func(t *testing.T) {
+			fx := newFailoverFixture(t)
+			shard0 := fx.sys.Shards()[0]
+			var held []sim.Message // the applies lost in flight, shard 0's first
+			reported := false
+			fx.cluster.SetPerturb(func(from, to string, _ time.Duration, msg sim.Message) sim.Perturb {
+				switch msg.(type) {
+				case msgGlobalApply:
+					if len(held) < 2 {
+						if to == shard0.coordID {
+							held = append([]sim.Message{msg}, held...)
+						} else {
+							held = append(held, msg)
+						}
+						return sim.Perturb{Drop: true}
+					}
+				case msgSeqFenceReport:
+					reported = reported || from == shard0.coordID
+				}
+				return sim.Perturb{}
+			})
+			fx.transfer()
+			q := fx.sys.Sequencer()
+			fx.crashSequencerWhen("the applies 3 ms gone", func() bool {
+				return q.cur != nil && q.cur.phase == gApplying && fx.cluster.Now()-q.cur.phaseAt >= 3*time.Millisecond
+			})
+			if reboot {
+				fx.crashWhen(shard0.coordID, "shard 0's fence report sent", func() bool { return reported })
+				fx.cluster.RunUntil(fx.cluster.Now() + 20*time.Millisecond)
+			} else {
+				fx.stepUntil("shard 0's fence report sent", func() bool { return reported })
+			}
+			c := shard0.Coordinator()
+			if len(held) != 2 || !c.fenced || c.fenceSeq != 1 || c.Restarts != map[bool]int{false: 0, true: 1}[reboot] {
+				t.Fatalf("%d applies held, shard 0 fenced %v on %d after %d restarts: want both held and shard 0 parked on batch 1",
+					len(held), c.fenced, c.fenceSeq, c.Restarts)
+			}
+			fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, shard0.coordID, held[0])
+			fx.settle()
+			midFrom, midTo := fx.balances()
+			midResponses, midApplies := len(fx.client.got), fx.globalApplies()
+
+			fx.transfer() // the client's retry
+			fx.settle()
+			if from, to := fx.balances(); from != 75 || to != 125 {
+				t.Fatalf("balances after the retry %d/%d, want 75/125 (%d/%d before it)", from, to, midFrom, midTo)
+			}
+			if q.Failovers != 1 || q.AbortedBatches != 1 || q.RederivedBatches != 0 {
+				t.Fatalf("failovers=%d aborted=%d rederived=%d, want 1/1/0", q.Failovers, q.AbortedBatches, q.RederivedBatches)
+			}
+			if midFrom != 100 || midTo != 100 || midResponses != 0 || midApplies != 0 {
+				t.Fatalf("the late apply committed: balances %d/%d, %d responses, %d applies run before the retry",
+					midFrom, midTo, midResponses, midApplies)
+			}
+			if len(fx.client.got) != 1 || !fx.client.got[0].Value.B || fx.anyFenced() {
+				t.Fatalf("client saw %+v (want the one successful response), fenced=%v", fx.client.got, fx.anyFenced())
+			}
+		})
 	}
 }
 

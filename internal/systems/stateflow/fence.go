@@ -123,7 +123,9 @@ func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
 	c.fenced, c.fenceSeq = true, m.Seq
 	c.fencedAt = ctx.Now()
 	c.GlobalFences++
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "fence", "parked for global batch %d", m.Seq)
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "fence", "parked for global batch %d", m.Seq)
+	}
 	c.ackFence(ctx, c.sys.seqID, m)
 	c.armParkWatchdog(ctx, m.Seq)
 	return true
@@ -165,9 +167,23 @@ func (c *Coordinator) onFenceParkTick(ctx *sim.Context, m msgFenceParkTick) {
 // sequencer re-derive the batch. Any fence still pending from the dead
 // incarnation is dropped: its batch is either being rolled forward (the
 // re-sent fence will re-arm it) or abandoned.
-func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, from string) {
+//
+// The report is a promise: no apply of an older incarnation is logged after
+// it (onGlobalApply). Without it, a dead incarnation's apply still in
+// flight could land on a parked shard that reported no apply, and commit
+// half of a batch the new incarnation abandons. A parked shard logs the
+// promise on a fresh open marker before it reports, so a reboot keeps it;
+// an unparked one needs no record, as every apply of an older incarnation
+// is for a batch it is no longer parked on.
+func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, from string, m msgSeqFenceQuery) {
 	if c.recovering {
 		return // report after recovery converges; the sequencer re-queries
+	}
+	if m.Ballot > c.ballot {
+		c.ballot = m.Ballot
+		if c.fenced {
+			c.produceMarker(ctx, c.fenceSeq, true)
+		}
 	}
 	c.fencePending = msgFence{}
 	rep := msgSeqFenceReport{
@@ -220,7 +236,9 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, from string, m msgUnfence) {
 		tr.Span(c.sys.coordID, "fence", "fence.park", c.fencedAt, ctx.Now(),
 			"seq", strconv.FormatInt(m.Seq, 10))
 	}
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "unfence", "resumed after global batch %d", m.Seq)
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "unfence", "resumed after global batch %d", m.Seq)
+	}
 	c.fenced = false
 	c.fenceDone = m.Seq
 	c.fenceSeq = 0
@@ -252,10 +270,11 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 	if !c.admit(ctx, a.id, a.replyTo) {
 		return
 	}
-	// An apply is only meaningful inside its fence window; outside it (or
+	// An apply is only meaningful inside its fence window and from an
+	// incarnation no later one has superseded here; otherwise (or
 	// mid-recovery) the copy is stale or early — drop it unlogged and let
-	// the sequencer's stall guard re-send.
-	if !c.fenced || c.recovering || a.man.seq != c.fenceSeq {
+	// the sequencer's stall guard, or a roll-forward, re-send.
+	if !c.fenced || c.recovering || a.man.seq != c.fenceSeq || m.Ballot < c.ballot {
 		return
 	}
 	_, pos, err := c.sys.RequestLog.Produce(sourceTopic, a.id, a)
@@ -284,8 +303,10 @@ func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 		return
 	}
 	c.GlobalApplies++
-	c.flight().Recordf(ctx.Now(), c.sys.coordID, "global.batch",
-		"executing write-set apply %s", p.req.Req)
+	if f := c.flight(); f.Enabled() {
+		f.Recordf(ctx.Now(), c.sys.coordID, "global.batch",
+			"executing write-set apply %s", p.req.Req)
+	}
 	if tr := c.tracer(); tr.Enabled() {
 		tr.Instant(c.sys.coordID, "fence", "__apply__", ctx.Now(),
 			"trace", p.req.Trace.ID, "req", p.req.Req)
@@ -294,15 +315,17 @@ func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 	c.closeBatch(ctx, st)
 }
 
-// produceMarker appends a durable fence-window marker to the source log.
-// Markers are never executed — the drain loop skips them — they exist so
-// the restart scan can re-derive the fence state: a suffix whose last
-// marker is open means the crash landed inside the fence window.
+// produceMarker appends a durable fence-window marker to the source log,
+// carrying the ballot promised so far. Markers are never executed — the
+// drain loop skips them — they exist so the restart scan can re-derive the
+// fence state: a suffix whose last marker is open means the crash landed
+// inside the fence window.
 func (c *Coordinator) produceMarker(ctx *sim.Context, seq int64, open bool) {
 	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
 	// The only failure Produce has is an unknown topic, and newSystem
 	// created this one.
-	_, _, _ = c.sys.RequestLog.Produce(sourceTopic, c.sys.coordID, &fenceMarker{seq: seq, open: open})
+	_, _, _ = c.sys.RequestLog.Produce(sourceTopic, c.sys.coordID,
+		&fenceMarker{seq: seq, open: open, ballot: c.ballot})
 }
 
 // scanFenceState re-derives the fence state from the durable markers in
@@ -332,8 +355,11 @@ func (c *Coordinator) scanFenceState() {
 		}
 		switch mk := rec.marker; {
 		case mk != nil && mk.open:
+			if !c.fenced || c.fenceSeq != mk.seq {
+				apply = nil // a new window; a re-opened one keeps its apply
+			}
 			c.fenced, c.fenceSeq = true, mk.seq
-			apply = nil
+			c.ballot = max(c.ballot, mk.ballot)
 		case mk != nil:
 			c.fenced, c.fenceSeq = false, 0
 			if mk.seq > c.fenceDone {

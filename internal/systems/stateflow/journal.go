@@ -519,7 +519,9 @@ func (j *journal) restore(ctx *sim.Context) recovered {
 	out := recovered{records: len(img.Records)}
 	skip := func(what string, err error) {
 		out.corrupt++
-		j.cfg.Flight.Recordf(ctx.Now(), j.node, "corrupt", "skipped undecodable %s: %v", what, err)
+		if f := j.cfg.Flight; f.Enabled() {
+			f.Recordf(ctx.Now(), j.node, "corrupt", "skipped undecodable %s: %v", what, err)
+		}
 	}
 	m, delivered, floors, err := decodeCheckpoint(img.Checkpoint)
 	if err != nil {

@@ -209,7 +209,13 @@ type msgUnfenceAck struct{ Seq int64 }
 // epoch's decide installs the rows — and acks with the apply id's
 // sysapi.MsgResponse once the commit is durable; copies outside
 // the batch's fence window are dropped, re-sends dedupe by the apply id.
-type msgGlobalApply struct{ Apply *globalApply }
+// Ballot is the sending sequencer incarnation's: a shard drops an apply
+// whose ballot is below the one it promised a later incarnation
+// (msgSeqFenceQuery).
+type msgGlobalApply struct {
+	Apply  *globalApply
+	Ballot int64
+}
 
 // ---------------------------------------------------------------------------
 // Sequencer failover (failover.go). The sequencer keeps no durable
@@ -219,8 +225,10 @@ type msgGlobalApply struct{ Apply *globalApply }
 
 // msgSeqFenceQuery asks a shard coordinator for its fence state after a
 // sequencer reboot. Answered whenever the shard is not itself mid-
-// recovery.
-type msgSeqFenceQuery struct{}
+// recovery. Ballot is the asking incarnation's (its reboot instant; the
+// first incarnation's is 0): the report promises it, and a parked shard
+// makes the promise durable before it reports.
+type msgSeqFenceQuery struct{ Ballot int64 }
 
 // msgSeqFenceReport is one shard's answer: whether it is parked right
 // now (and for which batch), its completed fence high-water mark, and —

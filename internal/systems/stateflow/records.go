@@ -22,11 +22,14 @@ import (
 
 // fenceMarker is the durable edge of a fence window in a shard's source
 // log: open when the shard parked for global batch seq, closed when it
-// resumed. Markers are never executed; the restart scan reads them back to
-// re-derive the fence state (scanFenceState).
+// resumed. A marker also carries the sequencer ballot the shard has
+// promised (the restart scan reads it off open ones), and a parked shard
+// re-opens its window with a fresh marker when it promises a higher one. Markers are never executed; the restart scan
+// reads them back to re-derive the fence state (scanFenceState).
 type fenceMarker struct {
-	seq  int64
-	open bool
+	seq    int64
+	open   bool
+	ballot int64
 }
 
 // entityImage is one entity's committed image as a global batch moves it:

@@ -182,6 +182,9 @@ type Sequencer struct {
 	// fence state; reports accumulates those reports.
 	recovering bool
 	reports    map[int]msgSeqFenceReport
+	// ballot identifies this incarnation to the shards: its reboot instant,
+	// 0 for the first (failover.go).
+	ballot int64
 
 	SequencerStats
 }
@@ -201,7 +204,7 @@ func newSequencer(sys *ShardedSystem) *Sequencer {
 func (q *Sequencer) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	switch m := msg.(type) {
 	case sysapi.MsgRequest:
-		q.onRequest(ctx, m)
+		q.onRequest(ctx, msg, m)
 	case sysapi.MsgResponse:
 		q.onApplyDone(ctx, from, m)
 	case msgFenceAck:
@@ -238,8 +241,9 @@ func appendRefs(buf []interp.EntityRef, req sysapi.Request) []interp.EntityRef {
 // fast-path to a single shard, or enqueue as a global transaction. Whether
 // a global id was answered before is not decided here — the sequencer keeps
 // no record of what it sequenced — but by the id's home shard under the
-// batch's fence (admitBatch).
-func (q *Sequencer) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
+// batch's fence (admitBatch). msg is m as delivered: the fast path forwards
+// it as is, so it boxes the request into no new interface value.
+func (q *Sequencer) onRequest(ctx *sim.Context, msg sim.Message, m sysapi.MsgRequest) {
 	ctx.Work(q.sys.cfg.Costs.RoutingCPU)
 	if q.inFlight[m.Request.Req] {
 		return // retry of a queued or executing global transaction
@@ -259,7 +263,7 @@ func (q *Sequencer) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 		// (and dedupes, and re-serves) exactly as an unsharded
 		// deployment would; the sequencer keeps no record of it.
 		q.SingleShard++
-		ctx.Send(q.sys.shards[target].coordID, m,
+		ctx.Send(q.sys.shards[target].coordID, msg,
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		return
 	}
@@ -322,11 +326,13 @@ func (q *Sequencer) startBatch(ctx *sim.Context) {
 			b.footprint[i] = true
 		}
 	}
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
-		"batch %d opened with %d txns", b.seq, len(b.txns))
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
-		"batch %d fences shards %v (%d of %d)",
-		b.seq, sortedShards(b.footprint), len(b.footprint), len(q.sys.shards))
+	if f := q.sys.cfg.Flight; f.Enabled() {
+		f.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
+			"batch %d opened with %d txns", b.seq, len(b.txns))
+		f.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
+			"batch %d fences shards %v (%d of %d)",
+			b.seq, sortedShards(b.footprint), len(b.footprint), len(q.sys.shards))
+	}
 	for _, idx := range sortedShards(b.footprint) {
 		q.sendFence(ctx, b, idx)
 	}
@@ -449,8 +455,10 @@ func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, idx int, s
 	if !stale {
 		return
 	}
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.orphan",
-		"releasing %s from orphaned fence %d", from, seq)
+	if f := q.sys.cfg.Flight; f.Enabled() {
+		f.Recordf(ctx.Now(), q.sys.seqID, "fence.orphan",
+			"releasing %s from orphaned fence %d", from, seq)
+	}
 	ctx.Send(from, msgUnfence{Seq: seq}, q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -474,9 +482,11 @@ func (q *Sequencer) advance(ctx *sim.Context) {
 			grown[idx] = true
 			if !b.footprint[idx] {
 				b.footprint[idx] = true
-				q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
-					"batch %d footprint grows to shard %d (%s<%s>)",
-					b.seq, idx, ref.Class, ref.Key)
+				if f := q.sys.cfg.Flight; f.Enabled() {
+					f.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
+						"batch %d footprint grows to shard %d (%s<%s>)",
+						b.seq, idx, ref.Class, ref.Key)
+				}
 			}
 		}
 		for _, idx := range sortedShards(grown) {
@@ -650,7 +660,7 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 func (q *Sequencer) sendApplies(ctx *sim.Context, b *globalBatch) {
 	for _, a := range b.man.applies {
 		if !b.applied[a.shard] {
-			ctx.Send(q.sys.shards[a.shard].coordID, msgGlobalApply{Apply: a},
+			ctx.Send(q.sys.shards[a.shard].coordID, msgGlobalApply{Apply: a, Ballot: q.ballot},
 				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		}
 	}
@@ -733,8 +743,10 @@ func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 			q.FullFences++
 		}
 	}
-	q.sys.cfg.Flight.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
-		"batch %d complete", b.seq)
+	if f := q.sys.cfg.Flight; f.Enabled() {
+		f.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
+			"batch %d complete", b.seq)
+	}
 	q.cur = nil
 	if len(q.queue) > 0 {
 		q.startBatch(ctx)

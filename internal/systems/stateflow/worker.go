@@ -403,8 +403,10 @@ func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) 
 // of the footprint drops the member's workspace and lets its successors by,
 // and the coordinator is told to retry it in the next batch.
 func (w *Worker) driftChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent, member int) {
-	w.sys.cfg.Flight.Recordf(ctx.Now(), w.id, "fallback.drift", "epoch %d: transaction %d reached %s, outside its queued footprint",
-		m.Epoch, m.TID, m.Ev.Target)
+	if f := w.sys.cfg.Flight; f.Enabled() {
+		f.Recordf(ctx.Now(), w.id, "fallback.drift", "epoch %d: transaction %d reached %s, outside its queued footprint",
+			m.Epoch, m.TID, m.Ev.Target)
+	}
 	ctx.Send(w.sys.coordID, msgChainRelease{Epoch: m.Epoch, TID: m.TID},
 		w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	w.finishChained(ctx, ep, m.Epoch, member, false)
@@ -617,8 +619,10 @@ func (w *Worker) onRecover(ctx *sim.Context, m msgRecover) {
 		st, err := w.sys.Snapshots.RestoreStore(m.SnapshotID, w.id)
 		if err != nil {
 			w.CorruptSnapshotImages++
-			w.sys.cfg.Flight.Recordf(ctx.Now(), w.id, "corrupt",
-				"snapshot %d: image undecodable, restored empty: %v", m.SnapshotID, err)
+			if f := w.sys.cfg.Flight; f.Enabled() {
+				f.Recordf(ctx.Now(), w.id, "corrupt",
+					"snapshot %d: image undecodable, restored empty: %v", m.SnapshotID, err)
+			}
 			st = state.NewStore(w.sys.prog.Layouts())
 		}
 		w.committed = st
