@@ -15,20 +15,27 @@ import (
 const (
 	// 1. The fallback drains a k-transfer conflict chain in one batch.
 	minCommitsPerBatch = 32.0 // today 32.00: 256 commits in 8 batches
-	// 2. Fallback on / off client latency ratio on that chain.
-	maxFallbackP50Ratio = 0.110  // today 0.0696 (61.95 / 889.61 ms)
-	maxFallbackP99Ratio = 0.0703 // today 0.0413 (72.58 / 1758.27 ms)
+	// 2. Fallback on / off client latency ratio on that chain. The p50
+	// ceiling was 0.110 (0.0956 + 15 % when the gates were written) until
+	// batches began closing as soon as their members finish: the
+	// reference's one-commit batches stopped waiting out the 50 ms epoch
+	// timer (p50 889.61 → 380.49 ms) while the fallback side, one batch per
+	// chain either way, gained less (61.95 → 47.20 ms), so the ratio rose
+	// 0.0696 → 0.1241. The fallback claims only to beat next-batch retries
+	// (a ratio below 1), so today's reading + 15 % is the tighter bound.
+	maxFallbackP50Ratio = 0.143  // today 0.1241 (47.20 / 380.49 ms)
+	maxFallbackP99Ratio = 0.0703 // today 0.0330 (57.60 / 1744.31 ms)
 	// 3. The fallback changes when a transaction commits, never whether.
 	contentionCommits = contentionWaves * contentionChain // 256
 	// 4. Pipelined epochs share group-commit fsyncs. The merge floor is the
 	// binding one of three: as an on/off syncs-per-commit ratio it reads
-	// <= 0.667, inside both "today's 0.593 + 15 % = 0.682" and "< 1".
-	minSyncMerge    = 1.5  // serial / pipelined syncs per commit, today 1.69x (901/5108 vs 537/5133)
-	maxPipelinedP50 = 1.15 // x the serial p50; today 3.88 vs 3.92 ms
+	// <= 0.667, inside both "today's 0.596 + 15 % = 0.685" and "< 1".
+	minSyncMerge    = 1.5  // serial / pipelined syncs per commit, today 1.68x (2180/5167 vs 1275/5073)
+	maxPipelinedP50 = 1.15 // x the serial p50; today 3.53 vs 3.58 ms
 	// 5. Four coordinator groups against one on the sharded mix.
-	minShardScaling = 2.5 // today 4.58x (18,090 / 3,954 txn per virtual second)
+	minShardScaling = 2.5 // today 3.77x (14,898 / 3,954 txn per virtual second)
 	// 6. Untouched-shard throughput, scoped fences against fence-everything.
-	minScopedWin = 1.05 // today 1.35x (6,593 / 4,898 updates per virtual second)
+	minScopedWin = 1.05 // today 1.34x (6,593 / 4,908 updates per virtual second)
 )
 
 // gateOptions are the parameters the floors were read at: seed 1, 10 ms

@@ -140,8 +140,9 @@ func TestSequencerFailoverRegression(t *testing.T) {
 // sharded topology broke exactly-once or wedged while the sequencer was a
 // second, volatile releaser of global responses. On (hotkey, 1, 2 shards —
 // seed 11 until the fallback chain changed every hotkey run's message
-// count, then 40 until reads left the epochs) and (chain, 6, 4 — 8 until
-// the batch's responses moved to its decide) a
+// count, then 40 until reads left the epochs) and (chain, 4, 4 — 8 until
+// the batch's responses moved to its decide, then 6 until a batch closed as
+// soon as its members finished) a
 // sequencer crash lands after a batch's response went out and before its
 // last unfence ack, and the roll-forward of that batch used to send the
 // response again ("system sent 2 responses, allowed 1");
@@ -162,7 +163,7 @@ func TestShardedExactlyOnceRegression(t *testing.T) {
 	}{
 		{workload.HotKey, 1, 2, false},
 		{workload.DataDep, 9, 2, true},
-		{workload.Chain, 6, 4, false},
+		{workload.Chain, 4, 4, false},
 	} {
 		cfg := DefaultConfig()
 		cfg.Shards = tc.shards

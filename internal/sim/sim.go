@@ -203,6 +203,7 @@ type Cluster struct {
 	now     time.Duration
 	rng     *rand.Rand
 	perturb PerturbFunc
+	tap     TapFunc
 	// crashWatch holds per-component crash observers (durable-storage
 	// models apply their device crash contract at the crash instant).
 	crashWatch map[string][]func(at time.Duration)
@@ -407,10 +408,23 @@ func (c *Cluster) Inbox(id string) int {
 // Pass nil to remove it.
 func (c *Cluster) SetPerturb(f PerturbFunc) { c.perturb = f }
 
+// TapFunc observes one enqueued send: sentAt is the sender's clock at the
+// send, at the delivery time before any perturbation.
+type TapFunc func(from, to string, sentAt, at time.Duration, msg Message)
+
+// SetTap installs an observer of every send, timers included — the traffic
+// a PerturbFunc never sees. It can change nothing and must not draw from
+// the cluster's randomness, so a tapped run is the untapped one. Pass nil to
+// remove it.
+func (c *Cluster) SetTap(f TapFunc) { c.tap = f }
+
 // push enqueues one message send, applying the perturb interceptor.
 func (c *Cluster) push(at, sentAt time.Duration, from, to string, msg Message) {
 	if comp, ok := c.comps[from]; ok && comp.preemptedBefore(c.now, sentAt) {
 		return // sender dies before stamping this send; it never leaves the node
+	}
+	if c.tap != nil {
+		c.tap(from, to, sentAt, at, msg)
 	}
 	if c.perturb != nil && from != to {
 		p := c.perturb(from, to, at, msg)

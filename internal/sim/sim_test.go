@@ -405,6 +405,48 @@ func TestPerturbDropDelayDuplicate(t *testing.T) {
 	c.SetPerturb(nil)
 }
 
+// TestTapSeesTimersAndChangesNothing: the tap observes timers and network
+// sends alike, with the sender's clock and the delivery time, and the run it
+// observes delivers exactly what the untapped run does.
+func TestTapSeesTimersAndChangesNothing(t *testing.T) {
+	run := func(tap TapFunc) map[int]time.Duration {
+		c := New(1)
+		c.Add("echo", &echo{cpu: time.Millisecond, latency: 2 * time.Millisecond})
+		p := &probe{sendAt: []time.Duration{0, 3 * time.Millisecond}, pongs: map[int]time.Duration{}}
+		c.Add("probe", p)
+		c.SetTap(tap)
+		c.Start()
+		c.RunUntil(time.Second)
+		return p.pongs
+	}
+	type send struct {
+		from, to   string
+		sentAt, at time.Duration
+	}
+	var seen []send
+	tapped := run(func(from, to string, sentAt, at time.Duration, _ Message) {
+		seen = append(seen, send{from, to, sentAt, at})
+	})
+	plain := run(nil)
+	if len(tapped) != 2 || tapped[0] != plain[0] || tapped[1] != plain[1] {
+		t.Fatalf("tapped run delivered pongs at %v, untapped at %v", tapped, plain)
+	}
+	// Per ping: the timer to self, the forward to echo and the pong back.
+	want := []send{
+		{"probe", "probe", 0, 0}, {"probe", "probe", 0, 3 * time.Millisecond},
+		{"probe", "echo", 0, time.Millisecond}, {"echo", "probe", 2 * time.Millisecond, 4 * time.Millisecond},
+		{"probe", "echo", 3 * time.Millisecond, 4 * time.Millisecond}, {"echo", "probe", 5 * time.Millisecond, 7 * time.Millisecond},
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("tap saw %v, want %v", seen, want)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("tap saw %v, want %v", seen, want)
+		}
+	}
+}
+
 // rebooter records OnRestart invocations and sends a boot notice.
 type rebooter struct {
 	restarts []time.Duration

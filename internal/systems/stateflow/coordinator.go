@@ -28,6 +28,16 @@
 // overlap hides the commit phases behind the next epoch's open window.
 // Config.DisablePipelining restores the serial schedule.
 //
+// Self-clocked close: the open batch closes as soon as it is non-empty,
+// every member has finished and the commit slot is free (selfClose, checked
+// at every finish and at releaseCommit) — group commit's leader rule, so
+// what arrives while the commit stage is busy forms the next batch. The
+// epoch timer (onTick) only bounds the wait of a batch whose members are
+// still executing, and reticks an idle one. The failure detector is one
+// self-rearming watchdog (onStallCheck) for whichever slot has waited on
+// the workers longest. Neither timer carries a value, so more epochs cost
+// no more timer allocations.
+//
 // The exactly-once border — ingress dedup, the durable egress buffer and
 // the write-ahead ordering of both against the epoch records — is the
 // journal (journal.go), a value field of the coordinator; this file drives
@@ -58,7 +68,6 @@ const (
 	phaseClosing
 	phaseApply
 	phaseSnapshot
-	phaseRecovering
 )
 
 // Coordinator is the StateFlow coordinator node.
@@ -144,13 +153,18 @@ type Coordinator struct {
 	journal journal
 
 	// progress counts accepted worker messages and progressAt is when the
-	// last one was counted. The failure detector compares the count against
-	// the value captured when a stall check was armed and measures its
-	// patience from the instant, so recovery fires exactly one stall timeout
-	// after the last sign of life — and only when a phase made no progress
-	// at all for that long (see alive, onStallCheck).
+	// last one was counted. The failure detector measures its patience from
+	// that instant, so recovery fires exactly one stall timeout after the
+	// last sign of life — and only when a phase made no progress at all for
+	// that long (see alive, onStallCheck).
 	progress   uint64
 	progressAt time.Duration
+	// stallArmed marks the failure detector's one watchdog in flight and
+	// stallAt is the deadline it was armed for (see armStallCheck). A reboot
+	// clears the flag: a check armed before the crash fires before any the
+	// new incarnation arms, so onStallCheck drops it.
+	stallArmed bool
+	stallAt    time.Duration
 
 	// Stats.
 	Commits      int
@@ -278,9 +292,9 @@ func newCoordinator(sys *System) *Coordinator {
 	return c
 }
 
-// OnStart schedules the first epoch tick.
+// OnStart arms the first epoch's timer.
 func (c *Coordinator) OnStart(ctx *sim.Context) {
-	ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{Epoch: c.epoch})
+	c.armTick(ctx, c.exec)
 }
 
 // OnMessage implements sim.Handler.
@@ -289,7 +303,7 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 	case sysapi.MsgRequest:
 		c.onRequest(ctx, m)
 	case msgEpochTick:
-		c.onTick(ctx, m)
+		c.onTick(ctx)
 	case msgTxnFinished:
 		c.onFinished(ctx, m)
 	case msgChainRelease:
@@ -301,7 +315,11 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 	case msgLogSynced:
 		c.onLogSynced(ctx, m)
 	case msgStallCheck:
-		c.onStallCheck(ctx, m)
+		c.onStallCheck(ctx)
+	case msgRecoverRetry:
+		if c.recovering && m.Epoch == c.epoch {
+			c.retryRecover(ctx)
+		}
 	case msgRecovered:
 		c.onRecovered(ctx, from, m)
 	case msgFence:
@@ -376,13 +394,23 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 	// global batch unfences).
 }
 
-// onTick closes the open batch. An empty batch first drains pending
-// retries — the pipelined commit stage spills them while the exec slot is
-// already open, and with no fresh arrivals the tick is the only thing
-// that would ever pick them up.
-func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
+// armTick sets the open batch's deadline one EpochInterval from now and arms
+// the timer that enforces it.
+func (c *Coordinator) armTick(ctx *sim.Context, st *epochState) {
+	st.closeAt = ctx.Now() + c.sys.cfg.EpochInterval
+	ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{})
+}
+
+// onTick closes the open batch at its deadline: the upper bound on the wait
+// of a batch whose members are still executing while the commit slot is busy
+// — usually the batch closes itself before (selfClose). A tick that fires
+// before the exec slot's deadline was armed for an earlier batch and is
+// ignored. An empty batch first drains pending retries — the pipelined
+// commit stage spills them while the exec slot is already open, and with no
+// fresh arrivals the tick is the only thing that would ever pick them up.
+func (c *Coordinator) onTick(ctx *sim.Context) {
 	st := c.exec
-	if c.recovering || st == nil || m.Epoch != st.epoch || st.phase != phaseOpen {
+	if c.recovering || st == nil || st.phase != phaseOpen || ctx.Now() < st.closeAt {
 		return
 	}
 	if c.fenced {
@@ -399,23 +427,56 @@ func (c *Coordinator) onTick(ctx *sim.Context, m msgEpochTick) {
 			return // parked; the tick chain stops until unfence
 		}
 		// Nothing arrived: stay open and retick.
-		ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{Epoch: st.epoch})
+		c.armTick(ctx, st)
 		return
 	}
 	c.closeBatch(ctx, st)
 }
 
-// enterPhase transitions a slot to a worker-dependent phase and arms the
-// failure detector: if the epoch is still stuck in this phase — with no
-// worker progress at all — when the stall timeout elapses, a worker is
-// presumed dead and recovery starts. Every phase that waits on all
-// workers (execution, apply, snapshot) is guarded, so a worker
-// crash or a lost message can never deadlock the pipeline; recovery, which
-// waits on them too, retries instead (see retryRecover).
+// enterPhase transitions a slot to a worker-dependent phase and makes sure
+// the failure detector watches it: if the slot is still stuck in a phase
+// that waits on the workers — with no worker progress at all — one stall
+// timeout after it began, a worker is presumed dead and recovery starts.
+// Every phase that waits on all workers (execution, apply, snapshot) is
+// guarded, so a worker crash or a lost message can never deadlock the
+// pipeline; recovery, which waits on them too, retries instead (see
+// retryRecover).
 func (c *Coordinator) enterPhase(ctx *sim.Context, st *epochState, p phase) {
 	st.phase = p
 	st.phaseAt = ctx.Now()
-	ctx.After(c.sys.cfg.StallTimeout, msgStallCheck{Epoch: st.epoch, Phase: p, Progress: c.progress})
+	c.armStallCheck(ctx)
+}
+
+// stalled returns the slot the failure detector watches — the one that has
+// waited on the workers longest (nil: neither slot waits on them) — and the
+// detector's deadline: one stall timeout after the later of that slot's
+// phase start and the last counted worker answer.
+func (c *Coordinator) stalled() (*epochState, time.Duration) {
+	var oldest *epochState
+	for _, st := range [...]*epochState{c.commit, c.exec} {
+		if st != nil && st.phase != phaseOpen && (oldest == nil || st.phaseAt < oldest.phaseAt) {
+			oldest = st
+		}
+	}
+	if oldest == nil {
+		return nil, 0
+	}
+	return oldest, max(oldest.phaseAt, c.progressAt) + c.sys.cfg.StallTimeout
+}
+
+// armStallCheck arms the failure detector's watchdog for the current
+// deadline, unless it is armed already: the deadline only moves later while
+// a slot waits, so the armed check fires at or before it and re-arms itself
+// (onStallCheck). One check is in flight per coordinator, whatever the
+// number of phases entered.
+func (c *Coordinator) armStallCheck(ctx *sim.Context) {
+	if c.stallArmed {
+		return
+	}
+	if st, at := c.stalled(); st != nil {
+		c.stallArmed, c.stallAt = true, at
+		ctx.After(at-ctx.Now(), msgStallCheck{})
+	}
 }
 
 // alive counts one accepted worker answer — a root response or a fresh ack
@@ -512,15 +573,19 @@ func (c *Coordinator) replayDrained(ctx *sim.Context, st *epochState) {
 // spare the next openEpoch reuses. Serial schedule: the next epoch
 // opens now. Pipelined: the next epoch is already open in the exec slot —
 // if its batch closed while the slot was busy, it promotes immediately
-// (the backpressure case); otherwise it keeps executing and promotes on
-// its own completion.
+// (the backpressure case); if it is still open with every member finished,
+// it closes and promotes now (selfClose); otherwise it keeps executing and
+// promotes on its own completion.
 func (c *Coordinator) releaseCommit(ctx *sim.Context) {
 	c.spare, c.commit = c.commit, nil
-	if c.exec == nil {
+	switch st := c.exec; {
+	case st == nil:
 		c.openEpoch(ctx)
-		return
+	case st.phase == phaseOpen:
+		c.selfClose(ctx, st)
+	default:
+		c.maybeDecide(ctx, st)
 	}
-	c.maybeDecide(ctx, c.exec)
 }
 
 // respond releases one request's terminal response: it is staged in the
@@ -772,7 +837,7 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 			c.assign(ctx, st, rec.txn)
 		}
 	}
-	ctx.After(c.sys.cfg.EpochInterval, msgEpochTick{Epoch: st.epoch})
+	c.armTick(ctx, st)
 }
 
 // drainPending assigns buffered retries into the slot's batch up to the
@@ -789,38 +854,35 @@ func (c *Coordinator) drainPending(ctx *sim.Context, st *epochState) {
 	}
 }
 
-// onStallCheck is the failure detector's timer. If the slot that armed it
-// is still stuck in the same worker-dependent phase AND no worker answer was
-// counted since the check was armed, a worker is presumed dead and recovery
-// starts. With progress the check re-arms — slow is not dead — for the last
-// counted answer plus the stall timeout, not for a fresh timeout from now:
-// detection is one StallTimeout after the last sign of life, wherever the
-// checks happen to land. Both pipeline slots arm checks independently;
-// either one firing recovers the whole system. A recovery in progress has
-// no stall guard: its tick is the retry (retryRecover), never a re-entry.
-func (c *Coordinator) onStallCheck(ctx *sim.Context, m msgStallCheck) {
-	if m.Phase == phaseRecovering {
-		if c.recovering && m.Epoch == c.epoch {
-			c.retryRecover(ctx)
-		}
+// onStallCheck is the failure detector's watchdog. If a slot still waits on
+// the workers and its deadline — one stall timeout after the later of its
+// phase start and the last counted worker answer — has passed, a worker is
+// presumed dead and recovery starts; either slot stalling recovers the whole
+// system. Otherwise the watchdog re-arms for the deadline — slow is not dead
+// — or, with no slot waiting, stops until the next phase entry arms it
+// again: detection is one StallTimeout after the last sign of life, wherever
+// the checks happen to land. A check that fires before the deadline it was
+// armed for is one a crash orphaned (see stallArmed). A recovery in progress
+// has no stall guard: its tick is the retry (retryRecover), never a
+// re-entry.
+func (c *Coordinator) onStallCheck(ctx *sim.Context) {
+	if !c.stallArmed || ctx.Now() < c.stallAt {
 		return
 	}
-	st := c.stageFor(m.Epoch)
-	if c.recovering || st == nil || st.phase != m.Phase {
-		return
+	c.stallArmed = false
+	st, at := c.stalled()
+	if st == nil {
+		return // nothing waits on the workers (a recovery holds no slot)
 	}
-	if c.progress != m.Progress {
-		// The answer was counted after this check was armed, at most one
-		// timeout ago, so the remaining patience is never negative.
-		ctx.After(c.progressAt+c.sys.cfg.StallTimeout-ctx.Now(),
-			msgStallCheck{Epoch: m.Epoch, Phase: m.Phase, Progress: c.progress})
+	if ctx.Now() < at {
+		c.armStallCheck(ctx)
 		return
 	}
 	// How long the workers were silent before the detector gave up on them:
 	// the one term of an outage that is neither downtime nor recovery work.
 	if tr := c.tracer(); tr.Enabled() {
 		tr.Span(c.sys.coordID, "recovery", "recovery.detect", c.progressAt, ctx.Now(),
-			"epoch", strconv.FormatInt(m.Epoch, 10))
+			"epoch", strconv.FormatInt(st.epoch, 10))
 	}
 	c.Recover(ctx)
 }
@@ -851,7 +913,7 @@ func (c *Coordinator) retryRecover(ctx *sim.Context) {
 		f.Recordf(ctx.Now(), c.sys.coordID, "recover.retry",
 			"epoch %d: snapshot %d re-sent to %s", c.epoch, c.snapshotID, strings.Join(missing, " "))
 	}
-	ctx.After(c.recoverRetryEvery(), msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering})
+	ctx.After(c.recoverRetryEvery(), msgRecoverRetry{Epoch: c.epoch})
 }
 
 // sendRecover tells one worker to roll back to the recovery's snapshot,
@@ -953,7 +1015,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	c.recoverAt = ctx.Now()
 	c.recovering = true
 	c.exec, c.commit = nil, nil
-	ctx.After(c.recoverRetryEvery(), msgStallCheck{Epoch: c.epoch, Phase: phaseRecovering})
+	ctx.After(c.recoverRetryEvery(), msgRecoverRetry{Epoch: c.epoch})
 	c.pending, c.replaying = nil, nil
 	c.window, c.replayAt = 1, -1
 	// Every epoch up to the view is settled or discarded, so reads need wait
@@ -1052,6 +1114,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.recovering = false
 	c.pending, c.replaying = nil, nil
 	c.progress, c.progressAt = 0, 0
+	c.stallArmed = false
 	// The fence window is volatile here; Recover's marker scan rebuilds it,
 	// raising the completed high-water mark the checkpoint carried.
 	c.fencePending, c.fenceSeq = msgFence{}, 0

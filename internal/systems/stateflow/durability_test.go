@@ -57,6 +57,17 @@ func newDurableFixture(t *testing.T, seed int64, cfg Config, n, accounts int) *d
 	return &durableFixture{cluster: cluster, sys: sys, client: client, accounts: accounts}
 }
 
+// inBursts re-times a script so its requests arrive size at a time, one
+// burst every 5 ms. Under the self-clocked close an arrival spaced wider than
+// one transaction's execution gets a batch of its own, so a case that steps to
+// a multi-member batch — or to a batch executing under a busy commit slot —
+// needs its members to arrive together.
+func inBursts(script []sysapi.Scheduled, size int) {
+	for i := range script {
+		script[i].At = time.Duration(i/size+1) * 5 * time.Millisecond
+	}
+}
+
 // assertExactlyOnceEffective checks the client-edge contract under
 // retries: every request answered without error, every raw delivery
 // explained (one original plus at most one replay per retry the client

@@ -114,6 +114,9 @@ type epochState struct {
 	// batch close) — the start timestamp of the phase's trace span.
 	// Purely observational.
 	phaseAt time.Duration
+	// closeAt is the open batch's deadline: the epoch timer closes the batch
+	// at it if the batch has not closed itself by then (see onTick).
+	closeAt time.Duration
 
 	// binding marks a recovery replay epoch whose batch re-executes
 	// already-released responses (the binding prefix — see Recover). It
@@ -448,7 +451,8 @@ func (c *Coordinator) awaited(epoch int64, round int, tid aria.TID) (*epochState
 	return nil, nil
 }
 
-// finish counts member t of the round in flight as done.
+// finish counts member t of the round in flight as done. A member of the
+// open batch may be the last one the batch waited for (see selfClose).
 func (c *Coordinator) finish(ctx *sim.Context, st *epochState, t *txnState, tid aria.TID) {
 	c.alive(ctx)
 	t.finished = true
@@ -456,7 +460,28 @@ func (c *Coordinator) finish(ctx *sim.Context, st *epochState, t *txnState, tid 
 	if st.chained() {
 		c.stageChained(ctx, st, tid)
 	}
+	if st.phase == phaseOpen {
+		c.selfClose(ctx, st)
+		return
+	}
 	c.maybeDecide(ctx, st)
+}
+
+// selfClose closes the open batch as soon as it is non-empty, every member
+// assigned so far has finished round 0 and the commit slot is free — group
+// commit's leader rule (DeWitt et al., SIGMOD 1984): what arrives while the
+// commit stage is busy forms the next batch, so a batch grows with load and
+// shrinks to one member at idle, and the epoch timer is only the upper bound
+// on its wait. Checked at every finish of an open batch's member and at every
+// release of the commit slot; the batch then closes and promotes in the same
+// event. Binding, fenced and recovering epochs never get here: a binding
+// epoch closes in the event that opens it, a parked epoch stays empty until
+// its apply closes it, and a recovery holds no slot. A shard with a fence
+// pending does self-close, so it drains and parks sooner.
+func (c *Coordinator) selfClose(ctx *sim.Context, st *epochState) {
+	if c.commit == nil && len(st.txns) > 0 && st.unfinished == 0 {
+		c.closeBatch(ctx, st)
+	}
 }
 
 // stageChained answers the chain members a finish made answerable: the

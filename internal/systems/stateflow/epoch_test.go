@@ -132,6 +132,7 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 	cfg.SnapshotEvery = 1
 	cfg.EpochInterval = 10 * time.Millisecond
 	f := newDurableFixture(t, 42, cfg, n, 4)
+	inBursts(f.client.inner.Script, 4)
 	f.cluster.Start()
 	c := f.sys.Coordinator()
 	workers := len(f.sys.workerIDs)
@@ -238,4 +239,202 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 		t.Fatal("the worker crash never triggered a recovery")
 	}
 	f.assertExactlyOnceEffective(t, n)
+}
+
+// The self-clocked close (Coordinator.selfClose), placed by protocol state:
+// an open batch closes in the event that finishes its last member if the
+// commit slot is free, or in the event that frees the slot; the epoch timer
+// only bounds the wait.
+
+// regOwner returns the worker that owns register key on shard 0.
+func (fx *bindingFixture) regOwner(key string) *Worker {
+	return fx.shard.workers[fx.shard.OwnerIndex(interp.EntityRef{Class: "Reg", Key: key})]
+}
+
+// TestSelfClockClosesAnIdleArrivalAtItsFinish: a lone update arriving at an
+// idle coordinator is decided in the event its finish arrives, not at the
+// epoch's deadline.
+func TestSelfClockClosesAnIdleArrivalAtItsFinish(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	fx := newBindingFixture(t, 8, 16, func(c *Config) { c.EpochInterval = interval })
+	c := fx.shard.Coordinator()
+	fx.cluster.RunUntil(2 * interval)
+	arrived := fx.cluster.Now()
+	fx.submit(fx.keys[0], "add", interp.IntV(1))
+	fx.runUntil("the arrival assigned", func() bool { return c.exec != nil && len(c.exec.txns) == 1 })
+	epoch, deadline := c.exec.epoch, c.exec.closeAt
+	fx.runUntil("the batch decided", func() bool { return c.commit != nil && c.commit.epoch == epoch })
+	// The decide entered the apply phase in the event that counted the
+	// member's finish; only the coordinator's own CPU lies between them.
+	if st := c.commit; st.phaseAt-c.progressAt > 100*time.Microsecond || st.phaseAt-arrived > interval/10 {
+		t.Fatalf("arrived %v, finished %v, decided %v (deadline %v): the batch waited past its member's finish",
+			arrived, c.progressAt, st.phaseAt, deadline)
+	}
+	fx.runUntil("the call answered", func() bool { return len(fx.client.got) == fx.sent })
+}
+
+// TestSelfClockKeepsABatchWithAnUnfinishedMemberOpen: of two updates that
+// share a batch, one's event is held on the wire. The other's finish leaves
+// the batch open with the commit slot free; the held member's finish closes
+// it.
+func TestSelfClockKeepsABatchWithAnUnfinishedMemberOpen(t *testing.T) {
+	const hold = 10 * time.Millisecond
+	fx := newBindingFixture(t, 16, 16, func(c *Config) { c.EpochInterval = 50 * time.Millisecond })
+	c := fx.shard.Coordinator()
+	fast, slow := fx.keys[0], ""
+	for _, key := range fx.keys[1:] {
+		if fx.regOwner(key) != fx.regOwner(fast) {
+			slow = key
+			break
+		}
+	}
+	fx.cluster.SetPerturb(func(from, _ string, _ time.Duration, msg sim.Message) sim.Perturb {
+		if m, ok := msg.(msgTxnEvent); ok && from == fx.shard.coordID && m.Round == 0 && m.Ev.Target.Key == slow {
+			return sim.Perturb{Delay: hold}
+		}
+		return sim.Perturb{}
+	})
+	fx.submit(fast, "add", interp.IntV(1))
+	fx.submit(slow, "add", interp.IntV(2))
+	fx.runUntil("the fast member finished", func() bool {
+		st := c.exec
+		return st != nil && len(st.txns) == 2 && st.unfinished == 1
+	})
+	st, epoch := c.exec, c.exec.epoch
+	fx.cluster.RunUntil(fx.cluster.Now() + hold/2)
+	if c.exec != st || st.phase != phaseOpen || st.unfinished != 1 || c.commit != nil {
+		t.Fatal("the batch closed with a member unfinished")
+	}
+	fx.runUntil("the batch decided", func() bool { return c.commit != nil && c.commit.epoch == epoch })
+	if gap := c.commit.phaseAt - c.progressAt; gap > 100*time.Microsecond || c.progressAt < hold {
+		t.Fatalf("decided %v after the last finish at %v, want it in that event, after the %v hold", gap, c.progressAt, hold)
+	}
+	fx.runUntil("both calls answered", func() bool { return len(fx.client.got) == fx.sent })
+}
+
+// TestSelfClockWaitsForTheCommitSlot: one worker's apply ack for batch A is
+// held on the wire, so A occupies the commit slot. B, opened behind it,
+// finishes its only member and stays open; the held ack releases the slot,
+// and B closes and is decided in that event.
+func TestSelfClockWaitsForTheCommitSlot(t *testing.T) {
+	const hold = 10 * time.Millisecond
+	fx := newBindingFixture(t, 8, 16, func(c *Config) { c.EpochInterval = 50 * time.Millisecond })
+	c := fx.shard.Coordinator()
+	slowEpoch, late := int64(-1), fx.shard.workers[0].id
+	fx.cluster.SetPerturb(func(from, _ string, _ time.Duration, msg sim.Message) sim.Perturb {
+		if m, ok := msg.(msgApplied); ok && m.Epoch == slowEpoch && from == late {
+			return sim.Perturb{Delay: hold}
+		}
+		return sim.Perturb{}
+	})
+	fx.submit(fx.keys[0], "add", interp.IntV(1))
+	fx.runUntil("A assigned", func() bool { return c.exec != nil && len(c.exec.txns) == 1 })
+	slowEpoch = c.exec.epoch
+	fx.runUntil("A decided", func() bool { return c.commit != nil && c.commit.epoch == slowEpoch })
+	fx.submit(fx.keys[1], "add", interp.IntV(2))
+	fx.runUntil("B finished", func() bool {
+		st := c.exec
+		return st != nil && len(st.txns) == 1 && st.unfinished == 0
+	})
+	b := c.exec.epoch
+	fx.cluster.RunUntil(fx.cluster.Now() + hold/4)
+	if c.exec == nil || c.exec.epoch != b || c.exec.phase != phaseOpen || c.commit == nil || c.commit.epoch != slowEpoch {
+		t.Fatal("B closed while A held the commit slot")
+	}
+	fx.runUntil("B decided", func() bool { return c.commit != nil && c.commit.epoch == b })
+	// The held ack is the last worker answer counted before B's decide.
+	if gap := c.commit.phaseAt - c.progressAt; gap > 100*time.Microsecond || c.progressAt < hold {
+		t.Fatalf("B decided %v after the commit slot's release at %v, want it in that event", gap, c.progressAt)
+	}
+	fx.runUntil("both calls answered", func() bool { return len(fx.client.got) == fx.sent })
+}
+
+// TestSelfClockLeavesBindingAndFencedEpochsAlone: a binding epoch takes its
+// whole window when it opens and a parked epoch takes nothing but its apply,
+// so neither is ever an open batch a finish could close. Checked at every
+// step of a run that parks shard 0 with updates queued behind the fence,
+// then crashes its coordinator so the binding replay runs under the fence.
+func TestSelfClockLeavesBindingAndFencedEpochsAlone(t *testing.T) {
+	fx := newBindingFixture(t, 12, 16, func(c *Config) { c.Shards = 2 })
+	c := fx.shard.Coordinator()
+	for _, key := range fx.keys[:6] {
+		fx.call(key, "set", interp.IntV(3))
+	}
+	var binding, parked int
+	watch := func() {
+		st := c.exec
+		switch {
+		case st == nil:
+		case st.binding:
+			binding++
+			if st.phase == phaseOpen {
+				t.Fatalf("binding epoch %d is open with %d members", st.epoch, len(st.txns))
+			}
+		case c.fenced && st.phase == phaseOpen:
+			parked++
+			if len(st.txns) != 0 {
+				t.Fatalf("parked epoch %d took %d members", st.epoch, len(st.txns))
+			}
+		}
+	}
+	fx.submit(fx.keys[6], "gather", interp.RefV("Reg", fx.remote), interp.RefV("Reg", fx.remote))
+	fx.runUntil("shard 0 parked", func() bool { watch(); return c.fenced })
+	for _, key := range fx.keys[7:] {
+		fx.submit(key, "add", interp.IntV(1))
+	}
+	fx.runUntil("the updates logged behind the fence", func() bool {
+		watch()
+		end, _ := fx.shard.RequestLog.End(sourceTopic, 0)
+		return end-c.consumed >= int64(len(fx.keys[7:]))+1 // and the open marker
+	})
+	now := fx.cluster.Now()
+	fx.cluster.ScheduleCrash(fx.shard.coordID, now, now+10*time.Millisecond)
+	fx.runUntil("every call answered", func() bool { watch(); return len(fx.client.got) == fx.sent })
+	if binding == 0 || parked == 0 || c.BindingEpochs < 2 || c.GlobalApplies != 1 {
+		t.Fatalf("watched %d binding and %d parked steps, %d binding epochs, %d applies: a state was never reached",
+			binding, parked, c.BindingEpochs, c.GlobalApplies)
+	}
+	if bad := fx.diverged(); len(bad) > 0 {
+		t.Fatalf("diverged from the serial run: %v", bad)
+	}
+}
+
+// TestSelfClockTimerBoundsABusyBatch: updates arrive faster than one
+// executes, so the open batch always has a member in flight and never
+// closes itself. The epoch timer closes it at its own deadline — not at the
+// tick still pending for the lone update that closed itself just before.
+func TestSelfClockTimerBoundsABusyBatch(t *testing.T) {
+	const gap = 200 * time.Microsecond
+	fx := newBindingFixture(t, 16, 16)
+	c := fx.shard.Coordinator()
+	interval := fx.shard.cfg.EpochInterval
+	fx.cluster.RunUntil(4*interval + interval/2)
+	fx.call(fx.keys[0], "add", interp.IntV(1))
+	epoch, deadline := int64(-1), time.Duration(0)
+	for i := 0; ; i++ {
+		if i > 1000 {
+			t.Fatal("the busy batch never closed")
+		}
+		fx.submit(fx.keys[i%len(fx.keys)], "add", interp.IntV(1))
+		fx.cluster.RunUntil(fx.cluster.Now() + gap)
+		st := c.exec
+		if epoch < 0 {
+			epoch, deadline = st.epoch, st.closeAt
+			continue
+		}
+		if st.epoch != epoch {
+			t.Fatalf("epoch %d left the exec slot between two arrivals", epoch)
+		}
+		if st.phase == phaseOpen {
+			continue
+		}
+		if st.phaseAt < deadline || st.phaseAt-deadline > 50*time.Microsecond || st.unfinished == 0 || len(st.txns) < 2 {
+			t.Fatalf("batch of %d (%d unfinished) closed at %v, want its deadline %v", len(st.txns), st.unfinished, st.phaseAt, deadline)
+		}
+		break
+	}
+	fx.runUntil("every call answered", func() bool { return len(fx.client.got) == fx.sent })
+	if bad := fx.diverged(); len(bad) > 0 {
+		t.Fatalf("diverged from the serial run: %v", bad)
+	}
 }

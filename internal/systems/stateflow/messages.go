@@ -55,8 +55,13 @@ type rwSets struct {
 	next *rwSets
 }
 
-// msgEpochTick closes the open batch.
-type msgEpochTick struct{ Epoch int64 }
+// msgEpochTick is the open batch's timer: the upper bound on how long a batch
+// waits to close, and the idle retick. The batch itself usually closes first,
+// as soon as every member has finished and the commit slot is free (see
+// Coordinator.selfClose). It carries nothing, so arming it allocates nothing:
+// the exec slot keeps its deadline (epochState.closeAt), and a tick that fires
+// before it — armed for a batch that closed early — is ignored.
+type msgEpochTick struct{}
 
 // msgDecide broadcasts the deterministic global decision for the batch
 // (Round 0) or closes the chain (Round 1). The round guard matters for the
@@ -117,21 +122,21 @@ type msgTakeSnapshot struct {
 // msgSnapshotDone acknowledges one worker's snapshot write.
 type msgSnapshotDone struct{ ID int64 }
 
-// msgStallCheck is the failure detector's timer (see onStallCheck). Armed
-// by a slot entering a phase that waits on every worker (execution, apply,
-// snapshot), it fires if the epoch is still stuck in that
-// phase one stall timeout later with no worker answer counted since.
-// Progress carries the coordinator's progress counter at arm time: if it
-// moved, the check re-arms for the last counted answer plus the stall
-// timeout instead of firing, so a batch that is merely slow (e.g. a
-// post-recovery replay of the whole backlog) is never mistaken for a dead
-// worker. With Phase phaseRecovering it is the recovery's retry tick instead
-// (Progress unused, see retryRecover).
-type msgStallCheck struct {
-	Epoch    int64
-	Phase    phase
-	Progress uint64
-}
+// msgStallCheck is the failure detector's watchdog (see onStallCheck): one
+// self-rearming timer per coordinator, armed when a slot enters a phase that
+// waits on every worker (execution, apply, snapshot) and none is armed yet.
+// It fires at the detector's deadline — one stall timeout after the later of
+// the oldest waiting phase's start and the last counted worker answer — and
+// re-arms for the new deadline while the workers keep answering, so a batch
+// that is merely slow (e.g. a post-recovery replay of the whole backlog) is
+// never mistaken for a dead worker. It carries nothing, so arming it
+// allocates nothing: the coordinator keeps the deadline it was armed for.
+type msgStallCheck struct{}
+
+// msgRecoverRetry is the recovery in progress's retry tick (see
+// retryRecover); Epoch is the recovery's view, so a tick from an earlier
+// recovery is dropped.
+type msgRecoverRetry struct{ Epoch int64 }
 
 // msgRecover tells a worker to reload its committed store from a snapshot
 // (id 0 means "reset to empty"). Recovery bumps the coordination epoch

@@ -33,8 +33,9 @@ func inject(cluster *sim.Cluster, ingress string, req sysapi.Request) {
 }
 
 // TestFastReadWaitsForTheChainsFinalDecide: four transfers into one payee
-// share an epoch; T1 commits in round 0 and T2, T3, T4 chain on the payee.
-// A transfer's `return True` reads no state, so T2's response leaves from
+// arrive in one burst, so they share an epoch (a batch closes as soon as its
+// members finish); T1 commits in round 0 and T2, T3, T4 chain on the payee.
+// A read of T2's payer arrives with them. A transfer's `return True` reads no state, so T2's response leaves from
 // the payee's owner; its release to the payer's owner is held back, and so
 // is T3's chained event, which keeps the chain open. T2 is answered while
 // its payer's owner has installed round 0 but not T2's debit: the store
@@ -59,10 +60,10 @@ func TestFastReadWaitsForTheChainsFinalDecide(t *testing.T) {
 		t.Fatal("fixture: T2's payer and payee share a worker; its release would not travel")
 	}
 	for i := 0; i < 4; i++ {
-		cluster.Inject(time.Duration(i+1)*time.Millisecond, "client", sys.IngressID(), sysapi.MsgRequest{
+		cluster.Inject(time.Millisecond, "client", sys.IngressID(), sysapi.MsgRequest{
 			Request: transferReq(fmt.Sprintf("t%d", i+1), acct(i), acct(9), 5), ReplyTo: "client"})
 	}
-	cluster.Inject(10*time.Millisecond, "client", sys.IngressID(), sysapi.MsgRequest{
+	cluster.Inject(time.Millisecond, "client", sys.IngressID(), sysapi.MsgRequest{
 		Request: readReq("r", acct(1)), ReplyTo: "client"})
 	stamp := int64(-1)
 	cluster.SetPerturb(func(_, to string, _ time.Duration, msg sim.Message) sim.Perturb {

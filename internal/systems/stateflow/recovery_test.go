@@ -365,6 +365,7 @@ func TestCoordinatorCrashMidPipeline(t *testing.T) {
 	f := newRecoveryFixture(t, 42)
 	cluster, sys, client := f.cluster, f.sys, f.client
 	client.inner.RetryEvery = 20 * time.Millisecond
+	inBursts(client.inner.Script, 4)
 	cluster.Start()
 
 	// Step finely until both pipeline slots are genuinely occupied: the
@@ -884,6 +885,70 @@ func TestDetectorFiresOneTimeoutAfterLastProgress(t *testing.T) {
 		t.Errorf("a stall-triggered recovery left no recovery.detect span (got %v)", tracer.SpanNames())
 	}
 	fx.runUntil("every call answered", func() bool { return len(fx.client.got) == fx.sent })
+	if bad := fx.diverged(); len(bad) > 0 || c.Recoveries != 1 {
+		t.Fatalf("recoveries=%d, diverged from the serial run: %v", c.Recoveries, bad)
+	}
+}
+
+// TestDetectorArmsOneCheckForBothSlots: a worker dies while both pipeline
+// slots wait on it — the commit slot for its apply ack, the exec slot, closed
+// by its timer, for a finish — and the survivors keep answering past the
+// first deadline. One watchdog covers both slots: no two stall checks are
+// ever in flight at once, and recovery starts exactly one StallTimeout after
+// the last counted answer.
+func TestDetectorArmsOneCheckForBothSlots(t *testing.T) {
+	fx := newBindingFixture(t, 40, 16)
+	c := fx.shard.Coordinator()
+	type check struct{ armed, fires time.Duration }
+	var checks []check
+	fx.cluster.SetTap(func(from, _ string, sentAt, at time.Duration, msg sim.Message) {
+		if _, ok := msg.(msgStallCheck); ok && from == fx.shard.coordID {
+			checks = append(checks, check{sentAt, at})
+		}
+	})
+	for i, key := range fx.keys[:20] {
+		fx.submit(key, "add", interp.IntV(int64(i+1)))
+	}
+	fx.runUntil("the first batch decided", func() bool {
+		st := c.commit
+		return st != nil && st.phase == phaseApply && len(st.acks) == 0
+	})
+	// The second batch opened at the first one's decide. The victim owns one
+	// of its members and has not acked the decide: neither answer comes.
+	for i, key := range fx.keys[20:] {
+		fx.submit(key, "add", interp.IntV(int64(i+1)))
+	}
+	now := fx.cluster.Now()
+	fx.cluster.ScheduleCrash(fx.regOwner(fx.keys[20]).id, now, now+10*time.Millisecond)
+	var both bool
+	var last time.Duration
+	fx.runUntil("the detector fired", func() bool {
+		if c.Recoveries == 0 {
+			last = c.progressAt
+			both = both || c.commit != nil && c.commit.phase == phaseApply &&
+				c.exec != nil && c.exec.phase == phaseClosing
+		}
+		return c.Recoveries == 1
+	})
+	armed := len(checks)
+	if !both || armed < 2 || last <= now {
+		t.Fatalf("both slots waited: %v, %d checks armed, last answer at %v after a crash at %v: the case is vacuous",
+			both, armed, last, now)
+	}
+	// The last check armed fired the recovery (Recover then runs its own
+	// log sync before it stamps recoverAt).
+	fired := checks[armed-1].fires
+	if gap := fired - last; gap != fx.shard.cfg.StallTimeout || c.recoverAt < fired || c.recoverAt-fired > 100*time.Microsecond {
+		t.Fatalf("the detector fired %v after the last counted answer and Recover stamped %v after that, want one StallTimeout of %v and only Recover's log sync",
+			gap, c.recoverAt-fired, fx.shard.cfg.StallTimeout)
+	}
+	fx.runUntil("every call answered", func() bool { return len(fx.client.got) == fx.sent })
+	for i := 1; i < len(checks); i++ {
+		if checks[i].armed < checks[i-1].fires {
+			t.Fatalf("stall check %d armed at %v while check %d was in flight until %v (%d checks)",
+				i, checks[i].armed, i-1, checks[i-1].fires, len(checks))
+		}
+	}
 	if bad := fx.diverged(); len(bad) > 0 || c.Recoveries != 1 {
 		t.Fatalf("recoveries=%d, diverged from the serial run: %v", c.Recoveries, bad)
 	}

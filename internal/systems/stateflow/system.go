@@ -35,8 +35,11 @@ type Config struct {
 	// Workers is the worker count (the paper uses 5 workers + 1
 	// coordinator on its 6 system cores).
 	Workers int
-	// EpochInterval is the Aria batch length: smaller means lower commit
-	// latency but more coordination per transaction.
+	// EpochInterval is the upper bound on how long an open batch waits to
+	// close. A batch closes by itself as soon as every member has finished
+	// and the commit stage is free, so the bound only binds while arrivals
+	// keep a member executing; it is also the idle retick, and a recovery
+	// re-sends its recover message every 4 intervals.
 	EpochInterval time.Duration
 	// SnapshotEvery takes an aligned snapshot after every N batches
 	// (0 disables).
