@@ -17,18 +17,21 @@ import (
 
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction. The
 // ycsb_m and hot_t ceilings sit about 10 % above what each run costs today
-// (17.9 and 42.1; 18.3 and 43.8 while the epoch timer and every phase's
+// (15.4 and 34.6; 17.9 and 42.1 while an executor step returned a slice of
+// heap events and every frame and call stack was allocated on its own;
+// 18.3 and 43.8 while the epoch timer and every phase's
 // stall check boxed their epoch, 18.5 and 45.3 while a suspending frame
 // allocated its pruning mask and every flight-recorder call boxed its
 // arguments, 20.1 and 52.5 while every epoch allocated its coordinator slot
 // and worker epochs afresh, 20.3 and 55.5 while every continuation resumed
 // on its caller's operator, 21.2 and 61.4 while a batch was validated by a
 // prepare/vote wave, and the contended leg read 66.6 behind barrier
-// rounds). The xshard ceiling sits just above today's 28.9 (29.1 under the
+// rounds). The xshard ceiling sits just above today's 26.1 (26.3 under the
 // race detector) so that it pins the sequencer's forward of a single-shard
-// request without re-boxing it (29.8, and 30.0 under the race detector,
-// when the forward boxes a new interface value; 31.7 while the timers
-// boxed their epoch, 33.6 before either change). The
+// request without re-boxing it (27.0 when the forward boxes a new interface
+// value; 28.9 while an executor step returned a slice of heap events, 31.7
+// while the timers boxed their epoch, 33.6 before the forward and the timers
+// changed). The
 // repository benchmark (benchmark/, a module `go test ./...` does not
 // build) gates the same quantity as host_allocs_per_txn on these three
 // workloads; this keeps a regression from waiting for a benchmark run.
@@ -36,15 +39,15 @@ import (
 var allocGates = []allocGate{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.
-	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 19.7},
+	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 16.9},
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 46.3},
+	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 38.0},
 	// The benchmark's xshard shape: the same mix on 4 shards, so every
 	// request passes the sequencer, which forwards most of them to one
 	// shard and runs the rest as global batches.
-	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 29.5},
+	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 26.7},
 }
 
 // allocGate is one shape TestAllocsPerTransaction prices.
@@ -109,13 +112,15 @@ func TestAllocsPerTransaction(t *testing.T) {
 }
 
 // epochGate is TestAllocsPerEpoch's ceiling, just above what an epoch
-// costs today (46.4) so that it pins the flight-recorder guards: 47.4 when
-// every flight-recorder call boxes its arguments for a nil recorder, 53.6
+// costs today (38.7) so that it pins the flight-recorder guards: 39.7 when
+// every flight-recorder call boxes its arguments for a nil recorder, 46.4
+// while an executor step returned a slice of heap events
+// and every frame and call stack was allocated on its own, 53.6
 // while the epoch timer and every phase's stall check boxed their epoch and
 // only the timer closed a batch (47.4 with the boxing gone alone), 55.8 while a suspending frame also allocated its pruning mask, 66.8 while
 // every epoch allocated its coordinator slot, round-0 order, ack set,
 // worker epochs and workspace maps afresh.
-const epochGate = 46.9
+const epochGate = 39.1
 
 // TestAllocsPerEpoch prices one epoch in heap allocations: transfers on
 // uniform keys arriving at 50 a second, so a batch closes as soon as its

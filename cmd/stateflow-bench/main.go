@@ -57,7 +57,7 @@ func main() {
 		case "consistency":
 			fmt.Print(bench.PrintConsistency(must(bench.RunConsistency(opt))))
 		case "ablation-epoch":
-			fmt.Print(bench.PrintAblation("Ablation: Aria epoch interval (workload T, zipfian, 100 RPS)", must(bench.RunEpochAblation(opt, nil))))
+			fmt.Print(bench.PrintAblation("Ablation: Aria epoch interval, an upper bound on a batch (workload M, 3500 RPS)", must(bench.RunEpochAblation(opt, nil))))
 		case "ablation-workers":
 			fmt.Print(bench.PrintAblation("Ablation: worker count (workload M, 2000 RPS)", must(bench.RunWorkerAblation(opt, nil))))
 		case "ablation-contention":

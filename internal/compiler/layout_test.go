@@ -70,7 +70,7 @@ func TestLayoutsStamped(t *testing.T) {
 }
 
 // Parameters must occupy the leading frame slots in declaration order —
-// BindParams relies on it for slot-indexed binding.
+// interp.Frame.Bind relies on it for slot-indexed binding.
 func TestFrameLayoutParamsLeading(t *testing.T) {
 	prog := MustCompile(layoutSrc)
 	m := prog.MethodOf("User", "buy_item")

@@ -9,6 +9,11 @@
 // state), that continuation runs in the callee's event instead of costing a
 // resume hop back to the caller's operator (complete).
 //
+// Step turns one event into exactly one event, returned by value. A call
+// allocates per activation, not per step: its context holds its first two
+// frames, and each frame its variables, so an activation allocates only
+// their slot array.
+//
 // Every runtime (local, StateFlow, StateFun-model) wraps this package with
 // its own transport, scheduling, consistency and fault-tolerance layers;
 // the execution semantics live here exactly once.
@@ -29,7 +34,7 @@ type Frame struct {
 	Ref    interp.EntityRef // entity executing the method
 	Method *ir.Method
 	Block  ir.BlockID // block to run when the frame (re)gains control
-	Env    *interp.Frame
+	Env    interp.Frame
 	// Result is the pending call's 1-based result slot in Env
 	// (ir.Invoke.Result); 0 discards the returned value.
 	Result int
@@ -38,10 +43,12 @@ type Frame struct {
 // Context is the execution state machine instance inserted into
 // function-calling events (§2.5): the stack of suspended frames plus the
 // root request identity. The execution graph's intermediate results are
-// the frames' environments.
+// the frames' environments. A context is never copied: Stack starts in
+// inline, the shipped programs' common depth (a transaction and one callee).
 type Context struct {
-	Req   string // root request id (assigned by the ingress router)
-	Stack []Frame
+	Req    string // root request id (assigned by the ingress router)
+	Stack  []Frame
+	inline [2]Frame
 }
 
 // Top returns the innermost frame.
@@ -171,55 +178,69 @@ func keyString(v interp.Value) (string, error) {
 }
 
 // Step processes one event addressed to this operator partition and
-// returns the events it produces. The store must hold the state for
+// returns the one event it produces. The store must hold the state for
 // ev.Target's partition. Step never blocks: a remote call suspends the
 // context and emits an invocation event (§2.3: "a streaming dataflow
 // should never stop and wait for a remote function").
-func (ex *Executor) Step(ev *Event, store Store) ([]*Event, error) {
+func (ex *Executor) Step(ev *Event, store Store) (Event, error) {
 	switch ev.Kind {
 	case EvInvoke:
 		return ex.stepInvoke(ev, store)
 	case EvResume:
 		return ex.stepResume(ev, store)
 	default:
-		return nil, fmt.Errorf("core: operator received %s event", ev.Kind)
+		return Event{}, fmt.Errorf("core: operator received %s event", ev.Kind)
 	}
 }
 
-func (ex *Executor) stepInvoke(ev *Event, store Store) ([]*Event, error) {
+// Drive steps ev and each event that follows on one store holding every
+// entity the request reaches, and returns the response and the step count.
+func (ex *Executor) Drive(ev Event, store Store) (resp Event, steps int, err error) {
+	for ; ev.Kind != EvResponse; steps++ {
+		if steps == 1_000_000 {
+			return Event{}, steps, fmt.Errorf("core: event loop exceeded step bound")
+		}
+		if ev, err = ex.Step(&ev, store); err != nil {
+			return Event{}, steps + 1, err
+		}
+	}
+	return ev, steps, nil
+}
+
+func (ex *Executor) stepInvoke(ev *Event, store Store) (Event, error) {
 	op := ex.prog.Operator(ev.Target.Class)
 	if op == nil {
-		return ex.fail(ev.Ctx, ev.Req, fmt.Sprintf("unknown operator %s", ev.Target.Class), ev.Hops)
+		return ex.fail(ev.Req, fmt.Sprintf("unknown operator %s", ev.Target.Class), ev.Hops)
 	}
 	if ev.Method == "__init__" {
 		return ex.stepInit(ev, store)
 	}
 	m := op.Method(ev.Method)
 	if m == nil {
-		return ex.fail(ev.Ctx, ev.Req, fmt.Sprintf("unknown method %s.%s", ev.Target.Class, ev.Method), ev.Hops)
+		return ex.fail(ev.Req, fmt.Sprintf("unknown method %s.%s", ev.Target.Class, ev.Method), ev.Hops)
 	}
 	st, ok := store.Lookup(ev.Target)
 	if !ok {
-		return ex.fail(ev.Ctx, ev.Req, fmt.Sprintf("entity %s does not exist", ev.Target), ev.Hops)
-	}
-	env, err := interp.BindParams(m, ev.Args)
-	if err != nil {
-		return ex.fail(ev.Ctx, ev.Req, err.Error(), ev.Hops)
+		return ex.fail(ev.Req, fmt.Sprintf("entity %s does not exist", ev.Target), ev.Hops)
 	}
 	// Fast path for root calls to simple methods: the single
 	// return-terminated block cannot suspend, so no execution context
 	// needs to be allocated.
 	if m.Simple && ev.Ctx == nil && len(m.Blocks) == 1 {
 		if t, ok := m.Blocks[0].Term.(ir.Return); ok {
+			env := new(interp.Frame)
+			if err := env.Bind(m, ev.Args); err != nil {
+				return ex.fail(ev.Req, err.Error(), ev.Hops)
+			}
 			res, err := ex.in.ExecBlock(ev.Target.Class, ev.Target.Key, m.Blocks[0], env, st)
 			if err != nil {
-				return ex.fail(nil, ev.Req, err.Error(), ev.Hops)
+				return ex.fail(ev.Req, err.Error(), ev.Hops)
 			}
 			v := res.Value
 			if !res.Returned {
 				v, err = ex.in.Eval(ev.Target.Class, ev.Target.Key, t.Value, env, st)
 				if err != nil {
-					return ex.fail(nil, ev.Req, err.Error(), ev.Hops)
+					return ex.fail(ev.Req, err.Error(), ev.Hops)
 				}
 			}
 			return ex.complete(nil, ev.Req, v, ev.Hops)
@@ -228,35 +249,41 @@ func (ex *Executor) stepInvoke(ev *Event, store Store) ([]*Event, error) {
 	ctx := ev.Ctx
 	if ctx == nil {
 		ctx = &Context{Req: ev.Req}
+		ctx.Stack = ctx.inline[:0]
 	}
-	ctx.Stack = append(ctx.Stack, Frame{Ref: ev.Target, Method: m, Env: env})
+	ctx.Stack = append(ctx.Stack, Frame{Ref: ev.Target, Method: m})
+	if err := ctx.Top().Env.Bind(m, ev.Args); err != nil {
+		return ex.fail(ev.Req, err.Error(), ev.Hops)
+	}
 	return ex.run(ctx, st, ev.Hops)
 }
 
-func (ex *Executor) stepInit(ev *Event, store Store) ([]*Event, error) {
+func (ex *Executor) stepInit(ev *Event, store Store) (Event, error) {
 	// ExecInit binds the parameters itself (including the arity check).
+	// Capturing fields, not ev, lets a caller keep ev on its stack.
+	class, args := ev.Target.Class, ev.Args
 	err := store.Create(ev.Target, func(st interp.State) error {
-		return ex.in.ExecInit(ev.Target.Class, ev.Args, st)
+		return ex.in.ExecInit(class, args, st)
 	})
 	if err != nil {
-		return ex.fail(ev.Ctx, ev.Req, err.Error(), ev.Hops)
+		return ex.fail(ev.Req, err.Error(), ev.Hops)
 	}
 	// The constructor's value is a reference to the new entity.
 	return ex.complete(ev.Ctx, ev.Req, interp.RefV(ev.Target.Class, ev.Target.Key), ev.Hops)
 }
 
-func (ex *Executor) stepResume(ev *Event, store Store) ([]*Event, error) {
+func (ex *Executor) stepResume(ev *Event, store Store) (Event, error) {
 	ctx := ev.Ctx
 	fr := ctx.Top()
 	if fr == nil {
-		return nil, fmt.Errorf("core: resume with empty context (req %s)", ev.Req)
+		return Event{}, fmt.Errorf("core: resume with empty context (req %s)", ev.Req)
 	}
 	if fr.Ref != ev.Target {
-		return nil, fmt.Errorf("core: resume routed to %s but frame belongs to %s", ev.Target, fr.Ref)
+		return Event{}, fmt.Errorf("core: resume routed to %s but frame belongs to %s", ev.Target, fr.Ref)
 	}
 	st, ok := store.Lookup(fr.Ref)
 	if !ok {
-		return ex.fail(popFrame(ctx), ev.Req, fmt.Sprintf("entity %s vanished", fr.Ref), ev.Hops)
+		return ex.fail(ev.Req, fmt.Sprintf("entity %s vanished", fr.Ref), ev.Hops)
 	}
 	fr.resume(ev.Value)
 	return ex.run(ctx, st, ev.Hops)
@@ -264,36 +291,36 @@ func (ex *Executor) stepResume(ev *Event, store Store) ([]*Event, error) {
 
 // run executes the top frame's state machine until it suspends or
 // completes, staying inside this operator partition.
-func (ex *Executor) run(ctx *Context, st interp.State, hops int) ([]*Event, error) {
+func (ex *Executor) run(ctx *Context, st interp.State, hops int) (Event, error) {
 	fr := ctx.Top()
 	for steps := 0; ; steps++ {
 		if steps > 1_000_000 {
-			return nil, fmt.Errorf("core: state machine exceeded step bound in %s.%s", fr.Ref.Class, fr.Method.Name)
+			return Event{}, fmt.Errorf("core: state machine exceeded step bound in %s.%s", fr.Ref.Class, fr.Method.Name)
 		}
 		b := fr.Method.Block(fr.Block)
 		if b == nil {
-			return nil, fmt.Errorf("core: missing block %d in %s.%s", fr.Block, fr.Ref.Class, fr.Method.Name)
+			return Event{}, fmt.Errorf("core: missing block %d in %s.%s", fr.Block, fr.Ref.Class, fr.Method.Name)
 		}
-		res, err := ex.in.ExecBlock(fr.Ref.Class, fr.Ref.Key, b, fr.Env, st)
+		res, err := ex.in.ExecBlock(fr.Ref.Class, fr.Ref.Key, b, &fr.Env, st)
 		if err != nil {
-			return ex.fail(popFrame(ctx), ctx.Req, err.Error(), hops)
+			return ex.fail(ctx.Req, err.Error(), hops)
 		}
 		if res.Returned {
 			return ex.complete(popFrame(ctx), ctx.Req, res.Value, hops)
 		}
 		switch t := b.Term.(type) {
 		case ir.Return:
-			v, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, t.Value, fr.Env, st)
+			v, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, t.Value, &fr.Env, st)
 			if err != nil {
-				return ex.fail(popFrame(ctx), ctx.Req, err.Error(), hops)
+				return ex.fail(ctx.Req, err.Error(), hops)
 			}
 			return ex.complete(popFrame(ctx), ctx.Req, v, hops)
 		case ir.Jump:
 			fr.Block = t.To
 		case ir.Branch:
-			cond, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, t.Cond, fr.Env, st)
+			cond, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, t.Cond, &fr.Env, st)
 			if err != nil {
-				return ex.fail(popFrame(ctx), ctx.Req, err.Error(), hops)
+				return ex.fail(ctx.Req, err.Error(), hops)
 			}
 			if cond.IsTruthy() {
 				fr.Block = t.True
@@ -303,7 +330,7 @@ func (ex *Executor) run(ctx *Context, st interp.State, hops int) ([]*Event, erro
 		case ir.Invoke:
 			return ex.suspend(ctx, fr, b, t, st, hops)
 		default:
-			return nil, fmt.Errorf("core: unknown terminator %T", b.Term)
+			return Event{}, fmt.Errorf("core: unknown terminator %T", b.Term)
 		}
 	}
 }
@@ -312,12 +339,12 @@ func (ex *Executor) run(ctx *Context, st interp.State, hops int) ([]*Event, erro
 // continuation and its result slot in the frame, keeps only the block's
 // live-out slots in the carried environment, and emits the invocation
 // event.
-func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, st interp.State, hops int) ([]*Event, error) {
+func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, st interp.State, hops int) (Event, error) {
 	args := make([]interp.Value, len(t.Args))
 	for i, a := range t.Args {
-		v, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, a, fr.Env, st)
+		v, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, a, &fr.Env, st)
 		if err != nil {
-			return ex.fail(popFrame(ctx), ctx.Req, err.Error(), hops)
+			return ex.fail(ctx.Req, err.Error(), hops)
 		}
 		args[i] = v
 	}
@@ -326,16 +353,16 @@ func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, s
 		// Constructor: route by the key argument.
 		key, err := ex.KeyForCtor(t.Class, args)
 		if err != nil {
-			return ex.fail(popFrame(ctx), ctx.Req, err.Error(), hops)
+			return ex.fail(ctx.Req, err.Error(), hops)
 		}
 		target = interp.EntityRef{Class: t.Class, Key: key}
 	} else {
-		recv, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, t.Recv, fr.Env, st)
+		recv, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, t.Recv, &fr.Env, st)
 		if err != nil {
-			return ex.fail(popFrame(ctx), ctx.Req, err.Error(), hops)
+			return ex.fail(ctx.Req, err.Error(), hops)
 		}
 		if recv.Kind != interp.KRef {
-			return ex.fail(popFrame(ctx), ctx.Req,
+			return ex.fail(ctx.Req,
 				fmt.Sprintf("call receiver is %s, not an entity", recv.Kind), hops)
 		}
 		target = recv.R
@@ -343,7 +370,7 @@ func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, s
 	fr.Block = t.To
 	fr.Result = t.Result
 	fr.Env.Keep(b.LiveOutSlots)
-	return []*Event{{
+	return Event{
 		Kind:   EvInvoke,
 		Req:    ctx.Req,
 		Target: target,
@@ -351,7 +378,7 @@ func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, s
 		Args:   args,
 		Ctx:    ctx,
 		Hops:   hops + 1,
-	}}, nil
+	}, nil
 }
 
 // complete pops back to the caller. A parent frame whose resume block is
@@ -360,41 +387,41 @@ func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, s
 // frame below it in turn. The first parent that needs its entity is resumed
 // by an EvResume (possibly on another operator); once the stack is empty,
 // the root call is done and the value heads to the egress router.
-func (ex *Executor) complete(ctx *Context, req string, v interp.Value, hops int) ([]*Event, error) {
+func (ex *Executor) complete(ctx *Context, req string, v interp.Value, hops int) (Event, error) {
 	for ctx != nil && len(ctx.Stack) > 0 {
 		parent := ctx.Top()
 		b := parent.Method.Block(parent.Block)
 		if b == nil || !b.StateFree {
-			return []*Event{{
+			return Event{
 				Kind:   EvResume,
 				Req:    req,
 				Target: parent.Ref,
 				Value:  v,
 				Ctx:    ctx,
 				Hops:   hops + 1,
-			}}, nil
+			}, nil
 		}
 		parent.resume(v)
-		res, err := ex.in.ExecBlock(parent.Ref.Class, parent.Ref.Key, b, parent.Env, nil)
+		res, err := ex.in.ExecBlock(parent.Ref.Class, parent.Ref.Key, b, &parent.Env, nil)
 		if err != nil {
-			return ex.fail(popFrame(ctx), req, err.Error(), hops)
+			return ex.fail(req, err.Error(), hops)
 		}
 		v = res.Value
 		if !res.Returned {
-			if v, err = ex.in.Eval(parent.Ref.Class, parent.Ref.Key, b.Term.(ir.Return).Value, parent.Env, nil); err != nil {
-				return ex.fail(popFrame(ctx), req, err.Error(), hops)
+			if v, err = ex.in.Eval(parent.Ref.Class, parent.Ref.Key, b.Term.(ir.Return).Value, &parent.Env, nil); err != nil {
+				return ex.fail(req, err.Error(), hops)
 			}
 		}
 		popFrame(ctx)
 	}
-	return []*Event{{Kind: EvResponse, Req: req, Value: v, Hops: hops}}, nil
+	return Event{Kind: EvResponse, Req: req, Value: v, Hops: hops}, nil
 }
 
-// fail unwinds the whole context and reports the error to the client. The
+// fail abandons the whole context and reports the error to the client. The
 // transactional runtime additionally aborts the surrounding transaction so
 // partial effects never commit.
-func (ex *Executor) fail(ctx *Context, req string, msg string, hops int) ([]*Event, error) {
-	return []*Event{{Kind: EvResponse, Req: req, Err: msg, Hops: hops}}, nil
+func (ex *Executor) fail(req string, msg string, hops int) (Event, error) {
+	return Event{Kind: EvResponse, Req: req, Err: msg, Hops: hops}, nil
 }
 
 // resume writes a returned value into the frame's pending result slot.

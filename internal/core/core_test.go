@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -45,6 +46,27 @@ class Driver:
     def bump_named(self, c: Counter) -> str:
         a: int = c.bump(1)
         return self.name + str(a)
+
+@entity
+class Account:
+    def __init__(self, owner: str, balance: int):
+        self.owner: str = owner
+        self.balance: int = balance
+
+    def __key__(self) -> str:
+        return self.owner
+
+    def deposit(self, amount: int) -> bool:
+        self.balance += amount
+        return True
+
+    @transactional
+    def transfer(self, amount: int, to: Account) -> bool:
+        if self.balance < amount:
+            return False
+        self.balance -= amount
+        to.deposit(amount)
+        return True
 `
 
 // memStore is the runtimes' store: rows of the program's class layouts.
@@ -71,33 +93,33 @@ func newExec(t *testing.T) (*Executor, memStore) {
 	store.PutMap(interp.EntityRef{Class: "Driver", Key: "d"}, interp.MapState{
 		"name": interp.StrV("d"),
 	})
+	for _, owner := range []string{"a", "b"} {
+		store.PutMap(interp.EntityRef{Class: "Account", Key: owner}, interp.MapState{
+			"owner": interp.StrV(owner), "balance": interp.IntV(1 << 40),
+		})
+	}
 	return NewExecutor(prog), store
 }
 
 // drive pushes events through Step until the response, returning it and
 // the trace of event kinds.
-func drive(t *testing.T, ex *Executor, store memStore, ev *Event) (*Event, []EventKind) {
+func drive(t *testing.T, ex *Executor, store memStore, ev *Event) (Event, []EventKind) {
 	t.Helper()
-	queue := []*Event{ev}
+	cur := *ev
 	var kinds []EventKind
-	for steps := 0; len(queue) > 0; steps++ {
+	for steps := 0; ; steps++ {
 		if steps > 1000 {
 			t.Fatal("event loop runaway")
 		}
-		cur := queue[0]
-		queue = queue[1:]
 		kinds = append(kinds, cur.Kind)
 		if cur.Kind == EvResponse {
 			return cur, kinds
 		}
-		out, err := ex.Step(cur, store)
-		if err != nil {
+		var err error
+		if cur, err = ex.Step(&cur, store); err != nil {
 			t.Fatalf("step: %v", err)
 		}
-		queue = append(queue, out...)
 	}
-	t.Fatal("no response")
-	return nil, nil
 }
 
 func TestSuspendResumeCycle(t *testing.T) {
@@ -247,10 +269,10 @@ func TestContextEnvPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out[0].Kind != EvInvoke {
-		t.Fatalf("outputs: %+v", out)
+	if out.Kind != EvInvoke {
+		t.Fatalf("output: %+v", out)
 	}
-	fr := out[0].Ctx.Top()
+	fr := out.Ctx.Top()
 	if fr == nil {
 		t.Fatal("no suspended frame")
 	}
@@ -283,5 +305,154 @@ func TestEventKindString(t *testing.T) {
 	}
 	if !strings.Contains(EventKind(42).String(), "42") {
 		t.Fatal("unknown kind")
+	}
+}
+
+// TestStepYieldsOneEvent steps a root event `at` times along its own event
+// chain and checks the one event the last step yields, on every path: a
+// suspend, a resume, a continuation completed in place, __init__ and each
+// failure, which is a response carrying the error.
+func TestStepYieldsOneEvent(t *testing.T) {
+	counter := interp.EntityRef{Class: "Counter", Key: "c"}
+	driver := interp.EntityRef{Class: "Driver", Key: "d"}
+	call := func(target interp.EntityRef, method string, args ...interp.Value) Event {
+		return Event{Kind: EvInvoke, Req: "r", Target: target, Method: method, Args: args}
+	}
+	c := interp.RefV("Counter", "c")
+	for _, tc := range []struct {
+		name string
+		root Event
+		at   int
+		// empty runs the checked step on a store holding no entity.
+		empty  bool
+		kind   EventKind
+		target interp.EntityRef // EvInvoke and EvResume
+		value  string           // EvResponse without an error
+		err    string           // EvResponse with an error
+		hops   int
+	}{
+		{name: "simple root call", root: call(counter, "bump", interp.IntV(1)), kind: EvResponse, value: "1"},
+		{name: "suspend", root: call(driver, "double_bump", c), kind: EvInvoke, target: counter, hops: 1},
+		{name: "callee returns to a caller that reads state", root: call(driver, "double_bump", c), at: 1,
+			kind: EvResume, target: driver, hops: 2},
+		{name: "resume and suspend again", root: call(driver, "double_bump", c), at: 2,
+			kind: EvInvoke, target: counter, hops: 3},
+		{name: "StateFree continuation completes in place", root: call(driver, "double_bump", c), at: 3,
+			kind: EvResponse, value: "3", hops: 3},
+		{name: "__init__ as the root", root: call(interp.EntityRef{Class: "Counter", Key: "f"}, "__init__", interp.StrV("f")),
+			kind: EvResponse, value: interp.RefV("Counter", "f").Repr()},
+		{name: "__init__ under a caller", root: call(driver, "mk", interp.StrV("g")), at: 1,
+			kind: EvResume, target: driver, hops: 2},
+		{name: "unknown operator", root: call(interp.EntityRef{Class: "Ghost", Key: "x"}, "m"),
+			kind: EvResponse, err: "unknown operator"},
+		{name: "unknown method", root: call(counter, "nope"), kind: EvResponse, err: "unknown method"},
+		{name: "missing entity", root: call(interp.EntityRef{Class: "Counter", Key: "ghost"}, "bump", interp.IntV(1)),
+			kind: EvResponse, err: "does not exist"},
+		{name: "arity of a simple root call", root: call(counter, "bump"), kind: EvResponse, err: "expects 1 args"},
+		{name: "arity of a call that suspends", root: call(driver, "double_bump"), kind: EvResponse, err: "expects 1 args"},
+		{name: "__init__ of an existing entity", root: call(counter, "__init__", interp.StrV("c")),
+			kind: EvResponse, err: "exists"},
+		{name: "execution error", root: call(counter, "bump", interp.StrV("x")), kind: EvResponse, err: "cannot add"},
+		{name: "receiver is not an entity", root: call(driver, "double_bump", interp.IntV(1)),
+			kind: EvResponse, err: "not an entity"},
+		{name: "resumed entity vanished", root: call(driver, "double_bump", c), at: 2, empty: true,
+			kind: EvResponse, err: "vanished", hops: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, store := newExec(t)
+			ev := tc.root
+			for i := 0; i <= tc.at; i++ {
+				var st Store = store
+				if tc.empty && i == tc.at {
+					st = memStore{state.NewStore(ex.Program().Layouts())}
+				}
+				var err error
+				if ev, err = ex.Step(&ev, st); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			if ev.Kind != tc.kind || ev.Hops != tc.hops || ev.Req != "r" {
+				t.Fatalf("yielded %s (hops %d, req %q), want %s (hops %d)", ev.Kind, ev.Hops, ev.Req, tc.kind, tc.hops)
+			}
+			switch {
+			case ev.Kind != EvResponse:
+				if ev.Target != tc.target || ev.Ctx == nil {
+					t.Fatalf("%s to %s (context %v), want one to %s with a context", ev.Kind, ev.Target, ev.Ctx, tc.target)
+				}
+			case tc.err != "":
+				if !strings.Contains(ev.Err, tc.err) {
+					t.Fatalf("error %q, want one containing %q", ev.Err, tc.err)
+				}
+			default:
+				if ev.Err != "" || ev.Value.Repr() != tc.value {
+					t.Fatalf("response %s (error %q), want %s", ev.Value.Repr(), ev.Err, tc.value)
+				}
+			}
+		})
+	}
+}
+
+// TestStepFaults pins the internal faults Step reports as errors rather
+// than as responses: each yields no event.
+func TestStepFaults(t *testing.T) {
+	ex, store := newExec(t)
+	suspended, err := ex.Step(&Event{Kind: EvInvoke, Req: "r", Target: interp.EntityRef{Class: "Driver", Key: "d"},
+		Method: "double_bump", Args: []interp.Value{interp.RefV("Counter", "c")}}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ev   Event
+		want string
+	}{
+		{"a response", Event{Kind: EvResponse, Req: "r"}, "received response"},
+		{"a resume without a frame", Event{Kind: EvResume, Req: "r", Ctx: &Context{}}, "empty context"},
+		{"a resume routed elsewhere", Event{Kind: EvResume, Req: "r", Target: suspended.Target, Ctx: suspended.Ctx},
+			"frame belongs to"},
+	} {
+		ev, err := ex.Step(&tc.ev, store)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !reflect.DeepEqual(ev, Event{}) {
+			t.Errorf("%s: yielded %+v, error %v; want no event and an error containing %q", tc.name, ev, err, tc.want)
+		}
+	}
+}
+
+// TestStepAllocs prices Step in heap allocations. A simple root call
+// allocates its variables' frame and their slots. The two-frame transfer
+// allocates its context — which holds both frames — the transfer's slots,
+// the deposit's arguments and slots, and nothing for either event: the
+// deposit's return completes the transfer in place and the response is a
+// value. They cost 4 and 12 while Step returned a slice of heap events and
+// every frame, and its stack, was allocated on its own.
+func TestStepAllocs(t *testing.T) {
+	ex, store := newExec(t)
+	a, b := interp.EntityRef{Class: "Account", Key: "a"}, interp.EntityRef{Class: "Account", Key: "b"}
+	for _, tc := range []struct {
+		name    string
+		root    Event
+		steps   int
+		ceiling float64
+	}{
+		{"simple root call", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "deposit",
+			Args: []interp.Value{interp.IntV(1)}}, 1, 2},
+		{"transfer -> deposit -> response", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "transfer",
+			Args: []interp.Value{interp.IntV(1), interp.RefV(b.Class, b.Key)}}, 2, 4},
+	} {
+		var last Event
+		allocs := testing.AllocsPerRun(100, func() {
+			ev := tc.root
+			for i := 0; i < tc.steps; i++ {
+				ev, _ = ex.Step(&ev, store)
+			}
+			last = ev
+		})
+		if last.Kind != EvResponse || last.Err != "" || last.Hops != tc.steps-1 {
+			t.Fatalf("%s: %d steps end in %+v, want its response", tc.name, tc.steps, last)
+		}
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+		if allocs > tc.ceiling {
+			t.Errorf("%s: %.0f allocations, ceiling %.0f: a step grew an allocation", tc.name, allocs, tc.ceiling)
+		}
 	}
 }

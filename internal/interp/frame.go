@@ -7,6 +7,7 @@
 package interp
 
 import (
+	"fmt"
 	"slices"
 
 	"statefulentities.dev/stateflow/internal/ir"
@@ -20,14 +21,22 @@ type Frame struct {
 	defBig []bool // definedness spill for wider frames (non-nil iff used)
 }
 
-// NewFrame allocates an empty frame for a layout.
-func NewFrame(layout *ir.FrameLayout) *Frame {
-	n := layout.NumSlots()
-	f := &Frame{slots: make([]Value, n)}
+// Bind makes f, in place, the frame of a fresh activation of m: empty over
+// m's layout, with m's parameters bound to args in the leading slots the
+// layout pass gives them. Only the slot array is allocated.
+func (f *Frame) Bind(m *ir.Method, args []Value) error {
+	if len(args) != len(m.Params) {
+		return &RuntimeError{Msg: fmt.Sprintf("%s expects %d args, got %d", m.Name, len(m.Params), len(args))}
+	}
+	n := m.Frame.NumSlots()
+	*f = Frame{slots: make([]Value, n)}
 	if n > 64 {
 		f.defBig = make([]bool, n)
 	}
-	return f
+	for i, a := range args {
+		f.SetSlot(i, a)
+	}
+	return nil
 }
 
 func (f *Frame) defined(i int) bool {

@@ -110,27 +110,13 @@ func (in *Interp) ExecInit(class string, args []Value, st State) error {
 		return &RuntimeError{Msg: fmt.Sprintf("unknown class %s", class)}
 	}
 	m := op.Method("__init__")
-	env, err := BindParams(m, args)
-	if err != nil {
+	env := new(Frame)
+	if err := env.Bind(m, args); err != nil {
 		return err
 	}
 	fr := frame{class: class, env: env, state: st}
-	_, _, err = in.execStmts(m.Body, &fr)
+	_, _, err := in.execStmts(m.Body, &fr)
 	return err
-}
-
-// BindParams zips method parameters with argument values into a fresh
-// frame over the method's layout. Parameters occupy the leading slots.
-func BindParams(m *ir.Method, args []Value) (*Frame, error) {
-	if len(args) != len(m.Params) {
-		return nil, &RuntimeError{Msg: fmt.Sprintf("%s expects %d args, got %d", m.Name, len(m.Params), len(args))}
-	}
-	f := NewFrame(m.Frame)
-	// The layout pass places parameters in the leading slots.
-	for i, a := range args {
-		f.SetSlot(i, a)
-	}
-	return f, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -634,8 +620,8 @@ func (in *Interp) evalCall(x *ast.Call, fr *frame) (Value, error) {
 		if m == nil {
 			return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("unknown method %s.%s", fr.class, x.Func)}
 		}
-		env, err := BindParams(m, args)
-		if err != nil {
+		env := new(Frame)
+		if err := env.Bind(m, args); err != nil {
 			return None, err
 		}
 		sub := frame{class: fr.class, key: fr.key, env: env, state: fr.state, depth: fr.depth + 1}

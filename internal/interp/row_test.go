@@ -203,9 +203,17 @@ func TestRowWide(t *testing.T) {
 	}
 }
 
+// newFrame makes an empty frame over a layout, as a call of a method with
+// no parameters binds one.
+func newFrame(fl *ir.FrameLayout) *Frame {
+	f := new(Frame)
+	_ = f.Bind(&ir.Method{Frame: fl}, nil)
+	return f
+}
+
 func TestFrameSlotNameAgreement(t *testing.T) {
 	fl := ir.NewFrameLayout([]string{"x", "y"})
-	f := NewFrame(fl)
+	f := newFrame(fl)
 	if _, ok := f.GetSlot(frameSlot(t, fl, "x")); ok {
 		t.Fatal("fresh frame must be empty")
 	}
@@ -238,7 +246,7 @@ func frameSlot(t *testing.T, fl *ir.FrameLayout, name string) int {
 
 func TestFramePrune(t *testing.T) {
 	fl := ir.NewFrameLayout([]string{"a", "b", "c"})
-	f := NewFrame(fl)
+	f := newFrame(fl)
 	for i, v := range []Value{IntV(1), ListV(IntV(5)), IntV(3)} {
 		f.SetSlot(i, v)
 	}
@@ -260,7 +268,7 @@ func TestFrameWide(t *testing.T) {
 		vars[i] = fmt.Sprintf("v%02d", i)
 	}
 	fl := ir.NewFrameLayout(vars)
-	f := NewFrame(fl)
+	f := newFrame(fl)
 	f.SetSlot(0, IntV(1))
 	f.SetSlot(69, IntV(7))
 	if v, ok := f.GetSlot(frameSlot(t, fl, "v69")); !ok || v.I != 7 {

@@ -740,12 +740,9 @@ func (w *worker) handle(msg any) {
 		w.processed.Add(1)
 		out, err := w.rt.ex.Step(m, liveStore{w.store})
 		if err != nil {
-			w.deliver(&core.Event{Kind: core.EvResponse, Req: m.Req, Err: err.Error()})
-			return
+			out = core.Event{Kind: core.EvResponse, Req: m.Req, Err: err.Error()}
 		}
-		for _, ev := range out {
-			w.deliver(ev)
-		}
+		w.deliver(out)
 	}
 }
 
@@ -769,12 +766,13 @@ func (w *worker) flush() {
 
 // deliver routes a produced event: responses complete pending requests,
 // everything else hops to the owning partition.
-func (w *worker) deliver(ev *core.Event) {
+func (w *worker) deliver(ev core.Event) {
 	if ev.Kind == core.EvResponse {
 		w.rt.complete(ev.Req, result{value: ev.Value, err: ev.Err})
 		return
 	}
-	w.rt.send(ev)
+	hop := ev // copied here, so that only a hop allocates its event
+	w.rt.send(&hop)
 }
 
 // liveStore adapts state.Store to core.Store.

@@ -64,7 +64,7 @@ type Result struct {
 // completion.
 func (r *Runtime) Invoke(class, key, method string, args ...interp.Value) (Result, error) {
 	r.nextID++
-	ev := &core.Event{
+	ev := core.Event{
 		Kind:   core.EvInvoke,
 		Req:    "req-" + strconv.Itoa(r.nextID),
 		Target: interp.EntityRef{Class: class, Key: key},
@@ -82,7 +82,7 @@ func (r *Runtime) Create(class string, args ...interp.Value) (interp.EntityRef, 
 		return interp.EntityRef{}, err
 	}
 	r.nextID++
-	ev := &core.Event{
+	ev := core.Event{
 		Kind:   core.EvInvoke,
 		Req:    "req-" + strconv.Itoa(r.nextID),
 		Target: interp.EntityRef{Class: class, Key: key},
@@ -99,25 +99,13 @@ func (r *Runtime) Create(class string, args ...interp.Value) (interp.EntityRef, 
 	return res.Value.R, nil
 }
 
-// drive processes the event queue until the root response appears.
-func (r *Runtime) drive(ev *core.Event) (Result, error) {
-	queue := []*core.Event{ev}
-	for steps := 0; len(queue) > 0; steps++ {
-		if steps > 1_000_000 {
-			return Result{}, fmt.Errorf("local: event loop exceeded step bound")
-		}
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.Kind == core.EvResponse {
-			return Result{Value: cur.Value, Err: cur.Err, Hops: cur.Hops}, nil
-		}
-		out, err := r.ex.Step(cur, store{r})
-		if err != nil {
-			return Result{}, err
-		}
-		queue = append(queue, out...)
+// drive runs the root event through the dataflow to its response.
+func (r *Runtime) drive(ev core.Event) (Result, error) {
+	resp, _, err := r.ex.Drive(ev, store{r})
+	if err != nil {
+		return Result{}, err
 	}
-	return Result{}, fmt.Errorf("local: dataflow drained without a response")
+	return Result{Value: resp.Value, Err: resp.Err, Hops: resp.Hops}, nil
 }
 
 // State returns a copy of an entity's attribute map, for assertions.

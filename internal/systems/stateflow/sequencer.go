@@ -537,33 +537,18 @@ func (s *reconStore) Create(ref interp.EntityRef, ctor func(interp.State) error)
 func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []interp.EntityRef {
 	ws := aria.NewWorkspace(aria.TID(b.seq), b.overlay)
 	store := &reconStore{ws: ws, fetched: b.fetched, missing: map[interp.EntityRef]bool{}}
-	root := &core.Event{
+	out, steps, err := q.ex.Drive(core.Event{
 		Kind:   core.EvInvoke,
 		Req:    t.req.Req,
 		Target: t.req.Target,
 		Method: t.req.Method,
 		Args:   t.req.Args,
-	}
-	res := sysapi.Response{Req: t.req.Req}
-	queue := []*core.Event{root}
-	for steps := 0; len(queue) > 0; steps++ {
-		if steps > 1_000_000 {
-			res.Err = "sequencer: event loop exceeded step bound"
-			break
-		}
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.Kind == core.EvResponse {
-			res.Value, res.Err = cur.Value, cur.Err
-			break
-		}
-		ctx.Work(q.sys.cfg.Costs.ExecuteCPU)
-		out, err := q.ex.Step(cur, store)
-		if err != nil {
-			res.Err = err.Error()
-			break
-		}
-		queue = append(queue, out...)
+	}, store)
+	// Every step is one execution's CPU on the sequencer.
+	ctx.Work(time.Duration(steps) * q.sys.cfg.Costs.ExecuteCPU)
+	res := sysapi.Response{Req: t.req.Req, Value: out.Value, Err: out.Err}
+	if err != nil {
+		res.Err = err.Error()
 	}
 	if len(store.missing) > 0 {
 		return sortedRefs(store.missing)

@@ -452,14 +452,9 @@ func TestGlobalExecuteVirtualTimeBudget(t *testing.T) {
 	}
 	ws, ex := aria.NewWorkspace(1, store), core.NewExecutor(fx.sys.prog)
 	req := transferReq("x1", fx.from, fx.to, 25)
-	queue := []*core.Event{{Kind: core.EvInvoke, Req: req.Req, Target: req.Target, Method: req.Method, Args: req.Args}}
-	steps := 0
-	for ; queue[0].Kind != core.EvResponse; steps++ {
-		out, err := ex.Step(queue[0], ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queue = append(queue[1:], out...)
+	_, steps, err := ex.Drive(core.Event{Kind: core.EvInvoke, Req: req.Req, Target: req.Target, Method: req.Method, Args: req.Args}, ws)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := time.Duration(steps) * cfg.Costs.ExecuteCPU
 

@@ -235,29 +235,27 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	}
 	costs := w.sys.cfg.Costs
 	ws := w.workspace(ep, m.TID)
-	out := w.execute(ctx, m.Ev, ws)
+	ev := w.execute(ctx, m.Ev, ws)
 	var sets *rwSets
 	if m.Round == 0 {
 		sets = w.shipSets(ctx, m.Sets, &ws.RW)
 	}
-	for _, ev := range out {
-		switch ev.Kind {
-		case core.EvResponse:
-			ctx.Send(w.sys.coordID, msgTxnFinished{
-				TID: m.TID, Epoch: m.Epoch, Round: m.Round, Value: ev.Value, Err: ev.Err, Sets: sets,
-			}, costs.WorkerLink.Sample(ctx.Rand()))
-			if member >= 0 {
-				w.finishChained(ctx, ep, m.Epoch, member, ev.Err == "")
-			}
-		default:
-			target := w.sys.ownerOf(ev.Target)
-			lat := costs.WorkerLink.Sample(ctx.Rand())
-			if target == w.id {
-				lat = 0 // same-partition transfer stays in process
-			}
-			ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: ev, Sets: sets}, lat)
+	if ev.Kind == core.EvResponse {
+		ctx.Send(w.sys.coordID, msgTxnFinished{
+			TID: m.TID, Epoch: m.Epoch, Round: m.Round, Value: ev.Value, Err: ev.Err, Sets: sets,
+		}, costs.WorkerLink.Sample(ctx.Rand()))
+		if member >= 0 {
+			w.finishChained(ctx, ep, m.Epoch, member, ev.Err == "")
 		}
+		return
 	}
+	target := w.sys.ownerOf(ev.Target)
+	lat := costs.WorkerLink.Sample(ctx.Rand())
+	if target == w.id {
+		lat = 0 // same-partition transfer stays in process
+	}
+	hop := ev // the one allocation of a hop: the event its message carries
+	ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: &hop, Sets: sets}, lat)
 }
 
 // shipSets returns the reservation sets a round-0 event leaving this worker
@@ -279,8 +277,9 @@ func (w *Worker) shipSets(ctx *sim.Context, in *rwSets, rw *aria.RWSet) *rwSets 
 }
 
 // execute runs one event against store, charging the cost-model CPU
-// components. An internal execution fault finishes the call with an error.
-func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) []*core.Event {
+// components, and returns the event it produces. An internal execution
+// fault finishes the call with an error.
+func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) core.Event {
 	costs := w.sys.cfg.Costs
 
 	// Event deserialization.
@@ -305,7 +304,7 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) []*
 	ctx.Work(costs.ExecuteCPU)
 	w.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
 	if err != nil {
-		out = []*core.Event{{Kind: core.EvResponse, Err: err.Error()}}
+		out = core.Event{Kind: core.EvResponse, Err: err.Error()}
 	}
 	return out
 }
@@ -327,10 +326,8 @@ func (w *Worker) onRead(ctx *sim.Context, m msgTxnEvent) {
 		return
 	}
 	ans := msgTxnFinished{TID: m.TID, Epoch: w.appliedEpoch, Round: readRound}
-	for _, ev := range w.execute(ctx, m.Ev, committedView{w.committed}) {
-		if ev.Kind == core.EvResponse {
-			ans.Value, ans.Err = ev.Value, ev.Err
-		}
+	if ev := w.execute(ctx, m.Ev, committedView{w.committed}); ev.Kind == core.EvResponse {
+		ans.Value, ans.Err = ev.Value, ev.Err
 	}
 	ctx.Send(w.sys.coordID, ans, w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }

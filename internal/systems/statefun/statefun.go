@@ -292,13 +292,13 @@ type msgFnRequest struct {
 	StBytes int
 }
 
-// msgFnResponse returns the state updates and produced events.
+// msgFnResponse returns the state updates and the produced event.
 type msgFnResponse struct {
 	Ref     interp.EntityRef
 	Writes  *interp.Row // full new state row (nil if no writes)
 	Wrote   bool
 	Created bool
-	Out     []envelope
+	Out     envelope // the event the call produced, unless Err is set
 	Err     string
 	ReplyTo string
 	Req     string
@@ -577,10 +577,8 @@ func (w *flinkWorker) onFnResponse(ctx *sim.Context, m msgFnResponse) {
 		ctx.Send(w.sys.brokerID, env, costs.BrokerLink.Sample(ctx.Rand()))
 		return
 	}
-	for _, out := range m.Out {
-		// Chaining and egress alike go back through the broker (§3).
-		ctx.Send(w.sys.brokerID, out, costs.BrokerLink.Sample(ctx.Rand()))
-	}
+	// Chaining and egress alike go back through the broker (§3).
+	ctx.Send(w.sys.brokerID, m.Out, costs.BrokerLink.Sample(ctx.Rand()))
 }
 
 // ---------------------------------------------------------------------------
@@ -684,9 +682,7 @@ func (f *fnRuntime) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	if err != nil {
 		resp.Err = err.Error()
 	} else {
-		for _, ev := range out {
-			resp.Out = append(resp.Out, envelope{Ev: ev, ReplyTo: m.Env.ReplyTo, Kind: m.Env.Kind})
-		}
+		resp.Out = envelope{Ev: &out, ReplyTo: m.Env.ReplyTo, Kind: m.Env.Kind}
 	}
 	ctx.Send(m.Worker, resp, costs.RemoteFn.Sample(ctx.Rand()))
 }
