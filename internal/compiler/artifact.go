@@ -68,6 +68,9 @@ func LoadArtifact(data []byte) (*ir.Program, error) {
 	if a.Version != artifactVersion {
 		return nil, fmt.Errorf("compiler: artifact version %d not supported (want %d)", a.Version, artifactVersion)
 	}
+	if a.Source == "" {
+		return nil, fmt.Errorf("compiler: artifact has no source")
+	}
 	prog, err := Compile(a.Source)
 	if err != nil {
 		return nil, fmt.Errorf("compiler: artifact source no longer compiles: %w", err)

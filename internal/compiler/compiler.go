@@ -53,6 +53,7 @@ func CompileChecked(info *types.Info) (*ir.Program, error) {
 		}
 	}
 	sums := summarise(info)
+	stampSelfCalls(info)
 	prog := &ir.Program{Operators: map[string]*ir.Operator{}}
 	for _, name := range info.Order {
 		cls := info.Classes[name]
@@ -62,6 +63,9 @@ func CompileChecked(info *types.Info) (*ir.Program, error) {
 		}
 		prog.Operators[name] = op
 		prog.OperatorOrder = append(prog.OperatorOrder, name)
+		for _, mn := range op.MethodOrder {
+			prog.Methods = append(prog.Methods, op.Methods[mn])
+		}
 	}
 	markSplitBits(info, prog)
 	prog.Edges = buildEdges(prog)
@@ -70,6 +74,25 @@ func CompileChecked(info *types.Info) (*ir.Program, error) {
 		return nil, err
 	}
 	return prog, nil
+}
+
+// stampSelfCalls stamps every self-call with its callee's 1-based index in
+// ir.Program.Methods, which lists the methods in the order the checker
+// declared them. It runs before splitting, so the calls the splitter
+// rewrites carry the stamp along; the splitter hoists the self-calls to
+// methods that split, and the interpreter runs the rest inline.
+func stampSelfCalls(info *types.Info) {
+	index := map[string]int{}
+	for _, cn := range info.Order {
+		for _, mn := range info.Classes[cn].MethodOrder {
+			index[cn+"."+mn] = len(index) + 1
+		}
+	}
+	for call, tgt := range info.Calls {
+		if !tgt.Remote && !tgt.Ctor {
+			call.Callee = index[tgt.Class+"."+tgt.Method]
+		}
+	}
 }
 
 func typeRef(t *types.Type) ir.TypeRef {

@@ -13,29 +13,19 @@ import (
 	"statefulentities.dev/stateflow/internal/lang/types"
 )
 
-// mutators are the container methods that change their receiver in place.
-// The language has only list append and pop today; the rest are listed so
-// the read-only rule stays sound if the type checker grows them.
-var mutators = map[string]bool{
-	"append": true, "pop": true, "extend": true, "insert": true, "remove": true,
-	"clear": true, "update": true, "setdefault": true, "popitem": true,
-	"sort": true, "reverse": true,
-}
-
 // effect is what a run of statements does.
 type effect struct {
 	self    bool               // mentions self: an attribute or a self-call
-	writes  bool               // assigns a self attribute or a subscript, or calls a container mutator
+	writes  bool               // assigns a self attribute or a subscript, or calls a builtin that Mutates
 	calls   []types.CallTarget // resolved calls: constructors, remote calls and self-calls
 	assigns []string           // local names assigned, loop variables included
 }
 
 // classify reports what stmts, nested ones included, and then the
-// expression ret (nil for none) do. A mutator counts on an unresolved call
-// with a receiver: a local may alias a state container, and a resolved
-// call is an entity method. In a split method's block, a resolved call is
-// a self-call (the splitter turns every remote call and constructor into
-// an Invoke), so self covers it.
+// expression ret (nil for none) do. A builtin whose table entry Mutates
+// writes on any receiver, since a local may alias a state container. In a
+// split method's block, a resolved call is a self-call (the splitter turns
+// every remote call and constructor into an Invoke), so self covers it.
 func classify(info *types.Info, stmts []ast.Stmt, ret ast.Expr) effect {
 	var e effect
 	visit := func(x ast.Expr) {
@@ -46,7 +36,7 @@ func classify(info *types.Info, stmts []ast.Stmt, ret ast.Expr) effect {
 			case *ast.Call:
 				if tgt, ok := info.Calls[x]; ok {
 					e.calls = append(e.calls, tgt)
-				} else if x.Recv != nil && mutators[x.Func] {
+				} else if x.Builtin != 0 && types.Builtins[x.Builtin-1].Mutates {
 					e.writes = true
 				}
 			}

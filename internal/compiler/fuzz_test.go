@@ -12,6 +12,7 @@ import (
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/ir"
 	dsl "statefulentities.dev/stateflow/internal/lang/ast"
+	"statefulentities.dev/stateflow/internal/lang/types"
 	"statefulentities.dev/stateflow/internal/workload/tpcc"
 	"statefulentities.dev/stateflow/internal/workload/ycsb"
 )
@@ -80,16 +81,99 @@ func FuzzCompile(f *testing.F) {
 	})
 }
 
-// checkStamps asserts the invariant the runtime addresses state by: in
-// every method's body and blocks, every variable, self attribute and loop
-// variable carries the 1-based slot of its own name in its layout, every
-// call result slot is that of its AssignTo name (0 when discarded), and
-// every block's live-out slots are those of its LiveOut names.
+// blockCalls calls fn on every call a block's statements and terminator
+// hold: every call the interpreter can evaluate.
+func blockCalls(b *ir.Block, fn func(*dsl.Call)) {
+	visit := func(e dsl.Expr) {
+		dsl.WalkExpr(e, func(x dsl.Expr) bool {
+			if c, ok := x.(*dsl.Call); ok {
+				fn(c)
+			}
+			return true
+		})
+	}
+	dsl.WalkStmts(b.Stmts, func(s dsl.Stmt) {
+		for _, e := range dsl.ExprsOf(s) {
+			visit(e)
+		}
+	})
+	switch term := b.Term.(type) {
+	case ir.Return:
+		visit(term.Value)
+	case ir.Branch:
+		visit(term.Cond)
+	case ir.Invoke:
+		visit(term.Recv)
+		for _, a := range term.Args {
+			visit(a)
+		}
+	}
+}
+
+// FuzzLoadArtifact feeds arbitrary bytes to the artifact loader, the one
+// decoder a deployment reads a compiled program through: it must hand back
+// a program or an error, never panic, and a program it loads must save and
+// load again to the same program. The seeds are the saved artifacts of
+// every DSL source in the tree, and the seed run checks that each of them
+// round-trips.
+func FuzzLoadArtifact(f *testing.F) {
+	for _, src := range corpus(f) {
+		prog := compiler.MustCompile(src)
+		data, err := compiler.SaveArtifact(prog)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if back, err := compiler.LoadArtifact(data); err != nil || back.Report() != prog.Report() {
+			f.Fatalf("a program shipped in the tree does not round-trip through its artifact: %v", err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, err := compiler.LoadArtifact(data)
+		if (prog == nil) == (err == nil) {
+			t.Fatalf("LoadArtifact returned program %v and error %v", prog != nil, err)
+		}
+		if err != nil {
+			return
+		}
+		again, err := compiler.SaveArtifact(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := compiler.LoadArtifact(again)
+		if err != nil {
+			t.Fatalf("a loaded artifact does not load again: %v", err)
+		}
+		if back.Report() != prog.Report() {
+			t.Fatalf("artifact round trip changed the program:\n%s\nvs\n%s", back.Report(), prog.Report())
+		}
+	})
+}
+
+// checkStamps asserts the invariant the runtime addresses state and calls
+// by: in every method's body and blocks, every variable, self attribute and
+// loop variable carries the 1-based slot of its own name in its layout,
+// every call result slot is that of its AssignTo name (0 when discarded),
+// and every block's live-out slots are those of its LiveOut names; every
+// call a block evaluates carries exactly one stamp, the builtin entry or
+// the self-call callee of its own name.
 func checkStamps(t *testing.T, prog *ir.Program) {
 	for _, cn := range prog.OperatorOrder {
 		op := prog.Operators[cn]
 		for _, mn := range op.MethodOrder {
 			m := op.Methods[mn]
+			for _, b := range m.Blocks {
+				blockCalls(b, func(c *dsl.Call) {
+					switch {
+					case (c.Builtin == 0) == (c.Callee == 0):
+						t.Fatalf("%s.%s: %s calls %s with builtin stamp %d and callee stamp %d", cn, mn, b.Name, c.Func, c.Builtin, c.Callee)
+					case c.Builtin != 0 && types.Builtins[c.Builtin-1].Name != c.Func:
+						t.Fatalf("%s.%s: %s calls %s stamped as builtin %s", cn, mn, b.Name, c.Func, types.Builtins[c.Builtin-1].Name)
+					case c.Callee != 0 && prog.Methods[c.Callee-1] != op.Methods[c.Func]:
+						t.Fatalf("%s.%s: %s calls self.%s stamped with callee %s", cn, mn, b.Name, c.Func, prog.Methods[c.Callee-1].Name)
+					}
+				})
+			}
 			slotted := func(what, name string, slot int, names []string) {
 				if slot < 1 || slot > len(names) || names[slot-1] != name {
 					t.Fatalf("%s.%s: %s %s carries slot %d of layout %v", cn, mn, what, name, slot, names)
@@ -150,8 +234,9 @@ func checkStamps(t *testing.T, prog *ir.Program) {
 
 // checkEffects asserts how the derived bits compose: a simple method is one
 // block that returns and is ref-closed; a read-only or ref-closed caller
-// only invokes methods that are too; and only a continuation that returns
-// runs in place.
+// only invokes methods that are too; a read-only method calls no builtin
+// that mutates its receiver and runs no inline self-call that writes; and
+// only a continuation that returns runs in place.
 func checkEffects(t *testing.T, prog *ir.Program) {
 	for _, cn := range prog.OperatorOrder {
 		for _, mn := range prog.Operators[cn].MethodOrder {
@@ -163,6 +248,17 @@ func checkEffects(t *testing.T, prog *ir.Program) {
 			}
 			resumes := map[ir.BlockID]bool{}
 			for _, b := range m.Blocks {
+				blockCalls(b, func(c *dsl.Call) {
+					if !m.ReadOnly {
+						return
+					}
+					if c.Builtin != 0 && types.Builtins[c.Builtin-1].Mutates {
+						t.Fatalf("read-only %s.%s calls %s, which mutates its receiver", cn, mn, c.Func)
+					}
+					if c.Callee != 0 && !prog.Methods[c.Callee-1].ReadOnly {
+						t.Fatalf("read-only %s.%s calls self.%s, which writes", cn, mn, c.Func)
+					}
+				})
 				inv, ok := b.Term.(ir.Invoke)
 				if !ok {
 					continue

@@ -1,6 +1,7 @@
 package compiler_test
 
 import (
+	"strings"
 	"testing"
 
 	adversarial "statefulentities.dev/stateflow/internal/chaos/workload"
@@ -79,6 +80,50 @@ func TestReadOnlyIsSoundForContainerWrites(t *testing.T) {
 			}
 			if m.ReadOnly != tc.readOnly {
 				t.Fatalf("%s.%s: ReadOnly=%v, want %v", tc.class, tc.method, m.ReadOnly, tc.readOnly)
+			}
+		})
+	}
+}
+
+// counterHead is an entity whose bump writes state.
+const counterHead = `
+@entity
+class Counter:
+    def __init__(self, name: str):
+        self.name: str = name
+        self.n: int = 0
+
+    def __key__(self) -> str:
+        return self.name
+
+    def bump(self) -> int:
+        self.n += 1
+        return self.n
+`
+
+// TestAnyReceiverCallsAreBuiltins protects the StateFlow fast-read path
+// (internal/systems/stateflow/read.go): a method the effect pass marks
+// ReadOnly and Simple is served against the owner's committed store,
+// outside any epoch, with no journal record. So a call the checker cannot
+// resolve must not compile. A call on a receiver of unknown type (Any)
+// resolves to a builtin method by name or is rejected, and no entity
+// reference takes that type. Both methods below used to compile: the first
+// as read-only, though it bumps its counter, and the second to fail at run
+// time ("int has no methods").
+func TestAnyReceiverCallsAreBuiltins(t *testing.T) {
+	for _, tc := range []struct{ name, body, want string }{
+		{"entity method through a list of unknown type", `
+        xs = []
+        xs = [self]
+        return xs[0].bump()`, "cannot assign list[Counter] to xs"},
+		{"no builtin of that name", `
+        xs = [] + [1]
+        return xs[0].frobnicate()`, "any has no method frobnicate"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := compiler.Compile(counterHead + "\n    def peek(self) -> int:" + tc.body + "\n")
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want a type error containing %q, got %v", tc.want, err)
 			}
 		})
 	}

@@ -194,7 +194,9 @@ func (s *splitter) hoist(e ast.Expr) ast.Expr {
 			if recv == x.Recv && !changedArgs {
 				return e
 			}
-			return &ast.Call{Position: x.Position, Recv: recv, Func: x.Func, Args: args}
+			c := *x // keeps the call's stamp
+			c.Recv, c.Args = recv, args
+			return &c
 		}
 		// Split call: cut the block here (§2.4). The current block ends by
 		// sending the invocation event; execution resumes in a fresh block
@@ -456,7 +458,7 @@ func (s *splitter) compileSplitFor(x *ast.ForStmt) {
 	loop := &ast.WhileStmt{
 		Position: pos,
 		Cond: &ast.BinOp{Position: pos, Op: token.LT, Left: name(idxVar),
-			Right: &ast.Call{Position: pos, Func: "len", Args: []ast.Expr{name(iterVar)}}},
+			Right: &ast.Call{Position: pos, Func: "len", Builtin: types.FnLen + 1, Args: []ast.Expr{name(iterVar)}}},
 		Body: append([]ast.Stmt{
 			&ast.AssignStmt{Position: pos, Target: name(x.Var),
 				Value: &ast.Index{Position: pos, Recv: name(iterVar), Idx: name(idxVar)}},

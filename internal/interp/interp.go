@@ -7,12 +7,12 @@ package interp
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/lang/ast"
 	"statefulentities.dev/stateflow/internal/lang/token"
+	"statefulentities.dev/stateflow/internal/lang/types"
 )
 
 // State is the attribute store of one entity instance, addressed by the
@@ -259,11 +259,8 @@ func (in *Interp) assign(target ast.Expr, v Value, fr *frame) error {
 			if idx.Kind != KInt {
 				return &RuntimeError{Pos: t.Pos(), Msg: "list index must be int"}
 			}
-			i := idx.I
-			if i < 0 {
-				i += int64(len(recv.L.Elems))
-			}
-			if i < 0 || i >= int64(len(recv.L.Elems)) {
+			i, ok := at(len(recv.L.Elems), idx.I)
+			if !ok {
 				return &RuntimeError{Pos: t.Pos(), Msg: "list index out of range"}
 			}
 			recv.L.Elems[i] = v
@@ -413,11 +410,8 @@ func index(recv, idx Value, pos token.Pos) (Value, error) {
 		if idx.Kind != KInt {
 			return None, &RuntimeError{Pos: pos, Msg: "list index must be int"}
 		}
-		i := idx.I
-		if i < 0 {
-			i += int64(len(recv.L.Elems))
-		}
-		if i < 0 || i >= int64(len(recv.L.Elems)) {
+		i, ok := at(len(recv.L.Elems), idx.I)
+		if !ok {
 			return None, &RuntimeError{Pos: pos, Msg: "list index out of range"}
 		}
 		return recv.L.Elems[i], nil
@@ -435,17 +429,23 @@ func index(recv, idx Value, pos token.Pos) (Value, error) {
 			return None, &RuntimeError{Pos: pos, Msg: "string index must be int"}
 		}
 		runes := []rune(recv.S)
-		i := idx.I
-		if i < 0 {
-			i += int64(len(runes))
-		}
-		if i < 0 || i >= int64(len(runes)) {
+		i, ok := at(len(runes), idx.I)
+		if !ok {
 			return None, &RuntimeError{Pos: pos, Msg: "string index out of range"}
 		}
 		return StrV(string(runes[i])), nil
 	default:
 		return None, &RuntimeError{Pos: pos, Msg: fmt.Sprintf("cannot index %s", recv.Kind)}
 	}
+}
+
+// at resolves index i of a sequence of length n, a negative i counting
+// from the end; ok is false when it falls outside.
+func at(n int, i int64) (int64, bool) {
+	if i < 0 {
+		i += int64(n)
+	}
+	return i, i >= 0 && i < int64(n)
 }
 
 func binop(op token.Kind, l, r Value, pos token.Pos) (Value, error) {
@@ -460,20 +460,9 @@ func binop(op token.Kind, l, r Value, pos token.Pos) (Value, error) {
 	case token.NEQ:
 		return BoolV(!l.Equal(r)), nil
 	case token.LT, token.LTE, token.GT, token.GTE:
-		var cmp int
-		switch {
-		case bothNum:
-			a, b := l.AsFloat(), r.AsFloat()
-			switch {
-			case a < b:
-				cmp = -1
-			case a > b:
-				cmp = 1
-			}
-		case l.Kind == KStr && r.Kind == KStr:
-			cmp = strings.Compare(l.S, r.S)
-		default:
-			return fail("cannot compare %s with %s", l.Kind, r.Kind)
+		cmp, err := compare(l, r)
+		if err != nil {
+			return fail("%s", err)
 		}
 		switch op {
 		case token.LT:
@@ -579,9 +568,32 @@ func binop(op token.Kind, l, r Value, pos token.Pos) (Value, error) {
 	}
 }
 
+// compare orders two numbers or two strs: it returns a negative number,
+// zero or a positive number as l is less than, equal to or greater than r.
+func compare(l, r Value) (int, error) {
+	switch {
+	case (l.Kind == KInt || l.Kind == KFloat) && (r.Kind == KInt || r.Kind == KFloat):
+		a, b := l.AsFloat(), r.AsFloat()
+		switch {
+		case a < b:
+			return -1, nil
+		case a > b:
+			return 1, nil
+		}
+		return 0, nil
+	case l.Kind == KStr && r.Kind == KStr:
+		return strings.Compare(l.S, r.S), nil
+	}
+	return 0, fmt.Errorf("cannot compare %s with %s", l.Kind, r.Kind)
+}
+
 // ---------------------------------------------------------------------------
 // Calls
 
+// evalCall runs a call by its stamp: an inline self-call runs its callee's
+// body in a fresh frame over the same state, and a builtin runs the
+// implementation at its entry's index. The splitter hoists every other
+// call into an Invoke terminator.
 func (in *Interp) evalCall(x *ast.Call, fr *frame) (Value, error) {
 	args := make([]Value, len(x.Args))
 	for i, a := range x.Args {
@@ -591,273 +603,42 @@ func (in *Interp) evalCall(x *ast.Call, fr *frame) (Value, error) {
 		}
 		args[i] = v
 	}
-	if x.Recv == nil {
-		return in.callBuiltin(x, args, fr)
-	}
-	recv, err := in.eval(x.Recv, fr)
-	if err != nil {
-		return None, err
-	}
-	switch recv.Kind {
-	case KList:
-		return listMethod(x, recv, args, func(v Value) { in.touchStateAttr(x.Recv, v, fr) })
-	case KDict:
-		return dictMethod(x, recv, args)
-	case KStr:
-		return strMethod(x, recv, args)
-	case KRef:
-		// Only local self-calls to simple methods may execute inline; the
-		// splitter guarantees everything else was hoisted into Invoke
-		// terminators.
-		if recv.R.Class != fr.class || recv.R.Key != fr.key {
-			return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf(
-				"remote call %s.%s reached the interpreter (compiler bug)", recv.R.Class, x.Func)}
-		}
+	if x.Callee != 0 {
 		if fr.depth+1 > maxCallDepth {
 			return None, &RuntimeError{Pos: x.Pos(), Msg: "call depth exceeded"}
 		}
-		m := in.Prog.MethodOf(fr.class, x.Func)
-		if m == nil {
-			return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("unknown method %s.%s", fr.class, x.Func)}
-		}
+		m := in.Prog.Methods[x.Callee-1]
 		env := new(Frame)
 		if err := env.Bind(m, args); err != nil {
 			return None, err
 		}
 		sub := frame{class: fr.class, key: fr.key, env: env, state: fr.state, depth: fr.depth + 1}
 		c, v, err := in.execStmts(m.Body, &sub)
-		if err != nil {
+		if err != nil || c != ctrlReturn {
 			return None, err
 		}
-		if c == ctrlReturn {
-			return v, nil
-		}
-		return None, nil
-	default:
-		return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("%s has no methods", recv.Kind)}
-	}
-}
-
-func (in *Interp) callBuiltin(x *ast.Call, args []Value, fr *frame) (Value, error) {
-	fail := func(format string, a ...any) (Value, error) {
-		return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf(format, a...)}
-	}
-	switch x.Func {
-	case "len":
-		if len(args) != 1 {
-			return fail("len expects 1 argument")
-		}
-		switch args[0].Kind {
-		case KList:
-			return IntV(int64(len(args[0].L.Elems))), nil
-		case KDict:
-			return IntV(int64(len(args[0].D))), nil
-		case KStr:
-			return IntV(int64(len([]rune(args[0].S)))), nil
-		default:
-			return fail("len of %s", args[0].Kind)
-		}
-	case "str":
-		if len(args) != 1 {
-			return fail("str expects 1 argument")
-		}
-		return StrV(args[0].String()), nil
-	case "int":
-		if len(args) != 1 {
-			return fail("int expects 1 argument")
-		}
-		switch args[0].Kind {
-		case KInt:
-			return args[0], nil
-		case KFloat:
-			return IntV(int64(args[0].F)), nil
-		case KBool:
-			if args[0].B {
-				return IntV(1), nil
-			}
-			return IntV(0), nil
-		case KStr:
-			n, err := strconv.ParseInt(strings.TrimSpace(args[0].S), 10, 64)
-			if err != nil {
-				return fail("invalid int literal %q", args[0].S)
-			}
-			return IntV(n), nil
-		default:
-			return fail("int of %s", args[0].Kind)
-		}
-	case "float":
-		if len(args) != 1 {
-			return fail("float expects 1 argument")
-		}
-		switch args[0].Kind {
-		case KInt:
-			return FloatV(float64(args[0].I)), nil
-		case KFloat:
-			return args[0], nil
-		case KStr:
-			f, err := strconv.ParseFloat(strings.TrimSpace(args[0].S), 64)
-			if err != nil {
-				return fail("invalid float literal %q", args[0].S)
-			}
-			return FloatV(f), nil
-		default:
-			return fail("float of %s", args[0].Kind)
-		}
-	case "bool":
-		if len(args) != 1 {
-			return fail("bool expects 1 argument")
-		}
-		return BoolV(args[0].IsTruthy()), nil
-	case "abs":
-		if len(args) != 1 {
-			return fail("abs expects 1 argument")
-		}
-		switch args[0].Kind {
-		case KInt:
-			if args[0].I < 0 {
-				return IntV(-args[0].I), nil
-			}
-			return args[0], nil
-		case KFloat:
-			if args[0].F < 0 {
-				return FloatV(-args[0].F), nil
-			}
-			return args[0], nil
-		default:
-			return fail("abs of %s", args[0].Kind)
-		}
-	case "min", "max":
-		if len(args) < 2 {
-			return fail("%s expects at least 2 arguments", x.Func)
-		}
-		best := args[0]
-		for _, a := range args[1:] {
-			cmpTok := token.LT
-			if x.Func == "max" {
-				cmpTok = token.GT
-			}
-			res, err := binop(cmpTok, a, best, x.Pos())
-			if err != nil {
-				return None, err
-			}
-			if res.B {
-				best = a
-			}
-		}
-		return best, nil
-	case "range":
-		var lo, hi int64
-		switch len(args) {
-		case 1:
-			hi = args[0].I
-		case 2:
-			lo, hi = args[0].I, args[1].I
-		default:
-			return fail("range expects 1 or 2 arguments")
-		}
-		elems := make([]Value, 0, max64(0, hi-lo))
-		for i := lo; i < hi; i++ {
-			elems = append(elems, IntV(i))
-		}
-		return ListV(elems...), nil
-	default:
-		return fail("unknown function %s (constructor calls must be hoisted by the compiler)", x.Func)
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func listMethod(x *ast.Call, recv Value, args []Value, touch func(Value)) (Value, error) {
-	fail := func(format string, a ...any) (Value, error) {
-		return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf(format, a...)}
-	}
-	switch x.Func {
-	case "append":
-		if len(args) != 1 {
-			return fail("append expects 1 argument")
-		}
-		recv.L.Elems = append(recv.L.Elems, args[0])
-		touch(recv)
-		return None, nil
-	case "pop":
-		n := len(recv.L.Elems)
-		if n == 0 {
-			return fail("pop from empty list")
-		}
-		i := int64(n - 1)
-		if len(args) == 1 {
-			if args[0].Kind != KInt {
-				return fail("pop index must be int")
-			}
-			i = args[0].I
-			if i < 0 {
-				i += int64(n)
-			}
-			if i < 0 || i >= int64(n) {
-				return fail("pop index out of range")
-			}
-		}
-		v := recv.L.Elems[i]
-		recv.L.Elems = append(recv.L.Elems[:i], recv.L.Elems[i+1:]...)
-		touch(recv)
 		return v, nil
-	default:
-		return fail("list has no method %s", x.Func)
 	}
-}
-
-func dictMethod(x *ast.Call, recv Value, args []Value) (Value, error) {
-	fail := func(format string, a ...any) (Value, error) {
-		return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf(format, a...)}
-	}
-	switch x.Func {
-	case "get":
-		if len(args) != 2 {
-			return fail("get expects key and default")
+	b := &types.Builtins[x.Builtin-1]
+	var recv Value
+	if x.Recv != nil {
+		var err error
+		if recv, err = in.eval(x.Recv, fr); err != nil {
+			return None, err
 		}
-		v, ok, err := recv.DictGet(args[0])
-		if err != nil {
-			return fail("%s", err)
+		// The checker matched the receiver's kind unless its type was Any.
+		if recv.Kind != recvKind[b.Recv] {
+			return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("%s needs a %s receiver, got %s", b.Name, recvKind[b.Recv], recv.Kind)}
 		}
-		if !ok {
-			return args[1], nil
-		}
-		return v, nil
-	case "keys":
-		return ListV(recv.DictKeys()...), nil
-	case "values":
-		keys := recv.DictKeys()
-		vals := make([]Value, len(keys))
-		for i, k := range keys {
-			v, _, _ := recv.DictGet(k)
-			vals[i] = v
-		}
-		return ListV(vals...), nil
-	default:
-		return fail("dict has no method %s", x.Func)
 	}
-}
-
-func strMethod(x *ast.Call, recv Value, args []Value) (Value, error) {
-	fail := func(format string, a ...any) (Value, error) {
-		return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf(format, a...)}
+	v, err := builtins[x.Builtin-1](recv, args)
+	if err != nil {
+		return None, &RuntimeError{Pos: x.Pos(), Msg: err.Error()}
 	}
-	if len(args) != 0 && x.Func != "" {
-		// All supported str methods take no arguments.
+	if b.Mutates {
+		// Re-store a container attribute mutated in place, so that
+		// write-tracking state backends observe the write.
+		in.touchStateAttr(x.Recv, recv, fr)
 	}
-	switch x.Func {
-	case "upper":
-		return StrV(strings.ToUpper(recv.S)), nil
-	case "lower":
-		return StrV(strings.ToLower(recv.S)), nil
-	case "strip":
-		return StrV(strings.TrimSpace(recv.S)), nil
-	default:
-		return fail("str has no method %s", x.Func)
-	}
+	return v, nil
 }

@@ -27,7 +27,7 @@ func compileM(t *testing.T, body string) (*Interp, *ir.Method, *ir.ClassLayout) 
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, body)
 	}
-	return New(prog), prog.MethodOf("C", "m"), prog.Layouts().LayoutOf("C")
+	return New(prog), prog.Operator("C").Method("m"), prog.Layouts().LayoutOf("C")
 }
 
 // runM runs m's statements the way the runtimes do: over a frame of m's

@@ -285,6 +285,10 @@ type Program struct {
 	Operators map[string]*Operator `json:"operators"`
 	// OperatorOrder preserves declaration order.
 	OperatorOrder []string `json:"operator_order"`
+	// Methods lists every method, operators in OperatorOrder and each
+	// operator's methods in MethodOrder: an inline self-call's
+	// ast.Call.Callee indexes it.
+	Methods []*Method `json:"-"`
 	// Edges is the logical dataflow graph including ingress/egress routers.
 	Edges []Edge `json:"edges"`
 	// Source is the original DSL source, embedded for local re-analysis

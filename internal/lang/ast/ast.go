@@ -339,11 +339,19 @@ type UnaryOp struct {
 // Call is a function or method call. Recv is nil for builtin calls like
 // len(x); for method calls it is the receiver expression (self or a name
 // typed as an entity class, in which case the call is remote §2.3).
+// Builtin and Callee are stamped once the call is resolved; a call the
+// interpreter evaluates carries exactly one of them.
 type Call struct {
 	Position token.Pos
 	Recv     Expr   // nil, *SelfRef, *Name, or *Attr
 	Func     string // method or builtin or class name (constructor)
 	Args     []Expr
+	// Builtin is the 1-based index in types.Builtins of the builtin
+	// function or container method the call names, stamped by the checker.
+	Builtin int
+	// Callee is the 1-based index in ir.Program.Methods of the method an
+	// inline self-call runs, stamped by the compiler.
+	Callee int
 }
 
 // Index is subscripting `x[i]`.

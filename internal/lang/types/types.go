@@ -99,14 +99,16 @@ func (t *Type) IsNumeric() bool {
 	return t != nil && (t.Kind == KInt || t.Kind == KFloat)
 }
 
-// Equal reports structural type equality. Any is equal to everything,
-// supporting empty-container literals.
+// Equal reports structural type equality. Any is equal to everything but
+// an entity reference, supporting empty-container literals: no entity
+// reference flows into a value of unknown type, whence it could reach
+// state (§2.2) or a call the checker cannot resolve.
 func (t *Type) Equal(o *Type) bool {
 	if t == nil || o == nil {
 		return t == o
 	}
 	if t.Kind == KAny || o.Kind == KAny {
-		return true
+		return !t.IsEntity() && !o.IsEntity()
 	}
 	if t.Kind != o.Kind {
 		return false
@@ -843,7 +845,7 @@ func (sc *methodScope) callType(x *ast.Call) *Type {
 			c.info.Calls[x] = CallTarget{Class: cls.Name, Method: "__init__", Remote: cls.Name != sc.cls.Name, Ctor: true}
 			return EntityOf(cls.Name)
 		}
-		return sc.builtinType(x)
+		return sc.builtinCall(x, nil)
 	}
 	rt := sc.exprType(x.Recv)
 	switch rt.Kind {
@@ -862,17 +864,12 @@ func (sc *methodScope) callType(x *ast.Call) *Type {
 		_, isSelf := x.Recv.(*ast.SelfRef)
 		c.info.Calls[x] = CallTarget{Class: cls.Name, Method: x.Func, Remote: !isSelf}
 		return m.Returns
-	case KList:
-		return sc.listMethodType(x, rt)
-	case KDict:
-		return sc.dictMethodType(x, rt)
-	case KStr:
-		return sc.strMethodType(x)
-	case KAny:
-		for _, a := range x.Args {
-			sc.exprType(a)
-		}
-		return Any
+	case KList, KDict, KStr, KAny:
+		// An Any receiver resolves to a builtin method too, never to an
+		// entity method: an entity reference never has type Any, and a
+		// method the checker cannot see would escape the effect pass that
+		// marks a method read-only.
+		return sc.builtinCall(x, rt)
 	default:
 		c.errf(x.Pos(), "type %s has no methods", rt)
 		return Invalid
@@ -898,120 +895,36 @@ func (sc *methodScope) checkArgs(call *ast.Call, m *Method, args []ast.Expr) {
 	}
 }
 
-func (sc *methodScope) builtinType(x *ast.Call) *Type {
+// builtinCall resolves a call that names no entity method against the
+// builtin table: a function when rt is nil, else a method of a receiver of
+// type rt. It stamps the entry on the call and returns the result type.
+func (sc *methodScope) builtinCall(x *ast.Call, rt *Type) *Type {
 	c := sc.c
-	argTypes := make([]*Type, len(x.Args))
+	args := make([]*Type, len(x.Args))
 	for i, a := range x.Args {
-		argTypes[i] = sc.exprType(a)
+		args[i] = sc.exprType(a)
 	}
-	need := func(n int) bool {
-		if len(x.Args) != n {
-			c.errf(x.Pos(), "%s expects %d argument(s), got %d", x.Func, n, len(x.Args))
-			return false
-		}
-		return true
-	}
-	switch x.Func {
-	case "len":
-		if need(1) {
-			k := argTypes[0].Kind
-			if k != KList && k != KDict && k != KStr && k != KAny {
-				c.errf(x.Pos(), "len requires list, dict or str, got %s", argTypes[0])
-			}
-		}
-		return Int
-	case "str":
-		need(1)
-		return Str
-	case "int":
-		need(1)
-		return Int
-	case "float":
-		need(1)
-		return Float
-	case "bool":
-		need(1)
-		return Bool
-	case "abs":
-		if need(1) && !argTypes[0].IsNumeric() && argTypes[0].Kind != KAny {
-			c.errf(x.Pos(), "abs requires a number")
-		}
-		return argTypes[0]
-	case "min", "max":
-		if len(x.Args) < 2 {
-			c.errf(x.Pos(), "%s requires at least 2 arguments", x.Func)
-			return Invalid
-		}
-		return argTypes[0]
-	case "range":
-		if len(x.Args) < 1 || len(x.Args) > 2 {
-			c.errf(x.Pos(), "range requires 1 or 2 arguments")
-		}
-		return ListOf(Int)
-	default:
+	id, ok := lookupBuiltin(rt, x.Func)
+	switch {
+	case !ok && rt == nil:
 		c.errf(x.Pos(), "unknown function %s", x.Func)
 		return Invalid
-	}
-}
-
-func (sc *methodScope) listMethodType(x *ast.Call, rt *Type) *Type {
-	c := sc.c
-	for _, a := range x.Args {
-		sc.exprType(a)
-	}
-	switch x.Func {
-	case "append":
-		if len(x.Args) != 1 {
-			c.errf(x.Pos(), "append expects 1 argument")
-		}
-		return None
-	case "pop":
-		if len(x.Args) > 1 {
-			c.errf(x.Pos(), "pop expects at most 1 argument")
-		}
-		return rt.Elem
-	default:
-		c.errf(x.Pos(), "list has no method %s", x.Func)
+	case !ok:
+		c.errf(x.Pos(), "%s has no method %s", rt, x.Func)
 		return Invalid
 	}
-}
-
-func (sc *methodScope) dictMethodType(x *ast.Call, rt *Type) *Type {
-	c := sc.c
-	for _, a := range x.Args {
-		sc.exprType(a)
-	}
-	switch x.Func {
-	case "get":
-		if len(x.Args) != 2 {
-			c.errf(x.Pos(), "get expects key and default")
-		}
-		return rt.Elem
-	case "keys":
-		return ListOf(rt.Key)
-	case "values":
-		return ListOf(rt.Elem)
-	default:
-		c.errf(x.Pos(), "dict has no method %s", x.Func)
+	x.Builtin = id + 1
+	b := &Builtins[id]
+	if len(args) < b.Min || b.Max >= 0 && len(args) > b.Max {
+		c.errf(x.Pos(), "%s %s, got %d", b.Name, b.arity(), len(args))
 		return Invalid
 	}
-}
-
-func (sc *methodScope) strMethodType(x *ast.Call) *Type {
-	c := sc.c
-	for _, a := range x.Args {
-		sc.exprType(a)
-	}
-	switch x.Func {
-	case "upper", "lower", "strip":
-		if len(x.Args) != 0 {
-			c.errf(x.Pos(), "%s takes no arguments", x.Func)
-		}
-		return Str
-	default:
-		c.errf(x.Pos(), "str has no method %s", x.Func)
+	t, bad := b.Type(rt, args)
+	if bad != "" {
+		c.errf(x.Pos(), "%s: %s", b.Name, bad)
 		return Invalid
 	}
+	return t
 }
 
 // ---------------------------------------------------------------------------

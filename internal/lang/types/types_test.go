@@ -245,6 +245,73 @@ class C:
 `, "serializable")
 }
 
+// logHeader is an entity with a list[int] attribute.
+const logHeader = `
+@entity
+class C:
+    def __init__(self, k: str):
+        self.k: str = k
+        self.items: list[int] = []
+    def __key__(self) -> str:
+        return self.k
+`
+
+// TestEntityRefNeverFlowsIntoAny: an entity reference never enters a
+// container of unknown element type, which state could then hold (§2.2) —
+// by concatenation, by append, or by a subscript store.
+func TestEntityRefNeverFlowsIntoAny(t *testing.T) {
+	for _, tc := range []struct{ name, body, want string }{
+		{"concatenation", `
+        self.items = [] + [self]`, "requires numbers"},
+		{"append", `
+        xs = []
+        xs.append(self)
+        self.items = xs`, "cannot append C"},
+		{"subscript store", `
+        d = {}
+        d["a"] = self`, "cannot store C"},
+		{"list literal", `
+        xs = []
+        ys = [xs[0], self]`, "share one type"},
+		{"dict get default", `
+        d = {}
+        e = d.get("a", self)`, "default must be any"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantErr(t, logHeader+"    def m(self) -> int:"+tc.body+"\n        return 0\n", tc.want)
+		})
+	}
+}
+
+// TestBuiltinArgumentRules: the builtin table's argument rules reject at
+// check time what the interpreter would run to a wrong answer or an error.
+func TestBuiltinArgumentRules(t *testing.T) {
+	for _, tc := range []struct{ expr, want string }{
+		{"len(range(2.5))", "range: needs int arguments, got float"},
+		{`len(range("abc"))`, "range: needs int arguments, got str"},
+		{`len({"a": 1}.keys(1))`, "keys takes no arguments, got 1"},
+		{`len({"a": 1}.values(1))`, "values takes no arguments, got 1"},
+		{`len(str(min(1, "a")))`, "min: cannot compare numbers with str"},
+		{`len(str(max(True, False)))`, "max: cannot compare bool"},
+		{`abs("a")`, "abs: needs a number, got str"},
+		{`len([1].pop("a"))`, "pop: index must be int"},
+		{`len(str({"a": 1}.get(1, 0)))`, "get: key must be str"},
+	} {
+		t.Run(tc.expr, func(t *testing.T) {
+			wantErr(t, header+"    def m(self) -> int:\n        return "+tc.expr+"\n", tc.want)
+		})
+	}
+	// Mixed numbers stay legal, and make a float.
+	mustCheck(t, header+`
+    def m(self) -> float:
+        return max(3, 2.5) + min(1, 2)
+`)
+	wantErr(t, header+`
+    def m(self) -> int:
+        return max(3, 2.5)
+`, "returns float but declares int")
+}
+
 func TestReturnTypeMismatch(t *testing.T) {
 	wantErr(t, header+`
     def m(self) -> int:
