@@ -219,14 +219,14 @@ func VerifyAdversarial(p workload.Profile, backend stateflow.Backend, seed int64
 	// which every footprint shard of one batch was parked at once, observed
 	// under the plan. The crash is appended last and Pinned, so it consumes
 	// no cluster RNG and the schedule prefix replays byte-for-byte: the
-	// stretch is parked at that instant in the third run too, and the batch
-	// cannot have sent its unfences yet, so the reboot finds it in flight and
-	// must roll it forward or abandon it. (One shard's window alone is not
-	// enough: it can open well before the others park and close well after
-	// they resumed, so its midpoint can fall after the batch's unfences.)
-	// installCrash drops instants past the horizon, and windows can outlive
-	// it (the run continues until traffic settles), so each stretch is
-	// clipped to it and the widest clipped span wins.
+	// stretch is parked at that instant in the third run too. It ends when
+	// the sequencer sends the batch's unfences (fenceWindows), not when they
+	// land, so the reboot finds the batch in flight and must roll it forward
+	// or abandon it. (One shard's window alone is not enough: it can open
+	// well before the others park.) installCrash drops instants past the
+	// horizon, and windows can outlive it (the run continues until traffic
+	// settles), so each stretch is clipped to it and the widest clipped span
+	// wins.
 	plan := v.plan
 	var win FenceWindow
 	var span time.Duration

@@ -450,7 +450,8 @@ func RunOnce(w Workload, backend stateflow.Backend, seed int64, plan *chaos.Plan
 }
 
 // FenceWindow is one completed per-shard fence park: the interval during
-// which Node (a shard coordinator) was quiesced for global batch Seq.
+// which Node (a shard coordinator) was quiesced for global batch Seq and
+// the sequencer had not yet released the batch.
 type FenceWindow struct {
 	Node string
 	Seq  int64
@@ -465,10 +466,20 @@ type FenceWindow struct {
 // the crash instant: the reboot re-derives the durable fence silently
 // (no second park event), so pairing across the crash would weld the
 // pre-crash park to a much later resume into one phantom mega-window
-// whose midpoint may not be fenced at all.
+// whose midpoint may not be fenced at all. The sequencer's send of a
+// batch's unfences closes every window of that batch: the shards stay
+// parked until the unfences land, but a sequencer crash from the send on
+// finds the batch finished, with nothing to roll forward or abandon.
 func fenceWindows(events []stateflow.FlightEvent) []FenceWindow {
 	open := map[string]FenceWindow{}
 	var out []FenceWindow
+	end := func(node string, w FenceWindow, at time.Duration) {
+		if at > w.From {
+			w.To = at
+			out = append(out, w)
+		}
+		delete(open, node)
+	}
 	for _, ev := range events {
 		switch ev.Kind {
 		case "fence":
@@ -478,9 +489,15 @@ func fenceWindows(events []stateflow.FlightEvent) []FenceWindow {
 			open[ev.Node] = w
 		case "unfence", "crash":
 			if w, ok := open[ev.Node]; ok && ev.At > w.From {
-				w.To = ev.At
-				out = append(out, w)
-				delete(open, ev.Node)
+				end(ev.Node, w, ev.At)
+			}
+		case "global.unfence":
+			var seq int64
+			_, _ = fmt.Sscanf(ev.Detail, "unfencing global batch %d", &seq)
+			for node, w := range open {
+				if w.Seq == seq {
+					end(node, w, ev.At)
+				}
 			}
 		}
 	}

@@ -178,67 +178,3 @@ func (l *Log) PartitionCount(topic string) (int, error) {
 	}
 	return len(t.Partitions), nil
 }
-
-// Group tracks per-partition consumer offsets, like a Kafka consumer
-// group. Offsets only move via Commit, so a consumer can re-read (replay)
-// any suffix after a failure.
-type Group struct {
-	mu      sync.Mutex
-	offsets map[string][]int64 // topic -> per-partition next offset
-}
-
-// NewGroup builds an empty consumer group.
-func NewGroup() *Group {
-	return &Group{offsets: map[string][]int64{}}
-}
-
-// Subscribe initializes offsets for a topic.
-func (g *Group) Subscribe(topic string, partitions int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.offsets[topic]; !ok {
-		g.offsets[topic] = make([]int64, partitions)
-	}
-}
-
-// Position returns the next offset to consume.
-func (g *Group) Position(topic string, partition int) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	offs, ok := g.offsets[topic]
-	if !ok || partition >= len(offs) {
-		return 0
-	}
-	return offs[partition]
-}
-
-// Commit advances the consumed position.
-func (g *Group) Commit(topic string, partition int, next int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if offs, ok := g.offsets[topic]; ok && partition < len(offs) {
-		offs[partition] = next
-	}
-}
-
-// Snapshot copies all offsets (stored inside state snapshots so recovery
-// knows where to replay from).
-func (g *Group) Snapshot() map[string][]int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string][]int64, len(g.offsets))
-	for t, offs := range g.offsets {
-		out[t] = append([]int64(nil), offs...)
-	}
-	return out
-}
-
-// Restore resets offsets from a snapshot.
-func (g *Group) Restore(snap map[string][]int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.offsets = map[string][]int64{}
-	for t, offs := range snap {
-		g.offsets[t] = append([]int64(nil), offs...)
-	}
-}

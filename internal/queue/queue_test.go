@@ -132,30 +132,6 @@ func TestTopicsSorted(t *testing.T) {
 	}
 }
 
-func TestGroupOffsets(t *testing.T) {
-	g := NewGroup()
-	g.Subscribe("in", 2)
-	if g.Position("in", 0) != 0 {
-		t.Fatal("initial position")
-	}
-	g.Commit("in", 0, 5)
-	g.Commit("in", 1, 3)
-	if g.Position("in", 0) != 5 || g.Position("in", 1) != 3 {
-		t.Fatal("commit lost")
-	}
-	// Snapshot / restore round trip.
-	snap := g.Snapshot()
-	g.Commit("in", 0, 99)
-	g.Restore(snap)
-	if g.Position("in", 0) != 5 {
-		t.Fatalf("restore: %d", g.Position("in", 0))
-	}
-	// Unknown topic is position 0.
-	if g.Position("zz", 0) != 0 {
-		t.Fatal("unknown topic position")
-	}
-}
-
 func TestConcurrentProducers(t *testing.T) {
 	l := newLog(t, "in", 4)
 	var wg sync.WaitGroup

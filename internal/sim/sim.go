@@ -32,7 +32,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/obs"
@@ -237,14 +236,6 @@ func (c *Cluster) Add(id string, h Handler) {
 	}
 	c.comps[id] = &component{id: id, h: h}
 	c.order = append(c.order, id)
-}
-
-// Component returns the handler registered under id, or nil.
-func (c *Cluster) Component(id string) Handler {
-	if comp, ok := c.comps[id]; ok {
-		return comp.h
-	}
-	return nil
 }
 
 // Now returns the current virtual time.
@@ -546,13 +537,6 @@ func (c *Cluster) Drain(maxEvents int) error {
 // Pending reports queued events (for tests).
 func (c *Cluster) Pending() int { return len(c.queue) }
 
-// Components lists component ids sorted.
-func (c *Cluster) Components() []string {
-	out := append([]string(nil), c.order...)
-	sort.Strings(out)
-	return out
-}
-
 // Context is the capability handed to a component while it processes one
 // message. It belongs to the cluster and is valid only for the duration
 // of the handler call it was passed to (see the package doc).
@@ -596,9 +580,6 @@ func (c *Cluster) settle() {
 	}
 	c.lent = false
 }
-
-// Self returns the component's own id.
-func (ctx *Context) Self() string { return ctx.self }
 
 // Now returns the component-local current time: the message arrival time
 // plus any CPU already consumed while handling it.

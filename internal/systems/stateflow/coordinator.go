@@ -367,9 +367,9 @@ func (c *Coordinator) admit(ctx *sim.Context, id, replyTo string) bool {
 	return false
 }
 
-// onRequest appends the arrival to the replayable source log, then either
-// assigns it into the open batch or buffers it. A read-only call takes the
-// fast-read path instead (read.go).
+// onRequest appends the arrival to the replayable source log and drains the
+// log into the open batch. A read-only call takes the fast-read path instead
+// (read.go).
 func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 	if c.sys.fastRead(m.Request) {
 		c.onRead(ctx, m)
@@ -379,19 +379,13 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 	if !c.admit(ctx, id, m.ReplyTo) {
 		return
 	}
-	_, pos, err := c.sys.RequestLog.Produce(sourceTopic, id, m)
-	if err != nil {
+	if _, _, err := c.sys.RequestLog.Produce(sourceTopic, id, m); err != nil {
 		return
 	}
 	c.journal.logged(id)
-	if st := c.exec; !c.recovering && !c.fenced && c.fencePending.Seq == 0 &&
-		st != nil && st.phase == phaseOpen && !c.batchFull(st) {
-		c.consumed++
-		c.assign(ctx, st, pendingReq{req: m.Request, replyTo: m.ReplyTo, pos: pos, arrivedAt: ctx.Now()})
-	}
-	// Otherwise the record waits in the log; it is drained when a batch
-	// with capacity opens (for a fencing or fenced shard: after the
-	// global batch unfences).
+	// A logged request enters a batch only through the drain, in log order:
+	// the cursor never passes a record it did not assign.
+	c.drainSource(ctx)
 }
 
 // armTick sets the open batch's deadline one EpochInterval from now and arms
@@ -407,7 +401,8 @@ func (c *Coordinator) armTick(ctx *sim.Context, st *epochState) {
 // before the exec slot's deadline was armed for an earlier batch and is
 // ignored. An empty batch first drains pending retries — the pipelined
 // commit stage spills them while the exec slot is already open, and with no
-// fresh arrivals the tick is the only thing that would ever pick them up.
+// fresh arrivals the tick is the only thing that would ever pick them up —
+// then the source log, whose backlog a dropped fence leaves behind.
 func (c *Coordinator) onTick(ctx *sim.Context) {
 	st := c.exec
 	if c.recovering || st == nil || st.phase != phaseOpen || ctx.Now() < st.closeAt {
@@ -421,6 +416,7 @@ func (c *Coordinator) onTick(ctx *sim.Context) {
 	}
 	if len(st.txns) == 0 {
 		c.drainPending(ctx, st)
+		c.drainSource(ctx)
 	}
 	if len(st.txns) == 0 {
 		if c.fencePending.Seq != 0 && c.maybeFence(ctx) {
@@ -805,39 +801,55 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 	// new batch, so starved transactions eventually win every conflict);
 	// past the cap they stay pending, ahead of the source backlog.
 	c.drainPending(ctx, st)
-	// Then drain arrivals buffered in the source log, chunked by the cap:
-	// a post-recovery backlog replays over as many batches as it needs
-	// instead of ballooning one giant batch. A quiescing shard (fence
-	// pending) stops drawing from the source so sustained load cannot
-	// starve the fence; the backlog drains after the unfence.
-	end, err := c.sys.RequestLog.End(sourceTopic, 0)
-	if err == nil && c.fencePending.Seq == 0 {
-		for ; c.consumed < end && !c.batchFull(st); c.consumed++ {
-			rec, ok := c.readSource(c.consumed)
-			if !ok {
-				break
-			}
-			if !rec.isClientRequest() {
-				// Fence markers and global applies never enter the batch
-				// intake: markers are recovery metadata, and an apply
-				// below the cursor was answered inside its fence window
-				// (or replayed as binding).
-				continue
-			}
-			if !c.sys.cfg.Reinject.ReplayOrder && c.journal.answered(rec.txn.req.Req) {
-				// A recovery rewound the cursor over this record, but its
-				// response is already delivered (or staged): its effects are
-				// either in the restored images or rebuilt by the binding
-				// replay, and re-assigning it would double-execute. (The
-				// Reinject.ReplayOrder hook restores the historical re-cut:
-				// answered requests re-execute and only their duplicate
-				// response is suppressed.)
-				continue
-			}
-			c.assign(ctx, st, rec.txn)
-		}
-	}
+	c.drainSource(ctx)
 	c.armTick(ctx, st)
+}
+
+// drainSource is the one way a logged client request enters a batch: it
+// assigns source-log records from the cursor on into the open exec batch,
+// in log order, while the intake gate is open — no recovery, no fence
+// parked or pending, an open non-binding exec slot, and the batch under the
+// cap. It runs wherever the gate can open: after an arrival is logged, when
+// an epoch opens or an unfence resumes one (fillEpoch), on an idle tick, and
+// when a rebooted sequencer's query drops a pending fence. The cap chunks
+// the draw, so a post-recovery backlog replays over as many batches as it
+// needs instead of ballooning one giant batch. A quiescing shard (fence
+// pending) draws nothing, so sustained load cannot starve the fence; the
+// backlog drains after the unfence or once the fence is dropped.
+func (c *Coordinator) drainSource(ctx *sim.Context) {
+	st := c.exec
+	if c.recovering || c.fenced || c.fencePending.Seq != 0 ||
+		st == nil || st.phase != phaseOpen || st.binding {
+		return
+	}
+	end, err := c.sys.RequestLog.End(sourceTopic, 0)
+	if err != nil {
+		return
+	}
+	for ; c.consumed < end && !c.batchFull(st); c.consumed++ {
+		rec, ok := c.readSource(c.consumed)
+		if !ok {
+			break
+		}
+		if !rec.isClientRequest() {
+			// Fence markers and global applies never enter the batch
+			// intake: markers are recovery metadata, and an apply below
+			// the cursor was answered inside its fence window (or
+			// replayed as binding).
+			continue
+		}
+		if !c.sys.cfg.Reinject.ReplayOrder && c.journal.answered(rec.txn.req.Req) {
+			// A recovery rewound the cursor over this record, but its
+			// response is already delivered (or staged): its effects are
+			// either in the restored images or rebuilt by the binding
+			// replay, and re-assigning it would double-execute. (The
+			// Reinject.ReplayOrder hook restores the historical re-cut:
+			// answered requests re-execute and only their duplicate
+			// response is suppressed.)
+			continue
+		}
+		c.assign(ctx, st, rec.txn)
+	}
 }
 
 // drainPending assigns buffered retries into the slot's batch up to the

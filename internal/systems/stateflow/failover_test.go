@@ -2,6 +2,7 @@ package stateflow
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -636,5 +637,88 @@ func TestFenceDoneSurvivesACheckpointPastItsMarker(t *testing.T) {
 	}
 	if from, to := fx.balances(); from != 70 || to != 130 {
 		t.Fatalf("balances %d/%d after the second transfer, want 70/130", from, to)
+	}
+}
+
+// TestDroppedFenceDrainsTheBacklog: a shard holds a pending fence while its
+// commit slot is busy, so client arrivals are logged but not drawn, and a
+// rebooted sequencer's query drops the fence. Nothing else will arrive to
+// prompt a drain, yet the backlog must reach a batch within one epoch
+// interval; and a fresh arrival after it must not move the cursor past a
+// record nobody assigned, or that record's request is lost for good (every
+// retry is then absorbed as already logged).
+func TestDroppedFenceDrainsTheBacklog(t *testing.T) {
+	fx := newFailoverFixture(t)
+	a, b := accountPair(t, fx.sys, 8, false)
+	sh := fx.sys.Shards()[fx.sys.ShardOf(interp.EntityRef{Class: "Account", Key: a})]
+	c := sh.Coordinator()
+	send := func(id string) {
+		fx.cluster.Inject(fx.cluster.Now(), "client", sh.coordID,
+			sysapi.MsgRequest{Request: transferReq(id, a, b, 1), ReplyTo: "client"})
+	}
+	// drawn: every client record below the cursor is in a batch, waits as a
+	// retry, or is answered.
+	drawn := func() error {
+		for pos := int64(0); pos < c.consumed; pos++ {
+			rec, ok := c.readSource(pos)
+			if !ok || !rec.isClientRequest() || c.journal.answered(rec.txn.req.Req) {
+				continue
+			}
+			id := rec.txn.req.Req
+			held := slices.ContainsFunc(c.pending, func(p pendingReq) bool { return p.req.Req == id })
+			for _, st := range [...]*epochState{c.exec, c.commit} {
+				held = held || st != nil && slices.ContainsFunc(st.txns, func(t *txnState) bool { return t.req.Req == id })
+			}
+			if !held {
+				return fmt.Errorf("cursor at %d passed record %d (%s), which no batch holds", c.consumed, pos, id)
+			}
+		}
+		return nil
+	}
+
+	send("t0")
+	fx.stepUntil("t0 committing behind an open, empty successor", func() bool {
+		return c.commit != nil && c.exec != nil && c.exec.phase == phaseOpen && len(c.exec.txns) == 0
+	})
+	fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, sh.coordID, msgFence{Seq: 1})
+	backlog := []string{"t1", "t2", "t3"}
+	for _, id := range backlog {
+		send(id)
+	}
+	fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, sh.coordID, msgSeqFenceQuery{Ballot: 1})
+	fx.stepUntil("the backlog logged and the fence dropped", func() bool {
+		end, _ := sh.RequestLog.End(sourceTopic, 0)
+		return end == 4 && c.ballot == 1
+	})
+	if c.fenced || c.fencePending.Seq != 0 {
+		t.Fatalf("fenced=%v pending=%d: want the query to have dropped the fence before the park", c.fenced, c.fencePending.Seq)
+	}
+	fx.cluster.RunUntil(fx.cluster.Now() + DefaultConfig().EpochInterval)
+	if c.consumed != 4 {
+		t.Fatalf("cursor at %d one epoch interval after the fence dropped, want the backlog (records 1-3) drawn", c.consumed)
+	}
+
+	send("t4")
+	deadline := fx.cluster.Now() + 200*time.Millisecond
+	for fx.cluster.Now() < deadline {
+		if err := drawn(); err != nil {
+			t.Fatal(err)
+		}
+		fx.cluster.RunUntil(fx.cluster.Now() + 20*time.Microsecond)
+	}
+	fx.settle()
+	answers := map[string]int{}
+	for _, r := range fx.client.got {
+		answers[r.Req]++
+	}
+	for _, id := range append([]string{"t0", "t4"}, backlog...) {
+		if answers[id] != 1 {
+			t.Fatalf("%s answered %d times, want once (responses %v)", id, answers[id], answers)
+		}
+	}
+	from, _ := fx.sys.EntityState("Account", a)
+	to, _ := fx.sys.EntityState("Account", b)
+	if from["balance"].I != 95 || to["balance"].I != 105 {
+		t.Fatalf("balances %d/%d, want 95/105", from["balance"].I, to["balance"].I)
 	}
 }

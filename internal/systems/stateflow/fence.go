@@ -166,7 +166,8 @@ func (c *Coordinator) onFenceParkTick(ctx *sim.Context, m msgFenceParkTick) {
 // already in the source log — that apply, whose manifest lets the
 // sequencer re-derive the batch. Any fence still pending from the dead
 // incarnation is dropped: its batch is either being rolled forward (the
-// re-sent fence will re-arm it) or abandoned.
+// re-sent fence will re-arm it) or abandoned. Dropping it reopens the
+// intake, so the backlog that queued behind it drains now.
 //
 // The report is a promise: no apply of an older incarnation is logged after
 // it (onGlobalApply). Without it, a dead incarnation's apply still in
@@ -196,6 +197,7 @@ func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, from string, m msgSeqFen
 		rep.Apply = c.findApply(c.fenceSeq)
 	}
 	ctx.Send(from, rep, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	c.drainSource(ctx)
 }
 
 // findApply scans the source-log suffix for the fenced batch's apply

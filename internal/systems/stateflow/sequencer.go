@@ -684,6 +684,9 @@ func (q *Sequencer) finishBatch(ctx *sim.Context) {
 	}
 	b.phase = gUnfencing
 	b.phaseAt = ctx.Now()
+	if f := q.sys.cfg.Flight; f.Enabled() {
+		f.Recordf(ctx.Now(), q.sys.seqID, "global.unfence", "unfencing global batch %d", b.seq)
+	}
 	for _, idx := range sortedShards(b.footprint) {
 		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq},
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
