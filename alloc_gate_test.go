@@ -17,7 +17,9 @@ import (
 
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction. The
 // ycsb_m and hot_t ceilings sit about 10 % above what each run costs today
-// (15.4 and 34.6; 17.9 and 42.1 while an executor step returned a slice of
+// (12.9 and 25.4; 15.4 and 34.6 while a workspace cloned every row it wrote,
+// each worker boxed its apply ack and allocated every reservation node it
+// shipped; 17.9 and 42.1 while an executor step returned a slice of
 // heap events and every frame and call stack was allocated on its own;
 // 18.3 and 43.8 while the epoch timer and every phase's
 // stall check boxed their epoch, 18.5 and 45.3 while a suspending frame
@@ -26,10 +28,12 @@ import (
 // and worker epochs afresh, 20.3 and 55.5 while every continuation resumed
 // on its caller's operator, 21.2 and 61.4 while a batch was validated by a
 // prepare/vote wave, and the contended leg read 66.6 behind barrier
-// rounds). The xshard ceiling sits just above today's 26.1 (26.3 under the
+// rounds). The xshard ceiling sits just above today's 21.2 (the same under the
 // race detector) so that it pins the sequencer's forward of a single-shard
-// request without re-boxing it (27.0 when the forward boxes a new interface
-// value; 28.9 while an executor step returned a slice of heap events, 31.7
+// request without re-boxing it (22.2 when the forward boxes a new
+// interface value; 26.1 while a workspace cloned its written rows, acks were
+// boxed, shipped reservation nodes allocated and the apply id was formatted
+// with fmt; 28.9 while an executor step returned a slice of heap events, 31.7
 // while the timers boxed their epoch, 33.6 before the forward and the timers
 // changed). The
 // repository benchmark (benchmark/, a module `go test ./...` does not
@@ -39,15 +43,15 @@ import (
 var allocGates = []allocGate{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.
-	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 16.9},
+	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 14.2},
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 38.0},
+	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 28.0},
 	// The benchmark's xshard shape: the same mix on 4 shards, so every
 	// request passes the sequencer, which forwards most of them to one
 	// shard and runs the rest as global batches.
-	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 26.7},
+	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 21.6},
 }
 
 // allocGate is one shape TestAllocsPerTransaction prices.
@@ -112,15 +116,19 @@ func TestAllocsPerTransaction(t *testing.T) {
 }
 
 // epochGate is TestAllocsPerEpoch's ceiling, just above what an epoch
-// costs today (38.7) so that it pins the flight-recorder guards: 39.7 when
-// every flight-recorder call boxes its arguments for a nil recorder, 46.4
+// costs today (27.2) so that it pins the ack that echoes its decide
+// (32.2 when each worker's apply ack boxes a value again) and the
+// flight-recorder guards (28.2 when every flight-recorder call boxes
+// its arguments for a nil recorder); 38.7 while the acks were boxed and every
+// transaction's workspace cloned the rows it wrote, 39.7 with the
+// flight-recorder calls unguarded as well, 46.4
 // while an executor step returned a slice of heap events
 // and every frame and call stack was allocated on its own, 53.6
 // while the epoch timer and every phase's stall check boxed their epoch and
 // only the timer closed a batch (47.4 with the boxing gone alone), 55.8 while a suspending frame also allocated its pruning mask, 66.8 while
 // every epoch allocated its coordinator slot, round-0 order, ack set,
 // worker epochs and workspace maps afresh.
-const epochGate = 39.1
+const epochGate = 27.6
 
 // TestAllocsPerEpoch prices one epoch in heap allocations: transfers on
 // uniform keys arriving at 50 a second, so a batch closes as soon as its

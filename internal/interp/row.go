@@ -10,6 +10,7 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
 
 	"statefulentities.dev/stateflow/internal/ir"
@@ -206,6 +207,55 @@ func (r *Row) EncodedSize() int {
 		}
 	}
 	return n
+}
+
+// SlotValue is one attribute value addressed by its layout slot.
+type SlotValue struct {
+	Slot int
+	V    Value
+}
+
+// EncodedSizeWith returns the EncodedSize of r with vals set over it — the
+// row a buffered write installs — without building that row. A nil r is an
+// empty row of layout (a creation); vals names each slot at most once.
+func EncodedSizeWith(layout *ir.ClassLayout, r *Row, vals []SlotValue) int {
+	n, count := 0, 0
+	for slot, attr := range layout.Attrs {
+		v, ok := None, false
+		for i := range vals {
+			if vals[i].Slot == slot {
+				v, ok = vals[i].V, true
+				break
+			}
+		}
+		if !ok && r != nil && r.isPresent(slot) {
+			v, ok = r.slots[slot], true
+		}
+		if ok {
+			n += strSize(attr) + ValueSize(v)
+			count++
+		}
+	}
+	return uvarintSize(uint64(count)) + n
+}
+
+// Holds reports whether every value in vals encodes exactly as r's value at
+// its slot does, so setting them would leave r's encoding unchanged.
+func (r *Row) Holds(vals []SlotValue) bool {
+	var e Encoder
+	for _, sv := range vals {
+		if !r.isPresent(sv.Slot) {
+			return false
+		}
+		e.Reset()
+		e.Value(r.slots[sv.Slot])
+		n := e.Len()
+		e.Value(sv.V)
+		if b := e.Bytes(); !bytes.Equal(b[:n], b[n:]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Row appends a row in canonical (sorted attribute name) order.

@@ -438,7 +438,7 @@ func TestChainDriftReportDuplicateAndLateAreNoOps(t *testing.T) {
 					report = m
 					return sim.Perturb{Duplicate: true, DupDelay: 40 * time.Microsecond}
 				}
-			case msgDecide:
+			case *msgDecide:
 				if m.Round == 1 && !decided {
 					decided = true // the chain's final decide is leaving: every member is accounted for
 					fx.cluster.Inject(fx.cluster.Now(), from, fx.sys.coordID, report)

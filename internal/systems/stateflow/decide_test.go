@@ -30,7 +30,7 @@ func decideHeldBack(t *testing.T) (*sim.Cluster, *System, *rawClient, *Worker) {
 	ref := interp.EntityRef{Class: "Account", Key: acct(0)}
 	owner := sys.workers[sys.OwnerIndex(ref)]
 	cluster.SetPerturb(func(_, to string, _ time.Duration, msg sim.Message) sim.Perturb {
-		if m, ok := msg.(msgDecide); ok && m.Round == 0 && to == owner.id {
+		if m, ok := msg.(*msgDecide); ok && m.Round == 0 && to == owner.id {
 			return sim.Perturb{Delay: 3 * time.Millisecond}
 		}
 		return sim.Perturb{}

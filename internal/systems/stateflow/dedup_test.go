@@ -1,6 +1,9 @@
 package stateflow
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -132,5 +135,104 @@ func TestLateDuplicateAbsorbedAfterPruning(t *testing.T) {
 		if got := balance(t, sys, acct(i)); got != 100 {
 			t.Fatalf("%s: balance %d, want 100 (lost or duplicated effects)", acct(i), got)
 		}
+	}
+}
+
+// TestDupSafeIsTotal: the chaos engine duplicates a delivery only where the
+// failure contract's DupSafe admits it, so a message type the contract does
+// not name is silently never duplicated — the weakening a message that turns
+// into a pointer (*msgDecide) invites, since a case naming the value type
+// still compiles. A 1-shard and a 4-shard deployment run a mix of transfers
+// (conflicting ones included, so a chain runs), fast reads and, on 4 shards,
+// cross-shard transfers through snapshots and a pinned crash of a worker, a
+// coordinator and the sequencer; every message sent between two components
+// must be duplicate-safe, except msgTxnEvent, the one exclusion the
+// contract's comment argues.
+func TestDupSafeIsTotal(t *testing.T) {
+	prog, err := compiler.Compile(bank)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			const accounts = 16
+			cfg := DefaultConfig()
+			cfg.SnapshotEvery = 4
+			cfg.Shards = shards
+			cluster := sim.New(11)
+			sys := New(cluster, prog, cfg)
+			for i := 0; i < accounts; i++ {
+				if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+					t.Fatalf("preload: %v", err)
+				}
+			}
+			sys.CheckpointPreloadedState()
+			a, c := accountPair(t, sys, accounts, false)
+			pairs := [][2]string{{a, c}, {c, a}}
+			if shards > 1 {
+				from, to := accountPair(t, sys, accounts, true)
+				pairs = append(pairs, [2]string{from, to})
+			}
+			b := sysapi.NewBuilder("cl-")
+			var script []sysapi.Scheduled
+			for i := 0; i < 500; i++ {
+				at := time.Duration(i+1) * 2 * time.Millisecond
+				if i%5 == 4 {
+					script = append(script, sysapi.Scheduled{At: at, Req: b.Next(
+						interp.EntityRef{Class: "Account", Key: acct(i % accounts)}, "read", nil, "read")})
+					continue
+				}
+				p := pairs[i%len(pairs)]
+				script = append(script, sysapi.Scheduled{At: at, Req: builderTransfer(b, p[0], p[1], 1)})
+			}
+			client := sysapi.NewScriptClient("client", sys, script)
+			client.RetryEvery = 50 * time.Millisecond
+			cluster.Add("client", client)
+
+			shard := sys.Shards()[0]
+			crash := func(id string, at time.Duration) { cluster.ScheduleCrash(id, at, at+20*time.Millisecond) }
+			crash(shard.workerIDs[0], 60*time.Millisecond)
+			crash(shard.coordID, 500*time.Millisecond)
+			if sys.seq != nil {
+				crash(sys.seqID, 750*time.Millisecond)
+			}
+
+			contract := sys.ChaosTopology()
+			seen, undeclared := map[string]bool{}, map[string]bool{}
+			cluster.SetTap(func(from, to string, _, _ time.Duration, msg sim.Message) {
+				if from == to {
+					return // a timer
+				}
+				name := fmt.Sprintf("%T", msg)
+				seen[name] = true
+				if _, excluded := msg.(msgTxnEvent); !excluded && !contract.DupSafe(from, to, msg) {
+					undeclared[name] = true
+				}
+			})
+			cluster.Start()
+			cluster.RunUntil(6 * time.Second)
+
+			if client.Done != len(script) {
+				t.Fatalf("settled %d/%d requests", client.Done, len(script))
+			}
+			if c := shard.Coordinator(); c.Restarts == 0 || c.Recoveries < 2 {
+				t.Fatalf("%d recoveries, %d restarts: a pinned crash exercised nothing", c.Recoveries, c.Restarts)
+			}
+			if sys.seq != nil && sys.seq.Failovers == 0 {
+				t.Fatal("the sequencer never failed over")
+			}
+			floor := []sim.Message{&msgDecide{}, msgApplied{}, msgTxnFinished{}, msgRecover{}, msgTakeSnapshot{}, msgChainRelease{}}
+			if shards > 1 {
+				floor = append(floor, msgFence{}, msgSeqFenceQuery{})
+			}
+			for _, m := range floor {
+				if name := fmt.Sprintf("%T", m); !seen[name] {
+					t.Errorf("the run sent no %s: the check is vacuous for it (saw %v)", name, slices.Sorted(maps.Keys(seen)))
+				}
+			}
+			if len(undeclared) > 0 {
+				t.Errorf("message types sent between components that DupSafe does not declare: %v", slices.Sorted(maps.Keys(undeclared)))
+			}
+		})
 	}
 }

@@ -304,7 +304,7 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 // it scheduled none. A global apply is only ever a batch's last member
 // (startApply, openBinding) and never conflict-aborts, so the batch decide
 // carries it unless a binding cut dropped it.
-func (st *epochState) decision() msgDecide {
+func (st *epochState) decision() *msgDecide {
 	dropped := func(t *txnState) bool { return t.aborted || t.err != "" }
 	n := 0
 	for _, tid := range st.order {
@@ -322,7 +322,7 @@ func (st *epochState) decision() msgDecide {
 	// order slice stays private to the coordinator, which reuses it for a
 	// later epoch. (The chain's order is the plan's member list, which the
 	// workers hold already.)
-	m := msgDecide{Epoch: st.epoch, Round: st.round, Aborts: aborts,
+	m := &msgDecide{Epoch: st.epoch, Round: st.round, Aborts: aborts,
 		Final: st.chained() || st.chain == nil}
 	if st.chained() {
 		m.Order = st.chain.Plan.Members

@@ -45,7 +45,7 @@ func TestEpochTIDsAreContiguous(t *testing.T) {
 				b := closed{from, m.Epoch}
 				assigned[b] = append(assigned[b], m.TID)
 			}
-		case msgDecide:
+		case *msgDecide:
 			if m.Round != 0 {
 				break
 			}
@@ -205,7 +205,7 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 			workers, progress, c.progress, unfinished, st.unfinished, done.err)
 	}
 	duplicate("apply", inPhase(phaseApply), func(st *epochState) sim.Message {
-		return msgApplied{Epoch: st.epoch, Round: st.round}
+		return msgApplied{&msgDecide{Epoch: st.epoch, Round: st.round}}
 	})
 	duplicate("snapshot", func() ackSet {
 		if st := c.commit; st == nil || st.phase != phaseSnapshot {

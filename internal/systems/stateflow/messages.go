@@ -49,7 +49,9 @@ type msgTxnFinished struct {
 // the chain leaves it (Worker.shipSets), so the root's finish brings the
 // whole footprint to the coordinator (epochState.validate). A call chain has
 // one event in flight, so every set is final once the root response is
-// produced; nodes are never modified after they are sent.
+// produced; nodes are never modified after they are sent. A node lives in the
+// worker's record of the transaction (txnWork), which ships it at most once:
+// a call chain that leaves the worker again already carries it.
 type rwSets struct {
 	rw   *aria.RWSet
 	next *rwSets
@@ -77,7 +79,9 @@ type msgEpochTick struct{}
 // Apply is the global batch slice the batch's last member commits (nil for
 // a batch without one, or whose apply a binding cut dropped): it executed
 // nothing, so each worker installs the rows of it that it owns after every
-// lower TID's workspace.
+// lower TID's workspace. A decide travels by pointer: the coordinator boxes it
+// once for every receiver, nobody modifies it, and each worker's ack carries
+// it back (msgApplied).
 type msgDecide struct {
 	Epoch  int64
 	Round  int
@@ -104,11 +108,11 @@ type msgChainRelease struct {
 
 // msgApplied acknowledges that a worker installed the batch's writes (or
 // closed the chain). The round's responses left at its decide; the acks only
-// gate the chain's dispatch, the snapshot and the commit slot's release.
-type msgApplied struct {
-	Epoch int64
-	Round int
-}
+// gate the chain's dispatch, the snapshot and the commit slot's release. It
+// echoes the decide it acknowledges, whose Epoch and Round it answers: a
+// struct of one pointer is stored in an interface as it is, so sending the ack
+// allocates nothing.
+type msgApplied struct{ *msgDecide }
 
 // msgTakeSnapshot asks workers to persist their committed stores. Epoch
 // is the coordination epoch the snapshot aligns with: a delayed copy

@@ -15,6 +15,7 @@ package stateflow
 
 import (
 	"fmt"
+	"strconv"
 
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
@@ -83,8 +84,13 @@ type globalApply struct {
 	man     *batchManifest
 }
 
+// applyID is "gapply-<seq>-<shard>", built in a stack buffer: the one
+// allocation is the string.
 func applyID(seq int64, shard int) string {
-	return fmt.Sprintf("gapply-%d-%d", seq, shard)
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "gapply-"...), seq, 10)
+	b = strconv.AppendInt(append(b, '-'), int64(shard), 10)
+	return string(b)
 }
 
 // pending is the apply as the transaction the coordinator's epoch

@@ -46,7 +46,6 @@
 package stateflow
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -558,13 +557,12 @@ func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []in
 		return nil
 	}
 	// A written entity joins the write-set if the transaction created it
-	// (the overlay has no image of it) or left an image different from the
-	// one it started on — the overlay row, which the attempt could not
+	// (the overlay has no image of it) or wrote a slot value that encodes
+	// differently from the overlay row's, which the attempt could not
 	// mutate; a write that stored what was already there keeps the member
 	// read-only and out of its shard's apply.
-	ws.Written(func(ref interp.EntityRef, row *interp.Row) {
-		base, exists := b.overlay.Lookup(ref)
-		if !exists || !bytes.Equal(row.Encoding(), base.Encoding()) {
+	ws.Written(func(ref interp.EntityRef, changed bool) {
+		if changed {
 			b.dirty[ref] = true
 		}
 	})

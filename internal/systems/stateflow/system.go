@@ -454,7 +454,7 @@ func failureContract(roles map[string][]string) chaos.Topology {
 		},
 		DupSafe: func(from, to string, msg sim.Message) bool {
 			switch msg.(type) {
-			case msgTxnFinished, msgDecide, msgApplied, msgChainRelease,
+			case msgTxnFinished, *msgDecide, msgApplied, msgChainRelease,
 				msgTakeSnapshot, msgSnapshotDone, msgRecover, msgRecovered,
 				msgFence, msgFenceAck, msgUnfence, msgUnfenceAck,
 				msgGlobalApply,

@@ -38,7 +38,7 @@ import (
 // list, and liveEpoch reuses it — workspace map included — for a later
 // epoch.
 type workerEpoch struct {
-	workspaces map[aria.TID]*aria.Workspace
+	workspaces map[aria.TID]*txnWork
 	round      int
 	// plan is set by a batch decide that schedules a fallback (see
 	// aria.ChainPlan): the epoch's re-executions are gated by its per-entity
@@ -46,6 +46,15 @@ type workerEpoch struct {
 	// workers see only a few members of a chain, many none.
 	plan  *aria.ChainPlan
 	chain *workerChain
+}
+
+// txnWork is one transaction's part on this worker in one epoch, made in one
+// allocation: its workspace, and the node that ships the workspace's
+// reservation set along the transaction's round-0 call chain (see shipSets).
+// Finishes carry pointers into it, so it may outlive the epoch.
+type txnWork struct {
+	ws   aria.Workspace
+	sets rwSets
 }
 
 // workerChain is one worker's progress through an epoch's chain, and parked
@@ -185,7 +194,7 @@ func (w *Worker) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	switch m := msg.(type) {
 	case msgTxnEvent:
 		w.onTxnEvent(ctx, m)
-	case msgDecide:
+	case *msgDecide:
 		w.onDecide(ctx, m)
 	case msgChainRelease:
 		w.onChainRelease(ctx, m)
@@ -196,16 +205,17 @@ func (w *Worker) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	}
 }
 
-func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *aria.Workspace {
-	ws, ok := ep.workspaces[tid]
+func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *txnWork {
+	tw, ok := ep.workspaces[tid]
 	if !ok {
 		if ep.workspaces == nil {
-			ep.workspaces = map[aria.TID]*aria.Workspace{}
+			ep.workspaces = map[aria.TID]*txnWork{}
 		}
-		ws = aria.NewWorkspace(tid, w.committed)
-		ep.workspaces[tid] = ws
+		tw = new(txnWork)
+		tw.ws.Open(tid, w.committed)
+		ep.workspaces[tid] = tw
 	}
-	return ws
+	return tw
 }
 
 // onTxnEvent executes one dataflow event of a transaction on this
@@ -234,11 +244,11 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 		}
 	}
 	costs := w.sys.cfg.Costs
-	ws := w.workspace(ep, m.TID)
-	ev := w.execute(ctx, m.Ev, ws)
+	tw := w.workspace(ep, m.TID)
+	ev := w.execute(ctx, m.Ev, &tw.ws)
 	var sets *rwSets
 	if m.Round == 0 {
-		sets = w.shipSets(ctx, m.Sets, &ws.RW)
+		sets = w.shipSets(ctx, m.Sets, tw)
 	}
 	if ev.Kind == core.EvResponse {
 		ctx.Send(w.sys.coordID, msgTxnFinished{
@@ -260,12 +270,12 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 
 // shipSets returns the reservation sets a round-0 event leaving this worker
 // carries: the ones it arrived with, plus this worker's own the first time
-// the call chain leaves here. With the fallback phase on, each set shipped is
-// priced: serializing the footprint a conflict abort queues on is work the
-// legacy protocol never paid.
-func (w *Worker) shipSets(ctx *sim.Context, in *rwSets, rw *aria.RWSet) *rwSets {
+// the call chain leaves here, in the node tw keeps for it. With the fallback
+// phase on, each set shipped is priced: serializing the footprint a conflict
+// abort queues on is work the legacy protocol never paid.
+func (w *Worker) shipSets(ctx *sim.Context, in *rwSets, tw *txnWork) *rwSets {
 	for s := in; s != nil; s = s.next {
-		if s.rw == rw {
+		if s == &tw.sets {
 			return in
 		}
 	}
@@ -273,7 +283,8 @@ func (w *Worker) shipSets(ctx *sim.Context, in *rwSets, rw *aria.RWSet) *rwSets 
 		ctx.Work(cpu)
 		w.Breakdown.Add(obs.TxnValidation, cpu)
 	}
-	return &rwSets{rw: rw, next: in}
+	tw.sets = rwSets{rw: &tw.ws.RW, next: in}
+	return &tw.sets
 }
 
 // execute runs one event against store, charging the cost-model CPU
@@ -454,9 +465,9 @@ func (w *Worker) settleChained(ctx *sim.Context, ep *workerEpoch, member int, co
 		return
 	}
 	tid := ep.plan.Members[member]
-	if ws, ok := ep.workspaces[tid]; ok {
+	if tw, ok := ep.workspaces[tid]; ok {
 		if commit {
-			w.install(ctx, ws)
+			w.install(ctx, &tw.ws)
 		}
 		delete(ep.workspaces, tid)
 	}
@@ -513,7 +524,7 @@ func (w *Worker) commitWork(ctx *sim.Context, bytes int) {
 // now, against exactly the committed prefix they were waiting for. (The
 // final decide of a chain finds only the workspaces whose release is still
 // in flight; the releases installed the rest.)
-func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
+func (w *Worker) onDecide(ctx *sim.Context, m *msgDecide) {
 	ep, stale := w.reached(m.Epoch, m.Round)
 	if stale {
 		return
@@ -523,8 +534,8 @@ func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
 			if _, dropped := slices.BinarySearch(m.Aborts, tid); dropped {
 				continue
 			}
-			if ws, ok := ep.workspaces[tid]; ok {
-				w.install(ctx, ws)
+			if tw, ok := ep.workspaces[tid]; ok {
+				w.install(ctx, &tw.ws)
 			}
 		}
 	}
@@ -541,8 +552,7 @@ func (w *Worker) onDecide(ctx *sim.Context, m msgDecide) {
 		clear(ep.workspaces)
 		ep.plan = m.Chain
 	}
-	ctx.Send(w.sys.coordID, msgApplied{Epoch: m.Epoch, Round: m.Round},
-		w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	ctx.Send(w.sys.coordID, msgApplied{m}, w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	if m.Final {
 		w.releaseBuffered(ctx, m.Epoch+1)
 	}

@@ -2,11 +2,11 @@
 // StateFlow layers over the dataflow (§3): an extension of Aria (Lu et
 // al., VLDB 2020). Root invocations are grouped into batches (epochs);
 // every transaction in a batch executes optimistically against the state
-// as of the batch start, buffering writes in a per-transaction workspace
-// and recording read/write reservations. When the whole batch has
-// finished executing, the coordinator validates the reservations every
-// worker shipped with the batch's finishes into a deterministic global
-// decision.
+// as of the batch start, buffering the slot values it writes in a
+// per-transaction workspace and recording read/write reservations. When
+// the whole batch has finished executing, the coordinator validates the
+// reservations every worker shipped with the batch's finishes into a
+// deterministic global decision.
 // Committed workspaces apply in TID order; aborted transactions are
 // re-queued into the next batch.
 //
@@ -16,8 +16,8 @@
 // transaction touched (plus a whole-entity bit for existence checks,
 // creations and slots past the bitmap). Two transactions that touch
 // disjoint attributes of the same entity no longer conflict; committed
-// writes apply slot-by-slot so disjoint updates merge instead of
-// clobbering each other.
+// writes apply slot-by-slot into the committed row in place, so disjoint
+// updates merge instead of clobbering each other.
 package aria
 
 import (
@@ -26,6 +26,7 @@ import (
 
 	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/state"
 )
 
@@ -164,29 +165,35 @@ func (rw *RWSet) Keys(buf []ResKey) []ResKey {
 }
 
 // wsEntry is one entity inside a workspace — its interp.State view, its
-// committed image and, once written, its buffered working copy. Every
-// access names a layout slot, so reservations are slot-granular.
+// committed image and the slot values the transaction buffered over it.
+// Every access names a layout slot, so reservations are slot-granular.
 type wsEntry struct {
 	ws  *Workspace
 	ref interp.EntityRef
 	res int // position of the entity's reservation in ws.RW.entries
 	// base is the committed image as of the latest Lookup (nil if the
-	// entity does not exist there); row, when present, shadows it.
+	// entity does not exist there: the transaction created it).
 	base *interp.Row
-	row  *interp.Row // private copy of the committed image, made on first write or container read
+	// vals buffers the slots the transaction wrote, plus private copies of
+	// the committed lists and dicts it read (committedContainer), one entry
+	// per slot, in first-touch order; they shadow base. The first lives in
+	// first, so an entry must not be copied once used.
+	vals  []interp.SlotValue
+	first [1]interp.SlotValue
 	// wroteBits marks written slots; EntityBit set means the whole row
 	// must be installed on apply (created, or a slot past the bitmap).
-	// Zero means the copy was only read from (committedContainer).
+	// Zero means the buffer was only read from (committedContainer).
 	wroteBits Bits
 	created   bool
 }
 
 // Workspace is the per-transaction optimistic execution context on one
 // worker: reads hit the committed store (plus the transaction's own
-// writes), writes buffer locally in row working copies, and reservations
-// accumulate for validation. The reservation set and the first
-// inlineEntities entities live inside the workspace, so a typical
-// transaction allocates the workspace and nothing else until it writes.
+// writes), writes buffer as slot values inside the workspace, and
+// reservations accumulate for validation. The reservation set, the first
+// inlineEntities entities and the first value each of them buffers live
+// inside the workspace, so a typical transaction allocates the workspace
+// and nothing else. A workspace must not be copied once used.
 type Workspace struct {
 	TID       TID
 	committed *state.Store
@@ -204,7 +211,16 @@ type Workspace struct {
 
 // NewWorkspace opens a workspace for tid over the committed store.
 func NewWorkspace(tid TID, committed *state.Store) *Workspace {
-	return &Workspace{TID: tid, committed: committed}
+	ws := new(Workspace)
+	ws.Open(tid, committed)
+	return ws
+}
+
+// Open makes ws an empty workspace for tid over the committed store, in
+// place: a caller that keeps the workspace inside a larger record opens it
+// there instead of allocating it on its own.
+func (ws *Workspace) Open(tid TID, committed *state.Store) {
+	*ws = Workspace{TID: tid, committed: committed}
 }
 
 // resKey interns the entity reference as a reservation key.
@@ -270,68 +286,97 @@ func (ws *Workspace) touch(ref interp.EntityRef) *wsEntry {
 func (e *wsEntry) read(b Bits)  { e.ws.RW.entries[e.res].reads |= b }
 func (e *wsEntry) write(b Bits) { e.ws.RW.entries[e.res].writes |= b }
 
-// own returns the entity's private working row, cloning the committed
-// image on first touch.
-func (e *wsEntry) own() *interp.Row {
-	if e.row == nil {
-		if e.base != nil {
-			e.row = e.base.Clone()
-		} else {
-			e.row = e.ws.committed.NewRow(e.ref.Class)
+// buffered returns the position of slot's value in vals, or -1.
+func (e *wsEntry) buffered(slot int) int {
+	for i := range e.vals {
+		if e.vals[i].Slot == slot {
+			return i
 		}
 	}
-	return e.row
+	return -1
 }
 
-func (e *wsEntry) readRow() *interp.Row {
-	if e.row != nil {
-		return e.row
+// buffer sets slot's value in vals.
+func (e *wsEntry) buffer(slot int, v interp.Value) {
+	if i := e.buffered(slot); i >= 0 {
+		e.vals[i].V = v
+		return
 	}
-	return e.base
+	if e.vals == nil {
+		e.vals = e.first[:0]
+	}
+	e.vals = append(e.vals, interp.SlotValue{Slot: slot, V: v})
 }
 
-// committedContainer reports whether v, just read through readRow, is a
-// list or dict the committed image still owns. The interpreter mutates
-// containers in place and only afterwards re-stores them
-// (touchStateAttr), so handing one out would let an aborted or void
-// attempt leave its mutation behind in committed state; the caller reads
-// it from the workspace's own copy of the row (own) instead.
-func (e *wsEntry) committedContainer(v interp.Value) bool {
-	return (v.Kind == interp.KList || v.Kind == interp.KDict) && e.row == nil
+// owned reports whether the entry shadows the committed store: the
+// transaction created the entity or buffered a value of it.
+func (e *wsEntry) owned() bool { return e.created || len(e.vals) > 0 }
+
+// committedContainer reports whether v, just read from the committed image,
+// is a list or dict. The interpreter mutates containers in place and only
+// afterwards re-stores them (touchStateAttr), so handing one out would let
+// an aborted or void attempt leave its mutation behind in committed state;
+// the caller buffers a private copy (Value.Clone) and hands out that.
+func committedContainer(v interp.Value) bool {
+	return v.Kind == interp.KList || v.Kind == interp.KDict
 }
 
 // GetSlot implements interp.State: own writes first, then the committed
 // image.
 func (e *wsEntry) GetSlot(slot int) (interp.Value, bool) {
 	e.read(SlotBit(slot))
-	r := e.readRow()
-	if r == nil {
+	if i := e.buffered(slot); i >= 0 {
+		return e.vals[i].V, true
+	}
+	if e.base == nil {
 		return interp.None, false
 	}
-	v, ok := r.GetSlot(slot)
-	if ok && e.committedContainer(v) {
-		return e.own().GetSlot(slot)
+	v, ok := e.base.GetSlot(slot)
+	if ok && committedContainer(v) {
+		v = v.Clone()
+		e.buffer(slot, v)
 	}
 	return v, ok
 }
 
-// SetSlot implements interp.State: copy-on-first-write into the
-// workspace.
+// SetSlot implements interp.State: the value is buffered in the workspace.
 func (e *wsEntry) SetSlot(slot int, v interp.Value) {
-	row := e.own()
 	if slot < 63 {
 		b := SlotBit(slot)
 		e.write(b)
 		e.wroteBits |= b
 	} else {
-		// A slot past the bitmap: Apply installs the whole working row, so
-		// the reservation must cover every slot — otherwise a lower-TID
-		// slot write would pass validation and then be reverted by the row
+		// A slot past the bitmap: Apply installs the whole row, so the
+		// reservation must cover every slot — otherwise a lower-TID slot
+		// write would pass validation and then be reverted by the row
 		// install.
 		e.write(AllBits)
 		e.wroteBits |= EntityBit
 	}
-	row.SetSlot(slot, v)
+	e.buffer(slot, v)
+}
+
+// layout returns the entity's class layout.
+func (e *wsEntry) layout() *ir.ClassLayout {
+	if e.base != nil {
+		return e.base.Layout()
+	}
+	return e.ws.committed.Layouts().LayoutOf(e.ref.Class)
+}
+
+// image builds the row a whole-entity write installs: the committed image
+// (or, for a creation, an empty row) with every buffered value set over it.
+func (e *wsEntry) image() *interp.Row {
+	var row *interp.Row
+	if e.base != nil {
+		row = e.base.Clone()
+	} else {
+		row = interp.NewRow(e.layout())
+	}
+	for _, sv := range e.vals {
+		row.SetSlot(sv.Slot, sv.V)
+	}
+	return row
 }
 
 // Lookup implements core.Store for the executor. Absence is an
@@ -341,7 +386,7 @@ func (e *wsEntry) SetSlot(slot int, v interp.Value) {
 // validate as definitive even though the serial order creates the entity
 // first.
 func (ws *Workspace) Lookup(ref interp.EntityRef) (interp.State, bool) {
-	if e := ws.find(ref); e != nil && e.row != nil {
+	if e := ws.find(ref); e != nil && e.owned() {
 		e.read(EntityBit)
 		return e, true
 	}
@@ -368,57 +413,58 @@ func (ws *Workspace) Create(ref interp.EntityRef, ctor func(interp.State) error)
 		return fmt.Errorf("entity %s already exists", ref)
 	}
 	e.write(AllBits)
-	e.base, e.row = nil, ws.committed.NewRow(ref.Class)
+	e.base, e.vals = nil, nil
 	e.wroteBits, e.created = AllBits, true
 	return ctor(e)
 }
 
-// Written calls fn for every entity the transaction buffered a write for,
-// with its working row. The global sequencer derives a batch's write-sets
-// from it.
-func (ws *Workspace) Written(fn func(ref interp.EntityRef, row *interp.Row)) {
+// Written calls fn for every entity the transaction buffered a write for.
+// changed reports whether installing it would change the entity's encoding
+// in the committed store: the transaction created the entity, or some
+// buffered value encodes differently from the committed one. The global
+// sequencer derives a batch's write-sets from it.
+func (ws *Workspace) Written(fn func(ref interp.EntityRef, changed bool)) {
 	for i := 0; i < ws.n; i++ {
 		if e := ws.at(i); e.wroteBits != 0 {
-			fn(e.ref, e.row)
+			base, exists := ws.committed.Lookup(e.ref)
+			fn(e.ref, !exists || !base.Holds(e.vals))
 		}
 	}
 }
 
 // Apply installs the workspace's buffered writes into the committed
-// store. Whole-entity writes (creations, slots past the bitmap) install the
-// working row; plain attribute writes merge slot-by-slot so lower-TID
-// writes to disjoint slots survive. Callers must apply committed
-// workspaces in TID order. (Within one workspace the entities are
-// distinct, so their order does not matter.)
+// store. Whole-entity writes (creations, slots past the bitmap) install a
+// row built from the buffer; plain attribute writes set the written slots
+// into the committed row in place, so lower-TID writes to disjoint slots
+// survive. Callers must apply committed workspaces in TID order. (Within
+// one workspace the entities are distinct, so their order does not matter.)
 func (ws *Workspace) Apply(dst *state.Store) {
 	for i := 0; i < ws.n; i++ {
 		e := ws.at(i)
 		if e.wroteBits == 0 {
-			continue // read-only: no copy, or a private copy only read from
+			continue // read-only, or only private container copies read from
 		}
 		base, exists := dst.Lookup(e.ref)
 		if !exists || e.created || e.wroteBits&EntityBit != 0 {
-			dst.Put(e.ref, e.row)
+			dst.Put(e.ref, e.image())
 			continue
 		}
-		for slot := 0; slot < 63; slot++ {
-			if e.wroteBits&(1<<uint(slot)) == 0 {
-				continue
-			}
-			if v, ok := e.row.GetSlot(slot); ok {
-				base.SetSlot(slot, v)
+		for _, sv := range e.vals {
+			if e.wroteBits&SlotBit(sv.Slot) != 0 {
+				base.SetSlot(sv.Slot, sv.V)
 			}
 		}
 	}
 }
 
-// WriteBytes estimates the serialized size of the buffered writes (used
-// by the worker cost model when applying a commit).
+// WriteBytes is the serialized size of the rows Apply installs — the
+// committed images with the buffered values over them — computed without
+// building them (the worker cost model charges a commit by it).
 func (ws *Workspace) WriteBytes() int {
 	total := 0
 	for i := 0; i < ws.n; i++ {
 		if e := ws.at(i); e.wroteBits != 0 {
-			total += e.row.EncodedSize()
+			total += interp.EncodedSizeWith(e.layout(), e.base, e.vals)
 		}
 	}
 	return total

@@ -533,7 +533,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 	st, _ := ws.Lookup(ref("x"))
 	v, _ := st.GetSlot(slotOf(t, "xs"))
 	v.L.Elems = append(v.L.Elems, interp.IntV(2))
-	ws.Written(func(interp.EntityRef, *interp.Row) { t.Fatal("a read counted as a write") })
+	ws.Written(func(interp.EntityRef, bool) { t.Fatal("a read counted as a write") })
 	if ws.WriteBytes() != 0 {
 		t.Fatal("a read counted toward write bytes")
 	}

@@ -210,7 +210,7 @@ func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 		t.Fatalf("touched %d entities", got)
 	}
 	written := map[string]bool{}
-	ws.Written(func(r interp.EntityRef, _ *interp.Row) { written[r.Key] = true })
+	ws.Written(func(r interp.EntityRef, _ bool) { written[r.Key] = true })
 	if len(written) != entities/2+3 { // odd entities, e00, fresh, made
 		t.Fatalf("written set: %v", written)
 	}
