@@ -37,9 +37,9 @@ var componentNames = [numComponents]string{
 func (c Component) String() string { return componentNames[c] }
 
 // Breakdown accumulates time attributed to runtime components (the §4
-// overhead experiment). The StateFlow worker and both StateFun components
-// charge it once per cost-model ctx.Work, so the event path indexes a fixed
-// array; component names appear only when a table is rendered.
+// overhead experiment). The StateFlow worker charges it once per cost-model
+// ctx.Work, so the event path indexes a fixed array; component names appear
+// only when a table is rendered.
 type Breakdown struct {
 	buckets [numComponents]time.Duration
 	counts  [numComponents]int

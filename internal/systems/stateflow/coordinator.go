@@ -257,9 +257,9 @@ type Coordinator struct {
 	// (onSeqFenceQuery): an apply from a lower one is dropped. Inside a
 	// fence window every open marker records it, so a reboot keeps it.
 	ballot int64
-	// parkWatch is the batch id a live fence-park watchdog chain covers
-	// (0: none) — at most one chain per park (see onFenceParkTick).
-	parkWatch int64
+	// parkAt is the deadline of the park watchdog last armed
+	// (armParkWatchdog); a reboot clears it.
+	parkAt time.Duration
 	// fencedAt is when the shard parked (trace-span start of the fence
 	// window). Purely observational.
 	fencedAt time.Duration
@@ -329,7 +329,7 @@ func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 	case msgGlobalApply:
 		c.onGlobalApply(ctx, m)
 	case msgFenceParkTick:
-		c.onFenceParkTick(ctx, m)
+		c.onFenceParkTick(ctx)
 	case msgSeqFenceQuery:
 		c.onSeqFenceQuery(ctx, from, m)
 	}
@@ -1069,10 +1069,12 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	// binding replay, instead of resuming normal epochs between the
 	// sequencer's reads and its writes.
 	c.scanFenceState()
-	if c.fenced {
-		// The crash voided any pre-crash watchdog chain; a rebuilt park
-		// needs a fresh one.
-		c.armParkWatchdog(ctx, c.fenceSeq)
+	if c.fenced && ctx.Now() >= c.parkAt {
+		// A rebuilt park needs a watchdog unless one is due: a stall
+		// recovery keeps the live one. A reboot cleared parkAt, so a tick
+		// armed before the crash fires before the new deadline and is
+		// dropped.
+		c.armParkWatchdog(ctx)
 	}
 	clear(c.recovered)
 	c.snapshotID = snapID
@@ -1131,7 +1133,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	// raising the completed high-water mark the checkpoint carried.
 	c.fencePending, c.fenceSeq = msgFence{}, 0
 	c.fenced, c.fenceApply, c.ballot = false, nil, 0
-	c.parkWatch = 0
+	c.parkAt = 0
 	c.reads, c.held = nil, nil
 	img := c.journal.restore(ctx)
 	c.CorruptLogRecords += img.corrupt

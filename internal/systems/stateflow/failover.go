@@ -49,7 +49,11 @@
 // abandon, re-serve under the fence: that is all of it.
 package stateflow
 
-import "statefulentities.dev/stateflow/internal/sim"
+import (
+	"slices"
+
+	"statefulentities.dev/stateflow/internal/sim"
+)
 
 // ---------------------------------------------------------------------------
 // The rebooted sequencer.
@@ -63,7 +67,7 @@ func (q *Sequencer) OnRestart(ctx *sim.Context) {
 	q.queue = nil
 	q.nextSeq = 0
 	q.inFlight = map[string]bool{}
-	q.reports = map[int]msgSeqFenceReport{}
+	q.reports = make([]*msgSeqFenceReport, len(q.sys.shards))
 	q.recovering = true
 	q.ballot = int64(ctx.Now())
 	if f := q.sys.cfg.Flight; f.Enabled() {
@@ -74,22 +78,9 @@ func (q *Sequencer) OnRestart(ctx *sim.Context) {
 		ctx.Send(sh.coordID, msgSeqFenceQuery{Ballot: q.ballot},
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
-	ctx.After(q.sys.cfg.StallTimeout, msgSeqRecoverTick{})
-}
-
-// onRecoverTick re-queries shards that have not reported yet (the query
-// or its report was lost, or the shard was itself mid-recovery).
-func (q *Sequencer) onRecoverTick(ctx *sim.Context, _ msgSeqRecoverTick) {
-	if !q.recovering {
-		return
-	}
-	for i, sh := range q.sys.shards {
-		if _, ok := q.reports[i]; !ok {
-			ctx.Send(sh.coordID, msgSeqFenceQuery{Ballot: q.ballot},
-				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-		}
-	}
-	ctx.After(q.sys.cfg.StallTimeout, msgSeqRecoverTick{})
+	// A tick the dead incarnation armed fires before this one's deadline,
+	// so it re-sends nothing on this incarnation's behalf (onTick).
+	q.armTick(ctx)
 }
 
 func (q *Sequencer) onFenceReport(ctx *sim.Context, from string, m msgSeqFenceReport) {
@@ -97,11 +88,11 @@ func (q *Sequencer) onFenceReport(ctx *sim.Context, from string, m msgSeqFenceRe
 	if !ok || !q.recovering || idx != m.Shard {
 		return
 	}
-	if _, dup := q.reports[idx]; dup {
+	if q.reports[idx] != nil {
 		return
 	}
-	q.reports[idx] = m
-	if len(q.reports) == len(q.sys.shards) {
+	q.reports[idx] = &m
+	if !slices.Contains(q.reports, nil) {
 		q.completeRecovery(ctx)
 	}
 }
@@ -112,24 +103,13 @@ func (q *Sequencer) onFenceReport(ctx *sim.Context, from string, m msgSeqFenceRe
 // does — nothing committed, nothing was released).
 func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	q.recovering = false
-	fencedSeq := map[int]int64{}
 	var apply *globalApply
-	for i := 0; i < len(q.sys.shards); i++ {
-		r := q.reports[i]
-		if r.FenceSeq > q.nextSeq {
-			q.nextSeq = r.FenceSeq
-		}
-		if r.FenceDone > q.nextSeq {
-			q.nextSeq = r.FenceDone
-		}
-		if r.Fenced {
-			fencedSeq[i] = r.FenceSeq
-			if apply == nil {
-				apply = r.Apply
-			}
+	for _, r := range q.reports {
+		q.nextSeq = max(q.nextSeq, r.FenceSeq, r.FenceDone)
+		if r.Fenced && apply == nil {
+			apply = r.Apply
 		}
 	}
-	q.reports = nil
 	if apply != nil {
 		q.rederiveBatch(ctx, apply.man)
 	}
@@ -138,20 +118,25 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	// set when the batch is being abandoned. Their fence watchdogs would
 	// surface them eventually (maybeReleaseOrphan); releasing here saves
 	// the stall timeout.
-	released := false
-	for _, idx := range sortedShards(fencedSeq) {
-		if b := q.cur; b != nil && b.footprint[idx] && fencedSeq[idx] == b.seq {
+	fenced, released := 0, false
+	for idx, r := range q.reports {
+		if !r.Fenced {
+			continue
+		}
+		fenced++
+		if b := q.cur; b != nil && b.parts[idx].member && r.FenceSeq == b.seq {
 			continue
 		}
 		released = true
-		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: fencedSeq[idx]},
+		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: r.FenceSeq},
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
+	q.reports = nil
 	if released && q.cur == nil {
 		q.AbortedBatches++
 		if f := q.sys.cfg.Flight; f.Enabled() {
 			f.Recordf(ctx.Now(), q.sys.seqID, "failover",
-				"abandoned uncommitted batch: unfenced %d shards, clients will retry", len(fencedSeq))
+				"abandoned uncommitted batch: unfenced %d shards, clients will retry", fenced)
 		}
 	}
 	if q.cur == nil {
@@ -174,21 +159,11 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 // waits for the batch instead of opening a fence window behind it.
 func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 	q.RederivedBatches++
-	b := &globalBatch{
-		seq:          man.seq,
-		phase:        gApplying,
-		openedAt:     ctx.Now(),
-		phaseAt:      ctx.Now(),
-		footprint:    map[int]bool{},
-		fenceAcked:   map[int]bool{},
-		unfenceAcked: map[int]bool{},
-		rederived:    true,
-		man:          man,
-		applied:      map[int]bool{},
-	}
+	b := q.newBatch(ctx, man.seq, gApplying)
+	b.rederived, b.man = true, man
 	for _, idx := range man.footprint {
-		b.footprint[idx] = true
-		b.fenceAcked[idx] = true
+		b.fence(idx)
+		b.parts[idx].acked = true
 	}
 	for _, mt := range man.txns {
 		q.inFlight[mt.req] = true
@@ -196,12 +171,11 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 	if man.seq > q.nextSeq {
 		q.nextSeq = man.seq
 	}
-	q.cur = b
 	if f := q.sys.cfg.Flight; f.Enabled() {
 		f.Recordf(ctx.Now(), q.sys.seqID, "failover",
 			"re-derived batch %d from durable manifest: %d txns, %d applies, rolling forward",
 			man.seq, len(man.txns), len(man.applies))
 	}
 	q.sendApplies(ctx, b)
-	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{Seq: b.seq})
+	q.armTick(ctx)
 }

@@ -2,6 +2,7 @@ package stateflow
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -720,5 +721,76 @@ func TestDroppedFenceDrainsTheBacklog(t *testing.T) {
 	to, _ := fx.sys.EntityState("Account", b)
 	if from["balance"].I != 95 || to["balance"].I != 105 {
 		t.Fatalf("balances %d/%d, want 95/105", from["balance"].I, to["balance"].I)
+	}
+}
+
+// TestFailoverDropsAPredecessorsWatchdog: every fence report is lost, so a
+// rebooted sequencer keeps re-querying the shards once per stall timeout.
+// It reboots at t1, dies again half a stall timeout later and reboots at t2,
+// before its first incarnation's timer is due. That timer still fires — the
+// crash voids sends, not timers — but it belongs to a dead incarnation: the
+// queries must go out at t1, at t2 and one stall timeout after t2, and at no
+// other instant.
+func TestFailoverDropsAPredecessorsWatchdog(t *testing.T) {
+	fx := newFailoverFixture(t)
+	st := DefaultConfig().StallTimeout
+	fx.cluster.SetPerturb(func(_, _ string, _ time.Duration, msg sim.Message) sim.Perturb {
+		_, report := msg.(msgSeqFenceReport)
+		return sim.Perturb{Drop: report}
+	})
+	queries := map[time.Duration]int{} // send instant -> queries sent then
+	fx.cluster.SetTap(func(from, _ string, sentAt, _ time.Duration, msg sim.Message) {
+		if _, ok := msg.(msgSeqFenceQuery); ok && from == fx.sys.seqID {
+			queries[sentAt]++
+		}
+	})
+	t1 := fx.cluster.Now() + 10*time.Millisecond
+	t2 := t1 + 3*st/4
+	fx.cluster.ScheduleCrash(fx.sys.seqID, fx.cluster.Now(), t1)
+	fx.cluster.ScheduleCrash(fx.sys.seqID, t1+st/2, t2)
+	fx.cluster.RunUntil(t2 + 3*st/2)
+
+	want := map[time.Duration]int{t1: 2, t2: 2, t2 + st: 2}
+	if q := fx.sys.Sequencer(); q.Failovers != 2 || !q.recovering || !maps.Equal(queries, want) {
+		t.Fatalf("failovers=%d recovering=%v, queries sent %v; want 2 reboots still recovering and queries %v",
+			q.Failovers, q.recovering, queries, want)
+	}
+}
+
+// TestFailoverRebootedParkRunsOneWatchdog: both shards park for a transfer
+// and the sequencer is held down, so nothing unfences them. Shard 0's
+// coordinator reboots inside the park, half a stall timeout after it, and
+// its restart scan rebuilds the park with a fresh watchdog. The watchdog the
+// first incarnation armed still fires; it must not keep re-acking beside the
+// new one — the bare re-acks come one chain's stall timeout apart, not two
+// chains interleaved.
+func TestFailoverRebootedParkRunsOneWatchdog(t *testing.T) {
+	fx := newFailoverFixture(t)
+	st := DefaultConfig().StallTimeout
+	shard0 := fx.sys.Shards()[0]
+	var reacks []time.Duration
+	fx.cluster.SetTap(func(from, _ string, sentAt, _ time.Duration, msg sim.Message) {
+		// A bare re-ack answers no fence: it carries no lists at all.
+		if ack, ok := msg.(msgFenceAck); ok && from == shard0.coordID && ack.Admit == nil && ack.Known == nil {
+			reacks = append(reacks, sentAt)
+		}
+	})
+	fx.transfer()
+	fx.stepUntil("both shards parked", func() bool { return fx.parked() == 2 })
+	park := fx.cluster.Now()
+	fx.cluster.ScheduleCrash(fx.sys.seqID, park, park+4*st)
+	fx.cluster.ScheduleCrash(shard0.coordID, park+st/4, park+st/2)
+	fx.cluster.RunUntil(park + 4*st)
+
+	if c := shard0.Coordinator(); c.Restarts != 1 || !c.fenced || c.fenceSeq != 1 {
+		t.Fatalf("restarts=%d fenced=%v on %d, want shard 0 parked on batch 1 after one restart", c.Restarts, c.fenced, c.fenceSeq)
+	}
+	if len(reacks) < 2 {
+		t.Fatalf("shard 0 re-acked at %v, want at least two re-acks in the park", reacks)
+	}
+	for i := 1; i < len(reacks); i++ {
+		if reacks[i]-reacks[i-1] < st/2 {
+			t.Fatalf("shard 0 re-acked at %v: two watchdogs run in one park", reacks)
+		}
 	}
 }

@@ -127,18 +127,16 @@ func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
 		f.Recordf(ctx.Now(), c.sys.coordID, "fence", "parked for global batch %d", m.Seq)
 	}
 	c.ackFence(ctx, c.sys.seqID, m)
-	c.armParkWatchdog(ctx, m.Seq)
+	c.armParkWatchdog(ctx)
 	return true
 }
 
-// armParkWatchdog starts the fence-park watchdog chain for batch seq
-// (at most one live chain per park; see onFenceParkTick).
-func (c *Coordinator) armParkWatchdog(ctx *sim.Context, seq int64) {
-	if c.parkWatch == seq {
-		return
-	}
-	c.parkWatch = seq
-	ctx.After(c.sys.cfg.StallTimeout, msgFenceParkTick{Seq: seq})
+// armParkWatchdog starts the park watchdog: one re-ack a stall timeout
+// from now, re-armed for as long as the shard stays parked. The tick it
+// supersedes, if any, fires before the new deadline and is dropped.
+func (c *Coordinator) armParkWatchdog(ctx *sim.Context) {
+	c.parkAt = ctx.Now() + c.sys.cfg.StallTimeout
+	ctx.After(c.sys.cfg.StallTimeout, msgFenceParkTick{})
 }
 
 // onFenceParkTick re-acks the fence while the shard stays parked. In the
@@ -147,17 +145,15 @@ func (c *Coordinator) armParkWatchdog(ctx *sim.Context, seq int64) {
 // after the recovery handshake, or a park rebuilt by a restart that
 // swallowed the releasing unfence — which only this re-ack surfaces (the
 // sequencer answers it with the unfence, see maybeReleaseOrphan). The
-// chain dies with the park.
-func (c *Coordinator) onFenceParkTick(ctx *sim.Context, m msgFenceParkTick) {
-	if !c.fenced || m.Seq != c.fenceSeq {
-		if c.parkWatch == m.Seq {
-			c.parkWatch = 0
-		}
+// watchdog stops with the park; a tick before the armed deadline is an
+// orphan (see msgFenceParkTick).
+func (c *Coordinator) onFenceParkTick(ctx *sim.Context) {
+	if !c.fenced || ctx.Now() < c.parkAt {
 		return
 	}
-	ctx.Send(c.sys.seqID, msgFenceAck{Seq: m.Seq},
+	ctx.Send(c.sys.seqID, msgFenceAck{Seq: c.fenceSeq},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	ctx.After(c.sys.cfg.StallTimeout, msgFenceParkTick{Seq: m.Seq})
+	c.armParkWatchdog(ctx)
 }
 
 // onSeqFenceQuery answers a rebooted sequencer's recovery handshake with

@@ -252,17 +252,15 @@ type msgSeqFenceReport struct {
 	Apply     *globalApply
 }
 
-// msgSeqRecoverTick re-queries shards that have not reported their fence
-// state while the rebooted sequencer is still recovering.
-type msgSeqRecoverTick struct{}
-
 // msgFenceParkTick is the shard-side park watchdog: while the shard
-// stays fenced for Seq it periodically re-acks the fence to the
-// sequencer. A park can outlive the batch it was for — a fence from a dead
-// sequencer incarnation parks a shard *after* the recovery handshake
-// reported it unfenced (it was in flight across the crash), or the one
-// unfence of an abandoned batch is lost with the coordinator that was to
-// receive it and the restart scan rebuilds the park from its marker. The
-// re-ack is what surfaces such an orphan, and the sequencer answers with
-// the releasing unfence.
-type msgFenceParkTick struct{ Seq int64 }
+// stays fenced it periodically re-acks the fence to the sequencer. A park
+// can outlive the batch it was for — a fence from a dead sequencer
+// incarnation parks a shard *after* the recovery handshake reported it
+// unfenced (it was in flight across the crash), or the one unfence of an
+// abandoned batch is lost with the coordinator that was to receive it and
+// the restart scan rebuilds the park from its marker. The re-ack is what
+// surfaces such an orphan, and the sequencer answers with the releasing
+// unfence. It carries nothing: the coordinator keeps the deadline of the
+// last one it armed (parkAt), and a tick that fires before it — armed for
+// an earlier park, or by an incarnation since crashed — is dropped.
+type msgFenceParkTick struct{}

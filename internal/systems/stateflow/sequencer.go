@@ -38,6 +38,10 @@
 // the differential test pins both schedules byte-identical on
 // transcripts and committed state.
 //
+// A batch keeps its per-shard state by ring position (shardPart), so every
+// per-shard loop sends in ring order by construction, and one value-free
+// timer (msgSeqTick) guards whatever the sequencer waits on.
+//
 // The sequencer keeps no durable state, but it is crashable: every
 // global batch's recovery record (the manifest each logged apply points
 // at) and the fence window itself live in the shards' durable logs, so a
@@ -70,11 +74,15 @@ const (
 	gUnfencing
 )
 
-// msgSeqTick is the sequencer's per-batch stall timer: while a batch is
-// in flight it periodically re-sends whatever messages the current phase
-// is still waiting on (fences, applies, unfences), so any single loss or
-// shard crash-recovery converges.
-type msgSeqTick struct{ Seq int64 }
+// msgSeqTick is the sequencer's one stall timer: while a batch is in
+// flight it periodically re-sends whatever messages the current phase is
+// still waiting on (fences, applies, unfences), and while a rebooted
+// sequencer recovers it re-queries the shards that have not reported, so
+// any single loss or shard crash-recovery converges. It carries nothing:
+// the sequencer keeps the deadline of the last one it armed (tickAt), and a
+// tick that fires before it — armed for a batch since closed, or by an
+// incarnation since crashed — is an orphan and is dropped.
+type msgSeqTick struct{}
 
 // globalTxn is one client transaction riding a global batch.
 type globalTxn struct {
@@ -94,21 +102,18 @@ type globalBatch struct {
 	openedAt time.Duration
 	phaseAt  time.Duration
 
-	// footprint is the set of shard ring positions this batch fences:
-	// seeded from the transactions' statically known refs, grown by
-	// executions that reach an entity on a new shard. Shards outside it
-	// never see the batch. fenceAcked/unfenceAcked track per-shard acks.
-	footprint    map[int]bool
-	fenceAcked   map[int]bool
-	unfenceAcked map[int]bool
-
-	// admit and reads are each shard's lists as its fence carries them:
-	// the ids of the batch transactions homed there, in batch order, and
-	// the entities it owns that the batch reads, in the order they were
-	// needed. known collects the ids the shards' acks reported already
+	// footprint is the ring positions of the shards this batch fences, in
+	// ring order: seeded from the transactions' statically known refs,
+	// grown by executions that reach an entity on a new shard. Shards
+	// outside it never see the batch. parts holds the batch's business with
+	// each shard, indexed by ring position; applied and unfenced count the
+	// shards that acknowledged their apply and their unfence.
+	footprint []int
+	parts     []shardPart
+	applied   int
+	unfenced  int
+	// known collects the ids the shards' fence acks reported already
 	// answered.
-	admit map[int][]string
-	reads map[int][]interp.EntityRef
 	known map[string]bool
 
 	// rederived marks a batch rebuilt from a durable manifest after a
@@ -127,10 +132,24 @@ type globalBatch struct {
 	dirty   map[interp.EntityRef]bool
 
 	// man is the batch's manifest once execution is done (beginApply, or
-	// a failover's rederiveBatch); applied marks the shards whose apply is
-	// durably committed.
-	man     *batchManifest
-	applied map[int]bool
+	// a failover's rederiveBatch).
+	man *batchManifest
+}
+
+// shardPart is a global batch's business with one shard of the ring. admit
+// and reads are the lists the shard's fence carries: the ids of the batch
+// transactions homed there, in batch order, and the entities it owns that
+// the batch reads, in the order they were needed. apply is the shard's
+// slice of the manifest while beginApply builds it. The flags say whether
+// the shard is in the footprint, acked the fence, has a read list longer
+// than the last fence sent to it carried, and acknowledged its apply and
+// its unfence.
+type shardPart struct {
+	admit []string
+	reads []interp.EntityRef
+	apply *globalApply
+
+	member, acked, grown, applied, unfenced bool
 }
 
 // SequencerStats are the sequencing layer's canonical counters, exported
@@ -178,9 +197,12 @@ type Sequencer struct {
 	cur      *globalBatch
 
 	// recovering is true from reboot until every shard reported its
-	// fence state; reports accumulates those reports.
+	// fence state; reports holds those reports by ring position (nil: not
+	// reported yet).
 	recovering bool
-	reports    map[int]msgSeqFenceReport
+	reports    []*msgSeqFenceReport
+	// tickAt is the deadline of the stall timer last armed (armTick).
+	tickAt time.Duration
 	// ballot identifies this incarnation to the shards: its reboot instant,
 	// 0 for the first (failover.go).
 	ballot int64
@@ -211,11 +233,9 @@ func (q *Sequencer) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	case msgUnfenceAck:
 		q.onUnfenceAck(ctx, from, m)
 	case msgSeqTick:
-		q.onTick(ctx, m)
+		q.onTick(ctx)
 	case msgSeqFenceReport:
 		q.onFenceReport(ctx, from, m)
-	case msgSeqRecoverTick:
-		q.onRecoverTick(ctx, m)
 	}
 }
 
@@ -273,17 +293,35 @@ func (q *Sequencer) onRequest(ctx *sim.Context, msg sim.Message, m sysapi.MsgReq
 	}
 }
 
-// sortedShards flattens the keys of a shard-indexed map into ring order.
-// Like sortedRefs, every loop that sends messages (and samples link
-// delays) per shard walks through here so the RNG draw order is
-// deterministic.
-func sortedShards[V any](set map[int]V) []int {
-	out := make([]int, 0, len(set))
-	for idx := range set {
-		out = append(out, idx)
+// newBatch makes batch seq the one in flight, in the given phase, with a
+// part for every shard of the ring and an empty footprint.
+func (q *Sequencer) newBatch(ctx *sim.Context, seq int64, phase gPhase) *globalBatch {
+	b := &globalBatch{
+		seq:      seq,
+		phase:    phase,
+		openedAt: ctx.Now(),
+		phaseAt:  ctx.Now(),
+		parts:    make([]shardPart, len(q.sys.shards)),
+		known:    map[string]bool{},
+		overlay:  state.NewStore(q.sys.prog.Layouts()),
+		fetched:  map[interp.EntityRef]bool{},
+		dirty:    map[interp.EntityRef]bool{},
 	}
-	sort.Ints(out)
-	return out
+	q.cur = b
+	return b
+}
+
+// fence adds shard idx to the footprint, keeping it in ring order, and
+// reports whether it was outside. Every per-shard loop walks the footprint,
+// so messages go out — and link delays come off the RNG — in ring order.
+func (b *globalBatch) fence(idx int) bool {
+	if b.parts[idx].member {
+		return false
+	}
+	b.parts[idx].member = true
+	at, _ := slices.BinarySearch(b.footprint, idx)
+	b.footprint = slices.Insert(b.footprint, at, idx)
+	return true
 }
 
 // startBatch opens the next fence window over every queued global
@@ -292,37 +330,22 @@ func sortedShards[V any](set map[int]V) []int {
 func (q *Sequencer) startBatch(ctx *sim.Context) {
 	q.nextSeq++
 	q.GlobalBatches++
-	b := &globalBatch{
-		seq:          q.nextSeq,
-		txns:         q.queue,
-		phase:        gFencing,
-		openedAt:     ctx.Now(),
-		phaseAt:      ctx.Now(),
-		footprint:    map[int]bool{},
-		fenceAcked:   map[int]bool{},
-		unfenceAcked: map[int]bool{},
-		overlay:      state.NewStore(q.sys.prog.Layouts()),
-		fetched:      map[interp.EntityRef]bool{},
-		dirty:        map[interp.EntityRef]bool{},
-		admit:        map[int][]string{},
-		reads:        map[int][]interp.EntityRef{},
-		known:        map[string]bool{},
-	}
-	q.queue = nil
-	q.cur = b
+	b := q.newBatch(ctx, q.nextSeq, gFencing)
+	b.txns, q.queue = q.queue, nil
 	for _, t := range b.txns {
-		b.admit[t.home] = append(b.admit[t.home], t.req.Req)
+		home := &b.parts[t.home]
+		home.admit = append(home.admit, t.req.Req)
 		for _, ref := range refsOf(t.req) {
 			idx := q.sys.ShardOf(ref)
-			b.footprint[idx] = true
-			if !slices.Contains(b.reads[idx], ref) {
-				b.reads[idx] = append(b.reads[idx], ref)
+			b.fence(idx)
+			if p := &b.parts[idx]; !slices.Contains(p.reads, ref) {
+				p.reads = append(p.reads, ref)
 			}
 		}
 	}
 	if q.sys.cfg.FullFences {
 		for i := range q.sys.shards {
-			b.footprint[i] = true
+			b.fence(i)
 		}
 	}
 	if f := q.sys.cfg.Flight; f.Enabled() {
@@ -330,29 +353,38 @@ func (q *Sequencer) startBatch(ctx *sim.Context) {
 			"batch %d opened with %d txns", b.seq, len(b.txns))
 		f.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
 			"batch %d fences shards %v (%d of %d)",
-			b.seq, sortedShards(b.footprint), len(b.footprint), len(q.sys.shards))
+			b.seq, b.footprint, len(b.footprint), len(q.sys.shards))
 	}
-	for _, idx := range sortedShards(b.footprint) {
+	for _, idx := range b.footprint {
 		q.sendFence(ctx, b, idx)
 	}
-	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{Seq: b.seq})
+	q.armTick(ctx)
+}
+
+// armTick arms the stall timer for one stall timeout from now. The timer
+// it supersedes, if any, fires before the new deadline and is dropped.
+func (q *Sequencer) armTick(ctx *sim.Context) {
+	q.tickAt = ctx.Now() + q.sys.cfg.StallTimeout
+	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{})
 }
 
 // sendFence (re-)sends batch b's fence to one footprint shard, with the
 // shard's admission and read lists (either empty when the shard is home to
 // no member, or owns nothing the batch reads).
 func (q *Sequencer) sendFence(ctx *sim.Context, b *globalBatch, idx int) {
-	ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, Admit: b.admit[idx], Reads: b.reads[idx]},
+	p := &b.parts[idx]
+	ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, Admit: p.admit, Reads: p.reads},
 		q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // answered reports whether shard idx acked batch b's fence with a row for
 // every entity its read list names.
 func (b *globalBatch) answered(idx int) bool {
-	if !b.fenceAcked[idx] {
+	p := &b.parts[idx]
+	if !p.acked {
 		return false
 	}
-	for _, ref := range b.reads[idx] {
+	for _, ref := range p.reads {
 		if !b.fetched[ref] {
 			return false
 		}
@@ -366,11 +398,12 @@ func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
 		return
 	}
 	b := q.cur
-	if b == nil || m.Seq != b.seq || !b.footprint[idx] {
+	if b == nil || m.Seq != b.seq || !b.parts[idx].member {
 		q.maybeReleaseOrphan(ctx, from, idx, m.Seq)
 		return
 	}
-	if b.phase > gExecuting || !slices.Equal(m.Admit, b.admit[idx]) {
+	p := &b.parts[idx]
+	if b.phase > gExecuting || !slices.Equal(m.Admit, p.admit) {
 		// Not an answer to this batch's fence: the park watchdog's bare
 		// re-ack, the ack of a dead incarnation's fence for the same batch
 		// id, or a late copy once the batch executed. The stall guard
@@ -388,8 +421,8 @@ func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
 			}
 		}
 	}
-	if !b.fenceAcked[idx] {
-		b.fenceAcked[idx] = true
+	if !p.acked {
+		p.acked = true
 		q.FenceWaits++
 		for i, id := range m.Admit {
 			if m.Known[i] {
@@ -397,7 +430,7 @@ func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
 			}
 		}
 	}
-	for i := range b.footprint {
+	for _, i := range b.footprint {
 		if !b.answered(i) {
 			return
 		}
@@ -450,7 +483,7 @@ func (q *Sequencer) admitBatch(ctx *sim.Context, b *globalBatch) {
 func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, idx int, seq int64) {
 	b := q.cur
 	stale := (b == nil && seq <= q.nextSeq) ||
-		(b != nil && (seq < b.seq || (seq == b.seq && !b.footprint[idx])))
+		(b != nil && (seq < b.seq || (seq == b.seq && !b.parts[idx].member)))
 	if !stale {
 		return
 	}
@@ -474,13 +507,12 @@ func (q *Sequencer) advance(ctx *sim.Context) {
 		if len(missing) == 0 {
 			continue
 		}
-		grown := map[int]bool{}
 		for _, ref := range missing {
 			idx := q.sys.ShardOf(ref)
-			b.reads[idx] = append(b.reads[idx], ref)
-			grown[idx] = true
-			if !b.footprint[idx] {
-				b.footprint[idx] = true
+			p := &b.parts[idx]
+			p.reads = append(p.reads, ref)
+			p.grown = true
+			if b.fence(idx) {
 				if f := q.sys.cfg.Flight; f.Enabled() {
 					f.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
 						"batch %d footprint grows to shard %d (%s<%s>)",
@@ -488,8 +520,11 @@ func (q *Sequencer) advance(ctx *sim.Context) {
 				}
 			}
 		}
-		for _, idx := range sortedShards(grown) {
-			q.sendFence(ctx, b, idx)
+		for _, idx := range b.footprint {
+			if p := &b.parts[idx]; p.grown {
+				p.grown = false
+				q.sendFence(ctx, b, idx)
+			}
 		}
 		return
 	}
@@ -604,30 +639,22 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 			"seq", strconv.FormatInt(b.seq, 10),
 			"txns", strconv.Itoa(len(b.txns)))
 	}
-	groups := make(map[int][]entityImage) // each in class/key order
-	for _, ref := range sortedRefs(b.dirty) {
+	man := &batchManifest{seq: b.seq, footprint: b.footprint}
+	for _, ref := range sortedRefs(b.dirty) { // each shard's writes in class/key order
 		row, _ := b.overlay.Lookup(ref)
-		idx := q.sys.ShardOf(ref)
-		groups[idx] = append(groups[idx], entityImage{Ref: ref, St: row})
+		a := q.applyTo(b, man, q.sys.ShardOf(ref))
+		a.writes = append(a.writes, entityImage{Ref: ref, St: row})
 	}
-	man := &batchManifest{seq: b.seq, footprint: sortedShards(b.footprint)}
 	for _, t := range b.txns {
-		if _, ok := groups[t.home]; !ok {
-			groups[t.home] = nil // home to a member: applies an empty write-set
-		}
+		q.applyTo(b, man, t.home) // home to a member: applies even an empty write-set
 		man.txns = append(man.txns, manifestTxn{req: t.req.Req, replyTo: t.replyTo, home: t.home, res: t.res})
 	}
-	for _, idx := range sortedShards(groups) {
-		man.applies = append(man.applies, &globalApply{
-			id:      applyID(b.seq, idx),
-			shard:   idx,
-			writes:  groups[idx],
-			replyTo: q.sys.seqID,
-			man:     man,
-		})
+	for _, idx := range b.footprint {
+		if a := b.parts[idx].apply; a != nil {
+			man.applies = append(man.applies, a)
+		}
 	}
 	b.man = man
-	b.applied = map[int]bool{}
 	if len(man.applies) == 0 {
 		q.finishBatch(ctx)
 		return
@@ -637,12 +664,22 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 	q.sendApplies(ctx, b)
 }
 
+// applyTo returns shard idx's apply in batch b's manifest, making it on
+// first use.
+func (q *Sequencer) applyTo(b *globalBatch, man *batchManifest, idx int) *globalApply {
+	p := &b.parts[idx]
+	if p.apply == nil {
+		p.apply = &globalApply{id: applyID(b.seq, idx), shard: idx, replyTo: q.sys.seqID, man: man}
+	}
+	return p.apply
+}
+
 // sendApplies (re-)sends every apply not yet acknowledged, in the
 // manifest's ring order: the link delay samples must come off the RNG in
 // a deterministic sequence or same-seed runs diverge.
 func (q *Sequencer) sendApplies(ctx *sim.Context, b *globalBatch) {
 	for _, a := range b.man.applies {
-		if !b.applied[a.shard] {
+		if !b.parts[a.shard].applied {
 			ctx.Send(q.sys.shards[a.shard].coordID, msgGlobalApply{Apply: a, Ballot: q.ballot},
 				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		}
@@ -654,12 +691,13 @@ func (q *Sequencer) sendApplies(ctx *sim.Context, b *globalBatch) {
 func (q *Sequencer) onApplyDone(ctx *sim.Context, from string, m sysapi.MsgResponse) {
 	b := q.cur
 	shard, ok := q.sys.shardIdx[from]
-	if !ok || b == nil || b.phase != gApplying || b.applied[shard] ||
+	if !ok || b == nil || b.phase != gApplying || b.parts[shard].applied ||
 		m.Response.Req != applyID(b.seq, shard) {
 		return
 	}
-	b.applied[shard] = true
-	if len(b.applied) == len(b.man.applies) {
+	b.parts[shard].applied = true
+	b.applied++
+	if b.applied == len(b.man.applies) {
 		q.finishBatch(ctx)
 	}
 }
@@ -685,7 +723,7 @@ func (q *Sequencer) finishBatch(ctx *sim.Context) {
 	if f := q.sys.cfg.Flight; f.Enabled() {
 		f.Recordf(ctx.Now(), q.sys.seqID, "global.unfence", "unfencing global batch %d", b.seq)
 	}
-	for _, idx := range sortedShards(b.footprint) {
+	for _, idx := range b.footprint {
 		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq},
 			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	}
@@ -697,14 +735,16 @@ func (q *Sequencer) onUnfenceAck(ctx *sim.Context, from string, m msgUnfenceAck)
 		return
 	}
 	b := q.cur
-	if b == nil || b.phase != gUnfencing || m.Seq != b.seq || !b.footprint[idx] {
+	if b == nil || b.phase != gUnfencing || m.Seq != b.seq || !b.parts[idx].member {
 		return
 	}
-	if b.unfenceAcked[idx] {
+	p := &b.parts[idx]
+	if p.unfenced {
 		return
 	}
-	b.unfenceAcked[idx] = true
-	if len(b.unfenceAcked) == len(b.footprint) {
+	p.unfenced = true
+	b.unfenced++
+	if b.unfenced == len(b.footprint) {
 		q.closeBatch(ctx, b)
 	}
 }
@@ -739,32 +779,46 @@ func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 	}
 }
 
-// onTick is the per-batch stall guard: re-send whatever the current
-// phase still waits on. Shard-side handlers are all idempotent (fence
-// and unfence re-ack, applies dedupe or re-serve), so over-sending is
-// safe; a shard mid-crash-recovery simply answers after its recovery
-// converges, still fenced thanks to the durable marker.
-func (q *Sequencer) onTick(ctx *sim.Context, m msgSeqTick) {
-	b := q.cur
-	if b == nil || m.Seq != b.seq {
+// onTick is the sequencer's stall guard: a recovering sequencer re-queries
+// the shards that have not reported yet (the query or its report was lost,
+// or the shard was itself mid-recovery); otherwise it re-sends whatever the
+// current batch's phase still waits on. Shard-side handlers are all
+// idempotent (fence and unfence re-ack, applies dedupe or re-serve,
+// queries re-report), so over-sending is safe; a shard mid-crash-recovery
+// simply answers after its recovery converges, still fenced thanks to the
+// durable marker. A tick before the armed deadline is an orphan (see
+// msgSeqTick), and with nothing to wait on the timer stops until the next
+// batch or reboot arms it.
+func (q *Sequencer) onTick(ctx *sim.Context) {
+	if ctx.Now() < q.tickAt {
 		return
 	}
-	switch b.phase {
-	case gFencing, gExecuting:
-		for _, idx := range sortedShards(b.footprint) {
-			if !b.answered(idx) {
-				q.sendFence(ctx, b, idx)
+	b := q.cur
+	switch {
+	case q.recovering:
+		for i, sh := range q.sys.shards {
+			if q.reports[i] == nil {
+				ctx.Send(sh.coordID, msgSeqFenceQuery{Ballot: q.ballot},
+					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 			}
 		}
-	case gApplying:
+	case b == nil:
+		return
+	case b.phase == gApplying:
 		q.sendApplies(ctx, b)
-	case gUnfencing:
-		for _, idx := range sortedShards(b.footprint) {
-			if !b.unfenceAcked[idx] {
+	case b.phase == gUnfencing:
+		for _, idx := range b.footprint {
+			if !b.parts[idx].unfenced {
 				ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq},
 					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 			}
 		}
+	default: // fencing or executing
+		for _, idx := range b.footprint {
+			if !b.answered(idx) {
+				q.sendFence(ctx, b, idx)
+			}
+		}
 	}
-	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{Seq: b.seq})
+	q.armTick(ctx)
 }

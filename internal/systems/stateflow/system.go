@@ -285,6 +285,7 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 		"dlog.checkpoints":                     func() int64 { return int64(dl.Stats().Checkpoints) },
 		"dlog.compacted":                       func() int64 { return int64(dl.Stats().Compacted) },
 		"dlog.torn_tails":                      func() int64 { return int64(dl.Stats().TornTails) },
+		"dlog.lost_records":                    func() int64 { return int64(dl.Stats().LostRecords) },
 	} {
 		reg.Func(ns+name, read)
 	}

@@ -110,12 +110,12 @@ func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *System {
 	cluster.Add(sys.routerID, &router{sys: sys})
 	cluster.Add(sys.egressID, &egress{sys: sys})
 	for i := 0; i < cfg.FlinkWorkers; i++ {
-		w := &flinkWorker{sys: sys, id: fmt.Sprintf("fl-worker-%d", i), states: state.NewStore(prog.Layouts()), Breakdown: obs.NewBreakdown()}
+		w := &flinkWorker{sys: sys, id: fmt.Sprintf("fl-worker-%d", i), states: state.NewStore(prog.Layouts())}
 		sys.workers = append(sys.workers, w)
 		cluster.Add(w.id, w)
 	}
 	for i := 0; i < cfg.FnRuntimes; i++ {
-		f := &fnRuntime{sys: sys, id: fmt.Sprintf("fn-runtime-%d", i), Breakdown: obs.NewBreakdown()}
+		f := &fnRuntime{sys: sys, id: fmt.Sprintf("fn-runtime-%d", i)}
 		sys.fns = append(sys.fns, f)
 		cluster.Add(f.id, f)
 	}
@@ -502,8 +502,6 @@ type flinkWorker struct {
 	id     string
 	states *state.Store
 	rr     int
-	// Breakdown attributes CPU for the overhead experiment.
-	Breakdown *obs.Breakdown
 	// Races counts state write-backs that overwrote a version the
 	// function never saw (lost-update hazard observable in tests).
 	versions map[interp.EntityRef]int
@@ -527,16 +525,13 @@ func (w *flinkWorker) OnMessage(ctx *sim.Context, from string, msg sim.Message) 
 func (w *flinkWorker) onEvent(ctx *sim.Context, env envelope) {
 	costs := w.sys.cfg.Costs
 	ctx.Work(costs.DeserializeCPU)
-	w.Breakdown.Add(obs.EventDeserialization, costs.DeserializeCPU)
 	ref := env.Ev.Target
 	st, exists := w.states.Lookup(ref)
 	var cp *interp.Row
 	bytes := 0
 	if exists {
 		bytes = st.EncodedSize()
-		ship := costs.StateCPU(bytes)
-		ctx.Work(ship)
-		w.Breakdown.Add(obs.StateSerialization, ship)
+		ctx.Work(costs.StateCPU(bytes))
 		cp = st.Clone()
 	}
 	if w.inflight == nil {
@@ -562,10 +557,7 @@ func (w *flinkWorker) onFnResponse(ctx *sim.Context, m msgFnResponse) {
 		w.inflight[m.Ref]--
 	}
 	if m.Wrote && m.Err == "" {
-		bytes := m.Writes.EncodedSize()
-		work := costs.StateCPU(bytes)
-		ctx.Work(work)
-		w.Breakdown.Add(obs.StateSerialization, work)
+		ctx.Work(costs.StateCPU(m.Writes.EncodedSize()))
 		w.states.Put(m.Ref, m.Writes)
 	}
 	if m.Err != "" {
@@ -587,8 +579,6 @@ func (w *flinkWorker) onFnResponse(ctx *sim.Context, m msgFnResponse) {
 type fnRuntime struct {
 	sys *System
 	id  string
-	// Breakdown attributes CPU for the overhead experiment.
-	Breakdown *obs.Breakdown
 	// Invocations counts function executions.
 	Invocations int
 }
@@ -656,11 +646,8 @@ func (f *fnRuntime) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	f.Invocations++
 
 	// Deserialize shipped state + construct the entity object.
-	construct := costs.ConstructCPU + costs.StateCPU(m.StBytes)
-	ctx.Work(construct)
-	f.Breakdown.Add(obs.ObjectConstruction, construct)
+	ctx.Work(costs.ConstructCPU + costs.StateCPU(m.StBytes))
 	ctx.Work(costs.SplitOverhead)
-	f.Breakdown.Add(obs.SplittingInstrumentation, costs.SplitOverhead)
 
 	st := m.State
 	if st == nil {
@@ -670,7 +657,6 @@ func (f *fnRuntime) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	store := shippedStore{ref: m.Ref, st: st, exists: m.Exists, wrote: &wrote, created: &created}
 	out, err := f.sys.executor.Step(m.Env.Ev, store)
 	ctx.Work(costs.ExecuteCPU)
-	f.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
 
 	resp := msgFnResponse{
 		Ref: m.Ref, ReplyTo: m.Env.ReplyTo, Req: m.Env.Ev.Req,

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
 
@@ -129,30 +128,6 @@ func TestRemoteRuntimeLoadBalancing(t *testing.T) {
 }
 
 func reqID(i int) string { return "r" + string(rune('a'+i%26)) + string(rune('0'+i/26)) }
-
-func TestBreakdownRecorded(t *testing.T) {
-	fx := newFixture(t, 1, []sysapi.Scheduled{
-		{At: time.Millisecond, Req: updateReq("u1", acct(0), 1)},
-	})
-	fx.cluster.RunUntil(time.Second)
-	var fnTotal, wTotal time.Duration
-	for _, f := range fx.sys.FnRuntimes() {
-		fnTotal += f.Breakdown.Total()
-	}
-	for _, w := range fx.sys.Workers() {
-		wTotal += w.Breakdown.Total()
-	}
-	if fnTotal == 0 || wTotal == 0 {
-		t.Fatalf("breakdowns: fn=%s worker=%s", fnTotal, wTotal)
-	}
-	var split time.Duration
-	for _, f := range fx.sys.FnRuntimes() {
-		split += f.Breakdown.Get(obs.SplittingInstrumentation)
-	}
-	if frac := float64(split) / float64(fnTotal); frac >= 0.01 {
-		t.Fatalf("splitting share: %f", frac)
-	}
-}
 
 // TestIngressFloorAbsorbsPostPruneDuplicate pins the broker's per-source
 // dedup floor, the statefun-side port of the StateFlow coordinator's
