@@ -9,7 +9,11 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
@@ -188,8 +192,10 @@ func PrintFig4(points []RunPoint) string {
 
 // OverheadRow is the per-component breakdown at one state size.
 type OverheadRow struct {
-	StateKB       int
-	Breakdown     *obs.Breakdown
+	StateKB int
+	// CPU is the workers' CPU time by component: the registry's nonzero
+	// stateflow.worker.cpu.* entries, keyed by the name after that prefix.
+	CPU           map[string]time.Duration
 	SplitFraction float64
 }
 
@@ -215,17 +221,45 @@ func RunOverhead(opt Options, stateKBs []int) ([]OverheadRow, error) {
 			return nil, err
 		}
 
-		agg := obs.NewBreakdown()
-		for _, w := range h.SF.Workers() {
-			agg.Merge(w.Breakdown)
+		reg := obs.NewRegistry()
+		h.SF.RegisterMetrics(reg)
+		row := OverheadRow{StateKB: kb, CPU: map[string]time.Duration{}}
+		for name, v := range reg.Snapshot() {
+			if c, ok := strings.CutPrefix(name, "stateflow.worker.cpu."); ok && v > 0 {
+				row.CPU[c] = time.Duration(v)
+			}
 		}
-		out = append(out, OverheadRow{
-			StateKB:       kb,
-			Breakdown:     agg,
-			SplitFraction: agg.Fraction(obs.SplittingInstrumentation),
-		})
+		if total := cpuTotal(row.CPU); total > 0 {
+			row.SplitFraction = float64(row.CPU["splitting_instrumentation"]) / float64(total)
+		}
+		out = append(out, row)
 	}
 	return out, nil
+}
+
+func cpuTotal(cpu map[string]time.Duration) (total time.Duration) {
+	for _, d := range cpu {
+		total += d
+	}
+	return total
+}
+
+// cpuTable renders a breakdown as aligned rows of component, total time and
+// percentage, longest first (ties by name) — the table shape of the §4
+// overhead experiment.
+func cpuTable(cpu map[string]time.Duration) string {
+	names := slices.SortedFunc(maps.Keys(cpu), func(a, b string) int {
+		return cmp.Or(cmp.Compare(cpu[b], cpu[a]), cmp.Compare(a, b))
+	})
+	total := cpuTotal(cpu)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-28s %14s %8s\n", "component", "time", "share")
+	for _, c := range names {
+		fmt.Fprintf(&sb, "%-28s %14s %7.2f%%\n",
+			c, cpu[c].Round(time.Microsecond), 100*float64(cpu[c])/float64(total))
+	}
+	fmt.Fprintf(&sb, "%-28s %14s %8s\n", "total", total.Round(time.Microsecond), "100.00%")
+	return sb.String()
 }
 
 // PrintOverhead renders the overhead tables.
@@ -233,7 +267,7 @@ func PrintOverhead(rows []OverheadRow) string {
 	s := "System overhead: runtime component breakdown by state size\n"
 	for _, r := range rows {
 		s += fmt.Sprintf("\nstate size %d KB (splitting/instrumentation share: %.3f%%)\n%s",
-			r.StateKB, 100*r.SplitFraction, r.Breakdown.Table())
+			r.StateKB, 100*r.SplitFraction, cpuTable(r.CPU))
 	}
 	return s
 }

@@ -97,11 +97,11 @@ func TestOverheadHarness(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows: %d", len(rows))
 	}
+	if rows[0].SplitFraction == 0 {
+		t.Fatal("no breakdown recorded")
+	}
 	if rows[0].SplitFraction >= 0.01 {
 		t.Fatalf("splitting share %.4f must be <1%% (§4)", rows[0].SplitFraction)
-	}
-	if rows[0].Breakdown.Total() == 0 {
-		t.Fatal("no breakdown recorded")
 	}
 	out := PrintOverhead(rows)
 	if !strings.Contains(out, "state size 50 KB") {

@@ -410,3 +410,48 @@ func TestFileLogCheckpointCompaction(t *testing.T) {
 		t.Fatalf("unexpected torn tails: %+v", st)
 	}
 }
+
+// TestFileLogCheckpointCountsCompacted: a checkpoint counts the records it
+// drops from the live suffix, as SimLog does — the ones appended since the
+// last checkpoint, and after a reopen the ones recovered behind it too.
+func TestFileLogCheckpointCountsCompacted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.dlog")
+	l, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN := func(l *FileLog, n int) {
+		t.Helper()
+		for i := range n {
+			if err := l.Append(rec(1, fmt.Sprintf("r%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendN(l, 7)
+	if err := l.Checkpoint([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().Compacted; got != 7 {
+		t.Fatalf("Compacted = %d after 7 appends and a checkpoint, want 7", got)
+	}
+	appendN(l, 5)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	appendN(re, 2)
+	if err := re.Checkpoint([]byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Stats().Compacted; got != 5+2 {
+		t.Fatalf("Compacted = %d after a reopen over 5 records, 2 appends and a checkpoint, want 7", got)
+	}
+}

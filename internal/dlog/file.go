@@ -39,6 +39,9 @@ type FileLog struct {
 	f         *os.File
 	recovered Recovered
 	stats     Stats
+	// suffix counts the records behind the last checkpoint: the ones the
+	// next checkpoint compacts away.
+	suffix int
 }
 
 // OpenFile opens (or creates) a file-backed log, replaying its durable
@@ -126,6 +129,7 @@ func (l *FileLog) replay() error {
 	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("dlog: seek %s: %w", l.path, err)
 	}
+	l.suffix = len(l.recovered.Records)
 	return nil
 }
 
@@ -187,6 +191,7 @@ func (l *FileLog) Append(rec Record) error {
 	}
 	l.stats.Appends++
 	l.stats.AppendedBytes += len(rec.Data)
+	l.suffix++
 	return nil
 }
 
@@ -252,6 +257,8 @@ func (l *FileLog) Checkpoint(payload []byte) error {
 	old.Close()
 	l.f = f
 	l.stats.Checkpoints++
+	l.stats.Compacted += l.suffix
+	l.suffix = 0
 	return nil
 }
 

@@ -140,10 +140,6 @@ func (f *FuncDef) Pos() token.Pos { return f.Position }
 // IsInit reports whether this is the __init__ constructor.
 func (f *FuncDef) IsInit() bool { return f.Name == "__init__" }
 
-// IsKey reports whether this is the __key__ accessor used by the routing
-// and partitioning mechanism (§2.2).
-func (f *FuncDef) IsKey() bool { return f.Name == "__key__" }
-
 // IsTransactional reports whether the method carries @transactional.
 func (f *FuncDef) IsTransactional() bool {
 	for _, d := range f.Decorators {

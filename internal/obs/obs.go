@@ -1,9 +1,10 @@
 // Package obs is the observability substrate of the reproduction: a
-// dependency-free metrics registry (named counters, gauges and
-// histograms with Prometheus-style text exposition and expvar
-// publishing), a transaction tracer emitting Chrome trace-event JSON,
-// and a flight recorder — a bounded ring of structured cluster events
-// the chaos and linearizability oracles dump on failure.
+// dependency-free metrics registry (read-through funcs over components'
+// stats structs under one naming rule, with Prometheus-style text
+// exposition and expvar publishing), a latency histogram, a transaction
+// tracer emitting Chrome trace-event JSON, and a flight recorder — a
+// bounded ring of structured cluster events the chaos and
+// linearizability oracles dump on failure.
 //
 // Everything here is built to be deterministically inert when attached
 // to the cluster simulator: recording never draws from the simulation's
@@ -19,97 +20,32 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
+	"unicode"
 )
 
-// Counter is a monotonically increasing metric. Safe for concurrent use
-// (the Live runtime increments from worker goroutines while the /metrics
-// handler reads).
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Registry is a named-metric registry with stable dotted names
-// ("stateflow.coordinator.fallback_rounds", "dlog.syncs", …). Metrics
-// register once and are cheap to look up; exposition walks every
-// registered metric in sorted name order, so the output is
-// deterministic for a given registry state.
-//
-// Two registration styles coexist:
-//
-//   - native metrics (Counter/Gauge/Histogram) — atomic storage owned
-//     by the registry, incremented on the hot path; the Live runtime's
-//     concurrent counters use these;
-//   - read-through funcs (Func) — the registry reads a closure at
-//     exposition time. The simulated systems keep their stat ints as
-//     plain exported fields (the single-threaded simulator's idiom, and
-//     what every existing test and oracle check reads) and register
-//     each as a func, so the registry absorbs them without churning the
-//     increment sites or the readers.
+// ("stateflow.coordinator.fallback_rounds", "dlog.syncs", …). Every metric
+// is a read-through func: the registry stores no values and reads each
+// closure when it is exposed, so registering costs the measured path
+// nothing. Components keep their counters as the integer fields of a
+// stats struct and publish them with Fields, which names each one by a
+// single rule; Func registers the few derived values. Exposition walks
+// every metric in sorted name order, so the output is deterministic for a
+// given registry state.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	funcs    map[string]func() int64
-	hists    map[string]*Histogram
+	mu    sync.RWMutex
+	funcs map[string]func() int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		funcs:    map[string]func() int64{},
-		hists:    map[string]*Histogram{},
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return &Registry{funcs: map[string]func() int64{}}
 }
 
 // Func registers a read-through metric: the closure is evaluated at
@@ -121,34 +57,55 @@ func (r *Registry) Func(name string, f func() int64) {
 	r.funcs[name] = f
 }
 
-// Histogram returns the named histogram, creating it (unbounded exact
-// mode) on first use. Use RegisterHistogram to install an existing
-// histogram — e.g. a benchmark generator's latency series — under a
-// registry name.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+// Fields registers one metric per exported field of signed integer kind
+// (int, int64, time.Duration, …) of the struct read returns, named prefix +
+// the field's name in snake case: CorruptLogRecords under "coordinator."
+// is "coordinator.corrupt_log_records". read may instead return a slice
+// of such structs (one per worker, say); each metric then sums its field
+// over the elements. read is called once here to learn the type and again
+// at every exposition, so it must return the current values.
+func (r *Registry) Fields(prefix string, read func() any) {
+	t := reflect.TypeOf(read())
+	if t.Kind() == reflect.Slice {
+		t = t.Elem()
 	}
-	return h
+	for i := range t.NumField() {
+		f := t.Field(i)
+		if !f.IsExported() || !reflect.Zero(f.Type).CanInt() {
+			continue
+		}
+		r.Func(prefix+snakeCase(f.Name), func() int64 {
+			v := reflect.ValueOf(read())
+			if v.Kind() != reflect.Slice {
+				return v.Field(i).Int()
+			}
+			var n int64
+			for j := range v.Len() {
+				n += v.Index(j).Field(i).Int()
+			}
+			return n
+		})
+	}
 }
 
-// Snapshot reads every scalar metric (counters, gauges, funcs) into one
-// name→value map. Histograms are omitted — use WriteText for the full
-// exposition.
+// snakeCase spells a Go field name in lower snake case:
+// FallbackDriftDemotions → fallback_drift_demotions.
+func snakeCase(name string) string {
+	var b strings.Builder
+	for i, c := range name {
+		if unicode.IsUpper(c) && i > 0 {
+			b.WriteByte('_')
+		}
+		b.WriteRune(unicode.ToLower(c))
+	}
+	return b.String()
+}
+
+// Snapshot reads every metric into one name→value map.
 func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counters)+len(r.gauges)+len(r.funcs))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
+	out := make(map[string]int64, len(r.funcs))
 	for name, f := range r.funcs {
 		out[name] = f()
 	}
@@ -179,50 +136,13 @@ func promName(name string) string {
 }
 
 // WriteText renders the registry in the Prometheus text exposition
-// format (metric names sanitized to the exposition charset, histogram
-// quantiles as summaries in seconds), sorted by name so the output is
-// deterministic.
+// format (metric names sanitized to the exposition charset), sorted by
+// name so the output is deterministic.
 func (r *Registry) WriteText(w io.Writer) {
-	r.mu.RLock()
-	type scalar struct {
-		name string
-		kind string
-		val  int64
-	}
-	scalars := make([]scalar, 0, len(r.counters)+len(r.gauges)+len(r.funcs))
-	for name, c := range r.counters {
-		scalars = append(scalars, scalar{name, "counter", c.Value()})
-	}
-	for name, g := range r.gauges {
-		scalars = append(scalars, scalar{name, "gauge", g.Value()})
-	}
-	for name, f := range r.funcs {
-		scalars = append(scalars, scalar{name, "counter", f()})
-	}
-	hists := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		hists = append(hists, name)
-	}
-	snaps := make(map[string]HistSnapshot, len(hists))
-	for _, name := range hists {
-		snaps[name] = r.hists[name].Snapshot()
-	}
-	r.mu.RUnlock()
-
-	sort.Slice(scalars, func(i, j int) bool { return scalars[i].name < scalars[j].name })
-	for _, s := range scalars {
-		n := promName(s.name)
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", n, s.kind, n, s.val)
-	}
-	sort.Strings(hists)
-	secs := func(d time.Duration) float64 { return float64(d) / float64(time.Second) }
-	for _, name := range hists {
-		n, s := promName(name), snaps[name]
-		fmt.Fprintf(w, "# TYPE %s summary\n", n)
-		fmt.Fprintf(w, "%s{quantile=\"0.5\"} %g\n", n, secs(s.P50))
-		fmt.Fprintf(w, "%s{quantile=\"0.99\"} %g\n", n, secs(s.P99))
-		fmt.Fprintf(w, "%s_sum %g\n", n, secs(s.Sum))
-		fmt.Fprintf(w, "%s_count %d\n", n, s.Count)
+	snap := r.Snapshot()
+	for _, name := range slices.Sorted(maps.Keys(snap)) {
+		n := promName(name)
+		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, snap[name])
 	}
 }
 
@@ -256,14 +176,9 @@ func (v *registryVar) String() string {
 	r := v.r
 	v.mu.Unlock()
 	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, name := range names {
+	for i, name := range slices.Sorted(maps.Keys(snap)) {
 		if i > 0 {
 			b.WriteString(", ")
 		}

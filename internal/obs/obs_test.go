@@ -4,31 +4,26 @@ import (
 	"bytes"
 	"encoding/json"
 	"expvar"
+	"maps"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestRegistryExposition pins the Prometheus text output: sorted names,
-// sanitized charset, counter/gauge/func scalars and histogram summaries.
+// sanitized charset, one counter line per read-through func.
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("stateflow.dlog.syncs").Add(7)
-	r.Gauge("live.workers").Set(4)
+	r.Func("stateflow.dlog.syncs", func() int64 { return 7 })
+	r.Func("live.workers", func() int64 { return 4 })
 	r.Func("stateflow.coordinator.fallback_rounds", func() int64 { return 3 })
-	h := r.Histogram("live.latency")
-	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
-		h.Observe(d)
-	}
 	var buf bytes.Buffer
 	r.WriteText(&buf)
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE live_workers gauge\nlive_workers 4\n",
+		"# TYPE live_workers counter\nlive_workers 4\n",
 		"# TYPE stateflow_coordinator_fallback_rounds counter\nstateflow_coordinator_fallback_rounds 3\n",
 		"# TYPE stateflow_dlog_syncs counter\nstateflow_dlog_syncs 7\n",
-		"live_latency{quantile=\"0.5\"} 0.002\n",
-		"live_latency_count 3\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition is missing %q:\n%s", want, out)
@@ -37,6 +32,34 @@ func TestRegistryExposition(t *testing.T) {
 	// Scalars come out name-sorted, so the exposition is deterministic.
 	if strings.Index(out, "live_workers") > strings.Index(out, "stateflow_dlog_syncs") {
 		t.Errorf("exposition is not name-sorted:\n%s", out)
+	}
+}
+
+// TestRegistryFields pins the naming rule and the read-through of Fields:
+// every exported signed-integer field is published as prefix +
+// snake_case(name) and read when exposed, a slice sums each field over its
+// elements, and any other field is left out.
+func TestRegistryFields(t *testing.T) {
+	type stats struct {
+		Commits           int
+		CorruptLogRecords int64
+		FunctionExecution time.Duration
+		Label             string
+		Restored          []int64
+		hidden            int
+	}
+	r := NewRegistry()
+	one := stats{hidden: 1}
+	r.Fields("a.", func() any { return one })
+	many := []stats{{Commits: 1}, {Commits: 2, FunctionExecution: 5}}
+	r.Fields("b.", func() any { return many })
+	one.Commits, one.CorruptLogRecords, one.FunctionExecution = 3, 4, time.Millisecond
+	want := map[string]int64{
+		"a.commits": 3, "a.corrupt_log_records": 4, "a.function_execution": int64(time.Millisecond),
+		"b.commits": 3, "b.corrupt_log_records": 0, "b.function_execution": 5,
+	}
+	if got := r.Snapshot(); !maps.Equal(got, want) {
+		t.Fatalf("Fields published %v, want %v", got, want)
 	}
 }
 
@@ -60,8 +83,8 @@ func TestRegistryReadThrough(t *testing.T) {
 // panics on duplicate names, so re-publishing must re-point instead.
 func TestPublishExpvarRepublish(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter("n").Add(1)
-	b.Counter("n").Add(2)
+	a.Func("n", func() int64 { return 1 })
+	b.Func("n", func() int64 { return 2 })
 	a.PublishExpvar("obs.test.republish")
 	b.PublishExpvar("obs.test.republish") // must not panic
 	got := expvar.Get("obs.test.republish").String()

@@ -10,7 +10,6 @@ package queue
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 )
 
@@ -99,18 +98,6 @@ func (l *Log) Topic(name string) (*Topic, error) {
 	return t, nil
 }
 
-// Topics lists topic names sorted.
-func (l *Log) Topics() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.topics))
-	for n := range l.topics {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Produce appends to the partition selected by key hash and returns
 // (partition, offset).
 func (l *Log) Produce(topic, key string, payload any) (int, int64, error) {
@@ -123,20 +110,6 @@ func (l *Log) Produce(topic, key string, payload any) (int, int64, error) {
 	p := t.PartitionFor(key)
 	off := t.Partitions[p].Append(key, payload)
 	return p, off, nil
-}
-
-// ProduceTo appends to an explicit partition.
-func (l *Log) ProduceTo(topic string, partition int, key string, payload any) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t, ok := l.topics[topic]
-	if !ok {
-		return 0, fmt.Errorf("queue: unknown topic %s", topic)
-	}
-	if partition < 0 || partition >= len(t.Partitions) {
-		return 0, fmt.Errorf("queue: topic %s has no partition %d", topic, partition)
-	}
-	return t.Partitions[partition].Append(key, payload), nil
 }
 
 // Fetch reads one record from a topic partition at the given offset.

@@ -59,7 +59,7 @@ func TestOffsetsAreDense(t *testing.T) {
 func TestReplayFromOffset(t *testing.T) {
 	l := newLog(t, "in", 1)
 	for i := 0; i < 10; i++ {
-		if _, err := l.ProduceTo("in", 0, "k", i); err != nil {
+		if _, _, err := l.Produce("in", "k", i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,9 +91,6 @@ func TestErrors(t *testing.T) {
 	if _, _, err := l.Produce("nope", "k", 1); err == nil {
 		t.Fatal("unknown topic must fail")
 	}
-	if _, err := l.ProduceTo("in", 9, "k", 1); err == nil {
-		t.Fatal("bad partition must fail")
-	}
 	if _, _, err := l.Fetch("in", 9, 0); err == nil {
 		t.Fatal("bad partition must fail")
 	}
@@ -113,22 +110,6 @@ func TestFetchPastEnd(t *testing.T) {
 	_, ok, err := l.Fetch("in", 0, 0)
 	if err != nil || ok {
 		t.Fatalf("empty fetch: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestTopicsSorted(t *testing.T) {
-	l := NewLog()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if err := l.CreateTopic(n, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := l.Topics()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("topics: %v", got)
-		}
 	}
 }
 

@@ -114,12 +114,12 @@ type Runtime struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 	// metrics is the runtime's registry (always built; the HTTP listener
-	// below is optional). submits and replays are native counters on the
-	// submission hot path; everything else reads through to existing
-	// atomics at exposition time.
+	// below is optional). It reads through to the runtime's atomics and the
+	// journal's stats at exposition time; submits and replays count the
+	// submission path's calls and journal re-serves.
 	metrics   *obs.Registry
-	submits   *obs.Counter
-	replays   *obs.Counter
+	submits   atomic.Int64
+	replays   atomic.Int64
 	metricsLn net.Listener
 	metricsWg sync.WaitGroup
 }
@@ -304,24 +304,20 @@ func Open(prog *ir.Program, cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// registerMetrics builds the runtime's registry: native counters for the
-// submission path, read-through funcs over the atomics the runtime
-// already keeps. All reads are lock-free, so exposition never contends
-// with workers.
+// registerMetrics builds the runtime's registry: read-through funcs over
+// the atomics the runtime keeps and the journal's stats. Only the journal's
+// read takes a lock (its own, which an fsync holds), so exposition never
+// contends with workers.
 func (rt *Runtime) registerMetrics() {
 	reg := obs.NewRegistry()
 	rt.metrics = reg
-	rt.submits = reg.Counter("live.submits")
-	rt.replays = reg.Counter("live.journal.replays")
+	reg.Func("live.submits", rt.submits.Load)
+	reg.Func("live.journal.replays", rt.replays.Load)
 	reg.Func("live.workers", func() int64 { return int64(len(rt.workers)) })
 	reg.Func("live.processed", rt.Processed)
 	reg.Func("live.journal.errors", rt.journalErrs.Load)
 	if rt.journal != nil {
-		jl := rt.journal
-		reg.Func("live.journal.appends", func() int64 { return int64(jl.Stats().Appends) })
-		reg.Func("live.journal.appended_bytes", func() int64 { return int64(jl.Stats().AppendedBytes) })
-		reg.Func("live.journal.syncs", func() int64 { return int64(jl.Stats().Syncs) })
-		reg.Func("live.journal.checkpoints", func() int64 { return int64(jl.Stats().Checkpoints) })
+		reg.Fields("live.journal.", func() any { return rt.journal.Stats() })
 	}
 }
 
@@ -571,11 +567,11 @@ func (rt *Runtime) Submit(class, key, method string, args ...interp.Value) *Pend
 // incarnation prefix so they cannot collide with a previous process's
 // journaled ids.
 func (rt *Runtime) SubmitWithID(id, class, key, method string, args ...interp.Value) *Pending {
-	rt.submits.Inc()
+	rt.submits.Add(1)
 	if id == "" {
 		id = fmt.Sprintf("live-%s%d", rt.incarnation, rt.nextReq.Add(1))
 	} else if r, ok := rt.replay.Load(id); ok {
-		rt.replays.Inc()
+		rt.replays.Add(1)
 		p := newPending(id)
 		p.complete(r.(journalEntry).res)
 		return p
@@ -596,7 +592,7 @@ func (rt *Runtime) SubmitWithID(id, class, key, method string, args ...interp.Va
 	// it resolved p with the same outcome; don't complete twice.)
 	if r, ok := rt.replay.Load(id); ok {
 		if _, mine := rt.pending.LoadAndDelete(id); mine {
-			rt.replays.Inc()
+			rt.replays.Add(1)
 			p.complete(r.(journalEntry).res)
 		}
 		return p

@@ -70,6 +70,67 @@ const (
 	phaseSnapshot
 )
 
+// CoordinatorStats are the coordinator's counters, embedded in Coordinator
+// so the hot paths and tests read them as its own fields, and published
+// through RegisterMetrics under "coordinator.".
+type CoordinatorStats struct {
+	Commits      int
+	Aborts       int
+	Failures     int // transactions that exhausted retries
+	Recoveries   int
+	EpochsClosed int
+	// RecoverRetries counts the periodic re-sends of a recovery's recover
+	// message to workers that had not acknowledged it yet (a held-down
+	// worker, a lost message or a lost ack) — retries of one recovery, not
+	// recoveries.
+	RecoverRetries int
+	// FallbackChains counts the epochs whose conflict aborts re-executed as
+	// a chain and FallbackRounds their depths (the rounds the same conflicts
+	// would take behind a barrier); FallbackCommits the transactions the
+	// fallback phase rescued (a subset of Commits — they would have been
+	// next-batch retries without it); FallbackSpills the transactions
+	// FallbackRoundBudget left out of a chain, into the next batch's retry
+	// queue.
+	FallbackRounds  int
+	FallbackChains  int
+	FallbackCommits int
+	FallbackSpills  int
+	// FallbackDriftDemotions counts the chain members sent to the next batch
+	// because their re-execution left its queued footprint: it reached an
+	// entity the first execution had not, so nothing ordered it there.
+	FallbackDriftDemotions int
+	// LateDuplicates counts arrivals absorbed by the incarnation dedup
+	// floor: duplicates so late that their originals were already pruned
+	// from the dedup maps by the retention window.
+	LateDuplicates int
+	// CorruptLogRecords counts durable-log records (or checkpoints) a
+	// reboot could not decode and recovered without — corruption outside
+	// the device's crash contract, never expected to be non-zero.
+	CorruptLogRecords int
+	// Restarts counts coordinator reboots (crash recoveries via the
+	// durable log), a subset of Recoveries. MidPipelineRestarts counts the
+	// reboots that interrupted two in-flight epochs (the commit slot was
+	// occupied alongside an open exec slot when the crash landed) — the
+	// overlap window the pipelined recovery path must get right.
+	Restarts            int
+	MidPipelineRestarts int
+	// Replays counts responses re-served from the durable egress buffer
+	// to retrying clients. BindingReplays counts the released transactions
+	// recoveries queued for re-execution to rebuild the effects the
+	// restored snapshot predated; BindingEpochs the binding epochs that
+	// re-executed them (a requeued member runs in more than one).
+	Replays        int
+	BindingReplays int
+	BindingEpochs  int
+	// FastReads counts the read-only calls answered on the fast path
+	// (read.go), every serve of a retried one included.
+	FastReads int
+	// GlobalFences counts fence parks for the sharded global-commit
+	// protocol; GlobalApplies counts executed global write-set applies.
+	GlobalFences  int
+	GlobalApplies int
+}
+
 // Coordinator is the StateFlow coordinator node.
 type Coordinator struct {
 	sys *System
@@ -166,63 +227,12 @@ type Coordinator struct {
 	stallArmed bool
 	stallAt    time.Duration
 
-	// Stats.
-	Commits      int
-	Aborts       int
-	Failures     int // transactions that exhausted retries
-	Recoveries   int
-	EpochsClosed int
-	// RecoverRetries counts the periodic re-sends of a recovery's recover
-	// message to workers that had not acknowledged it yet (a held-down
-	// worker, a lost message or a lost ack) — retries of one recovery, not
-	// recoveries.
-	RecoverRetries int
-	// FallbackChains counts the epochs whose conflict aborts re-executed as
-	// a chain and FallbackRounds their depths (the rounds the same conflicts
-	// would take behind a barrier); FallbackCommits the transactions the
-	// fallback phase rescued (a subset of Commits — they would have been
-	// next-batch retries without it); FallbackSpills the transactions
-	// FallbackRoundBudget left out of a chain, into the next batch's retry
-	// queue.
-	FallbackRounds  int
-	FallbackChains  int
-	FallbackCommits int
-	FallbackSpills  int
-	// FallbackDriftDemotions counts the chain members sent to the next batch
-	// because their re-execution left its queued footprint: it reached an
-	// entity the first execution had not, so nothing ordered it there.
-	FallbackDriftDemotions int
-	// LateDuplicates counts arrivals absorbed by the incarnation dedup
-	// floor: duplicates so late that their originals were already pruned
-	// from the dedup maps by the retention window.
-	LateDuplicates int
-	// CorruptLogRecords counts durable-log records (or checkpoints) a
-	// reboot could not decode and recovered without — corruption outside
-	// the device's crash contract, never expected to be non-zero.
-	CorruptLogRecords int
-	// Restarts counts coordinator reboots (crash recoveries via the
-	// durable log), a subset of Recoveries. MidPipelineRestarts counts the
-	// reboots that interrupted two in-flight epochs (the commit slot was
-	// occupied alongside an open exec slot when the crash landed) — the
-	// overlap window the pipelined recovery path must get right.
-	Restarts            int
-	MidPipelineRestarts int
-	// Replays counts responses re-served from the durable egress buffer
-	// to retrying clients. BindingReplays counts the released transactions
-	// recoveries queued for re-execution to rebuild the effects the
-	// restored snapshot predated; BindingEpochs the binding epochs that
-	// re-executed them (a requeued member runs in more than one).
-	Replays        int
-	BindingReplays int
-	BindingEpochs  int
+	CoordinatorStats
+
 	// RestoredSnapshots records, per recovery, the snapshot id it rolled
 	// back to (0: reset to empty) — tests assert every restored id was a
 	// complete snapshot.
 	RestoredSnapshots []int64
-
-	// FastReads counts the read-only calls answered on the fast path
-	// (read.go), every serve of a retried one included.
-	FastReads int
 
 	// The fast-read path (read.go). decided is the newest epoch whose batch
 	// decide was broadcast — whose responses may be out — or a recovery's
@@ -263,11 +273,6 @@ type Coordinator struct {
 	// fencedAt is when the shard parked (trace-span start of the fence
 	// window). Purely observational.
 	fencedAt time.Duration
-
-	// GlobalFences counts fence parks for the sharded global-commit
-	// protocol; GlobalApplies counts executed global write-set applies.
-	GlobalFences  int
-	GlobalApplies int
 }
 
 // tracer and flight return the deployment's observability sinks (nil

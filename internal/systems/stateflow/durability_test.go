@@ -3,10 +3,8 @@ package stateflow
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
-	"unicode"
 
 	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/compiler"
@@ -182,33 +180,6 @@ func flightLines(rec *obs.FlightRecorder, kind string) (n int) {
 		}
 	}
 	return n
-}
-
-// TestDlogStatsAreRegistered: every counter the durable log keeps is
-// published, under stateflow.dlog.<the field's name in snake case>. A
-// counter added to dlog.Stats fails here until RegisterMetrics lists it.
-func TestDlogStatsAreRegistered(t *testing.T) {
-	prog, err := compiler.Compile(bank)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	reg := obs.NewRegistry()
-	New(sim.New(1), prog, DefaultConfig()).RegisterMetrics(reg)
-	got := reg.Snapshot()
-	fields := reflect.TypeFor[dlog.Stats]()
-	for i := range fields.NumField() {
-		var name []rune
-		for j, r := range fields.Field(i).Name {
-			if unicode.IsUpper(r) && j > 0 {
-				name = append(name, '_')
-			}
-			name = append(name, unicode.ToLower(r))
-		}
-		key := "stateflow.dlog." + string(name)
-		if _, ok := got[key]; !ok {
-			t.Errorf("dlog.Stats.%s is not registered as %s", fields.Field(i).Name, key)
-		}
-	}
 }
 
 // TestCorruptLogRecordIsCountedNotSwallowed pins that a reboot never drops

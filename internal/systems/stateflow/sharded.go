@@ -107,21 +107,7 @@ func (s *ShardedSystem) RegisterMetrics(reg *obs.Registry) {
 	if s.seq == nil {
 		return
 	}
-	q := s.seq
-	for name, read := range map[string]func() int64{
-		"stateflow.sequencer.single_shard":      func() int64 { return int64(q.SingleShard) },
-		"stateflow.sequencer.global_txns":       func() int64 { return int64(q.GlobalTxns) },
-		"stateflow.sequencer.known_retries":     func() int64 { return int64(q.KnownRetries) },
-		"stateflow.sequencer.global_batches":    func() int64 { return int64(q.GlobalBatches) },
-		"stateflow.sequencer.scoped_fences":     func() int64 { return int64(q.ScopedFences) },
-		"stateflow.sequencer.full_fences":       func() int64 { return int64(q.FullFences) },
-		"stateflow.sequencer.fence_waits":       func() int64 { return int64(q.FenceWaits) },
-		"stateflow.sequencer.failovers":         func() int64 { return int64(q.Failovers) },
-		"stateflow.sequencer.rederived_batches": func() int64 { return int64(q.RederivedBatches) },
-		"stateflow.sequencer.aborted_batches":   func() int64 { return int64(q.AbortedBatches) },
-	} {
-		reg.Func(name, read)
-	}
+	reg.Fields("stateflow.sequencer.", func() any { return s.seq.Stats() })
 }
 
 // IngressID implements sysapi.System: clients talk to the sequencer (or

@@ -7,7 +7,6 @@ import (
 
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
@@ -407,8 +406,11 @@ func TestOverheadBreakdownRecorded(t *testing.T) {
 	total := int64(0)
 	split := int64(0)
 	for _, w := range fx.sys.Workers() {
-		total += int64(w.Breakdown.Total())
-		split += int64(w.Breakdown.Get(obs.SplittingInstrumentation))
+		cpu := w.CPU
+		total += int64(cpu.EventDeserialization + cpu.ObjectConstruction + cpu.SplittingInstrumentation +
+			cpu.FunctionExecution + cpu.TxnValidation + cpu.StateSerialization + cpu.TxnCommit +
+			cpu.SnapshotPersistence)
+		split += int64(cpu.SplittingInstrumentation)
 	}
 	if total == 0 {
 		t.Fatal("no breakdown recorded")

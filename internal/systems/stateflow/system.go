@@ -249,53 +249,29 @@ func (s *System) MetricsNamespace() string {
 	return "stateflow." + strings.TrimSuffix(s.prefix, "-") + "."
 }
 
-// RegisterMetrics publishes the deployment's stat counters into a
-// registry under stable dotted names. The coordinator's exported int
-// fields stay the canonical storage (the hot paths and every existing
-// test read them directly); the registry reads them through closures at
-// exposition time, so migrating them cost no call-site churn.
+// RegisterMetrics publishes the deployment's stats structs into a registry
+// under its namespace: the coordinator's, the durable log's and the
+// workers' (summed over the workers). The fields stay the canonical
+// storage; the registry reads them at exposition time.
 func (s *System) RegisterMetrics(reg *obs.Registry) {
 	ns := s.MetricsNamespace()
-	c, dl := s.coord, s.Dlog
-	for name, read := range map[string]func() int64{
-		"coordinator.commits":                  func() int64 { return int64(c.Commits) },
-		"coordinator.aborts":                   func() int64 { return int64(c.Aborts) },
-		"coordinator.failures":                 func() int64 { return int64(c.Failures) },
-		"coordinator.recoveries":               func() int64 { return int64(c.Recoveries) },
-		"coordinator.recover_retries":          func() int64 { return int64(c.RecoverRetries) },
-		"coordinator.epochs_closed":            func() int64 { return int64(c.EpochsClosed) },
-		"coordinator.fallback_rounds":          func() int64 { return int64(c.FallbackRounds) },
-		"coordinator.fallback_chains":          func() int64 { return int64(c.FallbackChains) },
-		"coordinator.fallback_commits":         func() int64 { return int64(c.FallbackCommits) },
-		"coordinator.fallback_spills":          func() int64 { return int64(c.FallbackSpills) },
-		"coordinator.fallback_drift_demotions": func() int64 { return int64(c.FallbackDriftDemotions) },
-		"coordinator.late_duplicates":          func() int64 { return int64(c.LateDuplicates) },
-		"coordinator.corrupt_log_records":      func() int64 { return int64(c.CorruptLogRecords) },
-		"coordinator.restarts":                 func() int64 { return int64(c.Restarts) },
-		"coordinator.mid_pipeline_restarts":    func() int64 { return int64(c.MidPipelineRestarts) },
-		"coordinator.replays":                  func() int64 { return int64(c.Replays) },
-		"coordinator.binding_replays":          func() int64 { return int64(c.BindingReplays) },
-		"coordinator.binding_epochs":           func() int64 { return int64(c.BindingEpochs) },
-		"coordinator.global_fences":            func() int64 { return int64(c.GlobalFences) },
-		"coordinator.global_applies":           func() int64 { return int64(c.GlobalApplies) },
-		"coordinator.fast_reads":               func() int64 { return int64(c.FastReads) },
-		"dlog.appends":                         func() int64 { return int64(dl.Stats().Appends) },
-		"dlog.appended_bytes":                  func() int64 { return int64(dl.Stats().AppendedBytes) },
-		"dlog.syncs":                           func() int64 { return int64(dl.Stats().Syncs) },
-		"dlog.checkpoints":                     func() int64 { return int64(dl.Stats().Checkpoints) },
-		"dlog.compacted":                       func() int64 { return int64(dl.Stats().Compacted) },
-		"dlog.torn_tails":                      func() int64 { return int64(dl.Stats().TornTails) },
-		"dlog.lost_records":                    func() int64 { return int64(dl.Stats().LostRecords) },
-	} {
-		reg.Func(ns+name, read)
-	}
-	reg.Func(ns+"worker.corrupt_snapshot_images", func() int64 {
-		n := 0
-		for _, w := range s.workers {
-			n += w.CorruptSnapshotImages
-		}
-		return int64(n)
+	reg.Fields(ns+"coordinator.", func() any { return s.coord.CoordinatorStats })
+	reg.Fields(ns+"dlog.", func() any { return s.Dlog.Stats() })
+	reg.Fields(ns+"worker.", func() any {
+		return perWorker(s.workers, func(w *Worker) WorkerStats { return w.WorkerStats })
 	})
+	reg.Fields(ns+"worker.cpu.", func() any {
+		return perWorker(s.workers, func(w *Worker) WorkerCPU { return w.CPU })
+	})
+}
+
+// perWorker reads one stats struct off every worker.
+func perWorker[T any](workers []*Worker, read func(*Worker) T) []T {
+	out := make([]T, len(workers))
+	for i, w := range workers {
+		out[i] = read(w)
+	}
+	return out
 }
 
 // Workers exposes the worker components.

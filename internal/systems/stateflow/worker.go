@@ -22,7 +22,6 @@ import (
 
 	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
-	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/state"
 	"statefulentities.dev/stateflow/internal/txn/aria"
@@ -107,9 +106,15 @@ type Worker struct {
 	// their epoch minus one.
 	buffered map[int64][]msgTxnEvent
 
-	// Breakdown attributes CPU time to runtime components for the §4
-	// overhead experiment.
-	Breakdown *obs.Breakdown
+	WorkerStats
+	// CPU attributes the worker's cost-model CPU time to runtime components
+	// for the §4 overhead experiment.
+	CPU WorkerCPU
+}
+
+// WorkerStats are a worker's counters, published through RegisterMetrics
+// under "worker.", summed over the workers.
+type WorkerStats struct {
 	// Applied counts applied (committed) transactions.
 	Applied int
 	// CorruptSnapshotImages counts recoveries that found this worker's
@@ -117,6 +122,20 @@ type Worker struct {
 	// corruption outside the snapshot store's contract, never expected to
 	// be non-zero.
 	CorruptSnapshotImages int
+}
+
+// WorkerCPU is the CPU time a worker charged, by the runtime component that
+// charged it (the §4 overhead experiment), published under "worker.cpu.".
+// Each field is the sum of the ctx.Work charges of its component.
+type WorkerCPU struct {
+	EventDeserialization     time.Duration
+	ObjectConstruction       time.Duration
+	SplittingInstrumentation time.Duration
+	FunctionExecution        time.Duration
+	TxnValidation            time.Duration
+	StateSerialization       time.Duration
+	TxnCommit                time.Duration
+	SnapshotPersistence      time.Duration
 }
 
 func newWorker(sys *System, idx int) *Worker {
@@ -128,7 +147,6 @@ func newWorker(sys *System, idx int) *Worker {
 		epochs:       map[int64]*workerEpoch{},
 		appliedEpoch: -1,
 		buffered:     map[int64][]msgTxnEvent{},
-		Breakdown:    obs.NewBreakdown(),
 	}
 }
 
@@ -281,7 +299,7 @@ func (w *Worker) shipSets(ctx *sim.Context, in *rwSets, tw *txnWork) *rwSets {
 	}
 	if cpu := w.sys.cfg.Costs.FallbackCPU; !w.sys.cfg.DisableFallback {
 		ctx.Work(cpu)
-		w.Breakdown.Add(obs.TxnValidation, cpu)
+		w.CPU.TxnValidation += cpu
 	}
 	tw.sets = rwSets{rw: &tw.ws.RW, next: in}
 	return &tw.sets
@@ -295,7 +313,7 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) cor
 
 	// Event deserialization.
 	ctx.Work(costs.DeserializeCPU)
-	w.Breakdown.Add(obs.EventDeserialization, costs.DeserializeCPU)
+	w.CPU.EventDeserialization += costs.DeserializeCPU
 
 	// Object construction: the entity is rebuilt from operator state
 	// (§2.3 "the system reconstructs the object using the operator's code
@@ -303,17 +321,17 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) cor
 	stBytes := w.committed.EncodedSize(ev.Target)
 	construct := costs.ConstructCPU + costs.StateCPU(stBytes)
 	ctx.Work(construct)
-	w.Breakdown.Add(obs.ObjectConstruction, construct)
+	w.CPU.ObjectConstruction += construct
 
 	// Program-transformation (function splitting) instrumentation: the
 	// state-machine bookkeeping added by the compiler. Deliberately tiny
 	// (§4: "less than 1% of the total overhead").
 	ctx.Work(costs.SplitOverhead)
-	w.Breakdown.Add(obs.SplittingInstrumentation, costs.SplitOverhead)
+	w.CPU.SplittingInstrumentation += costs.SplitOverhead
 
 	out, err := w.sys.executor.Step(ev, store)
 	ctx.Work(costs.ExecuteCPU)
-	w.Breakdown.Add(obs.FunctionExecution, costs.ExecuteCPU)
+	w.CPU.FunctionExecution += costs.ExecuteCPU
 	if err != nil {
 		out = core.Event{Kind: core.EvResponse, Err: err.Error()}
 	}
@@ -511,8 +529,8 @@ func (w *Worker) install(ctx *sim.Context, ws *aria.Workspace) {
 func (w *Worker) commitWork(ctx *sim.Context, bytes int) {
 	costs := w.sys.cfg.Costs
 	ctx.Work(costs.CommitCPU + costs.StateCPU(bytes))
-	w.Breakdown.Add(obs.StateSerialization, costs.StateCPU(bytes))
-	w.Breakdown.Add(obs.TxnCommit, costs.CommitCPU)
+	w.CPU.StateSerialization += costs.StateCPU(bytes)
+	w.CPU.TxnCommit += costs.CommitCPU
 	w.Applied++
 }
 
@@ -589,7 +607,7 @@ func (w *Worker) onSnapshot(ctx *sim.Context, m msgTakeSnapshot) {
 	n, err := w.sys.Snapshots.WriteStore(m.ID, w.id, w.committed)
 	work := costs.StateCPU(n)
 	ctx.Work(work)
-	w.Breakdown.Add(obs.SnapshotPersistence, work)
+	w.CPU.SnapshotPersistence += work
 	if err == nil {
 		ctx.Send(w.sys.coordID, msgSnapshotDone{ID: m.ID},
 			costs.WorkerLink.Sample(ctx.Rand()))

@@ -134,28 +134,25 @@ func (s *System) Workers() []*flinkWorker { return s.workers }
 // FnRuntimes exposes the remote function runtimes.
 func (s *System) FnRuntimes() []*fnRuntime { return s.fns }
 
-// RegisterMetrics publishes the deployment's stat counters into a
-// registry under stable dotted names, reading the exported int fields
-// through closures at exposition time (the fields remain the canonical
-// storage; see the StateFlow coordinator's migration for the pattern).
+// RegisterMetrics publishes the deployment's stats structs into a
+// registry under "statefun.": the broker's, and the workers' and function
+// runtimes' summed over their instances. The fields stay the canonical
+// storage; the registry reads them at exposition time.
 func (s *System) RegisterMetrics(reg *obs.Registry) {
-	b := s.broker
-	reg.Func("statefun.broker.produced", func() int64 { return int64(b.Produced) })
-	reg.Func("statefun.broker.late_duplicates", func() int64 { return int64(b.LateDuplicates) })
-	workers, fns := s.workers, s.fns
-	reg.Func("statefun.worker.races", func() int64 {
-		var n int64
-		for _, w := range workers {
-			n += int64(w.Races)
+	reg.Fields("statefun.broker.", func() any { return s.broker.brokerStats })
+	reg.Fields("statefun.worker.", func() any {
+		out := make([]workerStats, len(s.workers))
+		for i, w := range s.workers {
+			out[i] = w.workerStats
 		}
-		return n
+		return out
 	})
-	reg.Func("statefun.fn.invocations", func() int64 {
-		var n int64
-		for _, f := range fns {
-			n += int64(f.Invocations)
+	reg.Fields("statefun.fn.", func() any {
+		out := make([]fnStats, len(s.fns))
+		for i, f := range s.fns {
+			out[i] = f.fnStats
 		}
-		return n
+		return out
 	})
 }
 
@@ -307,13 +304,20 @@ type msgFnResponse struct {
 // ---------------------------------------------------------------------------
 // Broker
 
+// brokerStats are the broker's counters.
+type brokerStats struct {
+	// Produced counts records, as a load metric.
+	Produced int
+	// LateDuplicates counts arrivals the dedup floor absorbed.
+	LateDuplicates int
+}
+
 // broker is the Kafka-model component: it appends produced records to the
 // replayable log and pushes them to the subscribed consumer after the
 // consumer-poll delay.
 type broker struct {
 	sys *System
-	// Produced counts records, as a load metric.
-	Produced int
+	brokerStats
 	// seen dedupes client request ids at the ingress produce (the
 	// idempotent-producer model): a client retransmission or a duplicated
 	// wire delivery must not become a second dataflow record — without
@@ -336,8 +340,6 @@ type broker struct {
 	// duplicate-after-retention hole the StateFlow coordinator closes
 	// with its durable dedup floors.
 	floors map[string]int64
-	// LateDuplicates counts arrivals the floor absorbed.
-	LateDuplicates int
 	// uncheckedFloor is a test hook: pruning records no floor, which
 	// re-introduces the pre-fix hole — a duplicate arriving after retention
 	// pruned its seen-entry is re-produced into the ingress topic and
@@ -498,15 +500,20 @@ func (e *egress) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 // Flink worker (stateful map operator partitions)
 
 type flinkWorker struct {
-	sys    *System
-	id     string
-	states *state.Store
-	rr     int
-	// Races counts state write-backs that overwrote a version the
-	// function never saw (lost-update hazard observable in tests).
+	sys      *System
+	id       string
+	states   *state.Store
+	rr       int
 	versions map[interp.EntityRef]int
 	inflight map[interp.EntityRef]int
-	Races    int
+	workerStats
+}
+
+// workerStats are a Flink worker's counters.
+type workerStats struct {
+	// Races counts state write-backs that overwrote a version the
+	// function never saw (lost-update hazard observable in tests).
+	Races int
 }
 
 // OnMessage implements sim.Handler.
@@ -579,6 +586,11 @@ func (w *flinkWorker) onFnResponse(ctx *sim.Context, m msgFnResponse) {
 type fnRuntime struct {
 	sys *System
 	id  string
+	fnStats
+}
+
+// fnStats are a function runtime's counters.
+type fnStats struct {
 	// Invocations counts function executions.
 	Invocations int
 }

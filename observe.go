@@ -36,10 +36,11 @@ type FlightEvent = obs.FlightEvent
 // events (0 selects the default).
 func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecorder(capacity) }
 
-// MetricsRegistry is a named-metric registry (counters, gauges,
-// histograms) with Prometheus text exposition. Simulation.Metrics
-// returns one covering the deployed backend; the Live runtime serves
-// its own on LiveConfig.MetricsAddr.
+// MetricsRegistry is a named-metric registry of read-through funcs, with
+// Prometheus text exposition: components publish the integer fields of
+// their stats structs under prefix + snake_case(field). Simulation.Metrics
+// returns one covering the deployed backend; the Live runtime serves its
+// own on LiveConfig.MetricsAddr.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty registry.
