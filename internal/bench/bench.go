@@ -331,7 +331,7 @@ func RunConsistency(opt Options) ([]ConsistencyResult, error) {
 			LostUpdates:   total != int64(accounts)*1000,
 		}
 		if h.SF != nil {
-			res.Aborts = h.SF.Coordinator().Aborts
+			res.Aborts = h.SF.Single().Coordinator().Aborts
 		}
 		out = append(out, res)
 	}

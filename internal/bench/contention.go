@@ -103,7 +103,7 @@ func RunContention(opt Options) ([]ContentionRow, error) {
 			return nil, fmt.Errorf("contention (%s): %w", tc.name, err)
 		}
 
-		coord := h.SF.Coordinator()
+		coord := h.SF.Single().Coordinator()
 		lat := client.Latency.Snapshot()
 		row := ContentionRow{
 			Name:           tc.name,

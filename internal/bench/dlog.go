@@ -56,12 +56,12 @@ func RunDlog(opt Options) ([]DlogRow, error) {
 		}
 
 		lat := gen.Latency.Snapshot()
-		st := h.SF.Dlog.Stats()
+		st := h.SF.Single().Dlog.Stats()
 		out = append(out, DlogRow{
 			Name:           tc.name,
 			VirtualP50Ms:   lat.P50Ms(),
 			VirtualP99Ms:   lat.P99Ms(),
-			Commits:        h.SF.Coordinator().Commits,
+			Commits:        h.SF.Single().Coordinator().Commits,
 			LogAppends:     st.Appends,
 			LogSyncs:       st.Syncs,
 			LogCheckpoints: st.Checkpoints,

@@ -59,8 +59,9 @@ type Stats struct {
 	// Appends counts appended records; AppendedBytes their payload bytes.
 	Appends       int
 	AppendedBytes int
-	// Syncs counts sync points (SyncNow + SyncAt on SimLog, Sync on
-	// FileLog).
+	// Syncs counts sync points: SyncNow, SyncAt and Checkpoint on SimLog,
+	// Sync and Checkpoint on FileLog. A checkpoint is one sync point on
+	// both, although FileLog fsyncs the new file and its directory.
 	Syncs int
 	// Checkpoints counts checkpoint writes; Compacted the records a
 	// checkpoint dropped from the live suffix.

@@ -455,3 +455,33 @@ func TestFileLogCheckpointCountsCompacted(t *testing.T) {
 		t.Fatalf("Compacted = %d after a reopen over 5 records, 2 appends and a checkpoint, want 7", got)
 	}
 }
+
+// TestFileLogCheckpointCountsOneSync: a checkpoint is one sync point on
+// FileLog as on SimLog, so the two logs' Syncs mean the same thing for the
+// same history of appends, syncs and checkpoints.
+func TestFileLogCheckpointCountsOneSync(t *testing.T) {
+	fl, err := OpenFile(filepath.Join(t.TempDir(), "s.dlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	sl := NewSimLog()
+	for i := range 3 {
+		r := rec(1, fmt.Sprintf("r%d", i))
+		if err := fl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		sl.Append(r)
+	}
+	if err := fl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sl.SyncNow(0)
+	if err := fl.Checkpoint([]byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	sl.Checkpoint(0, []byte("base"))
+	if f, s := fl.Stats().Syncs, sl.Stats().Syncs; f != 2 || s != 2 {
+		t.Fatalf("Syncs after a sync and a checkpoint: FileLog %d, SimLog %d, want 2 on both", f, s)
+	}
+}

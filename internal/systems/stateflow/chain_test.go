@@ -92,10 +92,10 @@ func TestChainRefusedTransferLeavesPayeeQueue(t *testing.T) {
 			t.Fatalf("%s: value %v err %q, want %v", id, r.Value, r.Err, want)
 		}
 	}
-	if got := balance(t, fx.sys, acct(9)); got != 115 {
+	if got := balance(t, fx.dep, acct(9)); got != 115 {
 		t.Fatalf("payee balance %d, want 115", got)
 	}
-	if got := balance(t, fx.sys, acct(0)); got != 95 {
+	if got := balance(t, fx.dep, acct(0)); got != 95 {
 		t.Fatalf("refused payer balance %d, want 95", got)
 	}
 	c := fx.sys.Coordinator()
@@ -134,7 +134,7 @@ func chainRun(t *testing.T, k int, perturb sim.PerturbFunc) *fixture {
 	if c := fx.sys.Coordinator(); c.EpochsClosed != 1 || c.FallbackChains != 1 || c.Recoveries != 0 {
 		t.Fatalf("epochs %d chains %d recoveries %d, want one chained epoch", c.EpochsClosed, c.FallbackChains, c.Recoveries)
 	}
-	assertChainState(t, fx.sys, k, 5)
+	assertChainState(t, fx.dep, k, 5)
 	return fx
 }
 
@@ -207,7 +207,7 @@ func TestChainReleaseLosingToTheFinalDecide(t *testing.T) {
 	if fx.client.Done != k {
 		t.Fatalf("responses: %d/%d", fx.client.Done, k)
 	}
-	assertChainState(t, fx.sys, k, 5)
+	assertChainState(t, fx.dep, k, 5)
 }
 
 // TestChainWorkerCrashMidChain loses a worker while a chain is in flight —
@@ -217,8 +217,9 @@ func TestChainReleaseLosingToTheFinalDecide(t *testing.T) {
 // serial-order state intact.
 func TestChainWorkerCrashMidChain(t *testing.T) {
 	const k = 16
-	cluster, sys, client := newBurstChain(t, k)
+	cluster, dep, client := newBurstChain(t, k)
 	inner := client.inner
+	sys := dep.Single()
 
 	// Crash the worker holding the most parked members, once some of the
 	// chain has been answered and some has not.
@@ -268,7 +269,7 @@ func TestChainWorkerCrashMidChain(t *testing.T) {
 			t.Fatalf("request %s delivered %d times with %d retries (unsolicited duplicate)", id, count, inner.Retries[id])
 		}
 	}
-	assertChainState(t, sys, k, 5)
+	assertChainState(t, dep, k, 5)
 	if got := fmt.Sprint(c.Failures, c.CorruptLogRecords); got != "0 0" {
 		t.Fatalf("failures and corrupt log records: %s, want none", got)
 	}
@@ -314,7 +315,7 @@ func pickReq(id, key string, d int64, cands ...string) sysapi.Request {
 	return regReq(id, key, "pick", interp.IntV(d), interp.ListV(refs...))
 }
 
-func regValue(t *testing.T, sys *System, key string) int64 {
+func regValue(t *testing.T, sys *ShardedSystem, key string) int64 {
 	t.Helper()
 	st, ok := sys.EntityState("Reg", key)
 	if !ok {
@@ -380,7 +381,7 @@ func driftRun(t *testing.T, perturb func(fx *fixture) sim.PerturbFunc, atClose f
 	if _, staged := c.journal.delivered["t3"]; staged {
 		t.Fatal("the drifted pick was answered by the epoch it drifted in")
 	}
-	if hub, c0, c1 := regValue(t, fx.sys, "hub"), regValue(t, fx.sys, "c0"), regValue(t, fx.sys, "c1"); hub != 1 || c0 != 100 || c1 != 108 {
+	if hub, c0, c1 := regValue(t, fx.dep, "hub"), regValue(t, fx.dep, "c0"), regValue(t, fx.dep, "c1"); hub != 1 || c0 != 100 || c1 != 108 {
 		t.Fatalf("hub %d c0 %d c1 %d when the epoch closed, want 1 100 108: the drifted pick's first hop was installed, or T4 was disturbed", hub, c0, c1)
 	}
 	if got := installs(fx.sys); got != 3 {
@@ -401,7 +402,7 @@ func driftRun(t *testing.T, perturb func(fx *fixture) sim.PerturbFunc, atClose f
 			t.Fatalf("%s: value %v err %q retries %d, want %d after %d retries", id, r.Value, r.Err, r.Retries, want.value, want.retries)
 		}
 	}
-	if hub, c0, c1 := regValue(t, fx.sys, "hub"), regValue(t, fx.sys, "c0"), regValue(t, fx.sys, "c1"); hub != 2 || c0 != 100 || c1 != 113 {
+	if hub, c0, c1 := regValue(t, fx.dep, "hub"), regValue(t, fx.dep, "c0"), regValue(t, fx.dep, "c1"); hub != 2 || c0 != 100 || c1 != 113 {
 		t.Fatalf("hub %d c0 %d c1 %d, want 2 100 113", hub, c0, c1)
 	}
 	if c.EpochsClosed != 2 || c.FallbackDriftDemotions != 1 || c.Aborts != 1 || c.Failures != 0 {
@@ -483,7 +484,7 @@ func TestChainDriftDoesNotHoldSuccessors(t *testing.T) {
 		t.Fatalf("epochs %d chains %d rounds %d rescued %d drifted %d, want one depth-3 chain that rescued both adds",
 			c.EpochsClosed, c.FallbackChains, c.FallbackRounds, c.FallbackCommits, c.FallbackDriftDemotions)
 	}
-	if hub, c0, c1 := regValue(t, fx.sys, "hub"), regValue(t, fx.sys, "c0"), regValue(t, fx.sys, "c1"); hub != 7 || c0 != 105 || c1 != 100 {
+	if hub, c0, c1 := regValue(t, fx.dep, "hub"), regValue(t, fx.dep, "c0"), regValue(t, fx.dep, "c1"); hub != 7 || c0 != 105 || c1 != 100 {
 		t.Fatalf("hub %d c0 %d c1 %d, want 7 105 100", hub, c0, c1)
 	}
 }
@@ -536,7 +537,7 @@ func TestChainDynamicMembersThatStay(t *testing.T) {
 				t.Fatalf("%s: order id %v err %q retries %d, want %d", id, r.Value, r.Err, r.Retries, want)
 			}
 		}
-		d, _ := fx.sys.EntityState("District", tpcc.DistrictKey(0, 0))
+		d, _ := fx.dep.EntityState("District", tpcc.DistrictKey(0, 0))
 		if d["next_o_id"].I != 3 {
 			t.Fatalf("next_o_id %d after two orders, want 3", d["next_o_id"].I)
 		}
@@ -578,7 +579,7 @@ func TestCoordinatorCrashMidDynamicChain(t *testing.T) {
 		_ = scale.Load(func(class string, args []interp.Value) error { preload(class, args...); return nil }) // preload fails the test itself
 	}, script)
 	client := counting.inner
-	crashCoordinatorMidChain(t, cluster, sys)
+	crashCoordinatorMidChain(t, cluster, sys.Single())
 	if client.Done != k {
 		t.Fatalf("responses: %d/%d", client.Done, k)
 	}
@@ -606,7 +607,7 @@ func TestCoordinatorCrashMidDynamicChain(t *testing.T) {
 			t.Fatalf("stock %d was taken from %d times, want once", i, s["order_cnt"].I)
 		}
 	}
-	if c := sys.Coordinator(); c.FallbackDriftDemotions != 0 || c.Failures != 0 || c.CorruptLogRecords != 0 {
+	if c := sys.Single().Coordinator(); c.FallbackDriftDemotions != 0 || c.Failures != 0 || c.CorruptLogRecords != 0 {
 		t.Fatalf("drifted %d failures %d corrupt log records %d, want none", c.FallbackDriftDemotions, c.Failures, c.CorruptLogRecords)
 	}
 }

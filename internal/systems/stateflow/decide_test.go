@@ -20,7 +20,7 @@ import (
 // account and runs until the deposit's response reached the client. It fails
 // the test unless the owner still holds the old balance then — otherwise the
 // case is vacuous.
-func decideHeldBack(t *testing.T) (*sim.Cluster, *System, *rawClient, *Worker) {
+func decideHeldBack(t *testing.T) (*sim.Cluster, *ShardedSystem, *rawClient, *Worker) {
 	t.Helper()
 	cluster, sys := deploy(t, bank, DefaultConfig(), func(preload func(class string, args ...interp.Value)) {
 		preload("Account", interp.StrV(acct(0)), interp.IntV(100))
@@ -28,7 +28,7 @@ func decideHeldBack(t *testing.T) (*sim.Cluster, *System, *rawClient, *Worker) {
 	client := &rawClient{}
 	cluster.Add("client", client)
 	ref := interp.EntityRef{Class: "Account", Key: acct(0)}
-	owner := sys.workers[sys.OwnerIndex(ref)]
+	owner := sys.owner(ref)
 	cluster.SetPerturb(func(_, to string, _ time.Duration, msg sim.Message) sim.Perturb {
 		if m, ok := msg.(*msgDecide); ok && m.Round == 0 && to == owner.id {
 			return sim.Perturb{Delay: 3 * time.Millisecond}
@@ -82,7 +82,7 @@ func TestReleasedWriteRebuiltWhenItsOwnerCrashesBeforeTheDecide(t *testing.T) {
 	now := cluster.Now()
 	cluster.ScheduleCrash(owner.id, now, now+10*time.Millisecond)
 	cluster.RunUntil(now + 2*time.Second)
-	c := sys.Coordinator()
+	c := sys.Single().Coordinator()
 	if c.Recoveries == 0 || c.BindingReplays != 1 {
 		t.Fatalf("recoveries %d, binding replays %d: want the lost decide recovered and the deposit replayed", c.Recoveries, c.BindingReplays)
 	}

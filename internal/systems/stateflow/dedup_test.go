@@ -67,15 +67,16 @@ func TestLateDuplicateAbsorbedAfterPruning(t *testing.T) {
 		t.Fatalf("compile: %v", cerr)
 	}
 	cluster := sim.New(7)
-	sys := New(cluster, prog, cfg).Single()
+	dep := New(cluster, prog, cfg)
+	sys := dep.Single()
 	for i := 0; i < 4; i++ {
-		if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+		if err := dep.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
 	}
 	sys.CheckpointPreloadedState()
 	client := &countingClient{
-		inner:      sysapi.NewScriptClient("client", sys, script),
+		inner:      sysapi.NewScriptClient("client", dep, script),
 		Deliveries: map[string]int{},
 	}
 	cluster.Add("client", client)
@@ -126,13 +127,13 @@ func TestLateDuplicateAbsorbedAfterPruning(t *testing.T) {
 	}
 	sum := int64(0)
 	for i := 0; i < 4; i++ {
-		sum += balance(t, sys, acct(i))
+		sum += balance(t, dep, acct(i))
 	}
 	if sum != 400 {
 		t.Fatalf("balances sum to %d, want 400 (the duplicate re-executed)", sum)
 	}
 	for i := 0; i < 4; i++ {
-		if got := balance(t, sys, acct(i)); got != 100 {
+		if got := balance(t, dep, acct(i)); got != 100 {
 			t.Fatalf("%s: balance %d, want 100 (lost or duplicated effects)", acct(i), got)
 		}
 	}

@@ -21,6 +21,7 @@ import (
 // accounts, every balance returns to 100 iff effects are exactly-once.
 type durableFixture struct {
 	cluster  *sim.Cluster
+	dep      *ShardedSystem
 	sys      *System
 	client   *countingClient
 	accounts int
@@ -43,18 +44,18 @@ func newDurableFixture(t *testing.T, seed int64, cfg Config, n, accounts int) *d
 		})
 	}
 	cluster := sim.New(seed)
-	sys := New(cluster, prog, cfg).Single()
+	dep := New(cluster, prog, cfg)
 	for i := 0; i < accounts; i++ {
-		if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+		if err := dep.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
 	}
-	sys.CheckpointPreloadedState()
-	inner := sysapi.NewScriptClient("client", sys, script)
+	dep.CheckpointPreloadedState()
+	inner := sysapi.NewScriptClient("client", dep, script)
 	inner.RetryEvery = 20 * time.Millisecond
 	client := &countingClient{inner: inner, Deliveries: map[string]int{}}
 	cluster.Add("client", client)
-	return &durableFixture{cluster: cluster, sys: sys, client: client, accounts: accounts}
+	return &durableFixture{cluster: cluster, dep: dep, sys: dep.Single(), client: client, accounts: accounts}
 }
 
 // inBursts re-times a script so its requests arrive size at a time, one
@@ -89,7 +90,7 @@ func (f *durableFixture) assertExactlyOnceEffective(t *testing.T, n int) {
 		}
 	}
 	for i := 0; i < f.accounts; i++ {
-		if got := balance(t, f.sys, acct(i)); got != 100 {
+		if got := balance(t, f.dep, acct(i)); got != 100 {
 			t.Fatalf("%s: balance %d, want 100 (lost or duplicated effects)", acct(i), got)
 		}
 	}
@@ -354,7 +355,7 @@ func TestResponseDropReplayServesRetry(t *testing.T) {
 			DropP: 1.0,
 		}},
 	}
-	eng := chaos.Install(f.cluster, f.sys.ChaosTopology(), plan)
+	eng := chaos.Install(f.cluster, f.dep.ChaosTopology(), plan)
 	f.cluster.Start()
 	f.cluster.RunUntil(20 * time.Second)
 
@@ -411,14 +412,15 @@ func TestDedupMapsPrunedAtCheckpoint(t *testing.T) {
 		})
 	}
 	cluster := sim.New(13)
-	sys := New(cluster, prog, cfg).Single()
+	dep := New(cluster, prog, cfg)
+	sys := dep.Single()
 	for i := 0; i < A; i++ {
-		if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+		if err := dep.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
 	}
 	sys.CheckpointPreloadedState()
-	inner := sysapi.NewScriptClient("client", sys, script)
+	inner := sysapi.NewScriptClient("client", dep, script)
 	inner.RetryEvery = 20 * time.Millisecond
 	client := &countingClient{inner: inner, Deliveries: map[string]int{}}
 	cluster.Add("client", client)
@@ -434,7 +436,7 @@ func TestDedupMapsPrunedAtCheckpoint(t *testing.T) {
 		}
 	}
 	for i := 0; i < A; i++ {
-		if got := balance(t, sys, acct(i)); got != 100 {
+		if got := balance(t, dep, acct(i)); got != 100 {
 			t.Fatalf("%s: balance %d, want 100", acct(i), got)
 		}
 	}
@@ -469,14 +471,15 @@ func TestBoundedBatchesChunkReplay(t *testing.T) {
 		})
 	}
 	cluster := sim.New(17)
-	sys := New(cluster, prog, cfg).Single()
+	dep := New(cluster, prog, cfg)
+	sys := dep.Single()
 	for i := 0; i < 4; i++ {
-		if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+		if err := dep.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
 	}
 	sys.CheckpointPreloadedState()
-	inner := sysapi.NewScriptClient("client", sys, script)
+	inner := sysapi.NewScriptClient("client", dep, script)
 	inner.RetryEvery = 25 * time.Millisecond
 	client := &countingClient{inner: inner, Deliveries: map[string]int{}}
 	cluster.Add("client", client)
@@ -507,7 +510,7 @@ func TestBoundedBatchesChunkReplay(t *testing.T) {
 		t.Fatalf("only %d epochs closed for %d requests at cap %d (no chunking?)", got, n, cap)
 	}
 	for i := 0; i < 4; i++ {
-		if got := balance(t, sys, acct(i)); got != 100 {
+		if got := balance(t, dep, acct(i)); got != 100 {
 			t.Fatalf("%s: balance %d, want 100", acct(i), got)
 		}
 	}

@@ -35,7 +35,7 @@ func chainScript(k int, amount int64, spacing time.Duration) []sysapi.Scheduled 
 // assertChainState checks the serial-order outcome of a fully committed
 // k-chain of transfers of `amount`: the head loses the amount, the tail
 // gains it, everyone in between breaks even.
-func assertChainState(t *testing.T, sys *System, k int, amount int64) {
+func assertChainState(t *testing.T, sys *ShardedSystem, k int, amount int64) {
 	t.Helper()
 	for i := 0; i <= k; i++ {
 		want := int64(100)
@@ -96,7 +96,7 @@ func TestChainDrainsInOneBatchWithFallback(t *testing.T) {
 	if c.Aborts != 0 {
 		t.Fatalf("next-batch retries: %d, want 0", c.Aborts)
 	}
-	assertChainState(t, fx.sys, k, 5)
+	assertChainState(t, fx.dep, k, 5)
 }
 
 // TestChainOnePerBatchWithoutFallback pins the legacy behavior the
@@ -134,7 +134,7 @@ func TestChainOnePerBatchWithoutFallback(t *testing.T) {
 		t.Fatalf("max retries: %d, want %d (linear climb down the chain)", maxRetries, k-1)
 	}
 	// Byte-identical final committed state across both modes.
-	assertChainState(t, fx.sys, k, 5)
+	assertChainState(t, fx.dep, k, 5)
 }
 
 // TestFallbackDifferentialContendedState runs a contended random transfer
@@ -154,7 +154,7 @@ func TestFallbackDifferentialContendedState(t *testing.T) {
 			Req: transferReq(fmt.Sprintf("t%d", i), acct(from), acct(to), int64(1+i%7)),
 		})
 	}
-	run := func(disable bool) (*System, map[string]sysapi.Response) {
+	run := func(disable bool) (*ShardedSystem, map[string]sysapi.Response) {
 		cfg := DefaultConfig()
 		cfg.EpochInterval = 5 * time.Millisecond
 		cfg.DisableFallback = disable
@@ -163,7 +163,7 @@ func TestFallbackDifferentialContendedState(t *testing.T) {
 		if fx.client.Done != transfers {
 			t.Fatalf("disable=%v: responses %d/%d", disable, fx.client.Done, transfers)
 		}
-		return fx.sys, fx.client.Responses
+		return fx.dep, fx.client.Responses
 	}
 	on, onResp := run(false)
 	off, offResp := run(true)
@@ -182,7 +182,7 @@ func TestFallbackDifferentialContendedState(t *testing.T) {
 				id, a.Value.Repr(), a.Err, b.Value.Repr(), b.Err)
 		}
 	}
-	if on.Coordinator().FallbackCommits == 0 {
+	if on.Single().Coordinator().FallbackCommits == 0 {
 		t.Fatal("differential run never exercised the fallback phase")
 	}
 }
@@ -190,7 +190,7 @@ func TestFallbackDifferentialContendedState(t *testing.T) {
 // newBurstChain deploys the crash cases' scenario and starts it: a k-chain
 // of transfers submitted in one burst (TIDs permute under the link jitter;
 // the conflict graph is the chain either way).
-func newBurstChain(t *testing.T, k int) (*sim.Cluster, *System, *countingClient) {
+func newBurstChain(t *testing.T, k int) (*sim.Cluster, *ShardedSystem, *countingClient) {
 	t.Helper()
 	return newBurst(t, bank, func(preload func(class string, args ...interp.Value)) {
 		for i := 0; i <= k; i++ {
@@ -203,7 +203,7 @@ func newBurstChain(t *testing.T, k int) (*sim.Cluster, *System, *countingClient)
 // epochs with frequent snapshots, from a retrying, delivery-counting client —
 // a response whose delivered-record synced right before a crash is
 // suppressed by the replay and must be solicited back from the egress buffer.
-func newBurst(t *testing.T, src string, load func(preload func(class string, args ...interp.Value)), script []sysapi.Scheduled) (*sim.Cluster, *System, *countingClient) {
+func newBurst(t *testing.T, src string, load func(preload func(class string, args ...interp.Value)), script []sysapi.Scheduled) (*sim.Cluster, *ShardedSystem, *countingClient) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.EpochInterval = 5 * time.Millisecond
@@ -265,7 +265,7 @@ func TestCoordinatorCrashMidFallback(t *testing.T) {
 	const k = 16
 	cluster, sys, counting := newBurstChain(t, k)
 	client := counting.inner
-	crashCoordinatorMidChain(t, cluster, sys)
+	crashCoordinatorMidChain(t, cluster, sys.Single())
 	if client.Done != k {
 		t.Fatalf("responses: %d/%d", client.Done, k)
 	}
@@ -311,7 +311,7 @@ func TestFallbackDrainsUnderfundedChain(t *testing.T) {
 	if trues != 1 {
 		t.Fatalf("%d transfers succeeded, want exactly 1 (funds bound)", trues)
 	}
-	if got := balance(t, fx.sys, acct(0)); got != 40 {
+	if got := balance(t, fx.dep, acct(0)); got != 40 {
 		t.Fatalf("acct-000 balance: %d, want 40", got)
 	}
 	if fx.sys.Coordinator().EpochsClosed != 1 {
@@ -367,7 +367,7 @@ func TestFallbackRoundBudgetSpillsChain(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("no response carried retries > 0; the spill path never round-tripped")
 	}
-	assertChainState(t, fx.sys, k, 5)
+	assertChainState(t, fx.dep, k, 5)
 }
 
 // TestHotKeyVirtualTimeBudget holds what a client sees of contention — the
@@ -390,7 +390,7 @@ func TestHotKeyVirtualTimeBudget(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	cluster := sim.New(1)
-	sys := New(cluster, prog, DefaultConfig()).Single()
+	sys := New(cluster, prog, DefaultConfig())
 	load := ycsb.Loader(records, 1000)
 	for i := 0; i < records; i++ {
 		class, args := load(i)
@@ -409,7 +409,7 @@ func TestHotKeyVirtualTimeBudget(t *testing.T) {
 	cluster.Start()
 	cluster.RunUntil(horizon + 10*time.Second)
 
-	c := sys.Coordinator()
+	c := sys.Single().Coordinator()
 	lat := gen.Latency.Snapshot()
 	t.Logf("p50 %v p99 %v over %d transfers: %d epochs, %d chained, %d rounds, %d rescued",
 		lat.P50, lat.P99, gen.Done, c.EpochsClosed, c.FallbackChains, c.FallbackRounds, c.FallbackCommits)
@@ -448,7 +448,7 @@ func TestDynamicFootprintVirtualTimeBudget(t *testing.T) {
 		t.Fatal("new_order is ref-closed: the workload no longer has a dynamic footprint")
 	}
 	cluster := sim.New(1)
-	sys := New(cluster, prog, DefaultConfig()).Single()
+	sys := New(cluster, prog, DefaultConfig())
 	scale := tpcc.Scale{Warehouses: 2, DistrictsPerWH: 2, CustomersPerDist: 10, Items: 50}
 	if err := scale.Load(func(class string, args []interp.Value) error {
 		return sys.PreloadEntity(class, args...)
@@ -462,7 +462,7 @@ func TestDynamicFootprintVirtualTimeBudget(t *testing.T) {
 	cluster.Start()
 	cluster.RunUntil(horizon + 20*time.Second)
 
-	c := sys.Coordinator()
+	c := sys.Single().Coordinator()
 	lat := gen.Latency.Snapshot()
 	t.Logf("p50 %v p99 %v over %d transactions: %d epochs, %d chained, %d rounds, %d rescued, %d drifted",
 		lat.P50, lat.P99, gen.Done, c.EpochsClosed, c.FallbackChains, c.FallbackRounds, c.FallbackCommits, c.FallbackDriftDemotions)

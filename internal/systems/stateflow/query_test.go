@@ -51,7 +51,7 @@ func TestQuerySnapshotIsConsistentButStale(t *testing.T) {
 
 	// Submit another transfer and query the snapshot again BEFORE its
 	// snapshot completes: the cut must remain the old, conserved state.
-	fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(), sysapi.MsgRequest{
+	fx.cluster.Inject(fx.cluster.Now(), "client", fx.dep.IngressID(), sysapi.MsgRequest{
 		Request: transferReq("t2", acct(1), acct(0), 5), ReplyTo: "client",
 	})
 	fx.cluster.RunUntil(fx.cluster.Now() + time.Millisecond)
@@ -107,7 +107,7 @@ func TestQueryRowsAreCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows[0].State["balance"] = interp.IntV(9999) // returned map is a copy
-	if got := balance(t, fx.sys, acct(0)); got != 100 {
+	if got := balance(t, fx.dep, acct(0)); got != 100 {
 		t.Fatalf("query mutated live state: %d", got)
 	}
 }

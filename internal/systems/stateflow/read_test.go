@@ -55,8 +55,8 @@ func TestFastReadWaitsForTheChainsFinalDecide(t *testing.T) {
 	cluster.Add("client", client)
 	cluster.Start()
 	payerRef := interp.EntityRef{Class: "Account", Key: acct(1)}
-	payer := sys.workers[sys.OwnerIndex(payerRef)]
-	if payer.id == sys.ownerOf(interp.EntityRef{Class: "Account", Key: acct(9)}) {
+	payer := sys.owner(payerRef)
+	if payer == sys.owner(interp.EntityRef{Class: "Account", Key: acct(9)}) {
 		t.Fatal("fixture: T2's payer and payee share a worker; its release would not travel")
 	}
 	for i := 0; i < 4; i++ {
@@ -93,7 +93,7 @@ func TestFastReadWaitsForTheChainsFinalDecide(t *testing.T) {
 		}
 		cluster.RunUntil(cluster.Now() + 20*time.Microsecond)
 	}
-	c := sys.Coordinator()
+	c := sys.Single().Coordinator()
 	chained := payer.appliedEpoch + 1
 	row, _ := payer.committed.Lookup(payerRef)
 	bal, _ := row.Get("balance")

@@ -44,6 +44,7 @@ const recoveryRequests = 24
 // snapshots, and a delivery-counting client.
 type recoveryFixture struct {
 	cluster *sim.Cluster
+	dep     *ShardedSystem
 	sys     *System
 	client  *countingClient
 }
@@ -68,19 +69,19 @@ func newRecoveryFixture(t *testing.T, seed int64, mods ...func(*Config)) *recove
 		})
 	}
 	cluster := sim.New(seed)
-	sys := New(cluster, prog, cfg).Single()
+	dep := New(cluster, prog, cfg)
 	for i := 0; i < 4; i++ {
-		if err := sys.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+		if err := dep.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
 	}
-	sys.CheckpointPreloadedState()
+	dep.CheckpointPreloadedState()
 	client := &countingClient{
-		inner:      sysapi.NewScriptClient("client", sys, script),
+		inner:      sysapi.NewScriptClient("client", dep, script),
 		Deliveries: map[string]int{},
 	}
 	cluster.Add("client", client)
-	return &recoveryFixture{cluster: cluster, sys: sys, client: client}
+	return &recoveryFixture{cluster: cluster, dep: dep, sys: dep.Single(), client: client}
 }
 
 // assertExactlyOnce checks the scenario's shared post-conditions: every
@@ -103,7 +104,7 @@ func (f *recoveryFixture) assertExactlyOnce(t *testing.T, fail func(format strin
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if got := balance(t, f.sys, acct(i)); got != 100 {
+		if got := balance(t, f.dep, acct(i)); got != 100 {
 			fail("%s: balance %d, want 100 (lost or duplicated effects)", acct(i), got)
 		}
 	}
@@ -237,7 +238,7 @@ func TestRecoveryGeneratedCrashPoints(t *testing.T) {
 		// mid-fallback crash test in fallback_test.go.
 		f := newRecoveryFixture(t, seed, func(c *Config) { c.DisableFallback = true })
 		cluster, sys := f.cluster, f.sys
-		eng := chaos.Install(cluster, sys.ChaosTopology(), plan)
+		eng := chaos.Install(cluster, f.dep.ChaosTopology(), plan)
 		cluster.Start()
 		cluster.RunUntil(20 * time.Second)
 
@@ -429,7 +430,7 @@ func TestCoordinatorCrashMidPipeline(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if got := balance(t, f.sys, acct(i)); got != 100 {
+		if got := balance(t, f.dep, acct(i)); got != 100 {
 			t.Fatalf("%s: balance %d, want 100 (lost or duplicated effects)", acct(i), got)
 		}
 	}

@@ -189,7 +189,6 @@ type SequencerStats struct {
 // comment).
 type Sequencer struct {
 	sys *ShardedSystem
-	ex  *core.Executor
 
 	nextSeq  int64
 	queue    []*globalTxn
@@ -216,7 +215,6 @@ func (q *Sequencer) Stats() SequencerStats { return q.SequencerStats }
 func newSequencer(sys *ShardedSystem) *Sequencer {
 	return &Sequencer{
 		sys:      sys,
-		ex:       core.NewExecutor(sys.prog),
 		inFlight: map[string]bool{},
 	}
 }
@@ -571,7 +569,7 @@ func (s *reconStore) Create(ref interp.EntityRef, ctor func(interp.State) error)
 func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []interp.EntityRef {
 	ws := aria.NewWorkspace(aria.TID(b.seq), b.overlay)
 	store := &reconStore{ws: ws, fetched: b.fetched, missing: map[interp.EntityRef]bool{}}
-	out, steps, err := q.ex.Drive(core.Event{
+	out, steps, err := q.sys.ex.Drive(core.Event{
 		Kind:   core.EvInvoke,
 		Req:    t.req.Req,
 		Target: t.req.Target,

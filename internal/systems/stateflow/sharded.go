@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"statefulentities.dev/stateflow/internal/chaos"
+	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/ir"
 	"statefulentities.dev/stateflow/internal/obs"
@@ -31,21 +32,17 @@ import (
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
 
-// ShardedSystem is a sysapi.Backend deploying Config.Shards coordinator
-// groups. With Shards <= 1 it is the classic topology — exactly one
-// deployment, no sequencer — and the embedded *System exposes the full
-// single-deployment surface (Coordinator, Workers, Dlog, …) directly.
+// ShardedSystem is the StateFlow sysapi.Backend: Config.Shards coordinator
+// groups on a ring, every client, preload and chaos call routed ref →
+// shard → owning worker. With Shards <= 1 it is the classic topology, a
+// ring of one deployment with no sequencer in front; Single returns that
+// deployment's stats and recovery surface (Coordinator, Workers, Dlog, …).
 type ShardedSystem struct {
-	// System is the sole deployment of a classic (Shards <= 1) topology;
-	// nil when a sequencer fronts multiple shards, so misrouted
-	// single-deployment accesses fail loudly instead of silently reading
-	// shard 0.
-	*System
-
 	cfg      Config
 	prog     *ir.Program
+	ex       *core.Executor // stateless; shared by every worker and the sequencer
 	shards   []*System
-	shardIdx map[string]int // coordID -> shard ring position
+	shardIdx map[string]int // coordID -> shard ring position, for the sequencer
 	seq      *Sequencer
 	seqID    string
 }
@@ -57,16 +54,13 @@ type ShardedSystem struct {
 // larger deploys that many coordinator groups ("sf<i>-…") behind the
 // global sequencer "sf-seq".
 func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *ShardedSystem {
-	s := &ShardedSystem{cfg: cfg, prog: prog, seqID: "sf-seq", shardIdx: map[string]int{}}
+	s := &ShardedSystem{cfg: cfg, prog: prog, ex: core.NewExecutor(prog), seqID: "sf-seq", shardIdx: map[string]int{}}
 	if cfg.Shards <= 1 {
-		sys := newSystem(cluster, prog, cfg, "sf-")
-		s.System = sys
-		s.shards = []*System{sys}
-		s.shardIdx[sys.coordID] = 0
+		s.shards = []*System{newSystem(cluster, prog, s.ex, cfg, "sf-")}
 		return s
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newSystem(cluster, prog, cfg, fmt.Sprintf("sf%d-", i))
+		sh := newSystem(cluster, prog, s.ex, cfg, fmt.Sprintf("sf%d-", i))
 		sh.shardIndex, sh.seqID = i, s.seqID
 		s.shards = append(s.shards, sh)
 		s.shardIdx[sh.coordID] = i
@@ -78,7 +72,12 @@ func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *ShardedSystem {
 
 // Single returns the classic topology's sole deployment (nil when a
 // sequencer fronts multiple shards).
-func (s *ShardedSystem) Single() *System { return s.System }
+func (s *ShardedSystem) Single() *System {
+	if s.seq != nil {
+		return nil
+	}
+	return s.shards[0]
+}
 
 // ShardOf routes an entity to its shard by stable (class-id, key) hash.
 // The class id comes from the compiler's slotted layout registry, so two
@@ -122,24 +121,34 @@ func (s *ShardedSystem) IngressID() string {
 // ClientLink implements sysapi.System.
 func (s *ShardedSystem) ClientLink() sim.Latency { return s.cfg.Costs.ClientLink }
 
-// KeyForCtor implements sysapi.Backend.
+// KeyForCtor implements sysapi.Backend: the routing key of a constructor
+// call, derived from its argument list.
 func (s *ShardedSystem) KeyForCtor(class string, args []interp.Value) (string, error) {
-	return s.shards[0].KeyForCtor(class, args)
+	return s.ex.KeyForCtor(class, args)
 }
 
-// Preload installs entity state on its owning shard.
+// owner returns the worker owning an entity: its shard, then its
+// partition on that shard.
+func (s *ShardedSystem) owner(ref interp.EntityRef) *Worker {
+	sh := s.shards[s.ShardOf(ref)]
+	return sh.workers[sh.OwnerIndex(ref)]
+}
+
+// Preload installs entity state directly on the owning worker, bypassing
+// the dataflow (benchmark dataset loading). Call before Start.
 func (s *ShardedSystem) Preload(ref interp.EntityRef, st interp.MapState) {
-	s.shards[s.ShardOf(ref)].Preload(ref, st)
+	s.owner(ref).committed.PutMap(ref, st)
 }
 
-// PreloadEntity implements sysapi.Backend.
+// PreloadEntity implements sysapi.Backend: it preloads the state an entity
+// would have after __init__ with the given args.
 func (s *ShardedSystem) PreloadEntity(class string, args ...interp.Value) error {
-	key, err := s.KeyForCtor(class, args)
+	ref, row, err := s.ex.InitRow(class, args)
 	if err != nil {
 		return err
 	}
-	ref := interp.EntityRef{Class: class, Key: key}
-	return s.shards[s.ShardOf(ref)].PreloadEntity(class, args...)
+	s.owner(ref).committed.Put(ref, row)
+	return nil
 }
 
 // CheckpointPreloadedState seals the preloaded dataset on every shard.
@@ -149,42 +158,50 @@ func (s *ShardedSystem) CheckpointPreloadedState() {
 	}
 }
 
-// EntityState implements sysapi.Backend.
+// EntityState implements sysapi.Backend: an entity's committed state
+// (test assertions).
 func (s *ShardedSystem) EntityState(class, key string) (interp.MapState, bool) {
 	ref := interp.EntityRef{Class: class, Key: key}
-	return s.shards[s.ShardOf(ref)].EntityState(class, key)
+	st, ok := s.owner(ref).committed.Lookup(ref)
+	if !ok {
+		return nil, false
+	}
+	return st.CloneMap(), true
 }
 
-// Keys implements sysapi.Backend: merged across shards.
+// Keys implements sysapi.Backend: the keys of every committed entity of a
+// class, sorted across every worker of every shard.
 func (s *ShardedSystem) Keys(class string) []string {
 	var out []string
 	for _, sh := range s.shards {
-		out = append(out, sh.Keys(class)...)
+		for _, w := range sh.workers {
+			out = append(out, w.committed.Keys(class)...)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// ChaosTopology implements sysapi.Backend: the union of every shard's
-// contract plus the sequencing layer. The aggregate "coordinator" and
-// "worker" roles span all shards, so a chaos plan that crashes "the
-// coordinator" picks one shard's coordinator — exactly the
-// single-shard-crash coverage the adversarial sweep requires. The
-// sequencer is crashable: it keeps no durable state, but every in-flight
-// batch is re-derivable from the shards' durable fence markers and the
-// manifest of the logged applies, so a reboot rolls the batch forward or
-// abandons it; it never held a response, so it has none to lose — answered
-// transactions are re-served under the fence from their home shards'
-// journals, before a failover and after (failover.go).
+// ChaosTopology implements sysapi.Backend: the written failure contract
+// (see failureContract) of every shard's coordinator group plus the
+// sequencing layer. The "coordinator" and "worker" roles span all shards
+// in ring order, so a chaos plan that crashes "the coordinator" picks one
+// shard's coordinator — exactly the single-shard-crash coverage the
+// adversarial sweep requires. The sequencer is crashable: it keeps no
+// durable state, but every in-flight batch is re-derivable from the
+// shards' durable fence markers and the manifest of the logged applies, so
+// a reboot rolls the batch forward or abandons it; it never held a
+// response, so it has none to lose — answered transactions are re-served
+// under the fence from their home shards' journals, before a failover and
+// after (failover.go).
 func (s *ShardedSystem) ChaosTopology() chaos.Topology {
-	if s.seq == nil {
-		return s.shards[0].ChaosTopology()
+	roles := map[string][]string{}
+	if s.seq != nil {
+		roles["sequencer"] = []string{s.seqID}
 	}
-	roles := map[string][]string{"sequencer": {s.seqID}}
 	for _, sh := range s.shards {
-		for role, ids := range sh.ChaosTopology().Roles {
-			roles[role] = append(roles[role], ids...)
-		}
+		roles["coordinator"] = append(roles["coordinator"], sh.coordID)
+		roles["worker"] = append(roles["worker"], sh.workerIDs...)
 	}
 	return failureContract(roles)
 }

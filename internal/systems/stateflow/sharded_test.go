@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -222,6 +223,97 @@ func shardedSum(t *testing.T, sys *ShardedSystem, accounts int) int64 {
 		sum += st["balance"].I
 	}
 	return sum
+}
+
+// TestTopologyPin pins what clients and chaos plans see of a deployment:
+// the ingress id and every role's component ids, in order. A plan picks its
+// victims by their position in a role, so reordering the ring reorders
+// every seeded fault.
+func TestTopologyPin(t *testing.T) {
+	for _, tc := range []struct {
+		shards  int
+		ingress string
+		roles   map[string][]string
+	}{
+		{1, "sf-coord", map[string][]string{
+			"coordinator": {"sf-coord"},
+			"worker":      {"sf-worker-0", "sf-worker-1", "sf-worker-2", "sf-worker-3", "sf-worker-4"},
+		}},
+		{4, "sf-seq", map[string][]string{
+			"sequencer":   {"sf-seq"},
+			"coordinator": {"sf0-coord", "sf1-coord", "sf2-coord", "sf3-coord"},
+			"worker": {
+				"sf0-worker-0", "sf0-worker-1", "sf0-worker-2", "sf0-worker-3", "sf0-worker-4",
+				"sf1-worker-0", "sf1-worker-1", "sf1-worker-2", "sf1-worker-3", "sf1-worker-4",
+				"sf2-worker-0", "sf2-worker-1", "sf2-worker-2", "sf2-worker-3", "sf2-worker-4",
+				"sf3-worker-0", "sf3-worker-1", "sf3-worker-2", "sf3-worker-3", "sf3-worker-4",
+			},
+		}},
+	} {
+		sys := shardedProbe(t, tc.shards)
+		if got := sys.IngressID(); got != tc.ingress {
+			t.Errorf("%d shards: ingress %q, want %q", tc.shards, got, tc.ingress)
+		}
+		if got := sys.ChaosTopology().Roles; !reflect.DeepEqual(got, tc.roles) {
+			t.Errorf("%d shards: roles\n%v\nwant\n%v", tc.shards, got, tc.roles)
+		}
+	}
+}
+
+// TestRingReadsMatchTheWorkerStores: on a 4-shard ring after single- and
+// cross-shard transfers, Keys lists exactly the entities the workers'
+// committed stores hold, each on one worker, and EntityState reads each one
+// from that worker.
+func TestRingReadsMatchTheWorkerStores(t *testing.T) {
+	const accounts = 16
+	fx := newShardedFixture(t, DefaultConfig(), 4, accounts, nil)
+	sFrom, sTo := accountPair(t, fx.sys, accounts, false)
+	xFrom, xTo := accountPair(t, fx.sys, accounts, true)
+	for i, p := range [][2]string{{sFrom, sTo}, {xFrom, xTo}, {xTo, sFrom}} {
+		fx.cluster.Inject(time.Duration(i+1)*4*time.Millisecond, "client", fx.sys.IngressID(),
+			sysapi.MsgRequest{Request: transferReq(fmt.Sprintf("r%d", i), p[0], p[1], 7), ReplyTo: "client"})
+	}
+	fx.cluster.RunUntil(5 * time.Second)
+	if fx.client.Done != 3 {
+		t.Fatalf("settled %d/3 requests", fx.client.Done)
+	}
+
+	scanned := map[string]interp.MapState{}
+	for _, sh := range fx.sys.Shards() {
+		for _, w := range sh.Workers() {
+			for _, key := range w.committed.Keys("Account") {
+				if _, dup := scanned[key]; dup {
+					t.Fatalf("%s is committed on two workers", key)
+				}
+				row, _ := w.committed.Lookup(interp.EntityRef{Class: "Account", Key: key})
+				scanned[key] = row.CloneMap()
+			}
+		}
+	}
+	keys := fx.sys.Keys("Account")
+	if len(keys) != accounts || len(scanned) != accounts {
+		t.Fatalf("Keys lists %d accounts, the stores hold %d, want %d", len(keys), len(scanned), accounts)
+	}
+	moved := 0
+	for _, key := range keys {
+		want, ok := scanned[key]
+		if !ok {
+			t.Fatalf("Keys lists %s, which no worker holds", key)
+		}
+		got, ok := fx.sys.EntityState("Account", key)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("EntityState(%s) = %v (found %v), the owning store holds %v", key, got, ok, want)
+		}
+		if got["balance"].I != 100 {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no balance moved: the reads were only checked against the preload")
+	}
+	if _, ok := fx.sys.EntityState("Account", "nobody"); ok {
+		t.Fatal("EntityState found an account no worker holds")
+	}
 }
 
 // TestShardedShardCrashRecovery crashes one shard's coordinator in the

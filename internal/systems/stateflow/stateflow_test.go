@@ -45,7 +45,8 @@ class Account:
 
 type fixture struct {
 	cluster *sim.Cluster
-	sys     *System
+	dep     *ShardedSystem // the client backend, a ring of one
+	sys     *System        // its sole coordinator group
 	client  *sysapi.ScriptClient
 }
 
@@ -61,30 +62,30 @@ func newFixture(t *testing.T, cfg Config, accounts int, script []sysapi.Schedule
 // newProgFixture deploys src (see deploy) and starts a script client.
 func newProgFixture(t *testing.T, src string, cfg Config, load func(preload func(class string, args ...interp.Value)), script []sysapi.Scheduled) *fixture {
 	t.Helper()
-	cluster, sys := deploy(t, src, cfg, load)
-	client := sysapi.NewScriptClient("client", sys, script)
+	cluster, dep := deploy(t, src, cfg, load)
+	client := sysapi.NewScriptClient("client", dep, script)
 	cluster.Add("client", client)
 	cluster.Start()
-	return &fixture{cluster: cluster, sys: sys, client: client}
+	return &fixture{cluster: cluster, dep: dep, sys: dep.Single(), client: client}
 }
 
 // deploy compiles src onto one coordinator group of a fresh cluster, preloads
 // what load asks for and checkpoints it.
-func deploy(t *testing.T, src string, cfg Config, load func(preload func(class string, args ...interp.Value))) (*sim.Cluster, *System) {
+func deploy(t *testing.T, src string, cfg Config, load func(preload func(class string, args ...interp.Value))) (*sim.Cluster, *ShardedSystem) {
 	t.Helper()
 	prog, err := compiler.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	cluster := sim.New(42)
-	sys := New(cluster, prog, cfg).Single()
+	dep := New(cluster, prog, cfg)
 	load(func(class string, args ...interp.Value) {
-		if err := sys.PreloadEntity(class, args...); err != nil {
+		if err := dep.PreloadEntity(class, args...); err != nil {
 			t.Fatalf("preload: %v", err)
 		}
 	})
-	sys.CheckpointPreloadedState()
-	return cluster, sys
+	dep.CheckpointPreloadedState()
+	return cluster, dep
 }
 
 func acct(i int) string { return fmt.Sprintf("acct-%03d", i) }
@@ -108,7 +109,7 @@ func readReq(id, key string) sysapi.Request {
 	}
 }
 
-func balance(t *testing.T, sys *System, key string) int64 {
+func balance(t *testing.T, sys *ShardedSystem, key string) int64 {
 	t.Helper()
 	st, ok := sys.EntityState("Account", key)
 	if !ok {
@@ -132,10 +133,10 @@ func TestSingleTransferCommits(t *testing.T) {
 	if !resp.Value.B {
 		t.Fatalf("transfer returned %v", resp.Value)
 	}
-	if got := balance(t, fx.sys, acct(0)); got != 70 {
+	if got := balance(t, fx.dep, acct(0)); got != 70 {
 		t.Fatalf("src balance: %d", got)
 	}
-	if got := balance(t, fx.sys, acct(1)); got != 130 {
+	if got := balance(t, fx.dep, acct(1)); got != 130 {
 		t.Fatalf("dst balance: %d", got)
 	}
 }
@@ -149,7 +150,7 @@ func TestInsufficientFundsNoEffects(t *testing.T) {
 	if resp.Value.B {
 		t.Fatal("transfer should fail")
 	}
-	if balance(t, fx.sys, acct(0)) != 100 || balance(t, fx.sys, acct(1)) != 100 {
+	if balance(t, fx.dep, acct(0)) != 100 || balance(t, fx.dep, acct(1)) != 100 {
 		t.Fatal("balances must be unchanged")
 	}
 }
@@ -182,7 +183,7 @@ func TestConflictingTransfersSerialize(t *testing.T) {
 		t.Fatalf("responses: %d", fx.client.Done)
 	}
 	// Conservation: total stays 300.
-	total := balance(t, fx.sys, acct(0)) + balance(t, fx.sys, acct(1)) + balance(t, fx.sys, acct(2))
+	total := balance(t, fx.dep, acct(0)) + balance(t, fx.dep, acct(1)) + balance(t, fx.dep, acct(2))
 	if total != 300 {
 		t.Fatalf("money not conserved: %d", total)
 	}
@@ -196,7 +197,7 @@ func TestConflictingTransfersSerialize(t *testing.T) {
 	// needs balance(acct0)=40 < 60 -> returns False (or orders differ, but
 	// conservation plus per-account non-negativity must hold).
 	for i := 0; i < 3; i++ {
-		if b := balance(t, fx.sys, acct(i)); b < 0 {
+		if b := balance(t, fx.dep, acct(i)); b < 0 {
 			t.Fatalf("negative balance on %s: %d", acct(i), b)
 		}
 	}
@@ -219,7 +220,7 @@ func TestManyConcurrentTransfersConserveMoney(t *testing.T) {
 	}
 	var total int64
 	for i := 0; i < 5; i++ {
-		total += balance(t, fx.sys, acct(i))
+		total += balance(t, fx.dep, acct(i))
 	}
 	if total != 500 {
 		t.Fatalf("money not conserved: %d", total)
@@ -257,7 +258,7 @@ func TestApplicationErrorDoesNotCommit(t *testing.T) {
 	if resp.Err == "" {
 		t.Fatal("expected error")
 	}
-	if got := balance(t, fx.sys, acct(0)); got != 100 {
+	if got := balance(t, fx.dep, acct(0)); got != 100 {
 		t.Fatalf("partial effects leaked: %d", got)
 	}
 }
@@ -317,7 +318,7 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	// conserved and match a serial execution (all succeed: amounts tiny).
 	var total int64
 	for i := 0; i < 4; i++ {
-		total += balance(t, fx.sys, acct(i))
+		total += balance(t, fx.dep, acct(i))
 	}
 	if total != 400 {
 		t.Fatalf("money not conserved after recovery: %d", total)
@@ -340,7 +341,7 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		want := 100 - sent[acct(i)] + recv[acct(i)]
-		if got := balance(t, fx.sys, acct(i)); got != want {
+		if got := balance(t, fx.dep, acct(i)); got != want {
 			t.Fatalf("%s: got %d want %d (duplicate or lost effects)", acct(i), got, want)
 		}
 	}
@@ -431,7 +432,7 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		fx := newFixture(t, DefaultConfig(), 3, script)
 		fx.cluster.RunUntil(2 * time.Second)
-		return balance(t, fx.sys, acct(0)), fx.client.Latency.Percentile(99)
+		return balance(t, fx.dep, acct(0)), fx.client.Latency.Percentile(99)
 	}
 	b1, l1 := run()
 	b2, l2 := run()

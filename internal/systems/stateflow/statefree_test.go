@@ -28,8 +28,8 @@ func TestTransferFinishesAtThePayee(t *testing.T) {
 	cluster.Add("client", client)
 	cluster.Start()
 	ref := func(i int) interp.EntityRef { return interp.EntityRef{Class: "Account", Key: acct(i)} }
-	payee := sys.ownerOf(ref(9))
-	if sys.ownerOf(ref(0)) == payee || sys.ownerOf(ref(1)) == payee {
+	payee := sys.owner(ref(9)).id
+	if sys.owner(ref(0)).id == payee || sys.owner(ref(1)).id == payee {
 		t.Fatal("fixture: a payer shares the payee's worker; the sets would not travel")
 	}
 	type finish struct {
@@ -69,11 +69,11 @@ func TestTransferFinishesAtThePayee(t *testing.T) {
 				tid, f.from, f.keys, payee, want)
 		}
 	}
-	if c := sys.Coordinator(); c.FallbackChains != 1 {
+	if c := sys.Single().Coordinator(); c.FallbackChains != 1 {
 		t.Fatalf("FallbackChains = %d, want the one chain the conflict on the payee queues", c.FallbackChains)
 	}
 	for i, want := range map[int]int64{0: 95, 1: 95, 9: 110} {
-		row, _ := sys.workers[sys.OwnerIndex(ref(i))].committed.Lookup(ref(i))
+		row, _ := sys.owner(ref(i)).committed.Lookup(ref(i))
 		if bal, _ := row.Get("balance"); bal.I != want {
 			t.Fatalf("%s balance %d, want %d", acct(i), bal.I, want)
 		}

@@ -11,7 +11,6 @@ package stateflow
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"time"
 
@@ -156,11 +155,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// System is a deployed StateFlow runtime inside a simulation.
+// System is one shard of a StateFlow deployment: a coordinator group (one
+// coordinator, its workers, their logs and snapshot store) inside a
+// simulation. Clients, preloads and chaos plans reach it only through the
+// deployment (ShardedSystem); a System keeps the group's stats and
+// recovery surface.
 type System struct {
-	cfg      Config
-	prog     *ir.Program
-	executor *core.Executor
+	cfg  Config
+	prog *ir.Program
 	// prefix prefixes every component id this deployment registers on the
 	// cluster ("<prefix>coord", "<prefix>worker-<i>"): the historical "sf-"
 	// in the classic topology, "sf0-", "sf1-", … per shard, so N
@@ -193,17 +195,17 @@ type System struct {
 }
 
 // newSystem builds and registers one coordinator group on the cluster
-// under the component-id prefix. Callers outside the package use New
+// under the component-id prefix; its workers step events on the
+// deployment's executor ex. Callers outside the package use New
 // (sharded.go), which deploys either the classic topology or N groups
 // behind a sequencer per Config.Shards.
-func newSystem(cluster *sim.Cluster, prog *ir.Program, cfg Config, prefix string) *System {
+func newSystem(cluster *sim.Cluster, prog *ir.Program, ex *core.Executor, cfg Config, prefix string) *System {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	sys := &System{
 		cfg:        cfg,
 		prog:       prog,
-		executor:   core.NewExecutor(prog),
 		prefix:     prefix,
 		coordID:    prefix + "coord",
 		RequestLog: queue.NewLog(),
@@ -221,19 +223,13 @@ func newSystem(cluster *sim.Cluster, prog *ir.Program, cfg Config, prefix string
 	sys.coord = newCoordinator(sys)
 	cluster.Add(sys.coordID, sys.coord)
 	for i := 0; i < cfg.Workers; i++ {
-		w := newWorker(sys, i)
+		w := newWorker(sys, ex, i)
 		sys.workers = append(sys.workers, w)
 		sys.workerIDs = append(sys.workerIDs, w.id)
 		cluster.Add(w.id, w)
 	}
 	return sys
 }
-
-// IngressID implements sysapi.System.
-func (s *System) IngressID() string { return s.coordID }
-
-// ClientLink implements sysapi.System.
-func (s *System) ClientLink() sim.Latency { return s.cfg.Costs.ClientLink }
 
 // Coordinator exposes the coordinator for stats and recovery control.
 func (s *System) Coordinator() *Coordinator { return s.coord }
@@ -280,48 +276,17 @@ func (s *System) Workers() []*Worker { return s.workers }
 // WorkerIDs lists worker component ids.
 func (s *System) WorkerIDs() []string { return append([]string(nil), s.workerIDs...) }
 
-// ownerOf routes an entity to its worker partition by stable key hash.
-func (s *System) ownerOf(ref interp.EntityRef) string {
+// ownerOf routes an entity to its worker partition.
+func (s *System) ownerOf(ref interp.EntityRef) string { return s.workerIDs[s.OwnerIndex(ref)] }
+
+// OwnerIndex returns the index of the worker owning a ref, by stable key
+// hash.
+func (s *System) OwnerIndex(ref interp.EntityRef) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(ref.Class))
 	_, _ = h.Write([]byte{0})
 	_, _ = h.Write([]byte(ref.Key))
-	return s.workerIDs[int(h.Sum32()%uint32(len(s.workerIDs)))]
-}
-
-// OwnerIndex returns the worker index owning a ref (for tests).
-func (s *System) OwnerIndex(ref interp.EntityRef) int {
-	id := s.ownerOf(ref)
-	for i, w := range s.workerIDs {
-		if w == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// KeyForCtor derives the routing key of a constructor call from its
-// argument list.
-func (s *System) KeyForCtor(class string, args []interp.Value) (string, error) {
-	return s.executor.KeyForCtor(class, args)
-}
-
-// Preload installs entity state directly on the owning worker, bypassing
-// the dataflow (benchmark dataset loading). Call before Start.
-func (s *System) Preload(ref interp.EntityRef, st interp.MapState) {
-	idx := s.OwnerIndex(ref)
-	s.workers[idx].Preload(ref, st)
-}
-
-// PreloadEntity constructs the state an entity would have after __init__
-// with the given args and preloads it.
-func (s *System) PreloadEntity(class string, args ...interp.Value) error {
-	ref, row, err := s.executor.InitRow(class, args)
-	if err != nil {
-		return err
-	}
-	s.workers[s.OwnerIndex(ref)].committed.Put(ref, row)
-	return nil
+	return int(h.Sum32() % uint32(len(s.workerIDs)))
 }
 
 // CheckpointPreloadedState writes an initial snapshot covering the
@@ -343,37 +308,6 @@ func (s *System) CheckpointPreloadedState() {
 	// binding against it).
 	s.coord.sealed, s.coord.sealedCut, s.coord.snapshotID = id, -1, id
 	s.coord.journal.bootstrap(marks{sealed: id, sealedCut: -1})
-}
-
-// EntityState reads an entity's committed state (test assertions).
-func (s *System) EntityState(class, key string) (interp.MapState, bool) {
-	ref := interp.EntityRef{Class: class, Key: key}
-	idx := s.OwnerIndex(ref)
-	st, ok := s.workers[idx].committed.Lookup(ref)
-	if !ok {
-		return nil, false
-	}
-	return st.CloneMap(), true
-}
-
-// Keys lists the keys of every committed entity of a class, sorted across
-// all worker partitions.
-func (s *System) Keys(class string) []string {
-	var out []string
-	for _, w := range s.workers {
-		out = append(out, w.committed.Keys(class)...)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ChaosTopology implements sysapi.Backend: one coordinator group's
-// written failure contract (see failureContract).
-func (s *System) ChaosTopology() chaos.Topology {
-	return failureContract(map[string][]string{
-		"coordinator": {s.coordID},
-		"worker":      append([]string(nil), s.workerIDs...),
-	})
 }
 
 // failureContract is the StateFlow runtime's written failure contract for
@@ -456,5 +390,3 @@ func failureContract(roles map[string][]string) chaos.Topology {
 		},
 	}
 }
-
-var _ sysapi.Backend = (*System)(nil)

@@ -85,6 +85,7 @@ type parkedEvent struct {
 // Worker is one StateFlow worker node.
 type Worker struct {
 	sys *System
+	ex  *core.Executor // the deployment's one executor
 	id  string
 	idx int
 
@@ -138,9 +139,10 @@ type WorkerCPU struct {
 	SnapshotPersistence      time.Duration
 }
 
-func newWorker(sys *System, idx int) *Worker {
+func newWorker(sys *System, ex *core.Executor, idx int) *Worker {
 	return &Worker{
 		sys:          sys,
+		ex:           ex,
 		id:           workerID(sys.prefix, idx),
 		idx:          idx,
 		committed:    state.NewStore(sys.prog.Layouts()),
@@ -329,7 +331,7 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) cor
 	ctx.Work(costs.SplitOverhead)
 	w.CPU.SplittingInstrumentation += costs.SplitOverhead
 
-	out, err := w.sys.executor.Step(ev, store)
+	out, err := w.ex.Step(ev, store)
 	ctx.Work(costs.ExecuteCPU)
 	w.CPU.FunctionExecution += costs.ExecuteCPU
 	if err != nil {
@@ -655,10 +657,4 @@ func (w *Worker) onRecover(ctx *sim.Context, m msgRecover) {
 	ctx.Work(costs.StateCPU(w.committed.TotalEncodedSize()))
 	ctx.Send(w.sys.coordID, msgRecovered{SnapshotID: m.SnapshotID, Epoch: m.Epoch},
 		costs.WorkerLink.Sample(ctx.Rand()))
-}
-
-// Preload installs entity state directly into the committed store,
-// bypassing the dataflow (used to load benchmark datasets).
-func (w *Worker) Preload(ref interp.EntityRef, st interp.MapState) {
-	w.committed.PutMap(ref, st)
 }

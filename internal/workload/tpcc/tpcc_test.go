@@ -153,7 +153,7 @@ func TestTPCCOnStateFlow(t *testing.T) {
 	scale := Scale{Warehouses: 2, DistrictsPerWH: 2, CustomersPerDist: 5, Items: 20}
 	cluster := sim.New(11)
 	cfg := sfsys.DefaultConfig()
-	sys := sfsys.New(cluster, prog, cfg).Single()
+	sys := sfsys.New(cluster, prog, cfg)
 	err = scale.Load(func(class string, args []interp.Value) error {
 		return sys.PreloadEntity(class, args...)
 	})
