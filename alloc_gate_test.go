@@ -17,7 +17,9 @@ import (
 
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction. The
 // ycsb_m and hot_t ceilings sit about 10 % above what each run costs today
-// (12.9 and 25.4; 15.4 and 34.6 while a workspace cloned every row it wrote,
+// (12.3 and 24.4; 12.9 and 25.4 while a delivered response's journal entry,
+// 160 bytes with a 104-byte value inside, was over a map's 128-byte inline
+// limit and allocated on its own; 15.4 and 34.6 while a workspace cloned every row it wrote,
 // each worker boxed its apply ack and allocated every reservation node it
 // shipped; 17.9 and 42.1 while an executor step returned a slice of
 // heap events and every frame and call stack was allocated on its own;
@@ -28,10 +30,11 @@ import (
 // and worker epochs afresh, 20.3 and 55.5 while every continuation resumed
 // on its caller's operator, 21.2 and 61.4 while a batch was validated by a
 // prepare/vote wave, and the contended leg read 66.6 behind barrier
-// rounds). The xshard ceiling sits just above today's 20.2 (the same under the
+// rounds). The xshard ceiling sits just above today's 19.5 (the same under the
 // race detector) so that it pins the sequencer's forward of a single-shard
-// request without re-boxing it (21.1 when the forward boxes a new
-// interface value; 21.2 while a global batch kept its per-shard state in
+// request without re-boxing it (about 20.4 when the forward boxes a new
+// interface value; 20.2 while a delivered response's journal entry was
+// allocated on its own; 21.2 while a global batch kept its per-shard state in
 // maps keyed by shard and sorted their keys on every loop; 26.1 while a
 // workspace cloned its written rows, acks were boxed, shipped reservation
 // nodes allocated and the apply id was formatted with fmt; 28.9 while an executor step returned a slice of heap events, 31.7
@@ -41,18 +44,25 @@ import (
 // build) gates the same quantity as host_allocs_per_txn on these three
 // workloads; this keeps a regression from waiting for a benchmark run.
 // Lower them when the path gets cheaper.
+//
+// The byte ceilings sit about 10 % above what a transaction allocates
+// today (1,950, 4,650–4,790 and 2,860 bytes on ycsb_m, hot_t and xshard;
+// 2,290, 5,200 and 3,030 while a value was 104 bytes, every kind's field
+// side by side, so every frame, row slot, workspace buffer and hop event
+// copied twice the words). The benchmark gates the same quantity as
+// host_bytes_per_txn.
 var allocGates = []allocGate{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.
-	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 14.2},
+	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 13.6, 2150},
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 28.0},
+	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 26.9, 5150},
 	// The benchmark's xshard shape: the same mix on 4 shards, so every
 	// request passes the sequencer, which forwards most of them to one
 	// shard and runs the rest as global batches.
-	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 20.5},
+	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 19.8, 3150},
 }
 
 // allocGate is one shape TestAllocsPerTransaction prices.
@@ -64,12 +74,14 @@ type allocGate struct {
 	shards  int
 	short   time.Duration // the shorter of the two runs; the longer is 3x
 	ceiling float64
+	// bytesCeiling bounds the heap bytes a transaction allocates.
+	bytesCeiling float64
 }
 
 // run drives the gate's shape open-loop for d of virtual time on the
 // simulated StateFlow runtime, as the bench harness runs a point, and
 // returns the heap allocations it made and the transactions it answered.
-func (g allocGate) run(t *testing.T, d time.Duration) (mallocs uint64, answered int) {
+func (g allocGate) run(t *testing.T, d time.Duration) (mallocs, bytes uint64, answered int) {
 	opt := bench.DefaultOptions()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -94,33 +106,40 @@ func (g allocGate) run(t *testing.T, d time.Duration) (mallocs uint64, answered 
 	if gen.Errors != 0 || gen.Done == 0 {
 		t.Fatalf("%s: run of %s: %d answered, %d errors", g.name, d, gen.Done, gen.Errors)
 	}
-	return after.Mallocs - before.Mallocs, gen.Done
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, gen.Done
 }
 
 // TestAllocsPerTransaction prices one transaction on the simulated
-// StateFlow runtime in heap allocations, the load generator that drives it
-// included, on the benchmark's uncontended, contended and sharded shapes.
+// StateFlow runtime in heap allocations and heap bytes, the load generator
+// that drives it included, on the benchmark's uncontended, contended and sharded shapes.
 // Two runs of the same seeded stream, one three times as long, are
 // differenced, so compilation, deployment and preloading cancel and what is
 // left is the marginal cost of a transaction.
 func TestAllocsPerTransaction(t *testing.T) {
 	for _, g := range allocGates {
-		shortAllocs, shortTxns := g.run(t, g.short)
-		longAllocs, longTxns := g.run(t, 3*g.short)
-		perTxn := float64(longAllocs-shortAllocs) / float64(longTxns-shortTxns)
-		t.Logf("%s: %.2f allocations per transaction (%d transactions)", g.name, perTxn, longTxns-shortTxns)
+		shortAllocs, shortBytes, shortTxns := g.run(t, g.short)
+		longAllocs, longBytes, longTxns := g.run(t, 3*g.short)
+		txns := float64(longTxns - shortTxns)
+		perTxn := float64(longAllocs-shortAllocs) / txns
+		bytesPerTxn := float64(longBytes-shortBytes) / txns
+		t.Logf("%s: %.2f allocations, %.0f bytes per transaction (%d transactions)", g.name, perTxn, bytesPerTxn, longTxns-shortTxns)
 		if perTxn > g.ceiling {
 			t.Errorf("%s: %.2f allocations per transaction, ceiling %.1f: the request path grew a per-transaction allocation",
 				g.name, perTxn, g.ceiling)
+		}
+		if bytesPerTxn > g.bytesCeiling {
+			t.Errorf("%s: %.0f bytes per transaction, ceiling %.0f: the request path allocates larger objects",
+				g.name, bytesPerTxn, g.bytesCeiling)
 		}
 	}
 }
 
 // epochGate is TestAllocsPerEpoch's ceiling, just above what an epoch
-// costs today (27.2) so that it pins the ack that echoes its decide
-// (32.2 when each worker's apply ack boxes a value again) and the
-// flight-recorder guards (28.2 when every flight-recorder call boxes
-// its arguments for a nil recorder); 38.7 while the acks were boxed and every
+// costs today (26.1) so that it pins the ack that echoes its decide
+// (five more when each worker's apply ack boxes a value again) and the
+// flight-recorder guards (one more when every flight-recorder call boxes
+// its arguments for a nil recorder); 27.2 while a delivered response's
+// journal entry was allocated on its own, 38.7 while the acks were boxed and every
 // transaction's workspace cloned the rows it wrote, 39.7 with the
 // flight-recorder calls unguarded as well, 46.4
 // while an executor step returned a slice of heap events
@@ -129,7 +148,7 @@ func TestAllocsPerTransaction(t *testing.T) {
 // only the timer closed a batch (47.4 with the boxing gone alone), 55.8 while a suspending frame also allocated its pruning mask, 66.8 while
 // every epoch allocated its coordinator slot, round-0 order, ack set,
 // worker epochs and workspace maps afresh.
-const epochGate = 27.6
+const epochGate = 26.5
 
 // TestAllocsPerEpoch prices one epoch in heap allocations: transfers on
 // uniform keys arriving at 50 a second, so a batch closes as soon as its

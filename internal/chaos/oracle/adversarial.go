@@ -154,7 +154,7 @@ func RunAdversarial(spec workload.Spec, backend stateflow.Backend, seed int64, p
 			return nil, run, d.errorf("preloaded cell %s missing from committed state", key)
 		}
 		h.Final[lin.Entity{Class: workload.Class, Key: key}] = lin.State{
-			Version: st["version"].I, Value: st["value"].I, Last: st["last"].S,
+			Version: st["version"].I, Value: st["value"].I, Last: st["last"].Str(),
 		}
 	}
 	run.Trace = d.trace.String()

@@ -355,14 +355,14 @@ func (op Op) Invoke() lin.Op { return lin.Op{ID: op.ID, Method: op.Method, Dep: 
 // response encodes one "key|version|value|last" part per entity touched,
 // in touch order: self first, then the written target for move/route.
 func Decode(op Op, val stateflow.Value) ([]lin.Observation, error) {
-	parts := strings.Split(val.S, "&")
+	parts := strings.Split(val.Str(), "&")
 	want := 1
 	if op.Method == "move" || op.Method == "route" {
 		want = 2
 	}
-	if val.S == "" || len(parts) != want {
+	if val.Str() == "" || len(parts) != want {
 		return nil, fmt.Errorf("workload: op %s (%s): response %q has %d parts, want %d",
-			op.ID, op.Method, val.S, len(parts), want)
+			op.ID, op.Method, val.Str(), len(parts), want)
 	}
 	obs := make([]lin.Observation, 0, want)
 	for i, part := range parts {

@@ -87,7 +87,7 @@ func run(t *testing.T, spec workload.Spec) *lin.History {
 		if !ok {
 			t.Fatalf("entity %s missing after run", ent)
 		}
-		h.Final[ent] = lin.State{Version: st["version"].I, Value: st["value"].I, Last: st["last"].S}
+		h.Final[ent] = lin.State{Version: st["version"].I, Value: st["value"].I, Last: st["last"].Str()}
 	}
 	return h
 }

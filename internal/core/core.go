@@ -169,7 +169,7 @@ func (ex *Executor) InitRow(class string, args []interp.Value) (interp.EntityRef
 func keyString(v interp.Value) (string, error) {
 	switch v.Kind {
 	case interp.KStr:
-		return v.S, nil
+		return v.Str(), nil
 	case interp.KInt:
 		return strconv.FormatInt(v.I, 10), nil
 	default:

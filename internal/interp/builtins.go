@@ -18,9 +18,9 @@ var builtins = [len(types.Builtins)]func(recv Value, args []Value) (Value, error
 		case KList:
 			return IntV(int64(len(a[0].L.Elems))), nil
 		case KDict:
-			return IntV(int64(len(a[0].D))), nil
+			return IntV(int64(len(a[0].L.dict))), nil
 		case KStr:
-			return IntV(int64(len([]rune(a[0].S)))), nil
+			return IntV(int64(len([]rune(a[0].Str())))), nil
 		}
 		return None, fmt.Errorf("len of %s", a[0].Kind)
 	},
@@ -30,16 +30,16 @@ var builtins = [len(types.Builtins)]func(recv Value, args []Value) (Value, error
 		case KInt:
 			return a[0], nil
 		case KFloat:
-			return IntV(int64(a[0].F)), nil
+			return IntV(int64(a[0].Float())), nil
 		case KBool:
 			if a[0].B {
 				return IntV(1), nil
 			}
 			return IntV(0), nil
 		case KStr:
-			n, err := strconv.ParseInt(strings.TrimSpace(a[0].S), 10, 64)
+			n, err := strconv.ParseInt(strings.TrimSpace(a[0].Str()), 10, 64)
 			if err != nil {
-				return None, fmt.Errorf("invalid int literal %q", a[0].S)
+				return None, fmt.Errorf("invalid int literal %q", a[0].Str())
 			}
 			return IntV(n), nil
 		}
@@ -52,9 +52,9 @@ var builtins = [len(types.Builtins)]func(recv Value, args []Value) (Value, error
 		case KFloat:
 			return a[0], nil
 		case KStr:
-			f, err := strconv.ParseFloat(strings.TrimSpace(a[0].S), 64)
+			f, err := strconv.ParseFloat(strings.TrimSpace(a[0].Str()), 64)
 			if err != nil {
-				return None, fmt.Errorf("invalid float literal %q", a[0].S)
+				return None, fmt.Errorf("invalid float literal %q", a[0].Str())
 			}
 			return FloatV(f), nil
 		}
@@ -65,8 +65,8 @@ var builtins = [len(types.Builtins)]func(recv Value, args []Value) (Value, error
 		switch {
 		case a[0].Kind == KInt && a[0].I < 0:
 			return IntV(-a[0].I), nil
-		case a[0].Kind == KFloat && a[0].F < 0:
-			return FloatV(-a[0].F), nil
+		case a[0].Kind == KFloat && a[0].Float() < 0:
+			return FloatV(-a[0].Float()), nil
 		case a[0].Kind == KInt || a[0].Kind == KFloat:
 			return a[0], nil
 		}
@@ -124,9 +124,9 @@ var builtins = [len(types.Builtins)]func(recv Value, args []Value) (Value, error
 		}
 		return ListV(vals...), nil
 	},
-	types.StrUpper: func(s Value, _ []Value) (Value, error) { return StrV(strings.ToUpper(s.S)), nil },
-	types.StrLower: func(s Value, _ []Value) (Value, error) { return StrV(strings.ToLower(s.S)), nil },
-	types.StrStrip: func(s Value, _ []Value) (Value, error) { return StrV(strings.TrimSpace(s.S)), nil },
+	types.StrUpper: func(s Value, _ []Value) (Value, error) { return StrV(strings.ToUpper(s.Str())), nil },
+	types.StrLower: func(s Value, _ []Value) (Value, error) { return StrV(strings.ToLower(s.Str())), nil },
+	types.StrStrip: func(s Value, _ []Value) (Value, error) { return StrV(strings.TrimSpace(s.Str())), nil },
 }
 
 // recvKind is the value kind of each receiver kind a method entry names;

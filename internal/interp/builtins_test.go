@@ -48,7 +48,7 @@ func TestBuiltinTable(t *testing.T) {
 				t.Fatalf("%s: no call carries the stamp of entry %d", r.call, r.id)
 			}
 			got, err := runM(in, m, RowFromMap(layout, MapState{"k": StrV("k")}))
-			if err != nil || got.S != r.want {
+			if err != nil || got.Str() != r.want {
 				t.Fatalf("%s = %v (error %v), want %s", r.call, got, err, r.want)
 			}
 			bad := strings.TrimSuffix(r.call, ")") + ", 1)"

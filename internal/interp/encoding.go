@@ -73,10 +73,10 @@ func (e *Encoder) Value(v Value) {
 		e.varint(v.I)
 	case KFloat:
 		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.F))
+		binary.LittleEndian.PutUint64(b[:], uint64(v.I))
 		e.buf = append(e.buf, b[:]...)
 	case KStr:
-		e.str(v.S)
+		e.str(v.Str())
 	case KBool:
 		if v.B {
 			e.byte(1)
@@ -89,15 +89,12 @@ func (e *Encoder) Value(v Value) {
 			e.Value(el)
 		}
 	case KDict:
-		keys := make([]string, 0, len(v.D))
-		for k := range v.D {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := v.sortedKeys()
 		e.uvarint(uint64(len(keys)))
 		for _, k := range keys {
-			e.Value(v.DK[k])
-			e.Value(v.D[k])
+			pair := v.L.dict[k]
+			e.Value(pair.k)
+			e.Value(pair.v)
 		}
 	case KRef:
 		e.str(v.R.Class)
@@ -125,7 +122,7 @@ func ValueSize(v Value) int {
 	case KFloat:
 		n += 8
 	case KStr:
-		n += strSize(v.S)
+		n += strSize(v.Str())
 	case KBool:
 		n++
 	case KList:
@@ -134,9 +131,9 @@ func ValueSize(v Value) int {
 			n += ValueSize(el)
 		}
 	case KDict:
-		n += uvarintSize(uint64(len(v.D)))
-		for k, el := range v.D {
-			n += ValueSize(v.DK[k]) + ValueSize(el)
+		n += uvarintSize(uint64(len(v.L.dict)))
+		for _, pair := range v.L.dict {
+			n += ValueSize(pair.k) + ValueSize(pair.v)
 		}
 	case KRef:
 		n += strSize(v.R.Class) + strSize(v.R.Key)

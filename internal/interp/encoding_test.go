@@ -174,8 +174,8 @@ func TestDictKeyKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(d.D) != 4 {
-		t.Fatalf("distinct keys collapsed: %d", len(d.D))
+	if len(d.L.dict) != 4 {
+		t.Fatalf("distinct keys collapsed: %d", len(d.L.dict))
 	}
 	if err := d.DictSet(ListV(), None); err == nil {
 		t.Fatal("lists must be unhashable")

@@ -358,7 +358,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 			case KInt:
 				return IntV(-v.I), nil
 			case KFloat:
-				return FloatV(-v.F), nil
+				return FloatV(-v.Float()), nil
 			}
 			return None, &RuntimeError{Pos: x.Pos(), Msg: "unary minus on non-number"}
 		}
@@ -428,7 +428,7 @@ func index(recv, idx Value, pos token.Pos) (Value, error) {
 		if idx.Kind != KInt {
 			return None, &RuntimeError{Pos: pos, Msg: "string index must be int"}
 		}
-		runes := []rune(recv.S)
+		runes := []rune(recv.Str())
 		i, ok := at(len(runes), idx.I)
 		if !ok {
 			return None, &RuntimeError{Pos: pos, Msg: "string index out of range"}
@@ -493,13 +493,13 @@ func binop(op token.Kind, l, r Value, pos token.Pos) (Value, error) {
 			if l.Kind != KStr {
 				return fail("in: left operand must be str")
 			}
-			return BoolV(strings.Contains(r.S, l.S)), nil
+			return BoolV(strings.Contains(r.Str(), l.Str())), nil
 		default:
 			return fail("in requires list, dict or str")
 		}
 	case token.PLUS:
 		if l.Kind == KStr && r.Kind == KStr {
-			return StrV(l.S + r.S), nil
+			return StrV(l.Str() + r.Str()), nil
 		}
 		if l.Kind == KList && r.Kind == KList {
 			out := make([]Value, 0, len(l.L.Elems)+len(r.L.Elems))
@@ -582,7 +582,7 @@ func compare(l, r Value) (int, error) {
 		}
 		return 0, nil
 	case l.Kind == KStr && r.Kind == KStr:
-		return strings.Compare(l.S, r.S), nil
+		return strings.Compare(l.Str(), r.Str()), nil
 	}
 	return 0, fmt.Errorf("cannot compare %s with %s", l.Kind, r.Kind)
 }

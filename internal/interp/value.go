@@ -7,13 +7,15 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Kind enumerates runtime value kinds.
-type Kind int
+// Kind enumerates runtime value kinds. It is one byte, so it shares a word
+// with a value's bool.
+type Kind uint8
 
 // Value kinds.
 const (
@@ -61,28 +63,38 @@ type EntityRef struct {
 // String renders the reference.
 func (r EntityRef) String() string { return r.Class + "<" + r.Key + ">" }
 
-// List is the shared backing store of a list value. Lists have reference
-// semantics like Python: assigning a list to another variable aliases the
-// same storage.
-type List struct {
-	Elems []Value
-}
-
-// Value is a DSL runtime value. The zero Value is None.
+// Value is a DSL runtime value, 56 bytes. The zero Value is None. Which
+// word holds what depends on the kind:
+//
+//   - Kind and B share the first word; B is a KBool's bool.
+//   - I is a KInt's int, or a KFloat's IEEE-754 bits (read them with Float).
+//   - R is a KRef's entity; a KStr keeps its string in R.Key (read it with
+//     Str).
+//   - L is a KList's or a KDict's container: a list's Elems, or a dict's
+//     pairs behind DictGet, DictSet and DictKeys. Containers have reference
+//     semantics like Python: every copy of the value aliases the same
+//     storage.
+//
+// A kind leaves the words it does not use zero.
 type Value struct {
 	Kind Kind
-	I    int64
-	F    float64
-	S    string
 	B    bool
-	L    *List
-	// D holds dict entries keyed by the encoded key (see dictKey); DK
-	// remembers each original key value. Maps give dicts reference
-	// semantics.
-	D  map[string]Value
-	DK map[string]Value
-	R  EntityRef
+	I    int64
+	R    EntityRef
+	L    *Container
 }
+
+// Container is the shared backing store of a list or a dict value.
+type Container struct {
+	Elems []Value // a list's elements
+	// dict holds a dict's pairs keyed by the encoded key (see dictKey); it
+	// is nil until the first DictSet.
+	dict map[string]dictEntry
+}
+
+// dictEntry is one dict pair: the key as the program wrote it, and its
+// value.
+type dictEntry struct{ k, v Value }
 
 // Constructors.
 var None = Value{Kind: KNone}
@@ -91,10 +103,10 @@ var None = Value{Kind: KNone}
 func IntV(i int64) Value { return Value{Kind: KInt, I: i} }
 
 // FloatV builds a float value.
-func FloatV(f float64) Value { return Value{Kind: KFloat, F: f} }
+func FloatV(f float64) Value { return Value{Kind: KFloat, I: int64(math.Float64bits(f))} }
 
 // StrV builds a str value.
-func StrV(s string) Value { return Value{Kind: KStr, S: s} }
+func StrV(s string) Value { return Value{Kind: KStr, R: EntityRef{Key: s}} }
 
 // BoolV builds a bool value.
 func BoolV(b bool) Value { return Value{Kind: KBool, B: b} }
@@ -104,18 +116,22 @@ func ListV(elems ...Value) Value {
 	if elems == nil {
 		elems = []Value{}
 	}
-	return Value{Kind: KList, L: &List{Elems: elems}}
+	return Value{Kind: KList, L: &Container{Elems: elems}}
 }
 
 // DictV builds an empty dict value.
-func DictV() Value {
-	return Value{Kind: KDict, D: map[string]Value{}, DK: map[string]Value{}}
-}
+func DictV() Value { return Value{Kind: KDict, L: &Container{}} }
 
 // RefV builds an entity reference.
 func RefV(class, key string) Value {
 	return Value{Kind: KRef, R: EntityRef{Class: class, Key: key}}
 }
+
+// Float returns a KFloat's float.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// Str returns a KStr's string.
+func (v Value) Str() string { return v.R.Key }
 
 // dictKey encodes a value as a dict key. Only scalars are hashable.
 func dictKey(v Value) (string, error) {
@@ -123,14 +139,14 @@ func dictKey(v Value) (string, error) {
 	case KInt:
 		return "i:" + strconv.FormatInt(v.I, 10), nil
 	case KStr:
-		return "s:" + v.S, nil
+		return "s:" + v.Str(), nil
 	case KBool:
 		if v.B {
 			return "b:1", nil
 		}
 		return "b:0", nil
 	case KFloat:
-		return "f:" + strconv.FormatFloat(v.F, 'g', -1, 64), nil
+		return "f:" + strconv.FormatFloat(v.Float(), 'g', -1, 64), nil
 	default:
 		return "", fmt.Errorf("unhashable dict key of type %s", v.Kind)
 	}
@@ -145,8 +161,10 @@ func (v *Value) DictSet(k, val Value) error {
 	if err != nil {
 		return err
 	}
-	v.D[dk] = val
-	v.DK[dk] = k
+	if v.L.dict == nil {
+		v.L.dict = map[string]dictEntry{}
+	}
+	v.L.dict[dk] = dictEntry{k: k, v: val}
 	return nil
 }
 
@@ -159,20 +177,27 @@ func (v Value) DictGet(k Value) (Value, bool, error) {
 	if err != nil {
 		return None, false, err
 	}
-	val, ok := v.D[dk]
-	return val, ok, nil
+	e, ok := v.L.dict[dk]
+	return e.v, ok, nil
+}
+
+// sortedKeys returns a dict's encoded keys in sorted order, the order
+// every rendering and encoding of a dict walks.
+func (v Value) sortedKeys() []string {
+	keys := make([]string, 0, len(v.L.dict))
+	for k := range v.L.dict {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // DictKeys returns dict keys in deterministic (sorted) order.
 func (v Value) DictKeys() []Value {
-	keys := make([]string, 0, len(v.DK))
-	for k := range v.DK {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := v.sortedKeys()
 	out := make([]Value, len(keys))
 	for i, k := range keys {
-		out[i] = v.DK[k]
+		out[i] = v.L.dict[k].k
 	}
 	return out
 }
@@ -185,15 +210,15 @@ func (v Value) IsTruthy() bool {
 	case KInt:
 		return v.I != 0
 	case KFloat:
-		return v.F != 0
+		return v.Float() != 0
 	case KStr:
-		return v.S != ""
+		return v.Str() != ""
 	case KBool:
 		return v.B
 	case KList:
 		return v.L != nil && len(v.L.Elems) > 0
 	case KDict:
-		return len(v.D) > 0
+		return len(v.L.dict) > 0
 	case KRef:
 		return true
 	}
@@ -205,11 +230,11 @@ func (v Value) AsFloat() float64 {
 	if v.Kind == KInt {
 		return float64(v.I)
 	}
-	return v.F
+	return v.Float()
 }
 
 // Equal implements DSL equality (== / !=). Int and float compare
-// numerically.
+// numerically; floats compare as floats, never as bits.
 func (v Value) Equal(o Value) bool {
 	if v.Kind != o.Kind {
 		if v.Kind == KInt && o.Kind == KFloat || v.Kind == KFloat && o.Kind == KInt {
@@ -223,9 +248,9 @@ func (v Value) Equal(o Value) bool {
 	case KInt:
 		return v.I == o.I
 	case KFloat:
-		return v.F == o.F
+		return v.Float() == o.Float()
 	case KStr:
-		return v.S == o.S
+		return v.Str() == o.Str()
 	case KBool:
 		return v.B == o.B
 	case KRef:
@@ -241,12 +266,12 @@ func (v Value) Equal(o Value) bool {
 		}
 		return true
 	case KDict:
-		if len(v.D) != len(o.D) {
+		if len(v.L.dict) != len(o.L.dict) {
 			return false
 		}
-		for k, val := range v.D {
-			ov, ok := o.D[k]
-			if !ok || !val.Equal(ov) {
+		for k, e := range v.L.dict {
+			oe, ok := o.L.dict[k]
+			if !ok || !e.v.Equal(oe.v) {
 				return false
 			}
 		}
@@ -263,17 +288,16 @@ func (v Value) Clone() Value {
 		for i, e := range v.L.Elems {
 			l[i] = e.Clone()
 		}
-		return Value{Kind: KList, L: &List{Elems: l}}
+		return ListV(l...)
 	case KDict:
-		d := make(map[string]Value, len(v.D))
-		dk := make(map[string]Value, len(v.DK))
-		for k, e := range v.D {
-			d[k] = e.Clone()
+		out := DictV()
+		if n := len(v.L.dict); n > 0 {
+			out.L.dict = make(map[string]dictEntry, n)
+			for k, e := range v.L.dict {
+				out.L.dict[k] = dictEntry{k: e.k, v: e.v.Clone()}
+			}
 		}
-		for k, e := range v.DK {
-			dk[k] = e
-		}
-		return Value{Kind: KDict, D: d, DK: dk}
+		return out
 	default:
 		return v
 	}
@@ -287,9 +311,9 @@ func (v Value) String() string {
 	case KInt:
 		return strconv.FormatInt(v.I, 10)
 	case KFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KStr:
-		return v.S
+		return v.Str()
 	case KBool:
 		if v.B {
 			return "True"
@@ -302,11 +326,11 @@ func (v Value) String() string {
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case KDict:
-		keys := v.DictKeys()
+		keys := v.sortedKeys()
 		parts := make([]string, 0, len(keys))
 		for _, k := range keys {
-			val, _, _ := v.DictGet(k)
-			parts = append(parts, k.Repr()+": "+val.Repr())
+			e := v.L.dict[k]
+			parts = append(parts, e.k.Repr()+": "+e.v.Repr())
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	case KRef:
@@ -318,7 +342,7 @@ func (v Value) String() string {
 // Repr is String but with strings quoted, as inside containers.
 func (v Value) Repr() string {
 	if v.Kind == KStr {
-		return strconv.Quote(v.S)
+		return strconv.Quote(v.Str())
 	}
 	return v.String()
 }

@@ -395,7 +395,7 @@ func TestElifPaths(t *testing.T) {
 	for _, c := range cases {
 		v := mustInvoke(t, r, "Driver", "d1", "classify",
 			interp.RefV("Counter", "c1"), interp.IntV(c.n))
-		if v.S != c.want {
+		if v.Str() != c.want {
 			t.Fatalf("classify(%d): %v", c.n, v)
 		}
 		if got := intAttr(t, r, "Counter", "c1", "n"); got != c.bump {

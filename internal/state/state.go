@@ -185,15 +185,15 @@ func DecodeStore(buf []byte, layouts *ir.Layouts) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		layout := layouts.LayoutOf(class.S)
+		layout := layouts.LayoutOf(class.Str())
 		if layout == nil {
-			return nil, fmt.Errorf("state: image holds a row of unknown class %s", class.S)
+			return nil, fmt.Errorf("state: image holds a row of unknown class %s", class.Str())
 		}
 		row, err := d.Row(layout)
 		if err != nil {
 			return nil, err
 		}
-		s.m[interp.EntityRef{Class: class.S, Key: key.S}] = row
+		s.m[interp.EntityRef{Class: class.Str(), Key: key.Str()}] = row
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("state: %d trailing bytes", d.Remaining())

@@ -108,7 +108,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("len: %d", back.Len())
 	}
 	st, ok := back.Lookup(ref("Account", "alice"))
-	if !ok || get(t, st, "balance").I != 100 || get(t, st, "tags").L.Elems[0].S != "vip" {
+	if !ok || get(t, st, "balance").I != 100 || get(t, st, "tags").L.Elems[0].Str() != "vip" {
 		t.Fatalf("decoded: %v", st)
 	}
 }

@@ -195,7 +195,7 @@ func TestDupSafeIsTotal(t *testing.T) {
 			crash(shard.workerIDs[0], 60*time.Millisecond)
 			crash(shard.coordID, 500*time.Millisecond)
 			if sys.seq != nil {
-				crash(sys.seqID, 750*time.Millisecond)
+				crash(sequencerID, 750*time.Millisecond)
 			}
 
 			contract := sys.ChaosTopology()

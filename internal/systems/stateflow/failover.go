@@ -71,7 +71,7 @@ func (q *Sequencer) OnRestart(ctx *sim.Context) {
 	q.recovering = true
 	q.ballot = int64(ctx.Now())
 	if f := q.sys.cfg.Flight; f.Enabled() {
-		f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+		f.Recordf(ctx.Now(), sequencerID, "failover",
 			"sequencer rebooted: querying %d shards for fence state", len(q.sys.shards))
 	}
 	for _, sh := range q.sys.shards {
@@ -84,7 +84,7 @@ func (q *Sequencer) OnRestart(ctx *sim.Context) {
 }
 
 func (q *Sequencer) onFenceReport(ctx *sim.Context, from string, m msgSeqFenceReport) {
-	idx, ok := q.sys.shardIdx[from]
+	idx, ok := q.sys.shardOfCoord(from)
 	if !ok || !q.recovering || idx != m.Shard {
 		return
 	}
@@ -135,13 +135,13 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	if released && q.cur == nil {
 		q.AbortedBatches++
 		if f := q.sys.cfg.Flight; f.Enabled() {
-			f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+			f.Recordf(ctx.Now(), sequencerID, "failover",
 				"abandoned uncommitted batch: unfenced %d shards, clients will retry", fenced)
 		}
 	}
 	if q.cur == nil {
 		if f := q.sys.cfg.Flight; f.Enabled() {
-			f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+			f.Recordf(ctx.Now(), sequencerID, "failover",
 				"recovery complete: resuming at batch %d", q.nextSeq+1)
 		}
 		if len(q.queue) > 0 {
@@ -172,7 +172,7 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 		q.nextSeq = man.seq
 	}
 	if f := q.sys.cfg.Flight; f.Enabled() {
-		f.Recordf(ctx.Now(), q.sys.seqID, "failover",
+		f.Recordf(ctx.Now(), sequencerID, "failover",
 			"re-derived batch %d from durable manifest: %d txns, %d applies, rolling forward",
 			man.seq, len(man.txns), len(man.applies))
 	}

@@ -98,7 +98,7 @@ func (fx *failoverFixture) stepUntil(what string, cond func() bool) {
 
 func (fx *failoverFixture) crashSequencerWhen(what string, cond func() bool) {
 	fx.t.Helper()
-	fx.crashWhen(fx.sys.seqID, what, cond)
+	fx.crashWhen(sequencerID, what, cond)
 }
 
 func (fx *failoverFixture) settle() { fx.cluster.RunUntil(fx.cluster.Now() + 2*time.Second) }
@@ -228,7 +228,7 @@ func TestFailoverReservesAnsweredUnderTheFence(t *testing.T) {
 			if failover {
 				fx = crashMidApply(t)
 				now := fx.cluster.Now()
-				fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
+				fx.cluster.ScheduleCrash(sequencerID, now, now+10*time.Millisecond)
 			} else {
 				fx = newFailoverFixture(t)
 				fx.transfer()
@@ -360,7 +360,7 @@ func TestFailoverDropsALateApplyOfAnAbandonedBatch(t *testing.T) {
 				t.Fatalf("%d applies held, shard 0 fenced %v on %d after %d restarts: want both held and shard 0 parked on batch 1",
 					len(held), c.fenced, c.fenceSeq, c.Restarts)
 			}
-			fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, shard0.coordID, held[0])
+			fx.cluster.Inject(fx.cluster.Now(), sequencerID, shard0.coordID, held[0])
 			fx.settle()
 			midFrom, midTo := fx.balances()
 			midResponses, midApplies := len(fx.client.got), fx.globalApplies()
@@ -452,7 +452,7 @@ func TestLateGlobalDuplicateIsAbsorbedByTheFloor(t *testing.T) {
 		t.Fatalf("source balance %d after the transfer, want 93", from)
 	}
 	now := fx.cluster.Now()
-	fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
+	fx.cluster.ScheduleCrash(sequencerID, now, now+10*time.Millisecond)
 	fx.settle()
 	responses := len(fx.client.got)
 
@@ -620,7 +620,7 @@ func TestFenceDoneSurvivesACheckpointPastItsMarker(t *testing.T) {
 		if sh.Coordinator().Restarts != 1 {
 			t.Fatalf("%s rebooted %d times, want 1", sh.coordID, sh.Coordinator().Restarts)
 		}
-		fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, sh.coordID, msgUnfence{Seq: 1})
+		fx.cluster.Inject(fx.cluster.Now(), sequencerID, sh.coordID, msgUnfence{Seq: 1})
 	}
 	fx.settle()
 	if acks != len(fx.sys.Shards()) {
@@ -628,7 +628,7 @@ func TestFenceDoneSurvivesACheckpointPastItsMarker(t *testing.T) {
 	}
 
 	now := fx.cluster.Now()
-	fx.cluster.ScheduleCrash(fx.sys.seqID, now, now+10*time.Millisecond)
+	fx.cluster.ScheduleCrash(sequencerID, now, now+10*time.Millisecond)
 	fx.settle()
 	fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(),
 		sysapi.MsgRequest{Request: transferReq("x2", fx.from, fx.to, 5), ReplyTo: "client"})
@@ -681,12 +681,12 @@ func TestDroppedFenceDrainsTheBacklog(t *testing.T) {
 	fx.stepUntil("t0 committing behind an open, empty successor", func() bool {
 		return c.commit != nil && c.exec != nil && c.exec.phase == phaseOpen && len(c.exec.txns) == 0
 	})
-	fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, sh.coordID, msgFence{Seq: 1})
+	fx.cluster.Inject(fx.cluster.Now(), sequencerID, sh.coordID, msgFence{Seq: 1})
 	backlog := []string{"t1", "t2", "t3"}
 	for _, id := range backlog {
 		send(id)
 	}
-	fx.cluster.Inject(fx.cluster.Now(), fx.sys.seqID, sh.coordID, msgSeqFenceQuery{Ballot: 1})
+	fx.cluster.Inject(fx.cluster.Now(), sequencerID, sh.coordID, msgSeqFenceQuery{Ballot: 1})
 	fx.stepUntil("the backlog logged and the fence dropped", func() bool {
 		end, _ := sh.RequestLog.End(sourceTopic, 0)
 		return end == 4 && c.ballot == 1
@@ -740,14 +740,14 @@ func TestFailoverDropsAPredecessorsWatchdog(t *testing.T) {
 	})
 	queries := map[time.Duration]int{} // send instant -> queries sent then
 	fx.cluster.SetTap(func(from, _ string, sentAt, _ time.Duration, msg sim.Message) {
-		if _, ok := msg.(msgSeqFenceQuery); ok && from == fx.sys.seqID {
+		if _, ok := msg.(msgSeqFenceQuery); ok && from == sequencerID {
 			queries[sentAt]++
 		}
 	})
 	t1 := fx.cluster.Now() + 10*time.Millisecond
 	t2 := t1 + 3*st/4
-	fx.cluster.ScheduleCrash(fx.sys.seqID, fx.cluster.Now(), t1)
-	fx.cluster.ScheduleCrash(fx.sys.seqID, t1+st/2, t2)
+	fx.cluster.ScheduleCrash(sequencerID, fx.cluster.Now(), t1)
+	fx.cluster.ScheduleCrash(sequencerID, t1+st/2, t2)
 	fx.cluster.RunUntil(t2 + 3*st/2)
 
 	want := map[time.Duration]int{t1: 2, t2: 2, t2 + st: 2}
@@ -778,7 +778,7 @@ func TestFailoverRebootedParkRunsOneWatchdog(t *testing.T) {
 	fx.transfer()
 	fx.stepUntil("both shards parked", func() bool { return fx.parked() == 2 })
 	park := fx.cluster.Now()
-	fx.cluster.ScheduleCrash(fx.sys.seqID, park, park+4*st)
+	fx.cluster.ScheduleCrash(sequencerID, park, park+4*st)
 	fx.cluster.ScheduleCrash(shard0.coordID, park+st/4, park+st/2)
 	fx.cluster.RunUntil(park + 4*st)
 

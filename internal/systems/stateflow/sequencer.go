@@ -347,9 +347,9 @@ func (q *Sequencer) startBatch(ctx *sim.Context) {
 		}
 	}
 	if f := q.sys.cfg.Flight; f.Enabled() {
-		f.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
+		f.Recordf(ctx.Now(), sequencerID, "global.batch",
 			"batch %d opened with %d txns", b.seq, len(b.txns))
-		f.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
+		f.Recordf(ctx.Now(), sequencerID, "fence.scope",
 			"batch %d fences shards %v (%d of %d)",
 			b.seq, b.footprint, len(b.footprint), len(q.sys.shards))
 	}
@@ -391,7 +391,7 @@ func (b *globalBatch) answered(idx int) bool {
 }
 
 func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
-	idx, ok := q.sys.shardIdx[from]
+	idx, ok := q.sys.shardOfCoord(from)
 	if !ok || q.recovering {
 		return
 	}
@@ -435,7 +435,7 @@ func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
 	}
 	if b.phase == gFencing {
 		if tr := q.sys.cfg.Tracer; tr.Enabled() {
-			tr.Span(q.sys.seqID, "global", "fence.wait", b.phaseAt, ctx.Now(),
+			tr.Span(sequencerID, "global", "fence.wait", b.phaseAt, ctx.Now(),
 				"seq", strconv.FormatInt(b.seq, 10),
 				"shards", strconv.Itoa(len(b.footprint)))
 		}
@@ -486,7 +486,7 @@ func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, idx int, s
 		return
 	}
 	if f := q.sys.cfg.Flight; f.Enabled() {
-		f.Recordf(ctx.Now(), q.sys.seqID, "fence.orphan",
+		f.Recordf(ctx.Now(), sequencerID, "fence.orphan",
 			"releasing %s from orphaned fence %d", from, seq)
 	}
 	ctx.Send(from, msgUnfence{Seq: seq}, q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
@@ -512,7 +512,7 @@ func (q *Sequencer) advance(ctx *sim.Context) {
 			p.grown = true
 			if b.fence(idx) {
 				if f := q.sys.cfg.Flight; f.Enabled() {
-					f.Recordf(ctx.Now(), q.sys.seqID, "fence.scope",
+					f.Recordf(ctx.Now(), sequencerID, "fence.scope",
 						"batch %d footprint grows to shard %d (%s<%s>)",
 						b.seq, idx, ref.Class, ref.Key)
 				}
@@ -633,7 +633,7 @@ func sortedRefs(set map[interp.EntityRef]bool) []interp.EntityRef {
 func (q *Sequencer) beginApply(ctx *sim.Context) {
 	b := q.cur
 	if tr := q.sys.cfg.Tracer; tr.Enabled() {
-		tr.Span(q.sys.seqID, "global", "global.execute", b.phaseAt, ctx.Now(),
+		tr.Span(sequencerID, "global", "global.execute", b.phaseAt, ctx.Now(),
 			"seq", strconv.FormatInt(b.seq, 10),
 			"txns", strconv.Itoa(len(b.txns)))
 	}
@@ -667,7 +667,7 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 func (q *Sequencer) applyTo(b *globalBatch, man *batchManifest, idx int) *globalApply {
 	p := &b.parts[idx]
 	if p.apply == nil {
-		p.apply = &globalApply{id: applyID(b.seq, idx), shard: idx, replyTo: q.sys.seqID, man: man}
+		p.apply = &globalApply{id: applyID(b.seq, idx), shard: idx, replyTo: sequencerID, man: man}
 	}
 	return p.apply
 }
@@ -688,7 +688,7 @@ func (q *Sequencer) sendApplies(ctx *sim.Context, b *globalBatch) {
 // releases the apply's response only after its group-commit fsync).
 func (q *Sequencer) onApplyDone(ctx *sim.Context, from string, m sysapi.MsgResponse) {
 	b := q.cur
-	shard, ok := q.sys.shardIdx[from]
+	shard, ok := q.sys.shardOfCoord(from)
 	if !ok || b == nil || b.phase != gApplying || b.parts[shard].applied ||
 		m.Response.Req != applyID(b.seq, shard) {
 		return
@@ -708,7 +708,7 @@ func (q *Sequencer) finishBatch(ctx *sim.Context) {
 	b := q.cur
 	if b.phase == gApplying {
 		if tr := q.sys.cfg.Tracer; tr.Enabled() {
-			tr.Span(q.sys.seqID, "global", "__apply__", b.phaseAt, ctx.Now(),
+			tr.Span(sequencerID, "global", "__apply__", b.phaseAt, ctx.Now(),
 				"seq", strconv.FormatInt(b.seq, 10),
 				"shards", strconv.Itoa(len(b.man.applies)))
 		}
@@ -719,7 +719,7 @@ func (q *Sequencer) finishBatch(ctx *sim.Context) {
 	b.phase = gUnfencing
 	b.phaseAt = ctx.Now()
 	if f := q.sys.cfg.Flight; f.Enabled() {
-		f.Recordf(ctx.Now(), q.sys.seqID, "global.unfence", "unfencing global batch %d", b.seq)
+		f.Recordf(ctx.Now(), sequencerID, "global.unfence", "unfencing global batch %d", b.seq)
 	}
 	for _, idx := range b.footprint {
 		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq},
@@ -728,7 +728,7 @@ func (q *Sequencer) finishBatch(ctx *sim.Context) {
 }
 
 func (q *Sequencer) onUnfenceAck(ctx *sim.Context, from string, m msgUnfenceAck) {
-	idx, ok := q.sys.shardIdx[from]
+	idx, ok := q.sys.shardOfCoord(from)
 	if !ok || q.recovering {
 		return
 	}
@@ -752,9 +752,9 @@ func (q *Sequencer) onUnfenceAck(ctx *sim.Context, from string, m msgUnfenceAck)
 // behind it.
 func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 	if tr := q.sys.cfg.Tracer; tr.Enabled() {
-		tr.Span(q.sys.seqID, "global", "unfence", b.phaseAt, ctx.Now(),
+		tr.Span(sequencerID, "global", "unfence", b.phaseAt, ctx.Now(),
 			"seq", strconv.FormatInt(b.seq, 10))
-		tr.Span(q.sys.seqID, "global", "fence.scope", b.openedAt, ctx.Now(),
+		tr.Span(sequencerID, "global", "fence.scope", b.openedAt, ctx.Now(),
 			"seq", strconv.FormatInt(b.seq, 10),
 			"shards", strconv.Itoa(len(b.footprint)),
 			"of", strconv.Itoa(len(q.sys.shards)),
@@ -768,7 +768,7 @@ func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 		}
 	}
 	if f := q.sys.cfg.Flight; f.Enabled() {
-		f.Recordf(ctx.Now(), q.sys.seqID, "global.batch",
+		f.Recordf(ctx.Now(), sequencerID, "global.batch",
 			"batch %d complete", b.seq)
 	}
 	q.cur = nil

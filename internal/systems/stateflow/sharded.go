@@ -38,14 +38,16 @@ import (
 // ring of one deployment with no sequencer in front; Single returns that
 // deployment's stats and recovery surface (Coordinator, Workers, Dlog, …).
 type ShardedSystem struct {
-	cfg      Config
-	prog     *ir.Program
-	ex       *core.Executor // stateless; shared by every worker and the sequencer
-	shards   []*System
-	shardIdx map[string]int // coordID -> shard ring position, for the sequencer
-	seq      *Sequencer
-	seqID    string
+	cfg    Config
+	prog   *ir.Program
+	ex     *core.Executor // stateless; shared by every worker and the sequencer
+	shards []*System
+	seq    *Sequencer
 }
+
+// sequencerID is the global sequencer's component id in a sharded
+// deployment.
+const sequencerID = "sf-seq"
 
 // New builds and registers a StateFlow deployment on the cluster.
 // cfg.Shards picks the topology: 0 or 1 deploys the classic
@@ -54,20 +56,30 @@ type ShardedSystem struct {
 // larger deploys that many coordinator groups ("sf<i>-…") behind the
 // global sequencer "sf-seq".
 func New(cluster *sim.Cluster, prog *ir.Program, cfg Config) *ShardedSystem {
-	s := &ShardedSystem{cfg: cfg, prog: prog, ex: core.NewExecutor(prog), seqID: "sf-seq", shardIdx: map[string]int{}}
+	s := &ShardedSystem{cfg: cfg, prog: prog, ex: core.NewExecutor(prog)}
 	if cfg.Shards <= 1 {
 		s.shards = []*System{newSystem(cluster, prog, s.ex, cfg, "sf-")}
 		return s
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := newSystem(cluster, prog, s.ex, cfg, fmt.Sprintf("sf%d-", i))
-		sh.shardIndex, sh.seqID = i, s.seqID
+		sh.shardIndex, sh.seqID = i, sequencerID
 		s.shards = append(s.shards, sh)
-		s.shardIdx[sh.coordID] = i
 	}
 	s.seq = newSequencer(s)
-	cluster.Add(s.seqID, s.seq)
+	cluster.Add(sequencerID, s.seq)
 	return s
+}
+
+// shardOfCoord returns the ring position of the shard whose coordinator
+// is id; ok is false for any other sender.
+func (s *ShardedSystem) shardOfCoord(id string) (pos int, ok bool) {
+	for _, sh := range s.shards {
+		if sh.coordID == id {
+			return sh.shardIndex, true
+		}
+	}
+	return 0, false
 }
 
 // Single returns the classic topology's sole deployment (nil when a
@@ -115,7 +127,7 @@ func (s *ShardedSystem) IngressID() string {
 	if s.seq == nil {
 		return s.shards[0].coordID
 	}
-	return s.seqID
+	return sequencerID
 }
 
 // ClientLink implements sysapi.System.
@@ -197,7 +209,7 @@ func (s *ShardedSystem) Keys(class string) []string {
 func (s *ShardedSystem) ChaosTopology() chaos.Topology {
 	roles := map[string][]string{}
 	if s.seq != nil {
-		roles["sequencer"] = []string{s.seqID}
+		roles["sequencer"] = []string{sequencerID}
 	}
 	for _, sh := range s.shards {
 		roles["coordinator"] = append(roles["coordinator"], sh.coordID)

@@ -174,11 +174,11 @@ func TestLoader(t *testing.T) {
 	if class != "Account" || len(args) != 3 {
 		t.Fatalf("loader: %s %d args", class, len(args))
 	}
-	if len(args[2].S) != 100 {
-		t.Fatalf("payload size: %d", len(args[2].S))
+	if len(args[2].Str()) != 100 {
+		t.Fatalf("payload size: %d", len(args[2].Str()))
 	}
-	if args[0].S != "user000000" {
-		t.Fatalf("key: %s", args[0].S)
+	if args[0].Str() != "user000000" {
+		t.Fatalf("key: %s", args[0].Str())
 	}
 }
 

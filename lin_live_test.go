@@ -69,7 +69,7 @@ func (lh *liveHistory) harvest(t *testing.T, admin stateflow.Admin, cells int) {
 			t.Fatalf("preloaded cell %s missing from live state", key)
 		}
 		lh.h.Final[lin.Entity{Class: adversarial.Class, Key: key}] = lin.State{
-			Version: st["version"].I, Value: st["value"].I, Last: st["last"].S,
+			Version: st["version"].I, Value: st["value"].I, Last: st["last"].Str(),
 		}
 	}
 }

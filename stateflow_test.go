@@ -184,8 +184,8 @@ func TestPreloadAfterStartRejected(t *testing.T) {
 }
 
 func TestValueConstructors(t *testing.T) {
-	if stateflow.Int(3).I != 3 || stateflow.Str("s").S != "s" ||
-		!stateflow.Bool(true).B || stateflow.Float(1.5).F != 1.5 {
+	if stateflow.Int(3).I != 3 || stateflow.Str("s").Str() != "s" ||
+		!stateflow.Bool(true).B || stateflow.Float(1.5).Float() != 1.5 {
 		t.Fatal("scalar constructors")
 	}
 	l := stateflow.List(stateflow.Int(1), stateflow.Int(2))
