@@ -10,9 +10,9 @@
 // resume hop back to the caller's operator (complete).
 //
 // Step turns one event into exactly one event, returned by value. A call
-// allocates per activation, not per step: its context holds its first two
-// frames, and each frame its variables, so an activation allocates only
-// their slot array.
+// chain allocates once, not per step or per activation: its context holds
+// its first two frames and a small value arena that their slots and each
+// call's arguments live in (see Context).
 //
 // Every runtime (local, StateFlow, StateFun-model) wraps this package with
 // its own transport, scheduling, consistency and fault-tolerance layers;
@@ -38,17 +38,36 @@ type Frame struct {
 	// Result is the pending call's 1-based result slot in Env
 	// (ir.Invoke.Result); 0 discards the returned value.
 	Result int
+	// end is where the frame's slots end in its context's arena, so where
+	// the next frame's begin. A frame spilled to the heap ends where it
+	// begins.
+	end int
 }
 
 // Context is the execution state machine instance inserted into
 // function-calling events (§2.5): the stack of suspended frames plus the
 // root request identity. The execution graph's intermediate results are
-// the frames' environments. A context is never copied: Stack starts in
-// inline, the shipped programs' common depth (a transaction and one callee).
+// the frames' environments.
+//
+// A call chain allocates its context and nothing else while it fits: Stack
+// starts in inline, the shipped programs' common depth (a transaction and
+// one callee), and the frames' slots are consecutive regions of arena, each
+// frame's just past the one below it. A call's arguments are evaluated
+// where the callee's frame begins, and since a method's parameters are its
+// leading slots, the callee takes them in place; popping a frame frees its
+// region. A frame that does not fit in what is left of the arena spills to
+// the heap. The arena holds three values, a transfer's two slots and the
+// deposit's one, because that fills the context's size class (448 bytes): a
+// fourth value would move it to the 512-byte class.
+//
+// A context is never copied, and its call chain has exactly one event in
+// flight: an invocation's Args may be the callee's frame-to-be inside the
+// arena, so an event is stepped once and not read after it is.
 type Context struct {
 	Req    string // root request id (assigned by the ingress router)
 	Stack  []Frame
 	inline [2]Frame
+	arena  [3]interp.Value
 }
 
 // Top returns the innermost frame.
@@ -57,6 +76,39 @@ func (c *Context) Top() *Frame {
 		return nil
 	}
 	return &c.Stack[len(c.Stack)-1]
+}
+
+// free returns where the arena's unused part begins: past the top frame.
+func (c *Context) free() int {
+	if len(c.Stack) == 0 {
+		return 0
+	}
+	return c.Stack[len(c.Stack)-1].end
+}
+
+// push binds a fresh activation of m on ref as the new top frame: its slots
+// are the arena past the frame below it when they fit there (taking args in
+// place when suspend evaluated them there), and a heap array when not.
+func (c *Context) push(ref interp.EntityRef, m *ir.Method, args []interp.Value) error {
+	base := c.free()
+	c.Stack = append(c.Stack, Frame{Ref: ref, Method: m, end: base})
+	fr := c.Top()
+	n := m.Frame.NumSlots()
+	if base+n > len(c.arena) {
+		return fr.Env.Bind(m, args)
+	}
+	fr.end = base + n
+	return fr.Env.BindIn(m, args, c.arena[base:fr.end])
+}
+
+// argsAt returns storage for a call's n arguments: the arena past the top
+// frame, where the callee's frame will begin, or a heap array when they do
+// not fit there.
+func (c *Context) argsAt(n int) []interp.Value {
+	if base := c.free(); base+n <= len(c.arena) {
+		return c.arena[base : base+n : base+n]
+	}
+	return make([]interp.Value, n)
 }
 
 // EventKind discriminates dataflow events.
@@ -251,8 +303,7 @@ func (ex *Executor) stepInvoke(ev *Event, store Store) (Event, error) {
 		ctx = &Context{Req: ev.Req}
 		ctx.Stack = ctx.inline[:0]
 	}
-	ctx.Stack = append(ctx.Stack, Frame{Ref: ev.Target, Method: m})
-	if err := ctx.Top().Env.Bind(m, ev.Args); err != nil {
+	if err := ctx.push(ev.Target, m, ev.Args); err != nil {
 		return ex.fail(ev.Req, err.Error(), ev.Hops)
 	}
 	return ex.run(ctx, st, ev.Hops)
@@ -340,7 +391,7 @@ func (ex *Executor) run(ctx *Context, st interp.State, hops int) (Event, error) 
 // live-out slots in the carried environment, and emits the invocation
 // event.
 func (ex *Executor) suspend(ctx *Context, fr *Frame, b *ir.Block, t ir.Invoke, st interp.State, hops int) (Event, error) {
-	args := make([]interp.Value, len(t.Args))
+	args := ctx.argsAt(len(t.Args))
 	for i, a := range t.Args {
 		v, err := ex.in.Eval(fr.Ref.Class, fr.Ref.Key, a, &fr.Env, st)
 		if err != nil {

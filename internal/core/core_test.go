@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/interp"
@@ -420,11 +421,12 @@ func TestStepFaults(t *testing.T) {
 
 // TestStepAllocs prices Step in heap allocations. A simple root call
 // allocates its variables' frame and their slots. The two-frame transfer
-// allocates its context — which holds both frames — the transfer's slots,
-// the deposit's arguments and slots, and nothing for either event: the
-// deposit's return completes the transfer in place and the response is a
-// value. They cost 4 and 12 while Step returned a slice of heap events and
-// every frame, and its stack, was allocated on its own.
+// allocates its context and nothing else: the context holds both frames and
+// the arena their slots and the deposit's argument live in, the deposit's
+// return completes the transfer in place and the response is a value. It
+// cost 4 while the transfer's slots, the deposit's arguments and its slots
+// were arrays of their own, and 12 while Step also returned a slice of heap
+// events and every frame, and its stack, was allocated on its own.
 func TestStepAllocs(t *testing.T) {
 	ex, store := newExec(t)
 	a, b := interp.EntityRef{Class: "Account", Key: "a"}, interp.EntityRef{Class: "Account", Key: "b"}
@@ -437,7 +439,7 @@ func TestStepAllocs(t *testing.T) {
 		{"simple root call", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "deposit",
 			Args: []interp.Value{interp.IntV(1)}}, 1, 2},
 		{"transfer -> deposit -> response", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "transfer",
-			Args: []interp.Value{interp.IntV(1), interp.RefV(b.Class, b.Key)}}, 2, 4},
+			Args: []interp.Value{interp.IntV(1), interp.RefV(b.Class, b.Key)}}, 2, 1},
 	} {
 		var last Event
 		allocs := testing.AllocsPerRun(100, func() {
@@ -453,6 +455,151 @@ func TestStepAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocations", tc.name, allocs)
 		if allocs > tc.ceiling {
 			t.Errorf("%s: %.0f allocations, ceiling %.0f: a step grew an allocation", tc.name, allocs, tc.ceiling)
+		}
+	}
+}
+
+// arenaSrc's methods are sized around a context's three-value arena: see
+// TestStepAllocsArena.
+const arenaSrc = `
+@entity
+class Cell:
+    def __init__(self, name: str, v: int):
+        self.name: str = name
+        self.v: int = v
+
+    def __key__(self) -> str:
+        return self.name
+
+    def add(self, by: int) -> int:
+        by = by * 2
+        self.v += by
+        return by
+
+@entity
+class Wallet:
+    def __init__(self, name: str, v: int):
+        self.name: str = name
+        self.v: int = v
+
+    def __key__(self) -> str:
+        return self.name
+
+    def pay(self, amount: int, to: Cell) -> int:
+        to.add(amount)
+        return self.v + amount
+
+    def open(self, name: str) -> bool:
+        Cell(name, 7)
+        return True
+
+    def repeat(self, to: Cell, n: int) -> int:
+        while n > 0:
+            to.add(1)
+            n -= 1
+        return self.v
+
+    def plus(self, c: Cell) -> int:
+        a: int = c.add(3)
+        return a + 1
+
+    def deep(self, r: Relay, c: Cell) -> int:
+        x: int = r.mid(c)
+        return x + 1
+
+@entity
+class Relay:
+    def __init__(self, name: str):
+        self.name: str = name
+
+    def __key__(self) -> str:
+        return self.name
+
+    def mid(self, c: Cell) -> int:
+        y: int = c.add(2)
+        return y + 1
+`
+
+// TestStepAllocsArena drives call chains laid out in a context's value
+// arena and checks each response, the state it leaves and what it
+// allocates. A transfer-shaped chain (two caller slots, one callee slot)
+// fills the arena exactly, so the caller's slots and the callee's argument,
+// which becomes its frame, sit side by side.
+func TestStepAllocsArena(t *testing.T) {
+	if size := unsafe.Sizeof(Context{}); size > 448 {
+		t.Fatalf("a context is %d bytes, over the 448-byte size class its arena is sized to", size)
+	}
+	prog, err := compiler.Compile(arenaSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExecutor(prog)
+	store := memStore{state.NewStore(prog.Layouts())}
+	wallet, cell := interp.EntityRef{Class: "Wallet", Key: "w"}, interp.EntityRef{Class: "Cell", Key: "c"}
+	fresh := interp.EntityRef{Class: "Cell", Key: "fresh"}
+	for name, want := range map[string]int{"Wallet.pay": 2, "Wallet.open": 1, "Wallet.repeat": 2, "Wallet.plus": 2, "Wallet.deep": 3, "Relay.mid": 2, "Cell.add": 1} {
+		class, method, _ := strings.Cut(name, ".")
+		if got := prog.Operator(class).Method(method).Frame.NumSlots(); got != want {
+			t.Fatalf("%s has %d slots, want %d: the cases below no longer test the arena layout they name", name, got, want)
+		}
+	}
+	c := interp.RefV(cell.Class, cell.Key)
+	for _, tc := range []struct {
+		name   string
+		method string
+		args   []interp.Value
+		value  string
+		cellV  int64 // c's balance after the call (v starts at 0)
+		// created: the call constructs fresh, which is deleted after every
+		// run so the next one can construct it again.
+		created bool
+		ceiling float64
+	}{
+		// add doubles its parameter in place, in the slot that was the
+		// argument, next to pay's own amount, which must survive.
+		{"a callee that reassigns its parameter", "pay", []interp.Value{interp.IntV(5), c}, "105", 10, false, 1},
+		// __init__ binds its own frame from arguments evaluated into the
+		// arena: past the context, the constructor costs its frame and
+		// slots, the closure Create runs and the new row and its slots.
+		{"a constructor callee", "open", []interp.Value{interp.StrV("fresh")}, "True", 0, true, 6},
+		// Each iteration's call reuses the same arena value.
+		{"a remote call in a while loop", "repeat", []interp.Value{c, interp.IntV(3)}, "100", 6, false, 1},
+		{"a StateFree continuation after a call", "plus", []interp.Value{c}, "7", 6, false, 1},
+		// deep's three slots fill the arena, so mid's and add's arguments
+		// and frames spill to the heap (four arrays), and add's frame, the
+		// third, outgrows the inline stack.
+		{"a chain deeper than the arena", "deep", []interp.Value{interp.RefV("Relay", "r"), c}, "6", 4, false, 6},
+	} {
+		store.PutMap(wallet, interp.MapState{"name": interp.StrV("w"), "v": interp.IntV(100)})
+		store.PutMap(cell, interp.MapState{"name": interp.StrV("c"), "v": interp.IntV(0)})
+		store.PutMap(interp.EntityRef{Class: "Relay", Key: "r"}, interp.MapState{"name": interp.StrV("r")})
+		store.Delete(fresh)
+		root := Event{Kind: EvInvoke, Req: "r", Target: wallet, Method: tc.method, Args: tc.args}
+		resp, _, err := ex.Drive(root, store)
+		if err != nil || resp.Err != "" || resp.Value.Repr() != tc.value {
+			t.Fatalf("%s: response %s (error %q, %v), want %s", tc.name, resp.Value.Repr(), resp.Err, err, tc.value)
+		}
+		if st, _ := store.Lookup(cell); st.(*interp.Row).CloneMap()["v"].I != tc.cellV {
+			t.Errorf("%s: c.v = %v, want %d", tc.name, st.(*interp.Row).CloneMap()["v"], tc.cellV)
+		}
+		if st, ok := store.Lookup(fresh); ok != tc.created || ok && st.(*interp.Row).CloneMap()["v"].I != 7 {
+			t.Errorf("%s: constructed %v (%v), want %v with v 7", tc.name, ok, st, tc.created)
+		}
+		if w, _ := store.Lookup(wallet); w.(*interp.Row).CloneMap()["v"].I != 100 {
+			t.Errorf("%s: the wallet changed: %v", tc.name, w.(*interp.Row).CloneMap())
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			ev := root
+			for ev.Kind != EvResponse {
+				ev, _ = ex.Step(&ev, store)
+			}
+			if tc.created {
+				store.Delete(fresh)
+			}
+		})
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+		if allocs > tc.ceiling {
+			t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, allocs, tc.ceiling)
 		}
 	}
 }

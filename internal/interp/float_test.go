@@ -74,6 +74,10 @@ func TestFloatEdgeSemantics(t *testing.T) {
 		{"1e308 == 1e308", FloatV(1e308), FloatV(1e308), true},
 		{"1e308 != +Inf", FloatV(1e308), FloatV(math.Inf(1)), false},
 		{"1.0 == 1", FloatV(1), IntV(1), true},
+		{"2**53 + 1 != 2.0**53", IntV(1<<53 + 1), FloatV(1 << 53), false},
+		{"2.0**53 == 2**53", FloatV(1 << 53), IntV(1 << 53), true},
+		{"0.5 != 0", FloatV(0.5), IntV(0), false},
+		{"2.0**63 != any int", FloatV(1 << 63), IntV(math.MaxInt64), false},
 		{"1.0 != True", FloatV(1), BoolV(true), false},
 	} {
 		if got := p.a.Equal(p.b); got != p.eq {
@@ -81,26 +85,47 @@ func TestFloatEdgeSemantics(t *testing.T) {
 		}
 	}
 
-	// Dict keys hash a float by its shortest decimal form: the two zeros
-	// are distinct keys, and every NaN is the same key. Keys print in the
-	// sorted order of their hashed form.
+	// Dict keys that are == are one key, as in Python: the two zeros are
+	// the key 0, and setting one keeps the key written first. Every NaN is
+	// the same key too (a value has no identity for NaN to key on), and a
+	// float past int64's range keys by its shortest decimal form. Keys print
+	// in the sorted order of their hashed form.
 	d := DictV()
 	for i, f := range []float64{0, negZero, nan, nan, math.Inf(1), math.Inf(-1), 1e308} {
 		if err := d.DictSet(FloatV(f), IntV(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := d.String(), "{+Inf: 4, -0: 1, -Inf: 5, 0: 0, 1e+308: 6, NaN: 3}"; got != want {
+	if got, want := d.String(), "{+Inf: 4, -Inf: 5, 1e+308: 6, NaN: 3, 0: 1}"; got != want {
 		t.Errorf("dict %s, want %s", got, want)
 	}
 	for _, q := range []struct {
-		key  float64
+		key  Value
 		want int64
-	}{{0, 0}, {negZero, 1}, {nan, 3}, {math.Inf(1), 4}, {1e308, 6}} {
-		got, ok, err := d.DictGet(FloatV(q.key))
+	}{{FloatV(0), 1}, {FloatV(negZero), 1}, {IntV(0), 1}, {FloatV(nan), 3}, {FloatV(math.Inf(1)), 4}, {FloatV(1e308), 6}} {
+		got, ok, err := d.DictGet(q.key)
 		if err != nil || !ok || got.Kind != KInt || got.I != q.want {
 			t.Errorf("dict[%v] = %v, %v, %v; want %d", q.key, got, ok, err, q.want)
 		}
+	}
+	ints := DictV()
+	if err := ints.DictSet(IntV(1), StrV("a")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := ints.DictGet(FloatV(1)); err != nil || !ok || got.Str() != "a" {
+		t.Errorf("d[1] = a; d[1.0] = %v, %v, %v; want a", got, ok, err)
+	}
+	if _, ok, err := ints.DictGet(FloatV(1.5)); err != nil || ok {
+		t.Errorf("d[1.5] found (%v), want missing", err)
+	}
+	zeros := DictV()
+	for _, kv := range []struct{ k, v Value }{{FloatV(0), StrV("a")}, {FloatV(negZero), StrV("b")}} {
+		if err := zeros.DictSet(kv.k, kv.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := zeros.String(), `{0: "b"}`; got != want {
+		t.Errorf("{0.0: a, -0.0: b} is %s, want %s", got, want)
 	}
 	enc := EncodeValue(d)
 	back, err := DecodeValue(enc)
@@ -110,7 +135,7 @@ func TestFloatEdgeSemantics(t *testing.T) {
 	if got := hex.EncodeToString(EncodeValue(back)); got != hex.EncodeToString(enc) {
 		t.Errorf("dict re-encodes as %s, want %s", got, hex.EncodeToString(enc))
 	}
-	if got, want := hex.EncodeToString(enc), "060602000000000000f07f0108020000000000000080010202000000000000f0ff010a020000000000000000010002a0c8eb85f3cce17f010c02010000000000f87f0106"; got != want {
+	if got, want := hex.EncodeToString(enc), "060502000000000000f07f010802000000000000f0ff010a02a0c8eb85f3cce17f010c02010000000000f87f01060200000000000000000102"; got != want {
 		t.Errorf("dict encodes as %s, want %s", got, want)
 	}
 }

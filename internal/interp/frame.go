@@ -25,16 +25,29 @@ type Frame struct {
 // m's layout, with m's parameters bound to args in the leading slots the
 // layout pass gives them. Only the slot array is allocated.
 func (f *Frame) Bind(m *ir.Method, args []Value) error {
+	return f.BindIn(m, args, make([]Value, m.Frame.NumSlots()))
+}
+
+// BindIn is Bind over caller-provided storage: slots, of length
+// m.Frame.NumSlots(), becomes the activation's slot array, so nothing is
+// allocated for a frame of up to 64 slots. args may already be the leading
+// slots — a caller that evaluated a call's arguments where the callee's
+// frame begins — and are then taken in place; whatever else slots held is
+// dropped.
+func (f *Frame) BindIn(m *ir.Method, args, slots []Value) error {
 	if len(args) != len(m.Params) {
 		return &RuntimeError{Msg: fmt.Sprintf("%s expects %d args, got %d", m.Name, len(m.Params), len(args))}
 	}
-	n := m.Frame.NumSlots()
-	*f = Frame{slots: make([]Value, n)}
-	if n > 64 {
-		f.defBig = make([]bool, n)
+	if len(args) > 0 && &args[0] != &slots[0] {
+		copy(slots, args)
 	}
-	for i, a := range args {
-		f.SetSlot(i, a)
+	clear(slots[len(args):])
+	*f = Frame{slots: slots}
+	if len(slots) > 64 {
+		f.defBig = make([]bool, len(slots))
+	}
+	for i := range args {
+		f.setDef(i)
 	}
 	return nil
 }

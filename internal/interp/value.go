@@ -133,11 +133,22 @@ func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 // Str returns a KStr's string.
 func (v Value) Str() string { return v.R.Key }
 
-// dictKey encodes a value as a dict key. Only scalars are hashable.
+// dictKey encodes a value as a dict key. Only scalars are hashable. Keys
+// that are == encode alike, as in Python: a float with an integral value in
+// int64's range keys as that int, so 1.0 finds 1 and both zeros are the
+// key 0. Every NaN is one key — unlike Python, where a NaN key is found only
+// through the very object it was stored under: a value has no identity to
+// key on, and a NaN no key could ever find would be unreachable state.
 func dictKey(v Value) (string, error) {
 	switch v.Kind {
 	case KInt:
 		return "i:" + strconv.FormatInt(v.I, 10), nil
+	case KFloat:
+		f := v.Float()
+		if i, ok := floatInt(f); ok {
+			return "i:" + strconv.FormatInt(i, 10), nil
+		}
+		return "f:" + strconv.FormatFloat(f, 'g', -1, 64), nil
 	case KStr:
 		return "s:" + v.Str(), nil
 	case KBool:
@@ -145,11 +156,18 @@ func dictKey(v Value) (string, error) {
 			return "b:1", nil
 		}
 		return "b:0", nil
-	case KFloat:
-		return "f:" + strconv.FormatFloat(v.Float(), 'g', -1, 64), nil
 	default:
 		return "", fmt.Errorf("unhashable dict key of type %s", v.Kind)
 	}
+}
+
+// floatInt returns the int64 a float equals, if one does.
+func floatInt(f float64) (int64, bool) {
+	// -2^63 and 2^63 are exact floats; the ints are the range below 2^63.
+	if f == math.Trunc(f) && f >= math.MinInt64 && f < -math.MinInt64 {
+		return int64(f), true
+	}
+	return 0, false
 }
 
 // DictSet inserts k -> val into a dict value.
@@ -163,6 +181,9 @@ func (v *Value) DictSet(k, val Value) error {
 	}
 	if v.L.dict == nil {
 		v.L.dict = map[string]dictEntry{}
+	}
+	if e, ok := v.L.dict[dk]; ok {
+		k = e.k // an equal key updates the pair and keeps its key, as in Python
 	}
 	v.L.dict[dk] = dictEntry{k: k, v: val}
 	return nil
@@ -233,12 +254,18 @@ func (v Value) AsFloat() float64 {
 	return v.Float()
 }
 
-// Equal implements DSL equality (== / !=). Int and float compare
-// numerically; floats compare as floats, never as bits.
+// Equal implements DSL equality (== / !=). Int and float compare by value,
+// exactly, as in Python (2**53 + 1 is not 2.0**53), so values that are
+// equal are one dict key; floats compare as floats, never as bits.
 func (v Value) Equal(o Value) bool {
 	if v.Kind != o.Kind {
 		if v.Kind == KInt && o.Kind == KFloat || v.Kind == KFloat && o.Kind == KInt {
-			return v.AsFloat() == o.AsFloat()
+			i, f := v, o
+			if v.Kind == KFloat {
+				i, f = o, v
+			}
+			n, ok := floatInt(f.Float())
+			return ok && n == i.I
 		}
 		return false
 	}

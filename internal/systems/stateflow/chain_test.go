@@ -238,7 +238,7 @@ func TestChainWorkerCrashMidChain(t *testing.T) {
 			parked := 0
 			if ep := w.epochs[st.epoch]; ep != nil && ep.chain != nil {
 				for _, p := range ep.chain.parked {
-					if p.Ev != nil {
+					if p.txnEvent != nil {
 						parked++
 					}
 				}

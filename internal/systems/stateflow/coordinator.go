@@ -158,6 +158,10 @@ type Coordinator struct {
 	// retries of aborted transactions).
 	pending []pendingReq
 
+	// validator checks every batch for conflicts (epochState.validate),
+	// emptied for each one, so validation allocates nothing per epoch.
+	validator aria.Validator
+
 	// replaying is the binding replay queue a recovery builds: requests
 	// whose responses were already released to clients but whose effects
 	// the restored snapshot predates. They re-execute first — in release

@@ -148,7 +148,10 @@ func TestLateDuplicateAbsorbedAfterPruning(t *testing.T) {
 // cross-shard transfers through snapshots and a pinned crash of a worker, a
 // coordinator and the sequencer; every message sent between two components
 // must be duplicate-safe, except msgTxnEvent, the one exclusion the
-// contract's comment argues.
+// contract's comment argues — and the contract must not declare it safe:
+// a forwarded hop and the call chain it carries rely on its never being
+// duplicated. msgTxnEvent is in the floor, so the type actually sent is the
+// one excluded.
 func TestDupSafeIsTotal(t *testing.T) {
 	prog, err := compiler.Compile(bank)
 	if err != nil {
@@ -200,13 +203,17 @@ func TestDupSafeIsTotal(t *testing.T) {
 
 			contract := sys.ChaosTopology()
 			seen, undeclared := map[string]bool{}, map[string]bool{}
+			eventDupSafe := false
 			cluster.SetTap(func(from, to string, _, _ time.Duration, msg sim.Message) {
 				if from == to {
 					return // a timer
 				}
 				name := fmt.Sprintf("%T", msg)
 				seen[name] = true
-				if _, excluded := msg.(msgTxnEvent); !excluded && !contract.DupSafe(from, to, msg) {
+				_, excluded := msg.(msgTxnEvent)
+				if safe := contract.DupSafe(from, to, msg); excluded && safe {
+					eventDupSafe = true
+				} else if !excluded && !safe {
 					undeclared[name] = true
 				}
 			})
@@ -222,7 +229,7 @@ func TestDupSafeIsTotal(t *testing.T) {
 			if sys.seq != nil && sys.seq.Failovers == 0 {
 				t.Fatal("the sequencer never failed over")
 			}
-			floor := []sim.Message{&msgDecide{}, msgApplied{}, msgTxnFinished{}, msgRecover{}, msgTakeSnapshot{}, msgChainRelease{}}
+			floor := []sim.Message{msgTxnEvent{}, &msgDecide{}, msgApplied{}, msgTxnFinished{}, msgRecover{}, msgTakeSnapshot{}, msgChainRelease{}}
 			if shards > 1 {
 				floor = append(floor, msgFence{}, msgSeqFenceQuery{})
 			}
@@ -230,6 +237,12 @@ func TestDupSafeIsTotal(t *testing.T) {
 				if name := fmt.Sprintf("%T", m); !seen[name] {
 					t.Errorf("the run sent no %s: the check is vacuous for it (saw %v)", name, slices.Sorted(maps.Keys(seen)))
 				}
+			}
+			if eventDupSafe {
+				// A forwarded hop's body and event are the receiver's to own
+				// (msgTxnEvent, core.Context): a duplicate would step the same
+				// event, and grow the same call chain, twice.
+				t.Error("DupSafe declares msgTxnEvent duplicate-safe")
 			}
 			if len(undeclared) > 0 {
 				t.Errorf("message types sent between components that DupSafe does not declare: %v", slices.Sorted(maps.Keys(undeclared)))

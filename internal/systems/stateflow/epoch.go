@@ -228,9 +228,10 @@ func (st *epochState) close() {
 // validate runs Aria's conflict check over the batch's shipped reservation
 // sets: a member aborts if it read or wrote a slot a lower TID wrote. Every
 // set of a member is checked before any is added, which is the check over
-// their union (aria.Validator).
-func (st *epochState) validate() {
-	var v aria.Validator
+// their union (aria.Validator). v is the coordinator's one validator,
+// emptied here.
+func (st *epochState) validate(v *aria.Validator) {
+	v.Reset()
 	for _, t := range st.txns {
 		for s := t.sets; s != nil && !t.aborted; s = s.next {
 			t.aborted = v.Conflicts(s.rw)
@@ -318,16 +319,16 @@ func (st *epochState) decision() *msgDecide {
 			aborts = append(aborts, tid)
 		}
 	}
-	// Order is the workers' copy: receivers only read it, and the slot's own
-	// order slice stays private to the coordinator, which reuses it for a
-	// later epoch. (The chain's order is the plan's member list, which the
-	// workers hold already.)
+	// Order is the workers' copy, inside the decide up to its inline length:
+	// receivers only read it, and the slot's own order slice stays private
+	// to the coordinator, which reuses it for a later epoch. (The chain's
+	// order is the plan's member list, which the workers hold already.)
 	m := &msgDecide{Epoch: st.epoch, Round: st.round, Aborts: aborts,
 		Final: st.chained() || st.chain == nil}
 	if st.chained() {
 		m.Order = st.chain.Plan.Members
 	} else {
-		m.Order = slices.Clone(st.order)
+		m.Order = append(m.order[:0:len(m.order)], st.order...)
 		if !m.Final {
 			m.Chain = st.chain.Plan // the batch decide announces the chain
 		}
@@ -376,7 +377,7 @@ func (st *epochState) outcome(t *txnState) outcome {
 func (c *Coordinator) dispatch(ctx *sim.Context, st *epochState, tid aria.TID) {
 	t := st.txn(tid)
 	ctx.Send(c.sys.ownerOf(t.req.Target),
-		msgTxnEvent{TID: tid, Epoch: st.epoch, Round: st.round, Ev: &t.root},
+		msgTxnEvent{&txnEvent{TID: tid, Epoch: st.epoch, Round: st.round, Ev: &t.root}},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -579,7 +580,7 @@ func (c *Coordinator) promote(ctx *sim.Context, st *epochState) {
 	}
 	st.phaseAt = ctx.Now()
 	ctx.Work(time.Duration(len(st.txns)) * c.sys.cfg.Costs.CommitCPU)
-	st.validate()
+	st.validate(&c.validator)
 	c.phaseSpan(ctx, st, "validate")
 	c.decide(ctx, st)
 }

@@ -101,7 +101,7 @@ func (c *Coordinator) forwardRead(ctx *sim.Context, r *fastRead) {
 	}
 	c.reads[r.seq] = r
 	ctx.Send(c.sys.ownerOf(r.root.Target),
-		msgTxnEvent{TID: r.seq, Epoch: c.decided + 1, Round: readRound, Ev: &r.root},
+		msgTxnEvent{&txnEvent{TID: r.seq, Epoch: c.decided + 1, Round: readRound, Ev: &r.root}},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 

@@ -336,7 +336,9 @@ func (s *System) CheckpointPreloadedState() {
 //     client requests and global applies (exactly-once input), the
 //     client's response dedup. Only msgTxnEvent is excluded: a second
 //     delivery inside the same epoch would re-execute the event in the
-//     same workspace. A new coordination message is declared
+//     same workspace, and step an event its call chain already moved past
+//     (a hop's receiver owns the message body, the event and its context;
+//     see msgTxnEvent). A new coordination message is declared
 //     duplicate-safe here and nowhere else.
 func failureContract(roles map[string][]string) chaos.Topology {
 	members := map[string]bool{}

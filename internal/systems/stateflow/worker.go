@@ -74,8 +74,8 @@ func (ep *workerEpoch) progress() *workerChain {
 }
 
 // parkedEvent is a chain member's event waiting for entity e's queue to
-// drain down to the member (Ev nil: the member has nothing parked). at is
-// when it parked, for the chain.wait trace span.
+// drain down to the member (txnEvent nil: the member has nothing parked).
+// at is when it parked, for the chain.wait trace span.
 type parkedEvent struct {
 	msgTxnEvent
 	e  int32
@@ -284,8 +284,9 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	if target == w.id {
 		lat = 0 // same-partition transfer stays in process
 	}
-	hop := ev // the one allocation of a hop: the event its message carries
-	ctx.Send(target, msgTxnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Ev: &hop, Sets: sets}, lat)
+	hop := &txnHop{txnEvent: txnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Sets: sets}, ev: ev}
+	hop.Ev = &hop.ev
+	ctx.Send(target, msgTxnEvent{&hop.txnEvent}, lat)
 }
 
 // shipSets returns the reservation sets a round-0 event leaving this worker
@@ -352,7 +353,7 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) cor
 // durable.
 func (w *Worker) onRead(ctx *sim.Context, m msgTxnEvent) {
 	if ep := w.epochs[w.appliedEpoch+1]; ep != nil && ep.plan != nil {
-		m.Epoch = w.appliedEpoch + 2
+		m.Epoch = w.appliedEpoch + 2 // the body is the worker's own (msgTxnEvent)
 		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
 		return
 	}
@@ -413,7 +414,7 @@ func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) 
 		return -1
 	}
 	arrived := ctx.Now()
-	if ch.parked != nil && ch.parked[member].Ev != nil {
+	if ch.parked != nil && ch.parked[member].txnEvent != nil {
 		arrived = ch.parked[member].at
 		ch.parked[member] = parkedEvent{}
 	}
@@ -495,7 +496,7 @@ func (w *Worker) settleChained(ctx *sim.Context, ep *workerEpoch, member int, co
 		return
 	}
 	for _, e := range ep.plan.Footprint(member) {
-		if next := ch.Head(e); next >= 0 && ch.parked[next].Ev != nil && ch.parked[next].e == e {
+		if next := ch.Head(e); next >= 0 && ch.parked[next].txnEvent != nil && ch.parked[next].e == e {
 			w.onTxnEvent(ctx, ch.parked[next].msgTxnEvent) // unparks itself on admission
 		}
 	}

@@ -521,9 +521,18 @@ func Validate(order []TID, sets map[TID]*RWSet) []TID {
 // Validator is Validate's incremental form, for a caller that holds a
 // transaction's reservations as several sets (one per worker its call chain
 // ran on): visit the transactions in TID order, and ask Conflicts of every
-// set of a transaction before Adding any of them.
+// set of a transaction before Adding any of them. A Validator must not be
+// copied once used (its set may point into itself).
 type Validator struct {
 	earlier RWSet // writes of the transactions added so far
+}
+
+// Reset empties v for another batch. It keeps what v allocated (its spilled
+// entries and index), so a caller that validates batch after batch reuses
+// one Validator instead of allocating one per batch.
+func (v *Validator) Reset() {
+	v.earlier.entries = v.earlier.entries[:0]
+	clear(v.earlier.index)
 }
 
 // Conflicts reports whether rw read or wrote a slot that an added

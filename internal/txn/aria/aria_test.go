@@ -311,6 +311,36 @@ func TestValidateUnionIsTheOrOfOwners(t *testing.T) {
 	}
 }
 
+// TestValidatorResetForgetsTheBatch reuses one Validator across batches, as
+// the coordinator does, next to a fresh one per batch: after Reset nothing
+// the previous batch wrote conflicts, whether its writes sat in the inline
+// entries or past the index threshold, and what this batch wrote does.
+func TestValidatorResetForgetsTheBatch(t *testing.T) {
+	var reused Validator
+	key := func(i int) ResKey { return rkey(fmt.Sprint("k", i)) }
+	for _, n := range []int{1, 2, scanLimit + 4, 3, 0} {
+		reused.Reset()
+		var fresh Validator
+		for i := 0; i < n; i++ {
+			w := NewRWSet()
+			w.Write(key(i), SlotBit(0))
+			for _, v := range []*Validator{&reused, &fresh} {
+				if v.Conflicts(w) {
+					t.Fatalf("batch of %d: the first writer of k%d conflicts", n, i)
+				}
+				v.Add(w)
+			}
+		}
+		for i := 0; i <= scanLimit+4; i++ {
+			r := NewRWSet()
+			r.Read(key(i), SlotBit(0))
+			if got, want := reused.Conflicts(r), fresh.Conflicts(r); got != want || got != (i < n) {
+				t.Fatalf("batch of %d: a read of k%d conflicts %v on the reused validator, %v on a fresh one", n, i, got, want)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Fallback schedule
 
