@@ -98,7 +98,9 @@ func (c *Context) push(ref interp.EntityRef, m *ir.Method, args []interp.Value) 
 		return fr.Env.Bind(m, args)
 	}
 	fr.end = base + n
-	return fr.Env.BindIn(m, args, c.arena[base:fr.end])
+	var err error
+	fr.Env, err = interp.FrameIn(m, args, c.arena[base:fr.end])
+	return err
 }
 
 // argsAt returns storage for a call's n arguments: the arena past the top
@@ -277,20 +279,22 @@ func (ex *Executor) stepInvoke(ev *Event, store Store) (Event, error) {
 	}
 	// Fast path for root calls to simple methods: the single
 	// return-terminated block cannot suspend, so no execution context
-	// needs to be allocated.
+	// needs to be allocated, and the frame, which ends with the call, is
+	// bound on the stack when it fits there (interp.SlotsIn).
 	if m.Simple && ev.Ctx == nil && len(m.Blocks) == 1 {
 		if t, ok := m.Blocks[0].Term.(ir.Return); ok {
-			env := new(interp.Frame)
-			if err := env.Bind(m, ev.Args); err != nil {
+			var buf [interp.StackSlots]interp.Value
+			env, err := interp.FrameIn(m, ev.Args, interp.SlotsIn(buf[:], m))
+			if err != nil {
 				return ex.fail(ev.Req, err.Error(), ev.Hops)
 			}
-			res, err := ex.in.ExecBlock(ev.Target.Class, ev.Target.Key, m.Blocks[0], env, st)
+			res, err := ex.in.ExecBlock(ev.Target.Class, ev.Target.Key, m.Blocks[0], &env, st)
 			if err != nil {
 				return ex.fail(ev.Req, err.Error(), ev.Hops)
 			}
 			v := res.Value
 			if !res.Returned {
-				v, err = ex.in.Eval(ev.Target.Class, ev.Target.Key, t.Value, env, st)
+				v, err = ex.in.Eval(ev.Target.Class, ev.Target.Key, t.Value, &env, st)
 				if err != nil {
 					return ex.fail(ev.Req, err.Error(), ev.Hops)
 				}

@@ -61,6 +61,14 @@ class Account:
         self.balance += amount
         return True
 
+    def deposit_twice(self, amount: int) -> bool:
+        self.deposit(amount)
+        return self.deposit(amount)
+
+    def deposit_sum(self, a: int, b: int, c: int, d: int) -> bool:
+        total: int = a + b + c + d
+        return self.deposit(total)
+
     @transactional
     def transfer(self, amount: int, to: Account) -> bool:
         if self.balance < amount:
@@ -420,16 +428,32 @@ func TestStepFaults(t *testing.T) {
 }
 
 // TestStepAllocs prices Step in heap allocations. A simple root call
-// allocates its variables' frame and their slots. The two-frame transfer
-// allocates its context and nothing else: the context holds both frames and
-// the arena their slots and the deposit's argument live in, the deposit's
-// return completes the transfer in place and the response is a value. It
-// cost 4 while the transfer's slots, the deposit's arguments and its slots
-// were arrays of their own, and 12 while Step also returned a slice of heap
-// events and every frame, and its stack, was allocated on its own.
+// allocates nothing: its frame ends with the step, so it is bound over a
+// stack array, and so is the frame of each inline self-call it makes.
+// Only a frame wider than interp.StackSlots spills its slots to the heap.
+// The two-frame transfer allocates its context and nothing else: the
+// context holds both frames and the arena their slots and the deposit's
+// argument live in, the deposit's return completes the transfer in place
+// and the response is a value. The simple call cost 2 (its frame and its
+// slots) while the interpreter kept the variables and the state in one
+// struct, which escape analysis leaked as a whole; the transfer cost 4
+// while its slots, the deposit's arguments and its slots were arrays of
+// their own, and 12 while Step also returned a slice of heap events and
+// every frame, and its stack, was allocated on its own.
 func TestStepAllocs(t *testing.T) {
 	ex, store := newExec(t)
+	for name, want := range map[string]int{"deposit": 1, "deposit_twice": 1, "deposit_sum": 5} {
+		m := ex.Program().Operator("Account").Method(name)
+		if !m.Simple || m.Frame.NumSlots() != want {
+			t.Fatalf("Account.%s: simple %v, %d slots, want a simple method of %d: the cases below no longer test what they name",
+				name, m.Simple, m.Frame.NumSlots(), want)
+		}
+	}
+	if interp.StackSlots != 4 {
+		t.Fatalf("interp.StackSlots is %d: deposit_sum no longer spills", interp.StackSlots)
+	}
 	a, b := interp.EntityRef{Class: "Account", Key: "a"}, interp.EntityRef{Class: "Account", Key: "b"}
+	one := interp.IntV(1)
 	for _, tc := range []struct {
 		name    string
 		root    Event
@@ -437,7 +461,12 @@ func TestStepAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"simple root call", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "deposit",
-			Args: []interp.Value{interp.IntV(1)}}, 1, 2},
+			Args: []interp.Value{one}}, 1, 0},
+		{"simple root call with inline self-calls", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "deposit_twice",
+			Args: []interp.Value{one}}, 1, 0},
+		// Five slots: the root frame's slots spill, deposit's frame does not.
+		{"simple root call wider than the stack frame", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "deposit_sum",
+			Args: []interp.Value{one, one, one, one}}, 1, 1},
 		{"transfer -> deposit -> response", Event{Kind: EvInvoke, Req: "r", Target: a, Method: "transfer",
 			Args: []interp.Value{interp.IntV(1), interp.RefV(b.Class, b.Key)}}, 2, 1},
 	} {
@@ -558,10 +587,11 @@ func TestStepAllocsArena(t *testing.T) {
 		// add doubles its parameter in place, in the slot that was the
 		// argument, next to pay's own amount, which must survive.
 		{"a callee that reassigns its parameter", "pay", []interp.Value{interp.IntV(5), c}, "105", 10, false, 1},
-		// __init__ binds its own frame from arguments evaluated into the
-		// arena: past the context, the constructor costs its frame and
-		// slots, the closure Create runs and the new row and its slots.
-		{"a constructor callee", "open", []interp.Value{interp.StrV("fresh")}, "True", 0, true, 6},
+		// __init__ binds its own frame, on the stack, from arguments
+		// evaluated into the arena: past the context, the constructor
+		// costs the closure Create runs and the new row and its slots (6
+		// while the frame and its slots were allocated).
+		{"a constructor callee", "open", []interp.Value{interp.StrV("fresh")}, "True", 0, true, 4},
 		// Each iteration's call reuses the same arena value.
 		{"a remote call in a while loop", "repeat", []interp.Value{c, interp.IntV(3)}, "100", 6, false, 1},
 		{"a StateFree continuation after a call", "plus", []interp.Value{c}, "7", 6, false, 1},

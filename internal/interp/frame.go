@@ -24,32 +24,51 @@ type Frame struct {
 // Bind makes f, in place, the frame of a fresh activation of m: empty over
 // m's layout, with m's parameters bound to args in the leading slots the
 // layout pass gives them. Only the slot array is allocated.
-func (f *Frame) Bind(m *ir.Method, args []Value) error {
-	return f.BindIn(m, args, make([]Value, m.Frame.NumSlots()))
+func (f *Frame) Bind(m *ir.Method, args []Value) (err error) {
+	*f, err = FrameIn(m, args, make([]Value, m.Frame.NumSlots()))
+	return err
 }
 
-// BindIn is Bind over caller-provided storage: slots, of length
-// m.Frame.NumSlots(), becomes the activation's slot array, so nothing is
-// allocated for a frame of up to 64 slots. args may already be the leading
-// slots — a caller that evaluated a call's arguments where the callee's
-// frame begins — and are then taken in place; whatever else slots held is
-// dropped.
-func (f *Frame) BindIn(m *ir.Method, args, slots []Value) error {
+// FrameIn returns the frame of a fresh activation of m over caller-provided
+// storage: slots, of length m.Frame.NumSlots(), becomes the activation's
+// slot array, so nothing is allocated for a frame of up to 64 slots. args
+// may already be the leading slots — a caller that evaluated a call's
+// arguments where the callee's frame begins — and are then taken in place;
+// whatever else slots held is dropped. The frame is returned by value, so a
+// caller whose frame does not outlive it keeps both the frame and its slots
+// on its stack (see SlotsIn).
+func FrameIn(m *ir.Method, args, slots []Value) (Frame, error) {
 	if len(args) != len(m.Params) {
-		return &RuntimeError{Msg: fmt.Sprintf("%s expects %d args, got %d", m.Name, len(m.Params), len(args))}
+		return Frame{}, &RuntimeError{Msg: fmt.Sprintf("%s expects %d args, got %d", m.Name, len(m.Params), len(args))}
 	}
 	if len(args) > 0 && &args[0] != &slots[0] {
 		copy(slots, args)
 	}
 	clear(slots[len(args):])
-	*f = Frame{slots: slots}
+	f := Frame{slots: slots}
 	if len(slots) > 64 {
 		f.defBig = make([]bool, len(slots))
 	}
 	for i := range args {
 		f.setDef(i)
 	}
-	return nil
+	return f, nil
+}
+
+// StackSlots is the widest frame an activation that ends before its
+// caller returns binds over a caller's stack array: a simple root call,
+// __init__ and an inline self-call. Four values cover the shipped
+// programs' simple methods.
+const StackSlots = 4
+
+// SlotsIn returns m's slot array: the leading part of buf, a caller's
+// stack array, when m's frame fits there, and a heap array when it does
+// not.
+func SlotsIn(buf []Value, m *ir.Method) []Value {
+	if n := m.Frame.NumSlots(); n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]Value, m.Frame.NumSlots())
 }
 
 func (f *Frame) defined(i int) bool {

@@ -57,11 +57,16 @@ type Result struct {
 	Value    Value // the returned value (None when Returned is false)
 }
 
+// frame is what an activation's code evaluates against besides its
+// variables and its entity's state: which entity self is, and how deep the
+// inline self-calls go. The variables (env) and the state (st) are
+// parameters of their own on every evaluation function, not fields here:
+// escape analysis does not tell a struct's fields apart, so a state write
+// (an interface call) or a self reference that leaks the frame would leak
+// env with it, and a caller could never keep a frame on its stack.
 type frame struct {
 	class string
 	key   string
-	env   *Frame
-	state State
 	depth int
 }
 
@@ -78,8 +83,8 @@ const maxCallDepth = 64
 
 // ExecBlock runs a block's statements. The frame is mutated in place.
 func (in *Interp) ExecBlock(class, key string, b *ir.Block, env *Frame, st State) (Result, error) {
-	fr := frame{class: class, key: key, env: env, state: st}
-	c, v, err := in.execStmts(b.Stmts, &fr)
+	fr := frame{class: class, key: key}
+	c, v, err := in.execStmts(b.Stmts, &fr, env, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -99,8 +104,8 @@ func (in *Interp) Eval(class, key string, e ast.Expr, env *Frame, st State) (Val
 	if e == nil {
 		return None, nil
 	}
-	fr := frame{class: class, key: key, env: env, state: st}
-	return in.eval(e, &fr)
+	fr := frame{class: class, key: key}
+	return in.eval(e, &fr, env, st)
 }
 
 // ExecInit runs __init__ against a fresh state laid out for the class.
@@ -110,21 +115,22 @@ func (in *Interp) ExecInit(class string, args []Value, st State) error {
 		return &RuntimeError{Msg: fmt.Sprintf("unknown class %s", class)}
 	}
 	m := op.Method("__init__")
-	env := new(Frame)
-	if err := env.Bind(m, args); err != nil {
+	var buf [StackSlots]Value
+	env, err := FrameIn(m, args, SlotsIn(buf[:], m))
+	if err != nil {
 		return err
 	}
-	fr := frame{class: class, env: env, state: st}
-	_, _, err := in.execStmts(m.Body, &fr)
+	fr := frame{class: class}
+	_, _, err = in.execStmts(m.Body, &fr, &env, st)
 	return err
 }
 
 // ---------------------------------------------------------------------------
 // Statements
 
-func (in *Interp) execStmts(stmts []ast.Stmt, fr *frame) (ctrl, Value, error) {
+func (in *Interp) execStmts(stmts []ast.Stmt, fr *frame, env *Frame, st State) (ctrl, Value, error) {
 	for _, s := range stmts {
-		c, v, err := in.execStmt(s, fr)
+		c, v, err := in.execStmt(s, fr, env, st)
 		if err != nil {
 			return ctrlNone, None, err
 		}
@@ -135,7 +141,7 @@ func (in *Interp) execStmts(stmts []ast.Stmt, fr *frame) (ctrl, Value, error) {
 	return ctrlNone, None, nil
 }
 
-func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
+func (in *Interp) execStmt(s ast.Stmt, fr *frame, env *Frame, st State) (ctrl, Value, error) {
 	switch x := s.(type) {
 	case *ast.PassStmt:
 		return ctrlNone, None, nil
@@ -147,26 +153,26 @@ func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
 		if x.Value == nil {
 			return ctrlReturn, None, nil
 		}
-		v, err := in.eval(x.Value, fr)
+		v, err := in.eval(x.Value, fr, env, st)
 		if err != nil {
 			return ctrlNone, None, err
 		}
 		return ctrlReturn, v, nil
 	case *ast.ExprStmt:
-		_, err := in.eval(x.Value, fr)
+		_, err := in.eval(x.Value, fr, env, st)
 		return ctrlNone, None, err
 	case *ast.AssignStmt:
-		v, err := in.eval(x.Value, fr)
+		v, err := in.eval(x.Value, fr, env, st)
 		if err != nil {
 			return ctrlNone, None, err
 		}
-		return ctrlNone, None, in.assign(x.Target, v, fr)
+		return ctrlNone, None, in.assign(x.Target, v, fr, env, st)
 	case *ast.AugAssignStmt:
-		cur, err := in.eval(x.Target, fr)
+		cur, err := in.eval(x.Target, fr, env, st)
 		if err != nil {
 			return ctrlNone, None, err
 		}
-		rhs, err := in.eval(x.Value, fr)
+		rhs, err := in.eval(x.Value, fr, env, st)
 		if err != nil {
 			return ctrlNone, None, err
 		}
@@ -174,29 +180,29 @@ func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
 		if err != nil {
 			return ctrlNone, None, err
 		}
-		return ctrlNone, None, in.assign(x.Target, nv, fr)
+		return ctrlNone, None, in.assign(x.Target, nv, fr, env, st)
 	case *ast.IfStmt:
-		cond, err := in.eval(x.Cond, fr)
+		cond, err := in.eval(x.Cond, fr, env, st)
 		if err != nil {
 			return ctrlNone, None, err
 		}
 		if cond.IsTruthy() {
-			return in.execStmts(x.Then, fr)
+			return in.execStmts(x.Then, fr, env, st)
 		}
-		return in.execStmts(x.Else, fr)
+		return in.execStmts(x.Else, fr, env, st)
 	case *ast.WhileStmt:
 		for i := 0; ; i++ {
 			if i > 10_000_000 {
 				return ctrlNone, None, &RuntimeError{Pos: x.Pos(), Msg: "while loop exceeded iteration bound"}
 			}
-			cond, err := in.eval(x.Cond, fr)
+			cond, err := in.eval(x.Cond, fr, env, st)
 			if err != nil {
 				return ctrlNone, None, err
 			}
 			if !cond.IsTruthy() {
 				return ctrlNone, None, nil
 			}
-			c, v, err := in.execStmts(x.Body, fr)
+			c, v, err := in.execStmts(x.Body, fr, env, st)
 			if err != nil {
 				return ctrlNone, None, err
 			}
@@ -208,7 +214,7 @@ func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
 			}
 		}
 	case *ast.ForStmt:
-		iter, err := in.eval(x.Iterable, fr)
+		iter, err := in.eval(x.Iterable, fr, env, st)
 		if err != nil {
 			return ctrlNone, None, err
 		}
@@ -216,8 +222,8 @@ func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
 			return ctrlNone, None, &RuntimeError{Pos: x.Pos(), Msg: "for requires a list"}
 		}
 		for _, elem := range iter.L.Elems {
-			fr.env.SetSlot(x.VarSlot-1, elem)
-			c, v, err := in.execStmts(x.Body, fr)
+			env.SetSlot(x.VarSlot-1, elem)
+			c, v, err := in.execStmts(x.Body, fr, env, st)
 			if err != nil {
 				return ctrlNone, None, err
 			}
@@ -234,23 +240,23 @@ func (in *Interp) execStmt(s ast.Stmt, fr *frame) (ctrl, Value, error) {
 	}
 }
 
-func (in *Interp) assign(target ast.Expr, v Value, fr *frame) error {
+func (in *Interp) assign(target ast.Expr, v Value, fr *frame, env *Frame, st State) error {
 	switch t := target.(type) {
 	case *ast.Name:
-		fr.env.SetSlot(t.Slot-1, v)
+		env.SetSlot(t.Slot-1, v)
 		return nil
 	case *ast.Attr:
 		if _, isSelf := t.Recv.(*ast.SelfRef); !isSelf {
 			return &RuntimeError{Pos: t.Pos(), Msg: "can only assign self attributes"}
 		}
-		fr.state.SetSlot(t.Slot-1, v)
+		st.SetSlot(t.Slot-1, v)
 		return nil
 	case *ast.Index:
-		recv, err := in.eval(t.Recv, fr)
+		recv, err := in.eval(t.Recv, fr, env, st)
 		if err != nil {
 			return err
 		}
-		idx, err := in.eval(t.Idx, fr)
+		idx, err := in.eval(t.Idx, fr, env, st)
 		if err != nil {
 			return err
 		}
@@ -273,7 +279,7 @@ func (in *Interp) assign(target ast.Expr, v Value, fr *frame) error {
 		}
 		// Container mutation through a state attribute must mark the
 		// attribute dirty so write-tracking state backends observe it.
-		in.touchStateAttr(t.Recv, recv, fr)
+		in.touchStateAttr(t.Recv, recv, st)
 		return nil
 	default:
 		return &RuntimeError{Pos: target.Pos(), Msg: "invalid assignment target"}
@@ -281,10 +287,10 @@ func (in *Interp) assign(target ast.Expr, v Value, fr *frame) error {
 }
 
 // touchStateAttr re-stores a container attribute after in-place mutation.
-func (in *Interp) touchStateAttr(recvExpr ast.Expr, v Value, fr *frame) {
+func (in *Interp) touchStateAttr(recvExpr ast.Expr, v Value, st State) {
 	if attr, ok := recvExpr.(*ast.Attr); ok {
 		if _, isSelf := attr.Recv.(*ast.SelfRef); isSelf {
-			fr.state.SetSlot(attr.Slot-1, v)
+			st.SetSlot(attr.Slot-1, v)
 		}
 	}
 }
@@ -292,7 +298,7 @@ func (in *Interp) touchStateAttr(recvExpr ast.Expr, v Value, fr *frame) {
 // ---------------------------------------------------------------------------
 // Expressions
 
-func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
+func (in *Interp) eval(e ast.Expr, fr *frame, env *Frame, st State) (Value, error) {
 	switch x := e.(type) {
 	case *ast.IntLit:
 		return IntV(x.Value), nil
@@ -307,13 +313,13 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 	case *ast.SelfRef:
 		return RefV(fr.class, fr.key), nil
 	case *ast.Name:
-		if v, ok := fr.env.GetSlot(x.Slot - 1); ok {
+		if v, ok := env.GetSlot(x.Slot - 1); ok {
 			return v, nil
 		}
 		return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("undefined variable %s", x.Ident)}
 	case *ast.Attr:
 		if _, isSelf := x.Recv.(*ast.SelfRef); isSelf {
-			if v, ok := fr.state.GetSlot(x.Slot - 1); ok {
+			if v, ok := st.GetSlot(x.Slot - 1); ok {
 				return v, nil
 			}
 			return None, &RuntimeError{Pos: x.Pos(), Msg: fmt.Sprintf("entity has no attribute %s", x.Field)}
@@ -322,7 +328,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 	case *ast.ListLit:
 		elems := make([]Value, len(x.Elems))
 		for i, el := range x.Elems {
-			v, err := in.eval(el, fr)
+			v, err := in.eval(el, fr, env, st)
 			if err != nil {
 				return None, err
 			}
@@ -332,11 +338,11 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 	case *ast.DictLit:
 		d := DictV()
 		for i := range x.Keys {
-			k, err := in.eval(x.Keys[i], fr)
+			k, err := in.eval(x.Keys[i], fr, env, st)
 			if err != nil {
 				return None, err
 			}
-			v, err := in.eval(x.Values[i], fr)
+			v, err := in.eval(x.Values[i], fr, env, st)
 			if err != nil {
 				return None, err
 			}
@@ -346,7 +352,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 		}
 		return d, nil
 	case *ast.UnaryOp:
-		v, err := in.eval(x.Operand, fr)
+		v, err := in.eval(x.Operand, fr, env, st)
 		if err != nil {
 			return None, err
 		}
@@ -366,7 +372,7 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 	case *ast.BinOp:
 		// Short-circuit evaluation for and/or.
 		if x.Op == token.KwAnd || x.Op == token.KwOr {
-			l, err := in.eval(x.Left, fr)
+			l, err := in.eval(x.Left, fr, env, st)
 			if err != nil {
 				return None, err
 			}
@@ -376,29 +382,29 @@ func (in *Interp) eval(e ast.Expr, fr *frame) (Value, error) {
 			if x.Op == token.KwOr && l.IsTruthy() {
 				return l, nil
 			}
-			return in.eval(x.Right, fr)
+			return in.eval(x.Right, fr, env, st)
 		}
-		l, err := in.eval(x.Left, fr)
+		l, err := in.eval(x.Left, fr, env, st)
 		if err != nil {
 			return None, err
 		}
-		r, err := in.eval(x.Right, fr)
+		r, err := in.eval(x.Right, fr, env, st)
 		if err != nil {
 			return None, err
 		}
 		return binop(x.Op, l, r, x.Pos())
 	case *ast.Index:
-		recv, err := in.eval(x.Recv, fr)
+		recv, err := in.eval(x.Recv, fr, env, st)
 		if err != nil {
 			return None, err
 		}
-		idx, err := in.eval(x.Idx, fr)
+		idx, err := in.eval(x.Idx, fr, env, st)
 		if err != nil {
 			return None, err
 		}
 		return index(recv, idx, x.Pos())
 	case *ast.Call:
-		return in.evalCall(x, fr)
+		return in.evalCall(x, fr, env, st)
 	default:
 		return None, &RuntimeError{Pos: e.Pos(), Msg: fmt.Sprintf("unsupported expression %T", e)}
 	}
@@ -594,36 +600,23 @@ func compare(l, r Value) (int, error) {
 // body in a fresh frame over the same state, and a builtin runs the
 // implementation at its entry's index. The splitter hoists every other
 // call into an Invoke terminator.
-func (in *Interp) evalCall(x *ast.Call, fr *frame) (Value, error) {
+func (in *Interp) evalCall(x *ast.Call, fr *frame, env *Frame, st State) (Value, error) {
+	if x.Callee != 0 {
+		return in.callSelf(x, fr, env, st)
+	}
 	args := make([]Value, len(x.Args))
 	for i, a := range x.Args {
-		v, err := in.eval(a, fr)
+		v, err := in.eval(a, fr, env, st)
 		if err != nil {
 			return None, err
 		}
 		args[i] = v
 	}
-	if x.Callee != 0 {
-		if fr.depth+1 > maxCallDepth {
-			return None, &RuntimeError{Pos: x.Pos(), Msg: "call depth exceeded"}
-		}
-		m := in.Prog.Methods[x.Callee-1]
-		env := new(Frame)
-		if err := env.Bind(m, args); err != nil {
-			return None, err
-		}
-		sub := frame{class: fr.class, key: fr.key, env: env, state: fr.state, depth: fr.depth + 1}
-		c, v, err := in.execStmts(m.Body, &sub)
-		if err != nil || c != ctrlReturn {
-			return None, err
-		}
-		return v, nil
-	}
 	b := &types.Builtins[x.Builtin-1]
 	var recv Value
 	if x.Recv != nil {
 		var err error
-		if recv, err = in.eval(x.Recv, fr); err != nil {
+		if recv, err = in.eval(x.Recv, fr, env, st); err != nil {
 			return None, err
 		}
 		// The checker matched the receiver's kind unless its type was Any.
@@ -638,7 +631,40 @@ func (in *Interp) evalCall(x *ast.Call, fr *frame) (Value, error) {
 	if b.Mutates {
 		// Re-store a container attribute mutated in place, so that
 		// write-tracking state backends observe the write.
-		in.touchStateAttr(x.Recv, recv, fr)
+		in.touchStateAttr(x.Recv, recv, st)
+	}
+	return v, nil
+}
+
+// callSelf runs an inline self-call. The callee's frame is bound on the
+// stack when it fits (SlotsIn), and its arguments are evaluated into the
+// leading slots, which are its parameters.
+func (in *Interp) callSelf(x *ast.Call, fr *frame, env *Frame, st State) (Value, error) {
+	m := in.Prog.Methods[x.Callee-1]
+	var buf [StackSlots]Value
+	slots := SlotsIn(buf[:], m)
+	args := slots[:0]
+	if len(x.Args) > len(slots) {
+		args = make([]Value, 0, len(x.Args)) // an arity error: FrameIn reports it
+	}
+	for _, a := range x.Args {
+		v, err := in.eval(a, fr, env, st)
+		if err != nil {
+			return None, err
+		}
+		args = append(args, v)
+	}
+	if fr.depth+1 > maxCallDepth {
+		return None, &RuntimeError{Pos: x.Pos(), Msg: "call depth exceeded"}
+	}
+	sub, err := FrameIn(m, args, slots)
+	if err != nil {
+		return None, err
+	}
+	subFr := frame{class: fr.class, key: fr.key, depth: fr.depth + 1}
+	c, v, err := in.execStmts(m.Body, &subFr, &sub, st)
+	if err != nil || c != ctrlReturn {
+		return None, err
 	}
 	return v, nil
 }

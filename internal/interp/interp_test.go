@@ -33,8 +33,8 @@ func compileM(t *testing.T, body string) (*Interp, *ir.Method, *ir.ClassLayout) 
 // runM runs m's statements the way the runtimes do: over a frame of m's
 // layout and the given state of entity C<k>.
 func runM(in *Interp, m *ir.Method, st State) (Value, error) {
-	fr := &frame{class: "C", key: "k", env: newFrame(m.Frame), state: st}
-	c, v, err := in.execStmts(m.Body, fr)
+	fr := &frame{class: "C", key: "k"}
+	c, v, err := in.execStmts(m.Body, fr, newFrame(m.Frame), st)
 	if err != nil {
 		return None, err
 	}

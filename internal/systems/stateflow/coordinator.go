@@ -310,7 +310,7 @@ func (c *Coordinator) OnStart(ctx *sim.Context) {
 func (c *Coordinator) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	switch m := msg.(type) {
 	case sysapi.MsgRequest:
-		c.onRequest(ctx, m)
+		c.onRequest(ctx, msg, m)
 	case msgEpochTick:
 		c.onTick(ctx)
 	case msgTxnFinished:
@@ -378,8 +378,9 @@ func (c *Coordinator) admit(ctx *sim.Context, id, replyTo string) bool {
 
 // onRequest appends the arrival to the replayable source log and drains the
 // log into the open batch. A read-only call takes the fast-read path instead
-// (read.go).
-func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
+// (read.go). msg is m as delivered: the log keeps it as is, so it boxes the
+// request into no new interface value.
+func (c *Coordinator) onRequest(ctx *sim.Context, msg sim.Message, m sysapi.MsgRequest) {
 	if c.sys.fastRead(m.Request) {
 		c.onRead(ctx, m)
 		return
@@ -388,7 +389,7 @@ func (c *Coordinator) onRequest(ctx *sim.Context, m sysapi.MsgRequest) {
 	if !c.admit(ctx, id, m.ReplyTo) {
 		return
 	}
-	if _, _, err := c.sys.RequestLog.Produce(sourceTopic, id, m); err != nil {
+	if _, _, err := c.sys.RequestLog.Produce(sourceTopic, id, msg); err != nil {
 		return
 	}
 	c.journal.logged(id)

@@ -64,7 +64,10 @@ type txnState struct {
 	// root is the transaction's root invocation event. Executors only read
 	// events, so the first execution and every fallback re-execution send
 	// this one.
-	root     core.Event
+	root core.Event
+	// first is the body of the first dispatch's message, round 0's (see
+	// msgTxnEvent); the chain's dispatch allocates its own.
+	first    txnEvent
 	finished bool
 	value    interp.Value
 	err      string
@@ -373,11 +376,17 @@ func (st *epochState) outcome(t *txnState) outcome {
 }
 
 // dispatch sends a member's root invocation to its owner for the round in
-// flight.
+// flight. Round 0's message carries the body the member holds inline; the
+// chain's allocates a fresh one, so that a body keeps its round (see
+// msgTxnEvent).
 func (c *Coordinator) dispatch(ctx *sim.Context, st *epochState, tid aria.TID) {
 	t := st.txn(tid)
-	ctx.Send(c.sys.ownerOf(t.req.Target),
-		msgTxnEvent{&txnEvent{TID: tid, Epoch: st.epoch, Round: st.round, Ev: &t.root}},
+	body := &t.first
+	if st.round > 0 {
+		body = new(txnEvent)
+	}
+	*body = txnEvent{TID: tid, Epoch: st.epoch, Round: st.round, Ev: &t.root}
+	ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{body},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 

@@ -197,7 +197,7 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 	owner := f.sys.ownerOf(done.req.Target)
 	for range workers {
 		f.cluster.Inject(now, owner, f.sys.coordID,
-			msgTxnFinished{TID: st.first + aria.TID(i), Epoch: st.epoch, Err: "duplicate"})
+			msgTxnFinished{&txnEvent{TID: st.first + aria.TID(i), Epoch: st.epoch, Err: "duplicate"}})
 	}
 	f.cluster.RunUntil(now)
 	if c.progress != progress || st.unfinished != unfinished || !done.value.Equal(value) || done.err == "duplicate" {

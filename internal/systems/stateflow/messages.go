@@ -20,21 +20,40 @@ import (
 // half-installed epoch, that epoch's successor).
 //
 // The message is one pointer to its body, which an interface holds as it
-// is, so boxing it allocates nothing: a dispatch allocates only the body,
-// and a forwarded hop the body and the event it carries as one object
-// (txnHop). That rests on one invariant: a msgTxnEvent is never duplicated
-// (the failure contract's DupSafe excludes it) and its call chain has one
-// event in flight, so the receiver owns the body and the event, and steps
-// the event once (see core.Context).
+// is, so boxing it allocates nothing: a hop allocates the body and the event
+// it carries as one object (txnHop), and a member's first dispatch and a
+// read's first forward allocate nothing, their body being part of the
+// coordinator's record of them (txnState, fastRead). That rests on one
+// invariant: a msgTxnEvent is never duplicated (the failure contract's
+// DupSafe excludes it) and its call chain has one event in flight, so the
+// receiver owns the body and the event, and steps the event once (see
+// core.Context).
+//
+// A body is sent once, and it carries one (epoch, round, TID) for its whole
+// life: the coordinator's inline bodies serve only the first dispatch, and
+// every later one — a chain round, a read forwarded again after a recovery —
+// allocates its own. So the worker that owns a body may turn it into the
+// answer (msgTxnFinished) without anybody else reading what it changed.
 type msgTxnEvent struct{ *txnEvent }
 
-// txnEvent is a msgTxnEvent's body.
+// txnEvent is the body of a msgTxnEvent, and of the msgTxnFinished it turns
+// into: Value and Err are the root response's, set when the body becomes an
+// answer (Ev is then nil).
 type txnEvent struct {
 	TID   aria.TID
 	Epoch int64
 	Round int
 	Ev    *core.Event
 	Sets  *rwSets
+	Value interp.Value
+	Err   string
+}
+
+// answer turns the body into the msgTxnFinished of its root response resp:
+// it drops the event and takes the response's value or error and the
+// reservation sets the round shipped.
+func (b *txnEvent) answer(resp core.Event, sets *rwSets) {
+	b.Ev, b.Sets, b.Value, b.Err = nil, sets, resp.Value, resp.Err
 }
 
 // txnHop is a forwarded hop: the body of its message and the event the body
@@ -53,14 +72,12 @@ const readRound = -1
 // carries the reservation sets the coordinator validates the batch over). A
 // fast read's answer has Round readRound, and Epoch is then the worker's
 // applied epoch: the cut the read saw.
-type msgTxnFinished struct {
-	TID   aria.TID
-	Epoch int64
-	Round int
-	Value interp.Value
-	Err   string
-	Sets  *rwSets
-}
+//
+// It travels back in the body of the event that produced the response (see
+// msgTxnEvent), so answering allocates nothing. It is duplicate-safe: a
+// body never changes once it is an answer, and a duplicate finds its
+// member finished, its round over or its read answered, and is dropped.
+type msgTxnFinished struct{ *txnEvent }
 
 // rwSets is what a round-0 call chain reserved: one reservation set per
 // worker it ran on, newest first. A worker adds its own set the first time

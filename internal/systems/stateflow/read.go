@@ -50,10 +50,14 @@ import (
 // fastRead is one read on the fast path, from arrival to release.
 type fastRead struct {
 	// root is the call; the forwarded event points at it.
-	root    core.Event
+	root core.Event
+	// first is the body of the first forward's message (see msgTxnEvent); a
+	// forward after a recovery allocates its own.
+	first   txnEvent
 	replyTo string
-	// seq is the number it was last forwarded under; a worker's answer
-	// names it, so an answer to an earlier forward is stale.
+	// seq is the number it was last forwarded under (0: not forwarded yet);
+	// a worker's answer names it, so an answer to an earlier forward is
+	// stale.
 	seq aria.TID
 }
 
@@ -94,14 +98,18 @@ func (c *Coordinator) onRead(ctx *sim.Context, m sysapi.MsgRequest) {
 // stamped with the epoch after the newest decided one: the owner's buffered
 // gate holds it until every epoch whose responses may be out is installed.
 func (c *Coordinator) forwardRead(ctx *sim.Context, r *fastRead) {
+	body := &r.first
+	if r.seq != 0 {
+		body = new(txnEvent)
+	}
 	c.readSeq++
 	r.seq = c.readSeq
 	if c.reads == nil {
 		c.reads = map[aria.TID]*fastRead{}
 	}
 	c.reads[r.seq] = r
-	ctx.Send(c.sys.ownerOf(r.root.Target),
-		msgTxnEvent{&txnEvent{TID: r.seq, Epoch: c.decided + 1, Round: readRound, Ev: &r.root}},
+	*body = txnEvent{TID: r.seq, Epoch: c.decided + 1, Round: readRound, Ev: &r.root}
+	ctx.Send(c.sys.ownerOf(r.root.Target), msgTxnEvent{body},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 

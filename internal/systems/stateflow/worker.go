@@ -271,9 +271,8 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 		sets = w.shipSets(ctx, m.Sets, tw)
 	}
 	if ev.Kind == core.EvResponse {
-		ctx.Send(w.sys.coordID, msgTxnFinished{
-			TID: m.TID, Epoch: m.Epoch, Round: m.Round, Value: ev.Value, Err: ev.Err, Sets: sets,
-		}, costs.WorkerLink.Sample(ctx.Rand()))
+		m.answer(ev, sets)
+		ctx.Send(w.sys.coordID, msgTxnFinished(m), costs.WorkerLink.Sample(ctx.Rand()))
 		if member >= 0 {
 			w.finishChained(ctx, ep, m.Epoch, member, ev.Err == "")
 		}
@@ -348,20 +347,18 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) cor
 // installed round 0, its final decide has not come — the store is between
 // two cuts and may lack a chained member whose response already left, so
 // the read waits in the buffered gate for that final decide, like an event
-// of the epoch after it. The answer reports the applied epoch, the cut the
-// read saw; the coordinator releases it once that epoch's responses are
-// durable.
+// of the epoch after it. The answer, the read's own body (msgTxnEvent),
+// reports the applied epoch, the cut the read saw; the coordinator releases
+// it once that epoch's responses are durable.
 func (w *Worker) onRead(ctx *sim.Context, m msgTxnEvent) {
 	if ep := w.epochs[w.appliedEpoch+1]; ep != nil && ep.plan != nil {
-		m.Epoch = w.appliedEpoch + 2 // the body is the worker's own (msgTxnEvent)
+		m.Epoch = w.appliedEpoch + 2
 		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
 		return
 	}
-	ans := msgTxnFinished{TID: m.TID, Epoch: w.appliedEpoch, Round: readRound}
-	if ev := w.execute(ctx, m.Ev, committedView{w.committed}); ev.Kind == core.EvResponse {
-		ans.Value, ans.Err = ev.Value, ev.Err
-	}
-	ctx.Send(w.sys.coordID, ans, w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+	m.answer(w.execute(ctx, m.Ev, committedView{w.committed}), nil)
+	m.Epoch = w.appliedEpoch
+	ctx.Send(w.sys.coordID, msgTxnFinished(m), w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
 // committedView is the committed store as the executor sees it during a fast
