@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"statefulentities.dev/stateflow/internal/chaos"
-	sfsys "statefulentities.dev/stateflow/internal/systems/stateflow"
 )
 
 // ChaosPlan is a declarative, seed-reproducible fault schedule for a
@@ -44,8 +43,7 @@ func ChaosPlanFromSeed(seed int64, horizon time.Duration) ChaosPlan {
 type SimOption func(*simOptions)
 
 type simOptions struct {
-	chaos    *ChaosPlan
-	reinject sfsys.Reinject
+	chaos *ChaosPlan
 }
 
 // WithChaos installs a fault plan on the simulation's cluster before it
@@ -55,14 +53,6 @@ type simOptions struct {
 // contract does not cover are clamped off (see ChaosStats).
 func WithChaos(plan ChaosPlan) SimOption {
 	return func(o *simOptions) { o.chaos = &plan }
-}
-
-// WithReinjectedBugs re-opens fixed StateFlow bugs on the simulation. It
-// serves the module's own regression tests — they show the checkers
-// catching each pre-fix behavior — and its parameter type is internal, so
-// code outside the module cannot call it.
-func WithReinjectedBugs(r sfsys.Reinject) SimOption {
-	return func(o *simOptions) { o.reinject = r }
 }
 
 // ChaosStats reports the installed fault plan's activity; the zero value

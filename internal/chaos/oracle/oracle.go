@@ -37,7 +37,6 @@ import (
 
 	"statefulentities.dev/stateflow"
 	"statefulentities.dev/stateflow/internal/chaos"
-	sfsys "statefulentities.dev/stateflow/internal/systems/stateflow"
 )
 
 // Op is one client invocation of a workload script.
@@ -174,9 +173,6 @@ type Config struct {
 	// DisablePipelining forces the StateFlow backend's serial epoch
 	// schedule (differential runs compare it against the pipelined one).
 	DisablePipelining bool
-	// Reinject re-opens fixed StateFlow bugs: regression tests re-introduce
-	// a pre-fix hole and assert the adversarial checker catches it.
-	Reinject sfsys.Reinject
 	// Shards deploys the StateFlow backend as that many coordinator
 	// groups behind a global sequencer (0 or 1 keeps the classic
 	// single-coordinator topology). Other backends ignore it.
@@ -249,7 +245,7 @@ func deploy(s script, backend stateflow.Backend, seed int64, plan *chaos.Plan, c
 	if cfg.Traced {
 		simCfg.Tracer = stateflow.NewTracer()
 	}
-	opts := []stateflow.SimOption{stateflow.WithReinjectedBugs(cfg.Reinject)}
+	var opts []stateflow.SimOption
 	if plan != nil {
 		opts = append(opts, stateflow.WithChaos(*plan))
 	}

@@ -4,55 +4,27 @@ import (
 	"testing"
 
 	"statefulentities.dev/stateflow"
-	"statefulentities.dev/stateflow/internal/chaos"
 	"statefulentities.dev/stateflow/internal/chaos/workload"
-	"statefulentities.dev/stateflow/internal/lin"
-	sfsys "statefulentities.dev/stateflow/internal/systems/stateflow"
 )
 
-// checkLegacy runs one adversarial datadep seed with the given pre-fix
-// hooks re-opened and returns the checker verdict plus the run stats.
-func checkLegacy(t *testing.T, seed int64, disablePipe, legacyReplay, noDriftRule bool) (error, Run) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.DisablePipelining = disablePipe
-	cfg.Reinject = sfsys.Reinject{ReplayOrder: legacyReplay, FallbackDrift: noDriftRule}
-	spec := workload.FromSeed(workload.DataDep, seed)
-	plan := chaos.FromSeed(seed, cfg.Horizon)
-	h, run, err := RunAdversarial(spec, stateflow.BackendStateFlow, seed, &plan, cfg)
-	if err != nil {
-		t.Fatalf("seed %d (pipe=%v legacy=%v norule=%v): run failed: %v",
-			seed, !disablePipe, legacyReplay, noDriftRule, err)
-	}
-	return lin.Check(h, spec.Conservation()), run
-}
-
 // TestBindingReplayRegression pins the recovery binding-prefix replay as
-// load-bearing. With the Reinject.ReplayOrder hook the coordinator
-// recovers the historical way — released work is re-cut into fresh
-// batches from the source log in TID order — and on this seed the re-cut
+// load-bearing. The historical recovery re-cut released work into fresh
+// batches from the source log in TID order; on this seed the re-cut
 // commits a conflicting pair in a different order than the responses the
 // clients already hold, which the history checker rejects. With the
-// binding replay (released responses re-commit serially in release
-// order) the same seed passes the full adversarial verdict. (Seed 18 until
-// reads left the epochs, which moved every datadep schedule; 11 until the
-// batch's responses moved to its decide.)
+// binding replay (released responses re-commit serially in release order)
+// the shipped tree passes the full adversarial verdict at this seed on
+// both epoch schedules. mutants/replay-order.patch re-opens the re-cut and
+// names this test as its kill command, so the seed keeps proving it
+// catches it. (Seed 18 until reads left the epochs, which moved every
+// datadep schedule; 11 until the batch's responses moved to its decide.)
 func TestBindingReplayRegression(t *testing.T) {
 	const seed = 6
 	for _, disablePipe := range []bool{false, true} {
-		// Pre-fix recovery (drift rule still on: the divergence is the
-		// replay order's own, not the fallback's).
-		if err, _ := checkLegacy(t, seed, disablePipe, true, false); err == nil {
-			t.Errorf("pipe=%v: TID-order recovery re-cut escaped the checker; the regression seed has gone stale", !disablePipe)
-		} else {
-			t.Logf("pipe=%v: checker caught the pre-fix re-cut: %v", !disablePipe, err)
-		}
-		// Post-fix: the full adversarial verdict (serializability,
-		// conservation, exactly-once accounting, reboot floor).
 		cfg := DefaultConfig()
 		cfg.DisablePipelining = disablePipe
 		if _, err := VerifyAdversarial(workload.DataDep, stateflow.BackendStateFlow, seed, cfg); err != nil {
-			t.Errorf("pipe=%v: post-fix verdict failed: %v", !disablePipe, err)
+			t.Errorf("pipe=%v: verdict failed: %v", !disablePipe, err)
 		}
 	}
 }
@@ -61,14 +33,13 @@ func TestBindingReplayRegression(t *testing.T) {
 // (Worker.admitChained) as load-bearing. A route queues on the candidate its
 // first execution observed; re-executed behind the lower TIDs that aborted
 // it, it can read the other parity and call the other candidate — an entity
-// nothing ordered it on. With the Reinject.FallbackDrift hook that event
-// runs anyway, beside whichever chain member holds the entity's queue, and
-// one of the two updates is lost. On this seed:
-//
-//   - rule off -> the checker rejects the history;
-//   - rule on  -> passes, and the rule demonstrably intervened
-//     (FallbackDriftDemotions > 0);
-//   - the full adversarial verdict passes.
+// nothing ordered it on. Without the rule that event runs anyway, beside
+// whichever chain member holds the entity's queue, and one of the two
+// updates is lost; the checker rejects the history on this seed
+// (mutants/fallback-drift.patch, whose kill command is this test). With
+// the rule the shipped tree passes the full adversarial verdict at this
+// seed on both epoch schedules, and the rule demonstrably intervened
+// (FallbackDriftDemotions > 0).
 //
 // (Seed 3 until reads left the epochs, 5 until the batch's responses moved
 // to its decide, 3 until state-free continuations ran in place: a route's
@@ -78,23 +49,14 @@ func TestBindingReplayRegression(t *testing.T) {
 func TestFallbackDriftRegression(t *testing.T) {
 	const seed = 950
 	for _, disablePipe := range []bool{false, true} {
-		err, _ := checkLegacy(t, seed, disablePipe, false, true)
-		if err == nil {
-			t.Errorf("pipe=%v: ungated drift escaped the checker; the regression seed has gone stale", !disablePipe)
-		} else {
-			t.Logf("pipe=%v: checker caught the ungated drift: %v", !disablePipe, err)
-		}
-		err, run := checkLegacy(t, seed, disablePipe, false, false)
+		cfg := DefaultConfig()
+		cfg.DisablePipelining = disablePipe
+		run, err := VerifyAdversarial(workload.DataDep, stateflow.BackendStateFlow, seed, cfg)
 		if err != nil {
-			t.Errorf("pipe=%v: the drift rule did not close the hole: %v", !disablePipe, err)
+			t.Errorf("pipe=%v: verdict failed: %v", !disablePipe, err)
 		}
 		if run.FallbackDriftDemotions == 0 {
 			t.Errorf("pipe=%v: no member drifted, so this seed does not exercise the hole", !disablePipe)
-		}
-		cfg := DefaultConfig()
-		cfg.DisablePipelining = disablePipe
-		if _, err := VerifyAdversarial(workload.DataDep, stateflow.BackendStateFlow, seed, cfg); err != nil {
-			t.Errorf("pipe=%v: post-fix verdict failed: %v", !disablePipe, err)
 		}
 	}
 }

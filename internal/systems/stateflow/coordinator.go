@@ -848,14 +848,11 @@ func (c *Coordinator) drainSource(ctx *sim.Context) {
 			// replayed as binding).
 			continue
 		}
-		if !c.sys.cfg.Reinject.ReplayOrder && c.journal.answered(rec.txn.req.Req) {
+		if c.journal.answered(rec.txn.req.Req) {
 			// A recovery rewound the cursor over this record, but its
 			// response is already delivered (or staged): its effects are
 			// either in the restored images or rebuilt by the binding
-			// replay, and re-assigning it would double-execute. (The
-			// Reinject.ReplayOrder hook restores the historical re-cut:
-			// answered requests re-execute and only their duplicate
-			// response is suppressed.)
+			// replay, and re-assigning it would double-execute.
 			continue
 		}
 		c.assign(ctx, st, rec.txn)
@@ -1061,7 +1058,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 			if !ok {
 				continue
 			}
-			if !c.sys.cfg.Reinject.ReplayOrder && c.journal.answered(rec.txn.req.Req) {
+			if c.journal.answered(rec.txn.req.Req) {
 				continue
 			}
 			c.pending = append(c.pending, rec.txn)
@@ -1069,9 +1066,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	} else {
 		c.consumed = 0
 	}
-	if !c.sys.cfg.Reinject.ReplayOrder {
-		c.buildReplaying(cut)
-	}
+	c.buildReplaying(cut)
 	c.rebuildSeen()
 	// Re-derive the fence state from the durable markers in the log
 	// suffix: a shard that crashed (or stalled) inside a global batch's

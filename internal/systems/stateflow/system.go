@@ -106,9 +106,6 @@ type Config struct {
 	// Kept as the reference of scoped_diff_test.go and internal/bench's
 	// TestGateScopedFences; no effect on the classic topology.
 	FullFences bool
-	// Reinject re-opens fixed bugs for the regression tests (see Reinject);
-	// the zero value is the shipped behavior.
-	Reinject Reinject
 	// Tracer, when non-nil, records per-phase transaction spans (ingress
 	// queueing, execution, validation, the fallback chain, group-commit
 	// fsync, fence windows) in virtual time. Deterministically inert: the
@@ -120,25 +117,6 @@ type Config struct {
 	// advances, recoveries, replay decisions, fence transitions) for
 	// post-mortem timelines. Inert like Tracer.
 	Flight *obs.FlightRecorder
-}
-
-// Reinject switches fixed bugs back on. It exists solely so the in-module
-// regression tests can demonstrate the linearizability checker catching
-// each pre-fix behavior on its pinned seed; it reaches a simulation only
-// through an option whose parameter is this internal type, so an importer
-// of the module cannot name it.
-type Reinject struct {
-	// FallbackDrift disables the fallback chain's drift rule: an event of
-	// a re-execution that reaches an entity its transaction is not queued
-	// on runs anyway, ungated, and its write is installed with no order
-	// against the members that are.
-	FallbackDrift bool
-	// ReplayOrder disables the recovery binding-prefix replay, restoring
-	// the historical recovery in which released responses' transactions
-	// were simply re-cut into fresh batches from the source log — in TID
-	// order, not release order — so a rebuilt state could diverge from what
-	// answered clients already observed.
-	ReplayOrder bool
 }
 
 // DefaultConfig mirrors the paper's deployment shape.

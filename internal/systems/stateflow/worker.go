@@ -396,9 +396,6 @@ func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) 
 	}
 	e := ep.plan.Entity(member, m.Ev.Target)
 	if e < 0 {
-		if w.sys.cfg.Reinject.FallbackDrift {
-			return member // test hook: run the drifted event ungated
-		}
 		w.driftChained(ctx, ep, m, member)
 		return -1
 	}

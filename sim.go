@@ -206,7 +206,6 @@ func NewSimulation(prog *Program, cfg SimConfig, opts ...SimOption) *Simulation 
 		c.DisableFallback = cfg.DisableFallback
 		c.DisablePipelining = cfg.DisablePipelining
 		c.TraceCommits = cfg.TraceCommits
-		c.Reinject = o.reinject
 		c.Tracer = cfg.Tracer
 		c.Flight = flight
 		c.Shards = cfg.Shards
