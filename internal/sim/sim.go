@@ -11,6 +11,11 @@
 // randomness flows from one seeded source, so every simulation run is
 // exactly reproducible.
 //
+// Addressing: names exist only where a string enters or leaves the API.
+// Inside, a component is its address, an index into the cluster's slice
+// of components that a name gets the first time the kernel sees it, so
+// an event carries two addresses and delivering it hashes no string.
+//
 // Context lifetime: the cluster owns one Context and lends it to a
 // handler (OnMessage, OnStart, OnRestart) for the duration of that one
 // call. It is valid only until the handler returns — a handler must not
@@ -62,9 +67,12 @@ type RestartHandler interface {
 	OnRestart(ctx *Context)
 }
 
+type addr int32 // a component's index in Cluster.comps
+
 type component struct {
 	id        string
-	h         Handler
+	self      addr
+	h         Handler // nil for a name never registered with Add
 	busyUntil time.Duration
 	crashed   bool
 	// booting marks a RestartHandler component whose reboot event is
@@ -75,12 +83,12 @@ type component struct {
 	// Restart calls before it are ignored (a dead machine cannot be
 	// willed back by its peers; see CrashUntil).
 	holdUntil time.Duration
-	inbox     int // messages queued (in flight) to this component
 	// plannedCrashes holds crash instants registered through
 	// ScheduleCrash. A send this component stamps past one of them is
 	// voided before the wire sees it: the CPU span that issued it was
 	// preempted at the instant, so the send never left the node.
 	plannedCrashes []time.Duration
+	watch          []func(at time.Duration) // crash observers (see WatchCrash)
 }
 
 // preemptedBefore reports whether a planned crash instant lies in
@@ -97,27 +105,22 @@ func (comp *component) preemptedBefore(now, sentAt time.Duration) bool {
 }
 
 type event struct {
-	at   time.Duration
-	seq  uint64
-	to   string
-	from string
-	msg  Message
+	at  time.Duration
+	seq uint64
+	msg Message
 	// sentAt is the sender's local (effective) time at the Send call. A
 	// crash voids every queued send the component issued after the crash
 	// instant: a handler whose CPU span straddles the instant was
 	// preempted there, and nothing it "did" past that point — a send any
 	// more than an fsync — ever happened.
 	sentAt time.Duration
-	// dropped marks an event voided by the sender's crash; it is consumed
-	// from the queue (and the inbox accounting) without being delivered.
-	dropped bool
 	// fn, when non-nil, is a scheduled virtual-time action (ScheduleAt)
 	// instead of a message delivery.
-	fn func(*Cluster)
-	// counted marks whether the event incremented its target's inbox at
-	// enqueue time (false when the target was not yet registered), so the
-	// dequeue-side decrement stays balanced.
-	counted bool
+	fn       func(*Cluster)
+	to, from addr
+	// dropped marks an event voided by the sender's crash; it is consumed
+	// from the queue without being delivered.
+	dropped bool
 }
 
 // eventHeap is a binary min-heap of events by (at, seq), held by value:
@@ -174,10 +177,10 @@ func (h *eventHeap) pop() event {
 // Perturb is a per-delivery fault verdict returned by a PerturbFunc:
 // the zero value delivers the message untouched.
 type Perturb struct {
-	// Drop loses the message (it is never enqueued; Delivered and inbox
-	// accounting never see it). Drop wins over the other fields: a
-	// verdict with both Drop and Duplicate set loses every copy — model
-	// "original lost, late copy survives" as a plain Delay instead.
+	// Drop loses the message (it is never enqueued; Delivered never sees
+	// it). Drop wins over the other fields: a verdict with both Drop and
+	// Duplicate set loses every copy — model "original lost, late copy
+	// survives" as a plain Delay instead.
 	Drop bool
 	// Delay adds extra delivery latency on top of the link latency.
 	Delay time.Duration
@@ -195,17 +198,15 @@ type PerturbFunc func(from, to string, at time.Duration, msg Message) Perturb
 
 // Cluster is a simulated deployment.
 type Cluster struct {
-	comps   map[string]*component
-	order   []string
+	comps   []*component // by address; pointers, since Send can add a slot mid-delivery
+	names   map[string]addr
+	order   []addr // registered components, in registration order
 	queue   eventHeap
 	seq     uint64
 	now     time.Duration
 	rng     *rand.Rand
 	perturb PerturbFunc
 	tap     TapFunc
-	// crashWatch holds per-component crash observers (durable-storage
-	// models apply their device crash contract at the crash instant).
-	crashWatch map[string][]func(at time.Duration)
 	// flight, when set, records cluster-level lifecycle events (crashes,
 	// reboots) for post-mortem timelines. Purely observational: recording
 	// never touches the RNG, the event queue, or virtual time.
@@ -221,7 +222,7 @@ type Cluster struct {
 // New builds an empty cluster with a deterministic seed.
 func New(seed int64) *Cluster {
 	c := &Cluster{
-		comps: map[string]*component{},
+		names: map[string]addr{},
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 	c.ctx.cluster = c
@@ -231,11 +232,32 @@ func New(seed int64) *Cluster {
 // Add registers a component under an id. Adding a duplicate id panics: the
 // topology is static and built by trusted code.
 func (c *Cluster) Add(id string, h Handler) {
-	if _, dup := c.comps[id]; dup {
+	a := c.addrOf(id)
+	if c.comps[a].h != nil {
 		panic(fmt.Sprintf("sim: duplicate component %s", id))
 	}
-	c.comps[id] = &component{id: id, h: h}
-	c.order = append(c.order, id)
+	c.comps[a].h = h
+	c.order = append(c.order, a)
+}
+
+// addrOf returns id's address, giving a name seen for the first time the
+// next free slot.
+func (c *Cluster) addrOf(id string) addr {
+	a, ok := c.names[id]
+	if !ok {
+		a = addr(len(c.comps))
+		c.names[id] = a
+		c.comps = append(c.comps, &component{id: id, self: a})
+	}
+	return a
+}
+
+// lookup returns the component registered under id, or nil.
+func (c *Cluster) lookup(id string) *component {
+	if a, ok := c.names[id]; ok && c.comps[a].h != nil {
+		return c.comps[a]
+	}
+	return nil
 }
 
 // Now returns the current virtual time.
@@ -253,11 +275,7 @@ func (c *Cluster) Rand() *rand.Rand { return c.rng }
 
 // Crash marks a component crashed: it silently drops every message until
 // Restart. Used for failure-injection experiments.
-func (c *Cluster) Crash(id string) {
-	if comp, ok := c.comps[id]; ok {
-		c.markCrashed(comp)
-	}
-}
+func (c *Cluster) Crash(id string) { c.CrashUntil(id, 0) }
 
 // CrashUntil crashes a component and holds it down until the given
 // virtual time: Restart calls before then are ignored, so a recovery
@@ -265,7 +283,7 @@ func (c *Cluster) Crash(id string) {
 // dead. The hold releases at `until`; the component stays crashed until
 // someone actually calls Restart at or after that time.
 func (c *Cluster) CrashUntil(id string, until time.Duration) {
-	if comp, ok := c.comps[id]; ok {
+	if comp := c.lookup(id); comp != nil {
 		c.markCrashed(comp)
 		if until > comp.holdUntil {
 			comp.holdUntil = until
@@ -282,7 +300,7 @@ func (c *Cluster) CrashUntil(id string, until time.Duration) {
 // there; without the registry, its sends would reach the perturbation
 // layer at flush time, before the crash event pops from the queue.
 func (c *Cluster) ScheduleCrash(id string, at, until time.Duration) {
-	if comp, ok := c.comps[id]; ok {
+	if comp := c.lookup(id); comp != nil {
 		comp.plannedCrashes = append(comp.plannedCrashes, at)
 	}
 	c.ScheduleAt(at, func(c *Cluster) { c.CrashUntil(id, until) })
@@ -308,11 +326,11 @@ func (c *Cluster) markCrashed(comp *component) {
 	// Without this, an fsync could be torn while a send issued *after* it
 	// survives, an ordering no real machine can produce.
 	for i := range c.queue {
-		if ev := &c.queue[i]; ev.fn == nil && ev.from == comp.id && ev.sentAt > c.now {
+		if ev := &c.queue[i]; ev.fn == nil && ev.from == comp.self && ev.sentAt > c.now {
 			ev.dropped = true
 		}
 	}
-	for _, fn := range c.crashWatch[comp.id] {
+	for _, fn := range comp.watch {
 		fn(c.now)
 	}
 	c.flight.Record(c.now, comp.id, "crash", "")
@@ -323,10 +341,8 @@ func (c *Cluster) markCrashed(comp *component) {
 // their crash contract — e.g. a dlog.SimLog losing its unsynced tail —
 // at the exact crash time rather than at the later restart.
 func (c *Cluster) WatchCrash(id string, fn func(at time.Duration)) {
-	if c.crashWatch == nil {
-		c.crashWatch = map[string][]func(at time.Duration){}
-	}
-	c.crashWatch[id] = append(c.crashWatch[id], fn)
+	comp := c.comps[c.addrOf(id)]
+	comp.watch = append(comp.watch, fn)
 }
 
 // Restart clears the crashed flag; the component's handler decides how to
@@ -342,8 +358,8 @@ func (c *Cluster) WatchCrash(id string, fn func(at time.Duration)) {
 // the component ahead of its recovery, and a hold-down window re-imposed
 // before the boot suppresses it.
 func (c *Cluster) Restart(id string) {
-	comp, ok := c.comps[id]
-	if !ok {
+	comp := c.lookup(id)
+	if comp == nil {
 		return
 	}
 	if c.now < comp.holdUntil {
@@ -370,7 +386,7 @@ func (c *Cluster) Restart(id string) {
 		comp.crashed = false
 		comp.busyUntil = cl.now
 		cl.flight.Record(cl.now, comp.id, "reboot", "recovering")
-		ctx := cl.lend(comp.id, cl.now)
+		ctx := cl.lend(comp.self, cl.now)
 		rh.OnRestart(ctx)
 		comp.busyUntil = ctx.effective
 		cl.settle()
@@ -379,18 +395,8 @@ func (c *Cluster) Restart(id string) {
 
 // IsCrashed reports crash status.
 func (c *Cluster) IsCrashed(id string) bool {
-	comp, ok := c.comps[id]
-	return ok && comp.crashed
-}
-
-// Inbox reports how many messages are currently queued for a component.
-// Dropped-at-delivery messages (crashed target) still count while queued:
-// the sender has no way to know the target is dead.
-func (c *Cluster) Inbox(id string) int {
-	if comp, ok := c.comps[id]; ok {
-		return comp.inbox
-	}
-	return 0
+	comp := c.lookup(id)
+	return comp != nil && comp.crashed
 }
 
 // SetPerturb installs a delivery interceptor consulted for every
@@ -410,15 +416,15 @@ type TapFunc func(from, to string, sentAt, at time.Duration, msg Message)
 func (c *Cluster) SetTap(f TapFunc) { c.tap = f }
 
 // push enqueues one message send, applying the perturb interceptor.
-func (c *Cluster) push(at, sentAt time.Duration, from, to string, msg Message) {
-	if comp, ok := c.comps[from]; ok && comp.preemptedBefore(c.now, sentAt) {
+func (c *Cluster) push(at, sentAt time.Duration, from, to addr, msg Message) {
+	if c.comps[from].preemptedBefore(c.now, sentAt) {
 		return // sender dies before stamping this send; it never leaves the node
 	}
 	if c.tap != nil {
-		c.tap(from, to, sentAt, at, msg)
+		c.tap(c.comps[from].id, c.comps[to].id, sentAt, at, msg)
 	}
 	if c.perturb != nil && from != to {
-		p := c.perturb(from, to, at, msg)
+		p := c.perturb(c.comps[from].id, c.comps[to].id, at, msg)
 		if p.Drop {
 			return
 		}
@@ -431,14 +437,9 @@ func (c *Cluster) push(at, sentAt time.Duration, from, to string, msg Message) {
 }
 
 // pushRaw enqueues an event without perturbation.
-func (c *Cluster) pushRaw(at, sentAt time.Duration, from, to string, msg Message) {
+func (c *Cluster) pushRaw(at, sentAt time.Duration, from, to addr, msg Message) {
 	c.seq++
-	counted := false
-	if comp, ok := c.comps[to]; ok {
-		comp.inbox++
-		counted = true
-	}
-	c.queue.push(event{at: at, seq: c.seq, to: to, from: from, msg: msg, sentAt: sentAt, counted: counted})
+	c.queue.push(event{at: at, seq: c.seq, msg: msg, sentAt: sentAt, to: to, from: from})
 }
 
 // Inject schedules a message delivery from outside the simulation (e.g. a
@@ -447,7 +448,7 @@ func (c *Cluster) Inject(at time.Duration, from, to string, msg Message) {
 	if at < c.now {
 		at = c.now
 	}
-	c.push(at, at, from, to, msg)
+	c.push(at, at, c.addrOf(from), c.addrOf(to), msg)
 }
 
 // ScheduleAt registers a virtual-time action: fn runs against the cluster
@@ -465,10 +466,9 @@ func (c *Cluster) ScheduleAt(at time.Duration, fn func(*Cluster)) {
 // Start invokes OnStart on every component (in registration order) at the
 // current virtual time.
 func (c *Cluster) Start() {
-	for _, id := range c.order {
-		comp := c.comps[id]
-		if sh, ok := comp.h.(StartHandler); ok {
-			sh.OnStart(c.lend(id, c.now))
+	for _, a := range c.order {
+		if sh, ok := c.comps[a].h.(StartHandler); ok {
+			sh.OnStart(c.lend(a, c.now))
 			c.settle()
 		}
 	}
@@ -489,18 +489,11 @@ func (c *Cluster) RunUntil(horizon time.Duration) int {
 			ev.fn(c) // scheduled virtual-time action
 			continue
 		}
-		comp, ok := c.comps[ev.to]
-		if !ok {
-			continue // component removed; drop
-		}
-		if ev.counted {
-			comp.inbox--
-		}
-		if ev.dropped {
-			continue // voided by the sender's crash; never delivered
-		}
-		if comp.crashed {
-			continue // lost message (consumed from the inbox, never delivered)
+		// Consumed, never delivered: addressed to a name never registered,
+		// voided by the sender's crash, or lost at a crashed target.
+		comp := c.comps[ev.to]
+		if comp.h == nil || ev.dropped || comp.crashed {
+			continue
 		}
 		// Serial processor: handling begins when the component is free.
 		start := ev.at
@@ -508,7 +501,7 @@ func (c *Cluster) RunUntil(horizon time.Duration) int {
 			start = comp.busyUntil
 		}
 		ctx := c.lend(ev.to, start)
-		comp.h.OnMessage(ctx, ev.from, ev.msg)
+		comp.h.OnMessage(ctx, c.comps[ev.from].id, ev.msg)
 		comp.busyUntil = ctx.effective
 		c.settle()
 		c.Delivered++
@@ -542,15 +535,15 @@ func (c *Cluster) Pending() int { return len(c.queue) }
 // of the handler call it was passed to (see the package doc).
 type Context struct {
 	cluster   *Cluster
-	self      string
+	self      addr
 	effective time.Duration // current time including consumed CPU
 	outbox    []event       // sends buffered until the handler returns
 }
 
 // lend points the cluster's Context at one handler call.
-func (c *Cluster) lend(self string, effective time.Duration) *Context {
+func (c *Cluster) lend(self addr, effective time.Duration) *Context {
 	if c.lent {
-		panic(fmt.Sprintf("sim: handler of %s entered while %s still holds the Context", self, c.ctx.self))
+		panic(fmt.Sprintf("sim: handler of %s entered while %s still holds the Context", c.comps[self].id, c.comps[c.ctx.self].id))
 	}
 	c.lent = true
 	c.ctx.self, c.ctx.effective = self, effective
@@ -600,14 +593,18 @@ func (ctx *Context) Work(d time.Duration) {
 // Send delivers msg to another component after the given link latency,
 // measured from the current effective time.
 func (ctx *Context) Send(to string, msg Message, latency time.Duration) {
-	ctx.outbox = append(ctx.outbox, event{
-		at: ctx.effective + latency, sentAt: ctx.effective, to: to, from: ctx.self, msg: msg,
-	})
+	ctx.send(ctx.cluster.addrOf(to), msg, latency)
 }
 
 // After schedules a message to self (a timer).
 func (ctx *Context) After(d time.Duration, msg Message) {
-	ctx.Send(ctx.self, msg, d)
+	ctx.send(ctx.self, msg, d)
+}
+
+func (ctx *Context) send(to addr, msg Message, latency time.Duration) {
+	ctx.outbox = append(ctx.outbox, event{
+		at: ctx.effective + latency, sentAt: ctx.effective, msg: msg, to: to, from: ctx.self,
+	})
 }
 
 // Latency is a randomized link-latency model: base plus uniform jitter.

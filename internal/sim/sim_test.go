@@ -234,7 +234,7 @@ func (w *worker) OnMessage(ctx *Context, _ string, _ Message) {
 }
 
 // TestCrashSemantics pins the crash contract down precisely: a message
-// delivered to a crashed component is consumed from its inbox but never
+// delivered to a crashed component is consumed from the queue but never
 // handled, and neither Delivered nor the handler observe it.
 func TestCrashSemantics(t *testing.T) {
 	c := New(1)
@@ -242,8 +242,8 @@ func TestCrashSemantics(t *testing.T) {
 	c.Add("rec", rec)
 	c.Inject(time.Millisecond, "t", "rec", ping{n: 1})
 	c.Inject(2*time.Millisecond, "t", "rec", ping{n: 2})
-	if got := c.Inbox("rec"); got != 2 {
-		t.Fatalf("inbox after inject: %d, want 2", got)
+	if got := c.Pending(); got != 2 {
+		t.Fatalf("pending after inject: %d, want 2", got)
 	}
 	c.Crash("rec")
 	c.RunUntil(5 * time.Millisecond)
@@ -253,8 +253,8 @@ func TestCrashSemantics(t *testing.T) {
 	if c.Delivered != 0 {
 		t.Fatalf("Delivered counted dropped messages: %d", c.Delivered)
 	}
-	if got := c.Inbox("rec"); got != 0 {
-		t.Fatalf("inbox after dropped deliveries: %d, want 0 (messages are consumed, not retained)", got)
+	if got := c.Pending(); got != 0 {
+		t.Fatalf("pending after dropped deliveries: %d, want 0 (messages are consumed, not retained)", got)
 	}
 	c.Restart("rec")
 	c.Inject(c.Now(), "t", "rec", ping{n: 3})
@@ -264,19 +264,38 @@ func TestCrashSemantics(t *testing.T) {
 	}
 }
 
+// starter is a recorder that logs its OnStart call.
+type starter struct {
+	recorder
+	name    string
+	started *[]string
+}
+
+func (s *starter) OnStart(*Context) { *s.started = append(*s.started, s.name) }
+
 // TestInboxBalancedForLateAdd: a message enqueued before its target is
-// registered must not corrupt the inbox accounting when delivered later.
+// registered is served once the target is added, and Start still runs in
+// registration order though the late name holds the lower address. A
+// message to a name never registered is consumed, never handled and not
+// counted.
 func TestInboxBalancedForLateAdd(t *testing.T) {
 	c := New(1)
 	c.Inject(time.Millisecond, "t", "late", ping{n: 1})
-	rec := &recorder{}
-	c.Add("late", rec)
+	c.Inject(time.Millisecond, "t", "nobody", ping{n: 2})
+	var started []string
+	late := &starter{name: "late", started: &started}
+	c.Add("early", &starter{name: "early", started: &started})
+	c.Add("late", late)
+	c.Start()
 	c.RunUntil(10 * time.Millisecond)
-	if got := c.Inbox("late"); got != 0 {
-		t.Fatalf("inbox after late-add delivery: %d, want 0", got)
+	if len(started) != 2 || started[0] != "early" || started[1] != "late" {
+		t.Fatalf("Start ran %v, want registration order [early late]", started)
 	}
-	if len(rec.order) != 1 {
-		t.Fatalf("late-added component not served: %v", rec.order)
+	if len(late.order) != 1 {
+		t.Fatalf("late-added component not served: %v", late.order)
+	}
+	if c.Pending() != 0 || c.Delivered != 1 {
+		t.Fatalf("pending %d, delivered %d: want the unregistered name's message consumed and not counted", c.Pending(), c.Delivered)
 	}
 }
 

@@ -191,7 +191,7 @@ func TestValidateLowestAlwaysCommitsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,7 +226,7 @@ func TestValidateDeterministicProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,7 +306,7 @@ func TestValidateUnionIsTheOrOfOwners(t *testing.T) {
 		got := Validate(order, union)
 		return slices.Equal(got, or) && slices.Equal(got, incremental)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -472,7 +472,7 @@ func TestFallbackScheduleProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Fatal(err)
 	}
 }
