@@ -55,8 +55,10 @@ import (
 // Lower them when the path gets cheaper.
 //
 // The byte ceilings sit about 10 % above what a transaction allocates
-// today (1,650, 4,150–4,400 and 2,620 bytes on ycsb_m, hot_t and xshard, the
-// hot_t range over eight runs; 1,840, 4,250–4,460 and 2,790 before simple
+// today (1,630, 4,090–4,330 and 2,565 bytes on ycsb_m, hot_t and xshard, the
+// hot_t range over nine runs; 1,650, 4,150–4,400 and 2,620 while the journal
+// kept a request in three maps — seen, staged and delivered — each growing
+// tables of its own; 1,840, 4,250–4,460 and 2,790 before simple
 // calls bound their frames on the stack, the source log kept the request it
 // received and finishes travelled back in their events' bodies — a hop's
 // body grew by the answer's value and error, 240 bytes to 320, and a batch
@@ -66,9 +68,10 @@ import (
 // while a value was 104 bytes, every kind's field side by side, so every
 // frame, row slot, workspace buffer and hop event copied twice the words).
 // hot_t's bytes vary from run to run at the same seed and allocation count
-// (by 250 bytes, 6 %, over eight runs): the journal's delivered-response map
-// (journal.synced) grows its tables at points its per-process hash seed
-// decides. The benchmark gates the same quantity as host_bytes_per_txn.
+// (by 240 bytes, 6 %, over nine runs; six in a row read 4,210–4,332): the
+// journal's one record per request id is inserted at journal.logged, and its
+// map grows its tables at points its per-process hash seed decides. The
+// benchmark gates the same quantity as host_bytes_per_txn.
 var allocGates = []allocGate{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.

@@ -378,7 +378,7 @@ func driftRun(t *testing.T, perturb func(fx *fixture) sim.PerturbFunc, atClose f
 		t.Fatalf("chains %d drifted %d aborts %d rescued %d when the epoch closed, want one chain that rescued T4 and let T3 go",
 			c.FallbackChains, c.FallbackDriftDemotions, c.Aborts, c.FallbackCommits)
 	}
-	if _, staged := c.journal.delivered["t3"]; staged {
+	if _, staged := c.journal.delivered("t3"); staged {
 		t.Fatal("the drifted pick was answered by the epoch it drifted in")
 	}
 	if hub, c0, c1 := regValue(t, fx.dep, "hub"), regValue(t, fx.dep, "c0"), regValue(t, fx.dep, "c1"); hub != 1 || c0 != 100 || c1 != 108 {

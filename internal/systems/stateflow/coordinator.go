@@ -101,7 +101,7 @@ type CoordinatorStats struct {
 	FallbackDriftDemotions int
 	// LateDuplicates counts arrivals absorbed by the incarnation dedup
 	// floor: duplicates so late that their originals were already pruned
-	// from the dedup maps by the retention window.
+	// from the journal by the retention window.
 	LateDuplicates int
 	// CorruptLogRecords counts durable-log records (or checkpoints) a
 	// reboot could not decode and recovered without — corruption outside
@@ -1095,12 +1095,12 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	}
 }
 
-// rebuildSeen reconstructs the arrival-dedup set from durable ground
-// truth: every answered response (the journal's own), every pending retry
-// the snapshot recorded, and every id in the source-log suffix the replay
-// will re-consume.
+// rebuildSeen reconstructs the journal's logged arrivals from durable
+// ground truth: every answered response (the journal's own), every pending
+// retry the snapshot recorded, and every id in the source-log suffix the
+// replay will re-consume.
 func (c *Coordinator) rebuildSeen() {
-	c.journal.resetSeen(len(c.pending))
+	c.journal.resetSeen()
 	for _, p := range c.pending {
 		c.journal.logged(p.req.Req)
 	}

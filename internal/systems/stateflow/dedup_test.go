@@ -89,7 +89,7 @@ func TestLateDuplicateAbsorbedAfterPruning(t *testing.T) {
 		t.Fatalf("settled %d/%d requests before the duplicate", client.inner.Done, total)
 	}
 	dupID := firstWave[0].Req
-	if _, held := coord.journal.delivered[dupID]; held {
+	if _, held := coord.journal.delivered(dupID); held {
 		t.Fatalf("%s still in the delivered buffer; retention never pruned it, the test exercises nothing", dupID)
 	}
 	src, seq, ok := sysapi.SplitID(dupID)

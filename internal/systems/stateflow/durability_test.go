@@ -441,9 +441,9 @@ func TestDedupMapsPrunedAtCheckpoint(t *testing.T) {
 		}
 	}
 	coord := sys.Coordinator()
-	if len(coord.journal.delivered) >= n/2 || len(coord.journal.seen) >= n/2 {
-		t.Fatalf("dedup maps not pruned: %d delivered, %d seen after %d requests",
-			len(coord.journal.delivered), len(coord.journal.seen), n)
+	if coord.journal.size() >= n/2 || len(coord.journal.requests) >= n/2 {
+		t.Fatalf("dedup state not pruned: %d answered, %d records after %d requests",
+			coord.journal.size(), len(coord.journal.requests), n)
 	}
 	if st := sys.Dlog.Stats(); st.Checkpoints == 0 || st.Compacted == 0 {
 		t.Fatalf("no checkpoint compaction happened: %+v", st)

@@ -132,7 +132,7 @@ func (fx *failoverFixture) globalApplies() (n int) {
 // applyDurable reports whether a shard released the ack of batch 1's apply,
 // which it does only once the apply's commit is fsynced.
 func (fx *failoverFixture) applyDurable(shard int) bool {
-	_, ok := fx.sys.Shards()[shard].Coordinator().journal.delivered[applyID(1, shard)]
+	_, ok := fx.sys.Shards()[shard].Coordinator().journal.delivered(applyID(1, shard))
 	return ok
 }
 
@@ -445,7 +445,7 @@ func TestLateGlobalDuplicateIsAbsorbedByTheFloor(t *testing.T) {
 			Request: transferReq(fmt.Sprintf("bg.%d", i+1), local[0], local[1], 1), ReplyTo: "client"})
 	}
 	fx.cluster.RunUntil(400 * time.Millisecond)
-	if _, held := home.journal.delivered["cl.1"]; held || home.journal.dedupFloor["cl"] < 1 {
+	if _, held := home.journal.delivered("cl.1"); held || home.journal.dedupFloor["cl"] < 1 {
 		t.Fatalf("home shard still holds cl.1 (held=%v, floor %d); retention never pruned it", held, home.journal.dedupFloor["cl"])
 	}
 	if from, _ := fx.balances(); from != 93 {

@@ -224,7 +224,7 @@ func crashCoordinatorMidChain(t *testing.T, cluster *sim.Cluster, sys *System) {
 	t.Helper()
 	released := func(st *epochState) (n int) {
 		for _, tid := range st.chain.Plan.Members {
-			if _, ok := sys.coord.journal.delivered[st.txn(tid).req.Req]; ok {
+			if _, ok := sys.coord.journal.delivered(st.txn(tid).req.Req); ok {
 				n++
 			}
 		}

@@ -22,9 +22,9 @@
 // recovered epoch, which keeps the view-change guard sound. After a crash,
 // restore rebuilds exactly the facts the exactly-once contract depends on
 // (epoch high-water mark, delivered responses, dedup floors); everything
-// else (seen-set, cursor, pending retries) is reconstructed by the
-// coordinator from the replayable source and the snapshot metadata, which
-// are durable by their own contracts.
+// else (which arrivals are logged, cursor, pending retries) is
+// reconstructed by the coordinator from the replayable source and the
+// snapshot metadata, which are durable by their own contracts.
 //
 // The record and checkpoint encodings below are the journal's private
 // format.
@@ -62,9 +62,12 @@ const (
 // committed batches and stay valid across recoveries.
 type msgLogSynced struct{ UpTo int64 }
 
-// deliveredEntry is the durable egress state for one answered request:
-// enough to suppress the recovery replay's duplicate and to re-serve the
-// response to a retrying client whose copy was lost.
+// deliveredEntry is the journal's one record per request id: whether its
+// arrival was logged, and how far its answer got. Answered, it is the
+// durable egress state: enough to suppress the recovery replay's
+// duplicate and to re-serve the response to a retrying client whose copy
+// was lost. It stays at most 128 bytes, so a map stores it inline
+// (TestJournalRecordIsCompact).
 type deliveredEntry struct {
 	resp sysapi.Response
 	// at is the virtual release time (drives retention pruning, and orders
@@ -74,7 +77,25 @@ type deliveredEntry struct {
 	// latest snapshot's offset are never pruned, because a recovery replay
 	// can still re-execute them.
 	pos int64
+	// logged: the arrival reached this coordinator's source log, so a
+	// further copy is an in-flight duplicate. Volatile: restore clears it.
+	// A global transaction's embedded response is answered on its home
+	// shard but never logged there.
+	logged bool
+	answer answerState // resp, at and pos are set from answerStaged on
 }
+
+// answerState is how far a request's response got. The zero value is
+// answerDelivered, which every entry a checkpoint or a delivered-record
+// restores is; a missing record reads as one too, so every read checks
+// that the record exists.
+type answerState uint8
+
+const (
+	answerDelivered answerState = iota // released: durable, and sent if anyone waits
+	answerStaged                       // appended, waiting for its group-commit sync
+	answerNone                         // logged, not answered yet
+)
 
 // stagedResponse is a response whose delivered-record is appended but
 // whose covering group-commit sync has not completed: it must not be sent
@@ -142,37 +163,33 @@ type journal struct {
 	cfg  *Config
 	log  *dlog.SimLog
 
-	// delivered is the egress state: per answered request, the full
-	// response, its release time and source position. It dedupes client
-	// responses across recovery replays (exactly-once output at the system
-	// border) and re-serves the recorded response to a retrying client
-	// whose copy was lost. Durable: rebuilt from the log on restart,
-	// compacted into checkpoints, pruned by the retention window.
-	delivered map[string]deliveredEntry
+	// requests holds one record per request id, logged or answered. Its
+	// logged flags dedupe arrivals before they reach the source log
+	// (exactly-once input at the system border: a duplicated client send —
+	// a transport retry, or chaos duplication — must not become a second
+	// transaction); the owner rebuilds them at recovery (resetSeen +
+	// logged) from the answered records + snapshot pending positions + the
+	// source-log suffix, which together cover every id still inside the
+	// dedup window. Its answers dedupe client responses across recovery
+	// replays (exactly-once output at the system border), keep a recovery
+	// from re-staging a response already in the pipeline, and re-serve the
+	// recorded response to a retrying client whose copy was lost. The
+	// answers are durable: rebuilt from the log on restart, compacted into
+	// checkpoints, pruned by the retention window.
+	requests map[string]deliveredEntry
 
 	// dedupFloor records, per request-id source (a sysapi.Builder prefix +
 	// incarnation), the highest sequence number ever pruned from the
-	// dedup maps. Every lower sequence from that source was answered and
+	// journal. Every lower sequence from that source was answered and
 	// retired, so an arrival at or below the floor is a very late
 	// duplicate — absorbed instead of re-executed, closing the
 	// duplicate-after-DedupRetention hole for builder-minted ids. Durable:
 	// carried in the checkpoint that performed the prune.
 	dedupFloor map[string]int64
 
-	// seen dedupes request arrivals by id before they reach the source
-	// log (exactly-once input at the system border: a duplicated client
-	// send — a transport retry, or chaos duplication — must not become a
-	// second transaction). Volatile: the owner rebuilds it at recovery
-	// (resetSeen + logged) from delivered + snapshot pending positions +
-	// the source-log suffix, which together cover every id still inside
-	// the dedup window.
-	seen map[string]bool
-
-	// staged responses awaiting their group-commit sync, FIFO by LSN;
-	// stagedIDs guards against re-staging when a stall-triggered recovery
-	// replays a transaction whose response is already in the pipeline.
-	staged    []stagedResponse
-	stagedIDs map[string]bool
+	// staged responses (and fast reads) awaiting their group-commit sync,
+	// FIFO by LSN.
+	staged []stagedResponse
 
 	// Write ordering. lastLSN is the newest appended record; durableLSN the
 	// newest record a completed (or issued-blocking) sync covers; issuedLSN
@@ -200,10 +217,8 @@ func newJournal(node string, cfg *Config, log *dlog.SimLog) journal {
 		node:       node,
 		cfg:        cfg,
 		log:        log,
-		delivered:  map[string]deliveredEntry{},
+		requests:   map[string]deliveredEntry{},
 		dedupFloor: map[string]int64{},
-		seen:       map[string]bool{},
-		stagedIDs:  map[string]bool{},
 	}
 }
 
@@ -220,17 +235,14 @@ func newJournal(node string, cfg *Config, log *dlog.SimLog) journal {
 // reports it with logged.
 func (j *journal) admit(ctx *sim.Context, id, replyTo string) admission {
 	ctx.Work(j.cfg.Costs.RoutingCPU)
-	if ent, ok := j.delivered[id]; ok {
-		if replyTo == "" {
-			return admitAbsorbed
-		}
+	ent, ok := j.requests[id]
+	switch {
+	case ok && ent.answer == answerDelivered && replyTo != "":
 		j.send(ctx, replyTo, ent.resp)
 		return admitReplayed
-	}
-	if j.seen[id] {
+	case ok && (ent.answer == answerDelivered || ent.logged):
 		return admitAbsorbed
-	}
-	if j.belowFloor(id) {
+	case j.belowFloor(id):
 		return admitLate
 	}
 	return admitNew
@@ -248,21 +260,29 @@ func (j *journal) belowFloor(id string) bool {
 }
 
 // logged records that an admitted arrival reached the source log: further
-// copies of it are in-flight duplicates.
-func (j *journal) logged(id string) { j.seen[id] = true }
-
-// resetSeen forgets every unanswered arrival: the seen-set restarts from
-// the answered ids (delivered or staged), and the owner re-reports what
-// its durable ground truth still holds in flight. Ids pruned by the
-// retention window stay pruned — that IS the dedup window contract. hint
-// sizes the set for the ids about to be re-reported.
-func (j *journal) resetSeen(hint int) {
-	j.seen = make(map[string]bool, len(j.delivered)+hint)
-	for id := range j.delivered {
-		j.seen[id] = true
+// copies of it are in-flight duplicates. An answer already recorded for the
+// id stays.
+func (j *journal) logged(id string) {
+	ent, ok := j.requests[id]
+	if !ok {
+		ent.answer = answerNone
 	}
-	for id := range j.stagedIDs {
-		j.seen[id] = true
+	ent.logged = true
+	j.requests[id] = ent
+}
+
+// resetSeen forgets every unanswered arrival: only the answered ids
+// (delivered or staged) stay logged, and the owner re-reports what its
+// durable ground truth still holds in flight. Ids pruned by the retention
+// window stay pruned — that IS the dedup window contract.
+func (j *journal) resetSeen() {
+	for id, ent := range j.requests {
+		if ent.answer == answerNone {
+			delete(j.requests, id)
+		} else if !ent.logged {
+			ent.logged = true
+			j.requests[id] = ent
+		}
 	}
 }
 
@@ -271,10 +291,8 @@ func (j *journal) resetSeen(hint int) {
 // way the request must not execute again through the normal intake paths:
 // its effects are the binding replay's business, not the batch machinery's.
 func (j *journal) answered(id string) bool {
-	if _, ok := j.delivered[id]; ok {
-		return true
-	}
-	return j.stagedIDs[id]
+	ent, ok := j.requests[id]
+	return ok && ent.answer != answerNone
 }
 
 // known reports whether a request was ever answered, as far as the journal
@@ -289,17 +307,18 @@ func (j *journal) known(id string) bool { return j.answered(id) || j.belowFloor(
 func (j *journal) quiet() bool { return len(j.staged) == 0 }
 
 // size is how many answered requests the dedup window currently holds.
-func (j *journal) size() int { return len(j.delivered) }
+func (j *journal) size() int {
+	n := 0
+	j.released(func(deliveredEntry) { n++ })
+	return n
+}
 
-// released visits every answered entry — delivered, then staged (its sync
-// is in flight and cannot be recalled) — in no particular order.
+// released visits every answered entry — delivered or staged (its sync is
+// in flight and cannot be recalled) — in no particular order.
 func (j *journal) released(visit func(deliveredEntry)) {
-	for _, ent := range j.delivered {
-		visit(ent)
-	}
-	for _, s := range j.staged {
-		if !s.read {
-			visit(s.ent)
+	for _, ent := range j.requests {
+		if ent.answer != answerNone {
+			visit(ent)
 		}
 	}
 }
@@ -314,7 +333,8 @@ func (j *journal) send(ctx *sim.Context, to string, resp sysapi.Response) {
 // happens at sync time.
 func (j *journal) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
 	id := ent.resp.Req
-	if j.answered(id) {
+	rec, ok := j.requests[id]
+	if ok && rec.answer != answerNone {
 		// Delivered, or already in the pipeline (a stall recovery replayed
 		// its transaction).
 		return
@@ -325,7 +345,8 @@ func (j *journal) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
 	lsn := j.log.Append(dlog.Record{Kind: recKindDelivered, At: int64(ent.at), Data: j.enc.Bytes()})
 	j.lastLSN = lsn
 	j.staged = append(j.staged, stagedResponse{lsn: lsn, replyTo: replyTo, ent: ent})
-	j.stagedIDs[id] = true
+	ent.logged, ent.answer = rec.logged, answerStaged
+	j.requests[id] = ent
 }
 
 // stageRead releases a fast read's response with the sync that makes every
@@ -384,8 +405,9 @@ func (j *journal) synced(ctx *sim.Context, m msgLogSynced) {
 	for n < len(j.staged) && j.staged[n].lsn <= m.UpTo {
 		s := j.staged[n]
 		if id := s.ent.resp.Req; !s.read {
-			j.delivered[id] = s.ent
-			delete(j.stagedIDs, id)
+			ent := s.ent // answerDelivered
+			ent.logged = j.requests[id].logged
+			j.requests[id] = ent
 		}
 		j.release(ctx, s)
 		n++
@@ -435,15 +457,15 @@ func (j *journal) advance(ctx *sim.Context, epoch int64, blocking bool) {
 // whatever was staged. offset is the source offset of the snapshot the
 // checkpoint seals — the prune bound.
 func (j *journal) checkpoint(ctx *sim.Context, m marks, offset int64) {
-	// An entry may leave the maps once (a) its release is older than the
-	// retention window, so no client retry or delayed wire duplicate can
-	// still name it, and (b) its source position precedes the sealed
-	// snapshot's offset, so no recovery replay can re-execute it (a
-	// replayed transaction without its delivered-entry would re-send its
-	// response).
+	// A delivered entry may leave the journal once (a) its release is
+	// older than the retention window, so no client retry or delayed wire
+	// duplicate can still name it, and (b) its source position precedes
+	// the sealed snapshot's offset, so no recovery replay can re-execute it
+	// (a replayed transaction without its delivered-entry would re-send
+	// its response).
 	if retention := j.cfg.DedupRetention; retention > 0 {
-		for id, ent := range j.delivered {
-			if ent.at+retention <= ctx.Now() && ent.pos < offset {
+		for id, ent := range j.requests {
+			if ent.answer == answerDelivered && ent.at+retention <= ctx.Now() && ent.pos < offset {
 				// Pruning forfeits the recorded response, so raise the
 				// source's dedup floor: any later arrival of this id (or
 				// a lower sequence) is a very late duplicate that must be
@@ -454,28 +476,15 @@ func (j *journal) checkpoint(ctx *sim.Context, m marks, offset int64) {
 						j.dedupFloor[src] = seq
 					}
 				}
-				delete(j.delivered, id)
-				delete(j.seen, id)
+				delete(j.requests, id)
 			}
 		}
 	}
 	// Staged-but-unreleased responses are durable facts too (their records
-	// are about to be compacted away): bake them into the checkpoint so a
+	// are about to be compacted away): the checkpoint carries them, so a
 	// later crash still suppresses their replays — the un-sent responses
 	// are then served via retry replay.
-	delivered := j.delivered
-	if len(j.staged) > 0 {
-		delivered = make(map[string]deliveredEntry, len(j.delivered)+len(j.staged))
-		for id, ent := range j.delivered {
-			delivered[id] = ent
-		}
-		for _, s := range j.staged {
-			if !s.read {
-				delivered[s.ent.resp.Req] = s.ent
-			}
-		}
-	}
-	payload := encodeCheckpoint(m, delivered, j.dedupFloor)
+	payload := encodeCheckpoint(m, j.requests, j.dedupFloor)
 	ctx.Work(j.cfg.Costs.StateCPU(len(payload)) + j.cfg.Costs.LogSyncCPU)
 	j.log.Checkpoint(ctx.Now(), payload)
 	// The checkpoint write is itself durable and subsumes every record
@@ -490,7 +499,7 @@ func (j *journal) checkpoint(ctx *sim.Context, m marks, offset int64) {
 // bootstrap writes the initial checkpoint of a deployment that has not
 // started yet (no clock, nothing appended): it seals the preload snapshot.
 func (j *journal) bootstrap(m marks) {
-	j.log.Checkpoint(0, encodeCheckpoint(m, j.delivered, j.dedupFloor))
+	j.log.Checkpoint(0, encodeCheckpoint(m, j.requests, j.dedupFloor))
 }
 
 // recovered is what restore found in the durable image.
@@ -505,8 +514,8 @@ type recovered struct {
 // every delivered-record appended since; the returned marks carry the
 // highest epoch the image speaks of. Torn log tails were already discarded
 // by the device's crash contract; write-ahead ordering guarantees nothing
-// torn was ever externalized. The seen-set comes back empty — the owner
-// rebuilds it (resetSeen) once it knows its source cursor.
+// torn was ever externalized. No arrival comes back logged — the owner
+// re-reports them (resetSeen) once it knows its source cursor.
 //
 // A record that fails to decode is corruption outside the crash contract.
 // Recovery carries on without it — a lost checkpoint starts from zero (the
@@ -523,16 +532,14 @@ func (j *journal) restore(ctx *sim.Context) recovered {
 			f.Recordf(ctx.Now(), j.node, "corrupt", "skipped undecodable %s: %v", what, err)
 		}
 	}
-	m, delivered, floors, err := decodeCheckpoint(img.Checkpoint)
+	m, requests, floors, err := decodeCheckpoint(img.Checkpoint)
 	if err != nil {
 		skip("checkpoint", err)
-		m, delivered, floors = marks{}, map[string]deliveredEntry{}, map[string]int64{}
+		m, requests, floors = marks{}, map[string]deliveredEntry{}, map[string]int64{}
 	}
 	out.marks = m
-	j.delivered, j.dedupFloor = delivered, floors
-	j.seen = map[string]bool{}
+	j.requests, j.dedupFloor = requests, floors
 	j.staged = nil
-	j.stagedIDs = map[string]bool{}
 	j.lastLSN, j.durableLSN, j.epochLSN = 0, 0, 0
 	ctx.Work(j.cfg.Costs.LogSyncCPU)
 	for _, r := range img.Records {
@@ -550,7 +557,7 @@ func (j *journal) restore(ctx *sim.Context) recovered {
 			if err != nil {
 				skip("delivered record", err)
 			} else {
-				j.delivered[id] = ent
+				j.requests[id] = ent
 			}
 		}
 	}
@@ -608,23 +615,26 @@ func readDelivered(d *interp.Decoder) (string, deliveredEntry, error) {
 
 // encodeCheckpoint writes the compacted state a log checkpoint carries:
 // everything the coordinator must remember that individual records no
-// longer cover once the log prefix is dropped. Sorted, so same-run
-// checkpoints are byte-identical (the entries land in maps on decode).
-func encodeCheckpoint(m marks, delivered map[string]deliveredEntry, floors map[string]int64) []byte {
+// longer cover once the log prefix is dropped — of the requests, the
+// answered ones (delivered or staged). Sorted, so same-run checkpoints are
+// byte-identical (the entries land in maps on decode).
+func encodeCheckpoint(m marks, requests map[string]deliveredEntry, floors map[string]int64) []byte {
 	e := interp.NewEncoder()
 	e.Varint(m.epoch)
 	e.Varint(int64(m.nextTID))
 	e.Varint(m.sealed)
 	e.Varint(int64(m.sealedCut))
 	e.Varint(m.fenceDone)
-	e.Uvarint(uint64(len(delivered)))
-	ids := make([]string, 0, len(delivered))
-	for id := range delivered {
-		ids = append(ids, id)
+	ids := make([]string, 0, len(requests))
+	for id, ent := range requests {
+		if ent.answer != answerNone {
+			ids = append(ids, id)
+		}
 	}
+	e.Uvarint(uint64(len(ids)))
 	sort.Strings(ids)
 	for _, id := range ids {
-		appendDelivered(e, id, delivered[id])
+		appendDelivered(e, id, requests[id])
 	}
 	e.Uvarint(uint64(len(floors)))
 	srcs := make([]string, 0, len(floors))
@@ -640,7 +650,8 @@ func encodeCheckpoint(m marks, delivered map[string]deliveredEntry, floors map[s
 }
 
 // decodeCheckpoint is encodeCheckpoint's inverse; an empty payload (a log
-// that never checkpointed) decodes to the zero state.
+// that never checkpointed) decodes to the zero state. Every request it
+// returns is delivered and not logged.
 func decodeCheckpoint(data []byte) (m marks, delivered map[string]deliveredEntry, floors map[string]int64, err error) {
 	delivered, floors = map[string]deliveredEntry{}, map[string]int64{}
 	if len(data) == 0 {

@@ -2,8 +2,10 @@ package stateflow
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
+	"unsafe"
 
 	"statefulentities.dev/stateflow/internal/dlog"
 	"statefulentities.dev/stateflow/internal/interp"
@@ -73,6 +75,12 @@ func (fx *journalFixture) reboot() {
 
 func (fx *journalFixture) j() *journal { return &fx.host.j }
 
+// delivered reads the record of a released response.
+func (j *journal) delivered(id string) (deliveredEntry, bool) {
+	ent, ok := j.requests[id]
+	return ent, ok && ent.answer == answerDelivered
+}
+
 func answer(id string, pos int64, ctx *sim.Context) deliveredEntry {
 	return deliveredEntry{resp: sysapi.Response{Req: id, Value: interp.IntV(pos)}, at: ctx.Now(), pos: pos}
 }
@@ -86,15 +94,15 @@ func TestJournalStagedResponseWaitsForItsSync(t *testing.T) {
 		j.sync(ctx)
 	})
 	j := fx.j()
-	if _, ok := j.delivered["r1"]; ok || !j.answered("r1") || j.quiet() {
+	if _, ok := j.delivered("r1"); ok || !j.answered("r1") || j.quiet() {
 		t.Fatalf("after stage+sync issue: delivered=%v answered=%v quiet=%v, want staged only", ok, j.answered("r1"), j.quiet())
 	}
 	fx.run(j.cfg.Costs.LogGroupDelay / 2)
-	if _, ok := j.delivered["r1"]; ok || len(fx.client.got) != 0 {
+	if _, ok := j.delivered("r1"); ok || len(fx.client.got) != 0 {
 		t.Fatalf("released before its sync completed: delivered=%v, client saw %d", ok, len(fx.client.got))
 	}
 	fx.run(j.cfg.Costs.LogGroupDelay + 2*time.Millisecond)
-	if ent, ok := j.delivered["r1"]; !ok || ent.resp.Value.I != 0 || !j.quiet() {
+	if ent, ok := j.delivered("r1"); !ok || ent.resp.Value.I != 0 || !j.quiet() {
 		t.Fatalf("after the sync: delivered=%v quiet=%v", ok, j.quiet())
 	}
 	if len(fx.client.got) != 1 || fx.client.got[0].Req != "r1" {
@@ -243,6 +251,43 @@ func TestJournalCheckpointKeepsStagedResponses(t *testing.T) {
 	}
 }
 
+// A checkpoint carries every answer and nothing else: a response staged
+// past the retention window (no sync was issued for it) is neither pruned
+// nor forgotten, and an arrival that was only logged comes back unseen.
+func TestJournalCheckpointCarriesAnswersOnly(t *testing.T) {
+	const retention = time.Second
+	fx := newJournalFixture(t, retention)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "", answer("old.1", 0, ctx))
+		j.logged("cl.1")
+	})
+	fx.run(2 * retention)
+	fx.do(func(ctx *sim.Context, j *journal) { j.checkpoint(ctx, marks{epoch: 1}, 10) })
+	fx.reboot()
+	j := fx.j()
+	if _, pruned := j.dedupFloor["old"]; pruned || !j.answered("old.1") {
+		t.Fatalf("old.1 answered=%v, floor %v: the prune took a staged response", j.answered("old.1"), j.dedupFloor)
+	}
+	if j.answered("cl.1") || j.size() != 1 {
+		t.Fatalf("cl.1 answered=%v, %d answered: the checkpoint carried an unanswered arrival", j.answered("cl.1"), j.size())
+	}
+	fx.do(func(ctx *sim.Context, j *journal) {
+		if got := j.admit(ctx, "cl.1", "client"); got != admitNew {
+			t.Errorf("admit(cl.1) = %d after the reboot, want new: a logged arrival is not durable", got)
+		}
+	})
+}
+
+// TestJournalRecordIsCompact pins the journal's record of one request id at
+// 128 bytes: a map stores a larger value out of line, one allocation per
+// insert — what a delivered entry cost while it was 160 bytes.
+func TestJournalRecordIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(deliveredEntry{}); n > 128 {
+		t.Errorf("deliveredEntry is %d bytes, ceiling 128", n)
+	}
+	t.Logf("deliveredEntry is %d bytes", unsafe.Sizeof(deliveredEntry{}))
+}
+
 // FuzzDecodeCheckpoint feeds arbitrary bytes to the journal's checkpoint
 // decoder — the record a coordinator reboots from, so a device fault
 // decides what it reads. Whatever the bytes, decoding must not panic, and
@@ -315,5 +360,109 @@ func FuzzReadDelivered(f *testing.F) {
 			!got.resp.Value.Equal(want.resp.Value) || got.resp.Err != want.resp.Err || got.resp.Retries != want.resp.Retries {
 			t.Fatalf("append → read changed the entry: %q %+v, want %q %+v", gotID, got, id, want)
 		}
+	})
+}
+
+// TestJournalVerdictTable walks one id through every state the journal can
+// hold it in and reads the three verdicts the coordinator acts on: admit
+// (what an arrival does), answered (whether the batch machinery may run it)
+// and known (what a parked shard reports to the sequencer). An embedded
+// response staged on its home shard is answered but was never logged
+// there, so an arrival of its id is judged as new (or late), not absorbed.
+// Logging an answered id keeps its answer, and resetSeen keeps every
+// answered id while it forgets the arrivals nobody answered.
+func TestJournalVerdictTable(t *testing.T) {
+	const retention = time.Second
+	fx := newJournalFixture(t, retention)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.stage(ctx, "client", answer("old.2", 0, ctx))
+		j.sync(ctx)
+	})
+	fx.run(2 * retention)
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.checkpoint(ctx, marks{epoch: 1}, 10) // prunes old.2: the floor of "old" is 2
+		j.stage(ctx, "client", answer("cl.5", 5, ctx))
+		j.stage(ctx, "", answer("cl.6", 6, ctx))
+		j.stage(ctx, "client", answer("r8", 8, ctx))
+		j.sync(ctx)
+	})
+	fx.run(5 * time.Millisecond) // cl.5, cl.6 and r8 delivered
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.logged("cl.2")
+		j.logged("cl.3")
+		j.stage(ctx, "client", answer("cl.3", 3, ctx))
+		j.stage(ctx, "client", answer("cl.4", 4, ctx)) // never logged here
+		j.stage(ctx, "client", answer("old.1", 1, ctx))
+	})
+
+	positions := map[string]int64{"cl.5": 5, "r8": 8} // the delivered ids' recorded values
+
+	type row struct {
+		id, replyTo     string
+		admit           admission
+		answered, known bool
+	}
+	check := func(when string, rows []row) {
+		t.Helper()
+		got := len(fx.client.got)
+		replays := map[string]int64{}
+		fx.do(func(ctx *sim.Context, j *journal) {
+			for _, r := range rows {
+				if a := j.admit(ctx, r.id, r.replyTo); a != r.admit {
+					t.Errorf("%s: admit(%s) = %d, want %d", when, r.id, a, r.admit)
+				}
+				if a, k := j.answered(r.id), j.known(r.id); a != r.answered || k != r.known {
+					t.Errorf("%s: %s answered=%v known=%v, want %v %v", when, r.id, a, k, r.answered, r.known)
+				}
+				if r.admit == admitReplayed {
+					replays[r.id] = positions[r.id]
+				}
+			}
+		})
+		fx.run(5 * time.Millisecond)
+		seen := map[string]int64{}
+		for _, resp := range fx.client.got[got:] {
+			seen[resp.Req] = resp.Value.I
+		}
+		if len(fx.client.got)-got != len(replays) || !maps.Equal(seen, replays) {
+			t.Fatalf("%s: client saw %+v, want the recorded response of each of %v once", when, fx.client.got[got:], replays)
+		}
+	}
+	check("fresh", []row{
+		{"cl.1", "client", admitNew, false, false},      // unseen
+		{"cl.2", "client", admitAbsorbed, false, false}, // logged
+		{"cl.3", "client", admitAbsorbed, true, true},   // staged and logged
+		{"cl.4", "client", admitNew, true, true},        // staged, never logged
+		{"old.1", "client", admitLate, true, true},      // staged, never logged, under the floor
+		{"cl.5", "client", admitReplayed, true, true},   // delivered
+		{"cl.6", "", admitAbsorbed, true, true},         // delivered, nobody to re-send to
+		{"old.2", "client", admitLate, false, true},     // pruned below the floor
+		{"old.3", "client", admitNew, false, false},     // above the floor
+		{"r7", "client", admitNew, false, false},        // not a Builder id
+		{"r8", "client", admitReplayed, true, true},     // not a Builder id, delivered
+	})
+
+	fx.do(func(ctx *sim.Context, j *journal) {
+		j.logged("cl.4")
+		j.logged("cl.5")
+		j.logged("r8")
+	})
+	check("logged", []row{
+		{"cl.4", "client", admitAbsorbed, true, true},
+		{"cl.5", "client", admitReplayed, true, true},
+		{"r8", "client", admitReplayed, true, true},
+	})
+
+	fx.do(func(ctx *sim.Context, j *journal) { j.resetSeen() })
+	check("resetSeen", []row{
+		{"cl.1", "client", admitNew, false, false},
+		{"cl.2", "client", admitNew, false, false},
+		{"cl.3", "client", admitAbsorbed, true, true},
+		{"cl.4", "client", admitAbsorbed, true, true},
+		{"old.1", "client", admitAbsorbed, true, true},
+		{"cl.5", "client", admitReplayed, true, true},
+		{"cl.6", "", admitAbsorbed, true, true},
+		{"old.2", "client", admitLate, false, true},
+		{"r8", "client", admitReplayed, true, true},
 	})
 }

@@ -473,7 +473,7 @@ func TestShardedFloorIsolationAcrossShardReboot(t *testing.T) {
 	}
 	_, seqLastOdd, _ := sysapi.SplitID(wave[7].Req)
 	c0, c1 := sys.Shards()[0].Coordinator(), sys.Shards()[1].Coordinator()
-	if _, held := c0.journal.delivered[wave[0].Req]; held {
+	if _, held := c0.journal.delivered(wave[0].Req); held {
 		t.Fatalf("%s still in shard 0's delivered buffer; retention never pruned it", wave[0].Req)
 	}
 	floor0 := c0.journal.dedupFloor[src]

@@ -54,10 +54,10 @@ type Config struct {
 	// the source log and drain chunked over subsequent batches, so a giant
 	// replay can never balloon into one pathological batch. 0: unbounded.
 	MaxBatch int
-	// DedupRetention bounds the seen/delivered dedup maps: entries whose
-	// response was released at least this long ago — and whose source
-	// position a recovery replay can no longer reach — are pruned at each
-	// dlog checkpoint. It is the dedup window: a client retry or wire
+	// DedupRetention bounds the journal's per-request records: a record
+	// whose response was released at least this long ago — and whose
+	// source position a recovery replay can no longer reach — is pruned at
+	// each dlog checkpoint. It is the dedup window: a client retry or wire
 	// duplicate older than this may be re-executed. 0: keep forever.
 	DedupRetention time.Duration
 	// SnapshotRetain keeps only the newest N complete snapshots, bounding
@@ -310,7 +310,7 @@ func (s *System) CheckpointPreloadedState() {
 //     recorded response to the retrying client instead of suppressing it.
 //   - Duplicates are safe wherever a receiver dedupes or rejects stale
 //     copies: epoch/phase/id guards on every coordination message
-//     (coordinator-, worker- and sequencer-side), the ingress seen-set for
+//     (coordinator-, worker- and sequencer-side), the ingress dedup for
 //     client requests and global applies (exactly-once input), the
 //     client's response dedup. Only msgTxnEvent is excluded: a second
 //     delivery inside the same epoch would re-execute the event in the

@@ -322,7 +322,7 @@ type broker struct {
 	// idempotent-producer model): a client retransmission or a duplicated
 	// wire delivery must not become a second dataflow record — without
 	// this, a retried in-flight request would execute twice. Bounded by
-	// Config.DedupRetention like the StateFlow coordinator's dedup maps:
+	// Config.DedupRetention like the StateFlow journal's records:
 	// seen records each id's LATEST arrival (a duplicate refreshes the
 	// window, so a still-retrying in-flight request is never evicted mid
 	// flight), and seenOrder drains FIFO with lazy re-arming — an entry

@@ -278,10 +278,31 @@ type ScriptClient struct {
 	MaxRetries int // per request; 0 means the default (100)
 	Retries    map[string]int
 	rx         Retransmitter
-	sentAt     map[string]time.Duration
-	kinds      map[string]string
+	sent       map[string]sentRequest
 	// Done counts received responses.
 	Done int
+}
+
+// sentRequest is a simulated client's record of one request it waits on.
+type sentRequest struct {
+	at   time.Duration
+	kind string
+}
+
+// observeLatency records one response's latency in a client's series: the
+// total, and the request kind's (a request with no kind has none).
+func observeLatency(total *obs.Histogram, perKind map[string]*obs.Histogram, s sentRequest, now time.Duration) {
+	lat := now - s.at
+	total.Observe(lat)
+	if s.kind == "" {
+		return
+	}
+	series, ok := perKind[s.kind]
+	if !ok {
+		series = newLatencySeries()
+		perKind[s.kind] = series
+	}
+	series.Observe(lat)
 }
 
 // LatencyReservoir caps client-side latency series memory: beyond this
@@ -305,8 +326,7 @@ func NewScriptClient(id string, sys System, script []Scheduled) *ScriptClient {
 		Latency:   newLatencySeries(),
 		PerKind:   map[string]*obs.Histogram{},
 		Retries:   map[string]int{},
-		sentAt:    map[string]time.Duration{},
-		kinds:     map[string]string{},
+		sent:      map[string]sentRequest{},
 	}
 }
 
@@ -331,27 +351,18 @@ func (c *ScriptClient) OnMessage(ctx *sim.Context, from string, msg sim.Message)
 	}
 	switch m := msg.(type) {
 	case msgSubmit:
-		c.sentAt[m.req.Req] = ctx.Now()
-		c.kinds[m.req.Req] = m.req.Kind
+		c.sent[m.req.Req] = sentRequest{at: ctx.Now(), kind: m.req.Kind}
 		c.rx.Send(ctx, m.req)
 	case MsgResponse:
-		if _, dup := c.Responses[m.Response.Req]; dup {
+		id := m.Response.Req
+		if _, dup := c.Responses[id]; dup {
 			return // duplicate delivery (a replay the retry solicited, or wire dup)
 		}
-		c.Responses[m.Response.Req] = m.Response
+		c.Responses[id] = m.Response
 		c.Done++
-		if at, ok := c.sentAt[m.Response.Req]; ok {
-			lat := ctx.Now() - at
-			c.Latency.Observe(lat)
-			kind := c.kinds[m.Response.Req]
-			if kind != "" {
-				s, ok := c.PerKind[kind]
-				if !ok {
-					s = newLatencySeries()
-					c.PerKind[kind] = s
-				}
-				s.Observe(lat)
-			}
+		if s, ok := c.sent[id]; ok {
+			delete(c.sent, id)
+			observeLatency(c.Latency, c.PerKind, s, ctx.Now())
 		}
 	}
 }
@@ -385,8 +396,7 @@ type Generator struct {
 	Done      int
 	Submitted int
 	rx        Retransmitter
-	sentAt    map[string]time.Duration
-	kinds     map[string]string
+	sent      map[string]sentRequest
 	seq       int
 }
 
@@ -396,8 +406,7 @@ func NewGenerator(id string, sys System, rate float64, horizon, warmUp time.Dura
 		ID: id, Sys: sys, Rate: rate, Horizon: horizon, WarmUp: warmUp, Next: next,
 		Latency: newLatencySeries(),
 		PerKind: map[string]*obs.Histogram{},
-		sentAt:  map[string]time.Duration{},
-		kinds:   map[string]string{},
+		sent:    map[string]sentRequest{},
 	}
 }
 
@@ -434,34 +443,22 @@ func (g *Generator) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 		req := g.Next(g.seq)
 		g.seq++
 		g.Submitted++
-		g.sentAt[req.Req] = ctx.Now()
-		g.kinds[req.Req] = req.Kind
+		g.sent[req.Req] = sentRequest{at: ctx.Now(), kind: req.Kind}
 		g.rx.Send(ctx, req)
 		ctx.After(g.interArrival(ctx), msgArrival{})
 	case MsgResponse:
-		at, ok := g.sentAt[m.Response.Req]
+		id := m.Response.Req
+		s, ok := g.sent[id]
 		if !ok {
 			return // duplicate (or unknown) response: already accounted
 		}
+		delete(g.sent, id)
 		g.Done++
 		if m.Response.Err != "" {
 			g.Errors++
 		}
-		delete(g.sentAt, m.Response.Req)
-		if at < g.WarmUp {
-			return
-		}
-		lat := ctx.Now() - at
-		g.Latency.Observe(lat)
-		kind := g.kinds[m.Response.Req]
-		delete(g.kinds, m.Response.Req)
-		if kind != "" {
-			s, ok := g.PerKind[kind]
-			if !ok {
-				s = newLatencySeries()
-				g.PerKind[kind] = s
-			}
-			s.Observe(lat)
+		if s.at >= g.WarmUp {
+			observeLatency(g.Latency, g.PerKind, s, ctx.Now())
 		}
 	}
 }

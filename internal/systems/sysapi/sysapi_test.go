@@ -111,6 +111,25 @@ func TestGeneratorWarmupDiscardsSamples(t *testing.T) {
 	}
 }
 
+// A generator forgets a request once it is answered, warm-up requests
+// included: their latency is discarded, their record must go too.
+func TestGeneratorForgetsAnsweredRequests(t *testing.T) {
+	cluster := sim.New(3)
+	cluster.Add("echo", echoIngress{delay: time.Millisecond})
+	gen := NewGenerator("g", echoSystem{}, 500, time.Second, 500*time.Millisecond, func(i int) Request {
+		return Request{Req: fmt.Sprintf("r%d", i), Kind: "read"}
+	})
+	cluster.Add("g", gen)
+	cluster.Start()
+	cluster.RunUntil(3 * time.Second)
+	if gen.Done != gen.Submitted || gen.Done == 0 {
+		t.Fatalf("%d of %d requests answered", gen.Done, gen.Submitted)
+	}
+	if n := len(gen.sent); n != 0 {
+		t.Fatalf("%d records held after every request was answered", n)
+	}
+}
+
 func TestGeneratorStopsAtHorizon(t *testing.T) {
 	cluster := sim.New(4)
 	sys := echoSystem{}

@@ -123,13 +123,20 @@ type Simulation struct {
 // request (the ingress dedupes) or a dropped response (the egress
 // replays) heals instead of hanging.
 type simClient struct {
-	rx        sysapi.Retransmitter
-	responses map[string]sysapi.Response
-	latency   map[string]time.Duration
-	sent      map[string]time.Duration
+	rx    sysapi.Retransmitter
+	calls map[string]clientCall
 	// deliveries counts raw response deliveries per request id, before
 	// deduplication (the exactly-once-output evidence chaos tests check).
 	deliveries map[string]int
+}
+
+// clientCall is the client edge's record of one request: when it was sent
+// and, once answered, its first response and latency. It stays at most 128
+// bytes, so a map stores it inline (TestClientRecordIsCompact).
+type clientCall struct {
+	sent, latency time.Duration
+	resp          sysapi.Response
+	answered      bool
 }
 
 // msgClientSubmit asks the client component to transmit a fresh request.
@@ -144,14 +151,17 @@ func (c *simClient) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	case msgClientSubmit:
 		c.rx.Send(ctx, m.req)
 	case sysapi.MsgResponse:
-		c.deliveries[m.Response.Req]++
-		if _, dup := c.responses[m.Response.Req]; dup {
+		id := m.Response.Req
+		c.deliveries[id]++
+		call, ok := c.calls[id]
+		if call.answered {
 			return
 		}
-		c.responses[m.Response.Req] = m.Response
-		if at, ok := c.sent[m.Response.Req]; ok {
-			c.latency[m.Response.Req] = ctx.Now() - at
+		call.resp, call.answered = m.Response, true
+		if ok {
+			call.latency = ctx.Now() - call.sent
 		}
+		c.calls[id] = call
 	}
 }
 
@@ -185,9 +195,7 @@ func NewSimulation(prog *Program, cfg SimConfig, opts ...SimOption) *Simulation 
 		flight:  flight,
 		client: &simClient{
 			rx:         sysapi.Retransmitter{ReplyTo: "api-client", Every: retryEvery},
-			responses:  map[string]sysapi.Response{},
-			latency:    map[string]time.Duration{},
-			sent:       map[string]time.Duration{},
+			calls:      map[string]clientCall{},
 			deliveries: map[string]int{},
 		},
 		reqs: sysapi.NewBuilder("api-"),
@@ -293,8 +301,8 @@ func (s *Simulation) Metrics() *MetricsRegistry {
 func (s *Simulation) CommitSerials() map[string]int64 {
 	if sys := s.StateFlow(); sys != nil {
 		return sys.Coordinator().CommitSerials(func(id string) (Value, bool) {
-			r, ok := s.client.responses[id]
-			return r.Value, ok
+			call := s.client.calls[id]
+			return call.resp.Value, call.answered
 		})
 	}
 	return nil
@@ -325,7 +333,7 @@ func (s *Simulation) ensureStarted() {
 func (s *Simulation) inject(ref EntityRef, method string, args []Value, kind string) string {
 	s.ensureStarted()
 	req := s.reqs.Next(ref, method, args, kind)
-	s.client.sent[req.Req] = s.Cluster.Now()
+	s.client.calls[req.Req] = clientCall{sent: s.Cluster.Now()}
 	s.Cluster.Inject(s.Cluster.Now(), "api-client", "api-client", msgClientSubmit{req: req})
 	return req.Req
 }
@@ -351,13 +359,14 @@ func (s *Simulation) await(id string, o callOptions) (Result, error) {
 
 // lookup reads a recorded response without advancing time.
 func (s *Simulation) lookup(id string) (Result, bool) {
-	resp, ok := s.client.responses[id]
-	if !ok {
+	call := s.client.calls[id]
+	if !call.answered {
 		return Result{}, false
 	}
+	resp := call.resp
 	return Result{
 		Value: resp.Value, Err: resp.Err, Retries: resp.Retries,
-		Latency: s.client.latency[id],
+		Latency: call.latency,
 	}, true
 }
 
