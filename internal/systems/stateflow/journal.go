@@ -32,7 +32,8 @@ package stateflow
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -66,8 +67,8 @@ type msgLogSynced struct{ UpTo int64 }
 // arrival was logged, and how far its answer got. Answered, it is the
 // durable egress state: enough to suppress the recovery replay's
 // duplicate and to re-serve the response to a retrying client whose copy
-// was lost. It stays at most 128 bytes, so a map stores it inline
-// (TestJournalRecordIsCompact).
+// was lost. Records sit in the journal's arena (window.go), 64 to a chunk
+// of the 8 KB size class (TestJournalArenaChunkFillsItsSizeClass).
 type deliveredEntry struct {
 	resp sysapi.Response
 	// at is the virtual release time (drives retention pruning, and orders
@@ -163,20 +164,33 @@ type journal struct {
 	cfg  *Config
 	log  *dlog.SimLog
 
-	// requests holds one record per request id, logged or answered. Its
-	// logged flags dedupe arrivals before they reach the source log
-	// (exactly-once input at the system border: a duplicated client send —
-	// a transport retry, or chaos duplication — must not become a second
-	// transaction); the owner rebuilds them at recovery (resetSeen +
-	// logged) from the answered records + snapshot pending positions + the
-	// source-log suffix, which together cover every id still inside the
-	// dedup window. Its answers dedupe client responses across recovery
-	// replays (exactly-once output at the system border), keep a recovery
-	// from re-staging a response already in the pipeline, and re-serve the
+	// recs holds one record per request id, logged or answered. Its logged
+	// flags dedupe arrivals before they reach the source log (exactly-once
+	// input at the system border: a duplicated client send — a transport
+	// retry, or chaos duplication — must not become a second transaction);
+	// the owner rebuilds them at recovery (resetSeen + logged) from the
+	// answered records + snapshot pending positions + the source-log
+	// suffix, which together cover every id still inside the dedup window.
+	// Its answers dedupe client responses across recovery replays
+	// (exactly-once output at the system border), keep a recovery from
+	// re-staging a response already in the pipeline, and re-serve the
 	// recorded response to a retrying client whose copy was lost. The
 	// answers are durable: rebuilt from the log on restart, compacted into
 	// checkpoints, pruned by the retention window.
-	requests map[string]deliveredEntry
+	//
+	// A record is found by sequence (window.go): windows maps each request
+	// source (a sysapi.Builder prefix + incarnation) to the window that
+	// indexes its records, and last caches the one found last.
+	recs    recArena
+	windows map[string]*window
+	last    *window
+	// requests finds by name the records no window indexes: those of ids
+	// SplitID does not read (test and bench scripts' "r1" and "t3", a
+	// global apply's "gapply-7-1"), of ids spelled otherwise than
+	// Builder.At spells them ("cl.07"), and of strays, sequences too far
+	// from the rest of their source to index; strays counts the last.
+	requests map[string]uint32
+	strays   int
 
 	// dedupFloor records, per request-id source (a sysapi.Builder prefix +
 	// incarnation), the highest sequence number ever pruned from the
@@ -213,13 +227,9 @@ type journal struct {
 }
 
 func newJournal(node string, cfg *Config, log *dlog.SimLog) journal {
-	return journal{
-		node:       node,
-		cfg:        cfg,
-		log:        log,
-		requests:   map[string]deliveredEntry{},
-		dedupFloor: map[string]int64{},
-	}
+	j := journal{node: node, cfg: cfg, log: log}
+	j.clear()
+	return j
 }
 
 // admit is the ingress dedup every arrival passes before it is logged —
@@ -235,12 +245,12 @@ func newJournal(node string, cfg *Config, log *dlog.SimLog) journal {
 // reports it with logged.
 func (j *journal) admit(ctx *sim.Context, id, replyTo string) admission {
 	ctx.Work(j.cfg.Costs.RoutingCPU)
-	ent, ok := j.requests[id]
+	ent := j.find(id)
 	switch {
-	case ok && ent.answer == answerDelivered && replyTo != "":
+	case ent != nil && ent.answer == answerDelivered && replyTo != "":
 		j.send(ctx, replyTo, ent.resp)
 		return admitReplayed
-	case ok && (ent.answer == answerDelivered || ent.logged):
+	case ent != nil && (ent.answer == answerDelivered || ent.logged):
 		return admitAbsorbed
 	case j.belowFloor(id):
 		return admitLate
@@ -262,28 +272,17 @@ func (j *journal) belowFloor(id string) bool {
 // logged records that an admitted arrival reached the source log: further
 // copies of it are in-flight duplicates. An answer already recorded for the
 // id stays.
-func (j *journal) logged(id string) {
-	ent, ok := j.requests[id]
-	if !ok {
-		ent.answer = answerNone
-	}
-	ent.logged = true
-	j.requests[id] = ent
-}
+func (j *journal) logged(id string) { j.add(id).logged = true }
 
 // resetSeen forgets every unanswered arrival: only the answered ids
 // (delivered or staged) stay logged, and the owner re-reports what its
 // durable ground truth still holds in flight. Ids pruned by the retention
 // window stay pruned — that IS the dedup window contract.
 func (j *journal) resetSeen() {
-	for id, ent := range j.requests {
-		if ent.answer == answerNone {
-			delete(j.requests, id)
-		} else if !ent.logged {
-			ent.logged = true
-			j.requests[id] = ent
-		}
-	}
+	j.sweep(func(_ string, _ int64, _ bool, ent *deliveredEntry) bool {
+		ent.logged = true
+		return ent.answer == answerNone
+	})
 }
 
 // answered reports whether a request's response is already part of the
@@ -291,8 +290,8 @@ func (j *journal) resetSeen() {
 // way the request must not execute again through the normal intake paths:
 // its effects are the binding replay's business, not the batch machinery's.
 func (j *journal) answered(id string) bool {
-	ent, ok := j.requests[id]
-	return ok && ent.answer != answerNone
+	ent := j.find(id)
+	return ent != nil && ent.answer != answerNone
 }
 
 // known reports whether a request was ever answered, as far as the journal
@@ -316,11 +315,12 @@ func (j *journal) size() int {
 // released visits every answered entry — delivered or staged (its sync is
 // in flight and cannot be recalled) — in no particular order.
 func (j *journal) released(visit func(deliveredEntry)) {
-	for _, ent := range j.requests {
+	j.sweep(func(_ string, _ int64, _ bool, ent *deliveredEntry) bool {
 		if ent.answer != answerNone {
-			visit(ent)
+			visit(*ent)
 		}
-	}
+		return false
+	})
 }
 
 func (j *journal) send(ctx *sim.Context, to string, resp sysapi.Response) {
@@ -333,8 +333,8 @@ func (j *journal) send(ctx *sim.Context, to string, resp sysapi.Response) {
 // happens at sync time.
 func (j *journal) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
 	id := ent.resp.Req
-	rec, ok := j.requests[id]
-	if ok && rec.answer != answerNone {
+	rec := j.add(id)
+	if rec.answer != answerNone {
 		// Delivered, or already in the pipeline (a stall recovery replayed
 		// its transaction).
 		return
@@ -346,7 +346,7 @@ func (j *journal) stage(ctx *sim.Context, replyTo string, ent deliveredEntry) {
 	j.lastLSN = lsn
 	j.staged = append(j.staged, stagedResponse{lsn: lsn, replyTo: replyTo, ent: ent})
 	ent.logged, ent.answer = rec.logged, answerStaged
-	j.requests[id] = ent
+	*rec = ent
 }
 
 // stageRead releases a fast read's response with the sync that makes every
@@ -404,10 +404,11 @@ func (j *journal) synced(ctx *sim.Context, m msgLogSynced) {
 	n := 0
 	for n < len(j.staged) && j.staged[n].lsn <= m.UpTo {
 		s := j.staged[n]
-		if id := s.ent.resp.Req; !s.read {
-			ent := s.ent // answerDelivered
-			ent.logged = j.requests[id].logged
-			j.requests[id] = ent
+		if !s.read {
+			rec := j.add(s.ent.resp.Req)
+			logged := rec.logged
+			*rec = s.ent // answerDelivered
+			rec.logged = logged
 		}
 		j.release(ctx, s)
 		n++
@@ -464,27 +465,26 @@ func (j *journal) checkpoint(ctx *sim.Context, m marks, offset int64) {
 	// (a replayed transaction without its delivered-entry would re-send
 	// its response).
 	if retention := j.cfg.DedupRetention; retention > 0 {
-		for id, ent := range j.requests {
-			if ent.answer == answerDelivered && ent.at+retention <= ctx.Now() && ent.pos < offset {
-				// Pruning forfeits the recorded response, so raise the
-				// source's dedup floor: any later arrival of this id (or
-				// a lower sequence) is a very late duplicate that must be
-				// absorbed, not re-executed. The floor rides this same
-				// checkpoint, so it is durable exactly when the prune is.
-				if src, seq, ok := sysapi.SplitID(id); ok {
-					if cur, has := j.dedupFloor[src]; !has || seq > cur {
-						j.dedupFloor[src] = seq
-					}
-				}
-				delete(j.requests, id)
+		j.sweep(func(src string, seq int64, ok bool, ent *deliveredEntry) bool {
+			if ent.answer != answerDelivered || ent.at+retention > ctx.Now() || ent.pos >= offset {
+				return false
 			}
-		}
+			// Pruning forfeits the recorded response, so raise the
+			// source's dedup floor: any later arrival of this id (or a
+			// lower sequence) is a very late duplicate that must be
+			// absorbed, not re-executed. The floor rides this same
+			// checkpoint, so it is durable exactly when the prune is.
+			if cur, has := j.dedupFloor[src]; ok && (!has || seq > cur) {
+				j.dedupFloor[src] = seq
+			}
+			return true
+		})
 	}
 	// Staged-but-unreleased responses are durable facts too (their records
 	// are about to be compacted away): the checkpoint carries them, so a
 	// later crash still suppresses their replays — the un-sent responses
 	// are then served via retry replay.
-	payload := encodeCheckpoint(m, j.requests, j.dedupFloor)
+	payload := j.encodeCheckpoint(m)
 	ctx.Work(j.cfg.Costs.StateCPU(len(payload)) + j.cfg.Costs.LogSyncCPU)
 	j.log.Checkpoint(ctx.Now(), payload)
 	// The checkpoint write is itself durable and subsumes every record
@@ -499,7 +499,7 @@ func (j *journal) checkpoint(ctx *sim.Context, m marks, offset int64) {
 // bootstrap writes the initial checkpoint of a deployment that has not
 // started yet (no clock, nothing appended): it seals the preload snapshot.
 func (j *journal) bootstrap(m marks) {
-	j.log.Checkpoint(0, encodeCheckpoint(m, j.requests, j.dedupFloor))
+	j.log.Checkpoint(0, j.encodeCheckpoint(m))
 }
 
 // recovered is what restore found in the durable image.
@@ -532,13 +532,13 @@ func (j *journal) restore(ctx *sim.Context) recovered {
 			f.Recordf(ctx.Now(), j.node, "corrupt", "skipped undecodable %s: %v", what, err)
 		}
 	}
-	m, requests, floors, err := decodeCheckpoint(img.Checkpoint)
+	m, err := j.decodeCheckpoint(img.Checkpoint)
 	if err != nil {
 		skip("checkpoint", err)
-		m, requests, floors = marks{}, map[string]deliveredEntry{}, map[string]int64{}
+		m = marks{}
+		j.clear()
 	}
 	out.marks = m
-	j.requests, j.dedupFloor = requests, floors
 	j.staged = nil
 	j.lastLSN, j.durableLSN, j.epochLSN = 0, 0, 0
 	ctx.Work(j.cfg.Costs.LogSyncCPU)
@@ -557,7 +557,7 @@ func (j *journal) restore(ctx *sim.Context) recovered {
 			if err != nil {
 				skip("delivered record", err)
 			} else {
-				j.requests[id] = ent
+				*j.add(id) = ent
 			}
 		}
 	}
@@ -566,6 +566,11 @@ func (j *journal) restore(ctx *sim.Context) recovered {
 
 func appendDelivered(e *interp.Encoder, id string, ent deliveredEntry) {
 	e.Str(id)
+	appendAnswer(e, ent)
+}
+
+// appendAnswer appends a delivered record's fields after its id.
+func appendAnswer(e *interp.Encoder, ent deliveredEntry) {
 	e.Varint(ent.pos)
 	e.Varint(int64(ent.at))
 	e.Str(ent.resp.Req)
@@ -616,81 +621,89 @@ func readDelivered(d *interp.Decoder) (string, deliveredEntry, error) {
 // encodeCheckpoint writes the compacted state a log checkpoint carries:
 // everything the coordinator must remember that individual records no
 // longer cover once the log prefix is dropped — of the requests, the
-// answered ones (delivered or staged). Sorted, so same-run checkpoints are
-// byte-identical (the entries land in maps on decode).
-func encodeCheckpoint(m marks, requests map[string]deliveredEntry, floors map[string]int64) []byte {
+// answered ones (delivered or staged): the windows' in (source, seq) order,
+// then the others in id order, so same-run checkpoints are byte-identical.
+func (j *journal) encodeCheckpoint(m marks) []byte {
 	e := interp.NewEncoder()
 	e.Varint(m.epoch)
 	e.Varint(int64(m.nextTID))
 	e.Varint(m.sealed)
 	e.Varint(int64(m.sealedCut))
 	e.Varint(m.fenceDone)
-	ids := make([]string, 0, len(requests))
-	for id, ent := range requests {
-		if ent.answer != answerNone {
-			ids = append(ids, id)
+	n := 0
+	j.released(func(deliveredEntry) { n++ })
+	e.Uvarint(uint64(n))
+	var id []byte
+	for _, src := range slices.Sorted(maps.Keys(j.windows)) {
+		w := j.windows[src]
+		w.sweep(func(seq int64, p uint32) bool {
+			if ent := j.recs.at(p); ent.answer != answerNone {
+				// The id as Builder.At spells it, without a string.
+				id = strconv.AppendInt(append(append(id[:0], src...), '.'), seq, 10)
+				e.Uvarint(uint64(len(id)))
+				e.Append(id)
+				appendAnswer(e, *ent)
+			}
+			return false
+		})
+	}
+	for _, id := range slices.Sorted(maps.Keys(j.requests)) {
+		if ent := j.recs.at(j.requests[id]); ent.answer != answerNone {
+			appendDelivered(e, id, *ent)
 		}
 	}
-	e.Uvarint(uint64(len(ids)))
-	sort.Strings(ids)
-	for _, id := range ids {
-		appendDelivered(e, id, requests[id])
-	}
-	e.Uvarint(uint64(len(floors)))
-	srcs := make([]string, 0, len(floors))
-	for src := range floors {
-		srcs = append(srcs, src)
-	}
-	sort.Strings(srcs)
-	for _, src := range srcs {
+	e.Uvarint(uint64(len(j.dedupFloor)))
+	for _, src := range slices.Sorted(maps.Keys(j.dedupFloor)) {
 		e.Str(src)
-		e.Varint(floors[src])
+		e.Varint(j.dedupFloor[src])
 	}
 	return e.Bytes()
 }
 
-// decodeCheckpoint is encodeCheckpoint's inverse; an empty payload (a log
-// that never checkpointed) decodes to the zero state. Every request it
-// returns is delivered and not logged.
-func decodeCheckpoint(data []byte) (m marks, delivered map[string]deliveredEntry, floors map[string]int64, err error) {
-	delivered, floors = map[string]deliveredEntry{}, map[string]int64{}
+// decodeCheckpoint is encodeCheckpoint's inverse: it replaces the journal's
+// records and floors with the checkpoint's and returns its marks. An empty
+// payload (a log that never checkpointed) decodes to the zero state. Every
+// record it adds is delivered and not logged.
+func (j *journal) decodeCheckpoint(data []byte) (m marks, err error) {
+	j.clear()
 	if len(data) == 0 {
-		return m, delivered, floors, nil
+		return m, nil
 	}
+	fail := func(err error) (marks, error) { return m, fmt.Errorf("stateflow: checkpoint: %w", err) }
 	d := interp.NewDecoder(data)
 	var head [5]int64
 	for i := range head {
 		if head[i], err = d.Varint(); err != nil {
-			return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+			return fail(err)
 		}
 	}
 	m = marks{epoch: head[0], nextTID: aria.TID(head[1]), sealed: head[2], sealedCut: time.Duration(head[3]),
 		fenceDone: head[4]}
 	n, err := d.Uvarint()
 	if err != nil {
-		return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+		return fail(err)
 	}
 	for i := uint64(0); i < n; i++ {
 		id, ent, err := readDelivered(d)
 		if err != nil {
-			return m, delivered, floors, err
+			return m, err
 		}
-		delivered[id] = ent
+		*j.add(id) = ent
 	}
 	nf, err := d.Uvarint()
 	if err != nil {
-		return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+		return fail(err)
 	}
 	for i := uint64(0); i < nf; i++ {
 		src, err := d.Str()
 		if err != nil {
-			return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+			return fail(err)
 		}
 		floor, err := d.Varint()
 		if err != nil {
-			return m, delivered, floors, fmt.Errorf("stateflow: checkpoint: %w", err)
+			return fail(err)
 		}
-		floors[src] = floor
+		j.dedupFloor[src] = floor
 	}
-	return m, delivered, floors, nil
+	return m, nil
 }

@@ -3,6 +3,7 @@ package stateflow
 import (
 	"bytes"
 	"maps"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -77,8 +78,11 @@ func (fx *journalFixture) j() *journal { return &fx.host.j }
 
 // delivered reads the record of a released response.
 func (j *journal) delivered(id string) (deliveredEntry, bool) {
-	ent, ok := j.requests[id]
-	return ent, ok && ent.answer == answerDelivered
+	ent := j.find(id)
+	if ent == nil {
+		return deliveredEntry{}, false
+	}
+	return *ent, ent.answer == answerDelivered
 }
 
 func answer(id string, pos int64, ctx *sim.Context) deliveredEntry {
@@ -279,8 +283,10 @@ func TestJournalCheckpointCarriesAnswersOnly(t *testing.T) {
 }
 
 // TestJournalRecordIsCompact pins the journal's record of one request id at
-// 128 bytes: a map stores a larger value out of line, one allocation per
-// insert — what a delivered entry cost while it was 160 bytes.
+// 128 bytes. While the records sat in a map, a larger value was stored out
+// of line, one allocation per insert — what a delivered entry cost while it
+// was 160 bytes; in the arena, 64 of them fill an 8 KB chunk
+// (TestJournalArenaChunkFillsItsSizeClass).
 func TestJournalRecordIsCompact(t *testing.T) {
 	if n := unsafe.Sizeof(deliveredEntry{}); n > 128 {
 		t.Errorf("deliveredEntry is %d bytes, ceiling 128", n)
@@ -288,13 +294,26 @@ func TestJournalRecordIsCompact(t *testing.T) {
 	t.Logf("deliveredEntry is %d bytes", unsafe.Sizeof(deliveredEntry{}))
 }
 
+// checkpointOf encodes the checkpoint of a journal that holds the given
+// delivered records and floors.
+func checkpointOf(m marks, delivered map[string]deliveredEntry, floors map[string]int64) []byte {
+	cfg := DefaultConfig()
+	j := newJournal("j", &cfg, nil)
+	for _, id := range slices.Sorted(maps.Keys(delivered)) {
+		*j.add(id) = delivered[id]
+	}
+	maps.Copy(j.dedupFloor, floors)
+	return j.encodeCheckpoint(m)
+}
+
 // FuzzDecodeCheckpoint feeds arbitrary bytes to the journal's checkpoint
 // decoder — the record a coordinator reboots from, so a device fault
 // decides what it reads. Whatever the bytes, decoding must not panic, and
-// whatever it accepts must survive a round trip: encoding what it decoded
-// and decoding that again gives back the same bytes.
+// whatever it accepts must survive the round trip a reboot runs: loaded
+// into a journal's windows and encoded from them, then loaded and encoded
+// again, it gives back the same bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	full := encodeCheckpoint(
+	full := checkpointOf(
 		marks{epoch: 9, nextTID: 41, sealed: 3, sealedCut: 12 * time.Millisecond, fenceDone: 7},
 		map[string]deliveredEntry{
 			"cl.1":       {resp: sysapi.Response{Req: "cl.1", Value: interp.IntV(-5), Retries: 2}, at: time.Millisecond, pos: 4},
@@ -306,20 +325,29 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(full[:n]) // every truncation, the empty payload and the whole one
 	}
 	f.Add(append(append([]byte(nil), full...), 0xff)) // trailing garbage
-	f.Add(encodeCheckpoint(marks{}, nil, nil))
+	f.Add(checkpointOf(marks{}, nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// Builder ids whose string order is not their sequence order, beside
+	// ids that name a sequence in another spelling.
+	f.Add(checkpointOf(marks{epoch: 2}, map[string]deliveredEntry{
+		"cl.9":  {resp: sysapi.Response{Req: "cl.9"}, pos: 9},
+		"cl.10": {resp: sysapi.Response{Req: "cl.10"}, pos: 10},
+		"cl.09": {resp: sysapi.Response{Req: "cl.09"}, pos: 11},
+		"cl.+8": {resp: sysapi.Response{Req: "cl.+8"}, pos: 12},
+	}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, delivered, floors, err := decodeCheckpoint(data)
+		cfg := DefaultConfig()
+		j := newJournal("j", &cfg, nil)
+		m, err := j.decodeCheckpoint(data)
 		if err != nil {
 			return
 		}
-		once := encodeCheckpoint(m, delivered, floors)
-		m, delivered, floors, err = decodeCheckpoint(once)
-		if err != nil {
+		once := j.encodeCheckpoint(m)
+		if m, err = j.decodeCheckpoint(once); err != nil {
 			t.Fatalf("decoding a re-encoded checkpoint: %v", err)
 		}
-		if twice := encodeCheckpoint(m, delivered, floors); !bytes.Equal(once, twice) {
+		if twice := j.encodeCheckpoint(m); !bytes.Equal(once, twice) {
 			t.Fatalf("decode → encode is not a fixed point:\n%x\n%x", once, twice)
 		}
 	})

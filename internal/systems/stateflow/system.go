@@ -57,8 +57,10 @@ type Config struct {
 	// DedupRetention bounds the journal's per-request records: a record
 	// whose response was released at least this long ago — and whose
 	// source position a recovery replay can no longer reach — is pruned at
-	// each dlog checkpoint. It is the dedup window: a client retry or wire
-	// duplicate older than this may be re-executed. 0: keep forever.
+	// each dlog checkpoint, and the arena and window chunks it leaves empty
+	// are freed. It is the dedup window: a client retry or wire duplicate
+	// older than this may be re-executed (a Builder-minted id at or below
+	// its source's dedup floor is absorbed instead). 0: keep forever.
 	DedupRetention time.Duration
 	// SnapshotRetain keeps only the newest N complete snapshots, bounding
 	// the snapshot store like the log. 0: keep all. With 1 the older ones
