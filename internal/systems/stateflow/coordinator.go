@@ -88,9 +88,10 @@ type CoordinatorStats struct {
 	// a chain and FallbackRounds their depths (the rounds the same conflicts
 	// would take behind a barrier); FallbackCommits the transactions the
 	// fallback phase rescued (a subset of Commits — they would have been
-	// next-batch retries without it); FallbackSpills the transactions
-	// FallbackRoundBudget left out of a chain, into the next batch's retry
-	// queue.
+	// next-batch retries without it). FallbackSpills is always 0: a chain
+	// holds every conflict abort of its batch. It stays only because the
+	// repo benchmark's trace reads it (aria.fallback_spills), and goes with
+	// that row.
 	FallbackRounds  int
 	FallbackChains  int
 	FallbackCommits int
@@ -173,10 +174,6 @@ type Coordinator struct {
 	// after a recovery, doubled by every batch that commits whole, cut back
 	// to the committed prefix length by one that does not (see cutBinding).
 	window int
-	// uncutBinding is a test hook: binding batches commit every member Aria
-	// validated instead of only the prefix before the first abort — the
-	// unsound batching the cut exists to prevent (see cutBinding).
-	uncutBinding bool
 	// recoverAt and replayAt are when the recovery in progress started and
 	// when its first binding epoch opened (replayAt < 0: none yet, or the
 	// queue already drained) — the starts of the recovery.restore and

@@ -261,10 +261,8 @@ func (st *epochState) validate(v *aria.Validator) {
 // re-execution that reaches past it drifts (see Worker.admitChained). For a ref-closed method the
 // reservations add nothing — it can only touch its target and the entities
 // passed to it — so its footprint is appendRefs, a superset of anything it
-// can touch. budget > 0 bounds the chain's depth; the members a deeper chain
-// would have held spill to the next batch. Returns the number of members
-// rescued and spilled.
-func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (rescued, spilled int) {
+// can touch. Returns the number of members rescued: every conflict abort.
+func (st *epochState) scheduleFallback(classOf func(int) string) (rescued int) {
 	aborted := 0
 	for _, t := range st.txns {
 		if t.aborted {
@@ -272,7 +270,7 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 		}
 	}
 	if aborted == 0 {
-		return 0, 0
+		return 0
 	}
 	aborts := make([]aria.TID, 0, aborted)
 	for i, t := range st.txns {
@@ -281,7 +279,7 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 		}
 	}
 	keys := make([]aria.ResKey, 0, 8)
-	plan, left := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
+	plan := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
 		t := st.txn(aborts[i])
 		buf = appendRefs(buf, t.req)
 		for s := t.sets; s != nil; s = s.next {
@@ -291,13 +289,13 @@ func (st *epochState) scheduleFallback(classOf func(int) string, budget int) (re
 			}
 		}
 		return buf
-	}, budget)
+	})
 	for _, tid := range plan.Members {
 		st.txn(tid).rescued = true
 	}
 	chain := aria.NewChain(plan)
 	st.chain = &chain
-	return len(plan.Members), len(left)
+	return len(plan.Members)
 }
 
 // decision is the deterministic global decision for the round in flight, as
@@ -633,9 +631,8 @@ func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 		// contract is that conflicting members re-commit in release order.
 		c.cutBinding(ctx, st)
 	case !c.sys.cfg.DisableFallback:
-		rescued, spilled := st.scheduleFallback(c.sys.prog.Layouts().ClassOf, c.sys.cfg.FallbackRoundBudget)
+		rescued := st.scheduleFallback(c.sys.prog.Layouts().ClassOf)
 		ctx.Work(time.Duration(rescued) * c.sys.cfg.Costs.FallbackCPU)
-		c.FallbackSpills += spilled
 	}
 	c.enterPhase(ctx, st, phaseApply)
 	clear(st.acks)
@@ -698,9 +695,6 @@ func (c *Coordinator) cutBinding(ctx *sim.Context, st *epochState) {
 	c.window = max(cut, 1)
 	requeue := make([]pendingReq, 0, len(st.txns)-cut+len(c.replaying))
 	for _, t := range st.txns[cut:] {
-		if c.uncutBinding && !t.aborted {
-			continue
-		}
 		t.aborted = true
 		p := t.pendingReq
 		p.arrivedAt = ctx.Now()
@@ -729,9 +723,9 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 }
 
 // answer acts on what a round settled for one member: a commit or a
-// definitive error responds, a conflict abort nobody rescued — a chain is
-// cut to FallbackRoundBudget when it is planned, so these are its spills —
-// or a chain member that drifted retries, a rescued one waits for the chain.
+// definitive error responds, a conflict abort nobody rescued (the fallback
+// is off, or the batch is a binding one past its cut) or a chain member that
+// drifted retries, a rescued one waits for the chain.
 func (c *Coordinator) answer(ctx *sim.Context, st *epochState, t *txnState, o outcome) {
 	switch o {
 	case outRescued:

@@ -20,12 +20,20 @@ import (
 // global apply its decide carries (an apply executes nothing, so no event
 // names it), against the order its round-0 msgDecide carries — over a run that takes
 // every assignment path on two shards: direct intake and a MaxBatch-chunked
-// source backlog, a drain of spilled retries, a fenced global apply, and a
-// coordinator crash whose binding replay runs under the fence.
+// source backlog, a conflict chain, a fenced global apply, and a
+// coordinator crash whose binding replay runs under the fence. With the
+// fallback on the chain's aborts re-execute in their epoch; with it off they
+// retry, and the next batches drain them from the retry queue.
 func TestEpochTIDsAreContiguous(t *testing.T) {
+	t.Run("fallback", func(t *testing.T) { testEpochTIDsAreContiguous(t, false) })
+	t.Run("retry-drain", func(t *testing.T) { testEpochTIDsAreContiguous(t, true) })
+}
+
+// testEpochTIDsAreContiguous runs one leg of TestEpochTIDsAreContiguous.
+func testEpochTIDsAreContiguous(t *testing.T, disableFallback bool) {
 	const maxBatch = 4
 	fx := newBindingFixture(t, 12, 16, func(c *Config) {
-		c.Shards, c.MaxBatch, c.FallbackRoundBudget = 2, maxBatch, 1
+		c.Shards, c.MaxBatch, c.DisableFallback = 2, maxBatch, disableFallback
 	})
 	type closed struct {
 		coord string
@@ -67,14 +75,17 @@ func TestEpochTIDsAreContiguous(t *testing.T) {
 		fx.submit(key, "set", interp.IntV(1))
 	}
 	fx.runUntil("the backlog answered", answered)
-	// A conflict chain under a one-round budget: the tail spills into the
-	// retry queue, which the next epochs drain.
+	// A conflict chain: every member after the first aborts.
 	for i := 0; i < maxBatch; i++ {
 		fx.submit(fx.keys[0], "add", interp.IntV(1))
 	}
 	fx.runUntil("the chain answered", answered)
-	if c.FallbackSpills == 0 {
-		t.Fatal("no fallback member spilled: the retry drain was never exercised")
+	moved, counter := c.FallbackCommits, "fallback commits"
+	if disableFallback {
+		moved, counter = c.Aborts, "retried aborts"
+	}
+	if moved == 0 {
+		t.Fatalf("no %s: the conflict chain was never exercised", counter)
 	}
 	// Park shard 0 behind a cross-shard gather, then crash its coordinator:
 	// the binding replay and the global apply both run under the fence.

@@ -319,57 +319,6 @@ func TestFallbackDrainsUnderfundedChain(t *testing.T) {
 	}
 }
 
-// TestFallbackRoundBudgetSpillsChain caps the fallback at a handful of
-// re-execution rounds and feeds it the worst case the cap exists for: a
-// pure conflict chain, whose unbudgeted drain is one round per member
-// (pinned above as FallbackRounds == k-1). With budget b, each epoch
-// commits 1 (standard validation) + b (one per fallback round) chain
-// members, then spills the remainder TID-ordered into the next batch's
-// retry queue — so the epoch pipeline keeps turning at a bounded round
-// count per epoch and the chain still drains to the same serial-order
-// state, just across several batches.
-func TestFallbackRoundBudgetSpillsChain(t *testing.T) {
-	const k, budget = 16, 4
-	cfg := DefaultConfig()
-	cfg.EpochInterval = 50 * time.Millisecond
-	cfg.FallbackRoundBudget = budget
-	fx := newFixture(t, cfg, k+1, chainScript(k, 5, time.Millisecond))
-	fx.cluster.RunUntil(5 * time.Second)
-
-	if fx.client.Done != k {
-		t.Fatalf("responses: %d/%d", fx.client.Done, k)
-	}
-	spilled := 0
-	for id, r := range fx.client.Responses {
-		if r.Err != "" || !r.Value.B {
-			t.Fatalf("%s: err=%q value=%v", id, r.Err, r.Value)
-		}
-		if r.Retries > 0 {
-			spilled++
-		}
-	}
-	c := fx.sys.Coordinator()
-	// 16 members drain 1+4 per epoch: 16 → 11 → 6 → 1, four batches.
-	if c.EpochsClosed != 4 {
-		t.Fatalf("batches: %d, want 4 (chain should drain 1+budget per epoch)", c.EpochsClosed)
-	}
-	if c.FallbackSpills != 18 { // 11 + 6 + 1 evictions across the drain
-		t.Fatalf("fallback spills: %d, want 18", c.FallbackSpills)
-	}
-	if max := c.EpochsClosed * budget; c.FallbackRounds > max {
-		t.Fatalf("fallback rounds: %d, budget allows at most %d", c.FallbackRounds, max)
-	}
-	if c.Commits != k || c.Failures != 0 {
-		t.Fatalf("commits: %d failures: %d, want %d/0", c.Commits, c.Failures, k)
-	}
-	// Spilled members surface their eviction count as ordinary retries —
-	// the same client-visible contract as a validation abort.
-	if spilled == 0 {
-		t.Fatal("no response carried retries > 0; the spill path never round-tripped")
-	}
-	assertChainState(t, fx.dep, k, 5)
-}
-
 // TestHotKeyVirtualTimeBudget holds what a client sees of contention — the
 // benchmark's hot_t shape in one deterministic run: all transfers on Zipfian
 // keys over 1000 rows of 1 KB, open loop at 600 req/s for 10 virtual

@@ -186,9 +186,8 @@ type journal struct {
 	last    *window
 	// requests finds by name the records no window indexes: those of ids
 	// SplitID does not read (test and bench scripts' "r1" and "t3", a
-	// global apply's "gapply-7-1"), of ids spelled otherwise than
-	// Builder.At spells them ("cl.07"), and of strays, sequences too far
-	// from the rest of their source to index; strays counts the last.
+	// global apply's "gapply-7-1", "cl.07") and of strays, sequences too
+	// far from the rest of their source to index; strays counts the last.
 	requests map[string]uint32
 	strays   int
 

@@ -180,12 +180,15 @@ func TestJournalSecondVolatileAdvanceBlocks(t *testing.T) {
 // (iv) A checkpoint prunes entries past the retention window and below the
 // snapshot offset, raising their source's floor; the floor and the
 // owner's marks survive restore; a late duplicate at or below the floor is
-// absorbed (the verdict the coordinator counts as LateDuplicates).
+// absorbed (the verdict the coordinator counts as LateDuplicates). A floor
+// reads only the sequences Builder.At spells: "src.09" raises none when it
+// is pruned, and "src.05" is a fresh request, not src's sequence 5.
 func TestJournalPruneRaisesADurableFloor(t *testing.T) {
 	const retention = time.Second
 	fx := newJournalFixture(t, retention)
 	fx.do(func(ctx *sim.Context, j *journal) {
 		j.stage(ctx, "client", answer("src.5", 3, ctx))  // old, below the offset: pruned
+		j.stage(ctx, "client", answer("src.09", 3, ctx)) // likewise, and no sequence of src
 		j.stage(ctx, "client", answer("src.6", 12, ctx)) // old, but replayable: kept
 		j.sync(ctx)
 	})
@@ -197,9 +200,9 @@ func TestJournalPruneRaisesADurableFloor(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		j := fx.j()
-		if j.answered("src.5") || !j.answered("src.6") || !j.answered("src.2") {
-			t.Fatalf("%s: answered src.5=%v src.6=%v src.2=%v, want only src.5 pruned",
-				when, j.answered("src.5"), j.answered("src.6"), j.answered("src.2"))
+		if j.answered("src.5") || j.answered("src.09") || !j.answered("src.6") || !j.answered("src.2") {
+			t.Fatalf("%s: answered src.5=%v src.09=%v src.6=%v src.2=%v, want only src.5 and src.09 pruned",
+				when, j.answered("src.5"), j.answered("src.09"), j.answered("src.6"), j.answered("src.2"))
 		}
 		if got := j.dedupFloor["src"]; got != 5 {
 			t.Fatalf("%s: floor %d, want 5", when, got)
@@ -214,7 +217,8 @@ func TestJournalPruneRaisesADurableFloor(t *testing.T) {
 	seen := len(fx.client.got)
 	fx.do(func(ctx *sim.Context, j *journal) {
 		for id, want := range map[string]admission{
-			"src.5": admitLate, "src.4": admitLate, "src.7": admitNew, "other.1": admitNew,
+			"src.5": admitLate, "src.4": admitLate, "src.0": admitLate, "src.7": admitNew, "other.1": admitNew,
+			"src.05": admitNew, "src.+5": admitNew, "src.-0": admitNew, "src.00": admitNew,
 		} {
 			if got := j.admit(ctx, id, "client"); got != want {
 				t.Errorf("admit(%s) = %d, want %d", id, got, want)

@@ -77,13 +77,6 @@ type Config struct {
 	// (the legacy one-commit-per-chain-per-batch behavior, the reference of
 	// fallback_diff_test.go and internal/bench's TestGateFallback).
 	DisableFallback bool
-	// FallbackRoundBudget caps the fallback re-execution one epoch may
-	// run: the depth (longest per-entity dependency) of its chain. The
-	// members past the cap spill TID-ordered into the next batch's retry
-	// queue, so one pathological conflict chain cannot stall the epoch
-	// pipeline behind an O(chain) sequence. 0: unbounded (the fallback
-	// always drains within the batch).
-	FallbackRoundBudget int
 	// DisablePipelining forces the serial epoch schedule: the coordinator
 	// fully settles epoch N (validate, fallback, apply, group commit,
 	// snapshot) before opening epoch N+1. With pipelining on (the

@@ -194,20 +194,6 @@ func (w *window) sweep(visit func(seq int64, p uint32) (drop bool)) (empty bool)
 	return len(w.index) == 0
 }
 
-// seqOf splits an id into the source and sequence of the window that holds
-// it. Only Builder.At's spelling qualifies: SplitID also reads "cl.07" and
-// "cl.+7" as cl's sequence 7, and those are ids of their own.
-func seqOf(id string) (src string, seq int64, ok bool) {
-	src, seq, ok = sysapi.SplitID(id)
-	if !ok {
-		return "", 0, false
-	}
-	if d := id[len(src)+1:]; d[0] < '0' || d[0] > '9' || d[0] == '0' && len(d) > 1 {
-		return "", 0, false
-	}
-	return src, seq, true
-}
-
 // window returns src's window, nil when it has none; the last one found
 // is cached, so a journal fed by one source hashes nothing.
 func (j *journal) window(src string) *window {
@@ -223,7 +209,7 @@ func (j *journal) window(src string) *window {
 
 // find returns id's record, nil when the journal holds none.
 func (j *journal) find(id string) *deliveredEntry {
-	if src, seq, ok := seqOf(id); ok {
+	if src, seq, ok := sysapi.SplitID(id); ok {
 		if w := j.window(src); w != nil {
 			if p := w.get(seq); p != 0 {
 				return j.recs.at(p)
@@ -248,7 +234,7 @@ func (j *journal) add(id string) *deliveredEntry {
 	p := j.recs.alloc()
 	ent := j.recs.at(p)
 	ent.answer = answerNone
-	if src, seq, ok := seqOf(id); ok {
+	if src, seq, ok := sysapi.SplitID(id); ok {
 		w := j.window(src)
 		if w == nil {
 			w = &window{src: strings.Clone(src)}
@@ -289,7 +275,7 @@ func (j *journal) sweep(visit func(src string, seq int64, ok bool, ent *delivere
 		}
 		j.recs.free(p)
 		delete(j.requests, id)
-		if _, _, sequenced := seqOf(id); sequenced {
+		if ok {
 			j.strays--
 		}
 	}

@@ -121,9 +121,8 @@ func TestJournalWindowPerSource(t *testing.T) {
 }
 
 // Ids no window may index live in requests by name: ids SplitID does not
-// read; ids that read as a sequence spelled otherwise than Builder.At
-// spells it, which are records of their own; and strays, sequences too far
-// from the rest of their source to index. They survive a checkpoint and a
+// read, "cl.07" and "cl.+7" among them, and strays, sequences too far from
+// the rest of their source to index. They survive a checkpoint and a
 // reboot like the windows' records.
 func TestJournalWindowFallback(t *testing.T) {
 	fx := newJournalFixture(t, 0)

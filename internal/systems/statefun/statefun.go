@@ -340,12 +340,6 @@ type broker struct {
 	// duplicate-after-retention hole the StateFlow coordinator closes
 	// with its durable dedup floors.
 	floors map[string]int64
-	// uncheckedFloor is a test hook: pruning records no floor, which
-	// re-introduces the pre-fix hole — a duplicate arriving after retention
-	// pruned its seen-entry is re-produced into the ingress topic and
-	// executes a second time — so a regression test can assert the double
-	// execution the floor prevents.
-	uncheckedFloor bool
 }
 
 // seenEntry is one ingress dedup record awaiting retention expiry.
@@ -371,7 +365,7 @@ func (b *broker) pruneSeen(now time.Duration) {
 			b.seenOrder = append(b.seenOrder, seenEntry{id: e.id, at: last})
 			continue
 		}
-		if src, seq, ok := sysapi.SplitID(e.id); ok && !b.uncheckedFloor {
+		if src, seq, ok := sysapi.SplitID(e.id); ok {
 			if b.floors == nil {
 				b.floors = map[string]int64{}
 			}

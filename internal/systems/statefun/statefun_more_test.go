@@ -138,11 +138,10 @@ func reqID(i int) string { return "r" + string(rune('a'+i%26)) + string(rune('0'
 // topic and the update executed a second time. Post-fix, pruning a
 // builder id raises its source's floor, and any arrival at or below the
 // floor is absorbed (counted in LateDuplicates) instead of re-produced.
-// The uncheckedFloor hook re-introduces the pre-fix hole and the
-// test asserts the double execution the floor prevents — proving the
-// floor is load-bearing, not incidental. (The broker models a durable
-// external log and is not crashable in the sim, so unlike the StateFlow
-// pin there is no reboot leg here.)
+// mutants/statefun-floor-unchecked.patch re-opens the pre-fix hole, and
+// this test must then fail on the double execution the floor prevents.
+// (The broker models a durable external log and is not crashable in the
+// sim, so unlike the StateFlow pin there is no reboot leg here.)
 func TestIngressFloorAbsorbsPostPruneDuplicate(t *testing.T) {
 	script := func() (first sysapi.Request, sched []sysapi.Scheduled) {
 		b := sysapi.NewBuilder("cl-")
@@ -167,33 +166,38 @@ func TestIngressFloorAbsorbsPostPruneDuplicate(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s did not split as a builder id", first.Req)
 		}
+		if got := balance(t, fx.sys, acct(0)); got != 110 {
+			t.Fatalf("balance %d, want 110 (the late duplicate re-executed)", got)
+		}
 		br := fx.sys.broker
+		if br.LateDuplicates == 0 {
+			t.Fatal("late duplicate was not absorbed by the floor (LateDuplicates == 0)")
+		}
 		if _, held := br.seen[first.Req]; held {
 			t.Fatalf("%s still in the dedup set; retention never pruned it, the test exercises nothing", first.Req)
 		}
 		if floor := br.floors[src]; floor < seq {
 			t.Fatalf("floor for %s is %d, want >= %d after the prune", src, floor, seq)
 		}
-		if br.LateDuplicates == 0 {
-			t.Fatal("late duplicate was not absorbed by the floor (LateDuplicates == 0)")
-		}
-		if got := balance(t, fx.sys, acct(0)); got != 110 {
-			t.Fatalf("balance %d, want 110 (the late duplicate re-executed)", got)
-		}
 	})
 
-	t.Run("unchecked", func(t *testing.T) {
+	// Ids that only look like first's sequence are requests of their own:
+	// a floor reads Builder.At's spelling only (sysapi.SplitID).
+	t.Run("spellings", func(t *testing.T) {
 		first, sched := script()
-		fx := newFixture(t, 1, sched)
-		fx.sys.broker.uncheckedFloor = true // the pre-fix hole
-		fx.cluster.RunUntil(60 * time.Second)
-		br := fx.sys.broker
-		if br.LateDuplicates != 0 {
-			t.Fatalf("LateDuplicates = %d with the floor disabled", br.LateDuplicates)
+		sched = sched[:2]
+		for i, id := range []string{"cl-1.01", "cl-1.+1", "cl-1.-0"} {
+			fresh := first
+			fresh.Req = id
+			sched = append(sched, sysapi.Scheduled{At: time.Duration(50+i) * time.Second, Req: fresh})
 		}
-		if got := balance(t, fx.sys, acct(0)); got != 120 {
-			t.Fatalf("balance %d, want 120 (pre-fix, the post-prune duplicate executes twice); "+
-				"first request id %s", got, first.Req)
+		fx := newFixture(t, 1, sched)
+		fx.cluster.RunUntil(60 * time.Second)
+		if br := fx.sys.broker; br.LateDuplicates != 0 {
+			t.Fatalf("%d fresh requests absorbed as late duplicates of %s", br.LateDuplicates, first.Req)
+		}
+		if got := balance(t, fx.sys, acct(0)); got != 140 {
+			t.Fatalf("balance %d, want 140 (first and the three fresh updates)", got)
 		}
 	})
 }

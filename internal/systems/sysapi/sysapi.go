@@ -147,16 +147,22 @@ func (b *Builder) At(i int, target interp.EntityRef, method string, args []inter
 }
 
 // SplitID splits a Builder-minted request id into its source (prefix +
-// incarnation) and sequence number. Ids minted elsewhere report ok =
-// false — they carry no sequence contract, so floor-based dedup must
+// incarnation) and sequence number. It reads only the sequences At writes:
+// decimal digits, no sign, no leading zero but in "0". Other ids report
+// ok = false — "cl.07" is not cl's sequence 7 but an id of its own, and no
+// id minted elsewhere carries a sequence contract, so floor-based dedup must
 // not apply to them.
 func SplitID(id string) (source string, seq int64, ok bool) {
 	dot := strings.LastIndexByte(id, '.')
 	if dot <= 0 || dot == len(id)-1 {
 		return "", 0, false
 	}
-	n, err := strconv.ParseInt(id[dot+1:], 10, 64)
-	if err != nil || n < 0 {
+	digits := id[dot+1:]
+	if digits[0] < '0' || digits[0] > '9' || digits[0] == '0' && len(digits) > 1 {
+		return "", 0, false
+	}
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil {
 		return "", 0, false
 	}
 	return id[:dot], n, true
@@ -178,25 +184,21 @@ type Retransmitter struct {
 	ReplyTo string
 	// Every is the retransmission interval; <= 0 disables retries.
 	Every time.Duration
-	// Max bounds retransmissions per request (default 100), so an
-	// unresolvable request cannot keep the event queue alive forever.
-	Max int
-	// Retries counts re-sends per request id.
+	// Retries, when the owner sets it, counts re-sends per request id; a
+	// client that needs only the sum leaves it nil and reads Total.
 	Retries  map[string]int
+	total    int
 	inflight map[string]Request
 }
+
+// maxRetransmits bounds retransmissions per request, so an unresolvable
+// request cannot keep the event queue alive forever.
+const maxRetransmits = 100
 
 // msgRetry is the retransmitter's self-timer.
 type msgRetry struct {
 	id      string
 	attempt int
-}
-
-func (r *Retransmitter) max() int {
-	if r.Max > 0 {
-		return r.Max
-	}
-	return 100
 }
 
 func (r *Retransmitter) transmit(ctx *sim.Context, req Request) {
@@ -206,9 +208,6 @@ func (r *Retransmitter) transmit(ctx *sim.Context, req Request) {
 
 // Send transmits a fresh request and arms its retry timer.
 func (r *Retransmitter) Send(ctx *sim.Context, req Request) {
-	if r.Retries == nil {
-		r.Retries = map[string]int{}
-	}
 	if r.inflight == nil {
 		r.inflight = map[string]Request{}
 	}
@@ -229,11 +228,14 @@ func (r *Retransmitter) Handle(ctx *sim.Context, msg sim.Message) bool {
 		if !ok {
 			return true // resolved: stop retrying
 		}
-		if m.attempt > r.max() {
+		if m.attempt > maxRetransmits {
 			delete(r.inflight, m.id)
 			return true
 		}
-		r.Retries[m.id]++
+		r.total++
+		if r.Retries != nil {
+			r.Retries[m.id]++
+		}
 		r.transmit(ctx, req)
 		ctx.After(r.Every, msgRetry{id: m.id, attempt: m.attempt + 1})
 		return true
@@ -243,14 +245,8 @@ func (r *Retransmitter) Handle(ctx *sim.Context, msg sim.Message) bool {
 	return false
 }
 
-// Total sums retransmissions across all request ids.
-func (r *Retransmitter) Total() int {
-	total := 0
-	for _, n := range r.Retries {
-		total += n
-	}
-	return total
-}
+// Total counts retransmissions across all request ids.
+func (r *Retransmitter) Total() int { return r.total }
 
 // ---------------------------------------------------------------------------
 // Scripted client (tests, examples)
@@ -275,7 +271,6 @@ type ScriptClient struct {
 	// RetryEvery re-sends a request that has no response after this much
 	// virtual time (0: no retries). Retries counts re-sends per id.
 	RetryEvery time.Duration
-	MaxRetries int // per request; 0 means the default (100)
 	Retries    map[string]int
 	rx         Retransmitter
 	sent       map[string]sentRequest
@@ -335,7 +330,7 @@ func NewScriptClient(id string, sys System, script []Scheduled) *ScriptClient {
 func (c *ScriptClient) OnStart(ctx *sim.Context) {
 	c.rx = Retransmitter{
 		Sys: c.Sys, ReplyTo: c.ID,
-		Every: c.RetryEvery, Max: c.MaxRetries, Retries: c.Retries,
+		Every: c.RetryEvery, Retries: c.Retries,
 	}
 	for _, s := range c.Script {
 		ctx.After(s.At, msgSubmit{req: s.Req})

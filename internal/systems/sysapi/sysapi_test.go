@@ -112,22 +112,57 @@ func TestGeneratorWarmupDiscardsSamples(t *testing.T) {
 }
 
 // A generator forgets a request once it is answered, warm-up requests
-// included: their latency is discarded, their record must go too.
+// included: their latency is discarded, their record must go too. A
+// retried request leaves nothing behind either: the retransmitter keeps a
+// count of re-sends, not one per id.
 func TestGeneratorForgetsAnsweredRequests(t *testing.T) {
-	cluster := sim.New(3)
-	cluster.Add("echo", echoIngress{delay: time.Millisecond})
-	gen := NewGenerator("g", echoSystem{}, 500, time.Second, 500*time.Millisecond, func(i int) Request {
-		return Request{Req: fmt.Sprintf("r%d", i), Kind: "read"}
-	})
-	cluster.Add("g", gen)
-	cluster.Start()
-	cluster.RunUntil(3 * time.Second)
-	if gen.Done != gen.Submitted || gen.Done == 0 {
-		t.Fatalf("%d of %d requests answered", gen.Done, gen.Submitted)
+	for _, retry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retry=%v", retry), func(t *testing.T) {
+			cluster := sim.New(3)
+			var ingress sim.Handler = echoIngress{delay: time.Millisecond}
+			if retry {
+				ingress = &dropFirstIngress{echoIngress: echoIngress{delay: time.Millisecond}, seen: map[string]bool{}}
+			}
+			cluster.Add("echo", ingress)
+			gen := NewGenerator("g", echoSystem{}, 500, time.Second, 500*time.Millisecond, func(i int) Request {
+				return Request{Req: fmt.Sprintf("r%d", i), Kind: "read"}
+			})
+			if retry {
+				gen.RetryEvery = 10 * time.Millisecond
+			}
+			cluster.Add("g", gen)
+			cluster.Start()
+			cluster.RunUntil(3 * time.Second)
+			if gen.Done != gen.Submitted || gen.Done == 0 {
+				t.Fatalf("%d of %d requests answered", gen.Done, gen.Submitted)
+			}
+			want := 0
+			if retry {
+				want = gen.Submitted // each request's first copy was lost
+			}
+			if gen.Retried() != want {
+				t.Fatalf("%d retransmissions, want %d", gen.Retried(), want)
+			}
+			if n, m, r := len(gen.sent), len(gen.rx.inflight), len(gen.rx.Retries); n+m+r != 0 {
+				t.Fatalf("%d sent, %d in-flight and %d retry records held after every request was answered", n, m, r)
+			}
+		})
 	}
-	if n := len(gen.sent); n != 0 {
-		t.Fatalf("%d records held after every request was answered", n)
+}
+
+// dropFirstIngress loses the first copy of every request and answers the
+// retransmission.
+type dropFirstIngress struct {
+	echoIngress
+	seen map[string]bool
+}
+
+func (d *dropFirstIngress) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
+	if m, ok := msg.(MsgRequest); ok && !d.seen[m.Request.Req] {
+		d.seen[m.Request.Req] = true
+		return
 	}
+	d.echoIngress.OnMessage(ctx, from, msg)
 }
 
 func TestGeneratorStopsAtHorizon(t *testing.T) {
@@ -238,7 +273,11 @@ func TestSplitID(t *testing.T) {
 	if !ok || src != "node.a-3" || seq != 7 {
 		t.Fatalf("SplitID(node.a-3.7) = %q %d %v", src, seq, ok)
 	}
-	for _, id := range []string{"", "noseq", "x.", ".5", "x.-1", "x.5z"} {
+	// "0" is a sequence; the other spellings of one are ids of their own.
+	if src, seq, ok = SplitID("cl.0"); !ok || src != "cl" || seq != 0 {
+		t.Fatalf("SplitID(cl.0) = %q %d %v", src, seq, ok)
+	}
+	for _, id := range []string{"", "noseq", "x.", ".5", "x.-1", "x.5z", "cl.07", "cl.+3", "cl.-0", "cl.00"} {
 		if _, _, ok := SplitID(id); ok {
 			t.Fatalf("SplitID(%q) accepted a non-builder id", id)
 		}

@@ -41,15 +41,12 @@ type ChainPlan struct {
 }
 
 // PlanChain queues the candidates — a batch's conflict aborts, in TID order
-// — into a chain. footprint appends candidate i's entities to buf (repeats
-// are fine). budget > 0 bounds the chain's depth: a candidate deeper than
-// the budget is left out and returned in spilled, and because it still
-// counts as queued, so is everything behind it on any of its entities — the
-// chain stays closed under "runs after".
-func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []interp.EntityRef, budget int) (p *ChainPlan, spilled []TID) {
+// — into a chain, which keeps tids as its Members. footprint appends
+// candidate i's entities to buf (repeats are fine).
+func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []interp.EntityRef) *ChainPlan {
 	n := len(tids)
-	p = &ChainPlan{
-		Members: make([]TID, 0, n),
+	p := &ChainPlan{
+		Members: tids,
 		Refs:    make([]interp.EntityRef, 0, 2*n),
 		depth:   make([]int32, 0, n),
 		foot:    make([]int32, 0, 2*n),
@@ -77,11 +74,10 @@ func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []inter
 		}
 		return e
 	}
-	// last[e] is the depth of the last candidate queued on entity e, spilled
-	// ones included.
+	// last[e] is the depth of the last candidate queued on entity e.
 	last := make([]int32, 0, 2*n)
 	buf := make([]interp.EntityRef, 0, 8) // a footprint's refs plus its reservations
-	for i, tid := range tids {
+	for i := range tids {
 		buf = footprint(i, buf[:0])
 		start := len(p.foot)
 		d := int32(0)
@@ -99,12 +95,6 @@ func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []inter
 		for _, e := range p.foot[start:] {
 			last[e] = d
 		}
-		if budget > 0 && int(d) > budget {
-			spilled = append(spilled, tid)
-			p.foot = p.foot[:start]
-			continue
-		}
-		p.Members = append(p.Members, tid)
 		p.depth = append(p.depth, d)
 		p.footAt = append(p.footAt, int32(len(p.foot)))
 		p.Depth = max(p.Depth, int(d))
@@ -127,7 +117,7 @@ func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []inter
 			fill[e]++
 		}
 	}
-	return p, spilled
+	return p
 }
 
 // Pos returns the chain position of tid (ok false: not a member).

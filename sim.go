@@ -194,7 +194,7 @@ func NewSimulation(prog *Program, cfg SimConfig, opts ...SimOption) *Simulation 
 		tracer:  cfg.Tracer,
 		flight:  flight,
 		client: &simClient{
-			rx:         sysapi.Retransmitter{ReplyTo: "api-client", Every: retryEvery},
+			rx:         sysapi.Retransmitter{ReplyTo: "api-client", Every: retryEvery, Retries: map[string]int{}},
 			calls:      map[string]clientCall{},
 			deliveries: map[string]int{},
 		},
