@@ -17,7 +17,9 @@ import (
 
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction. The
 // ycsb_m and hot_t ceilings sit about 10 % above what each run costs today
-// (7.6 and 15.6; 11.5 and 18.6 while a simple call allocated its frame and
+// (6.0 and 12.6; 7.6 and 15.6 while every batch member allocated its
+// coordinator record, every transaction its txnWork on each worker it ran on
+// and every fast read its record; 11.5 and 18.6 while a simple call allocated its frame and
 // its slots, the source log boxed the request it had been handed a second
 // time, every finish and read answer was a message of its own and every
 // dispatch and read forward allocated its body; 12.3 and 24.4 while a call chain allocated every frame's
@@ -36,10 +38,11 @@ import (
 // and worker epochs afresh, 20.3 and 55.5 while every continuation resumed
 // on its caller's operator, 21.2 and 61.4 while a batch was validated by a
 // prepare/vote wave, and the contended leg read 66.6 behind barrier
-// rounds). The xshard ceiling sits just above today's 14.4 (the same under the
+// rounds). The xshard ceiling sits just above today's 13.0 (13.1 under the
 // race detector) so that it pins the sequencer's forward of a single-shard
 // request without re-boxing it (about 0.9 more when the forward boxes a new
-// interface value; 18.0 before simple calls bound their frames on the stack,
+// interface value; 14.4 while the member records, txnWorks and read records
+// were allocated per request; 18.0 before simple calls bound their frames on the stack,
 // the source log kept the request it received and finishes travelled back in
 // their events' bodies; 19.5 before the call chain, the hop and the epoch's
 // validator and order stopped allocating, 20.2 while a delivered response's journal entry was
@@ -55,9 +58,13 @@ import (
 // Lower them when the path gets cheaper.
 //
 // The byte ceilings sit about 10 % above what a transaction allocates
-// today (1,559, 3,743 and 2,230 bytes on ycsb_m, hot_t and xshard, each
-// the same in six runs in a row, and 1,570, 3,768 and 2,253 under the race
-// detector; 1,630, 4,090–4,330 and 2,565 while the journal kept its records
+// today (776, 2,170 and 1,580 bytes on ycsb_m, hot_t and xshard, the same
+// to a byte or two in three runs in a row, and 786, 2,193 and 1,602 under
+// the race detector; 1,559, 3,743 and 2,230 while every batch member
+// allocated its 576-byte coordinator record, every transaction a 512-byte
+// txnWork on each worker it ran on and every fast read a 320-byte record,
+// instead of reusing those an earlier epoch or read released;
+// 1,630, 4,090–4,330 and 2,565 while the journal kept its records
 // in a map keyed by request id, whose tables grew at points its per-process
 // hash seed decided, so hot_t's bytes varied by 240 over nine runs at the
 // same seed; 1,650, 4,150–4,400 and 2,620 while the journal
@@ -75,15 +82,15 @@ import (
 var allocGates = []allocGate{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.
-	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 8.3, 1720},
+	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 6.5, 850},
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 17.1, 4120},
+	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 13.8, 2390},
 	// The benchmark's xshard shape: the same mix on 4 shards, so every
 	// request passes the sequencer, which forwards most of them to one
 	// shard and runs the rest as global batches.
-	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 14.8, 2460},
+	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 13.4, 1740},
 }
 
 // allocGate is one shape TestAllocsPerTransaction prices.
@@ -156,10 +163,12 @@ func TestAllocsPerTransaction(t *testing.T) {
 }
 
 // epochGate is TestAllocsPerEpoch's ceiling, just above what an epoch
-// costs today (16.2) so that it pins the ack that echoes its decide
+// costs today (13.1) so that it pins the ack that echoes its decide
 // (five more when each worker's apply ack boxes a value again) and the
 // flight-recorder guards (one more when every flight-recorder call boxes
-// its arguments for a nil recorder); 19.5 while the transfer's request was
+// its arguments for a nil recorder); 16.2 while the transfer's member
+// record and its txnWork on each of its two workers were allocated afresh
+// instead of reused from a released epoch; 19.5 while the transfer's request was
 // boxed again for the source log, its finish was a message of its own and
 // its dispatch allocated its body, 26.1 while the transfer's call chain
 // allocated its frames' slots and its call's arguments, its hop allocated
@@ -174,7 +183,7 @@ func TestAllocsPerTransaction(t *testing.T) {
 // only the timer closed a batch (47.4 with the boxing gone alone), 55.8 while a suspending frame also allocated its pruning mask, 66.8 while
 // every epoch allocated its coordinator slot, round-0 order, ack set,
 // worker epochs and workspace maps afresh.
-const epochGate = 16.6
+const epochGate = 13.5
 
 // TestAllocsPerEpoch prices one epoch in heap allocations: transfers on
 // uniform keys arriving at 50 a second, so a batch closes as soon as its

@@ -240,11 +240,13 @@ type Coordinator struct {
 	// view epoch (-1: none yet; a worker's applied epoch starts there too); a
 	// read is stamped with its successor. reads are the forwarded reads
 	// awaiting their worker's answer, by forwarding number (readSeq the last
-	// one issued); held the reads waiting for a hold to end (see readsHeld).
-	decided int64
-	readSeq aria.TID
-	reads   map[aria.TID]*fastRead
-	held    []*fastRead
+	// one issued); held the reads waiting for a hold to end (see readsHeld);
+	// freeReads the records of answered reads, for onRead to reuse.
+	decided   int64
+	readSeq   aria.TID
+	reads     map[aria.TID]*fastRead
+	held      []*fastRead
+	freeReads []*fastRead
 
 	// tap is the commit-order tap (nil unless Config.TraceCommits).
 	tap *commitTap

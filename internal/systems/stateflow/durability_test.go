@@ -32,16 +32,24 @@ func newDurableFixture(t *testing.T, seed int64, cfg Config, n, accounts int) *d
 	if n%accounts != 0 {
 		t.Fatalf("fixture invariant: %d transfers around a %d-cycle do not conserve per-account balances", n, accounts)
 	}
-	prog, err := compiler.Compile(bank)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
 	var script []sysapi.Scheduled
 	for i := 0; i < n; i++ {
 		script = append(script, sysapi.Scheduled{
 			At:  time.Duration(i+1) * 5 * time.Millisecond,
 			Req: transferReq(fmt.Sprintf("t%d", i), acct(i%accounts), acct((i+1)%accounts), 1),
 		})
+	}
+	return newScriptedDurableFixture(t, seed, cfg, script, accounts)
+}
+
+// newScriptedDurableFixture is the durable fixture running script over
+// `accounts` preloaded accounts; the script's writes must conserve every
+// balance for assertExactlyOnceEffective to hold.
+func newScriptedDurableFixture(t *testing.T, seed int64, cfg Config, script []sysapi.Scheduled, accounts int) *durableFixture {
+	t.Helper()
+	prog, err := compiler.Compile(bank)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
 	}
 	cluster := sim.New(seed)
 	dep := New(cluster, prog, cfg)

@@ -58,7 +58,9 @@ type pendingReq struct {
 
 // txnState is a request inside a batch: the request as it was taken from
 // the intake (a retry copies the embedded value back out) plus what the
-// epoch's rounds learn about it.
+// epoch's rounds learn about it. The record belongs to its slot, not to its
+// request: once the slot is released, a later epoch's add zeroes it and
+// places another request in it (see epochState.reset).
 type txnState struct {
 	pendingReq
 	// root is the transaction's root invocation event. Executors only read
@@ -109,7 +111,9 @@ func (a *ackSet) add(from string, n int) (fresh, done bool) {
 // belong to — so two epochs can be in flight without their acks or finishes
 // contaminating each other. A slot lives from openEpoch to releaseCommit;
 // the released slot is the coordinator's spare, which the next openEpoch
-// resets and reuses for the epoch it opens, keeping its backing stores.
+// resets and reuses for the epoch it opens, keeping its backing stores and
+// its member records. A slot Recover discards is dropped with its records:
+// its first dispatches may still be in flight (see msgTxnEvent).
 type epochState struct {
 	epoch int64
 	phase phase
@@ -133,7 +137,8 @@ type epochState struct {
 
 	// The batch. Only the open exec slot is ever assigned into, so an
 	// epoch's TIDs are contiguous: txns[i] is transaction first+i (add
-	// enforces it).
+	// enforces it). Past len, txns keeps the records of earlier epochs'
+	// members for add to reuse.
 	first aria.TID
 	txns  []*txnState
 	// unfinished counts members of the round in flight whose root response
@@ -182,19 +187,28 @@ func (st *epochState) txn(tid aria.TID) *txnState {
 	return nil
 }
 
-// add places a request in the batch under a freshly minted TID. A global
-// apply executes nothing — the decide carries its rows — so it is finished
-// on arrival, answering with its batch id.
+// add places a request in the batch under a freshly minted TID, in the
+// record an earlier epoch of the slot left at that position (zeroed), or a
+// new one. A global apply executes nothing — the decide carries its rows —
+// so it is finished on arrival, answering with its batch id.
 func (st *epochState) add(tid aria.TID, p pendingReq) *txnState {
-	if len(st.txns) == 0 {
+	n := len(st.txns)
+	if n == 0 {
 		st.first = tid
 	}
-	if want := st.first + aria.TID(len(st.txns)); tid != want {
+	if want := st.first + aria.TID(n); tid != want {
 		// The TID-indexed batch rests on this: TIDs are minted one at a
 		// time and only the open exec slot takes them.
 		panic(fmt.Sprintf("stateflow: epoch %d assigned TID %d, want %d", st.epoch, tid, want))
 	}
-	t := &txnState{pendingReq: p, root: core.Event{
+	var t *txnState
+	if n < cap(st.txns) {
+		t = st.txns[:n+1][n]
+	}
+	if t == nil {
+		t = new(txnState)
+	}
+	*t = txnState{pendingReq: p, root: core.Event{
 		Kind:   core.EvInvoke,
 		Req:    p.req.Req,
 		Target: p.req.Target,
@@ -211,11 +225,13 @@ func (st *epochState) add(tid aria.TID, p pendingReq) *txnState {
 }
 
 // reset readies a released slot for epoch: every field starts over, and the
-// batch, round 0's order and the ack set keep their backing stores, emptied
-// (no member of the released batch stays reachable from the slot).
+// batch, round 0's order and the ack set keep their backing stores, emptied.
+// The batch keeps its member records too, for add to zero and reuse: the
+// slot was released, so every member was answered, every worker installed
+// the epoch and no event of it is in flight. Only copies of its finishes
+// may be, and onFinished drops those that find their body reused.
 func (st *epochState) reset(epoch int64) {
 	txns, order, acks := st.txns, st.order, st.acks
-	clear(txns)
 	clear(acks)
 	*st = epochState{epoch: epoch, phase: phaseOpen, txns: txns[:0], order: order[:0], acks: acks}
 }
@@ -419,8 +435,14 @@ func (c *Coordinator) closeBatch(ctx *sim.Context, st *epochState) {
 // onFinished records a transaction's root response (from the batch's
 // first execution, with the reservation sets it shipped, or from the chain).
 // The epoch stamp routes it to the right slot: with pipelining, finishes for
-// the exec epoch arrive while the commit epoch is still applying.
+// the exec epoch arrive while the commit epoch is still applying. A body that
+// is not an answer is a copy of a finish whose record a later request reuses,
+// which has not answered yet, and is dropped (see msgTxnEvent); one that is
+// an answer is a finish of whoever holds the body now.
 func (c *Coordinator) onFinished(ctx *sim.Context, m msgTxnFinished) {
+	if m.Ev != nil {
+		return
+	}
 	if m.Round == readRound {
 		c.onReadDone(ctx, m)
 		return

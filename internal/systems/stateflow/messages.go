@@ -29,11 +29,35 @@ import (
 // receiver owns the body and the event, and steps the event once (see
 // core.Context).
 //
-// A body is sent once, and it carries one (epoch, round, TID) for its whole
-// life: the coordinator's inline bodies serve only the first dispatch, and
-// every later one — a chain round, a read forwarded again after a recovery —
-// allocates its own. So the worker that owns a body may turn it into the
-// answer (msgTxnFinished) without anybody else reading what it changed.
+// A body is sent once for its request, and carries one (epoch, round, TID)
+// for as long as its record serves that request: the coordinator's inline
+// bodies serve only the first dispatch, and every later one — a chain round,
+// a read forwarded again after a recovery — allocates its own. So the worker
+// that owns a body may turn it into the answer (msgTxnFinished) without
+// anybody else reading what it changed.
+//
+// The records outlive their requests: a member's record is reused by a later
+// epoch of its slot once the slot is released (epochState.reset), a read's
+// once its answer is staged (onReadDone), and a worker's txnWork, which
+// finishes' Sets point into, once the decide ending its round applies there
+// (Worker.pool).
+// A copy of a finish (msgTxnFinished is DupSafe) can arrive after its body
+// was reused, and then reads the new occupant's stamp. Two rules make that
+// safe:
+//
+//  1. onFinished drops a body that is not an answer (Ev != nil): the
+//     occupant has not answered, so the copy is not its answer. A body that
+//     is an answer is the occupant's own final one, and a copy of it arriving
+//     first is the same as a faster link. Its Sets are the occupant's, live
+//     until the occupant's round is decided. (A generation carried by value
+//     would make the message two words, whose boxing allocates per finish.)
+//  2. Nothing recovery touched is reused: the slots Recover discards go with
+//     their members, the epochs onRecover wipes with their txnWorks, and a
+//     read holdUnanswered took back is answered in a later forward's body,
+//     so it never returns to the free list. Their first dispatches may still
+//     be in flight or buffered, and such an event can slip through and
+//     execute (see Worker.liveEpoch): in a reused body it would run the
+//     occupant a second time.
 type msgTxnEvent struct{ *txnEvent }
 
 // txnEvent is the body of a msgTxnEvent, and of the msgTxnFinished it turns
@@ -74,9 +98,11 @@ const readRound = -1
 // applied epoch: the cut the read saw.
 //
 // It travels back in the body of the event that produced the response (see
-// msgTxnEvent), so answering allocates nothing. It is duplicate-safe: a
-// body never changes once it is an answer, and a duplicate finds its
-// member finished, its round over or its read answered, and is dropped.
+// msgTxnEvent), so answering allocates nothing. It is duplicate-safe: a body
+// does not change once it is an answer until a later request reuses its
+// record, and a duplicate finds its member finished, its round over or its
+// read answered and is dropped — or, its body reused, finds the new
+// occupant's event, dropped too, or the occupant's own answer.
 type msgTxnFinished struct{ *txnEvent }
 
 // rwSets is what a round-0 call chain reserved: one reservation set per
@@ -86,7 +112,9 @@ type msgTxnFinished struct{ *txnEvent }
 // one event in flight, so every set is final once the root response is
 // produced; nodes are never modified after they are sent. A node lives in the
 // worker's record of the transaction (txnWork), which ships it at most once:
-// a call chain that leaves the worker again already carries it.
+// a call chain that leaves the worker again already carries it. The record
+// is reused once the decide ending its round applies on the worker, after
+// the coordinator's last read of the sets (the batch decide).
 type rwSets struct {
 	rw   *aria.RWSet
 	next *rwSets

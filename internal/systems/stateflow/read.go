@@ -47,7 +47,10 @@ import (
 	"statefulentities.dev/stateflow/internal/txn/aria"
 )
 
-// fastRead is one read on the fast path, from arrival to release.
+// fastRead is one read on the fast path, from arrival to release. Once its
+// answer is staged the record goes to the coordinator's free list, and a
+// later read zeroes and reuses it — unless a recovery took the read back:
+// its first forward may still be in flight (see msgTxnEvent).
 type fastRead struct {
 	// root is the call; the forwarded event points at it.
 	root core.Event
@@ -80,7 +83,13 @@ func (c *Coordinator) readsHeld() bool {
 // onRead takes a read-only call in: forwarded at once, or held.
 func (c *Coordinator) onRead(ctx *sim.Context, m sysapi.MsgRequest) {
 	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
-	r := &fastRead{replyTo: m.ReplyTo, root: core.Event{
+	var r *fastRead
+	if n := len(c.freeReads); n > 0 {
+		r, c.freeReads = c.freeReads[n-1], c.freeReads[:n-1]
+	} else {
+		r = new(fastRead)
+	}
+	*r = fastRead{replyTo: m.ReplyTo, root: core.Event{
 		Kind:   core.EvInvoke,
 		Req:    m.Request.Req,
 		Target: m.Request.Target,
@@ -128,7 +137,10 @@ func (c *Coordinator) serveHeld(ctx *sim.Context) {
 // onReadDone takes a worker's answer to a read and stages it behind the
 // responses of the epoch it saw. An answer the read's last forward did not
 // ask for is stale and dropped: a recovery took the read back
-// (holdUnanswered).
+// (holdUnanswered). The journal copies the response, so a read answered in
+// its record's own body — forwarded once — frees the record; one a recovery
+// took back was answered in a later forward's body and is left to the
+// collector.
 func (c *Coordinator) onReadDone(ctx *sim.Context, m msgTxnFinished) {
 	r := c.reads[m.TID]
 	if r == nil {
@@ -139,6 +151,9 @@ func (c *Coordinator) onReadDone(ctx *sim.Context, m msgTxnFinished) {
 	c.FastReads++
 	if r.replyTo != "" {
 		c.journal.stageRead(ctx, r.replyTo, sysapi.Response{Req: r.root.Req, Value: m.Value, Err: m.Err}, m.Epoch)
+	}
+	if m.txnEvent == &r.first {
+		c.freeReads = append(c.freeReads, r)
 	}
 }
 

@@ -1,11 +1,16 @@
 package stateflow
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/sim"
+	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/txn/aria"
 )
 
@@ -188,19 +193,24 @@ func TestRecycleKeepsTheSealedRestorePoint(t *testing.T) {
 }
 
 // TestReleasedEpochSlotIsReset: a released slot keeps its backing stores
-// but nothing of its epoch — no member, ack, chain or round survives the
-// reset that reuses it.
+// and its member records but nothing of its epoch — no ack, chain or round
+// survives the reset that reuses it — and every record the next batch reuses
+// is zeroed: no field of a released member survives into it.
 func TestReleasedEpochSlotIsReset(t *testing.T) {
 	st := &epochState{}
 	st.reset(3)
 	for tid := aria.TID(10); tid < 14; tid++ {
-		st.add(tid, pendingReq{pos: int64(tid)})
+		m := st.add(tid, pendingReq{pos: int64(tid), replyTo: "client", retries: 2, arrivedAt: time.Second,
+			req: sysapi.Request{Req: "old", Target: interp.EntityRef{Class: "Account", Key: "a"}, Method: "m"}})
+		m.first = txnEvent{TID: tid, Epoch: 3, Ev: &m.root, Sets: &rwSets{}, Value: interp.IntV(1), Err: "e"}
+		m.finished, m.value, m.err, m.sets, m.aborted, m.rescued = true, interp.IntV(2), "err", &rwSets{}, true, true
 	}
 	st.close()
 	st.acks.add("w0", 2)
 	st.chain = &aria.Chain{}
 	st.round, st.levelLeft, st.binding = 1, []int32{1}, true
 	txns, order := st.txns, st.order
+	released := slices.Clone(txns)
 
 	st.reset(4)
 	if st.epoch != 4 || st.phase != phaseOpen || len(st.txns) != 0 || len(st.order) != 0 || len(st.acks) != 0 ||
@@ -210,23 +220,38 @@ func TestReleasedEpochSlotIsReset(t *testing.T) {
 	if &st.txns[:1][0] != &txns[0] || &st.order[:1][0] != &order[0] || st.acks == nil {
 		t.Fatal("reset dropped the slot's backing stores")
 	}
-	if slices.ContainsFunc(txns, func(t *txnState) bool { return t != nil }) {
-		t.Fatal("reset left a member of the released batch reachable")
+	fresh := &epochState{}
+	for i, tid := range []aria.TID{20, 21} {
+		p := pendingReq{pos: int64(tid), req: sysapi.Request{Req: "new", Target: interp.EntityRef{Class: "Account", Key: "b"}}}
+		got := st.add(tid, p)
+		if got != released[i] {
+			t.Fatalf("member %d of the next batch is a new record, not the released one at its position", i)
+		}
+		if want := fresh.add(tid, p); !reflect.DeepEqual(*got, *want) {
+			t.Fatalf("the reused record kept a field of the released member:\n got %+v\nwant %+v", *got, *want)
+		}
 	}
-	st.add(20, pendingReq{})
-	if st.first != 20 || st.txn(20) == nil || st.txn(10) != nil {
+	if st.first != 20 || st.txn(20) == nil || st.txn(10) != nil || len(st.txns) != 2 {
 		t.Fatal("the reused slot does not index its own batch")
 	}
 }
 
 // TestSettledWorkerEpochIsReused: an epoch's final decide retires its
 // execution state to the worker's free list, emptied, and the next epoch to
-// reach the worker takes it.
+// reach the worker takes it; the epoch's txnWorks go to the worker's pool,
+// zeroed — a pooled one keeps nothing alive — and every one a later
+// transaction reuses holds only what opening its workspace sets: no field of
+// the settled transaction's workspace or shipped node survives into it.
 func TestSettledWorkerEpochIsReused(t *testing.T) {
 	f := newDurableFixture(t, 42, recycleConfig(0), 24, 4)
 	w := f.sys.workers[0]
 	ep := w.liveEpoch(1, 0)
-	w.workspace(ep, 7)
+	tw := w.workspace(ep, 7)
+	ref := interp.EntityRef{Class: "Account", Key: acct(0)}
+	if err := tw.ws.Create(ref, func(st interp.State) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	tw.sets = rwSets{rw: &tw.ws.RW, next: &rwSets{}}
 	ep.plan = &aria.ChainPlan{}
 	w.retire(1)
 	if _, live := w.epochs[1]; live || len(w.free) != 1 || w.free[0] != ep {
@@ -235,8 +260,23 @@ func TestSettledWorkerEpochIsReused(t *testing.T) {
 	if len(ep.workspaces) != 0 || ep.plan != nil || ep.chain != nil || ep.round != 0 {
 		t.Fatalf("a retired epoch kept its state: %+v", ep)
 	}
+	if len(w.works) != 1 || w.works[0] != tw {
+		t.Fatalf("retire did not pool the epoch's txnWork: pool %v", w.works)
+	}
+	if !reflect.DeepEqual(*tw, txnWork{}) {
+		t.Fatalf("the pooled txnWork keeps the settled transaction's fields alive: %+v", *tw)
+	}
 	if got := w.liveEpoch(2, 1); got != ep || got.round != 1 || len(w.free) != 0 {
 		t.Fatal("the next epoch did not reuse the retired one")
+	}
+	got := w.workspace(ep, 9)
+	if got != tw || len(w.works) != 0 {
+		t.Fatal("the next transaction's workspace is a new txnWork, not the pooled one")
+	}
+	var want txnWork
+	want.ws.Open(9, w.committed)
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("the reused txnWork kept a field of the settled transaction:\n got %+v\nwant %+v", *got, want)
 	}
 }
 
@@ -268,5 +308,412 @@ func TestEpochStateIsRecycledAcrossEpochs(t *testing.T) {
 	}
 	if len(slots) > 3 || len(eps) > 2*len(f.sys.workers) {
 		t.Fatal("epochs are allocating their state instead of reusing it")
+	}
+}
+
+// TestRecycleStaleFinishAfterReuse: a copy of a finish can arrive after its
+// body's record was reused by a later request, and then reads that request's
+// stamp. Epoch 1 holds a transfer into acct(1), a simple update of acct(1)
+// and a fast read; the update conflict-aborts and the chain re-executes it
+// (as in TestFinishTravelsInItsEventsBody), so the slot's records also carry
+// the epoch through its chain. The update's round-0 finish and the read's
+// answer come back in their records' own bodies. Epoch 2 takes one update;
+// epoch 3 reuses epoch 1's slot, and a later read reuses the first read's
+// record. Each of the two kept bodies is delivered to the coordinator again
+// twice while its new occupant holds it: once the moment the coordinator
+// dispatches or forwards the occupant in it — the body is the occupant's
+// event, and the copy must be dropped — and once the moment the worker
+// answers in it, ahead of that answer — the copy is the occupant's own final
+// answer. Every request is answered exactly once, with its own value.
+func TestRecycleStaleFinishAfterReuse(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EpochInterval = 50 * time.Millisecond
+	update := func(id string, key int) sysapi.Request {
+		return sysapi.Request{Req: id, Target: interp.EntityRef{Class: "Account", Key: acct(key)},
+			Method: "update", Args: []interp.Value{interp.IntV(1)}, Kind: "update"}
+	}
+	fx := newFixture(t, cfg, 3, []sysapi.Scheduled{
+		{At: time.Millisecond, Req: transferReq("t", acct(0), acct(1), 5)},
+		{At: time.Millisecond, Req: update("u", 1)},
+		{At: time.Millisecond, Req: readReq("r", acct(2))},
+		{At: 20 * time.Millisecond, Req: update("a", 2)},
+		{At: 40 * time.Millisecond, Req: update("b1", 0)},
+		{At: 40 * time.Millisecond, Req: update("b2", 2)},
+		{At: 40 * time.Millisecond, Req: readReq("r2", acct(1))},
+	})
+	c := fx.sys.coord
+
+	// kept is the body each of "u" (round 0) and "r" answered in, and what
+	// happened to it after its record was reused.
+	type reuse struct {
+		occupant     string
+		asEvent      bool // a copy was delivered while the body was the occupant's event
+		asAnswer     bool // a copy was delivered ahead of the occupant's answer
+		answeredFrom string
+	}
+	kept := map[*txnEvent]*reuse{}
+	owner := map[string]*txnEvent{} // "u" and "r" → the body kept for it
+	injecting := false
+	redeliver := func(from string, body *txnEvent) {
+		injecting = true
+		fx.cluster.Inject(fx.cluster.Now(), from, c.sys.coordID, msgTxnFinished{body})
+		injecting = false
+	}
+	answers := map[string][]string{} // request → every response value sent to the client
+	fx.cluster.SetTap(func(from, to string, _, _ time.Duration, msg sim.Message) {
+		if injecting {
+			return
+		}
+		switch m := msg.(type) {
+		case msgTxnEvent:
+			if ru := kept[m.txnEvent]; ru != nil && from == c.sys.coordID && ru.occupant == "" {
+				ru.occupant, ru.asEvent = m.Ev.Req, true
+				redeliver(to, m.txnEvent)
+			}
+		case msgTxnFinished:
+			if ru := kept[m.txnEvent]; ru != nil {
+				if ru.occupant != "" && !ru.asAnswer {
+					ru.asAnswer, ru.answeredFrom = true, from
+					redeliver(from, m.txnEvent)
+				}
+				return
+			}
+			var id string
+			var inline *txnEvent
+			if m.Round == readRound {
+				if r := c.reads[m.TID]; r != nil {
+					id, inline = r.root.Req, &r.first
+				}
+			} else if st := c.stageFor(m.Epoch); st != nil && m.Round == 0 {
+				if rec := st.txn(m.TID); rec != nil {
+					id, inline = rec.req.Req, &rec.first
+				}
+			}
+			if (id == "u" || id == "r") && owner[id] == nil {
+				if m.txnEvent != inline {
+					t.Errorf("%s answered in a body of its own, not its record's", id)
+				}
+				owner[id], kept[m.txnEvent] = m.txnEvent, &reuse{}
+			}
+		case sysapi.MsgResponse:
+			answers[m.Response.Req] = append(answers[m.Response.Req], m.Response.Value.Repr())
+		}
+	})
+	fx.cluster.RunUntil(5 * time.Second)
+
+	for _, id := range []string{"u", "r"} {
+		if ru := kept[owner[id]]; ru != nil && ru.occupant != "" {
+			t.Logf("%s's body was reused by %s, answered from %s", id, ru.occupant, ru.answeredFrom)
+		}
+	}
+	want := map[string]string{"t": "True", "u": "106", "r": "100", "a": "101", "b1": "96", "b2": "102", "r2": "106"}
+	for id, v := range want {
+		if got := answers[id]; len(got) != 1 || got[0] != v {
+			t.Errorf("%s answered %v, want exactly once with %s", id, got, v)
+		}
+	}
+	if fx.client.Done != len(want) {
+		t.Fatalf("responses: %d/%d", fx.client.Done, len(want))
+	}
+	if co := fx.sys.Coordinator(); co.FallbackChains != 1 || co.FastReads != 2 {
+		t.Fatalf("chains %d, fast reads %d: want epoch 1 chained and two fast reads", co.FallbackChains, co.FastReads)
+	}
+	for _, id := range []string{"u", "r"} {
+		ru := kept[owner[id]]
+		if ru == nil || ru.occupant == "" {
+			t.Fatalf("the record %s answered in was never reused", id)
+		}
+		if !ru.asEvent || !ru.asAnswer {
+			t.Fatalf("%s's body, reused by %s: copy delivered as its event %v, ahead of its answer %v",
+				id, ru.occupant, ru.asEvent, ru.asAnswer)
+		}
+	}
+}
+
+// readsAndTransfers is a durable script of n transfers around a cycle of
+// `accounts` accounts, each sent with a fast read of the transfer's payer.
+func readsAndTransfers(n, accounts int) []sysapi.Scheduled {
+	var script []sysapi.Scheduled
+	for i := 0; i < n; i++ {
+		at := time.Duration(i+1) * 5 * time.Millisecond
+		script = append(script,
+			sysapi.Scheduled{At: at, Req: transferReq(fmt.Sprintf("t%d", i), acct(i%accounts), acct((i+1)%accounts), 1)},
+			sysapi.Scheduled{At: at, Req: readReq(fmt.Sprintf("r%d", i), acct(i%accounts))})
+	}
+	return script
+}
+
+// TestRecycleRecoveryPoolsNothing: records a recovery touched are never
+// reused. A worker crashes while the exec epoch has a member unfinished and a
+// fast read is unanswered, both bound for it, and the run goes on well past
+// the records' reuse. The members of the epochs Recover discards, the
+// txnWorks onRecover wipes and the reads holdUnanswered takes back may have
+// events still in flight or buffered, so none of them may reach a pool or
+// serve a later request. No (TID, epoch, round) executes twice, and
+// exactly-once and conservation hold.
+func TestRecycleRecoveryPoolsNothing(t *testing.T) {
+	const n, accounts = 120, 4 // sent until 600 ms, well past the recovery
+	f := newScriptedDurableFixture(t, 42, recycleConfig(0), readsAndTransfers(n, accounts), accounts)
+	c := f.sys.Coordinator()
+	executed := map[[3]int64]int{} // (TID, epoch, round) → root responses its executions produced
+	decided := map[int64]bool{}    // epochs a decide was sent for
+	f.cluster.SetTap(func(from, to string, _, _ time.Duration, msg sim.Message) {
+		switch m := msg.(type) {
+		case msgTxnFinished:
+			if m.Round != readRound {
+				executed[[3]int64{int64(m.TID), m.Epoch, int64(m.Round)}]++
+			}
+		case *msgDecide:
+			decided[m.Epoch] = true
+		}
+	})
+	f.cluster.Start()
+	var victim string
+	f.stepUntil(t, "an unfinished exec member and an unanswered read on one worker, nothing committing", func() bool {
+		if c.EpochsClosed < 4 || c.commit != nil || c.exec == nil || c.exec.unfinished == 0 {
+			return false
+		}
+		for _, r := range c.reads {
+			owner := f.sys.ownerOf(r.root.Target)
+			for _, m := range c.exec.txns {
+				if !m.finished && f.sys.ownerOf(m.req.Target) == owner {
+					victim = owner
+					return true
+				}
+			}
+		}
+		return false
+	})
+	now := f.cluster.Now()
+	f.cluster.ScheduleCrash(victim, now, now+5*time.Millisecond)
+
+	// What the recovery touches: the slots' members from the crash until
+	// Recover drops them (no slot can be released meanwhile: the victim's
+	// answers are missing), the reads Recover takes back, and the txnWorks of
+	// every epoch no decide has reached that a worker holds when onRecover
+	// replaces its epoch table (only the decides and a chain's releases give
+	// a txnWork back).
+	discarded := map[*txnState]bool{}
+	reforwarded := map[*fastRead]string{} // → the request it serves
+	wiped := map[*txnWork]bool{}
+	undecided := func(w *Worker) map[*txnWork]int64 {
+		out := map[*txnWork]int64{}
+		for e, ep := range w.epochs {
+			for _, tw := range ep.workspaces {
+				if !decided[e] {
+					out[tw] = e
+				}
+			}
+		}
+		return out
+	}
+	closed := c.EpochsClosed
+	// Who each live record serves, and how often one was seen serving a
+	// second request after the recovery.
+	servesMember, servesRead, servesWork := map[*txnState]string{}, map[*fastRead]string{}, map[*txnWork]aria.TID{}
+	reusedMembers, reusedReads, reusedWorks := 0, 0, 0
+	see := func() {
+		for _, st := range []*epochState{c.exec, c.commit} {
+			if st == nil {
+				continue
+			}
+			for _, m := range st.txns {
+				if id, ok := servesMember[m]; ok && id != m.req.Req {
+					reusedMembers++
+				}
+				servesMember[m] = m.req.Req
+			}
+		}
+		for _, r := range c.reads {
+			if id, ok := servesRead[r]; ok && id != r.root.Req {
+				reusedReads++
+			}
+			servesRead[r] = r.root.Req
+		}
+		for _, w := range f.sys.workers {
+			for _, ep := range w.epochs {
+				for tid, tw := range ep.workspaces {
+					if old, ok := servesWork[tw]; ok && old != tid {
+						reusedWorks++
+					}
+					servesWork[tw] = tid
+				}
+			}
+		}
+	}
+	check := func() {
+		for _, st := range []*epochState{c.exec, c.commit, c.spare} {
+			if st != nil && slices.ContainsFunc(st.txns[:cap(st.txns)], func(m *txnState) bool { return discarded[m] }) {
+				t.Fatalf("epoch %d's slot holds a member record of an epoch Recover discarded", st.epoch)
+			}
+		}
+		for _, r := range c.freeReads {
+			if _, ok := reforwarded[r]; ok {
+				t.Fatalf("read %s, taken back by the recovery, reached the free list", r.root.Req)
+			}
+		}
+		for _, r := range append(slices.Collect(maps.Values(c.reads)), c.held...) {
+			if id, ok := reforwarded[r]; ok && r.root.Req != id {
+				t.Fatalf("read %s's record, taken back by the recovery, serves %s", id, r.root.Req)
+			}
+		}
+		for _, w := range f.sys.workers {
+			if slices.ContainsFunc(w.works, func(tw *txnWork) bool { return wiped[tw] }) {
+				t.Fatalf("%s pooled a txnWork onRecover wiped", w.id)
+			}
+			for e, ep := range w.epochs {
+				for _, tw := range ep.workspaces {
+					if wiped[tw] {
+						t.Fatalf("%s reused a txnWork onRecover wiped, in epoch %d", w.id, e)
+					}
+				}
+			}
+		}
+	}
+	for end := now + time.Second; f.cluster.Now() < end; {
+		before := c.Recoveries
+		tables := map[*Worker]map[int64]*workerEpoch{}
+		held := map[*Worker]map[*txnWork]int64{}
+		for _, w := range f.sys.workers {
+			tables[w], held[w] = w.epochs, undecided(w)
+		}
+		f.cluster.RunUntil(f.cluster.Now() + 20*time.Microsecond)
+		if before == 0 {
+			for _, st := range []*epochState{c.exec, c.commit} {
+				if st != nil {
+					for _, m := range st.txns {
+						discarded[m] = true
+					}
+				}
+			}
+		}
+		if before == 0 && c.Recoveries > 0 {
+			if c.EpochsClosed != closed {
+				t.Fatalf("scenario: %d epochs closed between the crash and the recovery", c.EpochsClosed-closed)
+			}
+			for _, r := range c.held {
+				if r.seq != 0 {
+					reforwarded[r] = r.root.Req
+				}
+			}
+		}
+		for _, w := range f.sys.workers {
+			if reflect.ValueOf(w.epochs).UnsafePointer() != reflect.ValueOf(tables[w]).UnsafePointer() {
+				for tw, e := range held[w] {
+					if !decided[e] {
+						wiped[tw] = true
+					}
+				}
+			}
+		}
+		if c.Recoveries > 0 {
+			check()
+			see()
+		}
+	}
+	if c.Recoveries != 1 || len(discarded) == 0 || len(reforwarded) == 0 || len(wiped) == 0 {
+		t.Fatalf("scenario: %d recoveries touched %d members, %d reads, %d txnWorks; want one recovery touching each kind",
+			c.Recoveries, len(discarded), len(reforwarded), len(wiped))
+	}
+	if reusedMembers == 0 || reusedReads == 0 || reusedWorks == 0 {
+		t.Fatalf("scenario: after the recovery %d member records, %d read records and %d txnWorks were reused; want some of each",
+			reusedMembers, reusedReads, reusedWorks)
+	}
+	f.cluster.RunUntil(20 * time.Second)
+	check()
+	t.Logf("crash of %s: recovery discarded %d members, took back %d reads, wiped %d txnWorks",
+		victim, len(discarded), len(reforwarded), len(wiped))
+	for k, runs := range executed {
+		if runs > 1 {
+			t.Errorf("TID %d of epoch %d executed round %d %d times", k[0], k[1], k[2], runs)
+		}
+	}
+	f.assertExactlyOnceEffective(t, 2*n)
+	if c.FastReads < n {
+		t.Fatalf("%d fast reads answered, want %d", c.FastReads, n)
+	}
+}
+
+// TestRecyclePoolsAreBounded (ROADMAP D(5)): a pool only takes back records
+// that were live, and a record is made only when its pool is empty, so after
+// a burst and then idle every pool holds at most the peak number of records
+// live at once — per coordinator slot, its largest batch; for the read free
+// list, the most reads in flight; per worker, the most txnWorks in its open
+// epochs. The peaks are read at every send, which follows every step that
+// makes a record live, and the pools must have the records back.
+func TestRecyclePoolsAreBounded(t *testing.T) {
+	const accounts = 16
+	var script []sysapi.Scheduled
+	for _, burst := range []struct {
+		at time.Duration
+		n  int
+	}{{5 * time.Millisecond, 64}, {200 * time.Millisecond, 16}} {
+		for i := range burst.n {
+			script = append(script,
+				sysapi.Scheduled{At: burst.at, Req: transferReq(fmt.Sprintf("t%d.%d", burst.at/time.Millisecond, i),
+					acct(i%accounts), acct((i+1)%accounts), 1)},
+				sysapi.Scheduled{At: burst.at, Req: readReq(fmt.Sprintf("r%d.%d", burst.at/time.Millisecond, i), acct(i%accounts))})
+		}
+	}
+	f := newScriptedDurableFixture(t, 42, recycleConfig(0), script, accounts)
+	c := f.sys.Coordinator()
+	slotPeak := map[*epochState]int{}
+	readPeak, workPeak := 0, map[*Worker]int{}
+	observe := func() {
+		for _, st := range []*epochState{c.exec, c.commit} {
+			if st != nil {
+				slotPeak[st] = max(slotPeak[st], len(st.txns))
+			}
+		}
+		readPeak = max(readPeak, len(c.reads)+len(c.held))
+		for _, w := range f.sys.workers {
+			live := 0
+			for _, ep := range w.epochs {
+				live += len(ep.workspaces)
+			}
+			workPeak[w] = max(workPeak[w], live)
+		}
+	}
+	f.cluster.SetTap(func(string, string, time.Duration, time.Duration, sim.Message) { observe() })
+	f.cluster.Start()
+	for f.cluster.Now() < 2*time.Second {
+		f.cluster.RunUntil(f.cluster.Now() + time.Millisecond)
+		observe()
+	}
+	f.assertExactlyOnceEffective(t, len(script))
+	if c.Recoveries != 0 || len(c.reads)+len(c.held) != 0 {
+		t.Fatalf("scenario: %d recoveries, %d reads live after idle", c.Recoveries, len(c.reads)+len(c.held))
+	}
+
+	pooled := 0
+	for st, peak := range slotPeak {
+		records := 0
+		for _, m := range st.txns[:cap(st.txns)] {
+			if m != nil {
+				records++
+			}
+		}
+		if records > peak {
+			t.Errorf("epoch %d's slot holds %d member records, more than the %d of its largest batch", st.epoch, records, peak)
+		}
+		pooled += records
+	}
+	if len(c.freeReads) > readPeak {
+		t.Errorf("the read free list holds %d records, more than the %d reads ever in flight at once", len(c.freeReads), readPeak)
+	}
+	works := 0
+	for _, w := range f.sys.workers {
+		if len(w.epochs) != 0 {
+			t.Fatalf("scenario: %s has %d epochs open after idle", w.id, len(w.epochs))
+		}
+		if len(w.works) > workPeak[w] {
+			t.Errorf("%s pools %d txnWorks, more than the %d it ever held at once", w.id, len(w.works), workPeak[w])
+		}
+		works += len(w.works)
+	}
+	t.Logf("after idle: %d member records in %d slots, %d reads (peak %d), %d txnWorks pooled",
+		pooled, len(slotPeak), len(c.freeReads), readPeak, works)
+	if pooled == 0 || len(c.freeReads) == 0 || works == 0 {
+		t.Fatal("a pool got none of its records back")
 	}
 }

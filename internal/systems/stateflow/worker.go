@@ -35,7 +35,7 @@ import (
 // batch never reached has none: it settles the epoch without one (see
 // reached). An epoch's final decide retires its entry to the worker's free
 // list, and liveEpoch reuses it — workspace map included — for a later
-// epoch.
+// epoch; its txnWorks go to the worker's pool of them.
 type workerEpoch struct {
 	workspaces map[aria.TID]*txnWork
 	round      int
@@ -50,7 +50,11 @@ type workerEpoch struct {
 // txnWork is one transaction's part on this worker in one epoch, made in one
 // allocation: its workspace, and the node that ships the workspace's
 // reservation set along the transaction's round-0 call chain (see shipSets).
-// Finishes carry pointers into it, so it may outlive the epoch.
+// Finishes carry pointers into it, which the coordinator reads no later than
+// the batch decide; a round's txnWorks return to the worker's pool, zeroed,
+// when the decide that ends the round applies here (or, for a chain member,
+// its release), and a later transaction's workspace reuses them. The epochs
+// onRecover wipes take theirs with them (see msgTxnEvent).
 type txnWork struct {
 	ws   aria.Workspace
 	sets rwSets
@@ -95,6 +99,9 @@ type Worker struct {
 	// epoch; an epoch's entry moves to free when its final decide applies.
 	epochs map[int64]*workerEpoch
 	free   []*workerEpoch
+	// works is the pool of txnWorks that settled rounds gave back, for
+	// workspace to reuse.
+	works []*txnWork
 	// appliedEpoch is the newest epoch whose final decide this worker
 	// installed (-1: nothing yet). It is both the staleness guard
 	// (messages at or below it belong to a settled or discarded world)
@@ -179,16 +186,31 @@ func (w *Worker) liveEpoch(epoch int64, round int) *workerEpoch {
 }
 
 // retire moves a settled epoch's state to the free list, emptied: its
-// workspaces are installed or dropped, and its chain — parked events
-// included — is over.
+// workspaces are installed or dropped, so they go to the pool, and its chain
+// — parked events included — is over.
 func (w *Worker) retire(epoch int64) {
 	ep := w.epochs[epoch]
 	delete(w.epochs, epoch)
 	if ep != nil {
-		clear(ep.workspaces)
+		w.recycle(ep)
 		ep.round, ep.plan, ep.chain = 0, nil, nil
 		w.free = append(w.free, ep)
 	}
+}
+
+// recycle empties ep's workspaces into the pool.
+func (w *Worker) recycle(ep *workerEpoch) {
+	for _, tw := range ep.workspaces {
+		w.pool(tw)
+	}
+	clear(ep.workspaces)
+}
+
+// pool takes back a txnWork whose round is over, zeroed: a pooled one keeps
+// no row, value or committed store alive (a recovery replaces the store).
+func (w *Worker) pool(tw *txnWork) {
+	*tw = txnWork{}
+	w.works = append(w.works, tw)
 }
 
 // reached is liveEpoch for the messages every worker gets, reached by the
@@ -225,13 +247,19 @@ func (w *Worker) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	}
 }
 
+// workspace returns tid's txnWork in ep, opening one — from the pool when it
+// has one — on the transaction's first event here.
 func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *txnWork {
 	tw, ok := ep.workspaces[tid]
 	if !ok {
 		if ep.workspaces == nil {
 			ep.workspaces = map[aria.TID]*txnWork{}
 		}
-		tw = new(txnWork)
+		if n := len(w.works); n > 0 {
+			tw, w.works = w.works[n-1], w.works[:n-1]
+		} else {
+			tw = new(txnWork)
+		}
 		tw.ws.Open(tid, w.committed)
 		ep.workspaces[tid] = tw
 	}
@@ -485,6 +513,7 @@ func (w *Worker) settleChained(ctx *sim.Context, ep *workerEpoch, member int, co
 			w.install(ctx, &tw.ws)
 		}
 		delete(ep.workspaces, tid)
+		w.pool(tw)
 	}
 	if ch.parked == nil {
 		return
@@ -564,7 +593,7 @@ func (w *Worker) onDecide(ctx *sim.Context, m *msgDecide) {
 		// Made here if no event of the batch ran on this worker: the chain's
 		// events may, and they must find its plan.
 		ep = w.liveEpoch(m.Epoch, m.Round)
-		clear(ep.workspaces)
+		w.recycle(ep)
 		ep.plan = m.Chain
 	}
 	ctx.Send(w.sys.coordID, msgApplied{m}, w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
@@ -612,7 +641,9 @@ func (w *Worker) onSnapshot(ctx *sim.Context, m msgTakeSnapshot) {
 }
 
 // onRecover rolls the worker back to a snapshot image (or empty state),
-// dropping every in-flight workspace and buffered event.
+// dropping every in-flight workspace and buffered event. The dropped
+// workspaces do not go to the pool: events of their epochs may still be in
+// flight (see msgTxnEvent).
 func (w *Worker) onRecover(ctx *sim.Context, m msgRecover) {
 	if m.Epoch < w.appliedEpoch {
 		// Stale recover: a copy arriving after the system moved past that

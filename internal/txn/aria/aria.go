@@ -197,8 +197,9 @@ type wsEntry struct {
 type Workspace struct {
 	TID       TID
 	committed *state.Store
-	// RW is the reservation set. Finishes ship a pointer to it, so it (and
-	// with it the workspace) may outlive the epoch that executed it.
+	// RW is the reservation set. Finishes ship a pointer to it, so a caller
+	// that keeps the workspace for reuse may Open it again only once nobody
+	// reads the set any more (the validation that used it has run).
 	RW RWSet
 
 	// Entities in first-touch order: inline first, then spill. Entries are
