@@ -34,7 +34,10 @@ type FlightEvent struct {
 // reproducing seed and plan. Recording is allocation-bounded and
 // deterministic; a nil *FlightRecorder accepts every call as a no-op.
 //
-// Safe for concurrent use (the Live runtime records from goroutines).
+// Safe for concurrent use: the package's simulations record from one
+// goroutine, but the type is public (stateflow.FlightRecorder), so a caller
+// may share one recorder between simulations it runs concurrently, or read
+// it while one runs.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	cap  int

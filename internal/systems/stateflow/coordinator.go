@@ -253,16 +253,15 @@ type Coordinator struct {
 
 	// Sharded global-commit fence state (see fence.go and sharded.go).
 	// fencePending is a fence request received but not yet quiesced (Seq 0:
-	// none). fenced marks the parked window between
-	// the durable open fence marker and its closing one; fenceSeq is the
-	// active global batch id. fenceDone is the highest batch whose closing
+	// none). fenceSeq is the global batch the shard is parked for, from the
+	// durable open fence marker to its closing one (0: not parked; batch
+	// ids start at 1). fenceDone is the highest batch whose closing
 	// marker was appended (idempotent re-acks for lost acks); it rides the
 	// journal's checkpoints, so a reboot whose restored cursor is past the
 	// marker still knows the batch is done. fenceApply
 	// holds an unanswered apply record the recovery scan found in the log
 	// suffix; it executes once the binding replay drains.
 	fencePending msgFence
-	fenced       bool
 	fenceSeq     int64
 	fenceDone    int64
 	fenceApply   *pendingReq
@@ -417,7 +416,7 @@ func (c *Coordinator) onTick(ctx *sim.Context) {
 	if c.recovering || st == nil || st.phase != phaseOpen || ctx.Now() < st.closeAt {
 		return
 	}
-	if c.fenced {
+	if c.fenceSeq != 0 {
 		// Parked for a global batch: the fence epoch has no timer-driven
 		// closes — it closes when the sequencer's apply arrives, and the
 		// tick chain resumes at unfence.
@@ -533,7 +532,7 @@ func (c *Coordinator) CommitSerials(kept func(id string) (interp.Value, bool)) m
 func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	c.EpochsClosed++
 	switch {
-	case st.binding || len(c.replaying) > 0 || c.fenced:
+	case st.binding || len(c.replaying) > 0 || c.fenceSeq != 0:
 		// No snapshot while a binding replay is in flight: the images would
 		// capture some binding effects but not the queued remainder, and the
 		// release-time classification (entry.at vs the snapshot's cut)
@@ -763,7 +762,7 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 	// A queued apply (the previous fenced epoch was busy when it arrived,
 	// or the recovery scan found it unanswered in the log suffix) runs
 	// now that the binding replay has drained.
-	if c.fenced {
+	if c.fenceSeq != 0 {
 		if c.fenceApply != nil {
 			p := *c.fenceApply
 			c.fenceApply = nil
@@ -827,7 +826,7 @@ func (c *Coordinator) fillEpoch(ctx *sim.Context, st *epochState) {
 // backlog drains after the unfence or once the fence is dropped.
 func (c *Coordinator) drainSource(ctx *sim.Context) {
 	st := c.exec
-	if c.recovering || c.fenced || c.fencePending.Seq != 0 ||
+	if c.recovering || c.fenceSeq != 0 || c.fencePending.Seq != 0 ||
 		st == nil || st.phase != phaseOpen || st.binding {
 		return
 	}
@@ -1073,7 +1072,7 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	// binding replay, instead of resuming normal epochs between the
 	// sequencer's reads and its writes.
 	c.scanFenceState()
-	if c.fenced && ctx.Now() >= c.parkAt {
+	if c.fenceSeq != 0 && ctx.Now() >= c.parkAt {
 		// A rebuilt park needs a watchdog unless one is due: a stall
 		// recovery keeps the live one. A reboot cleared parkAt, so a tick
 		// armed before the crash fires before the new deadline and is
@@ -1136,7 +1135,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	// The fence window is volatile here; Recover's marker scan rebuilds it,
 	// raising the completed high-water mark the checkpoint carried.
 	c.fencePending, c.fenceSeq = msgFence{}, 0
-	c.fenced, c.fenceApply, c.ballot = false, nil, 0
+	c.fenceApply, c.ballot = nil, 0
 	c.parkAt = 0
 	c.reads, c.held = nil, nil
 	img := c.journal.restore(ctx)

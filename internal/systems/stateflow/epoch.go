@@ -622,7 +622,7 @@ func (c *Coordinator) promote(ctx *sim.Context, st *epochState) {
 // path parks it (or runs a queued apply), and opening it early would just
 // park it sooner with nothing to do.
 func (c *Coordinator) openPipelined(ctx *sim.Context) {
-	if !c.sys.cfg.DisablePipelining && !c.fenced {
+	if !c.sys.cfg.DisablePipelining && c.fenceSeq == 0 {
 		ctx.Work(c.sys.cfg.Costs.PipelineCPU)
 		c.openEpoch(ctx)
 	}

@@ -90,7 +90,7 @@ func testEpochTIDsAreContiguous(t *testing.T, disableFallback bool) {
 	// Park shard 0 behind a cross-shard gather, then crash its coordinator:
 	// the binding replay and the global apply both run under the fence.
 	fx.submit(fx.keys[1], "gather", interp.RefV("Reg", fx.remote), interp.RefV("Reg", fx.remote))
-	fx.runUntil("shard 0 parked", func() bool { return c.fenced })
+	fx.runUntil("shard 0 parked", func() bool { return c.fenceSeq != 0 })
 	if widest, fenced := fx.crashAndReplay(); widest < 2 || !fenced {
 		t.Fatalf("binding replay: widest batch %d, fenced=%v; want a multi-member batch under the fence", widest, fenced)
 	}
@@ -381,7 +381,7 @@ func TestSelfClockLeavesBindingAndFencedEpochsAlone(t *testing.T) {
 			if st.phase == phaseOpen {
 				t.Fatalf("binding epoch %d is open with %d members", st.epoch, len(st.txns))
 			}
-		case c.fenced && st.phase == phaseOpen:
+		case c.fenceSeq != 0 && st.phase == phaseOpen:
 			parked++
 			if len(st.txns) != 0 {
 				t.Fatalf("parked epoch %d took %d members", st.epoch, len(st.txns))
@@ -389,7 +389,7 @@ func TestSelfClockLeavesBindingAndFencedEpochsAlone(t *testing.T) {
 		}
 	}
 	fx.submit(fx.keys[6], "gather", interp.RefV("Reg", fx.remote), interp.RefV("Reg", fx.remote))
-	fx.runUntil("shard 0 parked", func() bool { watch(); return c.fenced })
+	fx.runUntil("shard 0 parked", func() bool { watch(); return c.fenceSeq != 0 })
 	for _, key := range fx.keys[7:] {
 		fx.submit(key, "add", interp.IntV(1))
 	}

@@ -106,7 +106,7 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	var apply *globalApply
 	for _, r := range q.reports {
 		q.nextSeq = max(q.nextSeq, r.FenceSeq, r.FenceDone)
-		if r.Fenced && apply == nil {
+		if r.FenceSeq != 0 && apply == nil {
 			apply = r.Apply
 		}
 	}
@@ -120,11 +120,11 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 	// the stall timeout.
 	fenced, released := 0, false
 	for idx, r := range q.reports {
-		if !r.Fenced {
+		if r.FenceSeq == 0 {
 			continue
 		}
 		fenced++
-		if b := q.cur; b != nil && b.parts[idx].member && r.FenceSeq == b.seq {
+		if b := q.cur; b != nil && r.FenceSeq == b.seq && slices.Contains(b.footprint, idx) {
 			continue
 		}
 		released = true
@@ -151,7 +151,7 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 }
 
 // rederiveBatch rebuilds the in-flight batch around a durable manifest
-// and resumes it at the apply phase. Every downstream step is idempotent:
+// and enters it at the apply phase. Every downstream step is idempotent:
 // re-sent applies dedupe (or re-serve their ack) by their
 // incarnation-stable id, and re-sent unfences re-ack off the shards'
 // fence-done high-water marks. The members' responses are not the
@@ -159,11 +159,10 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 // waits for the batch instead of opening a fence window behind it.
 func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 	q.RederivedBatches++
-	b := q.newBatch(ctx, man.seq, gApplying)
-	b.rederived, b.man = true, man
-	for _, idx := range man.footprint {
-		b.fence(idx)
-		b.parts[idx].acked = true
+	b := q.newBatch(ctx, man.seq)
+	b.rederived, b.man, b.footprint = true, man, man.footprint
+	for _, a := range man.applies {
+		b.parts[a.shard].apply = a
 	}
 	for _, mt := range man.txns {
 		q.inFlight[mt.req] = true
@@ -176,6 +175,6 @@ func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 			"re-derived batch %d from durable manifest: %d txns, %d applies, rolling forward",
 			man.seq, len(man.txns), len(man.applies))
 	}
-	q.sendApplies(ctx, b)
+	q.enter(ctx, b, gApplying)
 	q.armTick(ctx)
 }

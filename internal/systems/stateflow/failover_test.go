@@ -113,7 +113,7 @@ func (fx *failoverFixture) home() *Coordinator {
 // parked counts the shards fenced right now.
 func (fx *failoverFixture) parked() (n int) {
 	for _, sh := range fx.sys.Shards() {
-		if sh.Coordinator().fenced {
+		if sh.Coordinator().fenceSeq != 0 {
 			n++
 		}
 	}
@@ -191,7 +191,7 @@ func TestFailoverAbandonsFencedBatch(t *testing.T) {
 		t.Fatalf("failovers=%d aborted=%d rederived=%d, want 1/1/0", q.Failovers, q.AbortedBatches, q.RederivedBatches)
 	}
 	for i, sh := range fx.sys.Shards() {
-		if sh.Coordinator().fenced {
+		if sh.Coordinator().fenceSeq != 0 {
 			t.Fatalf("shard %d still fenced after the abandon", i)
 		}
 		if sh.Coordinator().GlobalApplies != 0 {
@@ -296,7 +296,7 @@ func TestFailoverAfterReleaseSendsNoSecondResponse(t *testing.T) {
 		return len(fx.client.got) == 1 && fx.sys.Sequencer().cur != nil &&
 			fx.sys.Sequencer().cur.phase == gUnfencing
 	})
-	if !other.Coordinator().fenced {
+	if other.Coordinator().fenceSeq == 0 {
 		t.Fatal("the shard whose unfence was dropped is not parked; the crash exercises nothing")
 	}
 	fx.settle()
@@ -356,9 +356,9 @@ func TestFailoverDropsALateApplyOfAnAbandonedBatch(t *testing.T) {
 				fx.stepUntil("shard 0's fence report sent", func() bool { return reported })
 			}
 			c := shard0.Coordinator()
-			if len(held) != 2 || !c.fenced || c.fenceSeq != 1 || c.Restarts != map[bool]int{false: 0, true: 1}[reboot] {
+			if len(held) != 2 || c.fenceSeq != 1 || c.Restarts != map[bool]int{false: 0, true: 1}[reboot] {
 				t.Fatalf("%d applies held, shard 0 fenced %v on %d after %d restarts: want both held and shard 0 parked on batch 1",
-					len(held), c.fenced, c.fenceSeq, c.Restarts)
+					len(held), c.fenceSeq != 0, c.fenceSeq, c.Restarts)
 			}
 			fx.cluster.Inject(fx.cluster.Now(), sequencerID, shard0.coordID, held[0])
 			fx.settle()
@@ -400,8 +400,8 @@ func TestOrphanedParkAfterAbandonIsReleased(t *testing.T) {
 	})
 	fx.cluster.RunUntil(fx.cluster.Now() + 20*time.Millisecond)
 	c := victim.Coordinator()
-	if c.Restarts != 1 || !c.fenced || c.fenceSeq != 1 {
-		t.Fatalf("restarts=%d fenced=%v on %d, want the park on batch 1 rebuilt by one restart", c.Restarts, c.fenced, c.fenceSeq)
+	if c.Restarts != 1 || c.fenceSeq != 1 {
+		t.Fatalf("restarts=%d fenced=%v on %d, want the park on batch 1 rebuilt by one restart", c.Restarts, c.fenceSeq != 0, c.fenceSeq)
 	}
 
 	fx.transfer() // the client's retry of the abandoned transfer
@@ -691,8 +691,8 @@ func TestDroppedFenceDrainsTheBacklog(t *testing.T) {
 		end, _ := sh.RequestLog.End(sourceTopic, 0)
 		return end == 4 && c.ballot == 1
 	})
-	if c.fenced || c.fencePending.Seq != 0 {
-		t.Fatalf("fenced=%v pending=%d: want the query to have dropped the fence before the park", c.fenced, c.fencePending.Seq)
+	if c.fenceSeq != 0 || c.fencePending.Seq != 0 {
+		t.Fatalf("fenced=%v pending=%d: want the query to have dropped the fence before the park", c.fenceSeq != 0, c.fencePending.Seq)
 	}
 	fx.cluster.RunUntil(fx.cluster.Now() + DefaultConfig().EpochInterval)
 	if c.consumed != 4 {
@@ -782,8 +782,8 @@ func TestFailoverRebootedParkRunsOneWatchdog(t *testing.T) {
 	fx.cluster.ScheduleCrash(shard0.coordID, park+st/4, park+st/2)
 	fx.cluster.RunUntil(park + 4*st)
 
-	if c := shard0.Coordinator(); c.Restarts != 1 || !c.fenced || c.fenceSeq != 1 {
-		t.Fatalf("restarts=%d fenced=%v on %d, want shard 0 parked on batch 1 after one restart", c.Restarts, c.fenced, c.fenceSeq)
+	if c := shard0.Coordinator(); c.Restarts != 1 || c.fenceSeq != 1 {
+		t.Fatalf("restarts=%d fenced=%v on %d, want shard 0 parked on batch 1 after one restart", c.Restarts, c.fenceSeq != 0, c.fenceSeq)
 	}
 	if len(reacks) < 2 {
 		t.Fatalf("shard 0 re-acked at %v, want at least two re-acks in the park", reacks)

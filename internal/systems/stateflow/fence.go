@@ -42,11 +42,11 @@ import (
 // quiesce and parks immediately if the shard is already idle.
 func (c *Coordinator) onFence(ctx *sim.Context, from string, m msgFence) {
 	switch {
-	case c.fenced && m.Seq == c.fenceSeq:
+	case c.fenceSeq != 0 && m.Seq == c.fenceSeq:
 		c.ackFence(ctx, from, m)
 	case m.Seq <= c.fenceDone:
 		ctx.Send(from, msgFenceAck{Seq: m.Seq}, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	case c.fenced:
+	case c.fenceSeq != 0:
 		// Parked on an older batch whose unfence never arrived (the
 		// sequencer abandoned it and the one unfence died with this
 		// coordinator's previous incarnation). The park watchdog surfaces
@@ -107,7 +107,7 @@ func (c *Coordinator) ackFence(ctx *sim.Context, to string, m msgFence) {
 // rebuild), and an open, empty, non-binding exec epoch. Reports whether
 // the shard fenced.
 func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
-	if c.fencePending.Seq == 0 || c.fenced || c.recovering {
+	if c.fencePending.Seq == 0 || c.fenceSeq != 0 || c.recovering {
 		return false
 	}
 	if c.commit != nil || len(c.replaying) > 0 || len(c.pending) > 0 || !c.journal.quiet() {
@@ -120,8 +120,7 @@ func (c *Coordinator) maybeFence(ctx *sim.Context) bool {
 	m := c.fencePending
 	c.fencePending = msgFence{}
 	c.produceMarker(ctx, m.Seq, true)
-	c.fenced, c.fenceSeq = true, m.Seq
-	c.fencedAt = ctx.Now()
+	c.fenceSeq, c.fencedAt = m.Seq, ctx.Now()
 	c.GlobalFences++
 	if f := c.flight(); f.Enabled() {
 		f.Recordf(ctx.Now(), c.sys.coordID, "fence", "parked for global batch %d", m.Seq)
@@ -148,7 +147,7 @@ func (c *Coordinator) armParkWatchdog(ctx *sim.Context) {
 // watchdog stops with the park; a tick before the armed deadline is an
 // orphan (see msgFenceParkTick).
 func (c *Coordinator) onFenceParkTick(ctx *sim.Context) {
-	if !c.fenced || ctx.Now() < c.parkAt {
+	if c.fenceSeq == 0 || ctx.Now() < c.parkAt {
 		return
 	}
 	ctx.Send(c.sys.seqID, msgFenceAck{Seq: c.fenceSeq},
@@ -178,18 +177,17 @@ func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, from string, m msgSeqFen
 	}
 	if m.Ballot > c.ballot {
 		c.ballot = m.Ballot
-		if c.fenced {
+		if c.fenceSeq != 0 {
 			c.produceMarker(ctx, c.fenceSeq, true)
 		}
 	}
 	c.fencePending = msgFence{}
 	rep := msgSeqFenceReport{
 		Shard:     c.sys.shardIndex,
-		Fenced:    c.fenced,
 		FenceSeq:  c.fenceSeq,
 		FenceDone: c.fenceDone,
 	}
-	if c.fenced {
+	if c.fenceSeq != 0 {
 		rep.Apply = c.findApply(c.fenceSeq)
 	}
 	ctx.Send(from, rep, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
@@ -226,7 +224,7 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, from string, m msgUnfence) {
 			c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		return
 	}
-	if !c.fenced || m.Seq != c.fenceSeq {
+	if m.Seq != c.fenceSeq {
 		return // out-of-order copy for a batch this shard is not parked on
 	}
 	c.produceMarker(ctx, m.Seq, false)
@@ -237,10 +235,7 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, from string, m msgUnfence) {
 	if f := c.flight(); f.Enabled() {
 		f.Recordf(ctx.Now(), c.sys.coordID, "unfence", "resumed after global batch %d", m.Seq)
 	}
-	c.fenced = false
-	c.fenceDone = m.Seq
-	c.fenceSeq = 0
-	c.fenceApply = nil
+	c.fenceSeq, c.fenceDone, c.fenceApply = 0, m.Seq, nil
 	ctx.Send(from, msgUnfenceAck{Seq: m.Seq},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 	// The batch is durable on every footprint shard: reads held through the
@@ -248,7 +243,7 @@ func (c *Coordinator) onUnfence(ctx *sim.Context, from string, m msgUnfence) {
 	c.serveHeld(ctx)
 	// Resume: refill the parked epoch (backlog queued behind the fence,
 	// then the tick chain). Mid-recovery there is nothing to resume —
-	// the post-recovery openEpoch sees fenced == false and runs normally.
+	// the post-recovery openEpoch sees no park and runs normally.
 	if st := c.exec; !c.recovering && st != nil && st.phase == phaseOpen &&
 		!st.binding && len(st.txns) == 0 {
 		c.fillEpoch(ctx, st)
@@ -272,7 +267,7 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 	// incarnation no later one has superseded here; otherwise (or
 	// mid-recovery) the copy is stale or early — drop it unlogged and let
 	// the sequencer's stall guard, or a roll-forward, re-send.
-	if !c.fenced || c.recovering || a.man.seq != c.fenceSeq || m.Ballot < c.ballot {
+	if c.recovering || a.man.seq != c.fenceSeq || m.Ballot < c.ballot {
 		return
 	}
 	_, pos, err := c.sys.RequestLog.Produce(sourceTopic, a.id, a)
@@ -340,7 +335,7 @@ func (c *Coordinator) produceMarker(ctx *sim.Context, seq int64, open bool) {
 // drains (fenceApply), which is also why rebuildSeen absorbing the
 // sequencer's apply re-sends is safe.
 func (c *Coordinator) scanFenceState() {
-	c.fenced, c.fenceSeq, c.fenceApply = false, 0, nil
+	c.fenceSeq, c.fenceApply = 0, nil
 	end, err := c.sys.RequestLog.End(sourceTopic, 0)
 	if err != nil {
 		return
@@ -353,13 +348,13 @@ func (c *Coordinator) scanFenceState() {
 		}
 		switch mk := rec.marker; {
 		case mk != nil && mk.open:
-			if !c.fenced || c.fenceSeq != mk.seq {
+			if c.fenceSeq != mk.seq {
 				apply = nil // a new window; a re-opened one keeps its apply
 			}
-			c.fenced, c.fenceSeq = true, mk.seq
+			c.fenceSeq = mk.seq
 			c.ballot = max(c.ballot, mk.ballot)
 		case mk != nil:
-			c.fenced, c.fenceSeq = false, 0
+			c.fenceSeq = 0
 			if mk.seq > c.fenceDone {
 				c.fenceDone = mk.seq
 			}
@@ -369,7 +364,7 @@ func (c *Coordinator) scanFenceState() {
 			apply = &p
 		}
 	}
-	if c.fenced {
+	if c.fenceSeq != 0 {
 		c.fencePending = msgFence{}
 		if apply != nil && !c.journal.answered(apply.req.Req) {
 			c.fenceApply = apply

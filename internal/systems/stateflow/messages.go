@@ -310,13 +310,12 @@ type msgGlobalApply struct {
 // makes the promise durable before it reports.
 type msgSeqFenceQuery struct{ Ballot int64 }
 
-// msgSeqFenceReport is one shard's answer: whether it is parked right
-// now (and for which batch), its completed fence high-water mark, and —
+// msgSeqFenceReport is one shard's answer: the batch it is parked for right
+// now (FenceSeq, 0 if none), its completed fence high-water mark, and —
 // if its durable log holds the fenced batch's apply — that apply (nil
 // otherwise), whose manifest lets the sequencer re-derive the whole batch.
 type msgSeqFenceReport struct {
 	Shard    int
-	Fenced   bool
 	FenceSeq int64
 	// FenceDone is the highest batch the shard completed an unfence for.
 	FenceDone int64

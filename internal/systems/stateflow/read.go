@@ -77,7 +77,7 @@ func (s *System) fastRead(req sysapi.Request) bool {
 // recovery or its binding replay is in flight, or the shard is parked for a
 // global batch.
 func (c *Coordinator) readsHeld() bool {
-	return c.recovering || c.replayAt >= 0 || c.fenced
+	return c.recovering || c.replayAt >= 0 || c.fenceSeq != 0
 }
 
 // onRead takes a read-only call in: forwarded at once, or held.

@@ -131,7 +131,7 @@ func TestFastReadHeldWhileParked(t *testing.T) {
 	fx := newFailoverFixture(t)
 	fx.transfer()
 	c := fx.home()
-	for deadline := fx.cluster.Now() + time.Second; !c.fenced; {
+	for deadline := fx.cluster.Now() + time.Second; c.fenceSeq == 0; {
 		if fx.cluster.Now() >= deadline {
 			t.Fatal("the source's shard never parked")
 		}
@@ -140,7 +140,7 @@ func TestFastReadHeldWhileParked(t *testing.T) {
 	inject(fx.cluster, fx.sys.IngressID(), readReq("r", fx.from))
 	parked := 0
 	for deadline := fx.cluster.Now() + time.Second; ; {
-		if c.fenced {
+		if c.fenceSeq != 0 {
 			parked++
 			if _, ok := answered(fx.client, "r"); ok {
 				t.Fatal("the read was answered while its shard was parked")

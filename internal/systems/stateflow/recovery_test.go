@@ -574,7 +574,7 @@ func (fx *bindingFixture) crashAndReplay() (widest int, fenced bool) {
 		for _, st := range []*epochState{c.exec, c.commit} {
 			if st != nil && st.binding {
 				widest = max(widest, len(st.txns))
-				fenced = fenced && c.fenced
+				fenced = fenced && c.fenceSeq != 0
 			}
 		}
 		return c.Restarts == 1 && !c.recovering && len(c.replaying) == 0 &&
@@ -621,17 +621,17 @@ func (fx *bindingFixture) crashWithQueue(fenced bool) (widest int) {
 	c := fx.shard.Coordinator()
 	if fenced {
 		fx.submit(fx.keys[len(fx.keys)-1], "gather", interp.RefV("Reg", fx.remote), interp.RefV("Reg", fx.remote))
-		fx.runUntil("shard 0 parked", func() bool { return c.fenced })
+		fx.runUntil("shard 0 parked", func() bool { return c.fenceSeq != 0 })
 	}
 	widest, parked := fx.crashAndReplay()
 	if c.BindingReplays != queued {
 		fx.t.Fatalf("binding replays = %d, want the %d answered calls", c.BindingReplays, queued)
 	}
-	if fenced && (!parked || c.GlobalFences != 1 || c.GlobalApplies != 1 || c.fenced) {
+	if fenced && (!parked || c.GlobalFences != 1 || c.GlobalApplies != 1 || c.fenceSeq != 0) {
 		// The one park is the one before the crash: the recovery rebuilds
 		// it from the marker, replays under it, and the batch then applies.
 		fx.t.Fatalf("replayed fenced=%v, fences=%d applies=%d, still fenced=%v after a recovery inside the fence window",
-			parked, c.GlobalFences, c.GlobalApplies, c.fenced)
+			parked, c.GlobalFences, c.GlobalApplies, c.fenceSeq != 0)
 	}
 	if len(fx.client.got) != fx.sent {
 		fx.t.Fatalf("client saw %d responses to %d calls", len(fx.client.got), fx.sent)

@@ -38,9 +38,14 @@
 // the differential test pins both schedules byte-identical on
 // transcripts and committed state.
 //
-// A batch keeps its per-shard state by ring position (shardPart), so every
-// per-shard loop sends in ring order by construction, and one value-free
-// timer (msgSeqTick) guards whatever the sequencer waits on.
+// A batch is one phase table over its ring-position parts (shardPart): each
+// part says whether the phase in flight still waits on that shard, and one
+// rule (owed) says what the phase owes a part that has not answered — its
+// fence with the current lists, its apply under the current ballot, or its
+// unfence. Entering a phase sends it to every part, the stall timer
+// (msgSeqTick, value-free) re-sends it to every part still waiting, and each
+// ack clears its part's wait; the phase ends when no part waits (settle).
+// Every loop walks the footprint, so messages leave in ring order.
 //
 // The sequencer keeps no durable state, but it is crashable: every
 // global batch's recovery record (the manifest each logged apply points
@@ -64,7 +69,8 @@ import (
 	"statefulentities.dev/stateflow/internal/txn/aria"
 )
 
-// gPhase is a global batch's protocol phase.
+// gPhase is a global batch's protocol phase. What it owes a footprint shard
+// is in Sequencer.owed, what follows it in Sequencer.settle.
 type gPhase int
 
 const (
@@ -106,12 +112,9 @@ type globalBatch struct {
 	// ring order: seeded from the transactions' statically known refs,
 	// grown by executions that reach an entity on a new shard. Shards
 	// outside it never see the batch. parts holds the batch's business with
-	// each shard, indexed by ring position; applied and unfenced count the
-	// shards that acknowledged their apply and their unfence.
+	// each shard, indexed by ring position.
 	footprint []int
 	parts     []shardPart
-	applied   int
-	unfenced  int
 	// known collects the ids the shards' fence acks reported already
 	// answered.
 	known map[string]bool
@@ -140,16 +143,15 @@ type globalBatch struct {
 // and reads are the lists the shard's fence carries: the ids of the batch
 // transactions homed there, in batch order, and the entities it owns that
 // the batch reads, in the order they were needed. apply is the shard's
-// slice of the manifest while beginApply builds it. The flags say whether
-// the shard is in the footprint, acked the fence, has a read list longer
-// than the last fence sent to it carried, and acknowledged its apply and
-// its unfence.
+// slice of the manifest. waits says the phase in flight still waits on the
+// shard's answer; acked that the shard answered the batch's fence once
+// (FenceWaits counts the first answer).
 type shardPart struct {
 	admit []string
 	reads []interp.EntityRef
 	apply *globalApply
 
-	member, acked, grown, applied, unfenced bool
+	waits, acked bool
 }
 
 // SequencerStats are the sequencing layer's canonical counters, exported
@@ -291,14 +293,12 @@ func (q *Sequencer) onRequest(ctx *sim.Context, msg sim.Message, m sysapi.MsgReq
 	}
 }
 
-// newBatch makes batch seq the one in flight, in the given phase, with a
-// part for every shard of the ring and an empty footprint.
-func (q *Sequencer) newBatch(ctx *sim.Context, seq int64, phase gPhase) *globalBatch {
+// newBatch makes batch seq the one in flight, with a part for every shard
+// of the ring and an empty footprint.
+func (q *Sequencer) newBatch(ctx *sim.Context, seq int64) *globalBatch {
 	b := &globalBatch{
 		seq:      seq,
-		phase:    phase,
 		openedAt: ctx.Now(),
-		phaseAt:  ctx.Now(),
 		parts:    make([]shardPart, len(q.sys.shards)),
 		known:    map[string]bool{},
 		overlay:  state.NewStore(q.sys.prog.Layouts()),
@@ -313,13 +313,11 @@ func (q *Sequencer) newBatch(ctx *sim.Context, seq int64, phase gPhase) *globalB
 // reports whether it was outside. Every per-shard loop walks the footprint,
 // so messages go out — and link delays come off the RNG — in ring order.
 func (b *globalBatch) fence(idx int) bool {
-	if b.parts[idx].member {
-		return false
+	at, in := slices.BinarySearch(b.footprint, idx)
+	if !in {
+		b.footprint = slices.Insert(b.footprint, at, idx)
 	}
-	b.parts[idx].member = true
-	at, _ := slices.BinarySearch(b.footprint, idx)
-	b.footprint = slices.Insert(b.footprint, at, idx)
-	return true
+	return !in
 }
 
 // startBatch opens the next fence window over every queued global
@@ -328,7 +326,7 @@ func (b *globalBatch) fence(idx int) bool {
 func (q *Sequencer) startBatch(ctx *sim.Context) {
 	q.nextSeq++
 	q.GlobalBatches++
-	b := q.newBatch(ctx, q.nextSeq, gFencing)
+	b := q.newBatch(ctx, q.nextSeq)
 	b.txns, q.queue = q.queue, nil
 	for _, t := range b.txns {
 		home := &b.parts[t.home]
@@ -353,9 +351,7 @@ func (q *Sequencer) startBatch(ctx *sim.Context) {
 			"batch %d fences shards %v (%d of %d)",
 			b.seq, b.footprint, len(b.footprint), len(q.sys.shards))
 	}
-	for _, idx := range b.footprint {
-		q.sendFence(ctx, b, idx)
-	}
+	q.enter(ctx, b, gFencing)
 	q.armTick(ctx)
 }
 
@@ -366,38 +362,86 @@ func (q *Sequencer) armTick(ctx *sim.Context) {
 	ctx.After(q.sys.cfg.StallTimeout, msgSeqTick{})
 }
 
-// sendFence (re-)sends batch b's fence to one footprint shard, with the
-// shard's admission and read lists (either empty when the shard is home to
-// no member, or owns nothing the batch reads).
-func (q *Sequencer) sendFence(ctx *sim.Context, b *globalBatch, idx int) {
-	p := &b.parts[idx]
-	ctx.Send(q.sys.shards[idx].coordID, msgFence{Seq: b.seq, Admit: p.admit, Reads: p.reads},
-		q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
+// owed is the phase table's one rule: what batch b's phase in flight owes
+// footprint shard idx until the shard answers. Fencing and executing owe
+// the fence with the part's current admission and read lists (either empty
+// when the shard is home to no member, or owns nothing the batch reads),
+// applying the part's apply under this incarnation's ballot, unfencing the
+// unfence.
+func (q *Sequencer) owed(b *globalBatch, idx int) sim.Message {
+	switch p := &b.parts[idx]; b.phase {
+	case gFencing, gExecuting:
+		return msgFence{Seq: b.seq, Admit: p.admit, Reads: p.reads}
+	case gApplying:
+		return msgGlobalApply{Apply: p.apply, Ballot: q.ballot}
+	}
+	return msgUnfence{Seq: b.seq}
 }
 
-// answered reports whether shard idx acked batch b's fence with a row for
-// every entity its read list names.
-func (b *globalBatch) answered(idx int) bool {
-	p := &b.parts[idx]
-	if !p.acked {
-		return false
-	}
-	for _, ref := range p.reads {
-		if !b.fetched[ref] {
-			return false
+// resend sends every part of batch b that the phase in flight still waits
+// on what the phase owes it, in ring order.
+func (q *Sequencer) resend(ctx *sim.Context, b *globalBatch) {
+	for _, idx := range b.footprint {
+		if b.parts[idx].waits {
+			ctx.Send(q.sys.shards[idx].coordID, q.owed(b, idx),
+				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 		}
 	}
-	return true
 }
 
+// enter moves batch b into phase ph, which waits on every footprint shard
+// — when applying, on every shard that has an apply — and sends each what
+// ph owes it.
+func (q *Sequencer) enter(ctx *sim.Context, b *globalBatch, ph gPhase) {
+	b.phase, b.phaseAt = ph, ctx.Now()
+	for _, idx := range b.footprint {
+		p := &b.parts[idx]
+		p.waits = ph != gApplying || p.apply != nil
+	}
+	q.resend(ctx, b)
+}
+
+// settle records shard idx's answer to batch b's phase in flight and, once
+// no part waits any longer, moves the batch on: a fenced batch admits its
+// members and executes, an executed one applies (beginApply), an applied
+// one unfences (finishBatch), an unfenced one closes.
+func (q *Sequencer) settle(ctx *sim.Context, b *globalBatch, idx int) {
+	b.parts[idx].waits = false
+	for _, i := range b.footprint {
+		if b.parts[i].waits {
+			return
+		}
+	}
+	switch b.phase {
+	case gFencing:
+		if tr := q.sys.cfg.Tracer; tr.Enabled() {
+			tr.Span(sequencerID, "global", "fence.wait", b.phaseAt, ctx.Now(),
+				"seq", strconv.FormatInt(b.seq, 10),
+				"shards", strconv.Itoa(len(b.footprint)))
+		}
+		b.phase, b.phaseAt = gExecuting, ctx.Now()
+		q.admitBatch(ctx, b)
+		fallthrough
+	case gExecuting:
+		q.advance(ctx)
+	case gApplying:
+		q.finishBatch(ctx)
+	default:
+		q.closeBatch(ctx, b)
+	}
+}
+
+// onFenceAck folds a footprint shard's answer to the batch's fence into
+// the overlay; the part is answered once a row came back for every entity
+// its read list names.
 func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
 	idx, ok := q.sys.shardOfCoord(from)
 	if !ok || q.recovering {
 		return
 	}
 	b := q.cur
-	if b == nil || m.Seq != b.seq || !b.parts[idx].member {
-		q.maybeReleaseOrphan(ctx, from, idx, m.Seq)
+	if b == nil || m.Seq != b.seq || !slices.Contains(b.footprint, idx) {
+		q.maybeReleaseOrphan(ctx, from, m.Seq)
 		return
 	}
 	p := &b.parts[idx]
@@ -428,22 +472,12 @@ func (q *Sequencer) onFenceAck(ctx *sim.Context, from string, m msgFenceAck) {
 			}
 		}
 	}
-	for _, i := range b.footprint {
-		if !b.answered(i) {
+	for _, ref := range p.reads {
+		if !b.fetched[ref] {
 			return
 		}
 	}
-	if b.phase == gFencing {
-		if tr := q.sys.cfg.Tracer; tr.Enabled() {
-			tr.Span(sequencerID, "global", "fence.wait", b.phaseAt, ctx.Now(),
-				"seq", strconv.FormatInt(b.seq, 10),
-				"shards", strconv.Itoa(len(b.footprint)))
-		}
-		b.phase = gExecuting
-		b.phaseAt = ctx.Now()
-		q.admitBatch(ctx, b)
-	}
-	q.advance(ctx)
+	q.settle(ctx, b, idx)
 }
 
 // admitBatch is the global path's ingress dedup, run once the whole
@@ -471,18 +505,20 @@ func (q *Sequencer) admitBatch(ctx *sim.Context, b *globalBatch) {
 	q.GlobalTxns += len(kept)
 }
 
-// maybeReleaseOrphan handles a fence ack for a batch the sequencer no
-// longer owns: a shard parked on a fence from a dead incarnation (the
-// fence was in flight when the sequencer crashed, so no recovery report
-// covered it), or whose unfence was lost past the batch's lifetime. The
-// shard's park watchdog re-acks until someone reacts (fence.go); the
-// reaction is an unfence, which the shard-side handler accepts for
-// exactly the seq it is parked on.
-func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, idx int, seq int64) {
-	b := q.cur
-	stale := (b == nil && seq <= q.nextSeq) ||
-		(b != nil && (seq < b.seq || (seq == b.seq && !b.parts[idx].member)))
-	if !stale {
+// maybeReleaseOrphan handles a fence ack that answers no footprint part
+// of the batch in flight: a shard parked on a fence from a dead incarnation
+// (the fence was in flight when the sequencer crashed, so no recovery
+// report covered it), or whose unfence was lost past the batch's lifetime.
+// Up to the batch in flight (the last one sequenced when none is) it is an
+// orphan. The shard's park watchdog re-acks until someone reacts
+// (fence.go); the reaction is an unfence, which the shard-side handler
+// accepts for exactly the seq it is parked on.
+func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, seq int64) {
+	last := q.nextSeq
+	if b := q.cur; b != nil {
+		last = b.seq
+	}
+	if seq > last {
 		return
 	}
 	if f := q.sys.cfg.Flight; f.Enabled() {
@@ -494,10 +530,10 @@ func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, idx int, s
 
 // advance executes batch transactions in order until one reaches entities
 // no fence ack has answered for yet, or the batch is done. A miss appends
-// the missing entities to their owners' read lists and re-sends those
-// shards' fences (fencing a shard outside the footprint first); the
-// transaction re-executes from scratch once every answer is in
-// (onFenceAck).
+// the missing entities to their owners' read lists (fencing a shard outside
+// the footprint first), so the phase waits on those shards again, and
+// re-sends their fences; every other part has answered. The transaction
+// re-executes from scratch once every answer is in (settle).
 func (q *Sequencer) advance(ctx *sim.Context) {
 	b := q.cur
 	for ; b.next < len(b.txns); b.next++ {
@@ -509,7 +545,7 @@ func (q *Sequencer) advance(ctx *sim.Context) {
 			idx := q.sys.ShardOf(ref)
 			p := &b.parts[idx]
 			p.reads = append(p.reads, ref)
-			p.grown = true
+			p.waits = true
 			if b.fence(idx) {
 				if f := q.sys.cfg.Flight; f.Enabled() {
 					f.Recordf(ctx.Now(), sequencerID, "fence.scope",
@@ -518,12 +554,7 @@ func (q *Sequencer) advance(ctx *sim.Context) {
 				}
 			}
 		}
-		for _, idx := range b.footprint {
-			if p := &b.parts[idx]; p.grown {
-				p.grown = false
-				q.sendFence(ctx, b, idx)
-			}
-		}
+		q.resend(ctx, b)
 		return
 	}
 	q.beginApply(ctx)
@@ -657,9 +688,7 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 		q.finishBatch(ctx)
 		return
 	}
-	b.phase = gApplying
-	b.phaseAt = ctx.Now()
-	q.sendApplies(ctx, b)
+	q.enter(ctx, b, gApplying)
 }
 
 // applyTo returns shard idx's apply in batch b's manifest, making it on
@@ -672,32 +701,15 @@ func (q *Sequencer) applyTo(b *globalBatch, man *batchManifest, idx int) *global
 	return p.apply
 }
 
-// sendApplies (re-)sends every apply not yet acknowledged, in the
-// manifest's ring order: the link delay samples must come off the RNG in
-// a deterministic sequence or same-seed runs diverge.
-func (q *Sequencer) sendApplies(ctx *sim.Context, b *globalBatch) {
-	for _, a := range b.man.applies {
-		if !b.parts[a.shard].applied {
-			ctx.Send(q.sys.shards[a.shard].coordID, msgGlobalApply{Apply: a, Ballot: q.ballot},
-				q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-		}
-	}
-}
-
 // onApplyDone marks one shard's write-set durably committed (the shard
 // releases the apply's response only after its group-commit fsync).
 func (q *Sequencer) onApplyDone(ctx *sim.Context, from string, m sysapi.MsgResponse) {
 	b := q.cur
 	shard, ok := q.sys.shardOfCoord(from)
-	if !ok || b == nil || b.phase != gApplying || b.parts[shard].applied ||
-		m.Response.Req != applyID(b.seq, shard) {
+	if !ok || b == nil || b.phase != gApplying || m.Response.Req != applyID(b.seq, shard) {
 		return
 	}
-	b.parts[shard].applied = true
-	b.applied++
-	if b.applied == len(b.man.applies) {
-		q.finishBatch(ctx)
-	}
+	q.settle(ctx, b, shard)
 }
 
 // finishBatch unfences the footprint shards: every shard's write-set is
@@ -716,35 +728,23 @@ func (q *Sequencer) finishBatch(ctx *sim.Context) {
 	for _, mt := range b.man.txns {
 		delete(q.inFlight, mt.req)
 	}
-	b.phase = gUnfencing
-	b.phaseAt = ctx.Now()
 	if f := q.sys.cfg.Flight; f.Enabled() {
 		f.Recordf(ctx.Now(), sequencerID, "global.unfence", "unfencing global batch %d", b.seq)
 	}
-	for _, idx := range b.footprint {
-		ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq},
-			q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-	}
+	q.enter(ctx, b, gUnfencing)
 }
 
+// onUnfenceAck marks one footprint shard resumed.
 func (q *Sequencer) onUnfenceAck(ctx *sim.Context, from string, m msgUnfenceAck) {
 	idx, ok := q.sys.shardOfCoord(from)
 	if !ok || q.recovering {
 		return
 	}
 	b := q.cur
-	if b == nil || b.phase != gUnfencing || m.Seq != b.seq || !b.parts[idx].member {
+	if b == nil || b.phase != gUnfencing || m.Seq != b.seq {
 		return
 	}
-	p := &b.parts[idx]
-	if p.unfenced {
-		return
-	}
-	p.unfenced = true
-	b.unfenced++
-	if b.unfenced == len(b.footprint) {
-		q.closeBatch(ctx, b)
-	}
+	q.settle(ctx, b, idx)
 }
 
 // closeBatch retires a fully unfenced batch: record its fence-scope
@@ -779,8 +779,8 @@ func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 
 // onTick is the sequencer's stall guard: a recovering sequencer re-queries
 // the shards that have not reported yet (the query or its report was lost,
-// or the shard was itself mid-recovery); otherwise it re-sends whatever the
-// current batch's phase still waits on. Shard-side handlers are all
+// or the shard was itself mid-recovery); otherwise it re-sends what the
+// current batch's phase still owes every part it waits on. Shard-side handlers are all
 // idempotent (fence and unfence re-ack, applies dedupe or re-serve,
 // queries re-report), so over-sending is safe; a shard mid-crash-recovery
 // simply answers after its recovery converges, still fenced thanks to the
@@ -791,8 +791,7 @@ func (q *Sequencer) onTick(ctx *sim.Context) {
 	if ctx.Now() < q.tickAt {
 		return
 	}
-	b := q.cur
-	switch {
+	switch b := q.cur; {
 	case q.recovering:
 		for i, sh := range q.sys.shards {
 			if q.reports[i] == nil {
@@ -802,21 +801,8 @@ func (q *Sequencer) onTick(ctx *sim.Context) {
 		}
 	case b == nil:
 		return
-	case b.phase == gApplying:
-		q.sendApplies(ctx, b)
-	case b.phase == gUnfencing:
-		for _, idx := range b.footprint {
-			if !b.parts[idx].unfenced {
-				ctx.Send(q.sys.shards[idx].coordID, msgUnfence{Seq: b.seq},
-					q.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-			}
-		}
-	default: // fencing or executing
-		for _, idx := range b.footprint {
-			if !b.answered(idx) {
-				q.sendFence(ctx, b, idx)
-			}
-		}
+	default:
+		q.resend(ctx, b)
 	}
 	q.armTick(ctx)
 }

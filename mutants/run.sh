@@ -38,9 +38,13 @@ fail() {
 	failed=$((failed + 1))
 }
 
-# reason prints the last line a failing test reported, or the log's last line.
+# reason prints the first line a test reported, or its panic, after the
+# first "--- FAIL" (a later one can be a t.Logf printed after the failing
+# assertion); else the last line a failing test or run reported, or the
+# log's last line.
 reason() {
-	grep -E '_test\.go:[0-9]+:|^LOST ' "$log" | tail -n1 | grep . || tail -n1 "$log"
+	sed -n '/--- FAIL/,$p' "$log" | grep -m1 -E '_test\.go:[0-9]+:|^panic: ' ||
+		grep -E '_test\.go:[0-9]+:|^LOST ' "$log" | tail -n1 | grep . || tail -n1 "$log"
 }
 
 declare -A baseline # kill command -> pass or fail on the untouched tree
