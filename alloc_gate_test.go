@@ -143,14 +143,19 @@ func (g allocGate) run(t *testing.T, d time.Duration) (mallocs, bytes uint64, an
 // Two runs of the same seeded stream, one three times as long, are
 // differenced, so compilation, deployment and preloading cancel and what is
 // left is the marginal cost of a transaction.
+//
+// Every leg is checked before any reading is logged, so a failure is the
+// first line the test reports.
 func TestAllocsPerTransaction(t *testing.T) {
+	var readings []string
 	for _, g := range allocGates {
 		shortAllocs, shortBytes, shortTxns := g.run(t, g.short)
 		longAllocs, longBytes, longTxns := g.run(t, 3*g.short)
 		txns := float64(longTxns - shortTxns)
 		perTxn := float64(longAllocs-shortAllocs) / txns
 		bytesPerTxn := float64(longBytes-shortBytes) / txns
-		t.Logf("%s: %.2f allocations, %.0f bytes per transaction (%d transactions)", g.name, perTxn, bytesPerTxn, longTxns-shortTxns)
+		readings = append(readings, fmt.Sprintf("%s: %.2f allocations, %.0f bytes per transaction (%d transactions)",
+			g.name, perTxn, bytesPerTxn, longTxns-shortTxns))
 		if perTxn > g.ceiling {
 			t.Errorf("%s: %.2f allocations per transaction, ceiling %.1f: the request path grew a per-transaction allocation",
 				g.name, perTxn, g.ceiling)
@@ -159,6 +164,9 @@ func TestAllocsPerTransaction(t *testing.T) {
 			t.Errorf("%s: %.0f bytes per transaction, ceiling %.0f: the request path allocates larger objects",
 				g.name, bytesPerTxn, g.bytesCeiling)
 		}
+	}
+	for _, r := range readings {
+		t.Log(r)
 	}
 }
 

@@ -195,33 +195,9 @@ func (c *localClient) Preload(class string, args ...Value) error {
 // partitions of entity state and exchange dataflow events over channels.
 type Live = live.Runtime
 
-// LiveConfig parameterizes the Live runtime.
-type LiveConfig struct {
-	// Workers is the number of partition-owning goroutines (default 4).
-	Workers int
-	// MailboxDepth is the per-worker channel capacity (default 1024).
-	MailboxDepth int
-	// JournalPath enables the durable response journal: completed
-	// outcomes are appended to this file (fsynced before the caller sees
-	// them) and a runtime reopened on the same path re-serves them for
-	// retried request ids (see WithRequestID) instead of re-executing.
-	// Torn tails from a crash mid-append are detected and discarded.
-	JournalPath string
-	// JournalCheckpointEvery compacts the journal after this many
-	// appended outcomes, bounding the file (default 1024; negative
-	// disables compaction).
-	JournalCheckpointEvery int
-	// JournalRetention prunes journaled outcomes older than this at each
-	// compaction: a retry arriving after the window re-executes instead
-	// of replaying. Zero keeps every outcome forever.
-	JournalRetention time.Duration
-	// MetricsAddr, when non-empty, serves the runtime's metric registry
-	// over HTTP on this address: Prometheus text exposition on /metrics,
-	// expvar JSON on /debug/vars. ":0" picks a free port — read it back
-	// with Live.MetricsAddr. The registry (Live.Metrics) is always live;
-	// this only adds the HTTP listener.
-	MetricsAddr string
-}
+// LiveConfig parameterizes the Live runtime (see live.Config for its
+// fields).
+type LiveConfig = live.Config
 
 // NewLive starts a Live runtime for a compiled program. Close it when
 // done. It panics if the configured journal cannot be opened; use
@@ -237,11 +213,7 @@ func NewLive(prog *Program, cfg LiveConfig) *Live {
 // OpenLive starts a Live runtime, recovering the response journal when
 // one is configured.
 func OpenLive(prog *Program, cfg LiveConfig) (*Live, error) {
-	return live.Open(prog, live.Config{
-		Workers: cfg.Workers, MailboxDepth: cfg.MailboxDepth, JournalPath: cfg.JournalPath,
-		JournalCheckpointEvery: cfg.JournalCheckpointEvery, JournalRetention: cfg.JournalRetention,
-		MetricsAddr: cfg.MetricsAddr,
-	})
+	return live.Open(prog, cfg)
 }
 
 // NewLiveClient starts a Live runtime and returns its Client surface;

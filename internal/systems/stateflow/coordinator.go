@@ -6,14 +6,15 @@
 // paper's deployment dedicates a single core to it ("StateFlow requires a
 // single core coordinator", §4).
 //
-// Four files hold it. This one owns the component — its fields, message
+// Five files hold it. This one owns the component — its fields, message
 // dispatch and wiring — and everything around a batch: request intake, the
-// two-slot pipeline (opening, filling and releasing epochs), the failure
-// detector, snapshots and checkpoints, and recovery. epoch.go owns what
-// happens to a batch between its first assignment and its last settle —
-// epochState, the transaction record and the round loop. journal.go owns
-// the exactly-once border (below). fence.go adds the shard's part in the
-// sequencer's global batches.
+// two-slot pipeline (opening, filling and releasing epochs), snapshots and
+// checkpoints. epoch.go owns what happens to a batch between its first
+// assignment and its last settle — epochState, the transaction record and
+// the round loop. recovery.go owns the failure handling: the failure
+// detector, the rollback to the sealed snapshot and the binding replay.
+// journal.go owns the exactly-once border (below). fence.go adds the
+// shard's part in the sequencer's global batches.
 //
 // Epoch pipelining: the coordinator keeps a two-slot stage table — exec
 // (the open/executing epoch) and commit (the epoch in apply/snapshot) — and
@@ -43,20 +44,16 @@
 // journal (journal.go), a value field of the coordinator; this file drives
 // it in verbs and holds no log position of its own. After a crash,
 // OnRestart restores the journal and runs the ordinary snapshot-rollback
-// recovery.
+// recovery (recovery.go).
 package stateflow
 
 import (
-	"cmp"
-	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
-	"statefulentities.dev/stateflow/internal/snapshot"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/txn/aria"
 )
@@ -150,10 +147,9 @@ type Coordinator struct {
 	// next openEpoch resets and reuses it, so an epoch allocates no slot. A
 	// slot Recover discards is dropped instead — nothing routes to a slot
 	// by pointer, only by epoch (stageFor).
-	exec       *epochState
-	commit     *epochState
-	spare      *epochState
-	recovering bool
+	exec   *epochState
+	commit *epochState
+	spare  *epochState
 
 	// Pending requests not yet assigned (arrivals during commit phases and
 	// retries of aborted transactions).
@@ -162,24 +158,6 @@ type Coordinator struct {
 	// validator checks every batch for conflicts (epochState.validate),
 	// emptied for each one, so validation allocates nothing per epoch.
 	validator aria.Validator
-
-	// replaying is the binding replay queue a recovery builds: requests
-	// whose responses were already released to clients but whose effects
-	// the restored snapshot predates. They re-execute first — in release
-	// order, in dedicated binding epochs — so the rebuilt state agrees
-	// with every response that already escaped, before any pending retry
-	// or fresh suffix work commits (see Recover).
-	replaying []pendingReq
-	// window is how many queue members the next binding epoch takes: 1
-	// after a recovery, doubled by every batch that commits whole, cut back
-	// to the committed prefix length by one that does not (see cutBinding).
-	window int
-	// recoverAt and replayAt are when the recovery in progress started and
-	// when its first binding epoch opened (replayAt < 0: none yet, or the
-	// queue already drained) — the starts of the recovery.restore and
-	// recovery.replay trace spans. A replay in flight also holds the fast
-	// reads (readsHeld).
-	recoverAt, replayAt time.Duration
 
 	// snapCut is the aligned-cut virtual time of the snapshot in flight
 	// (when its epoch staged its last response) and sealedCut the sealed
@@ -194,10 +172,16 @@ type Coordinator struct {
 	// into batches.
 	consumed int64
 
-	// snapDone and recovered collect the workers' answers to the snapshot
-	// in flight and to the recovery in progress.
-	snapDone   ackSet
-	recovered  ackSet
+	// acks collects the workers' answers to the one wait on every worker in
+	// flight: the commit slot's apply or snapshot, or a recovery's restore.
+	// No two of them are ever in flight together — apply and snapshot take
+	// turns in the commit slot, the exec slot never applies, and Recover
+	// empties both slots — so decide, startSnapshot and Recover each start
+	// it over, and each answer's handler checks its phase, snapshot id or
+	// epoch before it counts (see ack).
+	acks ackSet
+	// snapshotID is the snapshot in flight, or the last one taken or
+	// restored.
 	snapshotID int64
 
 	// sealed is the newest snapshot id whose seal is durable (carried in
@@ -214,20 +198,8 @@ type Coordinator struct {
 	// are written to (journal.go).
 	journal journal
 
-	// progress counts accepted worker messages and progressAt is when the
-	// last one was counted. The failure detector measures its patience from
-	// that instant, so recovery fires exactly one stall timeout after the
-	// last sign of life — and only when a phase made no progress at all for
-	// that long (see alive, onStallCheck).
-	progress   uint64
-	progressAt time.Duration
-	// stallArmed marks the failure detector's one watchdog in flight and
-	// stallAt is the deadline it was armed for (see armStallCheck). A reboot
-	// clears the flag: a check armed before the crash fires before any the
-	// new incarnation arms, so onStallCheck drops it.
-	stallArmed bool
-	stallAt    time.Duration
-
+	// recovery is the state only failure handling writes (recovery.go).
+	recovery
 	CoordinatorStats
 
 	// RestoredSnapshots records, per recovery, the snapshot id it rolled
@@ -289,7 +261,7 @@ func newCoordinator(sys *System) *Coordinator {
 		sys:      sys,
 		exec:     &epochState{phase: phaseOpen},
 		journal:  newJournal(sys.coordID, &sys.cfg, sys.Dlog),
-		replayAt: -1,
+		recovery: recovery{replayAt: -1},
 		decided:  -1,
 	}
 	if sys.cfg.TraceCommits {
@@ -387,9 +359,7 @@ func (c *Coordinator) onRequest(ctx *sim.Context, msg sim.Message, m sysapi.MsgR
 	if !c.admit(ctx, id, m.ReplyTo) {
 		return
 	}
-	if _, _, err := c.sys.RequestLog.Produce(sourceTopic, id, msg); err != nil {
-		return
-	}
+	c.sys.RequestLog.Append(id, msg)
 	c.journal.logged(id)
 	// A logged request enters a batch only through the drain, in log order:
 	// the cursor never passes a record it did not assign.
@@ -451,56 +421,6 @@ func (c *Coordinator) enterPhase(ctx *sim.Context, st *epochState, p phase) {
 	c.armStallCheck(ctx)
 }
 
-// stalled returns the slot the failure detector watches — the one that has
-// waited on the workers longest (nil: neither slot waits on them) — and the
-// detector's deadline: one stall timeout after the later of that slot's
-// phase start and the last counted worker answer.
-func (c *Coordinator) stalled() (*epochState, time.Duration) {
-	var oldest *epochState
-	for _, st := range [...]*epochState{c.commit, c.exec} {
-		if st != nil && st.phase != phaseOpen && (oldest == nil || st.phaseAt < oldest.phaseAt) {
-			oldest = st
-		}
-	}
-	if oldest == nil {
-		return nil, 0
-	}
-	return oldest, max(oldest.phaseAt, c.progressAt) + c.sys.cfg.StallTimeout
-}
-
-// armStallCheck arms the failure detector's watchdog for the current
-// deadline, unless it is armed already: the deadline only moves later while
-// a slot waits, so the armed check fires at or before it and re-arms itself
-// (onStallCheck). One check is in flight per coordinator, whatever the
-// number of phases entered.
-func (c *Coordinator) armStallCheck(ctx *sim.Context) {
-	if c.stallArmed {
-		return
-	}
-	if st, at := c.stalled(); st != nil {
-		c.stallArmed, c.stallAt = true, at
-		ctx.After(at-ctx.Now(), msgStallCheck{})
-	}
-}
-
-// alive counts one accepted worker answer — a root response or a fresh ack
-// — as a sign of life and stamps when it came: the failure detector's
-// deadline is that instant plus the stall timeout.
-func (c *Coordinator) alive(ctx *sim.Context) {
-	c.progress++
-	c.progressAt = ctx.Now()
-}
-
-// ack records from's answer to a phase that waits on every worker (see
-// ackSet.add); a fresh one is a sign of life.
-func (c *Coordinator) ack(ctx *sim.Context, a *ackSet, from string) (fresh, done bool) {
-	fresh, done = a.add(from, len(c.sys.workerIDs))
-	if fresh {
-		c.alive(ctx)
-	}
-	return fresh, done
-}
-
 // phaseSpan closes the trace span of the slot's current phase (begun at
 // phaseAt). Binding epochs carry a "binding" arg, so a trace separates a
 // recovery's replay from ordinary traffic.
@@ -554,23 +474,6 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 	}
 	c.journal.sync(ctx) // the chain's last level (a batch synced at its decide)
 	c.releaseCommit(ctx)
-}
-
-// replayDrained marks the end of a recovery's binding replay — the last
-// binding batch applied whole with nothing queued or in flight behind it,
-// so every released effect is rebuilt — and closes the recovery.replay
-// trace span. Purely observational.
-func (c *Coordinator) replayDrained(ctx *sim.Context, st *epochState) {
-	if f := c.flight(); f.Enabled() {
-		f.Recordf(ctx.Now(), c.sys.coordID, "replay.drained",
-			"epoch %d: binding replay drained in %v", st.epoch, ctx.Now()-c.replayAt)
-	}
-	if tr := c.tracer(); tr.Enabled() {
-		tr.Span(c.sys.coordID, "recovery", "recovery.replay", c.replayAt, ctx.Now(),
-			"epoch", strconv.FormatInt(st.epoch, 10))
-	}
-	c.replayAt = -1
-	c.serveHeld(ctx)
 }
 
 // releaseCommit frees the commit slot — the slot's last use: it becomes the
@@ -691,7 +594,7 @@ func (c *Coordinator) startSnapshot(ctx *sim.Context, st *epochState) {
 	// entry released at or before now has its effects in the images the
 	// workers are about to write — and every later release does not.
 	c.snapCut = ctx.Now()
-	clear(c.snapDone)
+	clear(c.acks)
 	c.broadcast(ctx, msgTakeSnapshot{ID: c.snapshotID, Epoch: st.epoch})
 }
 
@@ -700,7 +603,7 @@ func (c *Coordinator) onSnapshotDone(ctx *sim.Context, from string, m msgSnapsho
 	if st == nil || st.phase != phaseSnapshot || m.ID != c.snapshotID {
 		return
 	}
-	if _, done := c.ack(ctx, &c.snapDone, from); !done {
+	if !c.ack(ctx, from) {
 		return
 	}
 	c.writeCheckpoint(ctx)
@@ -773,34 +676,6 @@ func (c *Coordinator) openEpoch(ctx *sim.Context) {
 	c.fillEpoch(ctx, st)
 }
 
-// openBinding fills a binding epoch with the next window of the replay
-// queue, in release order (so queue order is TID order), and closes the
-// batch in the same event: the queue is known in full, there is no
-// arrival an open window could wait for, and the epoch timer would only
-// add its interval to the outage. The batch then runs the ordinary
-// execute/validate/apply machinery; cutBinding decides at validation how
-// much of it commits. A global apply ends the window: it reserves nothing
-// and installs at the decide, after every lower TID, so a member behind it
-// in the same batch would read the rows from before it and no validation
-// would notice.
-func (c *Coordinator) openBinding(ctx *sim.Context, st *epochState) {
-	st.binding = true
-	c.BindingEpochs++
-	if c.replayAt < 0 {
-		c.replayAt = ctx.Now()
-	}
-	n := min(c.window, len(c.replaying))
-	for i, p := range c.replaying[:n] {
-		c.assign(ctx, st, p)
-		if p.apply != nil {
-			n = i + 1
-			break
-		}
-	}
-	c.replaying = c.replaying[n:]
-	c.closeBatch(ctx, st)
-}
-
 // fillEpoch populates a freshly opened (non-binding, unfenced) epoch:
 // pending retries, then the source-log backlog, then the close timer.
 // Also the resume step when an unfence releases a parked epoch.
@@ -830,15 +705,8 @@ func (c *Coordinator) drainSource(ctx *sim.Context) {
 		st == nil || st.phase != phaseOpen || st.binding {
 		return
 	}
-	end, err := c.sys.RequestLog.End(sourceTopic, 0)
-	if err != nil {
-		return
-	}
-	for ; c.consumed < end && !c.batchFull(st); c.consumed++ {
-		rec, ok := c.readSource(c.consumed)
-		if !ok {
-			break
-		}
+	for end := c.sys.RequestLog.End(); c.consumed < end && !c.batchFull(st); c.consumed++ {
+		rec, _ := c.readSource(c.consumed)
 		if !rec.isClientRequest() {
 			// Fence markers and global applies never enter the batch
 			// intake: markers are recovery metadata, and an apply below
@@ -869,319 +737,4 @@ func (c *Coordinator) drainPending(ctx *sim.Context, st *epochState) {
 		}
 		c.assign(ctx, st, p)
 	}
-}
-
-// onStallCheck is the failure detector's watchdog. If a slot still waits on
-// the workers and its deadline — one stall timeout after the later of its
-// phase start and the last counted worker answer — has passed, a worker is
-// presumed dead and recovery starts; either slot stalling recovers the whole
-// system. Otherwise the watchdog re-arms for the deadline — slow is not dead
-// — or, with no slot waiting, stops until the next phase entry arms it
-// again: detection is one StallTimeout after the last sign of life, wherever
-// the checks happen to land. A check that fires before the deadline it was
-// armed for is one a crash orphaned (see stallArmed). A recovery in progress
-// has no stall guard: its tick is the retry (retryRecover), never a
-// re-entry.
-func (c *Coordinator) onStallCheck(ctx *sim.Context) {
-	if !c.stallArmed || ctx.Now() < c.stallAt {
-		return
-	}
-	c.stallArmed = false
-	st, at := c.stalled()
-	if st == nil {
-		return // nothing waits on the workers (a recovery holds no slot)
-	}
-	if ctx.Now() < at {
-		c.armStallCheck(ctx)
-		return
-	}
-	// How long the workers were silent before the detector gave up on them:
-	// the one term of an outage that is neither downtime nor recovery work.
-	if tr := c.tracer(); tr.Enabled() {
-		tr.Span(c.sys.coordID, "recovery", "recovery.detect", c.progressAt, ctx.Now(),
-			"epoch", strconv.FormatInt(st.epoch, 10))
-	}
-	c.Recover(ctx)
-}
-
-// recoverRetryEvery is how often a recovery in progress re-sends its recover
-// message to the workers that have not acknowledged it: a few epoch
-// intervals — long enough that a live worker's restore and ack normally
-// beat it, short enough that a worker coming out of a hold-down is rolled
-// back at once instead of a stall timeout later.
-func (c *Coordinator) recoverRetryEvery() time.Duration { return 4 * c.sys.cfg.EpochInterval }
-
-// retryRecover re-sends the recovery in progress to the workers still
-// missing from c.recovered — one the fault schedule held down when Recover
-// ran (respawn refused, message dropped), a lost recover message or a lost
-// ack. It is a re-send, not a recovery: same snapshot id and epoch, no
-// journal advance, no rebuilt queues. A worker that already restored answers
-// the duplicate with a bare re-ack (onRecover), so it is idempotent.
-func (c *Coordinator) retryRecover(ctx *sim.Context) {
-	c.RecoverRetries++
-	var missing []string
-	for _, w := range c.sys.workerIDs {
-		if !c.recovered[w] {
-			missing = append(missing, w)
-			c.sendRecover(ctx, w)
-		}
-	}
-	if f := c.flight(); f.Enabled() {
-		f.Recordf(ctx.Now(), c.sys.coordID, "recover.retry",
-			"epoch %d: snapshot %d re-sent to %s", c.epoch, c.snapshotID, strings.Join(missing, " "))
-	}
-	ctx.After(c.recoverRetryEvery(), msgRecoverRetry{Epoch: c.epoch})
-}
-
-// sendRecover tells one worker to roll back to the recovery's snapshot,
-// respawning it first if it is dead (the cluster-manager model; a no-op
-// while the fault schedule holds it down). A live worker keeps its CPU
-// backlog and merely rolls its state back when the message reaches it.
-func (c *Coordinator) sendRecover(ctx *sim.Context, w string) {
-	if c.sys.restart != nil && (c.sys.isCrashed == nil || c.sys.isCrashed(w)) {
-		c.sys.restart(w)
-	}
-	ctx.Send(w, msgRecover{SnapshotID: c.snapshotID, Epoch: c.epoch},
-		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
-}
-
-// restorePoint returns the snapshot recovery (and snapshot-consistency
-// queries) may use: exactly the latest sealed snapshot — never a merely
-// image-complete one, whose effects may depend on delivered-records a
-// crash could still tear.
-func (c *Coordinator) restorePoint() (snapshot.Meta, bool) {
-	if c.sealed == 0 {
-		return snapshot.Meta{}, false
-	}
-	return c.sys.Snapshots.Get(c.sealed)
-}
-
-// buildReplaying computes the binding prefix of a recovery: every
-// released (or staged — its sync is in flight and cannot be recalled)
-// successful response whose release postdates the restored snapshot's
-// cut. Those responses escaped to clients, but the restored images
-// predate their effects — so the rebuilt state is only consistent with
-// what clients saw if their transactions re-commit, before anything
-// else, in the order the responses were released.
-//
-// Release order is reconstructed as (release time, source position):
-// response staging advances virtual time per append, so release time is
-// the journal's append order itself — the original effective serial order
-// — and position only breaks ties. Re-executing that sequence against the
-// restored images reproduces each member's original observations: binding
-// epochs run it in batches, and a member that conflicts with an earlier
-// one in its batch is cut off with everything behind it and runs in the
-// next (see cutBinding), so conflicting members always re-commit in queue
-// order.
-//
-// One queue member per source record: a global apply is pointed at by its
-// own ack and by every embedded home-shard response staged with it, and
-// queueing it once per entry would re-install the same write-set several
-// times — copies that WAW-conflict with each other and cut every batch
-// they share. The earliest release among the entries places it.
-func (c *Coordinator) buildReplaying(cut time.Duration) {
-	released := map[int64]time.Duration{} // source position → earliest release
-	add := func(ent deliveredEntry) {
-		if ent.resp.Err != "" || ent.at <= cut {
-			return // definitive error (no effects), or effects in the images
-		}
-		// ent.pos holds a client request or — for an apply's ack and the
-		// embedded responses staged with it — the apply itself.
-		if at, ok := released[ent.pos]; !ok || ent.at < at {
-			released[ent.pos] = ent.at
-		}
-	}
-	c.journal.released(add)
-	order := make([]int64, 0, len(released))
-	for pos := range released {
-		order = append(order, pos)
-	}
-	slices.SortFunc(order, func(a, b int64) int {
-		return cmp.Or(cmp.Compare(released[a], released[b]), cmp.Compare(a, b))
-	})
-	c.replaying = make([]pendingReq, 0, len(order))
-	for _, pos := range order {
-		if rec, ok := c.readSource(pos); ok {
-			c.replaying = append(c.replaying, rec.txn)
-		}
-	}
-	c.BindingReplays += len(c.replaying)
-}
-
-// Recover rolls the system back to the latest snapshot: restart crashed
-// workers, restore every worker image, discard the in-flight epochs, and
-// replay the source suffix. Delivered-response deduplication keeps output
-// exactly-once across the replay. It has three entries — a stall the
-// failure detector fired on (onStallCheck), a coordinator reboot (OnRestart)
-// and a fence ack that found a worker dead (ackFence) — and
-// none of them runs while a recovery is in progress: that one finishes by
-// retrying (retryRecover), not by being entered again.
-func (c *Coordinator) Recover(ctx *sim.Context) {
-	c.Recoveries++
-	// View change: bumping the epoch *before* the restore makes every
-	// message of the discarded world — in-flight events, decides, delayed
-	// snapshot requests — provably stale to any worker that processes the
-	// recovery, with no global knowledge required (workers just keep an
-	// epoch high-water mark). The bump is fsynced before the recover
-	// messages leave, so even a crash right here cannot fork the view.
-	c.epoch++
-	c.journal.advance(ctx, c.epoch, true)
-	// The recovery phase is itself failure-guarded: a worker still held
-	// down, a lost recover message or a lost ack is retried every
-	// recoverRetryEvery until every worker has answered.
-	c.recoverAt = ctx.Now()
-	c.recovering = true
-	c.exec, c.commit = nil, nil
-	ctx.After(c.recoverRetryEvery(), msgRecoverRetry{Epoch: c.epoch})
-	c.pending, c.replaying = nil, nil
-	c.window, c.replayAt = 1, -1
-	// Every epoch up to the view is settled or discarded, so reads need wait
-	// for no install, and a read answered from a discarded cut is asked
-	// again once the recovery drains.
-	c.decided = c.epoch
-	c.holdUnanswered()
-	var snapID int64
-	cut := time.Duration(-1) // no snapshot: every release postdates the empty state
-	if meta, ok := c.restorePoint(); ok {
-		snapID = meta.ID
-		cut = c.sealedCut
-		c.consumed = meta.SourceOffsets[sourceTopic][0]
-		// Re-queue the consumed-but-pending requests the snapshot
-		// recorded: their positions predate the offset, so the suffix
-		// replay alone would lose them. Answered ones are skipped — a
-		// definitive error keeps its recorded response, and a released
-		// commit is the binding replay's to re-execute.
-		for _, pos := range meta.PendingPositions[sourceTopic] {
-			rec, ok := c.readSource(pos)
-			if !ok {
-				continue
-			}
-			if c.journal.answered(rec.txn.req.Req) {
-				continue
-			}
-			c.pending = append(c.pending, rec.txn)
-		}
-	} else {
-		c.consumed = 0
-	}
-	c.buildReplaying(cut)
-	c.rebuildSeen()
-	// Re-derive the fence state from the durable markers in the log
-	// suffix: a shard that crashed (or stalled) inside a global batch's
-	// fence window comes back still fenced and parks again after the
-	// binding replay, instead of resuming normal epochs between the
-	// sequencer's reads and its writes.
-	c.scanFenceState()
-	if c.fenceSeq != 0 && ctx.Now() >= c.parkAt {
-		// A rebuilt park needs a watchdog unless one is due: a stall
-		// recovery keeps the live one. A reboot cleared parkAt, so a tick
-		// armed before the crash fires before the new deadline and is
-		// dropped.
-		c.armParkWatchdog(ctx)
-	}
-	clear(c.recovered)
-	c.snapshotID = snapID
-	c.tap.restored(c.epoch, snapID)
-	c.RestoredSnapshots = append(c.RestoredSnapshots, snapID)
-	if f := c.flight(); f.Enabled() {
-		f.Recordf(ctx.Now(), c.sys.coordID, "recovery",
-			"epoch %d: restored snapshot %d, %d binding replays, %d pending",
-			c.epoch, snapID, len(c.replaying), len(c.pending))
-	}
-	for _, w := range c.sys.workerIDs {
-		c.sendRecover(ctx, w)
-	}
-}
-
-// rebuildSeen reconstructs the journal's logged arrivals from durable
-// ground truth: every answered response (the journal's own), every pending
-// retry the snapshot recorded, and every id in the source-log suffix the
-// replay will re-consume.
-func (c *Coordinator) rebuildSeen() {
-	c.journal.resetSeen()
-	for _, p := range c.pending {
-		c.journal.logged(p.req.Req)
-	}
-	if end, err := c.sys.RequestLog.End(sourceTopic, 0); err == nil {
-		for pos := c.consumed; pos < end; pos++ {
-			rec, ok := c.readSource(pos)
-			if !ok {
-				break
-			}
-			if rec.marker == nil {
-				c.journal.logged(rec.txn.req.Req)
-			}
-		}
-	}
-}
-
-// OnRestart implements sim.RestartHandler: the coordinator machine came
-// back from a crash with its memory gone. Restore the journal — the epoch
-// high-water mark and the delivered responses, exactly what exactly-once
-// needs — then run the ordinary rollback recovery for everything else.
-func (c *Coordinator) OnRestart(ctx *sim.Context) {
-	c.Restarts++
-	if c.exec != nil && c.commit != nil {
-		// Pre-crash in-memory state is observable to the test harness even
-		// though the protocol discards it: record that this reboot landed
-		// inside the two-epochs-in-flight window.
-		c.MidPipelineRestarts++
-	}
-	c.exec, c.commit = nil, nil
-	c.recovering = false
-	c.pending, c.replaying = nil, nil
-	c.progress, c.progressAt = 0, 0
-	c.stallArmed = false
-	// The fence window is volatile here; Recover's marker scan rebuilds it,
-	// raising the completed high-water mark the checkpoint carried.
-	c.fencePending, c.fenceSeq = msgFence{}, 0
-	c.fenceApply, c.ballot = nil, 0
-	c.parkAt = 0
-	c.reads, c.held = nil, nil
-	img := c.journal.restore(ctx)
-	c.CorruptLogRecords += img.corrupt
-	c.epoch = img.epoch
-	c.nextTID = img.nextTID
-	c.sealed, c.sealedCut = img.sealed, img.sealedCut
-	c.fenceDone = img.fenceDone
-	if !c.sys.cfg.DisablePipelining {
-		// Compensate for the single epoch-advance record the pipelined
-		// schedule allows to be volatile: it may have been torn by the
-		// crash, so the durable high-water mark can trail the highest
-		// epoch ever spoken by exactly one. Over-bumping here (plus the
-		// view-change bump in Recover) restores epoch > everything spoken.
-		c.epoch++
-	}
-	// Forwarding numbers restart above every one the lost incarnation could
-	// have issued (fewer than 2^32 per epoch), so no late answer to one of
-	// its reads can match a new read.
-	c.readSeq = aria.TID(c.epoch) << 32
-	if f := c.flight(); f.Enabled() {
-		f.Recordf(ctx.Now(), c.sys.coordID, "restore",
-			"rebooted from dlog: epoch %d, %d delivered, %d log records",
-			c.epoch, c.journal.size(), img.records)
-	}
-	c.Recover(ctx)
-}
-
-func (c *Coordinator) onRecovered(ctx *sim.Context, from string, m msgRecovered) {
-	// The epoch check rejects acks from an earlier recovery round that
-	// happened to restore the same snapshot id — the worker they name has
-	// not rolled back in *this* round.
-	if !c.recovering || m.SnapshotID != c.snapshotID || m.Epoch != c.epoch {
-		return
-	}
-	if _, done := c.ack(ctx, &c.recovered, from); !done {
-		return
-	}
-	if tr := c.tracer(); tr.Enabled() {
-		tr.Span(c.sys.coordID, "recovery", "recovery.restore", c.recoverAt, ctx.Now(),
-			"epoch", strconv.FormatInt(c.epoch, 10), "snapshot", strconv.FormatInt(c.snapshotID, 10))
-	}
-	// Epoch bump invalidates every stale in-flight message, then the
-	// binding queue and the source suffix replay through the batch
-	// machinery.
-	c.recovering = false
-	c.openEpoch(ctx)
-	c.serveHeld(ctx)
 }

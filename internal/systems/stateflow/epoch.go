@@ -15,19 +15,19 @@
 // request does not give is the one round 0 observed (Calvin's
 // reconnaissance); a re-execution that leaves it retries in the next batch.
 //
-// This file owns the per-epoch protocol state (epochState, the transaction
-// record, the ack set) and every step that reads or writes it. What can be
+// This file owns the per-epoch protocol state (epochState and the
+// transaction record) and every step that reads or writes it. What can be
 // decided from an epochState alone — the fallback schedule, a round's
 // decision, a member's outcome — is a method on *epochState and takes no
 // sim.Context; the Coordinator methods below wrap
 // those steps with what the deployment adds: messages, cost-model CPU,
-// counters, responses and the journal. Intake, recovery, snapshots and the
-// pipeline's slot management live in coordinator.go.
+// counters, responses and the journal. Intake, snapshots and the pipeline's
+// slot management live in coordinator.go; recovery, the binding batch's cut
+// included, in recovery.go.
 package stateflow
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -86,29 +86,11 @@ type txnState struct {
 	rescued bool
 }
 
-// ackSet collects the answers to a phase that waits on every worker.
-type ackSet map[string]bool
-
-// add records from's answer, out of n expected. fresh: the worker had not
-// answered this phase yet — the only kind of answer that counts as progress
-// for the failure detector (see Coordinator.ack); done: the answer
-// completed the set, so the phase advances. A duplicate is neither.
-func (a *ackSet) add(from string, n int) (fresh, done bool) {
-	if (*a)[from] {
-		return false, false
-	}
-	if *a == nil {
-		*a = make(ackSet, n)
-	}
-	(*a)[from] = true
-	return true, len(*a) == n
-}
-
 // epochState is one slot of the coordinator's pipeline stage table: the
 // full per-epoch protocol state, from the open batch through validation,
 // the fallback chain and apply. The epoch number is the demultiplexing key —
 // worker messages carry it, and stageFor routes them to the slot they
-// belong to — so two epochs can be in flight without their acks or finishes
+// belong to — so two epochs can be in flight without their answers
 // contaminating each other. A slot lives from openEpoch to releaseCommit;
 // the released slot is the coordinator's spare, which the next openEpoch
 // resets and reuses for the epoch it opens, keeping its backing stores and
@@ -156,11 +138,9 @@ type epochState struct {
 	// round is the round in flight — 0: the batch's first execution, 1: the
 	// chain — and order its members in TID order (round 0: the whole batch,
 	// set at close; the chain: a copy of its plan's members, so the slot's
-	// storage is never the plan's). acks is the apply in flight's worker
-	// answers.
+	// storage is never the plan's).
 	round int
 	order []aria.TID
-	acks  ackSet
 
 	// chain is the batch's fallback schedule (nil: no conflict abort to
 	// re-execute): the aborts run as round 1, gated on the workers by
@@ -225,15 +205,14 @@ func (st *epochState) add(tid aria.TID, p pendingReq) *txnState {
 }
 
 // reset readies a released slot for epoch: every field starts over, and the
-// batch, round 0's order and the ack set keep their backing stores, emptied.
+// batch and round 0's order keep their backing stores, emptied.
 // The batch keeps its member records too, for add to zero and reuse: the
 // slot was released, so every member was answered, every worker installed
 // the epoch and no event of it is in flight. Only copies of its finishes
 // may be, and onFinished drops those that find their body reused.
 func (st *epochState) reset(epoch int64) {
-	txns, order, acks := st.txns, st.order, st.acks
-	clear(acks)
-	*st = epochState{epoch: epoch, phase: phaseOpen, txns: txns[:0], order: order[:0], acks: acks}
+	txns, order := st.txns, st.order
+	*st = epochState{epoch: epoch, phase: phaseOpen, txns: txns[:0], order: order[:0]}
 }
 
 // close fixes the batch: round 0's order is every member, in TID order.
@@ -657,7 +636,7 @@ func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 		ctx.Work(time.Duration(rescued) * c.sys.cfg.Costs.FallbackCPU)
 	}
 	c.enterPhase(ctx, st, phaseApply)
-	clear(st.acks)
+	clear(c.acks)
 	m := st.decision()
 	c.broadcast(ctx, m)
 	if !st.chained() {
@@ -681,50 +660,6 @@ func (c *Coordinator) decide(ctx *sim.Context, st *epochState) {
 	}
 }
 
-// cutBinding settles a binding batch at its validation: the longest
-// prefix of the batch (in queue order, which is TID order) without a
-// conflict abort commits, and everything from the first aborted member on
-// — aborted or not — goes back to the front of the replay queue, in
-// order, to run in the next binding epoch.
-//
-// This is what makes batching an order-constrained replay sound. Aria
-// commits every member without a RAW or WAW conflict against a lower TID,
-// so committing the whole surviving set would let a later member commit
-// against state that lacks an aborted earlier member's write — an order
-// inversion the released responses already contradict, and with
-// data-dependent footprints one the aborted member's re-execution can
-// drift away from, so no later conflict check would ever notice it. A
-// member of the prefix has no such exposure: every lower TID commits with
-// it, none of them wrote anything it read or wrote, so executing it
-// against the pre-batch state is executing it after them — the batch's
-// commits are exactly the queue's serial order. The lowest TID has nothing
-// to conflict with, so the prefix is never empty and every batch makes
-// progress.
-//
-// The window adapts with no knob: a batch that commits whole doubles it
-// (up to MaxBatch), a cut sets it to the prefix length — the conflict
-// spacing just observed. A queue of transactions on one hot key therefore
-// degrades to the one-per-epoch serial order, never below it.
-func (c *Coordinator) cutBinding(ctx *sim.Context, st *epochState) {
-	cut := slices.IndexFunc(st.txns, func(t *txnState) bool { return t.aborted })
-	if cut < 0 {
-		c.window *= 2
-		if limit := c.sys.cfg.MaxBatch; limit > 0 && c.window > limit {
-			c.window = limit
-		}
-		return
-	}
-	c.window = max(cut, 1)
-	requeue := make([]pendingReq, 0, len(st.txns)-cut+len(c.replaying))
-	for _, t := range st.txns[cut:] {
-		t.aborted = true
-		p := t.pendingReq
-		p.arrivedAt = ctx.Now()
-		requeue = append(requeue, p)
-	}
-	c.replaying = append(requeue, c.replaying...)
-}
-
 // onApplied settles the round once every worker installed it: the batch's
 // chain dispatches — its members read round 0's installed writes — or the
 // epoch is finished.
@@ -733,7 +668,7 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 	if st == nil || m.Epoch != st.epoch || st.phase != phaseApply || m.Round != st.round {
 		return
 	}
-	if _, done := c.ack(ctx, &st.acks, from); !done {
+	if !c.ack(ctx, from) {
 		return
 	}
 	c.phaseSpan(ctx, st, "apply")

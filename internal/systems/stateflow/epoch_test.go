@@ -183,7 +183,7 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 	inPhase := func(p phase) func() ackSet {
 		return func() ackSet {
 			if st := c.commit; st != nil && st.phase == p {
-				return st.acks
+				return c.acks
 			}
 			return nil
 		}
@@ -218,17 +218,12 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 	duplicate("apply", inPhase(phaseApply), func(st *epochState) sim.Message {
 		return msgApplied{&msgDecide{Epoch: st.epoch, Round: st.round}}
 	})
-	duplicate("snapshot", func() ackSet {
-		if st := c.commit; st == nil || st.phase != phaseSnapshot {
-			return nil
-		}
-		return c.snapDone
-	}, func(*epochState) sim.Message { return msgSnapshotDone{ID: c.snapshotID} })
+	duplicate("snapshot", inPhase(phaseSnapshot), func(*epochState) sim.Message { return msgSnapshotDone{ID: c.snapshotID} })
 
 	// Crash a worker while a decide is on its way to it: its ack never
 	// comes, so the apply stalls and the detector recovers.
 	for i := 0; ; i++ {
-		if st := c.commit; st != nil && st.phase == phaseApply && len(st.acks) == 0 {
+		if st := c.commit; st != nil && st.phase == phaseApply && len(c.acks) == 0 {
 			break
 		}
 		if i > 500_000 {
@@ -242,7 +237,7 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 		if !c.recovering {
 			return nil
 		}
-		return c.recovered
+		return c.acks
 	}, func(*epochState) sim.Message { return msgRecovered{SnapshotID: c.snapshotID, Epoch: c.epoch} })
 
 	f.cluster.RunUntil(20 * time.Second)
@@ -395,7 +390,7 @@ func TestSelfClockLeavesBindingAndFencedEpochsAlone(t *testing.T) {
 	}
 	fx.runUntil("the updates logged behind the fence", func() bool {
 		watch()
-		end, _ := fx.shard.RequestLog.End(sourceTopic, 0)
+		end := fx.shard.RequestLog.End()
 		return end-c.consumed >= int64(len(fx.keys[7:]))+1 // and the open marker
 	})
 	now := fx.cluster.Now()

@@ -594,7 +594,7 @@ func TestFenceDoneSurvivesACheckpointPastItsMarker(t *testing.T) {
 	for i, sh := range fx.sys.Shards() {
 		c := sh.Coordinator()
 		marker := int64(-1)
-		end, _ := sh.RequestLog.End(sourceTopic, 0)
+		end := sh.RequestLog.End()
 		for pos := int64(0); pos < end; pos++ {
 			if rec, _ := c.readSource(pos); rec.marker != nil && !rec.marker.open && rec.marker.seq == 1 {
 				marker = pos
@@ -688,7 +688,7 @@ func TestDroppedFenceDrainsTheBacklog(t *testing.T) {
 	}
 	fx.cluster.Inject(fx.cluster.Now(), sequencerID, sh.coordID, msgSeqFenceQuery{Ballot: 1})
 	fx.stepUntil("the backlog logged and the fence dropped", func() bool {
-		end, _ := sh.RequestLog.End(sourceTopic, 0)
+		end := sh.RequestLog.End()
 		return end == 4 && c.ballot == 1
 	})
 	if c.fenceSeq != 0 || c.fencePending.Seq != 0 {

@@ -198,15 +198,8 @@ func (c *Coordinator) onSeqFenceQuery(ctx *sim.Context, from string, m msgSeqFen
 // (answered or not — the recovery handshake needs its manifest either
 // way; scanFenceState's answered-filter only applies to re-execution).
 func (c *Coordinator) findApply(seq int64) *globalApply {
-	end, err := c.sys.RequestLog.End(sourceTopic, 0)
-	if err != nil {
-		return nil
-	}
-	for pos := end - 1; pos >= c.consumed; pos-- {
-		rec, ok := c.readSource(pos)
-		if !ok {
-			break
-		}
+	for pos := c.sys.RequestLog.End() - 1; pos >= c.consumed; pos-- {
+		rec, _ := c.readSource(pos)
 		if a := rec.txn.apply; a != nil && a.man.seq == seq {
 			return a
 		}
@@ -270,10 +263,7 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 	if c.recovering || a.man.seq != c.fenceSeq || m.Ballot < c.ballot {
 		return
 	}
-	_, pos, err := c.sys.RequestLog.Produce(sourceTopic, a.id, a)
-	if err != nil {
-		return
-	}
+	pos := c.sys.RequestLog.Append(a.id, a)
 	c.journal.logged(a.id)
 	p := a.pending(pos)
 	p.arrivedAt = ctx.Now()
@@ -315,10 +305,7 @@ func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 // inside the fence window.
 func (c *Coordinator) produceMarker(ctx *sim.Context, seq int64, open bool) {
 	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-	// The only failure Produce has is an unknown topic, and newSystem
-	// created this one.
-	_, _, _ = c.sys.RequestLog.Produce(sourceTopic, c.sys.coordID,
-		&fenceMarker{seq: seq, open: open, ballot: c.ballot})
+	c.sys.RequestLog.Append(c.sys.coordID, &fenceMarker{seq: seq, open: open, ballot: c.ballot})
 }
 
 // scanFenceState re-derives the fence state from the durable markers in
@@ -336,16 +323,9 @@ func (c *Coordinator) produceMarker(ctx *sim.Context, seq int64, open bool) {
 // sequencer's apply re-sends is safe.
 func (c *Coordinator) scanFenceState() {
 	c.fenceSeq, c.fenceApply = 0, nil
-	end, err := c.sys.RequestLog.End(sourceTopic, 0)
-	if err != nil {
-		return
-	}
 	var apply *pendingReq
-	for pos := c.consumed; pos < end; pos++ {
-		rec, ok := c.readSource(pos)
-		if !ok {
-			break
-		}
+	for pos, end := c.consumed, c.sys.RequestLog.End(); pos < end; pos++ {
+		rec, _ := c.readSource(pos)
 		switch mk := rec.marker; {
 		case mk != nil && mk.open:
 			if c.fenceSeq != mk.seq {

@@ -120,8 +120,8 @@ func (r sourceRecord) isClientRequest() bool {
 
 // readSource reads the source log at pos; ok is false past the end.
 func (c *Coordinator) readSource(pos int64) (sourceRecord, bool) {
-	rec, ok, err := c.sys.RequestLog.Fetch(sourceTopic, 0, pos)
-	if err != nil || !ok {
+	rec, ok := c.sys.RequestLog.Read(pos)
+	if !ok {
 		return sourceRecord{}, false
 	}
 	switch p := rec.Payload.(type) {

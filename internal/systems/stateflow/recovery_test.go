@@ -902,7 +902,7 @@ func TestDetectorArmsOneCheckForBothSlots(t *testing.T) {
 	}
 	fx.runUntil("the first batch decided", func() bool {
 		st := c.commit
-		return st != nil && st.phase == phaseApply && len(st.acks) == 0
+		return st != nil && st.phase == phaseApply && len(c.acks) == 0
 	})
 	// The second batch opened at the first one's decide. The victim owns one
 	// of its members and has not acked the decide: neither answer comes.

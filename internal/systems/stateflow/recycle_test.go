@@ -193,7 +193,7 @@ func TestRecycleKeepsTheSealedRestorePoint(t *testing.T) {
 }
 
 // TestReleasedEpochSlotIsReset: a released slot keeps its backing stores
-// and its member records but nothing of its epoch — no ack, chain or round
+// and its member records but nothing of its epoch — no chain or round
 // survives the reset that reuses it — and every record the next batch reuses
 // is zeroed: no field of a released member survives into it.
 func TestReleasedEpochSlotIsReset(t *testing.T) {
@@ -206,18 +206,17 @@ func TestReleasedEpochSlotIsReset(t *testing.T) {
 		m.finished, m.value, m.err, m.sets, m.aborted, m.rescued = true, interp.IntV(2), "err", &rwSets{}, true, true
 	}
 	st.close()
-	st.acks.add("w0", 2)
 	st.chain = &aria.Chain{}
 	st.round, st.levelLeft, st.binding = 1, []int32{1}, true
 	txns, order := st.txns, st.order
 	released := slices.Clone(txns)
 
 	st.reset(4)
-	if st.epoch != 4 || st.phase != phaseOpen || len(st.txns) != 0 || len(st.order) != 0 || len(st.acks) != 0 ||
+	if st.epoch != 4 || st.phase != phaseOpen || len(st.txns) != 0 || len(st.order) != 0 ||
 		st.chain != nil || st.levelLeft != nil || st.round != 0 || st.binding || st.unfinished != 0 {
 		t.Fatalf("reset left epoch state behind: %+v", st)
 	}
-	if &st.txns[:1][0] != &txns[0] || &st.order[:1][0] != &order[0] || st.acks == nil {
+	if &st.txns[:1][0] != &txns[0] || &st.order[:1][0] != &order[0] {
 		t.Fatal("reset dropped the slot's backing stores")
 	}
 	fresh := &epochState{}

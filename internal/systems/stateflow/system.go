@@ -27,6 +27,7 @@ import (
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 )
 
+// sourceTopic names the source log in a snapshot's offsets.
 const sourceTopic = "requests"
 
 // Config parameterizes a StateFlow deployment.
@@ -147,7 +148,9 @@ type System struct {
 	coord     *Coordinator
 	workers   []*Worker
 
-	RequestLog *queue.Log
+	// RequestLog is the replayable source: client requests, global applies
+	// and fence markers, in arrival order, addressed by position.
+	RequestLog queue.Partition
 	Snapshots  *snapshot.Store
 	// Dlog is the coordinator's durable append log. Like the request log
 	// and the snapshot store it models an attached durable device: its
@@ -177,18 +180,14 @@ func newSystem(cluster *sim.Cluster, prog *ir.Program, ex *core.Executor, cfg Co
 		cfg.Workers = 1
 	}
 	sys := &System{
-		cfg:        cfg,
-		prog:       prog,
-		prefix:     prefix,
-		coordID:    prefix + "coord",
-		RequestLog: queue.NewLog(),
-		Snapshots:  snapshot.NewStore(prog.Layouts()),
-		Dlog:       dlog.NewSimLog(),
-		restart:    cluster.Restart,
-		isCrashed:  cluster.IsCrashed,
-	}
-	if err := sys.RequestLog.CreateTopic(sourceTopic, 1); err != nil {
-		panic(err) // fresh log; cannot happen
+		cfg:       cfg,
+		prog:      prog,
+		prefix:    prefix,
+		coordID:   prefix + "coord",
+		Snapshots: snapshot.NewStore(prog.Layouts()),
+		Dlog:      dlog.NewSimLog(),
+		restart:   cluster.Restart,
+		isCrashed: cluster.IsCrashed,
 	}
 	// The device applies its crash contract at the coordinator's crash
 	// instant: synced records survive, the in-flight tail tears.
