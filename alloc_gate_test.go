@@ -17,7 +17,9 @@ import (
 
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction. The
 // ycsb_m and hot_t ceilings sit about 10 % above what each run costs today
-// (6.0 and 12.6; 7.6 and 15.6 while every batch member allocated its
+// (5.3 and 11.0; 6.0 and 12.6 while the source log and the journal's log
+// were slices grown by append and the journal's log copied every payload
+// into an allocation of its own; 7.6 and 15.6 while every batch member allocated its
 // coordinator record, every transaction its txnWork on each worker it ran on
 // and every fast read its record; 11.5 and 18.6 while a simple call allocated its frame and
 // its slots, the source log boxed the request it had been handed a second
@@ -38,10 +40,12 @@ import (
 // and worker epochs afresh, 20.3 and 55.5 while every continuation resumed
 // on its caller's operator, 21.2 and 61.4 while a batch was validated by a
 // prepare/vote wave, and the contended leg read 66.6 behind barrier
-// rounds). The xshard ceiling sits just above today's 13.0 (13.1 under the
+// rounds). The xshard ceiling sits just above today's 10.9 (11.0 under the
 // race detector) so that it pins the sequencer's forward of a single-shard
 // request without re-boxing it (about 0.9 more when the forward boxes a new
-// interface value; 14.4 while the member records, txnWorks and read records
+// interface value; 13.0 while the logs grew by append and a parked shard's
+// release dropped the spare slot, so the epoch after each global batch
+// allocated its slot and member records afresh; 14.4 while the member records, txnWorks and read records
 // were allocated per request; 18.0 before simple calls bound their frames on the stack,
 // the source log kept the request it received and finishes travelled back in
 // their events' bodies; 19.5 before the call chain, the hop and the epoch's
@@ -58,9 +62,13 @@ import (
 // Lower them when the path gets cheaper.
 //
 // The byte ceilings sit about 10 % above what a transaction allocates
-// today (776, 2,170 and 1,580 bytes on ycsb_m, hot_t and xshard, the same
-// to a byte or two in three runs in a row, and 786, 2,193 and 1,602 under
-// the race detector; 1,559, 3,743 and 2,230 while every batch member
+// today (616, 1,734 and 1,142 bytes on ycsb_m, hot_t and xshard, the same
+// to a byte or two in three runs in a row, and 625, 1,753 and 1,160 under
+// the race detector; 776, 2,170 and 1,580 while the source log and the
+// journal's log were slices grown by append, which allocates about five
+// times a slice's final size, the journal's log copied every payload into
+// an allocation of its own and a parked shard dropped its spare slot;
+// 1,559, 3,743 and 2,230 while every batch member
 // allocated its 576-byte coordinator record, every transaction a 512-byte
 // txnWork on each worker it ran on and every fast read a 320-byte record,
 // instead of reusing those an earlier epoch or read released;
@@ -82,15 +90,15 @@ import (
 var allocGates = []allocGate{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.
-	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 6.5, 850},
+	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 5.8, 680},
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 13.8, 2390},
+	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 12.1, 1910},
 	// The benchmark's xshard shape: the same mix on 4 shards, so every
 	// request passes the sequencer, which forwards most of them to one
 	// shard and runs the rest as global batches.
-	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 13.4, 1740},
+	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 11.3, 1260},
 }
 
 // allocGate is one shape TestAllocsPerTransaction prices.
@@ -171,10 +179,12 @@ func TestAllocsPerTransaction(t *testing.T) {
 }
 
 // epochGate is TestAllocsPerEpoch's ceiling, just above what an epoch
-// costs today (13.1) so that it pins the ack that echoes its decide
+// costs today (11.0) so that it pins the ack that echoes its decide
 // (five more when each worker's apply ack boxes a value again) and the
 // flight-recorder guards (one more when every flight-recorder call boxes
-// its arguments for a nil recorder); 16.2 while the transfer's member
+// its arguments for a nil recorder); 13.1 while the source log and the
+// journal's log grew by append and the journal's log copied each of the
+// epoch's records into an allocation of its own; 16.2 while the transfer's member
 // record and its txnWork on each of its two workers were allocated afresh
 // instead of reused from a released epoch; 19.5 while the transfer's request was
 // boxed again for the source log, its finish was a message of its own and
@@ -191,7 +201,7 @@ func TestAllocsPerTransaction(t *testing.T) {
 // only the timer closed a batch (47.4 with the boxing gone alone), 55.8 while a suspending frame also allocated its pruning mask, 66.8 while
 // every epoch allocated its coordinator slot, round-0 order, ack set,
 // worker epochs and workspace maps afresh.
-const epochGate = 13.5
+const epochGate = 11.5
 
 // TestAllocsPerEpoch prices one epoch in heap allocations: transfers on
 // uniform keys arriving at 50 a second, so a batch closes as soon as its

@@ -144,11 +144,16 @@ func TestSimLogSyncAtGroupCommit(t *testing.T) {
 	}
 }
 
-// NewSimLogFrom deep-copies a SimLog so a test can probe alternative
-// crash instants of one history.
+// NewSimLogFrom deep-copies a SimLog, payloads included, so a test can
+// probe alternative crash instants of one history.
 func NewSimLogFrom(l *SimLog) *SimLog {
-	c := &SimLog{base: append([]byte(nil), l.base...), hasBase: l.hasBase, stats: l.stats}
-	c.recs = append(c.recs, l.recs...)
+	c := &SimLog{base: bytes.Clone(l.base), hasBase: l.hasBase}
+	for i := range l.Len() {
+		r := l.recs.At(i)
+		c.Append(r.rec)
+		c.recs.At(i).durableAt = r.durableAt
+	}
+	c.nextLSN, c.stats = l.nextLSN, l.stats
 	return c
 }
 

@@ -1,6 +1,7 @@
 package dlog
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -73,9 +74,17 @@ func (l *naiveLog) recover(now time.Duration) Recovered {
 // syncs still pending, so a blocking sync regularly completes before an
 // earlier group commit would have (and must pull its records' completion
 // forward), and crashes land between a sync's issue and its completion.
+// Every stored record and every recovered payload is compared with the
+// model's. Seeds above 100 run longer and never checkpoint, so their logs
+// cross record chunks, and payloads of up to a third of a payload chunk
+// cross payload chunks and take allocations of their own.
 func TestSimLogMatchesNaiveSyncModel(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		steps := 60
+		if seed > 100 {
+			steps = 600
+		}
 		real, model := NewSimLog(), &naiveLog{}
 		now := time.Duration(0)
 		var script []string
@@ -85,18 +94,22 @@ func TestSimLogMatchesNaiveSyncModel(t *testing.T) {
 				t.Fatalf("seed %d after %v:\n SimLog %+v len %d\n  model %+v len %d",
 					seed, script, real.Stats(), real.Len(), model.stats, len(model.recs))
 			}
-			for i := range model.recs {
-				if real.recs[i].durableAt != model.recs[i].durableAt {
-					t.Fatalf("seed %d after %v: record %d completes at %v, model says %v",
-						seed, script, i, real.recs[i].durableAt, model.recs[i].durableAt)
+			for i, want := range model.recs {
+				if got := real.recs.At(i); got.durableAt != want.durableAt || got.rec.Kind != want.rec.Kind || got.rec.At != want.rec.At || !bytes.Equal(got.rec.Data, want.rec.Data) {
+					t.Fatalf("seed %d after %v: record %d is %+v completing at %v, model says %+v at %v",
+						seed, script, i, got.rec, got.durableAt, want.rec, want.durableAt)
 				}
 			}
 		}
-		for step := 0; step < 60; step++ {
+		for step := 0; step < steps; step++ {
 			now += time.Duration(rng.Intn(4)) * time.Millisecond
 			switch op := rng.Intn(12); {
 			case op < 5:
-				r := Record{Kind: Kind(1 + rng.Intn(3)), At: int64(now), Data: []byte(fmt.Sprint("r", step))}
+				data := fmt.Append(nil, "r", step)
+				if rng.Intn(4) == 0 {
+					data = append(data, make([]byte, rng.Intn(payloadChunk/3))...)
+				}
+				r := Record{Kind: Kind(1 + rng.Intn(3)), At: int64(now), Data: data}
 				script = append(script, "append")
 				if lsn := real.Append(r); lsn != int64(model.stats.Appends+1) {
 					t.Fatalf("seed %d: LSN %d after %d appends", seed, lsn, model.stats.Appends)
@@ -113,12 +126,12 @@ func TestSimLogMatchesNaiveSyncModel(t *testing.T) {
 				script = append(script, fmt.Sprint("syncnow ", now))
 				real.SyncNow(now)
 				model.syncAll(now)
-			case op == 9:
+			case op == 9 && steps == 60:
 				payload := []byte(fmt.Sprint("ck", step))
 				script = append(script, "checkpoint")
 				real.Checkpoint(now, payload)
 				model.checkpoint(payload)
-			case op == 10:
+			case op <= 10:
 				script = append(script, fmt.Sprint("crash ", now))
 				real.Crash(now)
 				model.crash(now)

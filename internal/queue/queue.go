@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+
+	"statefulentities.dev/stateflow/internal/chunked"
 )
 
 // Record is one log entry.
@@ -20,28 +22,29 @@ type Record struct {
 	Payload any
 }
 
-// Partition is an append-only record log.
+// Partition is an append-only record log. Its records sit in fixed-length
+// chunks, so a record never moves once written.
 type Partition struct {
-	records []Record
+	records chunked.Seq[Record]
 }
 
 // Append adds a record and returns its offset.
 func (p *Partition) Append(key string, payload any) int64 {
-	off := int64(len(p.records))
-	p.records = append(p.records, Record{Offset: off, Key: key, Payload: payload})
+	off := p.End()
+	p.records.Push(Record{Offset: off, Key: key, Payload: payload})
 	return off
 }
 
 // Read returns the record at offset, or ok=false past the end.
 func (p *Partition) Read(offset int64) (Record, bool) {
-	if offset < 0 || offset >= int64(len(p.records)) {
+	if offset < 0 || offset >= p.End() {
 		return Record{}, false
 	}
-	return p.records[offset], true
+	return *p.records.At(int(offset)), true
 }
 
 // End returns the next offset to be written.
-func (p *Partition) End() int64 { return int64(len(p.records)) }
+func (p *Partition) End() int64 { return int64(p.records.Len()) }
 
 // Topic is a named set of partitions.
 type Topic struct {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"statefulentities.dev/stateflow/internal/chunked"
 )
 
 func newLog(t *testing.T, topic string, parts int) *Log {
@@ -152,4 +155,61 @@ func TestPartitionForDistribution(t *testing.T) {
 	if len(seen) != 4 {
 		t.Fatalf("keys hash to only %d partitions", len(seen))
 	}
+}
+
+// TestPartitionChunkBoundaries reads a partition back at one record
+// chunk's length less one, exactly and plus one: every offset holds its
+// record, End is the count, and the offset past it reads nothing.
+func TestPartitionChunkBoundaries(t *testing.T) {
+	per := chunked.Len[Record]()
+	for _, n := range []int{per - 1, per, per + 1, 2 * per} {
+		var p Partition
+		for i := range n {
+			if off := p.Append(fmt.Sprint("k", i), i); off != int64(i) {
+				t.Fatalf("n=%d: append %d at offset %d", n, i, off)
+			}
+		}
+		if p.End() != int64(n) {
+			t.Fatalf("n=%d: End %d", n, p.End())
+		}
+		for i := range n {
+			rec, ok := p.Read(int64(i))
+			if !ok || rec.Offset != int64(i) || rec.Key != fmt.Sprint("k", i) || rec.Payload != i {
+				t.Fatalf("n=%d: offset %d reads %+v, %v", n, i, rec, ok)
+			}
+		}
+		for _, off := range []int64{-1, int64(n), int64(n) + 1} {
+			if rec, ok := p.Read(off); ok {
+				t.Fatalf("n=%d: offset %d reads %+v", n, off, rec)
+			}
+		}
+	}
+}
+
+// TestAllocsPerPartitionChunk pins the source log's storage: a record
+// chunk's length of appends allocates at most one chunk, where a slice
+// grown by append copied itself over and over.
+func TestAllocsPerPartitionChunk(t *testing.T) {
+	per := chunked.Len[Record]()
+	var p Partition
+	payload := any(&Record{})
+	allocs := testing.AllocsPerRun(50, func() {
+		for range per {
+			p.Append("k", payload)
+		}
+	})
+	t.Logf("%.0f allocations per %d appends", allocs, per)
+	if allocs > 1 {
+		t.Errorf("%.0f allocations per %d appends, want at most one chunk", allocs, per)
+	}
+}
+
+// TestPartitionChunkFillsItsSizeClass pins a record chunk in the 8 KB size
+// class, so it wastes no more than a record's worth of it.
+func TestPartitionChunkFillsItsSizeClass(t *testing.T) {
+	n := uintptr(chunked.Len[Record]()) * unsafe.Sizeof(Record{})
+	if n <= 6912 || n > 8192 {
+		t.Errorf("a record chunk is %d bytes, want it in the 8 KB size class (6,913–8,192)", n)
+	}
+	t.Logf("a record chunk is %d bytes for %d records", n, chunked.Len[Record]())
 }

@@ -482,12 +482,19 @@ func (c *Coordinator) finishBatch(ctx *sim.Context, st *epochState) {
 // if its batch closed while the slot was busy, it promotes immediately
 // (the backpressure case); if it is still open with every member finished,
 // it closes and promotes now (selfClose); otherwise it keeps executing and
-// promotes on its own completion.
+// promotes on its own completion. A parked epoch promotes without opening
+// a successor (openPipelined), so the spare the previous release left can
+// still be waiting: the next epoch then opens in the released slot and the
+// waiting one stays the spare, never a third slot.
 func (c *Coordinator) releaseCommit(ctx *sim.Context) {
+	waiting := c.spare
 	c.spare, c.commit = c.commit, nil
 	switch st := c.exec; {
 	case st == nil:
 		c.openEpoch(ctx)
+		if c.spare == nil {
+			c.spare = waiting
+		}
 	case st.phase == phaseOpen:
 		c.selfClose(ctx, st)
 	default:

@@ -217,8 +217,8 @@ type journal struct {
 	durableLSN int64
 	issuedLSN  int64
 	epochLSN   int64
-	// enc is the scratch buffer every log record is encoded into (the log
-	// copies on append).
+	// enc is the scratch buffer every log record and checkpoint is encoded
+	// into (the log copies both).
 	enc interp.Encoder
 	// tapRead, when set (Config.TraceCommits), is told of every fast read
 	// response as it leaves.
@@ -622,8 +622,11 @@ func readDelivered(d *interp.Decoder) (string, deliveredEntry, error) {
 // longer cover once the log prefix is dropped — of the requests, the
 // answered ones (delivered or staged): the windows' in (source, seq) order,
 // then the others in id order, so same-run checkpoints are byte-identical.
+// It encodes into j.enc, so the bytes it returns are valid until the next
+// record or checkpoint is encoded.
 func (j *journal) encodeCheckpoint(m marks) []byte {
-	e := interp.NewEncoder()
+	e := &j.enc
+	e.Reset()
 	e.Varint(m.epoch)
 	e.Varint(int64(m.nextTID))
 	e.Varint(m.sealed)

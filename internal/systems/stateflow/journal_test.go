@@ -2,7 +2,9 @@ package stateflow
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -347,7 +349,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		once := j.encodeCheckpoint(m)
+		once := bytes.Clone(j.encodeCheckpoint(m))
 		if m, err = j.decodeCheckpoint(once); err != nil {
 			t.Fatalf("decoding a re-encoded checkpoint: %v", err)
 		}
@@ -497,4 +499,38 @@ func TestJournalVerdictTable(t *testing.T) {
 		{"old.2", "client", admitLate, false, true},
 		{"r8", "client", admitReplayed, true, true},
 	})
+}
+
+// TestAllocsPerJournalCheckpoint pins the checkpoint's storage: the journal
+// encodes every checkpoint into the encoder it keeps for its records, and
+// the log overwrites its base in place, so once the first checkpoint has
+// grown both, a checkpoint of the same journal allocates nothing in
+// proportion to its payload — only the sorted key lists it walks.
+func TestAllocsPerJournalCheckpoint(t *testing.T) {
+	cfg := DefaultConfig()
+	log := dlog.NewSimLog()
+	j := newJournal("j", &cfg, log)
+	for i := range 500 {
+		id := fmt.Sprintf("cl.%d", i)
+		*j.add(id) = deliveredEntry{resp: sysapi.Response{Req: id, Value: interp.IntV(int64(i))}, pos: int64(i)}
+	}
+	*j.add("gapply-7-1") = deliveredEntry{resp: sysapi.Response{Req: "gapply-7-1"}, pos: 600}
+	j.dedupFloor["api"] = 3
+	m := marks{epoch: 9, nextTID: 41}
+	j.bootstrap(m)
+	size := len(log.Recover(0).Checkpoint)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for range runs {
+		j.bootstrap(m)
+	}
+	runtime.ReadMemStats(&after)
+	spent := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	if spent > uint64(size)/10 {
+		t.Fatalf("a repeated checkpoint of %d bytes allocated %d bytes in %d allocations: the encoder or the log's base is allocated afresh",
+			size, spent, allocs)
+	}
+	t.Logf("a repeated checkpoint of %d bytes allocated %d bytes in %d allocations", size, spent, allocs)
 }

@@ -284,32 +284,86 @@ func TestSettledWorkerEpochIsReused(t *testing.T) {
 // — the two pipeline slots, which take turns being the spare the next epoch
 // opens in (newCoordinator makes the first, the first pipelined openEpoch
 // the second), and per worker the epochs in flight — instead of one of each
-// per epoch.
+// per epoch. The second leg runs two shards with global transfers: a
+// parked shard's epoch promotes with no successor, and its release must
+// keep the spare it finds waiting, so once the first epochs have passed
+// each shard still cycles through two slots.
 func TestEpochStateIsRecycledAcrossEpochs(t *testing.T) {
-	f := newDurableFixture(t, 42, recycleConfig(0), 48, 4)
-	c := f.sys.Coordinator()
-	slots, eps := map[*epochState]bool{}, map[*workerEpoch]bool{}
-	f.cluster.Start()
-	for f.cluster.Now() < 300*time.Millisecond {
-		f.cluster.RunUntil(f.cluster.Now() + 50*time.Microsecond)
-		for _, st := range []*epochState{c.exec, c.commit} {
-			if st != nil {
-				slots[st] = true
+	// recycled runs the cluster to 300 ms and counts the distinct slots of
+	// each shard's coordinator from warm on, and the worker epochs.
+	recycled := func(t *testing.T, cluster *sim.Cluster, shards []*System, warm time.Duration) {
+		slots, eps := make([]map[*epochState]bool, len(shards)), map[*workerEpoch]bool{}
+		for i := range slots {
+			slots[i] = map[*epochState]bool{}
+		}
+		workers := 0
+		for cluster.Now() < 300*time.Millisecond {
+			cluster.RunUntil(cluster.Now() + 50*time.Microsecond)
+			for i, sh := range shards {
+				for _, st := range []*epochState{sh.coord.exec, sh.coord.commit} {
+					if st != nil && cluster.Now() >= warm {
+						slots[i][st] = true
+					}
+				}
+				workers = len(sh.workers)
+				for _, w := range sh.workers {
+					for _, ep := range w.epochs {
+						eps[ep] = true
+					}
+				}
 			}
 		}
-		for _, w := range f.sys.workers {
-			for _, ep := range w.epochs {
-				eps[ep] = true
+		for i, sh := range shards {
+			c := sh.coord
+			if c.EpochsClosed < 20 || c.Recoveries != 0 {
+				t.Fatalf("scenario: shard %d closed %d epochs, %d recoveries", i, c.EpochsClosed, c.Recoveries)
+			}
+			if len(slots[i]) > 2 {
+				t.Errorf("shard %d: %d epochs used %d coordinator slots: epochs are allocating their state instead of reusing it",
+					i, c.EpochsClosed, len(slots[i]))
+			} else {
+				t.Logf("shard %d: %d epochs used %d coordinator slots", i, c.EpochsClosed, len(slots[i]))
 			}
 		}
+		if len(eps) > 2*workers*len(shards) {
+			t.Errorf("%d worker epochs for %d workers: they are allocated instead of reused", len(eps), workers*len(shards))
+		}
 	}
-	t.Logf("%d epochs used %d coordinator slots and %d worker epochs", c.EpochsClosed, len(slots), len(eps))
-	if c.EpochsClosed < 20 || c.Recoveries != 0 {
-		t.Fatalf("scenario: %d epochs closed, %d recoveries", c.EpochsClosed, c.Recoveries)
-	}
-	if len(slots) > 2 || len(eps) > 2*len(f.sys.workers) {
-		t.Fatal("epochs are allocating their state instead of reusing it")
-	}
+	t.Run("one shard", func(t *testing.T) {
+		f := newDurableFixture(t, 42, recycleConfig(0), 48, 4)
+		f.cluster.Start()
+		recycled(t, f.cluster, []*System{f.sys}, 0)
+	})
+	t.Run("two shards with global transfers", func(t *testing.T) {
+		// Every 5 ms a transfer within each shard, and every third time one
+		// across them as well.
+		probe := shardedProbe(t, 2)
+		home := [2][]string{}
+		for i := range 8 {
+			sh := probe.ShardOf(interp.EntityRef{Class: "Account", Key: acct(i)})
+			home[sh] = append(home[sh], acct(i))
+		}
+		if len(home[0]) < 2 || len(home[1]) < 2 {
+			t.Fatalf("scenario: accounts per shard %v", home)
+		}
+		var script []sysapi.Scheduled
+		for i := range 48 {
+			at := time.Duration(i+1) * 5 * time.Millisecond
+			for sh, accts := range home {
+				script = append(script, sysapi.Scheduled{At: at,
+					Req: transferReq(fmt.Sprintf("t%d.%d", i, sh), accts[0], accts[1], 1)})
+			}
+			if i%3 == 0 {
+				script = append(script, sysapi.Scheduled{At: at,
+					Req: transferReq(fmt.Sprintf("g%d", i), home[0][0], home[1][0], 1)})
+			}
+		}
+		fx := newShardedFixture(t, recycleConfig(0), 2, 8, script)
+		recycled(t, fx.cluster, fx.sys.Shards(), 50*time.Millisecond)
+		if g := fx.sys.Sequencer().GlobalTxns; g < 10 {
+			t.Fatalf("scenario: %d global transactions", g)
+		}
+	})
 }
 
 // TestRecycleStaleFinishAfterReuse: a copy of a finish can arrive after its
