@@ -17,7 +17,8 @@ import (
 
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction. The
 // ycsb_m and hot_t ceilings sit about 10 % above what each run costs today
-// (5.3 and 11.0; 6.0 and 12.6 while the source log and the journal's log
+// (5.1 and 8.9; 5.3 and 11.0 while every call chain allocated its context
+// and every forwarded hop a body of its own; 6.0 and 12.6 while the source log and the journal's log
 // were slices grown by append and the journal's log copied every payload
 // into an allocation of its own; 7.6 and 15.6 while every batch member allocated its
 // coordinator record, every transaction its txnWork on each worker it ran on
@@ -40,8 +41,8 @@ import (
 // and worker epochs afresh, 20.3 and 55.5 while every continuation resumed
 // on its caller's operator, 21.2 and 61.4 while a batch was validated by a
 // prepare/vote wave, and the contended leg read 66.6 behind barrier
-// rounds). The xshard ceiling sits just above today's 10.9 (11.0 under the
-// race detector) so that it pins the sequencer's forward of a single-shard
+// rounds). The xshard ceiling sits just above today's 10.85 (10.9 before
+// the call chain's round became one object; 11.0 under the race detector) so that it pins the sequencer's forward of a single-shard
 // request without re-boxing it (about 0.9 more when the forward boxes a new
 // interface value; 13.0 while the logs grew by append and a parked shard's
 // release dropped the spare slot, so the epoch after each global batch
@@ -62,9 +63,11 @@ import (
 // Lower them when the path gets cheaper.
 //
 // The byte ceilings sit about 10 % above what a transaction allocates
-// today (616, 1,734 and 1,142 bytes on ycsb_m, hot_t and xshard, the same
-// to a byte or two in three runs in a row, and 625, 1,753 and 1,160 under
-// the race detector; 776, 2,170 and 1,580 while the source log and the
+// today (540, 958 and 1,126 bytes on ycsb_m, hot_t and xshard, the same
+// to a byte in three runs in a row; 616, 1,734 and 1,142, and 625, 1,753
+// and 1,160 under the race detector, while every call chain allocated its
+// 448-byte context and every forwarded hop its 320-byte body, where a round
+// now carries both in the body the coordinator dispatched; 776, 2,170 and 1,580 while the source log and the
 // journal's log were slices grown by append, which allocates about five
 // times a slice's final size, the journal's log copied every payload into
 // an allocation of its own and a parked shard dropped its spare slot;
@@ -90,15 +93,15 @@ import (
 var allocGates = []allocGate{
 	// The conflict-free path: ingress, epoch, execution, validation, apply,
 	// group commit, response.
-	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 5.8, 680},
+	{"ycsb_m", ycsb.WorkloadM, "uniform", 2000, 1, time.Second, 5.6, 595},
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 12.1, 1910},
+	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, 9.8, 1055},
 	// The benchmark's xshard shape: the same mix on 4 shards, so every
 	// request passes the sequencer, which forwards most of them to one
 	// shard and runs the rest as global batches.
-	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 11.3, 1260},
+	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, 11.3, 1240},
 }
 
 // allocGate is one shape TestAllocsPerTransaction prices.
@@ -179,10 +182,13 @@ func TestAllocsPerTransaction(t *testing.T) {
 }
 
 // epochGate is TestAllocsPerEpoch's ceiling, just above what an epoch
-// costs today (11.0) so that it pins the ack that echoes its decide
-// (five more when each worker's apply ack boxes a value again) and the
+// costs today (8.75) so that it pins the ack that echoes its decide
+// (five more when each worker's apply ack boxes a value again), the
 // flight-recorder guards (one more when every flight-recorder call boxes
-// its arguments for a nil recorder); 13.1 while the source log and the
+// its arguments for a nil recorder) and the source log's keeping the request
+// it was delivered (one more when the coordinator boxes it again); 11.0, with
+// a ceiling of 11.5 that neither single allocation reached, while the
+// transfer's call chain allocated its context and its hop a body; 13.1 while the source log and the
 // journal's log grew by append and the journal's log copied each of the
 // epoch's records into an allocation of its own; 16.2 while the transfer's member
 // record and its txnWork on each of its two workers were allocated afresh
@@ -201,7 +207,7 @@ func TestAllocsPerTransaction(t *testing.T) {
 // only the timer closed a batch (47.4 with the boxing gone alone), 55.8 while a suspending frame also allocated its pruning mask, 66.8 while
 // every epoch allocated its coordinator slot, round-0 order, ack set,
 // worker epochs and workspace maps afresh.
-const epochGate = 11.5
+const epochGate = 9.2
 
 // TestAllocsPerEpoch prices one epoch in heap allocations: transfers on
 // uniform keys arriving at 50 a second, so a batch closes as soon as its

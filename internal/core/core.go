@@ -12,7 +12,8 @@
 // Step turns one event into exactly one event, returned by value. A call
 // chain allocates once, not per step or per activation: its context holds
 // its first two frames and a small value arena that their slots and each
-// call's arguments live in (see Context).
+// call's arguments live in (see Context). StepIn builds a root call's
+// context in storage its caller keeps, and then the chain allocates nothing.
 //
 // Every runtime (local, StateFlow, StateFun-model) wraps this package with
 // its own transport, scheduling, consistency and fault-tolerance layers;
@@ -49,7 +50,8 @@ type Frame struct {
 // root request identity. The execution graph's intermediate results are
 // the frames' environments.
 //
-// A call chain allocates its context and nothing else while it fits: Stack
+// A call chain's context is built in storage its caller gives StepIn, or
+// allocated by Step, and the chain allocates nothing else while it fits: Stack
 // starts in inline, the shipped programs' common depth (a transaction and
 // one callee), and the frames' slots are consecutive regions of arena, each
 // frame's just past the one below it. A call's arguments are evaluated
@@ -68,6 +70,13 @@ type Context struct {
 	Stack  []Frame
 	inline [2]Frame
 	arena  [3]interp.Value
+}
+
+// reset readies c for a new call chain of root request req: every frame and
+// arena value of an earlier chain is dropped, finished or abandoned midway.
+func (c *Context) reset(req string) {
+	*c = Context{Req: req}
+	c.Stack = c.inline[:0]
 }
 
 // Top returns the innermost frame.
@@ -237,9 +246,19 @@ func keyString(v interp.Value) (string, error) {
 // context and emits an invocation event (§2.3: "a streaming dataflow
 // should never stop and wait for a remote function").
 func (ex *Executor) Step(ev *Event, store Store) (Event, error) {
+	return ex.StepIn(ev, store, nil)
+}
+
+// StepIn is Step with storage for the context: a root invocation that needs
+// one (ev.Ctx nil, a method that may suspend) resets spare and builds its
+// context there, and a nil spare allocates one. Every later event of the
+// chain carries spare as its Ctx, so spare must outlive the chain: its
+// caller hands it to another chain only once this one answered or was
+// abandoned.
+func (ex *Executor) StepIn(ev *Event, store Store, spare *Context) (Event, error) {
 	switch ev.Kind {
 	case EvInvoke:
-		return ex.stepInvoke(ev, store)
+		return ex.stepInvoke(ev, store, spare)
 	case EvResume:
 		return ex.stepResume(ev, store)
 	default:
@@ -261,7 +280,7 @@ func (ex *Executor) Drive(ev Event, store Store) (resp Event, steps int, err err
 	return ev, steps, nil
 }
 
-func (ex *Executor) stepInvoke(ev *Event, store Store) (Event, error) {
+func (ex *Executor) stepInvoke(ev *Event, store Store, spare *Context) (Event, error) {
 	op := ex.prog.Operator(ev.Target.Class)
 	if op == nil {
 		return ex.fail(ev.Req, fmt.Sprintf("unknown operator %s", ev.Target.Class), ev.Hops)
@@ -304,8 +323,10 @@ func (ex *Executor) stepInvoke(ev *Event, store Store) (Event, error) {
 	}
 	ctx := ev.Ctx
 	if ctx == nil {
-		ctx = &Context{Req: ev.Req}
-		ctx.Stack = ctx.inline[:0]
+		if ctx = spare; ctx == nil {
+			ctx = new(Context)
+		}
+		ctx.reset(ev.Req)
 	}
 	if err := ctx.push(ev.Target, m, ev.Args); err != nil {
 		return ex.fail(ev.Req, err.Error(), ev.Hops)

@@ -431,7 +431,8 @@ func TestStepFaults(t *testing.T) {
 // allocates nothing: its frame ends with the step, so it is bound over a
 // stack array, and so is the frame of each inline self-call it makes.
 // Only a frame wider than interp.StackSlots spills its slots to the heap.
-// The two-frame transfer allocates its context and nothing else: the
+// Stepped by Step, the two-frame transfer allocates its context and nothing
+// else (and nothing at all in its caller's storage: TestStepInAllocs): the
 // context holds both frames and the arena their slots and the deposit's
 // argument live in, the deposit's return completes the transfer in place
 // and the response is a value. The simple call cost 2 (its frame and its
@@ -631,5 +632,92 @@ func TestStepAllocsArena(t *testing.T) {
 		if allocs > tc.ceiling {
 			t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, allocs, tc.ceiling)
 		}
+	}
+}
+
+// TestStepInAllocs prices call chains stepped through StepIn with the
+// caller's storage for their context, as a StateFlow worker steps them: the
+// context is built there, so a chain that suspends and resumes allocates
+// nothing at all, and every event after the first carries the caller's
+// storage. (Step, which has no storage to build in, allocates the context:
+// TestStepAllocs and TestStepAllocsArena.)
+func TestStepInAllocs(t *testing.T) {
+	ex, store := newExec(t)
+	prog, err := compiler.Compile(arenaSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenaEx, arenaStore := NewExecutor(prog), memStore{state.NewStore(prog.Layouts())}
+	arenaStore.PutMap(interp.EntityRef{Class: "Wallet", Key: "w"}, interp.MapState{"name": interp.StrV("w"), "v": interp.IntV(100)})
+	arenaStore.PutMap(interp.EntityRef{Class: "Cell", Key: "c"}, interp.MapState{"name": interp.StrV("c"), "v": interp.IntV(0)})
+	var spare Context
+	for _, tc := range []struct {
+		name  string
+		ex    *Executor
+		store memStore
+		root  Event
+		kinds []EventKind
+	}{
+		// pay's continuation reads self.v: invoke, suspend into add, resume
+		// on the wallet.
+		{"suspend, then resume", arenaEx, arenaStore, Event{Kind: EvInvoke, Req: "r", Target: interp.EntityRef{Class: "Wallet", Key: "w"},
+			Method: "pay", Args: []interp.Value{interp.IntV(5), interp.RefV("Cell", "c")}}, []EventKind{EvInvoke, EvResume, EvResponse}},
+		// transfer's continuation reads nothing, so deposit's return
+		// completes it in place.
+		{"a transfer completed in place", ex, store, Event{Kind: EvInvoke, Req: "r", Target: interp.EntityRef{Class: "Account", Key: "a"},
+			Method: "transfer", Args: []interp.Value{interp.IntV(1), interp.RefV("Account", "b")}}, []EventKind{EvInvoke, EvResponse}},
+	} {
+		var kinds []EventKind
+		var last Event
+		allocs := testing.AllocsPerRun(100, func() {
+			kinds = kinds[:0]
+			ev := tc.root
+			for ev.Kind != EvResponse {
+				ev, _ = tc.ex.StepIn(&ev, tc.store, &spare)
+				kinds = append(kinds, ev.Kind)
+				if ev.Kind != EvResponse && ev.Ctx != &spare {
+					t.Fatalf("%s: a %s event carries context %p, not the caller's storage", tc.name, ev.Kind, ev.Ctx)
+				}
+			}
+			last = ev
+		})
+		if last.Err != "" || !slices.Equal(kinds, tc.kinds) {
+			t.Fatalf("%s: %v ending in %+v, want %v ending in a response", tc.name, kinds, last, tc.kinds)
+		}
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations, want none: the chain allocated its context or a frame", tc.name, allocs)
+		}
+	}
+}
+
+// TestStepInResetsItsStorage runs two chains back to back through one
+// storage, the first abandoned midway: its transfer's deposit reaches an
+// account that does not exist, so the transfer's frame is still on the
+// stack when the error response ends the chain. The second chain must start
+// from an empty stack. Built on top of the stale frame, its root's return
+// would complete the abandoned transfer in place and answer True.
+func TestStepInResetsItsStorage(t *testing.T) {
+	ex, store := newExec(t)
+	var spare Context
+	ev := Event{Kind: EvInvoke, Req: "r1", Target: interp.EntityRef{Class: "Account", Key: "a"}, Method: "transfer",
+		Args: []interp.Value{interp.IntV(1), interp.RefV("Account", "ghost")}}
+	for ev.Kind != EvResponse {
+		ev, _ = ex.StepIn(&ev, store, &spare)
+	}
+	if !strings.Contains(ev.Err, "does not exist") || len(spare.Stack) != 1 {
+		t.Fatalf("scenario: the first chain ended in %+v with %d frames left, want an error with the transfer's frame left",
+			ev, len(spare.Stack))
+	}
+	ev = Event{Kind: EvInvoke, Req: "r2", Target: interp.EntityRef{Class: "Driver", Key: "d"}, Method: "bump_named",
+		Args: []interp.Value{interp.RefV("Counter", "c")}}
+	for ev.Kind != EvResponse {
+		if ev, _ = ex.StepIn(&ev, store, &spare); ev.Req != "r2" {
+			t.Fatalf("the second chain's %s event names request %q", ev.Kind, ev.Req)
+		}
+	}
+	if ev.Err != "" || ev.Value.Repr() != `"d1"` || ev.Hops != 2 || len(spare.Stack) != 0 {
+		t.Fatalf("the second chain answered %+v with %d frames left, want \"d1\" after 2 hops and an empty stack",
+			ev, len(spare.Stack))
 	}
 }

@@ -63,13 +63,10 @@ type pendingReq struct {
 // places another request in it (see epochState.reset).
 type txnState struct {
 	pendingReq
-	// root is the transaction's root invocation event. Executors only read
-	// events, so the first execution and every fallback re-execution send
-	// this one.
-	root core.Event
-	// first is the body of the first dispatch's message, round 0's (see
-	// msgTxnEvent); the chain's dispatch allocates its own.
-	first    txnEvent
+	// first is the body of the first dispatch's message, round 0's, and so
+	// of its call chain's events and context (see msgTxnEvent); the chain's
+	// dispatch allocates its own.
+	first    txnBody
 	finished bool
 	value    interp.Value
 	err      string
@@ -188,13 +185,7 @@ func (st *epochState) add(tid aria.TID, p pendingReq) *txnState {
 	if t == nil {
 		t = new(txnState)
 	}
-	*t = txnState{pendingReq: p, root: core.Event{
-		Kind:   core.EvInvoke,
-		Req:    p.req.Req,
-		Target: p.req.Target,
-		Method: p.req.Method,
-		Args:   p.req.Args,
-	}}
+	*t = txnState{pendingReq: p}
 	st.txns = append(st.txns, t)
 	if p.apply != nil {
 		t.finished, t.value = true, interp.IntV(p.apply.man.seq)
@@ -369,17 +360,24 @@ func (st *epochState) outcome(t *txnState) outcome {
 }
 
 // dispatch sends a member's root invocation to its owner for the round in
-// flight. Round 0's message carries the body the member holds inline; the
-// chain's allocates a fresh one, so that a body keeps its round (see
-// msgTxnEvent).
+// flight, in the body that carries the round's call chain from then on.
+// Round 0's message carries the body the member holds inline; the chain's
+// allocates a fresh one, so that a body keeps its round (see msgTxnEvent).
 func (c *Coordinator) dispatch(ctx *sim.Context, st *epochState, tid aria.TID) {
 	t := st.txn(tid)
 	body := &t.first
 	if st.round > 0 {
-		body = new(txnEvent)
+		body = new(txnBody)
 	}
-	*body = txnEvent{TID: tid, Epoch: st.epoch, Round: st.round, Ev: &t.root}
-	ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{body},
+	body.TID, body.Epoch, body.Round, body.ctx = tid, st.epoch, st.round, &body.chain
+	body.forward(core.Event{
+		Kind:   core.EvInvoke,
+		Req:    t.req.Req,
+		Target: t.req.Target,
+		Method: t.req.Method,
+		Args:   t.req.Args,
+	}, nil)
+	ctx.Send(c.sys.ownerOf(t.req.Target), msgTxnEvent{&body.txnEvent},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 

@@ -20,21 +20,28 @@ import (
 // half-installed epoch, that epoch's successor).
 //
 // The message is one pointer to its body, which an interface holds as it
-// is, so boxing it allocates nothing: a hop allocates the body and the event
-// it carries as one object (txnHop), and a member's first dispatch and a
-// read's first forward allocate nothing, their body being part of the
-// coordinator's record of them (txnState, fastRead). That rests on one
-// invariant: a msgTxnEvent is never duplicated (the failure contract's
-// DupSafe excludes it) and its call chain has one event in flight, so the
-// receiver owns the body and the event, and steps the event once (see
-// core.Context).
+// is, so boxing it allocates nothing. A round of a call chain is one body:
+// the coordinator dispatches it, and every worker the chain reaches steps the
+// event in it and forwards the event it produces in the same body, written
+// into the body's own storage (ev), so no hop allocates. A transaction's body
+// also holds the chain's execution context (txnBody), which the first step
+// builds there (core.Executor.StepIn), so the chain allocates none either; a
+// fast read's body holds none, its call being simple. A member's first
+// dispatch and a read's first forward allocate nothing at all, their body
+// being part of the coordinator's record of them (txnState, fastRead); a
+// chain round allocates its one body per dispatch. A record is reused only
+// once its request was answered, so a context outlives its chain by
+// construction. That rests on one invariant: a msgTxnEvent is never
+// duplicated (the failure contract's DupSafe excludes it) and its call chain
+// has one event in flight, so the receiver owns the body, its event and its
+// context, and steps the event once (see core.Context).
 //
-// A body is sent once for its request, and carries one (epoch, round, TID)
-// for as long as its record serves that request: the coordinator's inline
-// bodies serve only the first dispatch, and every later one — a chain round,
-// a read forwarded again after a recovery — allocates its own. So the worker
-// that owns a body may turn it into the answer (msgTxnFinished) without
-// anybody else reading what it changed.
+// A body carries one (epoch, round, TID) for as long as its record serves
+// that request — forwarding changes its event and Sets, never its stamp. The
+// coordinator's inline bodies serve only the first dispatch, and every later
+// one — a chain round, a read forwarded again after a recovery — allocates
+// its own. So the worker that owns a body may forward it or turn it into the
+// answer (msgTxnFinished) without anybody else reading what it changed.
 //
 // The records outlive their requests: a member's record is reused by a later
 // epoch of its slot once the slot is released (epochState.reset), a read's
@@ -46,7 +53,8 @@ import (
 // safe:
 //
 //  1. onFinished drops a body that is not an answer (Ev != nil): the
-//     occupant has not answered, so the copy is not its answer. A body that
+//     occupant has not answered — its body is in flight as a dispatch or a
+//     forward, or held at a worker — so the copy is not its answer. A body that
 //     is an answer is the occupant's own final one, and a copy of it arriving
 //     first is the same as a faster link. Its Sets are the occupant's, live
 //     until the occupant's round is decided. (A generation carried by value
@@ -54,10 +62,11 @@ import (
 //  2. Nothing recovery touched is reused: the slots Recover discards go with
 //     their members, the epochs onRecover wipes with their txnWorks, and a
 //     read holdUnanswered took back is answered in a later forward's body,
-//     so it never returns to the free list. Their first dispatches may still
-//     be in flight or buffered, and such an event can slip through and
-//     execute (see Worker.liveEpoch): in a reused body it would run the
-//     occupant a second time.
+//     so it never returns to the free list. Their bodies may still be in
+//     flight, forwarded or buffered, their chains' contexts inside, and such
+//     an event can slip through and execute (see Worker.liveEpoch): in a
+//     reused body it would run the occupant a second time, or step on the
+//     context the occupant's chain is built in.
 type msgTxnEvent struct{ *txnEvent }
 
 // txnEvent is the body of a msgTxnEvent, and of the msgTxnFinished it turns
@@ -67,10 +76,32 @@ type txnEvent struct {
 	TID   aria.TID
 	Epoch int64
 	Round int
+	// Ev is the event to step, nil once the body is an answer: ev in a
+	// transaction's body, the record's root call in a fast read's.
 	Ev    *core.Event
 	Sets  *rwSets
 	Value interp.Value
 	Err   string
+	// ev is the body's storage for the event it carries, and ctx where its
+	// call chain's execution context is built: the chain's storage in a
+	// transaction's body (txnBody), nil in a fast read's. Every event of the
+	// chain after the first points at ctx.
+	ev  core.Event
+	ctx *core.Context
+}
+
+// txnBody is a transaction's body: the message's body and the storage its
+// call chain's context is built in. It is never copied: ctx points into it.
+type txnBody struct {
+	txnEvent
+	chain core.Context
+}
+
+// forward makes the body carry next — the root invocation on dispatch, then
+// the event each step produces — with the reservation sets the round has
+// shipped so far.
+func (b *txnEvent) forward(next core.Event, sets *rwSets) {
+	b.ev, b.Ev, b.Sets = next, &b.ev, sets
 }
 
 // answer turns the body into the msgTxnFinished of its root response resp:
@@ -78,13 +109,6 @@ type txnEvent struct {
 // reservation sets the round shipped.
 func (b *txnEvent) answer(resp core.Event, sets *rwSets) {
 	b.Ev, b.Sets, b.Value, b.Err = nil, sets, resp.Value, resp.Err
-}
-
-// txnHop is a forwarded hop: the body of its message and the event the body
-// points at, in one allocation.
-type txnHop struct {
-	txnEvent
-	ev core.Event
 }
 
 // readRound is the Round of a fast read's event and of its answer.

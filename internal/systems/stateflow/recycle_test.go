@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
@@ -202,7 +203,7 @@ func TestReleasedEpochSlotIsReset(t *testing.T) {
 	for tid := aria.TID(10); tid < 14; tid++ {
 		m := st.add(tid, pendingReq{pos: int64(tid), replyTo: "client", retries: 2, arrivedAt: time.Second,
 			req: sysapi.Request{Req: "old", Target: interp.EntityRef{Class: "Account", Key: "a"}, Method: "m"}})
-		m.first = txnEvent{TID: tid, Epoch: 3, Ev: &m.root, Sets: &rwSets{}, Value: interp.IntV(1), Err: "e"}
+		m.first.txnEvent = txnEvent{TID: tid, Epoch: 3, Ev: &m.first.ev, Sets: &rwSets{}, Value: interp.IntV(1), Err: "e", ctx: &m.first.chain}
 		m.finished, m.value, m.err, m.sets, m.aborted, m.rescued = true, interp.IntV(2), "err", &rwSets{}, true, true
 	}
 	st.close()
@@ -368,18 +369,24 @@ func TestEpochStateIsRecycledAcrossEpochs(t *testing.T) {
 
 // TestRecycleStaleFinishAfterReuse: a copy of a finish can arrive after its
 // body's record was reused by a later request, and then reads that request's
-// stamp. Epoch 1 holds a transfer into acct(1), a simple update of acct(1)
-// and a fast read; the update conflict-aborts and the chain re-executes it
-// (as in TestFinishTravelsInItsEventsBody), so the slot's records also carry
-// the epoch through its chain. The update's round-0 finish and the read's
-// answer come back in their records' own bodies. Epoch 2 takes one update;
-// epoch 3 reuses epoch 1's slot, and a later read reuses the first read's
-// record. Each of the two kept bodies is delivered to the coordinator again
-// twice while its new occupant holds it: once the moment the coordinator
-// dispatches or forwards the occupant in it — the body is the occupant's
-// event, and the copy must be dropped — and once the moment the worker
-// answers in it, ahead of that answer — the copy is the occupant's own final
-// answer. Every request is answered exactly once, with its own value.
+// stamp. Epoch 1 holds a transfer from acct(0) into acct(1), owned by two
+// workers, a simple update of acct(1) and a fast read; the update
+// conflict-aborts and the chain re-executes it (as in
+// TestFinishTravelsInItsEventsBody), so the slot's records also carry the
+// epoch through its chain. The transfer's and the update's round-0 finishes
+// and the read's answer come back in their records' own bodies: the
+// transfer's crossed workers in it, its context inside. Epoch 2 takes one
+// update; epoch 3 reuses epoch 1's slot — the transfer's record for another
+// two-worker transfer, the update's for an update — and a later read reuses
+// the first read's record. Each of the three kept bodies is delivered to the
+// coordinator again twice while its new occupant holds it: once the moment
+// the coordinator dispatches or forwards the occupant in it — the body is the
+// occupant's event, and the copy must be dropped — and once the moment the
+// worker answers in it, ahead of that answer — the copy is the occupant's own
+// final answer. The transfer's body is delivered a third time when the
+// occupant's payer forwards it, the occupant's context in it, to the payee:
+// the body is still the occupant's event. Every request is answered exactly
+// once, with its own value.
 func TestRecycleStaleFinishAfterReuse(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EpochInterval = 50 * time.Millisecond
@@ -387,27 +394,34 @@ func TestRecycleStaleFinishAfterReuse(t *testing.T) {
 		return sysapi.Request{Req: id, Target: interp.EntityRef{Class: "Account", Key: acct(key)},
 			Method: "update", Args: []interp.Value{interp.IntV(1)}, Kind: "update"}
 	}
-	fx := newFixture(t, cfg, 3, []sysapi.Scheduled{
+	fx := newFixture(t, cfg, 4, []sysapi.Scheduled{
 		{At: time.Millisecond, Req: transferReq("t", acct(0), acct(1), 5)},
 		{At: time.Millisecond, Req: update("u", 1)},
 		{At: time.Millisecond, Req: readReq("r", acct(2))},
 		{At: 20 * time.Millisecond, Req: update("a", 2)},
-		{At: 40 * time.Millisecond, Req: update("b1", 0)},
-		{At: 40 * time.Millisecond, Req: update("b2", 2)},
+		{At: 40 * time.Millisecond, Req: update("b1", 2)},
+		{At: 40 * time.Millisecond, Req: transferReq("b2", acct(0), acct(3), 4)},
 		{At: 40 * time.Millisecond, Req: readReq("r2", acct(1))},
 	})
 	c := fx.sys.coord
+	for _, pair := range [][2]int{{0, 1}, {0, 3}} {
+		if owner := func(i int) string { return fx.sys.ownerOf(interp.EntityRef{Class: "Account", Key: acct(i)}) }; owner(pair[0]) == owner(pair[1]) {
+			t.Fatalf("scenario: %s and %s share their owner, so the transfer between them does not hop", acct(pair[0]), acct(pair[1]))
+		}
+	}
 
-	// kept is the body each of "u" (round 0) and "r" answered in, and what
-	// happened to it after its record was reused.
+	// kept is the body each of "t", "u" (round 0) and "r" answered in, and
+	// what happened to it after its record was reused.
 	type reuse struct {
 		occupant     string
 		asEvent      bool // a copy was delivered while the body was the occupant's event
+		asHop        bool // a copy was delivered while a worker forwarded the body
 		asAnswer     bool // a copy was delivered ahead of the occupant's answer
 		answeredFrom string
+		chain        *core.Context // the storage of the record's chain (nil: a read's)
 	}
 	kept := map[*txnEvent]*reuse{}
-	owner := map[string]*txnEvent{} // "u" and "r" → the body kept for it
+	owner := map[string]*txnEvent{} // "t", "u" and "r" → the body kept for it
 	injecting := false
 	redeliver := func(from string, body *txnEvent) {
 		injecting = true
@@ -421,9 +435,18 @@ func TestRecycleStaleFinishAfterReuse(t *testing.T) {
 		}
 		switch m := msg.(type) {
 		case msgTxnEvent:
-			if ru := kept[m.txnEvent]; ru != nil && from == c.sys.coordID && ru.occupant == "" {
+			ru := kept[m.txnEvent]
+			switch {
+			case ru == nil:
+			case from == c.sys.coordID && ru.occupant == "":
 				ru.occupant, ru.asEvent = m.Ev.Req, true
 				redeliver(to, m.txnEvent)
+			case from != c.sys.coordID && ru.occupant != "" && !ru.asHop:
+				if m.Ev.Ctx != ru.chain {
+					t.Errorf("%s forwarded %s's event with context %p, not the one in its body", from, ru.occupant, m.Ev.Ctx)
+				}
+				ru.asHop = true
+				redeliver(from, m.txnEvent)
 			}
 		case msgTxnFinished:
 			if ru := kept[m.txnEvent]; ru != nil {
@@ -435,20 +458,21 @@ func TestRecycleStaleFinishAfterReuse(t *testing.T) {
 			}
 			var id string
 			var inline *txnEvent
+			var chain *core.Context
 			if m.Round == readRound {
 				if r := c.reads[m.TID]; r != nil {
 					id, inline = r.root.Req, &r.first
 				}
 			} else if st := c.stageFor(m.Epoch); st != nil && m.Round == 0 {
 				if rec := st.txn(m.TID); rec != nil {
-					id, inline = rec.req.Req, &rec.first
+					id, inline, chain = rec.req.Req, &rec.first.txnEvent, &rec.first.chain
 				}
 			}
-			if (id == "u" || id == "r") && owner[id] == nil {
+			if (id == "t" || id == "u" || id == "r") && owner[id] == nil {
 				if m.txnEvent != inline {
 					t.Errorf("%s answered in a body of its own, not its record's", id)
 				}
-				owner[id], kept[m.txnEvent] = m.txnEvent, &reuse{}
+				owner[id], kept[m.txnEvent] = m.txnEvent, &reuse{chain: chain}
 			}
 		case sysapi.MsgResponse:
 			answers[m.Response.Req] = append(answers[m.Response.Req], m.Response.Value.Repr())
@@ -456,13 +480,13 @@ func TestRecycleStaleFinishAfterReuse(t *testing.T) {
 	})
 	fx.cluster.RunUntil(5 * time.Second)
 
-	want := map[string]string{"t": "True", "u": "106", "r": "100", "a": "101", "b1": "96", "b2": "102", "r2": "106"}
+	want := map[string]string{"t": "True", "u": "106", "r": "100", "a": "101", "b1": "102", "b2": "True", "r2": "106"}
 	for id, v := range want {
 		if got := answers[id]; len(got) != 1 || got[0] != v {
 			t.Errorf("%s answered %v, want exactly once with %s", id, got, v)
 		}
 	}
-	for _, id := range []string{"u", "r"} {
+	for _, id := range []string{"t", "u", "r"} {
 		if ru := kept[owner[id]]; ru != nil && ru.occupant != "" {
 			t.Logf("%s's body was reused by %s, answered from %s", id, ru.occupant, ru.answeredFrom)
 		}
@@ -473,15 +497,18 @@ func TestRecycleStaleFinishAfterReuse(t *testing.T) {
 	if co := fx.sys.Coordinator(); co.FallbackChains != 1 || co.FastReads != 2 {
 		t.Fatalf("chains %d, fast reads %d: want epoch 1 chained and two fast reads", co.FallbackChains, co.FastReads)
 	}
-	for _, id := range []string{"u", "r"} {
+	for id, occupant := range map[string]string{"t": "b2", "u": "b1", "r": "r2"} {
 		ru := kept[owner[id]]
-		if ru == nil || ru.occupant == "" {
-			t.Fatalf("the record %s answered in was never reused", id)
+		if ru == nil || ru.occupant != occupant {
+			t.Fatalf("the record %s answered in was not reused by %s: %+v", id, occupant, ru)
 		}
-		if !ru.asEvent || !ru.asAnswer {
-			t.Fatalf("%s's body, reused by %s: copy delivered as its event %v, ahead of its answer %v",
-				id, ru.occupant, ru.asEvent, ru.asAnswer)
+		if !ru.asEvent || !ru.asAnswer || ru.asHop != (id == "t") {
+			t.Fatalf("%s's body, reused by %s: copy delivered as its event %v, as its forwarded hop %v, ahead of its answer %v",
+				id, ru.occupant, ru.asEvent, ru.asHop, ru.asAnswer)
 		}
+	}
+	if st, _ := fx.dep.EntityState("Account", acct(3)); st["balance"].I != 104 {
+		t.Fatalf("%s holds %d after b2's transfer of 4, want 104", acct(3), st["balance"].I)
 	}
 }
 
@@ -504,16 +531,42 @@ func readsAndTransfers(n, accounts int) []sysapi.Scheduled {
 // the records' reuse. The members of the epochs Recover discards, the
 // txnWorks onRecover wipes and the reads holdUnanswered takes back may have
 // events still in flight or buffered, so none of them may reach a pool or
-// serve a later request. No (TID, epoch, round) executes twice, and
-// exactly-once and conservation hold.
+// serve a later request. Among them are transfers whose round-0 body a worker
+// had forwarded to the payee's owner before the recovery, carrying the
+// chain's context in the member's record (&t.first.ctx): such a body is never
+// dispatched again, so no later request's chain is built where the stale hop
+// may still execute. No (TID, epoch, round) executes twice, and exactly-once
+// and conservation hold.
 func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 	const n, accounts = 120, 4 // sent until 600 ms, well past the recovery
 	f := newScriptedDurableFixture(t, 42, recycleConfig(0), readsAndTransfers(n, accounts), accounts)
 	c := f.sys.Coordinator()
 	executed := map[[3]int64]int{} // (TID, epoch, round) → root responses its executions produced
 	decided := map[int64]bool{}    // epochs a decide was sent for
+	// forwarded holds the round-0 bodies a worker forwarded before the
+	// recovery, by the member record whose inline body each is.
+	forwarded := map[*txnState]*txnEvent{}
+	crossed := map[*txnEvent]bool{} // those forwarded for a member Recover discarded unfinished
 	f.cluster.SetTap(func(from, to string, _, _ time.Duration, msg sim.Message) {
 		switch m := msg.(type) {
+		case msgTxnEvent:
+			if crossed[m.txnEvent] && from == c.sys.coordID {
+				t.Fatalf("the coordinator dispatched %s in a body whose hop was in flight across the recovery", m.Ev.Req)
+			}
+			if from == c.sys.coordID || m.Round != 0 || c.Recoveries > 0 {
+				return
+			}
+			for _, st := range []*epochState{c.exec, c.commit} {
+				if st == nil {
+					continue
+				}
+				if rec := st.txn(m.TID); rec != nil && m.txnEvent == &rec.first.txnEvent {
+					if m.Ev.Ctx != &rec.first.chain {
+						t.Fatalf("%s forwarded %s with context %p, not the one in its record's body", from, m.Ev.Req, m.Ev.Ctx)
+					}
+					forwarded[rec] = m.txnEvent
+				}
+			}
 		case msgTxnFinished:
 			if m.Round != readRound {
 				executed[[3]int64{int64(m.TID), m.Epoch, int64(m.Round)}]++
@@ -651,6 +704,11 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 					reforwarded[r] = r.root.Req
 				}
 			}
+			for rec, body := range forwarded {
+				if discarded[rec] && !rec.finished {
+					crossed[body] = true
+				}
+			}
 		}
 		for _, w := range f.sys.workers {
 			if reflect.ValueOf(w.epochs).UnsafePointer() != reflect.ValueOf(tables[w]).UnsafePointer() {
@@ -666,9 +724,9 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 			see()
 		}
 	}
-	if c.Recoveries != 1 || len(discarded) == 0 || len(reforwarded) == 0 || len(wiped) == 0 {
-		t.Fatalf("scenario: %d recoveries touched %d members, %d reads, %d txnWorks; want one recovery touching each kind",
-			c.Recoveries, len(discarded), len(reforwarded), len(wiped))
+	if c.Recoveries != 1 || len(discarded) == 0 || len(reforwarded) == 0 || len(wiped) == 0 || len(crossed) == 0 {
+		t.Fatalf("scenario: %d recoveries touched %d members (%d with a hop in flight), %d reads, %d txnWorks; want one recovery touching each kind",
+			c.Recoveries, len(discarded), len(crossed), len(reforwarded), len(wiped))
 	}
 	if reusedMembers == 0 || reusedReads == 0 || reusedWorks == 0 {
 		t.Fatalf("scenario: after the recovery %d member records, %d read records and %d txnWorks were reused; want some of each",
@@ -676,8 +734,8 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 	}
 	f.cluster.RunUntil(20 * time.Second)
 	check()
-	t.Logf("crash of %s: recovery discarded %d members, took back %d reads, wiped %d txnWorks",
-		victim, len(discarded), len(reforwarded), len(wiped))
+	t.Logf("crash of %s: recovery discarded %d members (%d with a hop in flight), took back %d reads, wiped %d txnWorks",
+		victim, len(discarded), len(crossed), len(reforwarded), len(wiped))
 	for k, runs := range executed {
 		if runs > 1 {
 			t.Errorf("TID %d of epoch %d executed round %d %d times", k[0], k[1], k[2], runs)
@@ -770,5 +828,70 @@ func TestRecyclePoolsAreBounded(t *testing.T) {
 		pooled, len(slotPeak), len(c.freeReads), readPeak, works)
 	if pooled == 0 || len(c.freeReads) == 0 || works == 0 {
 		t.Fatal("a pool got none of its records back")
+	}
+}
+
+// TestRecycleHeldReadsAreBounded (ROADMAP D(5)): the reads a recovery holds
+// are served and forgotten. A worker crashes under a burst of transfers, and
+// the failure detector starts a recovery at about 261 ms. It takes back the
+// reads of the 258 ms burst still unanswered, and the 64 reads of the 262 ms
+// burst arrive while it runs, so the coordinator holds both (readsHeld). The
+// bursts at 100 ms and 400 ms are forwarded at once. Once the run has gone
+// idle, every read is answered, nothing is held or in flight, and the read
+// free list holds no more records than were ever live at once (held or
+// forwarded): a held read's record is made once and recycled once its answer
+// is staged, and a record the recovery took back is left to the collector.
+func TestRecycleHeldReadsAreBounded(t *testing.T) {
+	const accounts = 16
+	var script []sysapi.Scheduled
+	for i := range 16 {
+		script = append(script, sysapi.Scheduled{At: 5 * time.Millisecond,
+			Req: transferReq(fmt.Sprintf("t%d", i), acct(i%accounts), acct((i+1)%accounts), 1)})
+	}
+	for _, burst := range []struct {
+		at time.Duration
+		n  int
+	}{{100 * time.Millisecond, 32}, {258 * time.Millisecond, 32}, {262 * time.Millisecond, 64}, {400 * time.Millisecond, 32}} {
+		for i := range burst.n {
+			script = append(script, sysapi.Scheduled{At: burst.at,
+				Req: readReq(fmt.Sprintf("r%d.%d", burst.at/time.Millisecond, i), acct(i%accounts))})
+		}
+	}
+	f := newScriptedDurableFixture(t, 42, recycleConfig(0), script, accounts)
+	c := f.sys.Coordinator()
+	// arrivedPeak counts the held reads that were never forwarded: they
+	// arrived while the recovery held reads; the others it took back.
+	heldPeak, arrivedPeak, livePeak := 0, 0, 0
+	observe := func() {
+		arrived := 0
+		for _, r := range c.held {
+			if r.seq == 0 {
+				arrived++
+			}
+		}
+		heldPeak, arrivedPeak = max(heldPeak, len(c.held)), max(arrivedPeak, arrived)
+		livePeak = max(livePeak, len(c.held)+len(c.reads))
+	}
+	f.cluster.SetTap(func(string, string, time.Duration, time.Duration, sim.Message) { observe() })
+	f.cluster.Start()
+	f.cluster.ScheduleCrash(f.sys.workerIDs[0], 6*time.Millisecond, 11*time.Millisecond)
+	for f.cluster.Now() < 2*time.Second {
+		f.cluster.RunUntil(f.cluster.Now() + time.Millisecond)
+		observe()
+	}
+	f.assertExactlyOnceEffective(t, len(script))
+	if c.Recoveries != 1 || arrivedPeak < 64 || heldPeak == arrivedPeak {
+		t.Fatalf("scenario: %d recoveries held at most %d reads, %d of them arrivals; want one recovery holding the 64-read burst and reads it took back",
+			c.Recoveries, heldPeak, arrivedPeak)
+	}
+	if c.FastReads < 128 { // a client retry of a held read is a read of its own
+		t.Fatalf("%d fast reads answered, want 128", c.FastReads)
+	}
+	if len(c.held) != 0 || len(c.reads) != 0 || c.readsHeld() {
+		t.Fatalf("after idle: %d reads held, %d in flight, reads held %v", len(c.held), len(c.reads), c.readsHeld())
+	}
+	t.Logf("after idle: %d reads on the free list (peak %d live, %d held)", len(c.freeReads), livePeak, heldPeak)
+	if len(c.freeReads) == 0 || len(c.freeReads) > livePeak {
+		t.Errorf("the read free list holds %d records, want between 1 and the %d reads ever live at once", len(c.freeReads), livePeak)
 	}
 }

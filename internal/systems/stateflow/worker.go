@@ -293,7 +293,7 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	}
 	costs := w.sys.cfg.Costs
 	tw := w.workspace(ep, m.TID)
-	ev := w.execute(ctx, m.Ev, &tw.ws)
+	ev := w.execute(ctx, m.txnEvent, &tw.ws)
 	var sets *rwSets
 	if m.Round == 0 {
 		sets = w.shipSets(ctx, m.Sets, tw)
@@ -311,9 +311,8 @@ func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	if target == w.id {
 		lat = 0 // same-partition transfer stays in process
 	}
-	hop := &txnHop{txnEvent: txnEvent{TID: m.TID, Epoch: m.Epoch, Round: m.Round, Sets: sets}, ev: ev}
-	hop.Ev = &hop.ev
-	ctx.Send(target, msgTxnEvent{&hop.txnEvent}, lat)
+	m.forward(ev, sets)
+	ctx.Send(target, m, lat)
 }
 
 // shipSets returns the reservation sets a round-0 event leaving this worker
@@ -335,10 +334,12 @@ func (w *Worker) shipSets(ctx *sim.Context, in *rwSets, tw *txnWork) *rwSets {
 	return &tw.sets
 }
 
-// execute runs one event against store, charging the cost-model CPU
-// components, and returns the event it produces. An internal execution
-// fault finishes the call with an error.
-func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) core.Event {
+// execute runs the event body b carries against store, charging the
+// cost-model CPU components, and returns the event it produces; a root
+// invocation builds its call chain's context where b.ctx points. An internal
+// execution fault finishes the call with an error.
+func (w *Worker) execute(ctx *sim.Context, b *txnEvent, store core.Store) core.Event {
+	ev := b.Ev
 	costs := w.sys.cfg.Costs
 
 	// Event deserialization.
@@ -359,7 +360,7 @@ func (w *Worker) execute(ctx *sim.Context, ev *core.Event, store core.Store) cor
 	ctx.Work(costs.SplitOverhead)
 	w.CPU.SplittingInstrumentation += costs.SplitOverhead
 
-	out, err := w.ex.Step(ev, store)
+	out, err := w.ex.StepIn(ev, store, b.ctx)
 	ctx.Work(costs.ExecuteCPU)
 	w.CPU.FunctionExecution += costs.ExecuteCPU
 	if err != nil {
@@ -384,7 +385,7 @@ func (w *Worker) onRead(ctx *sim.Context, m msgTxnEvent) {
 		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
 		return
 	}
-	m.answer(w.execute(ctx, m.Ev, committedView{w.committed}), nil)
+	m.answer(w.execute(ctx, m.txnEvent, committedView{w.committed}), nil)
 	m.Epoch = w.appliedEpoch
 	ctx.Send(w.sys.coordID, msgTxnFinished(m), w.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
