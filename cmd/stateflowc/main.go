@@ -10,7 +10,6 @@
 //	-emit listing   split-function listings (§2.4) for every method
 //	-emit dot       logical dataflow graph in Graphviz DOT (Figure 2)
 //	-emit json      IR metadata as JSON
-//	-emit artifact  portable compiled artifact (load with compiler.LoadArtifact)
 //	-method C.m     restrict listing output to one method
 package main
 
@@ -25,7 +24,7 @@ import (
 )
 
 func main() {
-	emit := flag.String("emit", "report", "output form: report | listing | dot | json | artifact")
+	emit := flag.String("emit", "report", "output form: report | listing | dot | json")
 	method := flag.String("method", "", "restrict listing to Class.method")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -47,12 +46,6 @@ func main() {
 		fmt.Print(prog.Dot())
 	case "json":
 		out, err := json.MarshalIndent(prog, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(out))
-	case "artifact":
-		out, err := compiler.SaveArtifact(prog)
 		if err != nil {
 			fatal(err)
 		}

@@ -26,12 +26,7 @@ func Compile(src string) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := CompileChecked(info)
-	if err != nil {
-		return nil, err
-	}
-	prog.Source = src
-	return prog, nil
+	return CompileChecked(info)
 }
 
 // MustCompile is Compile that panics on error, for tests and examples.

@@ -110,46 +110,6 @@ func blockCalls(b *ir.Block, fn func(*dsl.Call)) {
 	}
 }
 
-// FuzzLoadArtifact feeds arbitrary bytes to the artifact loader, the one
-// decoder a deployment reads a compiled program through: it must hand back
-// a program or an error, never panic, and a program it loads must save and
-// load again to the same program. The seeds are the saved artifacts of
-// every DSL source in the tree, and the seed run checks that each of them
-// round-trips.
-func FuzzLoadArtifact(f *testing.F) {
-	for _, src := range corpus(f) {
-		prog := compiler.MustCompile(src)
-		data, err := compiler.SaveArtifact(prog)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if back, err := compiler.LoadArtifact(data); err != nil || back.Report() != prog.Report() {
-			f.Fatalf("a program shipped in the tree does not round-trip through its artifact: %v", err)
-		}
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		prog, err := compiler.LoadArtifact(data)
-		if (prog == nil) == (err == nil) {
-			t.Fatalf("LoadArtifact returned program %v and error %v", prog != nil, err)
-		}
-		if err != nil {
-			return
-		}
-		again, err := compiler.SaveArtifact(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := compiler.LoadArtifact(again)
-		if err != nil {
-			t.Fatalf("a loaded artifact does not load again: %v", err)
-		}
-		if back.Report() != prog.Report() {
-			t.Fatalf("artifact round trip changed the program:\n%s\nvs\n%s", back.Report(), prog.Report())
-		}
-	})
-}
-
 // checkStamps asserts the invariant the runtime addresses state and calls
 // by: in every method's body and blocks, every variable, self attribute and
 // loop variable carries the 1-based slot of its own name in its layout,

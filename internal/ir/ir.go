@@ -291,9 +291,6 @@ type Program struct {
 	Methods []*Method `json:"-"`
 	// Edges is the logical dataflow graph including ingress/egress routers.
 	Edges []Edge `json:"edges"`
-	// Source is the original DSL source, embedded for local re-analysis
-	// and debugging.
-	Source string `json:"source,omitempty"`
 
 	layoutsOnce sync.Once
 	layouts     *Layouts

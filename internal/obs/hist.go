@@ -55,9 +55,6 @@ type Histogram struct {
 	max     time.Duration
 }
 
-// NewHistogram returns an exact-mode histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
 // NewBoundedHistogram returns a reservoir histogram retaining at most
 // capacity samples.
 func NewBoundedHistogram(capacity int) *Histogram {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPercentiles(t *testing.T) {
-	s := NewHistogram()
+	s := &Histogram{}
 	for i := 1; i <= 100; i++ {
 		s.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -28,7 +28,7 @@ func TestPercentiles(t *testing.T) {
 
 // TestEmptySeries: an empty histogram reads all zero.
 func TestEmptySeries(t *testing.T) {
-	s := NewHistogram()
+	s := &Histogram{}
 	if s.Percentile(99) != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty histogram must be all zero")
 	}
@@ -38,7 +38,7 @@ func TestEmptySeries(t *testing.T) {
 }
 
 func TestMeanMinMax(t *testing.T) {
-	s := NewHistogram()
+	s := &Histogram{}
 	for _, d := range []time.Duration{30, 10, 20} {
 		s.Observe(d * time.Millisecond)
 	}
@@ -51,7 +51,7 @@ func TestMeanMinMax(t *testing.T) {
 }
 
 func TestAddAfterQueryResorts(t *testing.T) {
-	s := NewHistogram()
+	s := &Histogram{}
 	s.Observe(10 * time.Millisecond)
 	_ = s.Percentile(50)
 	s.Observe(1 * time.Millisecond)
@@ -65,7 +65,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewHistogram()
+		s := &Histogram{}
 		for _, v := range raw {
 			s.Observe(time.Duration(v) * time.Microsecond)
 		}
@@ -86,7 +86,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewHistogram()
+		s := &Histogram{}
 		for _, v := range raw {
 			s.Observe(time.Duration(v) * time.Microsecond)
 		}
@@ -99,7 +99,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 }
 
 func TestSummaryContainsFields(t *testing.T) {
-	s := NewHistogram()
+	s := &Histogram{}
 	s.Observe(time.Millisecond)
 	sum := s.Snapshot().String()
 	for _, f := range []string{"n=1", "mean=", "p50=", "p99=", "max="} {

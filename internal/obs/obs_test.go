@@ -97,7 +97,7 @@ func TestPublishExpvarRepublish(t *testing.T) {
 // gates rely on: a bounded histogram is exact — identical to an
 // unbounded one — until the sample count exceeds the capacity.
 func TestHistogramExactBelowCapacity(t *testing.T) {
-	exact, bounded := NewHistogram(), NewBoundedHistogram(1000)
+	exact, bounded := &Histogram{}, NewBoundedHistogram(1000)
 	for i := 0; i < 1000; i++ {
 		d := time.Duration(i%97) * time.Millisecond
 		exact.Observe(d)

@@ -143,14 +143,3 @@ func (l *Log) End(topic string, partition int) (int64, error) {
 	}
 	return t.Partitions[partition].End(), nil
 }
-
-// PartitionCount returns the number of partitions of a topic.
-func (l *Log) PartitionCount(topic string) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t, ok := l.topics[topic]
-	if !ok {
-		return 0, fmt.Errorf("queue: unknown topic %s", topic)
-	}
-	return len(t.Partitions), nil
-}

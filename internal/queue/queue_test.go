@@ -103,9 +103,6 @@ func TestErrors(t *testing.T) {
 	if _, err := l.Topic("nope"); err == nil {
 		t.Fatal("unknown topic must fail")
 	}
-	if _, err := l.PartitionCount("nope"); err == nil {
-		t.Fatal("unknown topic must fail")
-	}
 }
 
 func TestFetchPastEnd(t *testing.T) {

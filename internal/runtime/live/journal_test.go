@@ -42,8 +42,8 @@ func TestJournalReplayAcrossRestart(t *testing.T) {
 		t.Fatalf("first bump: %v %q %v", v, errStr, err)
 	}
 	rt1.Close()
-	if rt1.JournalErrors() != 0 {
-		t.Fatalf("journal errors: %d", rt1.JournalErrors())
+	if n := rt1.Metrics().Snapshot()["live.journal.errors"]; n != 0 {
+		t.Fatalf("journal errors: %d", n)
 	}
 
 	// New process, same journal: the retry of req-1 is served from the
@@ -214,8 +214,8 @@ func TestJournalRetentionBoundsAndReplaysWithinWindow(t *testing.T) {
 		t.Fatal("outcome inside the retention window pruned")
 	}
 	rt.Close()
-	if rt.JournalErrors() != 0 {
-		t.Fatalf("journal errors: %d", rt.JournalErrors())
+	if n := rt.Metrics().Snapshot()["live.journal.errors"]; n != 0 {
+		t.Fatalf("journal errors: %d", n)
 	}
 
 	// New process, same journal: replay must survive the compaction —

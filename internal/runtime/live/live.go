@@ -462,10 +462,6 @@ func (rt *Runtime) checkpointJournal() {
 	rt.appendsSinceCkpt.Store(0)
 }
 
-// JournalErrors reports journal append/sync failures (outcomes were still
-// delivered to callers, but are not guaranteed replayable).
-func (rt *Runtime) JournalErrors() int64 { return rt.journalErrs.Load() }
-
 // Close stops all workers, waits for them to drain, and fails every
 // request still pending with ErrClosed — an in-flight chain whose next hop
 // raced the shutdown can never produce a response, so its waiter must not

@@ -43,9 +43,6 @@ func (s *Store) Layouts() *ir.Layouts { return s.layouts }
 // keys, consistent for the lifetime of the store's layout registry.
 func (s *Store) ClassID(class string) int { return s.layouts.IDOf(class) }
 
-// ClassOf resolves a dense class id back to the class name.
-func (s *Store) ClassOf(id int) string { return s.layouts.ClassOf(id) }
-
 // Lookup returns an entity's live row (mutable), or ok=false.
 func (s *Store) Lookup(ref interp.EntityRef) (*interp.Row, bool) {
 	st, ok := s.m[ref]

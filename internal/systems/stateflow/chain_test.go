@@ -61,12 +61,16 @@ func TestChainRefusedTransferLeavesPayeeQueue(t *testing.T) {
 	}
 
 	// Step until the payee's owner has released T3 (position 1) with T2
-	// (position 0) still queued ahead of it.
+	// (position 0) still queued ahead of it. T3 alone is queued on its
+	// payer, so that queue drains exactly when T3 is released.
 	var ch *aria.Chain
+	payer := interp.EntityRef{Class: "Account", Key: acct(0)}
 	for i := 0; ; i++ {
 		if st := fx.sys.coord.commit; st != nil && st.chained() {
-			if ch = chainOn(payee, st.epoch); ch != nil && ch.Released(1) {
-				break
+			if ch = chainOn(payee, st.epoch); ch != nil {
+				if e := ch.Plan.Entity(1, payer); e >= 0 && ch.Head(e) == -1 {
+					break
+				}
 			}
 		}
 		if i > 500_000 {

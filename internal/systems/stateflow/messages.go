@@ -76,8 +76,8 @@ type txnEvent struct {
 	TID   aria.TID
 	Epoch int64
 	Round int
-	// Ev is the event to step, nil once the body is an answer: ev in a
-	// transaction's body, the record's root call in a fast read's.
+	// Ev is the event to step, the body's own ev; nil once the body is an
+	// answer.
 	Ev    *core.Event
 	Sets  *rwSets
 	Value interp.Value

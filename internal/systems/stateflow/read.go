@@ -52,10 +52,10 @@ import (
 // later read zeroes and reuses it — unless a recovery took the read back:
 // its first forward may still be in flight (see msgTxnEvent).
 type fastRead struct {
-	// root is the call; the forwarded event points at it.
-	root core.Event
-	// first is the body of the first forward's message (see msgTxnEvent); a
-	// forward after a recovery allocates its own.
+	// first is the body of the first forward's message (see msgTxnEvent),
+	// and its ev is the call; a forward after a recovery allocates its own
+	// body and copies the call into it. Workers answer a read where it runs
+	// and an answer never writes ev, so the call outlives every forward.
 	first   txnEvent
 	replyTo string
 	// seq is the number it was last forwarded under (0: not forwarded yet);
@@ -89,13 +89,13 @@ func (c *Coordinator) onRead(ctx *sim.Context, m sysapi.MsgRequest) {
 	} else {
 		r = new(fastRead)
 	}
-	*r = fastRead{replyTo: m.ReplyTo, root: core.Event{
+	*r = fastRead{replyTo: m.ReplyTo, first: txnEvent{ev: core.Event{
 		Kind:   core.EvInvoke,
 		Req:    m.Request.Req,
 		Target: m.Request.Target,
 		Method: m.Request.Method,
 		Args:   m.Request.Args,
-	}}
+	}}}
 	if c.readsHeld() {
 		c.held = append(c.held, r)
 		return
@@ -108,8 +108,11 @@ func (c *Coordinator) onRead(ctx *sim.Context, m sysapi.MsgRequest) {
 // gate holds it until every epoch whose responses may be out is installed.
 func (c *Coordinator) forwardRead(ctx *sim.Context, r *fastRead) {
 	body := &r.first
-	if r.seq != 0 {
+	if r.seq == 0 {
+		body.Ev = &body.ev
+	} else {
 		body = new(txnEvent)
+		body.forward(r.first.ev, nil)
 	}
 	c.readSeq++
 	r.seq = c.readSeq
@@ -117,8 +120,8 @@ func (c *Coordinator) forwardRead(ctx *sim.Context, r *fastRead) {
 		c.reads = map[aria.TID]*fastRead{}
 	}
 	c.reads[r.seq] = r
-	*body = txnEvent{TID: r.seq, Epoch: c.decided + 1, Round: readRound, Ev: &r.root}
-	ctx.Send(c.sys.ownerOf(r.root.Target), msgTxnEvent{body},
+	body.TID, body.Epoch, body.Round = r.seq, c.decided+1, readRound
+	ctx.Send(c.sys.ownerOf(r.first.ev.Target), msgTxnEvent{body},
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
@@ -150,7 +153,7 @@ func (c *Coordinator) onReadDone(ctx *sim.Context, m msgTxnFinished) {
 	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
 	c.FastReads++
 	if r.replyTo != "" {
-		c.journal.stageRead(ctx, r.replyTo, sysapi.Response{Req: r.root.Req, Value: m.Value, Err: m.Err}, m.Epoch)
+		c.journal.stageRead(ctx, r.replyTo, sysapi.Response{Req: r.first.ev.Req, Value: m.Value, Err: m.Err}, m.Epoch)
 	}
 	if m.txnEvent == &r.first {
 		c.freeReads = append(c.freeReads, r)

@@ -355,10 +355,9 @@ func (c *Coordinator) sendRecover(ctx *sim.Context, w string) {
 		c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
 
-// restorePoint returns the snapshot recovery (and snapshot-consistency
-// queries) may use: exactly the latest sealed snapshot — never a merely
-// image-complete one, whose effects may depend on delivered-records a
-// crash could still tear.
+// restorePoint returns the snapshot recovery may use: exactly the latest
+// sealed snapshot — never a merely image-complete one, whose effects may
+// depend on delivered-records a crash could still tear.
 func (c *Coordinator) restorePoint() (snapshot.Meta, bool) {
 	if c.sealed == 0 {
 		return snapshot.Meta{}, false

@@ -461,7 +461,7 @@ func TestRecycleStaleFinishAfterReuse(t *testing.T) {
 			var chain *core.Context
 			if m.Round == readRound {
 				if r := c.reads[m.TID]; r != nil {
-					id, inline = r.root.Req, &r.first
+					id, inline = r.first.ev.Req, &r.first
 				}
 			} else if st := c.stageFor(m.Epoch); st != nil && m.Round == 0 {
 				if rec := st.txn(m.TID); rec != nil {
@@ -582,7 +582,7 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 			return false
 		}
 		for _, r := range c.reads {
-			owner := f.sys.ownerOf(r.root.Target)
+			owner := f.sys.ownerOf(r.first.ev.Target)
 			for _, m := range c.exec.txns {
 				if !m.finished && f.sys.ownerOf(m.req.Target) == owner {
 					victim = owner
@@ -633,10 +633,10 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 			}
 		}
 		for _, r := range c.reads {
-			if id, ok := servesRead[r]; ok && id != r.root.Req {
+			if id, ok := servesRead[r]; ok && id != r.first.ev.Req {
 				reusedReads++
 			}
-			servesRead[r] = r.root.Req
+			servesRead[r] = r.first.ev.Req
 		}
 		for _, w := range f.sys.workers {
 			for _, ep := range w.epochs {
@@ -657,12 +657,12 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 		}
 		for _, r := range c.freeReads {
 			if _, ok := reforwarded[r]; ok {
-				t.Fatalf("read %s, taken back by the recovery, reached the free list", r.root.Req)
+				t.Fatalf("read %s, taken back by the recovery, reached the free list", r.first.ev.Req)
 			}
 		}
 		for _, r := range append(slices.Collect(maps.Values(c.reads)), c.held...) {
-			if id, ok := reforwarded[r]; ok && r.root.Req != id {
-				t.Fatalf("read %s's record, taken back by the recovery, serves %s", id, r.root.Req)
+			if id, ok := reforwarded[r]; ok && r.first.ev.Req != id {
+				t.Fatalf("read %s's record, taken back by the recovery, serves %s", id, r.first.ev.Req)
 			}
 		}
 		for _, w := range f.sys.workers {
@@ -701,7 +701,7 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 			}
 			for _, r := range c.held {
 				if r.seq != 0 {
-					reforwarded[r] = r.root.Req
+					reforwarded[r] = r.first.ev.Req
 				}
 			}
 			for rec, body := range forwarded {

@@ -96,9 +96,9 @@ func TestIngressRecordsAreReplayable(t *testing.T) {
 		{At: 2 * time.Millisecond, Req: readReq("r1", acct(0))},
 	})
 	fx.cluster.RunUntil(2 * time.Second)
-	parts, _ := fx.sys.Log.PartitionCount("ingress")
+	topic, _ := fx.sys.Log.Topic("ingress")
 	var total int64
-	for p := 0; p < parts; p++ {
+	for p := range topic.Partitions {
 		end, _ := fx.sys.Log.End("ingress", p)
 		total += end
 	}

@@ -153,8 +153,8 @@ func TestTransferChainsThroughKafka(t *testing.T) {
 	// state-free `return True` runs where the deposit returns, so no resume
 	// record is chained back to the payer.
 	var total int64
-	parts, _ := fx.sys.Log.PartitionCount("ingress")
-	for p := 0; p < parts; p++ {
+	topic, _ := fx.sys.Log.Topic("ingress")
+	for p := range topic.Partitions {
 		end, _ := fx.sys.Log.End("ingress", p)
 		total += end
 	}

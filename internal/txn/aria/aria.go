@@ -22,7 +22,6 @@ package aria
 
 import (
 	"fmt"
-	"sort"
 
 	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
@@ -145,15 +144,6 @@ func (rw *RWSet) Read(k ResKey, b Bits) { rw.entries[rw.slot(k)].reads |= b }
 
 // Write records a write reservation.
 func (rw *RWSet) Write(k ResKey, b Bits) { rw.entries[rw.slot(k)].writes |= b }
-
-// Merge unions another set into this one.
-func (rw *RWSet) Merge(o *RWSet) {
-	for i := range o.entries {
-		e := &rw.entries[rw.slot(o.entries[i].key)]
-		e.reads |= o.entries[i].reads
-		e.writes |= o.entries[i].writes
-	}
-}
 
 // Keys appends the entities the set reserves anything on to buf, in
 // first-touch order.
@@ -469,27 +459,6 @@ func (ws *Workspace) WriteBytes() int {
 		}
 	}
 	return total
-}
-
-// TouchedEntities lists every entity in the reservation set, resolving
-// class ids back through the committed store's layouts.
-func (ws *Workspace) TouchedEntities() []interp.EntityRef {
-	out := make([]interp.EntityRef, 0, len(ws.RW.entries))
-	for i := range ws.RW.entries {
-		k := ws.RW.entries[i].key
-		out = append(out, interp.EntityRef{Class: ws.committed.ClassOf(int(k.Class)), Key: k.Key})
-	}
-	sortRefs(out)
-	return out
-}
-
-func sortRefs(refs []interp.EntityRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Class != refs[j].Class {
-			return refs[i].Class < refs[j].Class
-		}
-		return refs[i].Key < refs[j].Key
-	})
 }
 
 // Validate runs Aria's deterministic conflict check over one worker's

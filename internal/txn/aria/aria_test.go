@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -724,27 +723,7 @@ func TestWriteBytesAndTouched(t *testing.T) {
 	if ws.WriteBytes() < 1000 {
 		t.Fatalf("write bytes: %d", ws.WriteBytes())
 	}
-	touched := ws.TouchedEntities()
-	if len(touched) != 1 || touched[0] != ref("a") {
+	if touched := ws.RW.Keys(nil); len(touched) != 1 || touched[0] != rkey("a") {
 		t.Fatalf("touched: %v", touched)
-	}
-}
-
-func TestRWSetMerge(t *testing.T) {
-	a := setOf([]string{"x"}, []string{"y"})
-	b := setOf([]string{"z"}, []string{"y"})
-	a.Merge(b)
-	want := []resEntry{
-		{key: rkey("x"), reads: EntityBit},
-		{key: rkey("y"), writes: EntityBit},
-		{key: rkey("z"), reads: EntityBit},
-	}
-	if !reflect.DeepEqual(a.entries, want) {
-		t.Fatalf("merge: %v", a.entries)
-	}
-	a.Merge(b)
-	a.Merge(a)
-	if !reflect.DeepEqual(a.entries, want) {
-		t.Fatalf("merge is not idempotent: %v", a.entries)
 	}
 }

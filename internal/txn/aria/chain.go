@@ -194,6 +194,3 @@ func (c *Chain) Release(m int) bool {
 	c.released[m] = true
 	return true
 }
-
-// Released reports whether member m has been released.
-func (c *Chain) Released(m int) bool { return c.released[m] }

@@ -121,11 +121,6 @@ type Scale struct {
 	Items            int
 }
 
-// DefaultScale is a laptop-scale configuration.
-func DefaultScale() Scale {
-	return Scale{Warehouses: 2, DistrictsPerWH: 4, CustomersPerDist: 20, Items: 100}
-}
-
 // Key builders for the composite-keyed entities.
 func WarehouseKey(w int) string      { return fmt.Sprintf("w%d", w) }
 func DistrictKey(w, d int) string    { return fmt.Sprintf("w%d-d%d", w, d) }

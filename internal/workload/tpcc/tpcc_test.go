@@ -44,7 +44,7 @@ func newLocal(t *testing.T, scale Scale) *local.Runtime {
 }
 
 func TestNewOrderLocal(t *testing.T) {
-	scale := DefaultScale()
+	scale := Scale{Warehouses: 2, DistrictsPerWH: 4, CustomersPerDist: 20, Items: 100}
 	rt := newLocal(t, scale)
 	res, err := rt.Invoke("District", DistrictKey(0, 0), "new_order",
 		interp.RefV("Customer", CustomerKey(0, 0, 0)),
@@ -77,7 +77,7 @@ func TestNewOrderLocal(t *testing.T) {
 }
 
 func TestPaymentLocal(t *testing.T) {
-	scale := DefaultScale()
+	scale := Scale{Warehouses: 2, DistrictsPerWH: 4, CustomersPerDist: 20, Items: 100}
 	rt := newLocal(t, scale)
 	res, err := rt.Invoke("District", DistrictKey(1, 2), "payment",
 		interp.RefV("Customer", CustomerKey(1, 2, 3)),
@@ -121,8 +121,9 @@ func TestStockRefillKeepsInvariant(t *testing.T) {
 }
 
 func TestGeneratorDeterministicAndWellFormed(t *testing.T) {
-	g1 := NewGenerator(DefaultScale(), 5, "x")
-	g2 := NewGenerator(DefaultScale(), 5, "x")
+	scale := Scale{Warehouses: 2, DistrictsPerWH: 4, CustomersPerDist: 20, Items: 100}
+	g1 := NewGenerator(scale, 5, "x")
+	g2 := NewGenerator(scale, 5, "x")
 	for i := 0; i < 200; i++ {
 		a, b := g1.Next(i), g2.Next(i)
 		if a.Req != b.Req || a.Method != b.Method || a.Target != b.Target {
