@@ -2,8 +2,11 @@ package stateflow
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -25,23 +28,89 @@ var testOnlyExports = map[string]string{
 	"sysapi.NewIncarnation":     "harness hook: ids from other incarnations can arrive through WithRequestID",
 }
 
+// testOnlyBacklog names the exported functions and methods under internal/
+// that only tests reach and that name matching missed: a same-named
+// identifier elsewhere counted as their use until the guard matched uses by
+// type. Each is to be deleted, or moved to testOnlyExports with the harness
+// it serves (ROADMAP C(11)). The guard treats an entry like an allowlisted
+// one — it fails once production code reaches it or internal/ no longer
+// declares it — so the list only shrinks.
+var testOnlyBacklog = map[string]bool{
+	"ast.ClassDef.Method":             true,
+	"ast.FuncDef.IsInit":              true,
+	"ast.Module.Class":                true,
+	"chaos.Engine.Plan":               true,
+	"dlog.SimLog.Len":                 true,
+	"interp.Decoder.State":            true,
+	"interp.EncodedSize":              true,
+	"interp.Encoder.State":            true,
+	"interp.Frame.Len":                true,
+	"interp.Row.Equal":                true,
+	"interp.Row.Get":                  true,
+	"lexer.Lexer.Err":                 true,
+	"live.Runtime.Metrics":            true,
+	"live.Runtime.MetricsAddr":        true,
+	"live.Runtime.Workers":            true,
+	"local.Runtime.Exists":            true,
+	"local.Runtime.Program":           true,
+	"obs.FlightRecorder.Len":          true,
+	"obs.Histogram.Count":             true,
+	"obs.Histogram.Max":               true,
+	"obs.Histogram.Mean":              true,
+	"obs.Histogram.Min":               true,
+	"obs.Histogram.Sum":               true,
+	"oracle.Workloads":                true,
+	"sim.Cluster.Drain":               true,
+	"sim.Cluster.FlightRecorder":      true,
+	"sim.Cluster.Pending":             true,
+	"snapshot.Store.Read":             true,
+	"snapshot.Store.Workers":          true,
+	"state.Store.Clone":               true,
+	"state.Store.Delete":              true,
+	"state.Store.Len":                 true,
+	"stateflow.ShardedSystem.Preload": true,
+	"stateflow.System.Workers":        true,
+	"statefun.System.FnRuntimes":      true,
+	"statefun.System.Preload":         true,
+	"statefun.System.Workers":         true,
+	"types.Info.Class":                true,
+	"workload.ByName":                 true,
+	"ycsb.Uniform.Name":               true,
+	"ycsb.Zipfian.Name":               true,
+}
+
 // TestInternalExportsHaveACaller keeps test-only surfaces out of internal/:
 // every exported function or method declared in a non-test file there must
-// be named by some non-test Go outside its own declaration (cmd/,
+// be reached by some non-test Go outside its own declaration (cmd/,
 // examples/, this package and benchmark/ count), or be on testOnlyExports
 // with its reason. An allowlisted name that production code now reaches,
-// or that no longer exists, fails too. Names are matched as identifiers,
-// without types, so a function whose name some other used identifier
-// shares (a method, a type, a field) counts as used.
+// or that no longer exists, fails too. The tree is type-checked from source
+// (the standard library from its export data), so a use is matched to the
+// function or method it resolves to: a call of one type's method does not
+// count for another type's method of the same name. A method also counts as
+// reached when its type satisfies an interface that declares it and whose
+// method some code calls, or that the standard library declares (its
+// callers are not in this tree: fmt calls String, sort calls Less).
 func TestInternalExportsHaveACaller(t *testing.T) {
 	type decl struct {
 		key        string
 		file       string
+		name       *ast.Ident
 		start, end token.Pos
 	}
-	fset := token.NewFileSet()
+	const module = "statefulentities.dev/stateflow" // benchmark/ is its module's subpath
+	im := &treeImporter{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+	}
+	var paths []string
 	var decls []decl
-	uses := map[string][]token.Pos{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -52,28 +121,26 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(im.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		// A function's own name at its declaration is no use, nor is
-		// another function's declaration of the same name.
-		declName := map[*ast.Ident]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				declName[x.Name] = true
-			case *ast.Ident:
-				if !declName[x] {
-					uses[x.Name] = append(uses[x.Name], x.Pos())
-				}
-			}
-			return true
-		})
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+		pkg := module
+		if dir = filepath.ToSlash(filepath.Clean(dir)); dir != "." {
+			pkg += "/" + dir
+		}
+		if im.files[pkg] == nil {
+			paths = append(paths, pkg)
+		}
+		im.files[pkg] = append(im.files[pkg], f)
+		if !strings.HasPrefix(dir, "internal/") {
 			return nil
 		}
 		for _, dd := range f.Decls {
@@ -95,32 +162,93 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 				}
 				key += typ.(*ast.Ident).Name + "."
 			}
-			decls = append(decls, decl{key + fn.Name.Name, path, fn.Pos(), fn.End()})
+			decls = append(decls, decl{key + fn.Name.Name, path, fn.Name, fn.Pos(), fn.End()})
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, path := range paths {
+		if _, err := im.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+
+	// Every use of a function or method, by what it resolves to, and every
+	// interface whose methods are reached dynamically: those some code
+	// calls, and the standard library's.
+	uses := map[*types.Func][]token.Pos{}
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	var dynamic []ifaceMethod
+	for id, obj := range im.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		uses[fn] = append(uses[fn], id.Pos())
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				dynamic = append(dynamic, ifaceMethod{iface, fn.Name()})
+			}
+		}
+	}
+	dynamic = append(dynamic, ifaceMethod{types.Universe.Lookup("error").Type().Underlying().(*types.Interface), "Error"})
+	for _, pkg := range im.stdlib() {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+					for i := 0; i < iface.NumMethods(); i++ {
+						dynamic = append(dynamic, ifaceMethod{iface, iface.Method(i).Name()})
+					}
+				}
+			}
+		}
+	}
+	satisfies := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		if named, ok := typ.(*types.Named); !ok || named.TypeParams().Len() > 0 {
+			return false // an uninstantiated generic type implements nothing
+		}
+		for _, d := range dynamic {
+			if d.name == fn.Name() && (types.Implements(typ, d.iface) || types.Implements(types.NewPointer(typ), d.iface)) {
+				return true
+			}
+		}
+		return false
+	}
 
 	declared := map[string]bool{}
 	var uncalled []string
 	for _, d := range decls {
 		declared[d.key] = true
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		fn := im.info.Defs[d.name].(*types.Func)
 		called := false
-		for _, p := range uses[name] {
+		for _, p := range uses[fn] {
 			if p < d.start || p >= d.end {
 				called = true
 				break
 			}
 		}
+		called = called || satisfies(fn)
 		_, allowed := testOnlyExports[d.key]
+		allowed = allowed || testOnlyBacklog[d.key]
 		switch {
 		case !called && !allowed:
 			uncalled = append(uncalled, d.key+" ("+d.file+")")
 		case called && allowed:
-			t.Errorf("testOnlyExports names %s, which non-test Go now reaches: drop its entry", d.key)
+			t.Errorf("testOnlyExports or testOnlyBacklog names %s, which non-test Go now reaches: drop its entry", d.key)
 		}
 	}
 	sort.Strings(uncalled)
@@ -132,4 +260,63 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 			t.Errorf("testOnlyExports names %s, which internal/ no longer declares", key)
 		}
 	}
+	for key := range testOnlyBacklog {
+		if !declared[key] {
+			t.Errorf("testOnlyBacklog names %s, which internal/ no longer declares", key)
+		}
+	}
+}
+
+// treeImporter type-checks the tree's packages from their parsed non-test
+// files, into one shared Info, and imports everything else — the standard
+// library — through std.
+type treeImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+// Import implements types.Importer.
+func (im *treeImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := im.pkgs[path]; ok {
+		return pkg, nil
+	}
+	files, ok := im.files[path]
+	if !ok {
+		pkg, err := im.std.Import(path)
+		im.pkgs[path] = pkg
+		return pkg, err
+	}
+	pkg, err := (&types.Config{Importer: im}).Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// stdlib lists every package imported from outside the tree, with the
+// packages those import in turn.
+func (im *treeImporter) stdlib() []*types.Package {
+	seen := map[*types.Package]bool{}
+	var out []*types.Package
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if pkg == nil || seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		if _, ours := im.files[pkg.Path()]; !ours {
+			out = append(out, pkg)
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	for _, pkg := range im.pkgs {
+		walk(pkg)
+	}
+	return out
 }

@@ -90,17 +90,6 @@ func (l *Log) CreateTopic(name string, partitions int) error {
 	return nil
 }
 
-// Topic fetches a topic.
-func (l *Log) Topic(name string) (*Topic, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t, ok := l.topics[name]
-	if !ok {
-		return nil, fmt.Errorf("queue: unknown topic %s", name)
-	}
-	return t, nil
-}
-
 // Produce appends to the partition selected by key hash and returns
 // (partition, offset).
 func (l *Log) Produce(topic, key string, payload any) (int, int64, error) {
@@ -128,18 +117,4 @@ func (l *Log) Fetch(topic string, partition int, offset int64) (Record, bool, er
 	}
 	rec, ok := t.Partitions[partition].Read(offset)
 	return rec, ok, nil
-}
-
-// End returns the end offset of a topic partition.
-func (l *Log) End(topic string, partition int) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t, ok := l.topics[topic]
-	if !ok {
-		return 0, fmt.Errorf("queue: unknown topic %s", topic)
-	}
-	if partition < 0 || partition >= len(t.Partitions) {
-		return 0, fmt.Errorf("queue: topic %s has no partition %d", topic, partition)
-	}
-	return t.Partitions[partition].End(), nil
 }

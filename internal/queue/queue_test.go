@@ -18,6 +18,21 @@ func newLog(t *testing.T, topic string, parts int) *Log {
 	return l
 }
 
+// records counts what partition p of topic holds, reading it through Fetch
+// until an offset reads nothing.
+func records(t *testing.T, l *Log, topic string, p int) int64 {
+	t.Helper()
+	for off := int64(0); ; off++ {
+		_, ok, err := l.Fetch(topic, p, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return off
+		}
+	}
+}
+
 func TestProduceFetchRoundTrip(t *testing.T) {
 	l := newLog(t, "in", 2)
 	p, off, err := l.Produce("in", "k1", "hello")
@@ -53,8 +68,7 @@ func TestOffsetsAreDense(t *testing.T) {
 			t.Fatalf("offset %d, want %d", off, i)
 		}
 	}
-	end, _ := l.End("in", 0)
-	if end != 5 {
+	if end := records(t, l, "in", 0); end != 5 {
 		t.Fatalf("end: %d", end)
 	}
 }
@@ -97,10 +111,7 @@ func TestErrors(t *testing.T) {
 	if _, _, err := l.Fetch("in", 9, 0); err == nil {
 		t.Fatal("bad partition must fail")
 	}
-	if _, err := l.End("nope", 0); err == nil {
-		t.Fatal("unknown topic must fail")
-	}
-	if _, err := l.Topic("nope"); err == nil {
+	if _, _, err := l.Fetch("nope", 0, 0); err == nil {
 		t.Fatal("unknown topic must fail")
 	}
 }
@@ -131,11 +142,7 @@ func TestConcurrentProducers(t *testing.T) {
 	wg.Wait()
 	total := int64(0)
 	for p := 0; p < 4; p++ {
-		end, err := l.End("in", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += end
+		total += records(t, l, "in", p)
 	}
 	if total != 800 {
 		t.Fatalf("records: %d", total)
@@ -144,10 +151,13 @@ func TestConcurrentProducers(t *testing.T) {
 
 func TestPartitionForDistribution(t *testing.T) {
 	l := newLog(t, "in", 4)
-	topic, _ := l.Topic("in")
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		seen[topic.PartitionFor(fmt.Sprintf("key-%d", i))] = true
+		p, _, err := l.Produce("in", fmt.Sprintf("key-%d", i), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[p] = true
 	}
 	if len(seen) != 4 {
 		t.Fatalf("keys hash to only %d partitions", len(seen))

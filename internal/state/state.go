@@ -88,6 +88,9 @@ func (s *Store) PutMap(ref interp.EntityRef, st interp.MapState) {
 // Delete removes an entity.
 func (s *Store) Delete(ref interp.EntityRef) { delete(s.m, ref) }
 
+// Clear removes every entity, keeping the store's map for reuse.
+func (s *Store) Clear() { clear(s.m) }
+
 // Len returns the number of resident entities.
 func (s *Store) Len() int { return len(s.m) }
 

@@ -63,7 +63,7 @@ import (
 // completeRecovery resolves the in-flight batch once all have reported.
 func (q *Sequencer) OnRestart(ctx *sim.Context) {
 	q.Failovers++
-	q.cur = nil
+	q.cur, q.slot = nil, nil
 	q.queue = nil
 	q.nextSeq = 0
 	q.inFlight = map[string]bool{}
@@ -159,9 +159,11 @@ func (q *Sequencer) completeRecovery(ctx *sim.Context) {
 // waits for the batch instead of opening a fence window behind it.
 func (q *Sequencer) rederiveBatch(ctx *sim.Context, man *batchManifest) {
 	q.RederivedBatches++
-	b := q.newBatch(ctx, man.seq)
-	b.rederived, b.man, b.footprint = true, man, man.footprint
-	for _, a := range man.applies {
+	b := q.openBatch(ctx, man.seq)
+	b.rederived, b.man = true, man
+	b.footprint = append(b.footprint, man.footprint...) // the slot's, which the next batch overwrites
+	for i := range man.applies {
+		a := &man.applies[i]
 		b.parts[a.shard].apply = a
 	}
 	for _, mt := range man.txns {

@@ -60,15 +60,18 @@ func (c *Coordinator) onFence(ctx *sim.Context, from string, m msgFence) {
 // ackFence confirms the park to the sequencer and answers the fence. Its
 // admission list is judged against the journal: a member is known if its
 // response is part of the egress state or its id sits at or below its
-// source's dedup floor. Its read list is answered with clones of the
-// committed worker rows. (Reading the worker stores directly is the same
-// modeling shortcut EntityState uses: the parked stores are stable, so the
-// read is deterministic.) The shard is parked, so nothing can answer a
-// listed id or write a listed row between this ack and the batch's own
-// apply — provided nothing is in flight right now: no recovery, commit or
-// binding replay, and an open empty epoch. Otherwise the ack waits for the
-// sequencer's re-sent fence. A crashed worker's store is unreadable, so it
-// triggers recovery instead of an answer; the durable fence survives it.
+// source's dedup floor. Its read list is answered with the committed worker
+// rows themselves, not copies: while the shard is parked its rows are
+// replaced (an apply's install, a recovery's decode) but never written in
+// place, and the sequencer copies a row before it writes one. (Reading the
+// worker stores directly is the same modeling shortcut EntityState uses: the
+// parked stores are stable, so the read is deterministic.) The shard is
+// parked, so nothing can answer a listed id or write a listed row between
+// this ack and the batch's own apply — provided nothing is in flight right
+// now: no recovery, commit or binding replay, and an open empty epoch.
+// Otherwise the ack waits for the sequencer's re-sent fence. A crashed
+// worker's store is unreadable, so it triggers recovery instead of an
+// answer; the durable fence survives it.
 func (c *Coordinator) ackFence(ctx *sim.Context, to string, m msgFence) {
 	if c.recovering || c.commit != nil || len(c.replaying) > 0 {
 		return
@@ -93,9 +96,7 @@ func (c *Coordinator) ackFence(ctx *sim.Context, to string, m msgFence) {
 	for i, ref := range m.Reads {
 		ctx.Work(c.sys.cfg.Costs.RoutingCPU)
 		ack.Rows[i].Ref = ref
-		if row, ok := c.sys.workers[c.sys.OwnerIndex(ref)].committed.Lookup(ref); ok {
-			ack.Rows[i].St = row.Clone()
-		}
+		ack.Rows[i].St, _ = c.sys.workers[c.sys.OwnerIndex(ref)].committed.Lookup(ref)
 	}
 	ctx.Send(to, ack, c.sys.cfg.Costs.WorkerLink.Sample(ctx.Rand()))
 }
@@ -278,11 +279,13 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 // group commit — so the apply inherits every durability and failure
 // guarantee a normal transaction has. If the parked slot is busy (a
 // binding replay tail, or a previous apply still committing), the apply
-// waits in fenceApply for the next fenced epoch.
+// waits in fenceApply for the next fenced epoch: only then does it take a
+// record of its own.
 func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 	st := c.exec
 	if st == nil || st.phase != phaseOpen || st.binding || len(st.txns) != 0 {
-		c.fenceApply = &p
+		parked := p
+		c.fenceApply = &parked
 		return
 	}
 	c.GlobalApplies++

@@ -289,10 +289,11 @@ type msgFence struct {
 // that answers a fence echoes its Admit list and says, position by
 // position, which of those transactions the shard already answered (Known:
 // in its journal, or at or below the source's dedup floor); Rows answers
-// its Reads with clones of the committed rows. Both are taken parked with
-// nothing in flight, so they hold for the whole fence window: the sequencer
-// drops the known members and executes the rest against the rows. The park
-// watchdog's re-ack carries none of the lists and is never an answer.
+// its Reads with the committed rows themselves, read-only (entityImage).
+// Both are taken parked with nothing in flight, so they hold for the whole
+// fence window: the sequencer drops the known members and executes the rest
+// against the rows. The park watchdog's re-ack carries none of the lists
+// and is never an answer.
 type msgFenceAck struct {
 	Seq   int64
 	Admit []string

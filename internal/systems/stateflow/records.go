@@ -35,10 +35,15 @@ type fenceMarker struct {
 
 // entityImage is one entity's committed image as a global batch moves it:
 // read from a parked shard (msgFenceAck.Rows; St nil when the entity does
-// not exist) or written back (globalApply.writes). The row is shared by
-// everything that holds the message or the manifest — the sequencer's
-// batch, the source-log record, a failover report — so it is read-only: a
-// worker installs a clone (Worker.installApply).
+// not exist) or written back (globalApply.writes). Every row is shared and
+// read-only. A fence ack carries the parked worker's own committed row,
+// which is safe because a parked shard replaces rows but never writes one
+// in place; the sequencer's overlay copies a row before the batch first
+// writes it, so a row the batch wrote is the batch's own. A written row is
+// shared by everything that holds the manifest — the sequencer's batch, the
+// source-log record, a failover report — and must stay as logged for a
+// binding replay or a failover to install again, while a worker writes its
+// committed rows in place: a worker installs a clone (Worker.installApply).
 type entityImage struct {
 	Ref interp.EntityRef
 	St  *interp.Row
@@ -63,7 +68,7 @@ type batchManifest struct {
 	seq       int64
 	footprint []int
 	txns      []manifestTxn
-	applies   []*globalApply
+	applies   []globalApply
 }
 
 // globalApply is one shard's slice of a global batch: the write-set the

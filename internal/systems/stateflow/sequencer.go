@@ -11,14 +11,17 @@
 //	         drops those — retries — and hands each to its home shard's
 //	         ingress, which re-serves the recorded response
 //	read   = each fence carries the entities the shard owns that the batch
-//	         reads, and the ack carries their committed rows back (Calvin's
-//	         participants push their local reads once they hold their
-//	         locks; here the park is the lock)
+//	         reads, and the ack carries their committed rows back, shared,
+//	         not copied: a parked shard replaces rows but never writes one
+//	         in place (Calvin's participants push their local reads once
+//	         they hold their locks; here the park is the lock)
 //	exec   = the sequencer runs the batch serially against an overlay
-//	         store of those rows; an execution that reaches an entity no
-//	         ack answered re-sends the owner's fence with the longer read
-//	         list — fencing the shard first if the footprint grows — and
-//	         re-executes from scratch once the rows arrive
+//	         store of those rows, copying a row before the batch first
+//	         writes it, so no write reaches a parked worker's row; an
+//	         execution that reaches an entity no ack answered re-sends the
+//	         owner's fence with the longer read list — fencing the shard
+//	         first if the footprint grows — and re-executes from scratch
+//	         once the rows arrive
 //	apply  = each footprint shard that has writes or is home to a batch
 //	         transaction gets ONE globalApply — its final entity images,
 //	         pointing at the batch's one manifest (records.go) — logged
@@ -57,8 +60,8 @@ package stateflow
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"statefulentities.dev/stateflow/internal/core"
@@ -98,10 +101,20 @@ type globalTxn struct {
 	home    int // ring position of the shard owning req.Target
 }
 
-// globalBatch is one in-flight global batch.
+// globalBatch is the global batch in flight. The sequencer keeps one
+// (Sequencer.slot) and every batch reuses it, as a coordinator reuses its
+// epoch slots: closeBatch empties it — lists truncated, maps and overlay
+// cleared, no reference to the batch's rows or ids kept — and the next batch
+// or roll-forward takes it. A failover drops it (OnRestart): nothing a dead
+// incarnation touched is reused. What is durable or shared never lives in
+// the slot: the manifest with its footprint, transactions, applies and write
+// rows is allocated per batch and immutable, because the shards' source logs
+// and failover reports hold it by pointer.
 type globalBatch struct {
-	seq   int64
-	txns  []*globalTxn
+	seq int64
+	// txns are the batch's members; their storage and the queue's swap
+	// (startBatch), so neither is reallocated per batch.
+	txns  []globalTxn
 	phase gPhase
 	// openedAt/phaseAt time the whole batch and the current protocol
 	// phase (trace-span bounds). Purely observational.
@@ -126,13 +139,21 @@ type globalBatch struct {
 
 	next int // index of the transaction currently executing
 	// overlay holds the batch's view of the footprint as rows: the images
-	// the fence acks carried, then whatever batch transactions wrote over
-	// them. fetched marks the entities an ack has answered for (an entity
-	// that does not exist is fetched but has no overlay row), dirty the
-	// overlay rows the batch changed — the apply write-sets.
+	// the fence acks carried — the parked workers' own rows, read-only —
+	// then the batch's copies of those it wrote. fetched marks the entities
+	// an ack has answered for (an entity that does not exist is fetched but
+	// has no overlay row). dirty holds every entity the batch wrote, each
+	// with a row of the batch's own in the overlay (execute copies it before
+	// the first write), mapped to whether a write changed its encoding: the
+	// true ones are the apply write-sets.
 	overlay *state.Store
 	fetched map[interp.EntityRef]bool
 	dirty   map[interp.EntityRef]bool
+
+	// recon is the store every execution attempt runs against, reopened
+	// per attempt; refs is sortedRefs' buffer.
+	recon reconStore
+	refs  []interp.EntityRef
 
 	// man is the batch's manifest once execution is done (beginApply, or
 	// a failover's rederiveBatch).
@@ -145,13 +166,45 @@ type globalBatch struct {
 // the batch reads, in the order they were needed. apply is the shard's
 // slice of the manifest. waits says the phase in flight still waits on the
 // shard's answer; acked that the shard answered the batch's fence once
-// (FenceWaits counts the first answer).
+// (FenceWaits counts the first answer). rows and home are beginApply's
+// count of the shard's write rows and whether it is home to a member.
+//
+// The lists live in the slot and the next batch overwrites them, while a
+// msgFence carries them by value, sharing their storage. That is safe: a
+// shard reads a fence's Admit and Reads only while it is parked on the
+// fence's seq, and the slot is reused only once every footprint shard acked
+// the batch's unfence — after logging the closed marker, so a stale copy of
+// the fence finds the seq at or below the shard's fenceDone and is answered
+// bare (Coordinator.onFence), even across a shard restart.
 type shardPart struct {
 	admit []string
 	reads []interp.EntityRef
 	apply *globalApply
 
 	waits, acked bool
+	rows         int
+	home         bool
+}
+
+// clear empties the slot once its batch closed, keeping the storage of its
+// lists and maps for the next batch.
+func (b *globalBatch) clear() {
+	for i := range b.parts {
+		p := &b.parts[i]
+		clear(p.admit)
+		clear(p.reads)
+		*p = shardPart{admit: p.admit[:0], reads: p.reads[:0]}
+	}
+	clear(b.txns[:cap(b.txns)])
+	clear(b.refs)
+	b.txns, b.footprint, b.refs = b.txns[:0], b.footprint[:0], b.refs[:0]
+	clear(b.known)
+	clear(b.fetched)
+	clear(b.dirty)
+	clear(b.recon.missing)
+	b.overlay.Clear()
+	b.recon.ws = aria.Workspace{}
+	b.seq, b.phase, b.rederived, b.next, b.man = 0, gFencing, false, 0, nil
 }
 
 // SequencerStats are the sequencing layer's canonical counters, exported
@@ -193,9 +246,12 @@ type Sequencer struct {
 	sys *ShardedSystem
 
 	nextSeq  int64
-	queue    []*globalTxn
+	queue    []globalTxn
 	inFlight map[string]bool // global req ids queued or in the current batch
-	cur      *globalBatch
+	// cur is the batch in flight, nil while idle; it lives in slot, which
+	// every batch of this incarnation reuses (globalBatch).
+	cur  *globalBatch
+	slot *globalBatch
 
 	// recovering is true from reboot until every shard reported its
 	// fence state; reports holds those reports by ring position (nil: not
@@ -287,24 +343,30 @@ func (q *Sequencer) onRequest(ctx *sim.Context, msg sim.Message, m sysapi.MsgReq
 		return
 	}
 	q.inFlight[m.Request.Req] = true
-	q.queue = append(q.queue, &globalTxn{req: m.Request, replyTo: m.ReplyTo, home: target})
+	q.queue = append(q.queue, globalTxn{req: m.Request, replyTo: m.ReplyTo, home: target})
 	if q.cur == nil && !q.recovering {
 		q.startBatch(ctx)
 	}
 }
 
-// newBatch makes batch seq the one in flight, with a part for every shard
-// of the ring and an empty footprint.
-func (q *Sequencer) newBatch(ctx *sim.Context, seq int64) *globalBatch {
-	b := &globalBatch{
-		seq:      seq,
-		openedAt: ctx.Now(),
-		parts:    make([]shardPart, len(q.sys.shards)),
-		known:    map[string]bool{},
-		overlay:  state.NewStore(q.sys.prog.Layouts()),
-		fetched:  map[interp.EntityRef]bool{},
-		dirty:    map[interp.EntityRef]bool{},
+// openBatch makes batch seq the one in flight in the sequencer's slot,
+// which closeBatch left empty: a part for every shard of the ring and an
+// empty footprint. The slot is made on first use, and again after a
+// failover dropped it.
+func (q *Sequencer) openBatch(ctx *sim.Context, seq int64) *globalBatch {
+	b := q.slot
+	if b == nil {
+		b = &globalBatch{
+			parts:   make([]shardPart, len(q.sys.shards)),
+			known:   map[string]bool{},
+			overlay: state.NewStore(q.sys.prog.Layouts()),
+			fetched: map[interp.EntityRef]bool{},
+			dirty:   map[interp.EntityRef]bool{},
+		}
+		b.recon = reconStore{fetched: b.fetched, missing: map[interp.EntityRef]bool{}}
+		q.slot = b
 	}
+	b.seq, b.openedAt = seq, ctx.Now()
 	q.cur = b
 	return b
 }
@@ -326,9 +388,10 @@ func (b *globalBatch) fence(idx int) bool {
 func (q *Sequencer) startBatch(ctx *sim.Context) {
 	q.nextSeq++
 	q.GlobalBatches++
-	b := q.newBatch(ctx, q.nextSeq)
-	b.txns, q.queue = q.queue, nil
-	for _, t := range b.txns {
+	b := q.openBatch(ctx, q.nextSeq)
+	b.txns, q.queue = q.queue, b.txns
+	for i := range b.txns {
+		t := &b.txns[i]
 		home := &b.parts[t.home]
 		home.admit = append(home.admit, t.req.Req)
 		for _, ref := range refsOf(t.req) {
@@ -537,7 +600,7 @@ func (q *Sequencer) maybeReleaseOrphan(ctx *sim.Context, from string, seq int64)
 func (q *Sequencer) advance(ctx *sim.Context) {
 	b := q.cur
 	for ; b.next < len(b.txns); b.next++ {
-		missing := q.execute(ctx, b, b.txns[b.next])
+		missing := q.execute(ctx, b, &b.txns[b.next])
 		if len(missing) == 0 {
 			continue
 		}
@@ -566,9 +629,10 @@ func (q *Sequencer) advance(ctx *sim.Context) {
 // has answered for yet records a miss. The attempt is then void and
 // re-executes from scratch once the row arrives; the workspace never
 // hands out an overlay container by reference, so dropping it drops
-// everything the attempt did.
+// everything the attempt did. The batch's slot holds one, and each attempt
+// reopens its workspace and empties its missing set.
 type reconStore struct {
-	ws      *aria.Workspace
+	ws      aria.Workspace
 	fetched map[interp.EntityRef]bool
 	missing map[interp.EntityRef]bool
 }
@@ -598,8 +662,9 @@ func (s *reconStore) Create(ref interp.EntityRef, ctor func(interp.State) error)
 // into the overlay (an application error commits nothing, matching the
 // shard runtime's abort-on-error contract).
 func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []interp.EntityRef {
-	ws := aria.NewWorkspace(aria.TID(b.seq), b.overlay)
-	store := &reconStore{ws: ws, fetched: b.fetched, missing: map[interp.EntityRef]bool{}}
+	store := &b.recon
+	store.ws.Open(aria.TID(b.seq), b.overlay)
+	clear(store.missing)
 	out, steps, err := q.sys.ex.Drive(core.Event{
 		Kind:   core.EvInvoke,
 		Req:    t.req.Req,
@@ -614,7 +679,8 @@ func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []in
 		res.Err = err.Error()
 	}
 	if len(store.missing) > 0 {
-		return sortedRefs(store.missing)
+		b.refs = sortedRefs(b.refs[:0], store.missing)
+		return b.refs
 	}
 	t.res = res
 	if res.Err != "" {
@@ -624,32 +690,40 @@ func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []in
 	// (the overlay has no image of it) or wrote a slot value that encodes
 	// differently from the overlay row's, which the attempt could not
 	// mutate; a write that stored what was already there keeps the member
-	// read-only and out of its shard's apply.
-	ws.Written(func(ref interp.EntityRef, changed bool) {
-		if changed {
-			b.dirty[ref] = true
+	// read-only and out of its shard's apply. Apply sets the written slots
+	// into the overlay's rows in place, unchanged ones too, and until the
+	// batch first writes an entity its row is the parked worker's own: it
+	// is copied first.
+	store.ws.Written(func(ref interp.EntityRef, changed bool) {
+		if _, owned := b.dirty[ref]; !owned {
+			if row, ok := b.overlay.Lookup(ref); ok {
+				b.overlay.Put(ref, row.Clone())
+			}
 		}
+		b.dirty[ref] = b.dirty[ref] || changed
 	})
-	ws.Apply(b.overlay)
+	store.ws.Apply(b.overlay)
 	return nil
 }
 
-// sortedRefs flattens a ref set into class/key order. Every sequencer
-// loop that sends messages (and samples link delays) per entity walks
-// refs through here: Go map iteration order is randomized per run, and
-// drawing RNG samples in map order would make same-seed runs diverge.
-func sortedRefs(set map[interp.EntityRef]bool) []interp.EntityRef {
-	refs := make([]interp.EntityRef, 0, len(set))
-	for ref := range set {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Class != refs[j].Class {
-			return refs[i].Class < refs[j].Class
+// sortedRefs appends the refs set maps to true to buf in class/key order.
+// Every sequencer loop that sends messages (and samples link delays) per
+// entity walks refs through here: Go map iteration order is randomized per
+// run, and drawing RNG samples in map order would make same-seed runs
+// diverge.
+func sortedRefs(buf []interp.EntityRef, set map[interp.EntityRef]bool) []interp.EntityRef {
+	for ref, in := range set {
+		if in {
+			buf = append(buf, ref)
 		}
-		return refs[i].Key < refs[j].Key
+	}
+	slices.SortFunc(buf, func(a, b interp.EntityRef) int {
+		if c := strings.Compare(a.Class, b.Class); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Key, b.Key)
 	})
-	return refs
+	return buf
 }
 
 // beginApply freezes the batch into its manifest — one apply per involved
@@ -659,8 +733,10 @@ func sortedRefs(set map[interp.EntityRef]bool) []interp.EntityRef {
 // write-set, because the manifest every apply points at is both the
 // batch's durable recovery record (failover.go) and the home shard's order
 // to release the transaction's response through its journal. The
-// overlay rows go into the manifest as they are: the batch has finished
-// executing, so nothing writes them again.
+// overlay rows go into the manifest as they are: they are the batch's own
+// copies, and the batch has finished executing, so nothing writes them
+// again. Everything else the manifest holds is copied out of the slot, and
+// its applies and their rows take one allocation each.
 func (q *Sequencer) beginApply(ctx *sim.Context) {
 	b := q.cur
 	if tr := q.sys.cfg.Tracer; tr.Enabled() {
@@ -668,20 +744,36 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 			"seq", strconv.FormatInt(b.seq, 10),
 			"txns", strconv.Itoa(len(b.txns)))
 	}
-	man := &batchManifest{seq: b.seq, footprint: b.footprint}
-	for _, ref := range sortedRefs(b.dirty) { // each shard's writes in class/key order
-		row, _ := b.overlay.Lookup(ref)
-		a := q.applyTo(b, man, q.sys.ShardOf(ref))
-		a.writes = append(a.writes, entityImage{Ref: ref, St: row})
+	b.refs = sortedRefs(b.refs[:0], b.dirty) // each shard's writes in class/key order
+	for _, ref := range b.refs {
+		b.parts[q.sys.ShardOf(ref)].rows++
 	}
-	for _, t := range b.txns {
-		q.applyTo(b, man, t.home) // home to a member: applies even an empty write-set
-		man.txns = append(man.txns, manifestTxn{req: t.req.Req, replyTo: t.replyTo, home: t.home, res: t.res})
+	man := &batchManifest{seq: b.seq, footprint: slices.Clone(b.footprint),
+		txns: make([]manifestTxn, len(b.txns))}
+	for i, t := range b.txns {
+		b.parts[t.home].home = true // home to a member: applies even an empty write-set
+		man.txns[i] = manifestTxn{req: t.req.Req, replyTo: t.replyTo, home: t.home, res: t.res}
 	}
+	n := 0
 	for _, idx := range b.footprint {
-		if a := b.parts[idx].apply; a != nil {
-			man.applies = append(man.applies, a)
+		if p := &b.parts[idx]; p.rows > 0 || p.home {
+			n++
 		}
+	}
+	man.applies = make([]globalApply, 0, n)
+	rows, at := make([]entityImage, len(b.refs)), 0
+	for _, idx := range b.footprint {
+		if p := &b.parts[idx]; p.rows > 0 || p.home {
+			man.applies = append(man.applies, globalApply{id: applyID(b.seq, idx), shard: idx,
+				writes: rows[at : at : at+p.rows], replyTo: sequencerID, man: man})
+			p.apply = &man.applies[len(man.applies)-1]
+			at += p.rows
+		}
+	}
+	for _, ref := range b.refs {
+		row, _ := b.overlay.Lookup(ref)
+		a := b.parts[q.sys.ShardOf(ref)].apply
+		a.writes = append(a.writes, entityImage{Ref: ref, St: row})
 	}
 	b.man = man
 	if len(man.applies) == 0 {
@@ -691,22 +783,15 @@ func (q *Sequencer) beginApply(ctx *sim.Context) {
 	q.enter(ctx, b, gApplying)
 }
 
-// applyTo returns shard idx's apply in batch b's manifest, making it on
-// first use.
-func (q *Sequencer) applyTo(b *globalBatch, man *batchManifest, idx int) *globalApply {
-	p := &b.parts[idx]
-	if p.apply == nil {
-		p.apply = &globalApply{id: applyID(b.seq, idx), shard: idx, replyTo: sequencerID, man: man}
-	}
-	return p.apply
-}
-
 // onApplyDone marks one shard's write-set durably committed (the shard
 // releases the apply's response only after its group-commit fsync).
 func (q *Sequencer) onApplyDone(ctx *sim.Context, from string, m sysapi.MsgResponse) {
 	b := q.cur
 	shard, ok := q.sys.shardOfCoord(from)
-	if !ok || b == nil || b.phase != gApplying || m.Response.Req != applyID(b.seq, shard) {
+	if !ok || b == nil || b.phase != gApplying {
+		return
+	}
+	if a := b.parts[shard].apply; a == nil || m.Response.Req != a.id {
 		return
 	}
 	q.settle(ctx, b, shard)
@@ -748,8 +833,8 @@ func (q *Sequencer) onUnfenceAck(ctx *sim.Context, from string, m msgUnfenceAck)
 }
 
 // closeBatch retires a fully unfenced batch: record its fence-scope
-// span and stats, then open the next batch if transactions queued up
-// behind it.
+// span and stats, empty the slot, then open the next batch in it if
+// transactions queued up behind it.
 func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 	if tr := q.sys.cfg.Tracer; tr.Enabled() {
 		tr.Span(sequencerID, "global", "unfence", b.phaseAt, ctx.Now(),
@@ -771,6 +856,7 @@ func (q *Sequencer) closeBatch(ctx *sim.Context, b *globalBatch) {
 		f.Recordf(ctx.Now(), sequencerID, "global.batch",
 			"batch %d complete", b.seq)
 	}
+	b.clear()
 	q.cur = nil
 	if len(q.queue) > 0 {
 		q.startBatch(ctx)

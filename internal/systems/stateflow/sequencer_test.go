@@ -1,6 +1,7 @@
 package stateflow
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -92,13 +93,18 @@ func newSeqFixture(t *testing.T) *seqFixture {
 		if from != sequencerID || !ok {
 			return sim.Perturb{}
 		}
-		kind := strings.TrimPrefix(fmt.Sprintf("%T", msg), "stateflow.msg")
-		fx.sent = append(fx.sent, fmt.Sprintf("%s@%d", strings.ToLower(kind), idx))
-		return sim.Perturb{Drop: true}
+		return fx.drop(idx, msg)
 	})
 	cluster.Add("client", &rawClient{})
 	cluster.Start()
 	return fx
+}
+
+// drop records msg, sent by the sequencer to shard idx, and loses it.
+func (fx *seqFixture) drop(idx int, msg sim.Message) sim.Perturb {
+	kind := strings.TrimPrefix(fmt.Sprintf("%T", msg), "stateflow.msg")
+	fx.sent = append(fx.sent, fmt.Sprintf("%s@%d", strings.ToLower(kind), idx))
+	return sim.Perturb{Drop: true}
 }
 
 // ref is register i of shard idx.
@@ -110,13 +116,18 @@ func (fx *seqFixture) run() { fx.cluster.RunUntil(fx.cluster.Now() + time.Millis
 
 // submit sends the sequencer one call on register 0 of shard home.
 func (fx *seqFixture) submit(home int, method string, args ...interp.Value) {
+	fx.inject(home, method, args...)
+	fx.run()
+}
+
+// inject is submit without letting time pass.
+func (fx *seqFixture) inject(home int, method string, args ...interp.Value) {
 	fx.n++
 	fx.cluster.Inject(fx.cluster.Now(), "client", fx.sys.IngressID(), sysapi.MsgRequest{
 		Request: sysapi.Request{Req: fmt.Sprintf("g%d", fx.n), Target: regRef(fx.keys[home][0]),
 			Method: method, Args: args},
 		ReplyTo: "client",
 	})
-	fx.run()
 }
 
 // deliver hands the sequencer msg from shard idx's coordinator.
@@ -133,20 +144,23 @@ func (fx *seqFixture) took() string {
 }
 
 // fenceAnswer is shard idx's answer to the batch's current fence, as
-// ackFence builds it: no member known, and a clone of the committed row of
-// every entity the part's read list names.
+// ackFence builds it: no member known, and the committed row of every
+// entity the part's read list names.
 func (fx *seqFixture) fenceAnswer(idx int) msgFenceAck {
-	b, sh := fx.q.cur, fx.sys.shards[idx]
+	b := fx.q.cur
 	p := &b.parts[idx]
 	ack := msgFenceAck{Seq: b.seq, Admit: p.admit, Known: make([]bool, len(p.admit))}
 	for _, ref := range p.reads {
-		img := entityImage{Ref: ref}
-		if row, ok := sh.workers[sh.OwnerIndex(ref)].committed.Lookup(ref); ok {
-			img.St = row.Clone()
-		}
-		ack.Rows = append(ack.Rows, img)
+		ack.Rows = append(ack.Rows, entityImage{Ref: ref, St: fx.committed(ref)})
 	}
 	return ack
+}
+
+// committed is the row ref's worker holds, nil if it holds none.
+func (fx *seqFixture) committed(ref interp.EntityRef) *interp.Row {
+	sh := fx.sys.shards[fx.sys.ShardOf(ref)]
+	row, _ := sh.workers[sh.OwnerIndex(ref)].committed.Lookup(ref)
+	return row
 }
 
 // applied is shard idx's acknowledgement of the batch's apply.
@@ -366,11 +380,210 @@ func TestSequencerTableReleasesAnOrphan(t *testing.T) {
 	}
 }
 
+// TestSequencerSlotOutlivesItsBatch: batch 2 takes batch 1's slot only once
+// every footprint shard acked batch 1's unfence, and no copy of batch 1's
+// messages that arrives after that changes anything: not its fence at a
+// footprint shard, whose lists the slot now fills with batch 2's, nor the
+// shard's fence ack echoing them, nor an apply or unfence ack of batch 1.
+// The shards run batch 1 themselves, losing shard 2's first unfence ack;
+// batch 2's messages are recorded and dropped as in the table tests.
+func TestSequencerSlotOutlivesItsBatch(t *testing.T) {
+	fx := newSeqFixture(t)
+	var (
+		fence1 msgFence    // batch 1's fence to shard 0
+		ack1   msgFenceAck // shard 0's answer to it
+		lost   bool        // shard 2's first unfence ack of batch 1 was lost
+		reack  bool        // shard 2 acked batch 1's unfence again
+		early  bool        // batch 2 sent something before that
+	)
+	fx.cluster.SetPerturb(func(from, to string, _ time.Duration, msg sim.Message) sim.Perturb {
+		if idx, ok := fx.sys.shardOfCoord(from); ok && to == sequencerID {
+			switch m := msg.(type) {
+			case msgFenceAck:
+				if idx == 0 && m.Seq == 1 && ack1.Rows == nil {
+					ack1 = m
+				}
+			case msgUnfenceAck:
+				if idx == 2 && m.Seq == 1 && !lost {
+					lost = true
+					return sim.Perturb{Drop: true}
+				}
+				reack = reack || idx == 2 && m.Seq == 1
+			}
+			return sim.Perturb{}
+		}
+		idx, ok := fx.sys.shardOfCoord(to)
+		if from != sequencerID || !ok {
+			return sim.Perturb{}
+		}
+		m, isFence := msg.(msgFence)
+		if b := fx.q.cur; b != nil && b.seq == 1 {
+			if isFence && idx == 0 {
+				fence1 = m
+			}
+			return sim.Perturb{}
+		}
+		if isFence && m.Seq == 1 {
+			return sim.Perturb{} // the stale copy this test delivers
+		}
+		early = early || !reack
+		return fx.drop(idx, msg)
+	})
+	fx.submit(0, "move", interp.IntV(5), fx.ref(2, 0))
+	slot := fx.q.cur
+	fx.submit(0, "move", interp.IntV(1), fx.ref(2, 1)) // queues behind batch 1
+	for deadline := fx.cluster.Now() + time.Second; fx.q.cur == nil || fx.q.cur.seq != 2; fx.run() {
+		if fx.cluster.Now() >= deadline {
+			t.Fatal("batch 2 never opened")
+		}
+	}
+	if !lost || early || fx.q.cur != slot {
+		t.Fatalf("lost ack %v, batch 2 sent before the last unfence ack %v, slot reused %v; want true, false, true",
+			lost, early, fx.q.cur == slot)
+	}
+	fx.expect("batch 2 opened", gFencing, []int{0, 2}, "fence@0 fence@2")
+	if fence1.Seq != 1 || !slices.Equal(fence1.Admit, []string{"g2"}) || !slices.Equal(ack1.Admit, []string{"g2"}) {
+		t.Fatalf("batch 1's fence and ack copies admit %v and %v: want the slot's batch-2 list, which they share",
+			fence1.Admit, ack1.Admit)
+	}
+
+	coord := fx.sys.shards[0].coord
+	shard := func() [4]int64 {
+		return [4]int64{coord.fenceSeq, coord.fenceDone, coord.fencePending.Seq, int64(coord.GlobalFences)}
+	}
+	before, waits := shard(), fx.q.FenceWaits
+	fx.cluster.Inject(fx.cluster.Now(), sequencerID, coord.sys.coordID, fence1)
+	fx.run()
+	fx.expect("batch 1's fence at shard 0", gFencing, []int{0, 2}, "unfence@0") // its bare ack is an orphan's
+	fx.deliver(0, ack1)
+	fx.expect("batch 1's fence ack", gFencing, []int{0, 2}, "unfence@0")
+	stale := func() {
+		t.Helper()
+		for _, idx := range []int{0, 2} {
+			fx.deliver(idx, sysapi.MsgResponse{Response: sysapi.Response{Req: applyID(1, idx)}})
+			fx.deliver(idx, msgUnfenceAck{Seq: 1})
+		}
+	}
+	stale()
+	fx.expect("batch 1's apply and unfence acks", gFencing, []int{0, 2}, "")
+	b := fx.q.cur
+	if got := shard(); got != before || fx.q.FenceWaits != waits || b.parts[0].acked || len(b.fetched) != 0 {
+		t.Fatalf("shard 0 went from %v to %v, fence waits %d to %d, part acked %v, %d rows fetched: want no change",
+			before, got, waits, fx.q.FenceWaits, b.parts[0].acked, len(b.fetched))
+	}
+	fx.deliver(0, fx.fenceAnswer(0))
+	fx.deliver(2, fx.fenceAnswer(2))
+	fx.expect("batch 2 fenced", gApplying, []int{0, 2}, "globalapply@0 globalapply@2")
+	stale()
+	fx.expect("batch 1's acks while batch 2 applies", gApplying, []int{0, 2}, "")
+}
+
+// TestSequencerOverlayCopiesOnWrite: a fence ack hands the sequencer the
+// parked workers' own rows, and the batch writes none of them. The batch is
+// a transfer from shard 0 to shard 2 and a move of 0 from shard 1 to shard
+// 3, which writes both its registers the value they hold. Until the
+// applies install, each worker's committed row is the one it had before
+// the fence, encoding the same bytes; the overlay holds a copy of every row
+// the batch wrote, and no row of the manifest is a worker's.
+func TestSequencerOverlayCopiesOnWrite(t *testing.T) {
+	fx := newSeqFixture(t)
+	fx.applying() // batch 1, which the two members queue behind
+	fx.inject(0, "move", interp.IntV(5), fx.ref(2, 0))
+	fx.inject(1, "move", interp.IntV(0), fx.ref(3, 0))
+	for _, idx := range []int{0, 2} {
+		fx.deliver(idx, fx.applied(idx))
+	}
+	for _, idx := range []int{0, 2} {
+		fx.deliver(idx, fx.unfenced())
+	}
+	fx.expect("batch 2 opened", gFencing, []int{0, 1, 2, 3},
+		"unfence@0 unfence@2 fence@0 fence@1 fence@2 fence@3")
+	var refs []interp.EntityRef
+	for idx := range fx.keys {
+		refs = append(refs, regRef(fx.keys[idx][0]))
+	}
+	rows := map[interp.EntityRef]*interp.Row{}
+	encs := map[interp.EntityRef][]byte{}
+	for _, ref := range refs {
+		rows[ref] = fx.committed(ref)
+		encs[ref] = slices.Clone(rows[ref].Encoding())
+	}
+	for idx := range fx.keys {
+		fx.deliver(idx, fx.fenceAnswer(idx))
+	}
+	fx.expect("executed", gApplying, []int{0, 1, 2}, "globalapply@0 globalapply@1 globalapply@2")
+
+	b := fx.q.cur
+	for _, ref := range refs {
+		if row := fx.committed(ref); row != rows[ref] || !bytes.Equal(row.Encoding(), encs[ref]) {
+			t.Errorf("%v: the worker's row was replaced (%v) or rewritten: %q, was %q",
+				ref, row != rows[ref], row.Encoding(), encs[ref])
+		}
+		if row, _ := b.overlay.Lookup(ref); row == rows[ref] {
+			t.Errorf("%v: the batch wrote it, but the overlay holds the worker's row", ref)
+		}
+	}
+	writes := 0
+	for _, a := range b.man.applies {
+		for _, w := range a.writes {
+			writes++
+			if w.St == fx.committed(w.Ref) {
+				t.Errorf("%v: the manifest's row is the worker's", w.Ref)
+			}
+		}
+	}
+	if writes != 2 {
+		t.Errorf("the manifest writes %d rows, want the transfer's 2", writes)
+	}
+}
+
+// idleSlot fails unless the sequencer is idle and its slot empty — no list
+// entry, map entry, overlay row or manifest — with no list's storage beyond
+// what appending a batch of txns transfers between two shards grows.
+func idleSlot(t *testing.T, q *Sequencer, txns int) {
+	t.Helper()
+	b := q.slot
+	if q.cur != nil || b == nil {
+		t.Fatalf("batch in flight %v, slot %v: want an idle slot", q.cur != nil, b != nil)
+	}
+	held := len(b.txns) + len(b.footprint) + len(b.refs) + len(b.known) + len(b.fetched) + len(b.dirty) +
+		len(b.recon.missing) + b.overlay.Len()
+	if held != 0 || b.man != nil || b.seq != 0 {
+		t.Fatalf("idle slot holds %d entries, manifest %v, seq %d", held, b.man != nil, b.seq)
+	}
+	if members := grown[globalTxn](txns); cap(b.txns) > members || cap(q.queue) > members ||
+		cap(b.footprint) > grown[int](2) || cap(b.refs) > grown[interp.EntityRef](2) {
+		t.Fatalf("idle slot keeps room for %d and %d members, %d shards, %d refs; a batch grew %d, %d, %d",
+			cap(b.txns), cap(q.queue), cap(b.footprint), cap(b.refs), members, grown[int](2), grown[interp.EntityRef](2))
+	}
+	for i, p := range b.parts {
+		if len(p.admit)+len(p.reads) != 0 || p.apply != nil || p.waits || p.acked || p.rows != 0 || p.home {
+			t.Fatalf("idle slot's part %d is %+v", i, p)
+		}
+		if cap(p.admit) > grown[string](txns) || cap(p.reads) > grown[interp.EntityRef](1) {
+			t.Fatalf("idle slot's part %d keeps room for %d ids and %d reads; a batch grew %d and %d",
+				i, cap(p.admit), cap(p.reads), grown[string](txns), grown[interp.EntityRef](1))
+		}
+	}
+}
+
+// grown is the capacity appending n elements one by one to a nil slice
+// leaves.
+func grown[T any](n int) int {
+	var s []T
+	for range n {
+		s = append(s, *new(T))
+	}
+	return cap(s)
+}
+
 // TestSequencerStateIsBounded: what the sequencer keeps per transaction and
 // per batch goes when the batch does. A burst of global transfers, a
 // failover that rolls a half-applied batch forward, one that abandons a
 // fenced batch and its retry leave, once idle, no batch in flight, nothing
-// queued and no id in flight.
+// queued and no id in flight, and the batch slot empty, its storage sized
+// by the largest batch it served: the burst's sixteen transfers, then, in
+// the slot the last failover made afresh, the retry alone.
 func TestSequencerStateIsBounded(t *testing.T) {
 	fx := newFailoverFixture(t)
 	q := fx.sys.Sequencer()
@@ -382,6 +595,7 @@ func TestSequencerStateIsBounded(t *testing.T) {
 		send(fmt.Sprintf("burst%d", i))
 	}
 	fx.settle()
+	idleSlot(t, q, 16)
 	send("rolled")
 	fx.crashSequencerWhen("one apply of the batch acked", func() bool {
 		b := q.cur
@@ -401,4 +615,5 @@ func TestSequencerStateIsBounded(t *testing.T) {
 	if q.cur != nil || len(q.queue) != 0 || len(q.inFlight) != 0 {
 		t.Fatalf("idle sequencer holds batch %v, %d queued, %d ids in flight", q.cur != nil, len(q.queue), len(q.inFlight))
 	}
+	idleSlot(t, q, 1)
 }

@@ -542,7 +542,8 @@ func TestGlobalExecuteVirtualTimeBudget(t *testing.T) {
 		store.PutMap(interp.EntityRef{Class: "Account", Key: key},
 			interp.MapState{"owner": interp.StrV(key), "balance": interp.IntV(100)})
 	}
-	ws, ex := aria.NewWorkspace(1, store), core.NewExecutor(fx.sys.prog)
+	ws, ex := new(aria.Workspace), core.NewExecutor(fx.sys.prog)
+	ws.Open(1, store)
 	req := transferReq("x1", fx.from, fx.to, 25)
 	_, steps, err := ex.Drive(core.Event{Kind: core.EvInvoke, Req: req.Req, Target: req.Target, Method: req.Method, Args: req.Args}, ws)
 	if err != nil {

@@ -61,8 +61,7 @@ func TestEgressDedupes(t *testing.T) {
 	})
 	fx.cluster.RunUntil(time.Second)
 	// Replay the egress record manually: the egress must drop it.
-	end, _ := fx.sys.Log.End("egress", 0)
-	if end == 0 {
+	if logRecords(fx.sys.Log, "egress", 0) == 0 {
 		t.Fatal("no egress records")
 	}
 	rec, _, _ := fx.sys.Log.Fetch("egress", 0, 0)
@@ -96,12 +95,7 @@ func TestIngressRecordsAreReplayable(t *testing.T) {
 		{At: 2 * time.Millisecond, Req: readReq("r1", acct(0))},
 	})
 	fx.cluster.RunUntil(2 * time.Second)
-	topic, _ := fx.sys.Log.Topic("ingress")
-	var total int64
-	for p := range topic.Partitions {
-		end, _ := fx.sys.Log.End("ingress", p)
-		total += end
-	}
+	total := logRecords(fx.sys.Log, "ingress", -1)
 	// 2 client requests + the transfer's one chained re-insertion (the
 	// deposit invoke). Its continuation, `return True`, reads no state, so
 	// it runs where the deposit returns and no resume record follows.

@@ -200,13 +200,6 @@ type Workspace struct {
 	index  map[interp.EntityRef]*wsEntry // over spill; nil up to scanLimit
 }
 
-// NewWorkspace opens a workspace for tid over the committed store.
-func NewWorkspace(tid TID, committed *state.Store) *Workspace {
-	ws := new(Workspace)
-	ws.Open(tid, committed)
-	return ws
-}
-
 // Open makes ws an empty workspace for tid over the committed store, in
 // place: a caller that keeps the workspace inside a larger record opens it
 // there instead of allocating it on its own.

@@ -13,6 +13,13 @@ import (
 	"statefulentities.dev/stateflow/internal/state"
 )
 
+// newWorkspace opens a workspace for tid over the committed store.
+func newWorkspace(tid TID, committed *state.Store) *Workspace {
+	ws := new(Workspace)
+	ws.Open(tid, committed)
+	return ws
+}
+
 func ref(key string) interp.EntityRef { return interp.EntityRef{Class: "A", Key: key} }
 
 // rkey is the reservation key of ref(key): class "A" has id 0.
@@ -511,7 +518,7 @@ func get(t *testing.T, st interp.State, attr string) interp.Value {
 func TestWorkspaceReadsCommitted(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(10)})
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	st, ok := ws.Lookup(ref("x"))
 	if !ok {
 		t.Fatal("lookup")
@@ -527,7 +534,7 @@ func TestWorkspaceReadsCommitted(t *testing.T) {
 func TestWorkspaceWriteIsolation(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(10)})
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	st, _ := ws.Lookup(ref("x"))
 	set(t, st, "v", interp.IntV(99))
 	// Own read sees own write.
@@ -558,7 +565,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 	committed.PutMap(ref("x"), interp.MapState{"xs": interp.ListV(interp.IntV(1))})
 	before := append([]byte(nil), committed.Encode()...)
 
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	st, _ := ws.Lookup(ref("x"))
 	v, _ := st.GetSlot(slotOf(t, "xs"))
 	v.L.Elems = append(v.L.Elems, interp.IntV(2))
@@ -571,7 +578,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 		t.Fatal("in-place append reached the committed store before Apply")
 	}
 
-	ws = NewWorkspace(2, committed) // the retry starts from the untouched image
+	ws = newWorkspace(2, committed) // the retry starts from the untouched image
 	st, _ = ws.Lookup(ref("x"))
 	v = get(t, st, "xs")
 	if len(v.L.Elems) != 1 {
@@ -589,7 +596,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 func TestWorkspaceCopyOnWritePreservesOtherAttrs(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	st, _ := ws.Lookup(ref("x"))
 	set(t, st, "a", interp.IntV(100))
 	ws.Apply(committed)
@@ -605,8 +612,8 @@ func TestWorkspaceCopyOnWritePreservesOtherAttrs(t *testing.T) {
 func TestDisjointSlotWritesMerge(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
-	w1 := NewWorkspace(1, committed)
-	w2 := NewWorkspace(2, committed)
+	w1 := newWorkspace(1, committed)
+	w2 := newWorkspace(2, committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
 	set(t, s1, "a", interp.IntV(100))
@@ -631,8 +638,8 @@ func TestDisjointSlotWritesMerge(t *testing.T) {
 func TestWholeRowInstallConflictsWithSlotWrites(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
-	w1 := NewWorkspace(1, committed)
-	w2 := NewWorkspace(2, committed)
+	w1 := newWorkspace(1, committed)
+	w2 := newWorkspace(2, committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
 	set(t, s1, "a", interp.IntV(100))  // slot write
@@ -651,7 +658,7 @@ func TestWholeRowInstallConflictsWithSlotWrites(t *testing.T) {
 
 func TestWorkspaceCreate(t *testing.T) {
 	committed := newStore()
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	if err := ws.Create(ref("new"), func(st interp.State) error {
 		set(t, st, "v", interp.IntV(5))
 		return nil
@@ -678,7 +685,7 @@ func noCtor(interp.State) error { return nil }
 func TestWorkspaceCreateDuplicate(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{})
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	if err := ws.Create(ref("x"), noCtor); err == nil {
 		t.Fatal("duplicate create must fail")
 	}
@@ -691,7 +698,7 @@ func TestWorkspaceCreateDuplicate(t *testing.T) {
 }
 
 func TestWorkspaceLookupMissing(t *testing.T) {
-	ws := NewWorkspace(1, newStore())
+	ws := newWorkspace(1, newStore())
 	if _, ok := ws.Lookup(ref("ghost")); ok {
 		t.Fatal("missing entity must not resolve")
 	}
@@ -700,8 +707,8 @@ func TestWorkspaceLookupMissing(t *testing.T) {
 func TestTwoWorkspacesAreIsolated(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(0)})
-	w1 := NewWorkspace(1, committed)
-	w2 := NewWorkspace(2, committed)
+	w1 := newWorkspace(1, committed)
+	w2 := newWorkspace(2, committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
 	set(t, s1, "v", interp.IntV(1))
@@ -712,7 +719,7 @@ func TestTwoWorkspacesAreIsolated(t *testing.T) {
 
 func TestWriteBytesAndTouched(t *testing.T) {
 	committed := newStore()
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	if ws.WriteBytes() != 0 {
 		t.Fatal("empty workspace bytes")
 	}

@@ -164,7 +164,7 @@ func TestWorkspaceSpillsPastInlineEntities(t *testing.T) {
 	for i := 0; i < entities; i++ {
 		committed.PutMap(ref(key(i)), interp.MapState{"v": interp.IntV(int64(i)), "w": interp.IntV(0)})
 	}
-	ws := NewWorkspace(1, committed)
+	ws := newWorkspace(1, committed)
 	handles := make([]interp.State, entities)
 	for i := range handles {
 		st, ok := ws.Lookup(ref(key(i)))

@@ -153,7 +153,7 @@ func TestWriteBytesMatchesInstalledRows(t *testing.T) {
 				}
 				committed.PutMap(ref(fmt.Sprintf("e%d", i)), st)
 			}
-			ws := NewWorkspace(1, committed)
+			ws := newWorkspace(1, committed)
 			written := map[interp.EntityRef]bool{}
 			for n := 1 + rng.Intn(6); n > 0; n-- {
 				c.ops[rng.Intn(len(c.ops))](rng, ws, written)
