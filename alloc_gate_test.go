@@ -21,7 +21,10 @@ import (
 // allocGates are the checked-in ceilings of TestAllocsPerTransaction (and,
 // second, of TestSystemAllocsPerTransaction, whose comment has theirs). The
 // ycsb_m and hot_t ceilings sit about 10 % above what each run costs today
-// (5.1 and 8.9; 5.3 and 11.0 while every call chain allocated its context
+// (5.0 and 7.5; 5.1 and 8.9, with a hot_t ceiling of 9.8, while a contended
+// epoch's fallback chain allocated its plan, both sides' progress through it
+// and its decides' abort lists afresh, and a worker every list of buffered
+// next-epoch events; 5.3 and 11.0 while every call chain allocated its context
 // and every forwarded hop a body of its own; 6.0 and 12.6 while the source log and the journal's log
 // were slices grown by append and the journal's log copied every payload
 // into an allocation of its own; 7.6 and 15.6 while every batch member allocated its
@@ -45,10 +48,12 @@ import (
 // and worker epochs afresh, 20.3 and 55.5 while every continuation resumed
 // on its caller's operator, 21.2 and 61.4 while a batch was validated by a
 // prepare/vote wave, and the contended leg read 66.6 behind barrier
-// rounds). The xshard ceiling sits about 9 % above today's 8.53 (8.55
-// under the race detector) so that it pins the sequencer's forward of a
-// single-shard request without re-boxing it (9.45 when the forward boxes a
-// new interface value; 10.85, 10.9 before the call chain's round became one
+// rounds). The xshard ceiling sits about 9 % above today's 8.37 so that it
+// pins the sequencer's forward of a single-shard request without re-boxing
+// it (9.29 when the forward boxes a new interface value; 8.53, 8.55 under
+// the race detector, with a ceiling of 9.3, while Row.Holds encoded the
+// values it compares into a fresh buffer, and the re-boxed forward read
+// 9.45; 10.85, 10.9 before the call chain's round became one
 // object and 11.0 under the race detector, with a ceiling of 11.3, while
 // every global batch allocated its sequencer records afresh and its fence
 // acks cloned every row they read; 13.0 while the logs grew by append and a parked shard's
@@ -70,9 +75,12 @@ import (
 // Lower them when the path gets cheaper.
 //
 // The byte ceilings sit about 10 % above what a transaction allocates
-// today (540, 958 and 885 bytes on ycsb_m, hot_t and xshard, the same
+// today (537, 902 and 884 bytes on ycsb_m, hot_t and xshard, and 548, 915
+// and 899 under the race detector; hot_t 958,
+// with a ceiling of 1,055, while its fallback chains allocated their plans,
+// progress and abort lists; 540, 958 and 885, the same
 // to a byte in three runs in a row, and 549, 977 and 902 under the race
-// detector; xshard 1,126, with a ceiling of 1,240, while every global batch
+// detector, before; xshard 1,126, with a ceiling of 1,240, while every global batch
 // allocated its sequencer records afresh and its fence acks cloned every row
 // they read; 616, 1,734 and 1,142, and 625, 1,753
 // and 1,160 under the race detector, while every call chain allocated its
@@ -107,11 +115,11 @@ var allocGates = []allocGate{
 	// The contended path on top of it: all transfers on Zipfian keys, so a
 	// fifth of the epochs abort somebody and re-execute the aborts as a
 	// fallback chain (plan, per-worker queues, releases, the final decide).
-	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, ceilings{9.8, 1055}, ceilings{4.0, 615}},
+	{"hot_t", ycsb.WorkloadT, "zipfian", 300, 1, 4 * time.Second, ceilings{8.2, 995}, ceilings{2.7, 560}},
 	// The benchmark's xshard shape: the same mix on 4 shards, so every
 	// request passes the sequencer, which forwards most of them to one
 	// shard and runs the rest as global batches.
-	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, ceilings{9.3, 975}, ceilings{5.4, 680}},
+	{"xshard", ycsb.WorkloadM, "uniform", 1000, 4, 2 * time.Second, ceilings{9.1, 975}, ceilings{5.4, 680}},
 }
 
 // allocGate is one shape TestAllocsPerTransaction and
@@ -252,13 +260,19 @@ func TestAllocsPerTransaction(t *testing.T) {
 // count the load generator and the retransmitter's request box as well,
 // which on ycsb_m is most of the total, so a change that doubled the
 // system's own allocations could pass them. The ceilings sit about 10 %
-// above today's readings: 1.43, 3.65 and 4.88 allocations and 263, 555 and
-// 610 bytes on ycsb_m, hot_t and xshard (1.44, 3.67 and 4.89, and 265, 565
-// and 618 under the race detector). On these legs the sequencer's re-boxed
-// forward reads 5.80 allocations on xshard; an epoch's flight-recorder call
-// without its guard 1.54, 4.20 and 5.41; and a re-boxed source-log record
-// 1.97, 4.65 and 5.34 (their kill commands are the end-to-end and epoch
-// pins).
+// above today's readings on hot_t, 2.42 allocations and 506 bytes, and
+// 10 to 20 % above them on ycsb_m and xshard, 1.33 and 4.72 allocations
+// and 261 and 608 bytes (2.44 and 511 on hot_t under the race detector;
+// 1.43, 3.65 and 4.88 allocations and 263, 555 and
+// 610 bytes on ycsb_m, hot_t and xshard, with hot_t ceilings of 4.0 and
+// 615, while the fallback chains allocated their plans, progress and abort
+// lists, a worker its buffered lists and Row.Holds an encoder; 1.44, 3.67
+// and 4.89, and 265, 565 and 618, under the race detector then). On these
+// legs the sequencer's re-boxed forward reads 5.64 allocations on xshard
+// (5.80 before); an epoch's flight-recorder call without its guard 1.54,
+// 4.20 and 5.41; and a re-boxed source-log record 1.97, 4.65 and 5.34
+// (their kill commands are the end-to-end and epoch pins; those two were
+// read before the chain's storage was kept).
 func TestSystemAllocsPerTransaction(t *testing.T) {
 	var readings []string
 	for _, g := range allocGates {

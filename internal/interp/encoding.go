@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -37,9 +38,6 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the current encoded size.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 // Append splices pre-encoded bytes (e.g. a row's cached encoding) into
 // the buffer.
@@ -100,6 +98,47 @@ func (e *Encoder) Value(v Value) {
 		e.str(v.R.Class)
 		e.str(v.R.Key)
 	}
+}
+
+// sameEncoding reports whether Encoder.Value appends the same bytes for a
+// and b, without appending them. The encoding is prefix-free and starts with
+// the kind, so two values encode alike exactly when their kinds match and so
+// do their parts: a scalar's bits, a list's elements in order, and a dict's
+// pairs under each key — a dict encodes its pairs sorted by key, and values
+// that encode alike key alike.
+func sameEncoding(a, b Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case KInt, KFloat:
+		return a.I == b.I
+	case KStr:
+		return a.Str() == b.Str()
+	case KBool:
+		return a.B == b.B
+	case KRef:
+		return a.R == b.R
+	case KList:
+		if a.L == b.L {
+			return true
+		}
+		return slices.EqualFunc(a.L.Elems, b.L.Elems, sameEncoding)
+	case KDict:
+		if a.L == b.L {
+			return true
+		}
+		if len(a.L.dict) != len(b.L.dict) {
+			return false
+		}
+		for k, pa := range a.L.dict {
+			pb, ok := b.L.dict[k]
+			if !ok || !sameEncoding(pa.k, pb.k) || !sameEncoding(pa.v, pb.v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // The size functions mirror the appenders above byte for byte: they are

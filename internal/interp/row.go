@@ -10,7 +10,6 @@
 package interp
 
 import (
-	"bytes"
 	"fmt"
 
 	"statefulentities.dev/stateflow/internal/ir"
@@ -240,18 +239,11 @@ func EncodedSizeWith(layout *ir.ClassLayout, r *Row, vals []SlotValue) int {
 }
 
 // Holds reports whether every value in vals encodes exactly as r's value at
-// its slot does, so setting them would leave r's encoding unchanged.
+// its slot does, so setting them would leave r's encoding unchanged. It
+// compares the values without encoding them (sameEncoding).
 func (r *Row) Holds(vals []SlotValue) bool {
-	var e Encoder
 	for _, sv := range vals {
-		if !r.isPresent(sv.Slot) {
-			return false
-		}
-		e.Reset()
-		e.Value(r.slots[sv.Slot])
-		n := e.Len()
-		e.Value(sv.V)
-		if b := e.Bytes(); !bytes.Equal(b[:n], b[n:]) {
+		if !r.isPresent(sv.Slot) || !sameEncoding(r.slots[sv.Slot], sv.V) {
 			return false
 		}
 	}

@@ -3,6 +3,8 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -280,5 +282,85 @@ func TestFrameWide(t *testing.T) {
 	}
 	if _, ok := f.GetSlot(0); ok {
 		t.Fatal("wide prune kept dead var")
+	}
+}
+
+// encodesAlike is what Row.Holds compares, by encoding both values.
+func encodesAlike(a, b Value) bool {
+	ea, eb := NewEncoder(), NewEncoder()
+	ea.Value(a)
+	eb.Value(b)
+	return bytes.Equal(ea.Bytes(), eb.Bytes())
+}
+
+// TestSameEncodingAgreesWithTheCodec: sameEncoding answers as comparing the
+// two encodings does — for random pairs, a value and its deep copy, and the
+// pairs that compare equal in the language but encode apart (an int and the
+// float of the same value, both zeros, two NaNs, dict keys 1 and 1.0) or the
+// other way round.
+func TestSameEncodingAgreesWithTheCodec(t *testing.T) {
+	dict := func(k, v Value) Value {
+		d := DictV()
+		if err := d.DictSet(k, v); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	pairs := [][2]Value{
+		{IntV(1), FloatV(1)},
+		{FloatV(0), FloatV(math.Copysign(0, -1))},
+		{FloatV(math.NaN()), FloatV(math.NaN())},
+		{FloatV(math.NaN()), {Kind: KFloat, I: int64(math.Float64bits(math.NaN()) ^ 1)}},
+		{dict(IntV(1), StrV("x")), dict(FloatV(1), StrV("x"))},
+		{dict(IntV(1), StrV("x")), dict(IntV(1), StrV("y"))},
+		{dict(StrV("a"), IntV(1)), dict(StrV("b"), IntV(1))},
+		{dict(StrV("a"), ListV(IntV(1))), dict(StrV("a"), ListV(IntV(1)))},
+		{DictV(), DictV()},
+		{ListV(IntV(1), StrV("s")), ListV(IntV(1), StrV("s"))},
+		{ListV(IntV(1)), ListV(IntV(1), IntV(1))},
+		{ListV(), ListV()},
+		{StrV("k"), RefV("", "k")},
+		{RefV("A", "k"), RefV("B", "k")},
+		{BoolV(true), BoolV(false)},
+		{None, None},
+		{None, BoolV(false)},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 3000 {
+		a := randomValue(rng, 3)
+		pairs = append(pairs, [2]Value{a, a.Clone()}, [2]Value{a, randomValue(rng, 3)})
+	}
+	alike := 0
+	for _, p := range pairs {
+		want := encodesAlike(p[0], p[1])
+		if got := sameEncoding(p[0], p[1]); got != want {
+			t.Fatalf("sameEncoding(%v, %v) = %v, the encodings say %v", p[0], p[1], got, want)
+		}
+		if want {
+			alike++
+		}
+	}
+	if alike < len(pairs)/3 {
+		t.Fatalf("scenario: only %d of %d pairs encode alike", alike, len(pairs))
+	}
+}
+
+// TestRowHoldsAllocatesNothing: comparing a write's typical slot values — an
+// int, a string, a bool and a list — with the row's allocates nothing, equal
+// or not.
+func TestRowHoldsAllocatesNothing(t *testing.T) {
+	layout := ir.NewClassLayout("C", 0, []string{"n", "s", "b", "l"})
+	r := NewRow(layout)
+	r.SetSlot(0, IntV(7))
+	r.SetSlot(1, StrV("payload"))
+	r.SetSlot(2, BoolV(true))
+	r.SetSlot(3, ListV(IntV(1), StrV("x")))
+	same := []SlotValue{{0, IntV(7)}, {1, StrV("payload")}, {2, BoolV(true)}, {3, ListV(IntV(1), StrV("x"))}}
+	changed := []SlotValue{{0, IntV(7)}, {1, StrV("payload")}, {3, ListV(IntV(1), StrV("y"))}}
+	if !r.Holds(same) || r.Holds(changed) {
+		t.Fatal("Holds answers wrongly")
+	}
+	if got := testing.AllocsPerRun(100, func() { r.Holds(same); r.Holds(changed) }); got != 0 {
+		t.Fatalf("Holds allocates %.1f times, want 0", got)
 	}
 }

@@ -28,6 +28,7 @@ package stateflow
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -139,19 +140,32 @@ type epochState struct {
 	round int
 	order []aria.TID
 
-	// chain is the batch's fallback schedule (nil: no conflict abort to
-	// re-execute): the aborts run as round 1, gated on the workers by
-	// per-entity TID queues instead of a barrier. This is the coordinator's
+	// plan is the batch's fallback schedule (no members: no conflict abort
+	// to re-execute): the aborts run as round 1, gated on the workers by
+	// per-entity TID queues instead of a barrier. chain is the coordinator's
 	// mirror of those queues: a member is released here when its response is
 	// staged, which happens as soon as it has finished and every predecessor
 	// on each of its entities has been staged — so the journal's append order
 	// stays a serial order without anybody waiting for the end of the chain
 	// (a drifted member's turn stages its retry instead). levelLeft counts the
-	// members of each depth level not released yet (nil for a chain of depth
-	// 1).
-	chain     *aria.Chain
+	// members of each depth level not released yet (empty for a chain of
+	// depth 1). aborts holds each round's decide's Aborts.
+	//
+	// All four keep their storage across reset, and the batch decide shares
+	// the plan, and each decide its round's aborts, with every worker. That
+	// is safe because a slot is reset only after releaseCommit, once every
+	// worker acked its final decide: each has retired its epoch and dropped
+	// its pointer to the plan, and drops any later copy of either decide by
+	// its epoch before it reads the plan or the aborts (Worker.reached).
+	// Recover discards its slots, so nothing a recovery touched is replanned.
+	plan      aria.ChainPlan
+	chain     aria.Chain
 	levelLeft []int32
+	aborts    [2][]aria.TID
 }
+
+// scheduled reports whether the batch scheduled a fallback chain.
+func (st *epochState) scheduled() bool { return len(st.plan.Members) > 0 }
 
 // chained reports whether the round in flight is the chain.
 func (st *epochState) chained() bool { return st.round > 0 }
@@ -196,14 +210,19 @@ func (st *epochState) add(tid aria.TID, p pendingReq) *txnState {
 }
 
 // reset readies a released slot for epoch: every field starts over, and the
-// batch and round 0's order keep their backing stores, emptied.
+// batch, round 0's order, the chain's plan and progress, the level counts and
+// the decides' abort lists keep their backing stores, emptied.
 // The batch keeps its member records too, for add to zero and reuse: the
 // slot was released, so every member was answered, every worker installed
 // the epoch and no event of it is in flight. Only copies of its finishes
-// may be, and onFinished drops those that find their body reused.
+// may be, and onFinished drops those that find their body reused; copies of
+// its decides are dropped by every worker as stale (see plan).
 func (st *epochState) reset(epoch int64) {
-	txns, order := st.txns, st.order
-	*st = epochState{epoch: epoch, phase: phaseOpen, txns: txns[:0], order: order[:0]}
+	kept := epochState{epoch: epoch, phase: phaseOpen, txns: st.txns[:0], order: st.order[:0],
+		plan: st.plan, chain: st.chain, levelLeft: st.levelLeft[:0],
+		aborts: [2][]aria.TID{st.aborts[0][:0], st.aborts[1][:0]}}
+	kept.plan.Members, kept.plan.Depth, kept.chain.Plan = kept.plan.Members[:0], 0, nil
+	*st = kept
 }
 
 // close fixes the batch: round 0's order is every member, in TID order.
@@ -258,14 +277,14 @@ func (st *epochState) scheduleFallback(classOf func(int) string) (rescued int) {
 	if aborted == 0 {
 		return 0
 	}
-	aborts := make([]aria.TID, 0, aborted)
+	aborts := st.plan.Members[:0]
 	for i, t := range st.txns {
 		if t.aborted {
 			aborts = append(aborts, st.first+aria.TID(i))
 		}
 	}
 	keys := make([]aria.ResKey, 0, 8)
-	plan := aria.PlanChain(aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
+	aria.PlanChain(&st.plan, aborts, func(i int, buf []interp.EntityRef) []interp.EntityRef {
 		t := st.txn(aborts[i])
 		buf = appendRefs(buf, t.req)
 		for s := t.sets; s != nil; s = s.next {
@@ -276,12 +295,39 @@ func (st *epochState) scheduleFallback(classOf func(int) string) (rescued int) {
 		}
 		return buf
 	})
-	for _, tid := range plan.Members {
+	for _, tid := range aborts {
 		st.txn(tid).rescued = true
 	}
-	chain := aria.NewChain(plan)
-	st.chain = &chain
-	return len(plan.Members)
+	st.chain.Reset(&st.plan)
+	return len(aborts)
+}
+
+// beginChain makes the scheduled chain the round in flight: its members, in
+// the slot's own order, are all unfinished, and levelLeft counts them per
+// depth level when the chain has more than one.
+func (st *epochState) beginChain() {
+	plan := &st.plan
+	st.round, st.order, st.unfinished = 1, append(st.order[:0], plan.Members...), len(plan.Members)
+	st.levelLeft = st.levelLeft[:0]
+	if plan.Depth > 1 {
+		st.levelLeft = slices.Grow(st.levelLeft, plan.Depth+1)[:plan.Depth+1]
+		clear(st.levelLeft)
+		for m := range plan.Members {
+			st.levelLeft[plan.DepthOf(m)]++
+		}
+	}
+}
+
+// releaseChained releases chain member m on the coordinator's mirror of the
+// queues, and reports whether that completed its depth level.
+func (st *epochState) releaseChained(m int) (levelDone bool) {
+	st.chain.Release(m)
+	if len(st.levelLeft) == 0 {
+		return false
+	}
+	d := st.plan.DepthOf(m)
+	st.levelLeft[d]--
+	return st.levelLeft[d] == 0
 }
 
 // decision is the deterministic global decision for the round in flight, as
@@ -294,30 +340,27 @@ func (st *epochState) scheduleFallback(classOf func(int) string) (rescued int) {
 // carries it unless a binding cut dropped it.
 func (st *epochState) decision() *msgDecide {
 	dropped := func(t *txnState) bool { return t.aborted || t.err != "" }
-	n := 0
-	for _, tid := range st.order {
-		if dropped(st.txn(tid)) {
-			n++
-		}
-	}
-	aborts := make([]aria.TID, 0, n)
+	aborts := st.aborts[st.round][:0]
 	for _, tid := range st.order {
 		if dropped(st.txn(tid)) {
 			aborts = append(aborts, tid)
 		}
 	}
+	st.aborts[st.round] = aborts
 	// Order is the workers' copy, inside the decide up to its inline length:
 	// receivers only read it, and the slot's own order slice stays private
-	// to the coordinator, which reuses it for a later epoch. (The chain's
-	// order is the plan's member list, which the workers hold already.)
+	// to the coordinator, which reuses it for a later epoch's round 0. (The
+	// chain's order is the plan's member list, which the workers hold
+	// already.) Aborts is the slot's list for the round, which no later round
+	// of the epoch rewrites.
 	m := &msgDecide{Epoch: st.epoch, Round: st.round, Aborts: aborts,
-		Final: st.chained() || st.chain == nil}
+		Final: st.chained() || !st.scheduled()}
 	if st.chained() {
-		m.Order = st.chain.Plan.Members
+		m.Order = st.plan.Members
 	} else {
 		m.Order = append(m.order[:0:len(m.order)], st.order...)
 		if !m.Final {
-			m.Chain = st.chain.Plan // the batch decide announces the chain
+			m.Chain = &st.plan // the batch decide announces the chain
 		}
 		if n := len(st.txns); n > 0 && st.txns[n-1].apply != nil && !dropped(st.txns[n-1]) {
 			m.Apply = st.txns[n-1].apply
@@ -518,14 +561,9 @@ func (c *Coordinator) answerChained(ctx *sim.Context, st *epochState, m int) (le
 	if !t.finished || !st.chain.Ready(m) {
 		return false
 	}
-	st.chain.Release(m)
+	levelDone = st.releaseChained(m)
 	ctx.Work(c.sys.cfg.Costs.RoutingCPU)
 	c.answer(ctx, st, t, st.outcome(t))
-	if st.levelLeft != nil {
-		d := plan.DepthOf(m)
-		st.levelLeft[d]--
-		levelDone = st.levelLeft[d] == 0
-	}
 	for _, e := range plan.Footprint(m) {
 		if next := st.chain.Head(e); next >= 0 && c.answerChained(ctx, st, next) {
 			levelDone = true
@@ -670,7 +708,7 @@ func (c *Coordinator) onApplied(ctx *sim.Context, from string, m msgApplied) {
 		return
 	}
 	c.phaseSpan(ctx, st, "apply")
-	if !st.chained() && st.chain != nil {
+	if !st.chained() && st.scheduled() {
 		c.startChain(ctx, st)
 		return
 	}
@@ -729,14 +767,8 @@ func (c *Coordinator) retryOrFail(ctx *sim.Context, t *txnState) {
 // behind. A chain counts as the rounds a barrier schedule would have taken:
 // its depth.
 func (c *Coordinator) startChain(ctx *sim.Context, st *epochState) {
-	plan := st.chain.Plan
-	st.round, st.order, st.unfinished = 1, append(st.order[:0], plan.Members...), len(plan.Members)
-	if plan.Depth > 1 {
-		st.levelLeft = make([]int32, plan.Depth+1)
-		for m := range plan.Members {
-			st.levelLeft[plan.DepthOf(m)]++
-		}
-	}
+	plan := &st.plan
+	st.beginChain()
 	c.FallbackChains++
 	c.FallbackRounds += plan.Depth
 	if f := c.flight(); f.Enabled() {

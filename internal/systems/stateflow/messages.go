@@ -47,7 +47,11 @@ import (
 // epoch of its slot once the slot is released (epochState.reset), a read's
 // once its answer is staged (onReadDone), and a worker's txnWork, which
 // finishes' Sets point into, once the decide ending its round applies there
-// (Worker.pool).
+// (Worker.pool). A worker holds bodies in storage it reuses too — the
+// events its chain parked, in the chain its epoch entry keeps for later
+// epochs, and the lists of buffered next-epoch events — and empties both
+// when it is done with them (Worker.retire, releaseBuffered), so neither
+// keeps a body past its epoch.
 // A copy of a finish (msgTxnFinished is DupSafe) can arrive after its body
 // was reused, and then reads the new occupant's stamp. Two rules make that
 // safe:
@@ -161,8 +165,18 @@ type msgEpochTick struct{}
 // coordinator dispatched during the commit phase. Aborts is in TID order,
 // like Order. Chain, on a batch decide that is not final, is the schedule
 // the epoch's conflict aborts re-execute by — one more round, gated on the
-// workers by the plan's per-entity queues (see aria.ChainPlan); the plan is
-// immutable and shared by every receiver.
+// workers by the plan's per-entity queues (see aria.ChainPlan).
+//
+// The plan, the chain decide's Order (the plan's members) and every
+// decide's Aborts live in the epoch's coordinator slot, shared by every
+// receiver and immutable while the epoch is live; the slot replans and
+// rewrites them for a later epoch once it is released. That is safe
+// because the release (releaseCommit) runs only after every worker acked
+// the epoch's final decide: each has then retired its epoch entry, dropping
+// its pointer to the plan, and drops any later copy of this decide by its
+// Epoch (Worker.reached) before it reads Chain, Order or Aborts. The ack
+// (msgApplied) and the chain's releases read no plan, and the slots and
+// worker epochs a recovery touched are discarded, never reused.
 // Apply is the global batch slice the batch's last member commits (nil for
 // a batch without one, or whose apply a binding cut dropped): it executed
 // nothing, so each worker installs the rows of it that it owns after every

@@ -195,8 +195,9 @@ func TestRecycleKeepsTheSealedRestorePoint(t *testing.T) {
 
 // TestReleasedEpochSlotIsReset: a released slot keeps its backing stores
 // and its member records but nothing of its epoch — no chain or round
-// survives the reset that reuses it — and every record the next batch reuses
-// is zeroed: no field of a released member survives into it.
+// survives the reset that reuses it, though its plan, progress, level counts
+// and abort lists keep their storage — and every record the next batch
+// reuses is zeroed: no field of a released member survives into it.
 func TestReleasedEpochSlotIsReset(t *testing.T) {
 	st := &epochState{}
 	st.reset(3)
@@ -204,22 +205,29 @@ func TestReleasedEpochSlotIsReset(t *testing.T) {
 		m := st.add(tid, pendingReq{pos: int64(tid), replyTo: "client", retries: 2, arrivedAt: time.Second,
 			req: sysapi.Request{Req: "old", Target: interp.EntityRef{Class: "Account", Key: "a"}, Method: "m"}})
 		m.first.txnEvent = txnEvent{TID: tid, Epoch: 3, Ev: &m.first.ev, Sets: &rwSets{}, Value: interp.IntV(1), Err: "e", ctx: &m.first.chain}
-		m.finished, m.value, m.err, m.sets, m.aborted, m.rescued = true, interp.IntV(2), "err", &rwSets{}, true, true
+		m.finished, m.value, m.err, m.sets, m.aborted, m.rescued = true, interp.IntV(2), "err", &rwSets{rw: &aria.RWSet{}}, true, true
 	}
 	st.close()
-	st.chain = &aria.Chain{}
+	if rescued := st.scheduleFallback(func(int) string { return "Account" }); rescued != 4 || !st.scheduled() {
+		t.Fatalf("scenario: %d members rescued", rescued)
+	}
+	st.decision()
 	st.round, st.levelLeft, st.binding = 1, []int32{1}, true
-	txns, order := st.txns, st.order
-	released := slices.Clone(txns)
+	st.decision()
+	txns, order, members, left := st.txns, st.order, st.plan.Members, st.levelLeft
+	aborts := st.aborts
 
 	st.reset(4)
 	if st.epoch != 4 || st.phase != phaseOpen || len(st.txns) != 0 || len(st.order) != 0 ||
-		st.chain != nil || st.levelLeft != nil || st.round != 0 || st.binding || st.unfinished != 0 {
+		st.scheduled() || st.plan.Depth != 0 || st.chain.Plan != nil || len(st.levelLeft) != 0 ||
+		len(st.aborts[0]) != 0 || len(st.aborts[1]) != 0 || st.round != 0 || st.binding || st.unfinished != 0 {
 		t.Fatalf("reset left epoch state behind: %+v", st)
 	}
-	if &st.txns[:1][0] != &txns[0] || &st.order[:1][0] != &order[0] {
+	if &st.txns[:1][0] != &txns[0] || &st.order[:1][0] != &order[0] || &st.plan.Members[:1][0] != &members[0] ||
+		&st.levelLeft[:1][0] != &left[0] || &st.aborts[0][:1][0] != &aborts[0][0] || &st.aborts[1][:1][0] != &aborts[1][0] {
 		t.Fatal("reset dropped the slot's backing stores")
 	}
+	released := slices.Clone(txns[:cap(txns)][:4])
 	fresh := &epochState{}
 	for i, tid := range []aria.TID{20, 21} {
 		p := pendingReq{pos: int64(tid), req: sysapi.Request{Req: "new", Target: interp.EntityRef{Class: "Account", Key: "b"}}}
@@ -252,13 +260,21 @@ func TestSettledWorkerEpochIsReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	tw.sets = rwSets{rw: &tw.ws.RW, next: &rwSets{}}
-	ep.plan = &aria.ChainPlan{}
+	plan := &aria.ChainPlan{}
+	aria.PlanChain(plan, []aria.TID{7, 8}, func(_ int, buf []interp.EntityRef) []interp.EntityRef { return append(buf, ref) })
+	ep.plan = plan
+	ch := ep.progress()
+	ch.parked = append(ch.parked, parkedEvent{msgTxnEvent: msgTxnEvent{&txnEvent{TID: 8}}}, parkedEvent{})
+	parked := &ch.parked[0]
 	w.retire(1)
 	if _, live := w.epochs[1]; live || len(w.free) != 1 || w.free[0] != ep {
 		t.Fatalf("retire left epochs %v, free list %v", w.epochs, w.free)
 	}
 	if len(ep.workspaces) != 0 || ep.plan != nil || ep.chain != nil || ep.round != 0 {
 		t.Fatalf("a retired epoch kept its state: %+v", ep)
+	}
+	if ep.kept.Plan != nil || len(ep.kept.parked) != 0 || *parked != (parkedEvent{}) || &ep.kept.parked[:1][0] != parked {
+		t.Fatal("a retired epoch's chain kept its plan or a parked event, or dropped its storage")
 	}
 	if len(w.works) != 1 || w.works[0] != tw {
 		t.Fatalf("retire did not pool the epoch's txnWork: pool %v", w.works)
@@ -753,7 +769,11 @@ func TestRecycleRecoveryPoolsNothing(t *testing.T) {
 // live at once — per coordinator slot, its largest batch; for the read free
 // list, the most reads in flight; per worker, the most txnWorks in its open
 // epochs. The peaks are read at every send, which follows every step that
-// makes a record live, and the pools must have the records back.
+// makes a record live, and the pools must have the records back. The burst
+// is contended, so its batches chain: a slot's plan grows only for a chain
+// larger than any it planned before, and after idle no worker epoch keeps a
+// chain, a parked event or more parking room than the largest chain it ran,
+// and no worker keeps a buffered event.
 func TestRecyclePoolsAreBounded(t *testing.T) {
 	const accounts = 16
 	var script []sysapi.Scheduled
@@ -772,10 +792,28 @@ func TestRecyclePoolsAreBounded(t *testing.T) {
 	c := f.sys.Coordinator()
 	slotPeak := map[*epochState]int{}
 	readPeak, workPeak := 0, map[*Worker]int{}
+	// planPeak is a slot's largest chain so far, and the plan's capacities
+	// right after it was planned.
+	type planSize struct{ members, refs, capMembers, capRefs int }
+	planPeak := map[*epochState]planSize{}
+	chainPeak := 0 // the most members of any chain
 	observe := func() {
 		for _, st := range []*epochState{c.exec, c.commit} {
 			if st != nil {
 				slotPeak[st] = max(slotPeak[st], len(st.txns))
+			}
+			if st == nil || !st.scheduled() {
+				continue
+			}
+			p, now := planPeak[st], planSize{len(st.plan.Members), len(st.plan.Refs), cap(st.plan.Members), cap(st.plan.Refs)}
+			chainPeak = max(chainPeak, now.members)
+			switch {
+			case now.members > p.members || now.refs > p.refs:
+				planPeak[st] = now
+			case now.capMembers != p.capMembers || now.capRefs != p.capRefs:
+				t.Fatalf("epoch %d's chain of %d members on %d entities regrew its slot's plan (capacities %d, %d), "+
+					"which had planned one of %d on %d (%d, %d)", st.epoch, now.members, now.refs, now.capMembers, now.capRefs,
+					p.members, p.refs, p.capMembers, p.capRefs)
 			}
 		}
 		readPeak = max(readPeak, len(c.reads)+len(c.held))
@@ -814,18 +852,35 @@ func TestRecyclePoolsAreBounded(t *testing.T) {
 	if len(c.freeReads) > readPeak {
 		t.Errorf("the read free list holds %d records, more than the %d reads ever in flight at once", len(c.freeReads), readPeak)
 	}
+	if c.FallbackChains == 0 || len(planPeak) == 0 {
+		t.Fatalf("scenario: the burst chained %d times", c.FallbackChains)
+	}
 	works := 0
 	for _, w := range f.sys.workers {
 		if len(w.epochs) != 0 {
 			t.Fatalf("scenario: %s has %d epochs open after idle", w.id, len(w.epochs))
+		}
+		if len(w.buffered) != 0 || slices.ContainsFunc(w.spare[:cap(w.spare)], func(m msgTxnEvent) bool { return m.txnEvent != nil }) {
+			t.Errorf("%s keeps a buffered event after idle", w.id)
+		}
+		for _, ep := range w.free {
+			if ep.plan != nil || ep.chain != nil || ep.kept.Plan != nil {
+				t.Errorf("%s keeps a chain in an idle worker epoch", w.id)
+			}
+			if slices.ContainsFunc(ep.kept.parked[:cap(ep.kept.parked)], func(p parkedEvent) bool { return p.txnEvent != nil }) {
+				t.Errorf("%s keeps a parked event in an idle worker epoch", w.id)
+			}
+			if n := cap(ep.kept.parked); n > 2*chainPeak {
+				t.Errorf("%s keeps parking room for %d members in an idle worker epoch; the largest chain had %d", w.id, n, chainPeak)
+			}
 		}
 		if len(w.works) > workPeak[w] {
 			t.Errorf("%s pools %d txnWorks, more than the %d it ever held at once", w.id, len(w.works), workPeak[w])
 		}
 		works += len(w.works)
 	}
-	t.Logf("after idle: %d member records in %d slots, %d reads (peak %d), %d txnWorks pooled",
-		pooled, len(slotPeak), len(c.freeReads), readPeak, works)
+	t.Logf("after idle: %d member records in %d slots, %d reads (peak %d), %d txnWorks pooled; %d chains, the largest of %d members",
+		pooled, len(slotPeak), len(c.freeReads), readPeak, works, c.FallbackChains, chainPeak)
 	if pooled == 0 || len(c.freeReads) == 0 || works == 0 {
 		t.Fatal("a pool got none of its records back")
 	}
@@ -894,4 +949,275 @@ func TestRecycleHeldReadsAreBounded(t *testing.T) {
 	if len(c.freeReads) == 0 || len(c.freeReads) > livePeak {
 		t.Errorf("the read free list holds %d records, want between 1 and the %d reads ever live at once", len(c.freeReads), livePeak)
 	}
+}
+
+// TestRecycleStaleDecideAfterReplan: a batch decide shares its slot's chain
+// plan with every worker, and the slot replans a later epoch's chain into
+// the same storage once it is released. On the serial schedule every epoch
+// runs in one slot, so epoch N+1's chain is planned into the storage epoch
+// N's decide points at. A kept copy of N's batch decide, delivered to every
+// worker while N+1's chain is in flight with an event parked, carries
+// N+1's plan under N's epoch: every worker must drop it by its epoch — no
+// store, epoch entry, round, plan, workspace or chain progress changes and
+// nothing is sent — and the chain must then answer exactly as it does
+// without the copy.
+func TestRecycleStaleDecideAfterReplan(t *testing.T) {
+	type outcome struct {
+		responses map[string]sysapi.Response
+		serials   map[string]int64
+		stores    []string
+		stats     CoordinatorStats
+	}
+	run := func(t *testing.T, deliver bool) outcome {
+		cfg := DefaultConfig()
+		cfg.EpochInterval = 50 * time.Millisecond
+		cfg.DisablePipelining = true
+		cfg.TraceCommits = true
+		// Groups of three transfers into one payee, 20 ms apart, each group
+		// one batch: the first commits and the other two chain, the third
+		// parked behind the second at the payee's owner.
+		var script []sysapi.Scheduled
+		for g := range 6 {
+			for i := range 3 {
+				script = append(script, sysapi.Scheduled{At: time.Duration(1+20*g) * time.Millisecond,
+					Req: transferReq(fmt.Sprintf("t%d.%d", g, i), acct(3*g+i), acct(19), 1)})
+			}
+		}
+		fx := newFixture(t, cfg, 20, script)
+		c := fx.sys.coord
+		kept := map[int64]*msgDecide{} // chain-announcing batch decides by epoch
+		var slots []*epochState
+		fx.cluster.SetPerturb(func(_, _ string, _ time.Duration, msg sim.Message) sim.Perturb {
+			if m, ok := msg.(*msgDecide); ok && m.Chain != nil && kept[m.Epoch] == nil {
+				kept[m.Epoch] = m
+				if !slices.Contains(slots, c.commit) {
+					slots = append(slots, c.commit)
+				}
+			}
+			return sim.Perturb{}
+		})
+		parkedOn := func(epoch int64) bool {
+			for _, w := range fx.sys.workers {
+				if ep := w.epochs[epoch]; ep != nil && ep.chain != nil {
+					for _, p := range ep.chain.parked {
+						if p.txnEvent != nil {
+							return true
+						}
+					}
+				}
+			}
+			return false
+		}
+		var stale *msgDecide
+		fx.cluster.Start()
+		for i := 0; stale == nil; i++ {
+			if i > 200_000 {
+				t.Fatalf("scenario: no chain in flight with an event parked right after a chained epoch (decides %d, slots %d)", len(kept), len(slots))
+			}
+			fx.cluster.RunUntil(fx.cluster.Now() + 5*time.Microsecond)
+			st := c.commit
+			if st == nil || !st.chained() || kept[st.epoch-1] == nil || !parkedOn(st.epoch) {
+				continue
+			}
+			stale = kept[st.epoch-1]
+			if len(slots) != 1 || stale.Chain != &st.plan || !slices.Equal(stale.Chain.Members, kept[st.epoch].Chain.Members) {
+				t.Fatalf("scenario: %d slots; epoch %d's decide does not point at the plan epoch %d replanned into its slot",
+					len(slots), stale.Epoch, st.epoch)
+			}
+			if !deliver {
+				break
+			}
+			// The worker state the copy must leave alone, and every send.
+			state := func() string {
+				var b []string
+				for _, w := range fx.sys.workers {
+					b = append(b, fmt.Sprintf("%s applied %d store %x buffered %d", w.id, w.appliedEpoch, w.committed.Encode(), len(w.buffered)))
+					for _, e := range slices.Sorted(maps.Keys(w.epochs)) {
+						ep := w.epochs[e]
+						line := fmt.Sprintf(" epoch %d %p round %d plan %p workspaces %v", e, ep, ep.round, ep.plan, slices.Sorted(maps.Keys(ep.workspaces)))
+						if ep.chain != nil {
+							line += fmt.Sprintf(" chain %+v", *ep.chain)
+						}
+						b = append(b, line)
+					}
+				}
+				return fmt.Sprint(b)
+			}
+			before := state()
+			for _, w := range fx.sys.workers {
+				fx.cluster.Inject(fx.cluster.Now(), c.sys.coordID, w.id, stale)
+			}
+			sends := 0
+			fx.cluster.SetTap(func(string, string, time.Duration, time.Duration, sim.Message) { sends++ })
+			fx.cluster.RunUntil(fx.cluster.Now())
+			fx.cluster.SetTap(nil)
+			if after := state(); after != before || sends != 0 {
+				t.Fatalf("epoch %d's stale decide, delivered during epoch %d's chain, sent %d messages and changed the workers:\n%s\nto\n%s",
+					stale.Epoch, st.epoch, sends, before, after)
+			}
+		}
+		fx.cluster.RunUntil(5 * time.Second)
+		if fx.client.Done != len(script) || c.FallbackChains < 2 {
+			t.Fatalf("scenario: %d of %d answered, %d chains", fx.client.Done, len(script), c.FallbackChains)
+		}
+		out := outcome{responses: fx.client.Responses, stats: c.CoordinatorStats,
+			serials: c.CommitSerials(func(string) (interp.Value, bool) { return interp.None, false })}
+		for _, w := range fx.sys.workers {
+			out.stores = append(out.stores, fmt.Sprintf("%x", w.committed.Encode()))
+		}
+		return out
+	}
+	with, without := run(t, true), run(t, false)
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("the chain answered differently after the stale decide:\n with %+v\nwithout %+v", with, without)
+	}
+}
+
+// TestFallbackChainAllocatesNothing: a contended epoch whose conflict aborts
+// a chain rescues, run again through the same coordinator slot and the same
+// worker epochs, allocates nothing for the chain itself. The coordinator
+// leg runs the slot's steps — the batch, its plan, the chain's progress and
+// both decides — and allocates only the two decide boxes. The worker leg
+// delivers a batch decide announcing a two-member chain into one payee, the
+// two members' chain dispatches (in bodies the test keeps, as the
+// coordinator's per-dispatch body is counted apart) with the second parked
+// behind the first at the payee's owner, and the final decide: it allocates
+// only the boxes of the releases a member's finish sends to the other
+// owners of its footprint.
+func TestFallbackChainAllocatesNothing(t *testing.T) {
+	payee := interp.EntityRef{Class: "Account", Key: acct(9)}
+	t.Run("coordinator", func(t *testing.T) {
+		st := &epochState{}
+		var sets rwSets
+		sets.rw = &aria.RWSet{}
+		sets.rw.Write(aria.ResKey{Key: acct(8)}, 1)
+		classOf := func(int) string { return "Account" }
+		var reqs []pendingReq
+		for i := range 3 { // a batch whose order fits its decide
+			reqs = append(reqs, pendingReq{req: transferReq("t", acct(i), payee.Key, 1)})
+		}
+		epoch := int64(0)
+		run := func() {
+			epoch++
+			st.reset(epoch)
+			for i, p := range reqs {
+				m := st.add(aria.TID(100*epoch)+aria.TID(i), p)
+				m.finished, m.aborted = true, i > 0
+				if i == 2 {
+					m.sets = &sets
+				}
+			}
+			st.unfinished = 0
+			st.close()
+			if st.scheduleFallback(classOf) != 2 || len(st.decision().Aborts) != 2 {
+				t.Fatal("scenario: the batch does not chain its two aborts")
+			}
+			st.beginChain()
+			for m, tid := range st.plan.Members {
+				st.txn(tid).finished, st.txn(tid).aborted = true, false
+				if !st.chain.Ready(m) {
+					t.Fatalf("scenario: chain member %d is not ready after its predecessors", m)
+				}
+				if !st.releaseChained(m) {
+					t.Fatalf("scenario: member %d alone does not complete its depth level", m)
+				}
+			}
+			if m := st.decision(); !m.Final || len(m.Aborts) != 0 {
+				t.Fatal("scenario: the chain's decide is not final or aborts someone")
+			}
+		}
+		run()
+		if st.plan.Depth != 2 || len(st.plan.Refs) != 4 {
+			t.Fatalf("scenario: chain depth %d over %d entities, want 2 over 4", st.plan.Depth, len(st.plan.Refs))
+		}
+		allocs := testing.AllocsPerRun(100, run)
+		t.Logf("a warm chained epoch on the coordinator: %.0f allocations, 2 of them the decide boxes", allocs)
+		if allocs != 2 {
+			t.Errorf("a warm chained epoch allocated %.0f times on the coordinator, want only its 2 decide boxes: "+
+				"the plan, the chain's progress, the level counts or the decides' aborts allocate", allocs)
+		}
+	})
+	t.Run("workers", func(t *testing.T) {
+		cluster, dep := deploy(t, bank, DefaultConfig(), func(preload func(class string, args ...interp.Value)) {
+			for i := range 10 {
+				preload("Account", interp.StrV(acct(i)), interp.IntV(1<<40))
+			}
+		})
+		sys := dep.Single()
+		var payers []interp.EntityRef
+		for i := 0; i < 9 && len(payers) < 2; i++ {
+			if ref := (interp.EntityRef{Class: "Account", Key: acct(i)}); sys.ownerOf(ref) != sys.ownerOf(payee) {
+				payers = append(payers, ref)
+			}
+		}
+		if len(payers) < 2 {
+			t.Fatal("scenario: fewer than two payers away from the payee's owner")
+		}
+		batch, tids := []aria.TID{1, 2, 3}, []aria.TID{2, 3} // 1 committed in round 0
+		var plan aria.ChainPlan
+		bodies := []*txnBody{new(txnBody), new(txnBody)}
+		dec := &msgDecide{}
+		releases, parked := 0, 0
+		cluster.SetTap(func(_, _ string, _, _ time.Duration, msg sim.Message) {
+			if _, ok := msg.(msgChainRelease); ok {
+				releases++
+			}
+		})
+		owner := sys.workers[sys.OwnerIndex(payee)]
+		broadcast := func() {
+			for _, w := range sys.workerIDs {
+				cluster.Inject(cluster.Now(), sys.coordID, w, dec)
+			}
+			if err := cluster.Drain(100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var roots []core.Event
+		for _, payer := range payers[:2] {
+			roots = append(roots, core.Event{Kind: core.EvInvoke, Req: "t", Target: payer, Method: "transfer",
+				Args: []interp.Value{interp.IntV(1), interp.RefV(payee.Class, payee.Key)}})
+		}
+		dispatch := func(m int, epoch int64) {
+			b := bodies[m]
+			*b = txnBody{txnEvent: txnEvent{TID: tids[m], Epoch: epoch, Round: 1}}
+			b.ctx = &b.chain
+			b.forward(roots[m], nil)
+			cluster.Inject(cluster.Now(), sys.coordID, sys.ownerOf(payers[m]), msgTxnEvent{&b.txnEvent})
+			if err := cluster.Drain(100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round := func() {
+			epoch := sys.workers[0].appliedEpoch + 1
+			aria.PlanChain(&plan, append(plan.Members[:0], tids...), func(i int, buf []interp.EntityRef) []interp.EntityRef {
+				return append(buf, payers[i], payee)
+			})
+			*dec = msgDecide{Epoch: epoch, Order: batch, Aborts: tids, Chain: &plan}
+			broadcast()
+			dispatch(1, epoch) // parks at the payee's owner behind member 0
+			if ep := owner.epochs[epoch]; ep != nil && ep.chain != nil && len(ep.chain.parked) == 2 && ep.chain.parked[1].txnEvent != nil {
+				parked++
+			}
+			dispatch(0, epoch)
+			*dec = msgDecide{Epoch: epoch, Round: 1, Order: plan.Members, Final: true}
+			broadcast()
+		}
+		round()
+		round()
+		releases, parked = 0, 0
+		allocs := testing.AllocsPerRun(50, round) // 51 rounds, its warm-up included
+		for _, w := range sys.workers {
+			if len(w.epochs) != 0 || w.appliedEpoch < 52 {
+				t.Fatalf("scenario: %s applied epoch %d with %d epochs open", w.id, w.appliedEpoch, len(w.epochs))
+			}
+		}
+		if parked != 51 || releases != 2*51 {
+			t.Fatalf("scenario: %d of 51 rounds parked the second member, %d releases sent, want 2 a round", parked, releases)
+		}
+		t.Logf("a warm chain on the workers: %.0f allocations, 2 of them the release boxes", allocs)
+		if allocs != 2 {
+			t.Errorf("a warm chain allocated %.0f times on the workers, want only its 2 release boxes: "+
+				"the worker epoch, its chain's progress, a parked event or a workspace allocates", allocs)
+		}
+	})
 }

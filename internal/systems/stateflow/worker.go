@@ -34,17 +34,27 @@ import (
 // decide would otherwise wipe the chain's in-flight workspaces. A worker the
 // batch never reached has none: it settles the epoch without one (see
 // reached). An epoch's final decide retires its entry to the worker's free
-// list, and liveEpoch reuses it — workspace map included — for a later
-// epoch; its txnWorks go to the worker's pool of them.
+// list, and liveEpoch reuses it — workspace map and chain storage included —
+// for a later epoch; its txnWorks go to the worker's pool of them.
+//
+// The plan is the coordinator slot's, which replans into it once the slot is
+// released — after every worker acked the epoch's final decide. By then this
+// entry is retired, and retire dropped the plan and emptied the chain, so no
+// parked event or plan pointer survives into the next epoch the entry
+// serves; a later copy of the epoch's batch decide, which carries the plan,
+// is stale by its Epoch (reached) and is dropped before anything reads it.
+// The entries onRecover wipes are never reused.
 type workerEpoch struct {
 	workspaces map[aria.TID]*txnWork
 	round      int
 	// plan is set by a batch decide that schedules a fallback (see
 	// aria.ChainPlan): the epoch's re-executions are gated by its per-entity
-	// TID queues. chain is this worker's part in it, made on first use — most
-	// workers see only a few members of a chain, many none.
+	// TID queues. chain is this worker's part in it, started on first use
+	// (nil before) — most workers see only a few members of a chain, many
+	// none — in kept, the storage the entry keeps from chain to chain.
 	plan  *aria.ChainPlan
 	chain *workerChain
+	kept  workerChain
 }
 
 // txnWork is one transaction's part on this worker in one epoch, made in one
@@ -68,13 +78,21 @@ type workerChain struct {
 	parked []parkedEvent
 }
 
-// progress returns (making it on first use) the worker's progress through the
-// epoch's chain plan.
+// progress returns (starting it on first use) the worker's progress through
+// the epoch's chain plan.
 func (ep *workerEpoch) progress() *workerChain {
 	if ep.chain == nil {
-		ep.chain = &workerChain{Chain: aria.NewChain(ep.plan)}
+		ep.chain = &ep.kept
+		ep.chain.Reset(ep.plan)
 	}
 	return ep.chain
+}
+
+// empty forgets the chain's plan and every parked event, keeping the
+// storage for the next chain.
+func (ch *workerChain) empty() {
+	clear(ch.parked)
+	ch.Plan, ch.parked = nil, ch.parked[:0]
 }
 
 // parkedEvent is a chain member's event waiting for entity e's queue to
@@ -111,8 +129,10 @@ type Worker struct {
 	// buffered parks execution events that arrived ahead of their
 	// predecessor's final decide (the pipelined coordinator dispatches
 	// epoch N+1 while N commits); they release when appliedEpoch reaches
-	// their epoch minus one.
+	// their epoch minus one. spare is the list releaseBuffered emptied last,
+	// for the next epoch buffered to reuse.
 	buffered map[int64][]msgTxnEvent
+	spare    []msgTxnEvent
 
 	WorkerStats
 	// CPU attributes the worker's cost-model CPU time to runtime components
@@ -193,6 +213,7 @@ func (w *Worker) retire(epoch int64) {
 	delete(w.epochs, epoch)
 	if ep != nil {
 		w.recycle(ep)
+		ep.kept.empty()
 		ep.round, ep.plan, ep.chain = 0, nil, nil
 		w.free = append(w.free, ep)
 	}
@@ -274,7 +295,7 @@ func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *txnWork {
 // committed store they would read is not yet the serializable prefix.
 func (w *Worker) onTxnEvent(ctx *sim.Context, m msgTxnEvent) {
 	if m.Epoch > w.appliedEpoch+1 {
-		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
+		w.buffer(m)
 		return
 	}
 	if m.Round == readRound {
@@ -382,7 +403,7 @@ func (w *Worker) execute(ctx *sim.Context, b *txnEvent, store core.Store) core.E
 func (w *Worker) onRead(ctx *sim.Context, m msgTxnEvent) {
 	if ep := w.epochs[w.appliedEpoch+1]; ep != nil && ep.plan != nil {
 		m.Epoch = w.appliedEpoch + 2
-		w.buffered[m.Epoch] = append(w.buffered[m.Epoch], m)
+		w.buffer(m)
 		return
 	}
 	m.answer(w.execute(ctx, m.txnEvent, committedView{w.committed}), nil)
@@ -430,14 +451,16 @@ func (w *Worker) admitChained(ctx *sim.Context, ep *workerEpoch, m msgTxnEvent) 
 	}
 	ch := ep.progress()
 	if ch.Head(e) != member {
-		if ch.parked == nil {
-			ch.parked = make([]parkedEvent, len(ep.plan.Members))
+		if len(ch.parked) == 0 {
+			n := len(ep.plan.Members)
+			ch.parked = slices.Grow(ch.parked, n)[:n]
+			clear(ch.parked)
 		}
 		ch.parked[member] = parkedEvent{msgTxnEvent: m, e: e, at: ctx.Now()}
 		return -1
 	}
 	arrived := ctx.Now()
-	if ch.parked != nil && ch.parked[member].txnEvent != nil {
+	if len(ch.parked) > 0 && ch.parked[member].txnEvent != nil {
 		arrived = ch.parked[member].at
 		ch.parked[member] = parkedEvent{}
 	}
@@ -516,7 +539,7 @@ func (w *Worker) settleChained(ctx *sim.Context, ep *workerEpoch, member int, co
 		delete(ep.workspaces, tid)
 		w.pool(tw)
 	}
-	if ch.parked == nil {
+	if len(ch.parked) == 0 {
 		return
 	}
 	for _, e := range ep.plan.Footprint(member) {
@@ -603,9 +626,19 @@ func (w *Worker) onDecide(ctx *sim.Context, m *msgDecide) {
 	}
 }
 
+// buffer holds m until its epoch's predecessor applies here, in the spare
+// list when the epoch holds none yet.
+func (w *Worker) buffer(m msgTxnEvent) {
+	evs, ok := w.buffered[m.Epoch]
+	if !ok {
+		evs, w.spare = w.spare, nil
+	}
+	w.buffered[m.Epoch] = append(evs, m)
+}
+
 // releaseBuffered re-dispatches the events an epoch parked while its
 // predecessor was committing; they pass the gate now that the high-water
-// mark advanced.
+// mark advanced. Their list, emptied, is the next spare: it holds no event.
 func (w *Worker) releaseBuffered(ctx *sim.Context, epoch int64) {
 	evs, ok := w.buffered[epoch]
 	if !ok {
@@ -615,6 +648,8 @@ func (w *Worker) releaseBuffered(ctx *sim.Context, epoch int64) {
 	for _, m := range evs {
 		w.onTxnEvent(ctx, m)
 	}
+	clear(evs)
+	w.spare = evs[:0]
 }
 
 // onSnapshot persists the committed store to the snapshot store.

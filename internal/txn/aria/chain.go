@@ -19,10 +19,13 @@ import (
 // touched holds as long as the re-execution stays inside it, which whoever
 // runs the events checks with Entity.
 //
-// A plan is immutable once built: the coordinator ships one pointer to every
-// worker, and each party tracks its own progress through it in a Chain.
-// Members are named by their position in Members, entities by their
-// position in Refs.
+// A plan is immutable while its epoch is live: the coordinator ships one
+// pointer to every worker, and each party tracks its own progress through it
+// in a Chain. Its storage belongs to whoever planned it — the epoch's
+// coordinator slot, which replans a later epoch's chain into it (PlanChain)
+// once no party can read the old plan any more. The planning scratch stays
+// with it, so a warm replan allocates nothing. Members are named by their
+// position in Members, entities by their position in Refs.
 type ChainPlan struct {
 	// Members are the chain's transactions, in TID order.
 	Members []TID
@@ -38,24 +41,33 @@ type ChainPlan struct {
 	// queue[queueAt[e]:queueAt[e+1]].
 	foot, footAt   []int32
 	queue, queueAt []int32
+
+	// The planning scratch: per entity, the depth of the last candidate
+	// queued on it, then the queues' fill cursors; the buffer a footprint is
+	// appended to; and the index over Refs once they outgrow a scan.
+	last  []int32
+	buf   []interp.EntityRef
+	index map[interp.EntityRef]int32
 }
 
 // PlanChain queues the candidates — a batch's conflict aborts, in TID order
-// — into a chain, which keeps tids as its Members. footprint appends
-// candidate i's entities to buf (repeats are fine).
-func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []interp.EntityRef) *ChainPlan {
+// — into a chain, planned into p's storage over whatever p held. p keeps tids
+// as its Members, so a caller that appends them to p.Members[:0] reuses that
+// storage too. footprint appends candidate i's entities to buf (repeats are
+// fine).
+func PlanChain(p *ChainPlan, tids []TID, footprint func(i int, buf []interp.EntityRef) []interp.EntityRef) {
 	n := len(tids)
-	p := &ChainPlan{
-		Members: tids,
-		Refs:    make([]interp.EntityRef, 0, 2*n),
-		depth:   make([]int32, 0, n),
-		foot:    make([]int32, 0, 2*n),
-		footAt:  make([]int32, 1, n+1),
-	}
-	var index map[interp.EntityRef]int32 // over Refs; nil up to scanLimit
+	p.Members, p.Depth = tids, 0
+	p.Refs = slices.Grow(p.Refs[:0], 2*n)
+	p.depth = slices.Grow(p.depth[:0], n)
+	p.foot = slices.Grow(p.foot[:0], 2*n)
+	p.footAt = append(slices.Grow(p.footAt[:0], n+1), 0)
+	p.last = slices.Grow(p.last[:0], 2*n)
+	clear(p.index)
+	indexed := false // p.index covers Refs: they outgrew scanLimit
 	intern := func(ref interp.EntityRef) int32 {
-		if index != nil {
-			if e, ok := index[ref]; ok {
+		if indexed {
+			if e, ok := p.index[ref]; ok {
 				return e
 			}
 		} else if e := slices.Index(p.Refs, ref); e >= 0 {
@@ -64,36 +76,36 @@ func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []inter
 		e := int32(len(p.Refs))
 		p.Refs = append(p.Refs, ref)
 		switch {
-		case index != nil:
-			index[ref] = e
+		case indexed:
+			p.index[ref] = e
 		case len(p.Refs) > scanLimit:
-			index = make(map[interp.EntityRef]int32, 2*n)
-			for i, r := range p.Refs {
-				index[r] = int32(i)
+			if p.index == nil {
+				p.index = make(map[interp.EntityRef]int32, 2*n)
 			}
+			for i, r := range p.Refs {
+				p.index[r] = int32(i)
+			}
+			indexed = true
 		}
 		return e
 	}
-	// last[e] is the depth of the last candidate queued on entity e.
-	last := make([]int32, 0, 2*n)
-	buf := make([]interp.EntityRef, 0, 8) // a footprint's refs plus its reservations
 	for i := range tids {
-		buf = footprint(i, buf[:0])
+		p.buf = footprint(i, p.buf[:0])
 		start := len(p.foot)
 		d := int32(0)
-		for _, ref := range buf {
+		for _, ref := range p.buf {
 			e := intern(ref)
-			if int(e) == len(last) {
-				last = append(last, 0)
+			if int(e) == len(p.last) {
+				p.last = append(p.last, 0)
 			}
 			if !slices.Contains(p.foot[start:], e) {
 				p.foot = append(p.foot, e)
-				d = max(d, last[e])
+				d = max(d, p.last[e])
 			}
 		}
 		d++
 		for _, e := range p.foot[start:] {
-			last[e] = d
+			p.last[e] = d
 		}
 		p.depth = append(p.depth, d)
 		p.footAt = append(p.footAt, int32(len(p.foot)))
@@ -101,15 +113,15 @@ func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []inter
 	}
 	// The queues are the footprints inverted; filling them member by member
 	// leaves each in ascending (TID) order.
-	p.queueAt = make([]int32, len(p.Refs)+1)
+	p.queueAt = resize(p.queueAt, len(p.Refs)+1)
 	for _, e := range p.foot {
 		p.queueAt[e+1]++
 	}
 	for e := range p.Refs {
 		p.queueAt[e+1] += p.queueAt[e]
 	}
-	p.queue = make([]int32, len(p.foot))
-	fill := last // done with the depths: reuse as the per-queue fill cursor
+	p.queue = resize(p.queue, len(p.foot))
+	fill := p.last // done with the depths: reuse as the per-queue fill cursor
 	copy(fill, p.queueAt)
 	for m := range p.Members {
 		for _, e := range p.Footprint(m) {
@@ -117,7 +129,13 @@ func PlanChain(tids []TID, footprint func(i int, buf []interp.EntityRef) []inter
 			fill[e]++
 		}
 	}
-	return p
+}
+
+// resize returns s at length n, zeroed, in s's storage when it fits.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Pos returns the chain position of tid (ok false: not a member).
@@ -143,18 +161,20 @@ func (p *ChainPlan) DepthOf(m int) int { return int(p.depth[m]) }
 // Chain is one party's progress through a ChainPlan: which members it has
 // released and, per entity, how far the queue has drained. The coordinator
 // keeps one (releasing a member when its response is staged) and so does
-// every worker (releasing a member when its workspace is settled).
+// every worker (releasing a member when its workspace is settled). The zero
+// Chain tracks nothing until Reset.
 type Chain struct {
 	Plan     *ChainPlan
 	released []bool  // per member
 	head     []int32 // per entity: first queue slot not known to be released
 }
 
-// NewChain starts at the beginning of p: nothing released.
-func NewChain(p *ChainPlan) Chain {
-	c := Chain{Plan: p, released: make([]bool, len(p.Members)), head: make([]int32, len(p.Refs))}
-	copy(c.head, p.queueAt)
-	return c
+// Reset starts c at the beginning of p, nothing released, in the storage c
+// kept from the plan it tracked before.
+func (c *Chain) Reset(p *ChainPlan) {
+	c.Plan = p
+	c.released = resize(c.released, len(p.Members))
+	c.head = append(c.head[:0], p.queueAt[:len(p.Refs)]...)
 }
 
 // Head returns the member at the head of entity e's queue — the only one

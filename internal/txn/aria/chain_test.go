@@ -30,7 +30,8 @@ func TestChainProperties(t *testing.T) {
 				foots[i] = append(foots[i], cell(rng.Intn(entities))) // repeats allowed
 			}
 		}
-		plan := PlanChain(tids, func(i int, buf []interp.EntityRef) []interp.EntityRef {
+		plan := &ChainPlan{}
+		PlanChain(plan, tids, func(i int, buf []interp.EntityRef) []interp.EntityRef {
 			return append(buf, foots[i]...)
 		})
 
@@ -68,7 +69,8 @@ func TestChainProperties(t *testing.T) {
 
 		// Execution. Each member wants to run on a random non-empty subset of
 		// its footprint (a refused transfer never visits its payee).
-		ch := NewChain(plan)
+		var ch Chain
+		ch.Reset(plan)
 		wants := make([][]int32, len(plan.Members))
 		for m := range wants {
 			foot := plan.Footprint(m)
@@ -135,10 +137,12 @@ func TestChainReadyIsTheSerialOrder(t *testing.T) {
 			tids[i] = TID(i + 1)
 			foots[i] = []interp.EntityRef{cell(rng.Intn(6)), cell(rng.Intn(6))}
 		}
-		plan := PlanChain(tids, func(i int, buf []interp.EntityRef) []interp.EntityRef {
+		plan := &ChainPlan{}
+		PlanChain(plan, tids, func(i int, buf []interp.EntityRef) []interp.EntityRef {
 			return append(buf, foots[i]...)
 		})
-		ch := NewChain(plan)
+		var ch Chain
+		ch.Reset(plan)
 		finished := make([]bool, n)
 		var answered []int
 		var answer func(m int)
@@ -172,5 +176,92 @@ func TestChainReadyIsTheSerialOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// randomChain draws a chain's candidates: n ascending TIDs, each with one to
+// three entities out of the given number (repeats allowed).
+func randomChain(rng *rand.Rand, n, entities int) ([]TID, [][]interp.EntityRef) {
+	tids := make([]TID, n)
+	foots := make([][]interp.EntityRef, n)
+	for i := range tids {
+		tids[i] = TID(100 + 3*i)
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			foots[i] = append(foots[i], cell(rng.Intn(entities)))
+		}
+	}
+	return tids, foots
+}
+
+// samePlan reports whether two plans queue the same members on the same
+// entities, field by field.
+func samePlan(a, b *ChainPlan) bool {
+	return slices.Equal(a.Members, b.Members) && slices.Equal(a.Refs, b.Refs) && a.Depth == b.Depth &&
+		slices.Equal(a.depth, b.depth) && slices.Equal(a.foot, b.foot) && slices.Equal(a.footAt, b.footAt) &&
+		slices.Equal(a.queue, b.queue) && slices.Equal(a.queueAt, b.queueAt)
+}
+
+// TestPlanChainReplansInPlace: a plan replanned over an earlier one — larger
+// or smaller, with its entities past the scan limit or not — and a chain
+// reset over progress through another plan answer exactly as fresh ones do:
+// nothing of the earlier chain survives in either. The kept storage is
+// reused when it fits.
+func TestPlanChainReplansInPlace(t *testing.T) {
+	var kept ChainPlan
+	var progress Chain
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tids, foots := randomChain(rng, 1+rng.Intn(40), 1+rng.Intn(30))
+		footprint := func(i int, buf []interp.EntityRef) []interp.EntityRef { return append(buf, foots[i]...) }
+		fresh := &ChainPlan{}
+		PlanChain(fresh, tids, footprint)
+		members := kept.Members
+		PlanChain(&kept, append(kept.Members[:0], tids...), footprint)
+		if !samePlan(&kept, fresh) {
+			t.Fatalf("seed %d: the replanned plan differs from a fresh one", seed)
+		}
+		if cap(members) >= len(tids) && &kept.Members[:1][0] != &members[:1][0] {
+			t.Fatalf("seed %d: the member list fitted its storage and was not planned into it", seed)
+		}
+
+		var want Chain
+		want.Reset(fresh)
+		progress.Reset(&kept)
+		if !slices.Equal(progress.released, want.released) || !slices.Equal(progress.head, want.head) {
+			t.Fatalf("seed %d: a reset chain kept progress through the last plan", seed)
+		}
+		// Release a random half, so the next reset starts over real progress.
+		for m := range kept.Members {
+			if rng.Intn(2) == 0 {
+				progress.Release(m)
+				for _, e := range kept.Footprint(m) {
+					progress.Head(e)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanChainWarmAllocatesNothing: replanning a chain into a plan that held
+// one as large, with its entities past the scan limit so the index is in
+// use, and resetting a chain over it allocate nothing.
+func TestPlanChainWarmAllocatesNothing(t *testing.T) {
+	tids, foots := randomChain(rand.New(rand.NewSource(7)), 24, 3*scanLimit)
+	footprint := func(i int, buf []interp.EntityRef) []interp.EntityRef { return append(buf, foots[i]...) }
+	var plan ChainPlan
+	var ch Chain
+	run := func() {
+		PlanChain(&plan, append(plan.Members[:0], tids...), footprint)
+		ch.Reset(&plan)
+		for m := range plan.Members {
+			ch.Release(m)
+		}
+	}
+	run()
+	if len(plan.Refs) <= scanLimit {
+		t.Fatalf("scenario: %d entities, not past the scan limit", len(plan.Refs))
+	}
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Fatalf("a warm replan and reset allocate %.1f times, want 0", got)
 	}
 }
