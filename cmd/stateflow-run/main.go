@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -275,10 +274,8 @@ func runLin(profile, backend string, seed int64, noFallback, noPipelining bool, 
 	default:
 		check(fmt.Errorf("-lin needs a simulated backend (stateflow or statefun), got %q", backend))
 	}
-	p := adversarial.Profile(profile)
-	if !slices.Contains(adversarial.Profiles, p) {
-		check(fmt.Errorf("unknown -lin profile %q (want one of %v)", profile, adversarial.Profiles))
-	}
+	p, err := adversarial.ByName(profile)
+	check(err)
 	cfg := oracle.DefaultConfig()
 	cfg.DisableFallback = noFallback
 	cfg.DisablePipelining = noPipelining

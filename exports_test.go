@@ -15,68 +15,26 @@ import (
 )
 
 // testOnlyExports names the exported functions and methods under internal/
-// that no non-test Go reaches and that stay anyway, each with the test
-// harness it serves. Keys are package.Name or package.Type.Name.
+// that no non-test Go reaches and that stay anyway, each with the consumer
+// it serves: a test harness, or a caller this guard cannot see (it reads
+// non-test Go only). Keys are package.Name or package.Type.Name.
 var testOnlyExports = map[string]string{
-	"sim.Cluster.SetTap":        "harness hook: tests count timers and sends through the tap, which a perturb hook never sees",
-	"oracle.Verify":             "harness hook: the byte-equality oracle the chaos sweeps run",
-	"bench.RunPointFor":         "harness hook: the testing.B harness runs one point through it",
-	"interp.EncodeValue":        "harness hook: FuzzDecodeValue round-trips values through it",
-	"interp.DecodeValue":        "harness hook: FuzzDecodeValue decodes through it",
-	"obs.Tracer.SpanNames":      "harness hook: tests read which spans a run recorded",
-	"local.Runtime.EncodeState": "harness hook: the canonical state bytes the differential tests compare",
-	"sysapi.NewIncarnation":     "harness hook: ids from other incarnations can arrive through WithRequestID",
-}
-
-// testOnlyBacklog names the exported functions and methods under internal/
-// that only tests reach and that name matching missed: a same-named
-// identifier elsewhere counted as their use until the guard matched uses by
-// type. Each is to be deleted, or moved to testOnlyExports with the harness
-// it serves (ROADMAP C(11)). The guard treats an entry like an allowlisted
-// one — it fails once production code reaches it or internal/ no longer
-// declares it — so the list only shrinks.
-var testOnlyBacklog = map[string]bool{
-	"ast.ClassDef.Method":             true,
-	"ast.FuncDef.IsInit":              true,
-	"ast.Module.Class":                true,
-	"chaos.Engine.Plan":               true,
-	"dlog.SimLog.Len":                 true,
-	"interp.Decoder.State":            true,
-	"interp.EncodedSize":              true,
-	"interp.Encoder.State":            true,
-	"interp.Frame.Len":                true,
-	"interp.Row.Equal":                true,
-	"interp.Row.Get":                  true,
-	"lexer.Lexer.Err":                 true,
-	"live.Runtime.Metrics":            true,
-	"live.Runtime.MetricsAddr":        true,
-	"live.Runtime.Workers":            true,
-	"local.Runtime.Exists":            true,
-	"local.Runtime.Program":           true,
-	"obs.FlightRecorder.Len":          true,
-	"obs.Histogram.Count":             true,
-	"obs.Histogram.Max":               true,
-	"obs.Histogram.Mean":              true,
-	"obs.Histogram.Min":               true,
-	"obs.Histogram.Sum":               true,
-	"oracle.Workloads":                true,
-	"sim.Cluster.Drain":               true,
-	"sim.Cluster.FlightRecorder":      true,
-	"sim.Cluster.Pending":             true,
-	"snapshot.Store.Read":             true,
-	"snapshot.Store.Workers":          true,
-	"state.Store.Clone":               true,
-	"state.Store.Delete":              true,
-	"state.Store.Len":                 true,
-	"stateflow.ShardedSystem.Preload": true,
-	"stateflow.System.Workers":        true,
-	"statefun.System.FnRuntimes":      true,
-	"statefun.System.Preload":         true,
-	"statefun.System.Workers":         true,
-	"types.Info.Class":                true,
-	"workload.ByName":                 true,
-	"ycsb.Uniform.Name":               true,
-	"ycsb.Zipfian.Name":               true,
+	"sim.Cluster.SetTap":              "harness hook: tests count timers and sends through the tap, which a perturb hook never sees",
+	"oracle.Verify":                   "harness hook: the byte-equality oracle the chaos sweeps run",
+	"oracle.Workloads":                "harness hook: the catalogue the chaos sweeps run through Verify; its four constructors are reached through it",
+	"bench.RunPointFor":               "harness hook: the testing.B harness runs one point through it",
+	"interp.EncodeValue":              "harness hook: FuzzDecodeValue round-trips values through it",
+	"interp.DecodeValue":              "harness hook: FuzzDecodeValue decodes through it",
+	"interp.Encoder.State":            "reference codec: the name-keyed encoding the row, size, fuzz and runtime-diff tests check the Row codec against",
+	"interp.Decoder.State":            "reference codec: decodes the name-keyed encoding the Row codec is checked against",
+	"interp.EncodedSize":              "reference codec: the name-keyed size the Row codec's pricing is checked against",
+	"obs.Tracer.SpanNames":            "harness hook: tests read which spans a run recorded",
+	"local.Runtime.EncodeState":       "harness hook: the canonical state bytes the differential tests compare",
+	"snapshot.Store.Read":             "harness hook: stateflow's recycling tests read where a stored image lives and the corrupt-snapshot test damages one in place",
+	"sysapi.NewIncarnation":           "harness hook: ids from other incarnations can arrive through WithRequestID",
+	"stateflow.ShardedSystem.Preload": "benchmark/benchmark_test.go plants a wrong balance through it to prove the benchmark's checker catches one",
+	"live.Runtime.Metrics":            "public API: stateflow.Live is live.Runtime, and README documents reading its registry",
+	"live.Runtime.MetricsAddr":        "public API: stateflow.Live is live.Runtime, and README documents reading a \":0\" listener's port back through it",
 }
 
 // TestInternalExportsHaveACaller keeps test-only surfaces out of internal/:
@@ -243,12 +201,11 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 		}
 		called = called || satisfies(fn)
 		_, allowed := testOnlyExports[d.key]
-		allowed = allowed || testOnlyBacklog[d.key]
 		switch {
 		case !called && !allowed:
 			uncalled = append(uncalled, d.key+" ("+d.file+")")
 		case called && allowed:
-			t.Errorf("testOnlyExports or testOnlyBacklog names %s, which non-test Go now reaches: drop its entry", d.key)
+			t.Errorf("testOnlyExports names %s, which non-test Go now reaches: drop its entry", d.key)
 		}
 	}
 	sort.Strings(uncalled)
@@ -258,11 +215,6 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 	for key := range testOnlyExports {
 		if !declared[key] {
 			t.Errorf("testOnlyExports names %s, which internal/ no longer declares", key)
-		}
-	}
-	for key := range testOnlyBacklog {
-		if !declared[key] {
-			t.Errorf("testOnlyBacklog names %s, which internal/ no longer declares", key)
 		}
 	}
 }

@@ -397,9 +397,6 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Plan returns the installed plan.
-func (e *Engine) Plan() Plan { return e.plan }
-
 // ---------------------------------------------------------------------------
 // Seeded plan generation
 

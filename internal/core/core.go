@@ -191,9 +191,6 @@ func NewExecutor(prog *ir.Program) *Executor {
 	return &Executor{prog: prog, in: interp.New(prog)}
 }
 
-// Program returns the compiled program.
-func (ex *Executor) Program() *ir.Program { return ex.prog }
-
 // KeyForCtor extracts the routing key for a constructor invocation from
 // its argument list using the operator's key parameter (§2.2: the routing
 // mechanism partitions by key before the entity exists).

@@ -287,8 +287,10 @@ func TestContextEnvPruning(t *testing.T) {
 	}
 	// Frame belongs to the driver awaiting the first bump; only `c` is
 	// live (needed for the second bump; `a` arrives in the result slot).
-	if _, ok := fr.Env.GetSlot(slotOf(t, fr.Method, "c")); !ok || fr.Env.Len() != 1 {
-		t.Fatalf("want only live var c carried, got %d variables", fr.Env.Len())
+	for i, c := 0, slotOf(t, fr.Method, "c"); i < fr.Method.Frame.NumSlots(); i++ {
+		if _, ok := fr.Env.GetSlot(i); ok != (i == c) {
+			t.Fatalf("want only live var c carried, got %s defined: %v", fr.Method.Frame.Vars[i], ok)
+		}
 	}
 	if fr.Result != slotOf(t, fr.Method, "a")+1 {
 		t.Fatalf("result slot %d, want a's", fr.Result)
@@ -373,7 +375,7 @@ func TestStepYieldsOneEvent(t *testing.T) {
 			for i := 0; i <= tc.at; i++ {
 				var st Store = store
 				if tc.empty && i == tc.at {
-					st = memStore{state.NewStore(ex.Program().Layouts())}
+					st = memStore{state.NewStore(ex.prog.Layouts())}
 				}
 				var err error
 				if ev, err = ex.Step(&ev, st); err != nil {
@@ -444,7 +446,7 @@ func TestStepFaults(t *testing.T) {
 func TestStepAllocs(t *testing.T) {
 	ex, store := newExec(t)
 	for name, want := range map[string]int{"deposit": 1, "deposit_twice": 1, "deposit_sum": 5} {
-		m := ex.Program().Operator("Account").Method(name)
+		m := ex.prog.Operator("Account").Method(name)
 		if !m.Simple || m.Frame.NumSlots() != want {
 			t.Fatalf("Account.%s: simple %v, %d slots, want a simple method of %d: the cases below no longer test what they name",
 				name, m.Simple, m.Frame.NumSlots(), want)
@@ -566,7 +568,7 @@ func TestStepAllocsArena(t *testing.T) {
 	ex := NewExecutor(prog)
 	store := memStore{state.NewStore(prog.Layouts())}
 	wallet, cell := interp.EntityRef{Class: "Wallet", Key: "w"}, interp.EntityRef{Class: "Cell", Key: "c"}
-	fresh := interp.EntityRef{Class: "Cell", Key: "fresh"}
+	fresh, relay := interp.EntityRef{Class: "Cell", Key: "fresh"}, interp.EntityRef{Class: "Relay", Key: "r"}
 	for name, want := range map[string]int{"Wallet.pay": 2, "Wallet.open": 1, "Wallet.repeat": 2, "Wallet.plus": 2, "Wallet.deep": 3, "Relay.mid": 2, "Cell.add": 1} {
 		class, method, _ := strings.Cut(name, ".")
 		if got := prog.Operator(class).Method(method).Frame.NumSlots(); got != want {
@@ -580,8 +582,8 @@ func TestStepAllocsArena(t *testing.T) {
 		args   []interp.Value
 		value  string
 		cellV  int64 // c's balance after the call (v starts at 0)
-		// created: the call constructs fresh, which is deleted after every
-		// run so the next one can construct it again.
+		// created: the call constructs fresh, which is cleared away after
+		// every run so the next one can construct it again.
 		created bool
 		ceiling float64
 	}{
@@ -601,10 +603,10 @@ func TestStepAllocsArena(t *testing.T) {
 		// third, outgrows the inline stack.
 		{"a chain deeper than the arena", "deep", []interp.Value{interp.RefV("Relay", "r"), c}, "6", 4, false, 6},
 	} {
+		store.Clear()
 		store.PutMap(wallet, interp.MapState{"name": interp.StrV("w"), "v": interp.IntV(100)})
 		store.PutMap(cell, interp.MapState{"name": interp.StrV("c"), "v": interp.IntV(0)})
-		store.PutMap(interp.EntityRef{Class: "Relay", Key: "r"}, interp.MapState{"name": interp.StrV("r")})
-		store.Delete(fresh)
+		store.PutMap(relay, interp.MapState{"name": interp.StrV("r")})
 		root := Event{Kind: EvInvoke, Req: "r", Target: wallet, Method: tc.method, Args: tc.args}
 		resp, _, err := ex.Drive(root, store)
 		if err != nil || resp.Err != "" || resp.Value.Repr() != tc.value {
@@ -619,13 +621,22 @@ func TestStepAllocsArena(t *testing.T) {
 		if w, _ := store.Lookup(wallet); w.(*interp.Row).CloneMap()["v"].I != 100 {
 			t.Errorf("%s: the wallet changed: %v", tc.name, w.(*interp.Row).CloneMap())
 		}
+		// Clearing the store and putting back the rows the run left removes
+		// fresh without allocating.
+		rows := [3]*interp.Row{}
+		for i, ref := range []interp.EntityRef{wallet, cell, relay} {
+			rows[i], _ = store.Store.Lookup(ref)
+		}
 		allocs := testing.AllocsPerRun(100, func() {
 			ev := root
 			for ev.Kind != EvResponse {
 				ev, _ = ex.Step(&ev, store)
 			}
 			if tc.created {
-				store.Delete(fresh)
+				store.Clear()
+				store.Put(wallet, rows[0])
+				store.Put(cell, rows[1])
+				store.Put(relay, rows[2])
 			}
 		})
 		t.Logf("%s: %.0f allocations", tc.name, allocs)

@@ -148,7 +148,7 @@ func TestSimLogSyncAtGroupCommit(t *testing.T) {
 // probe alternative crash instants of one history.
 func NewSimLogFrom(l *SimLog) *SimLog {
 	c := &SimLog{base: bytes.Clone(l.base), hasBase: l.hasBase}
-	for i := range l.Len() {
+	for i := range l.recs.Len() {
 		r := l.recs.At(i)
 		c.Append(r.rec)
 		c.recs.At(i).durableAt = r.durableAt

@@ -186,9 +186,5 @@ func (l *SimLog) Recover(now time.Duration) Recovered {
 	return out
 }
 
-// Len reports the number of live (post-checkpoint) records, durable or
-// volatile.
-func (l *SimLog) Len() int { return l.recs.Len() }
-
 // Stats returns a copy of the activity counters.
 func (l *SimLog) Stats() Stats { return l.stats }

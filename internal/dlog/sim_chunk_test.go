@@ -45,8 +45,8 @@ func TestSimLogChunkBoundaries(t *testing.T) {
 					t.Fatalf("n=%d size=%d: append %d got LSN %d", n, size, i, lsn)
 				}
 			}
-			if l.Len() != n {
-				t.Fatalf("n=%d size=%d: Len %d", n, size, l.Len())
+			if l.recs.Len() != n {
+				t.Fatalf("n=%d size=%d: %d records", n, size, l.recs.Len())
 			}
 			l.SyncNow(time.Millisecond)
 			img := l.Recover(time.Millisecond)
@@ -77,8 +77,8 @@ func TestSimLogCrashAtAChunkBoundary(t *testing.T) {
 	}
 	l.SyncAt(3 * time.Millisecond)
 	l.Crash(2 * time.Millisecond)
-	if l.Len() != per {
-		t.Fatalf("after the crash: %d records, want the %d durable ones", l.Len(), per)
+	if l.recs.Len() != per {
+		t.Fatalf("after the crash: %d records, want the %d durable ones", l.recs.Len(), per)
 	}
 	if s := l.Stats(); s.TornTails != 1 || s.LostRecords != 4 {
 		t.Fatalf("crash: %d torn, %d lost, want 1 and 4", s.TornTails, s.LostRecords)

@@ -90,9 +90,9 @@ func TestSimLogMatchesNaiveSyncModel(t *testing.T) {
 		var script []string
 		check := func() {
 			t.Helper()
-			if real.Stats() != model.stats || real.Len() != len(model.recs) {
+			if real.Stats() != model.stats || real.recs.Len() != len(model.recs) {
 				t.Fatalf("seed %d after %v:\n SimLog %+v len %d\n  model %+v len %d",
-					seed, script, real.Stats(), real.Len(), model.stats, len(model.recs))
+					seed, script, real.Stats(), real.recs.Len(), model.stats, len(model.recs))
 			}
 			for i, want := range model.recs {
 				if got := real.recs.At(i); got.durableAt != want.durableAt || got.rec.Kind != want.rec.Kind || got.rec.At != want.rec.At || !bytes.Equal(got.rec.Data, want.rec.Data) {

@@ -108,17 +108,6 @@ func (f *Frame) SetSlot(i int, v Value) {
 	f.setDef(i)
 }
 
-// Len counts defined variables.
-func (f *Frame) Len() int {
-	n := 0
-	for i := range f.slots {
-		if f.defined(i) {
-			n++
-		}
-	}
-	return n
-}
-
 // Keep drops every variable outside slots (the suspending block's
 // ir.Block.LiveOutSlots), releasing the values the continuation no longer
 // needs.

@@ -52,7 +52,7 @@ func evalSrc(t *testing.T, body string, st MapState) (Value, error) {
 	row := RowFromMap(layout, st)
 	v, err := runM(in, m, row)
 	if st != nil {
-		for k, a := range row.ToMap() {
+		for k, a := range row.CloneMap() {
 			st[k] = a
 		}
 	}

@@ -23,7 +23,7 @@ type Row struct {
 	presentBig  []bool // presence spill for wider rows (non-nil iff used)
 	enc         []byte // cached canonical encoding; nil = dirty
 	// aliased disables the encoding cache: a container value (list/dict)
-	// was handed out by Get, so the holder can mutate the row's state
+	// was handed out by GetSlot, so the holder can mutate the row's state
 	// through the shared backing store without going through Set. The
 	// flag is deliberately sticky — the alias may outlive any later Set
 	// (touchStateAttr re-installs the same container) — so an aliased
@@ -79,14 +79,6 @@ func (r *Row) leak(v Value) Value {
 	return v
 }
 
-// Get reads an attribute by name; a name outside the layout is absent.
-func (r *Row) Get(attr string) (Value, bool) {
-	if i, ok := r.layout.SlotOf(attr); ok {
-		return r.GetSlot(i)
-	}
-	return None, false
-}
-
 // Set writes an attribute by name, invalidating the cached encoding. The
 // name must be in the layout: a class has exactly the attributes its
 // __init__ declares, so any other name is a bug in the caller.
@@ -130,18 +122,6 @@ func (r *Row) Len() int {
 		}
 	}
 	return n
-}
-
-// ToMap returns the attributes as a MapState sharing the row's values.
-// Shared containers count as escaped aliases (see Get).
-func (r *Row) ToMap() MapState {
-	out := make(MapState, r.Len())
-	for i := range r.slots {
-		if r.isPresent(i) {
-			out[r.layout.Attrs[i]] = r.leak(r.slots[i])
-		}
-	}
-	return out
 }
 
 // CloneMap returns the attributes as a deep-copied MapState.
@@ -306,19 +286,4 @@ func (d *Decoder) Row(layout *ir.ClassLayout) (*Row, error) {
 		r.markPresent(slot)
 	}
 	return r, nil
-}
-
-// Equal reports semantic equality of two rows' attribute maps.
-func (r *Row) Equal(o *Row) bool {
-	if r.Len() != o.Len() {
-		return false
-	}
-	om := o.ToMap()
-	for k, v := range r.ToMap() {
-		ov, ok := om[k]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
 }

@@ -55,7 +55,7 @@ func requireSizeMatches(t *testing.T, r *Row, what string) {
 	t.Helper()
 	enc := r.Encoding()
 	if got, want := r.EncodedSize(), len(enc); got != want {
-		t.Fatalf("%s: EncodedSize() = %d, len(Encoding()) = %d (attrs %v)", what, got, want, r.ToMap())
+		t.Fatalf("%s: EncodedSize() = %d, len(Encoding()) = %d (attrs %v)", what, got, want, r.CloneMap())
 	}
 	// The encoding is built in a buffer of exactly EncodedSize bytes.
 	if cap(enc) != len(enc) {
@@ -86,13 +86,14 @@ func TestRowEncodedSizeMatchesEncoding(t *testing.T) {
 			// Hand a container out (the row stops caching), mutate it
 			// behind the row's back, and price again.
 			r.Set(attrs[0], ListV(IntV(1)))
-			v, _ := r.Get(attrs[0])
+			slot, _ := r.Layout().SlotOf(attrs[0])
+			v, _ := r.GetSlot(slot)
 			requireSizeMatches(t, r, "aliased")
 			v.L.Elems = append(v.L.Elems, boundaryValue(rng, 1))
 			requireSizeMatches(t, r, "aliased, mutated through the alias")
 		}
 		requireSizeMatches(t, r.Clone(), "clone")
-		if got, want := EncodedSize(r.ToMap()), len(r.Encoding()); got != want {
+		if got, want := EncodedSize(r.CloneMap()), len(r.Encoding()); got != want {
 			t.Fatalf("EncodedSize(MapState) = %d, encoding is %d bytes", got, want)
 		}
 	}
@@ -138,8 +139,8 @@ func FuzzRowEncodedSize(f *testing.F) {
 			return
 		}
 		requireSizeMatches(t, r, "decoded row")
-		for _, k := range names {
-			r.Get(k) // alias every container
+		for i := range r.slots {
+			r.GetSlot(i) // alias every container
 		}
 		requireSizeMatches(t, r, "decoded row, aliased")
 		if len(names) > 0 {

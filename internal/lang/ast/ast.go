@@ -60,16 +60,6 @@ type Module struct {
 // Pos returns the module's position.
 func (m *Module) Pos() token.Pos { return m.Position }
 
-// Class looks up a class definition by name, or nil.
-func (m *Module) Class(name string) *ClassDef {
-	for _, c := range m.Classes {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // ClassDef is a class definition with optional decorators.
 type ClassDef struct {
 	Position   token.Pos
@@ -103,16 +93,6 @@ func (c *ClassDef) IsTransactional() bool {
 	return false
 }
 
-// Method looks up a method definition by name, or nil.
-func (c *ClassDef) Method(name string) *FuncDef {
-	for _, m := range c.Methods {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
-}
-
 // Param is a typed function parameter.
 type Param struct {
 	Position token.Pos
@@ -136,9 +116,6 @@ type FuncDef struct {
 
 // Pos returns the function's position.
 func (f *FuncDef) Pos() token.Pos { return f.Position }
-
-// IsInit reports whether this is the __init__ constructor.
-func (f *FuncDef) IsInit() bool { return f.Name == "__init__" }
 
 // IsTransactional reports whether the method carries @transactional.
 func (f *FuncDef) IsTransactional() bool {

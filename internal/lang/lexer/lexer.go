@@ -66,14 +66,6 @@ func Tokenize(src string) ([]token.Token, error) {
 	}
 }
 
-// Err returns the first lexical error, if any.
-func (l *Lexer) Err() error {
-	if l.err == nil {
-		return nil
-	}
-	return l.err
-}
-
 func (l *Lexer) fail(pos token.Pos, format string, args ...any) token.Token {
 	if l.err == nil {
 		l.err = &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}

@@ -63,7 +63,7 @@ func TestTokenStreamTerminatesProperty(t *testing.T) {
 		limit := len(raw)*4 + 64
 		for i := 0; i < limit; i++ {
 			tk := lx.Next()
-			if lx.Err() != nil || tk.Kind == token.EOF {
+			if lx.err != nil || tk.Kind == token.EOF {
 				return true
 			}
 		}

@@ -57,17 +57,16 @@ func TestParseFigure1(t *testing.T) {
 	if len(mod.Classes) != 2 {
 		t.Fatalf("classes: got %d, want 2", len(mod.Classes))
 	}
-	item := mod.Class("Item")
-	if item == nil || !item.IsEntity() {
+	item, user := mod.Classes[0], mod.Classes[1]
+	if item.Name != "Item" || !item.IsEntity() {
 		t.Fatalf("Item missing or not entity")
 	}
 	if len(item.Methods) != 4 {
 		t.Fatalf("Item methods: got %d, want 4", len(item.Methods))
 	}
-	user := mod.Class("User")
-	buy := user.Method("buy_item")
-	if buy == nil {
-		t.Fatal("buy_item missing")
+	buy := user.Methods[2]
+	if user.Name != "User" || buy.Name != "buy_item" {
+		t.Fatalf("%s.%s in buy_item's place", user.Name, buy.Name)
 	}
 	if !buy.IsTransactional() {
 		t.Fatal("buy_item should be @transactional")
@@ -96,7 +95,7 @@ func parseOne(t *testing.T, body string) *ast.FuncDef {
 	if err != nil {
 		t.Fatalf("Parse: %v\nsource:\n%s", err, src)
 	}
-	return mod.Class("C").Method("m")
+	return mod.Classes[0].Methods[2] // C.m, after __init__ and __key__
 }
 
 func TestPrecedence(t *testing.T) {
@@ -210,7 +209,7 @@ class C:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mod.Class("C").Method("m")
+	m := mod.Classes[0].Methods[2]
 	if m.Params[0].Type.Name != "list" || m.Params[0].Type.Args[0].Name != "str" {
 		t.Fatalf("param type: %s", m.Params[0].Type)
 	}

@@ -218,9 +218,6 @@ type Info struct {
 	ExprTypes map[ast.Expr]*Type
 }
 
-// Class returns the checked class by name, or nil.
-func (i *Info) Class(name string) *Class { return i.Classes[name] }
-
 // Error is a semantic (type) error with position.
 type Error struct {
 	Pos token.Pos

@@ -79,14 +79,14 @@ func wantErr(t *testing.T, src, fragment string) {
 
 func TestFigure1Checks(t *testing.T) {
 	info := mustCheck(t, figure1)
-	item := info.Class("Item")
+	item := info.Classes["Item"]
 	if item.KeyAttr != "item_id" {
 		t.Fatalf("Item key attr: %s", item.KeyAttr)
 	}
 	if len(item.Attrs) != 3 {
 		t.Fatalf("Item attrs: %d", len(item.Attrs))
 	}
-	user := info.Class("User")
+	user := info.Classes["User"]
 	buy := user.Methods["buy_item"]
 	if !buy.Transactional {
 		t.Fatal("buy_item should be transactional")
@@ -389,7 +389,7 @@ func TestDivisionIsFloat(t *testing.T) {
     def m(self) -> float:
         return 4 / 2
 `)
-	m := info.Class("C").Methods["m"]
+	m := info.Classes["C"].Methods["m"]
 	if m.Returns != Float {
 		t.Fatalf("returns: %s", m.Returns)
 	}
@@ -556,7 +556,7 @@ class C:
         return total
 `)
 	remote := 0
-	ast.WalkStmts(info.Class("C").Methods["m"].Def.Body, func(s ast.Stmt) {
+	ast.WalkStmts(info.Classes["C"].Methods["m"].Def.Body, func(s ast.Stmt) {
 		for _, e := range ast.ExprsOf(s) {
 			ast.WalkExpr(e, func(x ast.Expr) bool {
 				if call, ok := x.(*ast.Call); ok && info.Calls[call].Remote {

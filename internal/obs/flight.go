@@ -90,17 +90,7 @@ func (f *FlightRecorder) Recordf(at time.Duration, node, kind, format string, ar
 	f.Record(at, node, kind, fmt.Sprintf(format, args...))
 }
 
-// Len returns the number of retained events.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.buf)
-}
-
-// Total returns the number of events ever recorded (≥ Len).
+// Total returns the number of events ever recorded, retained or not.
 func (f *FlightRecorder) Total() int64 {
 	if f == nil {
 		return 0

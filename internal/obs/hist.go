@@ -116,49 +116,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observed samples (all of them, not just
-// the retained reservoir).
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.seen
-}
-
-// Sum returns the exact sum over every observed sample.
-func (h *Histogram) Sum() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the exact arithmetic mean.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.meanLocked()
-}
-
-func (h *Histogram) meanLocked() time.Duration {
-	if h.seen == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.seen)
-}
-
-// Min returns the smallest observed sample (exact in both modes).
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest observed sample (exact in both modes).
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 func (h *Histogram) sortLocked() {
 	if !h.sorted {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
@@ -192,10 +149,14 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.sortLocked()
+	var mean time.Duration
+	if h.seen > 0 {
+		mean = h.sum / time.Duration(h.seen)
+	}
 	return HistSnapshot{
 		Count: h.seen,
 		Sum:   h.sum,
-		Mean:  h.meanLocked(),
+		Mean:  mean,
 		Min:   h.min,
 		Max:   h.max,
 		P50:   PercentileOf(h.samples, 50),

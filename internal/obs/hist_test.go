@@ -29,11 +29,8 @@ func TestPercentiles(t *testing.T) {
 // TestEmptySeries: an empty histogram reads all zero.
 func TestEmptySeries(t *testing.T) {
 	s := &Histogram{}
-	if s.Percentile(99) != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Percentile(99) != 0 || s.Snapshot() != (HistSnapshot{}) {
 		t.Fatal("empty histogram must be all zero")
-	}
-	if s.Count() != 0 {
-		t.Fatal("count")
 	}
 }
 
@@ -42,11 +39,12 @@ func TestMeanMinMax(t *testing.T) {
 	for _, d := range []time.Duration{30, 10, 20} {
 		s.Observe(d * time.Millisecond)
 	}
-	if s.Mean() != 20*time.Millisecond {
-		t.Fatalf("mean: %s", s.Mean())
+	snap := s.Snapshot()
+	if snap.Count != 3 || snap.Sum != 60*time.Millisecond || snap.Mean != 20*time.Millisecond {
+		t.Fatalf("count/sum/mean: %d/%s/%s", snap.Count, snap.Sum, snap.Mean)
 	}
-	if s.Min() != 10*time.Millisecond || s.Max() != 30*time.Millisecond {
-		t.Fatalf("min/max: %s/%s", s.Min(), s.Max())
+	if snap.Min != 10*time.Millisecond || snap.Max != 30*time.Millisecond {
+		t.Fatalf("min/max: %s/%s", snap.Min, snap.Max)
 	}
 }
 
@@ -55,7 +53,7 @@ func TestAddAfterQueryResorts(t *testing.T) {
 	s.Observe(10 * time.Millisecond)
 	_ = s.Percentile(50)
 	s.Observe(1 * time.Millisecond)
-	if s.Min() != 1*time.Millisecond {
+	if s.Percentile(0) != 1*time.Millisecond {
 		t.Fatal("histogram must re-sort after new samples")
 	}
 }
@@ -90,8 +88,8 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		for _, v := range raw {
 			s.Observe(time.Duration(v) * time.Microsecond)
 		}
-		got := s.Percentile(float64(p % 101))
-		return got >= s.Min() && got <= s.Max()
+		got, snap := s.Percentile(float64(p%101)), s.Snapshot()
+		return got >= snap.Min && got <= snap.Max
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)

@@ -487,9 +487,6 @@ func (rt *Runtime) Close() {
 	}
 }
 
-// Workers returns the number of partitions.
-func (rt *Runtime) Workers() int { return len(rt.workers) }
-
 // Processed returns the total number of handled events.
 func (rt *Runtime) Processed() int64 {
 	var total int64

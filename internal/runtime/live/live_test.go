@@ -226,8 +226,8 @@ func TestProcessedCounter(t *testing.T) {
 	if rt.Processed() <= before {
 		t.Fatal("processed counter did not advance")
 	}
-	if rt.Workers() != 2 {
-		t.Fatalf("workers: %d", rt.Workers())
+	if n := rt.Metrics().Snapshot()["live.workers"]; n != 2 {
+		t.Fatalf("live.workers: %d", n)
 	}
 }
 

@@ -31,9 +31,6 @@ func New(prog *ir.Program) *Runtime {
 	return &Runtime{ex: core.NewExecutor(prog), states: state.NewStore(prog.Layouts())}
 }
 
-// Program returns the compiled program.
-func (r *Runtime) Program() *ir.Program { return r.ex.Program() }
-
 type store struct{ r *Runtime }
 
 // Lookup implements core.Store.
@@ -128,11 +125,6 @@ func (r *Runtime) PreloadEntity(class string, args ...interp.Value) error {
 	}
 	r.states.Put(ref, row)
 	return nil
-}
-
-// Exists reports whether an entity has state.
-func (r *Runtime) Exists(class, key string) bool {
-	return r.states.Exists(interp.EntityRef{Class: class, Key: key})
 }
 
 // Keys lists the keys of all entities of a class, sorted.

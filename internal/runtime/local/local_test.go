@@ -380,7 +380,7 @@ func TestConstructorFromMethod(t *testing.T) {
 	if v.I != 42 {
 		t.Fatalf("spawn: %v", v)
 	}
-	if !r.Exists("Counter", "c9") {
+	if _, ok := r.State("Counter", "c9"); !ok {
 		t.Fatal("spawned counter missing")
 	}
 }

@@ -267,9 +267,6 @@ func (c *Cluster) Now() time.Duration { return c.now }
 // crash/reboot events. Pass nil to detach.
 func (c *Cluster) SetFlightRecorder(f *obs.FlightRecorder) { c.flight = f }
 
-// FlightRecorder returns the attached recorder (nil when none).
-func (c *Cluster) FlightRecorder() *obs.FlightRecorder { return c.flight }
-
 // Rand exposes the cluster's deterministic randomness source.
 func (c *Cluster) Rand() *rand.Rand { return c.rng }
 
@@ -513,22 +510,6 @@ func (c *Cluster) RunUntil(horizon time.Duration) int {
 	}
 	return n
 }
-
-// Drain runs until no events remain (no horizon). It guards against
-// runaway simulations with a generous event bound.
-func (c *Cluster) Drain(maxEvents int) error {
-	n := 0
-	for len(c.queue) > 0 {
-		if n >= maxEvents {
-			return fmt.Errorf("sim: drain exceeded %d events", maxEvents)
-		}
-		n += c.RunUntil(c.queue[0].at)
-	}
-	return nil
-}
-
-// Pending reports queued events (for tests).
-func (c *Cluster) Pending() int { return len(c.queue) }
 
 // Context is the capability handed to a component while it processes one
 // message. It belongs to the cluster and is valid only for the duration

@@ -105,8 +105,8 @@ func TestRetiredSnapshotIsNotFound(t *testing.T) {
 	if _, err := s.RestoreStore(1, "w0"); err == nil {
 		t.Fatal("RestoreStore restored a retired snapshot")
 	}
-	if st, err := s.RestoreStore(id, "w0"); err != nil || st.Len() != 0 {
-		t.Fatalf("a held snapshot without the worker's image: %v, %d rows", err, st.Len())
+	if st, err := s.RestoreStore(id, "w0"); err != nil || len(st.Refs()) != 0 {
+		t.Fatalf("a held snapshot without the worker's image: %v, %d rows", err, len(st.Refs()))
 	}
 }
 

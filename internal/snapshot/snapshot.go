@@ -14,7 +14,6 @@ package snapshot
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"statefulentities.dev/stateflow/internal/ir"
@@ -196,19 +195,6 @@ func (s *Store) RestoreStore(id int64, worker string) (*state.Store, error) {
 		return state.NewStore(s.layouts), nil
 	}
 	return state.DecodeStore(img, s.layouts)
-}
-
-// Workers lists workers with images in a snapshot, sorted.
-func (s *Store) Workers(id int64) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	imgs := s.images[id]
-	out := make([]string, 0, len(imgs))
-	for w := range imgs {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Count returns the number of snapshots ever begun — a stable id bound

@@ -90,14 +90,14 @@ func TestRestoreStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := back.Lookup(interp.EntityRef{Class: "A", Key: "k"})
-	v, has := got.Get("v")
+	v, has := got.CloneMap()["v"]
 	if !ok || !has || v.I != 7 {
 		t.Fatalf("restored: %v", got)
 	}
 	// A worker with no image restores to empty.
 	empty, err := snaps.RestoreStore(id, "w-unknown")
-	if err != nil || empty.Len() != 0 {
-		t.Fatalf("empty restore: %v %v", empty.Len(), err)
+	if err != nil || len(empty.Refs()) != 0 {
+		t.Fatalf("empty restore: %v %v", len(empty.Refs()), err)
 	}
 }
 
@@ -112,20 +112,6 @@ func TestImagesAreCopied(t *testing.T) {
 	img, _ := s.Read(id, "w0")
 	if img[0] != 1 {
 		t.Fatal("image aliased caller buffer")
-	}
-}
-
-func TestWorkersSorted(t *testing.T) {
-	s := NewStore(testLayouts())
-	id := s.Begin(1, nil)
-	for _, w := range []string{"w2", "w0", "w1"} {
-		if err := s.Write(id, w, []byte{0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ws := s.Workers(id)
-	if len(ws) != 3 || ws[0] != "w0" || ws[2] != "w2" {
-		t.Fatalf("workers: %v", ws)
 	}
 }
 

@@ -85,14 +85,8 @@ func (s *Store) PutMap(ref interp.EntityRef, st interp.MapState) {
 	s.m[ref] = interp.RowFromMap(s.layouts.LayoutOf(ref.Class), st)
 }
 
-// Delete removes an entity.
-func (s *Store) Delete(ref interp.EntityRef) { delete(s.m, ref) }
-
 // Clear removes every entity, keeping the store's map for reuse.
 func (s *Store) Clear() { clear(s.m) }
-
-// Len returns the number of resident entities.
-func (s *Store) Len() int { return len(s.m) }
 
 // Refs lists resident entities in deterministic order.
 func (s *Store) Refs() []interp.EntityRef {
@@ -199,15 +193,6 @@ func DecodeStore(buf []byte, layouts *ir.Layouts) (*Store, error) {
 		return nil, fmt.Errorf("state: %d trailing bytes", d.Remaining())
 	}
 	return s, nil
-}
-
-// Clone deep-copies the store (used to fork snapshot images).
-func (s *Store) Clone() *Store {
-	out := NewStore(s.layouts)
-	for ref, st := range s.m {
-		out.m[ref] = st.Clone()
-	}
-	return out
 }
 
 // TotalEncodedSize sums serialized sizes over all entities.

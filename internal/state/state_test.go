@@ -30,7 +30,7 @@ func testLayouts() *ir.Layouts {
 
 func get(t *testing.T, r *interp.Row, attr string) interp.Value {
 	t.Helper()
-	v, ok := r.Get(attr)
+	v, ok := r.CloneMap()[attr]
 	if !ok {
 		t.Fatalf("attr %s missing", attr)
 	}
@@ -66,15 +66,15 @@ func TestCreateLookup(t *testing.T) {
 	}
 }
 
-func TestPutDeleteLen(t *testing.T) {
+func TestPutClear(t *testing.T) {
 	s := NewStore(testLayouts())
 	s.PutMap(ref("A", "k"), interp.MapState{"x": interp.IntV(1)})
-	if s.Len() != 1 {
-		t.Fatalf("len: %d", s.Len())
+	if len(s.m) != 1 || !s.Exists(ref("A", "k")) {
+		t.Fatalf("len: %d", len(s.m))
 	}
-	s.Delete(ref("A", "k"))
-	if s.Len() != 0 || s.Exists(ref("A", "k")) {
-		t.Fatal("delete")
+	s.Clear()
+	if len(s.m) != 0 || s.Exists(ref("A", "k")) {
+		t.Fatal("clear")
 	}
 }
 
@@ -104,8 +104,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 2 {
-		t.Fatalf("len: %d", back.Len())
+	if len(back.m) != 2 {
+		t.Fatalf("len: %d", len(back.m))
 	}
 	st, ok := back.Lookup(ref("Account", "alice"))
 	if !ok || get(t, st, "balance").I != 100 || get(t, st, "tags").L.Elems[0].Str() != "vip" {
@@ -190,18 +190,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeStore(enc[:len(enc)-2], testLayouts()); err == nil {
 		t.Fatal("truncated must fail")
-	}
-}
-
-func TestCloneIsolation(t *testing.T) {
-	s := NewStore(testLayouts())
-	s.PutMap(ref("A", "k"), interp.MapState{"xs": interp.ListV(interp.IntV(1))})
-	c := s.Clone()
-	st, _ := c.Lookup(ref("A", "k"))
-	get(t, st, "xs").L.Elems[0] = interp.IntV(99)
-	orig, _ := s.Lookup(ref("A", "k"))
-	if get(t, orig, "xs").L.Elems[0].I != 1 {
-		t.Fatal("clone must deep-copy")
 	}
 }
 

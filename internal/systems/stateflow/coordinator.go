@@ -133,10 +133,10 @@ type CoordinatorStats struct {
 type Coordinator struct {
 	sys *System
 
-	// epoch is the latest epoch ever opened (the exec slot's epoch outside
-	// recovery); it is the value the view-change guard reasons about.
-	epoch   int64
-	nextTID aria.TID
+	// marks are the facts the journal keeps durable for the coordinator
+	// (journal.go): the epoch and TID high-water marks, the sealed snapshot
+	// and its cut, and the newest global batch unfenced for.
+	marks
 
 	// The pipeline stage table. exec is the epoch accepting and executing
 	// its batch; commit is the epoch in apply/fallback/snapshot.
@@ -160,13 +160,9 @@ type Coordinator struct {
 	validator aria.Validator
 
 	// snapCut is the aligned-cut virtual time of the snapshot in flight
-	// (when its epoch staged its last response) and sealedCut the sealed
-	// snapshot's: a delivered entry released after the restored snapshot's
-	// cut has effects the images predate, which is exactly what makes it
-	// binding. Recovery restores only the sealed snapshot, so its cut is the
-	// only one it reads; it rides the dlog checkpoint so the classification
-	// survives reboots.
-	snapCut, sealedCut time.Duration
+	// (when its epoch staged its last response); sealing it makes it
+	// sealedCut.
+	snapCut time.Duration
 
 	// Replayable source position: how many log records have been drawn
 	// into batches.
@@ -183,15 +179,6 @@ type Coordinator struct {
 	// snapshotID is the snapshot in flight, or the last one taken or
 	// restored.
 	snapshotID int64
-
-	// sealed is the newest snapshot id whose seal is durable (carried in
-	// the latest dlog checkpoint). A snapshot's images may be complete in
-	// the store while its seal is still volatile; recovery restores only
-	// up to sealed, so the snapshot path never needs to force the WAL
-	// ahead of the images — the checkpoint that seals the snapshot is the
-	// single sync that makes both the images and the delivered-records
-	// they depend on recoverable together.
-	sealed int64
 
 	// journal is the exactly-once border: ingress dedup, staged and
 	// delivered responses, and the durable log they and the epoch advances
@@ -227,15 +214,11 @@ type Coordinator struct {
 	// fencePending is a fence request received but not yet quiesced (Seq 0:
 	// none). fenceSeq is the global batch the shard is parked for, from the
 	// durable open fence marker to its closing one (0: not parked; batch
-	// ids start at 1). fenceDone is the highest batch whose closing
-	// marker was appended (idempotent re-acks for lost acks); it rides the
-	// journal's checkpoints, so a reboot whose restored cursor is past the
-	// marker still knows the batch is done. fenceApply
-	// holds an unanswered apply record the recovery scan found in the log
-	// suffix; it executes once the binding replay drains.
+	// ids start at 1); the batch's closing marker raises marks.fenceDone.
+	// fenceApply holds an unanswered apply record the recovery scan found
+	// in the log suffix; it executes once the binding replay drains.
 	fencePending msgFence
 	fenceSeq     int64
-	fenceDone    int64
 	fenceApply   *pendingReq
 	// ballot is the highest sequencer ballot this shard promised
 	// (onSeqFenceQuery): an apply from a lower one is dropped. Inside a
@@ -628,8 +611,7 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 		offset = meta.SourceOffsets[sourceTopic][0]
 	}
 	c.sealed, c.sealedCut = c.snapshotID, c.snapCut
-	c.journal.checkpoint(ctx, marks{epoch: c.epoch, nextTID: c.nextTID,
-		sealed: c.sealed, sealedCut: c.sealedCut, fenceDone: c.fenceDone}, offset)
+	c.journal.checkpoint(ctx, c.marks, offset)
 	if c.sys.cfg.SnapshotRetain == 1 {
 		c.sys.Snapshots.Compact(1)
 	}

@@ -49,7 +49,7 @@ func decideHeldBack(t *testing.T) (*sim.Cluster, *ShardedSystem, *rawClient, *Wo
 	}
 	if row, _ := owner.committed.Lookup(ref); row == nil {
 		t.Fatal("the account is missing at its owner")
-	} else if bal, _ := row.Get("balance"); bal.I != 100 {
+	} else if bal := row.CloneMap()["balance"]; bal.I != 100 {
 		t.Fatalf("the owner holds balance %d when the deposit is answered: it installed the decide first, so the case is vacuous", bal.I)
 	}
 	return cluster, sys, client, owner

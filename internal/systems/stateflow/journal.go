@@ -116,8 +116,9 @@ type stagedResponse struct {
 // marks are the coordinator facts the journal keeps durable on its
 // owner's behalf: they ride every checkpoint and come back from restore.
 type marks struct {
-	// epoch is the high-water mark of epochs ever opened; restore raises it
-	// over every epoch record in the log suffix.
+	// epoch is the high-water mark of epochs ever opened (the exec slot's
+	// epoch outside recovery), the value the view-change guard reasons
+	// about; restore raises it over every epoch record in the log suffix.
 	epoch   int64
 	nextTID aria.TID
 	// sealed is the id of the newest snapshot the checkpoint vouches for:
@@ -134,10 +135,12 @@ type marks struct {
 	// entry's effects are inside the restored images or must be rebuilt by
 	// the binding replay, so it must survive a reboot alongside sealed.
 	sealedCut time.Duration
-	// fenceDone is the newest global batch the owner unfenced for. The
-	// restart scan only sees the closing markers past the restored cursor,
-	// so without this mark a reboot would drop a re-sent unfence and report
-	// a high-water mark under which a rebooted sequencer reuses batch ids.
+	// fenceDone is the newest global batch the owner unfenced for: the
+	// highest whose closing marker was appended, so a lost ack is re-acked
+	// idempotently. The restart scan only sees the closing markers past
+	// the restored cursor, so without this mark a reboot would drop a
+	// re-sent unfence and report a high-water mark under which a rebooted
+	// sequencer reuses batch ids.
 	fenceDone int64
 }
 

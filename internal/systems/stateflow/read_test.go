@@ -96,7 +96,7 @@ func TestFastReadWaitsForTheChainsFinalDecide(t *testing.T) {
 	c := sys.Single().Coordinator()
 	chained := payer.appliedEpoch + 1
 	row, _ := payer.committed.Lookup(payerRef)
-	bal, _ := row.Get("balance")
+	bal := row.CloneMap()["balance"]
 	if ep := payer.epochs[chained]; c.FallbackChains != 1 || ep == nil || ep.plan == nil || bal.I != 100 {
 		t.Fatalf("chains %d, payer balance %v: T2 was not answered ahead of its install at the payer's owner",
 			c.FallbackChains, bal)

@@ -268,10 +268,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 	c.reads, c.held = nil, nil
 	img := c.journal.restore(ctx)
 	c.CorruptLogRecords += img.corrupt
-	c.epoch = img.epoch
-	c.nextTID = img.nextTID
-	c.sealed, c.sealedCut = img.sealed, img.sealedCut
-	c.fenceDone = img.fenceDone
+	c.marks = img.marks
 	if !c.sys.cfg.DisablePipelining {
 		// Compensate for the single epoch-advance record the pipelined
 		// schedule allows to be volatile: it may have been torn by the

@@ -258,7 +258,7 @@ func TestRecoveryGeneratedCrashPoints(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if meta.Expected > 0 && len(sys.Snapshots.Workers(id)) < meta.Expected {
+			if meta.Expected > 0 && len(meta.Bytes) < meta.Expected {
 				tornSnapshots++
 			}
 			if len(meta.PendingPositions[sourceTopic]) > 0 {
@@ -273,7 +273,7 @@ func TestRecoveryGeneratedCrashPoints(t *testing.T) {
 			if !ok {
 				fail("recovery restored unknown snapshot %d", id)
 			}
-			if meta.Expected > 0 && len(sys.Snapshots.Workers(id)) < meta.Expected {
+			if meta.Expected > 0 && len(meta.Bytes) < meta.Expected {
 				fail("recovery restored torn snapshot %d", id)
 			}
 		}
@@ -307,14 +307,11 @@ func TestRecoveryMidSnapshotRestoresLastComplete(t *testing.T) {
 	for i := 0; ; i++ {
 		if st := sys.coord.commit; st != nil && st.phase == phaseSnapshot {
 			id := sys.coord.snapshotID
-			written := map[string]bool{}
-			for _, w := range sys.Snapshots.Workers(id) {
-				written[w] = true
-			}
-			if len(written) < len(sys.WorkerIDs()) {
+			meta, _ := sys.Snapshots.Get(id)
+			if len(meta.Bytes) < len(sys.WorkerIDs()) {
 				tornID = id
 				for _, w := range sys.WorkerIDs() {
-					if !written[w] {
+					if _, written := meta.Bytes[w]; !written {
 						cluster.Crash(w)
 						break
 					}
@@ -332,8 +329,8 @@ func TestRecoveryMidSnapshotRestoresLastComplete(t *testing.T) {
 	if sys.Coordinator().Recoveries == 0 {
 		t.Fatal("mid-snapshot crash did not trigger recovery")
 	}
-	if got := len(sys.Snapshots.Workers(tornID)); got >= len(sys.WorkerIDs()) {
-		t.Fatalf("torn snapshot %d ended up complete (%d images)", tornID, got)
+	if meta, _ := sys.Snapshots.Get(tornID); len(meta.Bytes) >= len(sys.WorkerIDs()) {
+		t.Fatalf("torn snapshot %d ended up complete (%d images)", tornID, len(meta.Bytes))
 	}
 	for _, id := range sys.Coordinator().RestoredSnapshots {
 		if id == tornID {

@@ -547,7 +547,7 @@ func idleSlot(t *testing.T, q *Sequencer, txns int) {
 		t.Fatalf("batch in flight %v, slot %v: want an idle slot", q.cur != nil, b != nil)
 	}
 	held := len(b.txns) + len(b.footprint) + len(b.refs) + len(b.known) + len(b.fetched) + len(b.dirty) +
-		len(b.recon.missing) + b.overlay.Len()
+		len(b.recon.missing) + len(b.overlay.Refs())
 	if held != 0 || b.man != nil || b.seq != 0 {
 		t.Fatalf("idle slot holds %d entries, manifest %v, seq %d", held, b.man != nil, b.seq)
 	}

@@ -280,7 +280,7 @@ func TestRingReadsMatchTheWorkerStores(t *testing.T) {
 
 	scanned := map[string]interp.MapState{}
 	for _, sh := range fx.sys.Shards() {
-		for _, w := range sh.Workers() {
+		for _, w := range sh.workers {
 			for _, key := range w.committed.Keys("Account") {
 				if _, dup := scanned[key]; dup {
 					t.Fatalf("%s is committed on two workers", key)

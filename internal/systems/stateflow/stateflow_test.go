@@ -387,15 +387,15 @@ func TestLatencyIsBoundedByEpoch(t *testing.T) {
 	}
 	fx := newFixture(t, cfg, 1, script)
 	fx.cluster.RunUntil(2 * time.Second)
-	if fx.client.Latency.Count() != 20 {
-		t.Fatalf("latency samples: %d", fx.client.Latency.Count())
+	lat := fx.client.Latency.Snapshot()
+	if lat.Count != 20 {
+		t.Fatalf("latency samples: %d", lat.Count)
 	}
-	p99 := fx.client.Latency.Percentile(99)
-	if p99 > 100*time.Millisecond {
-		t.Fatalf("p99 too high: %s", p99)
+	if lat.P99 > 100*time.Millisecond {
+		t.Fatalf("p99 too high: %s", lat.P99)
 	}
-	if fx.client.Latency.Min() < time.Millisecond {
-		t.Fatalf("latency implausibly low: %s", fx.client.Latency.Min())
+	if lat.Min < time.Millisecond {
+		t.Fatalf("latency implausibly low: %s", lat.Min)
 	}
 }
 
@@ -406,7 +406,7 @@ func TestOverheadBreakdownRecorded(t *testing.T) {
 	fx.cluster.RunUntil(time.Second)
 	total := int64(0)
 	split := int64(0)
-	for _, w := range fx.sys.Workers() {
+	for _, w := range fx.sys.workers {
 		cpu := w.CPU
 		total += int64(cpu.EventDeserialization + cpu.ObjectConstruction + cpu.SplittingInstrumentation +
 			cpu.FunctionExecution + cpu.TxnValidation + cpu.StateSerialization + cpu.TxnCommit +

@@ -74,7 +74,7 @@ func TestTransferFinishesAtThePayee(t *testing.T) {
 	}
 	for i, want := range map[int]int64{0: 95, 1: 95, 9: 110} {
 		row, _ := sys.owner(ref(i)).committed.Lookup(ref(i))
-		if bal, _ := row.Get("balance"); bal.I != want {
+		if bal := row.CloneMap()["balance"]; bal.I != want {
 			t.Fatalf("%s balance %d, want %d", acct(i), bal.I, want)
 		}
 	}

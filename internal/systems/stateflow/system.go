@@ -242,9 +242,6 @@ func perWorker[T any](workers []*Worker, read func(*Worker) T) []T {
 	return out
 }
 
-// Workers exposes the worker components.
-func (s *System) Workers() []*Worker { return s.workers }
-
 // WorkerIDs lists worker component ids.
 func (s *System) WorkerIDs() []string { return append([]string(nil), s.workerIDs...) }
 
@@ -279,7 +276,7 @@ func (s *System) CheckpointPreloadedState() {
 	// preload (a release at virtual time zero must still classify as
 	// binding against it).
 	s.coord.sealed, s.coord.sealedCut, s.coord.snapshotID = id, -1, id
-	s.coord.journal.bootstrap(marks{sealed: id, sealedCut: -1})
+	s.coord.journal.bootstrap(s.coord.marks)
 }
 
 // failureContract is the StateFlow runtime's written failure contract for

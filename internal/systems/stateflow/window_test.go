@@ -316,3 +316,62 @@ func TestJournalWindowIsBounded(t *testing.T) {
 		t.Errorf("the arena peaked at %d chunks; %d requests unpruned fill %d", peak[1].chunks, gen.Done, unpruned)
 	}
 }
+
+// TestJournalDedupFloorIsBounded runs three builder sources for five
+// retention windows with frequent snapshots. A prune raises its source's
+// dedup floor and the floor is never dropped, so once every source has been
+// pruned the journal holds one floor per source, no more, and the
+// checkpoint that carries them (with the window's answers) stays flat from
+// the second window to the last.
+func TestJournalDedupFloorIsBounded(t *testing.T) {
+	const retention, rate, accounts = 200 * time.Millisecond, 600, 20
+	prog, err := compiler.Compile(bank)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	cfg := DefaultConfig()
+	cfg.EpochInterval = 5 * time.Millisecond
+	cfg.SnapshotEvery = 2
+	cfg.DedupRetention = retention
+	cluster := sim.New(7)
+	dep := New(cluster, prog, cfg)
+	for i := 0; i < accounts; i++ {
+		if err := dep.PreloadEntity("Account", interp.StrV(acct(i)), interp.IntV(100)); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+	}
+	dep.Single().CheckpointPreloadedState()
+	sources := []*sysapi.Builder{sysapi.NewBuilder("a"), sysapi.NewBuilder("b"), sysapi.NewBuilder("c")}
+	gen := sysapi.NewGenerator("gen", dep, rate, 5*retention, 0, func(i int) sysapi.Request {
+		ref := interp.EntityRef{Class: "Account", Key: acct(i % accounts)}
+		// Sequences start at 1000 so that every id is spelled with as many
+		// digits as the last: a checkpoint spells each answered one.
+		return sources[i%len(sources)].At(1000+i/len(sources), ref, "deposit", []interp.Value{interp.IntV(1)}, "deposit")
+	})
+	cluster.Add("gen", gen)
+	cluster.Start()
+
+	c := dep.Single().Coordinator()
+	j := &c.journal
+	var peak [2]int // checkpoint bytes over the second retention window, and over the last three
+	for at := retention; at <= 5*retention; at += 5 * time.Millisecond {
+		cluster.RunUntil(at)
+		if at < 2*retention {
+			continue
+		}
+		if len(j.dedupFloor) != len(sources) {
+			t.Fatalf("at %v: %d dedup floors %v, want one per source", at, len(j.dedupFloor), j.dedupFloor)
+		}
+		p := &peak[min(int((at-2*retention)/retention), 1)]
+		*p = max(*p, len(j.encodeCheckpoint(c.marks)))
+	}
+	cluster.RunUntil(5*retention + 5*time.Second)
+	if gen.Errors != 0 || gen.Done != gen.Submitted {
+		t.Fatalf("%d of %d answered, %d errors", gen.Done, gen.Submitted, gen.Errors)
+	}
+	t.Logf("%d requests from %d sources: floors %v; the checkpoint peaked at %d then %d bytes",
+		gen.Done, len(sources), j.dedupFloor, peak[0], peak[1])
+	if peak[1] > peak[0]+peak[0]/20 {
+		t.Errorf("the checkpoint grew after warm-up: %d → %d bytes", peak[0], peak[1])
+	}
+}

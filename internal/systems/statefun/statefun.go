@@ -128,12 +128,6 @@ func (s *System) IngressID() string { return s.brokerID }
 // ClientLink implements sysapi.System.
 func (s *System) ClientLink() sim.Latency { return s.cfg.Costs.ClientLink }
 
-// Workers exposes the Flink workers.
-func (s *System) Workers() []*flinkWorker { return s.workers }
-
-// FnRuntimes exposes the remote function runtimes.
-func (s *System) FnRuntimes() []*fnRuntime { return s.fns }
-
 // RegisterMetrics publishes the deployment's stats structs into a
 // registry under "statefun.": the broker's, and the workers' and function
 // runtimes' summed over their instances. The fields stay the canonical
@@ -168,11 +162,6 @@ func (s *System) ownerOf(ref interp.EntityRef) *flinkWorker {
 // argument list.
 func (s *System) KeyForCtor(class string, args []interp.Value) (string, error) {
 	return s.executor.KeyForCtor(class, args)
-}
-
-// Preload installs entity state on the owning worker before the run.
-func (s *System) Preload(ref interp.EntityRef, st interp.MapState) {
-	s.ownerOf(ref).states.PutMap(ref, st)
 }
 
 // PreloadEntity runs __init__ synchronously and preloads the result.

@@ -114,7 +114,7 @@ func TestRemoteRuntimeLoadBalancing(t *testing.T) {
 	fx := newFixture(t, 1, script)
 	fx.cluster.RunUntil(5 * time.Second)
 	// Round-robin dispatch must spread invocations over all runtimes.
-	for _, fn := range fx.sys.FnRuntimes() {
+	for _, fn := range fx.sys.fns {
 		if fn.Invocations == 0 {
 			t.Fatalf("runtime %s idle", fn.id)
 		}

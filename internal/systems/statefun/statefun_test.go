@@ -191,8 +191,8 @@ func TestReadAndWriteCostTheSame(t *testing.T) {
 	}
 	fx := newFixture(t, 1, script)
 	fx.cluster.RunUntil(5 * time.Second)
-	r := fx.client.PerKind["read"].Mean()
-	u := fx.client.PerKind["update"].Mean()
+	r := fx.client.PerKind["read"].Snapshot().Mean
+	u := fx.client.PerKind["update"].Snapshot().Mean
 	ratio := float64(u) / float64(r)
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Fatalf("read/update asymmetry too large: read=%s update=%s", r, u)
@@ -219,7 +219,7 @@ func TestLostUpdateRace(t *testing.T) {
 		t.Fatalf("expected lost update (110), got %d", got)
 	}
 	var races int
-	for _, w := range fx.sys.Workers() {
+	for _, w := range fx.sys.workers {
 		races += w.Races
 	}
 	if races == 0 {
@@ -268,7 +268,7 @@ func TestLatencyDominatedByBrokerHops(t *testing.T) {
 	}
 	fx := newFixture(t, 1, script)
 	fx.cluster.RunUntil(5 * time.Second)
-	mean := fx.client.Latency.Mean()
+	mean := fx.client.Latency.Snapshot().Mean
 	if mean < 10*time.Millisecond {
 		t.Fatalf("latency implausibly low for broker-based chaining: %s", mean)
 	}
@@ -292,8 +292,8 @@ func TestTransfersSlowerThanReads(t *testing.T) {
 	}
 	fx := newFixture(t, 4, script)
 	fx.cluster.RunUntil(5 * time.Second)
-	r := fx.client.PerKind["read"].Mean()
-	tr := fx.client.PerKind["transfer"].Mean()
+	r := fx.client.PerKind["read"].Snapshot().Mean
+	tr := fx.client.PerKind["transfer"].Snapshot().Mean
 	if tr <= r {
 		t.Fatalf("transfer (%s) should exceed read (%s)", tr, r)
 	}

@@ -46,10 +46,10 @@ func TestScriptClientRecordsLatency(t *testing.T) {
 		t.Fatalf("done: %d", c.Done)
 	}
 	// Round trip: 1ms there + 4ms service.
-	if got := c.Latency.Min(); got != 5*time.Millisecond {
+	if got := c.Latency.Snapshot().Min; got != 5*time.Millisecond {
 		t.Fatalf("latency: %s", got)
 	}
-	if c.PerKind["read"].Count() != 1 || c.PerKind["update"].Count() != 1 {
+	if c.PerKind["read"].Snapshot().Count != 1 || c.PerKind["update"].Snapshot().Count != 1 {
 		t.Fatal("per-kind series")
 	}
 	if c.Responses["r1"].Value.I != 1 {
@@ -103,10 +103,11 @@ func TestGeneratorWarmupDiscardsSamples(t *testing.T) {
 	cluster.Add("g", gen)
 	cluster.Start()
 	cluster.RunUntil(3 * time.Second)
-	if int(gen.Latency.Count()) >= gen.Done {
-		t.Fatalf("warm-up not discarded: %d samples of %d done", gen.Latency.Count(), gen.Done)
+	samples := gen.Latency.Snapshot().Count
+	if int(samples) >= gen.Done {
+		t.Fatalf("warm-up not discarded: %d samples of %d done", samples, gen.Done)
 	}
-	if gen.Latency.Count() == 0 {
+	if samples == 0 {
 		t.Fatal("no samples after warm-up")
 	}
 }
@@ -178,8 +179,8 @@ func TestGeneratorStopsAtHorizon(t *testing.T) {
 	if gen.Submitted > 30 { // ~10 expected at 100/s over 100ms
 		t.Fatalf("generator ran past horizon: %d", gen.Submitted)
 	}
-	if cluster.Pending() != 0 {
-		t.Fatalf("events still pending: %d", cluster.Pending())
+	if n := cluster.RunUntil(time.Hour); n != 0 {
+		t.Fatalf("events still pending: %d", n)
 	}
 }
 

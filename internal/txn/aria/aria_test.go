@@ -627,7 +627,7 @@ func TestDisjointSlotWritesMerge(t *testing.T) {
 	w2.Apply(committed)
 	base, _ := committed.Lookup(ref("x"))
 	if get(t, base, "a").I != 100 || get(t, base, "b").I != 200 {
-		t.Fatalf("merge lost a write: %v", base.ToMap())
+		t.Fatalf("merge lost a write: %v", base.CloneMap())
 	}
 }
 

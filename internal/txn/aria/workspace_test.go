@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/state"
 )
 
 // TestAllocsPerWorkspaceWrite pins the workspace's write path at zero heap
@@ -158,7 +159,10 @@ func TestWriteBytesMatchesInstalledRows(t *testing.T) {
 			for n := 1 + rng.Intn(6); n > 0; n-- {
 				c.ops[rng.Intn(len(c.ops))](rng, ws, written)
 			}
-			dst := committed.Clone()
+			dst, err := state.DecodeStore(committed.Encode(), committed.Layouts())
+			if err != nil {
+				t.Fatal(err)
+			}
 			ws.Apply(dst)
 			want := 0
 			for r := range written {

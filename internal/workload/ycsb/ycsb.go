@@ -61,7 +61,6 @@ func ByName(name string) (Mix, error) {
 // KeyChooser picks record indices in [0, N).
 type KeyChooser interface {
 	Next(r *rand.Rand) int
-	Name() string
 }
 
 // Uniform picks keys uniformly.
@@ -69,9 +68,6 @@ type Uniform struct{ N int }
 
 // Next implements KeyChooser.
 func (u Uniform) Next(r *rand.Rand) int { return r.Intn(u.N) }
-
-// Name implements KeyChooser.
-func (u Uniform) Name() string { return "uniform" }
 
 // Zipfian implements YCSB's ZipfianGenerator (Gray et al.'s algorithm)
 // with the standard YCSB constant 0.99, scrambled over the key space so
@@ -124,9 +120,6 @@ func (z *Zipfian) Next(r *rand.Rand) int {
 	}
 	return item
 }
-
-// Name implements KeyChooser.
-func (z *Zipfian) Name() string { return "zipfian" }
 
 func fnv64(v uint64) uint64 {
 	h := uint64(14695981039346656037)

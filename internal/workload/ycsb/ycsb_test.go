@@ -110,13 +110,13 @@ func TestZipfianDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestChooserByName(t *testing.T) {
-	for _, n := range []string{"uniform", "zipfian"} {
+	for n, want := range map[string]string{"uniform": "ycsb.Uniform", "zipfian": "*ycsb.Zipfian"} {
 		c, err := ChooserByName(n, 50)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Name() != n {
-			t.Fatalf("name: %s", c.Name())
+		if got := fmt.Sprintf("%T", c); got != want {
+			t.Fatalf("%s: %s, want %s", n, got, want)
 		}
 	}
 	if _, err := ChooserByName("pareto", 50); err == nil {
