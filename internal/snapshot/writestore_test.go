@@ -59,8 +59,8 @@ func TestWriteStoreMatchesWriteOfEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := s.Read(id, "bytes")
-	got, _ := s.Read(id, "store")
+	want := s.images[id]["bytes"]
+	got := s.images[id]["store"]
 	if !bytes.Equal(got, want) || n != len(want) || cap(got) != len(got) {
 		t.Fatalf("WriteStore stored %d bytes (cap %d, returned %d), Write(Encode()) %d; equal=%v",
 			len(got), cap(got), n, len(want), bytes.Equal(got, want))
@@ -84,14 +84,14 @@ func TestWriteStoreIsFirstWriteWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := s.Read(id, "w0")
+	first := s.images[id]["w0"]
 	row, _ := st.Lookup(interp.EntityRef{Class: "Reg", Key: "r000"})
 	row.Set("v", interp.IntV(-1))
 	var again int
 	if spent := allocated(func() { again, err = s.WriteStore(id, "w0", st) }); spent > uint64(n)/100 {
 		t.Fatalf("a duplicate write allocated %d bytes next to an image of %d: it encoded the store", spent, n)
 	}
-	second, _ := s.Read(id, "w0")
+	second := s.images[id]["w0"]
 	if err != nil || again != n || &second[0] != &first[0] {
 		t.Fatalf("duplicate write: err=%v, returned %d (first %d), image replaced=%v", err, again, n, &second[0] != &first[0])
 	}

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+	"unicode"
 
 	"statefulentities.dev/stateflow/internal/compiler"
 	"statefulentities.dev/stateflow/internal/core"
@@ -195,6 +199,82 @@ func TestShardedMixedLoadConservation(t *testing.T) {
 	}
 	if sum != int64(accounts)*100 {
 		t.Fatalf("balances sum to %d, want %d (atomicity violated)", sum, accounts*100)
+	}
+}
+
+// TestWorkerMetricsAreTheWorkersSums: on a 2-shard deployment, every
+// WorkerStats and WorkerCPU field is published under its shard's namespace
+// with the sum of that field over the shard's workers, after a mixed run of
+// single-shard and cross-shard transfers with snapshots.
+func TestWorkerMetricsAreTheWorkersSums(t *testing.T) {
+	const accounts = 16
+	cfg := DefaultConfig()
+	cfg.SnapshotEvery = 2
+	fx := newShardedFixture(t, cfg, 2, accounts, nil)
+	reg := obs.NewRegistry()
+	fx.sys.RegisterMetrics(reg)
+	// One same-shard pair per shard, then a cross-shard pair: every shard's
+	// workers execute functions, and the snapshots fall between fences.
+	var pairs [][2]string
+	for sh := range fx.sys.Shards() {
+		var keys []string
+		for i := 0; i < accounts && len(keys) < 2; i++ {
+			if fx.sys.ShardOf(interp.EntityRef{Class: "Account", Key: acct(i)}) == sh {
+				keys = append(keys, acct(i))
+			}
+		}
+		pairs = append(pairs, [2]string{keys[0], keys[1]})
+	}
+	xFrom, xTo := accountPair(t, fx.sys, accounts, true)
+	pairs = append(pairs, [2]string{xFrom, xTo})
+	const n = 24
+	for i := 0; i < n; i++ {
+		p := pairs[i*len(pairs)/n]
+		fx.cluster.Inject(time.Duration(i+1)*4*time.Millisecond, "client", fx.sys.IngressID(),
+			sysapi.MsgRequest{Request: transferReq(fmt.Sprintf("w%d", i), p[0], p[1], 1), ReplyTo: "client"})
+	}
+	fx.cluster.RunUntil(5 * time.Second)
+	if fx.client.Done != n {
+		t.Fatalf("settled %d/%d requests", fx.client.Done, n)
+	}
+
+	got := reg.Snapshot()
+	for _, sh := range fx.sys.Shards() {
+		ns := sh.MetricsNamespace()
+		want, busy := map[string]int64{}, 0
+		for _, w := range sh.workers {
+			if w.Applied > 0 {
+				busy++
+			}
+			for prefix, stats := range map[string]any{"worker.": w.WorkerStats, "worker.cpu.": w.CPU} {
+				v := reflect.ValueOf(stats)
+				for i := range v.NumField() {
+					var name strings.Builder
+					for j, r := range v.Type().Field(i).Name {
+						if unicode.IsUpper(r) && j > 0 {
+							name.WriteByte('_')
+						}
+						name.WriteRune(unicode.ToLower(r))
+					}
+					want[ns+prefix+name.String()] += v.Field(i).Int()
+				}
+			}
+		}
+		for _, name := range slices.Sorted(maps.Keys(want)) {
+			if v, ok := got[name]; !ok {
+				t.Errorf("%s is not published", name)
+			} else if v != want[name] {
+				t.Errorf("%s = %d, the workers' sum is %d", name, v, want[name])
+			}
+		}
+		if busy < 2 {
+			t.Errorf("%s: %d of %d workers applied a transaction: a sum needs two", ns, busy, len(sh.workers))
+		}
+		for _, name := range []string{"worker.applied", "worker.cpu.function_execution", "worker.cpu.snapshot_persistence"} {
+			if want[ns+name] == 0 {
+				t.Errorf("%s%s is 0: the run is too short to check its value", ns, name)
+			}
+		}
 	}
 }
 

@@ -100,9 +100,9 @@ func fieldMetrics(prefix string, stats any) map[string]int64 {
 // TestMetricsRegistrationIsTotal: every counter of every stats struct is
 // published under its one name, after a short seeded run on a classic and
 // a 2-shard deployment, with the field's value for the coordinator's, the
-// log's and the sequencer's. The workers' sums are read through their
-// registry in their own package
-// (TestCorruptSnapshotImageIsCountedNotSwallowed). A field added
+// log's and the sequencer's. The workers' values, sums over each shard's
+// workers, are checked field by field in their own package, which reads
+// the workers (TestWorkerMetricsAreTheWorkersSums). A field added
 // to CoordinatorStats, WorkerStats, WorkerCPU, SequencerStats or dlog.Stats
 // is covered without touching a name table. The Live case reads the
 // journal's torn tail through the registry.
