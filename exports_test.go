@@ -1,6 +1,7 @@
 package stateflow
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -9,8 +10,11 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,57 +54,16 @@ var testOnlyExports = map[string]string{
 // method some code calls, or that the standard library declares (its
 // callers are not in this tree: fmt calls String, sort calls Less).
 func TestInternalExportsHaveACaller(t *testing.T) {
+	im, internal := checkedTree(t)
 	type decl struct {
 		key        string
 		file       string
 		name       *ast.Ident
 		start, end token.Pos
 	}
-	const module = "statefulentities.dev/stateflow" // benchmark/ is its module's subpath
-	im := &treeImporter{
-		fset:  token.NewFileSet(),
-		files: map[string][]*ast.File{},
-		pkgs:  map[string]*types.Package{},
-		std:   importer.Default(),
-		info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
-		},
-	}
-	var paths []string
 	var decls []decl
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		dir, name := filepath.Split(path)
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(im.fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := module
-		if dir = filepath.ToSlash(filepath.Clean(dir)); dir != "." {
-			pkg += "/" + dir
-		}
-		if im.files[pkg] == nil {
-			paths = append(paths, pkg)
-		}
-		im.files[pkg] = append(im.files[pkg], f)
-		if !strings.HasPrefix(dir, "internal/") {
-			return nil
-		}
+	for _, sf := range internal {
+		f := sf.file
 		for _, dd := range f.Decls {
 			fn, ok := dd.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
@@ -120,16 +83,7 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 				}
 				key += typ.(*ast.Ident).Name + "."
 			}
-			decls = append(decls, decl{key + fn.Name.Name, path, fn.Name, fn.Pos(), fn.End()})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range paths {
-		if _, err := im.Import(path); err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
+			decls = append(decls, decl{key + fn.Name.Name, sf.path, fn.Name, fn.Pos(), fn.End()})
 		}
 	}
 
@@ -219,6 +173,256 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 	}
 }
 
+// sourceFile is one parsed non-test file of the tree.
+type sourceFile struct {
+	path string
+	file *ast.File
+}
+
+// loadTree parses every non-test Go file in the tree and type-checks it
+// from source (benchmark/ is its module's subpath, so it counts too). It
+// runs once per test binary; the guards below share its result.
+var loadTree = sync.OnceValues(func() (*treeImporter, error) {
+	const module = "statefulentities.dev/stateflow"
+	im := &treeImporter{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+	}
+	var paths []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Join(".", dir), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(im.fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := module
+		if dir = filepath.ToSlash(filepath.Clean(dir)); dir != "." {
+			pkg += "/" + dir
+		}
+		if im.files[pkg] == nil {
+			paths = append(paths, pkg)
+		}
+		im.files[pkg] = append(im.files[pkg], f)
+		if strings.HasPrefix(dir, "internal/") {
+			im.internal = append(im.internal, sourceFile{path, f})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range paths {
+		if _, err := im.Import(path); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", path, err)
+		}
+	}
+	return im, nil
+})
+
+// checkedTree returns the type-checked tree and its non-test files under
+// internal/.
+func checkedTree(t *testing.T) (*treeImporter, []sourceFile) {
+	im, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im, im.internal
+}
+
+// writeOnlyFields names the fields under internal/ that no non-test Go
+// reads and that stay anyway, each with the reader it serves. Keys are
+// package.Type.field.
+var writeOnlyFields = map[string]string{
+	"snapshot.Meta.Epoch":   "harness record: Store.Begin's epoch argument, which the snapshot tests read back; recovery restores by id",
+	"ycsb.Mix.Transfer":     "documentation: Generator.Next draws transfers as the remainder, and TestMixesSumTo100 checks each mix sums to 100",
+	"bench.RunPoint.Epochs": "harness hook: TestAllocsPerEpoch divides a RunPointFor run's allocations by the epochs it closed",
+	"oracle.Run.Trace":      "harness hook: the determinism tests (trace_diff_test.go, sharded_diff_test.go, chaos_test.go) compare the fault-sensitive observables across reruns",
+}
+
+// TestInternalFieldsAreRead keeps state nothing reads out of internal/:
+// every field declared in a non-test file there must be read by some
+// non-test Go (cmd/, examples/, this package and benchmark/ count), or be
+// on writeOnlyFields with its reader. An allowlisted field that gains a
+// reader, or that no longer exists, fails too. A read is any use of the
+// field, matched by go/types to the field it resolves to, except:
+//
+//   - an assignment target: x.f = v, x.f[k] = v, x.f += v, x.f++;
+//   - the first argument of an append assigned back to the same field:
+//     x.f = append(x.f, v);
+//   - a key of a composite literal: T{f: v}.
+//
+// Embedded fields are exempt; the fields they promote are checked. Two
+// rules cover reads by reflection: a field of a struct that a function
+// passed to obs.Registry.Fields returns (itself or as a slice's element)
+// counts as read, and so does a field with a json tag.
+func TestInternalFieldsAreRead(t *testing.T) {
+	im, internal := checkedTree(t)
+	info := im.info
+
+	// Every field declared under internal/ but those encoding/json reads,
+	// keyed by its named struct type (an anonymous one by its position).
+	type decl struct{ key, file string }
+	fields := map[*types.Var]decl{}
+	for _, sf := range internal {
+		owner := map[*ast.StructType]string{}
+		ast.Inspect(sf.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					owner[st] = n.Name.Name
+				}
+			case *ast.StructType:
+				name, ok := owner[n]
+				if !ok {
+					name = "struct@" + strconv.Itoa(im.fset.Position(n.Pos()).Line)
+				}
+				for _, f := range n.Fields.List {
+					if f.Tag != nil {
+						if tag, err := strconv.Unquote(f.Tag.Value); err == nil && reflect.StructTag(tag).Get("json") != "" {
+							continue
+						}
+					}
+					for _, id := range f.Names {
+						fields[info.Defs[id].(*types.Var)] = decl{sf.file.Name.Name + "." + name + "." + id.Name, sf.path}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// written returns the field e assigns to, and the selector naming it:
+	// e is x.f or an element x.f[k].
+	written := func(e ast.Expr) (*ast.Ident, *types.Var) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					return x.Sel, v
+				}
+				return nil, nil
+			default:
+				return nil, nil
+			}
+		}
+	}
+	notRead := map[*ast.Ident]bool{} // uses that are not reads
+	read := map[*types.Var]bool{}
+	for _, files := range im.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						sel, target := written(lhs)
+						if target == nil {
+							continue
+						}
+						notRead[sel] = true
+						if len(n.Rhs) != len(n.Lhs) {
+							continue
+						}
+						if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && len(call.Args) > 0 {
+							fn, _ := ast.Unparen(call.Fun).(*ast.Ident)
+							if b, ok := info.Uses[fn].(*types.Builtin); ok && b.Name() == "append" {
+								if sel, v := written(call.Args[0]); v == target {
+									notRead[sel] = true
+								}
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, v := written(n.X); v != nil {
+						notRead[sel] = true
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							notRead[id] = true
+						}
+					}
+				case *ast.CallExpr:
+					// obs.Registry.Fields(prefix, func() any { return s }):
+					// reflection reads every field of s's struct type.
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || len(n.Args) != 2 {
+						break
+					}
+					if fn, ok := info.Uses[sel.Sel].(*types.Func); !ok || fn.FullName() != "(*statefulentities.dev/stateflow/internal/obs.Registry).Fields" {
+						break
+					}
+					ast.Inspect(n.Args[1], func(n ast.Node) bool {
+						if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+							typ := info.Types[ret.Results[0]].Type
+							if s, ok := typ.(*types.Slice); ok {
+								typ = s.Elem()
+							}
+							if st, ok := typ.Underlying().(*types.Struct); ok {
+								for i := range st.NumFields() {
+									read[st.Field(i).Origin()] = true
+								}
+							}
+						}
+						return true
+					})
+				}
+				return true
+			})
+		}
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !notRead[id] {
+			read[v.Origin()] = true
+		}
+	}
+
+	declared := map[string]bool{}
+	var unread []string
+	for v, d := range fields {
+		declared[d.key] = true
+		_, allowed := writeOnlyFields[d.key]
+		switch {
+		case !read[v] && !allowed:
+			unread = append(unread, d.key+" ("+d.file+")")
+		case read[v] && allowed:
+			t.Errorf("writeOnlyFields names %s, which non-test Go now reads: drop its entry", d.key)
+		}
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("%s is never read outside tests: delete it with what fills it, or add it to writeOnlyFields with its reader", u)
+	}
+	for key := range writeOnlyFields {
+		if !declared[key] {
+			t.Errorf("writeOnlyFields names %s, which internal/ no longer declares", key)
+		}
+	}
+}
+
 // treeImporter type-checks the tree's packages from their parsed non-test
 // files, into one shared Info, and imports everything else — the standard
 // library — through std.
@@ -228,6 +432,8 @@ type treeImporter struct {
 	pkgs  map[string]*types.Package
 	std   types.Importer
 	info  *types.Info
+
+	internal []sourceFile // the non-test files under internal/
 }
 
 // Import implements types.Importer.

@@ -73,7 +73,6 @@ type RunPoint struct {
 	Aborts         int // StateFlow only: Aria conflict aborts
 	Commits        int // StateFlow only
 	Epochs         int // StateFlow only: batches closed
-	Done           int
 }
 
 // runOne deploys one system, drives one workload point, and collects
@@ -91,7 +90,7 @@ func runOne(system string, configure func(*stateflow.Config), mix ycsb.Mix, dist
 	pt := RunPoint{
 		System: system, Workload: mix.Name, Dist: dist, RateRPS: rate,
 		Mean: st.Mean, P50: st.P50, P99: st.P99, Samples: int(st.Count),
-		Errors: gen.Errors, Done: gen.Done,
+		Errors: gen.Errors,
 	}
 	if h.SF != nil {
 		for _, sh := range h.SF.Shards() {

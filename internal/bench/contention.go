@@ -51,13 +51,11 @@ type ContentionRow struct {
 	// Virtual client latencies (deterministic given the seed).
 	VirtualP50Ms float64
 	VirtualP99Ms float64
-	Commits      int
 	Batches      int
 	// Retried counts next-batch conflict retries (the legacy drain; 0
 	// with the fallback on), MaxRetries the per-response worst case.
-	Retried        int
-	MaxRetries     int
-	FallbackRounds int
+	Retried    int
+	MaxRetries int
 }
 
 // RunContention measures the chained-transfer workload with the fallback
@@ -106,13 +104,11 @@ func RunContention(opt Options) ([]ContentionRow, error) {
 		coord := h.SF.Single().Coordinator()
 		lat := client.Latency.Snapshot()
 		row := ContentionRow{
-			Name:           tc.name,
-			Commits:        coord.Commits,
-			Batches:        coord.EpochsClosed,
-			Retried:        coord.Aborts,
-			FallbackRounds: coord.FallbackRounds,
-			VirtualP50Ms:   lat.P50Ms(),
-			VirtualP99Ms:   lat.P99Ms(),
+			Name:         tc.name,
+			Batches:      coord.EpochsClosed,
+			Retried:      coord.Aborts,
+			VirtualP50Ms: lat.P50Ms(),
+			VirtualP99Ms: lat.P99Ms(),
 		}
 		for _, r := range client.Responses {
 			if r.Retries > row.MaxRetries {

@@ -19,9 +19,8 @@ type DlogRow struct {
 	VirtualP99Ms float64
 	Commits      int
 	// Dlog activity.
-	LogAppends     int
-	LogSyncs       int
-	LogCheckpoints int
+	LogAppends int
+	LogSyncs   int
 }
 
 // RunDlog measures the coordinator hot path under both epoch schedules:
@@ -58,13 +57,12 @@ func RunDlog(opt Options) ([]DlogRow, error) {
 		lat := gen.Latency.Snapshot()
 		st := h.SF.Single().Dlog.Stats()
 		out = append(out, DlogRow{
-			Name:           tc.name,
-			VirtualP50Ms:   lat.P50Ms(),
-			VirtualP99Ms:   lat.P99Ms(),
-			Commits:        h.SF.Single().Coordinator().Commits,
-			LogAppends:     st.Appends,
-			LogSyncs:       st.Syncs,
-			LogCheckpoints: st.Checkpoints,
+			Name:         tc.name,
+			VirtualP50Ms: lat.P50Ms(),
+			VirtualP99Ms: lat.P99Ms(),
+			Commits:      h.SF.Single().Coordinator().Commits,
+			LogAppends:   st.Appends,
+			LogSyncs:     st.Syncs,
 		})
 	}
 	return out, nil

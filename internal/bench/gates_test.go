@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -72,8 +73,10 @@ func TestGateFallback(t *testing.T) {
 			t.Errorf("%s fallback on/off latency ratio %.4f, ceiling %.4f", m.name, ratio, m.ceiling)
 		}
 	}
-	if on.Commits != contentionCommits || off.Commits != contentionCommits {
-		t.Errorf("commits on/off %d/%d, want %d in both modes", on.Commits, off.Commits, contentionCommits)
+	// The commits, read back from the printed drain rate and batch count.
+	commits := func(r ContentionRow) int { return int(math.Round(r.CommitsPerBatch * float64(r.Batches))) }
+	if commits(on) != contentionCommits || commits(off) != contentionCommits {
+		t.Errorf("commits on/off %d/%d, want %d in both modes", commits(on), commits(off), contentionCommits)
 	}
 }
 

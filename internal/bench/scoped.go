@@ -60,12 +60,11 @@ type ScopedFenceRow struct {
 	UntouchedMakespanMs       float64
 	VirtualP50Ms              float64
 	VirtualP99Ms              float64
-	// GlobalBatches / ScopedFences / FullFenceCount are the sequencer's
+	// GlobalTxns / ScopedFences / FullFenceCount are the sequencer's
 	// fence accounting: the gate uses ScopedFences > 0 to reject a
 	// vacuous scoped run (a mix whose transfers accidentally fence
 	// everything would gate nothing).
 	GlobalTxns     int
-	GlobalBatches  int
 	ScopedFences   int
 	FullFenceCount int
 }
@@ -152,7 +151,6 @@ func runScopedFencePoint(opt Options, fullFences bool) (ScopedFenceRow, error) {
 		VirtualP50Ms:              lat.P50Ms(),
 		VirtualP99Ms:              lat.P99Ms(),
 		GlobalTxns:                q.GlobalTxns,
-		GlobalBatches:             q.GlobalBatches,
 		ScopedFences:              q.ScopedFences,
 		FullFenceCount:            q.FullFences,
 	}, nil

@@ -58,9 +58,6 @@ type ShardingRow struct {
 	VirtualMakespanMs float64
 	VirtualP50Ms      float64
 	VirtualP99Ms      float64
-	// Commits aggregates over every shard coordinator (global write-set
-	// applies ride the same Aria machinery, so they are counted too).
-	Commits int
 	// SingleShard / GlobalTxns / GlobalBatches are the sequencer's
 	// routing split: fast-path forwards versus globally fenced
 	// transactions and their batch count.
@@ -143,9 +140,6 @@ func runShardingPoint(opt Options, shards int) (ShardingRow, error) {
 		row.GlobalBatches = q.GlobalBatches
 	} else {
 		row.SingleShard = total
-	}
-	for _, sh := range h.SF.Shards() {
-		row.Commits += sh.Coordinator().Commits
 	}
 	return row, nil
 }

@@ -349,7 +349,7 @@ func (op Op) Args() []stateflow.Value {
 }
 
 // Invoke is the op in checker form.
-func (op Op) Invoke() lin.Op { return lin.Op{ID: op.ID, Method: op.Method, Dep: op.Dep} }
+func (op Op) Invoke() lin.Op { return lin.Op{ID: op.ID, Dep: op.Dep} }
 
 // Decode parses an op's response value into checker observations. The
 // response encodes one "key|version|value|last" part per entity touched,

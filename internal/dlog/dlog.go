@@ -45,13 +45,12 @@ type Record struct {
 
 // Recovered is the durable image a log yields after a crash: the latest
 // durable checkpoint payload (nil when none was ever written) plus the
-// durable records appended after it, in order. Torn reports whether a
-// torn tail — an append a crash interrupted before its sync completed —
-// was detected and discarded during recovery.
+// durable records appended after it, in order. A torn tail — an append a
+// crash interrupted before its sync completed — is discarded, and counted
+// in Stats.TornTails.
 type Recovered struct {
 	Checkpoint []byte
 	Records    []Record
-	Torn       bool
 }
 
 // Stats counts log activity, for observability and tests.

@@ -119,9 +119,9 @@ func TestSimLogCrashPointSweep(t *testing.T) {
 						seed, crashAt, i, r.Data, durable[i])
 				}
 			}
-			if got.Torn != (volatile > 0) {
+			if torn := l.Stats().TornTails > 0; torn != (volatile > 0) {
 				t.Fatalf("seed %d crash@%s: torn=%v with %d volatile records",
-					seed, crashAt, got.Torn, volatile)
+					seed, crashAt, torn, volatile)
 			}
 		}
 	}
@@ -136,11 +136,12 @@ func TestSimLogSyncAtGroupCommit(t *testing.T) {
 	if lsn != 1 {
 		t.Fatalf("lsn = %d", lsn)
 	}
-	if got := NewSimLogFrom(l).Recover(4 * time.Millisecond); len(got.Records) != 0 || !got.Torn {
-		t.Fatalf("pre-completion crash: %d records, torn=%v", len(got.Records), got.Torn)
+	early := NewSimLogFrom(l)
+	if got := early.Recover(4 * time.Millisecond); len(got.Records) != 0 || early.Stats().TornTails == 0 {
+		t.Fatalf("pre-completion crash: %d records, %d torn", len(got.Records), early.Stats().TornTails)
 	}
-	if got := l.Recover(5 * time.Millisecond); len(got.Records) != 1 || got.Torn {
-		t.Fatalf("post-completion recover: %d records, torn=%v", len(got.Records), got.Torn)
+	if got := l.Recover(5 * time.Millisecond); len(got.Records) != 1 || l.Stats().TornTails != 0 {
+		t.Fatalf("post-completion recover: %d records, %d torn", len(got.Records), l.Stats().TornTails)
 	}
 }
 
@@ -256,8 +257,8 @@ func TestFileLogTornTailByteSweep(t *testing.T) {
 			}
 		}
 		wantTorn := cut != boundaries[bi] && cut != 0 // empty file = fresh, not torn
-		if got.Torn != wantTorn {
-			t.Fatalf("cut %d: torn=%v, want %v", cut, got.Torn, wantTorn)
+		if torn := cl.Stats().TornTails > 0; torn != wantTorn {
+			t.Fatalf("cut %d: torn=%v, want %v", cut, torn, wantTorn)
 		}
 		// Torn bytes must be physically gone: appending after recovery and
 		// reopening yields the durable records plus the new one, only.
@@ -272,9 +273,9 @@ func TestFileLogTornTailByteSweep(t *testing.T) {
 			t.Fatalf("cut %d reopen: %v", cut, err)
 		}
 		got2 := re.Recovered()
-		if len(got2.Records) != len(want.Records)+1 || got2.Torn {
-			t.Fatalf("cut %d reopen: %d records torn=%v, want %d records torn=false",
-				cut, len(got2.Records), got2.Torn, len(want.Records)+1)
+		if len(got2.Records) != len(want.Records)+1 || re.Stats().TornTails != 0 {
+			t.Fatalf("cut %d reopen: %d records %d torn, want %d records none torn",
+				cut, len(got2.Records), re.Stats().TornTails, len(want.Records)+1)
 		}
 		if string(got2.Records[len(got2.Records)-1].Data) != "post" {
 			t.Fatalf("cut %d reopen: tail record %q", cut, got2.Records[len(got2.Records)-1].Data)
@@ -345,8 +346,8 @@ func TestFileLogCorruptTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := cl.Recovered()
-		if !got.Torn || len(got.Records) != 1 || string(got.Records[0].Data) != "good" {
-			t.Fatalf("flip@%d: torn=%v records=%d", i, got.Torn, len(got.Records))
+		if cl.Stats().TornTails == 0 || len(got.Records) != 1 || string(got.Records[0].Data) != "good" {
+			t.Fatalf("flip@%d: %d torn, records=%d", i, cl.Stats().TornTails, len(got.Records))
 		}
 		cl.Close()
 	}
@@ -408,7 +409,7 @@ func TestFileLogCheckpointCompaction(t *testing.T) {
 	defer re.Close()
 	got := re.Recovered()
 	if string(got.Checkpoint) != "summary" || len(got.Records) != 1 ||
-		string(got.Records[0].Data) != "after" || got.Torn {
+		string(got.Records[0].Data) != "after" {
 		t.Fatalf("recovered %+v", got)
 	}
 	if st := re.Stats(); st.TornTails != 0 {

@@ -84,7 +84,6 @@ func (l *FileLog) replay() error {
 		if string(buf) != string(fileMagic[:len(buf)]) {
 			return fmt.Errorf("dlog: %s is not a dlog file", l.path)
 		}
-		l.recovered.Torn = true
 		l.stats.TornTails++
 		if err := l.f.Truncate(0); err != nil {
 			return fmt.Errorf("dlog: truncate torn init of %s: %w", l.path, err)
@@ -120,7 +119,6 @@ func (l *FileLog) replay() error {
 		// Torn tail: a frame the crash cut short or corrupted. Truncate it
 		// so it is never replayed — and never extended into a frame that
 		// would "validate" with fresh appends behind a corrupt prefix.
-		l.recovered.Torn = true
 		l.stats.TornTails++
 		if err := l.f.Truncate(int64(valid)); err != nil {
 			return fmt.Errorf("dlog: truncate torn tail of %s: %w", l.path, err)

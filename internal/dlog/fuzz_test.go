@@ -49,14 +49,14 @@ func FuzzParseFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The model: walk the frames with parseFrame alone.
 		var want Recovered
-		foreign := false
+		foreign, torn := false, false
 		size := len(data) // what the file must hold after the first open
 		switch {
 		case len(data) == 0:
 			size = len(fileMagic)
 		case len(data) < len(fileMagic):
 			foreign = !bytes.HasPrefix(fileMagic, data)
-			want.Torn, size = true, len(fileMagic)
+			torn, size = true, len(fileMagic)
 		case !bytes.HasPrefix(data, fileMagic):
 			foreign = true
 		default:
@@ -83,7 +83,7 @@ func FuzzParseFrame(f *testing.F) {
 				}
 				off = next
 			}
-			want.Torn, size = off < len(data), off
+			torn, size = off < len(data), off
 		}
 
 		path := filepath.Join(t.TempDir(), "log")
@@ -101,12 +101,13 @@ func FuzzParseFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		got := l.Recovered()
+		got, tails := l.Recovered(), l.Stats().TornTails
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("replay yielded %+v, the frames before the first invalid one are %+v", got, want)
+		if !reflect.DeepEqual(got, want) || (tails > 0) != torn {
+			t.Fatalf("replay yielded %+v with %d torn tails, the frames before the first invalid one are %+v (torn %v)",
+				got, tails, want, torn)
 		}
 		if info, err := os.Stat(path); err != nil || info.Size() != int64(size) {
 			t.Fatalf("file holds %d bytes after replay (err %v), want the %d valid ones", info.Size(), err, size)
@@ -118,13 +119,12 @@ func FuzzParseFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-open: %v", err)
 		}
-		again := l.Recovered()
+		again, tails := l.Recovered(), l.Stats().TornTails
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		want.Torn = false
-		if !reflect.DeepEqual(again, want) {
-			t.Fatalf("re-open yielded %+v, want %+v", again, want)
+		if !reflect.DeepEqual(again, want) || tails != 0 {
+			t.Fatalf("re-open yielded %+v with %d torn tails, want %+v and none", again, tails, want)
 		}
 	})
 }

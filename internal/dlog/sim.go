@@ -171,11 +171,10 @@ func (l *SimLog) Crash(at time.Duration) {
 // plus the durable records after it. Any append whose sync has not
 // completed by now is treated exactly like a crash at now would treat it
 // (first torn, rest lost) — recovering is indistinguishable from power
-// loss. Torn reports whether this log ever discarded a torn tail. The
-// image is a copy: it stays valid whatever the log does next.
+// loss. The image is a copy: it stays valid whatever the log does next.
 func (l *SimLog) Recover(now time.Duration) Recovered {
 	l.Crash(now)
-	out := Recovered{Torn: l.stats.TornTails > 0}
+	var out Recovered
 	if l.hasBase {
 		out.Checkpoint = append([]byte(nil), l.base...)
 	}

@@ -58,7 +58,7 @@ func (l *naiveLog) crash(at time.Duration) {
 
 func (l *naiveLog) recover(now time.Duration) Recovered {
 	l.crash(now)
-	out := Recovered{Torn: l.stats.TornTails > 0}
+	var out Recovered
 	if l.hasBase {
 		out.Checkpoint = l.base
 	}

@@ -159,9 +159,6 @@ type Method struct {
 	Returns       *Type // None when the method declares no return type
 	Def           *ast.FuncDef
 	Transactional bool
-	// VarTypes maps every local variable (params included) to its
-	// statically inferred type.
-	VarTypes map[string]*Type
 }
 
 // Param looks up a parameter by name.
@@ -209,13 +206,10 @@ type CallTarget struct {
 // Info is the result of checking a module: the symbol tables consumed by
 // later compiler passes.
 type Info struct {
-	Module  *ast.Module
 	Classes map[string]*Class
 	Order   []string // class declaration order
 	// Calls maps every resolved method/constructor call site.
 	Calls map[*ast.Call]CallTarget
-	// ExprTypes records the inferred type of every expression.
-	ExprTypes map[ast.Expr]*Type
 }
 
 // Error is a semantic (type) error with position.
@@ -238,10 +232,8 @@ type checker struct {
 // Check runs the static analysis pass over a parsed module.
 func Check(mod *ast.Module) (*Info, error) {
 	c := &checker{info: &Info{
-		Module:    mod,
-		Classes:   map[string]*Class{},
-		Calls:     map[*ast.Call]CallTarget{},
-		ExprTypes: map[ast.Expr]*Type{},
+		Classes: map[string]*Class{},
+		Calls:   map[*ast.Call]CallTarget{},
 	}}
 	c.collectClasses(mod)
 	if len(c.errs) > 0 {
@@ -297,7 +289,6 @@ func (c *checker) collectClasses(mod *ast.Module) {
 				Name:          fd.Name,
 				Def:           fd,
 				Transactional: fd.IsTransactional() || cd.IsTransactional(),
-				VarTypes:      map[string]*Type{},
 			}
 			for _, p := range fd.Params {
 				t := c.resolveType(p.Type)
@@ -487,10 +478,6 @@ func (c *checker) checkMethod(m *Method) {
 		sc.vars[p.Name] = p.Type
 	}
 	sc.checkStmts(m.Def.Body)
-	// Record final variable types for later passes.
-	for k, v := range sc.vars {
-		m.VarTypes[k] = v
-	}
 }
 
 // IsInit reports whether the method is __init__.
@@ -643,14 +630,8 @@ func (sc *methodScope) checkStmt(s ast.Stmt) {
 	}
 }
 
-// exprType infers and records the type of an expression.
+// exprType infers the type of an expression.
 func (sc *methodScope) exprType(e ast.Expr) *Type {
-	t := sc.exprType1(e)
-	sc.c.info.ExprTypes[e] = t
-	return t
-}
-
-func (sc *methodScope) exprType1(e ast.Expr) *Type {
 	c := sc.c
 	switch x := e.(type) {
 	case *ast.IntLit:

@@ -91,11 +91,13 @@ func TestFigure1Checks(t *testing.T) {
 	if !buy.Transactional {
 		t.Fatal("buy_item should be transactional")
 	}
-	if buy.VarTypes["total_price"] != Int {
-		t.Fatalf("total_price type: %s", buy.VarTypes["total_price"])
-	}
-	if buy.VarTypes["item"].Kind != KEntity || buy.VarTypes["item"].Entity != "Item" {
-		t.Fatalf("item type: %s", buy.VarTypes["item"])
+	// The locals' inferred types, read back from the error a later
+	// assignment of a str to each draws.
+	for local, want := range map[string]string{"total_price": "int", "item": "Item"} {
+		src := strings.Replace(figure1, "        return True\n", "        "+local+" = \"x\"\n        return True\n", 1)
+		if _, err := check(t, src); err == nil || !strings.Contains(err.Error(), "to "+local+" (previously "+want+")") {
+			t.Fatalf("%s type: assigning a str draws %v, want it named %s", local, err, want)
+		}
 	}
 }
 

@@ -82,8 +82,6 @@ type Op struct {
 	// ID is the workload-level operation id (also the writer id
 	// recorded in entity state).
 	ID string
-	// Method names the entity method invoked, for printouts.
-	Method string
 	// Dep is the id of the op this one depends on ("" if none): the
 	// client submitted this op only after Dep's response arrived, and
 	// may have derived arguments from it. Establishes a session-order
@@ -228,7 +226,7 @@ func Check(h *History, invs ...Invariant) error {
 			return v
 		}
 	}
-	if v := checkSessions(h, ops, seen); v != nil {
+	if v := checkSessions(ops, seen); v != nil {
 		return v
 	}
 	if h.Serial != nil {
@@ -236,7 +234,7 @@ func Check(h *History, invs ...Invariant) error {
 			return v
 		}
 	} else {
-		if v := checkGraph(h, ops, chains, reads, installer); v != nil {
+		if v := checkGraph(ops, chains, reads, installer); v != nil {
 			return v
 		}
 	}
@@ -349,7 +347,7 @@ func checkReads(ent Entity, rs []writer, ws []writer, init State, inst map[int64
 // checkSessions enforces read-your-writes along dependency edges: if op
 // B declares Dep=A and A committed a write on entity e installing
 // version v, then B's observation of e must be at version >= v.
-func checkSessions(h *History, ops map[string]*Op, outs map[string]*Outcome) *Violation {
+func checkSessions(ops map[string]*Op, outs map[string]*Outcome) *Violation {
 	for id, op := range ops {
 		if op.Dep == "" {
 			continue
@@ -447,7 +445,7 @@ func checkSerial(h *History, chains, reads map[Entity][]writer) *Violation {
 // checkGraph enforces serializability without a commit tap: build the
 // precedence graph (write-chain edges, read placement edges, session
 // edges) and reject cycles.
-func checkGraph(h *History, ops map[string]*Op, chains, reads map[Entity][]writer, installer map[Entity]map[int64]string) *Violation {
+func checkGraph(ops map[string]*Op, chains, reads map[Entity][]writer, installer map[Entity]map[int64]string) *Violation {
 	edges := map[string][]string{}
 	addEdge := func(from, to string) {
 		if from != "" && to != "" && from != to {

@@ -11,7 +11,7 @@ var cell = Entity{Class: "Cell", Key: "a"}
 // w2 bumps 1→2, r reads version 2.
 func good() *History {
 	return &History{
-		Invokes: []Op{{ID: "w1", Method: "bump"}, {ID: "w2", Method: "bump"}, {ID: "r", Method: "get"}},
+		Invokes: []Op{{ID: "w1"}, {ID: "w2"}, {ID: "r"}},
 		Outcomes: []Outcome{
 			{ID: "w1", Obs: []Observation{{Entity: cell, Pre: State{0, 100, ""}, Wrote: true, Delta: 5}}},
 			{ID: "w2", Obs: []Observation{{Entity: cell, Pre: State{1, 105, "w1"}, Wrote: true, Delta: 7}}},

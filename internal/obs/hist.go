@@ -37,8 +37,8 @@ func PercentileOf(sorted []time.Duration, p float64) time.Duration {
 // percentiles). Bound switches it to reservoir mode: a fixed-capacity
 // uniform sample (Vitter's algorithm R) with a private deterministic
 // PRNG, so memory stays constant over unbounded runs — e.g. the nightly
-// 100-seed sweeps — and quantiles become estimates while count, sum,
-// mean, min and max stay exact. The reservoir never touches the
+// 100-seed sweeps — and quantiles become estimates while count, mean and
+// max stay exact. The reservoir never touches the
 // simulation's RNG, so bounding a histogram cannot perturb a
 // deterministic run.
 //
@@ -51,7 +51,6 @@ type Histogram struct {
 	rng     uint64
 	seen    int64
 	sum     time.Duration
-	min     time.Duration
 	max     time.Duration
 }
 
@@ -65,7 +64,7 @@ func NewBoundedHistogram(capacity int) *Histogram {
 
 // Bound switches the histogram to reservoir mode with the given
 // capacity (minimum 1). Samples already held beyond the capacity are
-// truncated; counts and extrema are preserved.
+// truncated; the count, mean and max are preserved.
 func (h *Histogram) Bound(capacity int) {
 	if capacity < 1 {
 		capacity = 1
@@ -95,9 +94,6 @@ func (h *Histogram) nextRand() uint64 {
 func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.seen == 0 || d < h.min {
-		h.min = d
-	}
 	if h.seen == 0 || d > h.max {
 		h.max = d
 	}
@@ -136,9 +132,7 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 // the p50/p99 row shape every benchmark table and JSON artifact shares.
 type HistSnapshot struct {
 	Count int64
-	Sum   time.Duration
 	Mean  time.Duration
-	Min   time.Duration
 	Max   time.Duration
 	P50   time.Duration
 	P99   time.Duration
@@ -155,9 +149,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	return HistSnapshot{
 		Count: h.seen,
-		Sum:   h.sum,
 		Mean:  mean,
-		Min:   h.min,
 		Max:   h.max,
 		P50:   PercentileOf(h.samples, 50),
 		P99:   PercentileOf(h.samples, 99),

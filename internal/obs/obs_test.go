@@ -125,8 +125,8 @@ func TestHistogramReservoirDeterministic(t *testing.T) {
 	if sa != sb {
 		t.Fatalf("same-input reservoirs diverged:\na %+v\nb %+v", sa, sb)
 	}
-	if sa.Count != n || sa.Sum != sum {
-		t.Fatalf("count/sum must stay exact in reservoir mode: got count=%d sum=%s", sa.Count, sa.Sum)
+	if sa.Count != n || sa.Mean != sum/n {
+		t.Fatalf("count/mean must stay exact in reservoir mode: got count=%d mean=%s", sa.Count, sa.Mean)
 	}
 	if len(a.samples) != cap {
 		t.Fatalf("reservoir retains %d samples, want the capacity %d", len(a.samples), cap)

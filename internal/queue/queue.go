@@ -15,10 +15,9 @@ import (
 	"statefulentities.dev/stateflow/internal/chunked"
 )
 
-// Record is one log entry.
+// Record is one log entry. Its offset is where it sits; its key chose the
+// partition and is not kept.
 type Record struct {
-	Offset  int64
-	Key     string
 	Payload any
 }
 
@@ -29,9 +28,9 @@ type Partition struct {
 }
 
 // Append adds a record and returns its offset.
-func (p *Partition) Append(key string, payload any) int64 {
+func (p *Partition) Append(payload any) int64 {
 	off := p.End()
-	p.records.Push(Record{Offset: off, Key: key, Payload: payload})
+	p.records.Push(Record{Payload: payload})
 	return off
 }
 
@@ -46,9 +45,8 @@ func (p *Partition) Read(offset int64) (Record, bool) {
 // End returns the next offset to be written.
 func (p *Partition) End() int64 { return int64(p.records.Len()) }
 
-// Topic is a named set of partitions.
+// Topic is a set of partitions.
 type Topic struct {
-	Name       string
 	Partitions []*Partition
 }
 
@@ -82,7 +80,7 @@ func (l *Log) CreateTopic(name string, partitions int) error {
 	if _, dup := l.topics[name]; dup {
 		return fmt.Errorf("queue: topic %s already exists", name)
 	}
-	t := &Topic{Name: name}
+	t := &Topic{}
 	for i := 0; i < partitions; i++ {
 		t.Partitions = append(t.Partitions, &Partition{})
 	}
@@ -100,7 +98,7 @@ func (l *Log) Produce(topic, key string, payload any) (int, int64, error) {
 		return 0, 0, fmt.Errorf("queue: unknown topic %s", topic)
 	}
 	p := t.PartitionFor(key)
-	off := t.Partitions[p].Append(key, payload)
+	off := t.Partitions[p].Append(payload)
 	return p, off, nil
 }
 

@@ -43,7 +43,7 @@ func TestProduceFetchRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("fetch: %v %v", ok, err)
 	}
-	if rec.Payload.(string) != "hello" || rec.Key != "k1" {
+	if rec.Payload.(string) != "hello" {
 		t.Fatalf("record: %+v", rec)
 	}
 }
@@ -172,7 +172,7 @@ func TestPartitionChunkBoundaries(t *testing.T) {
 	for _, n := range []int{per - 1, per, per + 1, 2 * per} {
 		var p Partition
 		for i := range n {
-			if off := p.Append(fmt.Sprint("k", i), i); off != int64(i) {
+			if off := p.Append(i); off != int64(i) {
 				t.Fatalf("n=%d: append %d at offset %d", n, i, off)
 			}
 		}
@@ -181,7 +181,7 @@ func TestPartitionChunkBoundaries(t *testing.T) {
 		}
 		for i := range n {
 			rec, ok := p.Read(int64(i))
-			if !ok || rec.Offset != int64(i) || rec.Key != fmt.Sprint("k", i) || rec.Payload != i {
+			if !ok || rec.Payload != i {
 				t.Fatalf("n=%d: offset %d reads %+v, %v", n, i, rec, ok)
 			}
 		}
@@ -202,7 +202,7 @@ func TestAllocsPerPartitionChunk(t *testing.T) {
 	payload := any(&Record{})
 	allocs := testing.AllocsPerRun(50, func() {
 		for range per {
-			p.Append("k", payload)
+			p.Append(payload)
 		}
 	})
 	t.Logf("%.0f allocations per %d appends", allocs, per)

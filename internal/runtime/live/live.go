@@ -85,7 +85,6 @@ const journalResponse dlog.Kind = 1
 
 // Runtime is a running live deployment. Close it when done.
 type Runtime struct {
-	prog    *ir.Program
 	ex      *core.Executor
 	workers []*worker
 	pending sync.Map // req id -> *Pending
@@ -219,7 +218,6 @@ type keysProbe struct {
 
 type worker struct {
 	rt    *Runtime
-	idx   int
 	inbox chan any // *core.Event, probe or keysProbe
 	// store is only touched by this worker's goroutine.
 	store *state.Store
@@ -252,7 +250,7 @@ func Open(prog *ir.Program, cfg Config) (*Runtime, error) {
 	if cfg.JournalCheckpointEvery == 0 {
 		cfg.JournalCheckpointEvery = 1024
 	}
-	rt := &Runtime{prog: prog, ex: core.NewExecutor(prog), quit: make(chan struct{}),
+	rt := &Runtime{ex: core.NewExecutor(prog), quit: make(chan struct{}),
 		retention: cfg.JournalRetention, checkpointEvery: cfg.JournalCheckpointEvery}
 	if cfg.JournalPath != "" {
 		jl, err := dlog.OpenFile(cfg.JournalPath)
@@ -283,10 +281,9 @@ func Open(prog *ir.Program, cfg Config) (*Runtime, error) {
 			}
 		}
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for range cfg.Workers {
 		w := &worker{
 			rt:    rt,
-			idx:   i,
 			inbox: make(chan any, cfg.MailboxDepth),
 			store: state.NewStore(prog.Layouts()),
 		}

@@ -40,8 +40,6 @@ type Meta struct {
 	// snapshots that are still missing images, so a recovery triggered
 	// mid-snapshot never restores a half-written cut.
 	Expected int
-	// Bytes per worker image, for reporting.
-	Bytes map[string]int
 }
 
 // Store is the durable snapshot repository (standing in for the DFS/object
@@ -80,7 +78,7 @@ func (s *Store) BeginWithPending(epoch int64, sourceOffsets, pending map[string]
 	id := s.nextID
 	s.metas = append(s.metas, Meta{
 		ID: id, Epoch: epoch, SourceOffsets: sourceOffsets,
-		PendingPositions: pending, Expected: expected, Bytes: map[string]int{},
+		PendingPositions: pending, Expected: expected,
 	})
 	s.images[id] = map[string][]byte{}
 	return id
@@ -126,11 +124,6 @@ func (s *Store) write(id int64, worker string, build func() []byte) (int, error)
 	}
 	img := build()
 	imgs[worker] = img
-	for i := range s.metas {
-		if s.metas[i].ID == id {
-			s.metas[i].Bytes[worker] = len(img)
-		}
-	}
 	return len(img), nil
 }
 

@@ -189,11 +189,6 @@ type Coordinator struct {
 	recovery
 	CoordinatorStats
 
-	// RestoredSnapshots records, per recovery, the snapshot id it rolled
-	// back to (0: reset to empty) — tests assert every restored id was a
-	// complete snapshot.
-	RestoredSnapshots []int64
-
 	// The fast-read path (read.go). decided is the newest epoch whose batch
 	// decide was broadcast — whose responses may be out — or a recovery's
 	// view epoch (-1: none yet; a worker's applied epoch starts there too); a
@@ -342,7 +337,7 @@ func (c *Coordinator) onRequest(ctx *sim.Context, msg sim.Message, m sysapi.MsgR
 	if !c.admit(ctx, id, m.ReplyTo) {
 		return
 	}
-	c.sys.RequestLog.Append(id, msg)
+	c.sys.RequestLog.Append(msg)
 	c.journal.logged(id)
 	// A logged request enters a batch only through the drain, in log order:
 	// the cursor never passes a record it did not assign.
@@ -603,8 +598,9 @@ func (c *Coordinator) onSnapshotDone(ctx *sim.Context, from string, m msgSnapsho
 // writeCheckpoint seals the just-completed snapshot: the journal folds
 // itself and the coordinator's marks into a log checkpoint (pruning dedup
 // state below the snapshot's source offset and releasing the snapshot
-// epoch's staged responses). With SnapshotRetain 1 the older snapshots
-// retire now; a larger budget retires them when the next one begins.
+// epoch's staged responses) and retires the complete snapshots beyond
+// SnapshotRetain. A budget of 2 or more has mostly retired them at the
+// begin (startSnapshot) already, where a worker can reuse their images.
 func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 	offset := int64(0)
 	if meta, ok := c.sys.Snapshots.Get(c.snapshotID); ok {
@@ -612,9 +608,7 @@ func (c *Coordinator) writeCheckpoint(ctx *sim.Context) {
 	}
 	c.sealed, c.sealedCut = c.snapshotID, c.snapCut
 	c.journal.checkpoint(ctx, c.marks, offset)
-	if c.sys.cfg.SnapshotRetain == 1 {
-		c.sys.Snapshots.Compact(1)
-	}
+	c.sys.Snapshots.Compact(c.sys.cfg.SnapshotRetain)
 }
 
 // openEpoch advances the epoch (durably — blocking on the serial

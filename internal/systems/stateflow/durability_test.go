@@ -322,9 +322,9 @@ func corruptSnapshotImage(t *testing.T, damage func(t *testing.T, img []byte)) {
 	f.cluster.ScheduleCrash(victim.id, now, now+5*time.Millisecond)
 	f.cluster.RunUntil(20 * time.Second)
 
-	if coord.Recoveries != 1 || coord.RestoredSnapshots[0] != sealed {
+	if restored := restoredSnapshots(t, coord); coord.Recoveries != 1 || len(restored) != 1 || restored[0] != sealed {
 		t.Fatalf("recoveries=%d restored=%v, want one recovery to snapshot %d",
-			coord.Recoveries, coord.RestoredSnapshots, sealed)
+			coord.Recoveries, restored, sealed)
 	}
 	total := 0
 	for _, w := range f.sys.workers {

@@ -135,7 +135,7 @@ func testEpochTIDsAreContiguous(t *testing.T, disableFallback bool) {
 // finish, and its ack in each of the three phases that wait on every worker:
 // apply, snapshot, recovery. Duplicates of an answer already in (as many as
 // there are workers, so a tally in place of a set would complete the phase)
-// neither bump the failure detector's progress counter nor advance the
+// neither move the failure detector's progress stamp nor advance the
 // phase, and a duplicated finish's content is not folded in a second time.
 func TestAckCountsAWorkerOnce(t *testing.T) {
 	const n = 24
@@ -152,7 +152,9 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 	// its answers, then re-delivers one of them once per worker.
 	duplicate := func(what string, acks func() ackSet, dup func(st *epochState) sim.Message) {
 		t.Helper()
-		for i := 0; len(acks()) == 0 || len(acks()) == workers; i++ {
+		// (The last answer counted must predate the duplicates, so that
+		// counting one would move the progress stamp.)
+		for i := 0; len(acks()) == 0 || len(acks()) == workers || c.progressAt == f.cluster.Now(); i++ {
 			if i > 500_000 {
 				t.Fatalf("never caught the %s phase partly answered", what)
 			}
@@ -167,14 +169,14 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 		if st != nil {
 			phaseBefore = st.phase
 		}
-		progress, have, recovering := c.progress, len(acks()), c.recovering
+		progress, have, recovering := c.progressAt, len(acks()), c.recovering
 		for i := 0; i < workers; i++ {
 			f.cluster.Inject(now, from, f.sys.coordID, dup(st))
 		}
 		f.cluster.RunUntil(now)
-		if c.progress != progress || len(acks()) != have {
-			t.Fatalf("%s: %d duplicates from %s moved progress %d → %d, answers %d → %d",
-				what, workers, from, progress, c.progress, have, len(acks()))
+		if c.progressAt != progress || len(acks()) != have {
+			t.Fatalf("%s: %d duplicates from %s moved progress %v → %v, answers %d → %d",
+				what, workers, from, progress, c.progressAt, have, len(acks()))
 		}
 		if c.commit != st || (st != nil && st.phase != phaseBefore) || c.recovering != recovering {
 			t.Fatalf("%s: duplicates from %s advanced the phase", what, from)
@@ -197,23 +199,23 @@ func TestAckCountsAWorkerOnce(t *testing.T) {
 			t.Fatal("never caught a batch partly finished")
 		}
 		f.cluster.RunUntil(f.cluster.Now() + 5*time.Microsecond)
-		if x := c.exec; x != nil && x.round == 0 && x.unfinished > 0 &&
+		if x := c.exec; x != nil && x.round == 0 && x.unfinished > 0 && c.progressAt < f.cluster.Now() &&
 			slices.ContainsFunc(x.txns, func(t *txnState) bool { return t.finished }) {
 			st = x
 		}
 	}
 	i := slices.IndexFunc(st.txns, func(t *txnState) bool { return t.finished })
 	done, now := st.txns[i], f.cluster.Now()
-	progress, unfinished, value := c.progress, st.unfinished, done.value
+	progress, unfinished, value := c.progressAt, st.unfinished, done.value
 	owner := f.sys.ownerOf(done.req.Target)
 	for range workers {
 		f.cluster.Inject(now, owner, f.sys.coordID,
 			msgTxnFinished{&txnEvent{TID: st.first + aria.TID(i), Epoch: st.epoch, Err: "duplicate"}})
 	}
 	f.cluster.RunUntil(now)
-	if c.progress != progress || st.unfinished != unfinished || !done.value.Equal(value) || done.err == "duplicate" {
-		t.Fatalf("finish: %d duplicates moved progress %d → %d, unfinished %d → %d, or were folded in (err %q)",
-			workers, progress, c.progress, unfinished, st.unfinished, done.err)
+	if c.progressAt != progress || st.unfinished != unfinished || !done.value.Equal(value) || done.err == "duplicate" {
+		t.Fatalf("finish: %d duplicates moved progress %v → %v, unfinished %d → %d, or were folded in (err %q)",
+			workers, progress, c.progressAt, unfinished, st.unfinished, done.err)
 	}
 	duplicate("apply", inPhase(phaseApply), func(st *epochState) sim.Message {
 		return msgApplied{&msgDecide{Epoch: st.epoch, Round: st.round}}

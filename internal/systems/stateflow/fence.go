@@ -264,7 +264,7 @@ func (c *Coordinator) onGlobalApply(ctx *sim.Context, m msgGlobalApply) {
 	if c.recovering || a.man.seq != c.fenceSeq || m.Ballot < c.ballot {
 		return
 	}
-	pos := c.sys.RequestLog.Append(a.id, a)
+	pos := c.sys.RequestLog.Append(a)
 	c.journal.logged(a.id)
 	p := a.pending(pos)
 	p.arrivedAt = ctx.Now()
@@ -308,7 +308,7 @@ func (c *Coordinator) startApply(ctx *sim.Context, p pendingReq) {
 // inside the fence window.
 func (c *Coordinator) produceMarker(ctx *sim.Context, seq int64, open bool) {
 	ctx.Work(c.sys.cfg.Costs.LogAppendCPU)
-	c.sys.RequestLog.Append(c.sys.coordID, &fenceMarker{seq: seq, open: open, ballot: c.ballot})
+	c.sys.RequestLog.Append(&fenceMarker{seq: seq, open: open, ballot: c.ballot})
 }
 
 // scanFenceState re-derives the fence state from the durable markers in

@@ -52,12 +52,11 @@ type recovery struct {
 	// recovery.replay trace spans. A replay in flight also holds the fast
 	// reads (readsHeld).
 	recoverAt, replayAt time.Duration
-	// progress counts accepted worker messages and progressAt is when the
-	// last one was counted. The failure detector measures its patience from
-	// that instant, so recovery fires exactly one stall timeout after the
-	// last sign of life — and only when a phase made no progress at all for
-	// that long (see alive, onStallCheck).
-	progress   uint64
+	// progressAt is when the last accepted worker message was counted. The
+	// failure detector measures its patience from that instant, so recovery
+	// fires exactly one stall timeout after the last sign of life — and
+	// only when a phase made no progress at all for that long (see alive,
+	// onStallCheck).
 	progressAt time.Duration
 	// stallArmed marks the failure detector's one watchdog in flight and
 	// stallAt is the deadline it was armed for (see armStallCheck). A reboot
@@ -103,11 +102,10 @@ func (c *Coordinator) armStallCheck(ctx *sim.Context) {
 	}
 }
 
-// alive counts one accepted worker answer — a root response or a fresh ack
-// — as a sign of life and stamps when it came: the failure detector's
-// deadline is that instant plus the stall timeout.
+// alive stamps when an accepted worker answer — a root response or a fresh
+// ack — came, as the latest sign of life: the failure detector's deadline
+// is that instant plus the stall timeout.
 func (c *Coordinator) alive(ctx *sim.Context) {
-	c.progress++
 	c.progressAt = ctx.Now()
 }
 
@@ -234,7 +232,6 @@ func (c *Coordinator) Recover(ctx *sim.Context) {
 	clear(c.acks)
 	c.snapshotID = snapID
 	c.tap.restored(c.epoch, snapID)
-	c.RestoredSnapshots = append(c.RestoredSnapshots, snapID)
 	if f := c.flight(); f.Enabled() {
 		f.Recordf(ctx.Now(), c.sys.coordID, "recovery",
 			"epoch %d: restored snapshot %d, %d binding replays, %d pending",
@@ -258,7 +255,7 @@ func (c *Coordinator) OnRestart(ctx *sim.Context) {
 		// inside the two-epochs-in-flight window.
 		c.MidPipelineRestarts++
 	}
-	c.progress, c.progressAt = 0, 0
+	c.progressAt = 0
 	c.stallArmed = false
 	// The fence window is volatile here; Recover's marker scan rebuilds it,
 	// raising the completed high-water mark the checkpoint carried.

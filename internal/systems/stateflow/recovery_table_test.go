@@ -120,11 +120,11 @@ func (fx *recFixture) expect(what, wait string, answered []int, sent string) {
 // the wait, the set, the failure detector's progress and the sends.
 func (fx *recFixture) ignored(what string, w int, msg sim.Message) {
 	fx.t.Helper()
-	wait, answered, progress := fx.wait(), fx.answered(), fx.c.progress
+	wait, answered, progress := fx.wait(), fx.answered(), fx.c.progressAt
 	fx.deliver(w, msg)
 	fx.expect(what, wait, answered, "")
-	if fx.c.progress != progress {
-		fx.t.Fatalf("%s: progress %d → %d", what, progress, fx.c.progress)
+	if fx.c.progressAt != progress {
+		fx.t.Fatalf("%s: progress stamped at %v → %v", what, progress, fx.c.progressAt)
 	}
 }
 

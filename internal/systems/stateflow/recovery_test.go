@@ -41,7 +41,8 @@ const recoveryRequests = 24
 // recoveryFixture is the bank scenario shared by this file's tests: 24
 // contended single-unit transfers circulating over 4 accounts (so every
 // balance returns to 100 iff effects are exactly-once), frequent
-// snapshots, and a delivery-counting client.
+// snapshots, and a delivery-counting client. Its flight recorder keeps
+// every line, for restoredSnapshots.
 type recoveryFixture struct {
 	cluster *sim.Cluster
 	dep     *ShardedSystem
@@ -58,6 +59,7 @@ func newRecoveryFixture(t *testing.T, seed int64, mods ...func(*Config)) *recove
 	cfg := DefaultConfig()
 	cfg.SnapshotEvery = 2
 	cfg.EpochInterval = 10 * time.Millisecond
+	cfg.Flight = obs.NewFlightRecorder(1 << 14)
 	for _, mod := range mods {
 		mod(&cfg)
 	}
@@ -258,14 +260,14 @@ func TestRecoveryGeneratedCrashPoints(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if meta.Expected > 0 && len(meta.Bytes) < meta.Expected {
+			if meta.Expected > 0 && imagesWritten(sys, id) < meta.Expected {
 				tornSnapshots++
 			}
 			if len(meta.PendingPositions[sourceTopic]) > 0 {
 				pendingSnapshots++
 			}
 		}
-		for _, id := range sys.Coordinator().RestoredSnapshots {
+		for _, id := range restoredSnapshots(t, sys.Coordinator()) {
 			if id == 0 {
 				continue // reset-to-empty, nothing to tear
 			}
@@ -273,7 +275,7 @@ func TestRecoveryGeneratedCrashPoints(t *testing.T) {
 			if !ok {
 				fail("recovery restored unknown snapshot %d", id)
 			}
-			if meta.Expected > 0 && len(meta.Bytes) < meta.Expected {
+			if meta.Expected > 0 && imagesWritten(sys, id) < meta.Expected {
 				fail("recovery restored torn snapshot %d", id)
 			}
 		}
@@ -307,11 +309,10 @@ func TestRecoveryMidSnapshotRestoresLastComplete(t *testing.T) {
 	for i := 0; ; i++ {
 		if st := sys.coord.commit; st != nil && st.phase == phaseSnapshot {
 			id := sys.coord.snapshotID
-			meta, _ := sys.Snapshots.Get(id)
-			if len(meta.Bytes) < len(sys.WorkerIDs()) {
+			if imagesWritten(sys, id) < len(sys.WorkerIDs()) {
 				tornID = id
 				for _, w := range sys.WorkerIDs() {
-					if _, written := meta.Bytes[w]; !written {
+					if _, written := sys.Snapshots.Read(id, w); !written {
 						cluster.Crash(w)
 						break
 					}
@@ -329,15 +330,14 @@ func TestRecoveryMidSnapshotRestoresLastComplete(t *testing.T) {
 	if sys.Coordinator().Recoveries == 0 {
 		t.Fatal("mid-snapshot crash did not trigger recovery")
 	}
-	if meta, _ := sys.Snapshots.Get(tornID); len(meta.Bytes) >= len(sys.WorkerIDs()) {
-		t.Fatalf("torn snapshot %d ended up complete (%d images)", tornID, len(meta.Bytes))
+	if n := imagesWritten(sys, tornID); n >= len(sys.WorkerIDs()) {
+		t.Fatalf("torn snapshot %d ended up complete (%d images)", tornID, n)
 	}
-	for _, id := range sys.Coordinator().RestoredSnapshots {
-		if id == tornID {
-			t.Fatalf("recovery restored the torn snapshot %d", tornID)
-		}
+	restored := restoredSnapshots(t, sys.Coordinator())
+	if slices.Contains(restored, tornID) {
+		t.Fatalf("recovery restored the torn snapshot %d", tornID)
 	}
-	if len(sys.Coordinator().RestoredSnapshots) == 0 {
+	if len(restored) == 0 {
 		t.Fatal("no restore recorded despite recovery")
 	}
 	if latest, ok := sys.Snapshots.Latest(); ok && latest.ID == tornID {
@@ -794,13 +794,12 @@ func TestBindingReplayVirtualTimeBudget(t *testing.T) {
 // workers are still answering.
 
 // killMidExecute submits one update to each of the first n registers in one
-// burst (they share the open epoch), steps until the coordinator has counted
-// at least 4 answers while a worker still owes one, then kills that worker
-// for downtime. It returns the victim and the crash instant.
+// burst (they share the open epoch), steps until at least 4 of them have
+// finished while a worker still owes one, then kills that worker for
+// downtime. It returns the victim and the crash instant.
 func (fx *bindingFixture) killMidExecute(n int, downtime time.Duration) (victim *Worker, at time.Duration) {
 	fx.t.Helper()
 	c := fx.shard.Coordinator()
-	before := c.progress
 	for i, key := range fx.keys[:n] {
 		fx.submit(key, "add", interp.IntV(int64(i+1)))
 	}
@@ -814,7 +813,17 @@ func (fx *bindingFixture) killMidExecute(n int, downtime time.Duration) (victim 
 		}
 		return nil
 	}
-	fx.runUntil("a batch part answered", func() bool { return c.progress >= before+4 && owes() != nil })
+	finished := func() (n int) {
+		if st := c.exec; st != nil {
+			for _, t := range st.txns {
+				if t.finished {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	fx.runUntil("a batch part answered", func() bool { return finished() >= 4 && owes() != nil })
 	victim, at = owes(), fx.cluster.Now()
 	fx.cluster.ScheduleCrash(victim.id, at, at+downtime)
 	return victim, at
@@ -834,6 +843,39 @@ func flightAt(t *testing.T, rec *obs.FlightRecorder, node, kind string, n int) t
 	}
 	t.Fatalf("flight recorder has no %s line #%d for %s", kind, n, node)
 	return 0
+}
+
+// imagesWritten counts the workers whose image snapshot id holds.
+func imagesWritten(sys *System, id int64) (n int) {
+	for _, w := range sys.WorkerIDs() {
+		if _, ok := sys.Snapshots.Read(id, w); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// restoredSnapshots lists, per recovery of c, the snapshot id it rolled
+// back to (0: reset to empty), read from the "recovery" lines of the
+// deployment's flight recorder, which must hold every line recorded.
+func restoredSnapshots(t *testing.T, c *Coordinator) []int64 {
+	t.Helper()
+	events := c.flight().Events()
+	if len(events) > 0 && events[0].Seq != 0 {
+		t.Fatalf("the flight recorder evicted %d lines", events[0].Seq)
+	}
+	var ids []int64
+	for _, ev := range events {
+		if ev.Node != c.sys.coordID || ev.Kind != "recovery" {
+			continue
+		}
+		var epoch, id int64
+		if _, err := fmt.Sscanf(ev.Detail, "epoch %d: restored snapshot %d", &epoch, &id); err != nil {
+			t.Fatalf("recovery line %q: %v", ev.Detail, err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // TestDetectorFiresOneTimeoutAfterLastProgress: one worker dies mid-execute
@@ -1005,10 +1047,9 @@ func TestRecoveryWaitsOutAHeldDownWorker(t *testing.T) {
 		t.Fatalf("epoch %d after a recovery in view %d: bumped more than once", c.epoch, epoch)
 	}
 	fx.runUntil("every call answered", func() bool { return len(fx.client.got) == fx.sent })
-	if c.Recoveries != 1 || len(c.RestoredSnapshots) != 1 || c.BindingReplays != answered ||
-		flightLines(flight, "recovery") != 1 {
-		t.Fatalf("recoveries=%d restores=%d binding replays=%d (want 1, 1, the %d answered calls), %d recovery lines",
-			c.Recoveries, len(c.RestoredSnapshots), c.BindingReplays, answered, flightLines(flight, "recovery"))
+	if c.Recoveries != 1 || c.BindingReplays != answered || flightLines(flight, "recovery") != 1 {
+		t.Fatalf("recoveries=%d binding replays=%d (want 1, the %d answered calls), %d recovery lines (want 1)",
+			c.Recoveries, c.BindingReplays, answered, flightLines(flight, "recovery"))
 	}
 	if c.RecoverRetries == 0 || flightLines(flight, "recover.retry") != c.RecoverRetries {
 		t.Fatalf("%d retries, %d recover.retry lines", c.RecoverRetries, flightLines(flight, "recover.retry"))

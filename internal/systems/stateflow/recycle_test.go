@@ -10,6 +10,7 @@ import (
 
 	"statefulentities.dev/stateflow/internal/core"
 	"statefulentities.dev/stateflow/internal/interp"
+	"statefulentities.dev/stateflow/internal/obs"
 	"statefulentities.dev/stateflow/internal/sim"
 	"statefulentities.dev/stateflow/internal/systems/sysapi"
 	"statefulentities.dev/stateflow/internal/txn/aria"
@@ -126,7 +127,9 @@ func TestSnapshotRetainTwoEncodesIntoTheRetiredImages(t *testing.T) {
 // exactly-once holds.
 func TestWorkerCrashBeforeItsImageRestoresThePreviousCut(t *testing.T) {
 	const n = 24
-	f := newDurableFixture(t, 42, recycleConfig(2), n, 4)
+	cfg := recycleConfig(2)
+	cfg.Flight = obs.NewFlightRecorder(1 << 14)
+	f := newDurableFixture(t, 42, cfg, n, 4)
 	c := f.sys.Coordinator()
 	victim := f.sys.workers[f.sys.OwnerIndex(interp.EntityRef{Class: "Account", Key: acct(0)})].id
 	f.cluster.Start()
@@ -147,8 +150,8 @@ func TestWorkerCrashBeforeItsImageRestoresThePreviousCut(t *testing.T) {
 	f.cluster.ScheduleCrash(victim, now, now+5*time.Millisecond)
 	f.cluster.RunUntil(20 * time.Second)
 
-	if len(c.RestoredSnapshots) == 0 || c.RestoredSnapshots[0] != sealed {
-		t.Fatalf("restored %v after a crash tore snapshot %d, want the sealed %d first", c.RestoredSnapshots, torn, sealed)
+	if restored := restoredSnapshots(t, c); len(restored) == 0 || restored[0] != sealed {
+		t.Fatalf("restored %v after a crash tore snapshot %d, want the sealed %d first", restored, torn, sealed)
 	}
 	for _, w := range f.sys.workers {
 		if w.CorruptSnapshotImages != 0 {
@@ -166,7 +169,9 @@ func TestWorkerCrashBeforeItsImageRestoresThePreviousCut(t *testing.T) {
 // store.
 func TestRecycleKeepsTheSealedRestorePoint(t *testing.T) {
 	const n = 24
-	f := newDurableFixture(t, 42, recycleConfig(2), n, 4)
+	cfg := recycleConfig(2)
+	cfg.Flight = obs.NewFlightRecorder(1 << 14)
+	f := newDurableFixture(t, 42, cfg, n, 4)
 	c := f.sys.Coordinator()
 	f.cluster.Start()
 	f.stepUntil(t, "a periodic snapshot complete in the store and not yet sealed", func() bool {
@@ -187,8 +192,8 @@ func TestRecycleKeepsTheSealedRestorePoint(t *testing.T) {
 	f.cluster.ScheduleCrash(f.sys.workers[0].id, now, now+5*time.Millisecond)
 	f.cluster.RunUntil(20 * time.Second)
 
-	if want := []int64{sealed, sealed}; len(c.RestoredSnapshots) < 2 || !slices.Equal(c.RestoredSnapshots[:2], want) {
-		t.Fatalf("restored %v, want the sealed %d by both recoveries", c.RestoredSnapshots, sealed)
+	if restored, want := restoredSnapshots(t, c), []int64{sealed, sealed}; len(restored) < 2 || !slices.Equal(restored[:2], want) {
+		t.Fatalf("restored %v, want the sealed %d by both recoveries", restored, sealed)
 	}
 	f.assertExactlyOnceEffective(t, n)
 }
@@ -290,7 +295,7 @@ func TestSettledWorkerEpochIsReused(t *testing.T) {
 		t.Fatal("the next transaction's workspace is a new txnWork, not the pooled one")
 	}
 	var want txnWork
-	want.ws.Open(9, w.committed)
+	want.ws.Open(w.committed)
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("the reused txnWork kept a field of the settled transaction:\n got %+v\nwant %+v", *got, want)
 	}

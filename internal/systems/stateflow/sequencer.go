@@ -663,7 +663,7 @@ func (s *reconStore) Create(ref interp.EntityRef, ctor func(interp.State) error)
 // shard runtime's abort-on-error contract).
 func (q *Sequencer) execute(ctx *sim.Context, b *globalBatch, t *globalTxn) []interp.EntityRef {
 	store := &b.recon
-	store.ws.Open(aria.TID(b.seq), b.overlay)
+	store.ws.Open(b.overlay)
 	clear(store.missing)
 	out, steps, err := q.sys.ex.Drive(core.Event{
 		Kind:   core.EvInvoke,

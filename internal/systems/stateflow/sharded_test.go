@@ -623,7 +623,7 @@ func TestGlobalExecuteVirtualTimeBudget(t *testing.T) {
 			interp.MapState{"owner": interp.StrV(key), "balance": interp.IntV(100)})
 	}
 	ws, ex := new(aria.Workspace), core.NewExecutor(fx.sys.prog)
-	ws.Open(1, store)
+	ws.Open(store)
 	req := transferReq("x1", fx.from, fx.to, 25)
 	_, steps, err := ex.Drive(core.Event{Kind: core.EvInvoke, Req: req.Req, Target: req.Target, Method: req.Method, Args: req.Args}, ws)
 	if err != nil {

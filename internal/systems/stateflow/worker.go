@@ -109,7 +109,6 @@ type Worker struct {
 	sys *System
 	ex  *core.Executor // the deployment's one executor
 	id  string
-	idx int
 
 	committed *state.Store
 
@@ -171,7 +170,6 @@ func newWorker(sys *System, ex *core.Executor, idx int) *Worker {
 		sys:          sys,
 		ex:           ex,
 		id:           workerID(sys.prefix, idx),
-		idx:          idx,
 		committed:    state.NewStore(sys.prog.Layouts()),
 		epochs:       map[int64]*workerEpoch{},
 		appliedEpoch: -1,
@@ -281,7 +279,7 @@ func (w *Worker) workspace(ep *workerEpoch, tid aria.TID) *txnWork {
 		} else {
 			tw = new(txnWork)
 		}
-		tw.ws.Open(tid, w.committed)
+		tw.ws.Open(w.committed)
 		ep.workspaces[tid] = tw
 	}
 	return tw

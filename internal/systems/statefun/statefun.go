@@ -262,9 +262,7 @@ type envelope struct {
 
 // msgRecord is a broker push to a consumer.
 type msgRecord struct {
-	Topic     string
-	Partition int
-	Env       envelope
+	Env envelope
 }
 
 // msgFnRequest ships an event plus the entity's current state row to the
@@ -283,7 +281,6 @@ type msgFnResponse struct {
 	Ref     interp.EntityRef
 	Writes  *interp.Row // full new state row (nil if no writes)
 	Wrote   bool
-	Created bool
 	Out     envelope // the event the call produced, unless Err is set
 	Err     string
 	ReplyTo string
@@ -414,18 +411,17 @@ func (b *broker) produce(ctx *sim.Context, topic string, env envelope) {
 	costs := b.sys.cfg.Costs
 	ctx.Work(costs.BrokerCPU)
 	key := env.Ev.Target.Key
-	part, _, err := b.sys.Log.Produce(topic, key, env)
-	if err != nil {
+	if _, _, err := b.sys.Log.Produce(topic, key, env); err != nil {
 		return
 	}
 	b.Produced++
 	// Push to the consumer after the poll delay.
 	switch topic {
 	case ingressTopic:
-		ctx.Send(b.sys.routerID, msgRecord{Topic: topic, Partition: part, Env: env},
+		ctx.Send(b.sys.routerID, msgRecord{Env: env},
 			costs.BrokerPoll.Sample(ctx.Rand()))
 	case egressTopic:
-		ctx.Send(b.sys.egressID, msgRecord{Topic: topic, Partition: part, Env: env},
+		ctx.Send(b.sys.egressID, msgRecord{Env: env},
 			costs.BrokerPoll.Sample(ctx.Rand()))
 	}
 }
@@ -487,7 +483,6 @@ type flinkWorker struct {
 	id       string
 	states   *state.Store
 	rr       int
-	versions map[interp.EntityRef]int
 	inflight map[interp.EntityRef]int
 	workerStats
 }
@@ -526,7 +521,6 @@ func (w *flinkWorker) onEvent(ctx *sim.Context, env envelope) {
 	}
 	if w.inflight == nil {
 		w.inflight = map[interp.EntityRef]int{}
-		w.versions = map[interp.EntityRef]int{}
 	}
 	w.inflight[ref]++
 	if w.inflight[ref] > 1 {
@@ -580,11 +574,10 @@ type fnStats struct {
 
 // shippedStore adapts the shipped single-entity state row to core.Store.
 type shippedStore struct {
-	ref     interp.EntityRef
-	st      *interp.Row
-	exists  bool
-	wrote   *bool
-	created *bool
+	ref    interp.EntityRef
+	st     *interp.Row
+	exists bool
+	wrote  *bool
 }
 
 // Lookup implements core.Store.
@@ -596,7 +589,7 @@ func (s shippedStore) Lookup(ref interp.EntityRef) (interp.State, bool) {
 }
 
 // Create implements core.Store: the constructor fills the shipped row, which
-// goes back to the worker as a creation only if the constructor succeeds.
+// goes back to the worker as a write only if the constructor succeeds.
 func (s shippedStore) Create(ref interp.EntityRef, ctor func(interp.State) error) error {
 	if ref != s.ref {
 		return fmt.Errorf("statefun: create %s routed to partition of %s", ref, s.ref)
@@ -607,7 +600,6 @@ func (s shippedStore) Create(ref interp.EntityRef, ctor func(interp.State) error
 	if err := ctor(s.st); err != nil {
 		return err
 	}
-	*s.created = true
 	*s.wrote = true
 	return nil
 }
@@ -648,14 +640,14 @@ func (f *fnRuntime) OnMessage(ctx *sim.Context, from string, msg sim.Message) {
 	if st == nil {
 		st = interp.NewRow(f.sys.prog.Layouts().LayoutOf(m.Ref.Class))
 	}
-	var wrote, created bool
-	store := shippedStore{ref: m.Ref, st: st, exists: m.Exists, wrote: &wrote, created: &created}
+	var wrote bool
+	store := shippedStore{ref: m.Ref, st: st, exists: m.Exists, wrote: &wrote}
 	out, err := f.sys.executor.Step(m.Env.Ev, store)
 	ctx.Work(costs.ExecuteCPU)
 
 	resp := msgFnResponse{
 		Ref: m.Ref, ReplyTo: m.Env.ReplyTo, Req: m.Env.Ev.Req,
-		Created: created, Wrote: wrote,
+		Wrote: wrote,
 	}
 	if wrote {
 		resp.Writes = st

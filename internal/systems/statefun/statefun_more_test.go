@@ -65,9 +65,7 @@ func TestEgressDedupes(t *testing.T) {
 		t.Fatal("no egress records")
 	}
 	rec, _, _ := fx.sys.Log.Fetch("egress", 0, 0)
-	fx.cluster.Inject(fx.cluster.Now(), "kafka", "fl-egress", msgRecord{
-		Topic: "egress", Partition: 0, Env: rec.Payload.(envelope),
-	})
+	fx.cluster.Inject(fx.cluster.Now(), "kafka", "fl-egress", msgRecord{Env: rec.Payload.(envelope)})
 	fx.cluster.RunUntil(fx.cluster.Now() + time.Second)
 	if fx.client.Done != 1 {
 		t.Fatalf("duplicate delivered: %d", fx.client.Done)

@@ -46,7 +46,7 @@ func TestScriptClientRecordsLatency(t *testing.T) {
 		t.Fatalf("done: %d", c.Done)
 	}
 	// Round trip: 1ms there + 4ms service.
-	if got := c.Latency.Snapshot().Min; got != 5*time.Millisecond {
+	if got := c.Latency.Percentile(0); got != 5*time.Millisecond {
 		t.Fatalf("latency: %s", got)
 	}
 	if c.PerKind["read"].Snapshot().Count != 1 || c.PerKind["update"].Snapshot().Count != 1 {

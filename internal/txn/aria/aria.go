@@ -185,7 +185,6 @@ type wsEntry struct {
 // inside the workspace, so a typical transaction allocates the workspace
 // and nothing else. A workspace must not be copied once used.
 type Workspace struct {
-	TID       TID
 	committed *state.Store
 	// RW is the reservation set. Finishes ship a pointer to it, so a caller
 	// that keeps the workspace for reuse may Open it again only once nobody
@@ -200,11 +199,11 @@ type Workspace struct {
 	index  map[interp.EntityRef]*wsEntry // over spill; nil up to scanLimit
 }
 
-// Open makes ws an empty workspace for tid over the committed store, in
-// place: a caller that keeps the workspace inside a larger record opens it
-// there instead of allocating it on its own.
-func (ws *Workspace) Open(tid TID, committed *state.Store) {
-	*ws = Workspace{TID: tid, committed: committed}
+// Open makes ws an empty workspace over the committed store, in place: a
+// caller that keeps the workspace inside a larger record opens it there
+// instead of allocating it on its own.
+func (ws *Workspace) Open(committed *state.Store) {
+	*ws = Workspace{committed: committed}
 }
 
 // resKey interns the entity reference as a reservation key.
@@ -540,11 +539,9 @@ func Conflicts(a, b *RWSet) bool {
 // conflict-aborted transactions: which of them commit via deterministic
 // re-execution and in what order.
 type Schedule struct {
-	// Commit lists every fallback-scheduled transaction in its
-	// deterministic apply order (the concatenation of Rounds).
-	Commit []TID
-	// Rounds partitions Commit into re-execution rounds. Members of one
-	// round have pairwise-disjoint reservation footprints, so they may
+	// Rounds lists every fallback-scheduled transaction in re-execution
+	// rounds; their concatenation is the deterministic apply order. Members
+	// of one round have pairwise-disjoint reservation footprints, so they may
 	// re-execute concurrently; a transaction lands in the round after the
 	// last lower-TID aborted transaction it conflicts with, which
 	// preserves the batch's TID serial order along every conflict chain.
@@ -584,9 +581,6 @@ func Fallback(order []TID, sets map[TID]*RWSet) Schedule {
 			sched.Rounds = append(sched.Rounds, nil)
 		}
 		sched.Rounds[r] = append(sched.Rounds[r], tid)
-	}
-	for _, members := range sched.Rounds {
-		sched.Commit = append(sched.Commit, members...)
 	}
 	return sched
 }

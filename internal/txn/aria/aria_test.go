@@ -13,10 +13,10 @@ import (
 	"statefulentities.dev/stateflow/internal/state"
 )
 
-// newWorkspace opens a workspace for tid over the committed store.
-func newWorkspace(tid TID, committed *state.Store) *Workspace {
+// newWorkspace opens a workspace over the committed store.
+func newWorkspace(committed *state.Store) *Workspace {
 	ws := new(Workspace)
-	ws.Open(tid, committed)
+	ws.Open(committed)
 	return ws
 }
 
@@ -375,8 +375,8 @@ func chainSets(n int) ([]TID, map[TID]*RWSet) {
 func TestFallbackSchedulesWholeChain(t *testing.T) {
 	order, sets := chainSets(6)
 	sched := Fallback(order, sets)
-	if len(sched.Commit) != 5 {
-		t.Fatalf("commit: %v", sched.Commit)
+	if commit := slices.Concat(sched.Rounds...); len(commit) != 5 {
+		t.Fatalf("commit: %v", commit)
 	}
 	if len(sched.Rounds) != 5 {
 		t.Fatalf("rounds: %v", sched.Rounds)
@@ -412,7 +412,7 @@ func TestFallbackEmptyWithoutConflicts(t *testing.T) {
 		1: setOf([]string{"x"}, []string{"x"}),
 		2: setOf([]string{"y"}, []string{"y"}),
 	}
-	if sched := Fallback([]TID{1, 2}, sets); len(sched.Commit) != 0 || len(sched.Rounds) != 0 {
+	if sched := Fallback([]TID{1, 2}, sets); len(sched.Rounds) != 0 {
 		t.Fatalf("schedule not empty: %+v", sched)
 	}
 }
@@ -468,15 +468,7 @@ func TestFallbackScheduleProperties(t *testing.T) {
 		// Determinism: same inputs, same plan.
 		order2, sets2 := build()
 		sched2 := Fallback(order2, sets2)
-		if len(sched2.Commit) != len(sched.Commit) {
-			return false
-		}
-		for i := range sched.Commit {
-			if sched.Commit[i] != sched2.Commit[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(slices.Concat(sched.Rounds...), slices.Concat(sched2.Rounds...))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Fatal(err)
@@ -518,7 +510,7 @@ func get(t *testing.T, st interp.State, attr string) interp.Value {
 func TestWorkspaceReadsCommitted(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(10)})
-	ws := newWorkspace(1, committed)
+	ws := newWorkspace(committed)
 	st, ok := ws.Lookup(ref("x"))
 	if !ok {
 		t.Fatal("lookup")
@@ -534,7 +526,7 @@ func TestWorkspaceReadsCommitted(t *testing.T) {
 func TestWorkspaceWriteIsolation(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(10)})
-	ws := newWorkspace(1, committed)
+	ws := newWorkspace(committed)
 	st, _ := ws.Lookup(ref("x"))
 	set(t, st, "v", interp.IntV(99))
 	// Own read sees own write.
@@ -565,7 +557,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 	committed.PutMap(ref("x"), interp.MapState{"xs": interp.ListV(interp.IntV(1))})
 	before := append([]byte(nil), committed.Encode()...)
 
-	ws := newWorkspace(1, committed)
+	ws := newWorkspace(committed)
 	st, _ := ws.Lookup(ref("x"))
 	v, _ := st.GetSlot(slotOf(t, "xs"))
 	v.L.Elems = append(v.L.Elems, interp.IntV(2))
@@ -578,7 +570,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 		t.Fatal("in-place append reached the committed store before Apply")
 	}
 
-	ws = newWorkspace(2, committed) // the retry starts from the untouched image
+	ws = newWorkspace(committed) // the retry starts from the untouched image
 	st, _ = ws.Lookup(ref("x"))
 	v = get(t, st, "xs")
 	if len(v.L.Elems) != 1 {
@@ -596,7 +588,7 @@ func TestWorkspaceContainerReadIsPrivate(t *testing.T) {
 func TestWorkspaceCopyOnWritePreservesOtherAttrs(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
-	ws := newWorkspace(1, committed)
+	ws := newWorkspace(committed)
 	st, _ := ws.Lookup(ref("x"))
 	set(t, st, "a", interp.IntV(100))
 	ws.Apply(committed)
@@ -612,8 +604,8 @@ func TestWorkspaceCopyOnWritePreservesOtherAttrs(t *testing.T) {
 func TestDisjointSlotWritesMerge(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
-	w1 := newWorkspace(1, committed)
-	w2 := newWorkspace(2, committed)
+	w1 := newWorkspace(committed)
+	w2 := newWorkspace(committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
 	set(t, s1, "a", interp.IntV(100))
@@ -638,8 +630,8 @@ func TestDisjointSlotWritesMerge(t *testing.T) {
 func TestWholeRowInstallConflictsWithSlotWrites(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"a": interp.IntV(1), "b": interp.IntV(2)})
-	w1 := newWorkspace(1, committed)
-	w2 := newWorkspace(2, committed)
+	w1 := newWorkspace(committed)
+	w2 := newWorkspace(committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
 	set(t, s1, "a", interp.IntV(100))  // slot write
@@ -658,7 +650,7 @@ func TestWholeRowInstallConflictsWithSlotWrites(t *testing.T) {
 
 func TestWorkspaceCreate(t *testing.T) {
 	committed := newStore()
-	ws := newWorkspace(1, committed)
+	ws := newWorkspace(committed)
 	if err := ws.Create(ref("new"), func(st interp.State) error {
 		set(t, st, "v", interp.IntV(5))
 		return nil
@@ -685,7 +677,7 @@ func noCtor(interp.State) error { return nil }
 func TestWorkspaceCreateDuplicate(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{})
-	ws := newWorkspace(1, committed)
+	ws := newWorkspace(committed)
 	if err := ws.Create(ref("x"), noCtor); err == nil {
 		t.Fatal("duplicate create must fail")
 	}
@@ -698,7 +690,7 @@ func TestWorkspaceCreateDuplicate(t *testing.T) {
 }
 
 func TestWorkspaceLookupMissing(t *testing.T) {
-	ws := newWorkspace(1, newStore())
+	ws := newWorkspace(newStore())
 	if _, ok := ws.Lookup(ref("ghost")); ok {
 		t.Fatal("missing entity must not resolve")
 	}
@@ -707,8 +699,8 @@ func TestWorkspaceLookupMissing(t *testing.T) {
 func TestTwoWorkspacesAreIsolated(t *testing.T) {
 	committed := newStore()
 	committed.PutMap(ref("x"), interp.MapState{"v": interp.IntV(0)})
-	w1 := newWorkspace(1, committed)
-	w2 := newWorkspace(2, committed)
+	w1 := newWorkspace(committed)
+	w2 := newWorkspace(committed)
 	s1, _ := w1.Lookup(ref("x"))
 	s2, _ := w2.Lookup(ref("x"))
 	set(t, s1, "v", interp.IntV(1))
@@ -719,7 +711,7 @@ func TestTwoWorkspacesAreIsolated(t *testing.T) {
 
 func TestWriteBytesAndTouched(t *testing.T) {
 	committed := newStore()
-	ws := newWorkspace(1, committed)
+	ws := newWorkspace(committed)
 	if ws.WriteBytes() != 0 {
 		t.Fatal("empty workspace bytes")
 	}

@@ -21,7 +21,7 @@ func TestAllocsPerWorkspaceWrite(t *testing.T) {
 	v := slotOf(t, "v")
 	var ws Workspace
 	allocs := testing.AllocsPerRun(100, func() {
-		ws.Open(1, committed)
+		ws.Open(committed)
 		st, ok := ws.Lookup(ref("x"))
 		if !ok {
 			panic("lookup")
@@ -154,7 +154,7 @@ func TestWriteBytesMatchesInstalledRows(t *testing.T) {
 				}
 				committed.PutMap(ref(fmt.Sprintf("e%d", i)), st)
 			}
-			ws := newWorkspace(1, committed)
+			ws := newWorkspace(committed)
 			written := map[interp.EntityRef]bool{}
 			for n := 1 + rng.Intn(6); n > 0; n-- {
 				c.ops[rng.Intn(len(c.ops))](rng, ws, written)

@@ -227,16 +227,16 @@ func Loader(records, payloadBytes int) func(i int) (string, []interp.Value) {
 type Generator struct {
 	mix     Mix
 	chooser KeyChooser
-	n       int
 	rng     *rand.Rand
 	reqs    *sysapi.Builder
 }
 
 // NewGenerator builds a request generator. The prefix keeps request ids
-// unique across multiple generators.
-func NewGenerator(mix Mix, chooser KeyChooser, n int, seed int64, prefix string) *Generator {
+// unique across multiple generators. The key count is the chooser's, so the
+// third argument, the same count, is not consulted.
+func NewGenerator(mix Mix, chooser KeyChooser, _ int, seed int64, prefix string) *Generator {
 	return &Generator{
-		mix: mix, chooser: chooser, n: n,
+		mix: mix, chooser: chooser,
 		rng: rand.New(rand.NewSource(seed)), reqs: sysapi.NewBuilder(prefix),
 	}
 }
