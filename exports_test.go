@@ -54,7 +54,7 @@ var testOnlyExports = map[string]string{
 // method some code calls, or that the standard library declares (its
 // callers are not in this tree: fmt calls String, sort calls Less).
 func TestInternalExportsHaveACaller(t *testing.T) {
-	im, internal := checkedTree(t)
+	im := checkedTree(t)
 	type decl struct {
 		key        string
 		file       string
@@ -62,28 +62,32 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 		start, end token.Pos
 	}
 	var decls []decl
-	for _, sf := range internal {
-		f := sf.file
-		for _, dd := range f.Decls {
-			fn, ok := dd.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "."
-			if fn.Recv != nil {
-				typ := fn.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
+	for pkg, files := range im.files {
+		if !strings.HasPrefix(pkg, module+"/internal/") {
+			continue
+		}
+		for _, f := range files {
+			for _, dd := range f.Decls {
+				fn, ok := dd.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
 				}
-				switch x := typ.(type) {
-				case *ast.IndexExpr:
-					typ = x.X
-				case *ast.IndexListExpr:
-					typ = x.X
+				key := f.Name.Name + "."
+				if fn.Recv != nil {
+					typ := fn.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					switch x := typ.(type) {
+					case *ast.IndexExpr:
+						typ = x.X
+					case *ast.IndexListExpr:
+						typ = x.X
+					}
+					key += typ.(*ast.Ident).Name + "."
 				}
-				key += typ.(*ast.Ident).Name + "."
+				decls = append(decls, decl{key + fn.Name.Name, im.fset.Position(f.Pos()).Filename, fn.Name, fn.Pos(), fn.End()})
 			}
-			decls = append(decls, decl{key + fn.Name.Name, sf.path, fn.Name, fn.Pos(), fn.End()})
 		}
 	}
 
@@ -173,17 +177,13 @@ func TestInternalExportsHaveACaller(t *testing.T) {
 	}
 }
 
-// sourceFile is one parsed non-test file of the tree.
-type sourceFile struct {
-	path string
-	file *ast.File
-}
+// module is the tree's module path.
+const module = "statefulentities.dev/stateflow"
 
 // loadTree parses every non-test Go file in the tree and type-checks it
 // from source (benchmark/ is its module's subpath, so it counts too). It
 // runs once per test binary; the guards below share its result.
 var loadTree = sync.OnceValues(func() (*treeImporter, error) {
-	const module = "statefulentities.dev/stateflow"
 	im := &treeImporter{
 		fset:  token.NewFileSet(),
 		files: map[string][]*ast.File{},
@@ -225,9 +225,6 @@ var loadTree = sync.OnceValues(func() (*treeImporter, error) {
 			paths = append(paths, pkg)
 		}
 		im.files[pkg] = append(im.files[pkg], f)
-		if strings.HasPrefix(dir, "internal/") {
-			im.internal = append(im.internal, sourceFile{path, f})
-		}
 		return nil
 	})
 	if err != nil {
@@ -241,14 +238,13 @@ var loadTree = sync.OnceValues(func() (*treeImporter, error) {
 	return im, nil
 })
 
-// checkedTree returns the type-checked tree and its non-test files under
-// internal/.
-func checkedTree(t *testing.T) (*treeImporter, []sourceFile) {
+// checkedTree returns the type-checked tree.
+func checkedTree(t *testing.T) *treeImporter {
 	im, err := loadTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return im, im.internal
+	return im
 }
 
 // writeOnlyFields names the fields under internal/ that no non-test Go
@@ -276,41 +272,48 @@ var writeOnlyFields = map[string]string{
 // Embedded fields are exempt; the fields they promote are checked. Two
 // rules cover reads by reflection: a field of a struct that a function
 // passed to obs.Registry.Fields returns (itself or as a slice's element)
-// counts as read, and so does a field with a json tag.
+// counts as read, and so does a field with a json tag that does not
+// say "-".
 func TestInternalFieldsAreRead(t *testing.T) {
-	im, internal := checkedTree(t)
+	im := checkedTree(t)
 	info := im.info
 
 	// Every field declared under internal/ but those encoding/json reads,
 	// keyed by its named struct type (an anonymous one by its position).
 	type decl struct{ key, file string }
 	fields := map[*types.Var]decl{}
-	for _, sf := range internal {
-		owner := map[*ast.StructType]string{}
-		ast.Inspect(sf.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok {
-					owner[st] = n.Name.Name
-				}
-			case *ast.StructType:
-				name, ok := owner[n]
-				if !ok {
-					name = "struct@" + strconv.Itoa(im.fset.Position(n.Pos()).Line)
-				}
-				for _, f := range n.Fields.List {
-					if f.Tag != nil {
-						if tag, err := strconv.Unquote(f.Tag.Value); err == nil && reflect.StructTag(tag).Get("json") != "" {
-							continue
+	for pkg, files := range im.files {
+		if !strings.HasPrefix(pkg, module+"/internal/") {
+			continue
+		}
+		for _, f := range files {
+			owner := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						owner[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					name, ok := owner[n]
+					if !ok {
+						name = "struct@" + strconv.Itoa(im.fset.Position(n.Pos()).Line)
+					}
+					for _, fd := range n.Fields.List {
+						if fd.Tag != nil {
+							tag, _ := strconv.Unquote(fd.Tag.Value)
+							if j := reflect.StructTag(tag).Get("json"); j != "" && j != "-" {
+								continue
+							}
+						}
+						for _, id := range fd.Names {
+							fields[info.Defs[id].(*types.Var)] = decl{f.Name.Name + "." + name + "." + id.Name, im.fset.Position(f.Pos()).Filename}
 						}
 					}
-					for _, id := range f.Names {
-						fields[info.Defs[id].(*types.Var)] = decl{sf.file.Name.Name + "." + name + "." + id.Name, sf.path}
-					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	// written returns the field e assigns to, and the selector naming it:
@@ -432,8 +435,6 @@ type treeImporter struct {
 	pkgs  map[string]*types.Package
 	std   types.Importer
 	info  *types.Info
-
-	internal []sourceFile // the non-test files under internal/
 }
 
 // Import implements types.Importer.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,8 +41,8 @@ func TestMeanMinMax(t *testing.T) {
 		s.Observe(d * time.Millisecond)
 	}
 	snap := s.Snapshot()
-	if snap.Count != 3 || snap.Mean != 20*time.Millisecond {
-		t.Fatalf("count/mean: %d/%s", snap.Count, snap.Mean)
+	if snap.Count != 3 || s.sum != 60*time.Millisecond || snap.Mean != 20*time.Millisecond {
+		t.Fatalf("count/sum/mean: %d/%s/%s", snap.Count, s.sum, snap.Mean)
 	}
 	if lo := s.Percentile(0); lo != 10*time.Millisecond || snap.Max != 30*time.Millisecond {
 		t.Fatalf("min/max: %s/%s", lo, snap.Max)
@@ -89,7 +90,8 @@ func TestPercentileBoundsProperty(t *testing.T) {
 			s.Observe(time.Duration(v) * time.Microsecond)
 		}
 		got, snap := s.Percentile(float64(p%101)), s.Snapshot()
-		return got >= s.Percentile(0) && got <= snap.Max
+		lo := time.Duration(slices.Min(raw)) * time.Microsecond
+		return got >= lo && got <= snap.Max
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)

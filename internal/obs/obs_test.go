@@ -125,8 +125,8 @@ func TestHistogramReservoirDeterministic(t *testing.T) {
 	if sa != sb {
 		t.Fatalf("same-input reservoirs diverged:\na %+v\nb %+v", sa, sb)
 	}
-	if sa.Count != n || sa.Mean != sum/n {
-		t.Fatalf("count/mean must stay exact in reservoir mode: got count=%d mean=%s", sa.Count, sa.Mean)
+	if sa.Count != n || a.sum != sum || sa.Mean != sum/n {
+		t.Fatalf("count/sum/mean must stay exact in reservoir mode: got count=%d sum=%s mean=%s", sa.Count, a.sum, sa.Mean)
 	}
 	if len(a.samples) != cap {
 		t.Fatalf("reservoir retains %d samples, want the capacity %d", len(a.samples), cap)

@@ -302,7 +302,7 @@ func observeLatency(total *obs.Histogram, perKind map[string]*obs.Histogram, s s
 
 // LatencyReservoir caps client-side latency series memory: beyond this
 // many samples a series degrades to a deterministic reservoir estimate
-// (count/mean/min/max stay exact). Every gated benchmark run stays far
+// (count/mean/max stay exact). Every gated benchmark run stays far
 // below the cap, so bounding is behavior-neutral there; long runs — the
 // nightly 100-seed sweeps, open-loop soak benchmarks — get constant
 // memory instead of retaining every sample forever.
